@@ -253,6 +253,9 @@ pub struct ServerStatsSnapshot {
     pub cells_freed: u64,
     /// Retired cells still waiting out their epoch grace period.
     pub limbo: u64,
+    /// Calls the store has made into its ordered index: stands still while
+    /// requests stay on the cell-only point path.
+    pub index_walks: u64,
     /// Overflow cells per index shard (keys outside the pre-allocated
     /// range), in shard order.
     pub overflow_per_shard: Vec<u64>,
@@ -829,6 +832,7 @@ impl KvClient {
                 "cells" => stats.cells_allocated = value,
                 "cells_freed" => stats.cells_freed = value,
                 "limbo" => stats.limbo = value,
+                "index_walks" => stats.index_walks = value,
                 _ => {} // forward-compatible: ignore unknown counters
             }
         }

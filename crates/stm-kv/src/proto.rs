@@ -895,6 +895,12 @@ pub fn render_request_v2(request: &Request) -> Vec<u8> {
     out
 }
 
+/// The verbs [`parse_request_v2`] accepts, most frequent first.
+const V2_VERBS: [&str; 16] = [
+    "GET", "PUT", "DEL", "ADD", "RANGE", "SUM", "BEGIN", "EXEC", "PING", "HELLO", "STATS",
+    "METRICS", "SLOWLOG", "SNAPSHOT", "WALSTATS", "QUIT",
+];
+
 /// Interprets a decoded v2 frame as a request.
 ///
 /// # Errors
@@ -908,12 +914,11 @@ pub fn parse_request_v2(frame: Frame) -> Result<Request, ProtoError> {
             format!("request must be an array frame, got {}", frame.describe()),
         ));
     };
-    if frames.is_empty() {
+    let Some((verb, args)) = frames.split_first_mut() else {
         return Err(ProtoError::new(ErrorCode::Proto, "empty request"));
-    }
-    let verb = match frames.remove(0) {
-        Frame::Status(s) => s,
-        Frame::Str(s) => s,
+    };
+    let verb: &str = match verb {
+        Frame::Status(s) | Frame::Str(s) => s,
         other => {
             return Err(ProtoError::new(
                 ErrorCode::Proto,
@@ -921,7 +926,13 @@ pub fn parse_request_v2(frame: Frame) -> Result<Request, ProtoError> {
             ))
         }
     };
-    let args = frames;
+    // The verb's canonical spelling, found without building an upper-cased
+    // copy per request; "" (no verb) falls through to the error arm.
+    let command = V2_VERBS
+        .iter()
+        .copied()
+        .find(|name| name.eq_ignore_ascii_case(verb))
+        .unwrap_or("");
     let arity = |n: usize| -> Result<(), ProtoError> {
         if args.len() == n {
             Ok(())
@@ -930,7 +941,7 @@ pub fn parse_request_v2(frame: Frame) -> Result<Request, ProtoError> {
                 ErrorCode::Arg,
                 format!(
                     "{} takes {} argument{}, got {}",
-                    verb.to_ascii_uppercase(),
+                    command,
                     n,
                     if n == 1 { "" } else { "s" },
                     args.len()
@@ -947,7 +958,7 @@ pub fn parse_request_v2(frame: Frame) -> Result<Request, ProtoError> {
             )),
         }
     };
-    match verb.to_ascii_uppercase().as_str() {
+    match command {
         "HELLO" => {
             arity(1)?;
             let v = int_arg(0, "protocol version")?;
@@ -962,7 +973,6 @@ pub fn parse_request_v2(frame: Frame) -> Result<Request, ProtoError> {
         "PUT" => {
             arity(2)?;
             let key = int_arg(0, "key")?;
-            let mut args = args;
             let described = args[1].describe();
             let value_frame = std::mem::replace(&mut args[1], Frame::Nil);
             let value = frame_to_value(value_frame).ok_or_else(|| {
@@ -1028,9 +1038,9 @@ pub fn parse_request_v2(frame: Frame) -> Result<Request, ProtoError> {
             arity(0)?;
             Ok(Request::Quit)
         }
-        other => Err(ProtoError::new(
+        _ => Err(ProtoError::new(
             ErrorCode::Proto,
-            format!("unknown command '{other}'"),
+            format!("unknown command '{}'", verb.to_ascii_uppercase()),
         )),
     }
 }
@@ -1323,6 +1333,51 @@ mod tests {
         check("PUT 1", ErrorCode::Arg, "takes 2 arguments");
         check("PING 1", ErrorCode::Arg, "takes 0 arguments");
         check("HELLO x", ErrorCode::Arg, "version");
+    }
+
+    #[test]
+    fn v2_verbs_are_case_insensitive_and_errors_name_them_upper_cased() {
+        let parse = |verb: Frame, args: Vec<Frame>| {
+            parse_request_v2(Frame::Array(std::iter::once(verb).chain(args).collect()))
+        };
+        let status = |s: &str| Frame::Status(s.to_string());
+        assert_eq!(parse(status("get"), vec![Frame::Int(5)]).unwrap(), Request::Get(5));
+        assert_eq!(
+            parse(Frame::Str("PuT".into()), vec![Frame::Int(1), Frame::Bytes(vec![0, 255])]).unwrap(),
+            Request::Put(1, Value::Bytes(vec![0, 255]))
+        );
+        let err = |verb: Frame, args: Vec<Frame>| {
+            let err = parse(verb, args).unwrap_err();
+            (err.code, err.message)
+        };
+        assert_eq!(
+            err(status("get"), vec![]),
+            (ErrorCode::Arg, "GET takes 1 argument, got 0".to_string())
+        );
+        assert_eq!(
+            err(status("Range"), vec![Frame::Int(1)]),
+            (ErrorCode::Arg, "RANGE takes 2 arguments, got 1".to_string())
+        );
+        assert_eq!(
+            err(status("fly"), vec![Frame::Int(1)]),
+            (ErrorCode::Proto, "unknown command 'FLY'".to_string())
+        );
+        assert_eq!(
+            err(status(""), vec![]),
+            (ErrorCode::Proto, "unknown command ''".to_string())
+        );
+        assert_eq!(
+            err(status("put"), vec![Frame::Int(1), Frame::Nil]),
+            (ErrorCode::Arg, "value must be an int/str/bytes frame, got nil".to_string())
+        );
+        assert_eq!(
+            err(Frame::Int(3), vec![]),
+            (ErrorCode::Proto, "request verb must be a status/str frame, got int".to_string())
+        );
+        assert_eq!(
+            parse_request_v2(Frame::Array(vec![])).unwrap_err().message,
+            "empty request"
+        );
     }
 
     #[test]

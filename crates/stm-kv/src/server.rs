@@ -627,7 +627,7 @@ fn apply(store: &KvStore, tx: &mut Txn<'_>, request: &Request, log: bool) -> TxR
             None => Reply::Nil,
         },
         Request::Put(key, value) => {
-            store.put(tx, *key, value.clone())?;
+            store.set(tx, *key, value.clone())?;
             if log {
                 tx.publish(CommitOp::Put {
                     id: *key,
@@ -637,7 +637,7 @@ fn apply(store: &KvStore, tx: &mut Txn<'_>, request: &Request, log: bool) -> TxR
             Reply::Ok
         }
         Request::Del(key) => {
-            let removed = store.del(tx, *key)?.is_some();
+            let removed = store.unset(tx, *key)?;
             if log && removed {
                 tx.publish(CommitOp::Del { id: *key });
             }
@@ -694,7 +694,7 @@ fn stats_payload(stm: &Stm, counters: &ServerCounters, store: &KvStore) -> Strin
     format!(
         "commits={} aborts={} requests={} batches={} retries={} errors={} connections={} \
          conns_open={} conns_accepted={} conns_reaped_idle={} partial_writes={} \
-         cells={} cells_freed={} limbo={} overflow={}",
+         cells={} cells_freed={} limbo={} index_walks={} overflow={}",
         snapshot.commits,
         snapshot.aborts,
         counters.requests.load(Ordering::Relaxed),
@@ -709,6 +709,7 @@ fn stats_payload(stm: &Stm, counters: &ServerCounters, store: &KvStore) -> Strin
         store.cells_allocated(),
         stm.epoch().reclaimed_total(),
         stm.epoch().limbo_len(),
+        store.index_walks(),
         overflow,
     )
 }
@@ -745,8 +746,8 @@ fn walstats_payload(durable: &Durable) -> String {
 ///    waits granted, `abort_other` = enemy aborts granted, `abort_self` =
 ///    self-abort verdicts, recovered from the `manager_self_abort` cause
 ///    count);
-/// 3. the server's own request/connection counters and the store's cell
-///    accounting;
+/// 3. the server's own request/connection counters, the store's index-walk
+///    counter and its cell accounting;
 /// 4. when durable, the WAL's histograms ([`Wal::metrics_text`]) and its
 ///    counter-style stats.
 ///
@@ -815,6 +816,11 @@ fn metrics_payload(
             counter.load(Ordering::Relaxed)
         );
     }
+    let _ = writeln!(
+        out,
+        "# TYPE stm_kv_index_walks_total counter\nstm_kv_index_walks_total {}",
+        store.index_walks()
+    );
     let server_gauges = [
         ("stm_kv_conns_open", counters.conns_open.load(Ordering::Relaxed)),
         ("stm_kv_cells_allocated", store.cells_allocated() as u64),

@@ -1,48 +1,69 @@
 //! The transactional keyspace behind the server.
 //!
 //! A [`KvStore`] is a **dynamic** map from arbitrary `i64` keys to typed
-//! [`Value`]s (`Int` / `Str` / `Bytes`). Presence is tracked by a sharded
-//! red-black-tree index ([`ShardedTxSet`]); each key's value lives in its
-//! own `TVar` cell. The split matters for contention: a `PUT`/`ADD`
-//! conflicts with another transaction only when both touch the same key's
-//! value cell or the same index path inside one shard — transactions on
-//! different shards are disjoint by construction.
+//! [`Value`]s (`Int` / `Str` / `Bytes`). Each key's value lives in its own
+//! `TVar` cell, found through a cell table; a sharded red-black-tree index
+//! ([`ShardedTxSet`]) keeps the present keys in order. Every writer keeps
+//! the two in step, inside one transaction:
 //!
-//! Value cells live in two tiers. Keys inside the pre-allocated range
-//! (`0..prealloc`, the server's `--capacity` warm-up hint) resolve through
-//! a plain `Vec` — the same lock-free hot path the old fixed-capacity
-//! design had; those cells are permanent and a delete simply clears them
-//! back to [`CellState::Vacant`]. Keys outside it are materialised on first
-//! touch: each shard owns a `parking_lot::Mutex<HashMap<key, TVar>>`
-//! overflow table, and cell lookup does a brief get-or-insert under that
-//! leaf lock. The lock guards only cell *identity* (two racing transactions
-//! must obtain the same `TVar` for one key); cell *contents* remain under
-//! full STM arbitration, so serializability is untouched.
+//! > **Invariant.** At every committed state, `key ∈ index` ⇔ the cell
+//! > linked for `key` holds [`CellState::Full`].
 //!
-//! **Commit-time cell GC.** Unlike the original design, an overflow cell
-//! does not live forever once touched: a committed `DEL` reclaims it. The
-//! deleting transaction writes the [`CellState::Dead`] tombstone into the
-//! cell transactionally and registers a deferred action
-//! ([`stm_core::Txn::defer_on_commit`]) that — only if the delete actually
-//! committed and the tombstone is still the committed value — unlinks the
-//! cell from its shard table and retires it to the [`stm_core::EpochGc`]
-//! limbo, where it is dropped once every transaction that could still hold
-//! the old reference has unpinned.
+//! So the cell alone says whether a key is present, and a tracked read of
+//! it is a sufficient serialization witness: whoever changes the key's
+//! membership writes that cell. **Point operations (`GET`/`PUT`/`ADD`/`DEL`)
+//! therefore go to the cell first** and open the index only when membership
+//! changes or when there is no cell to witness absence; `RANGE`/`SUM`/
+//! `dump`/`len` read the index, the one thing that knows key order. A hit
+//! `GET` or an overwriting `PUT` opens exactly one `TVar`; it neither pays
+//! for a tree walk nor read-conflicts with rotations on its shard's root
+//! path. [`KvStore::index_walks`] counts the calls that did open the index.
 //!
-//! The tombstone is what makes the unlink race-free without blind writes:
-//! **every** store operation reads a key's cell before writing it (the
-//! [`KvStore::live_cell`] protocol). A committed `Dead` value is terminal —
-//! the only transaction allowed to overwrite a tombstone is the one that
-//! wrote it (a `DEL` followed by a `PUT` of the same key in one
-//! transaction, detected via [`stm_core::Txn::owns`]). A transaction that
-//! reads a committed tombstone therefore knows the cell is unlinked (or
-//! about to be), helps remove it from the table, and re-fetches a fresh
-//! cell; a transaction that raced the delete while it was still active
-//! conflicts with it on the cell itself and is arbitrated by the contention
-//! manager as usual. Keyspace growth is observable end to end:
-//! [`KvStore::cells_allocated`] counts every cell ever materialised
-//! (monotone), and the `cells_freed=`/`limbo=` counters exported in `STATS`
-//! come from the epoch domain's reclamation totals.
+//! **Cell table.** Keys inside the pre-allocated range (`0..prealloc`, the
+//! server's `--capacity` warm-up hint) resolve through a plain `Vec`: those
+//! cells are permanent and a delete clears them back to
+//! [`CellState::Vacant`]. Keys outside it are materialised by the first
+//! *writer* to touch them: each shard owns a
+//! `parking_lot::Mutex<HashMap<key, TVar>>` overflow table (the lock guards
+//! only cell *identity* — two racing transactions must obtain the same
+//! `TVar` for one key — and is never held across an STM operation).
+//!
+//! **Three lookup outcomes.** A point operation looks its key up in the
+//! table and finds the cell
+//!
+//! * **linked** — it reads the cell and answers from its state: `Full` is
+//!   present, `Vacant` (or a tombstone this same transaction wrote) is
+//!   absent. The index is not consulted.
+//! * **unlinked** (overflow keys only) — no writer has a cell for the key,
+//!   so by the invariant it is absent, but there is nothing to read. A
+//!   `PUT`/`ADD` links a fresh `Vacant` cell and proceeds as above. Every
+//!   other operation (`GET`, `DEL`, and the per-key reads of `RANGE`/`dump`)
+//!   must not materialise a cell — a miss would leak one, and so would a
+//!   reader that a concurrent `DEL` has already doomed; it reads the key's
+//!   path in the index instead, which is exactly what a later creator's
+//!   `index.insert` will write. Should that walk find the key — a creator
+//!   committed between the table lookup and the walk — the operation looks
+//!   the (now linked) cell up again.
+//! * **tombstoned** — the linked cell holds a *committed*
+//!   [`CellState::Dead`]: a `DEL` committed and its unlink is imminent.
+//!   The operation helps unlink the cell and looks the key up again.
+//!
+//! **Commit-time cell GC.** A committed `DEL` of an overflow key reclaims
+//! the cell. The deleting transaction writes the `Dead` tombstone and
+//! registers a deferred action ([`stm_core::Txn::defer_on_commit`]) that —
+//! only if the delete committed and the tombstone is still the committed
+//! value — unlinks the cell from its shard table and retires it to the
+//! [`stm_core::EpochGc`] limbo, where it is dropped once every transaction
+//! that could still hold the old reference has unpinned. The tombstone
+//! makes the unlink race-free without blind writes: every operation reads a
+//! cell before writing it, and a committed `Dead` is terminal — only the
+//! transaction that wrote a tombstone may overwrite it (a `DEL` followed by
+//! a `PUT` of the same key in one transaction, detected via
+//! [`stm_core::Txn::owns`]). A transaction that raced the delete while it
+//! was still active conflicts with it on the cell itself and is arbitrated
+//! by the contention manager as usual. [`KvStore::cells_allocated`] counts
+//! every cell ever materialised (monotone); the `cells_freed=`/`limbo=`
+//! counters in `STATS` come from the epoch domain's reclamation totals.
 //!
 //! **Typing.** The arithmetic operations (`ADD`, and `SUM` over a range)
 //! are only defined on `Int` values: hitting a `Str`/`Bytes` value reports
@@ -52,7 +73,8 @@
 //! All operations run inside the caller's transaction and compose: the
 //! server's `BEGIN`/`EXEC` batches simply run several store operations in
 //! one `atomically` closure, which is what makes multi-key batches
-//! serializable across clients.
+//! serializable across clients — a point read and a range read in one
+//! transaction witness the same serial order.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,12 +113,14 @@ enum CellState {
     Full(Value),
     /// The tombstone a committed `DEL` leaves in an overflow cell. Terminal
     /// once committed: the deleter unlinks and retires the cell, and any
-    /// other transaction that reads this state re-fetches a fresh cell.
+    /// other transaction that reads this state looks the key up again.
     Dead,
 }
 
 impl CellState {
-    fn into_value(self) -> Option<Value> {
+    /// The value held — by the module invariant, `Some` exactly when the
+    /// key is present.
+    fn value(&self) -> Option<&Value> {
         match self {
             CellState::Full(value) => Some(value),
             CellState::Vacant | CellState::Dead => None,
@@ -115,8 +139,8 @@ impl CellShard {
     /// Removes `cell` from the table (if it is still the cell linked under
     /// `key`) and retires it to `gc`. Idempotent under the table lock:
     /// exactly one caller — the deleter's deferred commit action or a
-    /// helping writer that found the tombstone first — wins the unlink and
-    /// performs the retire. Returns whether this call unlinked.
+    /// helping transaction that found the tombstone first — wins the unlink
+    /// and performs the retire. Returns whether this call unlinked.
     fn unlink_dead(&self, gc: &EpochGc, key: i64, cell: &TVar<CellState>) -> bool {
         let mut cells = self.cells.lock();
         let linked = cells.get(&key).is_some_and(|entry| entry.same_object(cell));
@@ -135,7 +159,11 @@ impl CellShard {
 /// reclamation of deleted keys' cells.
 #[derive(Debug)]
 pub struct KvStore {
+    /// The present keys in order. Reached only through [`KvStore::index`],
+    /// which counts the call.
     index: ShardedTxSet,
+    /// Calls into `index` (monotone): the operations that paid a tree walk.
+    index_walks: AtomicU64,
     /// Lock-free, permanent cells for the pre-allocated range
     /// `0..prealloc.len()` — never unlinked, a delete writes `Vacant`.
     prealloc: Vec<TVar<CellState>>,
@@ -170,6 +198,7 @@ impl KvStore {
         assert!(shards > 0, "need at least one shard");
         KvStore {
             index: ShardedTxSet::rbtree(shards),
+            index_walks: AtomicU64::new(0),
             prealloc: (0..prealloc.max(0)).map(|_| TVar::new(CellState::Vacant)).collect(),
             overflow: (0..shards).map(|_| Arc::new(CellShard::default())).collect(),
             overflow_created: AtomicU64::new(0),
@@ -181,9 +210,26 @@ impl KvStore {
         self.index.num_shards()
     }
 
-    /// Whether `key` resolves through the permanent pre-allocated tier.
-    fn is_preallocated(&self, key: i64) -> bool {
-        usize::try_from(key).is_ok_and(|i| i < self.prealloc.len())
+    /// The ordered index, for one call into it. Every tree operation the
+    /// store performs goes through here, so [`KvStore::index_walks`] counts
+    /// exactly the operations that left the cell-only fast path.
+    fn index(&self) -> &ShardedTxSet {
+        self.index_walks.fetch_add(1, Ordering::Relaxed);
+        &self.index
+    }
+
+    /// Calls the store has made into its ordered index (monotone): key
+    /// creations and removals, point misses on never-linked keys, and every
+    /// `RANGE`/`SUM`/`dump`/`len`. A hit `GET` or an overwriting `PUT`/`ADD`
+    /// adds nothing. Exported as `stm_kv_index_walks_total` in `METRICS`
+    /// and `index_walks=` in `STATS`.
+    pub fn index_walks(&self) -> u64 {
+        self.index_walks.load(Ordering::Relaxed)
+    }
+
+    /// The permanent cell of a key inside the pre-allocated range.
+    fn prealloc_cell(&self, key: i64) -> Option<&TVar<CellState>> {
+        usize::try_from(key).ok().and_then(|i| self.prealloc.get(i))
     }
 
     /// The overflow shard owning `key`'s cell.
@@ -191,14 +237,21 @@ impl KvStore {
         &self.overflow[key.rem_euclid(self.overflow.len() as i64) as usize]
     }
 
+    /// The value cell currently linked for `key`, if any — never creates
+    /// one, so a point miss leaves the table as it found it.
+    fn linked_cell(&self, key: i64) -> Option<TVar<CellState>> {
+        match self.prealloc_cell(key) {
+            Some(cell) => Some(cell.clone()),
+            None => self.overflow_shard(key).cells.lock().get(&key).cloned(),
+        }
+    }
+
     /// The value cell currently linked for `key` — lock-free inside the
     /// pre-allocated range, created on first touch under the shard's
     /// overflow lock outside it.
     fn fetch_cell(&self, key: i64) -> TVar<CellState> {
-        if let Ok(i) = usize::try_from(key) {
-            if let Some(cell) = self.prealloc.get(i) {
-                return cell.clone();
-            }
+        if let Some(cell) = self.prealloc_cell(key) {
+            return cell.clone();
         }
         let mut cells = self.overflow_shard(key).cells.lock();
         cells
@@ -210,23 +263,63 @@ impl KvStore {
             .clone()
     }
 
-    /// Fetches `key`'s cell and reads it in `tx`, retrying past committed
-    /// tombstones. This is the read-before-write protocol every mutation
-    /// goes through: the tracked read is what lets the runtime arbitrate
-    /// with a concurrent deleter (or invalidate us if one commits first),
-    /// and a committed `Dead` state means the cell is unlinked or about to
-    /// be — we help unlink it and fetch the fresh replacement. Our own
+    /// Reads `cell` (the one linked for `key`) in `tx`. The tracked read is
+    /// what lets the runtime arbitrate with a concurrent writer of the key
+    /// (or invalidate us if one commits first). `None` means the cell held
+    /// a committed tombstone — it is unlinked or about to be, this call
+    /// helped unlink it, and the caller must look the key up again. Our own
     /// uncommitted tombstone (a `DEL` earlier in this transaction) is
     /// returned as-is so a re-`PUT` reuses the same cell.
-    fn live_cell(&self, tx: &mut Txn<'_>, key: i64) -> TxResult<(TVar<CellState>, CellState)> {
+    fn read_cell(
+        &self,
+        tx: &mut Txn<'_>,
+        key: i64,
+        cell: &TVar<CellState>,
+    ) -> TxResult<Option<Arc<CellState>>> {
+        let state = tx.read_arc(cell)?;
+        if *state == CellState::Dead && !tx.owns(cell) {
+            self.overflow_shard(key).unlink_dead(tx.epoch(), key, cell);
+            return Ok(None);
+        }
+        Ok(Some(state))
+    }
+
+    /// `key`'s cell, created if unlinked, and its state as read in `tx`:
+    /// the read-before-write step of every operation that may create the
+    /// key.
+    fn live_cell(&self, tx: &mut Txn<'_>, key: i64) -> TxResult<(TVar<CellState>, Arc<CellState>)> {
         loop {
             let cell = self.fetch_cell(key);
-            let state = tx.read(&cell)?;
-            if state == CellState::Dead && !tx.owns(&cell) {
-                self.overflow_shard(key).unlink_dead(tx.epoch(), key, &cell);
-                continue;
+            if let Some(state) = self.read_cell(tx, key, &cell)? {
+                return Ok((cell, state));
             }
-            return Ok((cell, state));
+        }
+    }
+
+    /// `key`'s cell and its state as read in `tx`, **without** creating a
+    /// cell: the lookup of the operations that cannot create the key. `None`
+    /// means no cell is linked and the key is absent, witnessed by the read
+    /// of its index path — the nodes a later creator's insert must write.
+    fn peek_cell(
+        &self,
+        tx: &mut Txn<'_>,
+        key: i64,
+    ) -> TxResult<Option<(TVar<CellState>, Arc<CellState>)>> {
+        loop {
+            match self.linked_cell(key) {
+                Some(cell) => {
+                    if let Some(state) = self.read_cell(tx, key, &cell)? {
+                        return Ok(Some((cell, state)));
+                    }
+                }
+                None => {
+                    if !self.index().contains(tx, key)? {
+                        return Ok(None);
+                    }
+                    // A creator committed between the table lookup and the
+                    // walk, so its cell is linked now.
+                }
+            }
         }
     }
 
@@ -259,14 +352,22 @@ impl KvStore {
             .collect()
     }
 
-    /// Reads the value at `key`, or `None` when the key is absent.
+    /// Reads the value at `key`, or `None` when the key is absent. A miss
+    /// never materialises a cell.
     pub fn get(&self, tx: &mut Txn<'_>, key: i64) -> TxResult<Option<Value>> {
-        if self.index.contains(tx, key)? {
-            let (_cell, state) = self.live_cell(tx, key)?;
-            Ok(state.into_value())
-        } else {
-            Ok(None)
+        let found = self.peek_cell(tx, key)?;
+        Ok(found.and_then(|(_cell, state)| state.value().cloned()))
+    }
+
+    /// Stores `value` at `key` and returns the state it replaced. Only a
+    /// `PUT` that creates the key opens the index.
+    fn put_cell(&self, tx: &mut Txn<'_>, key: i64, value: Value) -> TxResult<Arc<CellState>> {
+        let (cell, state) = self.live_cell(tx, key)?;
+        if state.value().is_none() {
+            self.index().insert(tx, key)?;
         }
+        tx.write(&cell, CellState::Full(value))?;
+        Ok(state)
     }
 
     /// Stores `value` at `key`, returning the previous value if the key was
@@ -277,23 +378,33 @@ impl KvStore {
         key: i64,
         value: impl Into<Value>,
     ) -> TxResult<Option<Value>> {
-        let was_present = !self.index.insert(tx, key)?;
-        let (cell, state) = self.live_cell(tx, key)?;
-        tx.write(&cell, CellState::Full(value.into()))?;
-        // A newly created key's stale cell content is not part of the map.
-        Ok(if was_present { state.into_value() } else { None })
+        let replaced = self.put_cell(tx, key, value.into())?;
+        Ok(replaced.value().cloned())
     }
 
-    /// Removes `key`, returning its value if it was present. A
-    /// pre-allocated cell is cleared in place; an overflow cell receives
-    /// the `Dead` tombstone and, once the delete commits, is unlinked from
-    /// its shard table and retired to the epoch limbo for reclamation.
-    pub fn del(&self, tx: &mut Txn<'_>, key: i64) -> TxResult<Option<Value>> {
-        if !self.index.remove(tx, key)? {
+    /// [`KvStore::put`] for callers that do not want the previous value
+    /// (it is not copied out): returns whether the key was already present.
+    pub fn set(&self, tx: &mut Txn<'_>, key: i64, value: impl Into<Value>) -> TxResult<bool> {
+        let replaced = self.put_cell(tx, key, value.into())?;
+        Ok(replaced.value().is_some())
+    }
+
+    /// Removes `key` and returns the `Full` state it held, or `None` when
+    /// it was absent. A pre-allocated cell is cleared in place; an overflow
+    /// cell receives the `Dead` tombstone and, once the delete commits, is
+    /// unlinked from its shard table and retired to the epoch limbo for
+    /// reclamation. A miss opens the index only when no cell is linked, and
+    /// then read-only: removing there would race a `PUT` that linked its
+    /// cell after our lookup.
+    fn del_cell(&self, tx: &mut Txn<'_>, key: i64) -> TxResult<Option<Arc<CellState>>> {
+        let Some((cell, state)) = self.peek_cell(tx, key)? else {
+            return Ok(None);
+        };
+        if state.value().is_none() {
             return Ok(None);
         }
-        let (cell, state) = self.live_cell(tx, key)?;
-        if self.is_preallocated(key) {
+        self.index().remove(tx, key)?;
+        if self.prealloc_cell(key).is_some() {
             tx.write(&cell, CellState::Vacant)?;
         } else {
             tx.write(&cell, CellState::Dead)?;
@@ -306,9 +417,20 @@ impl KvStore {
                     shard.unlink_dead(gc, key, &tombstone);
                 }
             });
-            return Ok(state.into_value());
         }
-        Ok(state.into_value())
+        Ok(Some(state))
+    }
+
+    /// Removes `key`, returning its value if it was present.
+    pub fn del(&self, tx: &mut Txn<'_>, key: i64) -> TxResult<Option<Value>> {
+        let removed = self.del_cell(tx, key)?;
+        Ok(removed.and_then(|state| state.value().cloned()))
+    }
+
+    /// [`KvStore::del`] for callers that do not want the removed value (it
+    /// is not copied out): returns whether the key was present.
+    pub fn unset(&self, tx: &mut Txn<'_>, key: i64) -> TxResult<bool> {
+        Ok(self.del_cell(tx, key)?.is_some())
     }
 
     /// Adds `delta` to the integer value at `key` (treating an absent key as
@@ -322,23 +444,18 @@ impl KvStore {
         key: i64,
         delta: i64,
     ) -> TxResult<Result<i64, TypeMismatch>> {
-        let created = self.index.insert(tx, key)?;
         let (cell, state) = self.live_cell(tx, key)?;
-        let current = if created {
-            // Newly created: the stale cell content is not part of the map.
-            0
-        } else {
-            match state {
-                CellState::Full(Value::Int(v)) => v,
-                CellState::Full(other) => {
-                    return Ok(Err(TypeMismatch {
-                        key,
-                        found: other.type_name(),
-                    }))
-                }
-                // Index says present, so the cell cannot hold a committed
-                // non-value; treat a (logically impossible) gap as zero.
-                CellState::Vacant | CellState::Dead => 0,
+        let current = match state.value() {
+            Some(Value::Int(v)) => *v,
+            Some(other) => {
+                return Ok(Err(TypeMismatch {
+                    key,
+                    found: other.type_name(),
+                }))
+            }
+            None => {
+                self.index().insert(tx, key)?;
+                0
             }
         };
         let next = current.wrapping_add(delta);
@@ -352,9 +469,10 @@ impl KvStore {
         if lo > hi {
             return Ok(pairs);
         }
-        for key in self.index.range(tx, lo, hi)? {
-            let (_cell, state) = self.live_cell(tx, key)?;
-            if let Some(value) = state.into_value() {
+        for key in self.index().range(tx, lo, hi)? {
+            // Read without creating: a reader that a concurrent `DEL` has
+            // already doomed must not re-link a cell for the key it lost.
+            if let Some(value) = self.get(tx, key)? {
                 pairs.push((key, value));
             }
         }
@@ -392,9 +510,8 @@ impl KvStore {
     /// transaction, so concurrent writers serialize against it.
     pub fn dump(&self, tx: &mut Txn<'_>) -> TxResult<Vec<(i64, Value)>> {
         let mut pairs = Vec::new();
-        for key in self.index.to_vec(tx)? {
-            let (_cell, state) = self.live_cell(tx, key)?;
-            if let Some(value) = state.into_value() {
+        for key in self.index().to_vec(tx)? {
+            if let Some(value) = self.get(tx, key)? {
                 pairs.push((key, value));
             }
         }
@@ -403,12 +520,36 @@ impl KvStore {
 
     /// Number of present keys.
     pub fn len(&self, tx: &mut Txn<'_>) -> TxResult<usize> {
-        self.index.len(tx)
+        self.index().len(tx)
     }
 
     /// Whether the store holds no keys.
     pub fn is_empty(&self, tx: &mut Txn<'_>) -> TxResult<bool> {
         Ok(self.len(tx)? == 0)
+    }
+}
+
+#[cfg(test)]
+impl KvStore {
+    /// Test walker for the module invariant, at a quiescent committed state:
+    /// the index holds exactly the keys whose linked cell is `Full`.
+    fn assert_index_matches_cells(&self, stm: &stm_core::Stm) {
+        let indexed = stm
+            .thread()
+            .atomically(|tx| self.index.to_vec(tx))
+            .expect("index walk commits");
+        let is_full = |cell: &TVar<CellState>| cell.load_committed_arc().value().is_some();
+        let mut full: Vec<i64> = (0i64..)
+            .zip(&self.prealloc)
+            .filter(|(_, cell)| is_full(cell))
+            .map(|(key, _)| key)
+            .collect();
+        for shard in &self.overflow {
+            let cells = shard.cells.lock();
+            full.extend(cells.iter().filter(|(_, cell)| is_full(cell)).map(|(key, _)| *key));
+        }
+        full.sort_unstable();
+        assert_eq!(indexed, full, "key ∈ index ⇔ linked cell is Full");
     }
 }
 
@@ -691,5 +832,175 @@ mod tests {
             int(1000),
             "increments through a racing first-touch cell must not be lost"
         );
+    }
+
+    /// One store operation of the model test.
+    #[derive(Debug, Clone)]
+    enum ModelOp {
+        Get(i64),
+        Put(i64, Value),
+        Add(i64, i64),
+        Del(i64),
+        Range(i64, i64),
+        Sum(i64, i64),
+    }
+
+    /// Applies `op` to the store inside `tx` and to `model`, asserting both
+    /// give the same answer.
+    fn apply_and_compare(
+        store: &KvStore,
+        tx: &mut Txn<'_>,
+        model: &mut std::collections::BTreeMap<i64, Value>,
+        op: &ModelOp,
+    ) -> TxResult<()> {
+        let window = |model: &std::collections::BTreeMap<i64, Value>, lo: i64, hi: i64| {
+            let mut pairs = Vec::new();
+            if lo <= hi {
+                pairs.extend(model.range(lo..=hi).map(|(k, v)| (*k, v.clone())));
+            }
+            pairs
+        };
+        match op {
+            ModelOp::Get(key) => {
+                assert_eq!(store.get(tx, *key)?, model.get(key).cloned(), "{op:?}")
+            }
+            ModelOp::Put(key, value) => {
+                // Alternate the two spellings of PUT.
+                let expected = model.insert(*key, value.clone());
+                if key % 2 == 0 {
+                    assert_eq!(store.put(tx, *key, value.clone())?, expected, "{op:?}");
+                } else {
+                    assert_eq!(store.set(tx, *key, value.clone())?, expected.is_some(), "{op:?}");
+                }
+            }
+            ModelOp::Add(key, delta) => {
+                let expected = match model.get(key) {
+                    None => Ok(*delta),
+                    Some(Value::Int(v)) => Ok(v.wrapping_add(*delta)),
+                    Some(other) => Err(TypeMismatch {
+                        key: *key,
+                        found: other.type_name(),
+                    }),
+                };
+                if let Ok(next) = expected {
+                    model.insert(*key, Value::Int(next));
+                }
+                assert_eq!(store.add(tx, *key, *delta)?, expected, "{op:?}");
+            }
+            ModelOp::Del(key) => {
+                let expected = model.remove(key);
+                if key % 2 == 0 {
+                    assert_eq!(store.del(tx, *key)?, expected, "{op:?}");
+                } else {
+                    assert_eq!(store.unset(tx, *key)?, expected.is_some(), "{op:?}");
+                }
+            }
+            ModelOp::Range(lo, hi) => {
+                assert_eq!(store.range(tx, *lo, *hi)?, window(model, *lo, *hi), "{op:?}")
+            }
+            ModelOp::Sum(lo, hi) => {
+                let pairs = window(model, *lo, *hi);
+                let mut expected = Ok((0i64, pairs.len()));
+                for (key, value) in &pairs {
+                    match (value, &mut expected) {
+                        (Value::Int(v), Ok((total, _))) => *total = total.wrapping_add(*v),
+                        (other, Ok(_)) => {
+                            expected = Err(TypeMismatch {
+                                key: *key,
+                                found: other.type_name(),
+                            })
+                        }
+                        (_, Err(_)) => {}
+                    }
+                }
+                assert_eq!(store.sum(tx, *lo, *hi)?, expected, "{op:?}");
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn seeded_ops_match_a_btreemap_model_and_keep_index_and_cells_in_step() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        use stm_cm::ManagerKind;
+
+        const PREALLOC: i64 = 24;
+        // Both tiers, few enough keys that every op often finds its key in
+        // every state: present, vacant, never linked, reclaimed.
+        let keys: Vec<i64> = (0..12).chain((1 << 32)..(1 << 32) + 12).chain(-4..0).collect();
+        let managers = [
+            ManagerKind::Greedy,
+            ManagerKind::Karma,
+            ManagerKind::Polka,
+            ManagerKind::Timestamp,
+        ];
+        for (m, kind) in managers.into_iter().enumerate() {
+            let seed = 0x0057_04e5 + m as u64;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let stm = Stm::builder().manager(kind.factory()).build();
+            let store = KvStore::with_preallocated(4, PREALLOC);
+            let mut ctx = stm.thread();
+            let mut model: BTreeMap<i64, Value> = BTreeMap::new();
+
+            for step in 0..800 {
+                let mut ops = Vec::new();
+                for _ in 0..rng.gen_range(1..=4usize) {
+                    let key = keys[rng.gen_range(0..keys.len())];
+                    let value = match rng.gen_range(0..8u32) {
+                        0 => Value::Str(format!("s{step}")),
+                        1 => Value::Bytes(vec![step as u8; 3]),
+                        _ => Value::Int(rng.gen_range(-50i64..50)),
+                    };
+                    let lo = keys[rng.gen_range(0..keys.len())];
+                    let hi = keys[rng.gen_range(0..keys.len())];
+                    match rng.gen_range(0..10u32) {
+                        0 | 1 => ops.push(ModelOp::Get(key)),
+                        2 | 3 => ops.push(ModelOp::Put(key, value)),
+                        4 => ops.push(ModelOp::Add(key, rng.gen_range(-9i64..=9))),
+                        5 => ops.push(ModelOp::Del(key)),
+                        6 => ops.push(ModelOp::Range(lo, hi)),
+                        7 => ops.push(ModelOp::Sum(lo, hi)),
+                        // The tombstone's own-transaction cases.
+                        8 => ops.extend([ModelOp::Del(key), ModelOp::Put(key, value)]),
+                        _ => ops.extend([ModelOp::Del(key), ModelOp::Get(key)]),
+                    }
+                }
+                let abort = rng.gen_range(0..8u32) == 0;
+                let mut after = model.clone();
+                let outcome = ctx.atomically(|tx| {
+                    after = model.clone();
+                    for op in &ops {
+                        apply_and_compare(&store, tx, &mut after, op)?;
+                    }
+                    if abort {
+                        return tx.abort();
+                    }
+                    Ok(())
+                });
+                assert_eq!(outcome.is_err(), abort, "{kind}/seed {seed:#x}/step {step}: {ops:?}");
+                if !abort {
+                    model = after;
+                }
+
+                store.assert_index_matches_cells(&stm);
+                let dump = ctx.atomically(|tx| store.dump(tx)).unwrap();
+                assert!(
+                    dump.iter().cloned().eq(model.iter().map(|(k, v)| (*k, v.clone()))),
+                    "{kind}/seed {seed:#x}/step {step}: store {dump:?} != model {model:?}"
+                );
+            }
+
+            drop(ctx);
+            stm.epoch().collect();
+            let stats = stm.epoch().stats();
+            assert_eq!(stats.limbo, 0, "{kind}: {stats:?}");
+            assert_eq!(
+                store.cells_allocated() as u64 - stats.reclaimed,
+                store.cells_live() as u64,
+                "{kind}/seed {seed:#x}: allocated − freed − limbo = linked: {stats:?}"
+            );
+        }
     }
 }

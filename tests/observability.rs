@@ -50,7 +50,8 @@ const ABORT_CAUSES: [&str; 5] = [
 const MANAGER_DECISIONS: [&str; 3] = ["wait", "abort_other", "abort_self"];
 
 /// Every serving-layer counter the exposition promises.
-const KV_COUNTERS: [&str; 7] = [
+const KV_COUNTERS: [&str; 8] = [
+    "stm_kv_index_walks_total",
     "stm_kv_connections_total",
     "stm_kv_requests_total",
     "stm_kv_batches_total",
@@ -288,6 +289,61 @@ fn durable_server_exposes_wal_series() {
     client.quit().unwrap();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// "Why was this request slow: it walked the tree" must be answerable from
+/// the running system: hit `GET`s and overwriting `PUT`/`ADD`s stay on the
+/// cell-only point path, so 10,000 of them leave
+/// `stm_kv_index_walks_total` (and `STATS index_walks=`) exactly where the
+/// prefill put it; a miss on a never-linked key and a key creation each
+/// move it by one.
+#[test]
+fn hit_gets_and_overwrite_puts_never_walk_the_index() {
+    const PER_TIER: i64 = 64;
+    const OVERFLOW_BASE: i64 = 1 << 32;
+
+    let mut server = KvServer::start(ServerConfig {
+        manager: ManagerKind::Greedy,
+        capacity: PER_TIER,
+        shards: 4,
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("server must start");
+    let mut client = KvClient::connect(server.addr()).unwrap();
+    // Half the keys in pre-allocated cells, half in overflow cells.
+    let keys: Vec<i64> = (0..PER_TIER)
+        .chain(OVERFLOW_BASE..OVERFLOW_BASE + PER_TIER)
+        .collect();
+    for &key in &keys {
+        client.put(key, key).unwrap();
+    }
+
+    let walks = |client: &mut KvClient| {
+        let scraped = client.metrics().unwrap().counter("stm_kv_index_walks_total");
+        assert_eq!(client.stats().unwrap().index_walks, scraped, "STATS and METRICS agree");
+        scraped
+    };
+    let before = walks(&mut client);
+    assert_eq!(before, keys.len() as u64, "prefill: one insert per created key");
+
+    for i in 0..10_000usize {
+        let key = keys[i * 7 % keys.len()];
+        match i % 4 {
+            0 => client.put(key, i as i64).unwrap(),
+            1 => drop(client.add(key, 1).unwrap()),
+            _ => assert!(client.get_int(key).unwrap().is_some(), "key {key} is present"),
+        }
+    }
+    assert_eq!(walks(&mut client), before, "the point path must not open the index");
+
+    assert_eq!(client.get(OVERFLOW_BASE - 1).unwrap(), None);
+    assert_eq!(walks(&mut client), before + 1, "a miss on an unlinked key reads its path");
+    client.put(OVERFLOW_BASE - 1, 0).unwrap();
+    assert_eq!(walks(&mut client), before + 2, "a creating PUT inserts");
+
+    client.quit().unwrap();
+    server.shutdown();
 }
 
 #[test]
