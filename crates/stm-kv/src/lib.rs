@@ -13,8 +13,8 @@
 //!   typed: `Int(i64)`, `Str(String)`, `Bytes(Vec<u8>)`. One enum flows
 //!   from the wire through the store into the write-ahead log.
 //! * **Storage** ([`KvStore`]) — a dynamic `i64 → Value` keyspace. The
-//!   membership index is a [`stm_structures::ShardedTxSet`] over red-black
-//!   trees, and every key's value lives in its own
+//!   membership index is a [`stm_structures::ShardedTxSet`] over chunked
+//!   B+-trees, and every key's value lives in its own
 //!   [`stm_core::TVar`]`<Option<Value>>` (materialised on first touch, so
 //!   any key is addressable); arithmetic ops (`ADD`/`SUM`) report a typed
 //!   [`TypeMismatch`] on non-integer values.

@@ -496,12 +496,15 @@ pub fn render_reply(reply: &Reply) -> String {
         Reply::Ok => "OK".to_string(),
         Reply::OkN(n) => format!("OK {n}"),
         Reply::Range(pairs) => {
+            use std::fmt::Write;
             let mut out = format!("RANGE {}", pairs.len());
             for (k, v) in pairs {
+                // Formatted into `out` itself: no `String` per pair.
                 match v {
-                    Value::Int(v) => out.push_str(&format!(" {k}={v}")),
-                    other => out.push_str(&format!(" {k}=<{}>", other.type_name())),
+                    Value::Int(v) => write!(out, " {k}={v}"),
+                    other => write!(out, " {k}=<{}>", other.type_name()),
                 }
+                .expect("writing to a String cannot fail");
             }
             out
         }
@@ -667,11 +670,40 @@ fn malformed(message: impl Into<String>) -> FrameError {
     FrameError::Malformed(message.into())
 }
 
+/// Appends a frame header line — `tag`, `n` in decimal, newline — built in
+/// a stack buffer: a 128-pair `RANGE` reply has ~400 of these, and
+/// `to_string()` allocates (and `write!` walks the `fmt` machinery) for each.
+fn write_header(out: &mut Vec<u8>, tag: u8, n: i64) {
+    // Tag, sign, the 19 digits of `i64::MIN`, newline.
+    let mut line = [0u8; 22];
+    let mut at = line.len() - 1;
+    line[at] = b'\n';
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        line[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        line[at] = b'-';
+    }
+    at -= 1;
+    line[at] = tag;
+    out.extend_from_slice(&line[at..]);
+}
+
+/// [`write_header`] for a length (never above `isize::MAX`, so it fits).
+fn write_len_header(out: &mut Vec<u8>, tag: u8, len: usize) {
+    write_header(out, tag, i64::try_from(len).expect("a length fits in i64"));
+}
+
 /// Appends a length-prefixed bulk frame (`$`/`=`).
 fn write_bulk(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    out.push(tag);
-    out.extend_from_slice(payload.len().to_string().as_bytes());
-    out.push(b'\n');
+    write_len_header(out, tag, payload.len());
     out.extend_from_slice(payload);
     out.push(b'\n');
 }
@@ -679,18 +711,14 @@ fn write_bulk(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 /// Appends a value as its v2 frame.
 pub fn write_value(out: &mut Vec<u8>, value: &Value) {
     match value {
-        Value::Int(v) => {
-            out.push(b':');
-            out.extend_from_slice(v.to_string().as_bytes());
-            out.push(b'\n');
-        }
+        Value::Int(v) => write_header(out, b':', *v),
         Value::Str(s) => write_bulk(out, b'$', s.as_bytes()),
         Value::Bytes(b) => write_bulk(out, b'=', b),
     }
 }
 
 fn write_int(out: &mut Vec<u8>, v: i64) {
-    write_value(out, &Value::Int(v));
+    write_header(out, b':', v);
 }
 
 fn write_status(out: &mut Vec<u8>, token: &str) {
@@ -716,9 +744,7 @@ fn write_error(out: &mut Vec<u8>, code: ErrorCode, message: &str) {
 }
 
 fn write_array_header(out: &mut Vec<u8>, len: usize) {
-    out.push(b'*');
-    out.extend_from_slice(len.to_string().as_bytes());
-    out.push(b'\n');
+    write_len_header(out, b'*', len);
 }
 
 /// Appends an arbitrary frame (used by tests and the client's batch path).
@@ -1547,6 +1573,65 @@ mod tests {
             (2, Value::Bytes(vec![0, 10])),
         ]));
         assert_eq!(line, "RANGE 2 1=5 2=<bytes>");
+    }
+
+    #[test]
+    fn integers_render_to_the_same_bytes_as_to_string_in_both_framings() {
+        let extremes = [i64::MIN, -1, 0, i64::MAX];
+        let mut out = Vec::new();
+        for v in extremes {
+            render_reply_v2(&mut out, &Reply::Value(Value::Int(v)));
+        }
+        assert_eq!(
+            out,
+            b":-9223372036854775808\n:-1\n:0\n:9223372036854775807\n"
+        );
+        let lines: Vec<String> = extremes
+            .iter()
+            .map(|v| render_reply(&Reply::Value(Value::Int(*v))))
+            .collect();
+        assert_eq!(
+            lines,
+            ["VALUE -9223372036854775808", "VALUE -1", "VALUE 0", "VALUE 9223372036854775807"]
+        );
+
+        // A 300-pair range (three-digit array header, the extremes as keys
+        // and values, a blob with a three-digit length) against the bytes
+        // the `to_string()` renderer produced.
+        let mut pairs: Vec<(i64, Value)> = (0..296).map(|i| (i * 7 - 1_000, Value::Int(-i))).collect();
+        pairs.insert(0, (i64::MIN, Value::Int(i64::MAX)));
+        pairs.push((1 << 40, Value::Bytes(vec![b'x'; 256])));
+        pairs.push((i64::MAX - 1, Value::Str("s".to_string())));
+        pairs.push((i64::MAX, Value::Int(i64::MIN)));
+        assert_eq!(pairs.len(), 300);
+        let mut v1 = "RANGE 300".to_string();
+        let mut v2 = b"*2\n+RANGE\n*300\n".to_vec();
+        for (k, v) in &pairs {
+            v2.extend_from_slice(b"*2\n:");
+            v2.extend_from_slice(k.to_string().as_bytes());
+            v2.push(b'\n');
+            match v {
+                Value::Int(v) => {
+                    v1.push_str(&format!(" {k}={v}"));
+                    v2.extend_from_slice(format!(":{v}\n").as_bytes());
+                }
+                Value::Str(s) => {
+                    v1.push_str(&format!(" {k}=<str>"));
+                    v2.extend_from_slice(format!("${}\n{s}\n", s.len()).as_bytes());
+                }
+                Value::Bytes(b) => {
+                    v1.push_str(&format!(" {k}=<bytes>"));
+                    v2.extend_from_slice(format!("={}\n", b.len()).as_bytes());
+                    v2.extend_from_slice(b);
+                    v2.push(b'\n');
+                }
+            }
+        }
+        let reply = Reply::Range(pairs);
+        assert_eq!(render_reply(&reply), v1);
+        let mut out = Vec::new();
+        render_reply_v2(&mut out, &reply);
+        assert_eq!(out, v2);
     }
 
     #[test]

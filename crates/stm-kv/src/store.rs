@@ -2,9 +2,10 @@
 //!
 //! A [`KvStore`] is a **dynamic** map from arbitrary `i64` keys to typed
 //! [`Value`]s (`Int` / `Str` / `Bytes`). Each key's value lives in its own
-//! `TVar` cell, found through a cell table; a sharded red-black-tree index
-//! ([`ShardedTxSet`]) keeps the present keys in order. Every writer keeps
-//! the two in step, inside one transaction:
+//! `TVar` cell, found through a cell table; a sharded index of chunked
+//! B+-trees ([`ShardedTxSet::chunked`]: one `TVar` per 64-key node) keeps
+//! the present keys in order. Every writer keeps the two in step, inside
+//! one transaction:
 //!
 //! > **Invariant.** At every committed state, `key ∈ index` ⇔ the cell
 //! > linked for `key` holds [`CellState::Full`].
@@ -16,8 +17,11 @@
 //! changes or when there is no cell to witness absence; `RANGE`/`SUM`/
 //! `dump`/`len` read the index, the one thing that knows key order. A hit
 //! `GET` or an overwriting `PUT` opens exactly one `TVar`; it neither pays
-//! for a tree walk nor read-conflicts with rotations on its shard's root
-//! path. [`KvStore::index_walks`] counts the calls that did open the index.
+//! for a tree walk nor read-conflicts with a split or merge on its shard's
+//! root path. A key-creating `PUT` or a hit `DEL` adds one root-to-leaf
+//! path (the tree's height, 3 at 4,096 keys a shard) and one leaf write; a
+//! `RANGE` opens the leaves its window overlaps, not a node per key.
+//! [`KvStore::index_walks`] counts the calls that did open the index.
 //!
 //! **Cell table.** Keys inside the pre-allocated range (`0..prealloc`, the
 //! server's `--capacity` warm-up hint) resolve through a plain `Vec`: those
@@ -178,7 +182,7 @@ pub struct KvStore {
 
 impl KvStore {
     /// Creates an empty store whose membership index (and overflow cell
-    /// table) is partitioned over `shards` red-black trees.
+    /// table) is partitioned over `shards` chunked B+-trees.
     ///
     /// # Panics
     ///
@@ -197,7 +201,7 @@ impl KvStore {
     pub fn with_preallocated(shards: usize, prealloc: i64) -> Self {
         assert!(shards > 0, "need at least one shard");
         KvStore {
-            index: ShardedTxSet::rbtree(shards),
+            index: ShardedTxSet::chunked(shards),
             index_walks: AtomicU64::new(0),
             prealloc: (0..prealloc.max(0)).map(|_| TVar::new(CellState::Vacant)).collect(),
             overflow: (0..shards).map(|_| Arc::new(CellShard::default())).collect(),
@@ -489,20 +493,29 @@ impl KvStore {
         lo: i64,
         hi: i64,
     ) -> TxResult<Result<(i64, usize), TypeMismatch>> {
-        let pairs = self.range(tx, lo, hi)?;
-        let mut total = 0i64;
-        for (key, value) in &pairs {
-            match value {
-                Value::Int(v) => total = total.wrapping_add(*v),
-                other => {
+        let (mut total, mut count) = (0i64, 0usize);
+        if lo > hi {
+            return Ok(Ok((total, count)));
+        }
+        for key in self.index().range(tx, lo, hi)? {
+            // Read without creating (see `range`), and add from the cell in
+            // place: no value is copied out only to be summed or skipped.
+            let found = self.peek_cell(tx, key)?;
+            match found.as_ref().and_then(|(_cell, state)| state.value()) {
+                Some(Value::Int(v)) => {
+                    total = total.wrapping_add(*v);
+                    count += 1;
+                }
+                Some(other) => {
                     return Ok(Err(TypeMismatch {
-                        key: *key,
+                        key,
                         found: other.type_name(),
                     }))
                 }
+                None => {}
             }
         }
-        Ok(Ok((total, pairs.len())))
+        Ok(Ok((total, count)))
     }
 
     /// Every present key with its value, ascending — the consistent cut a

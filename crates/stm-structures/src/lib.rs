@@ -14,8 +14,11 @@
 //!   variable length (Figure 4).
 //!
 //! All four implement the [`TxSet`] trait so the benchmark harness can be
-//! generic over the structure. Two auxiliary structures, [`TxCounter`] and
-//! [`TxQueue`], are used by the examples and tests.
+//! generic over the structure. So does [`TxChunkedSet`], which is not from
+//! the paper: a B+-tree with one `TVar` per 64-key node, priced by objects
+//! opened rather than keys visited, and — sharded by [`ShardedTxSet::chunked`]
+//! — the ordered index under `stm-kv`'s store. Two auxiliary structures,
+//! [`TxCounter`] and [`TxQueue`], are used by the examples and tests.
 //!
 //! Every operation takes `&mut Txn` and returns a [`stm_core::TxResult`];
 //! operations compose — several calls inside one `atomically` closure form a
@@ -44,6 +47,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod chunked;
 pub mod counter;
 pub mod forest;
 pub mod list;
@@ -53,6 +57,7 @@ pub mod set;
 pub mod sharded;
 pub mod skiplist;
 
+pub use chunked::TxChunkedSet;
 pub use counter::TxCounter;
 pub use forest::TxRbForest;
 pub use list::TxList;

@@ -6,11 +6,11 @@
 //! (`key mod shards`), so transactions that touch different shards share no
 //! `TVar`s at all and can only conflict through keys that genuinely collide.
 //! The `stm-kv` server builds its keyspace index out of a [`ShardedTxSet`]
-//! over red-black trees; because every constituent set is itself
-//! transactional, a multi-shard operation (a cross-shard `range`, a batch
-//! touching keys in several shards) still executes as one serializable
-//! transaction — sharding changes the conflict footprint, never the
-//! semantics.
+//! over chunked B+-trees ([`ShardedTxSet::chunked`]); because every
+//! constituent set is itself transactional, a multi-shard operation (a
+//! cross-shard `range`, a batch touching keys in several shards) still
+//! executes as one serializable transaction — sharding changes the conflict
+//! footprint, never the semantics.
 //!
 //! Ordered queries ([`ShardedTxSet::range`], [`ShardedTxSet::to_vec`])
 //! gather the per-shard results (each already ascending) and merge them.
@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use stm_core::{TxResult, Txn};
 
+use crate::chunked::TxChunkedSet;
 use crate::rbtree::TxRbTree;
 use crate::set::TxSet;
 use crate::skiplist::TxSkipList;
@@ -49,23 +50,30 @@ impl ShardedTxSet {
         ShardedTxSet { shards }
     }
 
-    /// A sharded set whose shards are red-black trees (the `stm-kv`
-    /// keyspace-index configuration).
-    pub fn rbtree(shards: usize) -> Self {
+    /// `shards` (at least one) shards built by `make`.
+    fn of<S: TxSet + 'static>(shards: usize, make: fn() -> S) -> Self {
         ShardedTxSet::new(
             (0..shards.max(1))
-                .map(|_| Arc::new(TxRbTree::new()) as Arc<dyn TxSet>)
+                .map(|_| Arc::new(make()) as Arc<dyn TxSet>)
                 .collect(),
         )
     }
 
+    /// A sharded set whose shards are chunked B+-trees (the `stm-kv`
+    /// keyspace-index configuration).
+    pub fn chunked(shards: usize) -> Self {
+        Self::of(shards, TxChunkedSet::new)
+    }
+
+    /// A sharded set whose shards are red-black trees (the paper's Figure 3
+    /// structure).
+    pub fn rbtree(shards: usize) -> Self {
+        Self::of(shards, TxRbTree::new)
+    }
+
     /// A sharded set whose shards are skiplists.
     pub fn skiplist(shards: usize) -> Self {
-        ShardedTxSet::new(
-            (0..shards.max(1))
-                .map(|_| Arc::new(TxSkipList::new()) as Arc<dyn TxSet>)
-                .collect(),
-        )
+        Self::of(shards, TxSkipList::new)
     }
 
     /// Number of shards.

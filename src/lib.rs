@@ -14,7 +14,7 @@
 //! |-------|----------|
 //! | [`core`](stm_core) | the STM runtime: [`Stm`], [`TVar`], [`Txn`], the [`ContentionManager`] interface |
 //! | [`cm`](stm_cm) | the greedy manager plus twelve managers from the literature |
-//! | [`structures`](stm_structures) | transactional list, skiplist, red-black tree, forest, sharded set, counter, queue |
+//! | [`structures`](stm_structures) | transactional list, skiplist, red-black tree, forest, chunked B+-tree set, sharded set, counter, queue |
 //! | [`sched`](stm_sched) | Garey–Graham task systems, list/optimal schedulers, execution simulator |
 //! | [`kv`](stm_kv) | the networked transactional key-value service: server, wire protocol, client |
 //! | [`log`](stm_log) | durability: write-ahead commit log, group commit, snapshots, crash recovery |
@@ -111,7 +111,8 @@ pub mod prelude {
     };
     pub use crate::kv::{KvClient, KvServer, KvStore, ServerConfig};
     pub use crate::structures::{
-        ShardedTxSet, TxCounter, TxList, TxQueue, TxRbForest, TxRbTree, TxSet, TxSkipList,
+        ShardedTxSet, TxChunkedSet, TxCounter, TxList, TxQueue, TxRbForest, TxRbTree, TxSet,
+        TxSkipList,
     };
     pub use stm_core::{
         AbortCause, ContentionManager, ReadVisibility, Resolution, Stm, StmError, TVar, TxResult,

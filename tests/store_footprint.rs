@@ -1,19 +1,33 @@
-//! Footprint gate for `KvStore`'s point operations: how many `TVar`s one
-//! `GET`/`PUT`/`ADD`/`DEL` opens, counted by `ThreadCtx::atomically_traced`
-//! (`TxRunReport::reads`/`writes`) on a 65,536-key store, in both cell
-//! tiers. The paper prices a transaction by the objects it opens, so these
-//! are the numbers the cell-first point path is held to. They are counts,
-//! not times: single-threaded, they repeat exactly on any host.
+//! Footprint gate for `KvStore`: how many `TVar`s one operation opens,
+//! counted by `ThreadCtx::atomically_traced` (`TxRunReport::reads`/`writes`)
+//! on a 65,536-key store, in both cell tiers. The paper prices a transaction
+//! by the objects it opens, so these are the numbers the cell-first point
+//! path and the chunked index are held to. They are counts, not times:
+//! single-threaded, they repeat exactly on any host.
+//!
+//! With `h` the height of the key's shard tree (asserted ≤ 3 here: 4,096
+//! keys a shard in leaves and inner nodes of ≤ 64):
 //!
 //! * hit `GET`, and a miss `GET` on a pre-allocated key: **1 read**;
 //! * overwriting `PUT`, `ADD` on a present key: **the cell** (1 read,
 //!   1 write) and no index open;
-//! * creating `PUT`, hit `DEL`: the cell plus **one tree path** — exactly
-//!   what `ShardedTxSet::insert`/`remove` of that key opens on a mirror
-//!   index holding the same keys in the same shape;
-//! * `GET`/`DEL` miss on a never-linked overflow key: **the tree path only**
-//!   (`ShardedTxSet::contains`), no write, and no cell materialised — also
-//!   after 10,000 of them.
+//! * creating `PUT`/`ADD`: **(1 + h, 2)** — the cell, one root-to-leaf path,
+//!   the leaf — and one more write per level that splits;
+//! * hit `DEL`: **(1 + h, 2)**, and one more read (the sibling) and write
+//!   (the parent) per level that merges;
+//! * `GET`/`DEL` miss on a never-linked overflow key: **(h, 0)**, and no
+//!   cell materialised — also after 10,000 of them;
+//! * a 256-key `RANGE` over a half-full stripe: at most 5 index objects a
+//!   shard (root, ≤ 2 inner nodes, ≤ 2 leaves) and one cell per pair.
+//!
+//! Each is also held equal to what `ShardedTxSet::insert`/`remove`/
+//! `contains`/`range` opens on a mirror index built in the same order. The
+//! last test shows the conflict surface that buys: a split writes its leaf
+//! and the leaf's parent, so a range parked elsewhere in the shard is not
+//! disturbed, and one parked on that leaf is.
+
+use std::sync::mpsc;
+use std::sync::Arc;
 
 use greedy_stm::core::stats::TxRunReport;
 use greedy_stm::kv::Value;
@@ -24,9 +38,8 @@ const KEYS: i64 = 65_536;
 const SHARDS: usize = 16;
 /// Where the overflow tier's keys start: far outside any pre-allocated range.
 const OVERFLOW_BASE: i64 = 1 << 32;
-/// A shard holds 4,096 keys; a root-to-leaf walk with its re-reads during
-/// rebalancing stays far below this, a scan of the shard far above.
-const PATH_READS_MAX: u64 = 256;
+/// The tallest a shard's tree may be at 4,096 keys.
+const HEIGHT_MAX: u64 = 3;
 /// Probe offsets, spread over the keyspace and over the shards.
 const PROBES: [i64; 6] = [0, 1, 4_097, 30_001, 50_000, 65_535];
 
@@ -37,16 +50,25 @@ struct Fixture {
     stm: Stm,
     store: KvStore,
     mirror: ShardedTxSet,
+    /// The mirror's shards, for their heights.
+    mirror_shards: Vec<TxChunkedSet>,
     base: i64,
 }
 
 impl Fixture {
     /// `prealloc` cells up front (0 = every key is an overflow key).
     fn new(prealloc: i64, base: i64) -> Fixture {
+        let mirror_shards: Vec<TxChunkedSet> = (0..SHARDS).map(|_| TxChunkedSet::new()).collect();
         let fixture = Fixture {
             stm: Stm::default(),
             store: KvStore::with_preallocated(SHARDS, prealloc),
-            mirror: ShardedTxSet::rbtree(SHARDS),
+            mirror: ShardedTxSet::new(
+                mirror_shards
+                    .iter()
+                    .map(|shard| Arc::new(shard.clone()) as Arc<dyn TxSet>)
+                    .collect(),
+            ),
+            mirror_shards,
             base,
         };
         let mut ctx = fixture.stm.thread();
@@ -62,6 +84,14 @@ impl Fixture {
         }
         drop(ctx);
         fixture
+    }
+
+    /// Height of the tree holding `key`, asserted to be at most `HEIGHT_MAX`.
+    fn height(&self, ctx: &mut ThreadCtx<'_>, key: i64) -> u64 {
+        let shard = &self.mirror_shards[self.mirror.shard_of(key)];
+        let height = ctx.atomically(|tx| shard.height(tx)).unwrap() as u64;
+        assert!((2..=HEIGHT_MAX).contains(&height), "height {height}");
+        height
     }
 }
 
@@ -92,19 +122,27 @@ fn opens(report: &TxRunReport) -> (u64, u64) {
     (report.reads, report.writes)
 }
 
+/// A store operation that changed membership opened the cell (read and
+/// write) plus what the same index call cost on the mirror, in one walk.
+fn assert_cell_plus_path(report: &TxRunReport, walks: u64, path: (u64, u64), what: &str) {
+    assert_eq!(
+        (opens(report), walks),
+        ((1 + path.0, 1 + path.1), 1),
+        "{what}"
+    );
+}
+
 /// The counts that hold in either tier, for present keys and for keys this
 /// test creates and removes again.
 fn check_point_ops(fixture: &Fixture, tier: &str) {
     let Fixture {
-        stm,
-        store,
-        mirror,
-        base,
+        stm, store, mirror, ..
     } = fixture;
     let mut ctx = stm.thread();
     for offset in PROBES {
-        let key = base + offset;
+        let key = fixture.base + offset;
         let what = format!("{tier} key {key}");
+        let h = fixture.height(&mut ctx, key);
 
         let (value, report, walks) = traced(&mut ctx, store, |tx| store.get(tx, key));
         assert_eq!(value, Some(Value::Int(key)), "{what}");
@@ -130,44 +168,142 @@ fn check_point_ops(fixture: &Fixture, tier: &str) {
         assert_eq!(sum, Ok(10), "{what}");
         assert_eq!((opens(&report), walks), ((1, 1), 0), "ADD present, {what}");
 
-        // DEL hit: the cell (read + tombstone/vacate) and one remove path.
-        let (path_reads, path_writes) = mirror_cost(&mut ctx, |tx| mirror.remove(tx, key));
+        // The fixture's leaves hold 32 or more keys, so removing one key and
+        // putting it back neither merges nor splits: exactly one path and
+        // the leaf, beside the cell.
+        let path = mirror_cost(&mut ctx, |tx| mirror.remove(tx, key));
+        assert_eq!(path, (h, 1), "remove path, {what}");
         let (removed, report, walks) = traced(&mut ctx, store, |tx| store.del(tx, key));
         assert_eq!(removed, Some(Value::Int(10)), "{what}");
-        assert_eq!(
-            (opens(&report), walks),
-            ((1 + path_reads, 1 + path_writes), 1),
-            "DEL hit, {what}"
-        );
-        assert!(
-            path_reads < PATH_READS_MAX,
-            "a path, not a scan: {path_reads}"
-        );
+        assert_cell_plus_path(&report, walks, path, &format!("DEL hit, {what}"));
 
-        // PUT new: the cell (read + write) and one insert path.
-        let (path_reads, path_writes) = mirror_cost(&mut ctx, |tx| mirror.insert(tx, key));
+        let path = mirror_cost(&mut ctx, |tx| mirror.insert(tx, key));
+        assert_eq!(path, (h, 1), "insert path, {what}");
         let (previous, report, walks) = traced(&mut ctx, store, |tx| store.put(tx, key, key));
         assert_eq!(previous, None, "{what}");
-        assert_eq!(
-            (opens(&report), walks),
-            ((1 + path_reads, 1 + path_writes), 1),
-            "PUT new, {what}"
-        );
-        assert!(
-            path_reads < PATH_READS_MAX,
-            "a path, not a scan: {path_reads}"
-        );
+        assert_cell_plus_path(&report, walks, path, &format!("PUT new, {what}"));
 
         // ADD creating the key costs what PUT new costs.
         mirror_cost(&mut ctx, |tx| mirror.remove(tx, key));
         traced(&mut ctx, store, |tx| store.unset(tx, key));
-        let (path_reads, path_writes) = mirror_cost(&mut ctx, |tx| mirror.insert(tx, key));
+        let path = mirror_cost(&mut ctx, |tx| mirror.insert(tx, key));
+        assert_eq!(path, (h, 1), "insert path, {what}");
         let (sum, report, walks) = traced(&mut ctx, store, |tx| store.add(tx, key, key));
         assert_eq!(sum, Ok(key), "{what}");
+        assert_cell_plus_path(&report, walks, path, &format!("ADD new, {what}"));
+    }
+    check_splits_and_merges(fixture, tier);
+    check_range(fixture, tier);
+}
+
+/// Creates 40 keys just below the fixture's lowest key of shard `base mod
+/// 16` — all into that shard's first leaf, which must split exactly once —
+/// then deletes them and the 40 keys after them, which must merge leaves.
+/// Every step costs the cell plus the mirror's path, and the path stays
+/// within one more write per level that split, one more read and write per
+/// level that merged.
+fn check_splits_and_merges(fixture: &Fixture, tier: &str) {
+    let Fixture {
+        stm, store, mirror, ..
+    } = fixture;
+    let mut ctx = stm.thread();
+    let stride = SHARDS as i64;
+    let h = fixture.height(&mut ctx, fixture.base);
+
+    let mut splits = 0;
+    for key in (1..=40).map(|j| fixture.base - stride * j) {
+        let what = format!("{tier} key {key}");
+        let path = mirror_cost(&mut ctx, |tx| mirror.insert(tx, key));
+        assert_eq!(path.0, h, "insert reads one path, {what}");
+        assert!(
+            (1..=h).contains(&path.1),
+            "insert writes {}, {what}",
+            path.1
+        );
+        splits += path.1 - 1;
+        let (previous, report, walks) = traced(&mut ctx, store, |tx| store.put(tx, key, key));
+        assert_eq!(previous, None, "{what}");
+        assert_cell_plus_path(&report, walks, path, &format!("PUT new, {what}"));
+    }
+    assert_eq!(
+        splits, 1,
+        "{tier}: 32 + 40 keys into one leaf split it once"
+    );
+    assert_eq!(fixture.height(&mut ctx, fixture.base), h);
+
+    let mut merges = 0;
+    for key in (-40..40).map(|j| fixture.base + stride * j) {
+        let what = format!("{tier} key {key}");
+        let path = mirror_cost(&mut ctx, |tx| mirror.remove(tx, key));
+        assert!(
+            (h..2 * h).contains(&path.0),
+            "remove reads {}, {what}",
+            path.0
+        );
+        assert!(
+            (1..=h).contains(&path.1),
+            "remove writes {}, {what}",
+            path.1
+        );
+        assert!(
+            path.1 - 1 <= path.0 - h,
+            "a merge reads the sibling, {what}"
+        );
+        merges += path.1 - 1;
+        let (present, report, walks) = traced(&mut ctx, store, |tx| store.unset(tx, key));
+        assert!(present, "{what}");
+        assert_cell_plus_path(&report, walks, path, &format!("DEL hit, {what}"));
+    }
+    assert!(
+        merges >= 1,
+        "{tier}: emptying two leaves' worth of keys merged none"
+    );
+}
+
+/// A 256-key `RANGE` over a stripe with every other key of each shard
+/// deleted: at most 5 index objects per shard, one cell per pair, one walk.
+fn check_range(fixture: &Fixture, tier: &str) {
+    let Fixture {
+        stm, store, mirror, ..
+    } = fixture;
+    let mut ctx = stm.thread();
+    let stride = SHARDS as i64;
+    let lo = fixture.base + 20_000;
+    let gone: Vec<i64> = (lo - 256..lo + 512)
+        .filter(|key| (key / stride) % 2 == 1)
+        .collect();
+    ctx.atomically(|tx| {
+        for &key in &gone {
+            assert!(store.unset(tx, key)?);
+            assert!(mirror.remove(tx, key)?);
+        }
+        Ok(())
+    })
+    .unwrap();
+
+    for lo in [lo, lo + 7, lo + 100] {
+        let hi = lo + 255;
+        let (keys, index) = ctx.atomically_traced(|tx| mirror.range(tx, lo, hi));
+        let keys = keys.unwrap();
+        assert_eq!(keys.len(), 128, "{tier}: half of [{lo}, {hi}]");
+        assert!(
+            index.reads <= 5 * SHARDS as u64,
+            "{tier}: RANGE [{lo}, {hi}] opened {} index objects",
+            index.reads
+        );
+        let (pairs, report, walks) = traced(&mut ctx, store, |tx| store.range(tx, lo, hi));
+        assert!(pairs.iter().map(|(key, _)| key).eq(keys.iter()), "{tier}");
         assert_eq!(
             (opens(&report), walks),
-            ((1 + path_reads, 1 + path_writes), 1),
-            "ADD new, {what}"
+            ((index.reads + 128, 0), 1),
+            "{tier}: RANGE [{lo}, {hi}]"
+        );
+        let (sum, report, walks) = traced(&mut ctx, store, |tx| store.sum(tx, lo, hi));
+        assert_eq!(sum, Ok((keys.iter().sum(), 128)), "{tier}");
+        assert_eq!(
+            (opens(&report), walks),
+            ((index.reads + 128, 0), 1),
+            "{tier}: SUM [{lo}, {hi}]"
         );
     }
 }
@@ -208,10 +344,7 @@ fn overflow_tier_point_ops_open_the_cell_and_at_most_one_tree_path() {
     // Misses on never-linked keys: the index path is the only witness there
     // is, nothing is written, and no cell appears.
     let Fixture {
-        stm,
-        store,
-        mirror,
-        base,
+        stm, store, base, ..
     } = &fixture;
     let mut ctx = stm.thread();
     let allocated = store.cells_allocated();
@@ -220,11 +353,10 @@ fn overflow_tier_point_ops_open_the_cell_and_at_most_one_tree_path() {
         // Absent keys on both sides of and inside the present range's shards.
         let key = match i % 3 {
             0 => base + KEYS + i,
-            1 => base - 1 - i,
+            1 => base - 1_000 - i,
             _ => i64::MIN + i,
         };
-        let path = mirror_cost(&mut ctx, |tx| mirror.contains(tx, key));
-        assert_eq!(path.1, 0);
+        let path = (fixture.height(&mut ctx, key), 0);
         let (value, report, walks) = traced(&mut ctx, store, |tx| store.get(tx, key));
         assert_eq!(value, None);
         assert_eq!(
@@ -246,4 +378,120 @@ fn overflow_tier_point_ops_open_the_cell_and_at_most_one_tree_path() {
         "a miss must not materialise a cell"
     );
     assert_eq!(store.cells_live(), linked);
+}
+
+/// Runs `store.range(lo, hi)` on its own thread and parks it inside the
+/// transaction, reads taken, until `meanwhile` returns; then lets it commit
+/// and returns its report. The closure parks on its first attempt only, so
+/// an aborted range retries straight through.
+fn range_parked_while(
+    fixture: &Fixture,
+    (lo, hi): (i64, i64),
+    meanwhile: impl FnOnce(),
+) -> TxRunReport {
+    let Fixture { stm, store, .. } = fixture;
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(move || {
+            let mut ctx = stm.thread();
+            let mut first = true;
+            let (pairs, report) = ctx.atomically_traced(|tx| {
+                let pairs = store.range(tx, lo, hi)?;
+                if std::mem::take(&mut first) {
+                    parked_tx.send(()).expect("the test thread is listening");
+                    release_rx.recv().expect("the test thread releases");
+                }
+                Ok(pairs)
+            });
+            assert!(!pairs.unwrap().is_empty());
+            report
+        });
+        parked_rx.recv().expect("the reader parks");
+        // Released by drop, so a panic in `meanwhile` fails the test instead
+        // of hanging it.
+        let parked = Release(release_tx);
+        meanwhile();
+        drop(parked);
+        reader.join().expect("the reader finished")
+    })
+}
+
+struct Release(mpsc::Sender<()>);
+
+impl Drop for Release {
+    fn drop(&mut self) {
+        // The reader is gone already only if it panicked, which `join` reports.
+        let _ = self.0.send(());
+    }
+}
+
+/// Creates keys past the end of shard `base mod 16` until one of the `PUT`s
+/// splits the shard's last leaf; returns every `PUT`'s report, that one last.
+fn put_until_split(fixture: &Fixture) -> Vec<TxRunReport> {
+    let Fixture { stm, store, .. } = fixture;
+    let mut ctx = stm.thread();
+    let next = ctx
+        .atomically(|tx| store.range(tx, fixture.base + KEYS, i64::MAX))
+        .unwrap();
+    let mut key = next
+        .last()
+        .map_or(fixture.base + KEYS, |(last, _)| last + SHARDS as i64);
+    let mut reports = Vec::new();
+    while reports
+        .last()
+        .is_none_or(|put: &TxRunReport| put.writes == 2)
+    {
+        assert!(reports.len() <= 64, "65 keys into one leaf and no split");
+        let (result, report) = ctx.atomically_traced(|tx| store.put(tx, key, key));
+        assert_eq!(result.unwrap(), None);
+        reports.push(report);
+        key += SHARDS as i64;
+    }
+    reports
+}
+
+#[test]
+fn a_split_disturbs_only_ranges_over_its_own_leaf() {
+    let fixture = Fixture::new(0, OVERFLOW_BASE);
+    let base = fixture.base;
+
+    // A range over the first 256 keys reads every shard's root, first inner
+    // node and first leaves. A split of shard 0's last leaf — 120-odd
+    // leaves and two inner nodes away — writes that leaf and its parent and
+    // only reads the root: neither transaction notices the other.
+    let mut puts = Vec::new();
+    let range = range_parked_while(&fixture, (base, base + 255), || {
+        puts = put_until_split(&fixture);
+    });
+    let split = puts.last().expect("the split ran");
+    assert_eq!(
+        split.writes, 3,
+        "the cell, the leaf's left half, its parent: {split:?}"
+    );
+    assert_eq!(
+        (range.attempts, range.conflicts),
+        (1, 0),
+        "far range: {range:?}"
+    );
+    for put in &puts {
+        assert_eq!((put.attempts, put.conflicts), (1, 0), "far put: {put:?}");
+    }
+
+    // The converse: the range covers the leaf the keys go into. The
+    // fixture's polite manager has the writer back off, then abort the
+    // parked reader: every `PUT` commits in one attempt, the range retries
+    // once.
+    let range = range_parked_while(&fixture, (base + KEYS - 256, i64::MAX), || {
+        puts = put_until_split(&fixture);
+    });
+    assert!(
+        puts.iter().any(|put| put.conflicts >= 1),
+        "near puts: {puts:?}"
+    );
+    assert!(
+        puts.iter().all(|put| put.attempts == 1),
+        "near puts: {puts:?}"
+    );
+    assert_eq!(range.attempts, 2, "near range: {range:?}");
 }

@@ -1,6 +1,7 @@
 //! Property-based tests: every transactional set implementation must behave
 //! exactly like a reference `BTreeSet` for arbitrary operation sequences, and
-//! the red-black tree must maintain its structural invariants throughout.
+//! the red-black tree and the chunked B+-tree must maintain their structural
+//! invariants throughout.
 //! Operation sequences are drawn from a seeded PRNG so failures reproduce
 //! deterministically.
 
@@ -99,6 +100,20 @@ fn sharded_set_matches_btreeset_across_shard_counts() {
                 &random_ops(&mut rng, 96, 250),
             );
         }
+    }
+}
+
+#[test]
+fn chunked_set_matches_btreeset_bare_and_sharded() {
+    let mut rng = SmallRng::seed_from_u64(0xc4_0a6e);
+    for _case in 0..12 {
+        // Few keys (one leaf, every op collides) and many (splits, merges).
+        check_against_model(&TxChunkedSet::new(), &random_ops(&mut rng, 96, 250));
+        check_against_model(&TxChunkedSet::new(), &random_ops(&mut rng, 1_024, 2_500));
+        check_against_model(
+            &ShardedTxSet::chunked(5),
+            &random_ops(&mut rng, 1_024, 2_500),
+        );
     }
 }
 
@@ -213,6 +228,83 @@ fn sharded_range_merges_shards_in_order() {
 }
 
 #[test]
+fn chunked_range_matches_btreeset() {
+    check_range_against_model(TxChunkedSet::new, 0x3a9e_0005, 96);
+    check_range_against_model(|| ShardedTxSet::chunked(5), 0x3a9e_0006, 96);
+}
+
+/// `range` on a set deep enough to have several inner nodes (5,000 keys: a
+/// bare chunked set is three levels, ~160 leaves): windows that start and
+/// end mid-leaf and span anything from one key to every inner node, the
+/// `i64` extremes as bounds and as keys, and inverted bounds — all while
+/// keys come and go.
+fn check_deep_range_against_model<S: TxSet>(set: &S, seed: u64) {
+    const SPAN: i64 = 15_000;
+    let stm = Stm::builder().manager(GreedyManager::factory()).build();
+    let mut ctx = stm.thread();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut model: BTreeSet<i64> = (0..SPAN).step_by(3).chain([i64::MIN, i64::MAX]).collect();
+    for chunk in model.iter().copied().collect::<Vec<_>>().chunks(500) {
+        ctx.atomically(|tx| {
+            chunk
+                .iter()
+                .try_for_each(|key| set.insert(tx, *key).map(drop))
+        })
+        .unwrap();
+    }
+    for round in 0..300 {
+        for _ in 0..20 {
+            let key = rng.gen_range(-50..SPAN + 50);
+            if rng.gen_bool(0.5) {
+                assert_eq!(
+                    ctx.atomically(|tx| set.insert(tx, key)).unwrap(),
+                    model.insert(key)
+                );
+            } else {
+                assert_eq!(
+                    ctx.atomically(|tx| set.remove(tx, key)).unwrap(),
+                    model.remove(&key)
+                );
+            }
+        }
+        let lo = rng.gen_range(-100..SPAN);
+        let hi = lo + [0, 1, 40, 700, 12_000][round % 5] + rng.gen_range(0i64..50);
+        let windows = [
+            (lo, hi),
+            (hi, lo),
+            (lo, lo),
+            (i64::MIN, lo),
+            (hi, i64::MAX),
+            (i64::MIN, i64::MAX),
+            (i64::MAX, i64::MIN),
+            (i64::MIN, i64::MIN),
+            (i64::MAX, i64::MAX),
+        ];
+        for (lo, hi) in windows {
+            let got = ctx.atomically(|tx| set.range(tx, lo, hi)).unwrap();
+            let want: Vec<i64> = if lo <= hi {
+                model.range(lo..=hi).copied().collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(got, want, "seed {seed:#x} round {round}: range({lo}, {hi})");
+        }
+    }
+    assert_eq!(ctx.atomically(|tx| set.len(tx)).unwrap(), model.len());
+}
+
+#[test]
+fn chunked_deep_ranges_match_btreeset_bare_and_sharded() {
+    let bare = TxChunkedSet::new();
+    check_deep_range_against_model(&bare, 0x3a9e_0007);
+    let stm = Stm::default();
+    stm.thread()
+        .atomically(|tx| bare.check_invariants(tx))
+        .unwrap();
+    check_deep_range_against_model(&ShardedTxSet::chunked(5), 0x3a9e_0008);
+}
+
+#[test]
 fn list_range_and_snapshot_match_btreeset() {
     check_range_against_model(TxList::new, 0x3a9e_0003, 48);
     // `snapshot` is the list's full-structure read; it must equal `to_vec`.
@@ -231,6 +323,16 @@ fn list_range_and_snapshot_match_btreeset() {
             .atomically(|tx| Ok((list.snapshot(tx)?, list.to_vec(tx)?)))
             .unwrap();
         assert_eq!(snap, vec);
+    }
+}
+
+/// Raises a stop flag when dropped, so threads polling it are released even
+/// when the thread that owns the guard panics.
+struct StopOnExit(std::sync::Arc<std::sync::atomic::AtomicBool>);
+
+impl Drop for StopOnExit {
+    fn drop(&mut self) {
+        self.0.store(true, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -283,12 +385,6 @@ fn check_concurrent_range_snapshots<S: TxSet + Clone + 'static>(set: S, seed: u6
             // Release the writers even if an assertion below panics —
             // otherwise they spin on `stop` forever and the failure becomes
             // a hang instead of a test failure.
-            struct StopOnExit(Arc<AtomicBool>);
-            impl Drop for StopOnExit {
-                fn drop(&mut self) {
-                    self.0.store(true, Ordering::Relaxed);
-                }
-            }
             let _guard = StopOnExit(Arc::clone(&stop_reader));
             let mut ctx = stm_reader.thread();
             for _ in 0..150 {
@@ -321,6 +417,146 @@ fn skiplist_concurrent_ranges_see_consistent_snapshots() {
 #[test]
 fn rbtree_concurrent_ranges_see_consistent_snapshots() {
     check_concurrent_range_snapshots(TxRbTree::new(), 0x51ab_0002);
+}
+
+#[test]
+fn chunked_concurrent_ranges_see_consistent_snapshots() {
+    check_concurrent_range_snapshots(TxChunkedSet::new(), 0x51ab_0003);
+    check_concurrent_range_snapshots(ShardedTxSet::chunked(5), 0x51ab_0004);
+}
+
+/// The chunked set's conflict granule is the leaf: writers of *different*
+/// keys in one leaf contend for one object. Three writers own the interleaved
+/// keys (`k ≡ t mod 3`) of one 64-key span — a single root leaf — and toggle
+/// them a pair at a time while a reader ranges over the span. Whatever the
+/// manager decides, each writer must always find exactly the membership it
+/// last committed, the reader must never see half a pair, and everyone must
+/// finish.
+#[test]
+fn same_leaf_contention_keeps_per_thread_membership_under_every_manager() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::thread;
+
+    const WRITERS: i64 = 3;
+    const SPAN: i64 = 64;
+    /// Writer `t`'s `j`-th pair: two of its own keys, half a span apart.
+    fn pair(t: i64, j: i64) -> (i64, i64) {
+        (t + WRITERS * j, t + WRITERS * j + 30)
+    }
+
+    let managers = [
+        ManagerKind::Greedy,
+        ManagerKind::Karma,
+        ManagerKind::Polka,
+        ManagerKind::Timestamp,
+    ];
+    for kind in managers {
+        for visibility in [ReadVisibility::Visible, ReadVisibility::Invisible] {
+            let what = format!("{kind}/{visibility:?}");
+            let stm = Stm::builder()
+                .manager(kind.factory())
+                .read_visibility(visibility)
+                .build();
+            let set = TxChunkedSet::new();
+            let stop = Arc::new(AtomicBool::new(false));
+            let finals: Vec<BTreeSet<i64>> = thread::scope(|scope| {
+                let writers: Vec<_> = (0..WRITERS)
+                    .map(|t| {
+                        let (stm, set, what) = (&stm, &set, &what);
+                        scope.spawn(move || {
+                            let mut ctx = stm.thread();
+                            let mut rng = SmallRng::seed_from_u64(0x5a3e_1eaf ^ t as u64);
+                            let mut mine = BTreeSet::new();
+                            for step in 0..250 {
+                                let (a, b) = pair(t, rng.gen_range(0i64..10));
+                                let insert = !mine.contains(&a);
+                                let seen = ctx
+                                    .atomically(|tx| {
+                                        let seen = set.range(tx, 0, SPAN - 1)?;
+                                        for key in [a, b] {
+                                            let changed = if insert {
+                                                set.insert(tx, key)?
+                                            } else {
+                                                set.remove(tx, key)?
+                                            };
+                                            assert!(
+                                                changed,
+                                                "{what}: writer {t} step {step} key {key}"
+                                            );
+                                        }
+                                        Ok(seen)
+                                    })
+                                    .unwrap();
+                                let seen_mine: BTreeSet<i64> =
+                                    seen.into_iter().filter(|k| k % WRITERS == t).collect();
+                                assert_eq!(seen_mine, mine, "{what}: writer {t} step {step}");
+                                if insert {
+                                    mine.extend([a, b]);
+                                } else {
+                                    mine.remove(&a);
+                                    mine.remove(&b);
+                                }
+                            }
+                            mine
+                        })
+                    })
+                    .collect();
+                let reader = {
+                    let (stm, set, what, stop) = (&stm, &set, &what, &stop);
+                    scope.spawn(move || {
+                        let mut ctx = stm.thread();
+                        let mut snapshots = 0u32;
+                        while !stop.load(Ordering::Relaxed) || snapshots < 50 {
+                            let seen: BTreeSet<i64> = ctx
+                                .atomically(|tx| set.range(tx, 0, SPAN - 1))
+                                .unwrap()
+                                .into_iter()
+                                .collect();
+                            for t in 0..WRITERS {
+                                for j in 0..10 {
+                                    let (a, b) = pair(t, j);
+                                    assert_eq!(
+                                        seen.contains(&a),
+                                        seen.contains(&b),
+                                        "{what}: torn pair ({a}, {b}) in {seen:?}"
+                                    );
+                                }
+                            }
+                            snapshots += 1;
+                        }
+                    })
+                };
+                // Stops the reader once the writers are done — or one panicked.
+                let writers_done = StopOnExit(Arc::clone(&stop));
+                let finals = writers
+                    .into_iter()
+                    .map(|writer| writer.join().expect("writer finished"))
+                    .collect();
+                drop(writers_done);
+                reader.join().expect("reader finished");
+                finals
+            });
+            let mut ctx = stm.thread();
+            let expected: Vec<i64> = finals
+                .iter()
+                .flatten()
+                .copied()
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            assert_eq!(
+                ctx.atomically(|tx| set.to_vec(tx)).unwrap(),
+                expected,
+                "{what}"
+            );
+            assert_eq!(
+                ctx.atomically(|tx| set.check_invariants(tx)).unwrap(),
+                expected.len(),
+                "{what}"
+            );
+        }
+    }
 }
 
 #[test]
