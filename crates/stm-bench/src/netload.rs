@@ -101,7 +101,7 @@ const SLOT_PUT_STR: usize = 5;
 /// was started with.
 ///
 /// Commits count client-visible completed operations; aborts and the abort
-/// ratio come from the server's `STATS` delta over the run, so they include
+/// ratio come from the server's `METRICS` delta over the run, so they include
 /// retries performed on behalf of these requests.
 ///
 /// # Errors
@@ -134,7 +134,7 @@ pub fn run_netload(
     for key in (0..cfg.key_range).step_by(2) {
         setup.put(key, key)?;
     }
-    let before = setup.stats()?;
+    let before = setup.metrics()?;
 
     let stop = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(Barrier::new(cfg.connections + 1));
@@ -228,11 +228,12 @@ pub fn run_netload(
         }
     });
     let elapsed = started.elapsed();
-    let after = setup.stats()?;
+    let after = setup.metrics()?;
     setup.quit()?;
 
-    let aborts = after.aborts.saturating_sub(before.aborts);
-    let server_commits = after.commits.saturating_sub(before.commits);
+    let gained = |name: &str| after.counter(name).saturating_sub(before.counter(name));
+    let aborts = gained("stm_aborts_total");
+    let server_commits = gained("stm_commits_total");
     let finished = server_commits + aborts;
     let per_op = WIRE_LABELS
         .into_iter()
@@ -390,7 +391,7 @@ pub fn run_open_loop(
     for key in (0..cfg.key_range).step_by(2) {
         control.put(key, key)?;
     }
-    let before = control.stats()?;
+    let before = control.metrics()?;
 
     // The mostly-idle fleet: dialled before the measured interval, held
     // silent until after it. HELLO negotiation in `connect` guarantees the
@@ -460,8 +461,8 @@ pub fn run_open_loop(
         // Sample conns_open mid-run, while the idle fleet and the workers
         // are all connected.
         thread::sleep(cfg.duration / 2);
-        if let Ok(stats) = control.stats() {
-            conns_open_observed = stats.conns_open;
+        if let Ok(stats) = control.metrics() {
+            conns_open_observed = stats.counter("stm_kv_conns_open");
         }
         while Instant::now() < deadline {
             thread::sleep(Duration::from_millis(5));
@@ -472,12 +473,13 @@ pub fn run_open_loop(
         }
     });
     let elapsed = started.elapsed();
-    let after = control.stats()?;
+    let after = control.metrics()?;
     for idle in idle_pool {
         let _ = idle.quit();
     }
     control.quit()?;
 
+    let gained = |name: &str| after.counter(name).saturating_sub(before.counter(name));
     let stats = sojourns
         .finish("sojourn")
         .expect("open-loop run completed zero requests");
@@ -494,8 +496,8 @@ pub fn run_open_loop(
         idle_connections: cfg.idle_connections,
         conns_open_observed,
         reconnects: reconnects.into_inner(),
-        conns_accepted: after.conns_accepted.saturating_sub(before.conns_accepted),
-        partial_writes: after.partial_writes.saturating_sub(before.partial_writes),
+        conns_accepted: gained("stm_kv_connections_total"),
+        partial_writes: gained("stm_kv_partial_writes_total"),
     })
 }
 

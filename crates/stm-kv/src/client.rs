@@ -217,80 +217,8 @@ impl<'a> BatchBuilder<'a> {
     }
 }
 
-/// The parsed payload of a `STATS` reply.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServerStatsSnapshot {
-    /// Committed transaction attempts on the server's STM.
-    pub commits: u64,
-    /// Aborted transaction attempts on the server's STM.
-    pub aborts: u64,
-    /// Single data requests executed.
-    pub requests: u64,
-    /// `BEGIN`/`EXEC` batches executed.
-    pub batches: u64,
-    /// Aborted attempts attributed to client requests.
-    pub retries: u64,
-    /// `ERR` replies sent.
-    pub errors: u64,
-    /// Connections accepted.
-    pub connections: u64,
-    /// Connections currently being served (registered in an event-loop
-    /// shard, or claimed by a pool worker).
-    pub conns_open: u64,
-    /// Connections accepted since start (alias of
-    /// [`connections`](Self::connections), emitted as `conns_accepted=`).
-    pub conns_accepted: u64,
-    /// Connections closed by the event loop's idle-timeout reaper.
-    pub conns_reaped_idle: u64,
-    /// Reply flushes the event loop had to park behind write-readiness
-    /// because the socket buffer filled mid-reply.
-    pub partial_writes: u64,
-    /// Value cells ever materialised (monotone — the keyspace-growth
-    /// gauge; subtract [`cells_freed`](Self::cells_freed) and
-    /// [`limbo`](Self::limbo) for the live resident count).
-    pub cells_allocated: u64,
-    /// Deleted keys' cells the epoch GC has reclaimed.
-    pub cells_freed: u64,
-    /// Retired cells still waiting out their epoch grace period.
-    pub limbo: u64,
-    /// Calls the store has made into its ordered index: stands still while
-    /// requests stay on the cell-only point path.
-    pub index_walks: u64,
-    /// Overflow cells per index shard (keys outside the pre-allocated
-    /// range), in shard order.
-    pub overflow_per_shard: Vec<u64>,
-}
-
-/// The parsed payload of a `WALSTATS` reply (durable servers).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WalStatsSnapshot {
-    /// Fsync policy label (`every`, `n=<count>`, `ms=<millis>`).
-    pub policy: String,
-    /// Next commit sequence number the log will assign.
-    pub next_seq: u64,
-    /// Highest sequence number covered by an fsync.
-    pub durable_seq: u64,
-    /// Records appended since the server started.
-    pub records: u64,
-    /// Bytes written to segment files since the server started.
-    pub bytes: u64,
-    /// fsync calls issued since the server started.
-    pub fsyncs: u64,
-    /// Segment files on disk.
-    pub segments: u64,
-    /// Snapshots written since the server started.
-    pub snapshots: u64,
-    /// Sequence number of the latest snapshot (0 = none).
-    pub last_snapshot_seq: u64,
-    /// Records appended since the latest snapshot.
-    pub since_snapshot: u64,
-    /// Whether the server's log writer stopped on an unrecoverable
-    /// filesystem error (durability disabled from that point).
-    pub failed: bool,
-}
-
-/// The parsed payload of a `METRICS` reply: the server's Prometheus-style
-/// text exposition folded into typed lookups.
+/// The parsed payload of a `METRICS` reply — the server's one statistics
+/// surface: its Prometheus-style text exposition folded into typed lookups.
 ///
 /// Samples are keyed by their full rendered series — metric name plus
 /// label set exactly as exposed, e.g.
@@ -472,16 +400,6 @@ pub struct KvClient {
 
 fn proto_err(message: impl Into<String>) -> KvError {
     KvError::Protocol(message.into())
-}
-
-fn parse_counter_pair(pair: &str) -> KvResult<(&str, u64)> {
-    let (key, value) = pair
-        .split_once('=')
-        .ok_or_else(|| proto_err(format!("malformed counter pair '{pair}'")))?;
-    let value: u64 = value
-        .parse()
-        .map_err(|_| proto_err(format!("malformed counter value '{pair}'")))?;
-    Ok((key, value))
 }
 
 impl KvClient {
@@ -791,54 +709,6 @@ impl KvClient {
         }
     }
 
-    /// Fetches and parses the server's `STATS` counters.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and malformed `STATS` payloads.
-    pub fn stats(&mut self) -> KvResult<ServerStatsSnapshot> {
-        let payload = match self.roundtrip(&Request::Stats)? {
-            Reply::Stats(payload) => payload,
-            other => return Err(KvError::unexpected(&other, "STATS")),
-        };
-        let mut stats = ServerStatsSnapshot::default();
-        for pair in payload.split_whitespace() {
-            // `overflow` is the one list-valued pair (comma-separated
-            // per-shard counts).
-            if let Some(list) = pair.strip_prefix("overflow=") {
-                stats.overflow_per_shard = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|_| proto_err(format!("malformed overflow list '{list}'")))
-                    })
-                    .collect::<KvResult<Vec<u64>>>()?;
-                continue;
-            }
-            let (key, value) = parse_counter_pair(pair)?;
-            match key {
-                "commits" => stats.commits = value,
-                "aborts" => stats.aborts = value,
-                "requests" => stats.requests = value,
-                "batches" => stats.batches = value,
-                "retries" => stats.retries = value,
-                "errors" => stats.errors = value,
-                "connections" => stats.connections = value,
-                "conns_open" => stats.conns_open = value,
-                "conns_accepted" => stats.conns_accepted = value,
-                "conns_reaped_idle" => stats.conns_reaped_idle = value,
-                "partial_writes" => stats.partial_writes = value,
-                "cells" => stats.cells_allocated = value,
-                "cells_freed" => stats.cells_freed = value,
-                "limbo" => stats.limbo = value,
-                "index_walks" => stats.index_walks = value,
-                _ => {} // forward-compatible: ignore unknown counters
-            }
-        }
-        Ok(stats)
-    }
-
     /// Forces a point-in-time snapshot on a durable server, returning the
     /// cut sequence number and the number of keys persisted.
     ///
@@ -853,46 +723,9 @@ impl KvClient {
         }
     }
 
-    /// Fetches and parses a durable server's `WALSTATS` counters.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, server error replies (e.g. a volatile server), and
-    /// malformed `WALSTATS` payloads.
-    pub fn walstats(&mut self) -> KvResult<WalStatsSnapshot> {
-        let payload = match self.roundtrip(&Request::WalStats)? {
-            Reply::WalStats(payload) => payload,
-            other => return Err(KvError::unexpected(&other, "WALSTATS")),
-        };
-        let mut stats = WalStatsSnapshot::default();
-        for pair in payload.split_whitespace() {
-            // `policy` is the one non-numeric pair (its value may itself
-            // contain '=', e.g. `policy=n=64`).
-            if let Some(policy) = pair.strip_prefix("policy=") {
-                stats.policy = policy.to_string();
-                continue;
-            }
-            let (key, value) = parse_counter_pair(pair)?;
-            match key {
-                "next_seq" => stats.next_seq = value,
-                "durable_seq" => stats.durable_seq = value,
-                "records" => stats.records = value,
-                "bytes" => stats.bytes = value,
-                "fsyncs" => stats.fsyncs = value,
-                "segments" => stats.segments = value,
-                "snapshots" => stats.snapshots = value,
-                "last_snapshot_seq" => stats.last_snapshot_seq = value,
-                "since_snapshot" => stats.since_snapshot = value,
-                "failed" => stats.failed = value != 0,
-                _ => {} // forward-compatible: ignore unknown counters
-            }
-        }
-        Ok(stats)
-    }
-
-    /// Fetches the server's full `METRICS` exposition — latency
-    /// histograms, abort causes, manager decisions — parsed into a typed
-    /// [`MetricsSnapshot`] (the raw text rides along in
+    /// Fetches the server's full `METRICS` exposition — request, cell and
+    /// WAL counters, latency histograms, abort causes, manager decisions —
+    /// parsed into a typed [`MetricsSnapshot`] (the raw text rides along in
     /// [`MetricsSnapshot::text`]).
     ///
     /// # Errors
@@ -1107,10 +940,6 @@ mod tests {
             }
             other => panic!("expected WAL error, got {other}"),
         }
-        assert!(matches!(
-            client.walstats().unwrap_err(),
-            KvError::Server { code: ErrorCode::Wal, .. }
-        ));
         client.ping().unwrap();
         client.quit().unwrap();
     }
@@ -1176,21 +1005,31 @@ mod tests {
         client.transfer(10, 11, 10).unwrap();
         assert_eq!(client.sum(0, 63).unwrap(), (100, 2));
         assert_eq!(client.get_int(10).unwrap(), Some(50));
-        let stats = client.stats().unwrap();
-        assert!(stats.commits > 0);
-        assert!(stats.batches >= 2);
-        assert!(stats.cells_allocated >= 2, "{stats:?}");
-        assert_eq!(stats.overflow_per_shard.len(), 4, "{stats:?}");
+        let stats = client.metrics().unwrap();
+        let text = &stats.text;
+        assert!(stats.counter("stm_commits_total") > 0);
+        assert!(stats.counter("stm_kv_batches_total") >= 2);
+        assert!(stats.counter("stm_kv_cells_allocated") >= 2, "{text}");
+        let overflow_shards = stats
+            .samples()
+            .filter(|(series, _)| series.starts_with("stm_kv_overflow_cells{"))
+            .count();
+        assert_eq!(overflow_shards, 4, "{text}");
         // Churn a far-out (overflow) key: its cell must show up as freed
-        // (or at worst still in limbo) in the next STATS reply.
+        // (or at worst still in limbo) in the next scrape.
         client.put(5_000_000, 1).unwrap();
         assert!(client.del(5_000_000).unwrap());
-        let after = client.stats().unwrap();
+        let after = client.metrics().unwrap();
         assert!(
-            after.cells_freed + after.limbo >= 1,
-            "deleted overflow cell must be reclaimed or in limbo: {after:?}"
+            after.counter("stm_kv_cells_freed") + after.counter("stm_kv_cells_limbo") >= 1,
+            "deleted overflow cell must be reclaimed or in limbo: {}",
+            after.text
         );
-        assert!(after.cells_allocated > stats.cells_allocated, "{after:?}");
+        assert!(
+            after.counter("stm_kv_cells_allocated") > stats.counter("stm_kv_cells_allocated"),
+            "{}",
+            after.text
+        );
         client.quit().unwrap();
     }
 

@@ -11,8 +11,8 @@
 //! * a mostly-idle connection costs one poller registration, not one
 //!   blocked OS thread, so a shard holds thousands of them;
 //! * a reply that does not fit the socket buffer parks its tail behind
-//!   write-readiness (`partial_writes` counts these) instead of blocking
-//!   the thread in `write_all`;
+//!   write-readiness (`stm_kv_partial_writes_total` counts these) instead
+//!   of blocking the thread in `write_all`;
 //! * an idle-timeout wheel (coarse lazy buckets, generation-guarded
 //!   entries) reaps connections dead longer than
 //!   [`ServerConfig::idle_timeout`](crate::ServerConfig::idle_timeout);
@@ -38,7 +38,7 @@ use minipoll::{net as poll_net, Event, Interest, Poller, Token, Trigger};
 use parking_lot::Mutex;
 use stm_core::{Stm, ThreadCtx};
 
-use crate::server::{process_buffered, ConnState, Durable, ServerCounters};
+use crate::server::{process_buffered, ConnState, Durable};
 use crate::store::KvStore;
 use crate::telemetry::{elapsed_us, Telemetry};
 
@@ -170,7 +170,6 @@ impl EventLoops {
         listener: TcpListener,
         stm: Arc<Stm>,
         store: Arc<KvStore>,
-        counters: Arc<ServerCounters>,
         telemetry: Arc<Telemetry>,
         durable: Option<Arc<Durable>>,
         stop: Arc<AtomicBool>,
@@ -196,7 +195,6 @@ impl EventLoops {
             poller.register(&wake_rx, WAKER_TOKEN, Interest::READABLE, Trigger::Level)?;
             let stm = Arc::clone(&stm);
             let store = Arc::clone(&store);
-            let counters = Arc::clone(&counters);
             let telemetry = Arc::clone(&telemetry);
             let durable = durable.clone();
             let stop = Arc::clone(&stop);
@@ -215,7 +213,6 @@ impl EventLoops {
                             next_gen: 0,
                             wheel: IdleWheel::new(idle_timeout, Instant::now()),
                             store,
-                            counters,
                             telemetry,
                             conns_gauge,
                             durable,
@@ -229,7 +226,7 @@ impl EventLoops {
         }
 
         let acceptor = {
-            let counters = Arc::clone(&counters);
+            let telemetry = Arc::clone(&telemetry);
             let stop = Arc::clone(&stop);
             let inboxes = inboxes.clone();
             std::thread::Builder::new()
@@ -241,7 +238,7 @@ impl EventLoops {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
-                        counters.connections.fetch_add(1, Ordering::Relaxed);
+                        telemetry.connections.add(1);
                         let inbox = &inboxes[next % inboxes.len()];
                         next = next.wrapping_add(1);
                         inbox.pending.lock().push_back(stream);
@@ -290,7 +287,6 @@ struct Shard {
     next_gen: u64,
     wheel: Option<IdleWheel>,
     store: Arc<KvStore>,
-    counters: Arc<ServerCounters>,
     telemetry: Arc<Telemetry>,
     /// This shard's open-connections gauge (`stm_kv_shard_conns`).
     conns_gauge: Arc<metrics::Gauge>,
@@ -373,7 +369,7 @@ impl Shard {
                 self.free.push(slot);
                 continue;
             }
-            self.counters.conns_open.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.conns_open.add(1);
             self.conns_gauge.add(1);
             if let Some(wheel) = &mut self.wheel {
                 wheel.touch(slot, conn.gen);
@@ -450,7 +446,6 @@ impl Shard {
                 &mut conn.state,
                 ctx,
                 &self.store,
-                &self.counters,
                 &self.telemetry,
                 self.durable.as_deref(),
                 &mut conn.inbuf,
@@ -491,7 +486,7 @@ impl Shard {
                     Err(err) if err.kind() == ErrorKind::WouldBlock => {
                         if !conn.want_write {
                             conn.want_write = true;
-                            self.counters.partial_writes.fetch_add(1, Ordering::Relaxed);
+                            self.telemetry.partial_writes.add(1);
                             let _ = self.poller.reregister(
                                 &conn.stream,
                                 Token(slot + 1),
@@ -546,7 +541,7 @@ impl Shard {
                 _ => continue,
             };
             if reap {
-                self.counters.conns_reaped_idle.fetch_add(1, Ordering::Relaxed);
+                self.telemetry.conns_reaped_idle.add(1);
                 self.close(slot);
             } else if let Some(wheel) = &mut self.wheel {
                 // Still fresh: check again one timeout later.
@@ -558,7 +553,7 @@ impl Shard {
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
             let _ = self.poller.deregister(&conn.stream);
-            self.counters.conns_open.fetch_sub(1, Ordering::Relaxed);
+            self.telemetry.conns_open.sub(1);
             self.conns_gauge.sub(1);
             self.free.push(slot);
         }
@@ -583,7 +578,7 @@ impl Shard {
                 }
             };
             self.next_gen += 1;
-            self.counters.conns_open.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.conns_open.add(1);
             self.conns_gauge.add(1);
             self.conns[slot] = Some(Conn {
                 stream,
@@ -616,7 +611,6 @@ impl Shard {
                     &mut conn.state,
                     ctx,
                     &self.store,
-                    &self.counters,
                     &self.telemetry,
                     self.durable.as_deref(),
                     &mut conn.inbuf,

@@ -24,11 +24,12 @@
 //!   framing (RESP-style frames) that carries typed values byte-exactly and
 //!   machine-readable [`ErrorCode`]s. Verbs: `GET`, `PUT`, `DEL`, `ADD`
 //!   (atomic read-modify-write), `RANGE`, `SUM`, plus `BEGIN`/`EXEC`
-//!   multi-key atomic batches, `PING`/`STATS`/`SNAPSHOT`/`WALSTATS`/`QUIT`,
-//!   and the observability pair `METRICS` (full Prometheus-style text
-//!   exposition — latency histograms, abort causes, manager decisions) /
-//!   `SLOWLOG n` (the n slowest requests with their abort causes and
-//!   contention-manager verdicts).
+//!   multi-key atomic batches, `PING`/`SNAPSHOT`/`QUIT`, and the
+//!   observability pair `METRICS` (the one statistics surface: a
+//!   Prometheus-style text exposition of every counter, gauge and latency
+//!   histogram the server, store, STM runtime and log keep) / `SLOWLOG n`
+//!   (the n slowest requests with their abort causes and
+//!   contention-manager verdicts). One grammar table serves both framings.
 //! * **Server** ([`KvServer`]) — `std::net::TcpListener` + a worker-thread
 //!   pool, no dependencies beyond the workspace. Every request executes as
 //!   one STM transaction under the [`stm_cm::ManagerKind`] chosen at server
@@ -38,8 +39,7 @@
 //!   mutating request's write-set is appended to an `stm-log` write-ahead
 //!   log in serialization order (fsync policy `every` / `n=` / `ms=`),
 //!   point-in-time snapshots bound recovery, and a restart replays
-//!   snapshot + log tail — v1-era logs replay losslessly — before
-//!   accepting connections.
+//!   snapshot + log tail before accepting connections.
 //! * **Client** ([`KvClient`]) — a blocking client that negotiates v2 by
 //!   default (`connect_v1` keeps the text mode), reports failures through
 //!   the structured [`KvError`] enum, offers typed getters
@@ -98,10 +98,7 @@ pub use stm_core::CommitValue as Value;
 /// quantiles agree with server-side accounting bucket-for-bucket.
 pub use metrics::HistogramSnapshot;
 
-pub use client::{
-    BatchBuilder, BatchOp, KvClient, KvError, MetricsSnapshot, ServerStatsSnapshot,
-    WalStatsSnapshot,
-};
+pub use client::{BatchBuilder, BatchOp, KvClient, KvError, MetricsSnapshot};
 pub use proto::{
     parse_reply, parse_request, render_reply, render_request, ErrorCode, ProtoError, Reply,
     Request,

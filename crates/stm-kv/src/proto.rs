@@ -1,9 +1,15 @@
 //! The wire protocol: two negotiated framings over one request/reply model.
 //!
+//! There is one request grammar — the [`VERBS`] table: fourteen verbs, each
+//! with a fixed list of integer arguments (`PUT`'s value is the one typed
+//! argument) — and each framing is a way of spelling a table row.
+//!
 //! Every connection starts in **protocol v1**: one `\n`-terminated line of
-//! ASCII text per request and per reply, driveable from `nc` — exactly the
-//! protocol the service has always spoken, so old clients keep working
-//! unchanged. The v1 grammar:
+//! ASCII text per request and per reply, driveable from `nc`. A v1 request
+//! is the verb and its arguments as whitespace-separated tokens; the parser
+//! is a text adapter that turns each token into the int frame v2 would have
+//! carried and hands the row to the same builder. The verbs and their v1
+//! replies:
 //!
 //! | Request | Reply |
 //! |---------|-------|
@@ -17,11 +23,9 @@
 //! | `BEGIN` | `OK`; subsequent data ops reply `QUEUED` |
 //! | `EXEC` | `EXEC <n>` followed by the `n` queued replies, one per line |
 //! | `PING` | `PONG` |
-//! | `STATS` | `STATS <key>=<value> ...` |
 //! | `METRICS` | `METRICS <n>` followed by `n` exposition lines |
 //! | `SLOWLOG <n>` | `SLOWLOG <m>` followed by `m` entry lines |
 //! | `SNAPSHOT` | `SNAPSHOT <seq> <keys>` (durable servers only) |
-//! | `WALSTATS` | `WALSTATS <key>=<value> ...` (durable servers only) |
 //! | `QUIT` | `BYE`, then the connection closes |
 //!
 //! v1 is **integer-only**: `PUT` parses its value as an `i64`, and a reply
@@ -46,13 +50,18 @@
 //! array  = '*' <count> '\n' <count frames>   — requests, RANGE, EXEC
 //! ```
 //!
-//! A v2 **request** is one array frame: `[+VERB, arg frames...]` — keys and
-//! deltas are int frames, a `PUT` value is any value frame. A v2 **reply**
-//! maps the same [`Reply`] model: scalar values are bare value frames, `NIL`
-//! is the nil frame, structured replies are arrays tagged by a leading
-//! status (`[+SUM, :total, :count]`, `[+RANGE, [[:k, value], ...]]`,
-//! `[+EXEC, [reply frames...]]`), and failures are error frames whose code
-//! is machine-readable ([`ErrorCode`]).
+//! A v2 **request** is one array frame: `[+VERB, arg frames...]` — the same
+//! table row, its integer arguments as int frames and a `PUT` value as any
+//! value frame. A v2 **reply** maps the same [`Reply`] model: scalar values
+//! are bare value frames, `NIL` is the nil frame, structured replies are
+//! arrays tagged by a leading status (`[+SUM, :total, :count]`,
+//! `[+RANGE, [[:k, value], ...]]`, `[+EXEC, [reply frames...]]`,
+//! `[+METRICS, $text]`), and failures are error frames whose code is
+//! machine-readable ([`ErrorCode`]).
+//!
+//! `METRICS` is the only statistics verb: every counter, gauge and
+//! histogram the server, the store, the STM runtime and the log keep is one
+//! series of its exposition.
 //!
 //! Any failure — unknown verb, malformed frame, type mismatch, transaction
 //! failure — is reported as an error reply and leaves the connection usable
@@ -233,17 +242,14 @@ pub enum Request {
     Exec,
     /// Liveness probe.
     Ping,
-    /// Server statistics.
-    Stats,
-    /// Full telemetry exposition (Prometheus-style text).
+    /// Full telemetry exposition (Prometheus-style text) — the one
+    /// statistics verb.
     Metrics,
     /// The `n` slowest requests the server has retained, newest analysis
     /// of each: op, attempts, abort causes, manager verdicts, timings.
     SlowLog(u64),
     /// Force a point-in-time snapshot of the keyspace (durable servers).
     Snapshot,
-    /// Write-ahead-log statistics (durable servers).
-    WalStats,
     /// Close the connection.
     Quit,
 }
@@ -287,16 +293,12 @@ pub enum Reply {
     Snapshot(u64, usize),
     /// Protocol version the connection now speaks (reply to `HELLO`).
     Hello(u32),
-    /// The `STATS` counter payload (`key=value` pairs, space-separated).
-    Stats(String),
     /// The full `METRICS` exposition (Prometheus-style text, one series
     /// sample per line).
     Metrics(String),
     /// The `SLOWLOG` entries, one rendered `key=value ...` line each,
     /// slowest first.
     SlowLog(Vec<String>),
-    /// The `WALSTATS` counter payload (durable servers).
-    WalStats(String),
     /// Reply to `PING`.
     Pong,
     /// Connection closing.
@@ -312,13 +314,202 @@ impl Reply {
     }
 }
 
-fn parse_int(token: &str, what: &str) -> Result<i64, ProtoError> {
-    token.parse::<i64>().map_err(|_| {
-        ProtoError::new(
+// ---------------------------------------------------------------------------
+// The request grammar: one table, one builder, one decomposition.
+// ---------------------------------------------------------------------------
+
+/// One row of the request grammar.
+struct Verb {
+    /// The wire name, upper-case; requests may spell it in any case.
+    name: &'static str,
+    /// What each argument is called in an error message (arity = length).
+    /// Every argument is an integer except `PUT`'s value.
+    args: &'static [&'static str],
+    /// Builds the request from `args.len()` argument frames.
+    build: fn(&Verb, &mut [Frame]) -> Result<Request, ProtoError>,
+}
+
+const GET: Verb = Verb {
+    name: "GET",
+    args: &["key"],
+    build: |verb, args| Ok(Request::Get(verb.int(args, 0)?)),
+};
+const PUT: Verb = Verb {
+    name: "PUT",
+    args: &["key", "value"],
+    build: |verb, args| Ok(Request::Put(verb.int(args, 0)?, verb.value(args, 1)?)),
+};
+const DEL: Verb = Verb {
+    name: "DEL",
+    args: &["key"],
+    build: |verb, args| Ok(Request::Del(verb.int(args, 0)?)),
+};
+const ADD: Verb = Verb {
+    name: "ADD",
+    args: &["key", "delta"],
+    build: |verb, args| Ok(Request::Add(verb.int(args, 0)?, verb.int(args, 1)?)),
+};
+const RANGE: Verb = Verb {
+    name: "RANGE",
+    args: &["lo", "hi"],
+    build: |verb, args| Ok(Request::Range(verb.int(args, 0)?, verb.int(args, 1)?)),
+};
+const SUM: Verb = Verb {
+    name: "SUM",
+    args: &["lo", "hi"],
+    build: |verb, args| Ok(Request::Sum(verb.int(args, 0)?, verb.int(args, 1)?)),
+};
+const BEGIN: Verb = Verb {
+    name: "BEGIN",
+    args: &[],
+    build: |_, _| Ok(Request::Begin),
+};
+const EXEC: Verb = Verb {
+    name: "EXEC",
+    args: &[],
+    build: |_, _| Ok(Request::Exec),
+};
+const PING: Verb = Verb {
+    name: "PING",
+    args: &[],
+    build: |_, _| Ok(Request::Ping),
+};
+const HELLO: Verb = Verb {
+    name: "HELLO",
+    args: &["protocol version"],
+    build: |verb, args| {
+        u32::try_from(verb.int(args, 0)?)
+            .map(Request::Hello)
+            .map_err(|_| ProtoError::new(ErrorCode::Arg, "protocol version out of range"))
+    },
+};
+const METRICS: Verb = Verb {
+    name: "METRICS",
+    args: &[],
+    build: |_, _| Ok(Request::Metrics),
+};
+const SLOWLOG: Verb = Verb {
+    name: "SLOWLOG",
+    args: &["entry count"],
+    build: |verb, args| {
+        u64::try_from(verb.int(args, 0)?)
+            .map(Request::SlowLog)
+            .map_err(|_| ProtoError::new(ErrorCode::Arg, "entry count must be non-negative"))
+    },
+};
+const SNAPSHOT: Verb = Verb {
+    name: "SNAPSHOT",
+    args: &[],
+    build: |_, _| Ok(Request::Snapshot),
+};
+const QUIT: Verb = Verb {
+    name: "QUIT",
+    args: &[],
+    build: |_, _| Ok(Request::Quit),
+};
+
+/// Every verb, most frequent first (lookup is a linear scan).
+const VERBS: [&Verb; 14] = [
+    &GET, &PUT, &DEL, &ADD, &RANGE, &SUM, &BEGIN, &EXEC, &PING, &HELLO, &METRICS, &SLOWLOG,
+    &SNAPSHOT, &QUIT,
+];
+
+impl Verb {
+    /// Looks a verb up by its name in any case, without building an
+    /// upper-cased copy per request.
+    fn find(name: &str) -> Result<&'static Verb, ProtoError> {
+        VERBS
+            .iter()
+            .copied()
+            .find(|verb| verb.name.eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                ProtoError::new(
+                    ErrorCode::Proto,
+                    format!("unknown command '{}'", name.to_ascii_uppercase()),
+                )
+            })
+    }
+
+    /// The builder both framings call: checks the arity, then builds the
+    /// request from the argument frames.
+    fn request(&self, args: &mut [Frame]) -> Result<Request, ProtoError> {
+        self.check_arity(args.len())?;
+        (self.build)(self, args)
+    }
+
+    fn check_arity(&self, got: usize) -> Result<(), ProtoError> {
+        let n = self.args.len();
+        if got == n {
+            return Ok(());
+        }
+        Err(ProtoError::new(
             ErrorCode::Arg,
-            format!("{what} must be an integer, got '{token}'"),
-        )
-    })
+            format!(
+                "{} takes {n} argument{}, got {got}",
+                self.name,
+                if n == 1 { "" } else { "s" }
+            ),
+        ))
+    }
+
+    fn int(&self, args: &[Frame], i: usize) -> Result<i64, ProtoError> {
+        match &args[i] {
+            Frame::Int(v) => Ok(*v),
+            other => Err(ProtoError::new(
+                ErrorCode::Arg,
+                format!("{} must be an int frame, got {}", self.args[i], other.describe()),
+            )),
+        }
+    }
+
+    /// Moves a value frame out of `args[i]`.
+    fn value(&self, args: &mut [Frame], i: usize) -> Result<Value, ProtoError> {
+        match std::mem::replace(&mut args[i], Frame::Nil) {
+            Frame::Int(v) => Ok(Value::Int(v)),
+            Frame::Str(s) => Ok(Value::Str(s)),
+            Frame::Bytes(b) => Ok(Value::Bytes(b)),
+            other => Err(ProtoError::new(
+                ErrorCode::Arg,
+                format!(
+                    "{} must be an int/str/bytes frame, got {}",
+                    self.args[i],
+                    other.describe()
+                ),
+            )),
+        }
+    }
+}
+
+/// One borrowed request argument, as both framings render it.
+enum Arg<'a> {
+    Int(i64),
+    Value(&'a Value),
+}
+
+impl Request {
+    /// The request's row of the grammar and its arguments — the inverse of
+    /// [`Verb::request`], and what both framings render.
+    fn parts(&self) -> (&'static Verb, [Option<Arg<'_>>; 2]) {
+        let one = |a: i64| [Some(Arg::Int(a)), None];
+        let two = |a: i64, b: i64| [Some(Arg::Int(a)), Some(Arg::Int(b))];
+        match self {
+            Request::Get(k) => (&GET, one(*k)),
+            Request::Put(k, v) => (&PUT, [Some(Arg::Int(*k)), Some(Arg::Value(v))]),
+            Request::Del(k) => (&DEL, one(*k)),
+            Request::Add(k, d) => (&ADD, two(*k, *d)),
+            Request::Range(lo, hi) => (&RANGE, two(*lo, *hi)),
+            Request::Sum(lo, hi) => (&SUM, two(*lo, *hi)),
+            Request::Begin => (&BEGIN, [None, None]),
+            Request::Exec => (&EXEC, [None, None]),
+            Request::Ping => (&PING, [None, None]),
+            Request::Hello(version) => (&HELLO, one(i64::from(*version))),
+            Request::Metrics => (&METRICS, [None, None]),
+            // Counts past `i64::MAX` ask for "every entry" either way.
+            Request::SlowLog(n) => (&SLOWLOG, one(i64::try_from(*n).unwrap_or(i64::MAX))),
+            Request::Snapshot => (&SNAPSHOT, [None, None]),
+            Request::Quit => (&QUIT, [None, None]),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -328,8 +519,9 @@ fn parse_int(token: &str, what: &str) -> Result<i64, ProtoError> {
 /// Parses one v1 request line (without its trailing newline).
 ///
 /// Verbs are case-insensitive; arguments are whitespace-separated signed
-/// 64-bit integers (v1 cannot express `Str`/`Bytes` values — that is what
-/// `HELLO 2` is for).
+/// 64-bit integers, each handed to the shared builder as the int frame v2
+/// would have carried — so v1 cannot express `Str`/`Bytes` values (that is
+/// what `HELLO 2` is for).
 ///
 /// # Errors
 ///
@@ -337,117 +529,25 @@ fn parse_int(token: &str, what: &str) -> Result<i64, ProtoError> {
 /// an unknown verb or a malformed argument list.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let mut tokens = line.split_whitespace();
-    let verb = tokens
+    let name = tokens
         .next()
         .ok_or_else(|| ProtoError::new(ErrorCode::Proto, "empty request"))?;
-    let args: Vec<&str> = tokens.collect();
-    let arity = |n: usize| -> Result<(), ProtoError> {
-        if args.len() == n {
-            Ok(())
-        } else {
-            Err(ProtoError::new(
-                ErrorCode::Arg,
-                format!(
-                    "{} takes {} argument{}, got {}",
-                    verb.to_ascii_uppercase(),
-                    n,
-                    if n == 1 { "" } else { "s" },
-                    args.len()
-                ),
-            ))
-        }
-    };
-    match verb.to_ascii_uppercase().as_str() {
-        "HELLO" => {
-            arity(1)?;
-            let version = args[0].parse::<u32>().map_err(|_| {
+    let verb = Verb::find(name)?;
+    let tokens: Vec<&str> = tokens.collect();
+    verb.check_arity(tokens.len())?;
+    let mut args = tokens
+        .iter()
+        .zip(verb.args)
+        .map(|(token, what)| {
+            token.parse::<i64>().map(Frame::Int).map_err(|_| {
                 ProtoError::new(
                     ErrorCode::Arg,
-                    format!("protocol version must be a number, got '{}'", args[0]),
+                    format!("{what} must be an integer, got '{token}'"),
                 )
-            })?;
-            Ok(Request::Hello(version))
-        }
-        "GET" => {
-            arity(1)?;
-            Ok(Request::Get(parse_int(args[0], "key")?))
-        }
-        "PUT" => {
-            arity(2)?;
-            Ok(Request::Put(
-                parse_int(args[0], "key")?,
-                Value::Int(parse_int(args[1], "value")?),
-            ))
-        }
-        "DEL" => {
-            arity(1)?;
-            Ok(Request::Del(parse_int(args[0], "key")?))
-        }
-        "ADD" => {
-            arity(2)?;
-            Ok(Request::Add(
-                parse_int(args[0], "key")?,
-                parse_int(args[1], "delta")?,
-            ))
-        }
-        "RANGE" => {
-            arity(2)?;
-            Ok(Request::Range(
-                parse_int(args[0], "lo")?,
-                parse_int(args[1], "hi")?,
-            ))
-        }
-        "SUM" => {
-            arity(2)?;
-            Ok(Request::Sum(
-                parse_int(args[0], "lo")?,
-                parse_int(args[1], "hi")?,
-            ))
-        }
-        "METRICS" => {
-            arity(0)?;
-            Ok(Request::Metrics)
-        }
-        "SLOWLOG" => {
-            arity(1)?;
-            let n = parse_int(args[0], "entry count")?;
-            u64::try_from(n)
-                .map(Request::SlowLog)
-                .map_err(|_| ProtoError::new(ErrorCode::Arg, "entry count must be non-negative"))
-        }
-        "BEGIN" => {
-            arity(0)?;
-            Ok(Request::Begin)
-        }
-        "EXEC" => {
-            arity(0)?;
-            Ok(Request::Exec)
-        }
-        "PING" => {
-            arity(0)?;
-            Ok(Request::Ping)
-        }
-        "STATS" => {
-            arity(0)?;
-            Ok(Request::Stats)
-        }
-        "SNAPSHOT" => {
-            arity(0)?;
-            Ok(Request::Snapshot)
-        }
-        "WALSTATS" => {
-            arity(0)?;
-            Ok(Request::WalStats)
-        }
-        "QUIT" => {
-            arity(0)?;
-            Ok(Request::Quit)
-        }
-        other => Err(ProtoError::new(
-            ErrorCode::Proto,
-            format!("unknown command '{other}'"),
-        )),
-    }
+            })
+        })
+        .collect::<Result<Vec<Frame>, ProtoError>>()?;
+    verb.request(&mut args)
 }
 
 /// Renders a request as its v1 wire line (without the trailing newline).
@@ -458,25 +558,17 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
 ///
 /// [`KvClient`]: crate::KvClient
 pub fn render_request(request: &Request) -> String {
-    match request {
-        Request::Hello(version) => format!("HELLO {version}"),
-        Request::Get(k) => format!("GET {k}"),
-        Request::Put(k, Value::Int(v)) => format!("PUT {k} {v}"),
-        Request::Put(k, v) => format!("PUT {k} <{}>", v.type_name()),
-        Request::Del(k) => format!("DEL {k}"),
-        Request::Add(k, d) => format!("ADD {k} {d}"),
-        Request::Range(lo, hi) => format!("RANGE {lo} {hi}"),
-        Request::Sum(lo, hi) => format!("SUM {lo} {hi}"),
-        Request::Begin => "BEGIN".to_string(),
-        Request::Exec => "EXEC".to_string(),
-        Request::Ping => "PING".to_string(),
-        Request::Stats => "STATS".to_string(),
-        Request::Metrics => "METRICS".to_string(),
-        Request::SlowLog(n) => format!("SLOWLOG {n}"),
-        Request::Snapshot => "SNAPSHOT".to_string(),
-        Request::WalStats => "WALSTATS".to_string(),
-        Request::Quit => "QUIT".to_string(),
+    use std::fmt::Write;
+    let (verb, args) = request.parts();
+    let mut out = verb.name.to_string();
+    for arg in args.iter().flatten() {
+        match arg {
+            Arg::Int(v) | Arg::Value(Value::Int(v)) => write!(out, " {v}"),
+            Arg::Value(other) => write!(out, " <{}>", other.type_name()),
+        }
+        .expect("writing to a String cannot fail");
     }
+    out
 }
 
 /// Renders a reply as its v1 wire text (without the trailing newline; the
@@ -520,7 +612,6 @@ pub fn render_reply(reply: &Reply) -> String {
         }
         Reply::Snapshot(seq, keys) => format!("SNAPSHOT {seq} {keys}"),
         Reply::Hello(version) => format!("HELLO {version}"),
-        Reply::Stats(payload) => format!("STATS {payload}"),
         Reply::Metrics(text) => {
             // Like EXEC: a header announcing the line count, then the
             // exposition lines — the one multi-line v1 shape, assembled
@@ -541,7 +632,6 @@ pub fn render_reply(reply: &Reply) -> String {
             }
             out
         }
-        Reply::WalStats(payload) => format!("WALSTATS {payload}"),
         Reply::Pong => "PONG".to_string(),
         Reply::Bye => "BYE".to_string(),
         Reply::Err(_, message) => format!("ERR {}", message.replace('\n', " ")),
@@ -560,12 +650,6 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
     let line = line.trim_end();
     if let Some(message) = line.strip_prefix("ERR ") {
         return Ok(Reply::Err(ErrorCode::classify_v1(message), message.to_string()));
-    }
-    if let Some(payload) = line.strip_prefix("STATS ") {
-        return Ok(Reply::Stats(payload.to_string()));
-    }
-    if let Some(payload) = line.strip_prefix("WALSTATS ") {
-        return Ok(Reply::WalStats(payload.to_string()));
     }
     let mut tokens = line.split_whitespace();
     let head = tokens.next().ok_or_else(|| "empty reply".to_string())?;
@@ -612,8 +696,6 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
         )),
         "PONG" if rest.is_empty() => Ok(Reply::Pong),
         "BYE" if rest.is_empty() => Ok(Reply::Bye),
-        "STATS" if rest.is_empty() => Ok(Reply::Stats(String::new())),
-        "WALSTATS" if rest.is_empty() => Ok(Reply::WalStats(String::new())),
         "ERR" => Ok(Reply::Err(ErrorCode::Unknown, String::new())),
         _ => Err(format!("unrecognized reply '{line}'")),
     }
@@ -883,49 +965,21 @@ fn frame_to_value(frame: Frame) -> Option<Value> {
     }
 }
 
-/// Renders a request as its v2 frame bytes: `[+VERB, args...]`.
+/// Renders a request as its v2 frame bytes: `[+VERB, args...]`. A `PUT`
+/// value is written straight from the borrowed request, never cloned.
 pub fn render_request_v2(request: &Request) -> Vec<u8> {
+    let (verb, args) = request.parts();
     let mut out = Vec::with_capacity(32);
-    // PUT is the one request carrying a (possibly large) payload; write it
-    // straight from the borrowed value instead of cloning into frames.
-    if let Request::Put(k, v) = request {
-        write_array_header(&mut out, 3);
-        write_status(&mut out, "PUT");
-        write_int(&mut out, *k);
-        write_value(&mut out, v);
-        return out;
-    }
-    let (verb, args): (&str, Vec<Frame>) = match request {
-        Request::Hello(v) => ("HELLO", vec![Frame::Int(*v as i64)]),
-        Request::Get(k) => ("GET", vec![Frame::Int(*k)]),
-        Request::Put(..) => unreachable!("handled above"),
-        Request::Del(k) => ("DEL", vec![Frame::Int(*k)]),
-        Request::Add(k, d) => ("ADD", vec![Frame::Int(*k), Frame::Int(*d)]),
-        Request::Range(lo, hi) => ("RANGE", vec![Frame::Int(*lo), Frame::Int(*hi)]),
-        Request::Sum(lo, hi) => ("SUM", vec![Frame::Int(*lo), Frame::Int(*hi)]),
-        Request::Begin => ("BEGIN", Vec::new()),
-        Request::Exec => ("EXEC", Vec::new()),
-        Request::Ping => ("PING", Vec::new()),
-        Request::Stats => ("STATS", Vec::new()),
-        Request::Metrics => ("METRICS", Vec::new()),
-        Request::SlowLog(n) => ("SLOWLOG", vec![Frame::Int(*n as i64)]),
-        Request::Snapshot => ("SNAPSHOT", Vec::new()),
-        Request::WalStats => ("WALSTATS", Vec::new()),
-        Request::Quit => ("QUIT", Vec::new()),
-    };
-    write_array_header(&mut out, 1 + args.len());
-    write_status(&mut out, verb);
-    for arg in &args {
-        write_frame(&mut out, arg);
+    write_array_header(&mut out, 1 + args.iter().flatten().count());
+    write_status(&mut out, verb.name);
+    for arg in args.iter().flatten() {
+        match arg {
+            Arg::Int(v) => write_int(&mut out, *v),
+            Arg::Value(v) => write_value(&mut out, v),
+        }
     }
     out
 }
-
-/// The verbs [`parse_request_v2`] accepts, most frequent first.
-const V2_VERBS: [&str; 16] = [
-    "GET", "PUT", "DEL", "ADD", "RANGE", "SUM", "BEGIN", "EXEC", "PING", "HELLO", "STATS",
-    "METRICS", "SLOWLOG", "SNAPSHOT", "WALSTATS", "QUIT",
-];
 
 /// Interprets a decoded v2 frame as a request.
 ///
@@ -940,10 +994,10 @@ pub fn parse_request_v2(frame: Frame) -> Result<Request, ProtoError> {
             format!("request must be an array frame, got {}", frame.describe()),
         ));
     };
-    let Some((verb, args)) = frames.split_first_mut() else {
+    let Some((head, args)) = frames.split_first_mut() else {
         return Err(ProtoError::new(ErrorCode::Proto, "empty request"));
     };
-    let verb: &str = match verb {
+    let name: &str = match head {
         Frame::Status(s) | Frame::Str(s) => s,
         other => {
             return Err(ProtoError::new(
@@ -952,123 +1006,7 @@ pub fn parse_request_v2(frame: Frame) -> Result<Request, ProtoError> {
             ))
         }
     };
-    // The verb's canonical spelling, found without building an upper-cased
-    // copy per request; "" (no verb) falls through to the error arm.
-    let command = V2_VERBS
-        .iter()
-        .copied()
-        .find(|name| name.eq_ignore_ascii_case(verb))
-        .unwrap_or("");
-    let arity = |n: usize| -> Result<(), ProtoError> {
-        if args.len() == n {
-            Ok(())
-        } else {
-            Err(ProtoError::new(
-                ErrorCode::Arg,
-                format!(
-                    "{} takes {} argument{}, got {}",
-                    command,
-                    n,
-                    if n == 1 { "" } else { "s" },
-                    args.len()
-                ),
-            ))
-        }
-    };
-    let int_arg = |i: usize, what: &str| -> Result<i64, ProtoError> {
-        match &args[i] {
-            Frame::Int(v) => Ok(*v),
-            other => Err(ProtoError::new(
-                ErrorCode::Arg,
-                format!("{what} must be an int frame, got {}", other.describe()),
-            )),
-        }
-    };
-    match command {
-        "HELLO" => {
-            arity(1)?;
-            let v = int_arg(0, "protocol version")?;
-            u32::try_from(v)
-                .map(Request::Hello)
-                .map_err(|_| ProtoError::new(ErrorCode::Arg, "protocol version out of range"))
-        }
-        "GET" => {
-            arity(1)?;
-            Ok(Request::Get(int_arg(0, "key")?))
-        }
-        "PUT" => {
-            arity(2)?;
-            let key = int_arg(0, "key")?;
-            let described = args[1].describe();
-            let value_frame = std::mem::replace(&mut args[1], Frame::Nil);
-            let value = frame_to_value(value_frame).ok_or_else(|| {
-                ProtoError::new(
-                    ErrorCode::Arg,
-                    format!("value must be an int/str/bytes frame, got {described}"),
-                )
-            })?;
-            Ok(Request::Put(key, value))
-        }
-        "DEL" => {
-            arity(1)?;
-            Ok(Request::Del(int_arg(0, "key")?))
-        }
-        "ADD" => {
-            arity(2)?;
-            Ok(Request::Add(int_arg(0, "key")?, int_arg(1, "delta")?))
-        }
-        "RANGE" => {
-            arity(2)?;
-            Ok(Request::Range(int_arg(0, "lo")?, int_arg(1, "hi")?))
-        }
-        "SUM" => {
-            arity(2)?;
-            Ok(Request::Sum(int_arg(0, "lo")?, int_arg(1, "hi")?))
-        }
-        "METRICS" => {
-            arity(0)?;
-            Ok(Request::Metrics)
-        }
-        "SLOWLOG" => {
-            arity(1)?;
-            let n = int_arg(0, "entry count")?;
-            u64::try_from(n)
-                .map(Request::SlowLog)
-                .map_err(|_| ProtoError::new(ErrorCode::Arg, "entry count must be non-negative"))
-        }
-        "BEGIN" => {
-            arity(0)?;
-            Ok(Request::Begin)
-        }
-        "EXEC" => {
-            arity(0)?;
-            Ok(Request::Exec)
-        }
-        "PING" => {
-            arity(0)?;
-            Ok(Request::Ping)
-        }
-        "STATS" => {
-            arity(0)?;
-            Ok(Request::Stats)
-        }
-        "SNAPSHOT" => {
-            arity(0)?;
-            Ok(Request::Snapshot)
-        }
-        "WALSTATS" => {
-            arity(0)?;
-            Ok(Request::WalStats)
-        }
-        "QUIT" => {
-            arity(0)?;
-            Ok(Request::Quit)
-        }
-        _ => Err(ProtoError::new(
-            ErrorCode::Proto,
-            format!("unknown command '{}'", verb.to_ascii_uppercase()),
-        )),
-    }
+    Verb::find(name)?.request(args)
 }
 
 /// Appends a reply as its v2 frame bytes.
@@ -1118,11 +1056,6 @@ pub fn render_reply_v2(out: &mut Vec<u8>, reply: &Reply) {
             write_status(out, "HELLO");
             write_int(out, *version as i64);
         }
-        Reply::Stats(payload) => {
-            write_array_header(out, 2);
-            write_status(out, "STATS");
-            write_value(out, &Value::Str(payload.clone()));
-        }
         Reply::Metrics(text) => {
             write_array_header(out, 2);
             write_status(out, "METRICS");
@@ -1135,11 +1068,6 @@ pub fn render_reply_v2(out: &mut Vec<u8>, reply: &Reply) {
             for entry in entries {
                 write_value(out, &Value::Str(entry.clone()));
             }
-        }
-        Reply::WalStats(payload) => {
-            write_array_header(out, 2);
-            write_status(out, "WALSTATS");
-            write_value(out, &Value::Str(payload.clone()));
         }
         Reply::Pong => write_status(out, "PONG"),
         Reply::Bye => write_status(out, "BYE"),
@@ -1198,22 +1126,13 @@ pub fn parse_reply_v2(frame: Frame) -> Result<Reply, String> {
                     int_at(&frames, 1, "key count")? as usize,
                 )),
                 ("HELLO", 1) => Ok(Reply::Hello(int_at(&frames, 0, "version")? as u32)),
-                ("STATS", 1) | ("WALSTATS", 1) | ("METRICS", 1) => {
-                    let payload = match frames.remove(0) {
-                        Frame::Str(s) => s,
-                        other => {
-                            return Err(format!(
-                                "stats payload must be a str frame, got {}",
-                                other.describe()
-                            ))
-                        }
-                    };
-                    match tag.as_str() {
-                        "STATS" => Ok(Reply::Stats(payload)),
-                        "METRICS" => Ok(Reply::Metrics(payload)),
-                        _ => Ok(Reply::WalStats(payload)),
-                    }
-                }
+                ("METRICS", 1) => match frames.remove(0) {
+                    Frame::Str(text) => Ok(Reply::Metrics(text)),
+                    other => Err(format!(
+                        "METRICS payload must be a str frame, got {}",
+                        other.describe()
+                    )),
+                },
                 ("SLOWLOG", 1) => {
                     let Frame::Array(items) = frames.remove(0) else {
                         return Err("SLOWLOG payload must be an array frame".to_string());
@@ -1292,11 +1211,9 @@ mod tests {
             Request::Begin,
             Request::Exec,
             Request::Ping,
-            Request::Stats,
             Request::Metrics,
             Request::SlowLog(16),
             Request::Snapshot,
-            Request::WalStats,
             Request::Quit,
         ];
         for request in requests {
@@ -1317,11 +1234,9 @@ mod tests {
             Request::Begin,
             Request::Exec,
             Request::Ping,
-            Request::Stats,
             Request::Metrics,
             Request::SlowLog(16),
             Request::Snapshot,
-            Request::WalStats,
             Request::Quit,
         ];
         for value in typed_values() {
@@ -1333,6 +1248,55 @@ mod tests {
             assert_eq!(used, bytes.len(), "{request:?} left trailing bytes");
             assert_eq!(parse_request_v2(frame).unwrap(), request);
         }
+    }
+
+    /// Walks the grammar table itself: every row builds a request that
+    /// decomposes back to that row and round-trips through both framings.
+    #[test]
+    fn every_verb_in_the_table_round_trips_through_both_framings() {
+        for verb in VERBS {
+            let mut args: Vec<Frame> = (0..verb.args.len())
+                .map(|i| Frame::Int(7 + i as i64))
+                .collect();
+            let request = verb.request(&mut args).unwrap();
+            assert_eq!(request.parts().0.name, verb.name);
+
+            let line = render_request(&request);
+            assert!(line.starts_with(verb.name), "line '{line}'");
+            assert_eq!(parse_request(&line).unwrap(), request, "line '{line}'");
+            assert_eq!(parse_request(&line.to_ascii_lowercase()).unwrap(), request);
+
+            let bytes = render_request_v2(&request);
+            let (frame, used) = decode_frame(&bytes).unwrap();
+            assert_eq!(used, bytes.len(), "{} left trailing bytes", verb.name);
+            assert_eq!(parse_request_v2(frame).unwrap(), request);
+
+            // One argument too many is an arity error naming the verb, in
+            // both framings.
+            let wanted = format!("{} takes {} argument", verb.name, verb.args.len());
+            let err = parse_request(&format!("{line} 1")).unwrap_err();
+            assert_eq!(err.code, ErrorCode::Arg);
+            assert!(err.message.starts_with(&wanted), "{err}");
+            let mut frames = vec![Frame::Status(verb.name.to_string())];
+            frames.extend((0..=verb.args.len()).map(|_| Frame::Int(1)));
+            let err = parse_request_v2(Frame::Array(frames)).unwrap_err();
+            assert_eq!(err.code, ErrorCode::Arg);
+            assert!(err.message.starts_with(&wanted), "{err}");
+        }
+        assert_eq!(VERBS.len(), 14);
+    }
+
+    /// The v1 adapter hands the shared builder int frames only: it must not
+    /// widen the line protocol to strings.
+    #[test]
+    fn v1_put_of_a_non_integer_value_is_still_an_arg_error() {
+        let err = parse_request("PUT 1 abc").unwrap_err();
+        assert_eq!(err.code, ErrorCode::Arg, "{err}");
+        assert!(err.message.contains("value") && err.message.contains("'abc'"), "{err}");
+        assert_eq!(
+            parse_request("PUT 1 2").unwrap(),
+            Request::Put(1, Value::Int(2))
+        );
     }
 
     #[test]
@@ -1419,8 +1383,6 @@ mod tests {
             Reply::Queued,
             Reply::Snapshot(17, 4096),
             Reply::Hello(2),
-            Reply::Stats("commits=3 aborts=0".to_string()),
-            Reply::WalStats("policy=every".to_string()),
             Reply::Pong,
             Reply::Bye,
         ];
@@ -1468,8 +1430,6 @@ mod tests {
             Reply::Exec(Vec::new()),
             Reply::Snapshot(17, 4096),
             Reply::Hello(2),
-            Reply::Stats("commits=3 aborts=0".to_string()),
-            Reply::WalStats("policy=n=64".to_string()),
             Reply::Pong,
             Reply::Bye,
             Reply::err(ErrorCode::Wal, "durability disabled"),
@@ -1644,11 +1604,9 @@ mod tests {
             Request::Begin,
             Request::Exec,
             Request::Ping,
-            Request::Stats,
             Request::Metrics,
             Request::SlowLog(8),
             Request::Snapshot,
-            Request::WalStats,
             Request::Quit,
         ] {
             assert!(!request.is_data_op(), "{request:?}");

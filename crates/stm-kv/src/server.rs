@@ -34,16 +34,21 @@
 //!
 //! **Durability.** With [`ServerConfig::wal_dir`] set, the server opens a
 //! [`stm_log::Wal`] in that directory, recovers the keyspace from the
-//! latest snapshot plus log replay before accepting connections (v1-era
-//! integer-only logs replay losslessly), and installs the log's commit
-//! hook on the STM so every mutating request's write-set — typed values
-//! included — is appended to the log in serialization order. Under the
-//! `every` fsync policy a mutating request's reply is withheld until its
-//! record is fsynced (group commit: one fsync covers every request that
-//! committed meanwhile); the `n=`/`ms=` policies reply immediately and
-//! bound the loss window instead. `SNAPSHOT` forces a point-in-time
-//! snapshot; [`ServerConfig::snapshot_every`] takes one automatically every
-//! N logged records.
+//! latest snapshot plus log replay before accepting connections, and
+//! installs the log's commit hook on the STM so every mutating request's
+//! write-set — typed values included — is appended to the log in
+//! serialization order. Under the `every` fsync policy a mutating request's
+//! reply is withheld until its record is fsynced (group commit: one fsync
+//! covers every request that committed meanwhile); the `n=`/`ms=` policies
+//! reply immediately and bound the loss window instead. `SNAPSHOT` forces a
+//! point-in-time snapshot; [`ServerConfig::snapshot_every`] takes one
+//! automatically every N logged records.
+//!
+//! **Statistics.** `METRICS` is the only statistics verb and
+//! `metrics_payload` its only renderer: the serving layer's counters,
+//! gauges and histograms live in one [`Telemetry`] registry, the log's in
+//! the registry [`Wal::metrics_text`] renders, and the STM runtime's and the
+//! store's figures are read where they are kept at scrape time.
 //!
 //! Reads use a short socket timeout so workers notice a shutdown request
 //! even while a client connection sits idle; [`KvServer::shutdown`] stops
@@ -54,7 +59,7 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -183,32 +188,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared request counters, folded into the `STATS` reply next to the STM's
-/// own commit/abort counters.
-#[derive(Debug, Default)]
-pub(crate) struct ServerCounters {
-    /// Client connections accepted.
-    pub(crate) connections: AtomicU64,
-    /// Requests executed (single data ops; a batch counts once).
-    pub(crate) requests: AtomicU64,
-    /// `BEGIN`/`EXEC` batches executed.
-    pub(crate) batches: AtomicU64,
-    /// Aborted attempts across all request transactions (per-request
-    /// accounting from [`stm_core::TxRunReport`]).
-    pub(crate) retries: AtomicU64,
-    /// `ERR` replies sent.
-    pub(crate) errors: AtomicU64,
-    /// Connections currently being served (registered in an event-loop
-    /// shard, or claimed by a worker thread in pool mode).
-    pub(crate) conns_open: AtomicU64,
-    /// Connections closed by the event loop's idle-timeout reaper.
-    pub(crate) conns_reaped_idle: AtomicU64,
-    /// Reply flushes that could not complete in one write and had to park
-    /// the remainder behind write-readiness (event mode only; pool mode
-    /// blocks in `write_all` instead).
-    pub(crate) partial_writes: AtomicU64,
-}
-
 /// The acceptor → worker connection hand-off.
 ///
 /// Built on the vendored `parking_lot` mutex and condvar: neither poisons,
@@ -299,7 +278,6 @@ pub struct KvServer {
     serve_mode: ServeMode,
     stm: Arc<Stm>,
     store: Arc<KvStore>,
-    counters: Arc<ServerCounters>,
     telemetry: Arc<Telemetry>,
     durable: Option<Arc<Durable>>,
     stop: Arc<AtomicBool>,
@@ -360,13 +338,12 @@ impl KvServer {
             None => None,
         };
 
-        let counters = Arc::new(ServerCounters::default());
         let telemetry = Arc::new(Telemetry::new());
         let stop = Arc::new(AtomicBool::new(false));
 
         let backend = match config.serve_mode {
             ServeMode::Threads => Self::start_thread_pool(
-                listener, &config, &stm, &store, &counters, &telemetry, &durable, &stop,
+                listener, &config, &stm, &store, &telemetry, &durable, &stop,
             ),
             ServeMode::Events => {
                 ServeBackend::Events(crate::event_loop::EventLoops::start(
@@ -377,7 +354,6 @@ impl KvServer {
                     listener,
                     Arc::clone(&stm),
                     Arc::clone(&store),
-                    Arc::clone(&counters),
                     Arc::clone(&telemetry),
                     durable.clone(),
                     Arc::clone(&stop),
@@ -391,7 +367,6 @@ impl KvServer {
             serve_mode: config.serve_mode,
             stm,
             store,
-            counters,
             telemetry,
             durable,
             stop,
@@ -400,13 +375,11 @@ impl KvServer {
     }
 
     /// Spawns the original acceptor + worker-pool serving threads.
-    #[allow(clippy::too_many_arguments)]
     fn start_thread_pool(
         listener: TcpListener,
         config: &ServerConfig,
         stm: &Arc<Stm>,
         store: &Arc<KvStore>,
-        counters: &Arc<ServerCounters>,
         telemetry: &Arc<Telemetry>,
         durable: &Option<Arc<Durable>>,
         stop: &Arc<AtomicBool>,
@@ -417,7 +390,6 @@ impl KvServer {
         for worker_id in 0..config.workers.max(1) {
             let stm = Arc::clone(stm);
             let store = Arc::clone(store);
-            let counters = Arc::clone(counters);
             let telemetry = Arc::clone(telemetry);
             let stop = Arc::clone(stop);
             let queue = Arc::clone(&queue);
@@ -437,7 +409,6 @@ impl KvServer {
                                         stream,
                                         &mut ctx,
                                         &store,
-                                        &counters,
                                         &telemetry,
                                         durable.as_deref(),
                                         &stop,
@@ -453,7 +424,7 @@ impl KvServer {
         }
 
         let acceptor = {
-            let counters = Arc::clone(counters);
+            let telemetry = Arc::clone(telemetry);
             let stop = Arc::clone(stop);
             let queue = Arc::clone(&queue);
             std::thread::Builder::new()
@@ -464,7 +435,7 @@ impl KvServer {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
-                        counters.connections.fetch_add(1, Ordering::Relaxed);
+                        telemetry.connections.add(1);
                         if !queue.push(stream) {
                             break;
                         }
@@ -516,14 +487,14 @@ impl KvServer {
 
     /// Total aborted attempts attributed to client requests so far.
     pub fn request_retries(&self) -> u64 {
-        self.counters.retries.load(Ordering::Relaxed)
+        self.telemetry.retries.value()
     }
 
     /// Connections currently being served. Must be zero after
     /// [`KvServer::shutdown`] returns — the graceful drain closes (and
     /// un-counts) every connection it finishes with, in both serve modes.
     pub fn conns_open(&self) -> u64 {
-        self.counters.conns_open.load(Ordering::Relaxed)
+        u64::try_from(self.telemetry.conns_open.value()).unwrap_or(0)
     }
 
     /// The full `METRICS` exposition, as a wire client would scrape it
@@ -531,7 +502,6 @@ impl KvServer {
     pub fn metrics_text(&self) -> String {
         metrics_payload(
             &self.stm,
-            &self.counters,
             &self.store,
             self.durable.as_deref(),
             &self.telemetry,
@@ -662,99 +632,38 @@ fn apply(store: &KvStore, tx: &mut Txn<'_>, request: &Request, log: bool) -> TxR
         | Request::Begin
         | Request::Exec
         | Request::Ping
-        | Request::Stats
         | Request::Snapshot
-        | Request::WalStats
         | Request::Metrics
         | Request::SlowLog(_)
         | Request::Quit => Reply::err(ErrorCode::Proto, "internal: non-data op in transaction"),
     })
 }
 
-/// The `STATS` payload: stable `key=value` pairs so clients can parse it.
-/// `cells` counts every value cell ever materialised (monotone);
-/// `cells_freed` is how many of those the epoch GC has reclaimed after a
-/// committed `DEL`, and `limbo` is how many retired cells are still waiting
-/// out their grace period — so `cells - cells_freed - limbo` is the live
-/// resident cell count. `overflow` is the per-shard breakdown of cells
-/// currently linked outside the pre-allocated range (comma-separated, one
-/// count per shard). Together they make keyspace growth *and reclamation*
-/// observable from the wire.
-fn stats_payload(stm: &Stm, counters: &ServerCounters, store: &KvStore) -> String {
-    let snapshot = stm.stats().snapshot();
-    // Sweep reclaimable limbo entries first so the reply reflects what is
-    // actually freeable now, not just what the last commit happened to sweep.
-    stm.epoch().collect();
-    let overflow = store
-        .overflow_per_shard()
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "commits={} aborts={} requests={} batches={} retries={} errors={} connections={} \
-         conns_open={} conns_accepted={} conns_reaped_idle={} partial_writes={} \
-         cells={} cells_freed={} limbo={} index_walks={} overflow={}",
-        snapshot.commits,
-        snapshot.aborts,
-        counters.requests.load(Ordering::Relaxed),
-        counters.batches.load(Ordering::Relaxed),
-        counters.retries.load(Ordering::Relaxed),
-        counters.errors.load(Ordering::Relaxed),
-        counters.connections.load(Ordering::Relaxed),
-        counters.conns_open.load(Ordering::Relaxed),
-        counters.connections.load(Ordering::Relaxed),
-        counters.conns_reaped_idle.load(Ordering::Relaxed),
-        counters.partial_writes.load(Ordering::Relaxed),
-        store.cells_allocated(),
-        stm.epoch().reclaimed_total(),
-        stm.epoch().limbo_len(),
-        store.index_walks(),
-        overflow,
-    )
-}
-
-/// The `WALSTATS` payload (durable servers).
-fn walstats_payload(durable: &Durable) -> String {
-    let stats = durable.wal.stats();
-    format!(
-        "policy={} next_seq={} durable_seq={} records={} bytes={} fsyncs={} \
-         segments={} snapshots={} last_snapshot_seq={} since_snapshot={} failed={}",
-        durable.wal.policy().label(),
-        stats.next_seq,
-        stats.durable_seq,
-        stats.records,
-        stats.bytes,
-        stats.fsyncs,
-        stats.segments,
-        stats.snapshots,
-        stats.last_snapshot_seq,
-        stats.records_since_snapshot,
-        u8::from(stats.failed),
-    )
-}
-
 /// The `METRICS` payload: Prometheus-style text exposition composed from
 /// four sections —
 ///
-/// 1. the server's [`Telemetry`] registry (per-op latency histograms,
-///    transaction attempt/latency histograms, event-loop instrumentation,
-///    per-shard connection gauges);
+/// 1. the server's [`Telemetry`] registry (request and connection counters,
+///    per-op latency histograms, transaction attempt/latency histograms,
+///    event-loop instrumentation, per-shard connection gauges);
 /// 2. the STM runtime's counters, rendered from a [`StatsSnapshot`]
 ///    (`stm_core` itself stays dependency-free): commits, aborts **by
 ///    cause**, conflicts, and contention-manager decisions (`wait` =
 ///    waits granted, `abort_other` = enemy aborts granted, `abort_self` =
 ///    self-abort verdicts, recovered from the `manager_self_abort` cause
 ///    count);
-/// 3. the server's own request/connection counters, the store's index-walk
-///    counter and its cell accounting;
-/// 4. when durable, the WAL's histograms ([`Wal::metrics_text`]) and its
-///    counter-style stats.
+/// 3. the store's index-walk counter and its cell accounting, which make
+///    keyspace growth *and reclamation* observable from the wire:
+///    `cells_allocated` counts every value cell ever materialised
+///    (monotone), `cells_freed` how many of those the epoch GC has reclaimed
+///    after a committed `DEL`, `cells_limbo` how many retired cells still
+///    wait out their grace period (allocated − freed − limbo = resident),
+///    and `overflow_cells{shard}` the cells currently linked outside the
+///    pre-allocated range, per shard;
+/// 4. when durable, every `stm_wal_*` series ([`Wal::metrics_text`]).
 ///
 /// [`StatsSnapshot`]: stm_core::stats::StatsSnapshot
 fn metrics_payload(
     stm: &Stm,
-    counters: &ServerCounters,
     store: &KvStore,
     durable: Option<&Durable>,
     telemetry: &Telemetry,
@@ -800,57 +709,29 @@ fn metrics_payload(
         );
     }
 
-    let server_counters = [
-        ("stm_kv_connections_total", &counters.connections),
-        ("stm_kv_requests_total", &counters.requests),
-        ("stm_kv_batches_total", &counters.batches),
-        ("stm_kv_retries_total", &counters.retries),
-        ("stm_kv_errors_total", &counters.errors),
-        ("stm_kv_conns_reaped_idle_total", &counters.conns_reaped_idle),
-        ("stm_kv_partial_writes_total", &counters.partial_writes),
-    ];
-    for (name, counter) in server_counters {
-        let _ = writeln!(
-            out,
-            "# TYPE {name} counter\n{name} {}",
-            counter.load(Ordering::Relaxed)
-        );
-    }
     let _ = writeln!(
         out,
         "# TYPE stm_kv_index_walks_total counter\nstm_kv_index_walks_total {}",
         store.index_walks()
     );
-    let server_gauges = [
-        ("stm_kv_conns_open", counters.conns_open.load(Ordering::Relaxed)),
+    // Sweep reclaimable limbo entries first so the scrape reflects what is
+    // actually freeable now, not just what the last commit happened to sweep.
+    stm.epoch().collect();
+    let cell_gauges = [
         ("stm_kv_cells_allocated", store.cells_allocated() as u64),
         ("stm_kv_cells_freed", stm.epoch().reclaimed_total()),
         ("stm_kv_cells_limbo", stm.epoch().limbo_len() as u64),
     ];
-    for (name, value) in server_gauges {
+    for (name, value) in cell_gauges {
         let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
+    }
+    let _ = writeln!(out, "# TYPE stm_kv_overflow_cells gauge");
+    for (shard, cells) in store.overflow_per_shard().iter().enumerate() {
+        let _ = writeln!(out, "stm_kv_overflow_cells{{shard=\"{shard}\"}} {cells}");
     }
 
     if let Some(durable) = durable {
         out.push_str(&durable.wal.metrics_text());
-        let stats = durable.wal.stats();
-        let wal_counters = [
-            ("stm_wal_records_total", stats.records),
-            ("stm_wal_bytes_total", stats.bytes),
-            ("stm_wal_fsyncs_total", stats.fsyncs),
-            ("stm_wal_snapshots_total", stats.snapshots),
-        ];
-        for (name, value) in wal_counters {
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-        }
-        let wal_gauges = [
-            ("stm_wal_next_seq", stats.next_seq),
-            ("stm_wal_durable_seq", stats.durable_seq),
-            ("stm_wal_segments", stats.segments),
-        ];
-        for (name, value) in wal_gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
-        }
     }
     out
 }
@@ -902,7 +783,6 @@ impl ConnState {
 struct Session<'a, 'stm> {
     ctx: &'a mut ThreadCtx<'stm>,
     store: &'a KvStore,
-    counters: &'a ServerCounters,
     telemetry: &'a Telemetry,
     durable: Option<&'a Durable>,
     conn: &'a mut ConnState,
@@ -916,7 +796,7 @@ impl<'a, 'stm> Session<'a, 'stm> {
     /// error replies.
     fn emit(&mut self, reply: &Reply, out: &mut Vec<u8>) {
         if matches!(reply, Reply::Err(..)) {
-            self.counters.errors.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.errors.add(1);
         }
         match self.conn.proto {
             ProtoVersion::V1 => {
@@ -1041,25 +921,6 @@ impl<'a, 'stm> Session<'a, 'stm> {
                 }
             },
             Request::Ping if !in_batch => self.emit(&Reply::Pong, out),
-            Request::Stats if !in_batch => {
-                let payload = stats_payload(self.ctx.stm(), self.counters, self.store);
-                self.emit(&Reply::Stats(payload), out);
-            }
-            Request::WalStats if !in_batch => match self.durable {
-                Some(durable) => {
-                    let payload = walstats_payload(durable);
-                    self.emit(&Reply::WalStats(payload), out);
-                }
-                None => {
-                    self.emit(
-                        &Reply::err(
-                            ErrorCode::Wal,
-                            "durability disabled (start the server with --wal-dir)",
-                        ),
-                        out,
-                    );
-                }
-            },
             Request::Snapshot if !in_batch => {
                 let reply = self.take_snapshot();
                 self.emit(&reply, out);
@@ -1067,7 +928,6 @@ impl<'a, 'stm> Session<'a, 'stm> {
             Request::Metrics if !in_batch => {
                 let payload = metrics_payload(
                     self.ctx.stm(),
-                    self.counters,
                     self.store,
                     self.durable,
                     self.telemetry,
@@ -1085,9 +945,7 @@ impl<'a, 'stm> Session<'a, 'stm> {
             Request::Hello(_)
             | Request::Begin
             | Request::Ping
-            | Request::Stats
             | Request::Snapshot
-            | Request::WalStats
             | Request::Metrics
             | Request::SlowLog(_) => {
                 self.conn.batch = Batch::Poisoned;
@@ -1116,7 +974,7 @@ impl<'a, 'stm> Session<'a, 'stm> {
                 );
             }
             Batch::Open(ops) => {
-                self.counters.batches.fetch_add(1, Ordering::Relaxed);
+                self.telemetry.batches.add(1);
                 let store = self.store;
                 let log = self.durable.is_some();
                 // A type error anywhere in the batch aborts the whole
@@ -1138,7 +996,7 @@ impl<'a, 'stm> Session<'a, 'stm> {
                     Ok(replies)
                 });
                 let txn_us = elapsed_us(started);
-                self.counters.retries.fetch_add(report.aborts, Ordering::Relaxed);
+                self.telemetry.retries.add(report.aborts);
                 match result {
                     Ok(replies) => {
                         self.require_durable(report.commit_seq);
@@ -1182,14 +1040,14 @@ impl<'a, 'stm> Session<'a, 'stm> {
                 );
             }
             Batch::None => {
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
+                self.telemetry.requests.add(1);
                 let store = self.store;
                 let log = self.durable.is_some();
                 let started = Instant::now();
                 let (result, report) =
                     self.ctx.atomically_traced(|tx| apply(store, tx, &data_op, log));
                 let txn_us = elapsed_us(started);
-                self.counters.retries.fetch_add(report.aborts, Ordering::Relaxed);
+                self.telemetry.retries.add(report.aborts);
                 match result {
                     Ok(reply) => {
                         self.require_durable(report.commit_seq);
@@ -1221,12 +1079,10 @@ impl<'a, 'stm> Session<'a, 'stm> {
 /// fsync policies only). A barrier wait returning `false` means the log
 /// failed — the caller must close without acknowledging rather than send
 /// replies the contract says are on disk.
-#[allow(clippy::too_many_arguments)] // one slot per serving-layer concern; a struct would just rename the list
 pub(crate) fn process_buffered(
     conn: &mut ConnState,
     ctx: &mut ThreadCtx<'_>,
     store: &KvStore,
-    counters: &ServerCounters,
     telemetry: &Telemetry,
     durable: Option<&Durable>,
     inbuf: &mut Vec<u8>,
@@ -1235,7 +1091,6 @@ pub(crate) fn process_buffered(
     let mut session = Session {
         ctx,
         store,
-        counters,
         telemetry,
         durable,
         conn,
@@ -1275,11 +1130,11 @@ pub(crate) fn process_buffered(
 }
 
 /// Decrements `conns_open` when a served connection ends, however it ends.
-pub(crate) struct OpenConnGuard<'a>(pub(crate) &'a ServerCounters);
+struct OpenConnGuard<'a>(&'a Telemetry);
 
 impl Drop for OpenConnGuard<'_> {
     fn drop(&mut self) {
-        self.0.conns_open.fetch_sub(1, Ordering::Relaxed);
+        self.0.conns_open.sub(1);
     }
 }
 
@@ -1291,13 +1146,12 @@ fn serve_connection(
     stream: TcpStream,
     ctx: &mut ThreadCtx<'_>,
     store: &KvStore,
-    counters: &ServerCounters,
     telemetry: &Telemetry,
     durable: Option<&Durable>,
     stop: &AtomicBool,
 ) {
-    counters.conns_open.fetch_add(1, Ordering::Relaxed);
-    let _open = OpenConnGuard(counters);
+    telemetry.conns_open.add(1);
+    let _open = OpenConnGuard(telemetry);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let Ok(mut reader) = stream.try_clone() else {
@@ -1328,7 +1182,7 @@ fn serve_connection(
             }
         }
         out.clear();
-        let barrier = process_buffered(conn, ctx, store, counters, telemetry, durable, inbuf, out);
+        let barrier = process_buffered(conn, ctx, store, telemetry, durable, inbuf, out);
         if let (Some(durable), Some(barrier)) = (durable, barrier) {
             if !durable.wal.wait_durable(barrier) {
                 return;
@@ -1361,7 +1215,6 @@ fn serve_connection(
             &mut conn,
             ctx,
             store,
-            counters,
             telemetry,
             durable,
             &mut inbuf,
@@ -1499,7 +1352,9 @@ mod tests {
         assert_eq!(say("PING", &mut reader), "PONG");
         // Durability commands on a volatile server fail politely.
         assert!(say("SNAPSHOT", &mut reader).starts_with("ERR durability disabled"));
-        assert!(say("WALSTATS", &mut reader).starts_with("ERR durability disabled"));
+        // METRICS is the only statistics verb.
+        assert!(say("STATS", &mut reader).starts_with("ERR unknown command"));
+        assert!(say("WALSTATS", &mut reader).starts_with("ERR unknown command"));
         // A batch: two queued ops executed atomically.
         assert_eq!(say("BEGIN", &mut reader), "OK");
         assert_eq!(say("ADD 4 -5", &mut reader), "QUEUED");
@@ -1512,15 +1367,24 @@ mod tests {
         reader.read_line(&mut l).unwrap();
         assert_eq!(l.trim_end(), "VALUE 5");
         assert_eq!(say("EXEC", &mut reader), "ERR EXEC without BEGIN");
-        let stats = say("STATS", &mut reader);
-        assert!(stats.starts_with("STATS commits="), "got '{stats}'");
-        assert!(stats.contains(" cells="), "STATS must expose cell growth: '{stats}'");
-        assert!(
-            stats.contains(" cells_freed="),
-            "STATS must expose cell reclamation: '{stats}'"
-        );
-        assert!(stats.contains(" limbo="), "STATS must expose GC limbo depth: '{stats}'");
-        assert!(stats.contains(" overflow="), "STATS must expose overflow shards: '{stats}'");
+        // The one multi-line v1 reply besides EXEC: a header announcing the
+        // line count, then the exposition.
+        let header = say("METRICS", &mut reader);
+        let lines: usize = header.strip_prefix("METRICS ").unwrap().parse().unwrap();
+        let mut metrics = String::new();
+        for _ in 0..lines {
+            reader.read_line(&mut metrics).unwrap();
+        }
+        for series in [
+            "stm_commits_total ",
+            "stm_kv_cells_allocated ",
+            "stm_kv_cells_freed ",
+            "stm_kv_cells_limbo ",
+            "stm_kv_overflow_cells{shard=\"3\"} ",
+        ] {
+            assert!(metrics.contains(series), "METRICS must expose {series}: {metrics}");
+        }
+        assert!(!metrics.contains("stm_wal_"), "volatile server: no WAL series");
         assert_eq!(say("QUIT", &mut reader), "BYE");
     }
 
@@ -1865,9 +1729,9 @@ mod tests {
             assert_eq!(say("PUT 2 200", &mut reader), "OK");
             assert_eq!(say("DEL 2", &mut reader), "OK 1");
             assert_eq!(say("ADD 3 33", &mut reader), "VALUE 33");
-            let walstats = say("WALSTATS", &mut reader);
-            assert!(walstats.starts_with("WALSTATS policy=every"), "{walstats}");
-            assert!(walstats.contains("records=4"), "{walstats}");
+            let metrics = server.metrics_text();
+            assert!(metrics.contains("stm_wal_info{policy=\"every\"} 1"), "{metrics}");
+            assert!(metrics.contains("stm_wal_records_total 4"), "{metrics}");
             let snap = say("SNAPSHOT", &mut reader);
             assert!(snap.starts_with("SNAPSHOT "), "{snap}");
             assert_eq!(say("PUT 4 400", &mut reader), "OK");
@@ -1919,12 +1783,12 @@ mod tests {
         for i in 0..25i64 {
             assert_eq!(say(&format!("PUT {} {}", i % 8, i), &mut reader), "OK");
         }
-        let walstats = say("WALSTATS", &mut reader);
-        let snapshots: u64 = walstats
-            .split_whitespace()
-            .find_map(|pair| pair.strip_prefix("snapshots=").and_then(|v| v.parse().ok()))
-            .unwrap_or_else(|| panic!("unparseable WALSTATS: {walstats}"));
-        assert!(snapshots >= 2, "25 records / snapshot-every-10: {walstats}");
+        let metrics = crate::MetricsSnapshot::parse(server.metrics_text()).unwrap();
+        assert!(
+            metrics.counter("stm_wal_snapshots_total") >= 2,
+            "25 records / snapshot-every-10: {}",
+            metrics.text
+        );
         assert_eq!(say("QUIT", &mut reader), "BYE");
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

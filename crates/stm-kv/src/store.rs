@@ -66,8 +66,9 @@
 //! [`stm_core::Txn::owns`]). A transaction that raced the delete while it
 //! was still active conflicts with it on the cell itself and is arbitrated
 //! by the contention manager as usual. [`KvStore::cells_allocated`] counts
-//! every cell ever materialised (monotone); the `cells_freed=`/`limbo=`
-//! counters in `STATS` come from the epoch domain's reclamation totals.
+//! every cell ever materialised (monotone); the `stm_kv_cells_freed` /
+//! `stm_kv_cells_limbo` series in `METRICS` come from the epoch domain's
+//! reclamation totals.
 //!
 //! **Typing.** The arithmetic operations (`ADD`, and `SUM` over a range)
 //! are only defined on `Int` values: hitting a `Str`/`Bytes` value reports
@@ -225,8 +226,7 @@ impl KvStore {
     /// Calls the store has made into its ordered index (monotone): key
     /// creations and removals, point misses on never-linked keys, and every
     /// `RANGE`/`SUM`/`dump`/`len`. A hit `GET` or an overwriting `PUT`/`ADD`
-    /// adds nothing. Exported as `stm_kv_index_walks_total` in `METRICS`
-    /// and `index_walks=` in `STATS`.
+    /// adds nothing. Exported as `stm_kv_index_walks_total` in `METRICS`.
     pub fn index_walks(&self) -> u64 {
         self.index_walks.load(Ordering::Relaxed)
     }
@@ -329,8 +329,8 @@ impl KvStore {
 
     /// Number of value cells ever materialised (monotone — reclaimed cells
     /// still count; subtract the epoch domain's reclaimed total for the
-    /// live figure, which is what the server's `STATS` reply surfaces as
-    /// `cells=` / `cells_freed=` / `limbo=`).
+    /// live figure, which is what `METRICS` surfaces as
+    /// `stm_kv_cells_allocated` / `_freed` / `_limbo`).
     pub fn cells_allocated(&self) -> usize {
         self.prealloc.len() + self.overflow_created.load(Ordering::Relaxed) as usize
     }
@@ -347,8 +347,8 @@ impl KvStore {
     }
 
     /// Number of overflow cells currently linked per shard — how the
-    /// outside-the-prealloc keyspace distributes across shards (exported in
-    /// the `STATS` reply so it is observable from the wire).
+    /// outside-the-prealloc keyspace distributes across shards (exported as
+    /// `stm_kv_overflow_cells{shard=…}` so it is observable from the wire).
     pub fn overflow_per_shard(&self) -> Vec<usize> {
         self.overflow
             .iter()

@@ -1,19 +1,22 @@
-//! Server-side telemetry: per-op latency histograms, the transaction
-//! attempt/latency accounting fed from the [`TxRunReport`] fold point,
-//! event-loop instrumentation, and the `SLOWLOG` ring of slowest requests.
+//! Server-side telemetry: the request and connection counters, per-op
+//! latency histograms, the transaction attempt/latency accounting fed from
+//! the [`TxRunReport`] fold point, event-loop instrumentation, and the
+//! `SLOWLOG` ring of slowest requests.
 //!
-//! Instruments come from the vendored lock-free `metrics` crate: recording
-//! on the request path is a couple of relaxed `fetch_add`s on striped
-//! cache-padded cells — never a lock, never an allocation. The `METRICS`
-//! verb composes this registry's exposition with manually-rendered STM,
-//! store and WAL series (see `metrics_payload` in [`crate::server`]).
+//! Every instrument the serving layer owns is registered in this one
+//! registry of the vendored lock-free `metrics` crate: recording on the
+//! request path is a couple of relaxed `fetch_add`s on striped cache-padded
+//! cells — never a lock, never an allocation. The `METRICS` verb appends to
+//! this registry's exposition the series other layers own: the STM
+//! runtime's and the store's, read at scrape time, and the WAL's own
+//! registry (see `metrics_payload` in [`crate::server`]).
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use metrics::{Gauge, Histogram, Registry};
+use metrics::{Counter, Gauge, Histogram, Registry};
 use parking_lot::Mutex;
 use stm_core::{AbortCause, TxRunReport, ABORT_CAUSES};
 
@@ -50,6 +53,26 @@ pub(crate) fn elapsed_us(start: Instant) -> u64 {
 /// ring. One per server; both serve modes share it.
 pub(crate) struct Telemetry {
     registry: Registry,
+    /// Client connections accepted.
+    pub(crate) connections: Arc<Counter>,
+    /// Requests executed (single data ops; a batch counts once).
+    pub(crate) requests: Arc<Counter>,
+    /// `BEGIN`/`EXEC` batches executed.
+    pub(crate) batches: Arc<Counter>,
+    /// Aborted attempts across all request transactions (per-request
+    /// accounting from [`TxRunReport`]).
+    pub(crate) retries: Arc<Counter>,
+    /// `ERR` replies sent.
+    pub(crate) errors: Arc<Counter>,
+    /// Connections closed by the event loop's idle-timeout reaper.
+    pub(crate) conns_reaped_idle: Arc<Counter>,
+    /// Reply flushes that could not complete in one write and had to park
+    /// the remainder behind write-readiness (event mode only; pool mode
+    /// blocks in `write_all` instead).
+    pub(crate) partial_writes: Arc<Counter>,
+    /// Connections currently being served (registered in an event-loop
+    /// shard, or claimed by a worker thread in pool mode).
+    pub(crate) conns_open: Arc<Gauge>,
     /// End-to-end request latency (execute + render), one series per op.
     op_latency: [Arc<Histogram>; OP_LABELS.len()],
     /// Attempts per `atomically` call (1 = committed first try) — the
@@ -80,6 +103,14 @@ impl Telemetry {
         let ready_batch = registry.histogram("stm_kv_ready_batch", &[]);
         let drain_us = registry.histogram("stm_kv_drain_us", &[]);
         Telemetry {
+            connections: registry.counter("stm_kv_connections_total", &[]),
+            requests: registry.counter("stm_kv_requests_total", &[]),
+            batches: registry.counter("stm_kv_batches_total", &[]),
+            retries: registry.counter("stm_kv_retries_total", &[]),
+            errors: registry.counter("stm_kv_errors_total", &[]),
+            conns_reaped_idle: registry.counter("stm_kv_conns_reaped_idle_total", &[]),
+            partial_writes: registry.counter("stm_kv_partial_writes_total", &[]),
+            conns_open: registry.gauge("stm_kv_conns_open", &[]),
             registry,
             op_latency,
             txn_attempts,
@@ -328,8 +359,13 @@ mod tests {
         telemetry.note_ready_batch(3);
         telemetry.note_drain(100);
         telemetry.shard_conns(0).set(2);
+        telemetry.requests.add(3);
+        telemetry.conns_open.add(1);
         let text = telemetry.render();
         for name in [
+            "stm_kv_requests_total 3",
+            "stm_kv_errors_total 0",
+            "stm_kv_conns_open 1",
             "stm_kv_op_latency_us_bucket{op=\"GET\"",
             "stm_kv_txn_attempts_count 1",
             "stm_kv_txn_latency_us_count 1",

@@ -76,7 +76,7 @@ mod ring;
 pub mod snapshot;
 pub mod wal;
 
-pub use record::{Format, SEGMENT_MAGIC};
+pub use record::SEGMENT_MAGIC;
 pub use recovery::{recover, Recovered};
 pub use snapshot::Snapshot;
 pub use wal::{FsyncPolicy, Wal, WalConfig, WalStats};

@@ -1,31 +1,25 @@
 //! The binary log-record format: length-prefixed, checksummed, versioned,
 //! replayable.
 //!
-//! One record carries the published write-set of one committed transaction.
-//! Two payload formats exist:
+//! One record carries the published write-set of one committed transaction:
 //!
 //! ```text
 //! ┌────────────┬────────────┬──────────────────────────────────────────┐
 //! │ len: u32 LE│ crc: u32 LE│ payload (len bytes)                      │
 //! └────────────┴────────────┴──────────────────────────────────────────┘
 //!
-//! v1 payload = seq: u64 LE | count: u32 LE | count × op
-//! v1 op      = 0x00 (Put) | id: i64 LE | value: i64 LE
-//!            | 0x01 (Del) | id: i64 LE
-//!
-//! v2 payload = ver: u8 = 0x02 | seq: u64 LE | count: u32 LE | count × op
-//! v2 op      = 0x00 (Put int)   | id: i64 LE | value: i64 LE
-//!            | 0x01 (Del)       | id: i64 LE
-//!            | 0x02 (Put str)   | id: i64 LE | len: u32 LE | len bytes
-//!            | 0x03 (Put bytes) | id: i64 LE | len: u32 LE | len bytes
+//! payload = ver: u8 = 0x02 | seq: u64 LE | count: u32 LE | count × op
+//! op      = 0x00 (Put int)   | id: i64 LE | value: i64 LE
+//!         | 0x01 (Del)       | id: i64 LE
+//!         | 0x02 (Put str)   | id: i64 LE | len: u32 LE | len bytes
+//!         | 0x03 (Put bytes) | id: i64 LE | len: u32 LE | len bytes
 //! ```
 //!
-//! v1 (the integer-only format every log written before protocol v2 uses)
-//! has no version byte — which format a record is in is decided **per
-//! segment**: segments written by the v2 writer begin with
-//! [`SEGMENT_MAGIC`], segments without the magic are v1. Recovery reads
-//! both, so a WAL written by a v1 server replays losslessly into a v2
-//! store ([`CommitValue::Int`] values).
+//! Every segment file begins with [`SEGMENT_MAGIC`]. There is one
+//! generation: a segment that does not start with the magic — a file torn
+//! inside it, or bytes in some other format — holds no records, and the
+//! committed prefix ends where that segment begins, exactly as it does at a
+//! corrupt first record.
 //!
 //! `crc` is the CRC-32 of the payload. The length prefix frames the record;
 //! the checksum distinguishes a *torn* tail (the process died mid-write, the
@@ -40,26 +34,17 @@ use crate::crc::crc32;
 /// length prefix cannot make recovery try to allocate gigabytes.
 pub const MAX_PAYLOAD_BYTES: u32 = 64 << 20;
 
-/// First bytes of every segment file written in the v2 format. Segments
-/// without it (from servers predating typed values) decode as v1.
+/// First bytes of every segment file. Recovery reads no records from a
+/// segment that does not start with it.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"STMWAL2\n";
 
-/// The v2 payload version byte.
-const PAYLOAD_VERSION_V2: u8 = 0x02;
+/// The payload version byte.
+const PAYLOAD_VERSION: u8 = 0x02;
 
 const TAG_PUT_INT: u8 = 0x00;
 const TAG_DEL: u8 = 0x01;
 const TAG_PUT_STR: u8 = 0x02;
 const TAG_PUT_BYTES: u8 = 0x03;
-
-/// Which record format a segment's bytes are in (see [`SEGMENT_MAGIC`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    /// Integer-only records, no payload version byte (pre-typed-values logs).
-    V1,
-    /// Typed-value records with a payload version byte.
-    V2,
-}
 
 /// One decoded log record: the commit sequence number and the write-set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,14 +67,14 @@ pub enum Decoded {
     Corrupt,
 }
 
-/// Appends the v2-encoded record for `(seq, ops)` to `out` and returns the
+/// Appends the encoded record for `(seq, ops)` to `out` and returns the
 /// number of bytes appended.
 pub fn encode_into(out: &mut Vec<u8>, seq: u64, ops: &[CommitOp]) -> usize {
     let start = out.len();
     // Reserve the header, then come back and patch it.
     out.extend_from_slice(&[0u8; 8]);
     let payload_start = out.len();
-    out.push(PAYLOAD_VERSION_V2);
+    out.push(PAYLOAD_VERSION);
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
     for op in ops {
@@ -123,40 +108,6 @@ pub fn encode_into(out: &mut Vec<u8>, seq: u64, ops: &[CommitOp]) -> usize {
     out.len() - start
 }
 
-/// Appends the **v1**-encoded record for `(seq, ops)` to `out` — the format
-/// servers wrote before typed values existed. Kept as a fixture generator
-/// for compatibility tests (a v1 WAL must replay losslessly).
-///
-/// # Panics
-///
-/// Panics when an op carries a non-integer value: the v1 format cannot
-/// represent one, so a caller asking for it has a logic error.
-pub fn encode_v1_into(out: &mut Vec<u8>, seq: u64, ops: &[CommitOp]) -> usize {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; 8]);
-    let payload_start = out.len();
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for op in ops {
-        match op {
-            CommitOp::Put { id, value } => {
-                let v = value
-                    .as_int()
-                    .expect("v1 record format cannot carry a non-integer value");
-                out.push(TAG_PUT_INT);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            CommitOp::Del { id } => {
-                out.push(TAG_DEL);
-                out.extend_from_slice(&id.to_le_bytes());
-            }
-        }
-    }
-    patch_header(out, start, payload_start);
-    out.len() - start
-}
-
 fn patch_header(out: &mut [u8], start: usize, payload_start: usize) {
     let payload_len = (out.len() - payload_start) as u32;
     let crc = crc32(&out[payload_start..]);
@@ -164,7 +115,7 @@ fn patch_header(out: &mut [u8], start: usize, payload_start: usize) {
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Encodes one record as a standalone v2 byte vector.
+/// Encodes one record as a standalone byte vector.
 pub fn encode(seq: u64, ops: &[CommitOp]) -> Vec<u8> {
     let mut out = Vec::new();
     encode_into(&mut out, seq, ops);
@@ -183,20 +134,15 @@ fn read_i64(bytes: &[u8]) -> i64 {
     i64::from_le_bytes(bytes[..8].try_into().expect("checked length"))
 }
 
-/// Decodes the record at the head of `bytes` in the given segment format.
-pub fn decode(bytes: &[u8], format: Format) -> Decoded {
+/// Decodes the record at the head of `bytes`.
+pub fn decode(bytes: &[u8]) -> Decoded {
     if bytes.len() < 8 {
         return Decoded::Torn;
     }
     let payload_len = read_u32(bytes) as usize;
-    // Even an empty write-set needs seq (8) + count (4) bytes — plus the
-    // version byte in v2 — so a shorter claim is not a torn write; it is
-    // garbage.
-    let min_payload = match format {
-        Format::V1 => 12,
-        Format::V2 => 13,
-    };
-    if payload_len > MAX_PAYLOAD_BYTES as usize || payload_len < min_payload {
+    // Even an empty write-set needs version (1) + seq (8) + count (4)
+    // bytes, so a shorter claim is not a torn write; it is garbage.
+    if payload_len > MAX_PAYLOAD_BYTES as usize || payload_len < 13 {
         return Decoded::Corrupt;
     }
     let expected_crc = read_u32(&bytes[4..]);
@@ -206,15 +152,10 @@ pub fn decode(bytes: &[u8], format: Format) -> Decoded {
     if crc32(payload) != expected_crc {
         return Decoded::Corrupt;
     }
-    let body = match format {
-        Format::V1 => payload,
-        Format::V2 => {
-            if payload[0] != PAYLOAD_VERSION_V2 {
-                return Decoded::Corrupt;
-            }
-            &payload[1..]
-        }
-    };
+    if payload[0] != PAYLOAD_VERSION {
+        return Decoded::Corrupt;
+    }
+    let body = &payload[1..];
     let seq = read_u64(body);
     let count = read_u32(&body[8..]) as usize;
     let mut ops = Vec::with_capacity(count.min(1024));
@@ -239,7 +180,7 @@ pub fn decode(bytes: &[u8], format: Format) -> Decoded {
                 ops.push(CommitOp::del(read_i64(&body[at..])));
                 at += 8;
             }
-            TAG_PUT_STR | TAG_PUT_BYTES if format == Format::V2 => {
+            TAG_PUT_STR | TAG_PUT_BYTES => {
                 if body.len() < at + 12 {
                     return Decoded::Corrupt;
                 }
@@ -269,15 +210,15 @@ pub fn decode(bytes: &[u8], format: Format) -> Decoded {
     Decoded::Ok(Record { seq, ops }, 8 + payload_len)
 }
 
-/// Decodes every record in `bytes` (all in `format`), returning the
-/// committed prefix and the byte offset where it ends (the truncation point
-/// when the tail is torn or corrupt). The last element is `true` when
-/// decoding consumed the whole buffer cleanly.
-pub fn decode_all(bytes: &[u8], format: Format) -> (Vec<Record>, usize, bool) {
+/// Decodes every record in `bytes`, returning the committed prefix and the
+/// byte offset where it ends (the truncation point when the tail is torn or
+/// corrupt). The last element is `true` when decoding consumed the whole
+/// buffer cleanly.
+pub fn decode_all(bytes: &[u8]) -> (Vec<Record>, usize, bool) {
     let mut records = Vec::new();
     let mut at = 0usize;
     while at < bytes.len() {
-        match decode(&bytes[at..], format) {
+        match decode(&bytes[at..]) {
             Decoded::Ok(record, used) => {
                 records.push(record);
                 at += used;
@@ -302,19 +243,11 @@ mod tests {
         ]
     }
 
-    fn int_ops() -> Vec<CommitOp> {
-        vec![
-            CommitOp::put(3, 42),
-            CommitOp::del(-9),
-            CommitOp::put(i64::MAX, i64::MIN),
-        ]
-    }
-
     #[test]
     fn round_trip_including_empty_write_set() {
         for ops in [sample_ops(), Vec::new()] {
             let bytes = encode(77, &ops);
-            match decode(&bytes, Format::V2) {
+            match decode(&bytes) {
                 Decoded::Ok(record, used) => {
                     assert_eq!(used, bytes.len());
                     assert_eq!(record.seq, 77);
@@ -326,34 +259,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_records_decode_as_integer_values() {
-        let ops = int_ops();
-        let mut bytes = Vec::new();
-        encode_v1_into(&mut bytes, 5, &ops);
-        match decode(&bytes, Format::V1) {
-            Decoded::Ok(record, used) => {
-                assert_eq!(used, bytes.len());
-                assert_eq!(record.seq, 5);
-                assert_eq!(record.ops, ops);
-            }
-            other => panic!("expected Ok, got {other:?}"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "v1 record format cannot carry")]
-    fn v1_encoder_refuses_typed_values() {
-        let mut bytes = Vec::new();
-        encode_v1_into(&mut bytes, 1, &[CommitOp::put(1, "nope")]);
-    }
-
-    #[test]
     fn concatenated_records_decode_in_order() {
         let mut bytes = Vec::new();
         for seq in 1..=5u64 {
             encode_into(&mut bytes, seq, &[CommitOp::put(seq as i64, 1)]);
         }
-        let (records, end, clean) = decode_all(&bytes, Format::V2);
+        let (records, end, clean) = decode_all(&bytes);
         assert!(clean);
         assert_eq!(end, bytes.len());
         assert_eq!(records.len(), 5);
@@ -364,7 +275,7 @@ mod tests {
     fn every_truncation_point_is_torn_not_corrupt_or_ok() {
         let bytes = encode(9, &sample_ops());
         for cut in 0..bytes.len() {
-            match decode(&bytes[..cut], Format::V2) {
+            match decode(&bytes[..cut]) {
                 Decoded::Torn => {}
                 other => panic!("cut at {cut}: expected Torn, got {other:?}"),
             }
@@ -378,7 +289,7 @@ mod tests {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
             assert_eq!(
-                decode(&bad, Format::V2),
+                decode(&bad),
                 Decoded::Corrupt,
                 "flip at byte {i} undetected"
             );
@@ -389,21 +300,13 @@ mod tests {
     fn absurd_length_prefix_is_corrupt_not_an_allocation() {
         let mut bytes = encode(1, &sample_ops());
         bytes[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode(&bytes, Format::V2), Decoded::Corrupt);
+        assert_eq!(decode(&bytes), Decoded::Corrupt);
         bytes[0..4].copy_from_slice(&2u32.to_le_bytes());
         assert_eq!(
-            decode(&bytes, Format::V2),
+            decode(&bytes),
             Decoded::Corrupt,
             "shorter-than-header claim"
         );
-    }
-
-    #[test]
-    fn typed_tags_are_corrupt_in_a_v1_segment() {
-        // A v2 record (with its version byte and typed tags) planted in a
-        // v1 segment must be rejected, not misread as integer ops.
-        let bytes = encode(1, &[CommitOp::put(1, "text")]);
-        assert_eq!(decode(&bytes, Format::V1), Decoded::Corrupt);
     }
 
     #[test]
@@ -415,7 +318,7 @@ mod tests {
         let keep = bytes.len();
         encode_into(&mut bytes, 5, &sample_ops());
         let torn = &bytes[..bytes.len() - 3];
-        let (records, end, clean) = decode_all(torn, Format::V2);
+        let (records, end, clean) = decode_all(torn);
         assert!(!clean);
         assert_eq!(end, keep, "truncation point is the end of record 4");
         assert_eq!(records.len(), 4);
@@ -423,8 +326,8 @@ mod tests {
 
     #[test]
     fn invalid_utf8_in_a_str_op_is_corrupt() {
-        // Hand-build a v2 record claiming a Str op with non-UTF-8 bytes.
-        let mut payload = vec![PAYLOAD_VERSION_V2];
+        // Hand-build a record claiming a Str op with non-UTF-8 bytes.
+        let mut payload = vec![PAYLOAD_VERSION];
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.extend_from_slice(&1u32.to_le_bytes());
         payload.push(TAG_PUT_STR);
@@ -434,6 +337,6 @@ mod tests {
         let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
         bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
-        assert_eq!(decode(&bytes, Format::V2), Decoded::Corrupt);
+        assert_eq!(decode(&bytes), Decoded::Corrupt);
     }
 }

@@ -8,7 +8,10 @@
 //! 2. Read every segment in first-sequence order, decoding records until the
 //!    first torn or corrupt one. Everything from that point on — the rest of
 //!    that segment *and any later segment* — is beyond the torn commit and
-//!    is discarded: the bad record is where the durable prefix ends.
+//!    is discarded: the bad record is where the durable prefix ends. A
+//!    segment that does not start with [`record::SEGMENT_MAGIC`] (torn
+//!    inside the magic, or not this format at all) is that same case at
+//!    offset zero: it contributes no records and the prefix ends there.
 //! 3. Truncate the bad tail on disk so the writer appends after a clean
 //!    prefix, and delete the discarded later segments.
 //! 4. Return the snapshot, the replay tail (records with `seq` greater than
@@ -151,16 +154,14 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
     for (index, (path, _)) in segments.iter().enumerate() {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
-        // Segments written by the typed-value writer lead with the v2
-        // magic; segments without it (including files torn mid-magic) are
-        // decoded in the integer-only v1 format, so pre-v2 logs replay.
-        let (format, header_len) = if bytes.starts_with(record::SEGMENT_MAGIC) {
-            (record::Format::V2, record::SEGMENT_MAGIC.len())
-        } else {
-            (record::Format::V1, 0)
+        // No magic, no records: the prefix ends where this segment begins.
+        let (records, clean_end, clean) = match bytes.strip_prefix(record::SEGMENT_MAGIC) {
+            Some(body) => {
+                let (records, body_end, clean) = record::decode_all(body);
+                (records, record::SEGMENT_MAGIC.len() + body_end, clean)
+            }
+            None => (Vec::new(), 0, false),
         };
-        let (records, body_end, clean) = record::decode_all(&bytes[header_len..], format);
-        let clean_end = header_len + body_end;
         for rec in records {
             max_seq = max_seq.max(rec.seq);
             if rec.seq > snapshot_seq {
@@ -169,7 +170,7 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
         }
         if !clean {
             truncated_bytes += (bytes.len() - clean_end) as u64;
-            if body_end == 0 {
+            if clean_end <= record::SEGMENT_MAGIC.len() {
                 // No surviving record in this segment — a bare (possibly
                 // torn) header carries nothing worth keeping.
                 fs::remove_file(path)?;
@@ -236,17 +237,6 @@ mod tests {
         let mut bytes = record::SEGMENT_MAGIC.to_vec();
         for (seq, ops) in records {
             record::encode_into(&mut bytes, *seq, ops);
-        }
-        let path = dir.join(format!("wal-{first_seq:020}.log"));
-        File::create(&path).unwrap().write_all(&bytes).unwrap();
-        path
-    }
-
-    /// Writes a magic-less v1 segment, as a pre-typed-values server would.
-    fn write_v1_segment(dir: &Path, first_seq: u64, records: &[(u64, Vec<CommitOp>)]) -> PathBuf {
-        let mut bytes = Vec::new();
-        for (seq, ops) in records {
-            record::encode_v1_into(&mut bytes, *seq, ops);
         }
         let path = dir.join(format!("wal-{first_seq:020}.log"));
         File::create(&path).unwrap().write_all(&bytes).unwrap();
@@ -399,29 +389,53 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The one rule for another generation's bytes: a segment that does not
+    /// start with the magic ends the prefix and contributes nothing; a
+    /// snapshot of another version is skipped like any invalid one.
     #[test]
-    fn mixed_v1_and_v2_segments_replay_as_one_history() {
-        // A server upgraded in place: its old segments are magic-less v1,
-        // everything after the upgrade is v2 — one contiguous history.
-        let dir = temp_dir("mixed");
-        write_v1_segment(&dir, 1, &[(1, put(1, 10)), (2, put(2, 20))]);
-        write_segment(
-            &dir,
-            3,
-            &[(3, vec![CommitOp::put(3, "typed\nstring")]), (4, put(1, 11))],
-        );
-        let recovered = recover(&dir).unwrap();
-        assert_eq!(recovered.truncated_bytes, 0);
-        assert_eq!(recovered.next_seq, 5);
-        assert_eq!(
-            recovered.tail,
-            vec![
-                (1, put(1, 10)),
-                (2, put(2, 20)),
-                (3, vec![CommitOp::put(3, "typed\nstring")]),
-                (4, put(1, 11)),
-            ]
-        );
+    fn a_segment_without_the_magic_ends_the_prefix_and_a_version_1_snapshot_is_skipped() {
+        type Damage = fn(&mut Vec<u8>);
+        let damages: [(&str, Damage); 2] = [
+            ("short", |bytes| bytes.truncate(5)),
+            ("wrong", |bytes| bytes[..8].copy_from_slice(b"STMWAL1\n")),
+        ];
+        for (tag, damage) in damages {
+            let dir = temp_dir(tag);
+            write_segment(&dir, 1, &[(1, put(1, 10)), (2, put(2, 20))]);
+            // Valid records behind the damaged header must not be replayed.
+            let damaged = write_segment(&dir, 3, &[(3, put(3, 30)), (4, put(4, 40))]);
+            let mut bytes = fs::read(&damaged).unwrap();
+            damage(&mut bytes);
+            fs::write(&damaged, &bytes).unwrap();
+            let later = write_segment(&dir, 5, &[(5, put(5, 50))]);
+            let cut = bytes.len() as u64 + fs::metadata(&later).unwrap().len();
+
+            let first = recover(&dir).unwrap();
+            assert_eq!(first.tail, vec![(1, put(1, 10)), (2, put(2, 20))], "{tag}");
+            assert_eq!(first.next_seq, 3, "{tag}");
+            assert_eq!(first.truncated_bytes, cut, "{tag}: both files, whole");
+            assert!(!damaged.exists() && !later.exists(), "{tag}");
+            let second = recover(&dir).unwrap();
+            assert_eq!(second.tail, first.tail, "{tag}");
+            assert_eq!(second.truncated_bytes, 0, "{tag}: second pass is clean");
+            let _ = fs::remove_dir_all(&dir);
+        }
+
+        let dir = temp_dir("snapv1");
+        write_segment(&dir, 1, &[(1, put(1, 10)), (2, put(2, 20))]);
+        snapshot::write(&dir, 1, &[(1, CommitValue::Int(10))]).unwrap();
+        // The version field sits outside the checksummed payload, so this
+        // file is intact in every respect but its version.
+        let pairs = [(1, CommitValue::Int(10)), (2, CommitValue::Int(20))];
+        let mut bytes = snapshot::encode(2, &pairs);
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(dir.join(snapshot::snapshot_file_name(2)), &bytes).unwrap();
+        for pass in 0..2 {
+            let recovered = recover(&dir).unwrap();
+            assert_eq!(recovered.snapshot.unwrap().seq, 1, "pass {pass}: older valid one wins");
+            assert_eq!(recovered.tail, vec![(2, put(2, 20))], "pass {pass}");
+            assert_eq!(recovered.truncated_bytes, 0, "pass {pass}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -6,24 +6,22 @@
 //! `seq > snapshot.seq`, which bounds recovery time and lets old log
 //! segments be pruned.
 //!
-//! Two formats exist (all integers little-endian):
+//! The format (all integers little-endian):
 //!
 //! ```text
 //! magic:   u32  = 0x534E_4150 ("SNAP")
-//! version: u32  = 1 | 2
+//! version: u32  = 2
 //! payload: seq: u64 | count: u64 | count × pair
 //! crc:     u32  over the payload
 //!
-//! v1 pair = key: i64 | value: i64
-//! v2 pair = key: i64 | tag: u8 | body
-//! body    = 0x00 (int)   | value: i64
-//!         | 0x02 (str)   | len: u32 | len bytes (UTF-8)
-//!         | 0x03 (bytes) | len: u32 | len bytes
+//! pair = key: i64 | tag: u8 | body
+//! body = 0x00 (int)   | value: i64
+//!      | 0x02 (str)   | len: u32 | len bytes (UTF-8)
+//!      | 0x03 (bytes) | len: u32 | len bytes
 //! ```
 //!
-//! The writer emits version 2; the reader accepts both, decoding v1 pairs
-//! as [`CommitValue::Int`], so a snapshot taken before typed values existed
-//! still recovers.
+//! A file carrying any other version is not a snapshot: the reader skips
+//! it like one whose checksum fails.
 //!
 //! Snapshots are written to a temporary file, fsynced, and renamed into
 //! place, so a crash mid-snapshot leaves the previous snapshot intact; a
@@ -38,8 +36,7 @@ use stm_core::CommitValue;
 use crate::crc::crc32;
 
 const MAGIC: u32 = 0x534E_4150;
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
+const VERSION: u32 = 2;
 
 const TAG_INT: u8 = 0x00;
 const TAG_STR: u8 = 0x02;
@@ -68,11 +65,11 @@ pub fn parse_snapshot_file_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Serializes a snapshot to bytes (version 2, typed values).
+/// Serializes a snapshot to bytes.
 pub fn encode(seq: u64, pairs: &[(i64, CommitValue)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(28 + pairs.len() * 17);
     out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&VERSION_V2.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     let payload_start = out.len();
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
@@ -100,47 +97,7 @@ pub fn encode(seq: u64, pairs: &[(i64, CommitValue)]) -> Vec<u8> {
     out
 }
 
-/// Serializes a snapshot in the **v1** integer-only format — a fixture
-/// generator for compatibility tests.
-///
-/// # Panics
-///
-/// Panics when a pair carries a non-integer value.
-pub fn encode_v1(seq: u64, pairs: &[(i64, CommitValue)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(28 + pairs.len() * 16);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&VERSION_V1.to_le_bytes());
-    let payload_start = out.len();
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
-    for (key, value) in pairs {
-        let v = value
-            .as_int()
-            .expect("v1 snapshot format cannot carry a non-integer value");
-        out.extend_from_slice(&key.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    let crc = crc32(&out[payload_start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-fn decode_v1_pairs(payload: &[u8], count: usize) -> Option<Vec<(i64, CommitValue)>> {
-    if payload.len() != 16 + count * 16 {
-        return None;
-    }
-    let mut pairs = Vec::with_capacity(count);
-    for i in 0..count {
-        let at = 16 + i * 16;
-        pairs.push((
-            i64::from_le_bytes(payload[at..at + 8].try_into().ok()?),
-            CommitValue::Int(i64::from_le_bytes(payload[at + 8..at + 16].try_into().ok()?)),
-        ));
-    }
-    Some(pairs)
-}
-
-fn decode_v2_pairs(payload: &[u8], count: usize) -> Option<Vec<(i64, CommitValue)>> {
+fn decode_pairs(payload: &[u8], count: usize) -> Option<Vec<(i64, CommitValue)>> {
     let mut pairs = Vec::with_capacity(count.min(1 << 20));
     let mut at = 16usize;
     for _ in 0..count {
@@ -172,8 +129,8 @@ fn decode_v2_pairs(payload: &[u8], count: usize) -> Option<Vec<(i64, CommitValue
     (at == payload.len()).then_some(pairs)
 }
 
-/// Decodes a snapshot (either format version), returning `None` when the
-/// bytes are malformed or the checksum fails (recovery then falls back to
+/// Decodes a snapshot, returning `None` when the bytes are malformed, carry
+/// another version, or the checksum fails (recovery then falls back to
 /// the previous snapshot or to a full log replay).
 pub fn decode(bytes: &[u8]) -> Option<Snapshot> {
     if bytes.len() < 28 {
@@ -181,7 +138,7 @@ pub fn decode(bytes: &[u8]) -> Option<Snapshot> {
     }
     let magic = u32::from_le_bytes(bytes[0..4].try_into().ok()?);
     let version = u32::from_le_bytes(bytes[4..8].try_into().ok()?);
-    if magic != MAGIC || !(version == VERSION_V1 || version == VERSION_V2) {
+    if magic != MAGIC || version != VERSION {
         return None;
     }
     let payload = &bytes[8..bytes.len() - 4];
@@ -191,10 +148,7 @@ pub fn decode(bytes: &[u8]) -> Option<Snapshot> {
     }
     let seq = u64::from_le_bytes(payload[0..8].try_into().ok()?);
     let count = u64::from_le_bytes(payload[8..16].try_into().ok()?) as usize;
-    let pairs = match version {
-        VERSION_V1 => decode_v1_pairs(payload, count)?,
-        _ => decode_v2_pairs(payload, count)?,
-    };
+    let pairs = decode_pairs(payload, count)?;
     Some(Snapshot { seq, pairs })
 }
 
@@ -249,17 +203,6 @@ mod tests {
         assert_eq!(snapshot.pairs, pairs);
         let empty = decode(&encode(1, &[])).unwrap();
         assert!(empty.pairs.is_empty());
-    }
-
-    #[test]
-    fn v1_snapshots_decode_as_integer_values() {
-        let pairs = vec![
-            (1, CommitValue::Int(10)),
-            (2, CommitValue::Int(-20)),
-        ];
-        let decoded = decode(&encode_v1(9, &pairs)).unwrap();
-        assert_eq!(decoded.seq, 9);
-        assert_eq!(decoded.pairs, pairs);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Stable label used in experiment cells and `WALSTATS`.
+    /// Stable label used in experiment cells and `stm_wal_info{policy=…}`.
     pub fn label(&self) -> String {
         match self {
             FsyncPolicy::EveryCommit => "every".to_string(),
@@ -126,7 +126,8 @@ impl WalConfig {
     }
 }
 
-/// A consistent snapshot of the WAL's counters (the `WALSTATS` payload).
+/// A snapshot of the WAL's counters and positions, read in process;
+/// [`Wal::metrics_text`] exposes the same figures as `stm_wal_*` series.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Next sequence number to be assigned.
@@ -152,10 +153,10 @@ pub struct WalStats {
     pub failed: bool,
 }
 
-/// The WAL's internal latency/occupancy instruments. The writer thread is
-/// the only recorder, so the histograms' striping is idle — they are here
-/// for the uniform exposition, folded into the serving layer's `METRICS`
-/// payload via [`Wal::metrics_text`].
+/// The WAL's instruments, all in one registry that [`Wal::metrics_text`]
+/// renders into the serving layer's `METRICS` payload. The writer thread is
+/// the only recorder of the histograms, so their striping is idle; `records`
+/// is bumped by every committing thread, which is what the striping is for.
 struct WalTelemetry {
     registry: metrics::Registry,
     /// Committed records per drained group-commit batch.
@@ -165,19 +166,31 @@ struct WalTelemetry {
     /// Reserved-but-unconsumed sequence numbers, sampled once per writer
     /// iteration — how full the slot ring runs (RING = backpressure).
     ring_occupancy: Arc<metrics::Histogram>,
+    /// Records appended since this `Wal` was opened.
+    records: Arc<metrics::Counter>,
+    /// Bytes written to segment files since open.
+    bytes: Arc<metrics::Counter>,
+    /// Policy fsyncs issued since open (rotation fsyncs are not counted).
+    fsyncs: Arc<metrics::Counter>,
+    /// Snapshots written since open.
+    snapshots: Arc<metrics::Counter>,
 }
 
 impl WalTelemetry {
-    fn new() -> WalTelemetry {
+    fn new(policy: FsyncPolicy) -> WalTelemetry {
         let registry = metrics::Registry::new();
-        let batch_records = registry.histogram("stm_wal_batch_records", &[]);
-        let fsync_us = registry.histogram("stm_wal_fsync_us", &[]);
-        let ring_occupancy = registry.histogram("stm_wal_ring_occupancy", &[]);
+        registry
+            .gauge("stm_wal_info", &[("policy", &policy.label())])
+            .set(1);
         WalTelemetry {
+            batch_records: registry.histogram("stm_wal_batch_records", &[]),
+            fsync_us: registry.histogram("stm_wal_fsync_us", &[]),
+            ring_occupancy: registry.histogram("stm_wal_ring_occupancy", &[]),
+            records: registry.counter("stm_wal_records_total", &[]),
+            bytes: registry.counter("stm_wal_bytes_total", &[]),
+            fsyncs: registry.counter("stm_wal_fsyncs_total", &[]),
+            snapshots: registry.counter("stm_wal_snapshots_total", &[]),
             registry,
-            batch_records,
-            fsync_us,
-            ring_occupancy,
         }
     }
 }
@@ -199,11 +212,7 @@ struct Shared {
     durable: Mutex<u64>,
     durable_cv: Condvar,
     stop: AtomicBool,
-    records: AtomicU64,
-    bytes: AtomicU64,
-    fsyncs: AtomicU64,
     segments: AtomicU64,
-    snapshots: AtomicU64,
     last_snapshot_seq: AtomicU64,
     since_snapshot: AtomicU64,
     snapshot_in_progress: AtomicBool,
@@ -277,7 +286,7 @@ impl CommitHook for Shared {
         if log_alive {
             let mut buf = Vec::with_capacity(32 + ops.len() * 24);
             record::encode_into(&mut buf, seq, ops);
-            self.records.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.records.add(1);
             self.since_snapshot.fetch_add(1, Ordering::Relaxed);
             self.ring.fill(seq, buf, true);
         }
@@ -327,17 +336,13 @@ impl Wal {
             durable: Mutex::new(recovered.next_seq.saturating_sub(1)),
             durable_cv: Condvar::new(),
             stop: AtomicBool::new(false),
-            records: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
             segments: AtomicU64::new(segments),
-            snapshots: AtomicU64::new(0),
             last_snapshot_seq: AtomicU64::new(
                 recovered.snapshot.as_ref().map(|s| s.seq).unwrap_or(0),
             ),
             since_snapshot: AtomicU64::new(recovered.tail.len() as u64),
             snapshot_in_progress: AtomicBool::new(false),
-            telemetry: WalTelemetry::new(),
+            telemetry: WalTelemetry::new(config.fsync),
         });
         let writer = {
             let shared = Arc::clone(&shared);
@@ -437,7 +442,7 @@ impl Wal {
     pub fn write_snapshot(&self, seq: u64, pairs: &[(i64, CommitValue)]) -> io::Result<PathBuf> {
         let result = snapshot::write(&self.shared.dir, seq, pairs);
         if result.is_ok() {
-            self.shared.snapshots.fetch_add(1, Ordering::Relaxed);
+            self.shared.telemetry.snapshots.add(1);
             self.shared.last_snapshot_seq.store(seq, Ordering::Relaxed);
             self.shared.since_snapshot.store(0, Ordering::Relaxed);
             self.prune(seq);
@@ -478,24 +483,37 @@ impl Wal {
         WalStats {
             next_seq: self.shared.ring.next_seq(),
             durable_seq: self.durable_seq(),
-            records: self.shared.records.load(Ordering::Relaxed),
-            bytes: self.shared.bytes.load(Ordering::Relaxed),
-            fsyncs: self.shared.fsyncs.load(Ordering::Relaxed),
+            records: self.shared.telemetry.records.value(),
+            bytes: self.shared.telemetry.bytes.value(),
+            fsyncs: self.shared.telemetry.fsyncs.value(),
             segments: self.shared.segments.load(Ordering::Relaxed),
-            snapshots: self.shared.snapshots.load(Ordering::Relaxed),
+            snapshots: self.shared.telemetry.snapshots.value(),
             last_snapshot_seq: self.shared.last_snapshot_seq.load(Ordering::Relaxed),
             records_since_snapshot: self.shared.since_snapshot.load(Ordering::Relaxed),
             failed: self.is_failed(),
         }
     }
 
-    /// Prometheus-style text exposition of the writer's internal
-    /// histograms (`stm_wal_batch_records`, `stm_wal_fsync_us`,
-    /// `stm_wal_ring_occupancy`) — the serving layer folds this block into
-    /// its `METRICS` payload. Counter-style series (records, bytes,
-    /// fsyncs) stay in [`Wal::stats`].
+    /// Prometheus-style text exposition of every `stm_wal_*` series — the
+    /// serving layer appends this block to its `METRICS` payload. The
+    /// histograms and counters are recorded where the work happens; the
+    /// gauges mirror [`Wal::stats`] as of this call.
     pub fn metrics_text(&self) -> String {
-        self.shared.telemetry.registry.render()
+        let stats = self.stats();
+        let registry = &self.shared.telemetry.registry;
+        for (name, value) in [
+            ("stm_wal_next_seq", stats.next_seq),
+            ("stm_wal_durable_seq", stats.durable_seq),
+            ("stm_wal_segments", stats.segments),
+            ("stm_wal_last_snapshot_seq", stats.last_snapshot_seq),
+            ("stm_wal_records_since_snapshot", stats.records_since_snapshot),
+            ("stm_wal_failed", u64::from(stats.failed)),
+        ] {
+            registry
+                .gauge(name, &[])
+                .set(i64::try_from(value).unwrap_or(i64::MAX));
+        }
+        registry.render()
     }
 
     /// Flushes and fsyncs everything outstanding, then stops the writer.
@@ -537,8 +555,8 @@ fn open_segment(dir: &Path, first_seq: u64) -> io::Result<OpenSegment> {
     let path = dir.join(segment_file_name(first_seq));
     let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
     let mut written = file.metadata()?.len();
-    // A fresh segment leads with the v2 format magic so recovery knows its
-    // records carry typed values (magic-less segments decode as v1).
+    // A fresh segment leads with the format magic; recovery reads no
+    // records from a segment without it.
     if written == 0 {
         file.write_all(record::SEGMENT_MAGIC)?;
         written = record::SEGMENT_MAGIC.len() as u64;
@@ -638,7 +656,7 @@ fn writer_loop(shared: &Shared) {
                 return;
             }
             open.written += batch.bytes.len() as u64;
-            shared.bytes.fetch_add(batch.bytes.len() as u64, Ordering::Relaxed);
+            shared.telemetry.bytes.add(batch.bytes.len() as u64);
             if unsynced_records == 0 {
                 unsynced_since = Instant::now();
             }
@@ -662,7 +680,7 @@ fn writer_loop(shared: &Shared) {
                             .telemetry
                             .fsync_us
                             .record(sync_started.elapsed().as_micros() as u64);
-                        shared.fsyncs.fetch_add(1, Ordering::Relaxed);
+                        shared.telemetry.fsyncs.add(1);
                         unsynced_records = 0;
                         // Every consumed committed record was written before
                         // this fsync (consumption and write happen in the

@@ -3,7 +3,7 @@
 //! store equals the application of the **committed prefix** of everything
 //! that was ever logged. Seeded PRNG, deterministic replay. The op streams
 //! draw typed values (ints, strings with embedded newlines/NULs, byte
-//! blobs), so the v2 record and snapshot formats are exercised end to end.
+//! blobs), so the record and snapshot formats are exercised end to end.
 
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
@@ -199,114 +199,6 @@ fn snapshot_plus_damaged_tail_recovers_the_committed_prefix() {
     }
 }
 
-/// A directory written entirely in the v1 format (magic-less segments with
-/// integer-only records, a v1 snapshot) must recover losslessly — the
-/// compatibility contract for logs written before typed values existed.
-#[test]
-fn v1_log_directory_recovers_losslessly() {
-    use std::io::Write;
-    for seed in 0..6u64 {
-        let mut rng = SmallRng::seed_from_u64(0x1DF0 + seed);
-        let dir = temp_dir("v1compat", seed);
-        fs::create_dir_all(&dir).unwrap();
-
-        // Build a golden integer-only history split over two v1 segments,
-        // with an optional v1 snapshot covering a prefix.
-        let transactions = rng.gen_range(10..60usize);
-        let mut golden: Vec<Vec<CommitOp>> = Vec::new();
-        for _ in 0..transactions {
-            let count = rng.gen_range(1..=3usize);
-            golden.push(
-                (0..count)
-                    .map(|_| {
-                        let id = rng.gen_range(0..24i64);
-                        if rng.gen_bool(0.2) {
-                            CommitOp::del(id)
-                        } else {
-                            CommitOp::put(id, rng.gen_range(-500..500i64))
-                        }
-                    })
-                    .collect(),
-            );
-        }
-        let split = rng.gen_range(1..=transactions);
-        let mut seg1 = Vec::new();
-        for (i, ops) in golden[..split].iter().enumerate() {
-            stm_log::record::encode_v1_into(&mut seg1, (i + 1) as u64, ops);
-        }
-        fs::File::create(dir.join(format!("wal-{:020}.log", 1)))
-            .unwrap()
-            .write_all(&seg1)
-            .unwrap();
-        if split < transactions {
-            let mut seg2 = Vec::new();
-            for (i, ops) in golden[split..].iter().enumerate() {
-                stm_log::record::encode_v1_into(&mut seg2, (split + i + 1) as u64, ops);
-            }
-            fs::File::create(dir.join(format!("wal-{:020}.log", split + 1)))
-                .unwrap()
-                .write_all(&seg2)
-                .unwrap();
-        }
-        if rng.gen_bool(0.5) {
-            let snap_at = rng.gen_range(1..=split as u64);
-            let mut at_cut = BTreeMap::new();
-            for ops in &golden[..snap_at as usize] {
-                apply(&mut at_cut, ops);
-            }
-            let pairs: Vec<(i64, CommitValue)> = at_cut.into_iter().collect();
-            let bytes = stm_log::snapshot::encode_v1(snap_at, &pairs);
-            fs::File::create(dir.join(stm_log::snapshot::snapshot_file_name(snap_at)))
-                .unwrap()
-                .write_all(&bytes)
-                .unwrap();
-        }
-
-        // Recover and rebuild; must equal the full golden history.
-        let recovered = recover(&dir).unwrap();
-        assert_eq!(recovered.truncated_bytes, 0, "seed {seed}: clean v1 log");
-        assert_eq!(recovered.next_seq, transactions as u64 + 1, "seed {seed}");
-        let mut rebuilt = BTreeMap::new();
-        if let Some(snapshot) = &recovered.snapshot {
-            rebuilt.extend(snapshot.pairs.iter().cloned());
-        }
-        for (_seq, ops) in &recovered.tail {
-            apply(&mut rebuilt, ops);
-        }
-        let mut expected = BTreeMap::new();
-        for ops in &golden {
-            apply(&mut expected, ops);
-        }
-        assert_eq!(rebuilt, expected, "seed {seed}: v1 history must replay losslessly");
-
-        // A v2 writer now appends on top; both generations must survive the
-        // next recovery.
-        let (wal, recovered) = Wal::open(WalConfig::new(&dir)).unwrap();
-        assert_eq!(recovered.next_seq, transactions as u64 + 1);
-        let hook = wal.commit_hook();
-        let seq = hook
-            .on_commit(&[CommitOp::put(1000, "typed\nvalue")], &mut || true)
-            .unwrap();
-        assert_eq!(seq, transactions as u64 + 1);
-        assert!(wal.wait_durable(seq));
-        drop(wal);
-        let recovered = recover(&dir).unwrap();
-        let mut rebuilt = BTreeMap::new();
-        if let Some(snapshot) = &recovered.snapshot {
-            rebuilt.extend(snapshot.pairs.iter().cloned());
-        }
-        for (_seq, ops) in &recovered.tail {
-            apply(&mut rebuilt, ops);
-        }
-        expected.insert(1000, CommitValue::Str("typed\nvalue".to_string()));
-        assert_eq!(
-            rebuilt, expected,
-            "seed {seed}: mixed v1+v2 directory must replay both generations"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-}
-
 #[test]
 fn durable_watermark_survives_the_crash() {
     // Stronger than the prefix property: everything `wait_durable` ever
@@ -327,7 +219,7 @@ fn durable_watermark_survives_the_crash() {
         }
     }
     let durable_len_lower_bound: u64 = {
-        // The segment magic, then 40 acknowledged v2 records: each is
+        // The segment magic, then 40 acknowledged records: each is
         // 8 (header) + 13 (ver+seq+count) + 17 (one int Put).
         stm_log::SEGMENT_MAGIC.len() as u64 + 40 * (8 + 13 + 17)
     };

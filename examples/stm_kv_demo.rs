@@ -63,12 +63,15 @@ fn main() {
 
     let mut auditor = KvClient::connect(addr).unwrap();
     let (sum, count) = auditor.sum(0, KEYS - 1).unwrap();
-    let stats = auditor.stats().unwrap();
+    let stats = auditor.metrics().unwrap();
     auditor.quit().unwrap();
     println!("after 800 concurrent transfer batches: total {sum} across {count} keys");
     println!(
-        "server stats: commits={} aborts={} batches={} retries={}",
-        stats.commits, stats.aborts, stats.batches, stats.retries
+        "server metrics: commits={} aborts={} batches={} retries={}",
+        stats.counter("stm_commits_total"),
+        stats.counter("stm_aborts_total"),
+        stats.counter("stm_kv_batches_total"),
+        stats.counter("stm_kv_retries_total")
     );
     assert_eq!(sum, KEYS * SEED, "balance must be conserved");
     server.shutdown();

@@ -300,38 +300,42 @@ fn idle_connections_are_reaped_and_counted() {
     .unwrap();
     let addr = server.addr();
     let mut control = KvClient::connect(addr).unwrap();
-    let base = control.stats().unwrap();
+    let conns_open = "stm_kv_conns_open";
+    let conns_accepted = "stm_kv_connections_total";
+    let conns_reaped_idle = "stm_kv_conns_reaped_idle_total";
+    let base = control.metrics().unwrap();
     // Three connections that go silent; the control connection keeps
-    // touching its own activity clock via STATS polls, so it survives.
+    // touching its own activity clock via METRICS polls, so it survives.
     let idle: Vec<KvClient> = (0..3).map(|_| KvClient::connect(addr).unwrap()).collect();
-    let open_now = control.stats().unwrap();
+    let open_now = control.metrics().unwrap();
     assert!(
-        open_now.conns_open >= base.conns_open + 3,
+        open_now.counter(conns_open) >= base.counter(conns_open) + 3,
         "idle connections must register as open: {} -> {}",
-        base.conns_open,
-        open_now.conns_open
+        base.counter(conns_open),
+        open_now.counter(conns_open)
     );
-    assert!(open_now.conns_accepted >= base.conns_accepted + 3);
+    assert!(open_now.counter(conns_accepted) >= base.counter(conns_accepted) + 3);
     let deadline = Instant::now() + Duration::from_secs(10);
     let reaped = loop {
-        let stats = control.stats().unwrap();
-        if stats.conns_reaped_idle >= base.conns_reaped_idle + 3 {
-            break stats.conns_reaped_idle;
+        let stats = control.metrics().unwrap();
+        if stats.counter(conns_reaped_idle) >= base.counter(conns_reaped_idle) + 3 {
+            break stats.counter(conns_reaped_idle);
         }
         assert!(
             Instant::now() < deadline,
-            "idle wheel never reaped the silent connections: {stats:?}"
+            "idle wheel never reaped the silent connections: {}",
+            stats.text
         );
         thread::sleep(Duration::from_millis(25));
     };
     assert!(reaped >= 3);
     // The reaped connections are really gone, not just counted.
-    let after = control.stats().unwrap();
+    let after = control.metrics().unwrap();
     assert!(
-        after.conns_open <= open_now.conns_open - 3,
+        after.counter(conns_open) <= open_now.counter(conns_open) - 3,
         "reaped connections still open: {} -> {}",
-        open_now.conns_open,
-        after.conns_open
+        open_now.counter(conns_open),
+        after.counter(conns_open)
     );
     drop(idle);
     control.quit().unwrap();
@@ -360,13 +364,14 @@ fn slow_reader_parks_writes_and_counts_partial_flushes() {
     // replies it now owes this connection.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = control.stats().unwrap();
-        if stats.partial_writes > 0 {
+        let stats = control.metrics().unwrap();
+        if stats.counter("stm_kv_partial_writes_total") > 0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "no partial write registered while the reader stalled: {stats:?}"
+            "no partial write registered while the reader stalled: {}",
+            stats.text
         );
         thread::sleep(Duration::from_millis(10));
     }

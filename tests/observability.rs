@@ -68,6 +68,29 @@ const KV_GAUGES: [&str; 4] = [
     "stm_kv_cells_limbo",
 ];
 
+/// Every log series a durable server adds; a volatile one exposes none.
+const WAL_HISTOGRAMS: [&str; 3] = [
+    "stm_wal_batch_records",
+    "stm_wal_fsync_us",
+    "stm_wal_ring_occupancy",
+];
+
+const WAL_COUNTERS: [&str; 4] = [
+    "stm_wal_records_total",
+    "stm_wal_bytes_total",
+    "stm_wal_fsyncs_total",
+    "stm_wal_snapshots_total",
+];
+
+const WAL_GAUGES: [&str; 6] = [
+    "stm_wal_next_seq",
+    "stm_wal_durable_seq",
+    "stm_wal_segments",
+    "stm_wal_last_snapshot_seq",
+    "stm_wal_records_since_snapshot",
+    "stm_wal_failed",
+];
+
 /// Registry histograms that exist regardless of load (count may be 0 in
 /// Threads mode for the event-loop ones — the series still render).
 const KV_HISTOGRAMS: [&str; 5] = [
@@ -161,6 +184,14 @@ fn assert_golden_set(snapshot: &MetricsSnapshot, driven: bool) {
             "missing histogram series {name}"
         );
     }
+    // One overflow gauge per index shard (every test server here has at
+    // least two), present even while it reads zero.
+    for shard in 0..2 {
+        let series = format!("stm_kv_overflow_cells{{shard=\"{shard}\"}}");
+        assert!(snapshot.value(&series).is_some(), "missing {series}");
+    }
+    // Accepted connections are `stm_kv_connections_total`, once.
+    assert!(snapshot.value("stm_kv_conns_accepted").is_none());
     // The per-op latency histogram registers all seven op labels up
     // front; each must be selectable on its own and fold together.
     let mut folded_count = 0u64;
@@ -233,6 +264,10 @@ fn metrics_exposition_exposes_the_golden_series_set_in_both_modes() {
         assert!(first.text.contains("# TYPE stm_commits_total counter"));
         assert!(first.text.contains("# TYPE stm_kv_conns_open gauge"));
         assert!(first.text.contains("le=\"+Inf\""));
+        assert!(
+            !first.samples().any(|(series, _)| series.starts_with("stm_wal_")),
+            "a volatile server has no log series"
+        );
 
         // Stability: more traffic may grow counts, never the series set.
         drive_all_ops(server.addr());
@@ -246,6 +281,14 @@ fn metrics_exposition_exposes_the_golden_series_set_in_both_modes() {
         client.quit().unwrap();
         server.shutdown();
     }
+}
+
+/// The `# TYPE` line of one metric family.
+fn first_type_line<'a>(text: &'a str, name: &str) -> &'a str {
+    let prefix = format!("# TYPE {name} ");
+    text.lines()
+        .find(|line| line.starts_with(&prefix))
+        .unwrap_or_else(|| panic!("no TYPE line for {name}"))
 }
 
 #[test]
@@ -266,23 +309,19 @@ fn durable_server_exposes_wal_series() {
     let snapshot = client.metrics().unwrap();
     assert_golden_set(&snapshot, true);
 
-    for name in ["stm_wal_batch_records", "stm_wal_fsync_us", "stm_wal_ring_occupancy"] {
+    for name in WAL_HISTOGRAMS {
         let hist = snapshot
             .histogram(name)
             .unwrap_or_else(|| panic!("missing WAL histogram {name}"));
         assert!(hist.count > 0, "{name} recorded nothing under EveryCommit");
     }
-    for name in [
-        "stm_wal_records_total",
-        "stm_wal_bytes_total",
-        "stm_wal_fsyncs_total",
-        "stm_wal_snapshots_total",
-        "stm_wal_next_seq",
-        "stm_wal_durable_seq",
-        "stm_wal_segments",
-    ] {
+    for name in WAL_COUNTERS.into_iter().chain(WAL_GAUGES) {
         assert!(snapshot.value(name).is_some(), "missing WAL series {name}");
     }
+    assert_eq!(snapshot.value("stm_wal_info{policy=\"every\"}"), Some(1));
+    assert!(first_type_line(&snapshot.text, "stm_wal_records_total").ends_with("counter"));
+    assert!(first_type_line(&snapshot.text, "stm_wal_failed").ends_with("gauge"));
+    assert_eq!(snapshot.value("stm_wal_failed"), Some(0));
     assert!(snapshot.value("stm_wal_records_total").unwrap() > 0);
     assert!(snapshot.value("stm_wal_fsyncs_total").unwrap() > 0);
 
@@ -294,7 +333,7 @@ fn durable_server_exposes_wal_series() {
 /// "Why was this request slow: it walked the tree" must be answerable from
 /// the running system: hit `GET`s and overwriting `PUT`/`ADD`s stay on the
 /// cell-only point path, so 10,000 of them leave
-/// `stm_kv_index_walks_total` (and `STATS index_walks=`) exactly where the
+/// `stm_kv_index_walks_total` exactly where the
 /// prefill put it; a miss on a never-linked key and a key creation each
 /// move it by one.
 #[test]
@@ -319,11 +358,8 @@ fn hit_gets_and_overwrite_puts_never_walk_the_index() {
         client.put(key, key).unwrap();
     }
 
-    let walks = |client: &mut KvClient| {
-        let scraped = client.metrics().unwrap().counter("stm_kv_index_walks_total");
-        assert_eq!(client.stats().unwrap().index_walks, scraped, "STATS and METRICS agree");
-        scraped
-    };
+    let walks =
+        |client: &mut KvClient| client.metrics().unwrap().counter("stm_kv_index_walks_total");
     let before = walks(&mut client);
     assert_eq!(before, keys.len() as u64, "prefill: one insert per created key");
 

@@ -110,16 +110,17 @@ fn concurrent_batches_are_serializable_under_every_manager() {
             (TOTAL, KEYS as usize),
             "{manager}: wire-level final total drifted"
         );
-        let stats = auditor.stats().unwrap();
+        let stats = auditor.metrics().unwrap();
         assert!(
-            stats.batches >= (clients * batches_per_client) as u64,
+            stats.counter("stm_kv_batches_total") >= (clients * batches_per_client) as u64,
             "{manager}: server executed {} batches, expected at least {}",
-            stats.batches,
+            stats.counter("stm_kv_batches_total"),
             clients * batches_per_client
         );
         assert!(
-            stats.cells_allocated >= KEYS as u64,
-            "{manager}: STATS must report keyspace growth, got {stats:?}"
+            stats.counter("stm_kv_cells_allocated") >= KEYS as u64,
+            "{manager}: METRICS must report keyspace growth, got {}",
+            stats.text
         );
         auditor.quit().unwrap();
         let in_process = {
@@ -310,11 +311,10 @@ fn restart_preserves_balance_conservation() {
         );
         // `next_seq` survives restarts: every seeding PUT and every transfer
         // batch was one log record, so the sequence space must cover them.
-        let walstats = auditor.walstats().unwrap();
+        let next_seq = auditor.metrics().unwrap().counter("stm_wal_next_seq");
         assert!(
-            walstats.next_seq > (clients * batches_per_client + KEYS as usize) as u64,
-            "{manager}: expected every batch logged, next_seq={}",
-            walstats.next_seq
+            next_seq > (clients * batches_per_client + KEYS as usize) as u64,
+            "{manager}: expected every batch logged, next_seq={next_seq}"
         );
         auditor.quit().unwrap();
         server.shutdown();
@@ -386,16 +386,18 @@ fn restart_after_churn_does_not_resurrect_tombstoned_cells() {
     }
     let mut server = start_durable_server(ManagerKind::Greedy, 2, &dir, 0);
     let mut client = KvClient::connect(server.addr()).unwrap();
-    let stats = client.stats().unwrap();
+    let stats = client.metrics().unwrap();
     assert_eq!(
-        stats.cells_allocated,
+        stats.counter("stm_kv_cells_allocated"),
         (KEYS + window) as u64,
-        "replay must allocate cells only for keys alive at shutdown: {stats:?}"
+        "replay must allocate cells only for keys alive at shutdown: {}",
+        stats.text
     );
     assert_eq!(
-        stats.cells_freed + stats.limbo,
+        stats.counter("stm_kv_cells_freed") + stats.counter("stm_kv_cells_limbo"),
         0,
-        "a live-pairs replay never retires anything: {stats:?}"
+        "a live-pairs replay never retires anything: {}",
+        stats.text
     );
     // Everything outside the final window stayed deleted; the window survived.
     assert_eq!(client.get(base).unwrap(), None, "tombstoned key came back");
@@ -406,123 +408,6 @@ fn restart_after_churn_does_not_resurrect_tombstoned_cells() {
     client.quit().unwrap();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The v1-compatibility acceptance criterion, property-tested: a WAL
-/// directory written entirely in the **v1 format** (magic-less segments of
-/// integer-only records plus an optional v1 snapshot — exactly what a
-/// server predating this protocol left behind) must recover losslessly
-/// into the typed v2 server, for seeded random histories.
-#[test]
-fn v1_format_wal_replays_losslessly_into_the_v2_server() {
-    use greedy_stm::log::{record, snapshot};
-    use std::collections::BTreeMap;
-    use std::io::Write;
-    use stm_core::{CommitOp, CommitValue};
-
-    for seed in 0..5u64 {
-        let dir = temp_wal_dir(&format!("v1wal-{seed}"));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // A seeded integer-only history, as a v1 server would have logged
-        // it (deterministic scramble; no RNG plumbing).
-        let transactions = 30 + (scramble(seed) % 50) as usize;
-        let mut model: BTreeMap<i64, i64> = BTreeMap::new();
-        let mut golden: Vec<Vec<CommitOp>> = Vec::new();
-        for t in 0..transactions {
-            let roll = scramble(seed * 1000 + t as u64);
-            let key = (roll % 24) as i64;
-            let op = if roll.is_multiple_of(5) {
-                model.remove(&key);
-                CommitOp::del(key)
-            } else {
-                let value = ((roll >> 16) % 2000) as i64 - 1000;
-                model.insert(key, value);
-                CommitOp::put(key, value)
-            };
-            golden.push(vec![op]);
-        }
-        // Split into two magic-less v1 segments.
-        let split = 1 + (scramble(seed ^ 0xF00) % transactions as u64) as usize;
-        let mut seg = Vec::new();
-        for (i, ops) in golden[..split].iter().enumerate() {
-            record::encode_v1_into(&mut seg, (i + 1) as u64, ops);
-        }
-        std::fs::File::create(dir.join(format!("wal-{:020}.log", 1)))
-            .unwrap()
-            .write_all(&seg)
-            .unwrap();
-        if split < transactions {
-            let mut seg = Vec::new();
-            for (i, ops) in golden[split..].iter().enumerate() {
-                record::encode_v1_into(&mut seg, (split + i + 1) as u64, ops);
-            }
-            std::fs::File::create(dir.join(format!("wal-{:020}.log", split + 1)))
-                .unwrap()
-                .write_all(&seg)
-                .unwrap();
-        }
-        // Half the seeds also get a v1 snapshot covering a prefix.
-        if seed % 2 == 0 {
-            let snap_at = 1 + (scramble(seed ^ 0xBEEF) % split as u64);
-            let mut at_cut: BTreeMap<i64, i64> = BTreeMap::new();
-            for ops in &golden[..snap_at as usize] {
-                for op in ops {
-                    match op {
-                        CommitOp::Put { id, value } => {
-                            at_cut.insert(*id, value.as_int().unwrap());
-                        }
-                        CommitOp::Del { id } => {
-                            at_cut.remove(id);
-                        }
-                    }
-                }
-            }
-            let pairs: Vec<(i64, CommitValue)> = at_cut
-                .into_iter()
-                .map(|(k, v)| (k, CommitValue::Int(v)))
-                .collect();
-            let bytes = snapshot::encode_v1(snap_at, &pairs);
-            std::fs::File::create(dir.join(snapshot::snapshot_file_name(snap_at)))
-                .unwrap()
-                .write_all(&bytes)
-                .unwrap();
-        }
-
-        // Start the v2 server on the v1-era directory: the typed store must
-        // hold exactly the model state.
-        let mut server = start_durable_server(ManagerKind::Greedy, 2, &dir, 0);
-        let mut client = KvClient::connect(server.addr()).unwrap();
-        for key in 0..24i64 {
-            assert_eq!(
-                client.get_int(key).unwrap(),
-                model.get(&key).copied(),
-                "seed {seed}: key {key} diverged after v1 replay"
-            );
-        }
-        let expected_total: i64 = model.values().sum();
-        assert_eq!(
-            client.sum(0, 23).unwrap(),
-            (expected_total, model.len()),
-            "seed {seed}: v1 WAL replay lost or invented state"
-        );
-        // The upgraded server continues the same log with typed values...
-        client.put(100, "typed value after upgrade").unwrap();
-        client.quit().unwrap();
-        server.shutdown();
-        // ...and both generations survive the next restart.
-        let mut server = start_durable_server(ManagerKind::Greedy, 2, &dir, 0);
-        let mut client = KvClient::connect(server.addr()).unwrap();
-        assert_eq!(client.sum(0, 23).unwrap(), (expected_total, model.len()));
-        assert_eq!(
-            client.get_str(100).unwrap().as_deref(),
-            Some("typed value after upgrade"),
-            "seed {seed}: typed tail lost on the second restart"
-        );
-        client.quit().unwrap();
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 /// Kill-and-restart with a torn tail: after a graceful close, mangle the
