@@ -203,7 +203,6 @@ fn main() {
                 for manager in &sweep.managers {
                     let mut server = match KvServer::start(ServerConfig {
                         manager: *manager,
-                        capacity: cfg.key_range,
                         shards: 8,
                         workers: connections + 1,
                         ..ServerConfig::default()
@@ -331,7 +330,6 @@ fn main() {
                     };
                     let mut server = match KvServer::start(ServerConfig {
                         manager: ManagerKind::Greedy,
-                        capacity: 4096,
                         shards: 8,
                         workers: pool + 2,
                         serve_mode,
@@ -441,7 +439,6 @@ fn main() {
                 };
                 let mut server = match KvServer::start(ServerConfig {
                     manager: ManagerKind::Greedy,
-                    capacity: cfg.sum_span,
                     shards: 8,
                     workers: cfg.overhead_pool + 2,
                     serve_mode: ServeMode::Events,

@@ -70,6 +70,6 @@ pub use report::{
 pub use starvation::{starvation_experiment, StarvationResult};
 pub use theory::{bound_experiment, chain_experiment, BoundRow, ChainRow};
 pub use workload::{
-    run_fixed_ops, run_workload, run_workload_with, OpKind, OpMix, OpStats, StructureKind,
-    SweepConfig, WorkloadConfig, WorkloadResult,
+    run_workload, run_workload_with, OpKind, OpMix, OpStats, StructureKind, SweepConfig,
+    WorkloadConfig, WorkloadResult,
 };

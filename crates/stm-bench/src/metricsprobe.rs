@@ -369,7 +369,6 @@ mod tests {
     fn probe_cross_validates_against_a_live_server() {
         let mut server = KvServer::start(ServerConfig {
             manager: ManagerKind::Greedy,
-            capacity: 256,
             shards: 4,
             workers: 4,
             serve_mode: ServeMode::Events,

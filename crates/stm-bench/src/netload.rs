@@ -1,8 +1,7 @@
 //! Closed-loop network load generator for the `stm-kv` server.
 //!
-//! Drives `connections` client connections against a live server — over
-//! protocol v2 (typed values, binary-safe frames), which [`KvClient`]
-//! negotiates by default — each issuing operations drawn from the same
+//! Drives `connections` [`KvClient`] connections against a live server
+//! (typed values, binary-safe frames), each issuing operations drawn from the same
 //! [`OpMix`] distribution the in-process workloads use:
 //! `insert`/`remove`/`lookup`/`range` become `PUT`/`DEL`/`GET`/`RANGE` on
 //! the wire — plus an optional fraction of `BEGIN`/`EXEC` transfer batches
@@ -394,8 +393,8 @@ pub fn run_open_loop(
     let before = control.metrics()?;
 
     // The mostly-idle fleet: dialled before the measured interval, held
-    // silent until after it. HELLO negotiation in `connect` guarantees the
-    // server has fully accepted each one before we count it.
+    // silent until after it. The preamble exchange in `connect` guarantees
+    // the server has fully accepted each one before we count it.
     let idle_pool: Vec<KvClient> = (0..cfg.idle_connections)
         .map(|_| KvClient::connect(addr))
         .collect::<Result<_, _>>()?;
@@ -535,7 +534,6 @@ pub fn durability_matrix(
             let wal_dir = policy.map(|p| temp_wal_dir("e11", *manager, &p.label()));
             let mut server = match KvServer::start(ServerConfig {
                 manager: *manager,
-                capacity: cfg.key_range,
                 shards: 8,
                 workers: cfg.connections + 1,
                 wal_dir: wal_dir.clone(),
@@ -570,7 +568,7 @@ pub fn durability_matrix(
 /// Runs the string-value netload comparison (E13): per manager, an int-only
 /// baseline cell versus a 50%-string `PUT` mix — both against a **durable**
 /// WAL-backed server (fresh temp directory per cell), so the typed-value
-/// path is exercised end to end: v2 frames → typed store cells → v2 log
+/// path is exercised end to end: frames → typed store cells → typed log
 /// records. Cells are labelled `stm-kv+wal[<policy>]` (baseline) and
 /// `stm-kv+str+wal[<policy>]` (string mix).
 ///
@@ -588,7 +586,6 @@ pub fn string_value_matrix(
             let wal_dir = temp_wal_dir(tag, *manager, &fsync.label());
             let mut server = match KvServer::start(ServerConfig {
                 manager: *manager,
-                capacity: cfg.key_range,
                 shards: 8,
                 workers: cfg.connections + 1,
                 wal_dir: Some(wal_dir.clone()),
@@ -642,7 +639,6 @@ mod tests {
     fn netload_produces_a_cell_against_a_live_server() {
         let server = KvServer::start(ServerConfig {
             manager: ManagerKind::Greedy,
-            capacity: 64,
             shards: 4,
             workers: 3,
             ..ServerConfig::default()
@@ -682,7 +678,6 @@ mod tests {
     fn string_mix_registers_typed_puts_and_conserves_the_int_range() {
         let server = KvServer::start(ServerConfig {
             manager: ManagerKind::Greedy,
-            capacity: 64,
             shards: 4,
             workers: 3,
             ..ServerConfig::default()
@@ -744,7 +739,6 @@ mod tests {
     fn open_loop_reports_goodput_sojourn_and_idle_fleet() {
         let server = KvServer::start(ServerConfig {
             manager: ManagerKind::Greedy,
-            capacity: 128,
             shards: 4,
             workers: 4,
             serve_mode: stm_kv::ServeMode::Events,

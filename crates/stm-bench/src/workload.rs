@@ -641,43 +641,6 @@ pub fn run_workload_with(
     }
 }
 
-/// Runs a fixed number of operations per thread instead of a fixed duration;
-/// used by the Criterion benches, where the measured quantity is the time to
-/// complete the batch.
-pub fn run_fixed_ops(
-    manager: ManagerKind,
-    structure: &StructureKind,
-    threads: usize,
-    ops_per_thread: u64,
-    cfg: &WorkloadConfig,
-) -> Duration {
-    assert!(threads > 0 && ops_per_thread > 0);
-    let stm = Arc::new(Stm::builder().manager(manager.factory()).build());
-    let built = Arc::new(build_structure(structure));
-    prefill(&stm, &built, cfg.key_range);
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let started = Instant::now();
-    thread::scope(|scope| {
-        for t in 0..threads {
-            let stm = Arc::clone(&stm);
-            let built = Arc::clone(&built);
-            let barrier = Arc::clone(&barrier);
-            let cfg = *cfg;
-            scope.spawn(move || {
-                let mut ctx = stm.thread();
-                let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (t as u64).wrapping_mul(0x517c));
-                barrier.wait();
-                for _ in 0..ops_per_thread {
-                    let draw = draw_op(&mut rng, &cfg);
-                    let _ = ctx.atomically(|tx| one_op(tx, &built, &draw, &cfg));
-                }
-            });
-        }
-        barrier.wait();
-    });
-    started.elapsed()
-}
-
 /// Pre-populates the structure with every other key so that inserts and
 /// removes both have roughly a 50% chance of modifying the structure.
 fn prefill(stm: &Stm, built: &Built, key_range: i64) {
@@ -809,18 +772,6 @@ mod tests {
         assert!((stats.p99_us - 99.0).abs() < 1.01, "p99 {}", stats.p99_us);
         assert!((stats.mean_us - 50.5).abs() < 0.01);
         assert!(OpRecorder::default().finish("empty").is_none());
-    }
-
-    #[test]
-    fn fixed_ops_harness_completes() {
-        let elapsed = run_fixed_ops(
-            ManagerKind::Greedy,
-            &StructureKind::SkipList,
-            2,
-            50,
-            &tiny_cfg(2),
-        );
-        assert!(elapsed > Duration::ZERO);
     }
 
     #[test]

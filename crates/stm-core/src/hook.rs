@@ -54,7 +54,7 @@
 /// write-ahead log without conversion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommitValue {
-    /// A signed 64-bit integer (the only value kind protocol v1 carries).
+    /// A signed 64-bit integer (the kind `ADD` and `SUM` operate on).
     Int(i64),
     /// A UTF-8 string, arbitrary bytes included (newlines, NULs).
     Str(String),

@@ -3,25 +3,26 @@
 //!
 //! ```text
 //! cargo run --release -p stm-kv --bin stm-kv-server -- \
-//!     --addr 127.0.0.1:7878 --manager greedy --capacity 65536 --shards 16
+//!     --addr 127.0.0.1:7878 --manager greedy --shards 16
 //! ```
 //!
-//! Talk to it with any line client:
+//! Talk to it with any line client — one `HELLO 2` line, then frames (an
+//! array header, the verb as a status line, each integer as `:n`):
 //!
 //! ```text
 //! $ nc 127.0.0.1 7878
-//! PUT 1 100
-//! OK
-//! BEGIN
-//! OK
-//! ADD 1 -25
-//! QUEUED
-//! ADD 2 25
-//! QUEUED
-//! EXEC
-//! EXEC 2
-//! VALUE 75
-//! VALUE 25
+//! HELLO 2
+//! HELLO 2
+//! *3
+//! +PUT
+//! :1
+//! :100
+//! +OK
+//! *3
+//! +ADD
+//! :1
+//! :-25
+//! :75
 //! ```
 
 use std::time::Duration;
@@ -32,7 +33,7 @@ use stm_kv::{KvServer, ServeMode, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: stm-kv-server [--addr HOST:PORT] [--manager NAME] \
-         [--capacity N] [--shards N] [--workers N] \
+         [--shards N] [--workers N] \
          [--serve-mode threads|events] [--event-shards N] [--idle-timeout SECS] \
          [--wal-dir PATH] [--fsync every|n=COUNT|ms=MILLIS] [--snapshot-every N]\n\
          managers: {}\n\
@@ -71,7 +72,6 @@ fn main() {
                     usage();
                 }
             },
-            "--capacity" => config.capacity = value.parse().unwrap_or_else(|_| usage()),
             "--shards" => config.shards = value.parse().unwrap_or_else(|_| usage()),
             "--workers" => config.workers = value.parse().unwrap_or_else(|_| usage()),
             "--serve-mode" => {

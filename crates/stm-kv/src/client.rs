@@ -2,11 +2,12 @@
 //!
 //! One [`KvClient`] owns one TCP connection and issues one request at a
 //! time (batches are pipelined: all batch frames are written in one
-//! syscall, then all replies are read back). [`KvClient::connect`]
-//! negotiates protocol v2 with a `HELLO 2` handshake — typed values,
-//! binary-safe framing, coded errors — and falls back to v1 when the
-//! server predates the handshake; [`KvClient::connect_v1`] keeps the
-//! original line protocol explicitly (integer values only).
+//! syscall, then all replies are read back). [`KvClient::connect`] writes
+//! the `HELLO 2` preamble and checks the server's answer; everything after
+//! it is frames — typed values, binary-safe framing, coded errors.
+//! [`KvClient::send_raw`] and [`KvClient::recv`] are the level below the
+//! typed methods, for pipelined bursts and for tests that torture the
+//! framing.
 //!
 //! Failures are structured: every method returns [`KvError`], which
 //! separates transport problems ([`KvError::Io`]), framing violations
@@ -19,14 +20,14 @@
 //! closed-loop network load generator in `stm-bench`.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use metrics::{HistogramSnapshot, BUCKETS};
 
 use crate::proto::{
-    decode_frame, parse_reply, render_request, render_request_v2, ErrorCode, Frame, FrameError,
-    ProtoVersion, Reply, Request,
+    decode_frame, parse_reply_v2, render_request_v2, ErrorCode, Frame, FrameError, Reply, Request,
+    MAX_HEADER_BYTES, PREAMBLE,
 };
 use crate::Value;
 
@@ -35,11 +36,10 @@ use crate::Value;
 pub enum KvError {
     /// The transport failed (connect, read, write, unexpected EOF).
     Io(io::Error),
-    /// The peer violated the reply grammar (malformed frame or line, reply
-    /// that does not match the request).
+    /// The peer violated the reply grammar (malformed frame, reply that does
+    /// not match the request, a refused preamble).
     Protocol(String),
-    /// The server reported a failure, with its machine-readable code
-    /// (classified from the message text on v1 connections).
+    /// The server reported a failure, with its machine-readable code.
     Server {
         /// Error category.
         code: ErrorCode,
@@ -54,10 +54,6 @@ pub enum KvError {
         /// The kind actually stored.
         found: &'static str,
     },
-    /// The request cannot be expressed on this connection's protocol
-    /// version (a `Str`/`Bytes` value over v1 — reconnect with
-    /// [`KvClient::connect`] to negotiate v2).
-    UnsupportedValue(String),
 }
 
 impl KvError {
@@ -82,9 +78,6 @@ impl std::fmt::Display for KvError {
             KvError::Server { code, message } => write!(f, "server error [{code}]: {message}"),
             KvError::Type { expected, found } => {
                 write!(f, "type mismatch: expected {expected}, found {found}")
-            }
-            KvError::UnsupportedValue(message) => {
-                write!(f, "unsupported on protocol v1: {message}")
             }
         }
     }
@@ -393,8 +386,7 @@ fn le_bucket_index(le: &str) -> Option<usize> {
 pub struct KvClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    proto: ProtoVersion,
-    /// Bytes read off the socket but not yet consumed by a v2 frame.
+    /// Bytes read off the socket but not yet consumed by a frame.
     pending: Vec<u8>,
 }
 
@@ -403,67 +395,50 @@ fn proto_err(message: impl Into<String>) -> KvError {
 }
 
 impl KvClient {
-    /// Connects and negotiates the newest protocol version (`HELLO 2`):
-    /// typed values, binary-safe framing, coded errors. A server that
-    /// rejects the handshake (predating it) leaves the connection on v1.
+    /// Connects, writes the `HELLO 2` preamble and checks that the server
+    /// answered it byte-for-byte.
     ///
     /// # Errors
     ///
-    /// Propagates connection errors and handshake framing violations.
+    /// Propagates connection errors; [`KvError::Protocol`] carries whatever
+    /// the peer answered instead of the preamble.
     pub fn connect(addr: impl ToSocketAddrs) -> KvResult<KvClient> {
-        let mut client = KvClient::connect_v1(addr)?;
-        client.send_line(&render_request(&Request::Hello(2)))?;
-        match client.read_reply_line()? {
-            line if line.starts_with("HELLO 2") => {
-                client.proto = ProtoVersion::V2;
-                Ok(client)
-            }
-            line if line.starts_with("ERR ") => Ok(client), // pre-HELLO server: stay v1
-            line => Err(proto_err(format!("unexpected reply '{line}' to HELLO"))),
-        }
-    }
-
-    /// Connects without negotiating: the connection speaks the original v1
-    /// line protocol (integer values only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection errors.
-    pub fn connect_v1(addr: impl ToSocketAddrs) -> KvResult<KvClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(KvClient {
+        let mut client = KvClient {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
-            proto: ProtoVersion::V1,
             pending: Vec::new(),
-        })
+        };
+        client.send_raw(PREAMBLE)?;
+        let mut answer = Vec::new();
+        (&mut client.reader)
+            .take(MAX_HEADER_BYTES as u64)
+            .read_until(b'\n', &mut answer)?;
+        if answer != PREAMBLE {
+            return Err(proto_err(format!(
+                "the preamble was answered with {:?}",
+                String::from_utf8_lossy(&answer)
+            )));
+        }
+        Ok(client)
     }
 
-    /// The protocol version this connection negotiated (1 or 2).
-    pub fn protocol_version(&self) -> u32 {
-        self.proto.number()
-    }
-
-    fn send_line(&mut self, line: &str) -> KvResult<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+    /// Writes `bytes` to the connection as they are and flushes: rendered
+    /// request frames ([`render_request_v2`]) for a pipelined burst, or
+    /// whatever a framing test wants the server to see. Read the replies
+    /// back with [`KvClient::recv`].
+    ///
+    /// # Errors
+    ///
+    /// I/O failures.
+    pub fn send_raw(&mut self, bytes: &[u8]) -> KvResult<()> {
+        self.writer.write_all(bytes)?;
         self.writer.flush()?;
         Ok(())
     }
 
-    fn read_reply_line(&mut self) -> KvResult<String> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(KvError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )));
-        }
-        Ok(line.trim_end().to_string())
-    }
-
-    /// Reads one complete v2 frame, buffering across reads.
+    /// Reads one complete frame, buffering across reads.
     fn read_frame(&mut self) -> KvResult<Frame> {
         loop {
             match decode_frame(&self.pending) {
@@ -476,7 +451,11 @@ impl KvClient {
                     if chunk.is_empty() {
                         return Err(KvError::Io(io::Error::new(
                             io::ErrorKind::UnexpectedEof,
-                            "server closed the connection mid-frame",
+                            if self.pending.is_empty() {
+                                "server closed the connection"
+                            } else {
+                                "server closed the connection mid-frame"
+                            },
                         )));
                     }
                     let n = chunk.len();
@@ -488,73 +467,23 @@ impl KvClient {
         }
     }
 
-    /// Writes one request in the connection's framing (no flush).
+    /// Writes one request (no flush).
     fn write_request(&mut self, request: &Request) -> KvResult<()> {
-        match self.proto {
-            ProtoVersion::V1 => {
-                if let Request::Put(_, value) = request {
-                    if !matches!(value, Value::Int(_)) {
-                        return Err(KvError::UnsupportedValue(format!(
-                            "a {} value needs protocol v2 (connect with KvClient::connect)",
-                            value.type_name()
-                        )));
-                    }
-                }
-                self.writer.write_all(render_request(request).as_bytes())?;
-                self.writer.write_all(b"\n")?;
-            }
-            ProtoVersion::V2 => {
-                self.writer.write_all(&render_request_v2(request))?;
-            }
-        }
+        self.writer.write_all(&render_request_v2(request))?;
         Ok(())
     }
 
-    /// Reads one reply in the connection's framing. On v1 the multi-line
-    /// replies (`EXEC`, `METRICS`, `SLOWLOG`) are assembled from their
-    /// header plus per-item lines.
-    fn read_reply(&mut self) -> KvResult<Reply> {
-        match self.proto {
-            ProtoVersion::V1 => {
-                let line = self.read_reply_line()?;
-                if let Some(count) = line.strip_prefix("EXEC ").and_then(|n| n.parse::<usize>().ok())
-                {
-                    let mut replies = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let line = self.read_reply_line()?;
-                        replies.push(parse_reply(&line).map_err(proto_err)?);
-                    }
-                    return Ok(Reply::Exec(replies));
-                }
-                // METRICS and SLOWLOG are the other multi-line v1 replies:
-                // a header carrying the line count, then that many payload
-                // lines, reassembled here rather than in parse_reply.
-                if let Some(count) =
-                    line.strip_prefix("METRICS ").and_then(|n| n.parse::<usize>().ok())
-                {
-                    let mut text = String::new();
-                    for _ in 0..count {
-                        text.push_str(&self.read_reply_line()?);
-                        text.push('\n');
-                    }
-                    return Ok(Reply::Metrics(text));
-                }
-                if let Some(count) =
-                    line.strip_prefix("SLOWLOG ").and_then(|n| n.parse::<usize>().ok())
-                {
-                    let mut entries = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        entries.push(self.read_reply_line()?);
-                    }
-                    return Ok(Reply::SlowLog(entries));
-                }
-                parse_reply(&line).map_err(proto_err)
-            }
-            ProtoVersion::V2 => {
-                let frame = self.read_frame()?;
-                crate::proto::parse_reply_v2(frame).map_err(proto_err)
-            }
-        }
+    /// Reads the next reply frame — error replies included, as
+    /// [`Reply::Err`]. A clean close by the server is an
+    /// [`io::ErrorKind::UnexpectedEof`] whose message does not say
+    /// "mid-frame".
+    ///
+    /// # Errors
+    ///
+    /// I/O failures and framing violations.
+    pub fn recv(&mut self) -> KvResult<Reply> {
+        let frame = self.read_frame()?;
+        parse_reply_v2(frame).map_err(proto_err)
     }
 
     /// Sends one request and reads one reply, surfacing error replies as
@@ -562,7 +491,7 @@ impl KvClient {
     fn roundtrip(&mut self, request: &Request) -> KvResult<Reply> {
         self.write_request(request)?;
         self.writer.flush()?;
-        match self.read_reply()? {
+        match self.recv()? {
             Reply::Err(code, message) => Err(KvError::Server { code, message }),
             reply => Ok(reply),
         }
@@ -637,9 +566,7 @@ impl KvClient {
     ///
     /// # Errors
     ///
-    /// I/O failures, server error replies, and
-    /// [`KvError::UnsupportedValue`] for non-integer values on a v1
-    /// connection.
+    /// I/O failures and server error replies.
     pub fn put(&mut self, key: i64, value: impl Into<Value>) -> KvResult<()> {
         match self.roundtrip(&Request::Put(key, value.into()))? {
             Reply::Ok => Ok(()),
@@ -783,7 +710,7 @@ impl KvClient {
         // otherwise the connection's request/reply framing desyncs and every
         // later call reads some earlier op's answer.
         let mut first_error: Option<KvError> = None;
-        match self.read_reply()? {
+        match self.recv()? {
             Reply::Ok => {}
             Reply::Err(code, message) => {
                 first_error = Some(KvError::Server {
@@ -794,7 +721,7 @@ impl KvClient {
             other => first_error = Some(KvError::unexpected(&other, "BEGIN")),
         }
         for op in ops {
-            match self.read_reply()? {
+            match self.recv()? {
                 Reply::Queued => {}
                 Reply::Err(code, message) => {
                     first_error.get_or_insert(KvError::Server {
@@ -808,11 +735,11 @@ impl KvClient {
                 }
             }
         }
-        let exec = self.read_reply()?;
+        let exec = self.recv()?;
         if let Some(error) = first_error {
             // The server poisons a failed batch, so its EXEC reply is an
-            // error — the replies (if it somehow executed) were already
-            // drained as part of `read_reply`'s EXEC assembly.
+            // error — the replies (if it somehow executed) arrived inside
+            // that one frame.
             return Err(error);
         }
         match exec {
@@ -882,7 +809,6 @@ mod tests {
 
     fn test_server() -> KvServer {
         KvServer::start(ServerConfig {
-            capacity: 64,
             shards: 4,
             workers: 2,
             ..ServerConfig::default()
@@ -891,10 +817,9 @@ mod tests {
     }
 
     #[test]
-    fn typed_client_round_trips_over_v2() {
+    fn typed_client_round_trips() {
         let server = test_server();
         let mut client = KvClient::connect(server.addr()).unwrap();
-        assert_eq!(client.protocol_version(), 2);
         client.ping().unwrap();
         assert_eq!(client.get(1).unwrap(), None);
         client.put(1, 11).unwrap();
@@ -941,38 +866,6 @@ mod tests {
             other => panic!("expected WAL error, got {other}"),
         }
         client.ping().unwrap();
-        client.quit().unwrap();
-    }
-
-    #[test]
-    fn v1_client_still_works_and_refuses_typed_puts() {
-        let server = test_server();
-        let mut client = KvClient::connect_v1(server.addr()).unwrap();
-        assert_eq!(client.protocol_version(), 1);
-        client.ping().unwrap();
-        client.put(1, 11).unwrap();
-        assert_eq!(client.get_int(1).unwrap(), Some(11));
-        assert_eq!(client.add(1, 4).unwrap(), 15);
-        assert_eq!(client.sum(0, 63).unwrap(), (15, 1));
-        // Typed values cannot ride the line protocol.
-        match client.put(2, "text").unwrap_err() {
-            KvError::UnsupportedValue(message) => {
-                assert!(message.contains("protocol v2"), "{message}")
-            }
-            other => panic!("expected UnsupportedValue, got {other}"),
-        }
-        // v1 batches and transfers still work end to end.
-        let replies = client.batch(&[BatchOp::Add(1, 1), BatchOp::Get(1)]).unwrap();
-        assert_eq!(replies[0], Reply::Value(Value::Int(16)));
-        client.transfer(1, 9, 5).unwrap();
-        assert_eq!(client.get_int(9).unwrap(), Some(5));
-        // Error codes classify from the v1 message text.
-        match client.snapshot().unwrap_err() {
-            KvError::Server { code, message } => {
-                assert_eq!(code, ErrorCode::Wal, "{message}");
-            }
-            other => panic!("expected WAL-classified error, got {other}"),
-        }
         client.quit().unwrap();
     }
 
@@ -1103,60 +996,40 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_slowlog_round_trip_on_both_protocols() {
+    fn metrics_and_slowlog_round_trip() {
         let server = test_server();
-        for v1 in [false, true] {
-            let mut client = if v1 {
-                KvClient::connect_v1(server.addr()).unwrap()
-            } else {
-                KvClient::connect(server.addr()).unwrap()
-            };
-            for key in 0..50 {
-                client.put(key, key).unwrap();
-            }
-            client.get(1).unwrap();
-            client.transfer(1, 2, 1).unwrap();
-
-            let metrics = client.metrics().unwrap();
-            assert!(metrics.counter("stm_kv_requests_total") >= 51, "{}", metrics.text);
-            assert!(metrics.value("stm_commits_total").unwrap() > 0);
-            assert!(metrics
-                .value(r#"stm_aborts_total{cause="killed_by_enemy"}"#)
-                .is_some());
-            // The per-op histograms reassemble: folding every op label
-            // together must dominate any single op's series, and the
-            // histogram mass must match the op counts we drove.
-            let all_ops = metrics.histogram("stm_kv_op_latency_us").unwrap();
-            let puts = metrics
-                .histogram(r#"stm_kv_op_latency_us{op="PUT"}"#)
-                .unwrap();
-            assert!(puts.count >= 50, "{}", metrics.text);
-            assert!(all_ops.count > puts.count, "{}", metrics.text);
-            assert_eq!(puts.buckets.iter().sum::<u64>(), puts.count);
-            assert!(all_ops.quantile(1.0) >= puts.quantile(0.5));
-
-            let slow = client.slowlog(10).unwrap();
-            assert!(slow.len() <= 10);
-            for entry in &slow {
-                assert!(entry.contains("op="), "{entry}");
-                assert!(entry.contains("wall_us="), "{entry}");
-            }
-            assert!(client.slowlog(0).unwrap().is_empty());
-            client.quit().unwrap();
+        let mut client = KvClient::connect(server.addr()).unwrap();
+        for key in 0..50 {
+            client.put(key, key).unwrap();
         }
-    }
+        client.get(1).unwrap();
+        client.transfer(1, 2, 1).unwrap();
 
-    #[test]
-    fn mixed_v1_and_v2_clients_share_one_keyspace() {
-        let server = test_server();
-        let mut v2 = KvClient::connect(server.addr()).unwrap();
-        let mut v1 = KvClient::connect_v1(server.addr()).unwrap();
-        v2.put(1, 10).unwrap();
-        assert_eq!(v1.get_int(1).unwrap(), Some(10));
-        v1.put(2, 20).unwrap();
-        assert_eq!(v2.get_int(2).unwrap(), Some(20));
-        assert_eq!(v1.sum(0, 63).unwrap(), v2.sum(0, 63).unwrap());
-        v1.quit().unwrap();
-        v2.quit().unwrap();
+        let metrics = client.metrics().unwrap();
+        assert!(metrics.counter("stm_kv_requests_total") >= 51, "{}", metrics.text);
+        assert!(metrics.value("stm_commits_total").unwrap() > 0);
+        assert!(metrics
+            .value(r#"stm_aborts_total{cause="killed_by_enemy"}"#)
+            .is_some());
+        // The per-op histograms reassemble: folding every op label
+        // together must dominate any single op's series, and the
+        // histogram mass must match the op counts we drove.
+        let all_ops = metrics.histogram("stm_kv_op_latency_us").unwrap();
+        let puts = metrics
+            .histogram(r#"stm_kv_op_latency_us{op="PUT"}"#)
+            .unwrap();
+        assert!(puts.count >= 50, "{}", metrics.text);
+        assert!(all_ops.count > puts.count, "{}", metrics.text);
+        assert_eq!(puts.buckets.iter().sum::<u64>(), puts.count);
+        assert!(all_ops.quantile(1.0) >= puts.quantile(0.5));
+
+        let slow = client.slowlog(10).unwrap();
+        assert!(slow.len() <= 10);
+        for entry in &slow {
+            assert!(entry.contains("op="), "{entry}");
+            assert!(entry.contains("wall_us="), "{entry}");
+        }
+        assert!(client.slowlog(0).unwrap().is_empty());
+        client.quit().unwrap();
     }
 }

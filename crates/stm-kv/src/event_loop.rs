@@ -38,6 +38,7 @@ use minipoll::{net as poll_net, Event, Interest, Poller, Token, Trigger};
 use parking_lot::Mutex;
 use stm_core::{Stm, ThreadCtx};
 
+use crate::proto::{header_end, FrameError};
 use crate::server::{process_buffered, ConnState, Durable};
 use crate::store::KvStore;
 use crate::telemetry::{elapsed_us, Telemetry};
@@ -411,7 +412,14 @@ impl Shard {
                         conn.peer_eof = true;
                         break;
                     }
-                    Ok(n) => conn.inbuf.extend_from_slice(&chunk[..n]),
+                    Ok(n) => {
+                        conn.inbuf.extend_from_slice(&chunk[..n]);
+                        // A line already past its cap is refused below:
+                        // stop buffering the peer that never ends it.
+                        if matches!(header_end(&conn.inbuf), Err(FrameError::Malformed(_))) {
+                            break;
+                        }
+                    }
                     Err(err) if err.kind() == ErrorKind::WouldBlock => break,
                     Err(err) if err.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {

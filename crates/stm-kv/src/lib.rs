@@ -14,37 +14,34 @@
 //!   from the wire through the store into the write-ahead log.
 //! * **Storage** ([`KvStore`]) — a dynamic `i64 → Value` keyspace. The
 //!   membership index is a [`stm_structures::ShardedTxSet`] over chunked
-//!   B+-trees, and every key's value lives in its own
-//!   [`stm_core::TVar`]`<Option<Value>>` (materialised on first touch, so
-//!   any key is addressable); arithmetic ops (`ADD`/`SUM`) report a typed
-//!   [`TypeMismatch`] on non-integer values.
-//! * **Protocol** ([`proto`]) — two negotiated framings over one model:
-//!   the original line-based v1 text protocol (`nc`-friendly, int-only)
-//!   and, after a `HELLO 2` handshake, the binary-safe length-prefixed v2
-//!   framing (RESP-style frames) that carries typed values byte-exactly and
-//!   machine-readable [`ErrorCode`]s. Verbs: `GET`, `PUT`, `DEL`, `ADD`
-//!   (atomic read-modify-write), `RANGE`, `SUM`, plus `BEGIN`/`EXEC`
-//!   multi-key atomic batches, `PING`/`SNAPSHOT`/`QUIT`, and the
-//!   observability pair `METRICS` (the one statistics surface: a
+//!   B+-trees, and every key's value lives in its own [`stm_core::TVar`]
+//!   cell in one sharded table (materialised by the first write, reclaimed
+//!   after a committed delete, so any key is addressable); arithmetic ops
+//!   (`ADD`/`SUM`) report a typed [`TypeMismatch`] on non-integer values.
+//! * **Protocol** ([`proto`]) — one framing: after the one-line `HELLO 2`
+//!   preamble every byte is a binary-safe length-prefixed frame (RESP-style,
+//!   typeable from `nc`) that carries typed values byte-exactly and
+//!   machine-readable [`ErrorCode`]s. One grammar table of thirteen verbs:
+//!   `GET`, `PUT`, `DEL`, `ADD` (atomic read-modify-write), `RANGE`, `SUM`,
+//!   plus `BEGIN`/`EXEC` multi-key atomic batches, `PING`/`SNAPSHOT`/`QUIT`,
+//!   and the observability pair `METRICS` (the one statistics surface: a
 //!   Prometheus-style text exposition of every counter, gauge and latency
 //!   histogram the server, store, STM runtime and log keep) / `SLOWLOG n`
 //!   (the n slowest requests with their abort causes and
-//!   contention-manager verdicts). One grammar table serves both framings.
+//!   contention-manager verdicts).
 //! * **Server** ([`KvServer`]) — `std::net::TcpListener` + a worker-thread
 //!   pool, no dependencies beyond the workspace. Every request executes as
 //!   one STM transaction under the [`stm_cm::ManagerKind`] chosen at server
 //!   start, so multi-key batches are serializable across clients by
-//!   construction. v1 and v2 clients share one keyspace concurrently. With
-//!   [`ServerConfig::wal_dir`] set the server is **durable**: every
-//!   mutating request's write-set is appended to an `stm-log` write-ahead
-//!   log in serialization order (fsync policy `every` / `n=` / `ms=`),
-//!   point-in-time snapshots bound recovery, and a restart replays
-//!   snapshot + log tail before accepting connections.
-//! * **Client** ([`KvClient`]) — a blocking client that negotiates v2 by
-//!   default (`connect_v1` keeps the text mode), reports failures through
-//!   the structured [`KvError`] enum, offers typed getters
-//!   (`get_int`/`get_str`/`get_bytes`) and a fluent [`BatchBuilder`] for
-//!   atomic multi-op transactions.
+//!   construction. With [`ServerConfig::wal_dir`] set the server is
+//!   **durable**: every mutating request's write-set is appended to an
+//!   `stm-log` write-ahead log in serialization order (fsync policy `every`
+//!   / `n=` / `ms=`), point-in-time snapshots bound recovery, and a restart
+//!   replays snapshot + log tail before accepting connections.
+//! * **Client** ([`KvClient`]) — a blocking client that opens with the
+//!   preamble, reports failures through the structured [`KvError`] enum,
+//!   offers typed getters (`get_int`/`get_str`/`get_bytes`) and a fluent
+//!   [`BatchBuilder`] for atomic multi-op transactions.
 //!
 //! ```
 //! use stm_cm::ManagerKind;
@@ -52,7 +49,6 @@
 //!
 //! let server = KvServer::start(ServerConfig {
 //!     manager: ManagerKind::Greedy,
-//!     capacity: 128,
 //!     ..ServerConfig::default()
 //! })
 //! .unwrap();
@@ -99,9 +95,6 @@ pub use stm_core::CommitValue as Value;
 pub use metrics::HistogramSnapshot;
 
 pub use client::{BatchBuilder, BatchOp, KvClient, KvError, MetricsSnapshot};
-pub use proto::{
-    parse_reply, parse_request, render_reply, render_request, ErrorCode, ProtoError, Reply,
-    Request,
-};
+pub use proto::{ErrorCode, ProtoError, Reply, Request};
 pub use server::{KvServer, ServeMode, ServerConfig};
 pub use store::{KvStore, TypeMismatch};

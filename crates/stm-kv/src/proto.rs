@@ -1,43 +1,15 @@
-//! The wire protocol: two negotiated framings over one request/reply model.
+//! The wire protocol: one request grammar, one framing.
 //!
-//! There is one request grammar — the [`VERBS`] table: fourteen verbs, each
-//! with a fixed list of integer arguments (`PUT`'s value is the one typed
-//! argument) — and each framing is a way of spelling a table row.
+//! **Preamble.** A connection opens with one text line, `HELLO 2` (trimmed,
+//! case-insensitive, at most [`MAX_HEADER_BYTES`] before its `\n`), which
+//! the server answers with the exact bytes `HELLO 2\n` ([`PREAMBLE`]). Any
+//! other first line — or one that overruns the cap — is answered with one
+//! `-PROTO …` error frame and a close. Every byte after the preamble is a
+//! frame.
 //!
-//! Every connection starts in **protocol v1**: one `\n`-terminated line of
-//! ASCII text per request and per reply, driveable from `nc`. A v1 request
-//! is the verb and its arguments as whitespace-separated tokens; the parser
-//! is a text adapter that turns each token into the int frame v2 would have
-//! carried and hands the row to the same builder. The verbs and their v1
-//! replies:
-//!
-//! | Request | Reply |
-//! |---------|-------|
-//! | `HELLO <version>` | `HELLO <version>` (switches framing) or `ERR ...` |
-//! | `GET <key>` | `VALUE <v>` or `NIL` |
-//! | `PUT <key> <value>` | `OK` |
-//! | `DEL <key>` | `OK 1` (removed) or `OK 0` |
-//! | `ADD <key> <delta>` | `VALUE <new>` (absent keys start at 0) |
-//! | `RANGE <lo> <hi>` | `RANGE <n> k1=v1 k2=v2 ...` |
-//! | `SUM <lo> <hi>` | `SUM <total> <count>` |
-//! | `BEGIN` | `OK`; subsequent data ops reply `QUEUED` |
-//! | `EXEC` | `EXEC <n>` followed by the `n` queued replies, one per line |
-//! | `PING` | `PONG` |
-//! | `METRICS` | `METRICS <n>` followed by `n` exposition lines |
-//! | `SLOWLOG <n>` | `SLOWLOG <m>` followed by `m` entry lines |
-//! | `SNAPSHOT` | `SNAPSHOT <seq> <keys>` (durable servers only) |
-//! | `QUIT` | `BYE`, then the connection closes |
-//!
-//! v1 is **integer-only**: `PUT` parses its value as an `i64`, and a reply
-//! that would have to carry a `Str`/`Bytes` value (stored by a v2 client)
-//! degrades to an `ERR` naming the kind — a line protocol cannot frame a
-//! value containing `\n`. Inside a v1 `RANGE` reply, non-integer values
-//! render as `<str>`/`<bytes>` placeholders.
-//!
-//! `HELLO 2` switches the connection to **protocol v2**: binary-safe,
-//! length-prefixed, RESP-style frames that carry the typed [`Value`] enum
-//! (`Int` / `Str` / `Bytes`) byte-exactly — newlines, NULs and multi-byte
-//! UTF-8 included. One frame is:
+//! **Frames.** Binary-safe, length-prefixed, RESP-style frames carry the
+//! typed [`Value`] enum (`Int` / `Str` / `Bytes`) byte-exactly — newlines,
+//! NULs and multi-byte UTF-8 included. One frame is:
 //!
 //! ```text
 //! frame  = int | str | blob | status | error | nil | array
@@ -50,71 +22,70 @@
 //! array  = '*' <count> '\n' <count frames>   — requests, RANGE, EXEC
 //! ```
 //!
-//! A v2 **request** is one array frame: `[+VERB, arg frames...]` — the same
-//! table row, its integer arguments as int frames and a `PUT` value as any
-//! value frame. A v2 **reply** maps the same [`Reply`] model: scalar values
-//! are bare value frames, `NIL` is the nil frame, structured replies are
-//! arrays tagged by a leading status (`[+SUM, :total, :count]`,
-//! `[+RANGE, [[:k, value], ...]]`, `[+EXEC, [reply frames...]]`,
-//! `[+METRICS, $text]`), and failures are error frames whose code is
-//! machine-readable ([`ErrorCode`]).
+//! Headers are short text lines, so the protocol stays typeable: after
+//! `HELLO 2`, the five lines `*2` `+GET` `:5` ask for key 5 from `nc`.
+//!
+//! **Requests.** There is one request grammar — the [`VERBS`] table:
+//! thirteen verbs, each with a fixed list of integer arguments (`PUT`'s
+//! value is the one typed argument). A request is one array frame,
+//! `[+VERB, arg frames...]`: the table row, its integer arguments as int
+//! frames and a `PUT` value as any value frame.
+//!
+//! | Request | Reply |
+//! |---------|-------|
+//! | `GET key` | the value frame, or nil |
+//! | `PUT key value` | `+OK` |
+//! | `DEL key` | `[+OK, :1]` (removed) or `[+OK, :0]` |
+//! | `ADD key delta` | `:new` (absent keys start at 0) |
+//! | `RANGE lo hi` | `[+RANGE, [[:k, value], ...]]` |
+//! | `SUM lo hi` | `[+SUM, :total, :count]` |
+//! | `BEGIN` | `+OK`; subsequent data ops reply `+QUEUED` |
+//! | `EXEC` | `[+EXEC, [reply frames...]]`, one per queued op |
+//! | `PING` | `+PONG` |
+//! | `METRICS` | `[+METRICS, $text]` — the exposition |
+//! | `SLOWLOG n` | `[+SLOWLOG, [$entry, ...]]` |
+//! | `SNAPSHOT` | `[+SNAPSHOT, :seq, :keys]` (durable servers only) |
+//! | `QUIT` | `+BYE`, then the connection closes |
+//!
+//! Replies map the [`Reply`] model as the table shows; failures are error
+//! frames whose code is machine-readable ([`ErrorCode`]).
 //!
 //! `METRICS` is the only statistics verb: every counter, gauge and
 //! histogram the server, the store, the STM runtime and the log keep is one
 //! series of its exposition.
 //!
-//! Any failure — unknown verb, malformed frame, type mismatch, transaction
+//! Any failure — unknown verb, wrong arity, type mismatch, transaction
 //! failure — is reported as an error reply and leaves the connection usable
-//! (only an unparseable v2 frame closes it: there is no way to resynchronise
-//! a length-prefixed stream). A failure while a batch is open poisons the
+//! (only an unparseable frame closes it: there is no way to resynchronise a
+//! length-prefixed stream). A failure while a batch is open poisons the
 //! batch (the client must re-issue `BEGIN`). Requests may be **pipelined**:
 //! the server parses every complete request it has buffered before replying,
 //! executes them in order, and writes all the replies back in one flush.
 //!
-//! Both directions of both framings are implemented here, so a single test
-//! suite pins the grammar from all four sides.
+//! Both directions are implemented here, so a single test suite pins the
+//! grammar from both sides. (The `_v2` suffixes on the entry points are the
+//! names `bench/` calls them by.)
 
 use crate::Value;
 
-/// Highest protocol version this build speaks.
-pub const MAX_PROTOCOL_VERSION: u32 = 2;
+/// The preamble line a client opens with, and the bytes the server answers.
+pub const PREAMBLE: &[u8] = b"HELLO 2\n";
 
-/// Which framing a connection currently speaks (switched by `HELLO`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProtoVersion {
-    /// Line-based text framing, integer values only (the default).
-    #[default]
-    V1,
-    /// Binary-safe length-prefixed frames carrying typed values.
-    V2,
-}
-
-impl ProtoVersion {
-    /// The numeric version carried by `HELLO`.
-    pub fn number(&self) -> u32 {
-        match self {
-            ProtoVersion::V1 => 1,
-            ProtoVersion::V2 => 2,
-        }
-    }
-}
-
-/// Upper bound on one v2 bulk payload (`$`/`=` frames) — a framing sanity
+/// Upper bound on one bulk payload (`$`/`=` frames) — a framing sanity
 /// check so a corrupted length cannot make a peer allocate gigabytes.
 pub const MAX_BULK_BYTES: usize = 64 << 20;
 
-/// Upper bound on one v2 array's element count.
+/// Upper bound on one array's element count.
 pub const MAX_ARRAY_LEN: usize = 1 << 20;
 
-/// Upper bound on one v2 frame header line (everything before the first
-/// `\n`). Error frames carry their whole message in the header, so this
-/// must comfortably exceed any message the server emits; [`write_error`]
-/// truncates to stay under it.
+/// Upper bound on one header line — the preamble, or everything before a
+/// frame's first `\n`. Error frames carry their whole message in the
+/// header, so this must comfortably exceed any message the server emits;
+/// [`write_error`] truncates to stay under it.
 pub const MAX_HEADER_BYTES: usize = 1024;
 
-/// Machine-readable category of a protocol error — the `CODE` token of a v2
-/// error frame, classified heuristically from the message text in v1 (which
-/// predates codes).
+/// Machine-readable category of a protocol error — the `CODE` token of an
+/// error frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorCode {
     /// Framing or grammar violation: unknown verb, malformed frame.
@@ -134,7 +105,7 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
-    /// The stable wire token of this code (the `-CODE` of a v2 error frame).
+    /// The stable wire token of this code (the `-CODE` of an error frame).
     pub fn token(&self) -> &'static str {
         match self {
             ErrorCode::Proto => "PROTO",
@@ -157,32 +128,6 @@ impl ErrorCode {
             "TXN" => ErrorCode::Txn,
             "WAL" => ErrorCode::Wal,
             _ => ErrorCode::Unknown,
-        }
-    }
-
-    /// Best-effort classification of a v1 `ERR` message (v1 predates coded
-    /// errors, so the client infers the category from the text).
-    pub fn classify_v1(message: &str) -> ErrorCode {
-        let m = message;
-        // Order matters: the server's compound messages must classify by
-        // their most specific marker — "batch failed: transaction ..." is a
-        // transaction failure (Txn), not batch misuse, and "snapshot
-        // transaction failed" is a durability failure (Wal).
-        if m.contains("int-only") || m.contains("not an int") || m.contains("holds a") {
-            ErrorCode::Type
-        } else if m.contains("durability") || m.contains("snapshot") {
-            ErrorCode::Wal
-        } else if m.contains("transaction") {
-            ErrorCode::Txn
-        } else if m.contains("batch") || m.contains("EXEC without BEGIN") {
-            ErrorCode::Batch
-        } else if m.contains("takes") || m.contains("must be an integer") {
-            ErrorCode::Arg
-        } else if m.contains("unknown command") || m.contains("protocol") || m.contains("command")
-        {
-            ErrorCode::Proto
-        } else {
-            ErrorCode::Unknown
         }
     }
 }
@@ -222,8 +167,6 @@ impl std::fmt::Display for ProtoError {
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Negotiate the protocol version for the rest of the connection.
-    Hello(u32),
     /// Read one key.
     Get(i64),
     /// Store a value (creating or overwriting the key).
@@ -291,8 +234,6 @@ pub enum Reply {
     Exec(Vec<Reply>),
     /// A snapshot was written: its cut sequence number and key count.
     Snapshot(u64, usize),
-    /// Protocol version the connection now speaks (reply to `HELLO`).
-    Hello(u32),
     /// The full `METRICS` exposition (Prometheus-style text, one series
     /// sample per line).
     Metrics(String),
@@ -374,15 +315,6 @@ const PING: Verb = Verb {
     args: &[],
     build: |_, _| Ok(Request::Ping),
 };
-const HELLO: Verb = Verb {
-    name: "HELLO",
-    args: &["protocol version"],
-    build: |verb, args| {
-        u32::try_from(verb.int(args, 0)?)
-            .map(Request::Hello)
-            .map_err(|_| ProtoError::new(ErrorCode::Arg, "protocol version out of range"))
-    },
-};
 const METRICS: Verb = Verb {
     name: "METRICS",
     args: &[],
@@ -409,9 +341,9 @@ const QUIT: Verb = Verb {
 };
 
 /// Every verb, most frequent first (lookup is a linear scan).
-const VERBS: [&Verb; 14] = [
-    &GET, &PUT, &DEL, &ADD, &RANGE, &SUM, &BEGIN, &EXEC, &PING, &HELLO, &METRICS, &SLOWLOG,
-    &SNAPSHOT, &QUIT,
+const VERBS: [&Verb; 13] = [
+    &GET, &PUT, &DEL, &ADD, &RANGE, &SUM, &BEGIN, &EXEC, &PING, &METRICS, &SLOWLOG, &SNAPSHOT,
+    &QUIT,
 ];
 
 impl Verb {
@@ -430,8 +362,7 @@ impl Verb {
             })
     }
 
-    /// The builder both framings call: checks the arity, then builds the
-    /// request from the argument frames.
+    /// Checks the arity, then builds the request from the argument frames.
     fn request(&self, args: &mut [Frame]) -> Result<Request, ProtoError> {
         self.check_arity(args.len())?;
         (self.build)(self, args)
@@ -480,7 +411,7 @@ impl Verb {
     }
 }
 
-/// One borrowed request argument, as both framings render it.
+/// One borrowed request argument.
 enum Arg<'a> {
     Int(i64),
     Value(&'a Value),
@@ -488,7 +419,7 @@ enum Arg<'a> {
 
 impl Request {
     /// The request's row of the grammar and its arguments — the inverse of
-    /// [`Verb::request`], and what both framings render.
+    /// [`Verb::request`], and what [`render_request_v2`] renders.
     fn parts(&self) -> (&'static Verb, [Option<Arg<'_>>; 2]) {
         let one = |a: i64| [Some(Arg::Int(a)), None];
         let two = |a: i64, b: i64| [Some(Arg::Int(a)), Some(Arg::Int(b))];
@@ -502,7 +433,6 @@ impl Request {
             Request::Begin => (&BEGIN, [None, None]),
             Request::Exec => (&EXEC, [None, None]),
             Request::Ping => (&PING, [None, None]),
-            Request::Hello(version) => (&HELLO, one(i64::from(*version))),
             Request::Metrics => (&METRICS, [None, None]),
             // Counts past `i64::MAX` ask for "every entry" either way.
             Request::SlowLog(n) => (&SLOWLOG, one(i64::try_from(*n).unwrap_or(i64::MAX))),
@@ -513,199 +443,10 @@ impl Request {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol v1: one text line per request/reply.
+// Frames: binary-safe, length-prefixed.
 // ---------------------------------------------------------------------------
 
-/// Parses one v1 request line (without its trailing newline).
-///
-/// Verbs are case-insensitive; arguments are whitespace-separated signed
-/// 64-bit integers, each handed to the shared builder as the int frame v2
-/// would have carried — so v1 cannot express `Str`/`Bytes` values (that is
-/// what `HELLO 2` is for).
-///
-/// # Errors
-///
-/// Returns a coded, human-readable error (sent back as `ERR <message>`) for
-/// an unknown verb or a malformed argument list.
-pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
-    let mut tokens = line.split_whitespace();
-    let name = tokens
-        .next()
-        .ok_or_else(|| ProtoError::new(ErrorCode::Proto, "empty request"))?;
-    let verb = Verb::find(name)?;
-    let tokens: Vec<&str> = tokens.collect();
-    verb.check_arity(tokens.len())?;
-    let mut args = tokens
-        .iter()
-        .zip(verb.args)
-        .map(|(token, what)| {
-            token.parse::<i64>().map(Frame::Int).map_err(|_| {
-                ProtoError::new(
-                    ErrorCode::Arg,
-                    format!("{what} must be an integer, got '{token}'"),
-                )
-            })
-        })
-        .collect::<Result<Vec<Frame>, ProtoError>>()?;
-    verb.request(&mut args)
-}
-
-/// Renders a request as its v1 wire line (without the trailing newline).
-///
-/// v1 cannot carry `Str`/`Bytes` values; a typed `PUT` renders a
-/// `<str>`/`<bytes>` placeholder the server will reject — [`KvClient`]
-/// refuses such a request before it reaches the wire.
-///
-/// [`KvClient`]: crate::KvClient
-pub fn render_request(request: &Request) -> String {
-    use std::fmt::Write;
-    let (verb, args) = request.parts();
-    let mut out = verb.name.to_string();
-    for arg in args.iter().flatten() {
-        match arg {
-            Arg::Int(v) | Arg::Value(Value::Int(v)) => write!(out, " {v}"),
-            Arg::Value(other) => write!(out, " <{}>", other.type_name()),
-        }
-        .expect("writing to a String cannot fail");
-    }
-    out
-}
-
-/// Renders a reply as its v1 wire text (without the trailing newline; the
-/// `EXEC` reply renders as its header line plus one embedded line per op).
-///
-/// A `Str`/`Bytes` scalar value degrades to a `TYPE` error line and a
-/// non-integer `RANGE` value to a `<str>`/`<bytes>` placeholder: a line
-/// protocol cannot frame arbitrary bytes — v2 exists for that.
-pub fn render_reply(reply: &Reply) -> String {
-    match reply {
-        Reply::Value(Value::Int(v)) => format!("VALUE {v}"),
-        Reply::Value(other) => format!(
-            "ERR value is {}; the v1 protocol is int-only (negotiate with HELLO 2)",
-            other.type_name()
-        ),
-        Reply::Nil => "NIL".to_string(),
-        Reply::Ok => "OK".to_string(),
-        Reply::OkN(n) => format!("OK {n}"),
-        Reply::Range(pairs) => {
-            use std::fmt::Write;
-            let mut out = format!("RANGE {}", pairs.len());
-            for (k, v) in pairs {
-                // Formatted into `out` itself: no `String` per pair.
-                match v {
-                    Value::Int(v) => write!(out, " {k}={v}"),
-                    other => write!(out, " {k}=<{}>", other.type_name()),
-                }
-                .expect("writing to a String cannot fail");
-            }
-            out
-        }
-        Reply::Sum(total, count) => format!("SUM {total} {count}"),
-        Reply::Queued => "QUEUED".to_string(),
-        Reply::Exec(replies) => {
-            let mut out = format!("EXEC {}", replies.len());
-            for reply in replies {
-                out.push('\n');
-                out.push_str(&render_reply(reply));
-            }
-            out
-        }
-        Reply::Snapshot(seq, keys) => format!("SNAPSHOT {seq} {keys}"),
-        Reply::Hello(version) => format!("HELLO {version}"),
-        Reply::Metrics(text) => {
-            // Like EXEC: a header announcing the line count, then the
-            // exposition lines — the one multi-line v1 shape, assembled
-            // back together by the client rather than parse_reply.
-            let lines: Vec<&str> = text.lines().collect();
-            let mut out = format!("METRICS {}", lines.len());
-            for line in lines {
-                out.push('\n');
-                out.push_str(line);
-            }
-            out
-        }
-        Reply::SlowLog(entries) => {
-            let mut out = format!("SLOWLOG {}", entries.len());
-            for entry in entries {
-                out.push('\n');
-                out.push_str(&entry.replace('\n', " "));
-            }
-            out
-        }
-        Reply::Pong => "PONG".to_string(),
-        Reply::Bye => "BYE".to_string(),
-        Reply::Err(_, message) => format!("ERR {}", message.replace('\n', " ")),
-    }
-}
-
-/// Parses one v1 reply line (without its trailing newline) — the client
-/// side of [`render_reply`]. The multi-line `EXEC` reply is assembled by
-/// the client from its header plus per-op lines, not parsed here.
-///
-/// # Errors
-///
-/// Returns a message describing the framing violation when the line does
-/// not match the reply grammar.
-pub fn parse_reply(line: &str) -> Result<Reply, String> {
-    let line = line.trim_end();
-    if let Some(message) = line.strip_prefix("ERR ") {
-        return Ok(Reply::Err(ErrorCode::classify_v1(message), message.to_string()));
-    }
-    let mut tokens = line.split_whitespace();
-    let head = tokens.next().ok_or_else(|| "empty reply".to_string())?;
-    let rest: Vec<&str> = tokens.collect();
-    let plain_int = |token: &str, what: &str| -> Result<i64, String> {
-        token
-            .parse::<i64>()
-            .map_err(|_| format!("{what} must be an integer, got '{token}'"))
-    };
-    match head {
-        "VALUE" if rest.len() == 1 => Ok(Reply::Value(Value::Int(plain_int(rest[0], "value")?))),
-        "NIL" if rest.is_empty() => Ok(Reply::Nil),
-        "OK" if rest.is_empty() => Ok(Reply::Ok),
-        "OK" if rest.len() == 1 => Ok(Reply::OkN(plain_int(rest[0], "count")?)),
-        "RANGE" if !rest.is_empty() => {
-            let n = plain_int(rest[0], "pair count")? as usize;
-            if rest.len() != n + 1 {
-                return Err(format!("RANGE announced {n} pairs, carried {}", rest.len() - 1));
-            }
-            let mut pairs = Vec::with_capacity(n);
-            for pair in &rest[1..] {
-                let (k, v) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("malformed pair '{pair}'"))?;
-                pairs.push((plain_int(k, "key")?, Value::Int(plain_int(v, "value")?)));
-            }
-            Ok(Reply::Range(pairs))
-        }
-        "SUM" if rest.len() == 2 => Ok(Reply::Sum(
-            plain_int(rest[0], "total")?,
-            plain_int(rest[1], "count")? as usize,
-        )),
-        "QUEUED" if rest.is_empty() => Ok(Reply::Queued),
-        "SNAPSHOT" if rest.len() == 2 => Ok(Reply::Snapshot(
-            rest[0]
-                .parse::<u64>()
-                .map_err(|_| format!("malformed snapshot seq '{}'", rest[0]))?,
-            plain_int(rest[1], "key count")? as usize,
-        )),
-        "HELLO" if rest.len() == 1 => Ok(Reply::Hello(
-            rest[0]
-                .parse::<u32>()
-                .map_err(|_| format!("malformed protocol version '{}'", rest[0]))?,
-        )),
-        "PONG" if rest.is_empty() => Ok(Reply::Pong),
-        "BYE" if rest.is_empty() => Ok(Reply::Bye),
-        "ERR" => Ok(Reply::Err(ErrorCode::Unknown, String::new())),
-        _ => Err(format!("unrecognized reply '{line}'")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Protocol v2: binary-safe, length-prefixed frames.
-// ---------------------------------------------------------------------------
-
-/// One decoded v2 frame — the unit both requests and replies are built
+/// One decoded frame — the unit both requests and replies are built
 /// from. See the [module documentation](self) for the byte grammar.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
@@ -790,7 +531,7 @@ fn write_bulk(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     out.push(b'\n');
 }
 
-/// Appends a value as its v2 frame.
+/// Appends a value as its frame.
 pub fn write_value(out: &mut Vec<u8>, value: &Value) {
     match value {
         Value::Int(v) => write_header(out, b':', *v),
@@ -847,6 +588,45 @@ pub fn write_frame(out: &mut Vec<u8>, frame: &Frame) {
     }
 }
 
+/// The index of the `\n` ending the header line at the head of `buf` — the
+/// preamble, or a frame's first line. A peer that never sends `\n` must not
+/// grow the buffer forever, so past [`MAX_HEADER_BYTES`] the line is
+/// malformed whether or not its end has arrived. The cap exceeds every
+/// header a well-behaved peer emits ([`write_error`] truncates to guarantee
+/// it), so a partially-received long reply never misreads as malformed.
+pub(crate) fn header_end(buf: &[u8]) -> Result<usize, FrameError> {
+    let window = &buf[..buf.len().min(MAX_HEADER_BYTES + 1)];
+    match window.iter().position(|&b| b == b'\n') {
+        Some(nl) => Ok(nl),
+        None if buf.len() > MAX_HEADER_BYTES => Err(malformed("header line too long")),
+        None => Err(FrameError::Incomplete),
+    }
+}
+
+/// Checks the preamble line at the head of `buf` — `HELLO 2`, in any case,
+/// surrounding whitespace (a `\r` included) ignored — and returns the number
+/// of bytes it occupied. The server answers it with [`PREAMBLE`].
+///
+/// # Errors
+///
+/// [`FrameError::Incomplete`] while the line's `\n` has not arrived,
+/// [`FrameError::Malformed`] for any other line or one past
+/// [`MAX_HEADER_BYTES`] (the connection gets one error frame and closes).
+pub fn parse_preamble(buf: &[u8]) -> Result<usize, FrameError> {
+    let nl = header_end(buf)?;
+    let line = String::from_utf8_lossy(&buf[..nl]);
+    let mut tokens = line.split_ascii_whitespace();
+    let hello = tokens.next().is_some_and(|t| t.eq_ignore_ascii_case("HELLO"));
+    if hello && tokens.next() == Some("2") && tokens.next().is_none() {
+        return Ok(nl + 1);
+    }
+    let shown: String = line.chars().take(32).collect();
+    Err(malformed(format!(
+        "a connection opens with the line 'HELLO 2', got '{}'",
+        shown.trim_end()
+    )))
+}
+
 /// Decodes the frame at the head of `buf`, returning it with the number of
 /// bytes it occupied.
 ///
@@ -867,17 +647,7 @@ fn decode_frame_at_depth(buf: &[u8], depth: usize) -> Result<(Frame, usize), Fra
     let Some(&tag) = buf.first() else {
         return Err(FrameError::Incomplete);
     };
-    let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
-        // Unbounded header lines would let a peer that never sends '\n'
-        // grow the buffer forever. The cap must exceed every header a
-        // well-behaved peer emits (write_error truncates to guarantee it),
-        // or a partially-received long reply would misread as malformed.
-        return if buf.len() > MAX_HEADER_BYTES {
-            Err(malformed("frame header too long"))
-        } else {
-            Err(FrameError::Incomplete)
-        };
-    };
+    let nl = header_end(buf)?;
     let header = std::str::from_utf8(&buf[1..nl])
         .map_err(|_| malformed("frame header is not UTF-8"))?;
     let after_header = nl + 1;
@@ -965,7 +735,7 @@ fn frame_to_value(frame: Frame) -> Option<Value> {
     }
 }
 
-/// Renders a request as its v2 frame bytes: `[+VERB, args...]`. A `PUT`
+/// Renders a request as its frame bytes: `[+VERB, args...]`. A `PUT`
 /// value is written straight from the borrowed request, never cloned.
 pub fn render_request_v2(request: &Request) -> Vec<u8> {
     let (verb, args) = request.parts();
@@ -981,7 +751,7 @@ pub fn render_request_v2(request: &Request) -> Vec<u8> {
     out
 }
 
-/// Interprets a decoded v2 frame as a request.
+/// Interprets a decoded frame as a request.
 ///
 /// # Errors
 ///
@@ -1009,7 +779,7 @@ pub fn parse_request_v2(frame: Frame) -> Result<Request, ProtoError> {
     Verb::find(name)?.request(args)
 }
 
-/// Appends a reply as its v2 frame bytes.
+/// Appends a reply as its frame bytes.
 pub fn render_reply_v2(out: &mut Vec<u8>, reply: &Reply) {
     match reply {
         Reply::Value(v) => write_value(out, v),
@@ -1051,11 +821,6 @@ pub fn render_reply_v2(out: &mut Vec<u8>, reply: &Reply) {
             write_int(out, *seq as i64);
             write_int(out, *keys as i64);
         }
-        Reply::Hello(version) => {
-            write_array_header(out, 2);
-            write_status(out, "HELLO");
-            write_int(out, *version as i64);
-        }
         Reply::Metrics(text) => {
             write_array_header(out, 2);
             write_status(out, "METRICS");
@@ -1075,7 +840,7 @@ pub fn render_reply_v2(out: &mut Vec<u8>, reply: &Reply) {
     }
 }
 
-/// Interprets a decoded v2 frame as a reply — the client side of
+/// Interprets a decoded frame as a reply — the client side of
 /// [`render_reply_v2`].
 ///
 /// # Errors
@@ -1125,7 +890,6 @@ pub fn parse_reply_v2(frame: Frame) -> Result<Reply, String> {
                     int_at(&frames, 0, "seq")? as u64,
                     int_at(&frames, 1, "key count")? as usize,
                 )),
-                ("HELLO", 1) => Ok(Reply::Hello(int_at(&frames, 0, "version")? as u32)),
                 ("METRICS", 1) => match frames.remove(0) {
                     Frame::Str(text) => Ok(Reply::Metrics(text)),
                     other => Err(format!(
@@ -1199,33 +963,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_requests_round_trip_through_render_and_parse() {
-        let requests = vec![
-            Request::Hello(2),
-            Request::Get(3),
-            Request::Put(-1, Value::Int(42)),
-            Request::Del(0),
-            Request::Add(7, -5),
-            Request::Range(0, 255),
-            Request::Sum(-10, 10),
-            Request::Begin,
-            Request::Exec,
-            Request::Ping,
-            Request::Metrics,
-            Request::SlowLog(16),
-            Request::Snapshot,
-            Request::Quit,
-        ];
-        for request in requests {
-            let line = render_request(&request);
-            assert_eq!(parse_request(&line).unwrap(), request, "line '{line}'");
-        }
-    }
-
-    #[test]
     fn v2_requests_round_trip_through_render_and_parse() {
         let mut requests = vec![
-            Request::Hello(2),
             Request::Get(3),
             Request::Del(0),
             Request::Add(7, -5),
@@ -1251,9 +990,10 @@ mod tests {
     }
 
     /// Walks the grammar table itself: every row builds a request that
-    /// decomposes back to that row and round-trips through both framings.
+    /// decomposes back to that row and round-trips through its frames, in
+    /// either case.
     #[test]
-    fn every_verb_in_the_table_round_trips_through_both_framings() {
+    fn every_verb_in_the_table_round_trips() {
         for verb in VERBS {
             let mut args: Vec<Frame> = (0..verb.args.len())
                 .map(|i| Frame::Int(7 + i as i64))
@@ -1261,68 +1001,58 @@ mod tests {
             let request = verb.request(&mut args).unwrap();
             assert_eq!(request.parts().0.name, verb.name);
 
-            let line = render_request(&request);
-            assert!(line.starts_with(verb.name), "line '{line}'");
-            assert_eq!(parse_request(&line).unwrap(), request, "line '{line}'");
-            assert_eq!(parse_request(&line.to_ascii_lowercase()).unwrap(), request);
-
             let bytes = render_request_v2(&request);
             let (frame, used) = decode_frame(&bytes).unwrap();
             assert_eq!(used, bytes.len(), "{} left trailing bytes", verb.name);
             assert_eq!(parse_request_v2(frame).unwrap(), request);
+            let (lower, _) = decode_frame(&bytes.to_ascii_lowercase()).unwrap();
+            assert_eq!(parse_request_v2(lower).unwrap(), request);
 
-            // One argument too many is an arity error naming the verb, in
-            // both framings.
+            // One argument too many is an arity error naming the verb.
             let wanted = format!("{} takes {} argument", verb.name, verb.args.len());
-            let err = parse_request(&format!("{line} 1")).unwrap_err();
-            assert_eq!(err.code, ErrorCode::Arg);
-            assert!(err.message.starts_with(&wanted), "{err}");
             let mut frames = vec![Frame::Status(verb.name.to_string())];
             frames.extend((0..=verb.args.len()).map(|_| Frame::Int(1)));
             let err = parse_request_v2(Frame::Array(frames)).unwrap_err();
             assert_eq!(err.code, ErrorCode::Arg);
             assert!(err.message.starts_with(&wanted), "{err}");
         }
-        assert_eq!(VERBS.len(), 14);
+        assert_eq!(VERBS.len(), 13);
     }
 
-    /// The v1 adapter hands the shared builder int frames only: it must not
-    /// widen the line protocol to strings.
     #[test]
-    fn v1_put_of_a_non_integer_value_is_still_an_arg_error() {
-        let err = parse_request("PUT 1 abc").unwrap_err();
-        assert_eq!(err.code, ErrorCode::Arg, "{err}");
-        assert!(err.message.contains("value") && err.message.contains("'abc'"), "{err}");
+    fn the_preamble_is_one_bounded_hello_2_line() {
+        for line in ["HELLO 2\n", "hello 2\r\n", "  HeLLo \t 2  \n"] {
+            assert_eq!(parse_preamble(line.as_bytes()), Ok(line.len()), "{line:?}");
+        }
+        // Only the line is consumed: frames may ride in the same burst.
+        assert_eq!(parse_preamble(b"HELLO 2\n*1\n+PING\n"), Ok(PREAMBLE.len()));
+
+        for partial in ["", "HEL", "HELLO 2", "GET 1"] {
+            assert_eq!(parse_preamble(partial.as_bytes()), Err(FrameError::Incomplete));
+        }
         assert_eq!(
-            parse_request("PUT 1 2").unwrap(),
-            Request::Put(1, Value::Int(2))
+            parse_preamble(&[b'x'; MAX_HEADER_BYTES]),
+            Err(FrameError::Incomplete)
         );
-    }
 
-    #[test]
-    fn verbs_are_case_insensitive_and_whitespace_tolerant() {
-        assert_eq!(parse_request("get 5").unwrap(), Request::Get(5));
-        assert_eq!(
-            parse_request("  PuT   1   2  ").unwrap(),
-            Request::Put(1, Value::Int(2))
-        );
-        assert_eq!(parse_request("hello 2").unwrap(), Request::Hello(2));
-    }
-
-    #[test]
-    fn malformed_requests_are_rejected_with_coded_messages() {
-        let check = |line: &str, code: ErrorCode, needle: &str| {
-            let err = parse_request(line).unwrap_err();
-            assert_eq!(err.code, code, "line '{line}': {err}");
-            assert!(err.message.contains(needle), "line '{line}': {err}");
+        for line in ["GET 1\n", "HELLO 1\n", "HELLO 3\n", "HELLO\n", "HELLO 2 3\n", "\n", "*1\n"] {
+            assert!(
+                matches!(parse_preamble(line.as_bytes()), Err(FrameError::Malformed(_))),
+                "{line:?}"
+            );
+        }
+        // Past the cap the line is refused whether or not it ever ends.
+        let mut long = vec![b' '; MAX_HEADER_BYTES + 1];
+        assert!(matches!(parse_preamble(&long), Err(FrameError::Malformed(_))));
+        long.extend_from_slice(PREAMBLE);
+        assert!(matches!(parse_preamble(&long), Err(FrameError::Malformed(_))));
+        // The refusal quotes a bounded prefix of what arrived.
+        let request_line = [b"GET 1 ", &[b'x'; 500][..], b"\n"].concat();
+        let Err(FrameError::Malformed(message)) = parse_preamble(&request_line) else {
+            panic!("a request line is not the preamble");
         };
-        check("", ErrorCode::Proto, "empty");
-        check("FLY 1", ErrorCode::Proto, "unknown command");
-        check("GET", ErrorCode::Arg, "takes 1 argument");
-        check("GET x", ErrorCode::Arg, "integer");
-        check("PUT 1", ErrorCode::Arg, "takes 2 arguments");
-        check("PING 1", ErrorCode::Arg, "takes 0 arguments");
-        check("HELLO x", ErrorCode::Arg, "version");
+        assert!(message.contains("'HELLO 2'") && message.contains("GET 1"), "{message}");
+        assert!(message.len() < 128, "{message}");
     }
 
     #[test]
@@ -1365,38 +1095,19 @@ mod tests {
             (ErrorCode::Proto, "request verb must be a status/str frame, got int".to_string())
         );
         assert_eq!(
-            parse_request_v2(Frame::Array(vec![])).unwrap_err().message,
-            "empty request"
+            err(status("put"), vec![Frame::Int(1)]),
+            (ErrorCode::Arg, "PUT takes 2 arguments, got 1".to_string())
         );
-    }
-
-    #[test]
-    fn v1_replies_round_trip_through_render_and_parse() {
-        let replies = vec![
-            Reply::Value(Value::Int(-3)),
-            Reply::Nil,
-            Reply::Ok,
-            Reply::OkN(1),
-            Reply::Range(vec![(1, Value::Int(10)), (2, Value::Int(-20))]),
-            Reply::Range(Vec::new()),
-            Reply::Sum(-5, 3),
-            Reply::Queued,
-            Reply::Snapshot(17, 4096),
-            Reply::Hello(2),
-            Reply::Pong,
-            Reply::Bye,
-        ];
-        for reply in replies {
-            let line = render_reply(&reply);
-            assert_eq!(parse_reply(&line).unwrap(), reply, "line '{line}'");
-        }
-        // Errors round-trip the message; the code is re-classified from the
-        // text (v1 has no code token on the wire).
-        let line = render_reply(&Reply::err(ErrorCode::Batch, "batch aborted by an earlier error"));
         assert_eq!(
-            parse_reply(&line).unwrap(),
-            Reply::err(ErrorCode::Batch, "batch aborted by an earlier error")
+            err(status("ping"), vec![Frame::Int(1)]),
+            (ErrorCode::Arg, "PING takes 0 arguments, got 1".to_string())
         );
+        assert_eq!(
+            err(status("get"), vec![Frame::Str("x".into())]),
+            (ErrorCode::Arg, "key must be an int frame, got str".to_string())
+        );
+        let empty = parse_request_v2(Frame::Array(vec![])).unwrap_err();
+        assert_eq!((empty.code, empty.message.as_str()), (ErrorCode::Proto, "empty request"));
     }
 
     #[test]
@@ -1429,7 +1140,6 @@ mod tests {
             ]),
             Reply::Exec(Vec::new()),
             Reply::Snapshot(17, 4096),
-            Reply::Hello(2),
             Reply::Pong,
             Reply::Bye,
             Reply::err(ErrorCode::Wal, "durability disabled"),
@@ -1513,30 +1223,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_reply_parser_rejects_frame_violations() {
-        assert!(parse_reply("").is_err());
-        assert!(parse_reply("WAT 1").is_err());
-        assert!(parse_reply("RANGE 2 1=1").unwrap_err().contains("announced"));
-        assert!(parse_reply("RANGE 1 nope").unwrap_err().contains("malformed pair"));
-    }
-
-    #[test]
-    fn v1_rendering_of_typed_values_degrades_safely() {
-        // A scalar Str/Bytes reply becomes a TYPE-worded ERR line...
-        let line = render_reply(&Reply::Value(Value::Str("multi\nline".to_string())));
-        assert!(line.starts_with("ERR "), "{line}");
-        assert!(!line.contains('\n'), "v1 reply must stay one line: {line:?}");
-        assert!(line.contains("int-only"));
-        // ...and inside RANGE the value renders as a placeholder.
-        let line = render_reply(&Reply::Range(vec![
-            (1, Value::Int(5)),
-            (2, Value::Bytes(vec![0, 10])),
-        ]));
-        assert_eq!(line, "RANGE 2 1=5 2=<bytes>");
-    }
-
-    #[test]
-    fn integers_render_to_the_same_bytes_as_to_string_in_both_framings() {
+    fn integers_render_to_the_same_bytes_as_to_string() {
         let extremes = [i64::MIN, -1, 0, i64::MAX];
         let mut out = Vec::new();
         for v in extremes {
@@ -1545,14 +1232,6 @@ mod tests {
         assert_eq!(
             out,
             b":-9223372036854775808\n:-1\n:0\n:9223372036854775807\n"
-        );
-        let lines: Vec<String> = extremes
-            .iter()
-            .map(|v| render_reply(&Reply::Value(Value::Int(*v))))
-            .collect();
-        assert_eq!(
-            lines,
-            ["VALUE -9223372036854775808", "VALUE -1", "VALUE 0", "VALUE 9223372036854775807"]
         );
 
         // A 300-pair range (three-digit array header, the extremes as keys
@@ -1564,7 +1243,6 @@ mod tests {
         pairs.push((i64::MAX - 1, Value::Str("s".to_string())));
         pairs.push((i64::MAX, Value::Int(i64::MIN)));
         assert_eq!(pairs.len(), 300);
-        let mut v1 = "RANGE 300".to_string();
         let mut v2 = b"*2\n+RANGE\n*300\n".to_vec();
         for (k, v) in &pairs {
             v2.extend_from_slice(b"*2\n:");
@@ -1572,15 +1250,12 @@ mod tests {
             v2.push(b'\n');
             match v {
                 Value::Int(v) => {
-                    v1.push_str(&format!(" {k}={v}"));
                     v2.extend_from_slice(format!(":{v}\n").as_bytes());
                 }
                 Value::Str(s) => {
-                    v1.push_str(&format!(" {k}=<str>"));
                     v2.extend_from_slice(format!("${}\n{s}\n", s.len()).as_bytes());
                 }
                 Value::Bytes(b) => {
-                    v1.push_str(&format!(" {k}=<bytes>"));
                     v2.extend_from_slice(format!("={}\n", b.len()).as_bytes());
                     v2.extend_from_slice(b);
                     v2.push(b'\n');
@@ -1588,7 +1263,6 @@ mod tests {
             }
         }
         let reply = Reply::Range(pairs);
-        assert_eq!(render_reply(&reply), v1);
         let mut out = Vec::new();
         render_reply_v2(&mut out, &reply);
         assert_eq!(out, v2);
@@ -1600,7 +1274,6 @@ mod tests {
         assert!(Request::Put(1, Value::Str("s".into())).is_data_op());
         assert!(Request::Sum(0, 1).is_data_op());
         for request in [
-            Request::Hello(2),
             Request::Begin,
             Request::Exec,
             Request::Ping,
@@ -1614,9 +1287,7 @@ mod tests {
     }
 
     #[test]
-    fn err_rendering_strips_newlines_in_both_framings() {
-        let line = render_reply(&Reply::err(ErrorCode::Unknown, "two\nlines"));
-        assert!(!line.contains('\n'));
+    fn err_rendering_strips_newlines() {
         let mut bytes = Vec::new();
         render_reply_v2(&mut bytes, &Reply::err(ErrorCode::Txn, "two\nlines"));
         let (frame, _) = decode_frame(&bytes).unwrap();
@@ -1658,7 +1329,7 @@ mod tests {
         }
     }
 
-    /// The seeded property at the heart of the v2 framing: for random typed
+    /// The seeded property at the heart of the framing: for random typed
     /// values — embedded newlines, NULs, frame-tag bytes, multi-byte UTF-8
     /// — `decode ∘ encode = id` for requests and replies, including when
     /// many frames are concatenated into one pipelined buffer.

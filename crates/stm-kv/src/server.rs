@@ -18,13 +18,13 @@
 //! across clients by construction: the runtime provides safety, and the
 //! [`ManagerKind`] chosen at server start provides progress.
 //!
-//! **Protocol negotiation.** Every connection starts in the v1 text
-//! framing; a `HELLO 2` switches it to the binary-safe v2 frames — per
-//! connection, so v1 and v2 clients share one keyspace concurrently (the
-//! request model and the transaction underneath are identical; only the
-//! framing differs). The switch takes effect for the first byte after the
-//! `HELLO` line, which means a pipelined burst may carry the handshake and
-//! v2 frames in one write.
+//! **Framing.** A connection's first line is the `HELLO 2` preamble,
+//! answered byte-for-byte; every byte after it is a frame (see
+//! [`crate::proto`]). A pipelined burst may carry the preamble and the
+//! first frames in one write. Any other first line, and any line that
+//! outgrows [`MAX_HEADER_BYTES`](crate::proto::MAX_HEADER_BYTES) before its
+//! `\n`, is answered with one `-PROTO` error frame and a close — a peer
+//! that never sends `\n` cannot make the server buffer it.
 //!
 //! **Pipelining.** The connection loop is batch-oriented: every complete
 //! request buffered on the socket is parsed and executed before any reply
@@ -71,8 +71,8 @@ use stm_core::{AbortCause, CommitOp, Stm, ThreadCtx, TxResult, Txn};
 use stm_log::{FsyncPolicy, Wal, WalConfig};
 
 use crate::proto::{
-    decode_frame, parse_request, parse_request_v2, render_reply, render_reply_v2, ErrorCode,
-    FrameError, ProtoVersion, Reply, Request, MAX_PROTOCOL_VERSION,
+    decode_frame, parse_preamble, parse_request_v2, render_reply_v2, ErrorCode, FrameError, Reply,
+    Request, PREAMBLE,
 };
 use crate::store::KvStore;
 use crate::telemetry::{elapsed_us, op_index, Telemetry, OP_EXEC};
@@ -132,9 +132,6 @@ pub struct ServerConfig {
     pub manager: ManagerKind,
     /// Manager parameters (defaults reproduce the registry defaults).
     pub params: ManagerParams,
-    /// Value cells pre-allocated for keys `0..capacity` (a warm-up hint —
-    /// the keyspace grows on demand and accepts any `i64` key).
-    pub capacity: i64,
     /// Number of index shards in the store.
     pub shards: usize,
     /// Worker threads. Each worker serves one connection at a time, so this
@@ -171,7 +168,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             manager: ManagerKind::Greedy,
             params: ManagerParams::default(),
-            capacity: 65_536,
             shards: 16,
             workers: (2 * parallelism).max(4),
             wal_dir: None,
@@ -324,7 +320,7 @@ impl KvServer {
             stm_builder = stm_builder.commit_hook(wal.commit_hook());
         }
         let stm = Arc::new(stm_builder.build());
-        let store = Arc::new(KvStore::with_preallocated(config.shards, config.capacity));
+        let store = Arc::new(KvStore::new(config.shards));
 
         let durable = match opened_wal {
             Some((wal, recovered)) => {
@@ -628,8 +624,7 @@ fn apply(store: &KvStore, tx: &mut Txn<'_>, request: &Request, log: bool) -> TxR
             Err(mismatch) => Reply::err(ErrorCode::Type, mismatch.to_string()),
         },
         // Non-data requests never reach `apply`.
-        Request::Hello(_)
-        | Request::Begin
+        Request::Begin
         | Request::Exec
         | Request::Ping
         | Request::Snapshot
@@ -657,8 +652,7 @@ fn apply(store: &KvStore, tx: &mut Txn<'_>, request: &Request, log: bool) -> TxR
 ///    (monotone), `cells_freed` how many of those the epoch GC has reclaimed
 ///    after a committed `DEL`, `cells_limbo` how many retired cells still
 ///    wait out their grace period (allocated − freed − limbo = resident),
-///    and `overflow_cells{shard}` the cells currently linked outside the
-///    pre-allocated range, per shard;
+///    and `overflow_cells{shard}` the cells currently linked, per shard;
 /// 4. when durable, every `stm_wal_*` series ([`Wal::metrics_text`]).
 ///
 /// [`StatsSnapshot`]: stm_core::stats::StatsSnapshot
@@ -726,7 +720,7 @@ fn metrics_payload(
         let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
     }
     let _ = writeln!(out, "# TYPE stm_kv_overflow_cells gauge");
-    for (shard, cells) in store.overflow_per_shard().iter().enumerate() {
+    for (shard, cells) in store.cells_per_shard().iter().enumerate() {
         let _ = writeln!(out, "stm_kv_overflow_cells{{shard=\"{shard}\"}} {cells}");
     }
 
@@ -752,13 +746,14 @@ enum Batch {
 }
 
 /// The protocol state that persists across bursts for one connection:
-/// framing generation, open batch, and quit latch. Both serve modes keep
+/// whether the preamble has been answered, the open batch, and the quit
+/// latch. Both serve modes keep
 /// exactly one of these per connection — on the worker's stack in pool
 /// mode, in the shard's connection slab in event mode.
 pub(crate) struct ConnState {
     batch: Batch,
-    /// Which framing this connection currently speaks (`HELLO` switches).
-    proto: ProtoVersion,
+    /// Whether the `HELLO 2` preamble has been received and answered.
+    greeted: bool,
     quit: bool,
 }
 
@@ -766,7 +761,7 @@ impl ConnState {
     pub(crate) fn new() -> ConnState {
         ConnState {
             batch: Batch::None,
-            proto: ProtoVersion::V1,
+            greeted: false,
             quit: false,
         }
     }
@@ -792,19 +787,12 @@ struct Session<'a, 'stm> {
 }
 
 impl<'a, 'stm> Session<'a, 'stm> {
-    /// Renders one reply in the connection's current framing, counting
-    /// error replies.
+    /// Renders one reply, counting error replies.
     fn emit(&mut self, reply: &Reply, out: &mut Vec<u8>) {
         if matches!(reply, Reply::Err(..)) {
             self.telemetry.errors.add(1);
         }
-        match self.conn.proto {
-            ProtoVersion::V1 => {
-                out.extend_from_slice(render_reply(reply).as_bytes());
-                out.push(b'\n');
-            }
-            ProtoVersion::V2 => render_reply_v2(out, reply),
-        }
+        render_reply_v2(out, reply);
     }
 
     /// Notes that the burst's replies depend on `seq` being durable.
@@ -862,20 +850,7 @@ impl<'a, 'stm> Session<'a, 'stm> {
         }
     }
 
-    /// Processes one v1 request line, appending its reply to `out`.
-    fn handle_line(&mut self, line: &str, out: &mut Vec<u8>) {
-        match parse_request(line) {
-            Err(error) => {
-                if !matches!(self.conn.batch, Batch::None) {
-                    self.conn.batch = Batch::Poisoned;
-                }
-                self.emit(&Reply::Err(error.code, error.message), out);
-            }
-            Ok(request) => self.handle_request(request, out),
-        }
-    }
-
-    /// Processes one decoded v2 request frame, appending its reply to `out`.
+    /// Processes one decoded request frame, appending its reply to `out`.
     fn handle_frame(&mut self, frame: crate::proto::Frame, out: &mut Vec<u8>) {
         match parse_request_v2(frame) {
             Err(error) => {
@@ -888,7 +863,7 @@ impl<'a, 'stm> Session<'a, 'stm> {
         }
     }
 
-    /// Dispatches one parsed request — the framing-independent core.
+    /// Dispatches one parsed request.
     fn handle_request(&mut self, request: Request, out: &mut Vec<u8>) {
         let in_batch = !matches!(self.conn.batch, Batch::None);
         match request {
@@ -896,30 +871,6 @@ impl<'a, 'stm> Session<'a, 'stm> {
                 self.emit(&Reply::Bye, out);
                 self.conn.quit = true;
             }
-            Request::Hello(version) if !in_batch => match version {
-                1 => {
-                    // The reply goes out in the *current* framing; the
-                    // switch covers everything after it.
-                    self.emit(&Reply::Hello(1), out);
-                    self.conn.proto = ProtoVersion::V1;
-                }
-                2 => {
-                    self.emit(&Reply::Hello(2), out);
-                    self.conn.proto = ProtoVersion::V2;
-                }
-                other => {
-                    self.emit(
-                        &Reply::err(
-                            ErrorCode::Proto,
-                            format!(
-                                "unsupported protocol version {other} \
-                                 (supported: 1..={MAX_PROTOCOL_VERSION})"
-                            ),
-                        ),
-                        out,
-                    );
-                }
-            },
             Request::Ping if !in_batch => self.emit(&Reply::Pong, out),
             Request::Snapshot if !in_batch => {
                 let reply = self.take_snapshot();
@@ -942,8 +893,7 @@ impl<'a, 'stm> Session<'a, 'stm> {
                 self.conn.batch = Batch::Open(Vec::new());
                 self.emit(&Reply::Ok, out);
             }
-            Request::Hello(_)
-            | Request::Begin
+            Request::Begin
             | Request::Ping
             | Request::Snapshot
             | Request::Metrics
@@ -1068,11 +1018,13 @@ impl<'a, 'stm> Session<'a, 'stm> {
     }
 }
 
-/// The framing-aware request-processing core shared by both serve modes:
-/// parses and executes every complete request in `inbuf` (partial trailing
-/// input stays buffered), appending the replies to `out` in order. The
-/// framing is re-checked every iteration — a `HELLO` inside the burst
-/// switches how the rest of the burst is parsed.
+/// The request-processing core shared by both serve modes: answers the
+/// preamble once, then decodes and executes every complete frame in `inbuf`
+/// (partial trailing input stays buffered), appending the replies to `out`
+/// in order. A first line that is not the preamble, a malformed frame, or
+/// either one's header line outgrowing its cap is answered with one error
+/// frame and closes the connection: a length-prefixed stream cannot
+/// resynchronise past garbage, and nothing unterminated is kept buffered.
 ///
 /// Returns the burst's durability barrier: the commit sequence number the
 /// caller must [`Wal::wait_durable`] on before flushing `out` (synchronous
@@ -1098,34 +1050,39 @@ pub(crate) fn process_buffered(
     };
     let mut consumed = 0usize;
     while !session.conn.quit {
-        match session.conn.proto {
-            ProtoVersion::V1 => {
-                let Some(nl) = inbuf[consumed..].iter().position(|&b| b == b'\n') else {
-                    break;
-                };
-                let line = String::from_utf8_lossy(&inbuf[consumed..consumed + nl]).into_owned();
-                consumed += nl + 1;
-                session.handle_line(&line, out);
+        let rest = &inbuf[consumed..];
+        let step = if session.conn.greeted {
+            decode_frame(rest).map(|(frame, used)| (Some(frame), used))
+        } else {
+            parse_preamble(rest).map(|used| (None, used))
+        };
+        match step {
+            Ok((Some(frame), used)) => {
+                consumed += used;
+                session.handle_frame(frame, out);
             }
-            ProtoVersion::V2 => match decode_frame(&inbuf[consumed..]) {
-                Ok((frame, used)) => {
-                    consumed += used;
-                    session.handle_frame(frame, out);
-                }
-                Err(FrameError::Incomplete) => break,
-                Err(FrameError::Malformed(message)) => {
-                    // A length-prefixed stream cannot resynchronise past
-                    // garbage: report once and close.
-                    session.emit(
-                        &Reply::err(ErrorCode::Proto, format!("malformed frame: {message}")),
-                        out,
-                    );
-                    session.conn.quit = true;
-                }
-            },
+            Ok((None, used)) => {
+                consumed += used;
+                session.conn.greeted = true;
+                out.extend_from_slice(PREAMBLE);
+            }
+            Err(FrameError::Incomplete) => break,
+            Err(FrameError::Malformed(message)) => {
+                let what = if session.conn.greeted { "frame" } else { "preamble" };
+                session.emit(
+                    &Reply::err(ErrorCode::Proto, format!("malformed {what}: {message}")),
+                    out,
+                );
+                session.conn.quit = true;
+            }
         }
     }
-    inbuf.drain(..consumed);
+    if session.conn.quit {
+        // Whatever follows a QUIT or a refusal is never parsed.
+        inbuf.clear();
+    } else {
+        inbuf.drain(..consumed);
+    }
     session.flush_barrier
 }
 
@@ -1140,8 +1097,7 @@ impl Drop for OpenConnGuard<'_> {
 
 /// Serves one connection until the peer quits, disconnects, or the server
 /// shuts down. Pipelined: every complete request already buffered is
-/// executed before the replies are written back in one flush. The framing
-/// is per-connection state: v1 lines until a `HELLO 2`, v2 frames after.
+/// executed before the replies are written back in one flush.
 fn serve_connection(
     stream: TcpStream,
     ctx: &mut ThreadCtx<'_>,
@@ -1257,35 +1213,54 @@ fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{parse_reply_v2, render_request_v2};
-    use crate::Value;
+    use crate::proto::{parse_reply_v2, render_request_v2, MAX_HEADER_BYTES};
+    use crate::{KvClient, Value};
     use std::io::{BufRead, BufReader};
+
+    fn test_config() -> ServerConfig {
+        ServerConfig {
+            shards: 4,
+            workers: 2,
+            ..ServerConfig::default()
+        }
+    }
+
+    fn int(v: i64) -> Reply {
+        Reply::Value(Value::Int(v))
+    }
+
+    /// One request frame out, one reply frame back — error replies included.
+    fn say(client: &mut KvClient, request: Request) -> Reply {
+        client.send_raw(&render_request_v2(&request)).unwrap();
+        client.recv().unwrap()
+    }
+
+    /// The requests' frames back to back: one pipelined write.
+    fn burst_of(requests: &[Request]) -> Vec<u8> {
+        requests.iter().flat_map(render_request_v2).collect()
+    }
+
+    fn say_err(client: &mut KvClient, request: Request) -> (ErrorCode, String) {
+        match say(client, request) {
+            Reply::Err(code, message) => (code, message),
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+    }
 
     #[test]
     fn server_starts_and_shuts_down_cleanly() {
-        let mut server = KvServer::start(ServerConfig {
-            capacity: 16,
-            shards: 2,
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
+        let mut server = KvServer::start(test_config()).unwrap();
         assert_eq!(server.manager(), ManagerKind::Greedy);
         assert!(server.addr().port() != 0);
         assert!(server.wal().is_none());
+        assert_eq!(server.store().cells_allocated(), 0, "a fresh server holds no cells");
         server.shutdown();
         server.shutdown(); // idempotent
     }
 
     #[test]
     fn shutdown_returns_while_a_client_keeps_sending() {
-        let mut server = KvServer::start(ServerConfig {
-            capacity: 16,
-            shards: 2,
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
+        let mut server = KvServer::start(test_config()).unwrap();
         let addr = server.addr();
         let done = Arc::new(AtomicBool::new(false));
         let hammer = {
@@ -1294,19 +1269,8 @@ mod tests {
                 // A closed-loop client that never goes idle: the worker's
                 // reads keep returning data, so shutdown must be honoured
                 // between bursts, not only on read timeouts.
-                let Ok(stream) = TcpStream::connect(addr) else { return };
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut writer = stream;
-                let mut reply = String::new();
-                while !done.load(Ordering::Relaxed) {
-                    if writer.write_all(b"PING\n").is_err() {
-                        break;
-                    }
-                    reply.clear();
-                    if reader.read_line(&mut reply).unwrap_or(0) == 0 {
-                        break;
-                    }
-                }
+                let Ok(mut client) = KvClient::connect(addr) else { return };
+                while !done.load(Ordering::Relaxed) && client.ping().is_ok() {}
             })
         };
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -1316,325 +1280,157 @@ mod tests {
     }
 
     #[test]
-    fn raw_socket_session_speaks_the_v1_protocol() {
-        let server = KvServer::start(ServerConfig {
-            capacity: 32,
-            shards: 4,
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut say = |cmd: &str, reader: &mut BufReader<TcpStream>| -> String {
-            writer.write_all(format!("{cmd}\n").as_bytes()).unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            reply.trim_end().to_string()
-        };
-        assert_eq!(say("PING", &mut reader), "PONG");
-        assert_eq!(say("PUT 3 30", &mut reader), "OK");
-        assert_eq!(say("GET 3", &mut reader), "VALUE 30");
-        assert_eq!(say("GET 4", &mut reader), "NIL");
-        assert_eq!(say("ADD 4 5", &mut reader), "VALUE 5");
-        assert_eq!(say("RANGE 0 31", &mut reader), "RANGE 2 3=30 4=5");
-        assert_eq!(say("SUM 0 31", &mut reader), "SUM 35 2");
-        assert_eq!(say("DEL 3", &mut reader), "OK 1");
-        assert_eq!(say("DEL 3", &mut reader), "OK 0");
-        // The keyspace is dynamic: far-out keys are legal, not errors.
-        assert_eq!(say("PUT 99999999 7", &mut reader), "OK");
-        assert_eq!(say("GET 99999999", &mut reader), "VALUE 7");
-        assert_eq!(say("DEL 99999999", &mut reader), "OK 1");
-        assert!(say("NOPE", &mut reader).starts_with("ERR unknown command"));
-        // An unsupported HELLO version leaves the connection in v1.
-        assert!(say("HELLO 9", &mut reader).starts_with("ERR unsupported protocol version"));
-        assert_eq!(say("PING", &mut reader), "PONG");
-        // Durability commands on a volatile server fail politely.
-        assert!(say("SNAPSHOT", &mut reader).starts_with("ERR durability disabled"));
-        // METRICS is the only statistics verb.
-        assert!(say("STATS", &mut reader).starts_with("ERR unknown command"));
-        assert!(say("WALSTATS", &mut reader).starts_with("ERR unknown command"));
-        // A batch: two queued ops executed atomically.
-        assert_eq!(say("BEGIN", &mut reader), "OK");
-        assert_eq!(say("ADD 4 -5", &mut reader), "QUEUED");
-        assert_eq!(say("ADD 5 5", &mut reader), "QUEUED");
-        assert_eq!(say("EXEC", &mut reader), "EXEC 2");
-        let mut l = String::new();
-        reader.read_line(&mut l).unwrap();
-        assert_eq!(l.trim_end(), "VALUE 0");
-        l.clear();
-        reader.read_line(&mut l).unwrap();
-        assert_eq!(l.trim_end(), "VALUE 5");
-        assert_eq!(say("EXEC", &mut reader), "ERR EXEC without BEGIN");
-        // The one multi-line v1 reply besides EXEC: a header announcing the
-        // line count, then the exposition.
-        let header = say("METRICS", &mut reader);
-        let lines: usize = header.strip_prefix("METRICS ").unwrap().parse().unwrap();
-        let mut metrics = String::new();
-        for _ in 0..lines {
-            reader.read_line(&mut metrics).unwrap();
-        }
-        for series in [
-            "stm_commits_total ",
-            "stm_kv_cells_allocated ",
-            "stm_kv_cells_freed ",
-            "stm_kv_cells_limbo ",
-            "stm_kv_overflow_cells{shard=\"3\"} ",
-        ] {
-            assert!(metrics.contains(series), "METRICS must expose {series}: {metrics}");
-        }
-        assert!(!metrics.contains("stm_wal_"), "volatile server: no WAL series");
-        assert_eq!(say("QUIT", &mut reader), "BYE");
-    }
-
-    #[test]
-    fn hello_switches_the_connection_to_v2_frames() {
-        let server = KvServer::start(ServerConfig {
-            capacity: 32,
-            shards: 4,
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        // The handshake happens in v1...
-        writer.write_all(b"HELLO 2\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim_end(), "HELLO 2");
+    fn the_preamble_is_answered_and_every_byte_after_it_is_a_frame() {
+        let server = KvServer::start(test_config()).unwrap();
+        // `connect` writes the preamble and checks the answer...
+        let mut client = KvClient::connect(server.addr()).unwrap();
         // ...and everything after it is framed. Pipeline a typed PUT (value
         // containing newlines and NULs), a GET and a QUIT in one write.
-        let value = Value::Str("v2 \n payload \0 ✓".to_string());
-        let mut burst = render_request_v2(&Request::Put(5, value.clone()));
-        burst.extend_from_slice(&render_request_v2(&Request::Get(5)));
-        burst.extend_from_slice(&render_request_v2(&Request::Quit));
-        writer.write_all(&burst).unwrap();
-        let mut replies = Vec::new();
-        reader.read_to_end(&mut replies).unwrap();
-        let (frame, used) = decode_frame(&replies).unwrap();
-        assert_eq!(parse_reply_v2(frame).unwrap(), Reply::Ok);
-        let (frame, used2) = decode_frame(&replies[used..]).unwrap();
-        assert_eq!(parse_reply_v2(frame).unwrap(), Reply::Value(value));
-        let (frame, _) = decode_frame(&replies[used + used2..]).unwrap();
-        assert_eq!(parse_reply_v2(frame).unwrap(), Reply::Bye);
+        let value = Value::Str("framed \n payload \0 ✓".to_string());
+        let burst = burst_of(&[Request::Put(5, value.clone()), Request::Get(5), Request::Quit]);
+        client.send_raw(&burst).unwrap();
+        assert_eq!(client.recv().unwrap(), Reply::Ok);
+        assert_eq!(client.recv().unwrap(), Reply::Value(value));
+        assert_eq!(client.recv().unwrap(), Reply::Bye);
+        assert!(client.recv().is_err(), "QUIT closes the connection");
     }
 
     #[test]
-    fn malformed_v2_frame_reports_and_closes() {
-        let server = KvServer::start(ServerConfig {
-            capacity: 16,
-            shards: 2,
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        writer.write_all(b"HELLO 2\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        writer.write_all(b"!garbage\n").unwrap();
-        let mut rest = Vec::new();
-        reader.read_to_end(&mut rest).unwrap();
-        let (frame, _) = decode_frame(&rest).unwrap();
-        match parse_reply_v2(frame).unwrap() {
+    fn malformed_frame_reports_and_closes() {
+        let server = KvServer::start(test_config()).unwrap();
+        let mut client = KvClient::connect(server.addr()).unwrap();
+        client.send_raw(b"!garbage\n").unwrap();
+        match client.recv().unwrap() {
             Reply::Err(ErrorCode::Proto, message) => {
                 assert!(message.contains("malformed frame"), "{message}")
             }
             other => panic!("expected PROTO error, got {other:?}"),
         }
+        assert!(client.recv().is_err(), "a malformed frame closes the connection");
+    }
+
+    /// The serve loop in miniature: one read chunk appended, one
+    /// `process_buffered` call, for a peer that never sends `\n` — before
+    /// the preamble and inside a frame header.
+    #[test]
+    fn an_unterminated_line_is_refused_before_the_buffer_outgrows_one_chunk() {
+        const CHUNK: usize = 4096;
+        let stm = Stm::default();
+        let store = KvStore::new(2);
+        let telemetry = Telemetry::new();
+        let mut ctx = stm.thread();
+        let mut serve = |conn: &mut ConnState, inbuf: &mut Vec<u8>, out: &mut Vec<u8>| {
+            process_buffered(conn, &mut ctx, &store, &telemetry, None, inbuf, out);
+        };
+        for greeted in [false, true] {
+            let mut conn = ConnState::new();
+            let (mut inbuf, mut out) = (Vec::new(), Vec::new());
+            if greeted {
+                inbuf.extend_from_slice(PREAMBLE);
+                serve(&mut conn, &mut inbuf, &mut out);
+                assert_eq!(out, PREAMBLE);
+                out.clear();
+            }
+            // Under the cap the line may still end: buffered, unanswered.
+            inbuf.extend_from_slice(&[b'+'; MAX_HEADER_BYTES]);
+            serve(&mut conn, &mut inbuf, &mut out);
+            assert!(!conn.quit() && out.is_empty());
+            assert_eq!(inbuf.len(), MAX_HEADER_BYTES);
+            for _ in 0..64 {
+                if conn.quit() {
+                    break;
+                }
+                inbuf.extend_from_slice(&[b'+'; CHUNK]);
+                assert!(inbuf.len() <= MAX_HEADER_BYTES + CHUNK, "greeted={greeted}");
+                serve(&mut conn, &mut inbuf, &mut out);
+            }
+            assert!(conn.quit(), "greeted={greeted}: the peer must be refused");
+            assert!(inbuf.is_empty(), "greeted={greeted}: nothing stays buffered");
+            let (frame, used) = decode_frame(&out).unwrap();
+            assert_eq!(used, out.len(), "greeted={greeted}: exactly one frame");
+            assert!(
+                matches!(parse_reply_v2(frame), Ok(Reply::Err(ErrorCode::Proto, _))),
+                "greeted={greeted}: {:?}",
+                String::from_utf8_lossy(&out)
+            );
+        }
     }
 
     #[test]
     fn type_errors_are_coded_and_do_not_abort_the_connection() {
-        let server = KvServer::start(ServerConfig {
-            capacity: 32,
-            shards: 4,
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        writer.write_all(b"HELLO 2\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let read_reply = |reader: &mut BufReader<TcpStream>| -> Reply {
-            // Frames are short here; read byte-wise via fill_buf loop.
-            let mut buf = Vec::new();
-            loop {
-                match decode_frame(&buf) {
-                    Ok((frame, _)) => return parse_reply_v2(frame).unwrap(),
-                    Err(FrameError::Incomplete) => {
-                        let chunk = reader.fill_buf().unwrap();
-                        assert!(!chunk.is_empty(), "server closed mid-frame");
-                        let take = chunk.len();
-                        buf.extend_from_slice(chunk);
-                        reader.consume(take);
-                    }
-                    Err(FrameError::Malformed(m)) => panic!("malformed reply: {m}"),
-                }
-            }
-        };
-        writer
-            .write_all(&render_request_v2(&Request::Put(1, Value::Str("text".into()))))
-            .unwrap();
-        assert_eq!(read_reply(&mut reader), Reply::Ok);
-        writer.write_all(&render_request_v2(&Request::Add(1, 5))).unwrap();
-        match read_reply(&mut reader) {
-            Reply::Err(ErrorCode::Type, message) => {
-                assert!(message.contains("str"), "{message}")
-            }
-            other => panic!("expected TYPE error, got {other:?}"),
-        }
-        writer.write_all(&render_request_v2(&Request::Sum(0, 10))).unwrap();
-        assert!(matches!(read_reply(&mut reader), Reply::Err(ErrorCode::Type, _)));
+        let server = KvServer::start(test_config()).unwrap();
+        let mut client = KvClient::connect(server.addr()).unwrap();
+        assert_eq!(say(&mut client, Request::Put(1, Value::Str("text".into()))), Reply::Ok);
+        let (code, message) = say_err(&mut client, Request::Add(1, 5));
+        assert_eq!(code, ErrorCode::Type);
+        assert!(message.contains("str"), "{message}");
+        assert_eq!(say_err(&mut client, Request::Sum(0, 10)).0, ErrorCode::Type);
         // The connection survives; int arithmetic still works.
-        writer.write_all(&render_request_v2(&Request::Add(2, 5))).unwrap();
-        assert_eq!(read_reply(&mut reader), Reply::Value(Value::Int(5)));
-        writer.write_all(&render_request_v2(&Request::Quit)).unwrap();
-        assert_eq!(read_reply(&mut reader), Reply::Bye);
-    }
-
-    #[test]
-    fn v1_get_of_a_typed_value_degrades_to_an_error_line() {
-        let server = KvServer::start(ServerConfig {
-            capacity: 16,
-            shards: 2,
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        // Store a string through v2...
-        {
-            let stream = TcpStream::connect(server.addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            writer.write_all(b"HELLO 2\n").unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let mut burst = render_request_v2(&Request::Put(7, Value::Str("s\ns".into())));
-            burst.extend_from_slice(&render_request_v2(&Request::Quit));
-            writer.write_all(&burst).unwrap();
-            let mut rest = Vec::new();
-            reader.read_to_end(&mut rest).unwrap();
-        }
-        // ...and observe the polite v1 degradation.
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut say = |cmd: &str, reader: &mut BufReader<TcpStream>| -> String {
-            writer.write_all(format!("{cmd}\n").as_bytes()).unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            reply.trim_end().to_string()
-        };
-        let got = say("GET 7", &mut reader);
-        assert!(got.starts_with("ERR value is str"), "{got}");
-        assert!(got.contains("HELLO 2"), "{got}");
-        assert_eq!(say("RANGE 0 10", &mut reader), "RANGE 1 7=<str>");
-        assert_eq!(say("QUIT", &mut reader), "BYE");
+        assert_eq!(say(&mut client, Request::Add(2, 5)), int(5));
+        assert_eq!(say(&mut client, Request::Quit), Reply::Bye);
     }
 
     #[test]
     fn poisoned_batch_executes_nothing_and_keeps_framing() {
-        let server = KvServer::start(ServerConfig {
-            capacity: 32,
-            shards: 4,
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut say = |cmd: &str, reader: &mut BufReader<TcpStream>| -> String {
-            writer.write_all(format!("{cmd}\n").as_bytes()).unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            reply.trim_end().to_string()
-        };
-        assert_eq!(say("PUT 3 30", &mut reader), "OK");
-        assert_eq!(say("BEGIN", &mut reader), "OK");
-        assert_eq!(say("ADD 3 10", &mut reader), "QUEUED");
+        let server = KvServer::start(test_config()).unwrap();
+        let mut client = KvClient::connect(server.addr()).unwrap();
+        let client = &mut client;
+        assert_eq!(say(client, Request::Put(3, Value::Int(30))), Reply::Ok);
+        assert_eq!(say(client, Request::Begin), Reply::Ok);
+        assert_eq!(say(client, Request::Add(3, 10)), Reply::Queued);
         // A non-data command poisons the batch...
-        assert!(say("PING", &mut reader).starts_with("ERR command not allowed"));
+        let (code, message) = say_err(client, Request::Ping);
+        assert_eq!(code, ErrorCode::Batch);
+        assert!(message.starts_with("command not allowed"), "{message}");
         // ...so the already-pipelined tail is swallowed, not executed.
-        assert!(say("ADD 3 100", &mut reader).starts_with("ERR batch aborted"));
-        assert!(say("EXEC", &mut reader).starts_with("ERR batch aborted"));
+        assert!(say_err(client, Request::Add(3, 100)).1.starts_with("batch aborted"));
+        assert!(say_err(client, Request::Exec).1.starts_with("batch aborted"));
         // All-or-nothing: key 3 is untouched, framing survives.
-        assert_eq!(say("GET 3", &mut reader), "VALUE 30");
-        assert_eq!(say("PING", &mut reader), "PONG");
-        assert_eq!(say("BEGIN", &mut reader), "OK");
-        assert_eq!(say("ADD 3 1", &mut reader), "QUEUED");
-        assert_eq!(say("EXEC", &mut reader), "EXEC 1");
-        let mut l = String::new();
-        reader.read_line(&mut l).unwrap();
-        assert_eq!(l.trim_end(), "VALUE 31");
-        assert_eq!(say("QUIT", &mut reader), "BYE");
+        assert_eq!(say(client, Request::Get(3)), int(30));
+        assert_eq!(say(client, Request::Ping), Reply::Pong);
+        assert_eq!(say(client, Request::Begin), Reply::Ok);
+        assert_eq!(say(client, Request::Add(3, 1)), Reply::Queued);
+        assert_eq!(say(client, Request::Exec), Reply::Exec(vec![int(31)]));
+        assert_eq!(
+            say_err(client, Request::Exec),
+            (ErrorCode::Batch, "EXEC without BEGIN".to_string())
+        );
+        assert_eq!(say(client, Request::Quit), Reply::Bye);
     }
 
     #[test]
     fn pipelined_burst_gets_every_reply_in_order() {
-        let server = KvServer::start(ServerConfig {
-            capacity: 32,
-            shards: 4,
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
+        let server = KvServer::start(test_config()).unwrap();
+        let mut client = KvClient::connect(server.addr()).unwrap();
         // One write carrying many requests — the pipelined path.
-        let mut burst = String::new();
-        for key in 0..50i64 {
-            burst.push_str(&format!("PUT {key} {}\n", key * 2));
-        }
-        burst.push_str("SUM 0 49\nPING\n");
-        writer.write_all(burst.as_bytes()).unwrap();
-        writer.flush().unwrap();
-        let mut replies = Vec::new();
-        for _ in 0..52 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            replies.push(line.trim_end().to_string());
-        }
-        assert!(replies[..50].iter().all(|r| r == "OK"), "{replies:?}");
-        assert_eq!(replies[50], format!("SUM {} 50", (0..50i64).map(|k| k * 2).sum::<i64>()));
-        assert_eq!(replies[51], "PONG");
+        let mut requests: Vec<Request> =
+            (0..50i64).map(|key| Request::Put(key, Value::Int(key * 2))).collect();
+        requests.extend([Request::Sum(0, 49), Request::Ping]);
+        client.send_raw(&burst_of(&requests)).unwrap();
+        let replies: Vec<Reply> = (0..52).map(|_| client.recv().unwrap()).collect();
+        assert!(replies[..50].iter().all(|r| *r == Reply::Ok), "{replies:?}");
+        assert_eq!(replies[50], Reply::Sum((0..50i64).map(|k| k * 2).sum(), 50));
+        assert_eq!(replies[51], Reply::Pong);
     }
 
     #[test]
     fn hello_and_v2_frames_pipeline_in_one_burst() {
-        let server = KvServer::start(ServerConfig {
-            capacity: 16,
-            shards: 2,
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
+        let server = KvServer::start(test_config()).unwrap();
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
-        // The handshake line and v2 frames in ONE write: the server must
-        // re-frame mid-burst.
-        let mut burst = b"HELLO 2\n".to_vec();
-        burst.extend_from_slice(&render_request_v2(&Request::Put(
-            1,
-            Value::Bytes(vec![0, 10, 13, 255]),
-        )));
-        burst.extend_from_slice(&render_request_v2(&Request::Get(1)));
-        burst.extend_from_slice(&render_request_v2(&Request::Quit));
+        // The preamble line and the first frames in ONE write: the server
+        // must answer the line and go on decoding mid-burst.
+        let mut burst = PREAMBLE.to_vec();
+        burst.extend_from_slice(&burst_of(&[
+            Request::Put(1, Value::Bytes(vec![0, 10, 13, 255])),
+            Request::Get(1),
+            Request::Quit,
+        ]));
         writer.write_all(&burst).unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim_end(), "HELLO 2");
+        assert_eq!(line, "HELLO 2\n");
         let mut rest = Vec::new();
         reader.read_to_end(&mut rest).unwrap();
         let (frame, used) = decode_frame(&rest).unwrap();
@@ -1649,49 +1445,27 @@ mod tests {
     }
 
     #[test]
-    fn v2_exec_reply_nests_per_op_replies() {
-        let server = KvServer::start(ServerConfig {
-            capacity: 32,
-            shards: 4,
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut burst = b"HELLO 2\n".to_vec();
-        burst.extend_from_slice(&render_request_v2(&Request::Begin));
-        burst.extend_from_slice(&render_request_v2(&Request::Put(1, Value::Str("a".into()))));
-        burst.extend_from_slice(&render_request_v2(&Request::Add(2, 7)));
-        burst.extend_from_slice(&render_request_v2(&Request::Get(1)));
-        burst.extend_from_slice(&render_request_v2(&Request::Exec));
-        burst.extend_from_slice(&render_request_v2(&Request::Quit));
-        writer.write_all(&burst).unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim_end(), "HELLO 2");
-        let mut rest = Vec::new();
-        reader.read_to_end(&mut rest).unwrap();
-        let mut at = 0usize;
-        let mut next = || -> Reply {
-            let (frame, used) = decode_frame(&rest[at..]).unwrap();
-            at += used;
-            parse_reply_v2(frame).unwrap()
-        };
-        assert_eq!(next(), Reply::Ok); // BEGIN
-        assert_eq!(next(), Reply::Queued);
-        assert_eq!(next(), Reply::Queued);
-        assert_eq!(next(), Reply::Queued);
+    fn exec_reply_nests_per_op_replies() {
+        let server = KvServer::start(test_config()).unwrap();
+        let mut client = KvClient::connect(server.addr()).unwrap();
+        let burst = burst_of(&[
+            Request::Begin,
+            Request::Put(1, Value::Str("a".into())),
+            Request::Add(2, 7),
+            Request::Get(1),
+            Request::Exec,
+            Request::Quit,
+        ]);
+        client.send_raw(&burst).unwrap();
+        assert_eq!(client.recv().unwrap(), Reply::Ok); // BEGIN
+        for _ in 0..3 {
+            assert_eq!(client.recv().unwrap(), Reply::Queued);
+        }
         assert_eq!(
-            next(),
-            Reply::Exec(vec![
-                Reply::Ok,
-                Reply::Value(Value::Int(7)),
-                Reply::Value(Value::Str("a".into())),
-            ])
+            client.recv().unwrap(),
+            Reply::Exec(vec![Reply::Ok, int(7), Reply::Value(Value::Str("a".into()))])
         );
-        assert_eq!(next(), Reply::Bye);
+        assert_eq!(client.recv().unwrap(), Reply::Bye);
     }
 
     fn temp_wal_dir(tag: &str) -> PathBuf {
@@ -1708,53 +1482,36 @@ mod tests {
     fn durable_server_recovers_its_keyspace_after_restart() {
         let dir = temp_wal_dir("recover");
         let config = ServerConfig {
-            capacity: 16,
-            shards: 2,
-            workers: 2,
             wal_dir: Some(dir.clone()),
-            ..ServerConfig::default()
+            ..test_config()
         };
         {
             let mut server = KvServer::start(config.clone()).unwrap();
-            let stream = TcpStream::connect(server.addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            let mut say = |cmd: &str, reader: &mut BufReader<TcpStream>| -> String {
-                writer.write_all(format!("{cmd}\n").as_bytes()).unwrap();
-                let mut reply = String::new();
-                reader.read_line(&mut reply).unwrap();
-                reply.trim_end().to_string()
-            };
-            assert_eq!(say("PUT 1 100", &mut reader), "OK");
-            assert_eq!(say("PUT 2 200", &mut reader), "OK");
-            assert_eq!(say("DEL 2", &mut reader), "OK 1");
-            assert_eq!(say("ADD 3 33", &mut reader), "VALUE 33");
+            let mut client = KvClient::connect(server.addr()).unwrap();
+            let client = &mut client;
+            assert_eq!(say(client, Request::Put(1, Value::Int(100))), Reply::Ok);
+            assert_eq!(say(client, Request::Put(2, Value::Int(200))), Reply::Ok);
+            assert_eq!(say(client, Request::Del(2)), Reply::OkN(1));
+            assert_eq!(say(client, Request::Add(3, 33)), int(33));
             let metrics = server.metrics_text();
             assert!(metrics.contains("stm_wal_info{policy=\"every\"} 1"), "{metrics}");
             assert!(metrics.contains("stm_wal_records_total 4"), "{metrics}");
-            let snap = say("SNAPSHOT", &mut reader);
-            assert!(snap.starts_with("SNAPSHOT "), "{snap}");
-            assert_eq!(say("PUT 4 400", &mut reader), "OK");
-            assert_eq!(say("QUIT", &mut reader), "BYE");
+            let snap = say(client, Request::Snapshot);
+            assert!(matches!(snap, Reply::Snapshot(..)), "{snap:?}");
+            assert_eq!(say(client, Request::Put(4, Value::Int(400))), Reply::Ok);
+            assert_eq!(say(client, Request::Quit), Reply::Bye);
             server.shutdown();
         }
         // Restart on the same directory: snapshot + tail replay.
         let server = KvServer::start(config).unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut say = |cmd: &str, reader: &mut BufReader<TcpStream>| -> String {
-            writer.write_all(format!("{cmd}\n").as_bytes()).unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            reply.trim_end().to_string()
-        };
-        assert_eq!(say("GET 1", &mut reader), "VALUE 100");
-        assert_eq!(say("GET 2", &mut reader), "NIL", "deleted key must stay deleted");
-        assert_eq!(say("GET 3", &mut reader), "VALUE 33");
-        assert_eq!(say("GET 4", &mut reader), "VALUE 400", "post-snapshot tail replayed");
-        assert_eq!(say("SUM 0 15", &mut reader), "SUM 533 3");
-        assert_eq!(say("QUIT", &mut reader), "BYE");
+        let mut client = KvClient::connect(server.addr()).unwrap();
+        let client = &mut client;
+        assert_eq!(say(client, Request::Get(1)), int(100));
+        assert_eq!(say(client, Request::Get(2)), Reply::Nil, "deleted key must stay deleted");
+        assert_eq!(say(client, Request::Get(3)), int(33));
+        assert_eq!(say(client, Request::Get(4)), int(400), "post-snapshot tail replayed");
+        assert_eq!(say(client, Request::Sum(0, 15)), Reply::Sum(533, 3));
+        assert_eq!(say(client, Request::Quit), Reply::Bye);
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1763,25 +1520,14 @@ mod tests {
     fn auto_snapshot_fires_after_the_configured_record_budget() {
         let dir = temp_wal_dir("autosnap");
         let mut server = KvServer::start(ServerConfig {
-            capacity: 16,
-            shards: 2,
-            workers: 2,
             wal_dir: Some(dir.clone()),
             snapshot_every: 10,
-            ..ServerConfig::default()
+            ..test_config()
         })
         .unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut say = |cmd: &str, reader: &mut BufReader<TcpStream>| -> String {
-            writer.write_all(format!("{cmd}\n").as_bytes()).unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            reply.trim_end().to_string()
-        };
+        let mut client = KvClient::connect(server.addr()).unwrap();
         for i in 0..25i64 {
-            assert_eq!(say(&format!("PUT {} {}", i % 8, i), &mut reader), "OK");
+            assert_eq!(say(&mut client, Request::Put(i % 8, Value::Int(i))), Reply::Ok);
         }
         let metrics = crate::MetricsSnapshot::parse(server.metrics_text()).unwrap();
         assert!(
@@ -1789,7 +1535,7 @@ mod tests {
             "25 records / snapshot-every-10: {}",
             metrics.text
         );
-        assert_eq!(say("QUIT", &mut reader), "BYE");
+        assert_eq!(say(&mut client, Request::Quit), Reply::Bye);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

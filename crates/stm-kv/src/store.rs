@@ -23,37 +23,35 @@
 //! `RANGE` opens the leaves its window overlaps, not a node per key.
 //! [`KvStore::index_walks`] counts the calls that did open the index.
 //!
-//! **Cell table.** Keys inside the pre-allocated range (`0..prealloc`, the
-//! server's `--capacity` warm-up hint) resolve through a plain `Vec`: those
-//! cells are permanent and a delete clears them back to
-//! [`CellState::Vacant`]. Keys outside it are materialised by the first
-//! *writer* to touch them: each shard owns a
-//! `parking_lot::Mutex<HashMap<key, TVar>>` overflow table (the lock guards
-//! only cell *identity* — two racing transactions must obtain the same
-//! `TVar` for one key — and is never held across an STM operation).
+//! **Cell table.** A key's cell is materialised by the first *writer* to
+//! touch it and found through one table, sharded by key: each shard owns a
+//! `parking_lot::Mutex<HashMap<key, TVar>>` (the lock guards only cell
+//! *identity* — two racing transactions must obtain the same `TVar` for one
+//! key — and is never held across an STM operation).
 //!
-//! **Three lookup outcomes.** A point operation looks its key up in the
-//! table and finds the cell
+//! **Two lookup outcomes, and a transient third.** A point operation looks
+//! its key up in the table and finds the cell
 //!
 //! * **linked** — it reads the cell and answers from its state: `Full` is
 //!   present, `Vacant` (or a tombstone this same transaction wrote) is
 //!   absent. The index is not consulted.
-//! * **unlinked** (overflow keys only) — no writer has a cell for the key,
-//!   so by the invariant it is absent, but there is nothing to read. A
-//!   `PUT`/`ADD` links a fresh `Vacant` cell and proceeds as above. Every
-//!   other operation (`GET`, `DEL`, and the per-key reads of `RANGE`/`dump`)
-//!   must not materialise a cell — a miss would leak one, and so would a
-//!   reader that a concurrent `DEL` has already doomed; it reads the key's
-//!   path in the index instead, which is exactly what a later creator's
-//!   `index.insert` will write. Should that walk find the key — a creator
-//!   committed between the table lookup and the walk — the operation looks
-//!   the (now linked) cell up again.
-//! * **tombstoned** — the linked cell holds a *committed*
-//!   [`CellState::Dead`]: a `DEL` committed and its unlink is imminent.
-//!   The operation helps unlink the cell and looks the key up again.
+//! * **unlinked** — no writer has a cell for the key, so by the invariant
+//!   it is absent, but there is nothing to read. A `PUT`/`ADD` links a
+//!   fresh `Vacant` cell and proceeds as above. Every other operation
+//!   (`GET`, `DEL`, and the per-key reads of `RANGE`/`dump`) must not
+//!   materialise a cell — a miss would leak one, and so would a reader that
+//!   a concurrent `DEL` has already doomed; it reads the key's path in the
+//!   index instead, which is exactly what a later creator's `index.insert`
+//!   will write. Should that walk find the key — a creator committed
+//!   between the table lookup and the walk — the operation looks the (now
+//!   linked) cell up again.
 //!
-//! **Commit-time cell GC.** A committed `DEL` of an overflow key reclaims
-//! the cell. The deleting transaction writes the `Dead` tombstone and
+//! In between, a linked cell may be **tombstoned**: it holds a *committed*
+//! [`CellState::Dead`] — a `DEL` committed and its unlink is imminent. The
+//! operation helps unlink the cell and looks the key up again.
+//!
+//! **Commit-time cell GC.** A committed `DEL` reclaims the key's cell. The
+//! deleting transaction writes the `Dead` tombstone and
 //! registers a deferred action ([`stm_core::Txn::defer_on_commit`]) that —
 //! only if the delete committed and the tombstone is still the committed
 //! value — unlinks the cell from its shard table and retires it to the
@@ -112,11 +110,12 @@ impl std::error::Error for TypeMismatch {}
 /// The transactional state of one value cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum CellState {
-    /// No value; the cell is linked (or pre-allocated) and reusable.
+    /// No value yet: the state a cell is linked in, until its creator's
+    /// write commits.
     Vacant,
     /// A present value.
     Full(Value),
-    /// The tombstone a committed `DEL` leaves in an overflow cell. Terminal
+    /// The tombstone a committed `DEL` leaves in the cell. Terminal
     /// once committed: the deleter unlinks and retires the cell, and any
     /// other transaction that reads this state looks the key up again.
     Dead,
@@ -133,9 +132,9 @@ impl CellState {
     }
 }
 
-/// One shard's overflow cell table. The mutex guards cell identity only;
+/// One shard of the cell table. The mutex guards cell identity only;
 /// it is never held across an STM operation.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CellShard {
     cells: Mutex<HashMap<i64, TVar<CellState>>>,
 }
@@ -169,21 +168,17 @@ pub struct KvStore {
     index: ShardedTxSet,
     /// Calls into `index` (monotone): the operations that paid a tree walk.
     index_walks: AtomicU64,
-    /// Lock-free, permanent cells for the pre-allocated range
-    /// `0..prealloc.len()` — never unlinked, a delete writes `Vacant`.
-    prealloc: Vec<TVar<CellState>>,
-    /// Per-shard overflow tables; `overflow[k.rem_euclid(shards)]` owns key
-    /// `k`'s value cell when `k` is outside the pre-allocated range.
-    /// Sharded so cell creation does not serialize across the keyspace;
-    /// `Arc` so deferred commit actions can capture their shard.
-    overflow: Vec<Arc<CellShard>>,
-    /// Overflow cells ever materialised (monotone; freed cells still count).
-    overflow_created: AtomicU64,
+    /// The cell table; `cells[k.rem_euclid(shards)]` owns key `k`'s value
+    /// cell. Sharded so cell creation does not serialize across the
+    /// keyspace; `Arc` so deferred commit actions can capture their shard.
+    cells: Vec<Arc<CellShard>>,
+    /// Cells ever materialised (monotone; freed cells still count).
+    cells_created: AtomicU64,
 }
 
 impl KvStore {
-    /// Creates an empty store whose membership index (and overflow cell
-    /// table) is partitioned over `shards` chunked B+-trees.
+    /// Creates an empty store whose membership index and cell table are
+    /// each partitioned over `shards` shards.
     ///
     /// # Panics
     ///
@@ -192,21 +187,27 @@ impl KvStore {
         KvStore::with_preallocated(shards, 0)
     }
 
-    /// Creates a store with cells for `0..prealloc` materialised up front:
-    /// that range resolves lock-free, exactly as the old fixed-capacity
-    /// design did (the server pre-allocates its configured capacity).
+    /// [`KvStore::new`] with room reserved in the cell table for `keys`
+    /// cells, spread evenly over the shards. No cell is created: the name is
+    /// the one `bench/` calls.
     ///
     /// # Panics
     ///
     /// Panics when `shards == 0`.
-    pub fn with_preallocated(shards: usize, prealloc: i64) -> Self {
+    pub fn with_preallocated(shards: usize, keys: i64) -> Self {
         assert!(shards > 0, "need at least one shard");
+        let per_shard = usize::try_from(keys).unwrap_or(0) / shards;
         KvStore {
             index: ShardedTxSet::chunked(shards),
             index_walks: AtomicU64::new(0),
-            prealloc: (0..prealloc.max(0)).map(|_| TVar::new(CellState::Vacant)).collect(),
-            overflow: (0..shards).map(|_| Arc::new(CellShard::default())).collect(),
-            overflow_created: AtomicU64::new(0),
+            cells: (0..shards)
+                .map(|_| {
+                    Arc::new(CellShard {
+                        cells: Mutex::new(HashMap::with_capacity(per_shard)),
+                    })
+                })
+                .collect(),
+            cells_created: AtomicU64::new(0),
         }
     }
 
@@ -231,37 +232,25 @@ impl KvStore {
         self.index_walks.load(Ordering::Relaxed)
     }
 
-    /// The permanent cell of a key inside the pre-allocated range.
-    fn prealloc_cell(&self, key: i64) -> Option<&TVar<CellState>> {
-        usize::try_from(key).ok().and_then(|i| self.prealloc.get(i))
-    }
-
-    /// The overflow shard owning `key`'s cell.
-    fn overflow_shard(&self, key: i64) -> &Arc<CellShard> {
-        &self.overflow[key.rem_euclid(self.overflow.len() as i64) as usize]
+    /// The table shard owning `key`'s cell.
+    fn shard(&self, key: i64) -> &Arc<CellShard> {
+        &self.cells[key.rem_euclid(self.cells.len() as i64) as usize]
     }
 
     /// The value cell currently linked for `key`, if any — never creates
     /// one, so a point miss leaves the table as it found it.
     fn linked_cell(&self, key: i64) -> Option<TVar<CellState>> {
-        match self.prealloc_cell(key) {
-            Some(cell) => Some(cell.clone()),
-            None => self.overflow_shard(key).cells.lock().get(&key).cloned(),
-        }
+        self.shard(key).cells.lock().get(&key).cloned()
     }
 
-    /// The value cell currently linked for `key` — lock-free inside the
-    /// pre-allocated range, created on first touch under the shard's
-    /// overflow lock outside it.
+    /// The value cell currently linked for `key`, created on first touch
+    /// under the shard's lock.
     fn fetch_cell(&self, key: i64) -> TVar<CellState> {
-        if let Some(cell) = self.prealloc_cell(key) {
-            return cell.clone();
-        }
-        let mut cells = self.overflow_shard(key).cells.lock();
+        let mut cells = self.shard(key).cells.lock();
         cells
             .entry(key)
             .or_insert_with(|| {
-                self.overflow_created.fetch_add(1, Ordering::Relaxed);
+                self.cells_created.fetch_add(1, Ordering::Relaxed);
                 TVar::new(CellState::Vacant)
             })
             .clone()
@@ -282,7 +271,7 @@ impl KvStore {
     ) -> TxResult<Option<Arc<CellState>>> {
         let state = tx.read_arc(cell)?;
         if *state == CellState::Dead && !tx.owns(cell) {
-            self.overflow_shard(key).unlink_dead(tx.epoch(), key, cell);
+            self.shard(key).unlink_dead(tx.epoch(), key, cell);
             return Ok(None);
         }
         Ok(Some(state))
@@ -332,25 +321,21 @@ impl KvStore {
     /// live figure, which is what `METRICS` surfaces as
     /// `stm_kv_cells_allocated` / `_freed` / `_limbo`).
     pub fn cells_allocated(&self) -> usize {
-        self.prealloc.len() + self.overflow_created.load(Ordering::Relaxed) as usize
+        self.cells_created.load(Ordering::Relaxed) as usize
     }
 
-    /// Number of cells currently linked (pre-allocated + overflow tables):
-    /// the store's actual resident cell count after reclamation.
+    /// Number of cells currently linked: the store's actual resident cell
+    /// count after reclamation.
     pub fn cells_live(&self) -> usize {
-        self.prealloc.len()
-            + self
-                .overflow
-                .iter()
-                .map(|shard| shard.cells.lock().len())
-                .sum::<usize>()
+        self.cells_per_shard().iter().sum()
     }
 
-    /// Number of overflow cells currently linked per shard — how the
-    /// outside-the-prealloc keyspace distributes across shards (exported as
-    /// `stm_kv_overflow_cells{shard=…}` so it is observable from the wire).
-    pub fn overflow_per_shard(&self) -> Vec<usize> {
-        self.overflow
+    /// Number of cells currently linked per shard — how the keyspace
+    /// distributes across the table (exported as
+    /// `stm_kv_overflow_cells{shard=…}`, the name the series has always
+    /// had, so it is observable from the wire).
+    pub fn cells_per_shard(&self) -> Vec<usize> {
+        self.cells
             .iter()
             .map(|shard| shard.cells.lock().len())
             .collect()
@@ -394,12 +379,11 @@ impl KvStore {
     }
 
     /// Removes `key` and returns the `Full` state it held, or `None` when
-    /// it was absent. A pre-allocated cell is cleared in place; an overflow
-    /// cell receives the `Dead` tombstone and, once the delete commits, is
-    /// unlinked from its shard table and retired to the epoch limbo for
-    /// reclamation. A miss opens the index only when no cell is linked, and
-    /// then read-only: removing there would race a `PUT` that linked its
-    /// cell after our lookup.
+    /// it was absent. The cell receives the `Dead` tombstone and, once the
+    /// delete commits, is unlinked from its shard table and retired to the
+    /// epoch limbo for reclamation. A miss opens the index only when no
+    /// cell is linked, and then read-only: removing there would race a
+    /// `PUT` that linked its cell after our lookup.
     fn del_cell(&self, tx: &mut Txn<'_>, key: i64) -> TxResult<Option<Arc<CellState>>> {
         let Some((cell, state)) = self.peek_cell(tx, key)? else {
             return Ok(None);
@@ -408,20 +392,16 @@ impl KvStore {
             return Ok(None);
         }
         self.index().remove(tx, key)?;
-        if self.prealloc_cell(key).is_some() {
-            tx.write(&cell, CellState::Vacant)?;
-        } else {
-            tx.write(&cell, CellState::Dead)?;
-            let shard = Arc::clone(self.overflow_shard(key));
-            let tombstone = cell;
-            tx.defer_on_commit(move |gc| {
-                // Skip when this same transaction re-PUT the key after the
-                // DEL: the committed value is then Full, and the cell stays.
-                if *tombstone.load_committed_arc() == CellState::Dead {
-                    shard.unlink_dead(gc, key, &tombstone);
-                }
-            });
-        }
+        tx.write(&cell, CellState::Dead)?;
+        let shard = Arc::clone(self.shard(key));
+        let tombstone = cell;
+        tx.defer_on_commit(move |gc| {
+            // Skip when this same transaction re-PUT the key after the
+            // DEL: the committed value is then Full, and the cell stays.
+            if *tombstone.load_committed_arc() == CellState::Dead {
+                shard.unlink_dead(gc, key, &tombstone);
+            }
+        });
         Ok(Some(state))
     }
 
@@ -552,12 +532,8 @@ impl KvStore {
             .atomically(|tx| self.index.to_vec(tx))
             .expect("index walk commits");
         let is_full = |cell: &TVar<CellState>| cell.load_committed_arc().value().is_some();
-        let mut full: Vec<i64> = (0i64..)
-            .zip(&self.prealloc)
-            .filter(|(_, cell)| is_full(cell))
-            .map(|(key, _)| key)
-            .collect();
-        for shard in &self.overflow {
+        let mut full = Vec::new();
+        for shard in &self.cells {
             let cells = shard.cells.lock();
             full.extend(cells.iter().filter(|(_, cell)| is_full(cell)).map(|(key, _)| *key));
         }
@@ -646,11 +622,11 @@ mod tests {
         .unwrap();
         assert!(store.cells_allocated() >= 3);
         assert_eq!(
-            store.overflow_per_shard().iter().sum::<usize>(),
+            store.cells_per_shard().iter().sum::<usize>(),
             store.cells_allocated(),
-            "no prealloc, no deletes: every cell ever created is still linked"
+            "no deletes: every cell ever created is still linked"
         );
-        assert_eq!(store.overflow_per_shard().len(), 4);
+        assert_eq!(store.cells_per_shard().len(), 4);
     }
 
     #[test]
@@ -674,7 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn committed_delete_unlinks_and_reclaims_the_overflow_cell() {
+    fn committed_delete_unlinks_and_reclaims_the_cell() {
         let stm = Stm::default();
         let store = KvStore::new(2);
         let mut ctx = stm.thread();
@@ -734,18 +710,39 @@ mod tests {
     }
 
     #[test]
-    fn preallocated_cells_survive_deletes() {
+    fn small_keys_get_no_permanent_cell() {
         let stm = Stm::default();
-        let store = KvStore::with_preallocated(2, 8);
+        let store = KvStore::new(2);
         let mut ctx = stm.thread();
+        assert_eq!(store.cells_allocated(), 0);
         ctx.atomically(|tx| store.put(tx, 3, 30)).unwrap();
+        assert_eq!((store.cells_allocated(), store.cells_live()), (1, 1));
         ctx.atomically(|tx| store.del(tx, 3)).unwrap();
-        assert_eq!(store.cells_allocated(), 8);
-        assert_eq!(store.cells_live(), 8, "prealloc cells are permanent");
-        assert_eq!(stm.epoch().retired_total(), 0);
+        assert_eq!(store.cells_live(), 0, "DEL unlinks key 3's cell like any other");
         assert_eq!(ctx.atomically(|tx| store.get(tx, 3)).unwrap(), None);
+        assert_eq!(store.cells_allocated(), 1, "a miss materialises nothing");
+        // A later transaction's PUT allocates a fresh cell; the old one is
+        // reclaimed, not reused.
         ctx.atomically(|tx| store.put(tx, 3, 31)).unwrap();
+        assert_eq!((store.cells_allocated(), store.cells_live()), (2, 1));
+        stm.epoch().collect();
+        assert_eq!(stm.epoch().reclaimed_total(), 1);
+        assert_eq!(stm.epoch().limbo_len(), 0);
         assert_eq!(ctx.atomically(|tx| store.get(tx, 3)).unwrap(), int(31));
+    }
+
+    #[test]
+    fn with_preallocated_reserves_room_but_creates_no_cells() {
+        let stm = Stm::default();
+        let store = KvStore::with_preallocated(16, 65_536);
+        assert_eq!(store.cells_allocated(), 0);
+        assert_eq!(store.cells_live(), 0);
+        assert_eq!(store.num_shards(), 16);
+        let mut ctx = stm.thread();
+        ctx.atomically(|tx| store.put(tx, 7, 70)).unwrap();
+        assert_eq!(store.cells_allocated(), 1);
+        // A nonsensical hint reserves nothing and still builds a store.
+        assert_eq!(KvStore::with_preallocated(4, -1).cells_allocated(), 0);
     }
 
     #[test]
@@ -798,7 +795,7 @@ mod tests {
     #[test]
     fn range_sum_and_dump_snapshot_consistently() {
         let stm = Stm::default();
-        let store = KvStore::with_preallocated(4, 32);
+        let store = KvStore::new(4);
         let mut ctx = stm.thread();
         ctx.atomically(|tx| {
             for key in [2i64, 7, 11, 30, 500] {
@@ -939,9 +936,9 @@ mod tests {
         use std::collections::BTreeMap;
         use stm_cm::ManagerKind;
 
-        const PREALLOC: i64 = 24;
-        // Both tiers, few enough keys that every op often finds its key in
-        // every state: present, vacant, never linked, reclaimed.
+        // Small, huge and negative keys, few enough that every op often
+        // finds its key in every state: present, vacant, never linked,
+        // reclaimed.
         let keys: Vec<i64> = (0..12).chain((1 << 32)..(1 << 32) + 12).chain(-4..0).collect();
         let managers = [
             ManagerKind::Greedy,
@@ -953,7 +950,7 @@ mod tests {
             let seed = 0x0057_04e5 + m as u64;
             let mut rng = SmallRng::seed_from_u64(seed);
             let stm = Stm::builder().manager(kind.factory()).build();
-            let store = KvStore::with_preallocated(4, PREALLOC);
+            let store = KvStore::new(4);
             let mut ctx = stm.thread();
             let mut model: BTreeMap<i64, Value> = BTreeMap::new();
 

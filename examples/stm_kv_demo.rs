@@ -24,7 +24,6 @@ fn main() {
     let manager = ManagerKind::Greedy;
     let mut server = KvServer::start(ServerConfig {
         manager,
-        capacity: KEYS,
         shards: 4,
         workers: 6,
         ..ServerConfig::default()

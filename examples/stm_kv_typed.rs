@@ -1,18 +1,18 @@
-//! `stm_kv_typed` — protocol v2 end to end: typed values over binary-safe
-//! frames, a fluent atomic batch, and durable recovery of string values
-//! across a server restart.
+//! `stm_kv_typed` — the wire protocol end to end: typed values over
+//! binary-safe frames, a fluent atomic batch, and durable recovery of string
+//! values across a server restart.
 //!
 //! ```sh
 //! cargo run --release --example stm_kv_typed
 //! ```
 //!
-//! The demo starts a WAL-backed `stm-kv` server, negotiates protocol v2
-//! (`HELLO 2`), stores `Int`/`Str`/`Bytes` values — including strings with
-//! embedded newlines and NULs, which the v1 line protocol cannot frame —
-//! runs an atomic multi-op transaction through the [`BatchBuilder`], shows
-//! the typed `TYPE` error `ADD` reports on a string, then restarts the
-//! server on the same log directory and proves every typed value came back
-//! byte-exact.
+//! The demo starts a WAL-backed `stm-kv` server, connects (`KvClient`
+//! writes the `HELLO 2` preamble; everything after it is frames), stores
+//! `Int`/`Str`/`Bytes` values — including strings with embedded newlines
+//! and NULs, which length-prefixed frames carry byte-exactly — runs an
+//! atomic multi-op transaction through the [`BatchBuilder`], shows the typed
+//! `TYPE` error `ADD` reports on a string, then restarts the server on the
+//! same log directory and proves every typed value came back byte-exact.
 //!
 //! [`BatchBuilder`]: greedy_stm::kv::BatchBuilder
 
@@ -24,7 +24,6 @@ fn main() {
     let _ = std::fs::remove_dir_all(&wal_dir);
     let config = ServerConfig {
         manager: ManagerKind::Greedy,
-        capacity: 64,
         shards: 4,
         workers: 4,
         wal_dir: Some(wal_dir.clone()),
@@ -39,8 +38,7 @@ fn main() {
         println!("durable stm-kv on {} (wal: {})", server.addr(), wal_dir.display());
 
         let mut client = KvClient::connect(server.addr()).unwrap();
-        println!("negotiated protocol v{}", client.protocol_version());
-        assert_eq!(client.protocol_version(), 2);
+        println!("preamble answered; speaking frames");
 
         // Typed puts: one API, three value kinds.
         client.put(1, 1000).unwrap();
@@ -90,5 +88,5 @@ fn main() {
     client.quit().unwrap();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&wal_dir);
-    println!("typed values survived the crash-recovery loop — protocol v2 end to end");
+    println!("typed values survived the crash-recovery loop — frames end to end");
 }

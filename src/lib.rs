@@ -70,8 +70,6 @@
 //!   runs the workload matrix — update-only, read-mostly and range-heavy
 //!   `OpMix` mixes over every structure and figure-set manager, with the
 //!   thread axis sized to the host — emitting one JSON record per cell.
-//! * `cargo bench --workspace` runs the Criterion benches (one per figure
-//!   plus the theory and substrate micro-benches).
 //! * `EXPERIMENTS.md` at the repository root records paper-versus-measured
 //!   outcomes, including the workload matrix's shapes.
 

@@ -44,9 +44,10 @@ fn seeded_churn_conserves_and_keeps_cell_accounting_exact_for_every_manager() {
 
     for kind in ManagerKind::ALL {
         let stm = Arc::new(stm_with(kind));
-        // No pre-allocated range: every key lives in a reclaimable
-        // overflow cell, so the GC is on the hook for all of them.
+        // Every key lives in a reclaimable cell, so the GC is on the hook
+        // for all of them, and the books open at zero.
         let store = Arc::new(KvStore::new(4));
+        assert_eq!(store.cells_allocated(), 0, "{kind}");
         {
             let mut ctx = stm.thread();
             ctx.atomically(|tx| {

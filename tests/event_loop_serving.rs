@@ -1,9 +1,12 @@
 //! End-to-end tests of the event-driven serving layer (`--serve-mode
 //! events`): the readiness event loop must be byte-for-byte compatible
 //! with the thread-per-connection pool under every framing torture the
-//! kernel can inflict.
+//! kernel — or a hostile peer — can inflict.
 //!
-//! - **Fragmented reads**: v2 frames delivered one byte at a time, and in
+//! - **The preamble rule**: `HELLO 2` (any case, `\r` tolerated) is answered
+//!   byte-for-byte; any other first line, and any line a peer never ends,
+//!   gets one `-PROTO` error frame and a close, in both modes.
+//! - **Fragmented reads**: frames delivered one byte at a time, and in
 //!   seeded random splits, through a pipelined burst — the per-connection
 //!   state machine must reassemble exactly the replies the pool would
 //!   produce.
@@ -17,14 +20,18 @@
 //!   `KvClient::stats` and move when connections are opened, reaped by
 //!   the idle wheel, or parked on a full socket.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use greedy_stm::cm::ManagerKind;
-use greedy_stm::kv::proto::{decode_frame, parse_reply_v2, render_request_v2, FrameError};
-use greedy_stm::kv::{KvClient, KvServer, Reply, Request, ServeMode, ServerConfig, Value};
+use greedy_stm::kv::proto::{
+    decode_frame, parse_reply_v2, render_request_v2, MAX_HEADER_BYTES, PREAMBLE,
+};
+use greedy_stm::kv::{
+    ErrorCode, KvClient, KvError, KvServer, Reply, Request, ServeMode, ServerConfig, Value,
+};
 
 const KEYS: i64 = 16;
 const SEED_BALANCE: i64 = 100;
@@ -33,7 +40,6 @@ const TOTAL: i64 = KEYS * SEED_BALANCE;
 fn start_server(manager: ManagerKind, serve_mode: ServeMode, workers: usize) -> KvServer {
     KvServer::start(ServerConfig {
         manager,
-        capacity: 64,
         shards: 4,
         workers,
         serve_mode,
@@ -50,58 +56,15 @@ fn scramble(x: u64) -> u64 {
     x.wrapping_mul(0xbf58_476d_1ce4_e5b9)
 }
 
-/// Opens a raw v2 connection: performs the `HELLO 2` handshake over the
-/// v1 line protocol and returns the stream positioned at frame boundary.
-fn raw_v2(addr: std::net::SocketAddr) -> TcpStream {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream.write_all(b"HELLO 2\n").unwrap();
-    let mut hello = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        assert_eq!(stream.read(&mut byte).unwrap(), 1, "EOF during HELLO");
-        if byte[0] == b'\n' {
-            break;
-        }
-        hello.push(byte[0]);
-    }
-    assert!(
-        hello.starts_with(b"HELLO 2"),
-        "unexpected handshake reply: {:?}",
-        String::from_utf8_lossy(&hello)
-    );
-    stream
-}
-
-/// Reads frames off `stream` until `count` replies have been decoded.
-fn read_replies(stream: &mut TcpStream, count: usize) -> Vec<Reply> {
-    let mut buf = Vec::new();
-    let mut replies = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while replies.len() < count {
-        assert!(Instant::now() < deadline, "timed out waiting for replies");
-        loop {
-            match decode_frame(&buf) {
-                Ok((frame, used)) => {
-                    buf.drain(..used);
-                    replies.push(parse_reply_v2(frame).expect("well-formed reply"));
-                    if replies.len() == count {
-                        break;
-                    }
-                }
-                Err(FrameError::Incomplete) => break,
-                Err(FrameError::Malformed(err)) => panic!("malformed reply frame: {err}"),
-            }
-        }
-        if replies.len() == count {
-            break;
-        }
-        let n = stream.read(&mut chunk).unwrap();
-        assert!(n > 0, "EOF after {} of {count} replies", replies.len());
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    replies
+/// Reads the next `count` replies off a raw-frame connection.
+fn read_replies(client: &mut KvClient, count: usize) -> Vec<Reply> {
+    (0..count)
+        .map(|i| {
+            client
+                .recv()
+                .unwrap_or_else(|err| panic!("reply {i} of {count}: {err}"))
+        })
+        .collect()
 }
 
 /// Builds one pipelined burst: `puts` PUTs, a closed transfer batch, a GET
@@ -154,16 +117,116 @@ fn assert_burst_replies(replies: &[Reply], puts: i64) {
     );
 }
 
+/// Writes `bytes` as a connection's first bytes and returns everything the
+/// server sends until it closes the connection.
+fn first_bytes_until_close(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(bytes).unwrap();
+    let mut answer = Vec::new();
+    stream
+        .read_to_end(&mut answer)
+        .unwrap_or_else(|err| panic!("no answer and close within the timeout: {err}"));
+    answer
+}
+
+/// Asserts `answer` is exactly one `-PROTO` error frame.
+fn assert_one_proto_error(answer: &[u8], context: &str) -> String {
+    let shown = String::from_utf8_lossy(answer);
+    let (frame, used) =
+        decode_frame(answer).unwrap_or_else(|err| panic!("{context}: {err:?}: {shown:?}"));
+    assert_eq!(used, answer.len(), "{context}: more than one frame: {shown:?}");
+    match parse_reply_v2(frame) {
+        Ok(Reply::Err(ErrorCode::Proto, message)) => message,
+        other => panic!("{context}: expected a -PROTO error frame, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_first_line_other_than_hello_2_is_answered_and_closed_in_both_modes() {
+    for serve_mode in [ServeMode::Threads, ServeMode::Events] {
+        let mut server = start_server(ManagerKind::Greedy, serve_mode, 2);
+        let addr = server.addr();
+        for line in ["GET 1\n", "HELLO 1\n", "HELLO 3\n", "\n", "*1\n+PING\n"] {
+            let context = format!("{serve_mode:?}/{line:?}");
+            let answer = first_bytes_until_close(addr, line.as_bytes());
+            let message = assert_one_proto_error(&answer, &context);
+            assert!(message.contains("HELLO 2"), "{context}: {message}");
+        }
+        // The preamble itself is matched trimmed and in any case, and is
+        // answered with the exact bytes whatever its spelling.
+        let mut burst = b"hello 2\r\n".to_vec();
+        burst.extend_from_slice(&render_request_v2(&Request::Ping));
+        burst.extend_from_slice(&render_request_v2(&Request::Quit));
+        let answer = first_bytes_until_close(addr, &burst);
+        assert_eq!(&answer[..PREAMBLE.len()], PREAMBLE, "{serve_mode:?}");
+        assert_eq!(&answer[PREAMBLE.len()..], b"+PONG\n+BYE\n", "{serve_mode:?}");
+        server.shutdown();
+        assert_eq!(server.conns_open(), 0, "{serve_mode:?}: a refused connection leaked");
+    }
+}
+
+/// A peer that never sends `\n` — before the preamble, or inside a frame
+/// header — is refused as soon as its line outgrows `MAX_HEADER_BYTES`: the
+/// server does not wait for (or buffer) the rest.
+#[test]
+fn a_line_that_never_ends_is_refused_at_the_cap_in_both_modes() {
+    for serve_mode in [ServeMode::Threads, ServeMode::Events] {
+        let mut server = start_server(ManagerKind::Greedy, serve_mode, 2);
+        let addr = server.addr();
+        for greeted in [false, true] {
+            let context = format!("{serve_mode:?}/greeted={greeted}");
+            // What the server sent after answering the preamble, if it got one.
+            let refusal = |answer: &[u8]| match greeted {
+                true => answer.strip_prefix(PREAMBLE).expect("the preamble is answered").to_vec(),
+                false => answer.to_vec(),
+            };
+            // One byte past the cap, then silence: the refusal must not
+            // need another byte.
+            let mut hostile = if greeted { PREAMBLE.to_vec() } else { Vec::new() };
+            hostile.extend_from_slice(&[b'+'; MAX_HEADER_BYTES + 1]);
+            let answer = first_bytes_until_close(addr, &hostile);
+            let message = assert_one_proto_error(&refusal(&answer), &context);
+            assert!(message.contains("too long"), "{context}: {message}");
+
+            // A flood: 8 MiB without a newline. The server answers and
+            // closes while the flood is still arriving; it never holds it.
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            if greeted {
+                stream.write_all(PREAMBLE).unwrap();
+            }
+            let mut flood = stream.try_clone().unwrap();
+            let writer = thread::spawn(move || {
+                let block = [b'x'; 64 * 1024];
+                // Ends early with EPIPE/ECONNRESET once the server closes.
+                (0..128).take_while(|_| flood.write_all(&block).is_ok()).count()
+            });
+            let mut answer = Vec::new();
+            // The close may surface as a reset (unread flood bytes) after
+            // the error frame has been delivered.
+            let _ = stream.read_to_end(&mut answer);
+            assert_one_proto_error(&refusal(&answer), &format!("{context}/flood"));
+            writer.join().unwrap();
+        }
+        // The server is still serving.
+        let mut client = KvClient::connect(addr).unwrap();
+        client.ping().unwrap();
+        client.quit().unwrap();
+        server.shutdown();
+    }
+}
+
 #[test]
 fn one_byte_fragments_reassemble_through_the_event_loop() {
     let mut server = start_server(ManagerKind::Greedy, ServeMode::Events, 2);
-    let mut stream = raw_v2(server.addr());
+    let mut stream = KvClient::connect(server.addr()).unwrap();
     let (bytes, expected) = pipelined_burst(8);
     // Worst-case framing torture: every byte in its own TCP segment
     // (nodelay), with periodic pauses so the event loop actually wakes up
     // mid-frame instead of coalescing the whole burst in one read.
     for (i, byte) in bytes.iter().enumerate() {
-        stream.write_all(std::slice::from_ref(byte)).unwrap();
+        stream.send_raw(std::slice::from_ref(byte)).unwrap();
         if i % 23 == 0 {
             thread::sleep(Duration::from_millis(1));
         }
@@ -178,7 +241,7 @@ fn one_byte_fragments_reassemble_through_the_event_loop() {
 fn seeded_random_fragments_reassemble_through_the_event_loop() {
     let mut server = start_server(ManagerKind::Greedy, ServeMode::Events, 2);
     for seed in [3u64, 17, 451] {
-        let mut stream = raw_v2(server.addr());
+        let mut stream = KvClient::connect(server.addr()).unwrap();
         let (bytes, expected) = pipelined_burst(8);
         let mut sent = 0usize;
         let mut roll = seed;
@@ -186,7 +249,7 @@ fn seeded_random_fragments_reassemble_through_the_event_loop() {
             roll = scramble(roll);
             let chunk = 1 + (roll % 13) as usize;
             let end = (sent + chunk).min(bytes.len());
-            stream.write_all(&bytes[sent..end]).unwrap();
+            stream.send_raw(&bytes[sent..end]).unwrap();
             sent = end;
             if roll % 3 == 0 {
                 thread::sleep(Duration::from_millis(1));
@@ -252,9 +315,9 @@ fn both_serve_modes_conserve_balance_under_every_manager() {
 fn shutdown_drains_pipelined_inflight_replies_in_both_modes() {
     for serve_mode in [ServeMode::Threads, ServeMode::Events] {
         let mut server = start_server(ManagerKind::Greedy, serve_mode, 2);
-        let mut stream = raw_v2(server.addr());
+        let mut stream = KvClient::connect(server.addr()).unwrap();
         let (bytes, expected) = pipelined_burst(12);
-        stream.write_all(&bytes).unwrap();
+        stream.send_raw(&bytes).unwrap();
         // Shut down while the burst is (potentially) still being parsed,
         // executed, or flushed. The drain path must deliver every reply
         // before the connection closes.
@@ -263,16 +326,12 @@ fn shutdown_drains_pipelined_inflight_replies_in_both_modes() {
         assert_burst_replies(&replies, 12);
         // After the drained replies the server closes cleanly: EOF, not a
         // reset or a stray extra frame.
-        let mut rest = Vec::new();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        match stream.read_to_end(&mut rest) {
-            Ok(_) => assert!(
-                rest.is_empty(),
-                "{serve_mode:?}: unexpected trailing bytes: {rest:?}"
+        match stream.recv() {
+            Err(KvError::Io(err)) if err.kind() == ErrorKind::UnexpectedEof => assert!(
+                !err.to_string().contains("mid-frame"),
+                "{serve_mode:?}: unexpected trailing bytes: {err}"
             ),
-            Err(err) => panic!("{serve_mode:?}: expected clean EOF, got {err}"),
+            other => panic!("{serve_mode:?}: expected clean EOF, got {other:?}"),
         }
         // The drain really closed (and un-counted) everything: once
         // shutdown has returned and every serving thread is joined, the
@@ -289,7 +348,6 @@ fn shutdown_drains_pipelined_inflight_replies_in_both_modes() {
 fn idle_connections_are_reaped_and_counted() {
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
-        capacity: 64,
         shards: 4,
         workers: 2,
         serve_mode: ServeMode::Events,
@@ -353,13 +411,13 @@ fn slow_reader_parks_writes_and_counts_partial_flushes() {
     let payload = "x".repeat(256 * 1024);
     control.put(-1, payload.clone()).unwrap();
 
-    let mut stream = raw_v2(addr);
+    let mut stream = KvClient::connect(addr).unwrap();
     let gets = 40usize;
     let mut bytes = Vec::new();
     for _ in 0..gets {
         bytes.extend_from_slice(&render_request_v2(&Request::Get(-1)));
     }
-    stream.write_all(&bytes).unwrap();
+    stream.send_raw(&bytes).unwrap();
     // Do not read yet: let the server hit WouldBlock on the ~10 MB of
     // replies it now owes this connection.
     let deadline = Instant::now() + Duration::from_secs(10);

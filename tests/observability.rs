@@ -1,7 +1,7 @@
 //! Observability surface tests: the `METRICS` exposition must expose a
-//! stable, golden set of series names and labels, and both protocol
-//! framings must be able to scrape it (and `SLOWLOG`) concurrently while
-//! the server is under contended load.
+//! stable, golden set of series names and labels, and several clients
+//! must be able to scrape it (and `SLOWLOG`) concurrently while the server
+//! is under contended load.
 //!
 //! The golden-set test is the compatibility contract for dashboards: it
 //! drives every op kind once, scrapes, and asserts each promised series
@@ -10,8 +10,8 @@
 //! accumulate, new series must not appear, so recording rules written
 //! against one scrape keep working against the next.
 //!
-//! The concurrent test is the thread-safety witness: v1 and v2 clients
-//! loop `METRICS`/`SLOWLOG` against an Events-mode server while transfer
+//! The concurrent test is the thread-safety witness: two clients loop
+//! `METRICS`/`SLOWLOG` against an Events-mode server while transfer
 //! threads keep the contention managers busy, and every scrape must
 //! parse, histogram counts must be monotone, and the keyspace balance
 //! must still conserve at the end.
@@ -230,7 +230,6 @@ fn metrics_exposition_exposes_the_golden_series_set_in_both_modes() {
     for serve_mode in [ServeMode::Threads, ServeMode::Events] {
         let mut server = KvServer::start(ServerConfig {
             manager: ManagerKind::Greedy,
-            capacity: 64,
             shards: 2,
             workers: 2,
             serve_mode,
@@ -296,7 +295,6 @@ fn durable_server_exposes_wal_series() {
     let dir = temp_wal_dir("wal-series");
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
-        capacity: 64,
         shards: 2,
         workers: 2,
         wal_dir: Some(dir.clone()),
@@ -338,21 +336,20 @@ fn durable_server_exposes_wal_series() {
 /// move it by one.
 #[test]
 fn hit_gets_and_overwrite_puts_never_walk_the_index() {
-    const PER_TIER: i64 = 64;
-    const OVERFLOW_BASE: i64 = 1 << 32;
+    const PER_RANGE: i64 = 64;
+    const FAR_BASE: i64 = 1 << 32;
 
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
-        capacity: PER_TIER,
         shards: 4,
         workers: 2,
         ..ServerConfig::default()
     })
     .expect("server must start");
     let mut client = KvClient::connect(server.addr()).unwrap();
-    // Half the keys in pre-allocated cells, half in overflow cells.
-    let keys: Vec<i64> = (0..PER_TIER)
-        .chain(OVERFLOW_BASE..OVERFLOW_BASE + PER_TIER)
+    // Small keys and far-out keys: one cell table serves both.
+    let keys: Vec<i64> = (0..PER_RANGE)
+        .chain(FAR_BASE..FAR_BASE + PER_RANGE)
         .collect();
     for &key in &keys {
         client.put(key, key).unwrap();
@@ -373,17 +370,19 @@ fn hit_gets_and_overwrite_puts_never_walk_the_index() {
     }
     assert_eq!(walks(&mut client), before, "the point path must not open the index");
 
-    assert_eq!(client.get(OVERFLOW_BASE - 1).unwrap(), None);
-    assert_eq!(walks(&mut client), before + 1, "a miss on an unlinked key reads its path");
-    client.put(OVERFLOW_BASE - 1, 0).unwrap();
-    assert_eq!(walks(&mut client), before + 2, "a creating PUT inserts");
+    for (n, key) in [(1, PER_RANGE), (3, FAR_BASE - 1)] {
+        assert_eq!(client.get(key).unwrap(), None);
+        assert_eq!(walks(&mut client), before + n, "a miss on an unlinked key reads its path");
+        client.put(key, 0).unwrap();
+        assert_eq!(walks(&mut client), before + n + 1, "a creating PUT inserts");
+    }
 
     client.quit().unwrap();
     server.shutdown();
 }
 
 #[test]
-fn mixed_v1_v2_clients_scrape_concurrently_under_load() {
+fn clients_scrape_concurrently_under_load() {
     const KEYS: i64 = 16;
     const SEED_BALANCE: i64 = 100;
     const TOTAL: i64 = KEYS * SEED_BALANCE;
@@ -392,7 +391,6 @@ fn mixed_v1_v2_clients_scrape_concurrently_under_load() {
 
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
-        capacity: KEYS,
         shards: 4,
         workers: 4,
         serve_mode: ServeMode::Events,
@@ -428,18 +426,14 @@ fn mixed_v1_v2_clients_scrape_concurrently_under_load() {
             }));
         }
 
-        // One scraper per protocol framing, hammering METRICS + SLOWLOG
-        // while the transfers run. Both must parse every scrape and see
-        // monotone histogram mass.
+        // Two scrapers hammering METRICS + SLOWLOG while the transfers
+        // run. Both must parse every scrape and see monotone histogram
+        // mass.
         let mut scrapers = Vec::new();
-        for v1 in [false, true] {
+        for _ in 0..2 {
             let stop = Arc::clone(&stop);
             scrapers.push(scope.spawn(move || {
-                let mut client = if v1 {
-                    KvClient::connect_v1(addr).unwrap()
-                } else {
-                    KvClient::connect(addr).unwrap()
-                };
+                let mut client = KvClient::connect(addr).unwrap();
                 let mut last_requests = 0u64;
                 let mut last_op_count = 0u64;
                 let mut scrapes = 0u32;

@@ -9,11 +9,9 @@
 //! non-serializable execution shows up as a drifted sum either mid-run or
 //! at the end.
 //!
-//! Protocol v2 is the default client framing here (typed values, coded
-//! errors); dedicated tests drive a v1 text client and a v2 framed client
-//! **concurrently** against one server, and prove that a WAL written in
-//! the v1-era integer-only format recovers losslessly into the typed
-//! store.
+//! Every client speaks frames (typed values, coded errors); the durable
+//! tests restart the server on its WAL directory and prove the typed
+//! keyspace recovers losslessly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,7 +28,6 @@ const TOTAL: i64 = KEYS * SEED_BALANCE;
 fn start_server(manager: ManagerKind, workers: usize) -> KvServer {
     KvServer::start(ServerConfig {
         manager,
-        capacity: KEYS,
         shards: 4,
         workers,
         ..ServerConfig::default()
@@ -69,7 +66,6 @@ fn concurrent_batches_are_serializable_under_every_manager() {
                 let audits_ok = Arc::clone(&audits_ok);
                 scope.spawn(move || {
                     let mut client = KvClient::connect(addr).unwrap();
-                    assert_eq!(client.protocol_version(), 2);
                     for i in 0..batches_per_client {
                         let roll = scramble((c * batches_per_client + i) as u64);
                         let from = (roll % KEYS as u64) as i64;
@@ -140,75 +136,6 @@ fn concurrent_batches_are_serializable_under_every_manager() {
     }
 }
 
-/// The mixed-version acceptance criterion: a v1 text client and a v2 framed
-/// client run concurrent conserving transfers against one live server, with
-/// typed string traffic in flight on a disjoint key range; every audit from
-/// both protocol generations observes the conserved total.
-#[test]
-fn v1_and_v2_clients_transfer_concurrently_and_conserve() {
-    let mut server = start_server(ManagerKind::Greedy, 4);
-    let addr = server.addr();
-    seed_balances(addr);
-
-    thread::scope(|scope| {
-        // The v1 text client: integer transfers + audits.
-        scope.spawn(move || {
-            let mut client = KvClient::connect_v1(addr).unwrap();
-            assert_eq!(client.protocol_version(), 1);
-            for i in 0..40usize {
-                let roll = scramble(i as u64 ^ 0x11);
-                let from = (roll % KEYS as u64) as i64;
-                let to = ((roll >> 8) % KEYS as u64) as i64;
-                client.transfer(from, to, ((roll >> 16) % 20) as i64 + 1).unwrap();
-                if i % 5 == 0 {
-                    assert_eq!(
-                        client.sum(0, KEYS - 1).unwrap().0,
-                        TOTAL,
-                        "v1 audit observed a torn total"
-                    );
-                }
-            }
-            client.quit().unwrap();
-        });
-        // The v2 framed client: integer transfers + typed string writes on
-        // the negative keys (outside the audit window).
-        scope.spawn(move || {
-            let mut client = KvClient::connect(addr).unwrap();
-            assert_eq!(client.protocol_version(), 2);
-            for i in 0..40usize {
-                let roll = scramble(i as u64 ^ 0x22);
-                let from = (roll % KEYS as u64) as i64;
-                let to = ((roll >> 8) % KEYS as u64) as i64;
-                client.transfer(from, to, ((roll >> 16) % 20) as i64 + 1).unwrap();
-                client
-                    .put(-(i as i64) - 1, format!("payload {i}\nwith\nnewlines"))
-                    .unwrap();
-                if i % 5 == 0 {
-                    assert_eq!(
-                        client.sum(0, KEYS - 1).unwrap().0,
-                        TOTAL,
-                        "v2 audit observed a torn total"
-                    );
-                }
-            }
-            client.quit().unwrap();
-        });
-    });
-
-    // Both generations agree on the final state.
-    let mut v1 = KvClient::connect_v1(addr).unwrap();
-    let mut v2 = KvClient::connect(addr).unwrap();
-    assert_eq!(v1.sum(0, KEYS - 1).unwrap(), (TOTAL, KEYS as usize));
-    assert_eq!(v2.sum(0, KEYS - 1).unwrap(), (TOTAL, KEYS as usize));
-    assert_eq!(
-        v2.get_str(-1).unwrap().as_deref(),
-        Some("payload 0\nwith\nnewlines")
-    );
-    v1.quit().unwrap();
-    v2.quit().unwrap();
-    server.shutdown();
-}
-
 #[test]
 fn server_survives_client_errors_and_disconnects() {
     let mut server = start_server(ManagerKind::GreedyTimeout, 3);
@@ -256,7 +183,6 @@ fn start_durable_server(
 ) -> KvServer {
     KvServer::start(ServerConfig {
         manager,
-        capacity: KEYS,
         shards: 4,
         workers,
         wal_dir: Some(dir.to_path_buf()),
@@ -323,7 +249,7 @@ fn restart_preserves_balance_conservation() {
 }
 
 /// Typed values survive the full durability loop: strings and blobs written
-/// over v2 (newlines, NULs, multi-byte UTF-8), snapshot taken mid-history,
+/// over the wire (newlines, NULs, multi-byte UTF-8), snapshot taken mid-history,
 /// more typed writes, restart — everything must come back byte-exact.
 #[test]
 fn restart_recovers_typed_values_through_snapshot_and_tail() {
@@ -361,11 +287,11 @@ fn restart_recovers_typed_values_through_snapshot_and_tail() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// PUT+DEL churn over a rolling window of overflow keys, then restart:
-/// recovery folds the log to its final live keyspace, so a key whose last
-/// logged op is a `DEL` must not materialise a value cell in the rebuilt
-/// store — the restarted server's `cells=` gauge counts only the
-/// pre-allocated range plus the keys actually alive at shutdown.
+/// PUT+DEL churn over a rolling window of keys, then restart: recovery
+/// folds the log to its final live keyspace, so a key whose last logged op
+/// is a `DEL` must not materialise a value cell in the rebuilt store — the
+/// restarted server's `stm_kv_cells_allocated` gauge counts exactly the
+/// keys alive at shutdown.
 #[test]
 fn restart_after_churn_does_not_resurrect_tombstoned_cells() {
     let dir = temp_wal_dir("churn");
@@ -389,7 +315,7 @@ fn restart_after_churn_does_not_resurrect_tombstoned_cells() {
     let stats = client.metrics().unwrap();
     assert_eq!(
         stats.counter("stm_kv_cells_allocated"),
-        (KEYS + window) as u64,
+        window as u64,
         "replay must allocate cells only for keys alive at shutdown: {}",
         stats.text
     );

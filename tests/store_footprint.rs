@@ -1,6 +1,6 @@
 //! Footprint gate for `KvStore`: how many `TVar`s one operation opens,
 //! counted by `ThreadCtx::atomically_traced` (`TxRunReport::reads`/`writes`)
-//! on a 65,536-key store, in both cell tiers. The paper prices a transaction
+//! on a 65,536-key store, for small keys and far-out keys alike. The paper prices a transaction
 //! by the objects it opens, so these are the numbers the cell-first point
 //! path and the chunked index are held to. They are counts, not times:
 //! single-threaded, they repeat exactly on any host.
@@ -8,14 +8,14 @@
 //! With `h` the height of the key's shard tree (asserted ≤ 3 here: 4,096
 //! keys a shard in leaves and inner nodes of ≤ 64):
 //!
-//! * hit `GET`, and a miss `GET` on a pre-allocated key: **1 read**;
+//! * hit `GET`: **1 read**;
 //! * overwriting `PUT`, `ADD` on a present key: **the cell** (1 read,
 //!   1 write) and no index open;
 //! * creating `PUT`/`ADD`: **(1 + h, 2)** — the cell, one root-to-leaf path,
 //!   the leaf — and one more write per level that splits;
 //! * hit `DEL`: **(1 + h, 2)**, and one more read (the sibling) and write
 //!   (the parent) per level that merges;
-//! * `GET`/`DEL` miss on a never-linked overflow key: **(h, 0)**, and no
+//! * `GET`/`DEL` miss on a never-linked key: **(h, 0)**, and no
 //!   cell materialised — also after 10,000 of them;
 //! * a 256-key `RANGE` over a half-full stripe: at most 5 index objects a
 //!   shard (root, ≤ 2 inner nodes, ≤ 2 leaves) and one cell per pair.
@@ -36,8 +36,8 @@ use greedy_stm::ThreadCtx;
 
 const KEYS: i64 = 65_536;
 const SHARDS: usize = 16;
-/// Where the overflow tier's keys start: far outside any pre-allocated range.
-const OVERFLOW_BASE: i64 = 1 << 32;
+/// The far-out fixture's first key (the repo benchmark's key base).
+const FAR_BASE: i64 = 1 << 32;
 /// The tallest a shard's tree may be at 4,096 keys.
 const HEIGHT_MAX: u64 = 3;
 /// Probe offsets, spread over the keyspace and over the shards.
@@ -56,12 +56,11 @@ struct Fixture {
 }
 
 impl Fixture {
-    /// `prealloc` cells up front (0 = every key is an overflow key).
-    fn new(prealloc: i64, base: i64) -> Fixture {
+    fn new(base: i64) -> Fixture {
         let mirror_shards: Vec<TxChunkedSet> = (0..SHARDS).map(|_| TxChunkedSet::new()).collect();
         let fixture = Fixture {
             stm: Stm::default(),
-            store: KvStore::with_preallocated(SHARDS, prealloc),
+            store: KvStore::new(SHARDS),
             mirror: ShardedTxSet::new(
                 mirror_shards
                     .iter()
@@ -132,8 +131,8 @@ fn assert_cell_plus_path(report: &TxRunReport, walks: u64, path: (u64, u64), wha
     );
 }
 
-/// The counts that hold in either tier, for present keys and for keys this
-/// test creates and removes again.
+/// The counts for present keys and for keys this test creates and removes
+/// again; `tier` names the fixture in a failure.
 fn check_point_ops(fixture: &Fixture, tier: &str) {
     let Fixture {
         stm, store, mirror, ..
@@ -309,75 +308,52 @@ fn check_range(fixture: &Fixture, tier: &str) {
 }
 
 #[test]
-fn preallocated_tier_point_ops_open_the_cell_and_at_most_one_tree_path() {
-    // 64 spare pre-allocated cells stay absent: the miss probes.
-    let fixture = Fixture::new(KEYS + 64, 0);
-    check_point_ops(&fixture, "prealloc");
-
-    let Fixture { stm, store, .. } = &fixture;
-    let mut ctx = stm.thread();
-    let allocated = store.cells_allocated();
-    for key in KEYS..KEYS + 64 {
-        let (value, report, walks) = traced(&mut ctx, store, |tx| store.get(tx, key));
-        assert_eq!(value, None);
-        assert_eq!(
-            (opens(&report), walks),
-            ((1, 0), 0),
-            "GET miss, prealloc key {key}"
-        );
-        let (removed, report, walks) = traced(&mut ctx, store, |tx| store.del(tx, key));
-        assert_eq!(removed, None);
-        assert_eq!(
-            (opens(&report), walks),
-            ((1, 0), 0),
-            "DEL miss, prealloc key {key}"
-        );
-    }
-    assert_eq!(store.cells_allocated(), allocated);
-}
-
-#[test]
 fn overflow_tier_point_ops_open_the_cell_and_at_most_one_tree_path() {
-    let fixture = Fixture::new(0, OVERFLOW_BASE);
-    check_point_ops(&fixture, "overflow");
+    // One cell table: the counts are the same for keys from 0 as for keys
+    // from 2^32, and a fresh store has allocated nothing.
+    assert_eq!(KvStore::new(SHARDS).cells_allocated(), 0);
+    for (base, name) in [(0, "small"), (FAR_BASE, "far")] {
+        let fixture = Fixture::new(base);
+        assert_eq!(fixture.store.cells_allocated() as i64, KEYS, "{name}");
+        check_point_ops(&fixture, name);
 
-    // Misses on never-linked keys: the index path is the only witness there
-    // is, nothing is written, and no cell appears.
-    let Fixture {
-        stm, store, base, ..
-    } = &fixture;
-    let mut ctx = stm.thread();
-    let allocated = store.cells_allocated();
-    let linked = store.cells_live();
-    for i in 0..10_000 {
-        // Absent keys on both sides of and inside the present range's shards.
-        let key = match i % 3 {
-            0 => base + KEYS + i,
-            1 => base - 1_000 - i,
-            _ => i64::MIN + i,
-        };
-        let path = (fixture.height(&mut ctx, key), 0);
-        let (value, report, walks) = traced(&mut ctx, store, |tx| store.get(tx, key));
-        assert_eq!(value, None);
+        // Misses on never-linked keys: the index path is the only witness
+        // there is, nothing is written, and no cell appears.
+        let Fixture { stm, store, .. } = &fixture;
+        let mut ctx = stm.thread();
+        let allocated = store.cells_allocated();
+        let linked = store.cells_live();
+        for i in 0..10_000 {
+            // Absent keys on both sides of and inside the present range's
+            // shards.
+            let key = match i % 3 {
+                0 => base + KEYS + i,
+                1 => base - 1_000 - i,
+                _ => i64::MIN + i,
+            };
+            let path = (fixture.height(&mut ctx, key), 0);
+            let (value, report, walks) = traced(&mut ctx, store, |tx| store.get(tx, key));
+            assert_eq!(value, None);
+            assert_eq!(
+                (opens(&report), walks),
+                (path, 1),
+                "GET miss, unlinked {name} key {key}"
+            );
+            let (removed, report, walks) = traced(&mut ctx, store, |tx| store.unset(tx, key));
+            assert!(!removed);
+            assert_eq!(
+                (opens(&report), walks),
+                (path, 1),
+                "DEL miss, unlinked {name} key {key}"
+            );
+        }
         assert_eq!(
-            (opens(&report), walks),
-            (path, 1),
-            "GET miss, unlinked key {key}"
+            store.cells_allocated(),
+            allocated,
+            "{name}: a miss must not materialise a cell"
         );
-        let (removed, report, walks) = traced(&mut ctx, store, |tx| store.unset(tx, key));
-        assert!(!removed);
-        assert_eq!(
-            (opens(&report), walks),
-            (path, 1),
-            "DEL miss, unlinked key {key}"
-        );
+        assert_eq!(store.cells_live(), linked, "{name}");
     }
-    assert_eq!(
-        store.cells_allocated(),
-        allocated,
-        "a miss must not materialise a cell"
-    );
-    assert_eq!(store.cells_live(), linked);
 }
 
 /// Runs `store.range(lo, hi)` on its own thread and parks it inside the
@@ -453,7 +429,7 @@ fn put_until_split(fixture: &Fixture) -> Vec<TxRunReport> {
 
 #[test]
 fn a_split_disturbs_only_ranges_over_its_own_leaf() {
-    let fixture = Fixture::new(0, OVERFLOW_BASE);
+    let fixture = Fixture::new(FAR_BASE);
     let base = fixture.base;
 
     // A range over the first 256 keys reads every shard's root, first inner

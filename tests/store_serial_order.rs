@@ -9,7 +9,7 @@
 //!   key's cell is already unlinked) must see exactly one key, and the
 //!   `RANGE` (index walk) must list that same key with that same value.
 //! * Racing first touch: `PUT k`, `DEL k` and `GET k` hit a never-linked
-//!   overflow key from three threads released by one barrier. Whatever the
+//!   key from three threads released by one barrier. Whatever the
 //!   order, the key's final presence follows from what `DEL` returned, the
 //!   values conserve, and the cell books balance:
 //!   `allocated − freed − limbo = linked = present keys`.
@@ -42,18 +42,17 @@ fn stm_with(kind: ManagerKind, visibility: ReadVisibility) -> Stm {
         .build()
 }
 
-/// Pre-allocated cells `0..PREALLOC`; the first half of the pairs live
-/// there, the second half in reclaimable overflow cells.
-const PREALLOC: i64 = 64;
+/// The first half of the pairs are small keys (`0..64`), the second half
+/// start at `FAR_BASE`: one cell table serves both.
 const PAIRS: usize = 12;
-const OVERFLOW_BASE: i64 = 1 << 32;
+const FAR_BASE: i64 = 1 << 32;
 
 /// The two keys of pair `p`: adjacent, so `RANGE [a, b]` covers only them.
 fn pair(p: usize) -> (i64, i64) {
     let a = if p < PAIRS / 2 {
         2 * p as i64
     } else {
-        OVERFLOW_BASE + 2 * p as i64
+        FAR_BASE + 2 * p as i64
     };
     (a, a + 1)
 }
@@ -68,7 +67,7 @@ fn point_reads_and_range_reads_agree_on_one_serial_order() {
         for visibility in VISIBILITIES {
             let tag = format!("{kind}/{visibility:?}/seed {SEED:#x}");
             let stm = stm_with(kind, visibility);
-            let store = KvStore::with_preallocated(4, PREALLOC);
+            let store = KvStore::new(4);
             {
                 let mut ctx = stm.thread();
                 ctx.atomically(|tx| {
@@ -77,8 +76,8 @@ fn point_reads_and_range_reads_agree_on_one_serial_order() {
                         let (a, _b) = pair(p);
                         store.put(tx, a, 0)?;
                     }
-                    store.put(tx, OVERFLOW_BASE - 1, -1)?;
-                    store.put(tx, OVERFLOW_BASE + 2 * PAIRS as i64, -1)?;
+                    store.put(tx, FAR_BASE - 1, -1)?;
+                    store.put(tx, FAR_BASE + 2 * PAIRS as i64, -1)?;
                     Ok(())
                 })
                 .unwrap();
@@ -169,7 +168,7 @@ fn point_reads_and_range_reads_agree_on_one_serial_order() {
             });
 
             // Quiescent: every pair ended where an even number of toggles
-            // leaves it, and only present keys hold a linked overflow cell.
+            // leaves it, and only present keys hold a linked cell.
             let mut ctx = stm.thread();
             for p in 0..PAIRS {
                 let (a, b) = pair(p);
@@ -178,10 +177,9 @@ fn point_reads_and_range_reads_agree_on_one_serial_order() {
             }
             let present = ctx.atomically(|tx| store.len(tx)).unwrap();
             assert_eq!(present, PAIRS + 2, "{tag}");
-            let present_overflow = PAIRS - PAIRS / 2 + 2;
             assert_eq!(
                 store.cells_live(),
-                PREALLOC as usize + present_overflow,
+                present,
                 "{tag}: a GET or DEL must not leave a cell behind"
             );
         }
@@ -195,9 +193,9 @@ fn racing_first_touch_of_an_unlinked_key_keeps_values_and_cell_books_exact() {
     for kind in MANAGERS {
         let tag = format!("{kind}/seed {SEED:#x}");
         let stm = stm_with(kind, ReadVisibility::Visible);
-        // No pre-allocated range: every round's key starts unlinked.
+        // Every round's key starts unlinked.
         let store = KvStore::new(4);
-        let key_of = |round: i64| OVERFLOW_BASE + round;
+        let key_of = |round: i64| FAR_BASE + round;
         let gate = Barrier::new(3);
         let (stm, store, gate, tag) = (&stm, &store, &gate, &tag);
 
