@@ -39,6 +39,42 @@ use stm_cm::ManagerKind;
 use stm_core::Stm;
 use stm_kv::KvStore;
 
+use crate::report::{Ctx, Outcome};
+
+/// E14: rolling PUT+DEL over fresh keys under two (short sweeps) or four
+/// managers; fails when a committed DEL did not reclaim its cell.
+pub fn churn(ctx: &Ctx) -> Outcome {
+    let cfg = ctx.size(ChurnConfig::smoke(), ChurnConfig::quick(), ChurnConfig::default());
+    let managers: &[ManagerKind] = if ctx.short() {
+        &[ManagerKind::Greedy, ManagerKind::Karma]
+    } else {
+        &[ManagerKind::Greedy, ManagerKind::Karma, ManagerKind::Timestamp, ManagerKind::Polka]
+    };
+    let rows: Vec<_> = managers.iter().map(|manager| churn_experiment(*manager, &cfg)).collect();
+    Outcome::new(&rows, gate(&rows))
+}
+
+/// One violation per row whose [`ChurnRow::bounded`] verdict is `false`.
+#[must_use]
+pub fn gate(rows: &[ChurnRow]) -> Vec<String> {
+    rows.iter()
+        .filter(|row| !row.bounded)
+        .map(|bad| {
+            format!(
+                "churn bound violated under {}: peak {} linked cells exceeds the bound {} \
+                 for {} live keys (allocated {}, freed {}, limbo watermark {})",
+                bad.manager,
+                bad.linked_peak,
+                bad.linked_bound,
+                bad.live_keys,
+                bad.cells_allocated,
+                bad.cells_freed,
+                bad.limbo_watermark
+            )
+        })
+        .collect()
+}
+
 /// Parameters of one churn run.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnConfig {
@@ -277,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_serialize_for_the_json_report() {
+    fn the_gate_names_every_unbounded_row_and_only_those() {
         let row = churn_experiment(
             ManagerKind::Karma,
             &ChurnConfig {
@@ -287,8 +323,10 @@ mod tests {
                 sample_every: 32,
             },
         );
-        let json = crate::render_rows(&vec![row]);
-        assert!(json.contains("\"cells_freed\""), "{json}");
-        assert!(json.contains("\"resident_peak\""), "{json}");
+        assert!(gate(std::slice::from_ref(&row)).is_empty(), "{row:?}");
+        let leaked = ChurnRow { bounded: false, linked_peak: 99, ..row.clone() };
+        let violations = gate(&[row, leaked]);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("karma") && violations[0].contains("99"), "{violations:?}");
     }
 }

@@ -1,226 +1,30 @@
-//! Figure generators: one function per figure of the paper's Section 5, plus
-//! the machine-sized workload matrix over (structure × mix × manager ×
-//! threads) cells and the manager-parameter ablation sweep.
+//! The in-process sweeps over [`run_workload`] cells: one experiment per
+//! figure of the paper's Section 5 (E1–E4), the workload matrix over
+//! (structure × mix × threads × manager) cells (E8), the read-fraction sweep
+//! (E9), the manager-parameter ablation (E12) and the read-visibility
+//! ablation. Every one of them returns flat [`WorkloadResult`] rows.
 
 use std::time::Duration;
 
-use serde::Serialize;
 use stm_cm::{ManagerKind, ManagerParams};
+use stm_core::{ReadVisibility, Stm, StmBuilder};
 
-use crate::workload::{run_workload, run_workload_with, StructureKind, SweepConfig, WorkloadResult};
+use crate::report::{Ctx, Outcome};
+use crate::workload::{
+    run_workload, run_workload_with, OpMix, StructureKind, SweepConfig, WorkloadConfig,
+    WorkloadResult,
+};
 
-/// One manager's throughput curve: committed transactions per second as a
-/// function of the thread count.
-#[derive(Debug, Clone, Serialize)]
-pub struct Series {
-    /// Contention manager name.
-    pub manager: String,
-    /// `(threads, committed transactions per second)` points.
-    pub points: Vec<(usize, f64)>,
-}
-
-/// All the data behind one figure.
-#[derive(Debug, Clone, Serialize)]
-pub struct FigureData {
-    /// Figure identifier, e.g. `"fig1-list"`.
-    pub name: String,
-    /// Human-readable description of the workload.
-    pub description: String,
-    /// Benchmark structure exercised.
-    pub structure: String,
-    /// One series per contention manager.
-    pub series: Vec<Series>,
-    /// The raw per-run results (useful for JSON output and post-processing).
-    pub raw: Vec<WorkloadResult>,
-}
-
-impl FigureData {
-    /// The manager with the highest throughput at the largest thread count.
-    pub fn winner_at_max_threads(&self) -> Option<&str> {
-        let max_threads = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|p| p.0))
-            .max()?;
-        self.series
-            .iter()
-            .filter_map(|s| {
-                s.points
-                    .iter()
-                    .find(|p| p.0 == max_threads)
-                    .map(|p| (s.manager.as_str(), p.1))
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite throughput"))
-            .map(|(name, _)| name)
-    }
-}
-
-fn sweep(name: &str, description: &str, structure: StructureKind, cfg: &SweepConfig) -> FigureData {
-    let mut raw = Vec::new();
-    let mut series: Vec<Series> = cfg
-        .managers
-        .iter()
-        .map(|m| Series {
-            manager: m.name().to_string(),
-            points: Vec::new(),
-        })
-        .collect();
-    for &threads in &cfg.thread_counts {
-        for (idx, manager) in cfg.managers.iter().enumerate() {
-            let mut run_cfg = cfg.base;
-            run_cfg.threads = threads;
-            let result = run_workload(*manager, &structure, &run_cfg);
-            series[idx].points.push((threads, result.throughput));
-            raw.push(result);
-        }
-    }
-    FigureData {
-        name: name.to_string(),
-        description: description.to_string(),
-        structure: structure.name().to_string(),
-        series,
-        raw,
-    }
-}
-
-/// Figure 1: the list application under high contention.
-pub fn fig1_list(cfg: &SweepConfig) -> FigureData {
-    sweep(
-        "fig1-list",
-        "Sorted linked list, 256 keys, 100% updates (high contention)",
-        StructureKind::List,
-        cfg,
-    )
-}
-
-/// Figure 2: the skiplist application.
-pub fn fig2_skiplist(cfg: &SweepConfig) -> FigureData {
-    sweep(
-        "fig2-skiplist",
-        "Skiplist, 256 keys, 100% updates",
-        StructureKind::SkipList,
-        cfg,
-    )
-}
-
-/// Figure 3: the red-black tree with an uncontended tail of local work per
-/// transaction (low contention).
-pub fn fig3_rbtree(cfg: &SweepConfig) -> FigureData {
-    let mut cfg = cfg.clone();
-    if cfg.base.local_work == 0 {
-        cfg.base.local_work = 2_000;
-    }
-    sweep(
-        "fig3-rbtree",
-        "Red-black tree, 256 keys, 100% updates plus uncontended local work (low contention)",
-        StructureKind::RbTree,
-        &cfg,
-    )
-}
-
-/// Figure 4: the red-black forest — transactions of highly variable length
-/// under intensive contention.
-pub fn fig4_forest(cfg: &SweepConfig) -> FigureData {
-    sweep(
-        "fig4-forest",
-        "Red-black forest: 50 trees, updates touch one or all trees (irregular transaction lengths)",
-        StructureKind::paper_forest(),
-        cfg,
-    )
-}
-
-/// One manager's throughput curve over the read-fraction axis.
-#[derive(Debug, Clone, Serialize)]
-pub struct FractionSeries {
-    /// Contention manager name.
-    pub manager: String,
-    /// `(read fraction, committed transactions per second)` points.
-    pub points: Vec<(f64, f64)>,
-}
-
-/// The data behind the read-fraction sweep figure: throughput as the lookup
-/// share of the mix moves from 0% (the paper's update-only mix) to 100%.
-#[derive(Debug, Clone, Serialize)]
-pub struct ReadFractionSweep {
-    /// Benchmark structure exercised.
-    pub structure: String,
-    /// Thread count every point runs at.
-    pub threads: usize,
-    /// The swept read fractions, ascending.
-    pub fractions: Vec<f64>,
-    /// One series per contention manager.
-    pub series: Vec<FractionSeries>,
-    /// The raw per-run results (per-op breakdowns included).
-    pub raw: Vec<WorkloadResult>,
-}
-
-/// The read fractions the default sweep covers.
-pub fn default_read_fractions() -> Vec<f64> {
-    vec![0.0, 0.25, 0.5, 0.75, 0.9, 1.0]
-}
-
-/// Runs the read-fraction sweep: for every manager in `cfg.managers` and
-/// every fraction, an [`OpMix::with_read_fraction`] workload on `structure`
-/// at the largest thread count of `cfg` (the most contended point of the
-/// sweep, where the managers separate).
-pub fn read_fraction_sweep(
-    structure: StructureKind,
-    fractions: &[f64],
-    cfg: &SweepConfig,
-) -> ReadFractionSweep {
-    let threads = cfg.thread_counts.iter().copied().max().unwrap_or(1);
-    let mut raw = Vec::new();
-    let mut series: Vec<FractionSeries> = cfg
-        .managers
-        .iter()
-        .map(|m| FractionSeries {
-            manager: m.name().to_string(),
-            points: Vec::new(),
-        })
-        .collect();
-    for &fraction in fractions {
-        for (idx, manager) in cfg.managers.iter().enumerate() {
-            let mut run_cfg = cfg.base;
-            run_cfg.threads = threads;
-            run_cfg.mix = crate::workload::OpMix::with_read_fraction(fraction);
-            let result = run_workload(*manager, &structure, &run_cfg);
-            series[idx].points.push((fraction, result.throughput));
-            raw.push(result);
-        }
-    }
-    ReadFractionSweep {
-        structure: structure.name().to_string(),
-        threads,
-        fractions: fractions.to_vec(),
-        series,
-        raw,
-    }
-}
-
-/// The structures the workload matrix sweeps. The forest is excluded: its
-/// irregular transaction lengths already have a dedicated figure and would
-/// dominate the matrix's wall-clock budget.
-pub fn matrix_structures() -> Vec<StructureKind> {
-    vec![
-        StructureKind::List,
-        StructureKind::SkipList,
-        StructureKind::RbTree,
-    ]
-}
-
-/// Runs the full workload matrix: one [`WorkloadResult`] cell per
-/// (structure × mix × thread count × manager) combination, in that nesting
-/// order. `cfg.mixes` supplies the mix axis; `cfg.base.mix` is overridden
-/// per cell.
+/// Runs one [`WorkloadResult`] cell per (structure × mix × thread count ×
+/// manager) combination, in that nesting order. `cfg.mixes` supplies the
+/// mix axis; `cfg.base.mix` is overridden per cell.
 pub fn workload_matrix(structures: &[StructureKind], cfg: &SweepConfig) -> Vec<WorkloadResult> {
     let mut cells = Vec::new();
     for structure in structures {
-        for mix in &cfg.mixes {
+        for &mix in &cfg.mixes {
             for &threads in &cfg.thread_counts {
                 for manager in &cfg.managers {
-                    let mut run_cfg = cfg.base;
-                    run_cfg.threads = threads;
-                    run_cfg.mix = *mix;
+                    let run_cfg = WorkloadConfig { threads, mix, ..cfg.base };
                     cells.push(run_workload(*manager, structure, &run_cfg));
                 }
             }
@@ -229,21 +33,74 @@ pub fn workload_matrix(structures: &[StructureKind], cfg: &SweepConfig) -> Vec<W
     cells
 }
 
-/// One knob of the [`ManagerParams`] ablation: which manager it applies to,
-/// the knob's name, and the values to sweep (defaults included).
-#[derive(Debug, Clone)]
-pub struct AblationKnob {
-    /// Manager whose behaviour the knob changes.
-    pub manager: ManagerKind,
-    /// Stable knob name (used in the cell's manager label).
-    pub knob: &'static str,
-    /// `(value label, params)` points, ascending by value.
-    pub points: Vec<(String, ManagerParams)>,
+/// One of the paper's four figures: threads × managers on `structure`, at
+/// the sweep's base mix (the paper's 100% updates).
+fn figure(structure: StructureKind, cfg: &SweepConfig) -> Outcome {
+    let cfg = SweepConfig { mixes: vec![cfg.base.mix], ..cfg.clone() };
+    Outcome::new(&workload_matrix(&[structure], &cfg), Vec::new())
 }
 
-/// The default ablation: one figure per knob, each varying a single
-/// [`ManagerParams`] field around its historical default — the knobs the
-/// paper's Section 6 discussion predicts crossovers for.
+/// E1, Figure 1: the sorted list, 256 keys, 100% updates — high contention.
+pub fn fig1(ctx: &Ctx) -> Outcome {
+    figure(StructureKind::List, &ctx.cfg)
+}
+
+/// E2, Figure 2: the skiplist, 256 keys, 100% updates.
+pub fn fig2(ctx: &Ctx) -> Outcome {
+    figure(StructureKind::SkipList, &ctx.cfg)
+}
+
+/// E3, Figure 3: the red-black tree with an uncontended tail of local work
+/// per transaction — low contention.
+pub fn fig3(ctx: &Ctx) -> Outcome {
+    let mut cfg = ctx.cfg.clone();
+    if cfg.base.local_work == 0 {
+        cfg.base.local_work = 2_000;
+    }
+    figure(StructureKind::RbTree, &cfg)
+}
+
+/// E4, Figure 4: the red-black forest — fifty trees, updates touch one or
+/// all of them, so transaction lengths are highly irregular.
+pub fn fig4(ctx: &Ctx) -> Outcome {
+    figure(StructureKind::paper_forest(), &ctx.cfg)
+}
+
+/// E8: the workload matrix over list, skiplist and red-black tree (the
+/// forest has its own figure and would dominate the wall-clock budget). It
+/// always covers the three standard mixes, even under the single-mix paper
+/// and quick sweeps.
+pub fn matrix(ctx: &Ctx) -> Outcome {
+    let mut cfg = ctx.cfg.clone();
+    if cfg.mixes.len() < 2 {
+        cfg.mixes = OpMix::standard_matrix();
+    }
+    let structures = [StructureKind::List, StructureKind::SkipList, StructureKind::RbTree];
+    Outcome::new(&workload_matrix(&structures, &cfg), Vec::new())
+}
+
+/// E9: throughput on the red-black tree as the lookup share of the mix moves
+/// from 0% (the paper's update-only mix) to 100%, at the largest thread
+/// count of the sweep — its most contended point, where managers separate.
+pub fn readfrac(ctx: &Ctx) -> Outcome {
+    let fractions: &[f64] =
+        if ctx.short() { &[0.0, 0.5, 1.0] } else { &[0.0, 0.25, 0.5, 0.75, 0.9, 1.0] };
+    let cfg = SweepConfig {
+        mixes: fractions.iter().map(|&read| OpMix::with_read_fraction(read)).collect(),
+        thread_counts: vec![most_threads(&ctx.cfg)],
+        ..ctx.cfg.clone()
+    };
+    Outcome::new(&workload_matrix(&[StructureKind::RbTree], &cfg), Vec::new())
+}
+
+fn most_threads(cfg: &SweepConfig) -> usize {
+    cfg.thread_counts.iter().copied().max().unwrap_or(1)
+}
+
+/// The points of the manager-parameter ablation: `(manager, "knob=value",
+/// params)`, each varying one [`ManagerParams`] field around its historical
+/// default (which is among the values) — the knobs the paper's Section 6
+/// discussion predicts crossovers for.
 ///
 /// * `greedy_timeout` (greedy-timeout): the initial presumed-halt time-out.
 ///   Too short kills healthy enemies spuriously; too long stalls behind
@@ -253,244 +110,168 @@ pub struct AblationKnob {
 ///   cost of starving newcomers longer.
 /// * `backoff_cap` (backoff): the exponential-backoff ceiling. A small cap
 ///   degenerates toward aggressive retry; a large cap toward politeness.
-pub fn default_ablation_knobs() -> Vec<AblationKnob> {
+pub fn ablation_points() -> Vec<(ManagerKind, String, ManagerParams)> {
     let us = Duration::from_micros;
-    let timeout_values = [us(10), us(50), us(250), us(1_000)];
-    let increment_values = [1u64, 4, 16, 64];
-    let cap_values = [us(100), us(1_000), us(10_000)];
-    vec![
-        AblationKnob {
-            manager: ManagerKind::GreedyTimeout,
-            knob: "greedy_timeout",
-            points: timeout_values
-                .iter()
-                .map(|&value| {
-                    (
-                        format!("{}us", value.as_micros()),
-                        ManagerParams {
-                            greedy_timeout: value,
-                            ..ManagerParams::default()
-                        },
-                    )
-                })
-                .collect(),
-        },
-        AblationKnob {
-            manager: ManagerKind::Karma,
-            knob: "karma_increment",
-            points: increment_values
-                .iter()
-                .map(|&value| {
-                    (
-                        value.to_string(),
-                        ManagerParams {
-                            karma_increment: value,
-                            ..ManagerParams::default()
-                        },
-                    )
-                })
-                .collect(),
-        },
-        AblationKnob {
-            manager: ManagerKind::Backoff,
-            knob: "backoff_cap",
-            points: cap_values
-                .iter()
-                .map(|&value| {
-                    (
-                        format!("{}us", value.as_micros()),
-                        ManagerParams {
-                            backoff_cap: value,
-                            ..ManagerParams::default()
-                        },
-                    )
-                })
-                .collect(),
-        },
-    ]
+    let default = ManagerParams::default;
+    let mut points = Vec::new();
+    for value in [10, 50, 250, 1_000] {
+        let params = ManagerParams { greedy_timeout: us(value), ..default() };
+        points.push((ManagerKind::GreedyTimeout, format!("greedy_timeout={value}us"), params));
+    }
+    for value in [1, 4, 16, 64] {
+        let params = ManagerParams { karma_increment: value, ..default() };
+        points.push((ManagerKind::Karma, format!("karma_increment={value}"), params));
+    }
+    for value in [100, 1_000, 10_000] {
+        let params = ManagerParams { backoff_cap: us(value), ..default() };
+        points.push((ManagerKind::Backoff, format!("backoff_cap={value}us"), params));
+    }
+    points
 }
 
-/// Runs the parameter-ablation sweep: for every knob and every value, one
-/// workload at the largest thread count of `cfg` (the contended point where
-/// the knobs matter). Cells are the standard [`WorkloadResult`] JSON rows;
-/// the manager field carries the knob setting, e.g.
-/// `karma[karma_increment=16]`, so one figure groups by knob value.
-pub fn ablation_sweep(
-    structure: StructureKind,
-    knobs: &[AblationKnob],
-    cfg: &SweepConfig,
-) -> Vec<WorkloadResult> {
-    let threads = cfg.thread_counts.iter().copied().max().unwrap_or(1);
-    let mut cells = Vec::new();
-    for knob in knobs {
-        for (label, params) in &knob.points {
-            let mut run_cfg = cfg.base;
-            run_cfg.threads = threads;
-            let mut cell = run_workload_with(knob.manager, *params, &structure, &run_cfg);
-            cell.manager = format!("{}[{}={}]", knob.manager.name(), knob.knob, label);
-            cells.push(cell);
-        }
+/// One list cell per variant of the runtime, labelled in the `manager`
+/// field (`karma[karma_increment=16]`), so one table holds a line per value.
+fn variants(variants: Vec<(String, StmBuilder)>, cfg: &WorkloadConfig) -> Outcome {
+    let cells: Vec<WorkloadResult> = variants
+        .into_iter()
+        .map(|(label, stm)| run_workload_with(stm.build(), &label, &StructureKind::List, cfg))
+        .collect();
+    Outcome::new(&cells, Vec::new())
+}
+
+/// E12: one [`ManagerParams`] knob at a time on the list, at the largest
+/// thread count of the sweep (the contended point where the knobs matter).
+pub fn ablate(ctx: &Ctx) -> Outcome {
+    let mut cfg = WorkloadConfig { threads: most_threads(&ctx.cfg), ..ctx.cfg.base };
+    if ctx.short() {
+        cfg.duration = Duration::from_millis(40);
     }
-    cells
+    let points = ablation_points().into_iter().map(|(manager, setting, params)| {
+        let stm = Stm::builder().manager(manager.factory_with(params));
+        (format!("{}[{setting}]", manager.name()), stm)
+    });
+    variants(points.collect(), &cfg)
+}
+
+/// Visible against invisible reads under greedy on the list, four threads.
+pub fn ablation_reads(ctx: &Ctx) -> Outcome {
+    let cfg = WorkloadConfig {
+        threads: 4,
+        duration: Duration::from_millis(if ctx.short() { 80 } else { 300 }),
+        seed: 0xab1a,
+        ..WorkloadConfig::default()
+    };
+    let modes = [ReadVisibility::Visible, ReadVisibility::Invisible].map(|visibility| {
+        let stm = Stm::builder().manager(ManagerKind::Greedy.factory()).read_visibility(visibility);
+        (format!("greedy[reads={visibility:?}]"), stm)
+    });
+    variants(modes.into(), &cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{OpMix, WorkloadConfig};
-    use stm_cm::ManagerKind;
+    use serde::Value;
 
-    fn smoke_cfg() -> SweepConfig {
-        SweepConfig {
-            thread_counts: vec![1, 2],
-            managers: vec![ManagerKind::Greedy, ManagerKind::Karma],
-            mixes: vec![OpMix::update_only()],
-            base: WorkloadConfig {
-                key_range: 32,
-                duration: Duration::from_millis(30),
-                ..WorkloadConfig::default()
+    fn smoke_ctx() -> Ctx {
+        Ctx {
+            sweep: "smoke",
+            cfg: SweepConfig {
+                thread_counts: vec![1, 2],
+                managers: vec![ManagerKind::Greedy, ManagerKind::Karma],
+                mixes: vec![OpMix::update_only()],
+                base: WorkloadConfig {
+                    key_range: 32,
+                    duration: Duration::from_millis(15),
+                    ..WorkloadConfig::default()
+                },
             },
+            idle: None,
+        }
+    }
+
+    fn column<'a>(rows: &'a [Value], key: &str) -> Vec<&'a Value> {
+        rows.iter().map(|row| row.get(key).unwrap_or_else(|| panic!("no `{key}`"))).collect()
+    }
+
+    fn texts<'a>(rows: &'a [Value], key: &str) -> Vec<&'a str> {
+        column(rows, key).into_iter().map(|v| v.as_str().unwrap()).collect()
+    }
+
+    #[test]
+    fn each_figure_is_a_full_grid_on_its_own_structure() {
+        let ctx = smoke_ctx();
+        let figures: [fn(&Ctx) -> Outcome; 4] = [fig1, fig2, fig3, fig4];
+        for (figure, structure) in figures.iter().zip(["list", "skiplist", "rbtree", "rbforest"]) {
+            let outcome = figure(&ctx);
+            assert!(outcome.violations.is_empty());
+            assert_eq!(texts(&outcome.rows, "structure"), [structure; 4]);
+            assert_eq!(texts(&outcome.rows, "mix"), ["update-only"; 4]);
+            assert_eq!(texts(&outcome.rows, "manager"), ["greedy", "karma", "greedy", "karma"]);
+            let threads: Vec<_> =
+                column(&outcome.rows, "threads").iter().map(|t| t.as_u64().unwrap()).collect();
+            assert_eq!(threads, [1, 1, 2, 2]);
+            assert!(column(&outcome.rows, "throughput").iter().all(|t| t.as_f64().unwrap() > 0.0));
         }
     }
 
     #[test]
-    fn fig1_produces_a_full_grid() {
-        let data = fig1_list(&smoke_cfg());
-        assert_eq!(data.series.len(), 2);
-        for series in &data.series {
-            assert_eq!(series.points.len(), 2);
-            assert!(series.points.iter().all(|p| p.1 > 0.0));
+    fn the_matrix_covers_every_structure_under_every_standard_mix() {
+        let mut ctx = smoke_ctx();
+        ctx.cfg.thread_counts = vec![1];
+        let rows = matrix(&ctx).rows;
+        // 3 structures × the 3 standard mixes × 1 thread count × 2 managers.
+        assert_eq!(rows.len(), 18);
+        for key in ["structure", "mix"] {
+            let mut seen = texts(&rows, key);
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len(), 3, "{key}: {seen:?}");
         }
-        assert_eq!(data.raw.len(), 4);
-        assert!(data.winner_at_max_threads().is_some());
-        assert_eq!(data.structure, "list");
+        assert!(column(&rows, "commits").iter().all(|c| c.as_u64().unwrap() > 0));
+        assert!(!texts(&rows, "structure").contains(&"rbforest"));
     }
 
     #[test]
-    fn fig3_injects_local_work_by_default() {
-        let cfg = smoke_cfg();
-        let data = fig3_rbtree(&cfg);
-        assert_eq!(data.structure, "rbtree");
-        assert!(!data.raw.is_empty());
+    fn the_read_fraction_sweep_runs_every_fraction_at_the_largest_thread_count() {
+        let rows = readfrac(&smoke_ctx()).rows;
+        assert_eq!(rows.len(), 6, "3 fractions x 2 managers");
+        assert_eq!(texts(&rows, "structure"), ["rbtree"; 6]);
+        assert!(column(&rows, "threads").iter().all(|t| t.as_u64() == Some(2)));
+        // Fraction 0 is the update-only mix; fraction 1 is pure lookups.
+        assert_eq!(texts(&rows, "mix")[0], "update-only");
+        assert_eq!(rows[0].get("lookup_ops"), Some(&Value::Null));
+        let pure_reads = &rows[5];
+        assert_eq!(pure_reads.get("insert_ops"), Some(&Value::Null));
+        assert_eq!(pure_reads.get("lookup_ops"), pure_reads.get("commits"));
     }
 
     #[test]
-    fn fig4_uses_the_forest() {
-        let mut cfg = smoke_cfg();
-        cfg.thread_counts = vec![2];
-        cfg.managers = vec![ManagerKind::Greedy];
-        let data = fig4_forest(&cfg);
-        assert_eq!(data.structure, "rbforest");
-        assert_eq!(data.series.len(), 1);
-        assert!(data.series[0].points[0].1 > 0.0);
-    }
-
-    #[test]
-    fn workload_matrix_covers_every_cell() {
-        let mut cfg = smoke_cfg();
-        cfg.thread_counts = vec![1];
-        cfg.mixes = vec![OpMix::update_only(), OpMix::range_heavy()];
-        cfg.base.duration = Duration::from_millis(15);
-        let structures = [StructureKind::List, StructureKind::SkipList];
-        let cells = workload_matrix(&structures, &cfg);
-        // 2 structures × 2 mixes × 1 thread count × 2 managers.
-        assert_eq!(cells.len(), 8);
-        for cell in &cells {
-            assert!(cell.commits > 0, "empty cell: {cell:?}");
-        }
-        let mixes: std::collections::BTreeSet<&str> =
-            cells.iter().map(|c| c.mix.as_str()).collect();
-        assert_eq!(mixes.len(), 2);
-        let structures_seen: std::collections::BTreeSet<&str> =
-            cells.iter().map(|c| c.structure.as_str()).collect();
-        assert_eq!(structures_seen.len(), 2);
-    }
-
-    #[test]
-    fn read_fraction_sweep_covers_every_fraction_and_manager() {
-        let mut cfg = smoke_cfg();
-        cfg.thread_counts = vec![1, 2];
-        cfg.base.duration = Duration::from_millis(15);
-        let fractions = [0.0, 1.0];
-        let sweep = read_fraction_sweep(StructureKind::RbTree, &fractions, &cfg);
-        assert_eq!(sweep.structure, "rbtree");
-        assert_eq!(sweep.threads, 2, "sweep runs at the largest thread count");
-        assert_eq!(sweep.fractions, vec![0.0, 1.0]);
-        assert_eq!(sweep.series.len(), 2);
-        for series in &sweep.series {
-            assert_eq!(series.points.len(), 2);
-            assert!(series.points.iter().all(|p| p.1 > 0.0));
-        }
-        assert_eq!(sweep.raw.len(), 4);
-        // fraction 0 is the update-only mix; fraction 1 is pure lookups.
-        assert!(sweep.raw[0].mix.contains("update-only"));
-        let pure_reads = &sweep.raw[sweep.raw.len() - 1];
-        assert!(
-            pure_reads.per_op.iter().all(|o| o.op == "lookup"),
-            "fraction 1.0 must be lookups only: {:?}",
-            pure_reads.per_op
-        );
-        assert!(!default_read_fractions().is_empty());
-    }
-
-    #[test]
-    fn matrix_structures_exclude_the_forest() {
-        let names: Vec<&str> = matrix_structures().iter().map(|s| s.name()).collect();
-        assert_eq!(names, vec!["list", "skiplist", "rbtree"]);
-    }
-
-    #[test]
-    fn ablation_sweep_labels_every_knob_value() {
-        let mut cfg = smoke_cfg();
-        cfg.thread_counts = vec![2];
-        cfg.base.duration = Duration::from_millis(15);
-        cfg.base.key_range = 32;
-        // One two-point knob keeps the test fast; the default knob set is
-        // validated structurally below.
-        let knob = AblationKnob {
-            manager: ManagerKind::Karma,
-            knob: "karma_increment",
-            points: [1u64, 8]
-                .iter()
-                .map(|&v| {
-                    (
-                        v.to_string(),
-                        ManagerParams {
-                            karma_increment: v,
-                            ..ManagerParams::default()
-                        },
-                    )
-                })
-                .collect(),
-        };
-        let cells = ablation_sweep(StructureKind::List, &[knob], &cfg);
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].manager, "karma[karma_increment=1]");
-        assert_eq!(cells[1].manager, "karma[karma_increment=8]");
-        for cell in &cells {
-            assert!(cell.commits > 0, "empty ablation cell: {cell:?}");
-            assert_eq!(cell.threads, 2);
-        }
-        let defaults = default_ablation_knobs();
-        assert_eq!(defaults.len(), 3, "greedy_timeout, karma_increment, backoff_cap");
-        for knob in &defaults {
-            assert!(knob.points.len() >= 3, "{}: too few points", knob.knob);
-            // Every knob set must include the historical default value.
+    fn the_ablation_labels_every_knob_value_and_includes_the_defaults() {
+        let points = ablation_points();
+        for knob in ["greedy_timeout", "karma_increment", "backoff_cap"] {
+            let values: Vec<_> = points.iter().filter(|(_, s, _)| s.starts_with(knob)).collect();
+            assert!(values.len() >= 3, "{knob}: too few points");
             assert!(
-                knob.points.iter().any(|(_, p)| *p == ManagerParams::default()),
-                "{}: default value missing from sweep",
-                knob.knob
+                values.iter().any(|(_, _, params)| *params == ManagerParams::default()),
+                "{knob}: default value missing from sweep"
             );
         }
+        let mut ctx = smoke_ctx();
+        ctx.cfg.thread_counts = vec![2];
+        let rows = ablate(&ctx).rows;
+        assert_eq!(rows.len(), points.len());
+        assert_eq!(texts(&rows, "manager")[4], "karma[karma_increment=1]");
+        assert!(column(&rows, "threads").iter().all(|t| t.as_u64() == Some(2)));
+        assert!(column(&rows, "commits").iter().all(|c| c.as_u64().unwrap() > 0));
     }
 
     #[test]
-    fn fig2_runs_on_the_skiplist() {
-        let mut cfg = smoke_cfg();
-        cfg.thread_counts = vec![1];
-        cfg.managers = vec![ManagerKind::Aggressive];
-        let data = fig2_skiplist(&cfg);
-        assert_eq!(data.structure, "skiplist");
-        assert_eq!(data.raw.len(), 1);
+    fn ablation_reads_is_two_cells_of_the_shared_driver() {
+        let rows = ablation_reads(&smoke_ctx()).rows;
+        assert_eq!(texts(&rows, "manager"), ["greedy[reads=Visible]", "greedy[reads=Invisible]"]);
+        assert_eq!(texts(&rows, "structure"), ["list"; 2]);
+        assert!(column(&rows, "threads").iter().all(|t| t.as_u64() == Some(4)));
+        assert!(column(&rows, "commits").iter().all(|c| c.as_u64().unwrap() > 0));
     }
 }

@@ -3,24 +3,31 @@
 //! The benchmark harness that regenerates the evaluation of *"Toward a
 //! Theory of Transactional Contention Managers"*:
 //!
-//! | Experiment | Paper reference | Module |
-//! |------------|-----------------|--------|
-//! | E1 | Figure 1 — list, high contention | [`figures::fig1_list`] |
-//! | E2 | Figure 2 — skiplist | [`figures::fig2_skiplist`] |
-//! | E3 | Figure 3 — red-black tree, low contention | [`figures::fig3_rbtree`] |
-//! | E4 | Figure 4 — red-black forest, irregular lengths | [`figures::fig4_forest`] |
-//! | E5 | Section 4 adversarial chain | [`theory::chain_experiment`] |
-//! | E6 | Theorem 9 competitive-ratio check | [`theory::bound_experiment`] |
-//! | E7 | Theorem 1 starvation / bounded commit delay | [`starvation::starvation_experiment`] |
-//! | E8 | Workload matrix — mixes × structures × managers × threads | [`figures::workload_matrix`] |
-//! | E9 | Read-fraction sweep — throughput vs lookup share 0..=1 | [`figures::read_fraction_sweep`] |
-//! | E10 | Served load — closed-loop TCP clients vs a live `stm-kv` server | [`netload::run_netload`] |
-//! | E11 | Durability overhead — fsync policy × manager over a WAL-backed server | [`netload::durability_matrix`] |
-//! | E13 | String-value serving — typed `PUT` mix vs int baseline over a durable server | [`netload::string_value_matrix`] |
-//! | E12 | Manager-parameter ablation — one `ManagerParams` knob per figure | [`figures::ablation_sweep`] |
-//! | E14 | Keyspace churn — commit-time cell GC boundedness and cost | [`churn::churn_experiment`] |
-//! | E15 | Commit-path microbenchmark — before/after p50/p99 + throughput | [`hotpath::hotpath_experiment`] |
-//! | E16 | Overload serving — open-loop Poisson/zipfian load vs serve mode | [`netload::run_open_loop`] |
+//! | Experiment | Paper reference | `figures` name and function |
+//! |------------|-----------------|-----------------------------|
+//! | E1 | Figure 1 — list, high contention | [`fig1`](figures::fig1) |
+//! | E2 | Figure 2 — skiplist | [`fig2`](figures::fig2) |
+//! | E3 | Figure 3 — red-black tree, low contention | [`fig3`](figures::fig3) |
+//! | E4 | Figure 4 — red-black forest, irregular lengths | [`fig4`](figures::fig4) |
+//! | E5 | Section 4 adversarial chain | [`chain`](theory::chain) |
+//! | E6 | Theorem 9 competitive-ratio check | [`bound`](theory::bound) |
+//! | E7 | Theorem 1 starvation / bounded commit delay | [`starvation`](starvation::starvation) |
+//! | E8 | Workload matrix — mixes × structures × managers × threads | [`matrix`](figures::matrix) |
+//! | E9 | Read-fraction sweep — throughput vs lookup share | [`readfrac`](figures::readfrac) |
+//! | E12 | Manager-parameter ablation — one knob at a time | [`ablate`](figures::ablate) |
+//! | — | Read-visibility ablation | [`ablation-reads`](figures::ablation_reads) |
+//! | E14 | Keyspace churn — cell GC boundedness and cost (gated) | [`churn`](churn::churn) |
+//! | E15 | Commit-path microbenchmark (reported, not gated) | [`hotpath`](hotpath::hotpath) |
+//! | E16 | Overload serving — open-loop load vs serve mode (gated) | [`overload`](netload::overload) |
+//! | E17 | Telemetry cross-validation (gated) | [`metrics`](metricsprobe::metrics) |
+//!
+//! Every experiment is a `fn(&Ctx) -> Outcome` beside the code it drives;
+//! the `figures` binary holds the table of them and nothing else. An
+//! [`Outcome`] is flat JSON rows plus gate violations; `--json` wraps the
+//! rows in one [`envelope`] and text comes from one [`render`]er. The
+//! per-manager wire sweeps E10, E11 and E13 are retired: `bench/`'s
+//! `wire_point` and `wire_durable_put` workloads cover that path with
+//! correctness checked on every run.
 //!
 //! The paper measures committed transactions per second as a function of the
 //! number of threads (1–32) on a 256-key integer set with a 100% update mix;
@@ -49,24 +56,13 @@ pub mod theory;
 pub mod workload;
 
 pub use churn::{churn_experiment, ChurnConfig, ChurnRow};
+pub use figures::{ablation_points, workload_matrix};
 pub use hotpath::{
-    check_against_baseline, hotpath_experiment, hotpath_matrix, HotpathConfig, HotpathMix,
-    HotpathRow, BASELINE_P50_SLACK, HOTPATH_MIXES,
-};
-pub use figures::{
-    ablation_sweep, default_ablation_knobs, default_read_fractions, fig1_list, fig2_skiplist,
-    fig3_rbtree, fig4_forest, matrix_structures, read_fraction_sweep, workload_matrix,
-    AblationKnob, FigureData, FractionSeries, ReadFractionSweep, Series,
+    hotpath_experiment, hotpath_matrix, HotpathConfig, HotpathMix, HotpathRow, HOTPATH_MIXES,
 };
 pub use metricsprobe::{run_metrics_probe, MetricsProbeConfig, MetricsProbeResult};
-pub use netload::{
-    default_durability_policies, durability_matrix, run_netload, run_open_loop,
-    string_value_matrix, NetLoadConfig, OpenLoopConfig, OpenLoopResult,
-};
-pub use report::{
-    render_figure_table, render_matrix_table, render_op_breakdown, render_read_fraction_table,
-    render_rows,
-};
+pub use netload::{run_open_loop, OpenLoopConfig, OpenLoopResult};
+pub use report::{envelope, render, Ctx, Experiment, Outcome, View};
 pub use starvation::{starvation_experiment, StarvationResult};
 pub use theory::{bound_experiment, chain_experiment, BoundRow, ChainRow};
 pub use workload::{

@@ -1,33 +1,18 @@
-//! Closed-loop network load generator for the `stm-kv` server.
+//! Open-loop network load against a live `stm-kv` server (E16).
 //!
-//! Drives `connections` [`KvClient`] connections against a live server
-//! (typed values, binary-safe frames), each issuing operations drawn from the same
-//! [`OpMix`] distribution the in-process workloads use:
-//! `insert`/`remove`/`lookup`/`range` become `PUT`/`DEL`/`GET`/`RANGE` on
-//! the wire — plus an optional fraction of `BEGIN`/`EXEC` transfer batches
-//! (two `ADD`s moving an amount between two random keys), the multi-key
-//! serializable path, and an optional fraction of **string-value** `PUT`s
-//! ([`NetLoadConfig::string_fraction`], the E13 workload): variable-length
-//! `Str` payloads written to the negative-key half of the keyspace, so the
-//! integer transfer/audit range stays arithmetically typed while the server
-//! handles mixed-type traffic.
-//!
-//! The generator is *closed-loop*: every connection waits for each reply
-//! before issuing its next request, so throughput measures the full
-//! request → transaction → reply round trip and latency percentiles are
-//! per-request. Results are emitted as the same [`WorkloadResult`] cells as
-//! the in-process sweeps (structure `"stm-kv"`), so over-the-wire and
-//! in-process numbers for one manager land in one figure.
-//!
-//! [`run_open_loop`] is the complementary **open-loop** driver (E16):
-//! requests arrive on Poisson schedules at a configured offered load with
-//! zipfian keys, latency is *sojourn* time from the scheduled arrival, and
-//! optional idle-connection fleets and connection-churn schedules exercise
-//! the serving layer itself — the workload that separates the event-driven
-//! server from the thread-per-connection pool under overload.
+//! [`run_open_loop`] issues zipfian `PUT`/`GET` singles on Poisson schedules
+//! at a configured offered load; latency is *sojourn* time from the
+//! scheduled arrival, so when the server saturates the lateness shows up in
+//! the percentiles instead of the arrival rate silently adapting. Optional
+//! idle-connection fleets and connection-churn schedules exercise the
+//! serving layer itself — the workload that separates the event-driven
+//! server from the thread-per-connection pool under overload. It is the one
+//! driver that runs both serve modes and the 2k idle fleet; the closed-loop
+//! per-manager wire sweeps (E10, E11, E13) were retired for `bench/`'s
+//! `wire_point` and `wire_durable_put`, which check what they checked on
+//! every run (EXPERIMENTS.md says why).
 
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -39,222 +24,81 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use stm_cm::ManagerKind;
-use stm_kv::{BatchOp, KvClient, KvError, KvServer, ServerConfig};
-use stm_log::FsyncPolicy;
+use stm_kv::{KvClient, KvError, KvServer, ServeMode, ServerConfig};
 
-use crate::workload::{OpKind, OpMix, OpRecorder, WorkloadResult};
+use crate::report::{Ctx, Outcome};
+use crate::workload::OpRecorder;
 
-/// Parameters of one network load run.
-#[derive(Debug, Clone, Copy)]
-pub struct NetLoadConfig {
-    /// Concurrent client connections (one thread each). The server must be
-    /// running with at least this many workers or connections will queue.
-    pub connections: usize,
-    /// Integer keys are drawn uniformly from `0..key_range`; string values
-    /// live on the mirrored negative keys `-key_range..0`.
-    pub key_range: i64,
-    /// Wall-clock measurement interval.
-    pub duration: Duration,
-    /// Seed for the per-connection operation generators.
-    pub seed: u64,
-    /// Distribution over single-op categories.
-    pub mix: OpMix,
-    /// Width of the interval scanned by a `RANGE` request.
-    pub range_span: i64,
-    /// Fraction of iterations that issue a `BEGIN`/`EXEC` transfer batch
-    /// instead of a single operation, in `[0, 1]`.
-    pub batch_fraction: f64,
-    /// Fraction of `insert` draws that `PUT` a variable-length string value
-    /// (to a negative key) instead of an integer, in `[0, 1]` — the
-    /// string-value workload of E13. `0.0` reproduces the int-only load.
-    pub string_fraction: f64,
-}
-
-impl Default for NetLoadConfig {
-    fn default() -> Self {
-        NetLoadConfig {
-            connections: 4,
-            key_range: 256,
-            duration: Duration::from_millis(200),
-            seed: 0x6e65,
-            mix: OpMix::update_only(),
-            range_span: 32,
-            batch_fraction: 0.2,
-            string_fraction: 0.0,
-        }
-    }
-}
-
-/// Labels of the per-op latency recorders a netload cell carries: the four
-/// single-op categories, the batch path, and string-value `PUT`s.
-const WIRE_LABELS: [&str; 6] = ["put", "del", "get", "range", "batch", "put_str"];
-
-/// Index of the batch recorder in [`WIRE_LABELS`].
-const SLOT_BATCH: usize = 4;
-/// Index of the string-PUT recorder in [`WIRE_LABELS`].
-const SLOT_PUT_STR: usize = 5;
-
-/// Runs the closed-loop load against a live server and returns one
-/// [`WorkloadResult`] cell (`structure = "stm-kv"`, `threads` = client
-/// connections). `manager` labels the cell — pass the manager the server
-/// was started with.
-///
-/// Commits count client-visible completed operations; aborts and the abort
-/// ratio come from the server's `METRICS` delta over the run, so they include
-/// retries performed on behalf of these requests.
-///
-/// # Errors
-///
-/// Propagates connection and protocol errors.
-///
-/// # Panics
-///
-/// Panics when a load connection fails mid-run (a dead server mid-benchmark
-/// has no meaningful partial result).
-pub fn run_netload(
-    addr: SocketAddr,
-    manager: &str,
-    cfg: &NetLoadConfig,
-) -> Result<WorkloadResult, KvError> {
-    assert!(cfg.connections > 0, "need at least one connection");
-    assert!(cfg.key_range > 0, "key range must be positive");
-    assert!(
-        (0.0..=1.0).contains(&cfg.batch_fraction),
-        "batch fraction must be in 0..=1"
+/// E16: offered load against goodput against p99 sojourn, per serve mode,
+/// under greedy. The events server also holds a mostly-idle fleet at its
+/// fixed thread count — under the pool every idle connection would occupy a
+/// worker, which is the point of the experiment.
+pub fn overload(ctx: &Ctx) -> Outcome {
+    let (loads, millis, fleet): (&[f64], u64, usize) = ctx.size(
+        (&[500.0, 4_000.0], 200, 128),
+        (&[1_000.0, 4_000.0, 16_000.0, 64_000.0, 256_000.0], 400, 2_000),
+        (&[1_000.0, 4_000.0, 16_000.0, 32_000.0, 64_000.0, 128_000.0, 256_000.0], 1_000, 2_000),
     );
-    assert!(
-        (0.0..=1.0).contains(&cfg.string_fraction),
-        "string fraction must be in 0..=1"
-    );
-
-    // Prefill every other key (mirrors the in-process harness) and snapshot
-    // the server counters before the measured interval.
-    let mut setup = KvClient::connect(addr)?;
-    for key in (0..cfg.key_range).step_by(2) {
-        setup.put(key, key)?;
-    }
-    let before = setup.metrics()?;
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(cfg.connections + 1));
-    // Overwritten at the start barrier so spawn/connect time stays out of
-    // the throughput denominator.
-    let mut started = Instant::now();
-    let mut commits_total = 0u64;
-    let mut recorders: [OpRecorder; WIRE_LABELS.len()] = Default::default();
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for c in 0..cfg.connections {
-            let stop = Arc::clone(&stop);
-            let barrier = Arc::clone(&barrier);
-            let cfg = *cfg;
-            handles.push(scope.spawn(move || {
-                let mut client =
-                    KvClient::connect(addr).expect("load connection must connect");
-                let mut rng =
-                    SmallRng::seed_from_u64(cfg.seed ^ (c as u64).wrapping_mul(0x9e37));
-                let mut commits = 0u64;
-                let mut local: [OpRecorder; WIRE_LABELS.len()] = Default::default();
-                barrier.wait();
-                while !stop.load(Ordering::Relaxed) {
-                    let key = rng.gen_range(0..cfg.key_range);
-                    let issued = Instant::now();
-                    let slot = if rng.gen::<f64>() < cfg.batch_fraction {
-                        let to = rng.gen_range(0..cfg.key_range);
-                        let amount = rng.gen_range(1..16i64);
-                        client
-                            .batch(&[BatchOp::Add(key, -amount), BatchOp::Add(to, amount)])
-                            .expect("transfer batch must execute");
-                        SLOT_BATCH
-                    } else {
-                        let op = cfg.mix.pick(rng.gen());
-                        match op {
-                            OpKind::Insert if rng.gen::<f64>() < cfg.string_fraction => {
-                                // Variable-length string payloads on the
-                                // mirrored negative key, so the integer
-                                // audit range stays arithmetically typed.
-                                let len = rng.gen_range(0..96usize);
-                                let mut payload = String::with_capacity(len + 8);
-                                payload.push_str("v=");
-                                for _ in 0..len {
-                                    payload.push(char::from(rng.gen_range(b' '..=b'~')));
-                                }
-                                client
-                                    .put(-(key + 1), payload)
-                                    .expect("string PUT must execute");
-                                SLOT_PUT_STR
-                            }
-                            OpKind::Insert => {
-                                client.put(key, key).expect("PUT must execute");
-                                OpKind::Insert.index()
-                            }
-                            OpKind::Remove => {
-                                client.del(key).expect("DEL must execute");
-                                OpKind::Remove.index()
-                            }
-                            OpKind::Lookup => {
-                                client.get(key).expect("GET must execute");
-                                OpKind::Lookup.index()
-                            }
-                            OpKind::Range => {
-                                client
-                                    .range(key, key + cfg.range_span)
-                                    .expect("RANGE must execute");
-                                OpKind::Range.index()
-                            }
-                        }
-                    };
-                    local[slot].record(issued.elapsed(), 0);
-                    commits += 1;
-                }
-                let _ = client.quit();
-                (commits, local)
-            }));
-        }
-        barrier.wait();
-        started = Instant::now();
-        let deadline = started + cfg.duration;
-        while Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-        stop.store(true, Ordering::Relaxed);
-        for handle in handles {
-            let (commits, local) = handle.join().expect("load connection panicked");
-            commits_total += commits;
-            for (merged, thread_local) in recorders.iter_mut().zip(local) {
-                merged.merge(thread_local);
+    let pool = 4;
+    let mut rows = Vec::new();
+    let mut violations = Vec::new();
+    for serve_mode in [ServeMode::Threads, ServeMode::Events] {
+        let mode = serve_mode.label();
+        let started = KvServer::start(ServerConfig {
+            manager: ManagerKind::Greedy,
+            shards: 8,
+            workers: pool + 2,
+            serve_mode,
+            ..ServerConfig::default()
+        });
+        let mut server = match started {
+            Ok(server) => server,
+            Err(err) => {
+                violations.push(format!("cannot start the {mode} server: {err}"));
+                continue;
+            }
+        };
+        for &offered_load in loads {
+            let cfg = OpenLoopConfig {
+                offered_load,
+                pool,
+                duration: Duration::from_millis(millis),
+                idle_connections: match serve_mode {
+                    ServeMode::Events => ctx.idle.unwrap_or(fleet),
+                    ServeMode::Threads => 0,
+                },
+                churn_every: 256,
+                ..OpenLoopConfig::default()
+            };
+            match run_open_loop(server.addr(), "greedy", mode, &cfg) {
+                Ok(row) => rows.push(row),
+                Err(err) => violations
+                    .push(format!("open loop at {offered_load} req/s against {mode}: {err}")),
             }
         }
-    });
-    let elapsed = started.elapsed();
-    let after = setup.metrics()?;
-    setup.quit()?;
+        server.shutdown();
+    }
+    violations.extend(gate(&rows));
+    Outcome::new(&rows, violations)
+}
 
-    let gained = |name: &str| after.counter(name).saturating_sub(before.counter(name));
-    let aborts = gained("stm_aborts_total");
-    let server_commits = gained("stm_commits_total");
-    let finished = server_commits + aborts;
-    let per_op = WIRE_LABELS
-        .into_iter()
-        .zip(recorders)
-        .filter_map(|(label, recorder)| recorder.finish(label))
-        .collect();
-    Ok(WorkloadResult {
-        manager: manager.to_string(),
-        structure: "stm-kv".to_string(),
-        mix: cfg.mix.label(),
-        threads: cfg.connections,
-        commits: commits_total,
-        aborts,
-        elapsed,
-        throughput: commits_total as f64 / elapsed.as_secs_f64(),
-        abort_ratio: if finished == 0 {
-            0.0
-        } else {
-            aborts as f64 / finished as f64
-        },
-        per_op,
-    })
+/// The serving gate: every row made progress with finite percentiles, and a
+/// server asked to hold an idle fleet was seen holding all of it.
+#[must_use]
+pub fn gate(rows: &[OpenLoopResult]) -> Vec<String> {
+    let mut violations = Vec::new();
+    for row in rows {
+        if row.goodput <= 0.0 || !row.p99_sojourn_us.is_finite() {
+            violations.push(format!("degenerate row under {}: {row:?}", row.serve_mode));
+        }
+        if (row.conns_open_observed as usize) < row.idle_connections {
+            violations.push(format!(
+                "the {} server held only {} of {} idle connections at {} req/s",
+                row.serve_mode, row.conns_open_observed, row.idle_connections, row.offered_load
+            ));
+        }
+    }
+    violations
 }
 
 /// Parameters of one **open-loop** run (E16): requests arrive on a Poisson
@@ -347,7 +191,7 @@ pub struct OpenLoopResult {
 
 /// Draws an exponential inter-arrival gap for a Poisson process of `rate`
 /// events/second.
-fn exp_gap(rng: &mut SmallRng, rate: f64) -> Duration {
+pub(crate) fn exp_gap(rng: &mut SmallRng, rate: f64) -> Duration {
     // 1 - u is in (0, 1], so ln is finite and the gap non-negative.
     let u: f64 = rng.gen();
     Duration::from_secs_f64(-(1.0 - u).ln() / rate)
@@ -500,240 +344,9 @@ pub fn run_open_loop(
     })
 }
 
-/// The fsync policies the durability experiment (E11) compares: synchronous
-/// durability, a 64-commit loss window, and a 5 ms loss window — plus the
-/// volatile baseline (`None`).
-pub fn default_durability_policies() -> Vec<Option<FsyncPolicy>> {
-    vec![
-        None,
-        Some(FsyncPolicy::EveryCommit),
-        Some(FsyncPolicy::EveryN(64)),
-        Some(FsyncPolicy::EveryMs(5)),
-    ]
-}
-
-/// Runs the durability netload matrix (E11): one live server per
-/// (fsync policy × manager) cell — each durable server on a fresh temporary
-/// WAL directory — driven by the closed-loop client. Fsync batching sits in
-/// the commit path, so it stretches transaction hold times and therefore
-/// conflict windows; comparing managers across policies shows how each one
-/// absorbs that shift. Cells carry the policy in the structure label
-/// (`stm-kv` for volatile, `stm-kv+wal[every]` etc. for durable), so the
-/// JSON groups naturally next to the E10 cells.
-///
-/// Servers that fail to start (or runs that fail mid-load) are skipped with
-/// a note on stderr; the returned cells cover everything that ran.
-pub fn durability_matrix(
-    policies: &[Option<FsyncPolicy>],
-    managers: &[ManagerKind],
-    cfg: &NetLoadConfig,
-) -> Vec<WorkloadResult> {
-    let mut cells = Vec::new();
-    for policy in policies {
-        for manager in managers {
-            let wal_dir = policy.map(|p| temp_wal_dir("e11", *manager, &p.label()));
-            let mut server = match KvServer::start(ServerConfig {
-                manager: *manager,
-                shards: 8,
-                workers: cfg.connections + 1,
-                wal_dir: wal_dir.clone(),
-                fsync: policy.unwrap_or(FsyncPolicy::EveryCommit),
-                ..ServerConfig::default()
-            }) {
-                Ok(server) => server,
-                Err(err) => {
-                    eprintln!("E11: cannot start server for {manager}/{policy:?}: {err}");
-                    continue;
-                }
-            };
-            match run_netload(server.addr(), manager.name(), cfg) {
-                Ok(mut cell) => {
-                    cell.structure = match policy {
-                        None => "stm-kv".to_string(),
-                        Some(p) => format!("stm-kv+wal[{}]", p.label()),
-                    };
-                    cells.push(cell);
-                }
-                Err(err) => eprintln!("E11: netload against {manager}/{policy:?} failed: {err}"),
-            }
-            server.shutdown();
-            if let Some(dir) = wal_dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
-        }
-    }
-    cells
-}
-
-/// Runs the string-value netload comparison (E13): per manager, an int-only
-/// baseline cell versus a 50%-string `PUT` mix — both against a **durable**
-/// WAL-backed server (fresh temp directory per cell), so the typed-value
-/// path is exercised end to end: frames → typed store cells → typed log
-/// records. Cells are labelled `stm-kv+wal[<policy>]` (baseline) and
-/// `stm-kv+str+wal[<policy>]` (string mix).
-///
-/// Servers that fail to start (or runs that fail mid-load) are skipped with
-/// a note on stderr; the returned cells cover everything that ran.
-pub fn string_value_matrix(
-    managers: &[ManagerKind],
-    fsync: FsyncPolicy,
-    cfg: &NetLoadConfig,
-) -> Vec<WorkloadResult> {
-    let mut cells = Vec::new();
-    for manager in managers {
-        for string_fraction in [0.0, 0.5] {
-            let tag = if string_fraction > 0.0 { "e13-str" } else { "e13-int" };
-            let wal_dir = temp_wal_dir(tag, *manager, &fsync.label());
-            let mut server = match KvServer::start(ServerConfig {
-                manager: *manager,
-                shards: 8,
-                workers: cfg.connections + 1,
-                wal_dir: Some(wal_dir.clone()),
-                fsync,
-                ..ServerConfig::default()
-            }) {
-                Ok(server) => server,
-                Err(err) => {
-                    eprintln!("E13: cannot start server for {manager}: {err}");
-                    continue;
-                }
-            };
-            let cell_cfg = NetLoadConfig {
-                string_fraction,
-                ..*cfg
-            };
-            match run_netload(server.addr(), manager.name(), &cell_cfg) {
-                Ok(mut cell) => {
-                    cell.structure = if string_fraction > 0.0 {
-                        format!("stm-kv+str+wal[{}]", fsync.label())
-                    } else {
-                        format!("stm-kv+wal[{}]", fsync.label())
-                    };
-                    cells.push(cell);
-                }
-                Err(err) => eprintln!("E13: netload against {manager} failed: {err}"),
-            }
-            server.shutdown();
-            let _ = std::fs::remove_dir_all(wal_dir);
-        }
-    }
-    cells
-}
-
-fn temp_wal_dir(tag: &str, manager: ManagerKind, policy: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "stm-bench-{tag}-{}-{}-{}",
-        manager.name(),
-        policy.replace('=', "-"),
-        std::process::id(),
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn netload_produces_a_cell_against_a_live_server() {
-        let server = KvServer::start(ServerConfig {
-            manager: ManagerKind::Greedy,
-            shards: 4,
-            workers: 3,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let cfg = NetLoadConfig {
-            connections: 2,
-            key_range: 64,
-            duration: Duration::from_millis(60),
-            mix: OpMix::read_mostly(),
-            range_span: 8,
-            batch_fraction: 0.3,
-            ..NetLoadConfig::default()
-        };
-        let cell = run_netload(server.addr(), "greedy", &cfg).unwrap();
-        assert_eq!(cell.structure, "stm-kv");
-        assert_eq!(cell.manager, "greedy");
-        assert_eq!(cell.threads, 2);
-        assert!(cell.commits > 0);
-        assert!(cell.throughput > 0.0);
-        assert!(!cell.per_op.is_empty());
-        assert!(
-            cell.per_op.iter().any(|o| o.op == "batch"),
-            "30% batches must register: {:?}",
-            cell.per_op
-        );
-        for op in &cell.per_op {
-            assert!(op.p99_us >= op.p50_us);
-        }
-        // The cells serialize with the same shape as in-process cells.
-        let json = crate::report::render_rows(&vec![cell]);
-        assert!(json.contains("\"structure\": \"stm-kv\""));
-        assert!(json.contains("\"per_op\""));
-    }
-
-    #[test]
-    fn string_mix_registers_typed_puts_and_conserves_the_int_range() {
-        let server = KvServer::start(ServerConfig {
-            manager: ManagerKind::Greedy,
-            shards: 4,
-            workers: 3,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let cfg = NetLoadConfig {
-            connections: 2,
-            key_range: 64,
-            duration: Duration::from_millis(60),
-            mix: OpMix::update_only(),
-            batch_fraction: 0.2,
-            string_fraction: 0.6,
-            ..NetLoadConfig::default()
-        };
-        let cell = run_netload(server.addr(), "greedy", &cfg).unwrap();
-        assert!(cell.commits > 0);
-        assert!(
-            cell.per_op.iter().any(|o| o.op == "put_str"),
-            "60% string PUTs must register: {:?}",
-            cell.per_op
-        );
-        // The transfers stayed on the integer half: the audit still sums.
-        let mut audit = KvClient::connect(server.addr()).unwrap();
-        let (_total, count) = audit.sum(0, 63).unwrap();
-        assert!(count > 0, "int range must still hold typed-int keys");
-        // And the negative half holds strings.
-        let strings = audit.range(-64, -1).unwrap();
-        assert!(
-            strings.iter().any(|(_, v)| v.as_str().is_some()),
-            "string keys must exist on the negative half: {strings:?}"
-        );
-        audit.quit().unwrap();
-    }
-
-    #[test]
-    fn durability_matrix_covers_policies_and_labels_cells() {
-        let cfg = NetLoadConfig {
-            connections: 2,
-            key_range: 64,
-            duration: Duration::from_millis(40),
-            mix: OpMix::update_only(),
-            batch_fraction: 0.3,
-            ..NetLoadConfig::default()
-        };
-        let policies = [None, Some(FsyncPolicy::EveryN(16))];
-        let cells = durability_matrix(&policies, &[ManagerKind::Greedy], &cfg);
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].structure, "stm-kv");
-        assert_eq!(cells[1].structure, "stm-kv+wal[n=16]");
-        for cell in &cells {
-            assert_eq!(cell.manager, "greedy");
-            assert!(cell.commits > 0, "empty E11 cell: {cell:?}");
-            assert!(cell.throughput > 0.0);
-        }
-        assert_eq!(default_durability_policies().len(), 4);
-    }
 
     #[test]
     fn open_loop_reports_goodput_sojourn_and_idle_fleet() {
@@ -741,7 +354,7 @@ mod tests {
             manager: ManagerKind::Greedy,
             shards: 4,
             workers: 4,
-            serve_mode: stm_kv::ServeMode::Events,
+            serve_mode: ServeMode::Events,
             event_shards: 2,
             ..ServerConfig::default()
         })
@@ -766,28 +379,9 @@ mod tests {
             "idle fleet not held open: {row:?}"
         );
         assert!(row.reconnects > 0, "churn schedule never fired: {row:?}");
-        // The row serializes for the BENCH_serve.json report.
-        let json = crate::report::render_rows(&vec![row]);
-        assert!(json.contains("\"serve_mode\": \"events\""));
-        assert!(json.contains("\"p99_sojourn_us\""));
-    }
-
-    #[test]
-    fn string_value_matrix_emits_baseline_and_string_cells() {
-        let cfg = NetLoadConfig {
-            connections: 2,
-            key_range: 64,
-            duration: Duration::from_millis(40),
-            mix: OpMix::update_only(),
-            batch_fraction: 0.2,
-            ..NetLoadConfig::default()
-        };
-        let cells = string_value_matrix(&[ManagerKind::Greedy], FsyncPolicy::EveryN(16), &cfg);
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].structure, "stm-kv+wal[n=16]");
-        assert_eq!(cells[1].structure, "stm-kv+str+wal[n=16]");
-        for cell in &cells {
-            assert!(cell.commits > 0, "empty E13 cell: {cell:?}");
-        }
+        assert!(gate(std::slice::from_ref(&row)).is_empty(), "{row:?}");
+        // The gate names a fleet the server did not hold and a stalled row.
+        let dropped = OpenLoopResult { conns_open_observed: 3, goodput: 0.0, ..row };
+        assert_eq!(gate(&[dropped]).len(), 2);
     }
 }

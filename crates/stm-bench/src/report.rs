@@ -1,291 +1,286 @@
-//! Plain-text rendering of benchmark results (the tables printed by the
-//! `figures` binary and recorded in the repository's `EXPERIMENTS.md`).
+//! What every experiment shares: the [`Experiment`] table row, the [`Ctx`]
+//! it runs under, the [`Outcome`] it returns — flat JSON rows plus gate
+//! violations — the one `--json` [`envelope`], and the one text renderer
+//! ([`render`]) with its two [`View`]s.
 
-use crate::figures::FigureData;
-use crate::workload::WorkloadResult;
+use std::process::Command;
 
-/// Renders a figure as a text table: one row per thread count, one column per
-/// contention manager, values in committed transactions per second.
-pub fn render_figure_table(figure: &FigureData) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# {} — {}\n", figure.name, figure.description));
-    let managers: Vec<&str> = figure.series.iter().map(|s| s.manager.as_str()).collect();
-    let mut threads: Vec<usize> = figure
-        .series
-        .iter()
-        .flat_map(|s| s.points.iter().map(|p| p.0))
+use serde::{Serialize, Value};
+
+use crate::workload::SweepConfig;
+
+/// What an experiment is run with: the sweep the command line chose, under
+/// its name, and the `--idle` override of E16's fleet.
+#[derive(Debug, Clone)]
+pub struct Ctx {
+    /// `"paper"`, `"quick"`, `"smoke"` or `"machine"`.
+    pub sweep: &'static str,
+    /// The thread × manager × mix axes of that sweep.
+    pub cfg: SweepConfig,
+    /// Idle connections the events server must hold (`overload` only).
+    pub idle: Option<usize>,
+}
+
+impl Ctx {
+    /// Whether the sweep is one of the two short ones (`quick`, `smoke`).
+    #[must_use]
+    pub fn short(&self) -> bool {
+        matches!(self.sweep, "quick" | "smoke")
+    }
+
+    /// The one of three sizes this sweep asks for (`machine` sizes only the
+    /// thread axis, so it takes the paper's).
+    pub fn size<T>(&self, smoke: T, quick: T, paper: T) -> T {
+        match self.sweep {
+            "smoke" => smoke,
+            "quick" => quick,
+            _ => paper,
+        }
+    }
+}
+
+/// What an experiment returns: its rows, each a flat JSON object, and the
+/// gate violations — one line each; any makes `figures` exit 1.
+#[derive(Debug, Clone, Default)]
+pub struct Outcome {
+    /// One flat object per measured cell, keys in declaration order.
+    pub rows: Vec<Value>,
+    /// Why the run must fail, if it must.
+    pub violations: Vec<String>,
+}
+
+impl Outcome {
+    /// Serializes `rows` and attaches the gate's verdict.
+    #[must_use]
+    pub fn new<T: Serialize>(rows: &[T], violations: Vec<String>) -> Outcome {
+        Outcome {
+            rows: rows.iter().map(Serialize::to_json_value).collect(),
+            violations,
+        }
+    }
+}
+
+/// How [`render`] lays an experiment's rows out as text.
+#[derive(Debug, Clone, Copy)]
+pub enum View {
+    /// One line per row; columns are the first row's keys, in order.
+    Flat,
+    /// One block per distinct `group` tuple, one line per `row` value, one
+    /// column per `col` value, cells holding `value` — the threads × manager
+    /// tables of the paper's figures.
+    Pivot {
+        /// Keys whose values name a block.
+        group: &'static [&'static str],
+        /// Key down the side.
+        row: &'static str,
+        /// Key across the top.
+        col: &'static str,
+        /// Key in the cells.
+        value: &'static str,
+    },
+}
+
+/// One row of the `figures` table.
+pub struct Experiment {
+    /// Subcommand name.
+    pub name: &'static str,
+    /// One line for the usage text and the table title.
+    pub about: &'static str,
+    /// Whether `all` (and no name at all) runs it.
+    pub in_all: bool,
+    /// Text layout of its rows.
+    pub view: View,
+    /// Runs it.
+    pub run: fn(&Ctx) -> Outcome,
+}
+
+fn command_line(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |text| text.trim().to_string())
+}
+
+/// The one `--json` document: where the rows were measured, then the rows.
+/// Field names follow `bench/src/report.rs::result_json`.
+#[must_use]
+pub fn envelope(experiment: &str, sweep: &str, rows: Vec<Value>) -> Value {
+    serde_json::json!({
+        "schema_version": 1u64,
+        "experiment": experiment,
+        "sweep": sweep,
+        "commit": command_line("git", &["rev-parse", "--short", "HEAD"]),
+        "nproc": std::thread::available_parallelism().map_or(0, |n| n.get()),
+        "toolchain": command_line("rustc", &["--version"]),
+        "rows": rows,
+    })
+}
+
+/// A cell as text. Anything that is not a scalar — a missing key, `null`
+/// (which is also how a non-finite float serializes) — prints as `NaN`.
+fn cell(value: Option<&Value>) -> String {
+    match value {
+        Some(Value::String(s)) => s.clone(),
+        Some(Value::Bool(b)) => b.to_string(),
+        Some(Value::UInt(n)) => n.to_string(),
+        Some(Value::Int(n)) => n.to_string(),
+        Some(Value::Float(f)) if f.abs() >= 100.0 => format!("{f:.0}"),
+        Some(Value::Float(f)) => format!("{f:.2}"),
+        _ => "NaN".to_string(),
+    }
+}
+
+/// Right-aligns `lines` (the first is the header) into columns.
+fn table(lines: &[Vec<String>]) -> String {
+    let columns = lines.iter().map(Vec::len).max().unwrap_or(0);
+    let widths: Vec<usize> = (0..columns)
+        .map(|c| lines.iter().filter_map(|l| l.get(c)).map(String::len).max().unwrap_or(0))
         .collect();
-    threads.sort_unstable();
-    threads.dedup();
-    out.push_str(&format!("{:>8}", "threads"));
-    for manager in &managers {
-        out.push_str(&format!("{manager:>14}"));
-    }
-    out.push('\n');
-    for t in threads {
-        out.push_str(&format!("{t:>8}"));
-        for series in &figure.series {
-            let value = series
-                .points
-                .iter()
-                .find(|p| p.0 == t)
-                .map(|p| p.1)
-                .unwrap_or(f64::NAN);
-            out.push_str(&format!("{value:>14.0}"));
-        }
-        out.push('\n');
-    }
-    if let Some(winner) = figure.winner_at_max_threads() {
-        out.push_str(&format!("best at max threads: {winner}\n"));
-    }
-    out
-}
-
-/// Renders workload-matrix cells as text tables: one block per
-/// (structure, mix) pair, one row per thread count, one column per manager,
-/// values in committed transactions per second.
-pub fn render_matrix_table(cells: &[WorkloadResult]) -> String {
-    // Group keys in first-appearance order (the matrix emits cells grouped
-    // already; this keeps the renderer independent of that ordering).
-    let mut groups: Vec<(String, String)> = Vec::new();
-    for cell in cells {
-        let key = (cell.structure.clone(), cell.mix.clone());
-        if !groups.contains(&key) {
-            groups.push(key);
-        }
-    }
     let mut out = String::new();
-    for (structure, mix) in groups {
-        let block: Vec<&WorkloadResult> = cells
+    for line in lines {
+        let cells: Vec<String> = line
             .iter()
-            .filter(|c| c.structure == structure && c.mix == mix)
+            .zip(&widths)
+            .map(|(text, width)| format!("{text:>width$}"))
             .collect();
-        let mut managers: Vec<&str> = Vec::new();
-        let mut threads: Vec<usize> = Vec::new();
-        for cell in &block {
-            if !managers.contains(&cell.manager.as_str()) {
-                managers.push(cell.manager.as_str());
-            }
-            if !threads.contains(&cell.threads) {
-                threads.push(cell.threads);
-            }
-        }
-        threads.sort_unstable();
-        out.push_str(&format!("# matrix — {structure} / {mix} (commits/sec)\n"));
-        out.push_str(&format!("{:>8}", "threads"));
-        for manager in &managers {
-            out.push_str(&format!("{manager:>14}"));
-        }
-        out.push('\n');
-        for t in threads {
-            out.push_str(&format!("{t:>8}"));
-            for manager in &managers {
-                let value = block
-                    .iter()
-                    .find(|c| c.threads == t && c.manager == *manager)
-                    .map(|c| c.throughput)
-                    .unwrap_or(f64::NAN);
-                out.push_str(&format!("{value:>14.0}"));
-            }
-            out.push('\n');
-        }
+        out.push_str(cells.join("  ").trim_end());
         out.push('\n');
     }
     out
 }
 
-/// Renders the per-op latency/abort breakdown of a set of workload cells:
-/// one block per cell, one row per operation category, with completed-op
-/// counts, attributed aborts, and mean/p50/p99 latency in microseconds.
-pub fn render_op_breakdown(cells: &[WorkloadResult]) -> String {
-    let mut out = String::new();
-    for cell in cells {
-        if cell.per_op.is_empty() {
-            continue;
+/// The distinct values of `f` over `rows`, in first-appearance order.
+fn distinct<T: PartialEq>(rows: &[&Value], f: impl Fn(&Value) -> T) -> Vec<T> {
+    let mut seen = Vec::new();
+    for row in rows {
+        let key = f(row);
+        if !seen.contains(&key) {
+            seen.push(key);
         }
-        out.push_str(&format!(
-            "# per-op — {} / {} / {} @ {} threads\n",
-            cell.structure, cell.mix, cell.manager, cell.threads
-        ));
-        out.push_str(&format!(
-            "{:>8} {:>10} {:>8} {:>10} {:>10} {:>10}\n",
-            "op", "ops", "aborts", "mean-us", "p50-us", "p99-us"
-        ));
-        for op in &cell.per_op {
-            out.push_str(&format!(
-                "{:>8} {:>10} {:>8} {:>10.1} {:>10.1} {:>10.1}\n",
-                op.op, op.ops, op.aborts, op.mean_us, op.p50_us, op.p99_us
-            ));
-        }
-        out.push('\n');
     }
-    out
+    seen
 }
 
-/// Renders a read-fraction sweep as a text table: one row per fraction, one
-/// column per manager, values in committed transactions per second.
-pub fn render_read_fraction_table(sweep: &crate::figures::ReadFractionSweep) -> String {
-    let mut out = format!(
-        "# read-fraction sweep — {} @ {} threads (commits/sec)\n",
-        sweep.structure, sweep.threads
-    );
-    out.push_str(&format!("{:>10}", "read-frac"));
-    for series in &sweep.series {
-        out.push_str(&format!("{:>14}", series.manager));
-    }
-    out.push('\n');
-    for &fraction in &sweep.fractions {
-        out.push_str(&format!("{fraction:>10.2}"));
-        for series in &sweep.series {
-            let value = series
-                .points
-                .iter()
-                .find(|p| (p.0 - fraction).abs() < 1e-9)
-                .map(|p| p.1)
-                .unwrap_or(f64::NAN);
-            out.push_str(&format!("{value:>14.0}"));
+/// Renders `rows` as text under `view`; no rows render nothing.
+#[must_use]
+pub fn render(view: &View, rows: &[Value]) -> String {
+    let all: Vec<&Value> = rows.iter().collect();
+    let Some(Value::Object(first)) = rows.first() else {
+        return String::new();
+    };
+    match *view {
+        View::Flat => {
+            let keys: Vec<&String> = first.iter().map(|(key, _)| key).collect();
+            let mut lines = vec![keys.iter().map(|key| key.to_string()).collect()];
+            for row in rows {
+                lines.push(keys.iter().map(|key| cell(row.get(key))).collect());
+            }
+            table(&lines)
         }
-        out.push('\n');
+        View::Pivot { group, row, col, value } => {
+            let group_of =
+                |r: &Value| group.iter().map(|key| cell(r.get(key))).collect::<Vec<_>>();
+            let mut out = String::new();
+            for block in distinct(&all, group_of) {
+                let members: Vec<&Value> =
+                    all.iter().copied().filter(|r| group_of(r) == block).collect();
+                let cols = distinct(&members, |r| cell(r.get(col)));
+                let mut header = vec![row.to_string()];
+                header.extend(cols.iter().cloned());
+                let mut lines = vec![header];
+                for side in distinct(&members, |r| cell(r.get(row))) {
+                    let mut line = vec![side.clone()];
+                    for top in &cols {
+                        let hit = members
+                            .iter()
+                            .find(|r| cell(r.get(row)) == side && cell(r.get(col)) == *top);
+                        line.push(cell(hit.and_then(|r| r.get(value))));
+                    }
+                    lines.push(line);
+                }
+                out.push_str(&format!("## {} ({value})\n", block.join(" / ")));
+                out.push_str(&table(&lines));
+                out.push('\n');
+            }
+            out
+        }
     }
-    out
-}
-
-/// Renders a list of serializable rows as pretty JSON (used by the binary's
-/// `--json` mode so results can be post-processed or plotted elsewhere).
-pub fn render_rows<T: serde::Serialize>(rows: &T) -> String {
-    serde_json::to_string_pretty(rows).expect("benchmark rows serialize to JSON")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::Series;
 
-    fn sample_figure() -> FigureData {
-        FigureData {
-            name: "fig-test".to_string(),
-            description: "sample".to_string(),
-            structure: "list".to_string(),
-            series: vec![
-                Series {
-                    manager: "greedy".to_string(),
-                    points: vec![(1, 1000.0), (2, 1800.0)],
-                },
-                Series {
-                    manager: "karma".to_string(),
-                    points: vec![(1, 900.0), (2, 2000.0)],
-                },
-            ],
-            raw: Vec::new(),
-        }
+    const BY_THREADS: View = View::Pivot {
+        group: &["structure", "mix"],
+        row: "threads",
+        col: "manager",
+        value: "throughput",
+    };
+
+    fn row(structure: &str, manager: &str, threads: u64, throughput: f64) -> Value {
+        Value::Object(vec![
+            ("manager".to_string(), Value::String(manager.to_string())),
+            ("structure".to_string(), Value::String(structure.to_string())),
+            ("mix".to_string(), Value::String("update-only".to_string())),
+            ("threads".to_string(), Value::UInt(threads)),
+            ("throughput".to_string(), Value::Float(throughput)),
+        ])
     }
 
     #[test]
-    fn table_contains_headers_rows_and_winner() {
-        let table = render_figure_table(&sample_figure());
-        assert!(table.contains("threads"));
-        assert!(table.contains("greedy"));
-        assert!(table.contains("karma"));
-        assert!(table.contains("1000"));
-        assert!(table.contains("best at max threads: karma"));
-    }
-
-    #[test]
-    fn matrix_table_groups_by_structure_and_mix() {
-        use std::time::Duration;
-        let cell = |structure: &str, mix: &str, manager: &str, threads: usize, tput: f64| {
-            WorkloadResult {
-                manager: manager.to_string(),
-                structure: structure.to_string(),
-                mix: mix.to_string(),
-                threads,
-                commits: (tput as u64) / 10,
-                aborts: 3,
-                elapsed: Duration::from_millis(100),
-                throughput: tput,
-                abort_ratio: 0.1,
-                per_op: Vec::new(),
-            }
-        };
-        let cells = vec![
-            cell("list", "update-only", "greedy", 1, 1000.0),
-            cell("list", "update-only", "karma", 1, 900.0),
-            cell("list", "update-only", "greedy", 2, 1500.0),
-            cell("list", "update-only", "karma", 2, 1600.0),
-            cell("list", "read-mostly-90", "greedy", 1, 4000.0),
-            cell("list", "read-mostly-90", "karma", 1, 3900.0),
+    fn a_pivot_groups_blocks_and_prints_nan_for_a_missing_cell() {
+        let rows = vec![
+            row("list", "greedy", 1, 1000.0),
+            row("list", "karma", 1, 900.0),
+            row("list", "greedy", 2, 1500.0),
+            // no list/karma/2 cell
+            row("rbtree", "greedy", 1, 4000.0),
         ];
-        let table = render_matrix_table(&cells);
-        assert!(table.contains("list / update-only"));
-        assert!(table.contains("list / read-mostly-90"));
-        assert!(table.contains("greedy"));
-        assert!(table.contains("4000"));
-        // Two blocks, each with a header + manager row + thread rows.
-        assert_eq!(table.matches("# matrix —").count(), 2);
+        let text = render(&BY_THREADS, &rows);
+        assert_eq!(text.matches("## ").count(), 2, "{text}");
+        assert!(text.contains("## list / update-only (throughput)"), "{text}");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[1].split_whitespace().collect::<Vec<_>>(), ["threads", "greedy", "karma"]);
+        assert_eq!(lines[2].split_whitespace().collect::<Vec<_>>(), ["1", "1000", "900"]);
+        assert_eq!(lines[3].split_whitespace().collect::<Vec<_>>(), ["2", "1500", "NaN"]);
+        assert!(text.contains("4000"), "{text}");
     }
 
     #[test]
-    fn op_breakdown_renders_rows_and_skips_empty_cells() {
-        use crate::workload::OpStats;
-        use std::time::Duration;
-        let mut cell = WorkloadResult {
-            manager: "greedy".to_string(),
-            structure: "list".to_string(),
-            mix: "update-only".to_string(),
-            threads: 2,
-            commits: 10,
-            aborts: 2,
-            elapsed: Duration::from_millis(100),
-            throughput: 100.0,
-            abort_ratio: 0.2,
-            per_op: vec![OpStats {
-                op: "insert".to_string(),
-                ops: 10,
-                aborts: 2,
-                mean_us: 11.5,
-                p50_us: 10.0,
-                p99_us: 31.0,
-            }],
+    fn a_flat_table_keeps_declaration_order_and_formats_scalars() {
+        #[derive(Serialize)]
+        struct Sample {
+            zeta: &'static str,
+            alpha: u64,
+            ratio: f64,
+            unfinished: f64,
+            held: bool,
+        }
+        let sample = |zeta, alpha| Sample {
+            zeta,
+            alpha,
+            ratio: 1.5,
+            unfinished: f64::INFINITY,
+            held: true,
         };
-        let table = render_op_breakdown(std::slice::from_ref(&cell));
-        assert!(table.contains("per-op — list / update-only / greedy @ 2 threads"));
-        assert!(table.contains("insert"));
-        assert!(table.contains("31.0"));
-        cell.per_op.clear();
-        assert!(render_op_breakdown(&[cell]).is_empty());
+        let outcome = Outcome::new(&[sample("a", 7), sample("b", 12_345)], Vec::new());
+        let text = render(&View::Flat, &outcome.rows);
+        let lines: Vec<Vec<&str>> =
+            text.lines().map(|l| l.split_whitespace().collect()).collect();
+        assert_eq!(lines[0], ["zeta", "alpha", "ratio", "unfinished", "held"]);
+        assert_eq!(lines[1], ["a", "7", "1.50", "NaN", "true"]);
+        assert_eq!(lines[2], ["b", "12345", "1.50", "NaN", "true"]);
+        // Columns line up: every line is as wide as the widest cell demands.
+        assert!(text.lines().all(|l| l.len() == text.lines().next().unwrap().len()), "{text}");
     }
 
     #[test]
-    fn read_fraction_table_has_one_row_per_fraction() {
-        use crate::figures::{FractionSeries, ReadFractionSweep};
-        let sweep = ReadFractionSweep {
-            structure: "rbtree".to_string(),
-            threads: 4,
-            fractions: vec![0.0, 0.5, 1.0],
-            series: vec![
-                FractionSeries {
-                    manager: "greedy".to_string(),
-                    points: vec![(0.0, 100.0), (0.5, 200.0), (1.0, 400.0)],
-                },
-                FractionSeries {
-                    manager: "karma".to_string(),
-                    points: vec![(0.0, 90.0), (0.5, 210.0), (1.0, 390.0)],
-                },
-            ],
-            raw: Vec::new(),
-        };
-        let table = render_read_fraction_table(&sweep);
-        assert!(table.contains("rbtree @ 4 threads"));
-        assert_eq!(table.lines().count(), 2 + 3, "header + manager row + 3 fractions");
-        assert!(table.contains("0.50"));
-        assert!(table.contains("400"));
-    }
-
-    #[test]
-    fn rows_render_as_json() {
-        let json = render_rows(&vec![1, 2, 3]);
-        assert_eq!(json.trim(), "[\n  1,\n  2,\n  3\n]");
-        let figure_json = render_rows(&sample_figure());
-        assert!(figure_json.contains("\"manager\": \"greedy\""));
+    fn no_rows_render_nothing_under_either_view() {
+        assert_eq!(render(&View::Flat, &[]), "");
+        assert_eq!(render(&BY_THREADS, &[]), "");
     }
 }

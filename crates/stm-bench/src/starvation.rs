@@ -20,6 +20,20 @@ use stm_cm::ManagerKind;
 use stm_core::Stm;
 use stm_structures::TxCounter;
 
+use crate::report::{Ctx, Outcome};
+
+/// E7: one long writer over 32 counters against four short writers, under
+/// greedy and three managers that make no such promise.
+pub fn starvation(ctx: &Ctx) -> Outcome {
+    let duration = Duration::from_millis(if ctx.short() { 150 } else { 500 });
+    let rows: Vec<_> =
+        [ManagerKind::Greedy, ManagerKind::Karma, ManagerKind::Aggressive, ManagerKind::Backoff]
+            .into_iter()
+            .map(|manager| starvation_experiment(manager, 4, 32, duration))
+            .collect();
+    Outcome::new(&rows, Vec::new())
+}
+
 /// Result of the starvation experiment for one manager.
 #[derive(Debug, Clone, Serialize)]
 pub struct StarvationResult {
@@ -32,8 +46,8 @@ pub struct StarvationResult {
     /// Worst-case number of attempts a single long transaction needed.
     pub worst_attempts: u64,
     /// Worst-case wall-clock latency of a long transaction (start of its
-    /// first attempt to commit).
-    pub worst_latency: Duration,
+    /// first attempt to commit), in milliseconds.
+    pub worst_latency_ms: f64,
     /// Short transactions committed during the run.
     pub short_commits: u64,
     /// Whether every long transaction started during the measurement window
@@ -144,7 +158,7 @@ pub fn starvation_experiment(
         short_threads,
         long_commits,
         worst_attempts,
-        worst_latency,
+        worst_latency_ms: worst_latency.as_secs_f64() * 1e3,
         short_commits,
         no_starvation,
     }

@@ -5,9 +5,35 @@ use serde::Serialize;
 
 use stm_cm::ManagerKind;
 use stm_sched::{
-    chain, optimal_list_schedule, random_transaction_system, simulate, theorem9_bound,
+    optimal_list_schedule, random_transaction_system, simulate, theorem9_bound,
     RandomSystemConfig, SimConfig, TaskSystem,
 };
+
+use crate::report::{Ctx, Outcome};
+
+/// E5: the Section 4 chain — greedy is expected near `s + 1` time units,
+/// the optimal list schedule takes 2.
+pub fn chain(ctx: &Ctx) -> Outcome {
+    let sizes: &[usize] = if ctx.short() { &[2, 4] } else { &[2, 4, 8, 16] };
+    let managers = [
+        ManagerKind::Greedy,
+        ManagerKind::Aggressive,
+        ManagerKind::Karma,
+        ManagerKind::Timestamp,
+    ];
+    Outcome::new(&chain_experiment(sizes, &managers), Vec::new())
+}
+
+/// E6: the Theorem 9 competitive-ratio sweep over random instances.
+pub fn bound(ctx: &Ctx) -> Outcome {
+    let (sizes, instances): (&[(usize, usize)], usize) = if ctx.short() {
+        (&[(4, 2), (6, 3)], 5)
+    } else {
+        (&[(4, 2), (6, 3), (8, 4), (12, 6)], 20)
+    };
+    let managers = [ManagerKind::Greedy, ManagerKind::Timestamp, ManagerKind::Karma];
+    Outcome::new(&bound_experiment(sizes, &managers, instances, 0xbeef), Vec::new())
+}
 
 /// One row of the adversarial-chain experiment (E5).
 #[derive(Debug, Clone, Serialize)]
@@ -35,7 +61,7 @@ pub fn chain_experiment(sizes: &[usize], managers: &[ManagerKind]) -> Vec<ChainR
     let ticks = 10u64;
     let mut rows = Vec::new();
     for &s in sizes {
-        let instance = chain(s, ticks);
+        let instance = stm_sched::chain(s, ticks);
         let tasks = TaskSystem::from_transactions(&instance.transactions);
         let optimal = optimal_list_schedule(&tasks).makespan / ticks as f64;
         for manager in managers {

@@ -20,9 +20,9 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use serde::{Serialize, Value};
 
-use stm_cm::{ManagerKind, ManagerParams};
+use stm_cm::ManagerKind;
 use stm_core::{Stm, TxResult, Txn};
 use stm_structures::forest::UpdateScope;
 use stm_structures::{TxList, TxRbForest, TxRbTree, TxSet, TxSkipList};
@@ -283,13 +283,11 @@ impl Default for WorkloadConfig {
 /// run (the per-op breakdown carried by [`WorkloadResult::per_op`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct OpStats {
-    /// Operation label (`"insert"`, `"lookup"`, ... — or the wire verbs
-    /// `"put"`, `"get"`, `"batch"` for the network driver).
+    /// Operation label (`"insert"`, `"remove"`, `"lookup"`, `"range"`).
     pub op: String,
     /// Completed operations of this category.
     pub ops: u64,
-    /// Aborted attempts charged to this category (0 for drivers that cannot
-    /// attribute aborts per operation).
+    /// Aborted attempts charged to this category.
     pub aborts: u64,
     /// Mean completion latency in microseconds.
     pub mean_us: f64,
@@ -341,7 +339,7 @@ impl OpRecorder {
 }
 
 /// The outcome of a workload run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadResult {
     /// Contention manager used.
     pub manager: String,
@@ -355,8 +353,8 @@ pub struct WorkloadResult {
     pub commits: u64,
     /// Aborted attempts across all threads.
     pub aborts: u64,
-    /// Wall-clock time actually spent measuring.
-    pub elapsed: Duration,
+    /// Wall-clock seconds actually spent measuring.
+    pub elapsed_s: f64,
     /// Committed transactions per second — the metric plotted in the paper's
     /// figures.
     pub throughput: f64,
@@ -364,6 +362,35 @@ pub struct WorkloadResult {
     pub abort_ratio: f64,
     /// Per-operation latency (p50/p99) and abort breakdown.
     pub per_op: Vec<OpStats>,
+}
+
+/// The row is flat: the scalar fields in declaration order, then four
+/// columns per [`OpKind`] (`insert_ops`, `insert_aborts`, `insert_p50_us`,
+/// `insert_p99_us`, ...), `null` where the mix never drew that operation —
+/// so every cell of every sweep has the same keys.
+impl Serialize for WorkloadResult {
+    fn to_json_value(&self) -> Value {
+        let mut row = vec![
+            ("manager".to_string(), self.manager.to_json_value()),
+            ("structure".to_string(), self.structure.to_json_value()),
+            ("mix".to_string(), self.mix.to_json_value()),
+            ("threads".to_string(), self.threads.to_json_value()),
+            ("commits".to_string(), self.commits.to_json_value()),
+            ("aborts".to_string(), self.aborts.to_json_value()),
+            ("elapsed_s".to_string(), self.elapsed_s.to_json_value()),
+            ("throughput".to_string(), self.throughput.to_json_value()),
+            ("abort_ratio".to_string(), self.abort_ratio.to_json_value()),
+        ];
+        for kind in OpKind::ALL {
+            let stats = self.per_op.iter().find(|stats| stats.op == kind.label());
+            let stats = stats.map(Serialize::to_json_value);
+            for key in ["ops", "aborts", "p50_us", "p99_us"] {
+                let value = stats.as_ref().and_then(|stats| stats.get(key)).cloned();
+                row.push((format!("{}_{key}", kind.label()), value.unwrap_or(Value::Null)));
+            }
+        }
+        Value::Object(row)
+    }
 }
 
 /// A sweep over thread counts for a set of managers (one paper figure), and —
@@ -395,7 +422,7 @@ impl SweepConfig {
         }
     }
 
-    /// A reduced configuration for smoke tests and `--quick` runs.
+    /// A reduced configuration for smoke tests and `--sweep quick` runs.
     pub fn quick() -> Self {
         SweepConfig {
             thread_counts: vec![1, 2, 4],
@@ -553,21 +580,23 @@ pub fn run_workload(
     structure: &StructureKind,
     cfg: &WorkloadConfig,
 ) -> WorkloadResult {
-    run_workload_with(manager, ManagerParams::default(), structure, cfg)
+    let stm = Stm::builder().manager(manager.factory()).build();
+    run_workload_with(stm, manager.name(), structure, cfg)
 }
 
-/// Like [`run_workload`], but with explicit [`ManagerParams`] — the entry
-/// point of the parameter-ablation sweeps, which vary one knob at a time
-/// around the historical defaults.
+/// Like [`run_workload`], but on an [`Stm`] the caller built — the entry
+/// point of the ablations, which vary one [`stm_cm::ManagerParams`] knob or
+/// the read visibility around the defaults. `label` goes in the result's
+/// `manager` field.
 pub fn run_workload_with(
-    manager: ManagerKind,
-    params: ManagerParams,
+    stm: Stm,
+    label: &str,
     structure: &StructureKind,
     cfg: &WorkloadConfig,
 ) -> WorkloadResult {
     assert!(cfg.threads > 0, "need at least one thread");
     assert!(cfg.key_range > 0, "key range must be positive");
-    let stm = Arc::new(Stm::builder().manager(manager.factory_with(params)).build());
+    let stm = Arc::new(stm);
     let built = Arc::new(build_structure(structure));
     prefill(&stm, &built, cfg.key_range);
 
@@ -628,13 +657,13 @@ pub fn run_workload_with(
         .filter_map(|(kind, recorder)| recorder.finish(kind.label()))
         .collect();
     WorkloadResult {
-        manager: manager.name().to_string(),
+        manager: label.to_string(),
         structure: structure.name().to_string(),
         mix: cfg.mix.label(),
         threads: cfg.threads,
         commits: commits_total,
         aborts: snapshot.aborts,
-        elapsed,
+        elapsed_s: elapsed.as_secs_f64(),
         throughput: commits_total as f64 / elapsed.as_secs_f64(),
         abort_ratio: snapshot.abort_ratio(),
         per_op,

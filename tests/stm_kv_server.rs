@@ -74,6 +74,14 @@ fn concurrent_batches_are_serializable_under_every_manager() {
                         client
                             .transfer(from, to, amount)
                             .unwrap_or_else(|e| panic!("{manager}: transfer failed: {e}"));
+                        // Typed PUTs beside the int range: string values on
+                        // the mirrored negative keys must not disturb the
+                        // arithmetic the audits sum.
+                        if i % 3 == 0 {
+                            client
+                                .put(-(from + 1), format!("v={roll:x}"))
+                                .unwrap_or_else(|e| panic!("{manager}: string PUT failed: {e}"));
+                        }
                         // Interleave atomic audits with the transfers: each
                         // must observe the conserved total even while other
                         // clients' batches are in flight.
@@ -105,6 +113,11 @@ fn concurrent_batches_are_serializable_under_every_manager() {
             auditor.sum(0, KEYS - 1).unwrap(),
             (TOTAL, KEYS as usize),
             "{manager}: wire-level final total drifted"
+        );
+        let strings = auditor.range(-KEYS, -1).unwrap();
+        assert!(
+            !strings.is_empty() && strings.iter().all(|(_, v)| v.as_str().is_some()),
+            "{manager}: the negative half must hold the string values: {strings:?}"
         );
         let stats = auditor.metrics().unwrap();
         assert!(
@@ -392,37 +405,37 @@ fn restart_truncates_a_torn_tail_and_stays_conserved() {
 
 #[test]
 fn bench_client_emits_throughput_latency_json_per_manager() {
-    // The acceptance criterion: the closed-loop bench client drives a live
-    // server per manager and emits the same JSON cells as the in-process
-    // sweeps, with throughput and per-op latency populated.
-    let mut cells = Vec::new();
+    // The acceptance criterion: the harness's wire client drives a live
+    // server per manager and the rows it emits — inside the one `--json`
+    // envelope — carry throughput and tail latency for each.
+    let mut rows = Vec::new();
     for manager in [ManagerKind::Greedy, ManagerKind::Karma] {
         let mut server = start_server(manager, 3);
-        let cfg = stm_bench::NetLoadConfig {
-            connections: 2,
+        let serve_mode = server.serve_mode().label();
+        let cfg = stm_bench::OpenLoopConfig {
+            offered_load: 2_000.0,
+            pool: 2,
             key_range: KEYS,
             duration: Duration::from_millis(60),
-            mix: stm_bench::OpMix::read_mostly(),
-            range_span: 4,
-            batch_fraction: 0.25,
-            ..stm_bench::NetLoadConfig::default()
+            ..stm_bench::OpenLoopConfig::default()
         };
-        let cell = stm_bench::run_netload(server.addr(), manager.name(), &cfg).unwrap();
-        assert_eq!(cell.manager, manager.name());
-        assert_eq!(cell.structure, "stm-kv");
-        assert!(cell.commits > 0, "{manager}: no completed requests");
-        assert!(cell.throughput > 0.0);
-        assert!(!cell.per_op.is_empty(), "{manager}: no latency breakdown");
-        cells.push(cell);
+        let row = stm_bench::run_open_loop(server.addr(), manager.name(), serve_mode, &cfg)
+            .unwrap_or_else(|e| panic!("{manager}: open loop failed: {e}"));
+        assert_eq!(row.manager, manager.name());
+        assert!(row.completed > 0, "{manager}: no completed requests");
+        assert!(row.goodput > 0.0);
+        assert!(row.p99_sojourn_us >= row.p50_sojourn_us, "{manager}: {row:?}");
+        rows.push(row);
         server.shutdown();
     }
-    let json = stm_bench::render_rows(&cells);
-    for manager in ["greedy", "karma"] {
-        assert!(
-            json.contains(&format!("\"manager\": \"{manager}\"")),
-            "JSON missing {manager} cell"
-        );
+    let doc = stm_bench::envelope("overload", "smoke", stm_bench::Outcome::new(&rows, vec![]).rows);
+    assert!(doc.get("nproc").and_then(|n| n.as_u64()).unwrap() >= 1);
+    let emitted = doc.get("rows").and_then(|r| r.as_array()).unwrap();
+    assert_eq!(emitted.len(), 2);
+    for (row, manager) in emitted.iter().zip(["greedy", "karma"]) {
+        assert_eq!(row.get("manager").and_then(|m| m.as_str()), Some(manager));
+        for key in ["goodput", "p99_sojourn_us"] {
+            assert!(row.get(key).and_then(|v| v.as_f64()).unwrap() > 0.0, "{manager}: {key}");
+        }
     }
-    assert!(json.contains("\"throughput\""));
-    assert!(json.contains("\"p99_us\""));
 }
