@@ -4,30 +4,27 @@
 //! keys and DELs them a fixed window later, so the set of live keys stays
 //! small and constant while the set of keys *ever touched* grows without
 //! bound. Before commit-time reclamation, each of those keys left a live
-//! value cell in the store's overflow tables forever; with the epoch GC, a
-//! committed DEL unlinks its cell and retires it to the limbo, and the
-//! resident footprint must stay bounded by the live window plus whatever
-//! is still waiting out its grace period.
+//! value cell in the store's overflow tables forever; now a committed DEL
+//! unlinks its cell (the cell's `Arc` frees it), and the linked footprint
+//! must stay bounded by the live window.
 //!
 //! Each run reports the two sides of the trade:
 //!
 //! - **Boundedness** — the peak count of cells still *linked* in the store
-//!   (`allocated − retired`, sampled while the churn runs) against the
+//!   (`allocated − released`, sampled while the churn runs) against the
 //!   hard bound `threads × (window + 4)` (the live window plus a few
-//!   in-flight cells per thread), and the exact quiescent identity
-//!   `allocated − freed = live keys` after a final collect. Both gauges
-//!   are monotone counters incremented one entry at a time (allocation
-//!   read first), so concurrent progress between the reads can only
+//!   in-flight cells per thread), and the exact identity
+//!   `allocated − released = live cells = live keys` at the end. Both
+//!   counters are monotone and bumped one cell at a time (allocation read
+//!   first), so concurrent progress between the reads can only
 //!   *under*-estimate the linked count — a real leak still blows past the
-//!   bound, but sampling races never fail a healthy run. (`limbo + freed`
-//!   would not do: a concurrent collect moves whole batches from limbo to
-//!   freed between the two reads, making hundreds of retired cells look
-//!   linked.) The [`ChurnRow::bounded`] flag is the CI gate: the `figures`
-//!   binary exits non-zero when it is false.
+//!   bound, but sampling races never fail a healthy run. The
+//!   [`ChurnRow::bounded`] flag is the CI gate: the `figures` binary exits
+//!   non-zero when it is false.
 //! - **Commit-path cost** — mean wall-clock latency of the PUT and DEL
 //!   transactions separately. A DEL carries the GC work (tombstone write,
-//!   deferred unlink, retire, amortised collect), so `del_ns − put_ns`
-//!   approximates what reclamation costs per freed key.
+//!   deferred unlink), so `del_ns − put_ns` approximates what reclamation
+//!   costs per freed key.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,14 +59,14 @@ pub fn gate(rows: &[ChurnRow]) -> Vec<String> {
         .map(|bad| {
             format!(
                 "churn bound violated under {}: peak {} linked cells exceeds the bound {} \
-                 for {} live keys (allocated {}, freed {}, limbo watermark {})",
+                 for {} live keys (allocated {}, freed {}, live {})",
                 bad.manager,
                 bad.linked_peak,
                 bad.linked_bound,
                 bad.live_keys,
                 bad.cells_allocated,
                 bad.cells_freed,
-                bad.limbo_watermark
+                bad.cells_live
             )
         })
         .collect()
@@ -85,7 +82,7 @@ pub struct ChurnConfig {
     pub ops_per_thread: u64,
     /// Distance between a key's PUT and its DEL: the per-thread live set.
     pub window: i64,
-    /// Sample the resident-cell gauges every this many PUTs.
+    /// Sample the linked-cell count every this many PUTs.
     pub sample_every: u64,
 }
 
@@ -146,15 +143,10 @@ pub struct ChurnRow {
     pub del_ns: f64,
     /// Value cells ever materialised (monotone).
     pub cells_allocated: u64,
-    /// Cells reclaimed by the epoch GC (after the final collect).
+    /// Cells a committed DEL unlinked ([`KvStore::cells_released`]).
     pub cells_freed: u64,
-    /// Peak resident cells (`allocated − freed`) observed at any sample —
-    /// linked cells plus whatever sat in limbo at that instant.
-    pub resident_peak: u64,
-    /// Deepest limbo observed at any sample.
-    pub limbo_watermark: u64,
-    /// Peak *linked* cells (`allocated − retired`) observed at any sample;
-    /// the gauges are read in an order that can only under-estimate, so
+    /// Peak *linked* cells (`allocated − released`) observed at any sample;
+    /// the counters are read in an order that can only under-estimate, so
     /// this never overshoots from sampling races.
     pub linked_peak: u64,
     /// The bound [`linked_peak`](Self::linked_peak) is held to:
@@ -165,9 +157,9 @@ pub struct ChurnRow {
     pub live_keys: u64,
     /// Cells still linked in the store at quiescence.
     pub cells_live: u64,
-    /// The pass/fail verdict: peak under the bound **and** the quiescent
-    /// books balance exactly (`allocated − freed = live cells = live keys`,
-    /// limbo drained). The CI churn smoke fails the build on `false`.
+    /// The pass/fail verdict: peak under the bound **and** the books
+    /// balance exactly (`allocated − freed = live cells = live keys`). The
+    /// CI churn smoke fails the build on `false`.
     pub bounded: bool,
 }
 
@@ -189,8 +181,6 @@ pub fn churn_experiment(kind: ManagerKind, cfg: &ChurnConfig) -> ChurnRow {
     // No pre-allocated range: every key is a reclaimable overflow cell, so
     // the GC is on the hook for the whole keyspace.
     let store = Arc::new(KvStore::new(8));
-    let resident_peak = AtomicU64::new(0);
-    let limbo_watermark = AtomicU64::new(0);
     let linked_peak = AtomicU64::new(0);
     let put_ns_total = AtomicU64::new(0);
     let del_ns_total = AtomicU64::new(0);
@@ -201,8 +191,6 @@ pub fn churn_experiment(kind: ManagerKind, cfg: &ChurnConfig) -> ChurnRow {
         for t in 0..cfg.threads {
             let stm = Arc::clone(&stm);
             let store = Arc::clone(&store);
-            let resident_peak = &resident_peak;
-            let limbo_watermark = &limbo_watermark;
             let linked_peak = &linked_peak;
             let put_ns_total = &put_ns_total;
             let del_ns_total = &del_ns_total;
@@ -224,20 +212,13 @@ pub fn churn_experiment(kind: ManagerKind, cfg: &ChurnConfig) -> ChurnRow {
                         dels += 1;
                     }
                     if (i as u64).is_multiple_of(cfg.sample_every) {
-                        // Allocation before retired: both counters are
-                        // monotone and bumped one entry at a time, so the
+                        // Allocation before released: both counters are
+                        // monotone and bumped one cell at a time, so the
                         // difference can only *under*-estimate the linked
                         // count — no sampling race ever fails a healthy run.
-                        let gc = stm.epoch();
-                        let allocated = store.cells_allocated() as u64;
-                        let retired = gc.retired_total();
-                        linked_peak
-                            .fetch_max(allocated.saturating_sub(retired), Ordering::Relaxed);
-                        resident_peak.fetch_max(
-                            allocated.saturating_sub(gc.reclaimed_total()),
-                            Ordering::Relaxed,
-                        );
-                        limbo_watermark.fetch_max(gc.limbo_len() as u64, Ordering::Relaxed);
+                        let allocated = store.cells_allocated();
+                        let linked = allocated.saturating_sub(store.cells_released());
+                        linked_peak.fetch_max(linked as u64, Ordering::Relaxed);
                     }
                 }
                 put_ns_total.fetch_add(put_ns, Ordering::Relaxed);
@@ -248,26 +229,18 @@ pub fn churn_experiment(kind: ManagerKind, cfg: &ChurnConfig) -> ChurnRow {
     });
     let elapsed = started.elapsed();
 
-    // Quiescence: all threads unpinned, so the limbo must drain completely.
-    let gc = stm.epoch();
-    gc.collect();
-    gc.collect();
-
     let puts = cfg.threads as u64 * cfg.ops_per_thread;
     let dels = dels_total.load(Ordering::Relaxed);
     let ops = puts + dels;
     let live_keys = cfg.threads as u64 * cfg.window.unsigned_abs();
     let cells_allocated = store.cells_allocated() as u64;
-    let cells_freed = gc.reclaimed_total();
+    let cells_freed = store.cells_released() as u64;
     let cells_live = store.cells_live() as u64;
-    let peak = resident_peak.load(Ordering::Relaxed);
-    let watermark = limbo_watermark.load(Ordering::Relaxed);
     let linked = linked_peak.load(Ordering::Relaxed);
     // Each thread holds at most `window` live keys, plus the key it is
     // creating and a couple of commit/unlink in-flight transients.
     let linked_bound = cfg.threads as u64 * (cfg.window.unsigned_abs() + 4);
     let bounded = linked <= linked_bound
-        && gc.limbo_len() == 0
         && cells_allocated - cells_freed == cells_live
         && cells_live == live_keys;
 
@@ -282,8 +255,6 @@ pub fn churn_experiment(kind: ManagerKind, cfg: &ChurnConfig) -> ChurnRow {
         del_ns: del_ns_total.load(Ordering::Relaxed) as f64 / dels.max(1) as f64,
         cells_allocated,
         cells_freed,
-        resident_peak: peak,
-        limbo_watermark: watermark,
         linked_peak: linked,
         linked_bound,
         live_keys,

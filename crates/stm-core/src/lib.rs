@@ -24,6 +24,10 @@
 //!   a CAS-able status word ([`TxStatus`]), a public `waiting` flag, and the
 //!   persistent [`TxLineage`] (timestamp, karma, abort count) that survives
 //!   retries — the three ingredients the greedy manager needs.
+//! * There is no reclamation domain. A [`TVar`] is an `Arc`, so an object a
+//!   layer above unlinks from its own lookup table at commit (see
+//!   [`Txn::defer_on_commit`]) stays alive for exactly as long as some
+//!   transaction still holds it, and is freed when the last one lets go.
 //!
 //! ## Quick example
 //!
@@ -58,7 +62,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod clock;
-pub mod epoch;
 pub mod error;
 pub mod hook;
 pub mod manager;
@@ -74,7 +77,6 @@ pub mod txn;
 pub mod wait;
 
 pub use clock::TimestampClock;
-pub use epoch::{EpochGc, EpochStats, PinSlot};
 pub use error::{AbortCause, StmError, TxResult};
 pub use hook::{CommitHook, CommitOp, CommitValue};
 pub use manager::{ConflictKind, ContentionManager, ManagerFactory, Resolution, TxView};

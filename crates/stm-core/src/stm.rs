@@ -4,7 +4,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::clock::TimestampClock;
-use crate::epoch::{EpochGc, PinSlot};
 use crate::error::{AbortCause, StmError, TxResult};
 use crate::hook::CommitHook;
 use crate::manager::{factory, ContentionManager, ManagerFactory, PoliteManager, TxView};
@@ -34,7 +33,6 @@ pub enum ReadVisibility {
 #[derive(Clone)]
 pub(crate) struct StmConfig {
     pub(crate) read_visibility: ReadVisibility,
-    pub(crate) validate_on_open: bool,
     pub(crate) max_retries: Option<u64>,
     pub(crate) manager_factory: ManagerFactory,
     pub(crate) commit_hook: Option<Arc<dyn CommitHook>>,
@@ -44,7 +42,6 @@ impl std::fmt::Debug for StmConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StmConfig")
             .field("read_visibility", &self.read_visibility)
-            .field("validate_on_open", &self.validate_on_open)
             .field("max_retries", &self.max_retries)
             .field("commit_hook", &self.commit_hook.is_some())
             .finish()
@@ -55,7 +52,6 @@ impl Default for StmConfig {
     fn default() -> Self {
         StmConfig {
             read_visibility: ReadVisibility::Visible,
-            validate_on_open: true,
             max_retries: None,
             manager_factory: factory(PoliteManager::default),
             commit_hook: None,
@@ -71,7 +67,6 @@ impl Default for StmConfig {
 ///
 /// let stm = Stm::builder()
 ///     .read_visibility(ReadVisibility::Invisible)
-///     .validate_on_open(true)
 ///     .max_retries(Some(1_000))
 ///     .manager(factory(AggressiveManager::new))
 ///     .build();
@@ -86,14 +81,6 @@ impl StmBuilder {
     /// Sets the read-visibility mode (default: [`ReadVisibility::Visible`]).
     pub fn read_visibility(mut self, mode: ReadVisibility) -> Self {
         self.config.read_visibility = mode;
-        self
-    }
-
-    /// Enables or disables read-set validation after every open in invisible
-    /// mode (default: enabled, which provides opacity — transactions never
-    /// observe inconsistent snapshots mid-flight).
-    pub fn validate_on_open(mut self, enabled: bool) -> Self {
-        self.config.validate_on_open = enabled;
         self
     }
 
@@ -126,7 +113,6 @@ impl StmBuilder {
             next_tx_id: AtomicU64::new(1),
             config: self.config,
             stats: StmStats::new(),
-            epoch: EpochGc::new(),
         }
     }
 }
@@ -142,7 +128,6 @@ pub struct Stm {
     next_tx_id: AtomicU64,
     config: StmConfig,
     stats: StmStats,
-    epoch: EpochGc,
 }
 
 impl Default for Stm {
@@ -163,7 +148,6 @@ impl Stm {
         ThreadCtx {
             stm: self,
             manager: (self.config.manager_factory)(),
-            pin: self.epoch.register(),
             scratch: TxScratch::default(),
         }
     }
@@ -175,7 +159,6 @@ impl Stm {
         ThreadCtx {
             stm: self,
             manager,
-            pin: self.epoch.register(),
             scratch: TxScratch::default(),
         }
     }
@@ -196,11 +179,10 @@ impl Stm {
         &self.clock
     }
 
-    /// The epoch-based reclamation domain of this STM instance. Layers that
-    /// unlink transactional objects from shared lookup structures at commit
-    /// time retire them here; see [`crate::epoch`].
-    pub fn epoch(&self) -> &EpochGc {
-        &self.epoch
+    /// Kept by name only because `bench/` samples `limbo_len()` (ROADMAP
+    /// item 1(c)): there is no limbo — an unlinked cell's `Arc` frees it.
+    pub fn epoch(&self) -> NoLimbo {
+        NoLimbo
     }
 
     pub(crate) fn config(&self) -> &StmConfig {
@@ -212,6 +194,17 @@ impl Stm {
     }
 }
 
+/// What [`Stm::epoch`] returns: an empty limbo.
+#[derive(Debug, Clone, Copy)]
+pub struct NoLimbo;
+
+impl NoLimbo {
+    /// Always `0`.
+    pub fn limbo_len(self) -> usize {
+        0
+    }
+}
+
 /// A per-thread handle used to run transactions against an [`Stm`].
 ///
 /// The context owns the thread's contention-manager instance; managers are
@@ -219,9 +212,6 @@ impl Stm {
 pub struct ThreadCtx<'stm> {
     stm: &'stm Stm,
     manager: Box<dyn ContentionManager>,
-    /// This thread's epoch pin; pinned for the duration of every attempt so
-    /// retired objects outlive any transaction that could still reach them.
-    pin: Arc<PinSlot>,
     /// Reusable read/write/publish-set storage lent to each attempt, so the
     /// tiny-transaction hot path does not reallocate its vectors per run.
     scratch: TxScratch,
@@ -310,11 +300,6 @@ impl<'stm> ThreadCtx<'stm> {
             attempt += 1;
             report.attempts = attempt;
             stm.stats.note_attempt();
-            // Pin this thread's epoch for the attempt: any object another
-            // transaction unlinks and retires while we run stays in limbo
-            // until we unpin, so references we picked up from shared lookup
-            // tables remain valid for the whole attempt.
-            let _pin = stm.epoch.enter(&self.pin);
             let shared = Arc::new(TxShared::new(Arc::clone(&lineage), attempt));
             let manager: &mut dyn ContentionManager = self.manager.as_mut();
             manager.begin(TxView::new(&shared));
@@ -593,26 +578,6 @@ mod tests {
         assert_eq!(result, Err(StmError::RetryLimitExceeded { attempts: 2 }));
         assert_eq!(report.attempts, 2);
         assert_eq!(report.aborts, 2);
-    }
-
-    #[test]
-    fn attempts_pin_and_unpin_the_epoch() {
-        let stm = Stm::default();
-        let v = TVar::new(0u32);
-        let mut ctx = stm.thread();
-        ctx.atomically(|tx| {
-            assert!(
-                tx.epoch().min_pinned().is_some(),
-                "an attempt must hold an epoch pin"
-            );
-            tx.read(&v)
-        })
-        .unwrap();
-        assert_eq!(
-            stm.epoch().min_pinned(),
-            None,
-            "the pin must be released once the attempt finishes"
-        );
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //!
 //! Normally this re-exports `std::sync::atomic` and the vendored
 //! `parking_lot` shim. Under `--features model-check` the same names resolve
-//! to [`loomlite`] modeled types instead, so the epoch reclaimer, the reader
-//! registry, and (via their own facades) `arcswap` and the `stm-log`
-//! slot-ring can be driven by the deterministic interleaving checker — see
+//! to [`loomlite`] modeled types instead, so the reader registry and (via
+//! their own facades) `arcswap` and the `stm-log` slot-ring can be driven by the deterministic interleaving checker — see
 //! the "Correctness tooling" section of the repository README.
 //!
 //! **Rule:** new concurrent code in this crate (and in `stm-log`) must take
@@ -15,33 +14,23 @@
 //! `std::sync::Arc` in both configurations: reference counting itself is not
 //! under test and keeping the type stable preserves public signatures.
 
-/// Atomic integer/bool/pointer types plus [`Ordering`].
+/// The atomic types the runtime and `stm-log` use, plus [`Ordering`].
 ///
 /// [`Ordering`]: std::sync::atomic::Ordering
 pub mod atomic {
     #[cfg(not(feature = "model-check"))]
-    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+    pub use std::sync::atomic::{AtomicBool, AtomicU64};
 
     #[cfg(feature = "model-check")]
-    pub use loomlite::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+    pub use loomlite::sync::atomic::{AtomicBool, AtomicU64};
 
     pub use std::sync::atomic::Ordering;
 }
 
 #[cfg(not(feature = "model-check"))]
-pub use parking_lot::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use parking_lot::{Condvar, Mutex};
 
 #[cfg(feature = "model-check")]
-pub use loomlite::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use loomlite::sync::{Condvar, Mutex};
 
 pub use std::sync::Arc;
-
-/// Yields to the scheduler: a modeled schedule point under `model-check`,
-/// `std::thread::yield_now` otherwise. Spin-wait loops on the hot paths
-/// should use this so the checker can preempt them deterministically.
-pub fn yield_now() {
-    #[cfg(feature = "model-check")]
-    loomlite::thread::yield_now();
-    #[cfg(not(feature = "model-check"))]
-    std::thread::yield_now();
-}

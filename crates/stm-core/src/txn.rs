@@ -19,7 +19,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::epoch::EpochGc;
 use crate::error::{AbortCause, StmError, TxResult};
 use crate::hook::CommitOp;
 use crate::manager::{ConflictKind, ContentionManager, Resolution, TxView};
@@ -225,14 +224,9 @@ impl TxShared {
     }
 }
 
-/// The handle through which a transactional closure reads and writes
-/// [`TVar`]s.
-///
-/// Obtained from [`crate::ThreadCtx::atomically`]; all operations may fail
-/// with [`StmError::Aborted`], in which case the error should simply be
 /// An action registered with [`Txn::defer_on_commit`], run only if the
 /// transaction commits.
-type DeferredAction = Box<dyn FnOnce(&EpochGc) + Send>;
+type DeferredAction = Box<dyn FnOnce() + Send>;
 
 /// Per-thread transaction scratch space: the read/write/publish sets of the
 /// attempt currently running on a [`crate::ThreadCtx`]. Owned by the thread
@@ -257,6 +251,11 @@ impl TxScratch {
     }
 }
 
+/// The handle through which a transactional closure reads and writes
+/// [`TVar`]s.
+///
+/// Obtained from [`crate::ThreadCtx::atomically`]; all operations may fail
+/// with [`StmError::Aborted`], in which case the error should simply be
 /// propagated with `?` — the runtime will retry the closure.
 pub struct Txn<'ctx> {
     stm: &'ctx Stm,
@@ -362,14 +361,15 @@ impl<'ctx> Txn<'ctx> {
     }
 
     /// Registers an action to run **after** this attempt's commit point (the
-    /// status CAS), receiving the [`Stm`]'s reclamation domain. An aborted
-    /// attempt discards its actions — a retry starts with an empty list.
+    /// status CAS). An aborted attempt discards its actions — a retry starts
+    /// with an empty list.
     ///
-    /// This is the hook commit-time garbage collection hangs off: a store
-    /// that deletes a key registers the unlink-and-retire of the key's cell
-    /// here, so the unlink happens exactly once, and only for the attempt
-    /// that actually committed the delete.
-    pub fn defer_on_commit(&mut self, action: impl FnOnce(&EpochGc) + Send + 'static) {
+    /// This is the hook commit-time cell GC hangs off: a store that deletes
+    /// a key registers the unlink of the key's cell from its own table here,
+    /// so the unlink happens only for the attempt that actually committed
+    /// the delete. Nothing waits for a grace period: a transaction that
+    /// still holds the cell holds an `Arc` to it.
+    pub fn defer_on_commit(&mut self, action: impl FnOnce() + Send + 'static) {
         self.scratch.deferred.push(Box::new(action));
     }
 
@@ -385,12 +385,6 @@ impl<'ctx> Txn<'ctx> {
             .peek_locator()
             .owner()
             .is_some_and(|owner| Arc::ptr_eq(owner, &self.shared))
-    }
-
-    /// The epoch-based reclamation domain of the [`Stm`] this transaction
-    /// runs on (see [`crate::epoch`]).
-    pub fn epoch(&self) -> &'ctx EpochGc {
-        self.stm.epoch()
     }
 
     /// Reads the value of `tvar`, returning a clone.
@@ -451,9 +445,7 @@ impl<'ctx> Txn<'ctx> {
                     Arc::clone(tvar.inner()),
                     Arc::clone(&value),
                 )));
-                if self.stm.config().validate_on_open {
-                    self.validate_or_abort()?;
-                }
+                self.validate_or_abort()?;
             }
             self.note_read(tvar.id());
             return Ok(value);
@@ -538,7 +530,7 @@ impl<'ctx> Txn<'ctx> {
             if visible {
                 let readers = tvar.inner().active_readers(&self.shared);
                 self.arbitrate_readers(readers)?;
-            } else if self.stm.config().validate_on_open {
+            } else {
                 self.validate_or_abort()?;
             }
             let func = f.take().expect("update closure already consumed");
@@ -693,7 +685,7 @@ impl<'ctx> Txn<'ctx> {
         // Deferred actions run after the commit point and after the writes
         // are detached, so they observe the committed values they test for.
         for action in self.scratch.deferred.drain(..) {
-            action(self.stm.epoch());
+            action();
         }
         self.manager.committed(TxView::new(&self.shared));
         self.stm.stats().note_commit(&self.stats);

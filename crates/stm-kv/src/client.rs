@@ -908,14 +908,14 @@ mod tests {
             .filter(|(series, _)| series.starts_with("stm_kv_overflow_cells{"))
             .count();
         assert_eq!(overflow_shards, 4, "{text}");
-        // Churn a far-out (overflow) key: its cell must show up as freed
-        // (or at worst still in limbo) in the next scrape.
+        // Churn a far-out (overflow) key: its cell must show up as freed in
+        // the next scrape.
         client.put(5_000_000, 1).unwrap();
         assert!(client.del(5_000_000).unwrap());
         let after = client.metrics().unwrap();
         assert!(
-            after.counter("stm_kv_cells_freed") + after.counter("stm_kv_cells_limbo") >= 1,
-            "deleted overflow cell must be reclaimed or in limbo: {}",
+            after.counter("stm_kv_cells_freed") >= 1,
+            "deleted overflow cell must be freed: {}",
             after.text
         );
         assert!(

@@ -649,10 +649,10 @@ fn apply(store: &KvStore, tx: &mut Txn<'_>, request: &Request, log: bool) -> TxR
 /// 3. the store's index-walk counter and its cell accounting, which make
 ///    keyspace growth *and reclamation* observable from the wire:
 ///    `cells_allocated` counts every value cell ever materialised
-///    (monotone), `cells_freed` how many of those the epoch GC has reclaimed
-///    after a committed `DEL`, `cells_limbo` how many retired cells still
-///    wait out their grace period (allocated − freed − limbo = resident),
-///    and `overflow_cells{shard}` the cells currently linked, per shard;
+///    (monotone), `cells_freed` how many of those a committed `DEL` has
+///    unlinked ([`KvStore::cells_released`]; the cell's `Arc` frees it), and
+///    `overflow_cells{shard}` the cells currently linked, per shard —
+///    allocated − freed = linked, with no limbo in between;
 /// 4. when durable, every `stm_wal_*` series ([`Wal::metrics_text`]).
 ///
 /// [`StatsSnapshot`]: stm_core::stats::StatsSnapshot
@@ -708,13 +708,9 @@ fn metrics_payload(
         "# TYPE stm_kv_index_walks_total counter\nstm_kv_index_walks_total {}",
         store.index_walks()
     );
-    // Sweep reclaimable limbo entries first so the scrape reflects what is
-    // actually freeable now, not just what the last commit happened to sweep.
-    stm.epoch().collect();
     let cell_gauges = [
-        ("stm_kv_cells_allocated", store.cells_allocated() as u64),
-        ("stm_kv_cells_freed", stm.epoch().reclaimed_total()),
-        ("stm_kv_cells_limbo", stm.epoch().limbo_len() as u64),
+        ("stm_kv_cells_allocated", store.cells_allocated()),
+        ("stm_kv_cells_freed", store.cells_released()),
     ];
     for (name, value) in cell_gauges {
         let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");

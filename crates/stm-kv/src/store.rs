@@ -50,23 +50,26 @@
 //! [`CellState::Dead`] — a `DEL` committed and its unlink is imminent. The
 //! operation helps unlink the cell and looks the key up again.
 //!
-//! **Commit-time cell GC.** A committed `DEL` reclaims the key's cell. The
-//! deleting transaction writes the `Dead` tombstone and
-//! registers a deferred action ([`stm_core::Txn::defer_on_commit`]) that —
-//! only if the delete committed and the tombstone is still the committed
-//! value — unlinks the cell from its shard table and retires it to the
-//! [`stm_core::EpochGc`] limbo, where it is dropped once every transaction
-//! that could still hold the old reference has unpinned. The tombstone
-//! makes the unlink race-free without blind writes: every operation reads a
-//! cell before writing it, and a committed `Dead` is terminal — only the
-//! transaction that wrote a tombstone may overwrite it (a `DEL` followed by
-//! a `PUT` of the same key in one transaction, detected via
-//! [`stm_core::Txn::owns`]). A transaction that raced the delete while it
-//! was still active conflicts with it on the cell itself and is arbitrated
-//! by the contention manager as usual. [`KvStore::cells_allocated`] counts
-//! every cell ever materialised (monotone); the `stm_kv_cells_freed` /
-//! `stm_kv_cells_limbo` series in `METRICS` come from the epoch domain's
-//! reclamation totals.
+//! **Commit-time cell GC.** A committed `DEL` unlinks the key's cell, and
+//! the cell's `Arc` frees it. The deleting transaction writes the `Dead`
+//! tombstone and registers a deferred action
+//! ([`stm_core::Txn::defer_on_commit`]) that — only if the delete committed
+//! and the tombstone is still the committed value — removes the cell from
+//! its shard table. The table's reference is dropped there; a transaction
+//! that fetched the cell a moment earlier holds its own `Arc` clone, so the
+//! memory lives until that transaction lets go, and no grace period is
+//! needed. The tombstone is still needed, for *table identity*, which is
+//! outside the STM: such a straggler must not read the unlinked cell as the
+//! key's current value, nor write through it. Every operation reads a cell
+//! before writing it, and a committed `Dead` is terminal — the reader helps
+//! unlink and looks the key up again, and only the transaction that wrote a
+//! tombstone may overwrite it (a `DEL` followed by a `PUT` of the same key
+//! in one transaction, detected via [`stm_core::Txn::owns`]). A transaction
+//! that raced the delete while it was still active conflicts with it on the
+//! cell itself and is arbitrated by the contention manager as usual. The
+//! books are exact at every instant: [`KvStore::cells_allocated`] −
+//! [`KvStore::cells_released`] = [`KvStore::cells_live`] (`METRICS`:
+//! `stm_kv_cells_allocated` − `stm_kv_cells_freed` = linked cells).
 //!
 //! **Typing.** The arithmetic operations (`ADD`, and `SUM` over a range)
 //! are only defined on `Int` values: hitting a `Str`/`Bytes` value reports
@@ -84,7 +87,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use stm_core::{EpochGc, TVar, TxResult, Txn};
+use stm_core::{TVar, TxResult, Txn};
 use stm_structures::{ShardedTxSet, TxSet};
 
 use crate::Value;
@@ -116,8 +119,8 @@ enum CellState {
     /// A present value.
     Full(Value),
     /// The tombstone a committed `DEL` leaves in the cell. Terminal
-    /// once committed: the deleter unlinks and retires the cell, and any
-    /// other transaction that reads this state looks the key up again.
+    /// once committed: the deleter unlinks the cell, and any other
+    /// transaction that reads this state looks the key up again.
     Dead,
 }
 
@@ -137,25 +140,21 @@ impl CellState {
 #[derive(Debug)]
 struct CellShard {
     cells: Mutex<HashMap<i64, TVar<CellState>>>,
+    /// Cells this shard has unlinked (monotone), bumped under the lock.
+    released: AtomicU64,
 }
 
 impl CellShard {
-    /// Removes `cell` from the table (if it is still the cell linked under
-    /// `key`) and retires it to `gc`. Idempotent under the table lock:
-    /// exactly one caller — the deleter's deferred commit action or a
-    /// helping transaction that found the tombstone first — wins the unlink
-    /// and performs the retire. Returns whether this call unlinked.
-    fn unlink_dead(&self, gc: &EpochGc, key: i64, cell: &TVar<CellState>) -> bool {
+    /// Removes `cell` from the table if it is still the cell linked under
+    /// `key`, and counts it. Idempotent under the table lock: exactly one
+    /// caller — the deleter's deferred commit action or a helping
+    /// transaction that found the tombstone first — wins the unlink.
+    fn unlink_dead(&self, key: i64, cell: &TVar<CellState>) {
         let mut cells = self.cells.lock();
-        let linked = cells.get(&key).is_some_and(|entry| entry.same_object(cell));
-        if linked {
+        if cells.get(&key).is_some_and(|entry| entry.same_object(cell)) {
             cells.remove(&key);
+            self.released.fetch_add(1, Ordering::Relaxed);
         }
-        drop(cells);
-        if linked {
-            gc.retire(Box::new(cell.clone()));
-        }
-        linked
     }
 }
 
@@ -204,6 +203,7 @@ impl KvStore {
                 .map(|_| {
                     Arc::new(CellShard {
                         cells: Mutex::new(HashMap::with_capacity(per_shard)),
+                        released: AtomicU64::new(0),
                     })
                 })
                 .collect(),
@@ -271,7 +271,7 @@ impl KvStore {
     ) -> TxResult<Option<Arc<CellState>>> {
         let state = tx.read_arc(cell)?;
         if *state == CellState::Dead && !tx.owns(cell) {
-            self.shard(key).unlink_dead(tx.epoch(), key, cell);
+            self.shard(key).unlink_dead(key, cell);
             return Ok(None);
         }
         Ok(Some(state))
@@ -316,16 +316,24 @@ impl KvStore {
         }
     }
 
-    /// Number of value cells ever materialised (monotone — reclaimed cells
-    /// still count; subtract the epoch domain's reclaimed total for the
-    /// live figure, which is what `METRICS` surfaces as
-    /// `stm_kv_cells_allocated` / `_freed` / `_limbo`).
+    /// Number of value cells ever materialised (monotone — released cells
+    /// still count). `METRICS` surfaces it as `stm_kv_cells_allocated`.
     pub fn cells_allocated(&self) -> usize {
         self.cells_created.load(Ordering::Relaxed) as usize
     }
 
-    /// Number of cells currently linked: the store's actual resident cell
-    /// count after reclamation.
+    /// Number of cells a committed `DEL` has unlinked (monotone), each
+    /// freed once the last transaction holding it lets go. `METRICS`
+    /// surfaces it as `stm_kv_cells_freed`; `cells_allocated −
+    /// cells_released = cells_live`.
+    pub fn cells_released(&self) -> usize {
+        self.cells
+            .iter()
+            .map(|shard| shard.released.load(Ordering::Relaxed) as usize)
+            .sum()
+    }
+
+    /// Number of cells currently linked: the store's resident cell count.
     pub fn cells_live(&self) -> usize {
         self.cells_per_shard().iter().sum()
     }
@@ -380,8 +388,7 @@ impl KvStore {
 
     /// Removes `key` and returns the `Full` state it held, or `None` when
     /// it was absent. The cell receives the `Dead` tombstone and, once the
-    /// delete commits, is unlinked from its shard table and retired to the
-    /// epoch limbo for reclamation. A miss opens the index only when no
+    /// delete commits, is unlinked from its shard table. A miss opens the index only when no
     /// cell is linked, and then read-only: removing there would race a
     /// `PUT` that linked its cell after our lookup.
     fn del_cell(&self, tx: &mut Txn<'_>, key: i64) -> TxResult<Option<Arc<CellState>>> {
@@ -395,11 +402,11 @@ impl KvStore {
         tx.write(&cell, CellState::Dead)?;
         let shard = Arc::clone(self.shard(key));
         let tombstone = cell;
-        tx.defer_on_commit(move |gc| {
+        tx.defer_on_commit(move || {
             // Skip when this same transaction re-PUT the key after the
             // DEL: the committed value is then Full, and the cell stays.
             if *tombstone.load_committed_arc() == CellState::Dead {
-                shard.unlink_dead(gc, key, &tombstone);
+                shard.unlink_dead(key, &tombstone);
             }
         });
         Ok(Some(state))
@@ -658,12 +665,10 @@ mod tests {
         assert_eq!(store.cells_allocated(), 1);
         assert_eq!(store.cells_live(), 1);
         ctx.atomically(|tx| store.del(tx, 1_000)).unwrap();
-        // The deferred commit action unlinked the cell; with no other
-        // transaction pinned, the epoch domain reclaims it immediately.
+        // The deferred commit action unlinked the cell, and the books say
+        // so at once: allocated − released = live.
         assert_eq!(store.cells_live(), 0, "deleted cell must leave the table");
-        stm.epoch().collect();
-        assert_eq!(stm.epoch().limbo_len(), 0);
-        assert_eq!(stm.epoch().reclaimed_total(), 1);
+        assert_eq!(store.cells_released(), 1);
         assert_eq!(store.cells_allocated(), 1, "allocation count stays monotone");
         // The key is re-creatable and gets a fresh cell.
         ctx.atomically(|tx| store.put(tx, 1_000, 8)).unwrap();
@@ -687,10 +692,10 @@ mod tests {
         })
         .unwrap();
         // The re-PUT overwrote the tombstone before commit, so the deferred
-        // unlink must have been a no-op: same cell, nothing retired.
+        // unlink must have been a no-op: same cell, nothing released.
         assert_eq!(store.cells_allocated(), 1);
         assert_eq!(store.cells_live(), 1);
-        assert_eq!(stm.epoch().retired_total(), 0);
+        assert_eq!(store.cells_released(), 0);
         assert_eq!(ctx.atomically(|tx| store.get(tx, 500)).unwrap(), int(2));
     }
 
@@ -705,7 +710,7 @@ mod tests {
             tx.abort::<()>()
         });
         assert_eq!(store.cells_live(), 1, "aborted DEL must not unlink");
-        assert_eq!(stm.epoch().retired_total(), 0);
+        assert_eq!(store.cells_released(), 0);
         assert_eq!(ctx.atomically(|tx| store.get(tx, 900)).unwrap(), int(5));
     }
 
@@ -722,12 +727,10 @@ mod tests {
         assert_eq!(ctx.atomically(|tx| store.get(tx, 3)).unwrap(), None);
         assert_eq!(store.cells_allocated(), 1, "a miss materialises nothing");
         // A later transaction's PUT allocates a fresh cell; the old one is
-        // reclaimed, not reused.
+        // released, not reused.
         ctx.atomically(|tx| store.put(tx, 3, 31)).unwrap();
         assert_eq!((store.cells_allocated(), store.cells_live()), (2, 1));
-        stm.epoch().collect();
-        assert_eq!(stm.epoch().reclaimed_total(), 1);
-        assert_eq!(stm.epoch().limbo_len(), 0);
+        assert_eq!(store.cells_released(), 1);
         assert_eq!(ctx.atomically(|tx| store.get(tx, 3)).unwrap(), int(31));
     }
 
@@ -772,24 +775,17 @@ mod tests {
                 });
             }
         });
-        stm.epoch().collect();
         let live = threads as i64 * window;
         assert_eq!(
             store.cells_live() as i64,
             live,
             "table must hold exactly the live keys after churn"
         );
-        let stats = stm.epoch().stats();
-        assert_eq!(stats.retired, stats.reclaimed + stats.limbo, "{stats:?}");
         assert_eq!(
-            store.cells_allocated() as u64,
-            store.cells_live() as u64 + stats.retired,
-            "every allocated cell is either linked or was retired"
+            store.cells_allocated() - store.cells_released(),
+            store.cells_live(),
+            "every allocated cell is either linked or was released"
         );
-        // All threads have unpinned, so limbo drains completely.
-        stm.epoch().collect();
-        stm.epoch().collect();
-        assert_eq!(stm.epoch().limbo_len(), 0, "{:?}", stm.epoch().stats());
     }
 
     #[test]
@@ -938,7 +934,7 @@ mod tests {
 
         // Small, huge and negative keys, few enough that every op often
         // finds its key in every state: present, vacant, never linked,
-        // reclaimed.
+        // released.
         let keys: Vec<i64> = (0..12).chain((1 << 32)..(1 << 32) + 12).chain(-4..0).collect();
         let managers = [
             ManagerKind::Greedy,
@@ -1000,17 +996,13 @@ mod tests {
                     dump.iter().cloned().eq(model.iter().map(|(k, v)| (*k, v.clone()))),
                     "{kind}/seed {seed:#x}/step {step}: store {dump:?} != model {model:?}"
                 );
+                // Exact after every transaction, not only at the end.
+                assert_eq!(
+                    store.cells_allocated() - store.cells_released(),
+                    store.cells_live(),
+                    "{kind}/seed {seed:#x}/step {step}: allocated − released = linked"
+                );
             }
-
-            drop(ctx);
-            stm.epoch().collect();
-            let stats = stm.epoch().stats();
-            assert_eq!(stats.limbo, 0, "{kind}: {stats:?}");
-            assert_eq!(
-                store.cells_allocated() as u64 - stats.reclaimed,
-                store.cells_live() as u64,
-                "{kind}/seed {seed:#x}: allocated − freed − limbo = linked: {stats:?}"
-            );
         }
     }
 }

@@ -1,17 +1,17 @@
 //! Property tests of the commit-time cell GC: seeded random PUT/DEL/GET
 //! churn across threads, repeated under **every** contention manager, must
 //! (a) conserve a closed transfer total running concurrently with the
-//! churn, (b) never lose a write to a reclaimed cell (each thread audits
+//! churn, (b) never lose a write to a released cell (each thread audits
 //! its own rolling window mid-churn), and (c) keep the cell accounting
-//! conserved: every cell ever allocated is either still linked in a shard
-//! table or was retired to the epoch limbo, and the limbo drains to empty
-//! once every thread has unpinned. The no-use-after-reclaim guarantee
-//! itself (limbo never frees an entry a pinned transaction could still
-//! reach) is unit-tested in `stm-core::epoch`; here it is exercised at full
-//! stack depth — a violation would surface as a lost window value or a
-//! panicked read.
+//! exact: every cell ever allocated is either still linked in a shard
+//! table or was released by a committed `DEL` (`allocated − released =
+//! linked`). There is no limbo to drain, so the books hold while a reader
+//! still holds a deleted cell, too: the second test parks one across the
+//! delete. A transaction that holds a released cell holds an `Arc` to it,
+//! so a use-after-free cannot happen; a stale read of one would surface as
+//! a lost window value or a wrong answer.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use greedy_stm::cm::ManagerKind;
@@ -140,22 +140,11 @@ fn seeded_churn_conserves_and_keeps_cell_accounting_exact_for_every_manager() {
             }
         });
 
-        // Quiescent: every thread unpinned, so the limbo drains completely.
-        let gc = stm.epoch();
-        gc.collect();
-        gc.collect();
-        let stats = gc.stats();
-        assert_eq!(stats.limbo, 0, "{kind}: limbo must drain at quiescence: {stats:?}");
+        // Cell accounting is exact: allocated = linked + released.
         assert_eq!(
-            stats.retired, stats.reclaimed,
-            "{kind}: every retired cell must eventually free: {stats:?}"
-        );
-
-        // Cell accounting is conserved: allocated = linked + retired.
-        assert_eq!(
-            store.cells_allocated() as u64,
-            store.cells_live() as u64 + stats.retired,
-            "{kind}: allocation/reclamation books must balance: {stats:?}"
+            store.cells_allocated(),
+            store.cells_live() + store.cells_released(),
+            "{kind}: allocation/release books must balance"
         );
 
         // The table holds exactly the live keys: shared + per-thread
@@ -191,4 +180,98 @@ fn seeded_churn_conserves_and_keeps_cell_accounting_exact_for_every_manager() {
             }
         }
     }
+}
+
+/// A store's cell books: allocated − freed = linked.
+#[derive(Debug, PartialEq)]
+struct Books {
+    allocated: u64,
+    freed: u64,
+    linked: u64,
+}
+
+/// The books as the store keeps them and as a `METRICS` scrape of the
+/// server that owns the store reports them.
+fn books(server: &KvServer) -> (Books, Books) {
+    let store = server.store();
+    let kept = Books {
+        allocated: store.cells_allocated() as u64,
+        freed: store.cells_released() as u64,
+        linked: store.cells_live() as u64,
+    };
+    let mut client = KvClient::connect(server.addr()).unwrap();
+    let metrics = client.metrics().unwrap();
+    client.quit().unwrap();
+    let scraped = Books {
+        allocated: metrics.counter("stm_kv_cells_allocated"),
+        freed: metrics.counter("stm_kv_cells_freed"),
+        linked: metrics
+            .samples()
+            .filter(|(series, _)| series.starts_with("stm_kv_overflow_cells{"))
+            .map(|(_, cells)| cells)
+            .sum(),
+    };
+    (kept, scraped)
+}
+
+#[test]
+fn a_cell_deleted_under_a_parked_reader_is_released_at_commit() {
+    const KEY: i64 = 1 << 40;
+    let mut server = KvServer::start(ServerConfig {
+        shards: 2,
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    // Invisible reads, on the server's own store: the deleter never waits
+    // for (or arbitrates with) the reader it invalidates.
+    let stm = Stm::builder()
+        .read_visibility(ReadVisibility::Invisible)
+        .build();
+    let store = server.store();
+    stm.thread().atomically(|tx| store.put(tx, KEY, 1)).unwrap();
+    let parked = Barrier::new(2);
+    let release = Barrier::new(2);
+
+    let (deleted, while_parked, (outcome, report)) = thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            stm.thread().atomically_traced(|tx| {
+                let first = store.get(tx, KEY)?;
+                if tx.attempt() == 1 {
+                    assert_eq!(first, Some(Value::Int(1)));
+                    parked.wait();
+                    release.wait();
+                }
+                // The deleter committed while we were parked: this open
+                // validates the read set and aborts the first attempt.
+                store.get(tx, KEY)
+            })
+        });
+        parked.wait();
+        let deleted = stm.thread().atomically(|tx| store.del(tx, KEY)).unwrap();
+        // The reader still holds the cell; read the books before letting it
+        // go (asserting here would leave it parked forever on a failure).
+        let while_parked = books(&server);
+        release.wait();
+        (deleted, while_parked, reader.join().unwrap())
+    });
+
+    assert_eq!(deleted, Some(Value::Int(1)));
+    // Nothing waits for the reader to let go: the commit released the cell.
+    let released = Books {
+        allocated: 1,
+        freed: 1,
+        linked: 0,
+    };
+    assert_eq!(while_parked.0, released, "store, reader parked");
+    assert_eq!(while_parked.1, released, "METRICS, reader parked");
+    assert_eq!(outcome.unwrap(), None, "the retry must see the delete");
+    assert!(
+        report.attempts >= 2,
+        "the parked attempt must abort: {report:?}"
+    );
+    let (kept, scraped) = books(&server);
+    assert_eq!(kept, released, "store, reader done");
+    assert_eq!(scraped, released, "METRICS, reader done");
+    server.shutdown();
 }

@@ -7,33 +7,13 @@
 //! schedules) — a model that silently degenerates to two or three
 //! interleavings would be false confidence.
 //!
-//! The per-crate suites (`stm-core`, `arcswap`, `stm-log`) additionally
-//! assert the *negative* side: deliberately weakened memory orderings are
-//! caught with a printed failing trace. Here we keep one end-to-end
-//! negative test so the workspace gate exercises the detection path too.
+//! The per-crate suites (`stm-core`, `arcswap`, `stm-log`) run the same
+//! models and more; `arcswap`'s also asserts the *negative* side:
+//! deliberately weakened memory orderings are caught with a printed failing
+//! trace. Here we keep one end-to-end negative test so the workspace gate
+//! exercises the detection path too.
 
 #![cfg(feature = "model-check")]
-
-/// Epoch-based reclamation: a pinned reader never dereferences freed
-/// memory, and retirement reclaims exactly once.
-#[test]
-fn epoch_gc_reclamation_is_safe() {
-    let report = stm_core::models::epoch_reclamation_no_uaf();
-    eprintln!("epoch no-UAF: {report}");
-    assert!(report.schedules() > 100, "{report}");
-}
-
-/// The pin/advance store-buffering handshake is safe at `SeqCst` and fully
-/// explored.
-#[test]
-fn epoch_pin_handshake_is_safe() {
-    let report =
-        stm_core::models::epoch_pin_requires_seqcst(false).expect("SeqCst handshake must be safe");
-    eprintln!("epoch pin handshake: {report}");
-    assert!(report.complete, "{report}");
-    assert_eq!(report.random_schedules, 0, "{report}");
-    assert!(report.schedules() > 100, "{report}");
-}
 
 /// Locator CAS publication vs guard reads: no torn value, no early free,
 /// no stranded spill entry.
@@ -63,14 +43,20 @@ fn reader_registry_is_safe() {
     assert!(report.schedules() > 100, "{report}");
 }
 
-/// The detection path end-to-end: a deliberately weakened pin handshake is
-/// caught as a use-after-free with a non-empty failing trace — and caught by
-/// the exhaustive phase (the model runs no random schedules), so the verdict
-/// is the same under every `LOOMLITE_SEED` and every load.
+/// The detection path end-to-end: arcswap's load/free handshake with a
+/// `Relaxed` reader count is caught as a use-after-free with a non-empty
+/// failing trace — and caught by the exhaustive phase (the model runs no
+/// random schedules), so the verdict is the same under every
+/// `LOOMLITE_SEED` and every load. The `SeqCst` handshake is explored
+/// completely and is safe.
 #[test]
 fn weakened_orderings_are_caught() {
-    let failure = stm_core::models::epoch_pin_requires_seqcst(true)
-        .expect_err("Release/Acquire pin handshake must be caught");
+    let safe = arcswap::models::transcribed_load_vs_free(false)
+        .expect("SeqCst load/free handshake must be safe");
+    assert!(safe.complete, "{safe}");
+    assert_eq!(safe.random_schedules, 0, "{safe}");
+    let failure = arcswap::models::transcribed_load_vs_free(true)
+        .expect_err("Relaxed reader count + Acquire pointer load must be caught");
     eprintln!("caught as expected:\n{failure}");
     assert!(failure.message.contains("UAF"), "{failure}");
     assert!(!failure.message.contains("random schedule"), "{failure}");

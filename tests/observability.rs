@@ -61,11 +61,10 @@ const KV_COUNTERS: [&str; 8] = [
     "stm_kv_partial_writes_total",
 ];
 
-const KV_GAUGES: [&str; 4] = [
+const KV_GAUGES: [&str; 3] = [
     "stm_kv_conns_open",
     "stm_kv_cells_allocated",
     "stm_kv_cells_freed",
-    "stm_kv_cells_limbo",
 ];
 
 /// Every log series a durable server adds; a volatile one exposes none.

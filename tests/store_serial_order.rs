@@ -12,7 +12,7 @@
 //!   key from three threads released by one barrier. Whatever the
 //!   order, the key's final presence follows from what `DEL` returned, the
 //!   values conserve, and the cell books balance:
-//!   `allocated − freed − limbo = linked = present keys`.
+//!   `allocated − released = linked = present keys`.
 //!
 //! Seeds are fixed (`SEED`) and named in every failure message.
 
@@ -264,18 +264,10 @@ fn racing_first_touch_of_an_unlinked_key_keeps_values_and_cell_books_exact() {
             .unwrap();
         assert_eq!((total, count as i64), (survivor_total, survivors), "{tag}");
 
-        let gc = stm.epoch();
-        gc.collect();
-        gc.collect();
-        let stats = gc.stats();
         assert_eq!(
-            stats.limbo, 0,
-            "{tag}: limbo must drain at quiescence: {stats:?}"
-        );
-        assert_eq!(
-            store.cells_allocated() as u64 - stats.reclaimed - stats.limbo,
-            store.cells_live() as u64,
-            "{tag}: allocated − freed − limbo = linked: {stats:?}"
+            store.cells_allocated() - store.cells_released(),
+            store.cells_live(),
+            "{tag}: allocated − released = linked"
         );
         assert_eq!(
             store.cells_live() as i64,
