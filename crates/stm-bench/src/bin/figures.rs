@@ -88,8 +88,8 @@ static EXPERIMENTS: [Experiment; 15] = [
     },
     Experiment {
         name: "ablate",
-        about: "E12, one ManagerParams knob at a time: greedy timeout, karma increment, \
-                backoff cap",
+        about: "E12, one manager knob at a time: greedy timeout, karma increment, backoff \
+                cap",
         in_all: false,
         view: THROUGHPUT_BY_VARIANT,
         run: figures::ablate,

@@ -6,7 +6,10 @@
 
 use std::time::Duration;
 
-use stm_cm::{ManagerKind, ManagerParams};
+use stm_cm::backoff::{DEFAULT_BACKOFF_BASE, DEFAULT_BACKOFF_MAX_ROUNDS};
+use stm_cm::karma::DEFAULT_KARMA_BACKOFF;
+use stm_cm::{BackoffManager, GreedyTimeoutManager, KarmaManager, ManagerKind};
+use stm_core::manager::{factory, ManagerFactory};
 use stm_core::{ReadVisibility, Stm, StmBuilder};
 
 use crate::report::{Ctx, Outcome};
@@ -97,34 +100,38 @@ fn most_threads(cfg: &SweepConfig) -> usize {
     cfg.thread_counts.iter().copied().max().unwrap_or(1)
 }
 
-/// The points of the manager-parameter ablation: `(manager, "knob=value",
-/// params)`, each varying one [`ManagerParams`] field around its historical
-/// default (which is among the values) — the knobs the paper's Section 6
-/// discussion predicts crossovers for.
-///
-/// * `greedy_timeout` (greedy-timeout): the initial presumed-halt time-out.
-///   Too short kills healthy enemies spuriously; too long stalls behind
-///   genuinely dead ones.
-/// * `karma_increment` (karma): priority earned per object opened. Larger
-///   increments separate long transactions from short ones faster, at the
-///   cost of starving newcomers longer.
-/// * `backoff_cap` (backoff): the exponential-backoff ceiling. A small cap
-///   degenerates toward aggressive retry; a large cap toward politeness.
-pub fn ablation_points() -> Vec<(ManagerKind, String, ManagerParams)> {
+/// E12's sweep of greedy-timeout's initial presumed-halt time-out, in µs.
+/// Too short kills healthy enemies spuriously; too long stalls behind
+/// genuinely dead ones.
+const GREEDY_TIMEOUT_US: [u64; 4] = [10, 50, 250, 1_000];
+/// E12's sweep of Karma's priority earned per object opened. Larger
+/// increments separate long transactions from short ones faster, at the
+/// cost of starving newcomers longer.
+const KARMA_INCREMENT: [u64; 4] = [1, 4, 16, 64];
+/// E12's sweep of Backoff's exponential-backoff ceiling, in µs. A small cap
+/// degenerates toward aggressive retry; a large cap toward politeness.
+const BACKOFF_CAP_US: [u64; 3] = [100, 1_000, 10_000];
+
+/// The points of the manager-parameter ablation: `("manager[knob=value]",
+/// factory)`, each varying one constructor argument around the manager's
+/// default (which is among the values) and leaving the others at theirs —
+/// the knobs the paper's Section 6 discussion predicts crossovers for.
+pub fn ablation_points() -> Vec<(String, ManagerFactory)> {
     let us = Duration::from_micros;
-    let default = ManagerParams::default;
     let mut points = Vec::new();
-    for value in [10, 50, 250, 1_000] {
-        let params = ManagerParams { greedy_timeout: us(value), ..default() };
-        points.push((ManagerKind::GreedyTimeout, format!("greedy_timeout={value}us"), params));
+    for value in GREEDY_TIMEOUT_US {
+        let make = factory(move || GreedyTimeoutManager::new(us(value)));
+        points.push((format!("greedy-timeout[greedy_timeout={value}us]"), make));
     }
-    for value in [1, 4, 16, 64] {
-        let params = ManagerParams { karma_increment: value, ..default() };
-        points.push((ManagerKind::Karma, format!("karma_increment={value}"), params));
+    for value in KARMA_INCREMENT {
+        let make = factory(move || KarmaManager::with_params(DEFAULT_KARMA_BACKOFF, value));
+        points.push((format!("karma[karma_increment={value}]"), make));
     }
-    for value in [100, 1_000, 10_000] {
-        let params = ManagerParams { backoff_cap: us(value), ..default() };
-        points.push((ManagerKind::Backoff, format!("backoff_cap={value}us"), params));
+    for value in BACKOFF_CAP_US {
+        let make = factory(move || {
+            BackoffManager::new(DEFAULT_BACKOFF_BASE, us(value), DEFAULT_BACKOFF_MAX_ROUNDS)
+        });
+        points.push((format!("backoff[backoff_cap={value}us]"), make));
     }
     points
 }
@@ -139,17 +146,16 @@ fn variants(variants: Vec<(String, StmBuilder)>, cfg: &WorkloadConfig) -> Outcom
     Outcome::new(&cells, Vec::new())
 }
 
-/// E12: one [`ManagerParams`] knob at a time on the list, at the largest
-/// thread count of the sweep (the contended point where the knobs matter).
+/// E12: one manager knob at a time on the list, at the largest thread count
+/// of the sweep (the contended point where the knobs matter).
 pub fn ablate(ctx: &Ctx) -> Outcome {
     let mut cfg = WorkloadConfig { threads: most_threads(&ctx.cfg), ..ctx.cfg.base };
     if ctx.short() {
         cfg.duration = Duration::from_millis(40);
     }
-    let points = ablation_points().into_iter().map(|(manager, setting, params)| {
-        let stm = Stm::builder().manager(manager.factory_with(params));
-        (format!("{}[{setting}]", manager.name()), stm)
-    });
+    let points = ablation_points()
+        .into_iter()
+        .map(|(label, make)| (label, Stm::builder().manager(make)));
     variants(points.collect(), &cfg)
 }
 
@@ -248,14 +254,16 @@ mod tests {
 
     #[test]
     fn the_ablation_labels_every_knob_value_and_includes_the_defaults() {
+        use stm_cm::backoff::DEFAULT_BACKOFF_CAP;
+        use stm_cm::greedy::DEFAULT_GREEDY_TIMEOUT;
+        use stm_cm::karma::DEFAULT_KARMA_INCREMENT;
+        let micros = |d: Duration| d.as_micros() as u64;
+        assert!(GREEDY_TIMEOUT_US.contains(&micros(DEFAULT_GREEDY_TIMEOUT)));
+        assert!(KARMA_INCREMENT.contains(&DEFAULT_KARMA_INCREMENT));
+        assert!(BACKOFF_CAP_US.contains(&micros(DEFAULT_BACKOFF_CAP)));
         let points = ablation_points();
-        for knob in ["greedy_timeout", "karma_increment", "backoff_cap"] {
-            let values: Vec<_> = points.iter().filter(|(_, s, _)| s.starts_with(knob)).collect();
-            assert!(values.len() >= 3, "{knob}: too few points");
-            assert!(
-                values.iter().any(|(_, _, params)| *params == ManagerParams::default()),
-                "{knob}: default value missing from sweep"
-            );
+        for (label, make) in &points {
+            assert!(label.starts_with(&format!("{}[", make().name())), "{label}");
         }
         let mut ctx = smoke_ctx();
         ctx.cfg.thread_counts = vec![2];

@@ -585,7 +585,7 @@ pub fn run_workload(
 }
 
 /// Like [`run_workload`], but on an [`Stm`] the caller built — the entry
-/// point of the ablations, which vary one [`stm_cm::ManagerParams`] knob or
+/// point of the ablations, which vary one manager constructor argument or
 /// the read visibility around the defaults. `label` goes in the result's
 /// `manager` field.
 pub fn run_workload_with(

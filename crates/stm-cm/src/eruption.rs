@@ -20,8 +20,6 @@ pub const DEFAULT_ERUPTION_BACKOFF: Duration = Duration::from_micros(4);
 #[derive(Debug, Clone)]
 pub struct EruptionManager {
     backoff: Duration,
-    /// Karma earned per object opened.
-    increment: u64,
     attempts: u64,
     conflict_with: Option<u64>,
     /// Whether we already pushed our momentum onto the current enemy (we only
@@ -40,14 +38,8 @@ impl EruptionManager {
     /// Creates an Eruption manager with the given inter-round backoff,
     /// earning one karma per object opened.
     pub fn new(backoff: Duration) -> Self {
-        EruptionManager::with_params(backoff, 1)
-    }
-
-    /// Creates an Eruption manager with an explicit per-open karma increment.
-    pub fn with_params(backoff: Duration, increment: u64) -> Self {
         EruptionManager {
             backoff,
-            increment,
             attempts: 0,
             conflict_with: None,
             pushed: false,
@@ -66,7 +58,7 @@ impl ContentionManager for EruptionManager {
     }
 
     fn opened(&mut self, me: TxView<'_>, _object_id: u64) {
-        me.add_karma(self.increment);
+        me.add_karma(1);
     }
 
     fn committed(&mut self, me: TxView<'_>) {

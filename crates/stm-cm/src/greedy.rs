@@ -93,10 +93,11 @@ pub const DEFAULT_GREEDY_TIMEOUT: Duration = Duration::from_micros(50);
 #[derive(Debug, Clone)]
 pub struct GreedyTimeoutManager {
     base: Duration,
-    /// Per-enemy state: (current time-out exponent, whether the last
-    /// resolution against this enemy was a wait that has now come back to us
-    /// unresolved).
-    enemies: HashMap<u64, (u32, bool)>,
+    /// Per-enemy state, keyed by the enemy's lineage: (current time-out
+    /// exponent, the enemy attempt our last wait was for). Meeting that same
+    /// attempt again means the wait expired with it still in the way; an
+    /// enemy that aborted and restarted meanwhile did not halt.
+    enemies: HashMap<u64, (u32, Option<u64>)>,
 }
 
 impl Default for GreedyTimeoutManager {
@@ -138,16 +139,17 @@ impl ContentionManager for GreedyTimeoutManager {
         if lower_priority(me, other) || other.is_waiting() {
             return Resolution::AbortOther;
         }
-        let (exponent, already_waited) = *self.enemies.entry(other.id()).or_insert((0, false));
-        if already_waited {
-            // We already waited for this enemy once and it is still in the
+        let attempt = Some(other.attempt());
+        let (exponent, waited_for) = self.enemies.get(&other.id()).copied().unwrap_or((0, None));
+        if waited_for == attempt {
+            // We already waited for this very attempt and it is still in the
             // way: presume it halted, abort it, and double the time-out we
             // will grant it next time.
             self.enemies
-                .insert(other.id(), (exponent.saturating_add(1), false));
+                .insert(other.id(), (exponent.saturating_add(1), None));
             return Resolution::AbortOther;
         }
-        self.enemies.insert(other.id(), (exponent, true));
+        self.enemies.insert(other.id(), (exponent, attempt));
         let timeout = self.timeout_for(exponent);
         Resolution::Wait(WaitSpec::bounded(timeout))
     }
@@ -157,6 +159,8 @@ impl ContentionManager for GreedyTimeoutManager {
 mod tests {
     use super::*;
     use crate::test_util::{tx, view};
+    use std::sync::Arc;
+    use stm_core::TxShared;
 
     #[test]
     fn rule_one_aborts_lower_priority_enemy() {
@@ -235,6 +239,22 @@ mod tests {
             Resolution::Wait(spec) => assert_eq!(spec.max, Some(Duration::from_micros(20))),
             other => panic!("expected wait, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn greedy_timeout_waits_again_for_a_restarted_enemy() {
+        let me = tx(1, 20);
+        let other = tx(2, 10);
+        let mut mgr = GreedyTimeoutManager::new(Duration::from_micros(10));
+        let base_wait = Resolution::backoff(Duration::from_micros(10));
+        let first = mgr.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
+        assert_eq!(first, base_wait);
+        // The wait ended because the enemy's attempt aborted, not because it
+        // expired: the enemy's next attempt is owed a fresh wait at the
+        // same time-out, not a kill.
+        let restarted = Arc::new(TxShared::new(Arc::clone(other.lineage()), 2));
+        let second = mgr.resolve(view(&me), view(&restarted), ConflictKind::WriteWrite);
+        assert_eq!(second, base_wait);
     }
 
     #[test]

@@ -119,6 +119,15 @@ mod tests {
     }
 
     #[test]
+    fn increment_scales_earned_priority() {
+        let me = tx(1, 1);
+        let mut m = KarmaManager::with_params(DEFAULT_KARMA_BACKOFF, 5);
+        m.opened(view(&me), 42);
+        m.opened(view(&me), 43);
+        assert_eq!(view(&me).karma(), 10);
+    }
+
+    #[test]
     fn richer_transaction_aborts_poorer_enemy() {
         let me = tx(1, 1);
         let other = tx(2, 2);

@@ -10,25 +10,22 @@
 //! a factor of `s(s+1)+2` of an optimal off-line list schedule) with good
 //! practical performance.
 //!
-//! The crate also re-implements the contention managers from the literature
-//! that the paper benchmarks against (Scherer & Scott's suite, ported to C#
-//! for SXM in the paper and re-implemented in Rust here from their published
-//! descriptions):
+//! Beside it sit the managers the paper's figures plot (Eruption,
+//! Aggressive, Backoff, Karma — Scherer & Scott's suite, ported to C# for
+//! SXM in the paper and re-implemented in Rust here from their published
+//! descriptions), greedy's Section 6 time-out extension, and the two
+//! managers the theory experiments and the repo benchmark contrast with
+//! greedy (Timestamp, Polka):
 //!
 //! | Manager | Strategy | Provable progress |
 //! |---------|----------|-------------------|
 //! | [`GreedyManager`] | timestamp priority + `waiting` flag (Rules 1–2) | pending-commit property, bounded commit delay |
 //! | [`GreedyTimeoutManager`] | greedy + doubling wait time-outs (Section 6 extension) | tolerates transactions that halt undetectably |
 //! | [`AggressiveManager`] | always abort the enemy | livelock-prone |
-//! | [`PoliteManager`] | bounded exponential backoff, then abort enemy | livelock possible |
 //! | [`BackoffManager`] | adaptive exponential backoff keyed on the enemy | none |
-//! | [`RandomizedManager`] | flip a coin: abort enemy or briefly wait | probabilistic only |
 //! | [`TimestampManager`] | abort younger enemies; suspect-and-kill older ones after repeated waits | starvation-free if delays finite |
 //! | [`KarmaManager`] | priority = objects opened (accumulated across aborts) | none (newcomers can repeatedly win) |
 //! | [`EruptionManager`] | karma + blocked transactions push priority onto the blocker | none |
-//! | [`KindergartenManager`] | take turns: give way once per enemy, then insist | none |
-//! | [`KillBlockedManager`] | abort enemies that are themselves blocked, or after a patience bound | none |
-//! | [`QueueOnBlockManager`] | always wait for the enemy (bounded only by a safety time-out) | dependency cycles possible |
 //! | [`PolkaManager`] | Polite + Karma: karma-difference many exponential backoffs, then abort | none |
 //!
 //! All managers implement [`stm_core::ContentionManager`] and are constructed
@@ -55,11 +52,7 @@ pub mod backoff;
 pub mod eruption;
 pub mod greedy;
 pub mod karma;
-pub mod kindergarten;
-pub mod killblocked;
 pub mod polka;
-pub mod queueonblock;
-pub mod randomized;
 pub mod registry;
 pub mod timestamp;
 
@@ -67,19 +60,13 @@ pub use backoff::BackoffManager;
 pub use eruption::EruptionManager;
 pub use greedy::{GreedyManager, GreedyTimeoutManager};
 pub use karma::KarmaManager;
-pub use kindergarten::KindergartenManager;
-pub use killblocked::KillBlockedManager;
 pub use polka::PolkaManager;
-pub use queueonblock::QueueOnBlockManager;
-pub use randomized::RandomizedManager;
-pub use registry::{
-    all_manager_names, default_manager_names, factory_by_name, ManagerKind, ManagerParams,
-};
+pub use registry::{all_manager_names, default_manager_names, factory_by_name, ManagerKind};
 pub use timestamp::TimestampManager;
 
-// Re-export the two managers that live in stm-core so users have one place to
+// Re-export the manager that lives in stm-core so users have one place to
 // look for the whole family.
-pub use stm_core::manager::{AggressiveManager, PoliteManager};
+pub use stm_core::manager::AggressiveManager;
 
 #[cfg(test)]
 pub(crate) mod test_util {

@@ -29,8 +29,6 @@ pub struct PolkaManager {
     /// Hard upper bound on backoff rounds regardless of the karma gap (keeps
     /// the tail bounded when the enemy is vastly richer).
     max_rounds: u32,
-    /// Karma earned per object opened.
-    increment: u64,
     round: u32,
     conflict_with: Option<u64>,
 }
@@ -44,16 +42,10 @@ impl Default for PolkaManager {
 impl PolkaManager {
     /// Creates a Polka manager earning one karma per object opened.
     pub fn new(base: Duration, cap: Duration, max_rounds: u32) -> Self {
-        PolkaManager::with_params(base, cap, max_rounds, 1)
-    }
-
-    /// Creates a Polka manager with an explicit per-open karma increment.
-    pub fn with_params(base: Duration, cap: Duration, max_rounds: u32, increment: u64) -> Self {
         PolkaManager {
             base,
             cap,
             max_rounds,
-            increment,
             round: 0,
             conflict_with: None,
         }
@@ -76,7 +68,7 @@ impl ContentionManager for PolkaManager {
     }
 
     fn opened(&mut self, me: TxView<'_>, _object_id: u64) {
-        me.add_karma(self.increment);
+        me.add_karma(1);
     }
 
     fn committed(&mut self, me: TxView<'_>) {

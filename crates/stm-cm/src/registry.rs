@@ -6,105 +6,13 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::time::Duration;
 
-use stm_core::manager::{factory, ManagerFactory};
-use stm_core::manager::{AggressiveManager, PoliteManager};
+use stm_core::manager::{factory, AggressiveManager, ManagerFactory};
 
 use crate::{
     BackoffManager, EruptionManager, GreedyManager, GreedyTimeoutManager, KarmaManager,
-    KindergartenManager, KillBlockedManager, PolkaManager, QueueOnBlockManager, RandomizedManager,
-    TimestampManager,
+    PolkaManager, TimestampManager,
 };
-
-/// Every tunable parameter of the manager family, with defaults equal to the
-/// values that used to be hard-coded in each manager's `Default` impl.
-///
-/// The Section 6 discussion predicts crossovers as these knobs move (e.g.
-/// greedy-timeout's initial time-out trading robustness against spurious
-/// kills); `ManagerKind::factory_with` threads a `ManagerParams` through to
-/// every per-thread manager instance so ablation sweeps can vary one knob at
-/// a time. `ManagerParams::default()` reproduces the registry's historical
-/// behaviour exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ManagerParams {
-    /// Initial wait time-out of greedy-timeout (doubles per presumed-halt).
-    pub greedy_timeout: Duration,
-    /// Polite: backoff rounds before aborting the enemy.
-    pub polite_max_rounds: u32,
-    /// Polite: base backoff interval (doubles per round).
-    pub polite_base: Duration,
-    /// Backoff: initial backoff interval.
-    pub backoff_base: Duration,
-    /// Backoff: maximum backoff interval.
-    pub backoff_cap: Duration,
-    /// Backoff: rounds against one enemy before the enemy is aborted.
-    pub backoff_max_rounds: u32,
-    /// Randomized: probability of aborting the enemy instead of waiting.
-    pub randomized_abort_probability: f64,
-    /// Randomized: upper bound of the random wait.
-    pub randomized_max_backoff: Duration,
-    /// Timestamp: length of one bounded wait quantum.
-    pub timestamp_quantum: Duration,
-    /// Timestamp: expired quanta before an older enemy is presumed defunct.
-    pub timestamp_patience: u32,
-    /// Karma: inter-round backoff while the karma gap is open.
-    pub karma_backoff: Duration,
-    /// Karma/Eruption/Polka: karma earned per object opened.
-    pub karma_increment: u64,
-    /// Eruption: inter-round backoff while blocked.
-    pub eruption_backoff: Duration,
-    /// Kindergarten: pause before re-examining a conflict.
-    pub kindergarten_pause: Duration,
-    /// Kindergarten: times we give way to one enemy before insisting.
-    pub kindergarten_max_yields: u32,
-    /// KillBlocked: length of one bounded wait slice.
-    pub killblocked_quantum: Duration,
-    /// KillBlocked: wait slices granted to a running (non-blocked) enemy.
-    pub killblocked_patience: u32,
-    /// QueueOnBlock: safety time-out bounding each wait on the enemy.
-    pub queueonblock_safety_timeout: Duration,
-    /// QueueOnBlock: expired safety time-outs before the enemy is killed.
-    pub queueonblock_max_expiries: u32,
-    /// Polka: initial backoff interval.
-    pub polka_base: Duration,
-    /// Polka: maximum backoff interval.
-    pub polka_cap: Duration,
-    /// Polka: hard cap on backoff rounds regardless of the karma gap.
-    pub polka_max_rounds: u32,
-}
-
-impl Default for ManagerParams {
-    fn default() -> Self {
-        // Every value references the same constant the manager's own
-        // `Default` impl is built from, so the registry cannot drift from
-        // the managers.
-        ManagerParams {
-            greedy_timeout: crate::greedy::DEFAULT_GREEDY_TIMEOUT,
-            polite_max_rounds: stm_core::manager::DEFAULT_POLITE_MAX_ROUNDS,
-            polite_base: stm_core::manager::DEFAULT_POLITE_BASE,
-            backoff_base: crate::backoff::DEFAULT_BACKOFF_BASE,
-            backoff_cap: crate::backoff::DEFAULT_BACKOFF_CAP,
-            backoff_max_rounds: crate::backoff::DEFAULT_BACKOFF_MAX_ROUNDS,
-            randomized_abort_probability: crate::randomized::DEFAULT_RANDOMIZED_ABORT_PROBABILITY,
-            randomized_max_backoff: crate::randomized::DEFAULT_RANDOMIZED_MAX_BACKOFF,
-            timestamp_quantum: crate::timestamp::DEFAULT_TIMESTAMP_QUANTUM,
-            timestamp_patience: crate::timestamp::DEFAULT_TIMESTAMP_PATIENCE,
-            karma_backoff: crate::karma::DEFAULT_KARMA_BACKOFF,
-            karma_increment: crate::karma::DEFAULT_KARMA_INCREMENT,
-            eruption_backoff: crate::eruption::DEFAULT_ERUPTION_BACKOFF,
-            kindergarten_pause: crate::kindergarten::DEFAULT_KINDERGARTEN_PAUSE,
-            kindergarten_max_yields: crate::kindergarten::DEFAULT_KINDERGARTEN_MAX_YIELDS,
-            killblocked_quantum: crate::killblocked::DEFAULT_KILLBLOCKED_QUANTUM,
-            killblocked_patience: crate::killblocked::DEFAULT_KILLBLOCKED_PATIENCE,
-            queueonblock_safety_timeout: crate::queueonblock::DEFAULT_QUEUEONBLOCK_SAFETY_TIMEOUT,
-            queueonblock_max_expiries: crate::queueonblock::DEFAULT_QUEUEONBLOCK_MAX_EXPIRIES,
-            polka_base: crate::polka::DEFAULT_POLKA_BASE,
-            polka_cap: crate::polka::DEFAULT_POLKA_CAP,
-            polka_max_rounds: crate::polka::DEFAULT_POLKA_MAX_ROUNDS,
-        }
-    }
-}
 
 /// Every contention manager known to this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -113,33 +21,23 @@ pub enum ManagerKind {
     Greedy,
     GreedyTimeout,
     Aggressive,
-    Polite,
     Backoff,
-    Randomized,
     Timestamp,
     Karma,
     Eruption,
-    Kindergarten,
-    KillBlocked,
-    QueueOnBlock,
     Polka,
 }
 
 impl ManagerKind {
     /// All manager kinds, in a stable reporting order.
-    pub const ALL: [ManagerKind; 13] = [
+    pub const ALL: [ManagerKind; 8] = [
         ManagerKind::Greedy,
         ManagerKind::GreedyTimeout,
         ManagerKind::Aggressive,
-        ManagerKind::Polite,
         ManagerKind::Backoff,
-        ManagerKind::Randomized,
         ManagerKind::Timestamp,
         ManagerKind::Karma,
         ManagerKind::Eruption,
-        ManagerKind::Kindergarten,
-        ManagerKind::KillBlocked,
-        ManagerKind::QueueOnBlock,
         ManagerKind::Polka,
     ];
 
@@ -159,82 +57,26 @@ impl ManagerKind {
             ManagerKind::Greedy => "greedy",
             ManagerKind::GreedyTimeout => "greedy-timeout",
             ManagerKind::Aggressive => "aggressive",
-            ManagerKind::Polite => "polite",
             ManagerKind::Backoff => "backoff",
-            ManagerKind::Randomized => "randomized",
             ManagerKind::Timestamp => "timestamp",
             ManagerKind::Karma => "karma",
             ManagerKind::Eruption => "eruption",
-            ManagerKind::Kindergarten => "kindergarten",
-            ManagerKind::KillBlocked => "killblocked",
-            ManagerKind::QueueOnBlock => "queueonblock",
             ManagerKind::Polka => "polka",
         }
     }
 
-    /// Builds a per-thread factory for this manager with default parameters.
+    /// Builds a per-thread factory for this manager, each instance built
+    /// from the manager's own `Default`.
     pub fn factory(self) -> ManagerFactory {
-        self.factory_with(ManagerParams::default())
-    }
-
-    /// Builds a per-thread factory for this manager with explicit
-    /// [`ManagerParams`] — the entry point for parameter-ablation sweeps.
-    /// Only the fields relevant to this kind are consulted.
-    pub fn factory_with(self, params: ManagerParams) -> ManagerFactory {
         match self {
             ManagerKind::Greedy => GreedyManager::factory(),
-            ManagerKind::GreedyTimeout => {
-                factory(move || GreedyTimeoutManager::new(params.greedy_timeout))
-            }
+            ManagerKind::GreedyTimeout => GreedyTimeoutManager::factory(),
             ManagerKind::Aggressive => factory(AggressiveManager::new),
-            ManagerKind::Polite => factory(move || {
-                PoliteManager::new(params.polite_max_rounds, params.polite_base)
-            }),
-            ManagerKind::Backoff => factory(move || {
-                BackoffManager::new(
-                    params.backoff_base,
-                    params.backoff_cap,
-                    params.backoff_max_rounds,
-                )
-            }),
-            ManagerKind::Randomized => factory(move || {
-                RandomizedManager::new(
-                    params.randomized_abort_probability,
-                    params.randomized_max_backoff,
-                )
-            }),
-            ManagerKind::Timestamp => factory(move || {
-                TimestampManager::new(params.timestamp_quantum, params.timestamp_patience)
-            }),
-            ManagerKind::Karma => factory(move || {
-                KarmaManager::with_params(params.karma_backoff, params.karma_increment)
-            }),
-            ManagerKind::Eruption => factory(move || {
-                EruptionManager::with_params(params.eruption_backoff, params.karma_increment)
-            }),
-            ManagerKind::Kindergarten => factory(move || {
-                KindergartenManager::new(
-                    params.kindergarten_pause,
-                    params.kindergarten_max_yields,
-                )
-            }),
-            ManagerKind::KillBlocked => factory(move || {
-                KillBlockedManager::new(params.killblocked_quantum, params.killblocked_patience)
-            }),
-            ManagerKind::QueueOnBlock => factory(move || {
-                QueueOnBlockManager::new(
-                    params.queueonblock_safety_timeout,
-                    params.queueonblock_max_expiries,
-                )
-            }),
-            ManagerKind::Polka => factory(move || {
-                PolkaManager::with_params(
-                    params.polka_base,
-                    params.polka_cap,
-                    params.polka_max_rounds,
-                    params.karma_increment,
-                )
-            }),
+            ManagerKind::Backoff => BackoffManager::factory(),
+            ManagerKind::Timestamp => TimestampManager::factory(),
+            ManagerKind::Karma => KarmaManager::factory(),
+            ManagerKind::Eruption => EruptionManager::factory(),
+            ManagerKind::Polka => PolkaManager::factory(),
         }
     }
 }
@@ -331,51 +173,26 @@ mod tests {
             default_manager_names(),
             vec!["eruption", "greedy", "aggressive", "backoff", "karma"]
         );
-        assert_eq!(all_manager_names().len(), 13);
+        assert_eq!(all_manager_names().len(), 8);
     }
 
     #[test]
-    fn factory_with_params_builds_every_kind() {
-        // Non-default knobs across the whole family; every factory must still
-        // produce a manager with the right name.
-        let params = ManagerParams {
-            greedy_timeout: Duration::from_micros(5),
-            polite_max_rounds: 3,
-            backoff_max_rounds: 2,
-            timestamp_patience: 1,
-            karma_increment: 7,
-            polka_max_rounds: 2,
-            queueonblock_max_expiries: 2,
-            ..ManagerParams::default()
-        };
-        for kind in ManagerKind::ALL {
-            let manager = kind.factory_with(params)();
-            assert_eq!(manager.name(), kind.name(), "factory_with mismatch for {kind}");
+    fn deleted_managers_are_refused_with_the_kept_list() {
+        let kept = "greedy, greedy-timeout, aggressive, backoff, timestamp, karma, eruption, polka";
+        for name in [
+            "polite",
+            "randomized",
+            "kindergarten",
+            "killblocked",
+            "queueonblock",
+        ] {
+            let err = name.parse::<ManagerKind>().unwrap_err();
+            assert_eq!(err, UnknownManager(name.to_string()));
+            assert_eq!(
+                err.to_string(),
+                format!("unknown contention manager '{name}'; known managers: {kept}")
+            );
         }
-    }
-
-    #[test]
-    fn default_params_match_historical_defaults() {
-        let p = ManagerParams::default();
-        assert_eq!(p.greedy_timeout, crate::greedy::DEFAULT_GREEDY_TIMEOUT);
-        assert_eq!(p.backoff_max_rounds, 12);
-        assert_eq!(p.polka_max_rounds, 16);
-        assert_eq!(p.karma_increment, 1);
-        assert_eq!(p.timestamp_patience, 8);
-        assert_eq!(p.queueonblock_max_expiries, 64);
-    }
-
-    #[test]
-    fn karma_increment_scales_earned_priority() {
-        let params = ManagerParams {
-            karma_increment: 5,
-            ..ManagerParams::default()
-        };
-        let me = crate::test_util::tx(1, 1);
-        let mut manager = ManagerKind::Karma.factory_with(params)();
-        manager.opened(crate::test_util::view(&me), 42);
-        manager.opened(crate::test_util::view(&me), 43);
-        assert_eq!(crate::test_util::view(&me).karma(), 10);
     }
 
     #[test]

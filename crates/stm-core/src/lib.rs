@@ -22,7 +22,7 @@
 //!   [`Txn`] handle provides `read`, `write`, and `modify` operations.
 //! * A transaction's externally visible state is a [`TxShared`] descriptor:
 //!   a CAS-able status word ([`TxStatus`]), a public `waiting` flag, and the
-//!   persistent [`TxLineage`] (timestamp, karma, abort count) that survives
+//!   persistent [`TxLineage`] (identity, timestamp, karma) that survives
 //!   retries — the three ingredients the greedy manager needs.
 //! * There is no reclamation domain. A [`TVar`] is an `Arc`, so an object a
 //!   layer above unlinks from its own lookup table at commit (see

@@ -16,15 +16,15 @@
 //! `aborted`) that the Karma/Eruption/Polka family uses to accumulate
 //! priority proportional to the work a transaction has performed.
 //!
-//! The greedy manager and the full set of managers from the literature live
-//! in the `stm-cm` crate; this module defines the interface plus the two
+//! The greedy manager and the managers the paper compares it with live in
+//! the `stm-cm` crate; this module defines the interface plus the two
 //! trivial managers ([`AggressiveManager`], [`PoliteManager`]) that the core
-//! crate uses as defaults and in its own tests.
+//! crate uses as defaults and in its own tests. `PoliteManager` is
+//! [`crate::Stm::default`]'s manager only; it is not in `stm-cm`'s registry.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::status::TxStatus;
 use crate::txn::TxShared;
 use crate::wait::WaitSpec;
 
@@ -69,10 +69,11 @@ impl Resolution {
 /// A read-only view of a transaction's publicly visible state, handed to
 /// contention managers.
 ///
-/// The view exposes exactly the three components the paper's Section 3 calls
-/// out — the timestamp, the status word, and the `waiting` flag — plus the
-/// bookkeeping counters (karma, attempts, objects opened, age) that the
-/// literature managers ported by Scherer & Scott rely on.
+/// The view exposes what the shipped managers read: the identity and attempt
+/// number, the greedy timestamp and public `waiting` flag of the paper's
+/// Section 3, and the karma counter of the Karma/Eruption/Polka family.
+/// The status word stays with the runtime, which alone acts on a
+/// [`Resolution`].
 #[derive(Debug, Clone, Copy)]
 pub struct TxView<'a> {
     shared: &'a Arc<TxShared>,
@@ -100,11 +101,6 @@ impl<'a> TxView<'a> {
         self.shared.timestamp()
     }
 
-    /// Current status of the attempt.
-    pub fn status(&self) -> TxStatus {
-        self.shared.status()
-    }
-
     /// Whether the transaction is currently waiting for another transaction
     /// (the public `waiting` flag of the greedy manager).
     pub fn is_waiting(&self) -> bool {
@@ -126,39 +122,6 @@ impl<'a> TxView<'a> {
     /// commits).
     pub fn reset_karma(&self) {
         self.shared.lineage().reset_karma();
-    }
-
-    /// Number of aborted attempts of this transaction so far.
-    pub fn aborts(&self) -> u64 {
-        self.shared.lineage().aborts()
-    }
-
-    /// Number of attempts of this transaction so far (aborts + 1).
-    pub fn attempts(&self) -> u64 {
-        self.shared.lineage().attempts()
-    }
-
-    /// Objects opened during the current attempt.
-    pub fn opened_in_attempt(&self) -> u64 {
-        self.shared.opened_in_attempt()
-    }
-
-    /// Objects opened across all attempts of this transaction.
-    pub fn opened_total(&self) -> u64 {
-        self.shared.lineage().opened_total()
-    }
-
-    /// Wall-clock age since the transaction first began.
-    pub fn age(&self) -> Duration {
-        self.shared.lineage().age()
-    }
-
-    /// Attempts to abort this transaction directly. Exposed for managers that
-    /// preemptively kill enemies outside the normal resolution return path
-    /// (none of the built-in managers need it, but SXM's interface offers the
-    /// equivalent).
-    pub fn try_abort(&self) -> bool {
-        self.shared.try_abort()
     }
 }
 
@@ -237,9 +200,9 @@ impl ContentionManager for AggressiveManager {
 }
 
 /// Default backoff rounds of [`PoliteManager`] before aborting the enemy.
-pub const DEFAULT_POLITE_MAX_ROUNDS: u32 = 8;
+const DEFAULT_POLITE_MAX_ROUNDS: u32 = 8;
 /// Default base backoff interval of [`PoliteManager`].
-pub const DEFAULT_POLITE_BASE: Duration = Duration::from_micros(4);
+const DEFAULT_POLITE_BASE: Duration = Duration::from_micros(4);
 
 /// The *polite* manager: exponential backoff for a bounded number of rounds,
 /// then abort the enemy.
@@ -372,15 +335,13 @@ mod tests {
         assert_eq!(view.id(), 1);
         assert_eq!(view.timestamp(), 1);
         assert_eq!(view.attempt(), 1);
-        assert_eq!(view.attempts(), 1);
         assert!(!view.is_waiting());
+        a.set_waiting(true);
+        assert!(view.is_waiting());
         view.add_karma(4);
         assert_eq!(view.karma(), 4);
         view.reset_karma();
         assert_eq!(view.karma(), 0);
-        assert!(view.status().is_active());
-        assert!(view.try_abort());
-        assert!(view.status().is_aborted());
     }
 
     #[test]

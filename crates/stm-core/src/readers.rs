@@ -11,7 +11,8 @@
 //!
 //! The registry is generic over the reader record (anything implementing
 //! [`RegisteredReader`]) so the bounded concurrency models in
-//! [`crate::models`] can drive the *same* code with a two-field test reader
+//! `crate::models` (under `--features model-check`) can drive the *same*
+//! code with a two-field test reader
 //! instead of a full transaction descriptor. The runtime instantiates it
 //! with `TxShared` inside every `TVar`.
 //!

@@ -3,7 +3,7 @@
 //!
 //! Normally this re-exports `std::sync::atomic` and the vendored
 //! `parking_lot` shim. Under `--features model-check` the same names resolve
-//! to [`loomlite`] modeled types instead, so the reader registry and (via
+//! to `loomlite` modeled types instead, so the reader registry and (via
 //! their own facades) `arcswap` and the `stm-log` slot-ring can be driven by the deterministic interleaving checker — see
 //! the "Correctness tooling" section of the repository README.
 //!

@@ -4,11 +4,11 @@
 //!
 //! * [`TxLineage`] — state that survives aborts and restarts: the identity of
 //!   the logical transaction, the **timestamp** assigned when it first began
-//!   (the greedy manager's priority), and accumulated bookkeeping (karma,
-//!   abort counts) that managers such as Karma, Eruption and Polka consult.
+//!   (the greedy manager's priority), and the karma that Karma, Eruption
+//!   and Polka accumulate.
 //! * [`TxShared`] — the descriptor of one *attempt*, visible to every other
-//!   thread: a CAS-able status word, the public `waiting` flag of the greedy
-//!   manager, and per-attempt counters. Enemy transactions hold `Arc`s to
+//!   thread: its attempt number, a CAS-able status word and the public
+//!   `waiting` flag of the greedy manager. Enemy transactions hold `Arc`s to
 //!   this descriptor (through object locators or reader lists) and may abort
 //!   the attempt by CAS-ing its status.
 //! * [`Txn`] — the handle passed to the user's transactional closure. It
@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::error::{AbortCause, StmError, TxResult};
 use crate::hook::CommitOp;
@@ -40,9 +40,6 @@ pub struct TxLineage {
     id: u64,
     timestamp: u64,
     karma: AtomicU64,
-    aborts: AtomicU64,
-    opened_total: AtomicU64,
-    born: Instant,
 }
 
 impl TxLineage {
@@ -52,9 +49,6 @@ impl TxLineage {
             id,
             timestamp,
             karma: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
-            opened_total: AtomicU64::new(0),
-            born: Instant::now(),
         }
     }
 
@@ -83,34 +77,6 @@ impl TxLineage {
     pub fn reset_karma(&self) {
         self.karma.store(0, Ordering::Relaxed);
     }
-
-    /// Number of aborted attempts so far.
-    pub fn aborts(&self) -> u64 {
-        self.aborts.load(Ordering::Relaxed)
-    }
-
-    /// Number of attempts so far (aborts + the current/last attempt).
-    pub fn attempts(&self) -> u64 {
-        self.aborts() + 1
-    }
-
-    pub(crate) fn note_abort(&self) {
-        self.aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total number of objects opened across all attempts.
-    pub fn opened_total(&self) -> u64 {
-        self.opened_total.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn note_open(&self) {
-        self.opened_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Wall-clock age of the transaction since it first began.
-    pub fn age(&self) -> Duration {
-        self.born.elapsed()
-    }
 }
 
 /// The shared descriptor of one transaction attempt.
@@ -124,7 +90,6 @@ pub struct TxShared {
     attempt: u64,
     status: AtomicStatus,
     waiting: AtomicBool,
-    opened_this_attempt: AtomicU64,
 }
 
 impl TxShared {
@@ -135,7 +100,6 @@ impl TxShared {
             attempt,
             status: AtomicStatus::new_active(),
             waiting: AtomicBool::new(false),
-            opened_this_attempt: AtomicU64::new(0),
         }
     }
 
@@ -211,16 +175,6 @@ impl TxShared {
     pub fn set_waiting(&self, value: bool) {
         // ordering: release — see `is_waiting`.
         self.waiting.store(value, Ordering::Release);
-    }
-
-    /// Number of objects opened during this attempt.
-    pub fn opened_in_attempt(&self) -> u64 {
-        self.opened_this_attempt.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn note_open(&self) {
-        self.opened_this_attempt.fetch_add(1, Ordering::Relaxed);
-        self.lineage.note_open();
     }
 }
 
@@ -630,13 +584,11 @@ impl<'ctx> Txn<'ctx> {
 
     fn note_read(&mut self, object_id: u64) {
         self.stats.reads += 1;
-        self.shared.note_open();
         self.manager.opened(TxView::new(&self.shared), object_id);
     }
 
     fn note_write(&mut self, object_id: u64) {
         self.stats.writes += 1;
-        self.shared.note_open();
         self.manager.opened(TxView::new(&self.shared), object_id);
     }
 
@@ -705,7 +657,6 @@ impl<'ctx> Txn<'ctx> {
             read.release(&self.shared);
         }
         self.manager.aborted(TxView::new(&self.shared));
-        self.shared.lineage().note_abort();
         self.stm.stats().note_abort(
             &self.stats,
             cause,
@@ -725,19 +676,11 @@ mod tests {
         let lineage = TxLineage::new(7, 42);
         assert_eq!(lineage.id(), 7);
         assert_eq!(lineage.timestamp(), 42);
-        assert_eq!(lineage.attempts(), 1);
-        lineage.note_abort();
-        lineage.note_abort();
-        assert_eq!(lineage.aborts(), 2);
-        assert_eq!(lineage.attempts(), 3);
         lineage.add_karma(5);
         lineage.add_karma(3);
         assert_eq!(lineage.karma(), 8);
         lineage.reset_karma();
         assert_eq!(lineage.karma(), 0);
-        lineage.note_open();
-        assert_eq!(lineage.opened_total(), 1);
-        assert!(lineage.age() >= Duration::from_secs(0));
     }
 
     #[test]
@@ -764,15 +707,5 @@ mod tests {
         assert_eq!(shared.timestamp(), 11);
         assert_eq!(shared.id(), 2);
         assert_eq!(shared.attempt(), 1);
-    }
-
-    #[test]
-    fn shared_open_counters() {
-        let lineage = Arc::new(TxLineage::new(3, 12));
-        let shared = TxShared::new(Arc::clone(&lineage), 2);
-        shared.note_open();
-        shared.note_open();
-        assert_eq!(shared.opened_in_attempt(), 2);
-        assert_eq!(lineage.opened_total(), 2);
     }
 }

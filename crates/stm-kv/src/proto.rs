@@ -25,7 +25,7 @@
 //! Headers are short text lines, so the protocol stays typeable: after
 //! `HELLO 2`, the five lines `*2` `+GET` `:5` ask for key 5 from `nc`.
 //!
-//! **Requests.** There is one request grammar — the [`VERBS`] table:
+//! **Requests.** There is one request grammar — the `VERBS` table:
 //! thirteen verbs, each with a fixed list of integer arguments (`PUT`'s
 //! value is the one typed argument). A request is one array frame,
 //! `[+VERB, arg frames...]`: the table row, its integer arguments as int
@@ -81,7 +81,7 @@ pub const MAX_ARRAY_LEN: usize = 1 << 20;
 /// Upper bound on one header line — the preamble, or everything before a
 /// frame's first `\n`. Error frames carry their whole message in the
 /// header, so this must comfortably exceed any message the server emits;
-/// [`write_error`] truncates to stay under it.
+/// `write_error` truncates to stay under it.
 pub const MAX_HEADER_BYTES: usize = 1024;
 
 /// Machine-readable category of a protocol error — the `CODE` token of an

@@ -46,7 +46,7 @@
 //!
 //! **Statistics.** `METRICS` is the only statistics verb and
 //! `metrics_payload` its only renderer: the serving layer's counters,
-//! gauges and histograms live in one [`Telemetry`] registry, the log's in
+//! gauges and histograms live in one `Telemetry` registry, the log's in
 //! the registry [`Wal::metrics_text`] renders, and the STM runtime's and the
 //! store's figures are read where they are kept at scrape time.
 //!
@@ -66,7 +66,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use stm_cm::{ManagerKind, ManagerParams};
+use stm_cm::ManagerKind;
 use stm_core::{AbortCause, CommitOp, Stm, ThreadCtx, TxResult, Txn};
 use stm_log::{FsyncPolicy, Wal, WalConfig};
 
@@ -87,7 +87,7 @@ const REPLAY_CHUNK: usize = 512;
 /// How the server maps connections onto threads.
 ///
 /// Both modes speak byte-for-byte the same protocol through the same
-/// request-processing core ([`process_buffered`]); they differ only in how
+/// request-processing core (`process_buffered`); they differ only in how
 /// sockets are multiplexed, which makes them differential-testable against
 /// each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,8 +130,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Contention manager arbitrating every transaction on this server.
     pub manager: ManagerKind,
-    /// Manager parameters (defaults reproduce the registry defaults).
-    pub params: ManagerParams,
     /// Number of index shards in the store.
     pub shards: usize,
     /// Worker threads. Each worker serves one connection at a time, so this
@@ -167,7 +165,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             manager: ManagerKind::Greedy,
-            params: ManagerParams::default(),
             shards: 16,
             workers: (2 * parallelism).max(4),
             wal_dir: None,
@@ -315,7 +312,7 @@ impl KvServer {
             None => None,
         };
 
-        let mut stm_builder = Stm::builder().manager(config.manager.factory_with(config.params));
+        let mut stm_builder = Stm::builder().manager(config.manager.factory());
         if let Some((wal, _)) = &opened_wal {
             stm_builder = stm_builder.commit_hook(wal.commit_hook());
         }

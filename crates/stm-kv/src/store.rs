@@ -8,7 +8,7 @@
 //! one transaction:
 //!
 //! > **Invariant.** At every committed state, `key ∈ index` ⇔ the cell
-//! > linked for `key` holds [`CellState::Full`].
+//! > linked for `key` holds `CellState::Full`.
 //!
 //! So the cell alone says whether a key is present, and a tracked read of
 //! it is a sufficient serialization witness: whoever changes the key's
@@ -47,7 +47,7 @@
 //!   linked) cell up again.
 //!
 //! In between, a linked cell may be **tombstoned**: it holds a *committed*
-//! [`CellState::Dead`] — a `DEL` committed and its unlink is imminent. The
+//! `CellState::Dead` — a `DEL` committed and its unlink is imminent. The
 //! operation helps unlink the cell and looks the key up again.
 //!
 //! **Commit-time cell GC.** A committed `DEL` unlinks the key's cell, and

@@ -2,7 +2,7 @@
 //!
 //! The paper prices a transaction by the objects it opens, and a binary
 //! tree opens one per key on its path. Here a **leaf** is a sorted run of at
-//! most [`MAX`] keys in *one* `TVar`, and an **inner node** is at most `MAX`
+//! most `MAX` = 64 keys in *one* `TVar`, and an **inner node** is at most `MAX`
 //! `(low fence, child)` entries in one `TVar`, so a point operation opens
 //! `height` objects (3 for 10⁵ keys) and a range opens the leaves it
 //! overlaps plus their ancestors — not one object per key returned. The
@@ -17,15 +17,15 @@
 //! replacing a first child therefore never leaves a stale fence behind.
 //! All leaves sit at one depth, and no node but a sole root leaf is empty.
 //!
-//! **Deletion is merge-only.** A node that falls under [`MIN`] entries is
-//! folded into one neighbour when the pair fits under [`MERGE_CAP`] — below
+//! **Deletion is merge-only.** A node that falls under `MIN` = 16 entries is
+//! folded into one neighbour when the pair fits under `MERGE_CAP` = 48 — below
 //! `MAX`, so the next insert does not split what was just merged — and
 //! otherwise stays under-full; there is no borrowing. A node that empties is
 //! dropped from its parent outright.
 //!
 //! **Reads and writes.** Nodes are read with [`Txn::read_arc`] (no copy of
 //! the run) and replaced whole with [`Txn::write`]. A node whose new state
-//! breaks a size bound is handed to its parent *unwritten* ([`Change::Pending`]),
+//! breaks a size bound is handed to its parent *unwritten* (`Change::Pending`),
 //! so a split or merge costs one more write (and, for a merge, one sibling
 //! read) per level it reaches and nothing is written twice. Every
 //! structural change writes the parent of the nodes it adds or drops, and

@@ -49,7 +49,6 @@ fn main() {
         ManagerKind::Timestamp,
         ManagerKind::Karma,
         ManagerKind::Aggressive,
-        ManagerKind::Polite,
     ] {
         let outcome = simulate(
             &instance.transactions,

@@ -12,12 +12,12 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`core`](stm_core) | the STM runtime: [`Stm`], [`TVar`], [`Txn`], the [`ContentionManager`] interface |
-//! | [`cm`](stm_cm) | the greedy manager plus twelve managers from the literature |
-//! | [`structures`](stm_structures) | transactional list, skiplist, red-black tree, forest, chunked B+-tree set, sharded set, counter, queue |
-//! | [`sched`](stm_sched) | Garey–Graham task systems, list/optimal schedulers, execution simulator |
-//! | [`kv`](stm_kv) | the networked transactional key-value service: server, wire protocol, client |
-//! | [`log`](stm_log) | durability: write-ahead commit log, group commit, snapshots, crash recovery |
+//! | [`core`] | the STM runtime: [`Stm`], [`TVar`], [`Txn`], the [`ContentionManager`] interface |
+//! | [`cm`] | the greedy manager, its time-out extension, and the six managers the paper's figures and theory experiments compare it with |
+//! | [`structures`] | transactional list, skiplist, red-black tree, forest, chunked B+-tree set, sharded set, counter, queue |
+//! | [`sched`] | Garey–Graham task systems, list/optimal schedulers, execution simulator |
+//! | [`kv`] | the networked transactional key-value service: server, wire protocol, client |
+//! | [`log`] | durability: write-ahead commit log, group commit, snapshots, crash recovery |
 //!
 //! ## Quickstart
 //!
@@ -46,7 +46,7 @@
 //!
 //! Every thread owns a contention-manager instance created from the factory
 //! installed on the [`Stm`]. The [`stm_cm::ManagerKind`] registry lists all
-//! thirteen by name:
+//! eight by name:
 //!
 //! ```
 //! use greedy_stm::prelude::*;
@@ -105,7 +105,7 @@ pub use stm_core::{
 pub mod prelude {
     pub use crate::cm::{
         AggressiveManager, BackoffManager, EruptionManager, GreedyManager, GreedyTimeoutManager,
-        KarmaManager, ManagerKind, PoliteManager, PolkaManager, TimestampManager,
+        KarmaManager, ManagerKind, PolkaManager, TimestampManager,
     };
     pub use crate::kv::{KvClient, KvServer, KvStore, ServerConfig};
     pub use crate::structures::{
