@@ -112,7 +112,7 @@ static EXPERIMENTS: [Experiment; 15] = [
     },
     Experiment {
         name: "overload",
-        about: "E16, open-loop load per serve mode, idle fleet under events; exits 1 on a \
+        about: "E16, open-loop load against a server holding an idle fleet; exits 1 on a \
                 stalled row or a dropped fleet",
         in_all: false,
         view: View::Flat,

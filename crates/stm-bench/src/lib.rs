@@ -18,7 +18,7 @@
 //! | — | Read-visibility ablation | [`ablation-reads`](figures::ablation_reads) |
 //! | E14 | Keyspace churn — cell GC boundedness and cost (gated) | [`churn`](churn::churn) |
 //! | E15 | Commit-path microbenchmark (reported, not gated) | [`hotpath`](hotpath::hotpath) |
-//! | E16 | Overload serving — open-loop load vs serve mode (gated) | [`overload`](netload::overload) |
+//! | E16 | Overload serving — open-loop load with an idle fleet (gated) | [`overload`](netload::overload) |
 //! | E17 | Telemetry cross-validation (gated) | [`metrics`](metricsprobe::metrics) |
 //!
 //! Every experiment is a `fn(&Ctx) -> Outcome` beside the code it drives;

@@ -41,12 +41,12 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use stm_cm::ManagerKind;
-use stm_kv::{KvClient, KvError, KvServer, ServeMode, ServerConfig};
+use stm_kv::{KvClient, KvError, KvServer, ServerConfig};
 
 use crate::netload::{exp_gap, run_open_loop, OpenLoopConfig};
 use crate::report::{Ctx, Outcome};
 
-/// E17: one events-mode server under greedy; wide `SUM` probes checked
+/// E17: one server under greedy; wide `SUM` probes checked
 /// against the scraped histogram, the goodput cost of continuous scraping at
 /// the E16 knee, then what a dashboard depends on is scraped once more.
 pub fn metrics(ctx: &Ctx) -> Outcome {
@@ -58,15 +58,13 @@ pub fn metrics(ctx: &Ctx) -> Outcome {
     let started = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
         shards: 8,
-        workers: cfg.overhead_pool + 2,
-        serve_mode: ServeMode::Events,
         ..ServerConfig::default()
     });
     let mut server = match started {
         Ok(server) => server,
-        Err(err) => return failed(format!("cannot start the events server: {err}")),
+        Err(err) => return failed(format!("cannot start the server: {err}")),
     };
-    let outcome = match run_metrics_probe(server.addr(), "greedy", "events", &cfg) {
+    let outcome = match run_metrics_probe(server.addr(), "greedy", &cfg) {
         Ok(row) => {
             let mut violations = gate(std::slice::from_ref(&row));
             // Only the paper-scale run is long enough to resolve 1%.
@@ -223,8 +221,6 @@ impl MetricsProbeConfig {
 pub struct MetricsProbeResult {
     /// Contention manager the server ran.
     pub manager: String,
-    /// Serving mode the server ran (`"threads"` or `"events"`).
-    pub serve_mode: String,
     /// Probe `SUM` requests completed by the cross-validation phase.
     pub probes_completed: u64,
     /// Scraped `stm_kv_op_latency_us{op="SUM"}` count delta over the
@@ -284,7 +280,6 @@ fn median(values: &mut [f64]) -> f64 {
 pub fn run_metrics_probe(
     addr: SocketAddr,
     manager: &str,
-    serve_mode: &str,
     cfg: &MetricsProbeConfig,
 ) -> Result<MetricsProbeResult, KvError> {
     assert!(cfg.sum_span > 0);
@@ -394,7 +389,7 @@ pub fn run_metrics_probe(
             seed: cfg.seed ^ (trial as u64) << 8,
             ..OpenLoopConfig::default()
         };
-        let row = run_open_loop(addr, manager, serve_mode, &open_loop)?;
+        let row = run_open_loop(addr, manager, &open_loop)?;
         quiet.push(row.goodput);
 
         let scraper_stop = Arc::new(AtomicBool::new(false));
@@ -416,7 +411,7 @@ pub fn run_metrics_probe(
                 }
                 let _ = client.quit();
             });
-            let row = run_open_loop(addr, manager, serve_mode, &open_loop);
+            let row = run_open_loop(addr, manager, &open_loop);
             scraper_stop.store(true, Ordering::Relaxed);
             scraper.join().expect("scraper panicked");
             row
@@ -429,7 +424,6 @@ pub fn run_metrics_probe(
     let scraped_goodput = median(&mut scraped);
     Ok(MetricsProbeResult {
         manager: manager.to_string(),
-        serve_mode: serve_mode.to_string(),
         probes_completed,
         server_sum_count_delta: sum_delta.count,
         mass_matches: sum_delta.count == probes_completed,
@@ -468,8 +462,6 @@ mod tests {
         let mut server = KvServer::start(ServerConfig {
             manager: ManagerKind::Greedy,
             shards: 4,
-            workers: 4,
-            serve_mode: ServeMode::Events,
             ..ServerConfig::default()
         })
         .expect("server must start");
@@ -483,8 +475,7 @@ mod tests {
             overhead_trials: 1,
             ..MetricsProbeConfig::smoke()
         };
-        let row = run_metrics_probe(server.addr(), "greedy", "events", &cfg)
-            .expect("probe must complete");
+        let row = run_metrics_probe(server.addr(), "greedy", &cfg).expect("probe must complete");
         assert!(row.probes_completed > 0);
         assert!(
             row.mass_matches,

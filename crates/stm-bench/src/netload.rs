@@ -5,9 +5,9 @@
 //! scheduled arrival, so when the server saturates the lateness shows up in
 //! the percentiles instead of the arrival rate silently adapting. Optional
 //! idle-connection fleets and connection-churn schedules exercise the
-//! serving layer itself — the workload that separates the event-driven
-//! server from the thread-per-connection pool under overload. It is the one
-//! driver that runs both serve modes and the 2k idle fleet; the closed-loop
+//! serving layer itself: the event loop must hold a mostly-idle fleet at
+//! its fixed thread count while it serves the curve. It is the one driver
+//! that runs the 2k idle fleet; the closed-loop
 //! per-manager wire sweeps (E10, E11, E13) were retired for `bench/`'s
 //! `wire_point` and `wire_durable_put`, which check what they checked on
 //! every run (EXPERIMENTS.md says why).
@@ -24,60 +24,48 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use stm_cm::ManagerKind;
-use stm_kv::{KvClient, KvError, KvServer, ServeMode, ServerConfig};
+use stm_kv::{KvClient, KvError, KvServer, ServerConfig};
 
 use crate::report::{Ctx, Outcome};
 use crate::workload::OpRecorder;
 
-/// E16: offered load against goodput against p99 sojourn, per serve mode,
-/// under greedy. The events server also holds a mostly-idle fleet at its
-/// fixed thread count — under the pool every idle connection would occupy a
-/// worker, which is the point of the experiment.
+/// E16: offered load against goodput against p99 sojourn under greedy,
+/// while the server holds a mostly-idle fleet at its fixed thread count.
 pub fn overload(ctx: &Ctx) -> Outcome {
     let (loads, millis, fleet): (&[f64], u64, usize) = ctx.size(
         (&[500.0, 4_000.0], 200, 128),
         (&[1_000.0, 4_000.0, 16_000.0, 64_000.0, 256_000.0], 400, 2_000),
         (&[1_000.0, 4_000.0, 16_000.0, 32_000.0, 64_000.0, 128_000.0, 256_000.0], 1_000, 2_000),
     );
-    let pool = 4;
+    let started = KvServer::start(ServerConfig {
+        manager: ManagerKind::Greedy,
+        shards: 8,
+        ..ServerConfig::default()
+    });
+    let mut server = match started {
+        Ok(server) => server,
+        Err(err) => {
+            let violations = vec![format!("cannot start the server: {err}")];
+            return Outcome { rows: Vec::new(), violations };
+        }
+    };
     let mut rows = Vec::new();
     let mut violations = Vec::new();
-    for serve_mode in [ServeMode::Threads, ServeMode::Events] {
-        let mode = serve_mode.label();
-        let started = KvServer::start(ServerConfig {
-            manager: ManagerKind::Greedy,
-            shards: 8,
-            workers: pool + 2,
-            serve_mode,
-            ..ServerConfig::default()
-        });
-        let mut server = match started {
-            Ok(server) => server,
-            Err(err) => {
-                violations.push(format!("cannot start the {mode} server: {err}"));
-                continue;
-            }
+    for &offered_load in loads {
+        let cfg = OpenLoopConfig {
+            offered_load,
+            pool: 4,
+            duration: Duration::from_millis(millis),
+            idle_connections: ctx.idle.unwrap_or(fleet),
+            churn_every: 256,
+            ..OpenLoopConfig::default()
         };
-        for &offered_load in loads {
-            let cfg = OpenLoopConfig {
-                offered_load,
-                pool,
-                duration: Duration::from_millis(millis),
-                idle_connections: match serve_mode {
-                    ServeMode::Events => ctx.idle.unwrap_or(fleet),
-                    ServeMode::Threads => 0,
-                },
-                churn_every: 256,
-                ..OpenLoopConfig::default()
-            };
-            match run_open_loop(server.addr(), "greedy", mode, &cfg) {
-                Ok(row) => rows.push(row),
-                Err(err) => violations
-                    .push(format!("open loop at {offered_load} req/s against {mode}: {err}")),
-            }
+        match run_open_loop(server.addr(), "greedy", &cfg) {
+            Ok(row) => rows.push(row),
+            Err(err) => violations.push(format!("open loop at {offered_load} req/s: {err}")),
         }
-        server.shutdown();
     }
+    server.shutdown();
     violations.extend(gate(&rows));
     Outcome::new(&rows, violations)
 }
@@ -89,12 +77,12 @@ pub fn gate(rows: &[OpenLoopResult]) -> Vec<String> {
     let mut violations = Vec::new();
     for row in rows {
         if row.goodput <= 0.0 || !row.p99_sojourn_us.is_finite() {
-            violations.push(format!("degenerate row under {}: {row:?}", row.serve_mode));
+            violations.push(format!("degenerate row: {row:?}"));
         }
         if (row.conns_open_observed as usize) < row.idle_connections {
             violations.push(format!(
-                "the {} server held only {} of {} idle connections at {} req/s",
-                row.serve_mode, row.conns_open_observed, row.idle_connections, row.offered_load
+                "the server held only {} of {} idle connections at {} req/s",
+                row.conns_open_observed, row.idle_connections, row.offered_load
             ));
         }
     }
@@ -156,8 +144,6 @@ impl Default for OpenLoopConfig {
 /// One row of the open-loop overload sweep (E16).
 #[derive(Debug, Clone, Serialize)]
 pub struct OpenLoopResult {
-    /// Serving mode the server ran (`"threads"` or `"events"`).
-    pub serve_mode: String,
     /// Contention manager the server ran.
     pub manager: String,
     /// Configured offered load (requests/second).
@@ -184,8 +170,7 @@ pub struct OpenLoopResult {
     pub reconnects: u64,
     /// Server-side `conns_accepted` delta over the run.
     pub conns_accepted: u64,
-    /// Server-side `partial_writes` delta over the run (events mode only;
-    /// always 0 under the thread pool).
+    /// Server-side `partial_writes` delta over the run.
     pub partial_writes: u64,
 }
 
@@ -202,8 +187,7 @@ pub(crate) fn exp_gap(rng: &mut SmallRng, rate: f64) -> Duration {
 /// Workers issue zipfian `PUT`/`GET` singles on independent Poisson
 /// schedules; `idle_connections` silent connections are held open
 /// throughout; sojourn latency is measured from the *scheduled* arrival, so
-/// queueing delay under overload is visible. `serve_mode` labels the row —
-/// pass the mode the server was started with.
+/// queueing delay under overload is visible.
 ///
 /// # Errors
 ///
@@ -215,7 +199,6 @@ pub(crate) fn exp_gap(rng: &mut SmallRng, rate: f64) -> Duration {
 pub fn run_open_loop(
     addr: SocketAddr,
     manager: &str,
-    serve_mode: &str,
     cfg: &OpenLoopConfig,
 ) -> Result<OpenLoopResult, KvError> {
     assert!(cfg.pool > 0, "need at least one generator connection");
@@ -327,7 +310,6 @@ pub fn run_open_loop(
         .finish("sojourn")
         .expect("open-loop run completed zero requests");
     Ok(OpenLoopResult {
-        serve_mode: serve_mode.to_string(),
         manager: manager.to_string(),
         offered_load: cfg.offered_load,
         goodput: stats.ops as f64 / elapsed.as_secs_f64(),
@@ -353,8 +335,6 @@ mod tests {
         let server = KvServer::start(ServerConfig {
             manager: ManagerKind::Greedy,
             shards: 4,
-            workers: 4,
-            serve_mode: ServeMode::Events,
             event_shards: 2,
             ..ServerConfig::default()
         })
@@ -369,8 +349,7 @@ mod tests {
             churn_every: 25,
             ..OpenLoopConfig::default()
         };
-        let row = run_open_loop(server.addr(), "greedy", "events", &cfg).unwrap();
-        assert_eq!(row.serve_mode, "events");
+        let row = run_open_loop(server.addr(), "greedy", &cfg).unwrap();
         assert!(row.completed > 0, "no requests completed: {row:?}");
         assert!(row.goodput > 0.0);
         assert!(row.p99_sojourn_us >= row.p50_sojourn_us);

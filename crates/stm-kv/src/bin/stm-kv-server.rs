@@ -28,24 +28,20 @@
 use std::time::Duration;
 
 use stm_cm::ManagerKind;
-use stm_kv::{KvServer, ServeMode, ServerConfig};
+use stm_kv::{KvServer, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: stm-kv-server [--addr HOST:PORT] [--manager NAME] \
-         [--shards N] [--workers N] \
-         [--serve-mode threads|events] [--event-shards N] [--idle-timeout SECS] \
-         [--wal-dir PATH] [--fsync every|n=COUNT|ms=MILLIS] [--snapshot-every N]\n\
+        "usage: stm-kv-server [--addr HOST:PORT] [--manager NAME] [--shards N] \
+         [--event-shards N] [--idle-timeout SECS] [--wal-dir PATH] [--snapshot-every N]\n\
          managers: {}\n\
-         --serve-mode picks the connection layer: 'threads' (default) serves \
-         one connection per pool worker; 'events' multiplexes non-blocking \
-         connections over readiness shards (--event-shards, default one per \
-         core) and reaps connections idle longer than --idle-timeout seconds \
-         (0 = never, the default);\n\
+         connections are multiplexed over --event-shards readiness threads \
+         (default one per core); --idle-timeout closes connections idle longer \
+         than SECS seconds (0 = never, the default);\n\
          --wal-dir enables durability: the keyspace is recovered from PATH on \
-         start and every mutating request is logged; --fsync picks the group-\
-         commit policy (default every); --snapshot-every takes a snapshot per \
-         N logged records (default 0 = only on SNAPSHOT)",
+         start, every mutating request is logged and answered only once its \
+         record is fsynced; --snapshot-every takes a snapshot per N logged \
+         records (default 0 = only on SNAPSHOT)",
         stm_cm::all_manager_names().join(", ")
     );
     std::process::exit(2);
@@ -73,10 +69,6 @@ fn main() {
                 }
             },
             "--shards" => config.shards = value.parse().unwrap_or_else(|_| usage()),
-            "--workers" => config.workers = value.parse().unwrap_or_else(|_| usage()),
-            "--serve-mode" => {
-                config.serve_mode = ServeMode::parse(value).unwrap_or_else(|| usage());
-            }
             "--event-shards" => config.event_shards = value.parse().unwrap_or_else(|_| usage()),
             "--idle-timeout" => {
                 let secs: f64 = value.parse().unwrap_or_else(|_| usage());
@@ -86,13 +78,6 @@ fn main() {
                 config.idle_timeout = Duration::from_secs_f64(secs);
             }
             "--wal-dir" => config.wal_dir = Some(value.into()),
-            "--fsync" => match value.parse() {
-                Ok(policy) => config.fsync = policy,
-                Err(err) => {
-                    eprintln!("{err}");
-                    usage();
-                }
-            },
             "--snapshot-every" => {
                 config.snapshot_every = value.parse().unwrap_or_else(|_| usage());
             }
@@ -108,18 +93,15 @@ fn main() {
     };
     match server.wal() {
         Some(wal) => println!(
-            "stm-kv listening on {} (manager: {}, serve: {}, wal: {} fsync={})",
+            "stm-kv listening on {} (manager: {}, wal: {})",
             server.addr(),
             server.manager().name(),
-            server.serve_mode().label(),
-            wal.dir().display(),
-            wal.policy()
+            wal.dir().display()
         ),
         None => println!(
-            "stm-kv listening on {} (manager: {}, serve: {}, volatile)",
+            "stm-kv listening on {} (manager: {}, volatile)",
             server.addr(),
-            server.manager().name(),
-            server.serve_mode().label()
+            server.manager().name()
         ),
     }
     // Serve until killed.

@@ -810,7 +810,6 @@ mod tests {
     fn test_server() -> KvServer {
         KvServer::start(ServerConfig {
             shards: 4,
-            workers: 2,
             ..ServerConfig::default()
         })
         .unwrap()

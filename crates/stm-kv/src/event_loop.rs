@@ -1,15 +1,14 @@
-//! The readiness event-loop server (`ServeMode::Events`).
+//! The server's connection layer: a readiness event loop.
 //!
 //! N shard threads (default one per core) each own a `minipoll::Poller`
 //! and a slab of non-blocking connections; one acceptor thread hands new
 //! connections to shards round-robin through a small inbox + waker pair.
 //! Per-connection state machines own their read/write buffers and feed the
-//! same incremental [`process_buffered`] core as the thread-pool server,
-//! so the two modes are byte-for-byte compatible on the wire — only the
-//! multiplexing differs:
+//! incremental [`process_buffered`] request core:
 //!
 //! * a mostly-idle connection costs one poller registration, not one
-//!   blocked OS thread, so a shard holds thousands of them;
+//!   blocked OS thread, so a shard holds thousands of them and a new
+//!   connection is served however many others sit open;
 //! * a reply that does not fit the socket buffer parks its tail behind
 //!   write-readiness (`stm_kv_partial_writes_total` counts these) instead
 //!   of blocking the thread in `write_all`;
@@ -20,11 +19,10 @@
 //!   already-received bytes are executed and their replies flushed before
 //!   the socket closes.
 //!
-//! Durability is unchanged: a burst whose commits require fsync holds its
-//! replies behind [`Wal::wait_durable`](stm_log::Wal) — the shard thread
-//! blocks there, which is the same group-commit barrier the pool's worker
-//! threads sit on, amortised across every connection that committed in the
-//! window.
+//! Durability: a burst whose commits were logged holds its replies behind
+//! [`Wal::wait_durable`](stm_log::Wal). The shard thread blocks there — one
+//! group-commit barrier amortised across every connection that committed
+//! in the window — so no reply leaves before its record is on disk.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -39,7 +37,7 @@ use parking_lot::Mutex;
 use stm_core::{Stm, ThreadCtx};
 
 use crate::proto::{header_end, FrameError};
-use crate::server::{process_buffered, ConnState, Durable};
+use crate::server::{process_buffered, ConnState, Durable, ServerConfig};
 use crate::store::KvStore;
 use crate::telemetry::{elapsed_us, Telemetry};
 
@@ -60,14 +58,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// At shutdown, a draining flush retries a full socket for at most this
 /// long before giving up on the peer.
 const DRAIN_FLUSH_BUDGET: Duration = Duration::from_secs(2);
-
-/// Event-mode tuning handed down from [`crate::ServerConfig`].
-pub(crate) struct EventConfig {
-    /// Shard threads (0 = one per available core).
-    pub(crate) shards: usize,
-    /// Idle-connection reap threshold (zero disables the wheel).
-    pub(crate) idle_timeout: Duration,
-}
 
 /// One connection owned by a shard: socket, protocol state machine, and
 /// the read/write buffers the state machine works.
@@ -90,6 +80,20 @@ struct Conn {
 }
 
 impl Conn {
+    fn new(stream: TcpStream, gen: u64) -> Conn {
+        Conn {
+            stream,
+            state: ConnState::new(),
+            inbuf: Vec::new(),
+            outbuf: Vec::new(),
+            out_pos: 0,
+            want_write: false,
+            peer_eof: false,
+            last_active: Instant::now(),
+            gen,
+        }
+    }
+
     fn pending_out(&self) -> bool {
         self.out_pos < self.outbuf.len()
     }
@@ -163,11 +167,10 @@ pub(crate) struct EventLoops {
 
 impl EventLoops {
     /// Spawns the acceptor and shard threads. The listener stays blocking —
-    /// the acceptor is a dedicated thread, unblocked at shutdown by the
-    /// same throwaway loopback connection the pool acceptor uses.
-    #[allow(clippy::too_many_arguments)]
+    /// the acceptor is a dedicated thread, unblocked at shutdown by a
+    /// throwaway loopback connection (`KvServer::shutdown`).
     pub(crate) fn start(
-        config: EventConfig,
+        config: &ServerConfig,
         listener: TcpListener,
         stm: Arc<Stm>,
         store: Arc<KvStore>,
@@ -175,12 +178,12 @@ impl EventLoops {
         durable: Option<Arc<Durable>>,
         stop: Arc<AtomicBool>,
     ) -> std::io::Result<EventLoops> {
-        let shard_count = if config.shards == 0 {
+        let shard_count = if config.event_shards == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
         } else {
-            config.shards
+            config.event_shards
         };
 
         let mut inboxes = Vec::with_capacity(shard_count);
@@ -315,8 +318,7 @@ impl Shard {
             // Slots closed while handling an earlier event in this batch
             // are skipped (the slab entry is `None`); slots are never
             // *reused* within a batch because accepts only run after it.
-            let batch: Vec<Event> = events.clone();
-            for event in &batch {
+            for event in &events {
                 if event.token == WAKER_TOKEN {
                     self.wake_rx.drain();
                     continue;
@@ -332,50 +334,51 @@ impl Shard {
         }
     }
 
+    /// The next connection the acceptor handed over, if any.
+    fn next_handoff(&self) -> Option<TcpStream> {
+        self.inbox.pending.lock().pop_front()
+    }
+
+    /// Takes a handed-over socket into the slab under a fresh generation
+    /// and counts it open. `None` if it cannot be made non-blocking.
+    fn adopt(&mut self, stream: TcpStream) -> Option<usize> {
+        if stream.set_nonblocking(true).is_err() {
+            return None;
+        }
+        let _ = stream.set_nodelay(true);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        self.next_gen += 1;
+        self.conns[slot] = Some(Conn::new(stream, self.next_gen));
+        self.telemetry.conns_open.add(1);
+        self.conns_gauge.add(1);
+        Some(slot)
+    }
+
     /// Registers every connection the acceptor handed over since the last
     /// wake, then serves whatever those sockets already carry.
     fn accept_pending(&mut self, ctx: &mut ThreadCtx<'_>) {
-        loop {
-            let Some(stream) = self.inbox.pending.lock().pop_front() else {
-                return;
-            };
-            if stream.set_nonblocking(true).is_err() {
+        while let Some(stream) = self.next_handoff() {
+            let Some(slot) = self.adopt(stream) else {
                 continue;
-            }
-            let _ = stream.set_nodelay(true);
-            let slot = match self.free.pop() {
-                Some(slot) => slot,
-                None => {
-                    self.conns.push(None);
-                    self.conns.len() - 1
-                }
             };
-            self.next_gen += 1;
-            let conn = Conn {
-                stream,
-                state: ConnState::new(),
-                inbuf: Vec::new(),
-                outbuf: Vec::new(),
-                out_pos: 0,
-                want_write: false,
-                peer_eof: false,
-                last_active: Instant::now(),
-                gen: self.next_gen,
-            };
+            let conn = self.conns[slot]
+                .as_ref()
+                .expect("adopted into this slot above");
+            let gen = conn.gen;
             if self
                 .poller
                 .register(&conn.stream, Token(slot + 1), Interest::READABLE, Trigger::Level)
                 .is_err()
             {
-                self.free.push(slot);
+                self.close(slot);
                 continue;
             }
-            self.telemetry.conns_open.add(1);
-            self.conns_gauge.add(1);
             if let Some(wheel) = &mut self.wheel {
-                wheel.touch(slot, conn.gen);
+                wheel.touch(slot, gen);
             }
-            self.conns[slot] = Some(conn);
             // A pipelining client may have sent its burst before the
             // registration existed; a level-triggered poller would catch it
             // on the next wait, but serving it now saves that round trip.
@@ -438,40 +441,38 @@ impl Shard {
             self.close(slot);
             return;
         }
-        self.process_and_flush(ctx, slot);
+        if self.execute_buffered(ctx, slot) {
+            self.service_write(slot);
+        }
     }
 
-    /// Runs the shared request core over the connection's input buffer and
-    /// flushes what it produced. Split from [`Shard::service_read`] so the
-    /// shutdown drain can reuse it.
-    fn process_and_flush(&mut self, ctx: &mut ThreadCtx<'_>, slot: usize) {
-        let mut out = Vec::new();
-        let barrier = {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
-            };
-            process_buffered(
-                &mut conn.state,
-                ctx,
-                &self.store,
-                &self.telemetry,
-                self.durable.as_deref(),
-                &mut conn.inbuf,
-                &mut out,
-            )
+    /// Runs the request core over the connection's input buffer, rendering
+    /// the replies behind whatever is still unflushed, and returns once the
+    /// burst's logged commits are durable. Returns `false` when the
+    /// connection is gone instead: the log failed, so nothing it rendered
+    /// may be acknowledged.
+    fn execute_buffered(&mut self, ctx: &mut ThreadCtx<'_>, slot: usize) -> bool {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return false;
         };
-        // Group commit: the shard blocks here exactly like a pool worker
-        // would — one fsync covers every burst that committed meanwhile.
+        let barrier = process_buffered(
+            &mut conn.state,
+            ctx,
+            &self.store,
+            &self.telemetry,
+            self.durable.as_deref(),
+            &mut conn.inbuf,
+            &mut conn.outbuf,
+        );
+        // Group commit: the shard blocks here until one fsync covers every
+        // burst, on any connection, that committed meanwhile.
         if let (Some(durable), Some(barrier)) = (self.durable.as_deref(), barrier) {
             if !durable.wal.wait_durable(barrier) {
                 self.close(slot);
-                return;
+                return false;
             }
         }
-        if let Some(conn) = self.conns[slot].as_mut() {
-            conn.outbuf.extend_from_slice(&out);
-        }
-        self.service_write(slot);
+        true
     }
 
     /// Pushes the unflushed reply tail into the socket. On `WouldBlock` the
@@ -574,65 +575,26 @@ impl Shard {
     fn drain_all(&mut self, ctx: &mut ThreadCtx<'_>) {
         let drain_started = Instant::now();
         // Late hand-offs first: accepted before the stop flag landed.
-        while let Some(stream) = self.inbox.pending.lock().pop_front() {
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let slot = match self.free.pop() {
-                Some(slot) => slot,
-                None => {
-                    self.conns.push(None);
-                    self.conns.len() - 1
-                }
-            };
-            self.next_gen += 1;
-            self.telemetry.conns_open.add(1);
-            self.conns_gauge.add(1);
-            self.conns[slot] = Some(Conn {
-                stream,
-                state: ConnState::new(),
-                inbuf: Vec::new(),
-                outbuf: Vec::new(),
-                out_pos: 0,
-                want_write: false,
-                peer_eof: false,
-                last_active: Instant::now(),
-                gen: self.next_gen,
-            });
+        while let Some(stream) = self.next_handoff() {
+            self.adopt(stream);
         }
         for slot in 0..self.conns.len() {
-            let mut out = Vec::new();
-            let barrier = {
-                let Some(conn) = self.conns[slot].as_mut() else {
-                    continue;
-                };
-                // One final read pass over what the kernel already buffered.
-                let mut chunk = [0u8; READ_CHUNK];
-                loop {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(n) if n > 0 => conn.inbuf.extend_from_slice(&chunk[..n]),
-                        Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                        _ => break,
-                    }
-                }
-                process_buffered(
-                    &mut conn.state,
-                    ctx,
-                    &self.store,
-                    &self.telemetry,
-                    self.durable.as_deref(),
-                    &mut conn.inbuf,
-                    &mut out,
-                )
+            let Some(conn) = self.conns[slot].as_mut() else {
+                continue;
             };
-            if let (Some(durable), Some(barrier)) = (self.durable.as_deref(), barrier) {
-                if !durable.wal.wait_durable(barrier) {
-                    self.close(slot);
-                    continue;
+            // One final read pass over what the kernel already buffered.
+            let mut chunk = [0u8; READ_CHUNK];
+            loop {
+                match conn.stream.read(&mut chunk) {
+                    Ok(n) if n > 0 => conn.inbuf.extend_from_slice(&chunk[..n]),
+                    Err(err) if err.kind() == ErrorKind::Interrupted => continue,
+                    _ => break,
                 }
             }
+            if !self.execute_buffered(ctx, slot) {
+                continue;
+            }
             if let Some(conn) = self.conns[slot].as_mut() {
-                conn.outbuf.extend_from_slice(&out);
                 // Bounded blocking flush: the poller is done, so retry a
                 // full socket with short sleeps instead of write-readiness.
                 let deadline = Instant::now() + DRAIN_FLUSH_BUDGET;

@@ -29,15 +29,17 @@
 //!   histogram the server, store, STM runtime and log keep) / `SLOWLOG n`
 //!   (the n slowest requests with their abort causes and
 //!   contention-manager verdicts).
-//! * **Server** ([`KvServer`]) — `std::net::TcpListener` + a worker-thread
-//!   pool, no dependencies beyond the workspace. Every request executes as
-//!   one STM transaction under the [`stm_cm::ManagerKind`] chosen at server
-//!   start, so multi-key batches are serializable across clients by
-//!   construction. With [`ServerConfig::wal_dir`] set the server is
-//!   **durable**: every mutating request's write-set is appended to an
-//!   `stm-log` write-ahead log in serialization order (fsync policy `every`
-//!   / `n=` / `ms=`), point-in-time snapshots bound recovery, and a restart
-//!   replays snapshot + log tail before accepting connections.
+//! * **Server** ([`KvServer`]) — `std::net::TcpListener` + a readiness
+//!   event loop (shard threads multiplexing non-blocking connections over
+//!   the vendored `minipoll`), no dependencies beyond the workspace. Every
+//!   request executes as one STM transaction under the
+//!   [`stm_cm::ManagerKind`] chosen at server start, so multi-key batches
+//!   are serializable across clients by construction. With
+//!   [`ServerConfig::wal_dir`] set the server is **durable**: every
+//!   mutating request's write-set is appended to an `stm-log` write-ahead
+//!   log in serialization order, its reply waits until the record is
+//!   fsynced, point-in-time snapshots bound recovery, and a restart replays
+//!   snapshot + log tail before accepting connections.
 //! * **Client** ([`KvClient`]) — a blocking client that opens with the
 //!   preamble, reports failures through the structured [`KvError`] enum,
 //!   offers typed getters (`get_int`/`get_str`/`get_bytes`) and a fluent

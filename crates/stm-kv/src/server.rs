@@ -1,16 +1,14 @@
-//! The TCP server: a listener, a worker-thread pool, one STM transaction
+//! The TCP server: a listener, a readiness event loop, one STM transaction
 //! per request — and, optionally, a durable commit log underneath.
 //!
-//! The server is deliberately synchronous (`std::net::TcpListener`,
-//! blocking I/O, a mutex-and-condvar hand-off queue): the point of
-//! `stm-kv` is to measure the *runtime's* behaviour under wire-driven
-//! contention, not to benchmark an async reactor. The queue uses the
-//! vendored `parking_lot` primitives rather than std's poisoning mutex so
-//! one worker panicking mid-request cannot poison the hand-off and cascade
-//! the panic across the whole pool. Each worker thread owns a [`stm_core::ThreadCtx`] — and
-//! therefore its own contention-manager instance, keeping managers
-//! decentralised exactly as in the in-process harness — and handles one
-//! connection at a time to completion.
+//! One acceptor thread hands each new connection to one of
+//! [`ServerConfig::event_shards`] shard threads (`crate::event_loop`). A
+//! shard owns a `minipoll::Poller` and a slab of non-blocking connections,
+//! so an idle connection costs one registration rather than one thread, and
+//! no connection waits for another to hang up before it is served. Each
+//! shard thread owns a [`stm_core::ThreadCtx`] — and therefore its own
+//! contention-manager instance, keeping managers decentralised exactly as
+//! in the in-process harness.
 //!
 //! Every data request executes as one `atomically` call; a `BEGIN`/`EXEC`
 //! batch executes all of its queued operations inside a single
@@ -26,7 +24,7 @@
 //! `\n`, is answered with one `-PROTO` error frame and a close — a peer
 //! that never sends `\n` cannot make the server buffer it.
 //!
-//! **Pipelining.** The connection loop is batch-oriented: every complete
+//! **Pipelining.** Request processing is batch-oriented: every complete
 //! request buffered on the socket is parsed and executed before any reply
 //! is written, and all the replies go back in one flush. A closed-loop
 //! client sees identical semantics; a pipelining client amortises the
@@ -37,12 +35,11 @@
 //! latest snapshot plus log replay before accepting connections, and
 //! installs the log's commit hook on the STM so every mutating request's
 //! write-set — typed values included — is appended to the log in
-//! serialization order. Under the `every` fsync policy a mutating request's
-//! reply is withheld until its record is fsynced (group commit: one fsync
-//! covers every request that committed meanwhile); the `n=`/`ms=` policies
-//! reply immediately and bound the loss window instead. `SNAPSHOT` forces a
-//! point-in-time snapshot; [`ServerConfig::snapshot_every`] takes one
-//! automatically every N logged records.
+//! serialization order. A mutating request's reply is withheld until its
+//! record is fsynced (group commit: one fsync covers every request that
+//! committed meanwhile), so an acknowledged write is on disk. `SNAPSHOT`
+//! forces a point-in-time snapshot; [`ServerConfig::snapshot_every`] takes
+//! one automatically every N logged records.
 //!
 //! **Statistics.** `METRICS` is the only statistics verb and
 //! `metrics_payload` its only renderer: the serving layer's counters,
@@ -50,26 +47,21 @@
 //! the registry [`Wal::metrics_text`] renders, and the STM runtime's and the
 //! store's figures are read where they are kept at scrape time.
 //!
-//! Reads use a short socket timeout so workers notice a shutdown request
-//! even while a client connection sits idle; [`KvServer::shutdown`] stops
-//! the pool, unblocks the acceptor with a loopback connection, joins every
-//! thread, and flushes the log.
+//! [`KvServer::shutdown`] stops accepting, drains every connection (what it
+//! already sent is executed and answered), joins every thread, and flushes
+//! the log.
 
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use stm_cm::ManagerKind;
 use stm_core::{AbortCause, CommitOp, Stm, ThreadCtx, TxResult, Txn};
 use stm_log::{FsyncPolicy, Wal, WalConfig};
 
+use crate::event_loop::EventLoops;
 use crate::proto::{
     decode_frame, parse_preamble, parse_request_v2, render_reply_v2, ErrorCode, FrameError, Reply,
     Request, PREAMBLE,
@@ -77,48 +69,23 @@ use crate::proto::{
 use crate::store::KvStore;
 use crate::telemetry::{elapsed_us, op_index, Telemetry, OP_EXEC};
 
-/// How long a worker blocks on a socket read (or on the connection queue)
-/// before re-checking the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
 /// Recovery replays at most this many logged write-sets per transaction.
 const REPLAY_CHUNK: usize = 512;
 
-/// How the server maps connections onto threads.
-///
-/// Both modes speak byte-for-byte the same protocol through the same
-/// request-processing core (`process_buffered`); they differ only in how
-/// sockets are multiplexed, which makes them differential-testable against
-/// each other.
+/// How the server maps connections onto threads. There is one way, the
+/// readiness event loop; the type and [`KvServer::serve_mode`] are kept by
+/// name only because the repo benchmark (`bench/`) records the label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
-    /// The original thread-per-connection worker pool: each worker serves
-    /// one connection to completion with blocking reads. Concurrency is
-    /// capped by [`ServerConfig::workers`]; idle connections pin threads.
-    Threads,
-    /// The readiness event loop: [`ServerConfig::event_shards`] shard
-    /// threads each own a `minipoll::Poller` and a slab of non-blocking
-    /// connections, so thousands of mostly-idle connections cost one
-    /// registration each instead of one thread each.
+    /// [`ServerConfig::event_shards`] shard threads each own a
+    /// `minipoll::Poller` and a slab of non-blocking connections.
     Events,
 }
 
 impl ServeMode {
-    /// Stable lowercase label (CLI flag value, bench row field).
+    /// Stable lowercase label (bench row field).
     pub fn label(self) -> &'static str {
-        match self {
-            ServeMode::Threads => "threads",
-            ServeMode::Events => "events",
-        }
-    }
-
-    /// Parses a CLI/env spelling of a serve mode.
-    pub fn parse(s: &str) -> Option<ServeMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "threads" | "thread" | "pool" => Some(ServeMode::Threads),
-            "events" | "event" | "epoll" => Some(ServeMode::Events),
-            _ => None,
-        }
+        "events"
     }
 }
 
@@ -132,149 +99,54 @@ pub struct ServerConfig {
     pub manager: ManagerKind,
     /// Number of index shards in the store.
     pub shards: usize,
-    /// Worker threads. Each worker serves one connection at a time, so this
-    /// is also the number of concurrently served clients.
-    pub workers: usize,
     /// Directory for the write-ahead log and snapshots. `None` (the
-    /// default) runs the server volatile, exactly as before.
+    /// default) runs the server volatile.
     pub wal_dir: Option<PathBuf>,
-    /// Fsync policy of the log (ignored without `wal_dir`).
+    /// The log's fsync rule. It has one value; the field is kept by name
+    /// only because the repo benchmark (`bench/`) sets it.
     pub fsync: FsyncPolicy,
     /// Take a snapshot automatically every this many logged records
     /// (0 = only on explicit `SNAPSHOT`; ignored without `wal_dir`).
     pub snapshot_every: u64,
-    /// How connections map onto threads. The default is
-    /// [`ServeMode::Threads`] (the original pool) unless the
-    /// `STM_KV_SERVE_MODE` environment variable names a mode — the hook the
-    /// differential CI matrix uses to replay every integration test through
-    /// the event loop unchanged.
-    pub serve_mode: ServeMode,
-    /// Event-loop shard threads (0 = one per available core; ignored in
-    /// [`ServeMode::Threads`]).
+    /// Event-loop shard threads (0 = one per available core).
     pub event_shards: usize,
-    /// Close connections idle longer than this ([`ServeMode::Events`] only;
-    /// zero, the default, disables reaping).
+    /// Close connections idle longer than this (zero, the default,
+    /// disables reaping).
     pub idle_timeout: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let parallelism = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             manager: ManagerKind::Greedy,
             shards: 16,
-            workers: (2 * parallelism).max(4),
             wal_dir: None,
             fsync: FsyncPolicy::EveryCommit,
             snapshot_every: 0,
-            serve_mode: std::env::var("STM_KV_SERVE_MODE")
-                .ok()
-                .as_deref()
-                .and_then(ServeMode::parse)
-                .unwrap_or(ServeMode::Threads),
             event_shards: 0,
             idle_timeout: Duration::ZERO,
         }
     }
 }
 
-/// The acceptor → worker connection hand-off.
-///
-/// Built on the vendored `parking_lot` mutex and condvar: neither poisons,
-/// so a worker that panics inside `serve_connection` (or while holding the
-/// queue lock) takes down only its own thread — the remaining workers keep
-/// draining connections instead of unwinding on an `Err(PoisonError)`
-/// cascade, and the server keeps serving at reduced capacity.
-struct ConnQueue {
-    pending: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-    /// Set when the acceptor is gone; workers drain what is queued and exit.
-    closed: AtomicBool,
-}
-
-impl ConnQueue {
-    fn new() -> ConnQueue {
-        ConnQueue {
-            pending: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            closed: AtomicBool::new(false),
-        }
-    }
-
-    /// Acceptor side: enqueues a connection and wakes one idle worker.
-    /// Returns `false` once the queue is closed.
-    fn push(&self, stream: TcpStream) -> bool {
-        if self.closed.load(Ordering::Relaxed) {
-            return false;
-        }
-        self.pending.lock().push_back(stream);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Worker side: the next connection, waiting up to `timeout` for one to
-    /// arrive. `None` means "nothing yet" — the caller re-checks its stop
-    /// flag and [`ConnQueue::is_drained`], mirroring the old
-    /// `recv_timeout` poll loop.
-    fn pop(&self, timeout: Duration) -> Option<TcpStream> {
-        let mut pending = self.pending.lock();
-        if let Some(stream) = pending.pop_front() {
-            return Some(stream);
-        }
-        if self.closed.load(Ordering::Relaxed) {
-            return None;
-        }
-        let _ = self.ready.wait_for(&mut pending, timeout);
-        pending.pop_front()
-    }
-
-    /// Whether the acceptor is gone *and* every queued connection has been
-    /// claimed — the worker exit condition.
-    fn is_drained(&self) -> bool {
-        self.closed.load(Ordering::Relaxed) && self.pending.lock().is_empty()
-    }
-
-    fn close(&self) {
-        // ordering: the closed latch must be visible before the wakeup so a
-        // woken worker's drain check cannot miss it and sleep again.
-        self.closed.store(true, Ordering::SeqCst);
-        self.ready.notify_all();
-    }
-}
-
-/// The durable half of the server, shared by every worker/shard.
+/// The durable half of the server, shared by every shard.
 pub(crate) struct Durable {
     pub(crate) wal: Arc<Wal>,
-    /// Whether mutating replies wait for their record's fsync.
-    sync_replies: bool,
     /// Auto-snapshot threshold (0 = never).
     snapshot_every: u64,
-}
-
-/// The serving threads behind a running [`KvServer`] — one variant per
-/// [`ServeMode`].
-enum ServeBackend {
-    Threads {
-        acceptor: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    Events(crate::event_loop::EventLoops),
 }
 
 /// A running key-value server. Dropping it shuts it down.
 pub struct KvServer {
     addr: SocketAddr,
     manager: ManagerKind,
-    serve_mode: ServeMode,
     stm: Arc<Stm>,
     store: Arc<KvStore>,
     telemetry: Arc<Telemetry>,
     durable: Option<Arc<Durable>>,
     stop: Arc<AtomicBool>,
-    backend: Option<ServeBackend>,
+    loops: Option<EventLoops>,
 }
 
 impl std::fmt::Debug for KvServer {
@@ -282,7 +154,6 @@ impl std::fmt::Debug for KvServer {
         f.debug_struct("KvServer")
             .field("addr", &self.addr)
             .field("manager", &self.manager.name())
-            .field("serve_mode", &self.serve_mode.label())
             .field("durable", &self.durable.is_some())
             .finish()
     }
@@ -290,7 +161,7 @@ impl std::fmt::Debug for KvServer {
 
 impl KvServer {
     /// Binds the listener, recovers the keyspace when a `wal_dir` is
-    /// configured, and spawns the acceptor and the worker pool.
+    /// configured, and spawns the acceptor and the shard threads.
     ///
     /// # Errors
     ///
@@ -301,14 +172,7 @@ impl KvServer {
         let addr = listener.local_addr()?;
 
         let opened_wal = match &config.wal_dir {
-            Some(dir) => {
-                let (wal, recovered) = Wal::open(WalConfig {
-                    dir: dir.clone(),
-                    fsync: config.fsync,
-                    segment_bytes: 8 << 20,
-                })?;
-                Some((Arc::new(wal), recovered))
-            }
+            Some(dir) => Some(Wal::open(WalConfig::new(dir.clone()))?),
             None => None,
         };
 
@@ -319,132 +183,36 @@ impl KvServer {
         let stm = Arc::new(stm_builder.build());
         let store = Arc::new(KvStore::new(config.shards));
 
-        let durable = match opened_wal {
-            Some((wal, recovered)) => {
-                replay_recovered(&stm, &store, &recovered);
-                Some(Arc::new(Durable {
-                    sync_replies: wal.policy() == FsyncPolicy::EveryCommit,
-                    snapshot_every: config.snapshot_every,
-                    wal,
-                }))
-            }
-            None => None,
-        };
+        let durable = opened_wal.map(|(wal, recovered)| {
+            replay_recovered(&stm, &store, &recovered);
+            Arc::new(Durable {
+                wal: Arc::new(wal),
+                snapshot_every: config.snapshot_every,
+            })
+        });
 
         let telemetry = Arc::new(Telemetry::new());
         let stop = Arc::new(AtomicBool::new(false));
-
-        let backend = match config.serve_mode {
-            ServeMode::Threads => Self::start_thread_pool(
-                listener, &config, &stm, &store, &telemetry, &durable, &stop,
-            ),
-            ServeMode::Events => {
-                ServeBackend::Events(crate::event_loop::EventLoops::start(
-                    crate::event_loop::EventConfig {
-                        shards: config.event_shards,
-                        idle_timeout: config.idle_timeout,
-                    },
-                    listener,
-                    Arc::clone(&stm),
-                    Arc::clone(&store),
-                    Arc::clone(&telemetry),
-                    durable.clone(),
-                    Arc::clone(&stop),
-                )?)
-            }
-        };
+        let loops = EventLoops::start(
+            &config,
+            listener,
+            Arc::clone(&stm),
+            Arc::clone(&store),
+            Arc::clone(&telemetry),
+            durable.clone(),
+            Arc::clone(&stop),
+        )?;
 
         Ok(KvServer {
             addr,
             manager: config.manager,
-            serve_mode: config.serve_mode,
             stm,
             store,
             telemetry,
             durable,
             stop,
-            backend: Some(backend),
+            loops: Some(loops),
         })
-    }
-
-    /// Spawns the original acceptor + worker-pool serving threads.
-    fn start_thread_pool(
-        listener: TcpListener,
-        config: &ServerConfig,
-        stm: &Arc<Stm>,
-        store: &Arc<KvStore>,
-        telemetry: &Arc<Telemetry>,
-        durable: &Option<Arc<Durable>>,
-        stop: &Arc<AtomicBool>,
-    ) -> ServeBackend {
-        let queue = Arc::new(ConnQueue::new());
-
-        let mut workers = Vec::with_capacity(config.workers.max(1));
-        for worker_id in 0..config.workers.max(1) {
-            let stm = Arc::clone(stm);
-            let store = Arc::clone(store);
-            let telemetry = Arc::clone(telemetry);
-            let stop = Arc::clone(stop);
-            let queue = Arc::clone(&queue);
-            let durable = durable.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("stm-kv-worker-{worker_id}"))
-                    .spawn(move || {
-                        let mut ctx = stm.thread();
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            match queue.pop(POLL_INTERVAL) {
-                                Some(stream) => {
-                                    serve_connection(
-                                        stream,
-                                        &mut ctx,
-                                        &store,
-                                        &telemetry,
-                                        durable.as_deref(),
-                                        &stop,
-                                    );
-                                }
-                                None if queue.is_drained() => return,
-                                None => continue,
-                            }
-                        }
-                    })
-                    .expect("spawn worker thread"),
-            );
-        }
-
-        let acceptor = {
-            let telemetry = Arc::clone(telemetry);
-            let stop = Arc::clone(stop);
-            let queue = Arc::clone(&queue);
-            std::thread::Builder::new()
-                .name("stm-kv-acceptor".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        telemetry.connections.add(1);
-                        if !queue.push(stream) {
-                            break;
-                        }
-                    }
-                    // Closing on every exit path tells idle workers the
-                    // server is gone (the old design dropped an `mpsc`
-                    // sender for the same effect).
-                    queue.close();
-                })
-                .expect("spawn acceptor thread")
-        };
-
-        ServeBackend::Threads {
-            acceptor: Some(acceptor),
-            workers,
-        }
     }
 
     /// The address the server actually listens on.
@@ -485,7 +253,7 @@ impl KvServer {
 
     /// Connections currently being served. Must be zero after
     /// [`KvServer::shutdown`] returns — the graceful drain closes (and
-    /// un-counts) every connection it finishes with, in both serve modes.
+    /// un-counts) every connection it finishes with.
     pub fn conns_open(&self) -> u64 {
         u64::try_from(self.telemetry.conns_open.value()).unwrap_or(0)
     }
@@ -501,9 +269,9 @@ impl KvServer {
         )
     }
 
-    /// Which serve mode this server runs in.
+    /// Which serve mode this server runs in: always [`ServeMode::Events`].
     pub fn serve_mode(&self) -> ServeMode {
-        self.serve_mode
+        ServeMode::Events
     }
 
     /// Stops accepting, gracefully drains every in-flight connection
@@ -518,22 +286,10 @@ impl KvServer {
         }
         // Unblock the acceptor's `incoming()` with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        match self.backend.take() {
-            Some(ServeBackend::Threads {
-                acceptor,
-                mut workers,
-            }) => {
-                if let Some(acceptor) = acceptor {
-                    let _ = acceptor.join();
-                }
-                for worker in workers.drain(..) {
-                    let _ = worker.join();
-                }
-            }
-            Some(ServeBackend::Events(loops)) => loops.shutdown(),
-            None => {}
+        if let Some(loops) = self.loops.take() {
+            loops.shutdown();
         }
-        // Workers are gone, so this is the last strong reference to the
+        // Shards are gone, so this is the last strong reference to the
         // `Wal` wrapper; shut it down explicitly for a deterministic final
         // flush + fsync (Drop would do the same).
         if let Some(durable) = self.durable.take() {
@@ -740,9 +496,7 @@ enum Batch {
 
 /// The protocol state that persists across bursts for one connection:
 /// whether the preamble has been answered, the open batch, and the quit
-/// latch. Both serve modes keep
-/// exactly one of these per connection — on the worker's stack in pool
-/// mode, in the shard's connection slab in event mode.
+/// latch. Each connection in a shard's slab keeps exactly one of these.
 pub(crate) struct ConnState {
     batch: Batch,
     /// Whether the `HELLO 2` preamble has been received and answered.
@@ -766,8 +520,8 @@ impl ConnState {
     }
 }
 
-/// Everything one burst of request processing needs: the per-shard/-worker
-/// execution context plus the connection's persistent [`ConnState`].
+/// Everything one burst of request processing needs: the shard's execution
+/// context plus the connection's persistent [`ConnState`].
 struct Session<'a, 'stm> {
     ctx: &'a mut ThreadCtx<'stm>,
     store: &'a KvStore,
@@ -775,7 +529,7 @@ struct Session<'a, 'stm> {
     durable: Option<&'a Durable>,
     conn: &'a mut ConnState,
     /// Highest commit sequence number this reply burst must wait on before
-    /// it is flushed (synchronous-durability policies only).
+    /// it is flushed (only logged commits have one).
     flush_barrier: Option<u64>,
 }
 
@@ -790,11 +544,8 @@ impl<'a, 'stm> Session<'a, 'stm> {
 
     /// Notes that the burst's replies depend on `seq` being durable.
     fn require_durable(&mut self, seq: Option<u64>) {
-        if let (Some(durable), Some(seq)) = (self.durable, seq) {
-            if durable.sync_replies {
-                self.flush_barrier = Some(self.flush_barrier.unwrap_or(0).max(seq));
-            }
-        }
+        // `None` orders below every `Some`.
+        self.flush_barrier = self.flush_barrier.max(seq);
     }
 
     /// Takes a point-in-time snapshot through `atomically_logged` (the
@@ -835,7 +586,7 @@ impl<'a, 'stm> Session<'a, 'stm> {
             return;
         }
         if let Reply::Err(_, message) = self.take_snapshot() {
-            // "already in progress" just means another worker got there
+            // "already in progress" just means another shard got there
             // first; anything else is worth a trace.
             if !message.contains("in progress") {
                 eprintln!("stm-kv: auto-snapshot failed: {message}");
@@ -1011,8 +762,8 @@ impl<'a, 'stm> Session<'a, 'stm> {
     }
 }
 
-/// The request-processing core shared by both serve modes: answers the
-/// preamble once, then decodes and executes every complete frame in `inbuf`
+/// The request-processing core each shard runs per readable connection:
+/// answers the preamble once, then decodes and executes every complete frame in `inbuf`
 /// (partial trailing input stays buffered), appending the replies to `out`
 /// in order. A first line that is not the preamble, a malformed frame, or
 /// either one's header line outgrowing its cap is answered with one error
@@ -1020,8 +771,8 @@ impl<'a, 'stm> Session<'a, 'stm> {
 /// resynchronise past garbage, and nothing unterminated is kept buffered.
 ///
 /// Returns the burst's durability barrier: the commit sequence number the
-/// caller must [`Wal::wait_durable`] on before flushing `out` (synchronous
-/// fsync policies only). A barrier wait returning `false` means the log
+/// caller must [`Wal::wait_durable`] on before flushing `out` (`None` when
+/// the burst logged nothing). A barrier wait returning `false` means the log
 /// failed — the caller must close without acknowledging rather than send
 /// replies the contract says are on disk.
 pub(crate) fn process_buffered(
@@ -1079,141 +830,16 @@ pub(crate) fn process_buffered(
     session.flush_barrier
 }
 
-/// Decrements `conns_open` when a served connection ends, however it ends.
-struct OpenConnGuard<'a>(&'a Telemetry);
-
-impl Drop for OpenConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.conns_open.sub(1);
-    }
-}
-
-/// Serves one connection until the peer quits, disconnects, or the server
-/// shuts down. Pipelined: every complete request already buffered is
-/// executed before the replies are written back in one flush.
-fn serve_connection(
-    stream: TcpStream,
-    ctx: &mut ThreadCtx<'_>,
-    store: &KvStore,
-    telemetry: &Telemetry,
-    durable: Option<&Durable>,
-    stop: &AtomicBool,
-) {
-    telemetry.conns_open.add(1);
-    let _open = OpenConnGuard(telemetry);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let Ok(mut reader) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    let mut inbuf: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
-    let mut out: Vec<u8> = Vec::new();
-    let mut conn = ConnState::new();
-
-    // Graceful drain: on shutdown, everything the client already sent is
-    // read off the socket (until it runs dry), executed, and its replies
-    // flushed before the connection closes — an in-flight pipelined burst
-    // is never dropped half-acknowledged.
-    let drain_and_close = |conn: &mut ConnState,
-                               ctx: &mut ThreadCtx<'_>,
-                               reader: &mut TcpStream,
-                               writer: &mut TcpStream,
-                               inbuf: &mut Vec<u8>,
-                               out: &mut Vec<u8>| {
-        let _ = reader.set_read_timeout(Some(Duration::from_millis(5)));
-        let mut chunk = [0u8; 4096];
-        loop {
-            match reader.read(&mut chunk) {
-                Ok(n) if n > 0 => inbuf.extend_from_slice(&chunk[..n]),
-                _ => break,
-            }
-        }
-        out.clear();
-        let barrier = process_buffered(conn, ctx, store, telemetry, durable, inbuf, out);
-        if let (Some(durable), Some(barrier)) = (durable, barrier) {
-            if !durable.wal.wait_durable(barrier) {
-                return;
-            }
-        }
-        if !out.is_empty() {
-            let _ = writer.write_all(out);
-            let _ = writer.flush();
-        }
-    };
-
-    loop {
-        match reader.read(&mut chunk) {
-            Ok(0) => return, // EOF
-            Ok(n) => inbuf.extend_from_slice(&chunk[..n]),
-            Err(err) if matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::Relaxed) {
-                    drain_and_close(&mut conn, ctx, &mut reader, &mut writer, &mut inbuf, &mut out);
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-
-        // Execute every complete request buffered so far; replies accumulate
-        // and go out in one write. Partial trailing input stays buffered.
-        out.clear();
-        let barrier = process_buffered(
-            &mut conn,
-            ctx,
-            store,
-            telemetry,
-            durable,
-            &mut inbuf,
-            &mut out,
-        );
-        if out.is_empty() {
-            if conn.quit() {
-                return;
-            }
-            continue;
-        }
-        // Group commit: one durability wait covers the whole burst. A
-        // `false` here means the log failed (the server joins workers
-        // before stopping its own WAL, so a shutdown cannot race this
-        // wait): the burst's writes committed in memory but their
-        // durability cannot be promised — close without acknowledging
-        // rather than send replies the contract says are on disk.
-        if let (Some(durable), Some(barrier)) = (durable, barrier) {
-            if !durable.wal.wait_durable(barrier) {
-                return;
-            }
-        }
-        if writer.write_all(&out).is_err() || writer.flush().is_err() {
-            return;
-        }
-        if conn.quit() {
-            return;
-        }
-        // Bounded shutdown even against a client that never stops sending:
-        // the flag is also honoured between fully-served bursts, not only
-        // on idle reads. The drain pass picks up anything the client
-        // pipelined behind the burst just served.
-        if stop.load(Ordering::Relaxed) {
-            drain_and_close(&mut conn, ctx, &mut reader, &mut writer, &mut inbuf, &mut out);
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::{parse_reply_v2, render_request_v2, MAX_HEADER_BYTES};
     use crate::{KvClient, Value};
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Read, Write};
 
     fn test_config() -> ServerConfig {
         ServerConfig {
             shards: 4,
-            workers: 2,
             ..ServerConfig::default()
         }
     }
@@ -1259,15 +885,15 @@ mod tests {
         let hammer = {
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
-                // A closed-loop client that never goes idle: the worker's
+                // A closed-loop client that never goes idle: its shard's
                 // reads keep returning data, so shutdown must be honoured
-                // between bursts, not only on read timeouts.
+                // between bursts, not only while the poller is idle.
                 let Ok(mut client) = KvClient::connect(addr) else { return };
                 while !done.load(Ordering::Relaxed) && client.ping().is_ok() {}
             })
         };
         std::thread::sleep(std::time::Duration::from_millis(50));
-        server.shutdown(); // must join every worker despite the busy client
+        server.shutdown(); // must join every shard despite the busy client
         done.store(true, Ordering::Relaxed);
         hammer.join().unwrap();
     }
@@ -1487,7 +1113,6 @@ mod tests {
             assert_eq!(say(client, Request::Del(2)), Reply::OkN(1));
             assert_eq!(say(client, Request::Add(3, 33)), int(33));
             let metrics = server.metrics_text();
-            assert!(metrics.contains("stm_wal_info{policy=\"every\"} 1"), "{metrics}");
             assert!(metrics.contains("stm_wal_records_total 4"), "{metrics}");
             let snap = say(client, Request::Snapshot);
             assert!(matches!(snap, Reply::Snapshot(..)), "{snap:?}");

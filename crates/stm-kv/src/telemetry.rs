@@ -50,7 +50,7 @@ pub(crate) fn elapsed_us(start: Instant) -> u64 {
 }
 
 /// Every instrument the serving paths record into, plus the slow-request
-/// ring. One per server; both serve modes share it.
+/// ring. One per server; every shard records into it.
 pub(crate) struct Telemetry {
     registry: Registry,
     /// Client connections accepted.
@@ -67,11 +67,10 @@ pub(crate) struct Telemetry {
     /// Connections closed by the event loop's idle-timeout reaper.
     pub(crate) conns_reaped_idle: Arc<Counter>,
     /// Reply flushes that could not complete in one write and had to park
-    /// the remainder behind write-readiness (event mode only; pool mode
-    /// blocks in `write_all` instead).
+    /// the remainder behind write-readiness.
     pub(crate) partial_writes: Arc<Counter>,
     /// Connections currently being served (registered in an event-loop
-    /// shard, or claimed by a worker thread in pool mode).
+    /// shard).
     pub(crate) conns_open: Arc<Gauge>,
     /// End-to-end request latency (execute + render), one series per op.
     op_latency: [Arc<Histogram>; OP_LABELS.len()],

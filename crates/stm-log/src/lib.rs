@@ -21,11 +21,10 @@
 //!   records into a slot ring; a single writer thread consumes the ring in
 //!   sequence order and drains batches into
 //!   length-prefixed, CRC-checked records ([`record`]) in rotating segment
-//!   files, fsyncing per the configured [`FsyncPolicy`] (every commit /
-//!   every N records / every T milliseconds). [`Wal::wait_durable`] turns
-//!   the `every` policy into synchronous durability; the lazier policies
-//!   trade a bounded loss window for throughput — the trade-off the E11
-//!   experiment measures across contention managers.
+//!   files, fsyncing every batch it writes. [`Wal::wait_durable`] turns
+//!   that into synchronous durability: one fsync covers every commit that
+//!   arrived while the previous one ran, and nothing is acknowledged before
+//!   it is on disk.
 //! * **Snapshots** ([`snapshot`]) — a consistent cut of the whole keyspace
 //!   (obtained with `ThreadCtx::atomically_logged`, whose sequence number
 //!   marks the cut) written atomically; old segments the snapshot covers are

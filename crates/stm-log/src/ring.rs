@@ -226,8 +226,7 @@ impl SlotRing {
     }
 
     /// Parks the consumer until the slot for `seq` is published, `tick`
-    /// elapses (timer-based fsync policies need the wakeup even when idle),
-    /// or `cancel` reports shutdown. The `parked` flag plus the re-check
+    /// elapses, or `cancel` reports shutdown. The `parked` flag plus the re-check
     /// under `work_lock` pairs with `fill`'s publish-then-notify so the
     /// wakeup cannot be lost.
     pub(crate) fn park_until_ready(&self, seq: u64, tick: Duration, cancel: impl Fn() -> bool) {

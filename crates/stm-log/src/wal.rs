@@ -13,28 +13,21 @@
 //! durability watermark counts abandoned tickets as trivially durable.
 //! The writer consumes ring slots strictly in sequence order and drains
 //! whole batches — every record that accumulated while the previous write
-//! was in flight goes out in one `write_all` — and applies the configured
-//! [`FsyncPolicy`]:
-//!
-//! * [`FsyncPolicy::EveryCommit`] — fsync after every drained batch. A
-//!   caller that then blocks on [`Wal::wait_durable`] gets synchronous
-//!   durability, and the batching means one fsync covers every commit that
-//!   arrived during the previous fsync (classic group commit).
-//! * [`FsyncPolicy::EveryN`] — fsync once at least `n` records are unsynced.
-//!   Bounded loss window of `n` commits.
-//! * [`FsyncPolicy::EveryMs`] — fsync when the oldest unsynced record is
-//!   older than `t` milliseconds. Bounded loss window of `t` ms.
+//! was in flight goes out in one `write_all` — and fsyncs every batch it
+//! wrote before consuming the next. A caller that blocks on
+//! [`Wal::wait_durable`] therefore gets synchronous durability, and the
+//! batching means one fsync covers every commit that arrived during the
+//! previous fsync (classic group commit). There is no lazier policy: an
+//! acknowledged write is on disk.
 //!
 //! [`Wal::wait_durable`] blocks until a given sequence number is covered by
 //! an fsync; [`Wal::write_snapshot`] persists a point-in-time snapshot and
 //! prunes segments the snapshot covers. Dropping the [`Wal`] flushes and
-//! fsyncs everything outstanding before joining the writer, so a graceful
-//! shutdown never loses a commit regardless of policy.
+//! fsyncs everything outstanding before joining the writer.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -48,58 +41,20 @@ use crate::ring::SlotRing;
 use crate::recovery::{self, Recovered};
 use crate::snapshot;
 
-/// When the group-commit writer calls `fsync`.
+/// When the group-commit writer calls `fsync`: after every batch it
+/// writes. The one variant is kept by name only because the repo benchmark
+/// (`bench/`) names it; nothing selects between policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// After every drained batch — synchronous durability for callers that
     /// wait on [`Wal::wait_durable`].
     EveryCommit,
-    /// Once at least this many records are unsynced.
-    EveryN(u64),
-    /// Once the oldest unsynced record is at least this many ms old.
-    EveryMs(u64),
 }
 
 impl FsyncPolicy {
-    /// Stable label used in experiment cells and `stm_wal_info{policy=…}`.
+    /// Stable label used in experiment cells.
     pub fn label(&self) -> String {
-        match self {
-            FsyncPolicy::EveryCommit => "every".to_string(),
-            FsyncPolicy::EveryN(n) => format!("n={n}"),
-            FsyncPolicy::EveryMs(ms) => format!("ms={ms}"),
-        }
-    }
-}
-
-impl std::fmt::Display for FsyncPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
-impl FromStr for FsyncPolicy {
-    type Err = String;
-
-    /// Parses `every`, `n=<count>` or `ms=<millis>` (the `--fsync` flag).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.eq_ignore_ascii_case("every") {
-            return Ok(FsyncPolicy::EveryCommit);
-        }
-        if let Some(n) = s.strip_prefix("n=") {
-            return match n.parse::<u64>() {
-                Ok(n) if n > 0 => Ok(FsyncPolicy::EveryN(n)),
-                _ => Err(format!("fsync policy 'n=' needs a positive count, got '{n}'")),
-            };
-        }
-        if let Some(ms) = s.strip_prefix("ms=") {
-            return match ms.parse::<u64>() {
-                Ok(ms) if ms > 0 => Ok(FsyncPolicy::EveryMs(ms)),
-                _ => Err(format!("fsync policy 'ms=' needs positive millis, got '{ms}'")),
-            };
-        }
-        Err(format!(
-            "unknown fsync policy '{s}' (expected every, n=<count> or ms=<millis>)"
-        ))
+        "every".to_string()
     }
 }
 
@@ -108,19 +63,15 @@ impl FromStr for FsyncPolicy {
 pub struct WalConfig {
     /// Directory holding segments and snapshots (created if absent).
     pub dir: PathBuf,
-    /// When the writer fsyncs.
-    pub fsync: FsyncPolicy,
     /// Rotate to a new segment once the current one exceeds this size.
     pub segment_bytes: u64,
 }
 
 impl WalConfig {
-    /// A config with the default fsync policy (every commit) and 8 MiB
-    /// segments.
+    /// A config with 8 MiB segments.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WalConfig {
             dir: dir.into(),
-            fsync: FsyncPolicy::EveryCommit,
             segment_bytes: 8 << 20,
         }
     }
@@ -161,7 +112,7 @@ struct WalTelemetry {
     registry: metrics::Registry,
     /// Committed records per drained group-commit batch.
     batch_records: Arc<metrics::Histogram>,
-    /// `sync_data` wall time, microseconds (rotation fsyncs included).
+    /// `sync_data` wall time, microseconds.
     fsync_us: Arc<metrics::Histogram>,
     /// Reserved-but-unconsumed sequence numbers, sampled once per writer
     /// iteration — how full the slot ring runs (RING = backpressure).
@@ -170,18 +121,15 @@ struct WalTelemetry {
     records: Arc<metrics::Counter>,
     /// Bytes written to segment files since open.
     bytes: Arc<metrics::Counter>,
-    /// Policy fsyncs issued since open (rotation fsyncs are not counted).
+    /// fsync calls issued since open, one per written batch.
     fsyncs: Arc<metrics::Counter>,
     /// Snapshots written since open.
     snapshots: Arc<metrics::Counter>,
 }
 
 impl WalTelemetry {
-    fn new(policy: FsyncPolicy) -> WalTelemetry {
+    fn new() -> WalTelemetry {
         let registry = metrics::Registry::new();
-        registry
-            .gauge("stm_wal_info", &[("policy", &policy.label())])
-            .set(1);
         WalTelemetry {
             batch_records: registry.histogram("stm_wal_batch_records", &[]),
             fsync_us: registry.histogram("stm_wal_fsync_us", &[]),
@@ -200,9 +148,12 @@ impl WalTelemetry {
 /// this many sequence numbers ahead of the writer.
 const RING: usize = 1024;
 
+/// The longest the writer parks with nothing to consume. Fills and shutdown
+/// wake it directly; this only bounds a wakeup that never comes.
+const PARK_TICK: Duration = Duration::from_millis(50);
+
 struct Shared {
     dir: PathBuf,
-    policy: FsyncPolicy,
     segment_bytes: u64,
     /// The producer/consumer hand-off between commit threads and the writer
     /// — sequence reservation, slot publication, parked/ready wakeup and
@@ -253,10 +204,7 @@ impl Shared {
 
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Wal")
-            .field("dir", &self.dir)
-            .field("policy", &self.policy)
-            .finish()
+        f.debug_struct("Wal").field("dir", &self.dir).finish()
     }
 }
 
@@ -327,7 +275,6 @@ impl Wal {
         let segments = recovery::list_segments(&config.dir)?.len() as u64;
         let shared = Arc::new(Shared {
             dir: config.dir,
-            policy: config.fsync,
             segment_bytes: config.segment_bytes.max(4096),
             failed: AtomicBool::new(false),
             // Every sequence below the recovered tip was consumed by a
@@ -342,7 +289,7 @@ impl Wal {
             ),
             since_snapshot: AtomicU64::new(recovered.tail.len() as u64),
             snapshot_in_progress: AtomicBool::new(false),
-            telemetry: WalTelemetry::new(config.fsync),
+            telemetry: WalTelemetry::new(),
         });
         let writer = {
             let shared = Arc::clone(&shared);
@@ -364,11 +311,6 @@ impl Wal {
     /// log (`Stm::builder().commit_hook(wal.commit_hook())`).
     pub fn commit_hook(&self) -> Arc<dyn CommitHook> {
         Arc::clone(&self.shared) as Arc<dyn CommitHook>
-    }
-
-    /// The fsync policy this log runs under.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.shared.policy
     }
 
     /// The directory holding segments and snapshots.
@@ -518,7 +460,7 @@ impl Wal {
 
     /// Flushes and fsyncs everything outstanding, then stops the writer.
     /// Idempotent; also invoked by `Drop`, so a graceful shutdown never
-    /// loses a commit regardless of the fsync policy.
+    /// loses a commit.
     pub fn shutdown(&mut self) {
         // ordering: the stop latch must be visible before the wakeups below
         // — a woken waiter re-checks it and must see it set.
@@ -569,13 +511,7 @@ fn open_segment(dir: &Path, first_seq: u64) -> io::Result<OpenSegment> {
 }
 
 fn writer_loop(shared: &Shared) {
-    let tick = match shared.policy {
-        FsyncPolicy::EveryMs(ms) => Duration::from_millis(ms.clamp(1, 50)),
-        _ => Duration::from_millis(50),
-    };
     let mut segment: Option<OpenSegment> = None;
-    let mut unsynced_records = 0u64;
-    let mut unsynced_since = Instant::now();
     // Highest sequence number published to the durable watermark; tracked
     // locally so iterations that make no progress skip the lock entirely.
     let mut published_durable = shared.ring.consumed();
@@ -611,25 +547,14 @@ fn writer_loop(shared: &Shared) {
         shared.ring.notify_space();
         let stopping = shared.stop.load(Ordering::Relaxed);
         if let Some(batch) = batch {
-            let rotate = segment
-                .as_ref()
-                .is_some_and(|open| open.written >= shared.segment_bytes);
             shared.telemetry.batch_records.record(batch.records);
-            if rotate {
-                if let Some(open) = segment.take() {
-                    let sync_started = Instant::now();
-                    if let Err(err) = open.file.sync_data() {
-                        // Unsynced records may live in this segment; a later
-                        // fsync of the *next* segment would advance the
-                        // watermark over them. Same fail-stop as below.
-                        shared.fail("segment rotation fsync failed", &err);
-                        return;
-                    }
-                    shared
-                        .telemetry
-                        .fsync_us
-                        .record(sync_started.elapsed().as_micros() as u64);
-                }
+            if segment
+                .as_ref()
+                .is_some_and(|open| open.written >= shared.segment_bytes)
+            {
+                // Rotate. Nothing in the full segment is unsynced: every
+                // batch was fsynced in the iteration that wrote it.
+                segment = None;
             }
             if segment.is_none() {
                 match open_segment(&shared.dir, batch.first_seq) {
@@ -657,58 +582,26 @@ fn writer_loop(shared: &Shared) {
             }
             open.written += batch.bytes.len() as u64;
             shared.telemetry.bytes.add(batch.bytes.len() as u64);
-            if unsynced_records == 0 {
-                unsynced_since = Instant::now();
+            let sync_started = Instant::now();
+            if let Err(err) = open.file.sync_data() {
+                // After a failed fsync the kernel may have dropped the dirty
+                // pages and cleared the error — a later "successful" fsync
+                // proves nothing about these records. Fail the log rather
+                // than ever advancing the watermark over them.
+                shared.fail("fsync failed", &err);
+                return;
             }
-            unsynced_records += batch.records;
+            shared
+                .telemetry
+                .fsync_us
+                .record(sync_started.elapsed().as_micros() as u64);
+            shared.telemetry.fsyncs.add(1);
         }
-        let sync_due = unsynced_records > 0
-            && (stopping
-                || match shared.policy {
-                    FsyncPolicy::EveryCommit => true,
-                    FsyncPolicy::EveryN(n) => unsynced_records >= n,
-                    FsyncPolicy::EveryMs(ms) => {
-                        unsynced_since.elapsed() >= Duration::from_millis(ms)
-                    }
-                });
-        if sync_due {
-            if let Some(open) = segment.as_mut() {
-                let sync_started = Instant::now();
-                match open.file.sync_data() {
-                    Ok(()) => {
-                        shared
-                            .telemetry
-                            .fsync_us
-                            .record(sync_started.elapsed().as_micros() as u64);
-                        shared.telemetry.fsyncs.add(1);
-                        unsynced_records = 0;
-                        // Every consumed committed record was written before
-                        // this fsync (consumption and write happen in the
-                        // same iteration), so the whole consumed prefix is
-                        // durable — abandoned tickets trivially so.
-                        let mut durable = shared.durable.lock();
-                        if consumed_tip > *durable {
-                            *durable = consumed_tip;
-                        }
-                        drop(durable);
-                        published_durable = consumed_tip;
-                        shared.durable_cv.notify_all();
-                    }
-                    Err(err) => {
-                        // After a failed fsync the kernel may have dropped
-                        // the dirty pages and cleared the error — a later
-                        // "successful" fsync proves nothing about these
-                        // records. Fail the log rather than ever advancing
-                        // the watermark over them.
-                        shared.fail("fsync failed", &err);
-                        return;
-                    }
-                }
-            }
-        } else if unsynced_records == 0 && consumed_tip > published_durable {
-            // Progress made of abandoned tickets alone, with nothing
-            // written-but-unsynced beneath it: the watermark can follow
-            // without touching the disk.
+        // Every consumed committed record was written and fsynced above
+        // (consumption, write and fsync happen in the same iteration), so
+        // the whole consumed prefix is durable — abandoned tickets trivially
+        // so.
+        if consumed_tip > published_durable {
             let mut durable = shared.durable.lock();
             if consumed_tip > *durable {
                 *durable = consumed_tip;
@@ -719,9 +612,8 @@ fn writer_loop(shared: &Shared) {
         }
         if stopping {
             // Drained once every reservation handed out so far has been
-            // consumed. `sync_due` above included `stopping`, so whenever
-            // we return here the final fsync has been attempted; exit even
-            // if it failed rather than spin on a broken filesystem. A
+            // consumed and every batch written has been fsynced; exit even
+            // if an fsync failed rather than spin on a broken filesystem. A
             // reservation that never fills its slot (its thread bailed or
             // died mid-commit) is abandoned after a grace period so
             // shutdown cannot hang.
@@ -734,11 +626,10 @@ fn writer_loop(shared: &Shared) {
             std::thread::sleep(Duration::from_millis(1));
             continue;
         }
-        // Park until a producer fills the next slot (or the tick expires —
-        // timer-based fsync policies need the wakeup even when idle). The
-        // parked/ready Dekker pairing with `SlotRing::fill` is documented
-        // (and model-checked) in `crate::ring`.
-        shared.ring.park_until_ready(next, tick, || shared.stop.load(Ordering::Relaxed));
+        // Park until a producer fills the next slot. The parked/ready Dekker
+        // pairing with `SlotRing::fill` is documented (and model-checked) in
+        // `crate::ring`.
+        shared.ring.park_until_ready(next, PARK_TICK, || shared.stop.load(Ordering::Relaxed));
     }
 }
 
@@ -760,19 +651,6 @@ mod tests {
         wal.commit_hook()
             .on_commit(ops, &mut || true)
             .expect("commit closure returned true")
-    }
-
-    #[test]
-    fn fsync_policy_parses_and_labels() {
-        assert_eq!("every".parse::<FsyncPolicy>().unwrap(), FsyncPolicy::EveryCommit);
-        assert_eq!("EVERY".parse::<FsyncPolicy>().unwrap(), FsyncPolicy::EveryCommit);
-        assert_eq!("n=64".parse::<FsyncPolicy>().unwrap(), FsyncPolicy::EveryN(64));
-        assert_eq!("ms=5".parse::<FsyncPolicy>().unwrap(), FsyncPolicy::EveryMs(5));
-        for bad in ["", "n=0", "ms=0", "n=x", "sometimes"] {
-            assert!(bad.parse::<FsyncPolicy>().is_err(), "'{bad}' accepted");
-        }
-        assert_eq!(FsyncPolicy::EveryN(8).label(), "n=8");
-        assert_eq!(FsyncPolicy::EveryMs(2).to_string(), "ms=2");
     }
 
     #[test]
@@ -800,22 +678,6 @@ mod tests {
             recovered.tail[3],
             (4, vec![CommitOp::put(3, 30)])
         );
-        drop(wal2);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn graceful_shutdown_flushes_under_lazy_policies() {
-        let dir = temp_dir("lazy");
-        let mut cfg = WalConfig::new(&dir);
-        cfg.fsync = FsyncPolicy::EveryN(1_000_000); // would never sync on its own
-        let (mut wal, _) = Wal::open(cfg).unwrap();
-        for i in 0..25i64 {
-            log_through_hook(&wal, &[CommitOp::del(i)]);
-        }
-        wal.shutdown();
-        let (wal2, recovered) = Wal::open(WalConfig::new(&dir)).unwrap();
-        assert_eq!(recovered.tail.len(), 25, "graceful shutdown must lose nothing");
         drop(wal2);
         let _ = fs::remove_dir_all(&dir);
     }

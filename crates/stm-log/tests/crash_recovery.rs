@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use stm_core::{CommitOp, CommitValue};
-use stm_log::{recover, FsyncPolicy, Wal, WalConfig};
+use stm_log::{recover, Wal, WalConfig};
 
 fn temp_dir(tag: &str, seed: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -88,7 +88,6 @@ fn run_scenario(seed: u64, with_snapshot: bool, flip_instead_of_truncate: bool) 
     let dir = temp_dir("prop", seed);
     let mut cfg = WalConfig::new(&dir);
     cfg.segment_bytes = 4096; // small segments so rotation participates
-    cfg.fsync = FsyncPolicy::EveryN(8);
     let (wal, _) = Wal::open(cfg).unwrap();
     let hook = wal.commit_hook();
 
@@ -206,9 +205,7 @@ fn durable_watermark_survives_the_crash() {
     // damage hits the *unsynced* tail, which is what a real crash does
     // (fsynced bytes do not vanish).
     let dir = temp_dir("watermark", 1);
-    let mut cfg = WalConfig::new(&dir);
-    cfg.fsync = FsyncPolicy::EveryCommit;
-    let (wal, _) = Wal::open(cfg).unwrap();
+    let (wal, _) = Wal::open(WalConfig::new(&dir)).unwrap();
     let hook = wal.commit_hook();
     let mut durable_upto = 0;
     for i in 0..50i64 {

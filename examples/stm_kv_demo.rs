@@ -25,7 +25,6 @@ fn main() {
     let mut server = KvServer::start(ServerConfig {
         manager,
         shards: 4,
-        workers: 6,
         ..ServerConfig::default()
     })
     .expect("server must start");

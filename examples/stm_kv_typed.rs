@@ -25,7 +25,6 @@ fn main() {
     let config = ServerConfig {
         manager: ManagerKind::Greedy,
         shards: 4,
-        workers: 4,
         wal_dir: Some(wal_dir.clone()),
         ..ServerConfig::default()
     };

@@ -1,24 +1,24 @@
-//! End-to-end tests of the event-driven serving layer (`--serve-mode
-//! events`): the readiness event loop must be byte-for-byte compatible
-//! with the thread-per-connection pool under every framing torture the
-//! kernel — or a hostile peer — can inflict.
+//! End-to-end tests of the serving layer, the readiness event loop, under
+//! every framing torture the kernel — or a hostile peer — can inflict.
+//! Several names say "in both modes": they predate the deletion of the
+//! thread-per-connection pool and are kept so the suite's names stay put.
 //!
 //! - **The preamble rule**: `HELLO 2` (any case, `\r` tolerated) is answered
 //!   byte-for-byte; any other first line, and any line a peer never ends,
-//!   gets one `-PROTO` error frame and a close, in both modes.
+//!   gets one `-PROTO` error frame and a close.
 //! - **Fragmented reads**: frames delivered one byte at a time, and in
 //!   seeded random splits, through a pipelined burst — the per-connection
-//!   state machine must reassemble exactly the replies the pool would
-//!   produce.
-//! - **Cross-mode conservation**: the serializability witness (closed
-//!   transfers over a fixed total) must hold under **every** contention
-//!   manager in both serve modes.
+//!   state machine must reassemble exactly the replies of one whole write.
+//! - **Conservation**: the serializability witness (closed transfers over
+//!   a fixed total) must hold under **every** contention manager.
 //! - **Graceful drain**: a shutdown racing a pipelined in-flight burst
-//!   must lose no replies in either mode.
+//!   must lose no replies.
+//! - **No starvation by idle peers**: with 64 greeted connections sitting
+//!   idle, a 65th is answered at once.
 //! - **Serving counters**: `conns_open` / `conns_accepted` /
 //!   `conns_reaped_idle` / `partial_writes` must be visible through
-//!   `KvClient::stats` and move when connections are opened, reaped by
-//!   the idle wheel, or parked on a full socket.
+//!   `METRICS` and move when connections are opened, reaped by the idle
+//!   wheel, or parked on a full socket.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -29,20 +29,16 @@ use greedy_stm::cm::ManagerKind;
 use greedy_stm::kv::proto::{
     decode_frame, parse_reply_v2, render_request_v2, MAX_HEADER_BYTES, PREAMBLE,
 };
-use greedy_stm::kv::{
-    ErrorCode, KvClient, KvError, KvServer, Reply, Request, ServeMode, ServerConfig, Value,
-};
+use greedy_stm::kv::{ErrorCode, KvClient, KvError, KvServer, Reply, Request, ServerConfig, Value};
 
 const KEYS: i64 = 16;
 const SEED_BALANCE: i64 = 100;
 const TOTAL: i64 = KEYS * SEED_BALANCE;
 
-fn start_server(manager: ManagerKind, serve_mode: ServeMode, workers: usize) -> KvServer {
+fn start_server(manager: ManagerKind) -> KvServer {
     KvServer::start(ServerConfig {
         manager,
         shards: 4,
-        workers,
-        serve_mode,
         event_shards: 2,
         ..ServerConfig::default()
     })
@@ -142,84 +138,82 @@ fn assert_one_proto_error(answer: &[u8], context: &str) -> String {
     }
 }
 
+// The name predates one serve mode: the server has only the event loop.
 #[test]
 fn a_first_line_other_than_hello_2_is_answered_and_closed_in_both_modes() {
-    for serve_mode in [ServeMode::Threads, ServeMode::Events] {
-        let mut server = start_server(ManagerKind::Greedy, serve_mode, 2);
-        let addr = server.addr();
-        for line in ["GET 1\n", "HELLO 1\n", "HELLO 3\n", "\n", "*1\n+PING\n"] {
-            let context = format!("{serve_mode:?}/{line:?}");
-            let answer = first_bytes_until_close(addr, line.as_bytes());
-            let message = assert_one_proto_error(&answer, &context);
-            assert!(message.contains("HELLO 2"), "{context}: {message}");
-        }
-        // The preamble itself is matched trimmed and in any case, and is
-        // answered with the exact bytes whatever its spelling.
-        let mut burst = b"hello 2\r\n".to_vec();
-        burst.extend_from_slice(&render_request_v2(&Request::Ping));
-        burst.extend_from_slice(&render_request_v2(&Request::Quit));
-        let answer = first_bytes_until_close(addr, &burst);
-        assert_eq!(&answer[..PREAMBLE.len()], PREAMBLE, "{serve_mode:?}");
-        assert_eq!(&answer[PREAMBLE.len()..], b"+PONG\n+BYE\n", "{serve_mode:?}");
-        server.shutdown();
-        assert_eq!(server.conns_open(), 0, "{serve_mode:?}: a refused connection leaked");
+    let mut server = start_server(ManagerKind::Greedy);
+    let addr = server.addr();
+    for line in ["GET 1\n", "HELLO 1\n", "HELLO 3\n", "\n", "*1\n+PING\n"] {
+        let context = format!("{line:?}");
+        let answer = first_bytes_until_close(addr, line.as_bytes());
+        let message = assert_one_proto_error(&answer, &context);
+        assert!(message.contains("HELLO 2"), "{context}: {message}");
     }
+    // The preamble itself is matched trimmed and in any case, and is
+    // answered with the exact bytes whatever its spelling.
+    let mut burst = b"hello 2\r\n".to_vec();
+    burst.extend_from_slice(&render_request_v2(&Request::Ping));
+    burst.extend_from_slice(&render_request_v2(&Request::Quit));
+    let answer = first_bytes_until_close(addr, &burst);
+    assert_eq!(&answer[..PREAMBLE.len()], PREAMBLE);
+    assert_eq!(&answer[PREAMBLE.len()..], b"+PONG\n+BYE\n");
+    server.shutdown();
+    assert_eq!(server.conns_open(), 0, "a refused connection leaked");
 }
 
 /// A peer that never sends `\n` — before the preamble, or inside a frame
 /// header — is refused as soon as its line outgrows `MAX_HEADER_BYTES`: the
-/// server does not wait for (or buffer) the rest.
+/// server does not wait for (or buffer) the rest. The name predates one
+/// serve mode: the server has only the event loop.
 #[test]
 fn a_line_that_never_ends_is_refused_at_the_cap_in_both_modes() {
-    for serve_mode in [ServeMode::Threads, ServeMode::Events] {
-        let mut server = start_server(ManagerKind::Greedy, serve_mode, 2);
-        let addr = server.addr();
-        for greeted in [false, true] {
-            let context = format!("{serve_mode:?}/greeted={greeted}");
-            // What the server sent after answering the preamble, if it got one.
-            let refusal = |answer: &[u8]| match greeted {
-                true => answer.strip_prefix(PREAMBLE).expect("the preamble is answered").to_vec(),
-                false => answer.to_vec(),
-            };
-            // One byte past the cap, then silence: the refusal must not
-            // need another byte.
-            let mut hostile = if greeted { PREAMBLE.to_vec() } else { Vec::new() };
-            hostile.extend_from_slice(&[b'+'; MAX_HEADER_BYTES + 1]);
-            let answer = first_bytes_until_close(addr, &hostile);
-            let message = assert_one_proto_error(&refusal(&answer), &context);
-            assert!(message.contains("too long"), "{context}: {message}");
+    let mut server = start_server(ManagerKind::Greedy);
+    let addr = server.addr();
+    for greeted in [false, true] {
+        let context = format!("greeted={greeted}");
+        // What the server sent after answering the preamble, if it got one.
+        let refusal = |answer: &[u8]| match greeted {
+            true => answer.strip_prefix(PREAMBLE).expect("the preamble is answered").to_vec(),
+            false => answer.to_vec(),
+        };
+        // One byte past the cap, then silence: the refusal must not need
+        // another byte.
+        let mut hostile = if greeted { PREAMBLE.to_vec() } else { Vec::new() };
+        hostile.extend_from_slice(&[b'+'; MAX_HEADER_BYTES + 1]);
+        let answer = first_bytes_until_close(addr, &hostile);
+        let message = assert_one_proto_error(&refusal(&answer), &context);
+        assert!(message.contains("too long"), "{context}: {message}");
 
-            // A flood: 8 MiB without a newline. The server answers and
-            // closes while the flood is still arriving; it never holds it.
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            if greeted {
-                stream.write_all(PREAMBLE).unwrap();
-            }
-            let mut flood = stream.try_clone().unwrap();
-            let writer = thread::spawn(move || {
-                let block = [b'x'; 64 * 1024];
-                // Ends early with EPIPE/ECONNRESET once the server closes.
-                (0..128).take_while(|_| flood.write_all(&block).is_ok()).count()
-            });
-            let mut answer = Vec::new();
-            // The close may surface as a reset (unread flood bytes) after
-            // the error frame has been delivered.
-            let _ = stream.read_to_end(&mut answer);
-            assert_one_proto_error(&refusal(&answer), &format!("{context}/flood"));
-            writer.join().unwrap();
+        // A flood: 8 MiB without a newline. The server answers and closes
+        // while the flood is still arriving; it never holds it.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        if greeted {
+            stream.write_all(PREAMBLE).unwrap();
         }
-        // The server is still serving.
-        let mut client = KvClient::connect(addr).unwrap();
-        client.ping().unwrap();
-        client.quit().unwrap();
-        server.shutdown();
+        let mut flood = stream.try_clone().unwrap();
+        let writer = thread::spawn(move || {
+            let block = [b'x'; 64 * 1024];
+            // Ends early with EPIPE/ECONNRESET once the server closes.
+            (0..128).take_while(|_| flood.write_all(&block).is_ok()).count()
+        });
+        let mut answer = Vec::new();
+        // The close may surface as a reset (unread flood bytes) after the
+        // error frame has been delivered.
+        let _ = stream.read_to_end(&mut answer);
+        assert_one_proto_error(&refusal(&answer), &format!("{context}/flood"));
+        writer.join().unwrap();
     }
+    // The server is still serving.
+    let mut client = KvClient::connect(addr).unwrap();
+    client.ping().unwrap();
+    client.quit().unwrap();
+    server.shutdown();
 }
 
 #[test]
 fn one_byte_fragments_reassemble_through_the_event_loop() {
-    let mut server = start_server(ManagerKind::Greedy, ServeMode::Events, 2);
+    let mut server = start_server(ManagerKind::Greedy);
     let mut stream = KvClient::connect(server.addr()).unwrap();
     let (bytes, expected) = pipelined_burst(8);
     // Worst-case framing torture: every byte in its own TCP segment
@@ -239,7 +233,7 @@ fn one_byte_fragments_reassemble_through_the_event_loop() {
 
 #[test]
 fn seeded_random_fragments_reassemble_through_the_event_loop() {
-    let mut server = start_server(ManagerKind::Greedy, ServeMode::Events, 2);
+    let mut server = start_server(ManagerKind::Greedy);
     for seed in [3u64, 17, 451] {
         let mut stream = KvClient::connect(server.addr()).unwrap();
         let (bytes, expected) = pipelined_burst(8);
@@ -261,87 +255,113 @@ fn seeded_random_fragments_reassemble_through_the_event_loop() {
     server.shutdown();
 }
 
+// The name predates one serve mode: the server has only the event loop.
 #[test]
 fn both_serve_modes_conserve_balance_under_every_manager() {
-    for serve_mode in [ServeMode::Threads, ServeMode::Events] {
-        for manager in ManagerKind::ALL {
-            let clients = 2usize;
-            let batches_per_client = 15usize;
-            let mut server = start_server(manager, serve_mode, clients + 1);
-            let addr = server.addr();
-            let mut setup = KvClient::connect(addr).unwrap();
-            for key in 0..KEYS {
-                setup.put(key, SEED_BALANCE).unwrap();
-            }
-            thread::scope(|scope| {
-                for c in 0..clients {
-                    scope.spawn(move || {
-                        let mut client = KvClient::connect(addr).unwrap();
-                        for i in 0..batches_per_client {
-                            let roll = scramble((c * batches_per_client + i) as u64);
-                            let from = (roll % KEYS as u64) as i64;
-                            let to = ((roll >> 8) % KEYS as u64) as i64;
-                            let amount = ((roll >> 16) % 40) as i64 + 1;
-                            client.transfer(from, to, amount).unwrap_or_else(|e| {
-                                panic!("{manager}/{serve_mode:?}: transfer failed: {e}")
-                            });
-                            if i % 5 == 0 {
-                                let (sum, _) = client.sum(0, KEYS - 1).unwrap();
-                                assert_eq!(
-                                    sum, TOTAL,
-                                    "{manager}/{serve_mode:?}: torn mid-run audit"
-                                );
-                            }
-                        }
-                        client.quit().unwrap();
-                    });
-                }
-            });
-            let (sum, count) = setup.sum(0, KEYS - 1).unwrap();
-            assert_eq!(sum, TOTAL, "{manager}/{serve_mode:?}: final total drifted");
-            assert_eq!(count, KEYS as usize);
-            setup.quit().unwrap();
-            server.shutdown();
-            assert_eq!(
-                server.conns_open(),
-                0,
-                "{manager}/{serve_mode:?}: conns_open leaked after shutdown"
-            );
+    for manager in ManagerKind::ALL {
+        let clients = 2usize;
+        let batches_per_client = 15usize;
+        let mut server = start_server(manager);
+        let addr = server.addr();
+        let mut setup = KvClient::connect(addr).unwrap();
+        for key in 0..KEYS {
+            setup.put(key, SEED_BALANCE).unwrap();
         }
+        thread::scope(|scope| {
+            for c in 0..clients {
+                scope.spawn(move || {
+                    let mut client = KvClient::connect(addr).unwrap();
+                    for i in 0..batches_per_client {
+                        let roll = scramble((c * batches_per_client + i) as u64);
+                        let from = (roll % KEYS as u64) as i64;
+                        let to = ((roll >> 8) % KEYS as u64) as i64;
+                        let amount = ((roll >> 16) % 40) as i64 + 1;
+                        client
+                            .transfer(from, to, amount)
+                            .unwrap_or_else(|e| panic!("{manager}: transfer failed: {e}"));
+                        if i % 5 == 0 {
+                            let (sum, _) = client.sum(0, KEYS - 1).unwrap();
+                            assert_eq!(sum, TOTAL, "{manager}: torn mid-run audit");
+                        }
+                    }
+                    client.quit().unwrap();
+                });
+            }
+        });
+        let (sum, count) = setup.sum(0, KEYS - 1).unwrap();
+        assert_eq!(sum, TOTAL, "{manager}: final total drifted");
+        assert_eq!(count, KEYS as usize);
+        setup.quit().unwrap();
+        server.shutdown();
+        assert_eq!(server.conns_open(), 0, "{manager}: conns_open leaked after shutdown");
     }
 }
 
+// The name predates one serve mode: the server has only the event loop.
 #[test]
 fn shutdown_drains_pipelined_inflight_replies_in_both_modes() {
-    for serve_mode in [ServeMode::Threads, ServeMode::Events] {
-        let mut server = start_server(ManagerKind::Greedy, serve_mode, 2);
-        let mut stream = KvClient::connect(server.addr()).unwrap();
-        let (bytes, expected) = pipelined_burst(12);
-        stream.send_raw(&bytes).unwrap();
-        // Shut down while the burst is (potentially) still being parsed,
-        // executed, or flushed. The drain path must deliver every reply
-        // before the connection closes.
-        server.shutdown();
-        let replies = read_replies(&mut stream, expected);
-        assert_burst_replies(&replies, 12);
-        // After the drained replies the server closes cleanly: EOF, not a
-        // reset or a stray extra frame.
-        match stream.recv() {
-            Err(KvError::Io(err)) if err.kind() == ErrorKind::UnexpectedEof => assert!(
-                !err.to_string().contains("mid-frame"),
-                "{serve_mode:?}: unexpected trailing bytes: {err}"
-            ),
-            other => panic!("{serve_mode:?}: expected clean EOF, got {other:?}"),
-        }
-        // The drain really closed (and un-counted) everything: once
-        // shutdown has returned and every serving thread is joined, the
-        // open-connections gauge must be back to zero in both modes.
-        assert_eq!(
-            server.conns_open(),
-            0,
-            "{serve_mode:?}: conns_open leaked across a graceful drain"
-        );
+    let mut server = start_server(ManagerKind::Greedy);
+    let mut stream = KvClient::connect(server.addr()).unwrap();
+    let (bytes, expected) = pipelined_burst(12);
+    stream.send_raw(&bytes).unwrap();
+    // Shut down while the burst is (potentially) still being parsed,
+    // executed, or flushed. The drain path must deliver every reply before
+    // the connection closes.
+    server.shutdown();
+    let replies = read_replies(&mut stream, expected);
+    assert_burst_replies(&replies, 12);
+    // After the drained replies the server closes cleanly: EOF, not a reset
+    // or a stray extra frame.
+    match stream.recv() {
+        Err(KvError::Io(err)) if err.kind() == ErrorKind::UnexpectedEof => assert!(
+            !err.to_string().contains("mid-frame"),
+            "unexpected trailing bytes: {err}"
+        ),
+        other => panic!("expected clean EOF, got {other:?}"),
     }
+    // The drain really closed (and un-counted) everything: once shutdown
+    // has returned and every shard is joined, the open-connections gauge
+    // must be back to zero.
+    assert_eq!(server.conns_open(), 0, "conns_open leaked across a graceful drain");
+}
+
+/// 64 connections that said `HELLO 2` and went quiet must not keep a 65th
+/// from being served: its `PING` is answered within a second, and the
+/// server counts all 65 open. A thread-per-connection pool with fewer
+/// workers than idle peers never answers it.
+#[test]
+fn an_idle_fleet_does_not_starve_the_next_connection() {
+    const IDLE: usize = 64;
+    let patience = Duration::from_secs(1);
+    let server = KvServer::start(ServerConfig::default()).unwrap();
+    let dial = |hello: &[u8]| {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(patience)).unwrap();
+        stream.write_all(hello).unwrap();
+        stream
+    };
+    let idle: Vec<TcpStream> = (0..IDLE).map(|_| dial(PREAMBLE)).collect();
+
+    let mut hello_ping = PREAMBLE.to_vec();
+    hello_ping.extend_from_slice(&render_request_v2(&Request::Ping));
+    let started = Instant::now();
+    let mut last = dial(&hello_ping);
+    let mut answer = [0u8; 14];
+    last.read_exact(&mut answer).unwrap_or_else(|err| {
+        panic!("no PONG within {patience:?} behind {IDLE} idle connections: {err}")
+    });
+    assert!(started.elapsed() < patience, "PONG took {:?}", started.elapsed());
+    assert_eq!(&answer, b"HELLO 2\n+PONG\n");
+
+    // Every idle peer was greeted back, so each one is registered.
+    for (i, mut stream) in idle.iter().enumerate() {
+        let mut greeting = [0u8; 8];
+        stream
+            .read_exact(&mut greeting)
+            .unwrap_or_else(|err| panic!("idle connection {i} never greeted: {err}"));
+        assert_eq!(&greeting, PREAMBLE);
+    }
+    assert_eq!(server.conns_open(), IDLE as u64 + 1);
 }
 
 #[test]
@@ -349,8 +369,6 @@ fn idle_connections_are_reaped_and_counted() {
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
         shards: 4,
-        workers: 2,
-        serve_mode: ServeMode::Events,
         event_shards: 2,
         idle_timeout: Duration::from_millis(150),
         ..ServerConfig::default()
@@ -402,7 +420,7 @@ fn idle_connections_are_reaped_and_counted() {
 
 #[test]
 fn slow_reader_parks_writes_and_counts_partial_flushes() {
-    let mut server = start_server(ManagerKind::Greedy, ServeMode::Events, 2);
+    let mut server = start_server(ManagerKind::Greedy);
     let addr = server.addr();
     let mut control = KvClient::connect(addr).unwrap();
     // A value big enough that a pipelined burst of GETs overflows any

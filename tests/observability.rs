@@ -11,7 +11,7 @@
 //! against one scrape keep working against the next.
 //!
 //! The concurrent test is the thread-safety witness: two clients loop
-//! `METRICS`/`SLOWLOG` against an Events-mode server while transfer
+//! `METRICS`/`SLOWLOG` against a live server while transfer
 //! threads keep the contention managers busy, and every scrape must
 //! parse, histogram counts must be monotone, and the keyspace balance
 //! must still conserve at the end.
@@ -24,7 +24,7 @@ use std::thread;
 use std::time::Duration;
 
 use greedy_stm::cm::ManagerKind;
-use greedy_stm::kv::{KvClient, KvServer, MetricsSnapshot, ServeMode, ServerConfig};
+use greedy_stm::kv::{KvClient, KvServer, MetricsSnapshot, ServerConfig};
 
 const OPS: [&str; 7] = ["GET", "PUT", "DEL", "ADD", "RANGE", "SUM", "EXEC"];
 
@@ -90,8 +90,8 @@ const WAL_GAUGES: [&str; 6] = [
     "stm_wal_failed",
 ];
 
-/// Registry histograms that exist regardless of load (count may be 0 in
-/// Threads mode for the event-loop ones — the series still render).
+/// Registry histograms that exist regardless of load (the series render
+/// before their first sample).
 const KV_HISTOGRAMS: [&str; 5] = [
     "stm_kv_txn_attempts",
     "stm_kv_txn_latency_us",
@@ -224,61 +224,48 @@ fn assert_golden_set(snapshot: &MetricsSnapshot, driven: bool) {
     }
 }
 
+// The name predates one serve mode: the server has only the event loop.
 #[test]
 fn metrics_exposition_exposes_the_golden_series_set_in_both_modes() {
-    for serve_mode in [ServeMode::Threads, ServeMode::Events] {
-        let mut server = KvServer::start(ServerConfig {
-            manager: ManagerKind::Greedy,
-            shards: 2,
-            workers: 2,
-            serve_mode,
-            ..ServerConfig::default()
-        })
-        .expect("server must start");
-        drive_all_ops(server.addr());
+    let mut server = KvServer::start(ServerConfig {
+        manager: ManagerKind::Greedy,
+        shards: 2,
+        ..ServerConfig::default()
+    })
+    .expect("server must start");
+    drive_all_ops(server.addr());
 
-        let mut client = KvClient::connect(server.addr()).unwrap();
-        let first = client.metrics().unwrap();
-        assert_golden_set(&first, true);
+    let mut client = KvClient::connect(server.addr()).unwrap();
+    let first = client.metrics().unwrap();
+    assert_golden_set(&first, true);
 
-        // Event-loop shard gauges exist exactly when the event backend
-        // runs; a Threads-mode scrape must not invent them.
-        let shard_gauges = first
+    assert!(
+        first
             .samples()
-            .filter(|(series, _)| series.starts_with("stm_kv_shard_conns{"))
-            .count();
-        match serve_mode {
-            ServeMode::Events => assert!(
-                shard_gauges > 0,
-                "Events mode must export per-shard connection gauges"
-            ),
-            ServeMode::Threads => assert_eq!(
-                shard_gauges, 0,
-                "Threads mode must not export event-shard gauges"
-            ),
-        }
-        // Exposition text sanity: typed families and a +Inf bucket.
-        assert!(first.text.contains("# TYPE stm_kv_op_latency_us histogram"));
-        assert!(first.text.contains("# TYPE stm_commits_total counter"));
-        assert!(first.text.contains("# TYPE stm_kv_conns_open gauge"));
-        assert!(first.text.contains("le=\"+Inf\""));
-        assert!(
-            !first.samples().any(|(series, _)| series.starts_with("stm_wal_")),
-            "a volatile server has no log series"
-        );
+            .any(|(series, _)| series.starts_with("stm_kv_shard_conns{")),
+        "the event loop must export per-shard connection gauges"
+    );
+    // Exposition text sanity: typed families and a +Inf bucket.
+    assert!(first.text.contains("# TYPE stm_kv_op_latency_us histogram"));
+    assert!(first.text.contains("# TYPE stm_commits_total counter"));
+    assert!(first.text.contains("# TYPE stm_kv_conns_open gauge"));
+    assert!(first.text.contains("le=\"+Inf\""));
+    assert!(
+        !first.samples().any(|(series, _)| series.starts_with("stm_wal_")),
+        "a volatile server has no log series"
+    );
 
-        // Stability: more traffic may grow counts, never the series set.
-        drive_all_ops(server.addr());
-        let second = client.metrics().unwrap();
-        assert_eq!(
-            series_keys(&first),
-            series_keys(&second),
-            "{serve_mode:?}: series key set drifted between scrapes"
-        );
-        assert_golden_set(&second, true);
-        client.quit().unwrap();
-        server.shutdown();
-    }
+    // Stability: more traffic may grow counts, never the series set.
+    drive_all_ops(server.addr());
+    let second = client.metrics().unwrap();
+    assert_eq!(
+        series_keys(&first),
+        series_keys(&second),
+        "series key set drifted between scrapes"
+    );
+    assert_golden_set(&second, true);
+    client.quit().unwrap();
+    server.shutdown();
 }
 
 /// The `# TYPE` line of one metric family.
@@ -295,7 +282,6 @@ fn durable_server_exposes_wal_series() {
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
         shards: 2,
-        workers: 2,
         wal_dir: Some(dir.clone()),
         ..ServerConfig::default()
     })
@@ -315,7 +301,6 @@ fn durable_server_exposes_wal_series() {
     for name in WAL_COUNTERS.into_iter().chain(WAL_GAUGES) {
         assert!(snapshot.value(name).is_some(), "missing WAL series {name}");
     }
-    assert_eq!(snapshot.value("stm_wal_info{policy=\"every\"}"), Some(1));
     assert!(first_type_line(&snapshot.text, "stm_wal_records_total").ends_with("counter"));
     assert!(first_type_line(&snapshot.text, "stm_wal_failed").ends_with("gauge"));
     assert_eq!(snapshot.value("stm_wal_failed"), Some(0));
@@ -341,7 +326,6 @@ fn hit_gets_and_overwrite_puts_never_walk_the_index() {
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
         shards: 4,
-        workers: 2,
         ..ServerConfig::default()
     })
     .expect("server must start");
@@ -391,8 +375,6 @@ fn clients_scrape_concurrently_under_load() {
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
         shards: 4,
-        workers: 4,
-        serve_mode: ServeMode::Events,
         ..ServerConfig::default()
     })
     .expect("server must start");

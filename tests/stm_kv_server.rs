@@ -25,11 +25,10 @@ const KEYS: i64 = 16;
 const SEED_BALANCE: i64 = 100;
 const TOTAL: i64 = KEYS * SEED_BALANCE;
 
-fn start_server(manager: ManagerKind, workers: usize) -> KvServer {
+fn start_server(manager: ManagerKind) -> KvServer {
     KvServer::start(ServerConfig {
         manager,
         shards: 4,
-        workers,
         ..ServerConfig::default()
     })
     .expect("server must start")
@@ -56,7 +55,7 @@ fn concurrent_batches_are_serializable_under_every_manager() {
     for manager in ManagerKind::ALL {
         let clients = 4usize;
         let batches_per_client = 30usize;
-        let mut server = start_server(manager, clients + 1);
+        let mut server = start_server(manager);
         let addr = server.addr();
         seed_balances(addr);
 
@@ -144,17 +143,17 @@ fn concurrent_batches_are_serializable_under_every_manager() {
             "{manager}: in-process final total drifted"
         );
 
-        // Clean shutdown: joins the acceptor and every worker.
+        // Clean shutdown: joins the acceptor and every shard.
         server.shutdown();
     }
 }
 
 #[test]
 fn server_survives_client_errors_and_disconnects() {
-    let mut server = start_server(ManagerKind::GreedyTimeout, 3);
+    let mut server = start_server(ManagerKind::GreedyTimeout);
     let addr = server.addr();
 
-    // A client that vanishes mid-batch must not wedge a worker.
+    // A client that vanishes mid-batch must not wedge its shard.
     {
         let mut rude = KvClient::connect(addr).unwrap();
         rude.put(0, 1).unwrap();
@@ -190,14 +189,12 @@ fn temp_wal_dir(tag: &str) -> std::path::PathBuf {
 
 fn start_durable_server(
     manager: ManagerKind,
-    workers: usize,
     dir: &std::path::Path,
     snapshot_every: u64,
 ) -> KvServer {
     KvServer::start(ServerConfig {
         manager,
         shards: 4,
-        workers,
         wal_dir: Some(dir.to_path_buf()),
         snapshot_every,
         ..ServerConfig::default()
@@ -217,7 +214,7 @@ fn restart_preserves_balance_conservation() {
         let clients = 4usize;
         let batches_per_client = 25usize;
         {
-            let mut server = start_durable_server(manager, clients + 1, &dir, 40);
+            let mut server = start_durable_server(manager, &dir, 40);
             let addr = server.addr();
             seed_balances(addr);
             thread::scope(|scope| {
@@ -241,7 +238,7 @@ fn restart_preserves_balance_conservation() {
         }
         // Restart on the same directory: snapshot + tail replay must
         // reconstruct a state some serial execution produced.
-        let mut server = start_durable_server(manager, 2, &dir, 0);
+        let mut server = start_durable_server(manager, &dir, 0);
         let mut auditor = KvClient::connect(server.addr()).unwrap();
         assert_eq!(
             auditor.sum(0, KEYS - 1).unwrap(),
@@ -271,7 +268,7 @@ fn restart_recovers_typed_values_through_snapshot_and_tail() {
     let text_tail = "tail\u{0}string\nafter the cut";
     let blob: Vec<u8> = vec![0, 255, 10, 13, 0, 42];
     {
-        let mut server = start_durable_server(ManagerKind::Greedy, 3, &dir, 0);
+        let mut server = start_durable_server(ManagerKind::Greedy, &dir, 0);
         let mut client = KvClient::connect(server.addr()).unwrap();
         client.put(1, text_snap).unwrap();
         client.put(2, blob.clone()).unwrap();
@@ -286,7 +283,7 @@ fn restart_recovers_typed_values_through_snapshot_and_tail() {
         client.quit().unwrap();
         server.shutdown();
     }
-    let mut server = start_durable_server(ManagerKind::Greedy, 2, &dir, 0);
+    let mut server = start_durable_server(ManagerKind::Greedy, &dir, 0);
     let mut client = KvClient::connect(server.addr()).unwrap();
     assert_eq!(client.get_str(1).unwrap().as_deref(), Some(text_tail));
     assert_eq!(client.get_bytes(2).unwrap(), Some(blob));
@@ -312,7 +309,7 @@ fn restart_after_churn_does_not_resurrect_tombstoned_cells() {
     let churned = 200i64;
     let window = 10i64;
     {
-        let mut server = start_durable_server(ManagerKind::Greedy, 2, &dir, 0);
+        let mut server = start_durable_server(ManagerKind::Greedy, &dir, 0);
         let mut client = KvClient::connect(server.addr()).unwrap();
         for i in 0..churned {
             client.put(base + i, i).unwrap();
@@ -323,7 +320,7 @@ fn restart_after_churn_does_not_resurrect_tombstoned_cells() {
         client.quit().unwrap();
         server.shutdown();
     }
-    let mut server = start_durable_server(ManagerKind::Greedy, 2, &dir, 0);
+    let mut server = start_durable_server(ManagerKind::Greedy, &dir, 0);
     let mut client = KvClient::connect(server.addr()).unwrap();
     let stats = client.metrics().unwrap();
     assert_eq!(
@@ -357,7 +354,7 @@ fn restart_after_churn_does_not_resurrect_tombstoned_cells() {
 fn restart_truncates_a_torn_tail_and_stays_conserved() {
     let dir = temp_wal_dir("torn");
     {
-        let mut server = start_durable_server(ManagerKind::Greedy, 3, &dir, 0);
+        let mut server = start_durable_server(ManagerKind::Greedy, &dir, 0);
         let addr = server.addr();
         seed_balances(addr);
         let mut client = KvClient::connect(addr).unwrap();
@@ -389,7 +386,7 @@ fn restart_truncates_a_torn_tail_and_stays_conserved() {
         .set_len(len - 7)
         .unwrap();
 
-    let mut server = start_durable_server(ManagerKind::Greedy, 2, &dir, 0);
+    let mut server = start_durable_server(ManagerKind::Greedy, &dir, 0);
     let mut auditor = KvClient::connect(server.addr()).unwrap();
     // A transfer is one record (both ADDs in one transaction), so cutting
     // the final record drops a whole transfer — conservation still holds.
@@ -403,6 +400,62 @@ fn restart_truncates_a_torn_tail_and_stays_conserved() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Acknowledged implies durable, as a client sees it: by the time any reply
+/// to a mutating request has been read, the log's durable watermark covers
+/// every record acknowledged so far — for single `PUT`s, for each reply of
+/// a pipelined burst, and for a `BEGIN`/`EXEC` batch. One client and a
+/// fresh log make sequence numbers gapless, so "records acknowledged" and
+/// "sequence number" are the same count.
+#[test]
+fn acknowledged_writes_are_durable_before_the_reply() {
+    use greedy_stm::kv::proto::render_request_v2;
+    use greedy_stm::kv::{Reply, Request};
+
+    let dir = temp_wal_dir("acked");
+    let mut server = start_durable_server(ManagerKind::Greedy, &dir, 0);
+    let wal = server.wal().expect("durable server has a log");
+    let mut client = KvClient::connect(server.addr()).unwrap();
+    let mut acked = 0u64;
+    let assert_durable = |acked: u64, what: &str| {
+        let durable = wal.durable_seq();
+        assert!(
+            durable >= acked,
+            "{what}: {acked} acknowledged, durable_seq {durable}"
+        );
+    };
+
+    for key in 0..16 {
+        client.put(key, key).unwrap();
+        acked += 1;
+        assert_durable(acked, "single PUT");
+    }
+
+    let burst: Vec<u8> = (0..64i64)
+        .flat_map(|key| render_request_v2(&Request::Put(100 + key, Value::Int(key))))
+        .collect();
+    client.send_raw(&burst).unwrap();
+    for i in 0..64 {
+        assert_eq!(client.recv().unwrap(), Reply::Ok, "burst reply {i}");
+        acked += 1;
+        assert_durable(acked, "pipelined PUT");
+    }
+
+    let replies = client
+        .batch_builder()
+        .put(1_000, "batched")
+        .add(1_001, 5)
+        .put(1_002, 7)
+        .run()
+        .unwrap();
+    assert_eq!(replies.len(), 3);
+    acked += 1; // one transaction, one record
+    assert_durable(acked, "BEGIN/EXEC batch");
+
+    client.quit().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bench_client_emits_throughput_latency_json_per_manager() {
     // The acceptance criterion: the harness's wire client drives a live
@@ -410,8 +463,7 @@ fn bench_client_emits_throughput_latency_json_per_manager() {
     // envelope — carry throughput and tail latency for each.
     let mut rows = Vec::new();
     for manager in [ManagerKind::Greedy, ManagerKind::Karma] {
-        let mut server = start_server(manager, 3);
-        let serve_mode = server.serve_mode().label();
+        let mut server = start_server(manager);
         let cfg = stm_bench::OpenLoopConfig {
             offered_load: 2_000.0,
             pool: 2,
@@ -419,7 +471,7 @@ fn bench_client_emits_throughput_latency_json_per_manager() {
             duration: Duration::from_millis(60),
             ..stm_bench::OpenLoopConfig::default()
         };
-        let row = stm_bench::run_open_loop(server.addr(), manager.name(), serve_mode, &cfg)
+        let row = stm_bench::run_open_loop(server.addr(), manager.name(), &cfg)
             .unwrap_or_else(|e| panic!("{manager}: open loop failed: {e}"));
         assert_eq!(row.manager, manager.name());
         assert!(row.completed > 0, "{manager}: no completed requests");
