@@ -1,7 +1,5 @@
 //! End-to-end tests of the serving layer, the readiness event loop, under
 //! every framing torture the kernel — or a hostile peer — can inflict.
-//! Several names say "in both modes": they predate the deletion of the
-//! thread-per-connection pool and are kept so the suite's names stay put.
 //!
 //! - **The preamble rule**: `HELLO 2` (any case, `\r` tolerated) is answered
 //!   byte-for-byte; any other first line, and any line a peer never ends,
@@ -327,8 +325,7 @@ fn shutdown_drains_pipelined_inflight_replies_in_both_modes() {
 
 /// 64 connections that said `HELLO 2` and went quiet must not keep a 65th
 /// from being served: its `PING` is answered within a second, and the
-/// server counts all 65 open. A thread-per-connection pool with fewer
-/// workers than idle peers never answers it.
+/// server counts all 65 open.
 #[test]
 fn an_idle_fleet_does_not_starve_the_next_connection() {
     const IDLE: usize = 64;
