@@ -38,8 +38,9 @@
 //!   [`ServerConfig::wal_dir`] set the server is **durable**: every
 //!   mutating request's write-set is appended to an `stm-log` write-ahead
 //!   log in serialization order, its reply waits until the record is
-//!   fsynced, point-in-time snapshots bound recovery, and a restart replays
-//!   snapshot + log tail before accepting connections.
+//!   fsynced, point-in-time snapshots bound recovery, and a restart loads
+//!   the keyspace `stm_log::recover` folds out of snapshot and log before
+//!   accepting connections.
 //! * **Client** ([`KvClient`]) — a blocking client that opens with the
 //!   preamble, reports failures through the structured [`KvError`] enum,
 //!   offers typed getters (`get_int`/`get_str`/`get_bytes`) and a fluent

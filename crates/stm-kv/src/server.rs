@@ -308,14 +308,11 @@ impl Drop for KvServer {
     }
 }
 
-/// Rebuilds the store from what recovery found. The snapshot pairs and log
-/// tail are first folded down to the final live key set
-/// ([`stm_log::Recovered::live_pairs`]) so replay only ever PUTs keys that
-/// survive: a key whose last logged op was a `Del` never materialises a
-/// value cell, instead of being allocated by an intermediate `Put` and then
-/// tombstoned again. Replay runs in chunks so no single transaction grows
-/// unboundedly; replay transactions publish nothing, so they are not
-/// re-logged.
+/// Rebuilds the store from the keyspace recovery returned
+/// ([`stm_log::Recovered::live_pairs`]): only keys that survive the log are
+/// PUT, so a key whose last logged op was a `Del` never materialises a value
+/// cell. Replay runs in chunks so no single transaction grows unboundedly;
+/// replay transactions publish nothing, so they are not re-logged.
 fn replay_recovered(stm: &Stm, store: &KvStore, recovered: &stm_log::Recovered) {
     let mut ctx = stm.thread();
     for chunk in recovered.live_pairs().chunks(REPLAY_CHUNK) {

@@ -25,23 +25,24 @@
 //!   that into synchronous durability: one fsync covers every commit that
 //!   arrived while the previous one ran, and nothing is acknowledged before
 //!   it is on disk.
-//! * **Snapshots** ([`snapshot`]) — a consistent cut of the whole keyspace
-//!   (obtained with `ThreadCtx::atomically_logged`, whose sequence number
-//!   marks the cut) written atomically; old segments the snapshot covers are
-//!   pruned.
-//! * **Recovery** ([`recovery`]) — newest valid snapshot + replay of the
-//!   record tail, truncating a torn or corrupt final record (and discarding
-//!   anything beyond it) so the committed prefix, and only the committed
-//!   prefix, survives a crash.
+//! * **Snapshots** ([`Wal::write_snapshot`]) — a consistent cut of the whole
+//!   keyspace (obtained with `ThreadCtx::atomically_logged`, whose sequence
+//!   number marks the cut) written atomically; old segments the snapshot
+//!   covers are pruned.
+//! * **Recovery** ([`recovery`]) — the newest valid snapshot with every later
+//!   record folded into it as the segments are read, truncating a torn or
+//!   corrupt final record (and discarding anything beyond it). The result is
+//!   the keyspace of the committed prefix, and only the committed prefix:
+//!   [`Recovered::live_pairs`], never the log itself.
 //!
 //! ```
-//! use stm_core::{CommitOp, Stm};
+//! use stm_core::{CommitOp, CommitValue, Stm};
 //! use stm_log::{Wal, WalConfig};
 //!
 //! let dir = std::env::temp_dir().join(format!("stm-log-doc-{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
 //! let (wal, recovered) = Wal::open(WalConfig::new(&dir)).unwrap();
-//! assert!(recovered.tail.is_empty());
+//! assert!(recovered.live_pairs().is_empty());
 //!
 //! let stm = Stm::builder().commit_hook(wal.commit_hook()).build();
 //! let cell = stm_core::TVar::new(0i64);
@@ -57,7 +58,8 @@
 //!
 //! drop(wal);
 //! let (_wal, recovered) = Wal::open(WalConfig::new(&dir)).unwrap();
-//! assert_eq!(recovered.tail, vec![(seq, vec![CommitOp::put(7, 42)])]);
+//! assert_eq!(recovered.live_pairs(), [(7, CommitValue::Int(42))]);
+//! assert_eq!((recovered.replayed, recovered.next_seq), (1, seq + 1));
 //! # drop(_wal);
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
@@ -72,10 +74,9 @@ pub mod models;
 pub mod record;
 pub mod recovery;
 mod ring;
-pub mod snapshot;
+mod snapshot;
 pub mod wal;
 
 pub use record::SEGMENT_MAGIC;
 pub use recovery::{recover, Recovered};
-pub use snapshot::Snapshot;
 pub use wal::{FsyncPolicy, Wal, WalConfig, WalStats};

@@ -41,10 +41,13 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"STMWAL2\n";
 /// The payload version byte.
 const PAYLOAD_VERSION: u8 = 0x02;
 
-const TAG_PUT_INT: u8 = 0x00;
+/// Value tags, shared with the snapshot format: a record's `Put` op and a
+/// snapshot's pair both lead their value's body with one of these.
+const TAG_INT: u8 = 0x00;
+const TAG_STR: u8 = 0x02;
+const TAG_BYTES: u8 = 0x03;
+/// The one op tag that carries no value.
 const TAG_DEL: u8 = 0x01;
-const TAG_PUT_STR: u8 = 0x02;
-const TAG_PUT_BYTES: u8 = 0x03;
 
 /// One decoded log record: the commit sequence number and the write-set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,25 +82,11 @@ pub fn encode_into(out: &mut Vec<u8>, seq: u64, ops: &[CommitOp]) -> usize {
     out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
     for op in ops {
         match op {
-            CommitOp::Put { id, value } => match value {
-                CommitValue::Int(v) => {
-                    out.push(TAG_PUT_INT);
-                    out.extend_from_slice(&id.to_le_bytes());
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                CommitValue::Str(s) => {
-                    out.push(TAG_PUT_STR);
-                    out.extend_from_slice(&id.to_le_bytes());
-                    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    out.extend_from_slice(s.as_bytes());
-                }
-                CommitValue::Bytes(b) => {
-                    out.push(TAG_PUT_BYTES);
-                    out.extend_from_slice(&id.to_le_bytes());
-                    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                    out.extend_from_slice(b);
-                }
-            },
+            CommitOp::Put { id, value } => {
+                out.push(value_tag(value));
+                out.extend_from_slice(&id.to_le_bytes());
+                encode_value_body(out, value);
+            }
             CommitOp::Del { id } => {
                 out.push(TAG_DEL);
                 out.extend_from_slice(&id.to_le_bytes());
@@ -106,6 +95,51 @@ pub fn encode_into(out: &mut Vec<u8>, seq: u64, ops: &[CommitOp]) -> usize {
     }
     patch_header(out, start, payload_start);
     out.len() - start
+}
+
+/// The tag that leads `value`'s body in both the record and the snapshot
+/// format.
+pub(crate) fn value_tag(value: &CommitValue) -> u8 {
+    match value {
+        CommitValue::Int(_) => TAG_INT,
+        CommitValue::Str(_) => TAG_STR,
+        CommitValue::Bytes(_) => TAG_BYTES,
+    }
+}
+
+/// Appends `value`'s body: an `i64`, or a `u32` length and that many bytes.
+pub(crate) fn encode_value_body(out: &mut Vec<u8>, value: &CommitValue) {
+    match value {
+        CommitValue::Int(v) => out.extend_from_slice(&v.to_le_bytes()),
+        CommitValue::Str(s) => {
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        CommitValue::Bytes(b) => {
+            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+            out.extend_from_slice(b);
+        }
+    }
+}
+
+/// Decodes the body of a value tagged `tag` at the head of `bytes`: the
+/// value and the bytes it used, or `None` for an unknown tag, a body that
+/// runs past `bytes`, or a string that is not UTF-8.
+pub(crate) fn decode_value_body(tag: u8, bytes: &[u8]) -> Option<(CommitValue, usize)> {
+    match tag {
+        TAG_INT => Some((CommitValue::Int(read_i64(bytes.get(..8)?)), 8)),
+        TAG_STR | TAG_BYTES => {
+            let len = read_u32(bytes.get(..4)?) as usize;
+            let raw = bytes.get(4..4 + len)?;
+            let value = if tag == TAG_STR {
+                CommitValue::Str(std::str::from_utf8(raw).ok()?.to_string())
+            } else {
+                CommitValue::Bytes(raw.to_vec())
+            };
+            Some((value, 4 + len))
+        }
+        _ => None,
+    }
 }
 
 fn patch_header(out: &mut [u8], start: usize, payload_start: usize) {
@@ -165,68 +199,24 @@ pub fn decode(bytes: &[u8]) -> Decoded {
             return Decoded::Corrupt;
         };
         at += 1;
-        match tag {
-            TAG_PUT_INT => {
-                if body.len() < at + 16 {
-                    return Decoded::Corrupt;
-                }
-                ops.push(CommitOp::put(read_i64(&body[at..]), read_i64(&body[at + 8..])));
-                at += 16;
-            }
-            TAG_DEL => {
-                if body.len() < at + 8 {
-                    return Decoded::Corrupt;
-                }
-                ops.push(CommitOp::del(read_i64(&body[at..])));
-                at += 8;
-            }
-            TAG_PUT_STR | TAG_PUT_BYTES => {
-                if body.len() < at + 12 {
-                    return Decoded::Corrupt;
-                }
-                let id = read_i64(&body[at..]);
-                let len = read_u32(&body[at + 8..]) as usize;
-                at += 12;
-                let Some(raw) = body.get(at..at + len) else {
-                    return Decoded::Corrupt;
-                };
-                at += len;
-                let value = if tag == TAG_PUT_STR {
-                    match std::str::from_utf8(raw) {
-                        Ok(s) => CommitValue::Str(s.to_string()),
-                        Err(_) => return Decoded::Corrupt,
-                    }
-                } else {
-                    CommitValue::Bytes(raw.to_vec())
-                };
-                ops.push(CommitOp::Put { id, value });
-            }
-            _ => return Decoded::Corrupt,
+        let Some(id) = body.get(at..at + 8).map(read_i64) else {
+            return Decoded::Corrupt;
+        };
+        at += 8;
+        if tag == TAG_DEL {
+            ops.push(CommitOp::del(id));
+            continue;
         }
+        let Some((value, used)) = decode_value_body(tag, &body[at..]) else {
+            return Decoded::Corrupt;
+        };
+        at += used;
+        ops.push(CommitOp::Put { id, value });
     }
     if at != body.len() {
         return Decoded::Corrupt;
     }
     Decoded::Ok(Record { seq, ops }, 8 + payload_len)
-}
-
-/// Decodes every record in `bytes`, returning the committed prefix and the
-/// byte offset where it ends (the truncation point when the tail is torn or
-/// corrupt). The last element is `true` when decoding consumed the whole
-/// buffer cleanly.
-pub fn decode_all(bytes: &[u8]) -> (Vec<Record>, usize, bool) {
-    let mut records = Vec::new();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        match decode(&bytes[at..]) {
-            Decoded::Ok(record, used) => {
-                records.push(record);
-                at += used;
-            }
-            Decoded::Torn | Decoded::Corrupt => return (records, at, false),
-        }
-    }
-    (records, at, true)
 }
 
 #[cfg(test)]
@@ -258,17 +248,37 @@ mod tests {
         }
     }
 
+    /// Both on-disk formats, byte for byte, as the format before the shared
+    /// value codec wrote them: a record and a snapshot holding an `Int`, a
+    /// `Str` and a `Bytes` value.
     #[test]
-    fn concatenated_records_decode_in_order() {
-        let mut bytes = Vec::new();
-        for seq in 1..=5u64 {
-            encode_into(&mut bytes, seq, &[CommitOp::put(seq as i64, 1)]);
+    fn record_and_snapshot_bytes_are_pinned() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
         }
-        let (records, end, clean) = decode_all(&bytes);
-        assert!(clean);
-        assert_eq!(end, bytes.len());
-        assert_eq!(records.len(), 5);
-        assert_eq!(records.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
+        let ops = [
+            CommitOp::put(3, -2),
+            CommitOp::del(-9),
+            CommitOp::put(7, "a\n✓"),
+            CommitOp::put(8, vec![0u8, 255, 10]),
+        ];
+        assert_eq!(
+            hex(&encode(5, &ops)),
+            "49000000124342b8020500000000000000040000000003000000000000\
+             00feffffffffffffff01f7ffffffffffffff02070000000000000005000000\
+             610ae29c930308000000000000000300000000ff0a"
+        );
+        let pairs = [
+            (-3, CommitValue::Int(-2)),
+            (7, CommitValue::Str("a\n✓".to_string())),
+            (8, CommitValue::Bytes(vec![0, 255, 10])),
+        ];
+        assert_eq!(
+            hex(&crate::snapshot::encode(5, &pairs)),
+            "50414e530200000005000000000000000300000000000000fdffffffffffff\
+             ff00feffffffffffffff07000000000000000205000000610ae29c93080000\
+             0000000000030300000000ff0aa1abd874"
+        );
     }
 
     #[test]
@@ -310,27 +320,12 @@ mod tests {
     }
 
     #[test]
-    fn decode_all_returns_the_committed_prefix_on_a_torn_tail() {
-        let mut bytes = Vec::new();
-        for seq in 1..=4u64 {
-            encode_into(&mut bytes, seq, &[CommitOp::del(seq as i64)]);
-        }
-        let keep = bytes.len();
-        encode_into(&mut bytes, 5, &sample_ops());
-        let torn = &bytes[..bytes.len() - 3];
-        let (records, end, clean) = decode_all(torn);
-        assert!(!clean);
-        assert_eq!(end, keep, "truncation point is the end of record 4");
-        assert_eq!(records.len(), 4);
-    }
-
-    #[test]
     fn invalid_utf8_in_a_str_op_is_corrupt() {
         // Hand-build a record claiming a Str op with non-UTF-8 bytes.
         let mut payload = vec![PAYLOAD_VERSION];
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.push(TAG_PUT_STR);
+        payload.push(TAG_STR);
         payload.extend_from_slice(&7i64.to_le_bytes());
         payload.extend_from_slice(&2u32.to_le_bytes());
         payload.extend_from_slice(&[0xFF, 0xFE]);

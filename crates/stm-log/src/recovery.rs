@@ -1,11 +1,13 @@
-//! Crash recovery: latest valid snapshot + replay of the log tail.
+//! Crash recovery: latest valid snapshot + replay of the log tail, folded
+//! into the live keyspace as the records are read.
 //!
 //! Recovery walks the log directory and reconstructs the committed prefix:
 //!
 //! 1. Load the newest snapshot whose checksum verifies (older and invalid
 //!    snapshots are skipped — a crash mid-snapshot leaves a `.tmp` that is
 //!    ignored entirely).
-//! 2. Read every segment in first-sequence order, decoding records until the
+//! 2. Read every segment in first-sequence order, one segment's bytes in
+//!    memory at a time, decoding records until the
 //!    first torn or corrupt one. Everything from that point on — the rest of
 //!    that segment *and any later segment* — is beyond the torn commit and
 //!    is discarded: the bad record is where the durable prefix ends. A
@@ -14,8 +16,11 @@
 //!    offset zero: it contributes no records and the prefix ends there.
 //! 3. Truncate the bad tail on disk so the writer appends after a clean
 //!    prefix, and delete the discarded later segments.
-//! 4. Return the snapshot, the replay tail (records with `seq` greater than
-//!    the snapshot's cut), and the next sequence number to assign.
+//! 4. Return the live keyspace: the snapshot's pairs with every decoded
+//!    record whose `seq` is past the snapshot's cut applied on top as it was
+//!    read (`Put` inserts, `Del` removes, last writer wins), plus the next
+//!    sequence number to assign. The log itself is never held in memory, so
+//!    recovery's memory follows the keyspace, not the log's length.
 //!
 //! Step 3 makes recovery idempotent: recovering twice in a row yields the
 //! same state, and the second pass finds nothing to truncate.
@@ -27,17 +32,19 @@ use std::path::{Path, PathBuf};
 
 use stm_core::{CommitOp, CommitValue};
 
-use crate::record;
-use crate::snapshot::{self, Snapshot};
+use crate::record::{self, Decoded};
+use crate::snapshot;
 
-/// What [`recover`] found in a log directory.
+/// The committed prefix [`recover`] found in a log directory, as the state
+/// it produces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recovered {
-    /// The newest valid snapshot, if any.
-    pub snapshot: Option<Snapshot>,
-    /// Log records to replay on top of the snapshot, ascending by sequence
-    /// number (records the snapshot already covers are filtered out).
-    pub tail: Vec<(u64, Vec<CommitOp>)>,
+    /// The live keyspace, ascending by key.
+    pairs: Vec<(i64, CommitValue)>,
+    /// The cut of the snapshot recovery started from (0 = none).
+    pub snapshot_seq: u64,
+    /// Log records applied over the snapshot.
+    pub replayed: u64,
     /// Bytes of torn/corrupt tail that were truncated away (0 on a clean
     /// shutdown).
     pub truncated_bytes: u64,
@@ -46,41 +53,16 @@ pub struct Recovered {
 }
 
 impl Recovered {
-    /// Folds the snapshot and tail down to the final live keyspace: the
-    /// `(key, value)` pairs that survive after every logged op has been
-    /// applied, last writer wins, ascending by key.
-    ///
-    /// Replaying this — instead of the raw op stream — means a key whose
-    /// final logged op is a `Del` never materialises a value cell in the
-    /// rebuilt store: tombstoned keys stay reclaimed across restarts rather
-    /// than being resurrected by an intermediate `Put` and deleted again.
+    /// The `(key, value)` pairs that survive every logged op, ascending by
+    /// key. A key whose last logged op was a `Del` is absent, so a store
+    /// rebuilt from these never materialises a cell for a tombstoned key.
     #[must_use]
-    pub fn live_pairs(&self) -> Vec<(i64, CommitValue)> {
-        let mut live: BTreeMap<i64, Option<&CommitValue>> = BTreeMap::new();
-        if let Some(snapshot) = &self.snapshot {
-            for (key, value) in &snapshot.pairs {
-                live.insert(*key, Some(value));
-            }
-        }
-        for (_seq, ops) in &self.tail {
-            for op in ops {
-                match op {
-                    CommitOp::Put { id, value } => {
-                        live.insert(*id, Some(value));
-                    }
-                    CommitOp::Del { id } => {
-                        live.insert(*id, None);
-                    }
-                }
-            }
-        }
-        live.into_iter()
-            .filter_map(|(key, value)| value.map(|v| (key, v.clone())))
-            .collect()
+    pub fn live_pairs(&self) -> &[(i64, CommitValue)] {
+        &self.pairs
     }
 }
 
-/// Lists segment files as `(path, first_seq)`, unsorted.
+/// Lists segment files as `(path, first_seq)`, ascending by `first_seq`.
 ///
 /// # Errors
 ///
@@ -90,7 +72,7 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(PathBuf, u64)>> {
     list_dir(dir, parse_segment_file_name)
 }
 
-/// Lists snapshot files as `(path, seq)`, unsorted.
+/// Lists snapshot files as `(path, seq)`, ascending by `seq`.
 ///
 /// # Errors
 ///
@@ -118,6 +100,7 @@ fn list_dir(
             out.push((entry.path(), seq));
         }
     }
+    out.sort_unstable_by_key(|(_, seq)| *seq);
     Ok(out)
 }
 
@@ -125,50 +108,68 @@ fn parse_segment_file_name(name: &str) -> Option<u64> {
     name.strip_prefix("wal-")?.strip_suffix(".log")?.parse().ok()
 }
 
-/// Recovers the committed prefix from `dir`, truncating any torn tail (see
-/// the [module documentation](self)).
+/// Recovers the committed prefix from `dir` as the live keyspace,
+/// truncating any torn tail (see the [module documentation](self)).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
 pub fn recover(dir: &Path) -> io::Result<Recovered> {
     // Newest valid snapshot wins; invalid ones are skipped, not fatal.
-    let mut snapshots = list_snapshots(dir)?;
-    snapshots.sort_by_key(|(_, seq)| *seq);
-    let mut best_snapshot: Option<Snapshot> = None;
-    for (path, _) in snapshots.iter().rev() {
-        if let Some(loaded) = snapshot::read(path) {
-            best_snapshot = Some(loaded);
-            break;
-        }
-    }
-    let snapshot_seq = best_snapshot.as_ref().map(|s| s.seq).unwrap_or(0);
+    let snapshot = list_snapshots(dir)?
+        .iter()
+        .rev()
+        .find_map(|(path, _)| snapshot::read(path));
+    let snapshot_seq = snapshot.as_ref().map_or(0, |s| s.seq);
+    let mut live: BTreeMap<i64, CommitValue> = snapshot
+        .map(|s| s.pairs.into_iter().collect())
+        .unwrap_or_default();
 
-    let mut segments = list_segments(dir)?;
-    segments.sort_by_key(|(_, first_seq)| *first_seq);
-
-    let mut tail: Vec<(u64, Vec<CommitOp>)> = Vec::new();
+    let segments = list_segments(dir)?;
+    let mut replayed = 0u64;
     let mut truncated_bytes = 0u64;
-    let mut max_seq = snapshot_seq;
+    let mut last_seq = 0u64;
+    // One buffer for every segment, so the allocator cannot leave an old
+    // segment's bytes resident beside the next one's.
+    let mut bytes = Vec::new();
     let mut dirty_from: Option<usize> = None; // segment index where the prefix ended
     for (index, (path, _)) in segments.iter().enumerate() {
-        let mut bytes = Vec::new();
+        bytes.clear();
         File::open(path)?.read_to_end(&mut bytes)?;
         // No magic, no records: the prefix ends where this segment begins.
-        let (records, clean_end, clean) = match bytes.strip_prefix(record::SEGMENT_MAGIC) {
-            Some(body) => {
-                let (records, body_end, clean) = record::decode_all(body);
-                (records, record::SEGMENT_MAGIC.len() + body_end, clean)
-            }
-            None => (Vec::new(), 0, false),
-        };
-        for rec in records {
-            max_seq = max_seq.max(rec.seq);
-            if rec.seq > snapshot_seq {
-                tail.push((rec.seq, rec.ops));
+        let has_magic = bytes.starts_with(record::SEGMENT_MAGIC);
+        let mut clean_end = 0;
+        if has_magic {
+            clean_end = record::SEGMENT_MAGIC.len();
+            while let Decoded::Ok(rec, used) = record::decode(&bytes[clean_end..]) {
+                clean_end += used;
+                // The writer consumes the ring strictly in seq order and names
+                // each segment after its first record, so file order is seq
+                // order and a record can be applied the moment it is read.
+                debug_assert!(
+                    rec.seq > last_seq,
+                    "{}: seq {} after {last_seq}",
+                    path.display(),
+                    rec.seq
+                );
+                last_seq = rec.seq;
+                if rec.seq <= snapshot_seq {
+                    continue; // the snapshot already covers it
+                }
+                replayed += 1;
+                for op in rec.ops {
+                    match op {
+                        CommitOp::Put { id, value } => {
+                            live.insert(id, value);
+                        }
+                        CommitOp::Del { id } => {
+                            live.remove(&id);
+                        }
+                    }
+                }
             }
         }
-        if !clean {
+        if !has_magic || clean_end < bytes.len() {
             truncated_bytes += (bytes.len() - clean_end) as u64;
             if clean_end <= record::SEGMENT_MAGIC.len() {
                 // No surviving record in this segment — a bare (possibly
@@ -208,12 +209,12 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
     if truncated_bytes > 0 {
         File::open(dir)?.sync_all()?;
     }
-    tail.sort_by_key(|(seq, _)| *seq);
     Ok(Recovered {
-        snapshot: best_snapshot,
-        tail,
+        pairs: live.into_iter().collect(),
+        snapshot_seq,
+        replayed,
         truncated_bytes,
-        next_seq: max_seq + 1,
+        next_seq: snapshot_seq.max(last_seq) + 1,
     })
 }
 
@@ -247,6 +248,10 @@ mod tests {
         vec![CommitOp::put(id, value)]
     }
 
+    fn ints(pairs: &[(i64, i64)]) -> Vec<(i64, CommitValue)> {
+        pairs.iter().map(|&(k, v)| (k, CommitValue::Int(v))).collect()
+    }
+
     #[test]
     fn empty_directory_recovers_to_nothing() {
         let dir = temp_dir("empty");
@@ -254,8 +259,9 @@ mod tests {
         assert_eq!(
             recovered,
             Recovered {
-                snapshot: None,
-                tail: Vec::new(),
+                pairs: Vec::new(),
+                snapshot_seq: 0,
+                replayed: 0,
                 truncated_bytes: 0,
                 next_seq: 1
             }
@@ -266,67 +272,59 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_filters_covered_records_and_orders_the_tail() {
-        let dir = temp_dir("filter");
-        write_segment(&dir, 1, &[(1, put(1, 10)), (2, put(2, 20)), (3, put(3, 30))]);
-        write_segment(&dir, 4, &[(4, put(4, 40)), (5, put(5, 50))]);
-        let pairs: Vec<_> = [(1, 10), (2, 20), (3, 30)]
-            .map(|(k, v)| (k, stm_core::CommitValue::Int(v)))
-            .to_vec();
-        snapshot::write(&dir, 3, &pairs).unwrap();
-        let recovered = recover(&dir).unwrap();
-        assert_eq!(recovered.snapshot.unwrap().seq, 3);
-        assert_eq!(recovered.tail, vec![(4, put(4, 40)), (5, put(5, 50))]);
-        assert_eq!(recovered.next_seq, 6);
-        assert_eq!(recovered.truncated_bytes, 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn live_pairs_folds_deletes_last_writer_wins() {
-        let recovered = Recovered {
-            snapshot: Some(Snapshot {
-                seq: 2,
-                pairs: vec![
-                    (1, CommitValue::Int(10)),
-                    (2, CommitValue::Str("keep".into())),
-                    (3, CommitValue::Int(30)),
-                ],
-            }),
-            tail: vec![
+    fn snapshot_filters_covered_records_and_the_tail_folds_last_writer_wins() {
+        let dir = temp_dir("fold");
+        let at_cut = [
+            (1, CommitValue::Int(10)),
+            (2, CommitValue::Str("keep".into())),
+            (3, CommitValue::Int(30)),
+        ];
+        write_segment(
+            &dir,
+            1,
+            &[
+                (1, vec![CommitOp::put(1, 10), CommitOp::put(2, "keep")]),
+                (2, put(3, 30)),
+            ],
+        );
+        write_segment(
+            &dir,
+            3,
+            &[
                 // Key 3 dies; key 1 is overwritten; key 9 lives and dies in
                 // the tail; key 4 is born in the tail.
                 (3, vec![CommitOp::Del { id: 3 }, CommitOp::put(4, 40)]),
                 (4, put(9, 90)),
                 (5, vec![CommitOp::put(1, 11), CommitOp::Del { id: 9 }]),
             ],
-            truncated_bytes: 0,
-            next_seq: 6,
-        };
+        );
+        snapshot::write(&dir, 2, &at_cut).unwrap();
+        let recovered = recover(&dir).unwrap();
         assert_eq!(
             recovered.live_pairs(),
-            vec![
+            [
                 (1, CommitValue::Int(11)),
                 (2, CommitValue::Str("keep".into())),
                 (4, CommitValue::Int(40)),
             ],
             "tombstoned keys must not survive the fold"
         );
+        assert_eq!(recovered.snapshot_seq, 2);
+        assert_eq!(recovered.replayed, 3, "records 1..=2 are the snapshot's");
+        assert_eq!(recovered.next_seq, 6);
+        assert_eq!(recovered.truncated_bytes, 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn live_pairs_resurrects_a_key_deleted_then_rewritten() {
-        let recovered = Recovered {
-            snapshot: None,
-            tail: vec![
-                (1, put(7, 70)),
-                (2, vec![CommitOp::Del { id: 7 }]),
-                (3, put(7, 71)),
-            ],
-            truncated_bytes: 0,
-            next_seq: 4,
-        };
-        assert_eq!(recovered.live_pairs(), vec![(7, CommitValue::Int(71))]);
+    fn recovery_resurrects_a_key_deleted_then_rewritten() {
+        let dir = temp_dir("resurrect");
+        write_segment(&dir, 1, &[(1, put(7, 70)), (2, vec![CommitOp::Del { id: 7 }])]);
+        write_segment(&dir, 3, &[(3, put(7, 71))]);
+        let recovered = recover(&dir).unwrap();
+        assert_eq!(recovered.live_pairs(), ints(&[(7, 71)]));
+        assert_eq!(recovered.replayed, 3);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -342,12 +340,19 @@ mod tests {
             .set_len(len - 5)
             .unwrap();
         let first = recover(&dir).unwrap();
-        assert_eq!(first.tail.len(), 2, "committed prefix is records 1..=2");
+        assert_eq!(first.replayed, 2, "committed prefix is records 1..=2");
+        assert_eq!(first.live_pairs(), ints(&[(1, 1), (2, 2)]));
         assert!(first.truncated_bytes > 0);
         assert_eq!(first.next_seq, 3);
         let second = recover(&dir).unwrap();
-        assert_eq!(second.tail, first.tail);
-        assert_eq!(second.truncated_bytes, 0, "second pass finds a clean log");
+        assert_eq!(
+            second,
+            Recovered {
+                truncated_bytes: 0,
+                ..first
+            },
+            "second pass finds a clean log with the same state"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -363,7 +368,7 @@ mod tests {
         bytes[record::SEGMENT_MAGIC.len() + record1.len() + 10] ^= 0xFF;
         File::create(&path).unwrap().write_all(&bytes).unwrap();
         let recovered = recover(&dir).unwrap();
-        assert_eq!(recovered.tail, vec![(1, put(1, 1))]);
+        assert_eq!(recovered.live_pairs(), ints(&[(1, 1)]));
         assert_eq!(recovered.next_seq, 2);
         assert!(!later.exists(), "segments beyond the cut must be deleted");
         let _ = fs::remove_dir_all(&dir);
@@ -373,18 +378,16 @@ mod tests {
     fn invalid_snapshot_falls_back_to_an_older_valid_one() {
         let dir = temp_dir("badsnap");
         write_segment(&dir, 1, &[(1, put(1, 1)), (2, put(2, 2)), (3, put(3, 3))]);
-        let pairs: Vec<_> = [(1, 1), (2, 2)]
-            .map(|(k, v)| (k, stm_core::CommitValue::Int(v)))
-            .to_vec();
-        snapshot::write(&dir, 2, &pairs).unwrap();
+        snapshot::write(&dir, 2, &ints(&[(1, 1), (2, 2)])).unwrap();
         // A newer snapshot that is garbage on disk.
         let bad = dir.join(snapshot::snapshot_file_name(3));
         File::create(&bad).unwrap().write_all(b"not a snapshot").unwrap();
         // And a stray tmp from a crashed snapshotter.
         File::create(dir.join("snap-x.tmp")).unwrap().write_all(b"junk").unwrap();
         let recovered = recover(&dir).unwrap();
-        assert_eq!(recovered.snapshot.unwrap().seq, 2, "falls back past the bad one");
-        assert_eq!(recovered.tail, vec![(3, put(3, 3))]);
+        assert_eq!(recovered.snapshot_seq, 2, "falls back past the bad one");
+        assert_eq!(recovered.replayed, 1);
+        assert_eq!(recovered.live_pairs(), ints(&[(1, 1), (2, 2), (3, 3)]));
         assert!(!dir.join("snap-x.tmp").exists(), "tmp files are swept");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -411,29 +414,36 @@ mod tests {
             let cut = bytes.len() as u64 + fs::metadata(&later).unwrap().len();
 
             let first = recover(&dir).unwrap();
-            assert_eq!(first.tail, vec![(1, put(1, 10)), (2, put(2, 20))], "{tag}");
+            assert_eq!(first.live_pairs(), ints(&[(1, 10), (2, 20)]), "{tag}");
+            assert_eq!(first.replayed, 2, "{tag}");
             assert_eq!(first.next_seq, 3, "{tag}");
             assert_eq!(first.truncated_bytes, cut, "{tag}: both files, whole");
             assert!(!damaged.exists() && !later.exists(), "{tag}");
             let second = recover(&dir).unwrap();
-            assert_eq!(second.tail, first.tail, "{tag}");
-            assert_eq!(second.truncated_bytes, 0, "{tag}: second pass is clean");
+            assert_eq!(
+                second,
+                Recovered {
+                    truncated_bytes: 0,
+                    ..first
+                },
+                "{tag}: second pass is clean"
+            );
             let _ = fs::remove_dir_all(&dir);
         }
 
         let dir = temp_dir("snapv1");
         write_segment(&dir, 1, &[(1, put(1, 10)), (2, put(2, 20))]);
-        snapshot::write(&dir, 1, &[(1, CommitValue::Int(10))]).unwrap();
+        snapshot::write(&dir, 1, &ints(&[(1, 10)])).unwrap();
         // The version field sits outside the checksummed payload, so this
         // file is intact in every respect but its version.
-        let pairs = [(1, CommitValue::Int(10)), (2, CommitValue::Int(20))];
-        let mut bytes = snapshot::encode(2, &pairs);
+        let mut bytes = snapshot::encode(2, &ints(&[(1, 10), (2, 20)]));
         bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
         fs::write(dir.join(snapshot::snapshot_file_name(2)), &bytes).unwrap();
         for pass in 0..2 {
             let recovered = recover(&dir).unwrap();
-            assert_eq!(recovered.snapshot.unwrap().seq, 1, "pass {pass}: older valid one wins");
-            assert_eq!(recovered.tail, vec![(2, put(2, 20))], "pass {pass}");
+            assert_eq!(recovered.snapshot_seq, 1, "pass {pass}: older valid one wins");
+            assert_eq!(recovered.replayed, 1, "pass {pass}");
+            assert_eq!(recovered.live_pairs(), ints(&[(1, 10), (2, 20)]), "pass {pass}");
             assert_eq!(recovered.truncated_bytes, 0, "pass {pass}");
         }
         let _ = fs::remove_dir_all(&dir);
@@ -445,7 +455,8 @@ mod tests {
         let path = write_segment(&dir, 1, &[(1, put(1, 1))]);
         OpenOptions::new().write(true).open(&path).unwrap().set_len(3).unwrap();
         let recovered = recover(&dir).unwrap();
-        assert!(recovered.tail.is_empty());
+        assert!(recovered.live_pairs().is_empty());
+        assert_eq!(recovered.replayed, 0);
         assert_eq!(recovered.next_seq, 1);
         assert!(!path.exists());
         let _ = fs::remove_dir_all(&dir);

@@ -20,27 +20,26 @@
 //!      | 0x03 (bytes) | len: u32 | len bytes
 //! ```
 //!
-//! A file carrying any other version is not a snapshot: the reader skips
-//! it like one whose checksum fails.
+//! The tags and bodies are the log record's value encoding
+//! ([`record::value_tag`], [`record::encode_value_body`]). A file carrying
+//! any other version is not a snapshot: the reader skips it like one whose
+//! checksum fails.
 //!
 //! Snapshots are written to a temporary file, fsynced, and renamed into
 //! place, so a crash mid-snapshot leaves the previous snapshot intact; a
 //! snapshot whose checksum does not verify is ignored at recovery.
 
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use stm_core::CommitValue;
 
 use crate::crc::crc32;
+use crate::record;
 
 const MAGIC: u32 = 0x534E_4150;
 const VERSION: u32 = 2;
-
-const TAG_INT: u8 = 0x00;
-const TAG_STR: u8 = 0x02;
-const TAG_BYTES: u8 = 0x03;
 
 /// A decoded snapshot: the consistent-cut sequence number and the pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,22 +74,8 @@ pub fn encode(seq: u64, pairs: &[(i64, CommitValue)]) -> Vec<u8> {
     out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
     for (key, value) in pairs {
         out.extend_from_slice(&key.to_le_bytes());
-        match value {
-            CommitValue::Int(v) => {
-                out.push(TAG_INT);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            CommitValue::Str(s) => {
-                out.push(TAG_STR);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            CommitValue::Bytes(b) => {
-                out.push(TAG_BYTES);
-                out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                out.extend_from_slice(b);
-            }
-        }
+        out.push(record::value_tag(value));
+        record::encode_value_body(&mut out, value);
     }
     let crc = crc32(&out[payload_start..]);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -104,26 +89,8 @@ fn decode_pairs(payload: &[u8], count: usize) -> Option<Vec<(i64, CommitValue)>>
         let key = i64::from_le_bytes(payload.get(at..at + 8)?.try_into().ok()?);
         let tag = *payload.get(at + 8)?;
         at += 9;
-        let value = match tag {
-            TAG_INT => {
-                let v = i64::from_le_bytes(payload.get(at..at + 8)?.try_into().ok()?);
-                at += 8;
-                CommitValue::Int(v)
-            }
-            TAG_STR | TAG_BYTES => {
-                let len =
-                    u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?) as usize;
-                at += 4;
-                let raw = payload.get(at..at + len)?;
-                at += len;
-                if tag == TAG_STR {
-                    CommitValue::Str(std::str::from_utf8(raw).ok()?.to_string())
-                } else {
-                    CommitValue::Bytes(raw.to_vec())
-                }
-            }
-            _ => return None,
-        };
+        let (value, used) = record::decode_value_body(tag, &payload[at..])?;
+        at += used;
         pairs.push((key, value));
     }
     (at == payload.len()).then_some(pairs)
@@ -177,9 +144,7 @@ pub fn write(dir: &Path, seq: u64, pairs: &[(i64, CommitValue)]) -> io::Result<P
 
 /// Reads and validates one snapshot file.
 pub fn read(path: &Path) -> Option<Snapshot> {
-    let mut bytes = Vec::new();
-    File::open(path).ok()?.read_to_end(&mut bytes).ok()?;
-    decode(&bytes)
+    decode(&fs::read(path).ok()?)
 }
 
 #[cfg(test)]

@@ -284,10 +284,8 @@ impl Wal {
             durable_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             segments: AtomicU64::new(segments),
-            last_snapshot_seq: AtomicU64::new(
-                recovered.snapshot.as_ref().map(|s| s.seq).unwrap_or(0),
-            ),
-            since_snapshot: AtomicU64::new(recovered.tail.len() as u64),
+            last_snapshot_seq: AtomicU64::new(recovered.snapshot_seq),
+            since_snapshot: AtomicU64::new(recovered.replayed),
             snapshot_in_progress: AtomicBool::new(false),
             telemetry: WalTelemetry::new(),
         });
@@ -400,10 +398,9 @@ impl Wal {
     /// *next* segment starts at or below `upto + 1`). The newest snapshot
     /// and the open segment are never touched.
     fn prune(&self, upto: u64) {
-        let Ok(mut segments) = recovery::list_segments(&self.shared.dir) else {
+        let Ok(segments) = recovery::list_segments(&self.shared.dir) else {
             return;
         };
-        segments.sort();
         for pair in segments.windows(2) {
             let (_, successor_first) = pair[1];
             if successor_first <= upto + 1 {
@@ -657,8 +654,8 @@ mod tests {
     fn append_wait_durable_and_reopen_replays_everything() {
         let dir = temp_dir("roundtrip");
         let (wal, recovered) = Wal::open(WalConfig::new(&dir)).unwrap();
-        assert!(recovered.snapshot.is_none());
-        assert!(recovered.tail.is_empty());
+        assert_eq!(recovered.snapshot_seq, 0);
+        assert!(recovered.live_pairs().is_empty());
         assert_eq!(recovered.next_seq, 1);
         let mut last = 0;
         for i in 0..10i64 {
@@ -672,12 +669,10 @@ mod tests {
         drop(wal);
 
         let (wal2, recovered) = Wal::open(WalConfig::new(&dir)).unwrap();
-        assert_eq!(recovered.tail.len(), 10);
+        assert_eq!(recovered.replayed, 10);
         assert_eq!(recovered.next_seq, 11);
-        assert_eq!(
-            recovered.tail[3],
-            (4, vec![CommitOp::put(3, 30)])
-        );
+        let expected: Vec<_> = (0..10i64).map(|i| (i, CommitValue::Int(i * 10))).collect();
+        assert_eq!(recovered.live_pairs(), expected);
         drop(wal2);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -717,10 +712,9 @@ mod tests {
         drop(wal);
         // Recovery now starts from the snapshot and replays nothing.
         let (wal2, recovered) = Wal::open(WalConfig::new(&dir)).unwrap();
-        let snapshot = recovered.snapshot.expect("snapshot must be found");
-        assert_eq!(snapshot.seq, last);
-        assert_eq!(snapshot.pairs.len(), 2_000);
-        assert!(recovered.tail.is_empty());
+        assert_eq!(recovered.snapshot_seq, last, "snapshot must be found");
+        assert_eq!(recovered.live_pairs(), pairs);
+        assert_eq!(recovered.replayed, 0);
         assert_eq!(recovered.next_seq, last + 1);
         drop(wal2);
         let _ = fs::remove_dir_all(&dir);
@@ -746,8 +740,17 @@ mod tests {
         assert_eq!(stats.records, 800);
         wal.wait_durable(800);
         drop(wal);
-        let (_wal2, recovered) = Wal::open(WalConfig::new(&dir)).unwrap();
-        let seqs: Vec<u64> = recovered.tail.iter().map(|(seq, _)| *seq).collect();
+        // What the writer put on disk, record by record, in file order.
+        let mut seqs = Vec::new();
+        for (path, _) in recovery::list_segments(&dir).unwrap() {
+            let bytes = fs::read(path).unwrap();
+            let mut at = record::SEGMENT_MAGIC.len();
+            while let record::Decoded::Ok(rec, used) = record::decode(&bytes[at..]) {
+                seqs.push(rec.seq);
+                at += used;
+            }
+            assert_eq!(at, bytes.len(), "every byte decodes");
+        }
         assert_eq!(seqs, (1..=800).collect::<Vec<_>>(), "gapless and ordered");
         let _ = fs::remove_dir_all(&dir);
     }

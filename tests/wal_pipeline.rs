@@ -3,21 +3,22 @@
 //! the real `stm-log` writer (sequence reservation, slot ring, group
 //! commit) must produce a log whose **replay in record order reconstructs
 //! exactly the final committed state** — the property recovery rests on.
+//! Recovery does that replay and returns the state; this test compares it.
 //!
 //! The run continues across a simulated crash: the newest segment's tail
 //! is torn mid-record, recovery truncates it, a second contended phase
 //! runs on the recovered state, and the final replay must still agree with
 //! the final in-memory state.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use greedy_stm::cm::ManagerKind;
-use greedy_stm::core::{CommitOp, CommitValue, Stm, TVar};
+use greedy_stm::core::{CommitOp, Stm, TVar};
+use greedy_stm::log::recovery::list_segments;
 use greedy_stm::log::{Recovered, Wal, WalConfig};
 
 const KEYS: usize = 8;
@@ -74,77 +75,29 @@ fn run_phase(stm: &Arc<Stm>, cells: &[TVar<i64>], kind: ManagerKind, phase: u64)
     max_seq
 }
 
-/// Replays a recovered tail in record order: last `Put` per key wins.
-/// Asserts the sequence numbers are strictly increasing on the way (gaps
-/// are legal — abandoned reservations never reach the disk).
-fn replay(recovered: &Recovered, kind: ManagerKind) -> BTreeMap<i64, i64> {
-    let mut state = BTreeMap::new();
-    if let Some(snapshot) = &recovered.snapshot {
-        for (key, value) in &snapshot.pairs {
-            if let CommitValue::Int(v) = value {
-                state.insert(*key, *v);
-            }
-        }
+/// The recovered keyspace as one counter per key (0 = never written).
+/// `recover` folded the log in record order; its debug build asserts that
+/// order is strictly ascending by seq (gaps are legal — abandoned
+/// reservations never reach the disk).
+fn counters(recovered: &Recovered) -> Vec<i64> {
+    let mut counters = vec![0; KEYS];
+    for (key, value) in recovered.live_pairs() {
+        counters[*key as usize] = value.as_int().expect("only ints are published here");
     }
-    let mut prev_seq = 0u64;
-    for (seq, ops) in &recovered.tail {
-        assert!(
-            *seq > prev_seq,
-            "{kind}: log replay order regressed: seq {seq} after {prev_seq}"
-        );
-        prev_seq = *seq;
-        for op in ops {
-            match op {
-                CommitOp::Put { id, value } => {
-                    let v = value.as_int().expect("only ints are published here");
-                    state.insert(*id, v);
-                }
-                CommitOp::Del { id } => {
-                    state.remove(id);
-                }
-            }
-        }
-    }
-    state
-}
-
-fn assert_replay_matches(
-    replayed: &BTreeMap<i64, i64>,
-    committed: &[i64],
-    kind: ManagerKind,
-    context: &str,
-) {
-    for (key, final_value) in committed.iter().enumerate() {
-        assert_eq!(
-            replayed.get(&(key as i64)).copied().unwrap_or(0),
-            *final_value,
-            "{kind}/{context}: replaying the log in seq order diverged from the \
-             final committed state at key {key}"
-        );
-    }
+    counters
 }
 
 /// Tears the newest segment by truncating a few bytes off its end,
-/// simulating a crash mid-write. Returns how many bytes were cut.
-fn tear_newest_segment(dir: &PathBuf) -> u64 {
-    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("log dir readable")
-        .filter_map(|entry| {
-            let path = entry.ok()?.path();
-            let name = path.file_name()?.to_str()?;
-            (name.starts_with("wal-") && name.ends_with(".log")).then_some(path)
-        })
-        .collect();
-    segments.sort();
-    let newest = segments.last().expect("at least one segment on disk");
+/// simulating a crash mid-write.
+fn tear_newest_segment(dir: &Path) {
+    let segments = list_segments(dir).expect("log dir readable");
+    let (newest, _) = segments.last().expect("at least one segment on disk");
     let len = std::fs::metadata(newest).expect("segment metadata").len();
-    let cut = 3.min(len);
     let file = std::fs::OpenOptions::new()
         .write(true)
         .open(newest)
         .expect("segment writable");
-    file.set_len(len - cut).expect("segment truncation");
-    cut
+    file.set_len(len - 3.min(len)).expect("segment truncation");
 }
 
 #[test]
@@ -154,7 +107,7 @@ fn seq_order_replay_matches_committed_state_under_every_manager() {
 
         // Phase 1: contended commits through the real WAL writer.
         let (wal, recovered) = Wal::open(WalConfig::new(&dir)).expect("fresh log opens");
-        assert!(recovered.tail.is_empty());
+        assert!(recovered.live_pairs().is_empty());
         let stm = Arc::new(
             Stm::builder()
                 .manager(kind.factory())
@@ -174,11 +127,16 @@ fn seq_order_replay_matches_committed_state_under_every_manager() {
         let (wal_check, recovered) = Wal::open(WalConfig::new(&dir)).expect("clean reopen");
         assert_eq!(recovered.truncated_bytes, 0, "{kind}: clean shutdown tore the log");
         assert_eq!(
-            recovered.tail.len(),
-            THREADS * OPS_PER_THREAD,
+            recovered.replayed,
+            (THREADS * OPS_PER_THREAD) as u64,
             "{kind}: every committed transaction must have exactly one record"
         );
-        assert_replay_matches(&replay(&recovered, kind), &committed, kind, "clean restart");
+        assert_eq!(
+            counters(&recovered),
+            committed,
+            "{kind}/clean restart: replaying the log in seq order diverged from the \
+             final committed state"
+        );
         drop(wal_check);
 
         // Phase 2: tear the tail mid-record, recover, and keep going on the
@@ -189,23 +147,25 @@ fn seq_order_replay_matches_committed_state_under_every_manager() {
             recovered.truncated_bytes > 0,
             "{kind}: recovery must report the torn bytes it discarded"
         );
-        let survived = replay(&recovered, kind);
         let stm2 = Arc::new(
             Stm::builder()
                 .manager(kind.factory())
                 .commit_hook(wal2.commit_hook())
                 .build(),
         );
-        let cells2: Vec<TVar<i64>> = (0..KEYS)
-            .map(|key| TVar::new(survived.get(&(key as i64)).copied().unwrap_or(0)))
-            .collect();
+        let cells2: Vec<TVar<i64>> = counters(&recovered).into_iter().map(TVar::new).collect();
         let max_seq = run_phase(&stm2, &cells2, kind, 2);
         assert!(wal2.wait_durable(max_seq), "{kind}: log failed during phase 2");
         let committed2: Vec<i64> = cells2.iter().map(|cell| stm2.read_atomic(cell)).collect();
         drop(wal2);
 
         let (_wal3, recovered) = Wal::open(WalConfig::new(&dir)).expect("final reopen");
-        assert_replay_matches(&replay(&recovered, kind), &committed2, kind, "torn restart");
+        assert_eq!(
+            counters(&recovered),
+            committed2,
+            "{kind}/torn restart: replaying the log in seq order diverged from the \
+             final committed state"
+        );
         drop(_wal3);
         let _ = std::fs::remove_dir_all(&dir);
     }
