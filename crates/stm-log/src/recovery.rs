@@ -291,11 +291,12 @@ mod tests {
             &dir,
             3,
             &[
-                // Key 3 dies; key 1 is overwritten; key 9 lives and dies in
-                // the tail; key 4 is born in the tail.
+                // Key 3 dies; key 1 is overwritten; key 4 is born in the
+                // tail; key 9 is born, dies and is written again.
                 (3, vec![CommitOp::Del { id: 3 }, CommitOp::put(4, 40)]),
                 (4, put(9, 90)),
                 (5, vec![CommitOp::put(1, 11), CommitOp::Del { id: 9 }]),
+                (6, put(9, 91)),
             ],
         );
         snapshot::write(&dir, 2, &at_cut).unwrap();
@@ -306,24 +307,14 @@ mod tests {
                 (1, CommitValue::Int(11)),
                 (2, CommitValue::Str("keep".into())),
                 (4, CommitValue::Int(40)),
+                (9, CommitValue::Int(91)),
             ],
             "tombstoned keys must not survive the fold"
         );
         assert_eq!(recovered.snapshot_seq, 2);
-        assert_eq!(recovered.replayed, 3, "records 1..=2 are the snapshot's");
-        assert_eq!(recovered.next_seq, 6);
+        assert_eq!(recovered.replayed, 4, "records 1..=2 are the snapshot's");
+        assert_eq!(recovered.next_seq, 7);
         assert_eq!(recovered.truncated_bytes, 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recovery_resurrects_a_key_deleted_then_rewritten() {
-        let dir = temp_dir("resurrect");
-        write_segment(&dir, 1, &[(1, put(7, 70)), (2, vec![CommitOp::Del { id: 7 }])]);
-        write_segment(&dir, 3, &[(3, put(7, 71))]);
-        let recovered = recover(&dir).unwrap();
-        assert_eq!(recovered.live_pairs(), ints(&[(7, 71)]));
-        assert_eq!(recovered.replayed, 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
