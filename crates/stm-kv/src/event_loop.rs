@@ -22,7 +22,8 @@
 //! Durability: a burst whose commits were logged holds its replies behind
 //! [`Wal::wait_durable`](stm_log::Wal). The shard thread blocks there — one
 //! group-commit barrier amortised across every connection that committed
-//! in the window — so no reply leaves before its record is on disk.
+//! in the window — and, when no other shard is flushing, it writes and
+//! fsyncs the batch itself: no reply leaves before its record is on disk.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -464,8 +465,9 @@ impl Shard {
             &mut conn.inbuf,
             &mut conn.outbuf,
         );
-        // Group commit: the shard blocks here until one fsync covers every
-        // burst, on any connection, that committed meanwhile.
+        // Group commit: the shard blocks here — leading the fsync itself if
+        // no other shard is — until one fsync covers every burst, on any
+        // connection, that committed meanwhile.
         if let (Some(durable), Some(barrier)) = (self.durable.as_deref(), barrier) {
             if !durable.wal.wait_durable(barrier) {
                 self.close(slot);

@@ -18,13 +18,13 @@
 //!   whole correctness of recovery rests on that ordering. A reservation
 //!   whose commit CAS loses leaves a (harmless, recovery-tolerated) gap.
 //! * **Group commit** ([`wal`]) — commit-path threads only publish encoded
-//!   records into a slot ring; a single writer thread consumes the ring in
-//!   sequence order and drains batches into
-//!   length-prefixed, CRC-checked records ([`record`]) in rotating segment
-//!   files, fsyncing every batch it writes. [`Wal::wait_durable`] turns
-//!   that into synchronous durability: one fsync covers every commit that
-//!   arrived while the previous one ran, and nothing is acknowledged before
-//!   it is on disk.
+//!   records into a slot ring; there is no writer thread. A caller of
+//!   [`Wal::wait_durable`] that finds no flush in flight leads one: it
+//!   drains the ring in sequence order into length-prefixed, CRC-checked
+//!   records ([`record`]) in rotating segment files and fsyncs the batch,
+//!   while later waiters sleep until it publishes. One fsync covers every
+//!   commit that arrived while the previous one ran, and nothing is
+//!   acknowledged before it is on disk.
 //! * **Snapshots** ([`Wal::write_snapshot`]) — a consistent cut of the whole
 //!   keyspace (obtained with `ThreadCtx::atomically_logged`, whose sequence
 //!   number marks the cut) written atomically; old segments the snapshot

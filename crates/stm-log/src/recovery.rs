@@ -14,7 +14,7 @@
 //!    segment that does not start with [`record::SEGMENT_MAGIC`] (torn
 //!    inside the magic, or not this format at all) is that same case at
 //!    offset zero: it contributes no records and the prefix ends there.
-//! 3. Truncate the bad tail on disk so the writer appends after a clean
+//! 3. Truncate the bad tail on disk so the log appends after a clean
 //!    prefix, and delete the discarded later segments.
 //! 4. Return the live keyspace: the snapshot's pairs with every decoded
 //!    record whose `seq` is past the snapshot's cut applied on top as it was
@@ -143,9 +143,10 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
             clean_end = record::SEGMENT_MAGIC.len();
             while let Decoded::Ok(rec, used) = record::decode(&bytes[clean_end..]) {
                 clean_end += used;
-                // The writer consumes the ring strictly in seq order and names
-                // each segment after its first record, so file order is seq
-                // order and a record can be applied the moment it is read.
+                // The group commit consumes the ring strictly in seq order
+                // and names each segment after its first record, so file
+                // order is seq order and a record can be applied the moment
+                // it is read.
                 debug_assert!(
                     rec.seq > last_seq,
                     "{}: seq {} after {last_seq}",

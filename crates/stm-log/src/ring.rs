@@ -1,12 +1,12 @@
-//! The producer/consumer slot ring between commit threads and the
-//! group-commit writer.
+//! The slot ring between commit threads and the log, and the group commit
+//! that drains it.
 //!
-//! Extracted from `wal.rs` so the hand-off protocol — sequence reservation,
-//! slot publication, the Dekker-style parked/ready wakeup, and the
-//! backpressure wait — is one self-contained unit that the bounded
-//! concurrency models in [`crate::models`] can drive directly (capacity and
-//! first sequence number are parameters; the WAL uses 1024 and the
-//! recovered tip).
+//! Extracted from `wal.rs` so the whole hand-off — sequence reservation,
+//! slot publication, the Dekker-style parked/ready wakeup, leader election
+//! and backpressure — is one self-contained unit that the bounded
+//! concurrency models in [`crate::models`] drive directly. Capacity, first
+//! sequence number and what a flush does with its batch are parameters; the
+//! WAL uses 1024 slots, the recovered tip, and segment write + fsync.
 //!
 //! All synchronization goes through [`stm_core::sync`], so under
 //! `--features model-check` the ring runs on loomlite modeled primitives
@@ -15,16 +15,19 @@
 //! Protocol summary (see the method docs for the ordering arguments):
 //!
 //! * A producer [`reserve`](SlotRing::reserve)s a sequence number with one
-//!   `fetch_add`, waits for its slot to be free
-//!   ([`wait_for_slot`](SlotRing::wait_for_slot) — cold path, only when the
-//!   reservation is a whole ring ahead of the consumer), and publishes with
-//!   [`fill`](SlotRing::fill).
-//! * The single consumer takes contiguous ready slots in sequence order
-//!   with [`consume`](SlotRing::consume) and parks in
-//!   [`park_until_ready`](SlotRing::park_until_ready) when the next slot is
-//!   pending.
+//!   `fetch_add`, claims its slot ([`GroupCommit::claim_slot`] — a wait only
+//!   when the reservation is a whole ring ahead of the log), and publishes
+//!   with [`fill`](SlotRing::fill).
+//! * There is no consumer thread. A caller of [`GroupCommit::wait`] whose
+//!   sequence number is not durable and that finds no flush in flight
+//!   becomes the *leader*: it takes the contiguous ready slots in sequence
+//!   order ([`consume`](SlotRing::consume)), persists them as one batch,
+//!   publishes the durable watermark and wakes the followers. A leader
+//!   stopped by a slot nobody has filled yet releases leadership first and
+//!   then parks on that slot ([`park_until_ready`](SlotRing::park_until_ready)).
 
-use std::time::Duration;
+use std::io;
+use std::time::{Duration, Instant};
 
 use stm_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use stm_core::sync::{Condvar, Mutex};
@@ -34,8 +37,8 @@ use stm_core::sync::{Condvar, Mutex};
 /// bias disambiguates the empty state from a filled seq-0 slot and lets the
 /// consumer verify it is consuming exactly the generation it expects. The
 /// per-slot mutex is touched by exactly one producer (the reservation
-/// holder) and the consumer, so it is uncontended in steady state —
-/// nothing process-wide.
+/// holder) and the leader, so it is uncontended in steady state — nothing
+/// process-wide.
 struct Slot {
     ready: AtomicU64,
     data: Mutex<SlotData>,
@@ -56,23 +59,18 @@ pub(crate) struct SlotRing {
     /// commit window, before the commit CAS — is the whole of sequence
     /// assignment.
     next_seq: AtomicU64,
-    /// Highest sequence number the consumer has taken from the ring.
+    /// Highest sequence number taken from the ring. Only the leader
+    /// writes it, so it is also where the next flush starts.
     consumed: AtomicU64,
     slots: Vec<Slot>,
-    /// Pairs with `work`: the consumer re-checks the ring under this lock
-    /// before sleeping, so a producer that fills a slot and then finds
-    /// `parked` set cannot lose its wakeup.
+    /// Pairs with `work`: a parked leader re-checks its slot under this
+    /// lock before sleeping, so a producer that fills the slot and then
+    /// finds `parked` raised cannot lose its wakeup.
     work_lock: Mutex<()>,
     work: Condvar,
-    /// Set by the consumer around its condvar wait; producers skip the
-    /// `work_lock` round-trip entirely while the consumer is busy draining.
-    parked: AtomicBool,
-    /// Pairs with `space_cv`: reservations a whole ring ahead of the
-    /// consumer wait here; `space_waiters` lets the consumer skip
-    /// notification entirely in the common case of an empty wait queue.
-    space_lock: Mutex<()>,
-    space_cv: Condvar,
-    space_waiters: AtomicU64,
+    /// Threads parked on a pending slot; producers and consumers skip the
+    /// `work_lock` round-trip entirely while it is zero.
+    parked: AtomicU64,
 }
 
 impl SlotRing {
@@ -92,10 +90,7 @@ impl SlotRing {
                 .collect(),
             work_lock: Mutex::new(()),
             work: Condvar::new(),
-            parked: AtomicBool::new(false),
-            space_lock: Mutex::new(()),
-            space_cv: Condvar::new(),
-            space_waiters: AtomicU64::new(0),
+            parked: AtomicU64::new(0),
         }
     }
 
@@ -114,17 +109,18 @@ impl SlotRing {
         self.next_seq.load(Ordering::SeqCst)
     }
 
-    /// Highest sequence number the consumer has taken.
+    /// Highest sequence number taken from the ring.
     pub(crate) fn consumed(&self) -> u64 {
-        // ordering: pairs with the consumer's `consumed` store — the
-        // backpressure check in `wait_for_slot` must not miss progress.
+        // ordering: pairs with the `consumed` store in `consume` — the
+        // backpressure check in `claim_slot` and the parked re-check in
+        // `park_until_ready` must not miss progress.
         self.consumed.load(Ordering::SeqCst)
     }
 
-    /// Reserved-but-unconsumed sequence numbers as of this call, given the
-    /// consumer's next expected sequence (occupancy telemetry).
-    pub(crate) fn occupancy(&self, next: u64) -> u64 {
-        self.next_seq().saturating_sub(next)
+    /// Reserved-but-unconsumed sequence numbers as of this call
+    /// (occupancy telemetry).
+    pub(crate) fn occupancy(&self) -> u64 {
+        self.next_seq().saturating_sub(self.consumed() + 1)
     }
 
     /// Whether the slot for `seq` is published at the expected generation.
@@ -139,37 +135,15 @@ impl SlotRing {
             == seq + 1
     }
 
-    /// Blocks until the ring slot for `seq` is free — its previous occupant
+    /// Whether the slot for `seq` is free — its previous occupant
     /// (`seq - capacity`) consumed — which in-order consumption reduces to
-    /// `seq <= consumed + capacity`. Returns `false` when `abort` reports
-    /// the consumer is gone (failed or stopping log), so a reservation
-    /// never deadlocks against a consumer that will never drain again.
-    pub(crate) fn wait_for_slot(&self, seq: u64, abort: impl Fn() -> bool) -> bool {
-        loop {
-            if abort() {
-                return false;
-            }
-            if seq <= self.consumed() + self.capacity {
-                return true;
-            }
-            // ordering: the waiter count must be raised before the re-check
-            // under the lock; the consumer checks it after storing
-            // `consumed` — SeqCst makes one side see the other, so the
-            // notification cannot be skipped while we commit to waiting.
-            self.space_waiters.fetch_add(1, Ordering::SeqCst);
-            {
-                let mut guard = self.space_lock.lock();
-                if seq > self.consumed() + self.capacity && !abort() {
-                    let _ = self.space_cv.wait_for(&mut guard, Duration::from_millis(10));
-                }
-            }
-            // ordering: see the fetch_add above.
-            self.space_waiters.fetch_sub(1, Ordering::SeqCst);
-        }
+    /// `seq <= consumed + capacity`.
+    fn slot_free(&self, seq: u64) -> bool {
+        seq <= self.consumed() + self.capacity
     }
 
-    /// Publishes the filled (or abandoned) slot for `seq` and wakes the
-    /// consumer if it is parked.
+    /// Publishes the filled (or abandoned) slot for `seq` and wakes parked
+    /// leaders.
     pub(crate) fn fill(&self, seq: u64, bytes: Vec<u8>, committed: bool) {
         let slot = &self.slots[(seq % self.capacity) as usize];
         {
@@ -178,22 +152,19 @@ impl SlotRing {
             data.committed = committed;
         }
         // ordering: the release point of the publication — and one half of
-        // the Dekker pairing with the consumer's park sequence. The
-        // consumer stores `parked`, then re-checks `ready` under
-        // `work_lock`; we store `ready`, then check `parked`. SeqCst makes
-        // at least one side observe the other (proven by
+        // the Dekker pairing with the park sequence. A parker raises
+        // `parked`, then re-checks `ready` under `work_lock`; we store
+        // `ready`, then check `parked`. SeqCst makes at least one side
+        // observe the other (proven by
         // `models::ring_parked_consumer_never_misses_a_fill`), and taking
         // `work_lock` before notifying serializes against the
         // check-then-wait so the wakeup cannot fall between them.
         slot.ready.store(seq + 1, Ordering::SeqCst);
-        if self.parked.load(Ordering::SeqCst) {
-            drop(self.work_lock.lock());
-            self.work.notify_one();
-        }
+        self.wake_parked();
     }
 
     /// Takes the slot for `seq` if it is published, marking it consumed.
-    /// Consumers call this with strictly increasing `seq`; a pending slot
+    /// The leader calls this with strictly increasing `seq`; a pending slot
     /// returns `None` and ends the contiguous run even if later slots are
     /// ready.
     pub(crate) fn consume(&self, seq: u64) -> Option<(Vec<u8>, bool)> {
@@ -206,53 +177,291 @@ impl SlotRing {
             (std::mem::take(&mut data.bytes), data.committed)
         };
         // ordering: the empty-marker store must be ordered before the
-        // `consumed` bump — a producer admitted by `wait_for_slot` may
+        // `consumed` bump — a producer admitted by `claim_slot` may
         // immediately reuse this slot for `seq + capacity`.
         slot.ready.store(0, Ordering::SeqCst);
-        // ordering: pairs with `wait_for_slot`'s backpressure check.
+        // ordering: pairs with `claim_slot`'s backpressure check and with
+        // the parked re-check (a parker whose slot another leader consumed
+        // must see it or be woken by `wake_parked`).
         self.consumed.store(seq, Ordering::SeqCst);
         Some((bytes, committed))
     }
 
-    /// Wakes backpressure waiters if there are any (consumer side, after a
-    /// drain made progress).
-    pub(crate) fn notify_space(&self) {
-        // ordering: counterpart of the waiter-count handshake in
-        // `wait_for_slot`.
-        if self.space_waiters.load(Ordering::SeqCst) > 0 {
-            drop(self.space_lock.lock());
-            self.space_cv.notify_all();
+    /// Wakes every parked leader if there is one: after a fill, and after a
+    /// drain that consumed something (a slot someone parked on may have
+    /// been consumed by another leader before they parked).
+    fn wake_parked(&self) {
+        // ordering: the second half of the Dekker pairings described in
+        // `fill` and `consume`.
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            drop(self.work_lock.lock());
+            self.work.notify_all();
         }
     }
 
-    /// Parks the consumer until the slot for `seq` is published, `tick`
-    /// elapses, or `cancel` reports shutdown. The `parked` flag plus the re-check
-    /// under `work_lock` pairs with `fill`'s publish-then-notify so the
-    /// wakeup cannot be lost.
-    pub(crate) fn park_until_ready(&self, seq: u64, tick: Duration, cancel: impl Fn() -> bool) {
-        if self.slot_ready(seq) {
-            return;
-        }
-        // ordering: Dekker pairing with `fill` — see the note there.
-        self.parked.store(true, Ordering::SeqCst);
+    /// Parks until the slot for `seq` is published or consumed, or
+    /// `cancel` reports shutdown. Raising `parked` plus the re-check under
+    /// `work_lock` pairs with `fill`'s publish-then-notify and with the
+    /// leader's consume-then-notify, so the wakeup cannot be lost. May
+    /// return early; callers re-check.
+    pub(crate) fn park_until_ready(&self, seq: u64, cancel: impl Fn() -> bool) {
+        // ordering: Dekker pairing with `fill` and `consume` — see `fill`.
+        self.parked.fetch_add(1, Ordering::SeqCst);
         {
             let mut guard = self.work_lock.lock();
-            if !self.slot_ready(seq) && !cancel() {
-                let _ = self.work.wait_for(&mut guard, tick);
+            if self.consumed() < seq && !self.slot_ready(seq) && !cancel() {
+                self.work.wait(&mut guard);
             }
         }
         // ordering: see above.
-        self.parked.store(false, Ordering::SeqCst);
+        self.parked.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Wakes everything (consumer park and backpressure waiters) — shutdown
-    /// and failure paths. Takes both pairing locks first so the wakeup
-    /// cannot fall between anyone's check and wait.
-    pub(crate) fn wake_all(&self) {
+    /// Wakes every parked leader unconditionally — shutdown and failure.
+    /// Takes the pairing lock first so the wakeup cannot fall between
+    /// anyone's check and wait.
+    fn wake_all(&self) {
         drop(self.work_lock.lock());
         self.work.notify_all();
-        drop(self.space_lock.lock());
-        self.space_cv.notify_all();
+    }
+}
+
+/// One contiguous run of committed records drained from the ring.
+pub(crate) struct Batch {
+    /// The records' encoded bytes, concatenated in sequence order.
+    pub(crate) bytes: Vec<u8>,
+    /// Committed records in `bytes` (abandoned tickets carry none).
+    pub(crate) records: u64,
+    /// Sequence number of the first record in `bytes`.
+    pub(crate) first_seq: u64,
+}
+
+/// The durable watermark and the leader flag, under one lock.
+struct Watermark {
+    /// Highest sequence number covered by a completed flush.
+    durable: u64,
+    /// Set while a leader is flushing; whoever sets it owns the sink.
+    flushing: bool,
+}
+
+/// Group commit without a writer thread: the slot ring, the durable
+/// watermark, and the sink `W` that only the current leader touches. See
+/// the [module docs](self).
+///
+/// Every operation that may flush takes `persist`, which writes one batch
+/// to `W` and makes it durable. An error from it fails the log for good:
+/// the watermark never advances again and nothing more is persisted, so a
+/// durability promise is never built on a record that may not be on disk,
+/// and nothing is appended after a possibly-torn write.
+pub(crate) struct GroupCommit<W> {
+    pub(crate) ring: SlotRing,
+    watermark: Mutex<Watermark>,
+    /// Followers wait here for the leader to publish; failure and shutdown
+    /// wake them too.
+    durable_cv: Condvar,
+    /// Locked only by the holder of `flushing`, so never contended; the
+    /// lock hands the sink from one leader to the next.
+    sink: Mutex<W>,
+    /// Set when `persist` failed (see the type docs).
+    failed: AtomicBool,
+    /// Set by [`GroupCommit::shutdown`].
+    stop: AtomicBool,
+}
+
+impl<W> GroupCommit<W> {
+    /// A group commit over a `capacity`-slot ring whose next reservation is
+    /// `next_seq`; everything below it is durable already.
+    pub(crate) fn new(capacity: usize, next_seq: u64, sink: W) -> GroupCommit<W> {
+        GroupCommit {
+            ring: SlotRing::new(capacity, next_seq),
+            watermark: Mutex::new(Watermark {
+                durable: next_seq.saturating_sub(1),
+                flushing: false,
+            }),
+            durable_cv: Condvar::new(),
+            sink: Mutex::new(sink),
+            failed: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+        }
+    }
+
+    /// Highest sequence number covered by a completed flush.
+    pub(crate) fn durable(&self) -> u64 {
+        self.watermark.lock().durable
+    }
+
+    /// Whether `persist` ever failed.
+    pub(crate) fn is_failed(&self) -> bool {
+        self.failed.load(Ordering::Relaxed)
+    }
+
+    /// `true` once the log failed or is stopping: commits skip logging and
+    /// waits report `false`.
+    fn is_dead(&self) -> bool {
+        self.is_failed() || self.stop.load(Ordering::Relaxed)
+    }
+
+    /// Makes the slot for the reservation `seq` free to fill. Cold path:
+    /// only a reservation a whole ring ahead of the log waits, and it waits
+    /// the way every other waiter does — by leading a flush if none is in
+    /// flight. Returns `false` (skip logging) when the log is dead.
+    pub(crate) fn claim_slot(
+        &self,
+        seq: u64,
+        persist: impl Fn(&mut W, &Batch) -> io::Result<()>,
+    ) -> bool {
+        !self.is_dead()
+            && (self.ring.slot_free(seq) || self.wait(seq - self.ring.capacity, persist))
+    }
+
+    /// Blocks until `seq` is durable, leading flushes while none is in
+    /// flight. Returns `false` when the log failed or is stopping before
+    /// that happened — never blocking on a watermark that cannot advance.
+    pub(crate) fn wait(
+        &self,
+        seq: u64,
+        persist: impl Fn(&mut W, &Batch) -> io::Result<()>,
+    ) -> bool {
+        let mut mark = self.watermark.lock();
+        loop {
+            if mark.durable >= seq {
+                return true;
+            }
+            if self.is_dead() {
+                return false;
+            }
+            if mark.flushing {
+                // The leader publishes, then notifies under this lock.
+                self.durable_cv.wait(&mut mark);
+                continue;
+            }
+            mark.flushing = true;
+            drop(mark);
+            let next = self.lead(&persist);
+            if next <= seq {
+                // A lower reservation has not filled its slot yet. The flag
+                // is released already, so a backpressured filler can lead
+                // meanwhile; park on the gap rather than spin on it.
+                self.ring.park_until_ready(next, || self.is_dead());
+            }
+            mark = self.watermark.lock();
+        }
+    }
+
+    /// One flush, by the holder of the `flushing` flag: drains every
+    /// contiguous ready slot, persists the committed records among them as
+    /// one batch, publishes the consumed prefix as durable, and releases
+    /// the flag. Returns the next sequence number still to consume.
+    fn lead(&self, persist: &impl Fn(&mut W, &Batch) -> io::Result<()>) -> u64 {
+        let mut sink = self.sink.lock();
+        let first = self.ring.consumed() + 1;
+        let mut next = first;
+        let mut batch = Batch {
+            bytes: Vec::new(),
+            records: 0,
+            first_seq: first,
+        };
+        // Strictly in-order consumption is what turns per-commit seq
+        // reservations back into a totally ordered on-disk stream.
+        while let Some((bytes, committed)) = self.ring.consume(next) {
+            if committed {
+                if batch.records == 0 {
+                    batch.bytes = bytes;
+                    batch.first_seq = next;
+                } else {
+                    batch.bytes.extend_from_slice(&bytes);
+                }
+                batch.records += 1;
+            }
+            next += 1;
+        }
+        if next > first {
+            // Someone may be parked on a slot this flush consumed. Waking
+            // them on progress only keeps two leaders parked on the same
+            // gap from waking each other in turn.
+            self.ring.wake_parked();
+        }
+        let persisted = if batch.records == 0 {
+            Ok(())
+        } else {
+            persist(&mut sink, &batch)
+        };
+        drop(sink);
+        if let Err(err) = &persisted {
+            self.fail(err);
+        }
+        let mut mark = self.watermark.lock();
+        if persisted.is_ok() {
+            // Every consumed committed record is on disk, so the whole
+            // consumed prefix is durable — abandoned tickets trivially so.
+            mark.durable = next - 1;
+        }
+        mark.flushing = false;
+        drop(mark);
+        self.durable_cv.notify_all();
+        next
+    }
+
+    /// Latches the failure and wakes every waiter so it observes it.
+    fn fail(&self, err: &io::Error) {
+        // ordering: first-failure latch; SeqCst orders the flag ahead of the
+        // wakeups below so woken waiters observe it and bail.
+        if !self.failed.swap(true, Ordering::SeqCst) {
+            eprintln!(
+                "stm-log: {err} — the log stopped; durability is disabled from this point \
+                 (commits continue in memory, wait_durable now reports failure)"
+            );
+        }
+        self.wake_all();
+    }
+
+    /// Wakes followers and parked leaders. Takes each pairing lock before
+    /// notifying so the wakeup cannot fall between anyone's check and wait.
+    fn wake_all(&self) {
+        drop(self.watermark.lock());
+        self.durable_cv.notify_all();
+        self.ring.wake_all();
+    }
+
+    /// Stops the log: from here on commits skip logging and waits return
+    /// `false`. Then flushes inline until every reservation handed out so
+    /// far is consumed, giving up on a reservation that never fills its
+    /// slot (its thread bailed or died mid-commit) once nothing has been
+    /// consumed for `grace`. Idempotent.
+    pub(crate) fn shutdown(
+        &self,
+        grace: Duration,
+        persist: impl Fn(&mut W, &Batch) -> io::Result<()>,
+    ) {
+        // ordering: the stop latch must be visible before the wakeups below
+        // — a woken waiter re-checks it and must see it set.
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.wake_all();
+        let mut last_progress = Instant::now();
+        loop {
+            let mut mark = self.watermark.lock();
+            while mark.flushing {
+                self.durable_cv.wait(&mut mark);
+            }
+            if self.is_failed() {
+                return;
+            }
+            mark.flushing = true;
+            drop(mark);
+            let consumed = self.ring.consumed();
+            let next = self.lead(&persist);
+            if next == self.ring.next_seq() {
+                return;
+            }
+            if next > consumed + 1 {
+                last_progress = Instant::now();
+            } else if last_progress.elapsed() > grace {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 }
 
@@ -272,7 +481,7 @@ mod tests {
         assert_eq!(ring.consume(1), Some((vec![1], true)));
         assert_eq!(ring.consume(2), Some((vec![2], true)));
         assert_eq!(ring.consumed(), 2);
-        assert_eq!(ring.occupancy(3), 0);
+        assert_eq!(ring.occupancy(), 0);
     }
 
     #[test]
@@ -283,18 +492,79 @@ mod tests {
         assert_eq!(ring.consume(7), Some((Vec::new(), false)));
     }
 
+    /// A sink that records each batch's sequence numbers (every payload is
+    /// its own one-byte seq).
+    fn record_batch(sink: &mut Vec<Vec<u8>>, batch: &Batch) -> io::Result<()> {
+        assert_eq!(batch.records as usize, batch.bytes.len());
+        assert_eq!(u64::from(batch.bytes[0]), batch.first_seq);
+        sink.push(batch.bytes.clone());
+        Ok(())
+    }
+
     #[test]
-    fn wait_for_slot_applies_backpressure_and_abort() {
-        let ring = SlotRing::new(2, 1);
+    fn claim_slot_applies_backpressure_by_leading_and_aborts_when_stopped() {
+        let group = GroupCommit::new(2, 1, Vec::new());
         // Within capacity: no wait at all.
-        assert!(ring.wait_for_slot(1, || false));
-        assert!(ring.wait_for_slot(2, || false));
-        // seq 3 is a full ring ahead of consumed == 0: only abort frees it.
-        assert!(!ring.wait_for_slot(3, || true));
-        // Consuming seq 1 admits seq 3.
-        ring.fill(1, vec![1], true);
-        assert_eq!(ring.consume(1), Some((vec![1], true)));
-        assert!(ring.wait_for_slot(3, || false));
+        for seq in 1..=2 {
+            assert_eq!(group.ring.reserve(), seq);
+            assert!(group.claim_slot(seq, record_batch));
+            group.ring.fill(seq, vec![seq as u8], true);
+        }
+        // seq 3 is a full ring ahead of consumed == 0: it leads a flush.
+        assert_eq!(group.ring.reserve(), 3);
+        assert!(group.claim_slot(3, record_batch));
+        assert_eq!(group.durable(), 2);
+        group.ring.fill(3, vec![3], true);
+        assert!(group.wait(3, record_batch));
+        assert_eq!(*group.sink.lock(), [vec![1, 2], vec![3]]);
+        // A stopped log admits nothing and acknowledges nothing new.
+        group.shutdown(Duration::ZERO, record_batch);
+        assert!(!group.claim_slot(group.ring.reserve(), record_batch));
+        assert!(group.wait(3, record_batch), "already durable stays durable");
+        assert!(!group.wait(4, record_batch));
+    }
+
+    #[test]
+    fn a_waiter_behind_a_gap_parks_until_the_filler_arrives() {
+        let group = GroupCommit::new(4, 1, Vec::new());
+        let (gap, mine) = (group.ring.reserve(), group.ring.reserve());
+        group.ring.fill(mine, vec![mine as u8], true);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                group.ring.fill(gap, vec![gap as u8], true);
+            });
+            assert!(group.wait(mine, record_batch));
+        });
+        assert_eq!(group.durable(), 2);
+        assert_eq!(group.sink.lock().concat(), [1, 2]);
+    }
+
+    #[test]
+    fn a_failed_persist_stops_the_log_for_good() {
+        let group = GroupCommit::new(4, 1, 0u32);
+        let failing = |calls: &mut u32, _: &Batch| {
+            *calls += 1;
+            Err(io::Error::other("disk gone"))
+        };
+        let seq = group.ring.reserve();
+        group.ring.fill(seq, vec![1], true);
+        assert!(!group.wait(seq, failing));
+        assert!(group.is_failed());
+        assert_eq!(
+            group.durable(),
+            0,
+            "the watermark never covers a failed batch"
+        );
+        let seq = group.ring.reserve();
+        assert!(!group.claim_slot(seq, failing));
+        assert!(!group.wait(seq, failing));
+        group.shutdown(Duration::ZERO, failing);
+        assert_eq!(
+            *group.sink.lock(),
+            1,
+            "nothing is persisted after a failure"
+        );
     }
 
     #[test]

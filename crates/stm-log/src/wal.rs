@@ -1,48 +1,46 @@
 //! The write-ahead log: an append-only record stream with group commit.
 //!
-//! A [`Wal`] owns a directory of segment files (`wal-<first_seq>.log`) and a
-//! background **group-commit writer thread**. Commit-path threads never
-//! touch the filesystem — and never a process-wide lock either: the
-//! [`Wal::commit_hook`] *reserves* a sequence number with one `fetch_add`
-//! before running the transaction's commit CAS, encodes the record into a
-//! private buffer, and publishes it into the slot ring at its reserved
-//! position (see `stm_core::hook` for why reservation-inside-the-commit-
-//! window makes log order equal serialization order). A reservation whose
-//! commit CAS loses is published as an *abandoned* ticket, so the on-disk
-//! stream may contain sequence gaps — recovery is gap-tolerant and the
-//! durability watermark counts abandoned tickets as trivially durable.
-//! The writer consumes ring slots strictly in sequence order and drains
-//! whole batches — every record that accumulated while the previous write
-//! was in flight goes out in one `write_all` — and fsyncs every batch it
-//! wrote before consuming the next. A caller that blocks on
-//! [`Wal::wait_durable`] therefore gets synchronous durability, and the
-//! batching means one fsync covers every commit that arrived during the
-//! previous fsync (classic group commit). There is no lazier policy: an
-//! acknowledged write is on disk.
+//! A [`Wal`] owns a directory of segment files (`wal-<first_seq>.log`) and
+//! no thread. The commit path never touches the filesystem — and never a
+//! process-wide lock either: the [`Wal::commit_hook`] *reserves* a sequence
+//! number with one `fetch_add` before running the transaction's commit CAS,
+//! encodes the record into a private buffer, and publishes it into the slot
+//! ring at its reserved position (see `stm_core::hook` for why
+//! reservation-inside-the-commit-window makes log order equal serialization
+//! order). A reservation whose commit CAS loses is published as an
+//! *abandoned* ticket, so the on-disk stream may contain sequence gaps —
+//! recovery is gap-tolerant and the durability watermark counts abandoned
+//! tickets as trivially durable.
 //!
-//! [`Wal::wait_durable`] blocks until a given sequence number is covered by
-//! an fsync; [`Wal::write_snapshot`] persists a point-in-time snapshot and
-//! prunes segments the snapshot covers. Dropping the [`Wal`] flushes and
-//! fsyncs everything outstanding before joining the writer.
+//! The filesystem work is done by whoever waits. [`Wal::wait_durable`] is
+//! the group commit: a waiter whose sequence number is not durable and that
+//! finds no flush in flight leads one — it drains every contiguous ready
+//! slot in sequence order, writes them with one `write_all`, fsyncs, and
+//! publishes the durable watermark — while the other waiters sleep until it
+//! publishes (see `ring.rs`). One fsync thus covers every commit that
+//! arrived during the previous one, and an acknowledged write is on disk.
+//! A commit nobody waits on is written at the next wait, when the ring
+//! fills, or at shutdown, so `durable_seq` can lag for unwaited commits.
+//!
+//! [`Wal::write_snapshot`] persists a point-in-time snapshot and prunes
+//! segments the snapshot covers. Dropping the [`Wal`] flushes and fsyncs
+//! everything outstanding.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use stm_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use stm_core::sync::{Condvar, Mutex};
 use stm_core::{CommitHook, CommitOp, CommitValue};
 
 use crate::record;
-use crate::ring::SlotRing;
 use crate::recovery::{self, Recovered};
+use crate::ring::{Batch, GroupCommit};
 use crate::snapshot;
 
-/// When the group-commit writer calls `fsync`: after every batch it
-/// writes. The one variant is kept by name only because the repo benchmark
+/// When the group commit calls `fsync`: after every batch it writes. The one variant is kept by name only because the repo benchmark
 /// (`bench/`) names it; nothing selects between policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
@@ -99,23 +97,24 @@ pub struct WalStats {
     pub last_snapshot_seq: u64,
     /// Records appended since the latest snapshot.
     pub records_since_snapshot: u64,
-    /// Whether the writer stopped on an unrecoverable filesystem error
-    /// (see [`Wal::is_failed`]).
+    /// Whether the log stopped on an unrecoverable filesystem error (see
+    /// [`Wal::is_failed`]).
     pub failed: bool,
 }
 
 /// The WAL's instruments, all in one registry that [`Wal::metrics_text`]
-/// renders into the serving layer's `METRICS` payload. The writer thread is
-/// the only recorder of the histograms, so their striping is idle; `records`
-/// is bumped by every committing thread, which is what the striping is for.
+/// renders into the serving layer's `METRICS` payload. Only the current
+/// group-commit leader records the histograms, so their striping is idle;
+/// `records` is bumped by every committing thread, which is what the
+/// striping is for.
 struct WalTelemetry {
     registry: metrics::Registry,
     /// Committed records per drained group-commit batch.
     batch_records: Arc<metrics::Histogram>,
     /// `sync_data` wall time, microseconds.
     fsync_us: Arc<metrics::Histogram>,
-    /// Reserved-but-unconsumed sequence numbers, sampled once per writer
-    /// iteration — how full the slot ring runs (RING = backpressure).
+    /// Reserved-but-unconsumed sequence numbers, sampled once per written
+    /// batch — how full the slot ring runs (RING = backpressure).
     ring_occupancy: Arc<metrics::Histogram>,
     /// Records appended since this `Wal` was opened.
     records: Arc<metrics::Counter>,
@@ -143,62 +142,75 @@ impl WalTelemetry {
     }
 }
 
-/// Slots in the hand-off ring between commit threads and the writer. Also
-/// the backpressure bound: a reservation stalls (cold path) only when it is
-/// this many sequence numbers ahead of the writer.
+/// Slots in the hand-off ring between commit threads and the log. Also the
+/// backpressure bound: a reservation this many sequence numbers ahead of
+/// the log leads a flush before it fills its slot (cold path).
 const RING: usize = 1024;
 
-/// The longest the writer parks with nothing to consume. Fills and shutdown
-/// wake it directly; this only bounds a wakeup that never comes.
-const PARK_TICK: Duration = Duration::from_millis(50);
+/// At shutdown, how long the final flush waits on a reservation that never
+/// fills its slot before giving up on it.
+const SHUTDOWN_GRACE: Duration = Duration::from_millis(250);
 
 struct Shared {
     dir: PathBuf,
     segment_bytes: u64,
-    /// The producer/consumer hand-off between commit threads and the writer
-    /// — sequence reservation, slot publication, parked/ready wakeup and
-    /// backpressure all live in [`crate::ring`], where the bounded
-    /// concurrency models can drive them directly.
-    ring: SlotRing,
-    durable: Mutex<u64>,
-    durable_cv: Condvar,
-    stop: AtomicBool,
+    /// Sequence reservation, the slot ring, leader election and the durable
+    /// watermark — all in [`crate::ring`], where the bounded concurrency
+    /// models can drive them directly. Its sink is the open segment, which
+    /// only the current leader touches.
+    group: GroupCommit<Option<OpenSegment>>,
     segments: AtomicU64,
     last_snapshot_seq: AtomicU64,
     since_snapshot: AtomicU64,
     snapshot_in_progress: AtomicBool,
-    /// Set when the writer hit a filesystem error it cannot recover from
-    /// (failed segment open/write, failed fsync). A failed log stops
-    /// buffering, never advances the durable watermark again, and makes
-    /// [`Wal::wait_durable`] return `false` immediately — an acknowledged
-    /// durability promise is never built on a record that may not be on
-    /// disk, and nothing is appended after a possibly-torn write (so the
-    /// on-disk prefix stays exactly the committed prefix).
-    failed: AtomicBool,
     telemetry: WalTelemetry,
 }
 
 impl Shared {
-    fn fail(&self, context: &str, err: &io::Error) {
-        // ordering: first-failure latch; SeqCst orders the flag ahead of the
-        // wakeups below so woken waiters observe it and bail.
-        if !self.failed.swap(true, Ordering::SeqCst) {
-            eprintln!(
-                "stm-log: {context}: {err} — log writer stopped; durability is disabled from \
-                 this point (commits continue in memory, wait_durable now reports failure)"
-            );
+    /// The leader's step: appends `batch` to the open segment (rotating or
+    /// opening one first) and fsyncs it. Any error fails the log for good
+    /// (see [`GroupCommit`]): after a failed open a later batch would
+    /// advance the watermark over records that are not on disk; after a
+    /// failed write the segment may be torn mid-record; after a failed
+    /// fsync the kernel may have dropped the dirty pages and cleared the
+    /// error, so a later "successful" fsync proves nothing about them.
+    fn persist(&self, segment: &mut Option<OpenSegment>, batch: &Batch) -> io::Result<()> {
+        self.telemetry.batch_records.record(batch.records);
+        self.telemetry.ring_occupancy.record(self.group.ring.occupancy());
+        if segment
+            .as_ref()
+            .is_some_and(|open| open.written >= self.segment_bytes)
+        {
+            // Rotate. Nothing in the full segment is unsynced: every batch
+            // was fsynced by the flush that wrote it.
+            *segment = None;
         }
-        self.durable_cv.notify_all();
-        // Reservations blocked on ring space must observe the failure and
-        // bail rather than wait on a writer that will never drain again.
-        self.ring.wake_all();
+        let open = match segment {
+            Some(open) => open,
+            None => {
+                let open = open_segment(&self.dir, batch.first_seq)
+                    .map_err(context("cannot open segment"))?;
+                self.segments.fetch_add(1, Ordering::Relaxed);
+                segment.insert(open)
+            }
+        };
+        open.file
+            .write_all(&batch.bytes)
+            .map_err(context("segment write failed"))?;
+        open.written += batch.bytes.len() as u64;
+        self.telemetry.bytes.add(batch.bytes.len() as u64);
+        let sync_started = Instant::now();
+        open.file.sync_data().map_err(context("fsync failed"))?;
+        self.telemetry
+            .fsync_us
+            .record(sync_started.elapsed().as_micros() as u64);
+        self.telemetry.fsyncs.add(1);
+        Ok(())
     }
 
-    /// `true` while commits should skip logging: the writer is gone (failed
-    /// log) or going (shutdown). Passed to the ring's backpressure wait so
-    /// a reservation never deadlocks against a writer that will never drain.
-    fn log_dead(&self) -> bool {
-        self.failed.load(Ordering::Relaxed) || self.stop.load(Ordering::Relaxed)
+    /// [`GroupCommit::wait`] with this log's segments as the sink.
+    fn wait_durable(&self, seq: u64) -> bool {
+        self.group.wait(seq, |segment, batch| self.persist(segment, batch))
     }
 }
 
@@ -215,19 +227,22 @@ impl CommitHook for Shared {
         // depends on A (B's read saw A's write), B's window opened after
         // A's CAS — hence after A's reservation — and seq(A) < seq(B):
         // log order extends serialization order without any global lock.
-        let seq = self.ring.reserve();
+        let seq = self.group.ring.reserve();
         // Backpressure (cold path): the slot is only busy when this
-        // reservation is RING sequence numbers ahead of the writer. A dead
-        // writer (failed or stopping log) means skip logging entirely —
-        // commits proceed in memory and their non-durability is reported
-        // through `wait_durable`.
-        let log_alive = self.ring.wait_for_slot(seq, || self.log_dead());
+        // reservation is RING sequence numbers ahead of the log, and then
+        // this thread flushes (or waits for the flush in flight). A dead
+        // log (failed or stopping) means skip logging entirely — commits
+        // proceed in memory and their non-durability is reported through
+        // `wait_durable`.
+        let log_alive = self
+            .group
+            .claim_slot(seq, |segment, batch| self.persist(segment, batch));
         if !commit() {
             // The reservation is already in the sequence stream; publish it
-            // as abandoned so the writer's in-order consumption never
-            // stalls on a ticket nobody will fill.
+            // as abandoned so in-order consumption never stalls on a ticket
+            // nobody will fill.
             if log_alive {
-                self.ring.fill(seq, Vec::new(), false);
+                self.group.ring.fill(seq, Vec::new(), false);
             }
             return None;
         }
@@ -236,23 +251,15 @@ impl CommitHook for Shared {
             record::encode_into(&mut buf, seq, ops);
             self.telemetry.records.add(1);
             self.since_snapshot.fetch_add(1, Ordering::Relaxed);
-            self.ring.fill(seq, buf, true);
+            self.group.ring.fill(seq, buf, true);
         }
         Some(seq)
     }
 }
 
-/// One contiguous run of committed records drained from the ring.
-struct Batch {
-    bytes: Vec<u8>,
-    records: u64,
-    first_seq: u64,
-}
-
 /// The durable commit log. See the [module documentation](self).
 pub struct Wal {
     shared: Arc<Shared>,
-    writer: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -263,8 +270,8 @@ impl std::fmt::Debug for Wal {
 
 impl Wal {
     /// Opens (or creates) the log in `config.dir`: runs recovery, truncates
-    /// a torn tail, and starts the group-commit writer at the next unused
-    /// sequence number. Returns the running log and what recovery found.
+    /// a torn tail, and starts the log at the next unused sequence number.
+    /// Returns the running log and what recovery found.
     ///
     /// # Errors
     ///
@@ -276,33 +283,16 @@ impl Wal {
         let shared = Arc::new(Shared {
             dir: config.dir,
             segment_bytes: config.segment_bytes.max(4096),
-            failed: AtomicBool::new(false),
-            // Every sequence below the recovered tip was consumed by a
+            // Every sequence below the recovered tip was made durable by a
             // previous process life; the ring starts empty.
-            ring: SlotRing::new(RING, recovered.next_seq),
-            durable: Mutex::new(recovered.next_seq.saturating_sub(1)),
-            durable_cv: Condvar::new(),
-            stop: AtomicBool::new(false),
+            group: GroupCommit::new(RING, recovered.next_seq, None),
             segments: AtomicU64::new(segments),
             last_snapshot_seq: AtomicU64::new(recovered.snapshot_seq),
             since_snapshot: AtomicU64::new(recovered.replayed),
             snapshot_in_progress: AtomicBool::new(false),
             telemetry: WalTelemetry::new(),
         });
-        let writer = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("stm-log-writer".to_string())
-                .spawn(move || writer_loop(&shared))
-                .expect("spawn wal writer thread")
-        };
-        Ok((
-            Wal {
-                shared,
-                writer: Some(writer),
-            },
-            recovered,
-        ))
+        Ok((Wal { shared }, recovered))
     }
 
     /// The [`CommitHook`] to install on the [`stm_core::Stm`] serving this
@@ -318,35 +308,23 @@ impl Wal {
 
     /// Highest sequence number currently covered by an fsync.
     pub fn durable_seq(&self) -> u64 {
-        *self.shared.durable.lock()
+        self.shared.group.durable()
     }
 
-    /// Whether the log hit an unrecoverable filesystem error: the writer
-    /// has stopped, nothing appended after the failure point is (or will
-    /// become) durable, and [`Wal::wait_durable`] reports `false` for it.
+    /// Whether the log hit an unrecoverable filesystem error: nothing is
+    /// written from then on, nothing appended after the failure point is
+    /// (or will become) durable, and [`Wal::wait_durable`] reports `false`
+    /// for it.
     pub fn is_failed(&self) -> bool {
-        self.shared.failed.load(Ordering::Relaxed)
+        self.shared.group.is_failed()
     }
 
-    /// Blocks until `seq` is durable (covered by an fsync). Returns `false`
-    /// when the log shut down or [failed](Wal::is_failed) before that
-    /// happened — never blocking on a watermark that cannot advance.
+    /// Blocks until `seq` is durable (covered by an fsync), leading the
+    /// group commit's write and fsync when no other waiter is. Returns
+    /// `false` when the log shut down or [failed](Wal::is_failed) before
+    /// that happened — never blocking on a watermark that cannot advance.
     pub fn wait_durable(&self, seq: u64) -> bool {
-        let mut durable = self.shared.durable.lock();
-        loop {
-            if *durable >= seq {
-                return true;
-            }
-            if self.shared.stop.load(Ordering::Relaxed)
-                || self.shared.failed.load(Ordering::Relaxed)
-            {
-                return false;
-            }
-            let _ = self
-                .shared
-                .durable_cv
-                .wait_for(&mut durable, Duration::from_millis(50));
-        }
+        self.shared.wait_durable(seq)
     }
 
     /// Records appended since the latest snapshot — the trigger the server's
@@ -420,7 +398,7 @@ impl Wal {
     /// A snapshot of the log's counters.
     pub fn stats(&self) -> WalStats {
         WalStats {
-            next_seq: self.shared.ring.next_seq(),
+            next_seq: self.shared.group.ring.next_seq(),
             durable_seq: self.durable_seq(),
             records: self.shared.telemetry.records.value(),
             bytes: self.shared.telemetry.bytes.value(),
@@ -455,22 +433,14 @@ impl Wal {
         registry.render()
     }
 
-    /// Flushes and fsyncs everything outstanding, then stops the writer.
-    /// Idempotent; also invoked by `Drop`, so a graceful shutdown never
-    /// loses a commit.
+    /// Stops the log, then flushes and fsyncs everything outstanding on
+    /// this thread. Idempotent; also invoked by `Drop`, so a graceful
+    /// shutdown never loses a commit.
     pub fn shutdown(&mut self) {
-        // ordering: the stop latch must be visible before the wakeups below
-        // — a woken waiter re-checks it and must see it set.
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // `wake_all` takes the pairing locks before notifying so the wakeup
-        // cannot fall between anyone's stop-check and their condvar wait.
-        self.shared.ring.wake_all();
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
-        self.shared.durable_cv.notify_all();
+        let shared = &self.shared;
+        shared.group.shutdown(SHUTDOWN_GRACE, |segment, batch| {
+            shared.persist(segment, batch)
+        });
     }
 }
 
@@ -480,11 +450,16 @@ impl Drop for Wal {
     }
 }
 
+/// Prefixes an I/O error with what the log was doing.
+fn context(what: &'static str) -> impl Fn(io::Error) -> io::Error {
+    move |err| io::Error::new(err.kind(), format!("{what}: {err}"))
+}
+
 fn segment_file_name(first_seq: u64) -> String {
     format!("wal-{first_seq:020}.log")
 }
 
-/// The writer's view of the currently open segment.
+/// The open segment, as the group-commit leader sees it.
 struct OpenSegment {
     file: File,
     written: u64,
@@ -505,129 +480,6 @@ fn open_segment(dir: &Path, first_seq: u64) -> io::Result<OpenSegment> {
     // power loss would be acknowledged-then-lost.
     File::open(dir)?.sync_all()?;
     Ok(OpenSegment { file, written })
-}
-
-fn writer_loop(shared: &Shared) {
-    let mut segment: Option<OpenSegment> = None;
-    // Highest sequence number published to the durable watermark; tracked
-    // locally so iterations that make no progress skip the lock entirely.
-    let mut published_durable = shared.ring.consumed();
-    let mut next = published_durable + 1;
-    let mut last_progress = Instant::now();
-    loop {
-        // Drain every contiguous ready slot. Strictly in-order consumption
-        // is what turns per-commit seq reservations back into a totally
-        // ordered on-disk stream; a not-yet-filled slot ends the run even
-        // if later slots are ready.
-        let mut batch: Option<Batch> = None;
-        while let Some((bytes, committed)) = shared.ring.consume(next) {
-            if committed {
-                match &mut batch {
-                    None => {
-                        batch = Some(Batch {
-                            bytes,
-                            records: 1,
-                            first_seq: next,
-                        })
-                    }
-                    Some(batch) => {
-                        batch.bytes.extend_from_slice(&bytes);
-                        batch.records += 1;
-                    }
-                }
-            }
-            next += 1;
-            last_progress = Instant::now();
-        }
-        let consumed_tip = next - 1;
-        shared.telemetry.ring_occupancy.record(shared.ring.occupancy(next));
-        shared.ring.notify_space();
-        let stopping = shared.stop.load(Ordering::Relaxed);
-        if let Some(batch) = batch {
-            shared.telemetry.batch_records.record(batch.records);
-            if segment
-                .as_ref()
-                .is_some_and(|open| open.written >= shared.segment_bytes)
-            {
-                // Rotate. Nothing in the full segment is unsynced: every
-                // batch was fsynced in the iteration that wrote it.
-                segment = None;
-            }
-            if segment.is_none() {
-                match open_segment(&shared.dir, batch.first_seq) {
-                    Ok(open) => {
-                        shared.segments.fetch_add(1, Ordering::Relaxed);
-                        segment = Some(open);
-                    }
-                    Err(err) => {
-                        // A lost batch may never be leapfrogged: a later
-                        // batch fsyncing would advance the seq-based
-                        // durability watermark over records that are not on
-                        // disk. Fail the whole log instead and stop.
-                        shared.fail("cannot open segment", &err);
-                        return;
-                    }
-                }
-            }
-            let open = segment.as_mut().expect("segment opened above");
-            if let Err(err) = open.file.write_all(&batch.bytes) {
-                // The write may have torn mid-record; anything appended
-                // after it would sit beyond a Corrupt cut and be discarded
-                // by recovery even if fsynced. Stop writing entirely.
-                shared.fail("segment write failed", &err);
-                return;
-            }
-            open.written += batch.bytes.len() as u64;
-            shared.telemetry.bytes.add(batch.bytes.len() as u64);
-            let sync_started = Instant::now();
-            if let Err(err) = open.file.sync_data() {
-                // After a failed fsync the kernel may have dropped the dirty
-                // pages and cleared the error — a later "successful" fsync
-                // proves nothing about these records. Fail the log rather
-                // than ever advancing the watermark over them.
-                shared.fail("fsync failed", &err);
-                return;
-            }
-            shared
-                .telemetry
-                .fsync_us
-                .record(sync_started.elapsed().as_micros() as u64);
-            shared.telemetry.fsyncs.add(1);
-        }
-        // Every consumed committed record was written and fsynced above
-        // (consumption, write and fsync happen in the same iteration), so
-        // the whole consumed prefix is durable — abandoned tickets trivially
-        // so.
-        if consumed_tip > published_durable {
-            let mut durable = shared.durable.lock();
-            if consumed_tip > *durable {
-                *durable = consumed_tip;
-            }
-            drop(durable);
-            published_durable = consumed_tip;
-            shared.durable_cv.notify_all();
-        }
-        if stopping {
-            // Drained once every reservation handed out so far has been
-            // consumed and every batch written has been fsynced; exit even
-            // if an fsync failed rather than spin on a broken filesystem. A
-            // reservation that never fills its slot (its thread bailed or
-            // died mid-commit) is abandoned after a grace period so
-            // shutdown cannot hang.
-            if next == shared.ring.next_seq() {
-                return;
-            }
-            if last_progress.elapsed() > Duration::from_millis(250) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        // Park until a producer fills the next slot. The parked/ready Dekker
-        // pairing with `SlotRing::fill` is documented (and model-checked) in
-        // `crate::ring`.
-        shared.ring.park_until_ready(next, PARK_TICK, || shared.stop.load(Ordering::Relaxed));
-    }
 }
 
 #[cfg(test)]
@@ -686,7 +538,7 @@ mod tests {
         let mut last = 0;
         for i in 0..2_000i64 {
             last = log_through_hook(&wal, &[CommitOp::put(i, i)]);
-            // Give the writer batches small enough to rotate between.
+            // Give the group commit batches small enough to rotate between.
             if i % 256 == 0 {
                 wal.wait_durable(last);
             }
@@ -740,7 +592,7 @@ mod tests {
         assert_eq!(stats.records, 800);
         wal.wait_durable(800);
         drop(wal);
-        // What the writer put on disk, record by record, in file order.
+        // What the log put on disk, record by record, in file order.
         let mut seqs = Vec::new();
         for (path, _) in recovery::list_segments(&dir).unwrap() {
             let bytes = fs::read(path).unwrap();
