@@ -32,6 +32,10 @@ use std::time::{Duration, Instant};
 use stm_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use stm_core::sync::{Condvar, Mutex};
 
+/// At shutdown, how long the final flush waits on a reservation that never
+/// fills its slot before giving up on it.
+const SHUTDOWN_GRACE: Duration = Duration::from_millis(250);
+
 /// One ring slot. `ready` holds `seq + 1` once the slot at
 /// `seq % capacity` is filled for sequence `seq` (0 = empty); the `+ 1`
 /// bias disambiguates the empty state from a filled seq-0 slot and lets the
@@ -331,7 +335,7 @@ impl<W> GroupCommit<W> {
                 return false;
             }
             if mark.flushing {
-                // The leader publishes, then notifies under this lock.
+                // The leader publishes under this lock, then notifies.
                 self.durable_cv.wait(&mut mark);
                 continue;
             }
@@ -427,12 +431,8 @@ impl<W> GroupCommit<W> {
     /// `false`. Then flushes inline until every reservation handed out so
     /// far is consumed, giving up on a reservation that never fills its
     /// slot (its thread bailed or died mid-commit) once nothing has been
-    /// consumed for `grace`. Idempotent.
-    pub(crate) fn shutdown(
-        &self,
-        grace: Duration,
-        persist: impl Fn(&mut W, &Batch) -> io::Result<()>,
-    ) {
+    /// consumed for [`SHUTDOWN_GRACE`]. Idempotent.
+    pub(crate) fn shutdown(&self, persist: impl Fn(&mut W, &Batch) -> io::Result<()>) {
         // ordering: the stop latch must be visible before the wakeups below
         // — a woken waiter re-checks it and must see it set.
         if self.stop.swap(true, Ordering::SeqCst) {
@@ -457,7 +457,7 @@ impl<W> GroupCommit<W> {
             }
             if next > consumed + 1 {
                 last_progress = Instant::now();
-            } else if last_progress.elapsed() > grace {
+            } else if last_progress.elapsed() > SHUTDOWN_GRACE {
                 return;
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -518,7 +518,7 @@ mod tests {
         assert!(group.wait(3, record_batch));
         assert_eq!(*group.sink.lock(), [vec![1, 2], vec![3]]);
         // A stopped log admits nothing and acknowledges nothing new.
-        group.shutdown(Duration::ZERO, record_batch);
+        group.shutdown(record_batch);
         assert!(!group.claim_slot(group.ring.reserve(), record_batch));
         assert!(group.wait(3, record_batch), "already durable stays durable");
         assert!(!group.wait(4, record_batch));
@@ -559,7 +559,7 @@ mod tests {
         let seq = group.ring.reserve();
         assert!(!group.claim_slot(seq, failing));
         assert!(!group.wait(seq, failing));
-        group.shutdown(Duration::ZERO, failing);
+        group.shutdown(failing);
         assert_eq!(
             *group.sink.lock(),
             1,

@@ -30,7 +30,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use stm_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use stm_core::{CommitHook, CommitOp, CommitValue};
@@ -146,10 +146,6 @@ impl WalTelemetry {
 /// backpressure bound: a reservation this many sequence numbers ahead of
 /// the log leads a flush before it fills its slot (cold path).
 const RING: usize = 1024;
-
-/// At shutdown, how long the final flush waits on a reservation that never
-/// fills its slot before giving up on it.
-const SHUTDOWN_GRACE: Duration = Duration::from_millis(250);
 
 struct Shared {
     dir: PathBuf,
@@ -438,9 +434,7 @@ impl Wal {
     /// shutdown never loses a commit.
     pub fn shutdown(&mut self) {
         let shared = &self.shared;
-        shared.group.shutdown(SHUTDOWN_GRACE, |segment, batch| {
-            shared.persist(segment, batch)
-        });
+        shared.group.shutdown(|segment, batch| shared.persist(segment, batch));
     }
 }
 
