@@ -10,7 +10,7 @@ use stm_bench::{
     Experiment, SweepConfig, View,
 };
 
-static EXPERIMENTS: [Experiment; 15] = [
+static EXPERIMENTS: [Experiment; 14] = [
     Experiment {
         name: "fig1",
         about: "E1, Figure 1: sorted list, 256 keys, 100% updates (high contention)",
@@ -59,13 +59,6 @@ static EXPERIMENTS: [Experiment; 15] = [
         in_all: true,
         view: View::Flat,
         run: starvation::starvation,
-    },
-    Experiment {
-        name: "ablation-reads",
-        about: "visible against invisible reads (greedy, list, 4 threads)",
-        in_all: true,
-        view: THROUGHPUT_BY_VARIANT,
-        run: figures::ablation_reads,
     },
     Experiment {
         name: "matrix",
@@ -136,7 +129,7 @@ const THROUGHPUT_BY_THREADS: View = View::Pivot {
     value: "throughput",
 };
 
-/// The ablations label their variants in `manager`: one line each.
+/// The ablation labels its variants in `manager`: one line each.
 const THROUGHPUT_BY_VARIANT: View = View::Pivot {
     group: &["structure", "mix"],
     row: "manager",

@@ -1,16 +1,16 @@
 //! The in-process sweeps over [`run_workload`] cells: one experiment per
 //! figure of the paper's Section 5 (E1–E4), the workload matrix over
 //! (structure × mix × threads × manager) cells (E8), the read-fraction sweep
-//! (E9), the manager-parameter ablation (E12) and the read-visibility
-//! ablation. Every one of them returns flat [`WorkloadResult`] rows.
+//! (E9) and the manager-parameter ablation (E12). Every one of them returns
+//! flat [`WorkloadResult`] rows.
 
 use std::time::Duration;
 
 use stm_cm::backoff::{DEFAULT_BACKOFF_BASE, DEFAULT_BACKOFF_MAX_ROUNDS};
 use stm_cm::karma::DEFAULT_KARMA_BACKOFF;
-use stm_cm::{BackoffManager, GreedyTimeoutManager, KarmaManager, ManagerKind};
+use stm_cm::{BackoffManager, GreedyTimeoutManager, KarmaManager};
 use stm_core::manager::{factory, ManagerFactory};
-use stm_core::{ReadVisibility, Stm, StmBuilder};
+use stm_core::Stm;
 
 use crate::report::{Ctx, Outcome};
 use crate::workload::{
@@ -136,48 +136,30 @@ pub fn ablation_points() -> Vec<(String, ManagerFactory)> {
     points
 }
 
-/// One list cell per variant of the runtime, labelled in the `manager`
-/// field (`karma[karma_increment=16]`), so one table holds a line per value.
-fn variants(variants: Vec<(String, StmBuilder)>, cfg: &WorkloadConfig) -> Outcome {
-    let cells: Vec<WorkloadResult> = variants
-        .into_iter()
-        .map(|(label, stm)| run_workload_with(stm.build(), &label, &StructureKind::List, cfg))
-        .collect();
-    Outcome::new(&cells, Vec::new())
-}
-
 /// E12: one manager knob at a time on the list, at the largest thread count
-/// of the sweep (the contended point where the knobs matter).
+/// of the sweep (the contended point where the knobs matter). Each point is
+/// one cell labelled in the `manager` field (`karma[karma_increment=16]`),
+/// so one table holds a line per value.
 pub fn ablate(ctx: &Ctx) -> Outcome {
     let mut cfg = WorkloadConfig { threads: most_threads(&ctx.cfg), ..ctx.cfg.base };
     if ctx.short() {
         cfg.duration = Duration::from_millis(40);
     }
-    let points = ablation_points()
+    let cells: Vec<WorkloadResult> = ablation_points()
         .into_iter()
-        .map(|(label, make)| (label, Stm::builder().manager(make)));
-    variants(points.collect(), &cfg)
-}
-
-/// Visible against invisible reads under greedy on the list, four threads.
-pub fn ablation_reads(ctx: &Ctx) -> Outcome {
-    let cfg = WorkloadConfig {
-        threads: 4,
-        duration: Duration::from_millis(if ctx.short() { 80 } else { 300 }),
-        seed: 0xab1a,
-        ..WorkloadConfig::default()
-    };
-    let modes = [ReadVisibility::Visible, ReadVisibility::Invisible].map(|visibility| {
-        let stm = Stm::builder().manager(ManagerKind::Greedy.factory()).read_visibility(visibility);
-        (format!("greedy[reads={visibility:?}]"), stm)
-    });
-    variants(modes.into(), &cfg)
+        .map(|(label, make)| {
+            let stm = Stm::builder().manager(make).build();
+            run_workload_with(stm, &label, &StructureKind::List, &cfg)
+        })
+        .collect();
+    Outcome::new(&cells, Vec::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde::Value;
+    use stm_cm::ManagerKind;
 
     fn smoke_ctx() -> Ctx {
         Ctx {
@@ -271,15 +253,6 @@ mod tests {
         assert_eq!(rows.len(), points.len());
         assert_eq!(texts(&rows, "manager")[4], "karma[karma_increment=1]");
         assert!(column(&rows, "threads").iter().all(|t| t.as_u64() == Some(2)));
-        assert!(column(&rows, "commits").iter().all(|c| c.as_u64().unwrap() > 0));
-    }
-
-    #[test]
-    fn ablation_reads_is_two_cells_of_the_shared_driver() {
-        let rows = ablation_reads(&smoke_ctx()).rows;
-        assert_eq!(texts(&rows, "manager"), ["greedy[reads=Visible]", "greedy[reads=Invisible]"]);
-        assert_eq!(texts(&rows, "structure"), ["list"; 2]);
-        assert!(column(&rows, "threads").iter().all(|t| t.as_u64() == Some(4)));
         assert!(column(&rows, "commits").iter().all(|c| c.as_u64().unwrap() > 0));
     }
 }

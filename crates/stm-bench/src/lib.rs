@@ -15,7 +15,6 @@
 //! | E8 | Workload matrix — mixes × structures × managers × threads | [`matrix`](figures::matrix) |
 //! | E9 | Read-fraction sweep — throughput vs lookup share | [`readfrac`](figures::readfrac) |
 //! | E12 | Manager-parameter ablation — one knob at a time | [`ablate`](figures::ablate) |
-//! | — | Read-visibility ablation | [`ablation-reads`](figures::ablation_reads) |
 //! | E14 | Keyspace churn — cell GC boundedness and cost (gated) | [`churn`](churn::churn) |
 //! | E15 | Commit-path microbenchmark (reported, not gated) | [`hotpath`](hotpath::hotpath) |
 //! | E16 | Overload serving — open-loop load with an idle fleet (gated) | [`overload`](netload::overload) |

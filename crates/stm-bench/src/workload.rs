@@ -10,8 +10,9 @@
 //! The paper's fixed 100%-update mix is one point of an [`OpMix`]
 //! distribution: every workload draws its operations from a weighted mix of
 //! inserts, removes, point lookups and range queries, so the same driver also
-//! produces the read-mostly and range-heavy scenarios that stress the
-//! invisible-read design (see `EXPERIMENTS.md` at the repository root).
+//! produces the read-mostly and range-heavy scenarios, where every read
+//! registers on its object and writers meet long read sets as conflicts (see
+//! `EXPERIMENTS.md` at the repository root).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -107,7 +108,7 @@ impl OpKind {
 /// Weights need not sum to one — they are normalized when drawing. The
 /// paper's Section 5 experiments use [`OpMix::update_only`]; the read-mostly
 /// and range-heavy mixes extend the evaluation to the scenarios where
-/// invisible reads dominate.
+/// reads dominate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OpMix {
     /// Weight of insert operations.
@@ -142,8 +143,8 @@ impl OpMix {
         }
     }
 
-    /// A range-heavy mix: long invisible-read sets from range scans on top
-    /// of a half-update base load.
+    /// A range-heavy mix: long read sets from range scans on top of a
+    /// half-update base load.
     pub fn range_heavy() -> Self {
         OpMix {
             insert: 0.25,
@@ -585,9 +586,8 @@ pub fn run_workload(
 }
 
 /// Like [`run_workload`], but on an [`Stm`] the caller built — the entry
-/// point of the ablations, which vary one manager constructor argument or
-/// the read visibility around the defaults. `label` goes in the result's
-/// `manager` field.
+/// point of the ablation, which varies one manager constructor argument
+/// around its default. `label` goes in the result's `manager` field.
 pub fn run_workload_with(
     stm: Stm,
     label: &str,

@@ -75,7 +75,7 @@ fn an_unknown_name_or_flag_is_refused_before_anything_runs() {
         let stderr = text(&out.stderr);
         assert!(stderr.contains("unknown"), "{args:?}: {stderr}");
         // The refusal shows what would have been accepted.
-        assert!(stderr.contains("ablation-reads") && stderr.contains("--sweep"), "{stderr}");
+        assert!(stderr.contains("starvation") && stderr.contains("--sweep"), "{stderr}");
     }
     let out = figures(&["chain", "--sweep", "tiny"]);
     assert_eq!(out.status.code(), Some(2));
@@ -102,7 +102,7 @@ fn json_is_one_envelope_of_flat_rows() {
 #[test]
 fn names_are_unique_and_all_is_exactly_the_marked_rows() {
     let table = table();
-    assert_eq!(table.len(), 15, "{table:?}");
+    assert_eq!(table.len(), 14, "{table:?}");
     let mut names: Vec<&str> = table.iter().map(|(_, name)| name.as_str()).collect();
     names.sort_unstable();
     names.dedup();

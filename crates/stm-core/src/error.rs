@@ -14,7 +14,9 @@ pub enum AbortCause {
     KilledByEnemy,
     /// The contention manager advised this transaction to abort itself.
     ManagerSelfAbort,
-    /// Read-set validation failed (an object read earlier changed under us).
+    /// Read-set validation failed. The runtime never raises this cause: every
+    /// read is visible, so no read set is re-validated. User code may return
+    /// it to ask for a retry, and the per-cause telemetry keeps its label.
     ValidationFailed,
     /// The commit-time CAS from `Active` to `Committed` failed.
     CommitFailed,
@@ -79,11 +81,6 @@ pub enum StmError {
     /// timestamp and priority). It only escapes to the caller when the
     /// cause is [`AbortCause::Explicit`].
     Aborted(AbortCause),
-    /// The configured retry limit was exhausted without a successful commit.
-    RetryLimitExceeded {
-        /// Number of attempts that were made.
-        attempts: u64,
-    },
 }
 
 impl StmError {
@@ -91,7 +88,6 @@ impl StmError {
     pub fn abort_cause(&self) -> Option<AbortCause> {
         match self {
             StmError::Aborted(cause) => Some(*cause),
-            _ => None,
         }
     }
 }
@@ -100,9 +96,6 @@ impl fmt::Display for StmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StmError::Aborted(cause) => write!(f, "transaction aborted: {cause}"),
-            StmError::RetryLimitExceeded { attempts } => {
-                write!(f, "transaction retry limit exceeded after {attempts} attempts")
-            }
         }
     }
 }
@@ -120,23 +113,13 @@ mod tests {
     fn abort_cause_accessor() {
         let e = StmError::Aborted(AbortCause::KilledByEnemy);
         assert_eq!(e.abort_cause(), Some(AbortCause::KilledByEnemy));
-        let e = StmError::RetryLimitExceeded { attempts: 3 };
-        assert_eq!(e.abort_cause(), None);
     }
 
     #[test]
     fn display_is_informative() {
         let e = StmError::Aborted(AbortCause::ValidationFailed);
         assert!(e.to_string().contains("validation"));
-        let e = StmError::RetryLimitExceeded { attempts: 7 };
-        assert!(e.to_string().contains('7'));
-        for cause in [
-            AbortCause::KilledByEnemy,
-            AbortCause::ManagerSelfAbort,
-            AbortCause::ValidationFailed,
-            AbortCause::CommitFailed,
-            AbortCause::Explicit,
-        ] {
+        for cause in AbortCause::ALL {
             assert!(!cause.to_string().is_empty());
         }
     }

@@ -12,11 +12,15 @@
 //! [`ContentionManager`]: whenever a transaction `A` is about to perform an
 //! access that conflicts with a live transaction `B`, `A` asks *its own*
 //! contention manager whether to abort `B`, wait for `B`, or abort itself.
+//! Reads count: every read registers on the object it reads, so a writer
+//! meets its readers as conflicts too, and a transaction is retried until it
+//! commits unless its own body aborts it.
 //!
 //! ## Model
 //!
 //! * Shared state lives in [`TVar<T>`] cells ("transactional objects").
-//! * A [`Stm`] value owns the global timestamp clock and configuration.
+//! * A [`Stm`] value owns the global timestamp clock and configuration: the
+//!   contention manager and an optional [`CommitHook`], nothing else.
 //! * Each thread obtains a [`ThreadCtx`] from the [`Stm`] and runs closures
 //!   atomically with [`ThreadCtx::atomically`]. Inside the closure a
 //!   [`Txn`] handle provides `read`, `write`, and `modify` operations.
@@ -82,7 +86,7 @@ pub use hook::{CommitHook, CommitOp, CommitValue};
 pub use manager::{ConflictKind, ContentionManager, ManagerFactory, Resolution, TxView};
 pub use stats::{StmStats, TxRunReport, TxnStats, ABORT_CAUSES};
 pub use status::TxStatus;
-pub use stm::{ReadVisibility, Stm, StmBuilder, ThreadCtx};
+pub use stm::{Stm, StmBuilder, ThreadCtx};
 pub use tvar::TVar;
 pub use txn::{Txn, TxLineage, TxShared};
 pub use wait::WaitSpec;

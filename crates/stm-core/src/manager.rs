@@ -36,8 +36,8 @@ pub enum ConflictKind {
     WriteWrite,
     /// I want to read an object currently acquired for writing by the enemy.
     ReadWrite,
-    /// I have acquired an object for writing and the enemy is a visible
-    /// reader of it.
+    /// I have acquired an object for writing and the enemy is registered as
+    /// a reader of it (every transactional read registers).
     WriteRead,
 }
 

@@ -112,7 +112,11 @@ pub struct StatsSnapshot {
     pub waits: u64,
     /// Enemy aborts requested by contention managers.
     pub enemy_aborts: u64,
-    /// Aborts caused by read-set validation failures.
+    /// Aborts with cause [`AbortCause::ValidationFailed`]: the same count
+    /// as that cause's entry in [`StatsSnapshot::aborts_by_cause`]. The
+    /// runtime never raises that cause (every read is visible), so this is
+    /// 0 unless user code returns it; the field stays because benchmark
+    /// reports read it by name.
     pub validation_failures: u64,
     /// Transactional reads.
     pub reads: u64,
@@ -120,11 +124,6 @@ pub struct StatsSnapshot {
     pub writes: u64,
     /// Aborts broken down by [`AbortCause`], indexed by
     /// [`AbortCause::index`]. Sums to [`StatsSnapshot::aborts`].
-    ///
-    /// Note `validation_failures` is broader than
-    /// `aborts_by_cause[ValidationFailed]`: an attempt killed by an enemy
-    /// may *also* have observed a validation failure, and the legacy flag
-    /// counts that; the cause array records only the primary cause.
     pub aborts_by_cause: [u64; ABORT_CAUSES],
 }
 
@@ -176,7 +175,6 @@ pub struct StmStats {
     conflicts: AtomicU64,
     waits: AtomicU64,
     enemy_aborts: AtomicU64,
-    validation_failures: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
     aborts_by_cause: [AtomicU64; ABORT_CAUSES],
@@ -205,7 +203,7 @@ impl StmStats {
         self.fold(local);
     }
 
-    pub(crate) fn note_abort(&self, local: &TxnStats, cause: AbortCause, validation_failure: bool) {
+    pub(crate) fn note_abort(&self, local: &TxnStats, cause: AbortCause) {
         // ordering: release for the same attempts identity as `note_commit`.
         self.aborts.fetch_add(1, Ordering::Release);
         // ordering: release pairs with `snapshot` loading the cause array
@@ -213,11 +211,6 @@ impl StmStats {
         // `aborts` increment above visible, so a snapshot can never report
         // `sum(aborts_by_cause) > aborts`.
         self.aborts_by_cause[cause.index()].fetch_add(1, Ordering::Release);
-        if validation_failure {
-            // ordering: release, same shape — `validation_failures` never
-            // exceeds `aborts` in a snapshot.
-            self.validation_failures.fetch_add(1, Ordering::Release);
-        }
         self.fold(local);
     }
 
@@ -233,9 +226,8 @@ impl StmStats {
     /// Takes a snapshot of all counters that is *directionally* consistent
     /// under concurrent updates: the identities
     ///
-    /// * `commits + aborts <= attempts`,
-    /// * `sum(aborts_by_cause) <= aborts`, and
-    /// * `validation_failures <= aborts`
+    /// * `commits + aborts <= attempts` and
+    /// * `sum(aborts_by_cause) <= aborts`
     ///
     /// hold in every snapshot, because derived counters are loaded before
     /// the counters they derive from (acquire loads pairing with the
@@ -249,7 +241,6 @@ impl StmStats {
         // ordering: acquire loads, most-derived counters first — see above.
         let aborts_by_cause =
             std::array::from_fn(|i| self.aborts_by_cause[i].load(Ordering::Acquire));
-        let validation_failures = self.validation_failures.load(Ordering::Acquire);
         let aborts = self.aborts.load(Ordering::Acquire);
         let commits = self.commits.load(Ordering::Acquire);
         let attempts = self.attempts.load(Ordering::Relaxed);
@@ -261,7 +252,7 @@ impl StmStats {
             conflicts: self.conflicts.load(Ordering::Relaxed),
             waits: self.waits.load(Ordering::Relaxed),
             enemy_aborts: self.enemy_aborts.load(Ordering::Relaxed),
-            validation_failures,
+            validation_failures: aborts_by_cause[AbortCause::ValidationFailed.index()],
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             aborts_by_cause,
@@ -305,7 +296,7 @@ mod tests {
             waits: 1,
             enemy_aborts: 1,
         };
-        stats.note_abort(&local, AbortCause::ValidationFailed, true);
+        stats.note_abort(&local, AbortCause::ValidationFailed);
         stats.note_attempt();
         stats.note_commit(&local);
         let snap = stats.snapshot();

@@ -11,29 +11,9 @@ use crate::stats::{StmStats, TxRunReport};
 use crate::tvar::TVar;
 use crate::txn::{TxLineage, TxScratch, TxShared, Txn};
 
-/// How transactional reads are made visible to conflicting writers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReadVisibility {
-    /// Readers register themselves on the object; a writer that acquires the
-    /// object must arbitrate with every active reader through the contention
-    /// manager. This matches the model of the paper (a conflict exists as
-    /// soon as two transactions access the same object and one access is a
-    /// write) and gives full serializability. This is the default.
-    Visible,
-    /// Readers are invisible; they record the version they observed and
-    /// re-validate their read set on each subsequent open and at commit.
-    /// Cheaper per read, but writers cannot be asked to wait for readers and
-    /// concurrently committing read/write transactions may exhibit
-    /// write-skew (as in validation-based STMs). Provided for the read-
-    /// visibility ablation study.
-    Invisible,
-}
-
 /// Configuration of an [`Stm`] instance, assembled by [`StmBuilder`].
 #[derive(Clone)]
 pub(crate) struct StmConfig {
-    pub(crate) read_visibility: ReadVisibility,
-    pub(crate) max_retries: Option<u64>,
     pub(crate) manager_factory: ManagerFactory,
     pub(crate) commit_hook: Option<Arc<dyn CommitHook>>,
 }
@@ -41,8 +21,6 @@ pub(crate) struct StmConfig {
 impl std::fmt::Debug for StmConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StmConfig")
-            .field("read_visibility", &self.read_visibility)
-            .field("max_retries", &self.max_retries)
             .field("commit_hook", &self.commit_hook.is_some())
             .finish()
     }
@@ -51,23 +29,22 @@ impl std::fmt::Debug for StmConfig {
 impl Default for StmConfig {
     fn default() -> Self {
         StmConfig {
-            read_visibility: ReadVisibility::Visible,
-            max_retries: None,
             manager_factory: factory(PoliteManager::default),
             commit_hook: None,
         }
     }
 }
 
-/// Builder for [`Stm`].
+/// Builder for [`Stm`]: the contention manager and the commit hook are all
+/// there is to configure. Every read is visible and every transaction is
+/// retried until it commits (or its body aborts it explicitly), so every
+/// conflict, read–write included, goes to the manager.
 ///
 /// ```
-/// use stm_core::{ReadVisibility, Stm};
+/// use stm_core::Stm;
 /// use stm_core::manager::{factory, AggressiveManager};
 ///
 /// let stm = Stm::builder()
-///     .read_visibility(ReadVisibility::Invisible)
-///     .max_retries(Some(1_000))
 ///     .manager(factory(AggressiveManager::new))
 ///     .build();
 /// assert_eq!(stm.stats().snapshot().commits, 0);
@@ -78,19 +55,6 @@ pub struct StmBuilder {
 }
 
 impl StmBuilder {
-    /// Sets the read-visibility mode (default: [`ReadVisibility::Visible`]).
-    pub fn read_visibility(mut self, mode: ReadVisibility) -> Self {
-        self.config.read_visibility = mode;
-        self
-    }
-
-    /// Limits the number of attempts per transaction. `None` (the default)
-    /// retries until the transaction commits.
-    pub fn max_retries(mut self, limit: Option<u64>) -> Self {
-        self.config.max_retries = limit;
-        self
-    }
-
     /// Installs the contention-manager factory used for every thread context
     /// created from this STM (default: [`PoliteManager`]).
     pub fn manager(mut self, factory: ManagerFactory) -> Self {
@@ -237,7 +201,7 @@ impl<'stm> ThreadCtx<'stm> {
     }
 
     /// Runs `body` atomically, retrying on conflict-induced aborts until it
-    /// commits (or until the configured retry limit is exhausted).
+    /// commits.
     ///
     /// The closure receives a [`Txn`] handle; every transactional operation
     /// returns a [`TxResult`] whose error must be propagated (with `?`) so
@@ -246,10 +210,8 @@ impl<'stm> ThreadCtx<'stm> {
     ///
     /// # Errors
     ///
-    /// * [`StmError::Aborted`] with [`AbortCause::Explicit`] if the closure
-    ///   called [`Txn::abort`].
-    /// * [`StmError::RetryLimitExceeded`] if a retry limit was configured and
-    ///   exhausted.
+    /// [`StmError::Aborted`] with [`AbortCause::Explicit`] if the closure
+    /// called [`Txn::abort`]. Every other abort is retried.
     pub fn atomically<T, F>(&mut self, body: F) -> Result<T, StmError>
     where
         F: FnMut(&mut Txn<'_>) -> TxResult<T>,
@@ -309,46 +271,22 @@ impl<'stm> ThreadCtx<'stm> {
             }
             let outcome = body(&mut txn);
             report.absorb_attempt(txn.stats());
-            match outcome {
+            let cause = match outcome {
                 Ok(value) => {
                     if txn.finish_commit() {
                         report.commit_seq = txn.commit_seq();
                         return (Ok(value), report);
                     }
-                    // Commit failed: a validation failure if one was
-                    // observed, otherwise the status CAS itself lost.
-                    let cause = if txn.validation_failed() {
-                        AbortCause::ValidationFailed
-                    } else {
-                        AbortCause::CommitFailed
-                    };
-                    txn.finish_abort(cause);
-                    report.abort_causes[cause.index()] += 1;
+                    // The status CAS lost: an enemy aborted us first.
+                    AbortCause::CommitFailed
                 }
-                Err(StmError::Aborted(AbortCause::Explicit)) => {
-                    txn.finish_abort(AbortCause::Explicit);
-                    report.abort_causes[AbortCause::Explicit.index()] += 1;
-                    report.aborts = attempt;
-                    return (Err(StmError::Aborted(AbortCause::Explicit)), report);
-                }
-                Err(StmError::Aborted(cause)) => {
-                    txn.finish_abort(cause);
-                    report.abort_causes[cause.index()] += 1;
-                }
-                Err(other) => {
-                    // The closure surfaced a non-abort error (e.g. a nested
-                    // retry-limit); account it as an explicit caller abort.
-                    txn.finish_abort(AbortCause::Explicit);
-                    report.abort_causes[AbortCause::Explicit.index()] += 1;
-                    report.aborts = attempt;
-                    return (Err(other), report);
-                }
-            }
+                Err(StmError::Aborted(cause)) => cause,
+            };
+            txn.finish_abort(cause);
+            report.abort_causes[cause.index()] += 1;
             report.aborts = attempt;
-            if let Some(limit) = stm.config.max_retries {
-                if attempt >= limit {
-                    return (Err(StmError::RetryLimitExceeded { attempts: attempt }), report);
-                }
+            if cause == AbortCause::Explicit {
+                return (Err(StmError::Aborted(cause)), report);
             }
         }
     }
@@ -463,30 +401,23 @@ mod tests {
 
     #[test]
     fn counter_increments_are_not_lost_across_threads() {
-        for visibility in [ReadVisibility::Visible, ReadVisibility::Invisible] {
-            let stm = Arc::new(
-                Stm::builder()
-                    .read_visibility(visibility)
-                    .manager(factory(AggressiveManager::new))
-                    .build(),
-            );
-            let counter = TVar::new(0u64);
-            let threads = 4;
-            let per_thread = 500u64;
-            thread::scope(|scope| {
-                for _ in 0..threads {
-                    let stm = Arc::clone(&stm);
-                    let counter = counter.clone();
-                    scope.spawn(move || {
-                        let mut ctx = stm.thread();
-                        for _ in 0..per_thread {
-                            ctx.atomically(|tx| tx.modify(&counter, |x| x + 1)).unwrap();
-                        }
-                    });
-                }
-            });
-            assert_eq!(stm.read_atomic(&counter), threads * per_thread);
-        }
+        let stm = Arc::new(Stm::builder().manager(factory(AggressiveManager::new)).build());
+        let counter = TVar::new(0u64);
+        let threads = 4;
+        let per_thread = 500u64;
+        thread::scope(|scope| {
+            for _ in 0..threads {
+                let stm = Arc::clone(&stm);
+                let counter = counter.clone();
+                scope.spawn(move || {
+                    let mut ctx = stm.thread();
+                    for _ in 0..per_thread {
+                        ctx.atomically(|tx| tx.modify(&counter, |x| x + 1)).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(stm.read_atomic(&counter), threads * per_thread);
     }
 
     #[test]
@@ -523,25 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_limit_is_enforced() {
-        let stm = Stm::builder().max_retries(Some(3)).build();
-        let v = TVar::new(0u32);
-        let mut ctx = stm.thread();
-        let calls = AtomicUsize::new(0);
-        // A body that always claims validation failure.
-        let err = ctx
-            .atomically(|tx| -> TxResult<()> {
-                calls.fetch_add(1, Ordering::Relaxed);
-                tx.write(&v, 1)?;
-                Err(StmError::Aborted(AbortCause::ValidationFailed))
-            })
-            .unwrap_err();
-        assert_eq!(err, StmError::RetryLimitExceeded { attempts: 3 });
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-        assert_eq!(stm.read_atomic(&v), 0);
-    }
-
-    #[test]
     fn traced_run_accounts_attempts_and_aborts() {
         let stm = Stm::default();
         let v = TVar::new(0u32);
@@ -568,16 +480,11 @@ mod tests {
         assert_eq!(report.aborts, 2);
         assert_eq!(report.writes, 3);
         assert_eq!(stm.read_atomic(&v), 2);
-        // Retry-limit exhaustion reports every attempt as aborted.
-        let stm = Stm::builder().max_retries(Some(2)).build();
-        let mut ctx = stm.thread();
-        let (result, report) =
-            ctx.atomically_traced(|_tx| -> TxResult<()> {
-                Err(StmError::Aborted(AbortCause::ValidationFailed))
-            });
-        assert_eq!(result, Err(StmError::RetryLimitExceeded { attempts: 2 }));
-        assert_eq!(report.attempts, 2);
-        assert_eq!(report.aborts, 2);
+        // An explicit abort ends the call and counts its attempt as aborted.
+        let (result, report) = ctx.atomically_traced(|tx| tx.abort::<()>());
+        assert_eq!(result, Err(StmError::Aborted(AbortCause::Explicit)));
+        assert_eq!(report.attempts, 1);
+        assert_eq!(report.aborts, 1);
     }
 
     #[test]

@@ -32,10 +32,12 @@
 //! status word — the CAS the contention-management protocol actually
 //! relies on — was always a true lock-free CAS.
 //!
-//! Visible readers register in a small per-object *sharded* registry — see
-//! [`crate::readers`] for the sharding and lazy-pruning discipline. The
-//! registry code itself is generic and model-checked in isolation; this
-//! module instantiates it with `TxShared`.
+//! Every transactional read is visible: the reader registers in a small
+//! per-object *sharded* registry, and a writer that acquires the object
+//! arbitrates with each registered reader. See [`crate::readers`] for the
+//! sharding and lazy-pruning discipline. The registry code itself is generic
+//! and model-checked in isolation; this module instantiates it with
+//! `TxShared`.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Arc;
@@ -260,59 +262,20 @@ impl<T: Default + Send + Sync> Default for TVar<T> {
     }
 }
 
-/// A read tracked by a transaction, for validation and cleanup. Stored as
-/// `Arc<dyn TrackedRead>` so the visible-read path can reuse the object's
-/// own `Arc` (`Sync` is required for that sharing).
+/// A read tracked by a transaction, for cleanup. Stored as
+/// `Arc<dyn TrackedRead>` so the read set can hold the object's own `Arc`
+/// (`Sync` is required for that sharing).
 pub(crate) trait TrackedRead: Send + Sync {
-    /// Identity of the object read.
-    #[allow(dead_code)]
-    fn object_id(&self) -> u64;
-    /// Whether the value observed by the read is still the current value.
-    fn still_valid(&self) -> bool;
-    /// Releases any registration this read holds (visible-reader lists).
+    /// Releases the reader registration this read holds.
     fn release(&self, me: &TxShared);
 }
 
-/// An invisible read: revalidated by comparing the current stable value with
-/// the value observed at read time.
-pub(crate) struct InvisibleRead<T> {
-    inner: Arc<TVarInner<T>>,
-    seen: Arc<T>,
-}
-
-impl<T> InvisibleRead<T> {
-    pub(crate) fn new(inner: Arc<TVarInner<T>>, seen: Arc<T>) -> Self {
-        InvisibleRead { inner, seen }
-    }
-}
-
-impl<T: Send + Sync> TrackedRead for InvisibleRead<T> {
-    fn object_id(&self) -> u64 {
-        self.inner.id()
-    }
-
-    fn still_valid(&self) -> bool {
-        Arc::ptr_eq(&self.inner.peek_locator().stable_value(), &self.seen)
-    }
-
-    fn release(&self, _me: &TxShared) {}
-}
-
-/// A visible read is tracked by the object itself: the registration lives
-/// in the object's reader shards, validation is trivially true (writers
-/// must arbitrate with registered readers before acquiring), and release
-/// unregisters. The read set stores the object directly (an `Arc` clone of
-/// `TVarInner`) rather than boxing a wrapper, which keeps the visible-read
-/// fast path free of per-read heap allocation.
+/// A read is tracked by the object itself: the registration lives in the
+/// object's reader shards and release unregisters. The read set stores the
+/// object directly (an `Arc` clone of `TVarInner`) rather than boxing a
+/// wrapper, which keeps the read fast path free of per-read heap
+/// allocation.
 impl<T: Send + Sync> TrackedRead for TVarInner<T> {
-    fn object_id(&self) -> u64 {
-        self.id
-    }
-
-    fn still_valid(&self) -> bool {
-        true
-    }
-
     fn release(&self, me: &TxShared) {
         self.unregister_reader(me);
     }
@@ -320,9 +283,6 @@ impl<T: Send + Sync> TrackedRead for TVarInner<T> {
 
 /// A write (acquisition) performed by a transaction.
 pub(crate) trait TrackedWrite: Send {
-    /// Identity of the object written.
-    #[allow(dead_code)]
-    fn object_id(&self) -> u64;
     /// After commit, collapses the locator chain so later readers do not need
     /// to chase the (now committed) owner's status.
     fn detach_committed(&self);
@@ -341,10 +301,6 @@ impl<T> OwnedWrite<T> {
 }
 
 impl<T: Send + Sync> TrackedWrite for OwnedWrite<T> {
-    fn object_id(&self) -> u64 {
-        self.inner.id()
-    }
-
     fn detach_committed(&self) {
         let value = self.locator.new_value();
         let baseline = Arc::new(Locator::baseline(value));
@@ -514,27 +470,5 @@ mod tests {
         let loc = inner.load_locator();
         assert!(loc.owner().is_none());
         assert_eq!(*loc.stable_value(), 10);
-    }
-
-    #[test]
-    fn invisible_read_validation() {
-        let inner = Arc::new(TVarInner::new(1u32));
-        let seen = inner.load_locator().stable_value();
-        let read = InvisibleRead::new(Arc::clone(&inner), seen);
-        assert!(read.still_valid());
-        // Another transaction commits a new value.
-        let owner = fresh_shared();
-        let current = inner.load_locator();
-        let owned = Arc::new(Locator::owned(
-            Arc::clone(&owner),
-            current.stable_value(),
-            Arc::new(2u32),
-        ));
-        inner.try_replace_locator(&current, owned);
-        // While the writer is active the read is still valid...
-        assert!(read.still_valid());
-        owner.try_commit();
-        // ...but once it commits, the read is stale.
-        assert!(!read.still_valid());
     }
 }

@@ -14,6 +14,15 @@
 //! * [`Txn`] — the handle passed to the user's transactional closure. It
 //!   performs reads and writes, detects conflicts eagerly, and consults the
 //!   thread's contention manager to resolve them.
+//!
+//! There is one read protocol: every read registers its transaction on the
+//! object it reads, and a writer that acquires the object must settle with
+//! each registered reader through its contention manager before it may
+//! commit. No read set is ever re-validated, so no transaction is aborted
+//! except by a manager's decision (its own or an enemy's) or by its body.
+//! When every thread runs greedy, the oldest running transaction is
+//! therefore never aborted: the pending-commit property the paper's
+//! Theorems 1 and 9 rest on.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,8 +33,8 @@ use crate::hook::CommitOp;
 use crate::manager::{ConflictKind, ContentionManager, Resolution, TxView};
 use crate::stats::TxnStats;
 use crate::status::{AtomicStatus, TxStatus};
-use crate::stm::{ReadVisibility, Stm};
-use crate::tvar::{InvisibleRead, Locator, OwnedWrite, TVar, TrackedRead, TrackedWrite};
+use crate::stm::Stm;
+use crate::tvar::{Locator, OwnedWrite, TVar, TrackedRead, TrackedWrite};
 use crate::wait::SpinWait;
 
 /// State of a logical transaction that persists across aborts and retries.
@@ -153,9 +162,9 @@ impl TxShared {
     }
 
     /// Attempts to commit this transaction attempt (CAS `Active ->
-    /// Committed`). Inside the STM runtime only the owning thread calls this
-    /// (after validating its reads); it is exposed publicly for execution
-    /// simulators that drive descriptors directly.
+    /// Committed`). Inside the STM runtime only the owning thread calls this;
+    /// it is exposed publicly for execution simulators that drive
+    /// descriptors directly.
     pub fn try_commit(&self) -> bool {
         self.status.try_commit()
     }
@@ -187,7 +196,8 @@ type DeferredAction = Box<dyn FnOnce() + Send>;
 /// context and lent to each [`Txn`], so the backing vectors' capacity is
 /// reused across transactions instead of being reallocated per attempt —
 /// the tiny-transaction hot path performs no `Vec` spine allocation after
-/// warm-up.
+/// warm-up. Each [`Txn`] empties it when dropped, so the next attempt starts
+/// with empty sets even if this one unwound.
 #[derive(Default)]
 pub(crate) struct TxScratch {
     reads: Vec<Arc<dyn TrackedRead>>,
@@ -211,6 +221,10 @@ impl TxScratch {
 /// Obtained from [`crate::ThreadCtx::atomically`]; all operations may fail
 /// with [`StmError::Aborted`], in which case the error should simply be
 /// propagated with `?` — the runtime will retry the closure.
+///
+/// An attempt whose body panics is aborted as it unwinds (see the `Drop`
+/// impl), so the objects it acquired and the reads it registered do not keep
+/// naming an owner that will never finish.
 pub struct Txn<'ctx> {
     stm: &'ctx Stm,
     shared: Arc<TxShared>,
@@ -219,7 +233,6 @@ pub struct Txn<'ctx> {
     stats: TxnStats,
     publish_forced: bool,
     commit_seq: Option<u64>,
-    validation_failed: bool,
     finished: bool,
 }
 
@@ -241,10 +254,6 @@ impl<'ctx> Txn<'ctx> {
         manager: &'ctx mut dyn ContentionManager,
         scratch: &'ctx mut TxScratch,
     ) -> Self {
-        // Defensive: a panic that unwound through a previous attempt may
-        // have left entries behind; they belong to that attempt, not this
-        // one. No-op on the normal path (finish paths clear the scratch).
-        scratch.clear();
         Txn {
             stm,
             shared,
@@ -253,7 +262,6 @@ impl<'ctx> Txn<'ctx> {
             stats: TxnStats::new(),
             publish_forced: false,
             commit_seq: None,
-            validation_failed: false,
             finished: false,
         }
     }
@@ -356,15 +364,11 @@ impl<'ctx> Txn<'ctx> {
         T: Send + Sync + 'static,
     {
         self.ensure_active()?;
-        let visible = self.stm.config().read_visibility == ReadVisibility::Visible;
-        if visible {
-            let newly_registered = tvar.inner().register_reader(&self.shared);
-            if newly_registered {
-                // The object itself is the tracked read (see the
-                // `TrackedRead` impl on `TVarInner`): an `Arc` clone, no
-                // per-read heap allocation.
-                self.scratch.reads.push(Arc::clone(tvar.inner()) as _);
-            }
+        if tvar.inner().register_reader(&self.shared) {
+            // The object itself is the tracked read (see the `TrackedRead`
+            // impl on `TVarInner`): an `Arc` clone, no per-read heap
+            // allocation.
+            self.scratch.reads.push(Arc::clone(tvar.inner()) as _);
         }
         loop {
             self.ensure_active()?;
@@ -394,13 +398,6 @@ impl<'ctx> Txn<'ctx> {
             // too, so this check guarantees we never hand user code a value
             // that is inconsistent with what it already read.
             self.ensure_active()?;
-            if !visible {
-                self.scratch.reads.push(Arc::new(InvisibleRead::new(
-                    Arc::clone(tvar.inner()),
-                    Arc::clone(&value),
-                )));
-                self.validate_or_abort()?;
-            }
             self.note_read(tvar.id());
             return Ok(value);
         }
@@ -442,8 +439,6 @@ impl<'ctx> Txn<'ctx> {
         T: Clone + Send + Sync + 'static,
         F: FnOnce(&T) -> T,
     {
-        self.ensure_active()?;
-        let visible = self.stm.config().read_visibility == ReadVisibility::Visible;
         let mut f = Some(f);
         loop {
             self.ensure_active()?;
@@ -481,12 +476,8 @@ impl<'ctx> Txn<'ctx> {
                 Arc::clone(tvar.inner()),
                 Arc::clone(&new_loc),
             )));
-            if visible {
-                let readers = tvar.inner().active_readers(&self.shared);
-                self.arbitrate_readers(readers)?;
-            } else {
-                self.validate_or_abort()?;
-            }
+            let readers = tvar.inner().active_readers(&self.shared);
+            self.arbitrate_readers(readers)?;
             let func = f.take().expect("update closure already consumed");
             let base = new_loc.new_value();
             new_loc.set_new_value(Arc::new(func(&base)));
@@ -496,9 +487,8 @@ impl<'ctx> Txn<'ctx> {
     }
 
     /// A writer that just acquired an object must come to an arrangement with
-    /// every transaction currently reading it (visible-read mode): each
-    /// reader is either aborted or allowed to finish first, as decided by the
-    /// contention manager.
+    /// every transaction currently reading it: each reader is either aborted
+    /// or allowed to finish first, as decided by the contention manager.
     fn arbitrate_readers(&mut self, readers: Vec<Arc<TxShared>>) -> TxResult<()> {
         for reader in readers {
             loop {
@@ -563,25 +553,6 @@ impl<'ctx> Txn<'ctx> {
         }
     }
 
-    fn validate(&mut self) -> bool {
-        if self.shared.is_aborted() {
-            return false;
-        }
-        let ok = self.scratch.reads.iter().all(|r| r.still_valid());
-        if !ok {
-            self.validation_failed = true;
-        }
-        ok
-    }
-
-    fn validate_or_abort(&mut self) -> TxResult<()> {
-        if self.validate() {
-            Ok(())
-        } else {
-            Err(StmError::Aborted(AbortCause::ValidationFailed))
-        }
-    }
-
     fn note_read(&mut self, object_id: u64) {
         self.stats.reads += 1;
         self.manager.opened(TxView::new(&self.shared), object_id);
@@ -592,18 +563,10 @@ impl<'ctx> Txn<'ctx> {
         self.manager.opened(TxView::new(&self.shared), object_id);
     }
 
-    /// Whether the most recent validation failure caused the abort.
-    pub(crate) fn validation_failed(&self) -> bool {
-        self.validation_failed
-    }
-
-    /// Validates the read set and attempts to commit. Returns `true` when
-    /// the attempt committed.
+    /// Attempts to commit. Returns `true` when the attempt committed, and
+    /// `false` when an enemy aborted it first.
     pub(crate) fn finish_commit(&mut self) -> bool {
         debug_assert!(!self.finished, "finish_commit called twice");
-        if !self.validate() {
-            return false;
-        }
         // Only clone the hook handle when this commit actually goes through
         // it — transactions that published nothing skip the refcount
         // traffic entirely.
@@ -628,42 +591,47 @@ impl<'ctx> Txn<'ctx> {
         if !committed {
             return false;
         }
+        self.finished = true;
         for write in &self.scratch.writes {
             write.detach_committed();
         }
         for read in &self.scratch.reads {
             read.release(&self.shared);
         }
+        self.manager.committed(TxView::new(&self.shared));
+        self.stm.stats().note_commit(&self.stats);
         // Deferred actions run after the commit point and after the writes
         // are detached, so they observe the committed values they test for.
         for action in self.scratch.deferred.drain(..) {
             action();
         }
-        self.manager.committed(TxView::new(&self.shared));
-        self.stm.stats().note_commit(&self.stats);
-        self.scratch.clear();
-        self.finished = true;
         true
     }
 
-    /// Marks the attempt aborted (attributing it to `cause`) and performs
-    /// cleanup.
+    /// Marks the attempt aborted (attributing it to `cause`) and releases
+    /// its reads.
     pub(crate) fn finish_abort(&mut self, cause: AbortCause) {
-        if self.finished {
-            return;
-        }
+        debug_assert!(!self.finished, "finish_abort after the attempt finished");
+        self.finished = true;
         self.shared.try_abort();
         for read in &self.scratch.reads {
             read.release(&self.shared);
         }
         self.manager.aborted(TxView::new(&self.shared));
-        self.stm.stats().note_abort(
-            &self.stats,
-            cause,
-            cause == AbortCause::ValidationFailed || self.validation_failed,
-        );
+        self.stm.stats().note_abort(&self.stats, cause);
+    }
+}
+
+/// An attempt that is dropped unfinished is one whose body unwound: it is
+/// aborted here, counted as [`AbortCause::Explicit`], so enemies stop
+/// waiting on it. Every attempt, finished or not, leaves the thread's
+/// scratch sets empty for the next one.
+impl Drop for Txn<'_> {
+    fn drop(&mut self) {
+        if !self.finished {
+            self.finish_abort(AbortCause::Explicit);
+        }
         self.scratch.clear();
-        self.finished = true;
     }
 }
 

@@ -96,7 +96,8 @@ pub enum ErrorCode {
     Type,
     /// Batch protocol misuse: `EXEC` without `BEGIN`, poisoned batch.
     Batch,
-    /// The server-side transaction failed (retry limit, explicit abort).
+    /// The server-side transaction aborted explicitly (conflicts are
+    /// retried until the transaction commits).
     Txn,
     /// Durability subsystem: disabled, snapshot in progress, write failure.
     Wal,

@@ -257,8 +257,8 @@ impl KvStore {
     }
 
     /// Reads `cell` (the one linked for `key`) in `tx`. The tracked read is
-    /// what lets the runtime arbitrate with a concurrent writer of the key
-    /// (or invalidate us if one commits first). `None` means the cell held
+    /// what lets the runtime arbitrate with a concurrent writer of the key.
+    /// `None` means the cell held
     /// a committed tombstone — it is unlinked or about to be, this call
     /// helped unlink it, and the caller must look the key up again. Our own
     /// uncommitted tombstone (a `DEL` earlier in this transaction) is

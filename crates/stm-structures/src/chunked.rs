@@ -40,8 +40,8 @@
 //! ([`crate::TxRbTree`]) would have let them pass. Inner nodes keep that
 //! local: a split writes the leaf's parent only, never a shared directory.
 //! `tests/structures_proptest.rs` (`same_leaf_contention_*`) drives threads
-//! toggling interleaved keys of one leaf under four managers and both read
-//! visibilities; `tests/store_footprint.rs` holds the open counts and shows
+//! toggling interleaved keys of one leaf under four managers;
+//! `tests/store_footprint.rs` holds the open counts and shows
 //! a split 64 leaves away leaves a parked range undisturbed.
 
 use stm_core::{TVar, TxResult, Txn};

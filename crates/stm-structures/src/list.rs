@@ -73,7 +73,7 @@ impl TxList {
     /// Materializes the whole list inside the caller's transaction.
     ///
     /// A snapshot is a single pass whose read set covers every node — the
-    /// longest invisible-read chain any benchmark structure produces — so it
+    /// longest read chain any benchmark structure produces — so it
     /// is the list's entry in the range-query workloads: any concurrent
     /// update to any node conflicts with it.
     pub fn snapshot(&self, tx: &mut Txn<'_>) -> TxResult<Vec<i64>> {

@@ -33,9 +33,10 @@ pub trait TxSet: Send + Sync {
     /// The set's elements in `lo..=hi`, in ascending order.
     ///
     /// Range queries run entirely inside the caller's transaction, so the
-    /// whole interval is observed as one consistent snapshot; on structures
-    /// with invisible reads the accumulated read set is what the paper's
-    /// read-dominated workloads stress. The default implementation
+    /// whole interval is observed as one consistent snapshot, and every
+    /// object read stays registered until the transaction ends: the
+    /// accumulated read set is what a writer to any part of the interval
+    /// has to settle with. The default implementation
     /// materializes the full set via [`TxSet::to_vec`] and filters;
     /// implementations override it with a bounded walk that reads only the
     /// search path to `lo` plus the interval itself.

@@ -173,8 +173,8 @@ impl TxSet for TxSkipList {
 
     /// Uses the forward pointers to skip the prefix below `lo`, then walks
     /// level 0 until the first key past `hi`: the transaction's read set is
-    /// the `O(log n)` descent plus exactly the interval — the long
-    /// invisible-read pattern the range workloads stress.
+    /// the `O(log n)` descent plus exactly the interval — the long read
+    /// set the range workloads stress.
     fn range(&self, tx: &mut Txn<'_>, lo: i64, hi: i64) -> TxResult<Vec<i64>> {
         // Unlike `locate`, sentinel-valued bounds are fine here: the descent
         // never advances past a key >= lo, and the tail check below fires

@@ -66,7 +66,7 @@
 //! * `cargo run --release -p stm-bench --bin figures -- all` regenerates the
 //!   throughput figures (Figures 1–4), the adversarial-chain and Theorem 9
 //!   experiments, and the starvation check.
-//! * `cargo run --release -p stm-bench --bin figures -- --sweep machine`
+//! * `cargo run --release -p stm-bench --bin figures -- matrix --sweep machine --json`
 //!   runs the workload matrix — update-only, read-mostly and range-heavy
 //!   `OpMix` mixes over every structure and figure-set manager, with the
 //!   thread axis sized to the host — emitting one JSON record per cell.
@@ -97,8 +97,8 @@ pub use stm_log as log;
 
 pub use stm_cm::{GreedyManager, GreedyTimeoutManager};
 pub use stm_core::{
-    AbortCause, ConflictKind, ContentionManager, ReadVisibility, Resolution, Stm, StmBuilder,
-    StmError, TVar, ThreadCtx, TxResult, TxView, Txn, WaitSpec,
+    AbortCause, ConflictKind, ContentionManager, Resolution, Stm, StmBuilder, StmError, TVar,
+    ThreadCtx, TxResult, TxView, Txn, WaitSpec,
 };
 
 /// The most common imports in one place.
@@ -113,8 +113,7 @@ pub mod prelude {
         TxSkipList,
     };
     pub use stm_core::{
-        AbortCause, ContentionManager, ReadVisibility, Resolution, Stm, StmError, TVar, TxResult,
-        Txn,
+        AbortCause, ContentionManager, Resolution, Stm, StmError, TVar, TxResult, Txn,
     };
 }
 

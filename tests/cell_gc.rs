@@ -222,11 +222,10 @@ fn a_cell_deleted_under_a_parked_reader_is_released_at_commit() {
         ..ServerConfig::default()
     })
     .unwrap();
-    // Invisible reads, on the server's own store: the deleter never waits
-    // for (or arbitrates with) the reader it invalidates.
-    let stm = Stm::builder()
-        .read_visibility(ReadVisibility::Invisible)
-        .build();
+    // The server's own store. Under Aggressive the deleter aborts the
+    // registered reader it meets instead of waiting for it, so the reader
+    // can stay parked across the whole delete.
+    let stm = stm_with(ManagerKind::Aggressive);
     let store = server.store();
     stm.thread().atomically(|tx| store.put(tx, KEY, 1)).unwrap();
     let parked = Barrier::new(2);
@@ -241,8 +240,8 @@ fn a_cell_deleted_under_a_parked_reader_is_released_at_commit() {
                     parked.wait();
                     release.wait();
                 }
-                // The deleter committed while we were parked: this open
-                // validates the read set and aborts the first attempt.
+                // The deleter aborted this attempt and committed while we
+                // were parked: this open sees the abort and retries.
                 store.get(tx, KEY)
             })
         });

@@ -1,11 +1,12 @@
 //! Every contention manager in the registry must drive contended workloads
 //! to completion (this is a liveness smoke test, not a performance claim —
 //! the theory chapter is precise about which managers have *provable*
-//! progress guarantees).
+//! progress guarantees), and greedy must keep its oldest transaction
+//! running to commit.
 
 use greedy_stm::cm::ManagerKind;
 use greedy_stm::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 use stm_bench::{run_workload, StructureKind, WorkloadConfig};
@@ -120,18 +121,53 @@ fn per_thread_manager_override_is_respected() {
 }
 
 #[test]
-fn retry_limit_surfaces_instead_of_spinning_forever() {
-    // With a retry limit of 1 and a body that always reports a validation
-    // failure, the runtime must give up rather than loop.
-    let stm = Stm::builder()
-        .manager(ManagerKind::Greedy.factory())
-        .max_retries(Some(2))
-        .build();
-    let mut ctx = stm.thread();
-    let err = ctx
-        .atomically(|_tx| -> TxResult<()> {
-            Err(StmError::Aborted(AbortCause::ValidationFailed))
+fn greedy_never_aborts_an_older_reader_on_the_real_runtime() {
+    // The pending-commit property on the runtime rather than the simulator:
+    // a read-only transaction that began before every writer is the oldest
+    // running transaction, so under greedy it is never aborted. Writers
+    // that acquire an account it has read must wait for it; a writer it
+    // meets on an account it has not read yet is younger and gets aborted.
+    const ACCOUNTS: usize = 8;
+    const WRITERS: usize = 3;
+    const TRANSFERS: usize = 200;
+    const INITIAL: i64 = 100;
+    let stm = Stm::builder().manager(ManagerKind::Greedy.factory()).build();
+    let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect();
+    let go = Barrier::new(WRITERS + 1);
+    let (stm, accounts, go) = (&stm, &accounts, &go);
+    let (sum, report) = thread::scope(|scope| {
+        for w in 0..WRITERS {
+            scope.spawn(move || {
+                let mut ctx = stm.thread();
+                go.wait();
+                // Every writer begins after the reader: all are younger. A
+                // bounded count, so a greedy that did abort the reader lets
+                // it commit late and fails the attempt check, not a hang.
+                for i in w..w + TRANSFERS {
+                    let (from, to) = (i % ACCOUNTS, (3 * i + 1) % ACCOUNTS);
+                    ctx.atomically(|tx| {
+                        tx.modify(&accounts[from], |b| b - 1)?;
+                        tx.modify(&accounts[to], |b| b + 1)
+                    })
+                    .unwrap();
+                }
+            });
+        }
+        stm.thread().atomically_traced(|tx| {
+            let mut sum = tx.read(&accounts[0])?;
+            if tx.attempt() == 1 {
+                go.wait();
+            }
+            for account in &accounts[1..] {
+                thread::sleep(Duration::from_millis(2));
+                sum += tx.read(account)?;
+            }
+            Ok(sum)
         })
-        .unwrap_err();
-    assert!(matches!(err, StmError::RetryLimitExceeded { attempts: 2 }));
+    });
+    assert_eq!(report.attempts, 1, "greedy aborted the oldest transaction: {report:?}");
+    assert_eq!(sum.unwrap(), ACCOUNTS as i64 * INITIAL);
+    assert!(stm.stats().snapshot().waits > 0, "no writer ever met the reader");
+    let total: i64 = accounts.iter().map(|a| stm.read_atomic(a)).sum();
+    assert_eq!(total, ACCOUNTS as i64 * INITIAL);
 }

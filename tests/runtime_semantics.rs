@@ -1,13 +1,15 @@
 //! Additional integration tests of runtime-level semantics that the paper's
 //! protocol relies on: timestamps retained across retries, statistics
 //! accounting, explicit aborts, the greedy-timeout extension in the real
-//! runtime, and non-transactional committed reads.
+//! runtime, non-transactional committed reads, and an attempt that unwinds.
 
 use greedy_stm::cm::ManagerKind;
 use greedy_stm::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Duration;
 
 #[test]
 fn timestamp_is_retained_across_retries() {
@@ -142,6 +144,41 @@ fn greedy_timeout_manager_works_in_the_real_runtime() {
     });
     let total: i64 = counters.iter().map(|c| c.load(&stm)).sum();
     assert_eq!(total, 4 * 400 * 2);
+}
+
+#[test]
+fn a_panicking_body_releases_what_it_acquired() {
+    // The body acquires `x` and panics. The unwound attempt must end as an
+    // abort, or it stays the active owner of `x` forever and a younger
+    // greedy writer waits on it for good. The writer runs on its own thread
+    // so a regression fails the timeout instead of hanging the suite.
+    let stm = Arc::new(Stm::builder().manager(GreedyManager::factory()).build());
+    let x = TVar::new(0i64);
+    let mut ctx = stm.thread();
+    let unwound = catch_unwind(AssertUnwindSafe(|| {
+        ctx.atomically(|tx| -> TxResult<()> {
+            tx.write(&x, 1)?;
+            panic!("the body panics while it owns x");
+        })
+    }));
+    assert!(unwound.is_err());
+    let (done, written) = mpsc::channel();
+    {
+        let (stm, x) = (Arc::clone(&stm), x.clone());
+        thread::spawn(move || {
+            stm.thread().atomically(|tx| tx.write(&x, 2)).unwrap();
+            let _ = done.send(());
+        });
+    }
+    written
+        .recv_timeout(Duration::from_secs(3))
+        .expect("a writer conflicting with the unwound attempt is still waiting on it");
+    assert_eq!(stm.read_atomic(&x), 2);
+    // The same thread context runs on: nothing of the unwound attempt is
+    // left in it.
+    assert_eq!(ctx.atomically(|tx| tx.read(&x)).unwrap(), 2);
+    let snap = stm.stats().snapshot();
+    assert_eq!(snap.aborts_by_cause[AbortCause::Explicit.index()], 1, "{snap:?}");
 }
 
 #[test]

@@ -1,23 +1,19 @@
 //! Cross-crate integration tests: atomicity and serializability of the STM
-//! under concurrent workloads, for both read-visibility modes and several
-//! contention managers.
+//! under concurrent workloads and several contention managers.
 
 use greedy_stm::cm::ManagerKind;
 use greedy_stm::prelude::*;
 use std::sync::Arc;
 use std::thread;
 
-fn stm_with(kind: ManagerKind, visibility: ReadVisibility) -> Stm {
-    Stm::builder()
-        .manager(kind.factory())
-        .read_visibility(visibility)
-        .build()
+fn stm_with(kind: ManagerKind) -> Stm {
+    Stm::builder().manager(kind.factory()).build()
 }
 
 #[test]
 fn counter_is_exact_for_every_manager() {
     for kind in ManagerKind::ALL {
-        let stm = Arc::new(stm_with(kind, ReadVisibility::Visible));
+        let stm = Arc::new(stm_with(kind));
         let counter = TxCounter::new();
         let threads = 4;
         let per_thread = 300;
@@ -41,42 +37,41 @@ fn counter_is_exact_for_every_manager() {
     }
 }
 
+/// Named for the two read modes it once ran in; every read is visible now.
 #[test]
 fn bank_conservation_under_greedy_and_karma_both_visibilities() {
     for kind in [ManagerKind::Greedy, ManagerKind::Karma] {
-        for visibility in [ReadVisibility::Visible, ReadVisibility::Invisible] {
-            let stm = Arc::new(stm_with(kind, visibility));
-            let accounts: Vec<TVar<i64>> = (0..16).map(|_| TVar::new(500)).collect();
-            let expected: i64 = 16 * 500;
-            thread::scope(|scope| {
-                for t in 0..4usize {
-                    let stm = Arc::clone(&stm);
-                    let accounts = accounts.clone();
-                    scope.spawn(move || {
-                        let mut ctx = stm.thread();
-                        let mut seed = (t as u64) * 77 + 1;
-                        for _ in 0..500 {
-                            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            let from = (seed >> 33) as usize % accounts.len();
-                            let to = (seed >> 13) as usize % accounts.len();
-                            if from == to {
-                                continue;
-                            }
-                            ctx.atomically(|tx| {
-                                let a = tx.read(&accounts[from])?;
-                                let b = tx.read(&accounts[to])?;
-                                tx.write(&accounts[from], a - 7)?;
-                                tx.write(&accounts[to], b + 7)?;
-                                Ok(())
-                            })
-                            .unwrap();
+        let stm = Arc::new(stm_with(kind));
+        let accounts: Vec<TVar<i64>> = (0..16).map(|_| TVar::new(500)).collect();
+        let expected: i64 = 16 * 500;
+        thread::scope(|scope| {
+            for t in 0..4usize {
+                let stm = Arc::clone(&stm);
+                let accounts = accounts.clone();
+                scope.spawn(move || {
+                    let mut ctx = stm.thread();
+                    let mut seed = (t as u64) * 77 + 1;
+                    for _ in 0..500 {
+                        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let from = (seed >> 33) as usize % accounts.len();
+                        let to = (seed >> 13) as usize % accounts.len();
+                        if from == to {
+                            continue;
                         }
-                    });
-                }
-            });
-            let total: i64 = accounts.iter().map(|a| stm.read_atomic(a)).sum();
-            assert_eq!(total, expected, "conservation violated ({kind}, {visibility:?})");
-        }
+                        ctx.atomically(|tx| {
+                            let a = tx.read(&accounts[from])?;
+                            let b = tx.read(&accounts[to])?;
+                            tx.write(&accounts[from], a - 7)?;
+                            tx.write(&accounts[to], b + 7)?;
+                            Ok(())
+                        })
+                        .unwrap();
+                    }
+                });
+            }
+        });
+        let total: i64 = accounts.iter().map(|a| stm.read_atomic(a)).sum();
+        assert_eq!(total, expected, "conservation violated ({kind})");
     }
 }
 
@@ -84,9 +79,9 @@ fn bank_conservation_under_greedy_and_karma_both_visibilities() {
 fn write_skew_is_prevented_with_visible_reads() {
     // Classic write-skew shape: invariant x + y >= 0; each transaction reads
     // both variables and decrements one of them only if the sum allows it.
-    // With visible reads (the default) the runtime forces the two
-    // transactions to arbitrate, so the invariant must hold.
-    let stm = Arc::new(stm_with(ManagerKind::Greedy, ReadVisibility::Visible));
+    // Every read is visible, so the runtime forces the two transactions to
+    // arbitrate and the invariant must hold.
+    let stm = Arc::new(stm_with(ManagerKind::Greedy));
     let x = TVar::new(1i64);
     let y = TVar::new(1i64);
     for _ in 0..200 {
@@ -135,7 +130,7 @@ fn write_skew_is_prevented_with_visible_reads() {
 
 #[test]
 fn multi_structure_transactions_are_atomic_under_contention() {
-    let stm = Arc::new(stm_with(ManagerKind::Greedy, ReadVisibility::Visible));
+    let stm = Arc::new(stm_with(ManagerKind::Greedy));
     let tree = TxRbTree::new();
     let list = TxList::new();
     // Invariant: tree and list always contain exactly the same elements.
@@ -178,7 +173,7 @@ fn multi_structure_transactions_are_atomic_under_contention() {
 
 #[test]
 fn queue_transfers_preserve_items_under_contention() {
-    let stm = Arc::new(stm_with(ManagerKind::Polka, ReadVisibility::Visible));
+    let stm = Arc::new(stm_with(ManagerKind::Polka));
     let source = TxQueue::new();
     let sink = TxQueue::new();
     {
@@ -246,55 +241,53 @@ fn random_transfers_conserve_total_for_literature_managers() {
         ManagerKind::Polka,
         ManagerKind::Timestamp,
     ] {
-        for visibility in [ReadVisibility::Visible, ReadVisibility::Invisible] {
-            let stm = Arc::new(stm_with(kind, visibility));
-            let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect();
-            let expected = (ACCOUNTS as i64) * INITIAL;
+        let stm = Arc::new(stm_with(kind));
+        let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect();
+        let expected = (ACCOUNTS as i64) * INITIAL;
 
-            thread::scope(|scope| {
-                for t in 0..THREADS {
-                    let stm = Arc::clone(&stm);
-                    let accounts = accounts.clone();
-                    scope.spawn(move || {
-                        let mut rng = SmallRng::seed_from_u64(0xacc7_0000 + t as u64);
-                        let mut ctx = stm.thread();
-                        for _ in 0..TRANSFERS_PER_THREAD {
-                            let from = rng.gen_range(0..ACCOUNTS);
-                            let to = rng.gen_range(0..ACCOUNTS);
-                            let amount = rng.gen_range(1i64..=75);
-                            ctx.atomically(|tx| {
-                                // Overdrafts allowed: conservation is the
-                                // invariant under test, not solvency.
-                                tx.modify(&accounts[from], |b| b - amount)?;
-                                tx.modify(&accounts[to], |b| b + amount)?;
-                                Ok(())
-                            })
-                            .unwrap();
-                        }
-                    });
-                }
-            });
-
-            let direct: i64 = accounts.iter().map(|a| stm.read_atomic(a)).sum();
-            assert_eq!(
-                direct, expected,
-                "manager {kind} ({visibility:?}): total drifted after random transfers"
-            );
-            let mut ctx = stm.thread();
-            let audited: i64 = ctx
-                .atomically(|tx| {
-                    let mut sum = 0;
-                    for account in &accounts {
-                        sum += tx.read(account)?;
+        thread::scope(|scope| {
+            for t in 0..THREADS {
+                let stm = Arc::clone(&stm);
+                let accounts = accounts.clone();
+                scope.spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(0xacc7_0000 + t as u64);
+                    let mut ctx = stm.thread();
+                    for _ in 0..TRANSFERS_PER_THREAD {
+                        let from = rng.gen_range(0..ACCOUNTS);
+                        let to = rng.gen_range(0..ACCOUNTS);
+                        let amount = rng.gen_range(1i64..=75);
+                        ctx.atomically(|tx| {
+                            // Overdrafts allowed: conservation is the
+                            // invariant under test, not solvency.
+                            tx.modify(&accounts[from], |b| b - amount)?;
+                            tx.modify(&accounts[to], |b| b + amount)?;
+                            Ok(())
+                        })
+                        .unwrap();
                     }
-                    Ok(sum)
-                })
-                .unwrap();
-            assert_eq!(
-                audited, expected,
-                "manager {kind} ({visibility:?}): transactional audit disagrees"
-            );
-        }
+                });
+            }
+        });
+
+        let direct: i64 = accounts.iter().map(|a| stm.read_atomic(a)).sum();
+        assert_eq!(
+            direct, expected,
+            "manager {kind}: total drifted after random transfers"
+        );
+        let mut ctx = stm.thread();
+        let audited: i64 = ctx
+            .atomically(|tx| {
+                let mut sum = 0;
+                for account in &accounts {
+                    sum += tx.read(account)?;
+                }
+                Ok(sum)
+            })
+            .unwrap();
+        assert_eq!(
+            audited, expected,
+            "manager {kind}: transactional audit disagrees"
+        );
     }
 }
 
@@ -319,63 +312,59 @@ fn read_mostly_lookups_never_observe_a_torn_balance() {
         ManagerKind::Polka,
         ManagerKind::Timestamp,
     ] {
-        for visibility in [ReadVisibility::Visible, ReadVisibility::Invisible] {
-            let stm = Arc::new(stm_with(kind, visibility));
-            let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect();
-            let expected = (ACCOUNTS as i64) * INITIAL;
+        let stm = Arc::new(stm_with(kind));
+        let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect();
+        let expected = (ACCOUNTS as i64) * INITIAL;
 
-            thread::scope(|scope| {
-                for t in 0..THREADS {
-                    let stm = Arc::clone(&stm);
-                    let accounts = accounts.clone();
-                    scope.spawn(move || {
-                        let mut rng = SmallRng::seed_from_u64(0x4ead_0000 + t as u64);
-                        let mut ctx = stm.thread();
-                        let mut lookups = 0usize;
-                        for _ in 0..OPS_PER_THREAD {
-                            if rng.gen_bool(0.9) {
-                                // Lookup: a long read-only transaction over
-                                // every account (invisible to writers in
-                                // Invisible mode); the sum must be exact at
-                                // the instant the transaction (logically)
-                                // executes.
-                                let observed: i64 = ctx
-                                    .atomically(|tx| {
-                                        let mut sum = 0;
-                                        for account in &accounts {
-                                            sum += tx.read(account)?;
-                                        }
-                                        Ok(sum)
-                                    })
-                                    .unwrap();
-                                assert_eq!(
-                                    observed, expected,
-                                    "manager {kind} ({visibility:?}): lookup observed a torn balance"
-                                );
-                                lookups += 1;
-                            } else {
-                                let from = rng.gen_range(0..ACCOUNTS);
-                                let to = rng.gen_range(0..ACCOUNTS);
-                                let amount = rng.gen_range(1i64..=50);
-                                ctx.atomically(|tx| {
-                                    tx.modify(&accounts[from], |b| b - amount)?;
-                                    tx.modify(&accounts[to], |b| b + amount)?;
-                                    Ok(())
+        thread::scope(|scope| {
+            for t in 0..THREADS {
+                let stm = Arc::clone(&stm);
+                let accounts = accounts.clone();
+                scope.spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(0x4ead_0000 + t as u64);
+                    let mut ctx = stm.thread();
+                    let mut lookups = 0usize;
+                    for _ in 0..OPS_PER_THREAD {
+                        if rng.gen_bool(0.9) {
+                            // Lookup: a long read-only transaction over
+                            // every account; the sum must be exact at the
+                            // instant the transaction (logically) executes.
+                            let observed: i64 = ctx
+                                .atomically(|tx| {
+                                    let mut sum = 0;
+                                    for account in &accounts {
+                                        sum += tx.read(account)?;
+                                    }
+                                    Ok(sum)
                                 })
                                 .unwrap();
-                            }
+                            assert_eq!(
+                                observed, expected,
+                                "manager {kind}: lookup observed a torn balance"
+                            );
+                            lookups += 1;
+                        } else {
+                            let from = rng.gen_range(0..ACCOUNTS);
+                            let to = rng.gen_range(0..ACCOUNTS);
+                            let amount = rng.gen_range(1i64..=50);
+                            ctx.atomically(|tx| {
+                                tx.modify(&accounts[from], |b| b - amount)?;
+                                tx.modify(&accounts[to], |b| b + amount)?;
+                                Ok(())
+                            })
+                            .unwrap();
                         }
-                        // The 90/10 split must actually be read-dominated.
-                        assert!(lookups > OPS_PER_THREAD / 2);
-                    });
-                }
-            });
+                    }
+                    // The 90/10 split must actually be read-dominated.
+                    assert!(lookups > OPS_PER_THREAD / 2);
+                });
+            }
+        });
 
-            let total: i64 = accounts.iter().map(|a| stm.read_atomic(a)).sum();
-            assert_eq!(
-                total, expected,
-                "manager {kind} ({visibility:?}): total drifted in the read-mostly mix"
-            );
-        }
+        let total: i64 = accounts.iter().map(|a| stm.read_atomic(a)).sum();
+        assert_eq!(
+            total, expected,
+            "manager {kind}: total drifted in the read-mostly mix"
+        );
     }
 }

@@ -1,9 +1,8 @@
 //! Property-based tests of the STM runtime semantics themselves: sequences
 //! of committed and explicitly-aborted transactions over a small heap of
 //! `TVar`s must behave exactly like the same sequence applied to a plain
-//! `Vec` model (aborted transactions contributing nothing), in both
-//! read-visibility modes. Cases are drawn from a seeded PRNG so failures
-//! reproduce deterministically.
+//! `Vec` model (aborted transactions contributing nothing). Cases are drawn
+//! from a seeded PRNG so failures reproduce deterministically.
 
 use greedy_stm::prelude::*;
 use rand::rngs::SmallRng;
@@ -69,11 +68,8 @@ fn apply_model(model: &mut [i64], txn: &GenTxn) {
     }
 }
 
-fn run_scenario(visibility: ReadVisibility, txns: &[GenTxn]) {
-    let stm = Stm::builder()
-        .manager(GreedyManager::factory())
-        .read_visibility(visibility)
-        .build();
+fn run_scenario(txns: &[GenTxn]) {
+    let stm = Stm::builder().manager(GreedyManager::factory()).build();
     let vars: Vec<TVar<i64>> = (0..SLOTS).map(|i| TVar::new(i as i64)).collect();
     let mut model: Vec<i64> = (0..SLOTS as i64).collect();
     let mut ctx = stm.thread();
@@ -106,10 +102,11 @@ fn run_scenario(visibility: ReadVisibility, txns: &[GenTxn]) {
         apply_model(&mut model, txn);
         // After every transaction the committed state matches the model.
         let state: Vec<i64> = vars.iter().map(|v| stm.read_atomic(v)).collect();
-        assert_eq!(state, model, "state diverged (visibility {visibility:?})");
+        assert_eq!(state, model, "state diverged");
     }
 }
 
+/// Named for the read mode it once ran beside; every read is visible now.
 #[test]
 fn sequential_transactions_match_the_model_visible() {
     let mut rng = SmallRng::seed_from_u64(0x5eed_000a);
@@ -117,18 +114,7 @@ fn sequential_transactions_match_the_model_visible() {
         let txns: Vec<GenTxn> = (0..rng.gen_range(0usize..40))
             .map(|_| random_txn(&mut rng))
             .collect();
-        run_scenario(ReadVisibility::Visible, &txns);
-    }
-}
-
-#[test]
-fn sequential_transactions_match_the_model_invisible() {
-    let mut rng = SmallRng::seed_from_u64(0x1b_5eed);
-    for _case in 0..64 {
-        let txns: Vec<GenTxn> = (0..rng.gen_range(0usize..40))
-            .map(|_| random_txn(&mut rng))
-            .collect();
-        run_scenario(ReadVisibility::Invisible, &txns);
+        run_scenario(&txns);
     }
 }
 

@@ -1,6 +1,6 @@
 //! `KvStore`'s point path (cell only) and its range path (ordered index,
 //! then cells) must witness **one** serial order, under every contention
-//! manager that arbitrates differently and in both read-visibility modes.
+//! manager that arbitrates differently.
 //!
 //! * Writers toggle key *pairs*: `DEL a; PUT b` (then `DEL b; PUT a`) in one
 //!   transaction, so at every committed state exactly one key of a pair is
@@ -33,13 +33,8 @@ const MANAGERS: [ManagerKind; 4] = [
     ManagerKind::Polka,
     ManagerKind::Timestamp,
 ];
-const VISIBILITIES: [ReadVisibility; 2] = [ReadVisibility::Visible, ReadVisibility::Invisible];
-
-fn stm_with(kind: ManagerKind, visibility: ReadVisibility) -> Stm {
-    Stm::builder()
-        .manager(kind.factory())
-        .read_visibility(visibility)
-        .build()
+fn stm_with(kind: ManagerKind) -> Stm {
+    Stm::builder().manager(kind.factory()).build()
 }
 
 /// The first half of the pairs are small keys (`0..64`), the second half
@@ -64,125 +59,123 @@ fn point_reads_and_range_reads_agree_on_one_serial_order() {
     const TOGGLES: i64 = 1_500;
 
     for kind in MANAGERS {
-        for visibility in VISIBILITIES {
-            let tag = format!("{kind}/{visibility:?}/seed {SEED:#x}");
-            let stm = stm_with(kind, visibility);
-            let store = KvStore::new(4);
-            {
-                let mut ctx = stm.thread();
-                ctx.atomically(|tx| {
-                    // Bystanders on either side keep the index paths busy.
-                    for p in 0..PAIRS {
-                        let (a, _b) = pair(p);
-                        store.put(tx, a, 0)?;
-                    }
-                    store.put(tx, FAR_BASE - 1, -1)?;
-                    store.put(tx, FAR_BASE + 2 * PAIRS as i64, -1)?;
-                    Ok(())
-                })
-                .unwrap();
-            }
-            let start = Barrier::new(WRITERS + READERS);
-            let writers_done = AtomicBool::new(false);
-            let (stm, store, start, writers_done, tag) =
-                (&stm, &store, &start, &writers_done, &tag);
+        let tag = format!("{kind}/seed {SEED:#x}");
+        let stm = stm_with(kind);
+        let store = KvStore::new(4);
+        {
+            let mut ctx = stm.thread();
+            ctx.atomically(|tx| {
+                // Bystanders on either side keep the index paths busy.
+                for p in 0..PAIRS {
+                    let (a, _b) = pair(p);
+                    store.put(tx, a, 0)?;
+                }
+                store.put(tx, FAR_BASE - 1, -1)?;
+                store.put(tx, FAR_BASE + 2 * PAIRS as i64, -1)?;
+                Ok(())
+            })
+            .unwrap();
+        }
+        let start = Barrier::new(WRITERS + READERS);
+        let writers_done = AtomicBool::new(false);
+        let (stm, store, start, writers_done, tag) =
+            (&stm, &store, &start, &writers_done, &tag);
 
-            thread::scope(|scope| {
-                let writers: Vec<_> = (0..WRITERS)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let mut ctx = stm.thread();
-                            start.wait();
-                            for round in 1..=TOGGLES {
-                                // Writer `w` owns the pairs `p ≡ w`: pairs
-                                // are disjoint across writers.
-                                for p in (w..PAIRS).step_by(WRITERS) {
-                                    let (a, b) = pair(p);
-                                    let (from, to) = if round % 2 == 1 { (a, b) } else { (b, a) };
-                                    let removed = ctx
-                                        .atomically(|tx| {
-                                            let removed = store.del(tx, from)?;
-                                            store.put(tx, to, round)?;
-                                            Ok(removed)
-                                        })
-                                        .unwrap();
-                                    assert_eq!(
-                                        removed,
-                                        Some(Value::Int(round - 1)),
-                                        "{tag}: writer lost its own previous toggle of pair {p}"
-                                    );
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                for r in 0..READERS {
+        thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
                     scope.spawn(move || {
-                        let mut rng = SmallRng::seed_from_u64(SEED + r as u64);
                         let mut ctx = stm.thread();
                         start.wait();
-                        let mut audits = 0u64;
-                        // At least a few audits even if the writers finish
-                        // before this thread is first scheduled.
-                        while audits < 64 || !writers_done.load(Ordering::Relaxed) {
-                            let p = rng.gen_range(0..PAIRS);
-                            let (a, b) = pair(p);
-                            // Either point-read order, so both "deleted key
-                            // first" and "created key first" occur.
-                            let a_first = rng.gen_bool(0.5);
-                            let (got_a, got_b, ranged) = ctx
-                                .atomically(|tx| {
-                                    let (got_a, got_b) = if a_first {
-                                        let got_a = store.get(tx, a)?;
-                                        (got_a, store.get(tx, b)?)
-                                    } else {
-                                        let got_b = store.get(tx, b)?;
-                                        (store.get(tx, a)?, got_b)
-                                    };
-                                    Ok((got_a, got_b, store.range(tx, a, b)?))
-                                })
-                                .unwrap();
-                            let expected: Vec<(i64, Value)> =
-                                [(a, got_a.clone()), (b, got_b.clone())]
-                                    .into_iter()
-                                    .filter_map(|(key, value)| value.map(|v| (key, v)))
-                                    .collect();
-                            assert_eq!(
-                                expected.len(),
-                                1,
-                                "{tag}: pair {p} must have exactly one key present, \
-                                 GETs saw a={got_a:?} b={got_b:?}"
-                            );
-                            assert_eq!(
-                                ranged, expected,
-                                "{tag}: RANGE disagrees with the GETs of the same transaction"
-                            );
-                            audits += 1;
+                        for round in 1..=TOGGLES {
+                            // Writer `w` owns the pairs `p ≡ w`: pairs
+                            // are disjoint across writers.
+                            for p in (w..PAIRS).step_by(WRITERS) {
+                                let (a, b) = pair(p);
+                                let (from, to) = if round % 2 == 1 { (a, b) } else { (b, a) };
+                                let removed = ctx
+                                    .atomically(|tx| {
+                                        let removed = store.del(tx, from)?;
+                                        store.put(tx, to, round)?;
+                                        Ok(removed)
+                                    })
+                                    .unwrap();
+                                assert_eq!(
+                                    removed,
+                                    Some(Value::Int(round - 1)),
+                                    "{tag}: writer lost its own previous toggle of pair {p}"
+                                );
+                            }
                         }
-                    });
-                }
-                for writer in writers {
-                    writer.join().unwrap();
-                }
-                writers_done.store(true, Ordering::Relaxed);
-            });
-
-            // Quiescent: every pair ended where an even number of toggles
-            // leaves it, and only present keys hold a linked cell.
-            let mut ctx = stm.thread();
-            for p in 0..PAIRS {
-                let (a, b) = pair(p);
-                let seen = ctx.atomically(|tx| store.range(tx, a, b)).unwrap();
-                assert_eq!(seen, vec![(a, Value::Int(TOGGLES))], "{tag}: pair {p}");
+                    })
+                })
+                .collect();
+            for r in 0..READERS {
+                scope.spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(SEED + r as u64);
+                    let mut ctx = stm.thread();
+                    start.wait();
+                    let mut audits = 0u64;
+                    // At least a few audits even if the writers finish
+                    // before this thread is first scheduled.
+                    while audits < 64 || !writers_done.load(Ordering::Relaxed) {
+                        let p = rng.gen_range(0..PAIRS);
+                        let (a, b) = pair(p);
+                        // Either point-read order, so both "deleted key
+                        // first" and "created key first" occur.
+                        let a_first = rng.gen_bool(0.5);
+                        let (got_a, got_b, ranged) = ctx
+                            .atomically(|tx| {
+                                let (got_a, got_b) = if a_first {
+                                    let got_a = store.get(tx, a)?;
+                                    (got_a, store.get(tx, b)?)
+                                } else {
+                                    let got_b = store.get(tx, b)?;
+                                    (store.get(tx, a)?, got_b)
+                                };
+                                Ok((got_a, got_b, store.range(tx, a, b)?))
+                            })
+                            .unwrap();
+                        let expected: Vec<(i64, Value)> =
+                            [(a, got_a.clone()), (b, got_b.clone())]
+                                .into_iter()
+                                .filter_map(|(key, value)| value.map(|v| (key, v)))
+                                .collect();
+                        assert_eq!(
+                            expected.len(),
+                            1,
+                            "{tag}: pair {p} must have exactly one key present, \
+                             GETs saw a={got_a:?} b={got_b:?}"
+                        );
+                        assert_eq!(
+                            ranged, expected,
+                            "{tag}: RANGE disagrees with the GETs of the same transaction"
+                        );
+                        audits += 1;
+                    }
+                });
             }
-            let present = ctx.atomically(|tx| store.len(tx)).unwrap();
-            assert_eq!(present, PAIRS + 2, "{tag}");
-            assert_eq!(
-                store.cells_live(),
-                present,
-                "{tag}: a GET or DEL must not leave a cell behind"
-            );
+            for writer in writers {
+                writer.join().unwrap();
+            }
+            writers_done.store(true, Ordering::Relaxed);
+        });
+
+        // Quiescent: every pair ended where an even number of toggles
+        // leaves it, and only present keys hold a linked cell.
+        let mut ctx = stm.thread();
+        for p in 0..PAIRS {
+            let (a, b) = pair(p);
+            let seen = ctx.atomically(|tx| store.range(tx, a, b)).unwrap();
+            assert_eq!(seen, vec![(a, Value::Int(TOGGLES))], "{tag}: pair {p}");
         }
+        let present = ctx.atomically(|tx| store.len(tx)).unwrap();
+        assert_eq!(present, PAIRS + 2, "{tag}");
+        assert_eq!(
+            store.cells_live(),
+            present,
+            "{tag}: a GET or DEL must not leave a cell behind"
+        );
     }
 }
 
@@ -192,7 +185,7 @@ fn racing_first_touch_of_an_unlinked_key_keeps_values_and_cell_books_exact() {
 
     for kind in MANAGERS {
         let tag = format!("{kind}/seed {SEED:#x}");
-        let stm = stm_with(kind, ReadVisibility::Visible);
+        let stm = stm_with(kind);
         // Every round's key starts unlinked.
         let store = KvStore::new(4);
         let key_of = |round: i64| FAR_BASE + round;

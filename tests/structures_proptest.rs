@@ -452,110 +452,105 @@ fn same_leaf_contention_keeps_per_thread_membership_under_every_manager() {
         ManagerKind::Timestamp,
     ];
     for kind in managers {
-        for visibility in [ReadVisibility::Visible, ReadVisibility::Invisible] {
-            let what = format!("{kind}/{visibility:?}");
-            let stm = Stm::builder()
-                .manager(kind.factory())
-                .read_visibility(visibility)
-                .build();
-            let set = TxChunkedSet::new();
-            let stop = Arc::new(AtomicBool::new(false));
-            let finals: Vec<BTreeSet<i64>> = thread::scope(|scope| {
-                let writers: Vec<_> = (0..WRITERS)
-                    .map(|t| {
-                        let (stm, set, what) = (&stm, &set, &what);
-                        scope.spawn(move || {
-                            let mut ctx = stm.thread();
-                            let mut rng = SmallRng::seed_from_u64(0x5a3e_1eaf ^ t as u64);
-                            let mut mine = BTreeSet::new();
-                            for step in 0..250 {
-                                let (a, b) = pair(t, rng.gen_range(0i64..10));
-                                let insert = !mine.contains(&a);
-                                let seen = ctx
-                                    .atomically(|tx| {
-                                        let seen = set.range(tx, 0, SPAN - 1)?;
-                                        for key in [a, b] {
-                                            let changed = if insert {
-                                                set.insert(tx, key)?
-                                            } else {
-                                                set.remove(tx, key)?
-                                            };
-                                            assert!(
-                                                changed,
-                                                "{what}: writer {t} step {step} key {key}"
-                                            );
-                                        }
-                                        Ok(seen)
-                                    })
-                                    .unwrap();
-                                let seen_mine: BTreeSet<i64> =
-                                    seen.into_iter().filter(|k| k % WRITERS == t).collect();
-                                assert_eq!(seen_mine, mine, "{what}: writer {t} step {step}");
-                                if insert {
-                                    mine.extend([a, b]);
-                                } else {
-                                    mine.remove(&a);
-                                    mine.remove(&b);
-                                }
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                let reader = {
-                    let (stm, set, what, stop) = (&stm, &set, &what, &stop);
+        let what = kind.to_string();
+        let stm = Stm::builder().manager(kind.factory()).build();
+        let set = TxChunkedSet::new();
+        let stop = Arc::new(AtomicBool::new(false));
+        let finals: Vec<BTreeSet<i64>> = thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|t| {
+                    let (stm, set, what) = (&stm, &set, &what);
                     scope.spawn(move || {
                         let mut ctx = stm.thread();
-                        let mut snapshots = 0u32;
-                        while !stop.load(Ordering::Relaxed) || snapshots < 50 {
-                            let seen: BTreeSet<i64> = ctx
-                                .atomically(|tx| set.range(tx, 0, SPAN - 1))
-                                .unwrap()
-                                .into_iter()
-                                .collect();
-                            for t in 0..WRITERS {
-                                for j in 0..10 {
-                                    let (a, b) = pair(t, j);
-                                    assert_eq!(
-                                        seen.contains(&a),
-                                        seen.contains(&b),
-                                        "{what}: torn pair ({a}, {b}) in {seen:?}"
-                                    );
-                                }
+                        let mut rng = SmallRng::seed_from_u64(0x5a3e_1eaf ^ t as u64);
+                        let mut mine = BTreeSet::new();
+                        for step in 0..250 {
+                            let (a, b) = pair(t, rng.gen_range(0i64..10));
+                            let insert = !mine.contains(&a);
+                            let seen = ctx
+                                .atomically(|tx| {
+                                    let seen = set.range(tx, 0, SPAN - 1)?;
+                                    for key in [a, b] {
+                                        let changed = if insert {
+                                            set.insert(tx, key)?
+                                        } else {
+                                            set.remove(tx, key)?
+                                        };
+                                        assert!(
+                                            changed,
+                                            "{what}: writer {t} step {step} key {key}"
+                                        );
+                                    }
+                                    Ok(seen)
+                                })
+                                .unwrap();
+                            let seen_mine: BTreeSet<i64> =
+                                seen.into_iter().filter(|k| k % WRITERS == t).collect();
+                            assert_eq!(seen_mine, mine, "{what}: writer {t} step {step}");
+                            if insert {
+                                mine.extend([a, b]);
+                            } else {
+                                mine.remove(&a);
+                                mine.remove(&b);
                             }
-                            snapshots += 1;
                         }
+                        mine
                     })
-                };
-                // Stops the reader once the writers are done — or one panicked.
-                let writers_done = StopOnExit(Arc::clone(&stop));
-                let finals = writers
-                    .into_iter()
-                    .map(|writer| writer.join().expect("writer finished"))
-                    .collect();
-                drop(writers_done);
-                reader.join().expect("reader finished");
-                finals
-            });
-            let mut ctx = stm.thread();
-            let expected: Vec<i64> = finals
-                .iter()
-                .flatten()
-                .copied()
-                .collect::<BTreeSet<_>>()
-                .into_iter()
+                })
                 .collect();
-            assert_eq!(
-                ctx.atomically(|tx| set.to_vec(tx)).unwrap(),
-                expected,
-                "{what}"
-            );
-            assert_eq!(
-                ctx.atomically(|tx| set.check_invariants(tx)).unwrap(),
-                expected.len(),
-                "{what}"
-            );
-        }
+            let reader = {
+                let (stm, set, what, stop) = (&stm, &set, &what, &stop);
+                scope.spawn(move || {
+                    let mut ctx = stm.thread();
+                    let mut snapshots = 0u32;
+                    while !stop.load(Ordering::Relaxed) || snapshots < 50 {
+                        let seen: BTreeSet<i64> = ctx
+                            .atomically(|tx| set.range(tx, 0, SPAN - 1))
+                            .unwrap()
+                            .into_iter()
+                            .collect();
+                        for t in 0..WRITERS {
+                            for j in 0..10 {
+                                let (a, b) = pair(t, j);
+                                assert_eq!(
+                                    seen.contains(&a),
+                                    seen.contains(&b),
+                                    "{what}: torn pair ({a}, {b}) in {seen:?}"
+                                );
+                            }
+                        }
+                        snapshots += 1;
+                    }
+                })
+            };
+            // Stops the reader once the writers are done — or one panicked.
+            let writers_done = StopOnExit(Arc::clone(&stop));
+            let finals = writers
+                .into_iter()
+                .map(|writer| writer.join().expect("writer finished"))
+                .collect();
+            drop(writers_done);
+            reader.join().expect("reader finished");
+            finals
+        });
+        let mut ctx = stm.thread();
+        let expected: Vec<i64> = finals
+            .iter()
+            .flatten()
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        assert_eq!(
+            ctx.atomically(|tx| set.to_vec(tx)).unwrap(),
+            expected,
+            "{what}"
+        );
+        assert_eq!(
+            ctx.atomically(|tx| set.check_invariants(tx)).unwrap(),
+            expected.len(),
+            "{what}"
+        );
     }
 }
 
