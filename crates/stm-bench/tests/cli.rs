@@ -75,7 +75,10 @@ fn an_unknown_name_or_flag_is_refused_before_anything_runs() {
         let stderr = text(&out.stderr);
         assert!(stderr.contains("unknown"), "{args:?}: {stderr}");
         // The refusal shows what would have been accepted.
-        assert!(stderr.contains("starvation") && stderr.contains("--sweep"), "{stderr}");
+        assert!(
+            stderr.contains("starvation") && stderr.contains("--sweep"),
+            "{stderr}"
+        );
     }
     let out = figures(&["chain", "--sweep", "tiny"]);
     assert_eq!(out.status.code(), Some(2));

@@ -12,9 +12,10 @@
 //! [`ContentionManager`]: whenever a transaction `A` is about to perform an
 //! access that conflicts with a live transaction `B`, `A` asks *its own*
 //! contention manager whether to abort `B`, wait for `B`, or abort itself.
-//! Reads count: every read registers on the object it reads, so a writer
-//! meets its readers as conflicts too, and a transaction is retried until it
-//! commits unless its own body aborts it.
+//! Reads take part: every read registers on the object it reads, so a
+//! writer must settle with the object's readers through its manager too,
+//! and a transaction is retried until it commits unless its own body aborts
+//! it.
 //!
 //! ## Model
 //!

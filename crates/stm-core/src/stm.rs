@@ -401,7 +401,11 @@ mod tests {
 
     #[test]
     fn counter_increments_are_not_lost_across_threads() {
-        let stm = Arc::new(Stm::builder().manager(factory(AggressiveManager::new)).build());
+        let stm = Arc::new(
+            Stm::builder()
+                .manager(factory(AggressiveManager::new))
+                .build(),
+        );
         let counter = TVar::new(0u64);
         let threads = 4;
         let per_thread = 500u64;

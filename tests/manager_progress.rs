@@ -131,7 +131,9 @@ fn greedy_never_aborts_an_older_reader_on_the_real_runtime() {
     const WRITERS: usize = 3;
     const TRANSFERS: usize = 200;
     const INITIAL: i64 = 100;
-    let stm = Stm::builder().manager(ManagerKind::Greedy.factory()).build();
+    let stm = Stm::builder()
+        .manager(ManagerKind::Greedy.factory())
+        .build();
     let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect();
     let go = Barrier::new(WRITERS + 1);
     let (stm, accounts, go) = (&stm, &accounts, &go);
@@ -165,9 +167,15 @@ fn greedy_never_aborts_an_older_reader_on_the_real_runtime() {
             Ok(sum)
         })
     });
-    assert_eq!(report.attempts, 1, "greedy aborted the oldest transaction: {report:?}");
+    assert_eq!(
+        report.attempts, 1,
+        "greedy aborted the oldest transaction: {report:?}"
+    );
     assert_eq!(sum.unwrap(), ACCOUNTS as i64 * INITIAL);
-    assert!(stm.stats().snapshot().waits > 0, "no writer ever met the reader");
+    assert!(
+        stm.stats().snapshot().waits > 0,
+        "no writer ever met the reader"
+    );
     let total: i64 = accounts.iter().map(|a| stm.read_atomic(a)).sum();
     assert_eq!(total, ACCOUNTS as i64 * INITIAL);
 }

@@ -163,22 +163,27 @@ fn a_panicking_body_releases_what_it_acquired() {
     }));
     assert!(unwound.is_err());
     let (done, written) = mpsc::channel();
-    {
+    let writer = {
         let (stm, x) = (Arc::clone(&stm), x.clone());
         thread::spawn(move || {
             stm.thread().atomically(|tx| tx.write(&x, 2)).unwrap();
             let _ = done.send(());
-        });
-    }
+        })
+    };
     written
         .recv_timeout(Duration::from_secs(3))
         .expect("a writer conflicting with the unwound attempt is still waiting on it");
+    writer.join().unwrap();
     assert_eq!(stm.read_atomic(&x), 2);
     // The same thread context runs on: nothing of the unwound attempt is
     // left in it.
     assert_eq!(ctx.atomically(|tx| tx.read(&x)).unwrap(), 2);
     let snap = stm.stats().snapshot();
-    assert_eq!(snap.aborts_by_cause[AbortCause::Explicit.index()], 1, "{snap:?}");
+    assert_eq!(
+        snap.aborts_by_cause[AbortCause::Explicit.index()],
+        1,
+        "{snap:?}"
+    );
 }
 
 #[test]

@@ -78,8 +78,7 @@ fn point_reads_and_range_reads_agree_on_one_serial_order() {
         }
         let start = Barrier::new(WRITERS + READERS);
         let writers_done = AtomicBool::new(false);
-        let (stm, store, start, writers_done, tag) =
-            (&stm, &store, &start, &writers_done, &tag);
+        let (stm, store, start, writers_done, tag) = (&stm, &store, &start, &writers_done, &tag);
 
         thread::scope(|scope| {
             let writers: Vec<_> = (0..WRITERS)
@@ -136,11 +135,10 @@ fn point_reads_and_range_reads_agree_on_one_serial_order() {
                                 Ok((got_a, got_b, store.range(tx, a, b)?))
                             })
                             .unwrap();
-                        let expected: Vec<(i64, Value)> =
-                            [(a, got_a.clone()), (b, got_b.clone())]
-                                .into_iter()
-                                .filter_map(|(key, value)| value.map(|v| (key, v)))
-                                .collect();
+                        let expected: Vec<(i64, Value)> = [(a, got_a.clone()), (b, got_b.clone())]
+                            .into_iter()
+                            .filter_map(|(key, value)| value.map(|v| (key, v)))
+                            .collect();
                         assert_eq!(
                             expected.len(),
                             1,
