@@ -57,7 +57,7 @@ impl ContentionManager for EruptionManager {
         "eruption"
     }
 
-    fn opened(&mut self, me: TxView<'_>, _object_id: u64) {
+    fn opened(&mut self, me: TxView<'_>) {
         me.add_karma(1);
     }
 
@@ -150,8 +150,8 @@ mod tests {
     fn commit_resets_state_and_hooks_accumulate() {
         let me = tx(1, 1);
         let mut m = EruptionManager::default();
-        m.opened(view(&me), 1);
-        m.opened(view(&me), 2);
+        m.opened(view(&me));
+        m.opened(view(&me));
         assert_eq!(view(&me).karma(), 2);
         m.committed(view(&me));
         assert_eq!(view(&me).karma(), 0);

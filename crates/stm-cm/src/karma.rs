@@ -71,7 +71,7 @@ impl ContentionManager for KarmaManager {
         "karma"
     }
 
-    fn opened(&mut self, me: TxView<'_>, _object_id: u64) {
+    fn opened(&mut self, me: TxView<'_>) {
         // `increment` units of karma per object opened; accumulated in the
         // lineage so it survives aborts.
         me.add_karma(self.increment);
@@ -110,9 +110,9 @@ mod tests {
     fn opened_accumulates_karma_and_commit_resets_it() {
         let me = tx(1, 1);
         let mut m = KarmaManager::default();
-        m.opened(view(&me), 10);
-        m.opened(view(&me), 11);
-        m.opened(view(&me), 12);
+        m.opened(view(&me));
+        m.opened(view(&me));
+        m.opened(view(&me));
         assert_eq!(view(&me).karma(), 3);
         m.committed(view(&me));
         assert_eq!(view(&me).karma(), 0);
@@ -122,8 +122,8 @@ mod tests {
     fn increment_scales_earned_priority() {
         let me = tx(1, 1);
         let mut m = KarmaManager::with_params(DEFAULT_KARMA_BACKOFF, 5);
-        m.opened(view(&me), 42);
-        m.opened(view(&me), 43);
+        m.opened(view(&me));
+        m.opened(view(&me));
         assert_eq!(view(&me).karma(), 10);
     }
 

@@ -67,7 +67,7 @@ impl ContentionManager for PolkaManager {
         "polka"
     }
 
-    fn opened(&mut self, me: TxView<'_>, _object_id: u64) {
+    fn opened(&mut self, me: TxView<'_>) {
         me.add_karma(1);
     }
 
@@ -155,7 +155,7 @@ mod tests {
     fn hooks_and_names() {
         let me = tx(1, 1);
         let mut m = PolkaManager::default();
-        m.opened(view(&me), 1);
+        m.opened(view(&me));
         assert_eq!(view(&me).karma(), 1);
         m.committed(view(&me));
         assert_eq!(view(&me).karma(), 0);

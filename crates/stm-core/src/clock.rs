@@ -8,15 +8,11 @@
 //! timestamp `t`, there is a fixed bound on the number of transactions that
 //! will ever run with an earlier timestamp.
 //!
-//! Two generators are provided:
-//!
-//! * [`TimestampClock`] — a single shared atomic counter (the scheme used in
-//!   the paper's rules).
-//! * [`ThreadStripedClock`] — a striped logical clock that embeds a thread
-//!   tag in the low bits so different threads never produce equal
-//!   timestamps, while only periodically touching shared state. It satisfies
-//!   the same boundedness property and serves as the ablation for the
-//!   "priority assignment source" design choice in DESIGN.md.
+//! [`TimestampClock`] is a single shared atomic counter, the scheme used in
+//! the paper's rules: once a transaction takes `t`, at most `t` transactions
+//! ever hold an earlier one. Its values are unique, so the runtime also uses a
+//! transaction's timestamp as its identity — one shared counter per
+//! transaction start.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,48 +42,6 @@ impl TimestampClock {
     /// Returns the number of timestamps handed out so far.
     pub fn issued(&self) -> u64 {
         self.counter.load(Ordering::Relaxed)
-    }
-}
-
-/// Maximum number of threads distinguishable by [`ThreadStripedClock`].
-pub const STRIPED_CLOCK_THREAD_BITS: u32 = 10;
-
-/// A striped logical clock: timestamps are `(epoch << THREAD_BITS) | thread_tag`.
-///
-/// Threads draw an epoch from a shared counter only once per
-/// `epoch_batch` local timestamps, reducing contention on the shared counter
-/// while preserving the property the greedy manager needs: after a
-/// transaction takes a timestamp, only boundedly many transactions can ever
-/// take a smaller one (at most `n - 1` concurrent ones plus one batch per
-/// thread).
-#[derive(Debug)]
-pub struct ThreadStripedClock {
-    epoch: AtomicU64,
-}
-
-impl Default for ThreadStripedClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThreadStripedClock {
-    /// Creates a new striped clock.
-    pub fn new() -> Self {
-        ThreadStripedClock {
-            epoch: AtomicU64::new(0),
-        }
-    }
-
-    /// Returns the next timestamp for the thread identified by `thread_tag`.
-    ///
-    /// `thread_tag` must be smaller than `2^STRIPED_CLOCK_THREAD_BITS`; it is
-    /// masked otherwise.
-    #[inline]
-    pub fn next(&self, thread_tag: u64) -> u64 {
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
-        (epoch << STRIPED_CLOCK_THREAD_BITS)
-            | (thread_tag & ((1 << STRIPED_CLOCK_THREAD_BITS) - 1))
     }
 }
 
@@ -125,33 +79,5 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 8000);
-    }
-
-    #[test]
-    fn striped_clock_distinguishes_threads() {
-        let c = ThreadStripedClock::new();
-        let a = c.next(1);
-        let b = c.next(2);
-        assert_ne!(a, b);
-        assert_eq!(a & ((1 << STRIPED_CLOCK_THREAD_BITS) - 1), 1);
-        assert_eq!(b & ((1 << STRIPED_CLOCK_THREAD_BITS) - 1), 2);
-    }
-
-    #[test]
-    fn striped_clock_is_unique_across_threads() {
-        let c = Arc::new(ThreadStripedClock::new());
-        let mut handles = Vec::new();
-        for tag in 0..8u64 {
-            let c = Arc::clone(&c);
-            handles.push(thread::spawn(move || {
-                (0..500).map(|_| c.next(tag)).collect::<Vec<u64>>()
-            }));
-        }
-        let mut seen = HashSet::new();
-        for h in handles {
-            for v in h.join().unwrap() {
-                assert!(seen.insert(v), "duplicate striped timestamp {v}");
-            }
-        }
     }
 }

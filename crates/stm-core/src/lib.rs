@@ -19,9 +19,13 @@
 //!
 //! ## Model
 //!
-//! * Shared state lives in [`TVar<T>`] cells ("transactional objects").
+//! * Shared state lives in [`TVar<T>`] cells ("transactional objects"). An
+//!   object is its DSTM locator and its reader list, nothing else: it has
+//!   no id, and its readers are the transactions registered on it.
 //! * A [`Stm`] value owns the global timestamp clock and configuration: the
-//!   contention manager and an optional [`CommitHook`], nothing else.
+//!   contention manager and an optional [`CommitHook`], nothing else. A
+//!   transaction draws one timestamp when it first begins and uses it as
+//!   its id as well.
 //! * Each thread obtains a [`ThreadCtx`] from the [`Stm`] and runs closures
 //!   atomically with [`ThreadCtx::atomically`]. Inside the closure a
 //!   [`Txn`] handle provides `read`, `write`, and `modify` operations.
@@ -72,7 +76,6 @@ pub mod hook;
 pub mod manager;
 #[cfg(feature = "model-check")]
 pub mod models;
-pub mod readers;
 pub mod stats;
 pub mod status;
 pub mod stm;

@@ -140,8 +140,9 @@ pub trait ContentionManager: Send {
     fn begin(&mut self, _me: TxView<'_>) {}
 
     /// Called after the transaction successfully opens (reads or writes) an
-    /// object.
-    fn opened(&mut self, _me: TxView<'_>, _object_id: u64) {}
+    /// object. Managers count opens; none needs to know which object it was,
+    /// so objects carry no identity.
+    fn opened(&mut self, _me: TxView<'_>) {}
 
     /// Called when the transaction commits.
     fn committed(&mut self, _me: TxView<'_>) {}

@@ -1,6 +1,5 @@
 //! The STM runtime: configuration, thread contexts, and the retry loop.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::clock::TimestampClock;
@@ -74,7 +73,6 @@ impl StmBuilder {
     pub fn build(self) -> Stm {
         Stm {
             clock: TimestampClock::new(),
-            next_tx_id: AtomicU64::new(1),
             config: self.config,
             stats: StmStats::new(),
         }
@@ -89,7 +87,6 @@ impl StmBuilder {
 #[derive(Debug)]
 pub struct Stm {
     clock: TimestampClock,
-    next_tx_id: AtomicU64,
     config: StmConfig,
     stats: StmStats,
 }
@@ -151,10 +148,6 @@ impl Stm {
 
     pub(crate) fn config(&self) -> &StmConfig {
         &self.config
-    }
-
-    fn next_tx_id(&self) -> u64 {
-        self.next_tx_id.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -254,7 +247,10 @@ impl<'stm> ThreadCtx<'stm> {
         F: FnMut(&mut Txn<'_>) -> TxResult<T>,
     {
         let stm = self.stm;
-        let lineage = Arc::new(TxLineage::new(stm.next_tx_id(), stm.clock.next()));
+        // One clock draw per transaction: the timestamp is unique per `Stm`,
+        // so it is the transaction's id too.
+        let ts = stm.clock.next();
+        let lineage = Arc::new(TxLineage::new(ts, ts));
         stm.stats.note_transaction();
         let mut report = TxRunReport::default();
         let mut attempt: u64 = 0;
@@ -296,7 +292,7 @@ impl<'stm> ThreadCtx<'stm> {
 mod tests {
     use super::*;
     use crate::manager::AggressiveManager;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
     #[test]

@@ -20,8 +20,8 @@
 //! single status-word CAS. This is what makes the design obstruction-free at
 //! the transaction level: no transaction ever holds a lock across user code.
 //!
-//! *Implementation note (documented substitution in DESIGN.md):* DSTM
-//! publishes locators with a raw pointer CAS and relies on garbage
+//! *Implementation note (what stands in for DSTM's garbage collector):*
+//! DSTM publishes locators with a raw pointer CAS and relies on garbage
 //! collection. Locator publication here is the same single pointer CAS,
 //! through the vendored `arcswap` atomic-`Arc` cell; the garbage collector
 //! is substituted by `arcswap`'s counter-deferred reclamation (a displaced
@@ -32,22 +32,35 @@
 //! status word — the CAS the contention-management protocol actually
 //! relies on — was always a true lock-free CAS.
 //!
-//! Every transactional read is visible: the reader registers in a small
-//! per-object *sharded* registry, and a writer that acquires the object
-//! arbitrates with each registered reader. See [`crate::readers`] for the
-//! sharding and lazy-pruning discipline. The registry code itself is generic
-//! and model-checked in isolation; this module instantiates it with
-//! `TxShared`.
+//! An object is its locator and its readers, nothing else. Every
+//! transactional read is visible: the reader registers in the object's
+//! reader list, and a writer that acquires the object arbitrates with each
+//! registered reader. The list is split into `READER_SHARDS` (eight)
+//! mutexed shards, chosen by the reader's transaction id, so two threads
+//! reading the same hot object take different locks (E30 measured one list
+//! against eight shards and kept the shards). Finished readers are pruned
+//! lazily: registration prunes only when its shard has grown past
+//! `READER_PRUNE_THRESHOLD`, so the uncontended register/unregister pair is
+//! O(1); a writer's scan prunes every shard it walks, which it walks anyway
+//! to arbitrate. The locks come from [`crate::sync`], so under
+//! `--features model-check` the bounded model in `crate::models` drives
+//! these very methods.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::Arc;
+use crate::sync::{Arc, Mutex};
 
 use arcswap::ArcSwap;
 
-use crate::readers::ReaderRegistry;
 use crate::txn::TxShared;
 
-static OBJECT_IDS: AtomicU64 = AtomicU64::new(1);
+/// Reader-list shards per object. A reader's shard is its transaction id
+/// modulo this, so one transaction always lands in the same shard.
+pub(crate) const READER_SHARDS: usize = 8;
+
+/// Shard occupancy past which registration prunes finished readers before
+/// pushing. Below it, registration is append-only (amortized O(1)); the
+/// finished entries an object holds are at most
+/// `READER_SHARDS × READER_PRUNE_THRESHOLD`.
+pub(crate) const READER_PRUNE_THRESHOLD: usize = 8;
 
 /// A locator names the last writer of an object together with the object
 /// value before and after that writer.
@@ -115,25 +128,19 @@ impl<T> Locator<T> {
     }
 }
 
-/// Shared interior of a [`TVar`].
+/// Shared interior of a [`TVar`]: its locator and its reader list.
 #[derive(Debug)]
 pub(crate) struct TVarInner<T> {
-    id: u64,
     locator: ArcSwap<Locator<T>>,
-    readers: ReaderRegistry<TxShared>,
+    readers: [Mutex<Vec<Arc<TxShared>>>; READER_SHARDS],
 }
 
 impl<T> TVarInner<T> {
     fn new(value: T) -> Self {
         TVarInner {
-            id: OBJECT_IDS.fetch_add(1, Ordering::Relaxed),
             locator: ArcSwap::from_value(Locator::baseline(Arc::new(value))),
-            readers: ReaderRegistry::new(),
+            readers: std::array::from_fn(|_| Mutex::new(Vec::new())),
         }
-    }
-
-    pub(crate) fn id(&self) -> u64 {
-        self.id
     }
 
     /// Loads the current locator.
@@ -161,29 +168,55 @@ impl<T> TVarInner<T> {
         self.locator.compare_and_swap(expected, new)
     }
 
+    fn shard(&self, reader: &TxShared) -> &Mutex<Vec<Arc<TxShared>>> {
+        &self.readers[(reader.id() % READER_SHARDS as u64) as usize]
+    }
+
     /// Registers `reader` as a visible reader. Returns `true` if it was not
-    /// already registered. See [`ReaderRegistry::register`].
+    /// already registered. Only the reader's own shard is touched, and
+    /// finished entries are pruned only once the shard has grown past
+    /// [`READER_PRUNE_THRESHOLD`], so the uncontended call is O(1).
     pub(crate) fn register_reader(&self, reader: &Arc<TxShared>) -> bool {
-        self.readers.register(reader)
+        let mut shard = self.shard(reader).lock();
+        if shard.iter().any(|r| Arc::ptr_eq(r, reader)) {
+            return false;
+        }
+        if shard.len() >= READER_PRUNE_THRESHOLD {
+            shard.retain(|r| r.is_active());
+        }
+        shard.push(Arc::clone(reader));
+        true
     }
 
-    /// Removes `reader` from its visible-reader shard. See
-    /// [`ReaderRegistry::unregister`].
+    /// Removes `reader` from its shard. Removes only the caller's entry —
+    /// no rescan on the release path.
     pub(crate) fn unregister_reader(&self, reader: &TxShared) {
-        self.readers.unregister(reader)
+        let mut shard = self.shard(reader).lock();
+        if let Some(pos) = shard
+            .iter()
+            .position(|r| std::ptr::eq(Arc::as_ptr(r), reader))
+        {
+            shard.swap_remove(pos);
+        }
     }
 
-    /// Returns the currently registered active readers other than `me`,
-    /// pruning finished readers on the way. See
-    /// [`ReaderRegistry::active_readers`].
+    /// Returns the registered active readers other than `me`, pruning
+    /// finished readers from every shard on the way (the writer walks every
+    /// reader regardless — it must arbitrate with each of them).
     pub(crate) fn active_readers(&self, me: &Arc<TxShared>) -> Vec<Arc<TxShared>> {
-        self.readers.active_readers(me)
+        let mut out = Vec::new();
+        for shard in &self.readers {
+            let mut shard = shard.lock();
+            shard.retain(|r| r.is_active());
+            out.extend(shard.iter().filter(|r| !Arc::ptr_eq(r, me)).cloned());
+        }
+        out
     }
 
     /// Number of registered readers, stale entries included (tests).
     #[cfg(test)]
     pub(crate) fn reader_count(&self) -> usize {
-        self.readers.len()
+        self.readers.iter().map(|shard| shard.lock().len()).sum()
     }
 }
 
@@ -220,12 +253,6 @@ impl<T: Send + Sync> TVar<T> {
         TVar {
             inner: Arc::new(TVarInner::new(value)),
         }
-    }
-
-    /// A unique identity for this object (used by contention managers and
-    /// instrumentation).
-    pub fn id(&self) -> u64 {
-        self.inner.id()
     }
 
     /// Returns `true` if `self` and `other` refer to the same object.
@@ -271,7 +298,7 @@ pub(crate) trait TrackedRead: Send + Sync {
 }
 
 /// A read is tracked by the object itself: the registration lives in the
-/// object's reader shards and release unregisters. The read set stores the
+/// object's reader list and release unregisters. The read set stores the
 /// object directly (an `Arc` clone of `TVarInner`) rather than boxing a
 /// wrapper, which keeps the read fast path free of per-read heap
 /// allocation.
@@ -312,19 +339,29 @@ impl<T: Send + Sync> TrackedWrite for OwnedWrite<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::readers::{READER_PRUNE_THRESHOLD, READER_SHARDS};
     use crate::txn::TxLineage;
+    use std::mem::size_of;
 
-    fn fresh_shared() -> Arc<TxShared> {
-        let lineage = Arc::new(TxLineage::new(1, 1));
-        Arc::new(TxShared::new(lineage, 1))
+    /// A running reader with transaction id `id` (its shard is `id` modulo
+    /// [`READER_SHARDS`]).
+    fn reader(id: u64) -> Arc<TxShared> {
+        Arc::new(TxShared::new(Arc::new(TxLineage::new(id, id)), 1))
     }
 
     #[test]
-    fn tvar_ids_are_unique() {
+    fn an_object_is_its_locator_and_its_reader_shards() {
+        // No id, no other field: a count that holds on any host.
+        assert_eq!(
+            size_of::<TVarInner<i64>>(),
+            size_of::<ArcSwap<Locator<i64>>>()
+                + READER_SHARDS * size_of::<Mutex<Vec<Arc<TxShared>>>>()
+        );
+    }
+
+    #[test]
+    fn same_object_compares_identity() {
         let a = TVar::new(0u8);
         let b = TVar::new(0u8);
-        assert_ne!(a.id(), b.id());
         assert!(a.same_object(&a.clone()));
         assert!(!a.same_object(&b));
     }
@@ -346,14 +383,14 @@ mod tests {
     fn stable_value_follows_owner_status() {
         let old = Arc::new(1u32);
         let new = Arc::new(2u32);
-        let owner = fresh_shared();
+        let owner = reader(1);
         let loc = Locator::owned(Arc::clone(&owner), Arc::clone(&old), Arc::clone(&new));
         // Active owner: the old value is current.
         assert_eq!(*loc.stable_value(), 1);
         assert!(owner.try_commit());
         assert_eq!(*loc.stable_value(), 2);
 
-        let owner2 = fresh_shared();
+        let owner2 = reader(1);
         let loc2 = Locator::owned(Arc::clone(&owner2), old, new);
         assert!(owner2.try_abort());
         assert_eq!(*loc2.stable_value(), 1);
@@ -361,7 +398,7 @@ mod tests {
 
     #[test]
     fn set_new_value_changes_committed_result() {
-        let owner = fresh_shared();
+        let owner = reader(1);
         let loc = Locator::owned(Arc::clone(&owner), Arc::new(1u32), Arc::new(1u32));
         loc.set_new_value(Arc::new(99));
         owner.try_commit();
@@ -383,22 +420,28 @@ mod tests {
     #[test]
     fn reader_registration_dedupes_and_prunes() {
         let inner = TVarInner::new(0u32);
-        let r1 = fresh_shared();
-        let r2 = fresh_shared();
+        let r1 = reader(1);
+        let r2 = reader(2);
         assert!(inner.register_reader(&r1));
         assert!(!inner.register_reader(&r1));
         assert!(inner.register_reader(&r2));
+        // A distinct descriptor with the same id (its shard) is a distinct
+        // registration: readers are told apart by pointer, not by id.
+        let r1_twin = reader(1);
+        assert!(inner.register_reader(&r1_twin));
+        assert_eq!(inner.reader_count(), 3);
+        inner.unregister_reader(&r1_twin);
         assert_eq!(inner.reader_count(), 2);
+        // The scan leaves out `me`, skips finished readers and physically
+        // prunes them.
         assert_eq!(inner.active_readers(&r1).len(), 1);
-        // Finished readers are skipped by active_readers (and physically
-        // pruned by it, or by registration past the shard threshold).
         r2.try_abort();
-        let r3 = fresh_shared();
+        let r3 = reader(3);
         assert!(inner.register_reader(&r3));
-        assert!(inner
-            .active_readers(&r3)
-            .iter()
-            .all(|r| Arc::ptr_eq(r, &r1)));
+        let active = inner.active_readers(&r3);
+        assert_eq!(active.len(), 1);
+        assert!(Arc::ptr_eq(&active[0], &r1));
+        assert_eq!(inner.reader_count(), 2);
         inner.unregister_reader(&r1);
         assert!(inner.active_readers(&r3).is_empty());
     }
@@ -406,8 +449,10 @@ mod tests {
     #[test]
     fn reader_list_stays_bounded_under_register_churn() {
         let inner = TVarInner::new(0u32);
-        for i in 0..10_000u32 {
-            let r = fresh_shared();
+        let live = reader(0);
+        inner.register_reader(&live);
+        for i in 1..=10_000u64 {
+            let r = reader(i);
             inner.register_reader(&r);
             if i % 2 == 0 {
                 r.try_commit();
@@ -421,33 +466,36 @@ mod tests {
             }
         }
         // Lazy pruning leaves at most a threshold's worth of finished
-        // entries per shard — a constant, not a function of churn volume.
+        // entries per shard, plus the live readers — a constant, not a
+        // function of churn volume.
         assert!(
-            inner.reader_count() <= READER_SHARDS * READER_PRUNE_THRESHOLD,
+            inner.reader_count() <= READER_SHARDS * READER_PRUNE_THRESHOLD + 1,
             "reader list leaked: {} entries",
             inner.reader_count()
         );
         // A writer's arbitration scan prunes every shard it walks.
-        let me = fresh_shared();
-        assert!(inner.active_readers(&me).is_empty());
-        assert_eq!(inner.reader_count(), 0);
+        let me = reader(1);
+        let active = inner.active_readers(&me);
+        assert_eq!(active.len(), 1);
+        assert!(Arc::ptr_eq(&active[0], &live));
+        assert_eq!(inner.reader_count(), 1);
     }
 
     #[test]
     fn register_past_threshold_prunes_only_finished_entries() {
         let inner = TVarInner::new(0u32);
-        let keep = fresh_shared();
+        let keep = reader(0);
         assert!(inner.register_reader(&keep));
-        // Pile finished readers into the same shard (all test lineages use
-        // id 1) until the threshold forces a prune.
-        for _ in 0..(2 * READER_PRUNE_THRESHOLD) {
-            let r = fresh_shared();
+        // Pile finished readers into the same shard until the threshold
+        // forces a prune.
+        for i in 1..=(2 * READER_PRUNE_THRESHOLD as u64) {
+            let r = reader(i * READER_SHARDS as u64);
             inner.register_reader(&r);
             r.try_abort();
         }
         assert!(inner.reader_count() <= READER_PRUNE_THRESHOLD + 1);
         // The live registration survived every prune.
-        let me = fresh_shared();
+        let me = reader(1);
         let active = inner.active_readers(&me);
         assert_eq!(active.len(), 1);
         assert!(Arc::ptr_eq(&active[0], &keep));
@@ -456,7 +504,7 @@ mod tests {
     #[test]
     fn detach_committed_collapses_locator() {
         let inner = Arc::new(TVarInner::new(1u32));
-        let owner = fresh_shared();
+        let owner = reader(1);
         let current = inner.load_locator();
         let owned = Arc::new(Locator::owned(
             Arc::clone(&owner),

@@ -5,7 +5,8 @@
 //! * [`TxLineage`] — state that survives aborts and restarts: the identity of
 //!   the logical transaction, the **timestamp** assigned when it first began
 //!   (the greedy manager's priority), and the karma that Karma, Eruption
-//!   and Polka accumulate.
+//!   and Polka accumulate. The runtime draws one value from the [`Stm`]'s
+//!   clock per transaction and uses it as both identity and timestamp.
 //! * [`TxShared`] — the descriptor of one *attempt*, visible to every other
 //!   thread: its attempt number, a CAS-able status word and the public
 //!   `waiting` flag of the greedy manager. Enemy transactions hold `Arc`s to
@@ -15,10 +16,11 @@
 //!   performs reads and writes, detects conflicts eagerly, and consults the
 //!   thread's contention manager to resolve them.
 //!
-//! There is one read protocol: every read registers its transaction on the
-//! object it reads, and a writer that acquires the object must settle with
-//! each registered reader through its contention manager before it may
-//! commit. No read set is ever re-validated, so no transaction is aborted
+//! There is one read protocol: every read registers its transaction in the
+//! reader list of the object it reads (see [`crate::tvar`]), and a writer
+//! that acquires the object must settle with each registered reader through
+//! its contention manager before it may commit. No read set is ever
+//! re-validated, so no transaction is aborted
 //! except by a manager's decision (its own or an enemy's) or by its body.
 //! When every thread runs greedy, the oldest running transaction is
 //! therefore never aborted: the pending-commit property the paper's
@@ -380,7 +382,7 @@ impl<'ctx> Txn<'ctx> {
                 if Arc::ptr_eq(owner, &self.shared) {
                     // Read-your-own-write.
                     let value = loc.new_value();
-                    self.note_read(tvar.id());
+                    self.note_read();
                     return Ok(value);
                 }
                 if owner.is_active() {
@@ -398,7 +400,7 @@ impl<'ctx> Txn<'ctx> {
             // too, so this check guarantees we never hand user code a value
             // that is inconsistent with what it already read.
             self.ensure_active()?;
-            self.note_read(tvar.id());
+            self.note_read();
             return Ok(value);
         }
     }
@@ -449,7 +451,7 @@ impl<'ctx> Txn<'ctx> {
                     let func = f.take().expect("update closure already consumed");
                     let current = loc.new_value();
                     loc.set_new_value(Arc::new(func(&current)));
-                    self.note_write(tvar.id());
+                    self.note_write();
                     return Ok(());
                 }
                 if owner.is_active() {
@@ -481,7 +483,7 @@ impl<'ctx> Txn<'ctx> {
             let func = f.take().expect("update closure already consumed");
             let base = new_loc.new_value();
             new_loc.set_new_value(Arc::new(func(&base)));
-            self.note_write(tvar.id());
+            self.note_write();
             return Ok(());
         }
     }
@@ -553,14 +555,14 @@ impl<'ctx> Txn<'ctx> {
         }
     }
 
-    fn note_read(&mut self, object_id: u64) {
+    fn note_read(&mut self) {
         self.stats.reads += 1;
-        self.manager.opened(TxView::new(&self.shared), object_id);
+        self.manager.opened(TxView::new(&self.shared));
     }
 
-    fn note_write(&mut self, object_id: u64) {
+    fn note_write(&mut self) {
         self.stats.writes += 1;
-        self.manager.opened(TxView::new(&self.shared), object_id);
+        self.manager.opened(TxView::new(&self.shared));
     }
 
     /// Attempts to commit. Returns `true` when the attempt committed, and

@@ -250,9 +250,7 @@ pub fn simulate(
                     None => {
                         acquire(&mut objects[access.object], i, access.write);
                         let shared = Arc::clone(&txs[i].shared);
-                        txs[i]
-                            .manager
-                            .opened(TxView::new(&shared), access.object as u64);
+                        txs[i].manager.opened(TxView::new(&shared));
                         txs[i].next_access += 1;
                     }
                     Some(j) => {

@@ -34,12 +34,12 @@ fn wal_slot_ring_is_safe() {
     assert_eq!(report.timeout_rescues, 0, "{report}");
 }
 
-/// Sharded visible-reader registry: a registered running reader is never
+/// A `TVar`'s visible-reader list: a registered running reader is never
 /// lost to a concurrent scan's pruning.
 #[test]
 fn reader_registry_is_safe() {
-    let report = stm_core::models::reader_registry_never_loses_a_visible_reader();
-    eprintln!("reader registry: {report}");
+    let report = stm_core::models::reader_list_never_loses_a_visible_reader();
+    eprintln!("reader list: {report}");
     assert!(report.schedules() > 100, "{report}");
 }
 
