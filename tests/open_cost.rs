@@ -30,6 +30,10 @@ thread_local! {
 
 struct CountingAlloc;
 
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// meets `GlobalAlloc`'s contract; the count is a const-initialised
+// thread-local `Cell` with no destructor, so bumping it never allocates
+// and never touches memory being freed.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
