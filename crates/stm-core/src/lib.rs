@@ -22,10 +22,12 @@
 //! * Shared state lives in [`TVar<T>`] cells ("transactional objects"). An
 //!   object is its DSTM locator and its reader list, nothing else: it has
 //!   no id, and its readers are the transactions registered on it.
-//! * A [`Stm`] value owns the global timestamp clock and configuration: the
-//!   contention manager and an optional [`CommitHook`], nothing else. A
-//!   transaction draws one timestamp when it first begins and uses it as
-//!   its id as well.
+//! * A [`Stm`] value owns the global timestamp clock, its configuration
+//!   (the contention manager and an optional [`CommitHook`]) and its
+//!   [`StmStats`]: striped counters in a `metrics` registry of its own,
+//!   read in process with [`StmStats::snapshot`] and rendered as text with
+//!   [`StmStats::metrics_text`]. A transaction draws one timestamp when it
+//!   first begins and uses it as its id as well.
 //! * Each thread obtains a [`ThreadCtx`] from the [`Stm`] and runs closures
 //!   atomically with [`ThreadCtx::atomically`]. Inside the closure a
 //!   [`Txn`] handle provides `read`, `write`, and `modify` operations.

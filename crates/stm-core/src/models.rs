@@ -1,11 +1,12 @@
 //! Bounded loomlite models of this crate's lock-free hot paths.
 //!
 //! Compiled only under `--features model-check`, where the [`crate::sync`]
-//! facade resolves to loomlite modeled primitives — the model below drives
-//! the *shipped* reader-list methods of a real [`TVar`] with real
-//! [`TxShared`] readers, not a copy. (The crate has no reclaimer to model: a
-//! `TVar` is an `Arc`, so nothing here frees memory a transaction could
-//! still reach.)
+//! facade (and the `metrics` crate's own) resolves to loomlite modeled
+//! primitives — the models below drive the *shipped* code, not a copy: the
+//! reader-list methods of a real [`TVar`] with real [`TxShared`] readers,
+//! and a real [`StmStats`] over its striped registry counters. (The crate
+//! has no reclaimer to model: a `TVar` is an `Arc`, so nothing here frees
+//! memory a transaction could still reach.)
 //!
 //! Every function returns the checker's [`Report`] so callers (unit tests
 //! here and the workspace-level `tests/model_check.rs`) can assert
@@ -13,6 +14,8 @@
 
 use loomlite::{Builder, Report};
 
+use crate::error::AbortCause;
+use crate::stats::{StmStats, TxnStats};
 use crate::sync::Arc;
 use crate::tvar::{TVar, READER_PRUNE_THRESHOLD, READER_SHARDS};
 use crate::txn::{TxLineage, TxShared};
@@ -82,6 +85,57 @@ pub fn reader_list_never_loses_a_visible_reader() -> Report {
     })
 }
 
+/// Real-code model: one thread counts an attempt and its commit, another
+/// an attempt and its abort, while this thread takes a snapshot of the
+/// same [`StmStats`]. Asserts the snapshot identities in every explored
+/// schedule: `commits + aborts <= attempts` (the outcomes are read before
+/// the attempts, each increment a release and each stripe read an
+/// acquire) and `sum(aborts_by_cause) == aborts`. With a `Relaxed`
+/// `metrics::Counter::add` the first one fails.
+///
+/// The snapshot alone is 104 stripe loads (13 counters × 8 stripes), each a
+/// schedule point, so the preemption bound is 1: a torn read needs just
+/// one, the switch that lets an outcome land before the snapshot reads it.
+pub fn stats_snapshot_is_never_torn() -> Report {
+    let builder = Builder {
+        preemption_bound: Some(1),
+        ..Builder::default()
+    };
+    builder.check(|| {
+        let stats = Arc::new(StmStats::new());
+        let local = TxnStats::new();
+        let committer = {
+            let stats = Arc::clone(&stats);
+            loomlite::thread::spawn(move || {
+                stats.note_attempt();
+                stats.note_commit(&local);
+            })
+        };
+        let aborter = {
+            let stats = Arc::clone(&stats);
+            loomlite::thread::spawn(move || {
+                stats.note_attempt();
+                stats.note_abort(&local, AbortCause::KilledByEnemy);
+            })
+        };
+
+        let snap = stats.snapshot();
+        assert!(
+            snap.commits + snap.aborts <= snap.attempts,
+            "torn snapshot: {} commits + {} aborts > {} attempts",
+            snap.commits,
+            snap.aborts,
+            snap.attempts
+        );
+        assert_eq!(snap.aborts_by_cause.iter().sum::<u64>(), snap.aborts);
+
+        committer.join().unwrap();
+        aborter.join().unwrap();
+        let settled = stats.snapshot();
+        assert_eq!((settled.attempts, settled.commits, settled.aborts), (2, 1, 1));
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +144,13 @@ mod tests {
     fn reader_registry_is_safe() {
         let report = reader_list_never_loses_a_visible_reader();
         eprintln!("reader list: {report}");
+        assert!(report.schedules() > 100, "{report}");
+    }
+
+    #[test]
+    fn stats_snapshot_is_safe() {
+        let report = stats_snapshot_is_never_torn();
+        eprintln!("stats snapshot: {report}");
         assert!(report.schedules() > 100, "{report}");
     }
 }

@@ -4,17 +4,24 @@
 //!
 //! * [`TxnStats`] — plain counters local to a single transaction attempt
 //!   (reads, writes, conflicts, waits). They cost nothing to update.
-//! * [`StmStats`] — atomic counters shared by every thread of an [`crate::Stm`].
-//!   Attempt-level counters are folded into them when the attempt commits or
-//!   aborts, so shared cache lines are touched once per attempt rather than
-//!   once per operation.
+//! * [`StmStats`] — the counters shared by every thread of an
+//!   [`crate::Stm`]: striped counters of a `metrics::Registry`, so a thread
+//!   increments its own cache line. Attempt-level counters are folded into
+//!   them when the attempt commits or aborts, once per attempt rather than
+//!   once per operation, and a fold of 0 is skipped.
 //!
-//! The benchmark harness (`stm-bench`) derives committed-transactions-per-
-//! second figures — the metric of Figures 1–4 of the paper — from
-//! [`StmStats::snapshot`].
+//! The registry is the one source of these counts: [`StmStats::snapshot`]
+//! reads it in process (the benchmark harness `stm-bench` derives the
+//! committed-transactions-per-second metric of Figures 1–4 of the paper
+//! from it), and [`StmStats::metrics_text`] renders it for the `stm-kv`
+//! server's `METRICS` verb. Each count has one counter; the only second
+//! name is `stm_manager_decisions_total`, an alias kept while the repo
+//! benchmark still reads it.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use metrics::{Counter, Registry};
 
 use crate::error::AbortCause;
 
@@ -165,108 +172,113 @@ impl fmt::Display for StatsSnapshot {
     }
 }
 
-/// Shared, thread-safe counters for one [`crate::Stm`] instance.
-#[derive(Debug, Default)]
+/// Shared, thread-safe counters for one [`crate::Stm`] instance, each a
+/// series of its own registry, named `stm_<field>_total`. The aborts are
+/// `stm_aborts_total{cause}`, one series per [`AbortCause`], and no other
+/// counter: their sum is the abort count.
+#[derive(Debug)]
 pub struct StmStats {
-    transactions: AtomicU64,
-    attempts: AtomicU64,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    conflicts: AtomicU64,
-    waits: AtomicU64,
-    enemy_aborts: AtomicU64,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    aborts_by_cause: [AtomicU64; ABORT_CAUSES],
+    registry: Registry,
+    transactions: Arc<Counter>,
+    attempts: Arc<Counter>,
+    commits: Arc<Counter>,
+    conflicts: Arc<Counter>,
+    waits: Arc<Counter>,
+    enemy_aborts: Arc<Counter>,
+    reads: Arc<Counter>,
+    writes: Arc<Counter>,
+    aborts_by_cause: [Arc<Counter>; ABORT_CAUSES],
 }
 
 impl StmStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        StmStats::default()
+    pub(crate) fn new() -> Self {
+        let registry = Registry::new();
+        let aborts_by_cause = AbortCause::ALL
+            .map(|cause| registry.counter("stm_aborts_total", &[("cause", cause.label())]));
+        let stats = StmStats {
+            transactions: registry.counter("stm_transactions_total", &[]),
+            attempts: registry.counter("stm_attempts_total", &[]),
+            commits: registry.counter("stm_commits_total", &[]),
+            conflicts: registry.counter("stm_conflicts_total", &[]),
+            waits: registry.counter("stm_waits_total", &[]),
+            enemy_aborts: registry.counter("stm_enemy_aborts_total", &[]),
+            reads: registry.counter("stm_reads_total", &[]),
+            writes: registry.counter("stm_writes_total", &[]),
+            aborts_by_cause,
+            registry,
+        };
+        let decision = "stm_manager_decisions_total";
+        let self_aborts = &stats.aborts_by_cause[AbortCause::ManagerSelfAbort.index()];
+        stats.registry.alias(decision, &[("decision", "wait")], &stats.waits);
+        stats.registry.alias(decision, &[("decision", "abort_other")], &stats.enemy_aborts);
+        stats.registry.alias(decision, &[("decision", "abort_self")], self_aborts);
+        stats
     }
 
     pub(crate) fn note_transaction(&self) {
-        self.transactions.fetch_add(1, Ordering::Relaxed);
+        self.transactions.add(1);
     }
 
     pub(crate) fn note_attempt(&self) {
-        self.attempts.fetch_add(1, Ordering::Relaxed);
+        self.attempts.add(1);
     }
 
     pub(crate) fn note_commit(&self, local: &TxnStats) {
-        // ordering: release pairs with `snapshot`'s acquire load of
-        // `commits` — observing this commit makes the attempt increment
-        // that preceded it (program order) visible too, so a snapshot can
-        // never report `commits + aborts > attempts`.
-        self.commits.fetch_add(1, Ordering::Release);
+        self.commits.add(1);
         self.fold(local);
     }
 
     pub(crate) fn note_abort(&self, local: &TxnStats, cause: AbortCause) {
-        // ordering: release for the same attempts identity as `note_commit`.
-        self.aborts.fetch_add(1, Ordering::Release);
-        // ordering: release pairs with `snapshot` loading the cause array
-        // *before* `aborts` — observing the cause increment makes the
-        // `aborts` increment above visible, so a snapshot can never report
-        // `sum(aborts_by_cause) > aborts`.
-        self.aborts_by_cause[cause.index()].fetch_add(1, Ordering::Release);
+        self.aborts_by_cause[cause.index()].add(1);
         self.fold(local);
     }
 
     fn fold(&self, local: &TxnStats) {
-        self.conflicts.fetch_add(local.conflicts, Ordering::Relaxed);
-        self.waits.fetch_add(local.waits, Ordering::Relaxed);
-        self.enemy_aborts
-            .fetch_add(local.enemy_aborts, Ordering::Relaxed);
-        self.reads.fetch_add(local.reads, Ordering::Relaxed);
-        self.writes.fetch_add(local.writes, Ordering::Relaxed);
+        for (counter, n) in [
+            (&self.conflicts, local.conflicts),
+            (&self.waits, local.waits),
+            (&self.enemy_aborts, local.enemy_aborts),
+            (&self.reads, local.reads),
+            (&self.writes, local.writes),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 
     /// Takes a snapshot of all counters that is *directionally* consistent
-    /// under concurrent updates: the identities
+    /// under concurrent updates: `commits + aborts <= attempts` holds in
+    /// every snapshot, and `sum(aborts_by_cause) == aborts` by definition.
     ///
-    /// * `commits + aborts <= attempts` and
-    /// * `sum(aborts_by_cause) <= aborts`
-    ///
-    /// hold in every snapshot, because derived counters are loaded before
-    /// the counters they derive from (acquire loads pairing with the
-    /// release increments in `note_commit` / `note_abort`: observing a
-    /// derived increment makes the base increment that preceded it
-    /// visible). A previous version loaded everything relaxed in
-    /// declaration order, and a snapshot racing `note_attempt` +
-    /// `note_commit` could report more finished attempts than started ones
-    /// — a torn read that `abort_ratio` turned into nonsense.
+    /// A counter increment is a release and a counter read an acquire on
+    /// every stripe (`metrics::Counter`), and an attempt is counted before
+    /// its outcome, so the outcomes (causes, then commits) are read before
+    /// the attempts: every outcome seen makes its attempt visible. Reading
+    /// in declaration order once let a snapshot racing `note_attempt` +
+    /// `note_commit` report more finished attempts than started ones.
     pub fn snapshot(&self) -> StatsSnapshot {
-        // ordering: acquire loads, most-derived counters first — see above.
-        let aborts_by_cause =
-            std::array::from_fn(|i| self.aborts_by_cause[i].load(Ordering::Acquire));
-        let aborts = self.aborts.load(Ordering::Acquire);
-        let commits = self.commits.load(Ordering::Acquire);
-        let attempts = self.attempts.load(Ordering::Relaxed);
+        let aborts_by_cause = self.aborts_by_cause.each_ref().map(|c| c.value());
+        let commits = self.commits.value();
+        let attempts = self.attempts.value();
         StatsSnapshot {
-            transactions: self.transactions.load(Ordering::Relaxed),
+            transactions: self.transactions.value(),
             attempts,
             commits,
-            aborts,
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-            waits: self.waits.load(Ordering::Relaxed),
-            enemy_aborts: self.enemy_aborts.load(Ordering::Relaxed),
+            aborts: aborts_by_cause.iter().sum(),
+            conflicts: self.conflicts.value(),
+            waits: self.waits.value(),
+            enemy_aborts: self.enemy_aborts.value(),
             validation_failures: aborts_by_cause[AbortCause::ValidationFailed.index()],
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
+            reads: self.reads.value(),
+            writes: self.writes.value(),
             aborts_by_cause,
         }
     }
 
-    /// Number of committed attempts so far.
-    pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
-    }
-
-    /// Number of aborted attempts so far.
-    pub fn aborts(&self) -> u64 {
-        self.aborts.load(Ordering::Relaxed)
+    /// Every series above in the registry's Prometheus text exposition.
+    pub fn metrics_text(&self) -> String {
+        self.registry.render()
     }
 }
 
@@ -312,6 +324,17 @@ mod tests {
         assert_eq!(snap.conflicts, 4);
         assert!((snap.abort_ratio() - 0.5).abs() < 1e-9);
         assert!((snap.attempts_per_commit() - 2.0).abs() < 1e-9);
+        // The registry renders the same counts, and the decisions again.
+        let text = stats.metrics_text();
+        for line in [
+            "stm_reads_total 8",
+            "stm_aborts_total{cause=\"validation_failed\"} 1",
+            "stm_manager_decisions_total{decision=\"wait\"} 2",
+            "stm_manager_decisions_total{decision=\"abort_self\"} 0",
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing `{line}` in:\n{text}");
+        }
+        assert_eq!(text.matches("# TYPE").count(), 10, "{text}");
     }
 
     #[test]

@@ -41,11 +41,12 @@
 //! forces a point-in-time snapshot; [`ServerConfig::snapshot_every`] takes
 //! one automatically every N logged records.
 //!
-//! **Statistics.** `METRICS` is the only statistics verb and
-//! `metrics_payload` its only renderer: the serving layer's counters,
-//! gauges and histograms live in one `Telemetry` registry, the log's in
-//! the registry [`Wal::metrics_text`] renders, and the STM runtime's and the
-//! store's figures are read where they are kept at scrape time.
+//! **Statistics.** `METRICS` is the only statistics verb. Its payload is
+//! four registries rendered back to back, and each series lives in exactly
+//! one of them: the serving layer's `Telemetry`, the STM runtime's
+//! ([`StmStats::metrics_text`](stm_core::StmStats::metrics_text)), the
+//! store's ([`KvStore::metrics_text`]) and, when durable, the log's
+//! ([`Wal::metrics_text`]). No series line is written anywhere else.
 //!
 //! [`KvServer::shutdown`] stops accepting, drains every connection (what it
 //! already sent is executed and answered), joins every thread, and flushes
@@ -58,7 +59,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stm_cm::ManagerKind;
-use stm_core::{AbortCause, CommitOp, Stm, ThreadCtx, TxResult, Txn};
+use stm_core::{CommitOp, Stm, ThreadCtx, TxResult, Txn};
 use stm_log::{FsyncPolicy, Wal, WalConfig};
 
 use crate::event_loop::EventLoops;
@@ -225,11 +226,6 @@ impl KvServer {
         self.manager
     }
 
-    /// Snapshot of the underlying STM's statistics.
-    pub fn stm_stats(&self) -> stm_core::stats::StatsSnapshot {
-        self.stm.stats().snapshot()
-    }
-
     /// The underlying store (for in-process audits in tests and examples;
     /// run transactions against it via [`KvServer::stm`]).
     pub fn store(&self) -> &Arc<KvStore> {
@@ -244,11 +240,6 @@ impl KvServer {
     /// The write-ahead log, when the server runs durable.
     pub fn wal(&self) -> Option<&Arc<Wal>> {
         self.durable.as_ref().map(|d| &d.wal)
-    }
-
-    /// Total aborted attempts attributed to client requests so far.
-    pub fn request_retries(&self) -> u64 {
-        self.telemetry.retries.value()
     }
 
     /// Connections currently being served. Must be zero after
@@ -384,92 +375,27 @@ fn apply(store: &KvStore, tx: &mut Txn<'_>, request: &Request, log: bool) -> TxR
     })
 }
 
-/// The `METRICS` payload: Prometheus-style text exposition composed from
-/// four sections —
+/// The `METRICS` payload: four registries' Prometheus text expositions,
+/// back to back —
 ///
-/// 1. the server's [`Telemetry`] registry (request and connection counters,
-///    per-op latency histograms, transaction attempt/latency histograms,
-///    event-loop instrumentation, per-shard connection gauges);
-/// 2. the STM runtime's counters, rendered from a [`StatsSnapshot`]
-///    (`stm_core` itself stays dependency-free): commits, aborts **by
-///    cause**, conflicts, and contention-manager decisions (`wait` =
-///    waits granted, `abort_other` = enemy aborts granted, `abort_self` =
-///    self-abort verdicts, recovered from the `manager_self_abort` cause
-///    count);
-/// 3. the store's index-walk counter and its cell accounting, which make
-///    keyspace growth *and reclamation* observable from the wire:
-///    `cells_allocated` counts every value cell ever materialised
-///    (monotone), `cells_freed` how many of those a committed `DEL` has
-///    unlinked ([`KvStore::cells_released`]; the cell's `Arc` frees it), and
-///    `overflow_cells{shard}` the cells currently linked, per shard —
-///    allocated − freed = linked, with no limbo in between;
-/// 4. when durable, every `stm_wal_*` series ([`Wal::metrics_text`]).
-///
-/// [`StatsSnapshot`]: stm_core::stats::StatsSnapshot
+/// 1. the server's [`Telemetry`] (request and connection counters, per-op
+///    latency histograms, transaction attempt/latency histograms, event-loop
+///    instrumentation, per-shard connection gauges);
+/// 2. the STM runtime's counters (`stm_*_total`: commits, aborts by cause,
+///    conflicts, contention-manager waits and enemy aborts, reads, writes);
+/// 3. the store's index-walk counter and cell gauges, which make keyspace
+///    growth *and reclamation* observable from the wire (allocated − freed
+///    = linked, with no limbo in between);
+/// 4. when durable, every `stm_wal_*` series.
 fn metrics_payload(
     stm: &Stm,
     store: &KvStore,
     durable: Option<&Durable>,
     telemetry: &Telemetry,
 ) -> String {
-    use std::fmt::Write as _;
     let mut out = telemetry.render();
-    let snap = stm.stats().snapshot();
-
-    let stm_counters = [
-        ("stm_transactions_total", snap.transactions),
-        ("stm_attempts_total", snap.attempts),
-        ("stm_commits_total", snap.commits),
-        ("stm_conflicts_total", snap.conflicts),
-        ("stm_waits_total", snap.waits),
-        ("stm_enemy_aborts_total", snap.enemy_aborts),
-        ("stm_validation_failures_total", snap.validation_failures),
-    ];
-    for (name, value) in stm_counters {
-        let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-    }
-    let _ = writeln!(out, "# TYPE stm_aborts_total counter");
-    for cause in AbortCause::ALL {
-        let _ = writeln!(
-            out,
-            "stm_aborts_total{{cause=\"{}\"}} {}",
-            cause.label(),
-            snap.aborts_by_cause[cause.index()],
-        );
-    }
-    let _ = writeln!(out, "# TYPE stm_manager_decisions_total counter");
-    let decisions = [
-        ("wait", snap.waits),
-        ("abort_other", snap.enemy_aborts),
-        (
-            "abort_self",
-            snap.aborts_by_cause[AbortCause::ManagerSelfAbort.index()],
-        ),
-    ];
-    for (decision, value) in decisions {
-        let _ = writeln!(
-            out,
-            "stm_manager_decisions_total{{decision=\"{decision}\"}} {value}"
-        );
-    }
-
-    let _ = writeln!(
-        out,
-        "# TYPE stm_kv_index_walks_total counter\nstm_kv_index_walks_total {}",
-        store.index_walks()
-    );
-    let cell_gauges = [
-        ("stm_kv_cells_allocated", store.cells_allocated()),
-        ("stm_kv_cells_freed", store.cells_released()),
-    ];
-    for (name, value) in cell_gauges {
-        let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
-    }
-    let _ = writeln!(out, "# TYPE stm_kv_overflow_cells gauge");
-    for (shard, cells) in store.cells_per_shard().iter().enumerate() {
-        let _ = writeln!(out, "stm_kv_overflow_cells{{shard=\"{shard}\"}} {cells}");
-    }
-
+    out.push_str(&stm.stats().metrics_text());
+    out.push_str(&store.metrics_text());
     if let Some(durable) = durable {
         out.push_str(&durable.wal.metrics_text());
     }
@@ -687,7 +613,6 @@ impl<'a, 'stm> Session<'a, 'stm> {
                     Ok(replies)
                 });
                 let txn_us = elapsed_us(started);
-                self.telemetry.retries.add(report.aborts);
                 match result {
                     Ok(replies) => {
                         self.require_durable(report.commit_seq);
@@ -738,7 +663,6 @@ impl<'a, 'stm> Session<'a, 'stm> {
                 let (result, report) =
                     self.ctx.atomically_traced(|tx| apply(store, tx, &data_op, log));
                 let txn_us = elapsed_us(started);
-                self.telemetry.retries.add(report.aborts);
                 match result {
                     Ok(reply) => {
                         self.require_durable(report.commit_seq);

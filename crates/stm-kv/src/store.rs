@@ -22,6 +22,8 @@
 //! path (the tree's height, 3 at 4,096 keys a shard) and one leaf write; a
 //! `RANGE` opens the leaves its window overlaps, not a node per key.
 //! [`KvStore::index_walks`] counts the calls that did open the index.
+//! It is the counter `stm_kv_index_walks_total` of the store's own registry,
+//! whose exposition [`KvStore::metrics_text`] renders with the cell gauges.
 //!
 //! **Cell table.** A key's cell is materialised by the first *writer* to
 //! touch it and found through one table, sharded by key: each shard owns a
@@ -86,6 +88,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use metrics::{Counter, Registry};
 use parking_lot::Mutex;
 use stm_core::{TVar, TxResult, Txn};
 use stm_structures::{ShardedTxSet, TxSet};
@@ -165,8 +168,10 @@ pub struct KvStore {
     /// The present keys in order. Reached only through [`KvStore::index`],
     /// which counts the call.
     index: ShardedTxSet,
+    /// `index_walks` and the cell gauges.
+    registry: Registry,
     /// Calls into `index` (monotone): the operations that paid a tree walk.
-    index_walks: AtomicU64,
+    index_walks: Arc<Counter>,
     /// The cell table; `cells[k.rem_euclid(shards)]` owns key `k`'s value
     /// cell. Sharded so cell creation does not serialize across the
     /// keyspace; `Arc` so deferred commit actions can capture their shard.
@@ -196,9 +201,11 @@ impl KvStore {
     pub fn with_preallocated(shards: usize, keys: i64) -> Self {
         assert!(shards > 0, "need at least one shard");
         let per_shard = usize::try_from(keys).unwrap_or(0) / shards;
+        let registry = Registry::new();
         KvStore {
             index: ShardedTxSet::chunked(shards),
-            index_walks: AtomicU64::new(0),
+            index_walks: registry.counter("stm_kv_index_walks_total", &[]),
+            registry,
             cells: (0..shards)
                 .map(|_| {
                     Arc::new(CellShard {
@@ -220,7 +227,7 @@ impl KvStore {
     /// store performs goes through here, so [`KvStore::index_walks`] counts
     /// exactly the operations that left the cell-only fast path.
     fn index(&self) -> &ShardedTxSet {
-        self.index_walks.fetch_add(1, Ordering::Relaxed);
+        self.index_walks.add(1);
         &self.index
     }
 
@@ -229,7 +236,21 @@ impl KvStore {
     /// `RANGE`/`SUM`/`dump`/`len`. A hit `GET` or an overwriting `PUT`/`ADD`
     /// adds nothing. Exported as `stm_kv_index_walks_total` in `METRICS`.
     pub fn index_walks(&self) -> u64 {
-        self.index_walks.load(Ordering::Relaxed)
+        self.index_walks.value()
+    }
+
+    /// The store's registry in Prometheus text exposition, with the cell
+    /// gauges set from the books as of this call.
+    pub fn metrics_text(&self) -> String {
+        let gauge = |name, labels: &[(&'static str, &str)], value: usize| {
+            self.registry.gauge(name, labels).set(value as i64);
+        };
+        gauge("stm_kv_cells_allocated", &[], self.cells_allocated());
+        gauge("stm_kv_cells_freed", &[], self.cells_released());
+        for (shard, cells) in self.cells_per_shard().into_iter().enumerate() {
+            gauge("stm_kv_overflow_cells", &[("shard", &shard.to_string())], cells);
+        }
+        self.registry.render()
     }
 
     /// The table shard owning `key`'s cell.
@@ -317,15 +338,15 @@ impl KvStore {
     }
 
     /// Number of value cells ever materialised (monotone — released cells
-    /// still count). `METRICS` surfaces it as `stm_kv_cells_allocated`.
+    /// still count), the gauge `stm_kv_cells_allocated`.
     pub fn cells_allocated(&self) -> usize {
         self.cells_created.load(Ordering::Relaxed) as usize
     }
 
     /// Number of cells a committed `DEL` has unlinked (monotone), each
-    /// freed once the last transaction holding it lets go. `METRICS`
-    /// surfaces it as `stm_kv_cells_freed`; `cells_allocated −
-    /// cells_released = cells_live`.
+    /// freed once the last transaction holding it lets go: the gauge
+    /// `stm_kv_cells_freed`. `cells_allocated − cells_released =
+    /// cells_live`.
     pub fn cells_released(&self) -> usize {
         self.cells
             .iter()
@@ -339,9 +360,9 @@ impl KvStore {
     }
 
     /// Number of cells currently linked per shard — how the keyspace
-    /// distributes across the table (exported as
+    /// distributes across the table: the gauges
     /// `stm_kv_overflow_cells{shard=…}`, the name the series has always
-    /// had, so it is observable from the wire).
+    /// had.
     pub fn cells_per_shard(&self) -> Vec<usize> {
         self.cells
             .iter()

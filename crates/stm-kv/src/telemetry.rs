@@ -5,11 +5,12 @@
 //!
 //! Every instrument the serving layer owns is registered in this one
 //! registry of the vendored lock-free `metrics` crate: recording on the
-//! request path is a couple of relaxed `fetch_add`s on striped cache-padded
-//! cells — never a lock, never an allocation. The `METRICS` verb appends to
-//! this registry's exposition the series other layers own: the STM
-//! runtime's and the store's, read at scrape time, and the WAL's own
-//! registry (see `metrics_payload` in [`crate::server`]).
+//! request path is a couple of `fetch_add`s on striped cache-padded cells —
+//! never a lock, never an allocation. Its exposition is the first of the
+//! four the `METRICS` verb sends back to back; the STM runtime, the store
+//! and the WAL each render their own registry after it (see
+//! `metrics_payload` in [`crate::server`]). Aborted attempts are counted
+//! once, by the runtime (`stm_aborts_total{cause}`), not again here.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,9 +60,6 @@ pub(crate) struct Telemetry {
     pub(crate) requests: Arc<Counter>,
     /// `BEGIN`/`EXEC` batches executed.
     pub(crate) batches: Arc<Counter>,
-    /// Aborted attempts across all request transactions (per-request
-    /// accounting from [`TxRunReport`]).
-    pub(crate) retries: Arc<Counter>,
     /// `ERR` replies sent.
     pub(crate) errors: Arc<Counter>,
     /// Connections closed by the event loop's idle-timeout reaper.
@@ -105,7 +103,6 @@ impl Telemetry {
             connections: registry.counter("stm_kv_connections_total", &[]),
             requests: registry.counter("stm_kv_requests_total", &[]),
             batches: registry.counter("stm_kv_batches_total", &[]),
-            retries: registry.counter("stm_kv_retries_total", &[]),
             errors: registry.counter("stm_kv_errors_total", &[]),
             conns_reaped_idle: registry.counter("stm_kv_conns_reaped_idle_total", &[]),
             partial_writes: registry.counter("stm_kv_partial_writes_total", &[]),
@@ -161,8 +158,8 @@ impl Telemetry {
         self.drain_us.record(us);
     }
 
-    /// The registry's Prometheus text exposition (this is the first section
-    /// of the `METRICS` payload).
+    /// The registry's Prometheus text exposition (the first of the four in
+    /// the `METRICS` payload).
     pub(crate) fn render(&self) -> String {
         self.registry.render()
     }

@@ -65,11 +65,10 @@ fn main() {
     auditor.quit().unwrap();
     println!("after 800 concurrent transfer batches: total {sum} across {count} keys");
     println!(
-        "server metrics: commits={} aborts={} batches={} retries={}",
+        "server metrics: commits={} aborts={} batches={}",
         stats.counter("stm_commits_total"),
         stats.counter("stm_aborts_total"),
         stats.counter("stm_kv_batches_total"),
-        stats.counter("stm_kv_retries_total")
     );
     assert_eq!(sum, KEYS * SEED, "balance must be conserved");
     server.shutdown();

@@ -22,9 +22,11 @@
 //!
 //! 3. **Non-`Relaxed` atomic orderings must justify themselves.** Every
 //!    `SeqCst` / `Acquire` / `Release` / `AcqRel` in the hot-path scope
-//!    (`crates/*/src`, `src/`, `vendor/arcswap/src`) needs a `// ordering:`
-//!    comment on the same line or within the three lines above, stating
-//!    what pairs with what — several of them point at the bounded model
+//!    (`crates/*/src`, `src/`, `vendor/arcswap/src`, `vendor/metrics/src`,
+//!    whose counters carry the STM's snapshot identities) needs a
+//!    `// ordering:` comment on the same line or within the three lines
+//!    above, stating what pairs with what — several of them point at the
+//!    bounded model
 //!    that proves the pairing load-bearing. `models.rs` files are exempt
 //!    (they parameterize orderings on purpose), and scanning stops at
 //!    `#[cfg(test)]`.
@@ -308,7 +310,7 @@ fn ordering_justified(lines: &[SplitLine], lineno: usize, strong: &[&str]) -> bo
 fn non_relaxed_orderings_are_justified() {
     let root = repo_root();
     let mut files = Vec::new();
-    for dir in ["crates", "src", "vendor/arcswap/src"] {
+    for dir in ["crates", "src", "vendor/arcswap/src", "vendor/metrics/src"] {
         rust_files(&root.join(dir), &mut files);
     }
     let strong = ["SeqCst", "Acquire", "Release", "AcqRel"];

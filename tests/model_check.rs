@@ -43,6 +43,16 @@ fn reader_registry_is_safe() {
     assert!(report.schedules() > 100, "{report}");
 }
 
+/// `StmStats::snapshot` over the striped registry counters, racing one
+/// commit and one abort: never more outcomes than attempts, and the causes
+/// sum to the aborts.
+#[test]
+fn stats_snapshot_is_safe() {
+    let report = stm_core::models::stats_snapshot_is_never_torn();
+    eprintln!("stats snapshot: {report}");
+    assert!(report.schedules() > 100, "{report}");
+}
+
 /// The detection path end-to-end: arcswap's load/free handshake with a
 /// `Relaxed` reader count is caught as a use-after-free with a non-empty
 /// failing trace — and caught by the exhaustive phase (the model runs no

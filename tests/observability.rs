@@ -29,14 +29,15 @@ use greedy_stm::kv::{KvClient, KvServer, MetricsSnapshot, ServerConfig};
 const OPS: [&str; 7] = ["GET", "PUT", "DEL", "ADD", "RANGE", "SUM", "EXEC"];
 
 /// Every STM-runtime counter series the exposition promises.
-const STM_COUNTERS: [&str; 7] = [
+const STM_COUNTERS: [&str; 8] = [
     "stm_transactions_total",
     "stm_attempts_total",
     "stm_commits_total",
     "stm_conflicts_total",
     "stm_waits_total",
     "stm_enemy_aborts_total",
-    "stm_validation_failures_total",
+    "stm_reads_total",
+    "stm_writes_total",
 ];
 
 const ABORT_CAUSES: [&str; 5] = [
@@ -47,15 +48,17 @@ const ABORT_CAUSES: [&str; 5] = [
     "explicit",
 ];
 
+/// The same counts as `stm_waits_total`, `stm_enemy_aborts_total` and
+/// `stm_aborts_total{cause="manager_self_abort"}`, under the names the repo
+/// benchmark still reads.
 const MANAGER_DECISIONS: [&str; 3] = ["wait", "abort_other", "abort_self"];
 
 /// Every serving-layer counter the exposition promises.
-const KV_COUNTERS: [&str; 8] = [
+const KV_COUNTERS: [&str; 7] = [
     "stm_kv_index_walks_total",
     "stm_kv_connections_total",
     "stm_kv_requests_total",
     "stm_kv_batches_total",
-    "stm_kv_retries_total",
     "stm_kv_errors_total",
     "stm_kv_conns_reaped_idle_total",
     "stm_kv_partial_writes_total",
@@ -151,6 +154,7 @@ fn series_keys(snapshot: &MetricsSnapshot) -> BTreeSet<String> {
 /// Asserts every series the exposition contract promises, returning the
 /// scrape so callers can layer mode-specific checks on top.
 fn assert_golden_set(snapshot: &MetricsSnapshot, driven: bool) {
+    assert_families_render_once(&snapshot.text);
     for name in STM_COUNTERS {
         assert!(
             snapshot.value(name).is_some(),
@@ -191,6 +195,11 @@ fn assert_golden_set(snapshot: &MetricsSnapshot, driven: bool) {
     }
     // Accepted connections are `stm_kv_connections_total`, once.
     assert!(snapshot.value("stm_kv_conns_accepted").is_none());
+    // One name per count: aborted attempts are `stm_aborts_total{cause}`,
+    // and `validation_failed` is one of the causes.
+    for gone in ["stm_kv_retries_total", "stm_validation_failures_total"] {
+        assert!(snapshot.value(gone).is_none(), "{gone} is back");
+    }
     // The per-op latency histogram registers all seven op labels up
     // front; each must be selectable on its own and fold together.
     let mut folded_count = 0u64;
@@ -266,6 +275,18 @@ fn metrics_exposition_exposes_the_golden_series_set_in_both_modes() {
     assert_golden_set(&second, true);
     client.quit().unwrap();
     server.shutdown();
+}
+
+/// The payload is registries rendered back to back, so every family must
+/// come from exactly one of them: a `# TYPE` line twice means two
+/// registries (or a registry and hand-written text) export one name.
+fn assert_families_render_once(text: &str) {
+    let mut seen = BTreeSet::new();
+    for line in text.lines().filter(|line| line.starts_with("# TYPE ")) {
+        let family = line.split_whitespace().nth(2).unwrap();
+        assert!(seen.insert(family), "family {family} rendered twice in:\n{text}");
+    }
+    assert!(seen.len() > 20, "too few families: {seen:?}");
 }
 
 /// The `# TYPE` line of one metric family.
@@ -477,13 +498,14 @@ fn clients_scrape_concurrently_under_load() {
 }
 
 /// The stats snapshot's directional identities must hold *while* commits
-/// and aborts are racing the observer — `StmStats::snapshot` loads derived
-/// counters before their bases (acquire, pairing with the release
-/// increments), so a scrape can never report more finished attempts than
-/// started ones, more cause-attributed aborts than aborts, or more
-/// validation failures than aborts. Before that ordering, this test's
+/// and aborts are racing the observer — `StmStats::snapshot` reads the
+/// outcome counters before the attempts, every stripe with acquire pairing
+/// with the release increments, so a scrape can never report more finished
+/// attempts than started ones; the aborts are the sum of the causes, and
+/// the validation failures one of them. Before that ordering, this test's
 /// snapshot loop could observe `commits + aborts > attempts` and
-/// `abort_ratio` went nonsensical.
+/// `abort_ratio` went nonsensical. `stm_core::models` checks the same
+/// identities in every schedule of one commit and one abort.
 #[test]
 fn stats_snapshot_is_never_torn_under_concurrent_load() {
     use greedy_stm::prelude::*;
