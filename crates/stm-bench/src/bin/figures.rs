@@ -6,11 +6,10 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use stm_bench::{
-    churn, envelope, figures, hotpath, metricsprobe, netload, render, starvation, theory, Ctx,
-    Experiment, SweepConfig, View,
+    churn, envelope, figures, render, starvation, theory, Ctx, Experiment, SweepConfig, View,
 };
 
-static EXPERIMENTS: [Experiment; 14] = [
+static EXPERIMENTS: [Experiment; 11] = [
     Experiment {
         name: "fig1",
         about: "E1, Figure 1: sorted list, 256 keys, 100% updates (high contention)",
@@ -95,30 +94,6 @@ static EXPERIMENTS: [Experiment; 14] = [
         view: View::Flat,
         run: churn::churn,
     },
-    Experiment {
-        name: "hotpath",
-        about: "E15, single-cell read/increment transactions: p50/p99 and throughput, no \
-                gate",
-        in_all: false,
-        view: View::Flat,
-        run: hotpath::hotpath,
-    },
-    Experiment {
-        name: "overload",
-        about: "E16, open-loop load against a server holding an idle fleet; exits 1 on a \
-                stalled row or a dropped fleet",
-        in_all: false,
-        view: View::Flat,
-        run: netload::overload,
-    },
-    Experiment {
-        name: "metrics",
-        about: "E17, scraped METRICS histogram against the client's own books; exits 1 on a \
-                mismatch",
-        in_all: false,
-        view: View::Flat,
-        run: metricsprobe::metrics,
-    },
 ];
 
 /// The threads × manager tables of the paper's figures.
@@ -150,15 +125,14 @@ static SWEEPS: [Sweep; 4] = [
 fn usage() -> String {
     let sweeps: Vec<&str> = SWEEPS.iter().map(|(name, _)| *name).collect();
     let mut text = format!(
-        "usage: figures [EXPERIMENT...] [--sweep {}] [--json] [--idle N]\n\n",
+        "usage: figures [EXPERIMENT...] [--sweep {}] [--json]\n\n",
         sweeps.join("|")
     );
     text.push_str(
         "  --sweep  size of every axis: paper by default, smoke takes seconds, machine sizes\n\
          \x20          the thread axis to this host\n\
          \x20 --json   one envelope per experiment {schema_version, experiment, sweep, commit,\n\
-         \x20          nproc, toolchain, rows} with flat rows, instead of tables\n\
-         \x20 --idle   idle connections the events server holds under `overload`\n\n\
+         \x20          nproc, toolchain, rows} with flat rows, instead of tables\n\n\
          experiments (`all`, or no name, runs the ones marked *):\n",
     );
     for e in &EXPERIMENTS {
@@ -179,7 +153,6 @@ fn parse(args: &[String]) -> Result<Plan, String> {
     let mut names: Vec<&str> = Vec::new();
     let mut sweep = &SWEEPS[0];
     let mut json = false;
-    let mut idle = None;
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -190,10 +163,6 @@ fn parse(args: &[String]) -> Result<Plan, String> {
                     .iter()
                     .find(|(name, _)| *name == mode.as_str())
                     .ok_or(format!("unknown sweep '{mode}'"))?;
-            }
-            "--idle" => {
-                let count = args.next().and_then(|v| v.parse().ok());
-                idle = Some(count.ok_or("--idle needs a connection count")?);
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
             name => names.push(name),
@@ -211,7 +180,7 @@ fn parse(args: &[String]) -> Result<Plan, String> {
             return Err(format!("unknown experiment '{name}'"));
         }
     }
-    Ok(Plan { experiments, ctx: Ctx { sweep: sweep.0, cfg: sweep.1(), idle }, json })
+    Ok(Plan { experiments, ctx: Ctx { sweep: sweep.0, cfg: sweep.1() }, json })
 }
 
 /// Every byte of standard output goes through here; a reader that went away

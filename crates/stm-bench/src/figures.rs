@@ -174,7 +174,6 @@ mod tests {
                     ..WorkloadConfig::default()
                 },
             },
-            idle: None,
         }
     }
 

@@ -16,17 +16,14 @@
 //! | E9 | Read-fraction sweep — throughput vs lookup share | [`readfrac`](figures::readfrac) |
 //! | E12 | Manager-parameter ablation — one knob at a time | [`ablate`](figures::ablate) |
 //! | E14 | Keyspace churn — cell GC boundedness and cost (gated) | [`churn`](churn::churn) |
-//! | E15 | Commit-path microbenchmark (reported, not gated) | [`hotpath`](hotpath::hotpath) |
-//! | E16 | Overload serving — open-loop load with an idle fleet (gated) | [`overload`](netload::overload) |
-//! | E17 | Telemetry cross-validation (gated) | [`metrics`](metricsprobe::metrics) |
 //!
 //! Every experiment is a `fn(&Ctx) -> Outcome` beside the code it drives;
 //! the `figures` binary holds the table of them and nothing else. An
 //! [`Outcome`] is flat JSON rows plus gate violations; `--json` wraps the
-//! rows in one [`envelope`] and text comes from one [`render`]er. The
-//! per-manager wire sweeps E10, E11 and E13 are retired: `bench/`'s
-//! `wire_point` and `wire_durable_put` workloads cover that path with
-//! correctness checked on every run.
+//! rows in one [`envelope`] and text comes from one [`render`]er. Every
+//! experiment runs in process: the repo benchmark under `bench/` is the
+//! one wire load generator, with correctness checked on every run
+//! (`EXPERIMENTS.md` names the experiments retired for it).
 //!
 //! The paper measures committed transactions per second as a function of the
 //! number of threads (1–32) on a 256-key integer set with a 100% update mix;
@@ -46,9 +43,6 @@
 
 pub mod churn;
 pub mod figures;
-pub mod hotpath;
-pub mod metricsprobe;
-pub mod netload;
 pub mod report;
 pub mod starvation;
 pub mod theory;
@@ -56,11 +50,6 @@ pub mod workload;
 
 pub use churn::{churn_experiment, ChurnConfig, ChurnRow};
 pub use figures::{ablation_points, workload_matrix};
-pub use hotpath::{
-    hotpath_experiment, hotpath_matrix, HotpathConfig, HotpathMix, HotpathRow, HOTPATH_MIXES,
-};
-pub use metricsprobe::{run_metrics_probe, MetricsProbeConfig, MetricsProbeResult};
-pub use netload::{run_open_loop, OpenLoopConfig, OpenLoopResult};
 pub use report::{envelope, render, Ctx, Experiment, Outcome, View};
 pub use starvation::{starvation_experiment, StarvationResult};
 pub use theory::{bound_experiment, chain_experiment, BoundRow, ChainRow};

@@ -10,15 +10,13 @@ use serde::{Serialize, Value};
 use crate::workload::SweepConfig;
 
 /// What an experiment is run with: the sweep the command line chose, under
-/// its name, and the `--idle` override of E16's fleet.
+/// its name.
 #[derive(Debug, Clone)]
 pub struct Ctx {
     /// `"paper"`, `"quick"`, `"smoke"` or `"machine"`.
     pub sweep: &'static str,
     /// The thread × manager × mix axes of that sweep.
     pub cfg: SweepConfig,
-    /// Idle connections the events server must hold (`overload` only).
-    pub idle: Option<usize>,
 }
 
 impl Ctx {

@@ -68,7 +68,7 @@ fn assert_is_an_envelope_of_flat_rows(doc: &Value, experiment: &str, sweep: &str
 
 #[test]
 fn an_unknown_name_or_flag_is_refused_before_anything_runs() {
-    for args in [&["nosuch"][..], &["chain", "--bogus"], &["chain", "nosuch"]] {
+    for args in [&["nosuch"][..], &["chain", "--bogus"], &["chain", "nosuch"], &["overload"]] {
         let out = figures(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} ran something: {}", text(&out.stdout));
@@ -105,7 +105,7 @@ fn json_is_one_envelope_of_flat_rows() {
 #[test]
 fn names_are_unique_and_all_is_exactly_the_marked_rows() {
     let table = table();
-    assert_eq!(table.len(), 14, "{table:?}");
+    assert_eq!(table.len(), 11, "{table:?}");
     let mut names: Vec<&str> = table.iter().map(|(_, name)| name.as_str()).collect();
     names.sort_unstable();
     names.dedup();

@@ -14,7 +14,7 @@
 //! transaction's timestamp as its identity — one shared counter per
 //! transaction start.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotone timestamp source shared by all transactions of one [`crate::Stm`].
 ///

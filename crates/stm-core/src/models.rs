@@ -21,9 +21,8 @@ use crate::tvar::{TVar, READER_PRUNE_THRESHOLD, READER_SHARDS};
 use crate::txn::{TxLineage, TxShared};
 
 /// A running reader whose transaction id is `id`. Its status word is a
-/// plain std atomic (not modeled): it is flipped before the reader's modeled
-/// lock traffic and read under the shard lock, so the model's schedule space
-/// stays on the shard locks themselves.
+/// modeled atomic like every other one in the runtime, so each status load
+/// under a shard lock is a schedule point too.
 fn reader(id: u64) -> Arc<TxShared> {
     Arc::new(TxShared::new(Arc::new(TxLineage::new(id, id)), 1))
 }

@@ -9,7 +9,8 @@
 //! exactly one of them can win.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
+
+use crate::sync::atomic::{AtomicU8, Ordering};
 
 /// The externally visible state of a transaction attempt.
 ///

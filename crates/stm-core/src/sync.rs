@@ -20,10 +20,10 @@
 /// [`Ordering`]: std::sync::atomic::Ordering
 pub mod atomic {
     #[cfg(not(feature = "model-check"))]
-    pub use std::sync::atomic::{AtomicBool, AtomicU64};
+    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8};
 
     #[cfg(feature = "model-check")]
-    pub use loomlite::sync::atomic::{AtomicBool, AtomicU64};
+    pub use loomlite::sync::atomic::{AtomicBool, AtomicU64, AtomicU8};
 
     pub use std::sync::atomic::Ordering;
 }

@@ -26,7 +26,6 @@
 //! therefore never aborted: the pending-commit property the paper's
 //! Theorems 1 and 9 rest on.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -36,6 +35,7 @@ use crate::manager::{ConflictKind, ContentionManager, Resolution, TxView};
 use crate::stats::TxnStats;
 use crate::status::{AtomicStatus, TxStatus};
 use crate::stm::Stm;
+use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::tvar::{Locator, OwnedWrite, TVar, TrackedRead, TrackedWrite};
 use crate::wait::SpinWait;
 

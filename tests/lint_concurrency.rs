@@ -1,35 +1,42 @@
 //! Concurrency lint for the whole source tree (std-only, no regex, no
 //! process spawning — it reads the files the same way a reviewer would).
 //!
-//! Three rules, each a separate test so a violation names its rule:
+//! Four rules, each a separate test so a violation names its rule:
 //!
 //! 1. **`unsafe` stays quarantined.** The workspace's safety story is that
 //!    every first-party crate is `#![forbid(unsafe_code)]` and the unsafe
 //!    pointer games live in three audited vendored places:
 //!    `vendor/minipoll/src/sys.rs` (FFI to poll(2)), `vendor/arcswap/`
 //!    (the locator-publication protocol) and `vendor/loomlite/` (the model
-//!    checker's own primitives) — plus one test, `tests/open_cost.rs`,
-//!    whose counting `GlobalAlloc` forwards to `System` (the trait cannot
-//!    be implemented without `unsafe`). An `unsafe` token anywhere else
-//!    fails.
+//!    checker's own primitives) — plus the repo benchmark's FFI,
+//!    `bench/src/sys.rs` (`ppoll`, `malloc_trim`), and one test,
+//!    `tests/open_cost.rs`, whose counting `GlobalAlloc` forwards to
+//!    `System` (the trait cannot be implemented without `unsafe`). An
+//!    `unsafe` token anywhere else fails.
 //!
 //! 2. **No `std::sync` locks in first-party code.** The rule of the repo
 //!    is `parking_lot` (via each crate's `sync` facade where one exists):
 //!    no poisoning boilerplate, and the facade is what lets the
 //!    model-check feature swap in loomlite. `std::sync::Mutex` / `Condvar`
-//!    / `RwLock` in non-test code of `crates/*/src` or `src/` fails
-//!    (`std::sync::Arc` and `std::sync::atomic` remain fine).
+//!    / `RwLock` in non-test code of `crates/*/src`, `src/` or `bench/`
+//!    fails (`std::sync::Arc` and `std::sync::atomic` remain fine).
 //!
 //! 3. **Non-`Relaxed` atomic orderings must justify themselves.** Every
 //!    `SeqCst` / `Acquire` / `Release` / `AcqRel` in the hot-path scope
-//!    (`crates/*/src`, `src/`, `vendor/arcswap/src`, `vendor/metrics/src`,
-//!    whose counters carry the STM's snapshot identities) needs a
+//!    (`crates/*/src`, `src/`, `bench/`, `vendor/arcswap/src`,
+//!    `vendor/metrics/src`, whose counters carry the STM's snapshot
+//!    identities) needs a
 //!    `// ordering:` comment on the same line or within the three lines
 //!    above, stating what pairs with what — several of them point at the
 //!    bounded model
 //!    that proves the pairing load-bearing. `models.rs` files are exempt
 //!    (they parameterize orderings on purpose), and scanning stops at
 //!    `#[cfg(test)]`.
+//!
+//! 4. **The runtime's atomics come from its `sync` facade.** A
+//!    `std::sync::atomic` type in non-test code of `crates/stm-core/src` or
+//!    `crates/stm-log/src` fails outside `sync.rs` (the facade) and
+//!    `models.rs`: one such atomic would escape `--features model-check`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -207,12 +214,13 @@ fn unsafe_stays_in_the_audited_vendor_allowlist() {
     let root = repo_root();
     let allow = [
         "vendor/minipoll/src/sys.rs",
+        "bench/src/sys.rs",
         "vendor/arcswap/",
         "vendor/loomlite/",
         "tests/open_cost.rs",
     ];
     let mut files = Vec::new();
-    for dir in ["crates", "src", "tests", "vendor", "benches", "examples"] {
+    for dir in ["crates", "src", "tests", "vendor", "benches", "examples", "bench"] {
         rust_files(&root.join(dir), &mut files);
     }
     let mut violations = Vec::new();
@@ -242,7 +250,7 @@ fn unsafe_stays_in_the_audited_vendor_allowlist() {
 fn no_std_sync_locks_in_first_party_code() {
     let root = repo_root();
     let mut files = Vec::new();
-    for dir in ["crates", "src"] {
+    for dir in ["crates", "src", "bench"] {
         rust_files(&root.join(dir), &mut files);
     }
     let banned = ["Mutex", "Condvar", "RwLock"];
@@ -310,7 +318,7 @@ fn ordering_justified(lines: &[SplitLine], lineno: usize, strong: &[&str]) -> bo
 fn non_relaxed_orderings_are_justified() {
     let root = repo_root();
     let mut files = Vec::new();
-    for dir in ["crates", "src", "vendor/arcswap/src", "vendor/metrics/src"] {
+    for dir in ["crates", "src", "bench", "vendor/arcswap/src", "vendor/metrics/src"] {
         rust_files(&root.join(dir), &mut files);
     }
     let strong = ["SeqCst", "Acquire", "Release", "AcqRel"];
@@ -350,6 +358,52 @@ fn non_relaxed_orderings_are_justified() {
     );
 }
 
+/// Whether `code` names a type from `std::sync::atomic` (`AtomicU64`, …),
+/// as a path or in a `use` list; `Ordering` alone does not count.
+fn names_std_atomic_type(code: &str) -> bool {
+    code.split("std::sync::atomic::").skip(1).any(|rest| {
+        let items = match rest.strip_prefix('{') {
+            Some(list) => list.split('}').next().unwrap_or(list),
+            None => rest.split(|c: char| !(c.is_alphanumeric() || c == '_')).next().unwrap_or(""),
+        };
+        items.split(',').any(|item| item.trim().starts_with("Atomic"))
+    })
+}
+
+/// Rule 4: the runtime and the log take every atomic from the `sync`
+/// facade, so `--features model-check` models all of them.
+#[test]
+fn runtime_atomics_come_from_the_sync_facade() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["crates/stm-core/src", "crates/stm-log/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut violations = Vec::new();
+    for path in files {
+        // The facade re-exports std's types; a model's bookkeeping across
+        // its runs (`models.rs`) must stay outside the model.
+        if path.file_name().is_some_and(|n| n == "sync.rs" || n == "models.rs") {
+            continue;
+        }
+        let name = rel(&root, &path);
+        let source = fs::read_to_string(&path).unwrap();
+        for (lineno, line) in split_lines(&source).iter().enumerate() {
+            if line.code.contains("#[cfg(test)]") {
+                break;
+            }
+            if names_std_atomic_type(&line.code) {
+                violations.push(format!("{name}:{}: {}", lineno + 1, line.code.trim()));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "std::sync::atomic types outside the sync facade (use stm_core::sync::atomic):\n{}",
+        violations.join("\n")
+    );
+}
+
 /// Negative self-tests: the machinery must actually *catch* violations,
 /// not just pass on today's clean tree.
 #[test]
@@ -385,4 +439,13 @@ fn the_lint_machinery_catches_violations() {
     assert!(!has_token(&tricky[0].code, "unsafe"));
     assert!(!has_token(&tricky[1].code, "unsafe"));
     assert!(has_token(&tricky[2].code, "unsafe"));
+
+    // A std atomic type is caught in a `use` list, alone or by path;
+    // `Ordering` and the facade's own path are not.
+    assert!(names_std_atomic_type("use std::sync::atomic::{AtomicU8, Ordering};"));
+    assert!(names_std_atomic_type("use std::sync::atomic::AtomicBool as Seen;"));
+    assert!(names_std_atomic_type("let n = std::sync::atomic::AtomicU64::new(0);"));
+    assert!(!names_std_atomic_type("use std::sync::atomic::Ordering;"));
+    assert!(!names_std_atomic_type("x.store(true, std::sync::atomic::Ordering::Relaxed);"));
+    assert!(!names_std_atomic_type("use crate::sync::atomic::{AtomicU8, Ordering};"));
 }

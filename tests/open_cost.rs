@@ -13,8 +13,13 @@
 //! * a rewrite of an object the transaction already owns allocates once,
 //!   for the new value.
 //!
+//! What a hot-path body opens is counted too: a one-object read and a
+//! one-object increment each commit on the first attempt having opened
+//! exactly that object.
+//!
 //! The counts hold on any host, so a change that adds an allocation to an
-//! open fails here rather than somewhere in a benchmark's noise. This is
+//! open, or an open to a body, fails here rather than somewhere in a
+//! benchmark's noise. This is
 //! the one file outside the vendored crates with `unsafe` in it: a
 //! `GlobalAlloc` cannot be written without it, and each method only
 //! forwards to `System`.
@@ -22,6 +27,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use stm_cm::ManagerKind;
 use stm_core::{Stm, TVar, TxResult, Txn};
 
 thread_local! {
@@ -78,4 +84,30 @@ fn a_read_allocates_nothing_a_first_write_three_and_a_rewrite_one() {
     assert_eq!(first_write, 3, "allocations per first write");
     assert_eq!(rewrite, 1, "allocations per rewrite of an owned object");
     assert_eq!(stm.read_atomic(&write_me), 4);
+}
+
+#[test]
+fn each_hot_path_body_commits_first_try_and_opens_exactly_its_objects() {
+    for kind in [ManagerKind::Greedy, ManagerKind::Karma] {
+        let stm = Stm::builder().manager(kind.factory()).build();
+        let mut ctx = stm.thread();
+        let cell = TVar::new(0i64);
+        for round in 0..3 {
+            let (outcome, read) = ctx.atomically_traced(|tx| tx.read(&cell).map(drop));
+            outcome.unwrap();
+            assert_eq!(
+                (read.attempts, read.reads, read.writes),
+                (1, 1, 0),
+                "{kind} read, round {round}"
+            );
+            let (outcome, increment) = ctx.atomically_traced(|tx| tx.modify(&cell, |v| v + 1));
+            outcome.unwrap();
+            assert_eq!(
+                (increment.attempts, increment.reads, increment.writes),
+                (1, 0, 1),
+                "{kind} increment, round {round}"
+            );
+        }
+        assert_eq!(stm.read_atomic(&cell), 3);
+    }
 }

@@ -16,10 +16,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use greedy_stm::cm::ManagerKind;
-use greedy_stm::kv::{KvClient, KvError, KvServer, ServerConfig, Value};
+use greedy_stm::kv::{KvClient, KvError, KvServer, MetricsSnapshot, ServerConfig, Value};
 
 const KEYS: i64 = 16;
 const SEED_BALANCE: i64 = 100;
@@ -456,38 +455,36 @@ fn acknowledged_writes_are_durable_before_the_reply() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Under Greedy and Karma, a seeded mix of `GET`, `PUT` and `SUM` requests
+/// through `KvClient` moves each `stm_kv_op_latency_us{op=…}` count by
+/// exactly the number the client sent.
 #[test]
 fn bench_client_emits_throughput_latency_json_per_manager() {
-    // The acceptance criterion: the harness's wire client drives a live
-    // server per manager and the rows it emits — inside the one `--json`
-    // envelope — carry throughput and tail latency for each.
-    let mut rows = Vec::new();
+    let count = |scrape: &MetricsSnapshot, op: &str| {
+        scrape.histogram(&format!("stm_kv_op_latency_us{{op=\"{op}\"}}")).map_or(0, |h| h.count)
+    };
     for manager in [ManagerKind::Greedy, ManagerKind::Karma] {
         let mut server = start_server(manager);
-        let cfg = stm_bench::OpenLoopConfig {
-            offered_load: 2_000.0,
-            pool: 2,
-            key_range: KEYS,
-            duration: Duration::from_millis(60),
-            ..stm_bench::OpenLoopConfig::default()
-        };
-        let row = stm_bench::run_open_loop(server.addr(), manager.name(), &cfg)
-            .unwrap_or_else(|e| panic!("{manager}: open loop failed: {e}"));
-        assert_eq!(row.manager, manager.name());
-        assert!(row.completed > 0, "{manager}: no completed requests");
-        assert!(row.goodput > 0.0);
-        assert!(row.p99_sojourn_us >= row.p50_sojourn_us, "{manager}: {row:?}");
-        rows.push(row);
-        server.shutdown();
-    }
-    let doc = stm_bench::envelope("overload", "smoke", stm_bench::Outcome::new(&rows, vec![]).rows);
-    assert!(doc.get("nproc").and_then(|n| n.as_u64()).unwrap() >= 1);
-    let emitted = doc.get("rows").and_then(|r| r.as_array()).unwrap();
-    assert_eq!(emitted.len(), 2);
-    for (row, manager) in emitted.iter().zip(["greedy", "karma"]) {
-        assert_eq!(row.get("manager").and_then(|m| m.as_str()), Some(manager));
-        for key in ["goodput", "p99_sojourn_us"] {
-            assert!(row.get(key).and_then(|v| v.as_f64()).unwrap() > 0.0, "{manager}: {key}");
+        let mut client = KvClient::connect(server.addr()).unwrap();
+        let before = client.metrics().unwrap();
+        let mut sent = [0u64; 3];
+        for i in 0..300u64 {
+            let roll = scramble(i);
+            let key = (roll % KEYS as u64) as i64;
+            let op = (roll >> 8) % 3;
+            match op {
+                0 => drop(client.get(key).unwrap()),
+                1 => client.put(key, i as i64).unwrap(),
+                _ => drop(client.sum(0, KEYS - 1).unwrap()),
+            }
+            sent[op as usize] += 1;
         }
+        let after = client.metrics().unwrap();
+        for (op, sent) in ["GET", "PUT", "SUM"].into_iter().zip(sent) {
+            assert!(sent > 0, "{manager}: the seed sent no {op}");
+            assert_eq!(count(&after, op) - count(&before, op), sent, "{manager}: {op}");
+        }
+        client.quit().unwrap();
+        server.shutdown();
     }
 }
