@@ -20,8 +20,9 @@
 //! ## Model
 //!
 //! * Shared state lives in [`TVar<T>`] cells ("transactional objects"). An
-//!   object is its DSTM locator and its reader list, nothing else: it has
-//!   no id, and its readers are the transactions registered on it.
+//!   object is its DSTM locator and its reader word, nothing else: it has
+//!   no id, and the word's bits name the reader slots (one per live
+//!   [`ThreadCtx`]) whose current attempts have read it.
 //! * A [`Stm`] value owns the global timestamp clock, its configuration
 //!   (the contention manager and an optional [`CommitHook`]) and its
 //!   [`StmStats`]: striped counters in a `metrics` registry of its own,
@@ -93,6 +94,6 @@ pub use manager::{ConflictKind, ContentionManager, ManagerFactory, Resolution, T
 pub use stats::{StmStats, TxRunReport, TxnStats, ABORT_CAUSES};
 pub use status::TxStatus;
 pub use stm::{Stm, StmBuilder, ThreadCtx};
-pub use tvar::TVar;
+pub use tvar::{TVar, READER_SLOTS};
 pub use txn::{Txn, TxLineage, TxShared};
 pub use wait::WaitSpec;

@@ -3,85 +3,142 @@
 //! Compiled only under `--features model-check`, where the [`crate::sync`]
 //! facade (and the `metrics` crate's own) resolves to loomlite modeled
 //! primitives — the models below drive the *shipped* code, not a copy: the
-//! reader-list methods of a real [`TVar`] with real [`TxShared`] readers,
-//! and a real [`StmStats`] over its striped registry counters. (The crate
-//! has no reclaimer to model: a `TVar` is an `Arc`, so nothing here frees
-//! memory a transaction could still reach.)
+//! reader-word methods of a real [`TVar`] over a reader table of the
+//! model's own, with real [`TxShared`] attempts, and a real [`StmStats`]
+//! over its striped registry counters. (The crate has no reclaimer to
+//! model: a `TVar` is an `Arc`, so nothing here frees memory a transaction
+//! could still reach.)
 //!
-//! Every function returns the checker's [`Report`] so callers (unit tests
-//! here and the workspace-level `tests/model_check.rs`) can assert
-//! exhaustiveness and schedule counts.
+//! Every model returns the checker's [`Report`] so callers (unit tests here
+//! and the workspace-level `tests/model_check.rs`) can assert
+//! exhaustiveness and schedule counts; [`reader_word_handshake`] returns
+//! the [`Failure`] instead when its writer is weakened and caught.
 
-use loomlite::{Builder, Report};
+use loomlite::{Builder, Failure, Report};
 
 use crate::error::AbortCause;
 use crate::stats::{StmStats, TxnStats};
 use crate::sync::Arc;
-use crate::tvar::{TVar, READER_PRUNE_THRESHOLD, READER_SHARDS};
+use crate::tvar::{Locator, ReaderTable, TVar};
 use crate::txn::{TxLineage, TxShared};
 
-/// A running reader whose transaction id is `id`. Its status word is a
-/// modeled atomic like every other one in the runtime, so each status load
-/// under a shard lock is a schedule point too.
-fn reader(id: u64) -> Arc<TxShared> {
+/// A running attempt of transaction `id`. Its status word is a modeled
+/// atomic like every other one in the runtime, so each status load in the
+/// writer's walk is a schedule point too.
+fn attempt(id: u64) -> Arc<TxShared> {
     Arc::new(TxShared::new(Arc::new(TxLineage::new(id, id)), 1))
 }
 
-/// Real-code model: two readers register in the same shard of one object —
-/// one of them past the prune threshold, forcing a prune on the way in —
-/// while a writer scans with the object's `active_readers`. Asserts that a
-/// visible (running, registration-completed) reader is never lost: the scan
-/// returns only running readers, and both registrants are present
-/// afterwards.
-pub fn reader_list_never_loses_a_visible_reader() -> Report {
-    // Every id below is a multiple of the shard count: one shard, one lock.
-    let shard_mate = |k: u64| k * READER_SHARDS as u64;
-    // Bounded-exhaustive (preemption bound 2) plus the seeded random phase.
-    Builder::default().check(move || {
+/// How the writer in [`reader_word_handshake`] reads the reader word after
+/// its locator CAS.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriterScan {
+    /// The shipped `active_readers`: an RMW on the word, then the walk.
+    Rmw,
+    /// A plain `load(Acquire)` of the word, then the shipped walk. Unsafe
+    /// by the C11 argument, but not caught here: loomlite models `SeqCst`
+    /// as globally synchronizing, and the reader's locator load is
+    /// `arcswap`'s `SeqCst` load, which carries the reader's registration
+    /// to the writer's `SeqCst` CAS.
+    PlainLoad,
+    /// The shipped `active_readers`, but run *before* the locator CAS: the
+    /// handshake's order reversed, which loomlite does catch.
+    BeforeCas,
+}
+
+/// Real-code model of the reader-word handshake. A reader in slot 0
+/// registers on an object and then loads its locator; a writer in slot 1
+/// CASes the locator to name itself and then scans the word (`scan` says
+/// how); a second reader in slot 2, registered before the race, finishes,
+/// clears its bit and publishes a successor attempt that never reads the
+/// object.
+///
+/// Asserts that the writer's scan returns the reader or the reader's
+/// locator load sees the writer — never both miss — and that the scan never
+/// returns a descriptor that did not register on the object.
+pub fn reader_word_handshake(scan: WriterScan) -> Result<Report, Failure> {
+    Builder::default().check_quiet(move || {
+        let table = Arc::new(ReaderTable::new());
         let object = TVar::new(0u8);
-        // Pre-fill the shard to the prune threshold with finished readers
-        // so one of the concurrent registrations prunes on the way in.
-        for i in 0..READER_PRUNE_THRESHOLD as u64 {
-            let stale = reader(shard_mate(3 + i));
-            assert!(object.inner().register_reader(&stale));
-            stale.try_abort();
+        let (reader, writer, other) = (attempt(1), attempt(2), attempt(3));
+        let reader_slot = ReaderTable::claim(&table);
+        let writer_slot = ReaderTable::claim(&table);
+        let other_slot = ReaderTable::claim(&table);
+        reader_slot.publish(&reader);
+        writer_slot.publish(&writer);
+        other_slot.publish(&other);
+        assert!(object.inner().register_reader(&other_slot));
+
+        let reading = {
+            let (object, writer) = (object.clone(), Arc::clone(&writer));
+            loomlite::thread::spawn(move || {
+                assert!(object.inner().register_reader(&reader_slot));
+                let saw_writer = object
+                    .inner()
+                    .peek_locator()
+                    .owner()
+                    .is_some_and(|owner| Arc::ptr_eq(owner, &writer));
+                // The attempt stays registered, so its slot stays claimed.
+                (saw_writer, reader_slot)
+            })
+        };
+        let finishing = {
+            let (object, other) = (object.clone(), Arc::clone(&other));
+            loomlite::thread::spawn(move || {
+                assert!(other.try_commit());
+                object.inner().unregister_reader(&other_slot);
+                other_slot.publish(&attempt(4));
+                // Keep the successor published until the writer is done.
+                other_slot
+            })
+        };
+
+        // The writer (this thread).
+        let inner = object.inner();
+        let mut seen = Vec::new();
+        let mut collect = |r: &Arc<TxShared>| {
+            seen.push(Arc::clone(r));
+            Ok::<(), ()>(())
+        };
+        if scan == WriterScan::BeforeCas {
+            inner.active_readers(&writer_slot, &mut collect).unwrap();
+        }
+        let current = inner.load_locator();
+        let value = current.stable_value();
+        let mine = Locator::owned(Arc::clone(&writer), Arc::clone(&value), value);
+        assert!(inner.try_replace_locator(&current, Arc::new(mine)));
+        match scan {
+            WriterScan::Rmw => inner.active_readers(&writer_slot, &mut collect).unwrap(),
+            WriterScan::PlainLoad => {
+                let word = inner.reader_word();
+                inner
+                    .visit_readers(word, &writer_slot, &mut collect)
+                    .unwrap();
+            }
+            WriterScan::BeforeCas => {}
         }
 
-        let a = reader(shard_mate(0));
-        let b = reader(shard_mate(1));
-        let writer = reader(shard_mate(2)); // never registered
-
-        let t1 = {
-            let (object, a) = (object.clone(), Arc::clone(&a));
-            loomlite::thread::spawn(move || assert!(object.inner().register_reader(&a)))
-        };
-        let t2 = {
-            let (object, b) = (object.clone(), Arc::clone(&b));
-            loomlite::thread::spawn(move || assert!(object.inner().register_reader(&b)))
-        };
-
-        // Writer (this thread): arbitration scan racing both registrations.
-        let seen = object.inner().active_readers(&writer);
+        let (saw_writer, _reader_slot) = reading.join().unwrap();
+        let _successor = finishing.join().unwrap();
+        assert!(
+            saw_writer || seen.iter().any(|r| Arc::ptr_eq(r, &reader)),
+            "both missed: the writer's scan lost the reader and the reader's \
+             locator load missed the writer"
+        );
         for r in &seen {
-            assert!(r.is_active(), "scan returned a finished reader");
+            assert!(
+                Arc::ptr_eq(r, &reader) || Arc::ptr_eq(r, &other),
+                "the scan returned a descriptor that never registered"
+            );
         }
-
-        t1.join().unwrap();
-        t2.join().unwrap();
-
-        // Both registrations completed: neither the concurrent scan's prune
-        // nor the threshold prune may have evicted a running reader.
-        let after = object.inner().active_readers(&writer);
-        assert!(
-            after.iter().any(|r| Arc::ptr_eq(r, &a)),
-            "reader a lost after concurrent register/scan"
-        );
-        assert!(
-            after.iter().any(|r| Arc::ptr_eq(r, &b)),
-            "reader b lost after concurrent register/scan"
-        );
-        assert_eq!(after.len(), 2, "stale readers survived the writer scan");
     })
+}
+
+/// The shipped handshake ([`WriterScan::Rmw`]) explored under the default
+/// builder: bounded-exhaustive at preemption bound 2, plus the seeded
+/// random phase. Panics with the failing trace if it is unsafe.
+pub fn reader_list_never_loses_a_visible_reader() -> Report {
+    reader_word_handshake(WriterScan::Rmw).unwrap_or_else(|failure| panic!("{failure}"))
 }
 
 /// Real-code model: one thread counts an attempt and its commit, another
@@ -142,8 +199,20 @@ mod tests {
     #[test]
     fn reader_registry_is_safe() {
         let report = reader_list_never_loses_a_visible_reader();
-        eprintln!("reader list: {report}");
+        eprintln!("reader word: {report}");
         assert!(report.schedules() > 100, "{report}");
+    }
+
+    #[test]
+    fn a_plain_load_is_not_caught_and_a_scan_before_the_cas_is() {
+        let plain = reader_word_handshake(WriterScan::PlainLoad)
+            .expect("loomlite's SeqCst model hides the plain load");
+        eprintln!("plain load (not caught): {plain}");
+        let failure = reader_word_handshake(WriterScan::BeforeCas)
+            .expect_err("a scan before the CAS must be caught");
+        eprintln!("scan before the CAS, caught as expected:\n{failure}");
+        assert!(failure.message.contains("both missed"), "{failure}");
+        assert!(!failure.trace.is_empty(), "{failure}");
     }
 
     #[test]

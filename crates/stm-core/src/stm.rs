@@ -7,7 +7,7 @@ use crate::error::{AbortCause, StmError, TxResult};
 use crate::hook::CommitHook;
 use crate::manager::{factory, ContentionManager, ManagerFactory, PoliteManager, TxView};
 use crate::stats::{StmStats, TxRunReport};
-use crate::tvar::TVar;
+use crate::tvar::{ReaderSlot, ReaderTable, TVar};
 use crate::txn::{TxLineage, TxScratch, TxShared, Txn};
 
 /// Configuration of an [`Stm`] instance, assembled by [`StmBuilder`].
@@ -105,22 +105,29 @@ impl Stm {
 
     /// Creates a per-thread execution context using the configured
     /// contention-manager factory.
+    ///
+    /// The context claims a reader slot from the process-global table (see
+    /// [`crate::tvar`]) and frees it when dropped. Past
+    /// [`crate::tvar::READER_SLOTS`] live contexts, further ones share the
+    /// overflow path.
+    ///
+    /// # Panics
+    ///
+    /// When `READER_SLOTS + u16::MAX` contexts are already live.
     pub fn thread(&self) -> ThreadCtx<'_> {
-        ThreadCtx {
-            stm: self,
-            manager: (self.config.manager_factory)(),
-            scratch: TxScratch::default(),
-        }
+        self.thread_with((self.config.manager_factory)())
     }
 
     /// Creates a per-thread execution context with an explicit contention
     /// manager, overriding the configured factory. Useful for comparing
     /// managers within one program (see the `manager_showdown` example).
+    /// It claims a reader slot as [`Stm::thread`] does, and panics likewise.
     pub fn thread_with(&self, manager: Box<dyn ContentionManager>) -> ThreadCtx<'_> {
         ThreadCtx {
             stm: self,
             manager,
             scratch: TxScratch::default(),
+            slot: ReaderTable::claim(ReaderTable::global()),
         }
     }
 
@@ -172,6 +179,8 @@ pub struct ThreadCtx<'stm> {
     /// Reusable read/write/publish-set storage lent to each attempt, so the
     /// tiny-transaction hot path does not reallocate its vectors per run.
     scratch: TxScratch,
+    /// The context's reader slot, freed when the context is dropped.
+    slot: ReaderSlot,
 }
 
 impl<'stm> std::fmt::Debug for ThreadCtx<'stm> {
@@ -259,9 +268,16 @@ impl<'stm> ThreadCtx<'stm> {
             report.attempts = attempt;
             stm.stats.note_attempt();
             let shared = Arc::new(TxShared::new(Arc::clone(&lineage), attempt));
+            self.slot.publish(&shared);
             let manager: &mut dyn ContentionManager = self.manager.as_mut();
             manager.begin(TxView::new(&shared));
-            let mut txn = Txn::new(stm, Arc::clone(&shared), manager, &mut self.scratch);
+            let mut txn = Txn::new(
+                stm,
+                Arc::clone(&shared),
+                manager,
+                &mut self.scratch,
+                &self.slot,
+            );
             if force_publish {
                 txn.publish_marker();
             }
@@ -495,13 +511,8 @@ mod tests {
         for _ in 0..5_000 {
             ctx.atomically(|tx| tx.read(&v)).unwrap();
         }
-        // Every committed reader unregisters itself and pruning removes any
-        // stragglers, so the list never accumulates finished readers.
-        assert!(
-            v.inner().reader_count() <= 1,
-            "reader list leaked: {} entries after a read-only loop",
-            v.inner().reader_count()
-        );
+        // Every finished reader clears its own bit: nothing accumulates.
+        assert_eq!(v.inner().reader_word(), 0, "a read-only loop left a reader");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! Normally this re-exports `std::sync::atomic` and the vendored
 //! `parking_lot` shim. Under `--features model-check` the same names resolve
-//! to `loomlite` modeled types instead, so each object's reader list and
-//! (via their own facades) `arcswap` and the `stm-log` slot-ring can be
+//! to `loomlite` modeled types instead, so each object's reader word and
+//! the reader slot table, and (via their own facades) `arcswap` and the
+//! `stm-log` slot-ring, can be
 //! driven by the deterministic interleaving checker — see
 //! the "Correctness tooling" section of the repository README.
 //!

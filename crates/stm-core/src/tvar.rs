@@ -32,35 +32,215 @@
 //! status word — the CAS the contention-management protocol actually
 //! relies on — was always a true lock-free CAS.
 //!
-//! An object is its locator and its readers, nothing else. Every
-//! transactional read is visible: the reader registers in the object's
-//! reader list, and a writer that acquires the object arbitrates with each
-//! registered reader. The list is split into `READER_SHARDS` (eight)
-//! mutexed shards, chosen by the reader's transaction id, so two threads
-//! reading the same hot object take different locks (E30 measured one list
-//! against eight shards and kept the shards). Finished readers are pruned
-//! lazily: registration prunes only when its shard has grown past
-//! `READER_PRUNE_THRESHOLD`, so the uncontended register/unregister pair is
-//! O(1); a writer's scan prunes every shard it walks, which it walks anyway
-//! to arbitrate. The locks come from [`crate::sync`], so under
+//! An object is its locator and its reader word, nothing else. Every
+//! transactional read is visible: the reader registers on the object, and a
+//! writer that acquires the object arbitrates with each registered reader.
+//!
+//! **The slot table.** A process-global `ReaderTable` has
+//! [`READER_SLOTS`] (48) slots. Each live [`crate::ThreadCtx`] claims one
+//! (a `ReaderSlot`) and publishes each attempt's descriptor into it before
+//! the attempt's body runs: one uncontended lock per attempt, none per read.
+//! An object's reader word is a bitmap over the slots. A read registers with
+//! one `fetch_or(bit, AcqRel)`, and the prior bit is the dedupe: a
+//! transaction that reads an object twice registers once. Finishing the
+//! attempt (commit, abort or unwind) clears its bits with
+//! `fetch_and(!bit, Release)`.
+//!
+//! **The handshake.** A writer first CASes the locator, then does an RMW on
+//! the word (`fetch_or(0, AcqRel)`), not a plain load. A reader first
+//! registers with its RMW, then loads the locator. The two RMWs are ordered
+//! in the word's modification order, and each reads the latest value:
+//!
+//! * if the reader's RMW comes first, the writer's RMW reads its bit;
+//! * if the writer's RMW comes first, the reader's RMW reads from it (or from
+//!   a later RMW, which continues the release sequence), so the writer's RMW
+//!   synchronizes with the reader's, the locator CAS happens before the
+//!   reader's locator load, and the reader sees the writer.
+//!
+//! They can never both miss. (This is the argument that lets one word do
+//! what a mutex did; it is the RMW-ordering argument of Aspnes' notes on
+//! distributed systems, and the model in `crate::models` checks it on these
+//! very methods.)
+//!
+//! **Arbitration.** For each set bit other than its own, the writer loads
+//! that slot's descriptor and re-reads the word, and skips the slot if the
+//! bit has cleared. The slot's owner cleared its bits before it published
+//! its next attempt, and the slot's lock orders that publication before the
+//! writer's load, so a bit still set is the published attempt's own
+//! registration: the writer never arbitrates with a slot's next transaction
+//! that never read the object.
+//!
+//! **Overflow.** Contexts past the 48th get an overflow slot. The word's top
+//! 16 bits count overflow registrations: an overflow reader `fetch_add`s and
+//! `fetch_sub`s the count with the same orderings, and its descriptor sits in
+//! one overflow list on the table. A writer that sees a non-zero count
+//! arbitrates with every active overflow attempt. That may over-arbitrate,
+//! but it can never miss a reader. An overflow slot has no bit to dedupe on,
+//! so its transaction dedupes against its read set; one registration per
+//! object per overflow context keeps the count below 2^16, and claiming past
+//! `READER_SLOTS + u16::MAX` live contexts panics.
+//!
+//! The atomics and locks come from [`crate::sync`], so under
 //! `--features model-check` the bounded model in `crate::models` drives
-//! these very methods.
+//! these very methods over a table of its own.
 
+use std::sync::OnceLock;
+
+use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 
 use arcswap::ArcSwap;
 
 use crate::txn::TxShared;
 
-/// Reader-list shards per object. A reader's shard is its transaction id
-/// modulo this, so one transaction always lands in the same shard.
-pub(crate) const READER_SHARDS: usize = 8;
+/// Reader slots in the process-global table: one bit each in an object's
+/// reader word. Contexts past this many live ones register through the
+/// overflow count instead (see the module docs).
+pub const READER_SLOTS: usize = 48;
 
-/// Shard occupancy past which registration prunes finished readers before
-/// pushing. Below it, registration is append-only (amortized O(1)); the
-/// finished entries an object holds are at most
-/// `READER_SHARDS × READER_PRUNE_THRESHOLD`.
-pub(crate) const READER_PRUNE_THRESHOLD: usize = 8;
+/// The overflow registration count occupies the word above the slot bits.
+const OVERFLOW_SHIFT: u32 = READER_SLOTS as u32;
+const OVERFLOW_ONE: u64 = 1 << OVERFLOW_SHIFT;
+const SLOT_BITS: u64 = OVERFLOW_ONE - 1;
+
+/// Live overflow contexts at most: each registers at most once per object,
+/// so the 16-bit count cannot wrap.
+const MAX_OVERFLOW: usize = u16::MAX as usize;
+
+/// The process-global table of reader slots (see the module docs).
+pub(crate) struct ReaderTable {
+    /// Each slot's current attempt.
+    slots: [Mutex<Option<Arc<TxShared>>>; READER_SLOTS],
+    /// Bit `i` set: slot `i` is claimed by a live context.
+    claimed: Mutex<u64>,
+    overflow: Mutex<Overflow>,
+}
+
+/// The overflow contexts' current attempts, by overflow index.
+#[derive(Default)]
+struct Overflow {
+    attempts: Vec<Option<Arc<TxShared>>>,
+    free: Vec<usize>,
+}
+
+impl ReaderTable {
+    /// A table with every slot free. The runtime uses [`ReaderTable::global`];
+    /// the models build their own (loomlite types are not `const`).
+    pub(crate) fn new() -> Self {
+        ReaderTable {
+            slots: std::array::from_fn(|_| Mutex::new(None)),
+            claimed: Mutex::new(0),
+            overflow: Mutex::new(Overflow::default()),
+        }
+    }
+
+    /// The table every [`crate::ThreadCtx`] claims its slot from.
+    pub(crate) fn global() -> &'static Arc<ReaderTable> {
+        static TABLE: OnceLock<Arc<ReaderTable>> = OnceLock::new();
+        TABLE.get_or_init(|| Arc::new(ReaderTable::new()))
+    }
+
+    /// Claims the lowest free slot, or an overflow slot when all are taken.
+    ///
+    /// # Panics
+    ///
+    /// When `READER_SLOTS + u16::MAX` contexts are already live.
+    pub(crate) fn claim(table: &Arc<ReaderTable>) -> ReaderSlot {
+        let index = {
+            let mut claimed = table.claimed.lock();
+            let free = !*claimed & SLOT_BITS;
+            (free != 0).then(|| {
+                let index = free.trailing_zeros() as usize;
+                *claimed |= 1 << index;
+                index
+            })
+        };
+        let index = index.unwrap_or_else(|| {
+            let mut overflow = table.overflow.lock();
+            let live = overflow.attempts.len() - overflow.free.len();
+            assert!(
+                live < MAX_OVERFLOW,
+                "more than {} live thread contexts",
+                READER_SLOTS + MAX_OVERFLOW
+            );
+            let k = overflow.free.pop().unwrap_or_else(|| {
+                overflow.attempts.push(None);
+                overflow.attempts.len() - 1
+            });
+            READER_SLOTS + k
+        });
+        ReaderSlot {
+            table: Arc::clone(table),
+            index,
+        }
+    }
+
+    /// The active overflow attempts other than `me`'s.
+    fn overflow_attempts(&self, me: &ReaderSlot) -> Vec<Arc<TxShared>> {
+        let overflow = self.overflow.lock();
+        overflow
+            .attempts
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| READER_SLOTS + k != me.index)
+            .filter_map(|(_, attempt)| attempt.clone())
+            .collect()
+    }
+}
+
+/// A live context's claim on the [`ReaderTable`]: one slot (a bit in every
+/// object's reader word) or an overflow slot. Dropping it frees the claim.
+pub(crate) struct ReaderSlot {
+    table: Arc<ReaderTable>,
+    /// Below [`READER_SLOTS`] a slot; otherwise `READER_SLOTS` plus an
+    /// overflow index.
+    index: usize,
+}
+
+impl ReaderSlot {
+    /// This slot's bit in a reader word; 0 for an overflow slot.
+    fn bit(&self) -> u64 {
+        if self.is_overflow() {
+            0
+        } else {
+            1 << self.index
+        }
+    }
+
+    /// Whether this is an overflow slot, with no bit of its own.
+    pub(crate) fn is_overflow(&self) -> bool {
+        self.index >= READER_SLOTS
+    }
+
+    /// Makes `attempt` the slot's current attempt, the one a writer that
+    /// sees this slot's registration arbitrates with. The runtime calls it
+    /// before each attempt's body runs.
+    pub(crate) fn publish(&self, attempt: &Arc<TxShared>) {
+        self.set(Some(Arc::clone(attempt)));
+    }
+
+    fn set(&self, attempt: Option<Arc<TxShared>>) {
+        // The guard is a temporary: the previous attempt drops after it.
+        let _previous = if self.is_overflow() {
+            let index = self.index - READER_SLOTS;
+            std::mem::replace(&mut self.table.overflow.lock().attempts[index], attempt)
+        } else {
+            std::mem::replace(&mut *self.table.slots[self.index].lock(), attempt)
+        };
+    }
+}
+
+impl Drop for ReaderSlot {
+    fn drop(&mut self) {
+        self.set(None);
+        if self.is_overflow() {
+            let index = self.index - READER_SLOTS;
+            self.table.overflow.lock().free.push(index);
+        } else {
+            *self.table.claimed.lock() &= !self.bit();
+        }
+    }
+}
 
 /// A locator names the last writer of an object together with the object
 /// value before and after that writer.
@@ -128,18 +308,20 @@ impl<T> Locator<T> {
     }
 }
 
-/// Shared interior of a [`TVar`]: its locator and its reader list.
+/// Shared interior of a [`TVar`]: its locator and its reader word.
 #[derive(Debug)]
 pub(crate) struct TVarInner<T> {
     locator: ArcSwap<Locator<T>>,
-    readers: [Mutex<Vec<Arc<TxShared>>>; READER_SHARDS],
+    /// Bit `i`: slot `i`'s attempt has registered. The top 16 bits: the
+    /// count of overflow registrations.
+    readers: AtomicU64,
 }
 
 impl<T> TVarInner<T> {
     fn new(value: T) -> Self {
         TVarInner {
             locator: ArcSwap::from_value(Locator::baseline(Arc::new(value))),
-            readers: std::array::from_fn(|_| Mutex::new(Vec::new())),
+            readers: AtomicU64::new(0),
         }
     }
 
@@ -168,55 +350,95 @@ impl<T> TVarInner<T> {
         self.locator.compare_and_swap(expected, new)
     }
 
-    fn shard(&self, reader: &TxShared) -> &Mutex<Vec<Arc<TxShared>>> {
-        &self.readers[(reader.id() % READER_SHARDS as u64) as usize]
+    /// Registers `slot`'s current attempt as a visible reader, before the
+    /// caller loads the locator. Returns `true` if it was not registered
+    /// already. An overflow slot has no bit to tell, so it always counts
+    /// itself in and returns `true`: its caller dedupes.
+    pub(crate) fn register_reader(&self, slot: &ReaderSlot) -> bool {
+        let bit = slot.bit();
+        if bit == 0 {
+            // ordering: AcqRel, the reader's half of the RMW handshake (module
+            // docs), as for a slot's bit below.
+            self.readers.fetch_add(OVERFLOW_ONE, Ordering::AcqRel);
+            return true;
+        }
+        // ordering: AcqRel — release publishes the slot's attempt to a writer
+        // whose RMW reads this bit; acquire makes a writer's earlier RMW (and
+        // its locator CAS) visible to the locator load that follows.
+        self.readers.fetch_or(bit, Ordering::AcqRel) & bit == 0
     }
 
-    /// Registers `reader` as a visible reader. Returns `true` if it was not
-    /// already registered. Only the reader's own shard is touched, and
-    /// finished entries are pruned only once the shard has grown past
-    /// [`READER_PRUNE_THRESHOLD`], so the uncontended call is O(1).
-    pub(crate) fn register_reader(&self, reader: &Arc<TxShared>) -> bool {
-        let mut shard = self.shard(reader).lock();
-        if shard.iter().any(|r| Arc::ptr_eq(r, reader)) {
-            return false;
-        }
-        if shard.len() >= READER_PRUNE_THRESHOLD {
-            shard.retain(|r| r.is_active());
-        }
-        shard.push(Arc::clone(reader));
-        true
+    /// Withdraws `slot`'s registration once its attempt has finished.
+    pub(crate) fn unregister_reader(&self, slot: &ReaderSlot) {
+        match slot.bit() {
+            // ordering: release — a writer whose RMW reads the cleared word
+            // sees the attempt finished.
+            0 => self.readers.fetch_sub(OVERFLOW_ONE, Ordering::Release),
+            // ordering: release, as above.
+            bit => self.readers.fetch_and(!bit, Ordering::Release),
+        };
     }
 
-    /// Removes `reader` from its shard. Removes only the caller's entry —
-    /// no rescan on the release path.
-    pub(crate) fn unregister_reader(&self, reader: &TxShared) {
-        let mut shard = self.shard(reader).lock();
-        if let Some(pos) = shard
-            .iter()
-            .position(|r| std::ptr::eq(Arc::as_ptr(r), reader))
-        {
-            shard.swap_remove(pos);
-        }
+    /// Visits every active registered reader other than `me`, after the
+    /// caller has CASed the locator to name itself: the writer's half of
+    /// the handshake. No `Vec` is built unless overflow readers are counted.
+    pub(crate) fn active_readers<E>(
+        &self,
+        me: &ReaderSlot,
+        visit: impl FnMut(&Arc<TxShared>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        // ordering: AcqRel on an RMW, not a load: ordered against every
+        // reader's RMW in the word's modification order, so either this reads
+        // the reader's bit or the reader's RMW reads from this one and its
+        // locator load sees the caller's CAS (module docs; the model in
+        // `crate::models` checks it).
+        let word = self.readers.fetch_or(0, Ordering::AcqRel);
+        self.visit_readers(word, me, visit)
     }
 
-    /// Returns the registered active readers other than `me`, pruning
-    /// finished readers from every shard on the way (the writer walks every
-    /// reader regardless — it must arbitrate with each of them).
-    pub(crate) fn active_readers(&self, me: &Arc<TxShared>) -> Vec<Arc<TxShared>> {
-        let mut out = Vec::new();
-        for shard in &self.readers {
-            let mut shard = shard.lock();
-            shard.retain(|r| r.is_active());
-            out.extend(shard.iter().filter(|r| !Arc::ptr_eq(r, me)).cloned());
+    /// The arbitration walk over a word the writer has read: for each other
+    /// set bit, the slot's descriptor, kept only if the bit is still set
+    /// after the descriptor was loaded; then every active overflow attempt if
+    /// the overflow count is non-zero.
+    pub(crate) fn visit_readers<E>(
+        &self,
+        word: u64,
+        me: &ReaderSlot,
+        mut visit: impl FnMut(&Arc<TxShared>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut bits = word & SLOT_BITS & !me.bit();
+        while bits != 0 {
+            let index = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let Some(reader) = me.table.slots[index].lock().clone() else {
+                continue;
+            };
+            // ordering: acquire, pairing with the clear's release. The slot
+            // lock ordered the owner's clear of its last attempt's bits before
+            // this load, so a bit still set is `reader`'s own registration.
+            if self.readers.load(Ordering::Acquire) & (1 << index) == 0 {
+                continue;
+            }
+            if reader.is_active() {
+                visit(&reader)?;
+            }
         }
-        out
+        if word >> OVERFLOW_SHIFT != 0 {
+            for reader in me.table.overflow_attempts(me) {
+                if reader.is_active() {
+                    visit(&reader)?;
+                }
+            }
+        }
+        Ok(())
     }
 
-    /// Number of registered readers, stale entries included (tests).
-    #[cfg(test)]
-    pub(crate) fn reader_count(&self) -> usize {
-        self.readers.iter().map(|shard| shard.lock().len()).sum()
+    /// The reader word as it stands (tests, and the models' weakened
+    /// writer).
+    #[cfg(any(test, feature = "model-check"))]
+    pub(crate) fn reader_word(&self) -> u64 {
+        // ordering: acquire, as the re-read in `visit_readers`.
+        self.readers.load(Ordering::Acquire)
     }
 }
 
@@ -293,18 +515,18 @@ impl<T: Default + Send + Sync> Default for TVar<T> {
 /// `Arc<dyn TrackedRead>` so the read set can hold the object's own `Arc`
 /// (`Sync` is required for that sharing).
 pub(crate) trait TrackedRead: Send + Sync {
-    /// Releases the reader registration this read holds.
-    fn release(&self, me: &TxShared);
+    /// Releases the registration `slot`'s attempt holds on the object.
+    fn release(&self, slot: &ReaderSlot);
 }
 
 /// A read is tracked by the object itself: the registration lives in the
-/// object's reader list and release unregisters. The read set stores the
+/// object's reader word and release clears it. The read set stores the
 /// object directly (an `Arc` clone of `TVarInner`) rather than boxing a
 /// wrapper, which keeps the read fast path free of per-read heap
 /// allocation.
 impl<T: Send + Sync> TrackedRead for TVarInner<T> {
-    fn release(&self, me: &TxShared) {
-        self.unregister_reader(me);
+    fn release(&self, slot: &ReaderSlot) {
+        self.unregister_reader(slot);
     }
 }
 
@@ -340,21 +562,20 @@ impl<T: Send + Sync> TrackedWrite for OwnedWrite<T> {
 mod tests {
     use super::*;
     use crate::txn::TxLineage;
+    use crate::{Stm, TxResult};
     use std::mem::size_of;
 
-    /// A running reader with transaction id `id` (its shard is `id` modulo
-    /// [`READER_SHARDS`]).
+    /// A running attempt with transaction id `id`.
     fn reader(id: u64) -> Arc<TxShared> {
         Arc::new(TxShared::new(Arc::new(TxLineage::new(id, id)), 1))
     }
 
     #[test]
-    fn an_object_is_its_locator_and_its_reader_shards() {
+    fn an_object_is_its_locator_and_its_reader_word() {
         // No id, no other field: a count that holds on any host.
         assert_eq!(
             size_of::<TVarInner<i64>>(),
-            size_of::<ArcSwap<Locator<i64>>>()
-                + READER_SHARDS * size_of::<Mutex<Vec<Arc<TxShared>>>>()
+            size_of::<ArcSwap<Locator<i64>>>() + size_of::<AtomicU64>()
         );
     }
 
@@ -417,88 +638,108 @@ mod tests {
         assert_eq!(*inner.load_locator().stable_value(), 6);
     }
 
-    #[test]
-    fn reader_registration_dedupes_and_prunes() {
-        let inner = TVarInner::new(0u32);
-        let r1 = reader(1);
-        let r2 = reader(2);
-        assert!(inner.register_reader(&r1));
-        assert!(!inner.register_reader(&r1));
-        assert!(inner.register_reader(&r2));
-        // A distinct descriptor with the same id (its shard) is a distinct
-        // registration: readers are told apart by pointer, not by id.
-        let r1_twin = reader(1);
-        assert!(inner.register_reader(&r1_twin));
-        assert_eq!(inner.reader_count(), 3);
-        inner.unregister_reader(&r1_twin);
-        assert_eq!(inner.reader_count(), 2);
-        // The scan leaves out `me`, skips finished readers and physically
-        // prunes them.
-        assert_eq!(inner.active_readers(&r1).len(), 1);
-        r2.try_abort();
-        let r3 = reader(3);
-        assert!(inner.register_reader(&r3));
-        let active = inner.active_readers(&r3);
-        assert_eq!(active.len(), 1);
-        assert!(Arc::ptr_eq(&active[0], &r1));
-        assert_eq!(inner.reader_count(), 2);
-        inner.unregister_reader(&r1);
-        assert!(inner.active_readers(&r3).is_empty());
+    /// Every active registered reader `me` would arbitrate with.
+    fn scan(inner: &TVarInner<u32>, me: &ReaderSlot) -> Vec<Arc<TxShared>> {
+        let mut seen = Vec::new();
+        inner
+            .active_readers(me, |r| {
+                seen.push(Arc::clone(r));
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+        seen
     }
 
     #[test]
-    fn reader_list_stays_bounded_under_register_churn() {
+    fn a_read_registers_once_and_the_prior_bit_is_the_dedupe() {
+        let table = Arc::new(ReaderTable::new());
+        let (a, b) = (ReaderTable::claim(&table), ReaderTable::claim(&table));
+        let (ra, rb) = (reader(1), reader(2));
+        a.publish(&ra);
+        b.publish(&rb);
         let inner = TVarInner::new(0u32);
-        let live = reader(0);
-        inner.register_reader(&live);
-        for i in 1..=10_000u64 {
-            let r = reader(i);
-            inner.register_reader(&r);
-            if i % 2 == 0 {
-                r.try_commit();
-            } else {
-                r.try_abort();
-            }
-            // Only every fourth reader explicitly unregisters — the rest
-            // rely on threshold pruning at registration time.
-            if i % 4 == 0 {
-                inner.unregister_reader(&r);
-            }
-        }
-        // Lazy pruning leaves at most a threshold's worth of finished
-        // entries per shard, plus the live readers — a constant, not a
-        // function of churn volume.
-        assert!(
-            inner.reader_count() <= READER_SHARDS * READER_PRUNE_THRESHOLD + 1,
-            "reader list leaked: {} entries",
-            inner.reader_count()
-        );
-        // A writer's arbitration scan prunes every shard it walks.
-        let me = reader(1);
-        let active = inner.active_readers(&me);
-        assert_eq!(active.len(), 1);
-        assert!(Arc::ptr_eq(&active[0], &live));
-        assert_eq!(inner.reader_count(), 1);
+        assert!(inner.register_reader(&a));
+        assert!(!inner.register_reader(&a), "the prior bit was set");
+        assert!(inner.register_reader(&b));
+        assert_eq!(inner.reader_word(), a.bit() | b.bit());
+        // The scan leaves out `me`.
+        let seen = scan(&inner, &b);
+        assert_eq!(seen.len(), 1);
+        assert!(Arc::ptr_eq(&seen[0], &ra));
+        // A finished attempt whose slot published a successor that never
+        // read the object is not arbitrated with.
+        ra.try_commit();
+        inner.unregister_reader(&a);
+        a.publish(&reader(3));
+        assert!(scan(&inner, &b).is_empty());
+        inner.unregister_reader(&b);
+        assert_eq!(inner.reader_word(), 0);
     }
 
     #[test]
-    fn register_past_threshold_prunes_only_finished_entries() {
-        let inner = TVarInner::new(0u32);
-        let keep = reader(0);
-        assert!(inner.register_reader(&keep));
-        // Pile finished readers into the same shard until the threshold
-        // forces a prune.
-        for i in 1..=(2 * READER_PRUNE_THRESHOLD as u64) {
-            let r = reader(i * READER_SHARDS as u64);
-            inner.register_reader(&r);
-            r.try_abort();
-        }
-        assert!(inner.reader_count() <= READER_PRUNE_THRESHOLD + 1);
-        // The live registration survived every prune.
-        let me = reader(1);
-        let active = inner.active_readers(&me);
-        assert_eq!(active.len(), 1);
-        assert!(Arc::ptr_eq(&active[0], &keep));
+    fn the_word_is_zero_after_a_commit_an_abort_and_a_panicking_body() {
+        let stm = Stm::default();
+        let v = TVar::new(0u32);
+        let mut ctx = stm.thread();
+        ctx.atomically(|tx| {
+            tx.read(&v)?;
+            tx.read(&v)
+        })
+        .unwrap();
+        assert_eq!(v.inner().reader_word(), 0, "after a commit");
+        let _ = ctx.atomically(|tx| {
+            tx.read(&v)?;
+            tx.abort::<()>()
+        });
+        assert_eq!(v.inner().reader_word(), 0, "after an abort");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.atomically(|tx| -> TxResult<()> {
+                tx.read(&v)?;
+                panic!("body panics after its read")
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(v.inner().reader_word(), 0, "after a panicking body");
+    }
+
+    #[test]
+    fn overflow_registrations_leave_the_word_at_zero() {
+        let stm = Stm::default();
+        // With every slot held, the next context overflows even while other
+        // tests hold some; releasing the held ones keeps the overflow claim.
+        let held: Vec<_> = (0..READER_SLOTS).map(|_| stm.thread()).collect();
+        let mut ctx = stm.thread();
+        drop(held);
+        let v = TVar::new(0u32);
+        ctx.atomically(|tx| {
+            tx.read(&v)?;
+            tx.read(&v)?;
+            // One registration, in the count, deduped against the read set.
+            assert_eq!(v.inner().reader_word(), OVERFLOW_ONE);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(v.inner().reader_word(), 0, "after a commit");
+        let _ = ctx.atomically(|tx| {
+            tx.read(&v)?;
+            tx.abort::<()>()
+        });
+        assert_eq!(v.inner().reader_word(), 0, "after an abort");
+    }
+
+    #[test]
+    fn claims_past_the_slots_overflow_and_freed_claims_are_reused() {
+        let table = Arc::new(ReaderTable::new());
+        let mut held: Vec<_> = (0..READER_SLOTS)
+            .map(|_| ReaderTable::claim(&table))
+            .collect();
+        assert!(held.iter().all(|slot| !slot.is_overflow()));
+        let over = ReaderTable::claim(&table);
+        assert!(over.is_overflow());
+        held.truncate(READER_SLOTS - 1);
+        assert!(!ReaderTable::claim(&table).is_overflow());
+        drop(over);
+        assert_eq!(table.overflow.lock().free.len(), 1);
     }
 
     #[test]

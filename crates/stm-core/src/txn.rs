@@ -10,14 +10,15 @@
 //! * [`TxShared`] — the descriptor of one *attempt*, visible to every other
 //!   thread: its attempt number, a CAS-able status word and the public
 //!   `waiting` flag of the greedy manager. Enemy transactions hold `Arc`s to
-//!   this descriptor (through object locators or reader lists) and may abort
-//!   the attempt by CAS-ing its status.
+//!   this descriptor (through object locators, or through the reader slot
+//!   the attempt is published in) and may abort the attempt by CAS-ing its
+//!   status.
 //! * [`Txn`] — the handle passed to the user's transactional closure. It
 //!   performs reads and writes, detects conflicts eagerly, and consults the
 //!   thread's contention manager to resolve them.
 //!
 //! There is one read protocol: every read registers its transaction in the
-//! reader list of the object it reads (see [`crate::tvar`]), and a writer
+//! reader word of the object it reads (see [`crate::tvar`]), and a writer
 //! that acquires the object must settle with each registered reader through
 //! its contention manager before it may commit. No read set is ever
 //! re-validated, so no transaction is aborted
@@ -36,7 +37,7 @@ use crate::stats::TxnStats;
 use crate::status::{AtomicStatus, TxStatus};
 use crate::stm::Stm;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::tvar::{Locator, OwnedWrite, TVar, TrackedRead, TrackedWrite};
+use crate::tvar::{Locator, OwnedWrite, ReaderSlot, TVar, TVarInner, TrackedRead, TrackedWrite};
 use crate::wait::SpinWait;
 
 /// State of a logical transaction that persists across aborts and retries.
@@ -232,6 +233,8 @@ pub struct Txn<'ctx> {
     shared: Arc<TxShared>,
     manager: &'ctx mut dyn ContentionManager,
     scratch: &'ctx mut TxScratch,
+    /// The context's reader slot, in which `shared` is published.
+    slot: &'ctx ReaderSlot,
     stats: TxnStats,
     publish_forced: bool,
     commit_seq: Option<u64>,
@@ -255,12 +258,14 @@ impl<'ctx> Txn<'ctx> {
         shared: Arc<TxShared>,
         manager: &'ctx mut dyn ContentionManager,
         scratch: &'ctx mut TxScratch,
+        slot: &'ctx ReaderSlot,
     ) -> Self {
         Txn {
             stm,
             shared,
             manager,
             scratch,
+            slot,
             stats: TxnStats::new(),
             publish_forced: false,
             commit_seq: None,
@@ -366,12 +371,7 @@ impl<'ctx> Txn<'ctx> {
         T: Send + Sync + 'static,
     {
         self.ensure_active()?;
-        if tvar.inner().register_reader(&self.shared) {
-            // The object itself is the tracked read (see the `TrackedRead`
-            // impl on `TVarInner`): an `Arc` clone, no per-read heap
-            // allocation.
-            self.scratch.reads.push(Arc::clone(tvar.inner()) as _);
-        }
+        self.register_read(tvar.inner());
         loop {
             self.ensure_active()?;
             // Guard-based load: the locator is only inspected, never
@@ -478,8 +478,9 @@ impl<'ctx> Txn<'ctx> {
                 Arc::clone(tvar.inner()),
                 Arc::clone(&new_loc),
             )));
-            let readers = tvar.inner().active_readers(&self.shared);
-            self.arbitrate_readers(readers)?;
+            let slot = self.slot;
+            tvar.inner()
+                .active_readers(slot, |reader| self.arbitrate_reader(reader))?;
             let func = f.take().expect("update closure already consumed");
             let base = new_loc.new_value();
             new_loc.set_new_value(Arc::new(func(&base)));
@@ -488,18 +489,34 @@ impl<'ctx> Txn<'ctx> {
         }
     }
 
+    /// Registers this attempt on the object it is about to read, once. The
+    /// object itself is the tracked read (see the `TrackedRead` impl on
+    /// `TVarInner`): an `Arc` clone, no per-read heap allocation.
+    fn register_read<T: Send + Sync + 'static>(&mut self, inner: &Arc<TVarInner<T>>) {
+        // A slot's bit dedupes through the word. An overflow slot has no
+        // bit, so it dedupes against the read set: linear, on the rare path
+        // of more live contexts than slots.
+        if self.slot.is_overflow()
+            && self
+                .scratch
+                .reads
+                .iter()
+                .any(|read| std::ptr::addr_eq(Arc::as_ptr(read), Arc::as_ptr(inner)))
+        {
+            return;
+        }
+        if inner.register_reader(self.slot) {
+            self.scratch.reads.push(Arc::clone(inner) as _);
+        }
+    }
+
     /// A writer that just acquired an object must come to an arrangement with
     /// every transaction currently reading it: each reader is either aborted
     /// or allowed to finish first, as decided by the contention manager.
-    fn arbitrate_readers(&mut self, readers: Vec<Arc<TxShared>>) -> TxResult<()> {
-        for reader in readers {
-            loop {
-                if !reader.is_active() {
-                    break;
-                }
-                self.ensure_active()?;
-                self.resolve_conflict(&reader, ConflictKind::WriteRead)?;
-            }
+    fn arbitrate_reader(&mut self, reader: &Arc<TxShared>) -> TxResult<()> {
+        while reader.is_active() {
+            self.ensure_active()?;
+            self.resolve_conflict(reader, ConflictKind::WriteRead)?;
         }
         Ok(())
     }
@@ -598,7 +615,7 @@ impl<'ctx> Txn<'ctx> {
             write.detach_committed();
         }
         for read in &self.scratch.reads {
-            read.release(&self.shared);
+            read.release(self.slot);
         }
         self.manager.committed(TxView::new(&self.shared));
         self.stm.stats().note_commit(&self.stats);
@@ -617,7 +634,7 @@ impl<'ctx> Txn<'ctx> {
         self.finished = true;
         self.shared.try_abort();
         for read in &self.scratch.reads {
-            read.release(&self.shared);
+            read.release(self.slot);
         }
         self.manager.aborted(TxView::new(&self.shared));
         self.stm.stats().note_abort(&self.stats, cause);

@@ -6,6 +6,7 @@
 
 use greedy_stm::cm::ManagerKind;
 use greedy_stm::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
@@ -127,16 +128,37 @@ fn greedy_never_aborts_an_older_reader_on_the_real_runtime() {
     // running transaction, so under greedy it is never aborted. Writers
     // that acquire an account it has read must wait for it; a writer it
     // meets on an account it has not read yet is younger and gets aborted.
+    //
+    // Two inputs: the reader on an ordinary context, then on an overflow
+    // context. With all `READER_SLOTS` slots held, the next context
+    // overflows even while other tests in this binary hold some; the held
+    // ones are released once it is claimed, so the writers get slots and
+    // find the reader through the word's overflow count.
+    let stm = Stm::builder()
+        .manager(ManagerKind::Greedy.factory())
+        .build();
+    older_reader_commits_first_try(&stm, stm.thread());
+    let held: Vec<_> = (0..stm_core::READER_SLOTS).map(|_| stm.thread()).collect();
+    let overflow = stm.thread();
+    drop(held);
+    older_reader_commits_first_try(&stm, overflow);
+}
+
+/// One run of the greedy reader test with the reader on `reader_ctx`.
+fn older_reader_commits_first_try(stm: &Stm, mut reader_ctx: stm_core::ThreadCtx<'_>) {
     const ACCOUNTS: usize = 8;
     const WRITERS: usize = 3;
     const TRANSFERS: usize = 200;
     const INITIAL: i64 = 100;
-    let stm = Stm::builder()
-        .manager(ManagerKind::Greedy.factory())
-        .build();
+    let waits_before = stm.stats().snapshot().waits;
     let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect();
     let go = Barrier::new(WRITERS + 1);
-    let (stm, accounts, go) = (&stm, &accounts, &go);
+    // Set while the reader's first attempt holds account 0, before any
+    // writer starts; a writer that commits a transfer touching account 0
+    // while it is set did not find the reader.
+    let holding = AtomicBool::new(false);
+    let overtakes = AtomicUsize::new(0);
+    let (accounts, go, holding, overtakes) = (&accounts, &go, &holding, &overtakes);
     let (sum, report) = thread::scope(|scope| {
         for w in 0..WRITERS {
             scope.spawn(move || {
@@ -152,18 +174,23 @@ fn greedy_never_aborts_an_older_reader_on_the_real_runtime() {
                         tx.modify(&accounts[to], |b| b + 1)
                     })
                     .unwrap();
+                    if (from == 0 || to == 0) && holding.load(Ordering::SeqCst) {
+                        overtakes.fetch_add(1, Ordering::SeqCst);
+                    }
                 }
             });
         }
-        stm.thread().atomically_traced(|tx| {
+        reader_ctx.atomically_traced(|tx| {
             let mut sum = tx.read(&accounts[0])?;
             if tx.attempt() == 1 {
+                holding.store(true, Ordering::SeqCst);
                 go.wait();
             }
             for account in &accounts[1..] {
                 thread::sleep(Duration::from_millis(2));
                 sum += tx.read(account)?;
             }
+            holding.store(false, Ordering::SeqCst);
             Ok(sum)
         })
     });
@@ -172,8 +199,13 @@ fn greedy_never_aborts_an_older_reader_on_the_real_runtime() {
         "greedy aborted the oldest transaction: {report:?}"
     );
     assert_eq!(sum.unwrap(), ACCOUNTS as i64 * INITIAL);
+    assert_eq!(
+        overtakes.load(Ordering::SeqCst),
+        0,
+        "writers committed over account 0 while the reader held it"
+    );
     assert!(
-        stm.stats().snapshot().waits > 0,
+        stm.stats().snapshot().waits > waits_before,
         "no writer ever met the reader"
     );
     let total: i64 = accounts.iter().map(|a| stm.read_atomic(a)).sum();

@@ -34,12 +34,14 @@ fn wal_slot_ring_is_safe() {
     assert_eq!(report.timeout_rescues, 0, "{report}");
 }
 
-/// A `TVar`'s visible-reader list: a registered running reader is never
-/// lost to a concurrent scan's pruning.
+/// A `TVar`'s reader word: a writer that CASes the locator and then does
+/// its RMW on the word either finds a registering reader or is seen by that
+/// reader's locator load, and never arbitrates with a slot's successor
+/// attempt that did not read the object.
 #[test]
 fn reader_registry_is_safe() {
     let report = stm_core::models::reader_list_never_loses_a_visible_reader();
-    eprintln!("reader list: {report}");
+    eprintln!("reader word: {report}");
     assert!(report.schedules() > 100, "{report}");
 }
 

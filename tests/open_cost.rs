@@ -2,11 +2,10 @@
 //!
 //! A counting global allocator tallies allocations per thread, and one
 //! transaction measures around each of its opens after warm-up (the
-//! thread's scratch sets and every reader shard of the read object have
-//! their capacity by then):
+//! thread's scratch sets have their capacity by then):
 //!
-//! * a read allocates nothing: it registers the transaction in the object's
-//!   reader list and keeps the object's own `Arc` in the read set;
+//! * a read allocates nothing: it sets its context's bit in the object's
+//!   reader word and keeps the object's own `Arc` in the read set;
 //! * a first write allocates three times: the locator that names the
 //!   writer, the boxed `OwnedWrite` record in the write set, and the new
 //!   value's `Arc`;
@@ -74,8 +73,7 @@ fn a_read_allocates_nothing_a_first_write_three_and_a_rewrite_one() {
         let rewrite = allocations();
         Ok((read - start, first_write - read, rewrite - first_write))
     };
-    // Transaction ids come from the clock, so consecutive transactions
-    // register in different reader shards: warm every shard up.
+    // Warm up: the scratch sets reach their capacity.
     for _ in 0..64 {
         ctx.atomically(body).unwrap();
     }
