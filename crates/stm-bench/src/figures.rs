@@ -6,8 +6,6 @@
 
 use std::time::Duration;
 
-use stm_cm::backoff::{DEFAULT_BACKOFF_BASE, DEFAULT_BACKOFF_MAX_ROUNDS};
-use stm_cm::karma::DEFAULT_KARMA_BACKOFF;
 use stm_cm::{BackoffManager, GreedyTimeoutManager, KarmaManager};
 use stm_core::manager::{factory, ManagerFactory};
 use stm_core::Stm;
@@ -113,9 +111,9 @@ const KARMA_INCREMENT: [u64; 4] = [1, 4, 16, 64];
 const BACKOFF_CAP_US: [u64; 3] = [100, 1_000, 10_000];
 
 /// The points of the manager-parameter ablation: `("manager[knob=value]",
-/// factory)`, each varying one constructor argument around the manager's
-/// default (which is among the values) and leaving the others at theirs —
-/// the knobs the paper's Section 6 discussion predicts crossovers for.
+/// factory)`, each varying a manager's one constructor argument around its
+/// default (which is among the values) — the three knobs the managers
+/// have, the ones the paper's Section 6 discussion predicts crossovers for.
 pub fn ablation_points() -> Vec<(String, ManagerFactory)> {
     let us = Duration::from_micros;
     let mut points = Vec::new();
@@ -124,13 +122,11 @@ pub fn ablation_points() -> Vec<(String, ManagerFactory)> {
         points.push((format!("greedy-timeout[greedy_timeout={value}us]"), make));
     }
     for value in KARMA_INCREMENT {
-        let make = factory(move || KarmaManager::with_params(DEFAULT_KARMA_BACKOFF, value));
+        let make = factory(move || KarmaManager::with_increment(value));
         points.push((format!("karma[karma_increment={value}]"), make));
     }
     for value in BACKOFF_CAP_US {
-        let make = factory(move || {
-            BackoffManager::new(DEFAULT_BACKOFF_BASE, us(value), DEFAULT_BACKOFF_MAX_ROUNDS)
-        });
+        let make = factory(move || BackoffManager::with_cap(us(value)));
         points.push((format!("backoff[backoff_cap={value}us]"), make));
     }
     points

@@ -13,58 +13,46 @@ use std::time::Duration;
 use stm_core::manager::{factory, ManagerFactory};
 use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
 
-/// Default initial backoff interval.
-pub const DEFAULT_BACKOFF_BASE: Duration = Duration::from_micros(2);
+/// Initial backoff interval.
+const BASE: Duration = Duration::from_micros(2);
 /// Default maximum backoff interval.
 pub const DEFAULT_BACKOFF_CAP: Duration = Duration::from_millis(1);
-/// Default backoff rounds against one enemy before the enemy is aborted.
-pub const DEFAULT_BACKOFF_MAX_ROUNDS: u32 = 12;
+/// Backoff rounds against one enemy before the enemy is aborted.
+const MAX_ROUNDS: u32 = 12;
 
 /// Exponential-backoff contention manager.
 #[derive(Debug, Clone)]
 pub struct BackoffManager {
-    base: Duration,
     cap: Duration,
-    max_rounds: u32,
     round: u32,
     conflict_with: Option<u64>,
 }
 
 impl Default for BackoffManager {
     fn default() -> Self {
-        BackoffManager::new(
-            DEFAULT_BACKOFF_BASE,
-            DEFAULT_BACKOFF_CAP,
-            DEFAULT_BACKOFF_MAX_ROUNDS,
-        )
+        BackoffManager::with_cap(DEFAULT_BACKOFF_CAP)
     }
 }
 
 impl BackoffManager {
-    /// Creates a backoff manager.
-    ///
-    /// * `base` — initial backoff interval;
-    /// * `cap` — maximum backoff interval;
-    /// * `max_rounds` — number of backoff rounds against one enemy before
-    ///   the enemy is aborted.
-    pub fn new(base: Duration, cap: Duration, max_rounds: u32) -> Self {
+    /// Creates a backoff manager whose interval doubles from 2 µs up to
+    /// `cap`, and which aborts an enemy after 12 rounds against it.
+    pub fn with_cap(cap: Duration) -> Self {
         BackoffManager {
-            base,
             cap,
-            max_rounds,
             round: 0,
             conflict_with: None,
         }
     }
 
-    /// A per-thread factory with the default parameters.
+    /// A per-thread factory with the default cap.
     pub fn factory() -> ManagerFactory {
         factory(BackoffManager::default)
     }
 
     fn interval(&self) -> Duration {
         let factor = 1u32 << self.round.min(20);
-        self.base.saturating_mul(factor).min(self.cap)
+        BASE.saturating_mul(factor).min(self.cap)
     }
 }
 
@@ -83,7 +71,7 @@ impl ContentionManager for BackoffManager {
             self.conflict_with = Some(other.id());
             self.round = 0;
         }
-        if self.round >= self.max_rounds {
+        if self.round >= MAX_ROUNDS {
             self.round = 0;
             return Resolution::AbortOther;
         }
@@ -102,9 +90,9 @@ mod tests {
     fn backs_off_with_growing_intervals() {
         let me = tx(1, 1);
         let other = tx(2, 2);
-        let mut m = BackoffManager::new(Duration::from_micros(1), Duration::from_micros(100), 5);
+        let mut m = BackoffManager::default();
         let mut last = Duration::ZERO;
-        for _ in 0..5 {
+        for _ in 0..MAX_ROUNDS {
             match m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {
                 Resolution::Wait(spec) => {
                     let d = spec.max.unwrap();
@@ -114,6 +102,7 @@ mod tests {
                 r => panic!("expected wait, got {r:?}"),
             }
         }
+        assert_eq!(last, DEFAULT_BACKOFF_CAP);
         assert_eq!(
             m.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
             Resolution::AbortOther
@@ -125,8 +114,8 @@ mod tests {
         let me = tx(1, 1);
         let other = tx(2, 2);
         let cap = Duration::from_micros(8);
-        let mut m = BackoffManager::new(Duration::from_micros(4), cap, 10);
-        for _ in 0..10 {
+        let mut m = BackoffManager::with_cap(cap);
+        for _ in 0..MAX_ROUNDS {
             if let Resolution::Wait(spec) = m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {
                 assert!(spec.max.unwrap() <= cap);
             }
@@ -138,9 +127,10 @@ mod tests {
         let me = tx(1, 1);
         let a = tx(2, 2);
         let b = tx(3, 3);
-        let mut m = BackoffManager::new(Duration::from_micros(1), Duration::from_millis(1), 2);
-        let _ = m.resolve(view(&me), view(&a), ConflictKind::WriteWrite);
-        let _ = m.resolve(view(&me), view(&a), ConflictKind::WriteWrite);
+        let mut m = BackoffManager::default();
+        for _ in 0..MAX_ROUNDS {
+            let _ = m.resolve(view(&me), view(&a), ConflictKind::WriteWrite);
+        }
         // Next against `a` would abort; against `b` the series restarts.
         assert!(matches!(
             m.resolve(view(&me), view(&b), ConflictKind::WriteWrite),

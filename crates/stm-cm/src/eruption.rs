@@ -13,13 +13,12 @@ use std::time::Duration;
 use stm_core::manager::{factory, ManagerFactory};
 use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
 
-/// Default inter-round backoff while blocked.
-pub const DEFAULT_ERUPTION_BACKOFF: Duration = Duration::from_micros(4);
+/// Inter-round backoff while blocked.
+const BACKOFF: Duration = Duration::from_micros(4);
 
 /// Karma with pressure transfer onto the blocking transaction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone)]
 pub struct EruptionManager {
-    backoff: Duration,
     attempts: u64,
     conflict_with: Option<u64>,
     /// Whether we already pushed our momentum onto the current enemy (we only
@@ -28,25 +27,8 @@ pub struct EruptionManager {
     pushed: bool,
 }
 
-impl Default for EruptionManager {
-    fn default() -> Self {
-        EruptionManager::new(DEFAULT_ERUPTION_BACKOFF)
-    }
-}
-
 impl EruptionManager {
-    /// Creates an Eruption manager with the given inter-round backoff,
-    /// earning one karma per object opened.
-    pub fn new(backoff: Duration) -> Self {
-        EruptionManager {
-            backoff,
-            attempts: 0,
-            conflict_with: None,
-            pushed: false,
-        }
-    }
-
-    /// A per-thread factory with the default parameters.
+    /// A per-thread factory.
     pub fn factory() -> ManagerFactory {
         factory(EruptionManager::default)
     }
@@ -87,7 +69,7 @@ impl ContentionManager for EruptionManager {
                 self.pushed = true;
             }
             self.attempts += 1;
-            Resolution::Wait(WaitSpec::bounded(self.backoff))
+            Resolution::Wait(WaitSpec::bounded(BACKOFF))
         }
     }
 }
@@ -103,7 +85,7 @@ mod tests {
         let other = tx(2, 2);
         view(&me).add_karma(2);
         view(&other).add_karma(10);
-        let mut m = EruptionManager::new(Duration::from_micros(1));
+        let mut m = EruptionManager::default();
         let before = view(&other).karma();
         let r = m.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
         assert!(matches!(r, Resolution::Wait(_)));
@@ -131,7 +113,7 @@ mod tests {
         let me = tx(1, 1);
         let other = tx(2, 2);
         view(&other).add_karma(3);
-        let mut m = EruptionManager::new(Duration::from_micros(1));
+        let mut m = EruptionManager::default();
         let mut rounds = 0;
         loop {
             match m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {

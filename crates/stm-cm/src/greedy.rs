@@ -1,82 +1,19 @@
-//! The greedy contention manager — the paper's central contribution.
+//! Greedy's Section 6 extension for transactions that may halt
+//! undetectably.
 //!
-//! Every transaction is assigned a timestamp when it *first* begins and keeps
-//! it across aborts and restarts; an earlier timestamp means higher priority.
-//! When transaction `A` is about to perform an access that conflicts with
-//! transaction `B`, the greedy manager applies two rules (Section 3):
-//!
-//! 1. If `B` is lower priority than `A`, **or** `B` is waiting for another
-//!    transaction, then `A` aborts `B`.
-//! 2. If `B` is higher priority than `A` and is not waiting, then `A` waits
-//!    until `B` commits, aborts, or starts waiting (in which case Rule 1
-//!    applies).
-//!
-//! Because the highest-priority running transaction never waits and is never
-//! aborted, the greedy manager satisfies the *pending-commit property* — at
-//! any time some running transaction will run uninterrupted until it commits
-//! — which by Theorem 9 bounds the makespan of `n` concurrent transactions
-//! sharing `s` objects to within a factor of `s(s+1)+2` of an optimal
-//! off-line list schedule, and by Theorem 1 guarantees that every transaction
-//! commits within a bounded delay.
-//!
-//! [`GreedyTimeoutManager`] adds the Section 6 extension for transactions
-//! that may halt undetectably: waits are bounded by a per-enemy time-out that
-//! doubles every time a wait on that enemy expires and the enemy has to be
-//! killed.
+//! The greedy manager itself ([`GreedyManager`](crate::GreedyManager),
+//! re-exported from `stm-core`, whose default it is) orders transactions by
+//! [`TxView::outranks`] and waits for a higher-priority enemy until it
+//! commits, aborts or starts waiting — a wait that never ends if the enemy
+//! halted. [`GreedyTimeoutManager`] bounds those waits by a per-enemy
+//! time-out that doubles every time a wait on that enemy expires and the
+//! enemy has to be killed.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use stm_core::manager::{factory, ManagerFactory};
 use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
-
-/// Returns `true` when `other` has strictly lower priority than `me`
-/// (i.e. a strictly later timestamp; ties are broken by transaction id so two
-/// distinct transactions are never considered equal).
-fn lower_priority(me: TxView<'_>, other: TxView<'_>) -> bool {
-    match other.timestamp().cmp(&me.timestamp()) {
-        std::cmp::Ordering::Greater => true,
-        std::cmp::Ordering::Less => false,
-        std::cmp::Ordering::Equal => other.id() > me.id(),
-    }
-}
-
-/// The greedy contention manager (paper, Section 3).
-///
-/// Stateless: decisions depend only on the two transactions' timestamps and
-/// the enemy's `waiting` flag, so the manager is trivially decentralised.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GreedyManager;
-
-impl GreedyManager {
-    /// Creates a greedy manager.
-    pub fn new() -> Self {
-        GreedyManager
-    }
-
-    /// A per-thread factory for use with [`stm_core::StmBuilder::manager`].
-    pub fn factory() -> ManagerFactory {
-        factory(GreedyManager::new)
-    }
-}
-
-impl ContentionManager for GreedyManager {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
-        // Rule 1: abort enemies that are lower priority or themselves waiting.
-        if lower_priority(me, other) || other.is_waiting() {
-            Resolution::AbortOther
-        } else {
-            // Rule 2: wait until the higher-priority enemy commits, aborts,
-            // or starts waiting. The runtime's wait loop wakes on exactly
-            // those three events.
-            Resolution::wait_for_enemy()
-        }
-    }
-}
 
 /// Default initial wait time-out of [`GreedyTimeoutManager`].
 pub const DEFAULT_GREEDY_TIMEOUT: Duration = Duration::from_micros(50);
@@ -136,7 +73,7 @@ impl ContentionManager for GreedyTimeoutManager {
     }
 
     fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
-        if lower_priority(me, other) || other.is_waiting() {
+        if me.outranks(other) || other.is_waiting() {
             return Resolution::AbortOther;
         }
         let attempt = Some(other.attempt());
@@ -161,63 +98,6 @@ mod tests {
     use crate::test_util::{tx, view};
     use std::sync::Arc;
     use stm_core::TxShared;
-
-    #[test]
-    fn rule_one_aborts_lower_priority_enemy() {
-        let me = tx(1, 10);
-        let other = tx(2, 20); // later timestamp -> lower priority
-        let mut greedy = GreedyManager::new();
-        assert_eq!(
-            greedy.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
-            Resolution::AbortOther
-        );
-    }
-
-    #[test]
-    fn rule_one_aborts_waiting_enemy_even_if_higher_priority() {
-        let me = tx(1, 20);
-        let other = tx(2, 10); // earlier timestamp -> higher priority
-        other.set_waiting(true);
-        let mut greedy = GreedyManager::new();
-        assert_eq!(
-            greedy.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
-            Resolution::AbortOther
-        );
-    }
-
-    #[test]
-    fn rule_two_waits_for_higher_priority_enemy() {
-        let me = tx(1, 20);
-        let other = tx(2, 10);
-        let mut greedy = GreedyManager::new();
-        assert_eq!(
-            greedy.resolve(view(&me), view(&other), ConflictKind::ReadWrite),
-            Resolution::wait_for_enemy()
-        );
-    }
-
-    #[test]
-    fn ties_are_broken_deterministically_and_asymmetrically() {
-        let a = tx(1, 10);
-        let b = tx(2, 10);
-        let mut greedy = GreedyManager::new();
-        let ab = greedy.resolve(view(&a), view(&b), ConflictKind::WriteWrite);
-        let ba = greedy.resolve(view(&b), view(&a), ConflictKind::WriteWrite);
-        // Exactly one direction aborts, the other waits: no mutual abort, no
-        // mutual wait.
-        assert_ne!(ab == Resolution::AbortOther, ba == Resolution::AbortOther);
-    }
-
-    #[test]
-    fn highest_priority_transaction_never_waits_nor_aborts_itself() {
-        let oldest = tx(1, 0);
-        let mut greedy = GreedyManager::new();
-        for ts in 1..50u64 {
-            let enemy = tx(ts + 1, ts);
-            let r = greedy.resolve(view(&oldest), view(&enemy), ConflictKind::WriteWrite);
-            assert_eq!(r, Resolution::AbortOther);
-        }
-    }
 
     #[test]
     fn greedy_timeout_waits_then_kills_then_doubles() {
@@ -271,7 +151,7 @@ mod tests {
 
     #[test]
     fn factories_produce_named_managers() {
-        assert_eq!(GreedyManager::factory()().name(), "greedy");
+        assert_eq!(crate::GreedyManager::factory()().name(), "greedy");
         assert_eq!(GreedyTimeoutManager::factory()().name(), "greedy-timeout");
     }
 }

@@ -19,15 +19,14 @@ use std::time::Duration;
 use stm_core::manager::{factory, ManagerFactory};
 use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
 
-/// Default inter-round backoff while the karma gap is open.
-pub const DEFAULT_KARMA_BACKOFF: Duration = Duration::from_micros(4);
+/// Inter-round backoff while the karma gap is open.
+const BACKOFF: Duration = Duration::from_micros(4);
 /// Default karma earned per object opened.
 pub const DEFAULT_KARMA_INCREMENT: u64 = 1;
 
 /// Work-based priority contention manager.
 #[derive(Debug, Clone)]
 pub struct KarmaManager {
-    backoff: Duration,
     /// Karma earned per object opened (1 in Scherer & Scott's formulation).
     increment: u64,
     /// Retry counter for the conflict currently being fought.
@@ -37,30 +36,23 @@ pub struct KarmaManager {
 
 impl Default for KarmaManager {
     fn default() -> Self {
-        KarmaManager::new(DEFAULT_KARMA_BACKOFF)
+        KarmaManager::with_increment(DEFAULT_KARMA_INCREMENT)
     }
 }
 
 impl KarmaManager {
-    /// Creates a Karma manager that backs off for `backoff` between
-    /// unsuccessful conflict rounds, earning one karma per object opened.
-    pub fn new(backoff: Duration) -> Self {
-        KarmaManager::with_params(backoff, DEFAULT_KARMA_INCREMENT)
-    }
-
-    /// Creates a Karma manager with an explicit per-open karma increment
+    /// Creates a Karma manager earning `increment` karma per object opened
     /// (the ablation knob: larger increments weigh invested work more
     /// heavily against retry seniority).
-    pub fn with_params(backoff: Duration, increment: u64) -> Self {
+    pub fn with_increment(increment: u64) -> Self {
         KarmaManager {
-            backoff,
             increment,
             attempts: 0,
             conflict_with: None,
         }
     }
 
-    /// A per-thread factory with the default parameters.
+    /// A per-thread factory with the default increment.
     pub fn factory() -> ManagerFactory {
         factory(KarmaManager::default)
     }
@@ -96,7 +88,7 @@ impl ContentionManager for KarmaManager {
             Resolution::AbortOther
         } else {
             self.attempts += 1;
-            Resolution::Wait(WaitSpec::bounded(self.backoff))
+            Resolution::Wait(WaitSpec::bounded(BACKOFF))
         }
     }
 }
@@ -121,7 +113,7 @@ mod tests {
     #[test]
     fn increment_scales_earned_priority() {
         let me = tx(1, 1);
-        let mut m = KarmaManager::with_params(DEFAULT_KARMA_BACKOFF, 5);
+        let mut m = KarmaManager::with_increment(5);
         m.opened(view(&me));
         m.opened(view(&me));
         assert_eq!(view(&me).karma(), 10);
@@ -145,14 +137,14 @@ mod tests {
         let me = tx(1, 1);
         let other = tx(2, 2);
         view(&other).add_karma(3);
-        let mut m = KarmaManager::new(Duration::from_micros(1));
+        let mut m = KarmaManager::default();
         // gap of 3 karma, so the first rounds wait; after enough retries the
         // attempt counter closes the gap and the enemy is aborted.
         let mut waits = 0;
         loop {
             match m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {
                 Resolution::Wait(spec) => {
-                    assert_eq!(spec.max, Some(Duration::from_micros(1)));
+                    assert_eq!(spec.max, Some(BACKOFF));
                     waits += 1;
                     assert!(waits < 100, "karma never closed the gap");
                 }
@@ -170,7 +162,7 @@ mod tests {
         let b = tx(3, 3);
         view(&a).add_karma(2);
         view(&b).add_karma(2);
-        let mut m = KarmaManager::new(Duration::from_micros(1));
+        let mut m = KarmaManager::default();
         let _ = m.resolve(view(&me), view(&a), ConflictKind::WriteWrite);
         let _ = m.resolve(view(&me), view(&a), ConflictKind::WriteWrite);
         // Switching enemies restarts the attempt counter, so b still wins.

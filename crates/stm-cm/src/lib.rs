@@ -8,7 +8,9 @@
 //! properties (every transaction commits within a bounded delay; the
 //! makespan of `n` concurrent transactions over `s` shared objects is within
 //! a factor of `s(s+1)+2` of an optimal off-line list schedule) with good
-//! practical performance.
+//! practical performance. It lives in `stm-core`, whose `Stm::default()`
+//! runs it, and is re-exported here with [`AggressiveManager`], the other
+//! manager the core crate defines.
 //!
 //! Beside it sit the managers the paper's figures plot (Eruption,
 //! Aggressive, Backoff, Karma — Scherer & Scott's suite, ported to C# for
@@ -35,13 +37,16 @@
 //!
 //! ```
 //! use stm_core::{Stm, TVar};
-//! use stm_cm::GreedyManager;
+//! use stm_cm::ManagerKind;
 //!
-//! let stm = Stm::builder().manager(GreedyManager::factory()).build();
 //! let cell = TVar::new(0u32);
-//! let mut ctx = stm.thread();
-//! ctx.atomically(|tx| tx.modify(&cell, |v| v + 1)).unwrap();
-//! assert_eq!(stm.read_atomic(&cell), 1);
+//! let greedy = Stm::default();
+//! let karma = Stm::builder().manager(ManagerKind::Karma.factory()).build();
+//! for stm in [greedy, karma] {
+//!     stm.thread().atomically(|tx| tx.modify(&cell, |v| v + 1)).unwrap();
+//! }
+//! assert_eq!(Stm::default().thread().manager_name(), "greedy");
+//! assert_eq!(Stm::default().read_atomic(&cell), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,15 +63,15 @@ pub mod timestamp;
 
 pub use backoff::BackoffManager;
 pub use eruption::EruptionManager;
-pub use greedy::{GreedyManager, GreedyTimeoutManager};
+pub use greedy::GreedyTimeoutManager;
 pub use karma::KarmaManager;
 pub use polka::PolkaManager;
-pub use registry::{all_manager_names, default_manager_names, factory_by_name, ManagerKind};
+pub use registry::{all_manager_names, ManagerKind};
 pub use timestamp::TimestampManager;
 
-// Re-export the manager that lives in stm-core so users have one place to
+// Re-export the managers that live in stm-core so users have one place to
 // look for the whole family.
-pub use stm_core::manager::AggressiveManager;
+pub use stm_core::manager::{AggressiveManager, GreedyManager};
 
 #[cfg(test)]
 pub(crate) mod test_util {

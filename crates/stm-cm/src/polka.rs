@@ -14,51 +14,31 @@ use std::time::Duration;
 use stm_core::manager::{factory, ManagerFactory};
 use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
 
-/// Default initial backoff interval.
-pub const DEFAULT_POLKA_BASE: Duration = Duration::from_micros(2);
-/// Default maximum backoff interval.
-pub const DEFAULT_POLKA_CAP: Duration = Duration::from_millis(1);
-/// Default hard cap on backoff rounds regardless of the karma gap.
-pub const DEFAULT_POLKA_MAX_ROUNDS: u32 = 16;
+/// Initial backoff interval.
+const BASE: Duration = Duration::from_micros(2);
+/// Maximum backoff interval.
+const CAP: Duration = Duration::from_millis(1);
+/// Hard upper bound on backoff rounds regardless of the karma gap (keeps
+/// the tail bounded when the enemy is vastly richer).
+const MAX_ROUNDS: u32 = 16;
 
 /// Polite + Karma: karma-difference many exponential backoffs, then abort.
-#[derive(Debug, Clone)]
+/// Earns one karma per object opened.
+#[derive(Debug, Default, Clone)]
 pub struct PolkaManager {
-    base: Duration,
-    cap: Duration,
-    /// Hard upper bound on backoff rounds regardless of the karma gap (keeps
-    /// the tail bounded when the enemy is vastly richer).
-    max_rounds: u32,
     round: u32,
     conflict_with: Option<u64>,
 }
 
-impl Default for PolkaManager {
-    fn default() -> Self {
-        PolkaManager::new(DEFAULT_POLKA_BASE, DEFAULT_POLKA_CAP, DEFAULT_POLKA_MAX_ROUNDS)
-    }
-}
-
 impl PolkaManager {
-    /// Creates a Polka manager earning one karma per object opened.
-    pub fn new(base: Duration, cap: Duration, max_rounds: u32) -> Self {
-        PolkaManager {
-            base,
-            cap,
-            max_rounds,
-            round: 0,
-            conflict_with: None,
-        }
-    }
-
-    /// A per-thread factory with the default parameters.
+    /// A per-thread factory.
     pub fn factory() -> ManagerFactory {
         factory(PolkaManager::default)
     }
 
     fn interval(&self) -> Duration {
         let factor = 1u32 << self.round.min(20);
-        self.base.saturating_mul(factor).min(self.cap)
+        BASE.saturating_mul(factor).min(CAP)
     }
 }
 
@@ -83,7 +63,7 @@ impl ContentionManager for PolkaManager {
             self.round = 0;
         }
         let gap = other.karma().saturating_sub(me.karma());
-        let rounds_allowed = (gap.min(self.max_rounds as u64)) as u32;
+        let rounds_allowed = (gap.min(u64::from(MAX_ROUNDS))) as u32;
         if u64::from(self.round) >= u64::from(rounds_allowed) {
             self.round = 0;
             self.conflict_with = None;
@@ -118,7 +98,7 @@ mod tests {
         let me = tx(1, 1);
         let other = tx(2, 2);
         view(&other).add_karma(3);
-        let mut m = PolkaManager::new(Duration::from_micros(1), Duration::from_millis(1), 16);
+        let mut m = PolkaManager::default();
         let mut waits = 0;
         loop {
             match m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {
@@ -136,19 +116,19 @@ mod tests {
         let me = tx(1, 1);
         let other = tx(2, 2);
         view(&other).add_karma(1_000);
-        let mut m = PolkaManager::new(Duration::from_micros(1), Duration::from_micros(16), 4);
+        let mut m = PolkaManager::default();
         let mut waits = 0;
         loop {
             match m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {
                 Resolution::Wait(spec) => {
-                    assert!(spec.max.unwrap() <= Duration::from_micros(16));
+                    assert!(spec.max.unwrap() <= CAP);
                     waits += 1;
                 }
                 Resolution::AbortOther => break,
                 Resolution::AbortSelf => unreachable!(),
             }
         }
-        assert_eq!(waits, 4);
+        assert_eq!(waits, MAX_ROUNDS);
     }
 
     #[test]

@@ -122,21 +122,6 @@ pub fn all_manager_names() -> Vec<&'static str> {
     ManagerKind::ALL.iter().map(|k| k.name()).collect()
 }
 
-/// Names of the managers plotted in the paper's figures.
-pub fn default_manager_names() -> Vec<&'static str> {
-    ManagerKind::FIGURE_SET.iter().map(|k| k.name()).collect()
-}
-
-/// Builds a manager factory from a manager name.
-///
-/// # Errors
-///
-/// Returns [`UnknownManager`] if the name does not match any registered
-/// manager.
-pub fn factory_by_name(name: &str) -> Result<ManagerFactory, UnknownManager> {
-    name.parse::<ManagerKind>().map(ManagerKind::factory)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,8 +154,9 @@ mod tests {
 
     #[test]
     fn figure_set_matches_the_paper() {
+        let figure_names: Vec<_> = ManagerKind::FIGURE_SET.iter().map(|k| k.name()).collect();
         assert_eq!(
-            default_manager_names(),
+            figure_names,
             vec!["eruption", "greedy", "aggressive", "backoff", "karma"]
         );
         assert_eq!(all_manager_names().len(), 8);
@@ -193,12 +179,5 @@ mod tests {
                 format!("unknown contention manager '{name}'; known managers: {kept}")
             );
         }
-    }
-
-    #[test]
-    fn factory_by_name_builds_managers() {
-        assert_eq!(factory_by_name("greedy").unwrap()().name(), "greedy");
-        assert_eq!(factory_by_name("Karma").unwrap()().name(), "karma");
-        assert!(factory_by_name("nope").is_err());
     }
 }

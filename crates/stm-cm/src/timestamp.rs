@@ -15,37 +15,19 @@ use std::time::Duration;
 use stm_core::manager::{factory, ManagerFactory};
 use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
 
-/// Default length of one bounded wait quantum.
-pub const DEFAULT_TIMESTAMP_QUANTUM: Duration = Duration::from_micros(20);
-/// Default expired quanta before an older enemy is presumed defunct.
-pub const DEFAULT_TIMESTAMP_PATIENCE: u32 = 8;
+/// Length of one bounded wait quantum.
+const QUANTUM: Duration = Duration::from_micros(20);
+/// Expired quanta before an older enemy is presumed defunct.
+const PATIENCE: u32 = 8;
 
 /// Timestamp-priority contention manager with suspect-and-kill patience.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone)]
 pub struct TimestampManager {
-    quantum: Duration,
-    patience: u32,
     suspicion: HashMap<u64, u32>,
 }
 
-impl Default for TimestampManager {
-    fn default() -> Self {
-        TimestampManager::new(DEFAULT_TIMESTAMP_QUANTUM, DEFAULT_TIMESTAMP_PATIENCE)
-    }
-}
-
 impl TimestampManager {
-    /// Creates a timestamp manager that waits in `quantum`-sized slices and
-    /// kills an older enemy after `patience` consecutive expired waits.
-    pub fn new(quantum: Duration, patience: u32) -> Self {
-        TimestampManager {
-            quantum,
-            patience,
-            suspicion: HashMap::new(),
-        }
-    }
-
-    /// A per-thread factory with the default parameters.
+    /// A per-thread factory.
     pub fn factory() -> ManagerFactory {
         factory(TimestampManager::default)
     }
@@ -61,24 +43,19 @@ impl ContentionManager for TimestampManager {
     }
 
     fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
-        let other_is_younger = match other.timestamp().cmp(&me.timestamp()) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => other.id() > me.id(),
-        };
-        if other_is_younger {
+        if me.outranks(other) {
             // Older transactions simply kill younger ones in their way.
             return Resolution::AbortOther;
         }
         let count = self.suspicion.entry(other.id()).or_insert(0);
-        if *count >= self.patience {
-            // The older enemy has been in our way for `patience` quanta:
+        if *count >= PATIENCE {
+            // The older enemy has been in our way for `PATIENCE` quanta:
             // presume it is defunct and kill it.
             *count = 0;
             return Resolution::AbortOther;
         }
         *count += 1;
-        Resolution::Wait(WaitSpec::bounded(self.quantum))
+        Resolution::Wait(WaitSpec::bounded(QUANTUM))
     }
 }
 
@@ -102,13 +79,12 @@ mod tests {
     fn older_enemy_gets_patience_then_is_killed() {
         let me = tx(2, 9);
         let older = tx(1, 5);
-        let patience = 3;
-        let mut m = TimestampManager::new(Duration::from_micros(1), patience);
-        for _ in 0..patience {
-            assert!(matches!(
+        let mut m = TimestampManager::default();
+        for _ in 0..PATIENCE {
+            assert_eq!(
                 m.resolve(view(&me), view(&older), ConflictKind::WriteWrite),
-                Resolution::Wait(_)
-            ));
+                Resolution::backoff(QUANTUM)
+            );
         }
         assert_eq!(
             m.resolve(view(&me), view(&older), ConflictKind::WriteWrite),
@@ -126,11 +102,13 @@ mod tests {
         let me = tx(3, 9);
         let older_a = tx(1, 1);
         let older_b = tx(2, 2);
-        let mut m = TimestampManager::new(Duration::from_micros(1), 1);
-        assert!(matches!(
-            m.resolve(view(&me), view(&older_a), ConflictKind::WriteWrite),
-            Resolution::Wait(_)
-        ));
+        let mut m = TimestampManager::default();
+        for _ in 0..PATIENCE {
+            assert!(matches!(
+                m.resolve(view(&me), view(&older_a), ConflictKind::WriteWrite),
+                Resolution::Wait(_)
+            ));
+        }
         // A different enemy has its own counter.
         assert!(matches!(
             m.resolve(view(&me), view(&older_b), ConflictKind::WriteWrite),
@@ -146,8 +124,10 @@ mod tests {
     fn begin_clears_suspicion() {
         let me = tx(2, 9);
         let older = tx(1, 5);
-        let mut m = TimestampManager::new(Duration::from_micros(1), 1);
-        let _ = m.resolve(view(&me), view(&older), ConflictKind::WriteWrite);
+        let mut m = TimestampManager::default();
+        for _ in 0..PATIENCE {
+            let _ = m.resolve(view(&me), view(&older), ConflictKind::WriteWrite);
+        }
         m.begin(view(&me));
         assert!(matches!(
             m.resolve(view(&me), view(&older), ConflictKind::WriteWrite),

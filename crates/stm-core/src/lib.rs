@@ -64,10 +64,10 @@
 //!
 //! The contention-manager interface ([`ContentionManager`], [`Resolution`],
 //! [`ConflictKind`]) mirrors the interface of SXM / DSTM as described by
-//! Scherer & Scott and used by the paper's experiments. The greedy manager
-//! itself and the other managers from the literature live in the `stm-cm`
-//! crate; `stm-core` ships only the trivial [`manager::AggressiveManager`]
-//! and [`manager::PoliteManager`] used as defaults and in unit tests.
+//! Scherer & Scott and used by the paper's experiments. The paper's greedy
+//! manager, [`manager::GreedyManager`], lives here beside the trivial
+//! [`manager::AggressiveManager`], and [`Stm::default`] runs greedy. The
+//! other managers from the literature live in the `stm-cm` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

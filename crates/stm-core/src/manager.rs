@@ -16,11 +16,10 @@
 //! `aborted`) that the Karma/Eruption/Polka family uses to accumulate
 //! priority proportional to the work a transaction has performed.
 //!
-//! The greedy manager and the managers the paper compares it with live in
-//! the `stm-cm` crate; this module defines the interface plus the two
-//! trivial managers ([`AggressiveManager`], [`PoliteManager`]) that the core
-//! crate uses as defaults and in its own tests. `PoliteManager` is
-//! [`crate::Stm::default`]'s manager only; it is not in `stm-cm`'s registry.
+//! This module defines the interface plus the two managers the core crate
+//! uses itself: the paper's [`GreedyManager`], which [`crate::Stm::default`]
+//! runs, and the trivial [`AggressiveManager`]. The managers the paper
+//! compares greedy with live in the `stm-cm` crate, which re-exports both.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -123,6 +122,13 @@ impl<'a> TxView<'a> {
     pub fn reset_karma(&self) {
         self.shared.lineage().reset_karma();
     }
+
+    /// Whether this transaction has strictly higher greedy priority than
+    /// `other`: an earlier timestamp wins, and the lower id breaks ties, so
+    /// of two distinct transactions exactly one outranks the other.
+    pub fn outranks(&self, other: TxView<'_>) -> bool {
+        (self.timestamp(), self.id()) < (other.timestamp(), other.id())
+    }
 }
 
 /// A pluggable contention manager.
@@ -132,9 +138,7 @@ impl<'a> TxView<'a> {
 /// mutable local state without synchronisation.
 pub trait ContentionManager: Send {
     /// A short human-readable name used in reports and benchmarks.
-    fn name(&self) -> &'static str {
-        "unnamed"
-    }
+    fn name(&self) -> &'static str;
 
     /// Called when an attempt begins (including each retry).
     fn begin(&mut self, _me: TxView<'_>) {}
@@ -200,65 +204,59 @@ impl ContentionManager for AggressiveManager {
     }
 }
 
-/// Default backoff rounds of [`PoliteManager`] before aborting the enemy.
-const DEFAULT_POLITE_MAX_ROUNDS: u32 = 8;
-/// Default base backoff interval of [`PoliteManager`].
-const DEFAULT_POLITE_BASE: Duration = Duration::from_micros(4);
+/// The greedy contention manager — the paper's central contribution
+/// (Section 3), and the manager [`crate::Stm::default`] runs.
+///
+/// Every transaction keeps the timestamp it drew when it *first* began
+/// across aborts and restarts; [`TxView::outranks`] orders two of them.
+/// When transaction `A` is about to perform an access that conflicts with
+/// transaction `B`, greedy applies two rules:
+///
+/// 1. If `A` outranks `B`, **or** `B` is waiting for another transaction,
+///    then `A` aborts `B`.
+/// 2. If `B` outranks `A` and is not waiting, then `A` waits until `B`
+///    commits, aborts, or starts waiting (in which case Rule 1 applies).
+///
+/// Because the highest-priority running transaction never waits and is
+/// never aborted, greedy has the *pending-commit property* — at any time
+/// some running transaction will run uninterrupted until it commits —
+/// which by Theorem 9 bounds the makespan of `n` concurrent transactions
+/// sharing `s` objects to within a factor of `s(s+1)+2` of an optimal
+/// off-line list schedule, and by Theorem 1 guarantees that every
+/// transaction commits within a bounded delay.
+///
+/// Stateless: decisions depend only on the two transactions' timestamps and
+/// the enemy's `waiting` flag, so the manager is trivially decentralised.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct GreedyManager;
 
-/// The *polite* manager: exponential backoff for a bounded number of rounds,
-/// then abort the enemy.
-#[derive(Debug, Clone)]
-pub struct PoliteManager {
-    /// Number of backoff rounds before giving up and aborting the enemy.
-    max_rounds: u32,
-    /// Base backoff interval.
-    base: Duration,
-    round: u32,
-    conflict_with: Option<u64>,
-}
+impl GreedyManager {
+    /// Creates a greedy manager.
+    pub fn new() -> Self {
+        GreedyManager
+    }
 
-impl Default for PoliteManager {
-    fn default() -> Self {
-        PoliteManager::new(DEFAULT_POLITE_MAX_ROUNDS, DEFAULT_POLITE_BASE)
+    /// A per-thread factory for use with [`crate::StmBuilder::manager`].
+    pub fn factory() -> ManagerFactory {
+        factory(GreedyManager::new)
     }
 }
 
-impl PoliteManager {
-    /// Creates a polite manager that backs off `max_rounds` times with
-    /// exponentially growing intervals starting at `base`.
-    pub fn new(max_rounds: u32, base: Duration) -> Self {
-        PoliteManager {
-            max_rounds,
-            base,
-            round: 0,
-            conflict_with: None,
-        }
-    }
-}
-
-impl ContentionManager for PoliteManager {
+impl ContentionManager for GreedyManager {
     fn name(&self) -> &'static str {
-        "polite"
+        "greedy"
     }
 
-    fn begin(&mut self, _me: TxView<'_>) {
-        self.round = 0;
-        self.conflict_with = None;
-    }
-
-    fn resolve(&mut self, _me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
-        // Restart the backoff series when the enemy changes.
-        if self.conflict_with != Some(other.id()) {
-            self.conflict_with = Some(other.id());
-            self.round = 0;
+    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
+        // Rule 1: abort enemies that are lower priority or themselves waiting.
+        if me.outranks(other) || other.is_waiting() {
+            Resolution::AbortOther
+        } else {
+            // Rule 2: wait until the higher-priority enemy commits, aborts,
+            // or starts waiting. The runtime's wait loop wakes on exactly
+            // those three events.
+            Resolution::wait_for_enemy()
         }
-        if self.round >= self.max_rounds {
-            self.round = 0;
-            return Resolution::AbortOther;
-        }
-        let factor = 1u32 << self.round.min(16);
-        self.round += 1;
-        Resolution::backoff(self.base * factor)
     }
 }
 
@@ -267,15 +265,18 @@ mod tests {
     use super::*;
     use crate::txn::TxLineage;
 
-    fn view_pair() -> (Arc<TxShared>, Arc<TxShared>) {
-        let a = Arc::new(TxShared::new(Arc::new(TxLineage::new(1, 1)), 1));
-        let b = Arc::new(TxShared::new(Arc::new(TxLineage::new(2, 2)), 1));
-        (a, b)
+    /// A running first attempt of transaction `id`, begun at `timestamp`.
+    fn tx(id: u64, timestamp: u64) -> Arc<TxShared> {
+        Arc::new(TxShared::new(Arc::new(TxLineage::new(id, timestamp)), 1))
+    }
+
+    fn view(shared: &Arc<TxShared>) -> TxView<'_> {
+        TxView::new(shared)
     }
 
     #[test]
     fn aggressive_always_aborts_other() {
-        let (a, b) = view_pair();
+        let (a, b) = (tx(1, 1), tx(2, 2));
         let mut m = AggressiveManager::new();
         assert_eq!(m.name(), "aggressive");
         for kind in [
@@ -283,55 +284,82 @@ mod tests {
             ConflictKind::ReadWrite,
             ConflictKind::WriteRead,
         ] {
-            assert_eq!(
-                m.resolve(TxView::new(&a), TxView::new(&b), kind),
-                Resolution::AbortOther
-            );
+            assert_eq!(m.resolve(view(&a), view(&b), kind), Resolution::AbortOther);
         }
     }
 
     #[test]
-    fn polite_backs_off_then_aborts() {
-        let (a, b) = view_pair();
-        let mut m = PoliteManager::new(3, Duration::from_micros(1));
-        let mut waits = 0;
-        loop {
-            match m.resolve(TxView::new(&a), TxView::new(&b), ConflictKind::WriteWrite) {
-                Resolution::Wait(spec) => {
-                    assert!(spec.max.is_some());
-                    waits += 1;
-                }
-                Resolution::AbortOther => break,
-                Resolution::AbortSelf => panic!("polite never aborts itself"),
-            }
-        }
-        assert_eq!(waits, 3);
+    fn outranks_orders_by_timestamp_then_id() {
+        let (old, young) = (tx(2, 10), tx(1, 20));
+        assert!(view(&old).outranks(view(&young)));
+        assert!(!view(&young).outranks(view(&old)));
+        // Equal timestamps: the lower id wins, and only one direction does.
+        let (a, b) = (tx(1, 10), tx(2, 10));
+        assert!(view(&a).outranks(view(&b)));
+        assert!(!view(&b).outranks(view(&a)));
+        assert!(!view(&a).outranks(view(&a)));
     }
 
     #[test]
-    fn polite_resets_series_for_new_enemy() {
-        let (a, b) = view_pair();
-        let c = Arc::new(TxShared::new(Arc::new(TxLineage::new(3, 3)), 1));
-        let mut m = PoliteManager::new(2, Duration::from_micros(1));
-        // Two waits against b.
-        assert!(matches!(
-            m.resolve(TxView::new(&a), TxView::new(&b), ConflictKind::WriteWrite),
-            Resolution::Wait(_)
-        ));
-        assert!(matches!(
-            m.resolve(TxView::new(&a), TxView::new(&b), ConflictKind::WriteWrite),
-            Resolution::Wait(_)
-        ));
-        // A new enemy restarts the series.
-        assert!(matches!(
-            m.resolve(TxView::new(&a), TxView::new(&c), ConflictKind::WriteWrite),
-            Resolution::Wait(_)
-        ));
+    fn rule_one_aborts_an_outranked_enemy() {
+        let me = tx(1, 10);
+        let other = tx(2, 20); // later timestamp -> lower priority
+        let mut greedy = GreedyManager::new();
+        assert_eq!(
+            greedy.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
+            Resolution::AbortOther
+        );
+    }
+
+    #[test]
+    fn rule_one_aborts_waiting_enemy_even_if_higher_priority() {
+        let me = tx(1, 20);
+        let other = tx(2, 10); // earlier timestamp -> higher priority
+        other.set_waiting(true);
+        let mut greedy = GreedyManager::new();
+        assert_eq!(
+            greedy.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
+            Resolution::AbortOther
+        );
+    }
+
+    #[test]
+    fn rule_two_waits_for_higher_priority_enemy() {
+        let me = tx(1, 20);
+        let other = tx(2, 10);
+        let mut greedy = GreedyManager::new();
+        assert_eq!(
+            greedy.resolve(view(&me), view(&other), ConflictKind::ReadWrite),
+            Resolution::wait_for_enemy()
+        );
+    }
+
+    #[test]
+    fn ties_are_broken_deterministically_and_asymmetrically() {
+        let a = tx(1, 10);
+        let b = tx(2, 10);
+        let mut greedy = GreedyManager::new();
+        let ab = greedy.resolve(view(&a), view(&b), ConflictKind::WriteWrite);
+        let ba = greedy.resolve(view(&b), view(&a), ConflictKind::WriteWrite);
+        // Exactly one direction aborts, the other waits: no mutual abort, no
+        // mutual wait.
+        assert_ne!(ab == Resolution::AbortOther, ba == Resolution::AbortOther);
+    }
+
+    #[test]
+    fn highest_priority_transaction_never_waits_nor_aborts_itself() {
+        let oldest = tx(1, 0);
+        let mut greedy = GreedyManager::new();
+        for ts in 1..50u64 {
+            let enemy = tx(ts + 1, ts);
+            let r = greedy.resolve(view(&oldest), view(&enemy), ConflictKind::WriteWrite);
+            assert_eq!(r, Resolution::AbortOther);
+        }
     }
 
     #[test]
     fn tx_view_exposes_shared_state() {
-        let (a, _) = view_pair();
+        let a = tx(1, 1);
         let view = TxView::new(&a);
         assert_eq!(view.id(), 1);
         assert_eq!(view.timestamp(), 1);
@@ -349,8 +377,7 @@ mod tests {
     fn factory_builds_boxed_managers() {
         let f = factory(AggressiveManager::new);
         assert_eq!(f().name(), "aggressive");
-        let f = factory(PoliteManager::default);
-        assert_eq!(f().name(), "polite");
+        assert_eq!(GreedyManager::factory()().name(), "greedy");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! facade (and the `metrics` crate's own) resolves to loomlite modeled
 //! primitives — the models below drive the *shipped* code, not a copy: the
 //! reader-word methods of a real [`TVar`] over a reader table of the
-//! model's own, with real [`TxShared`] attempts, and a real [`StmStats`]
-//! over its striped registry counters. (The crate has no reclaimer to
+//! model's own, with real [`TxShared`] attempts, a real [`StmStats`]
+//! over its striped registry counters, and the shipped [`GreedyManager`]'s
+//! decisions over real attempts. (The crate has no reclaimer to
 //! model: a `TVar` is an `Arc`, so nothing here frees memory a transaction
 //! could still reach.)
 //!
@@ -17,6 +18,7 @@
 use loomlite::{Builder, Failure, Report};
 
 use crate::error::AbortCause;
+use crate::manager::{ConflictKind, ContentionManager, GreedyManager, Resolution, TxView};
 use crate::stats::{StmStats, TxnStats};
 use crate::sync::Arc;
 use crate::tvar::{Locator, ReaderTable, TVar};
@@ -192,6 +194,103 @@ pub fn stats_snapshot_is_never_torn() -> Report {
     })
 }
 
+/// Decision-level model of greedy's pending-commit property (Section 3,
+/// Rules 1–2): the oldest running attempt is never aborted and never told
+/// to wait.
+///
+/// Three attempts run at once. Attempts 1 and 2 share a timestamp, so the
+/// id tie-break of [`TxView::outranks`] is what makes attempt 1 the oldest;
+/// attempt 3 is younger than both. Each thread, while its own attempt is
+/// still active, asks a fresh `M` to resolve a conflict with each other
+/// attempt that is still active, and acts on the verdict the way the
+/// runtime does: `AbortOther` CASes the enemy to aborted, `AbortSelf` its
+/// own attempt, and `Wait` raises its public `waiting` flag, resolves once
+/// more (acting on an `AbortOther`), and lowers the flag. Then it tries to
+/// commit. Every status and `waiting` access is a modeled atomic, so the
+/// checker interleaves them all.
+///
+/// The runtime's wait loop ([`crate::wait::SpinWait`]) is not modeled: it
+/// spins, yields and sleeps on real `std`, so a `Wait` here is the one
+/// re-resolve, not a wait until the enemy quiesces. The property is about
+/// the verdicts, which that loop only repeats.
+///
+/// Each thread makes a dozen modeled accesses, so the preemption bound is
+/// 1, which the checker explores completely (10,875 schedules, then 200
+/// seeded random ones); the aggressive failure needs no preemption at all.
+///
+/// Asserts in every schedule that the oldest attempt was never told to
+/// wait and committed. [`greedy_keeps_the_oldest_running`] runs it under
+/// [`GreedyManager`]; under `AggressiveManager` the younger attempts abort
+/// the oldest and the model fails with a trace.
+pub fn pending_commit<M>() -> Result<Report, Failure>
+where
+    M: ContentionManager + Default + 'static,
+{
+    let builder = Builder {
+        preemption_bound: Some(1),
+        ..Builder::default()
+    };
+    builder.check_quiet(|| {
+        let attempts: Arc<[Arc<TxShared>; 3]> = Arc::new([
+            Arc::new(TxShared::new(Arc::new(TxLineage::new(1, 1)), 1)),
+            Arc::new(TxShared::new(Arc::new(TxLineage::new(2, 1)), 1)),
+            Arc::new(TxShared::new(Arc::new(TxLineage::new(3, 2)), 1)),
+        ]);
+        let threads: Vec<_> = (0..attempts.len())
+            .map(|me| {
+                let attempts = Arc::clone(&attempts);
+                loomlite::thread::spawn(move || {
+                    let mut manager = M::default();
+                    let mine = &attempts[me];
+                    let mut told_to_wait = false;
+                    for enemy in attempts.iter().filter(|a| !Arc::ptr_eq(a, mine)) {
+                        if !mine.is_active() {
+                            break;
+                        }
+                        if !enemy.is_active() {
+                            continue;
+                        }
+                        let resolve = |manager: &mut M| {
+                            manager.resolve(
+                                TxView::new(mine),
+                                TxView::new(enemy),
+                                ConflictKind::WriteWrite,
+                            )
+                        };
+                        match resolve(&mut manager) {
+                            Resolution::AbortOther => {
+                                enemy.try_abort();
+                            }
+                            Resolution::AbortSelf => {
+                                mine.try_abort();
+                            }
+                            Resolution::Wait(_) => {
+                                told_to_wait = true;
+                                mine.set_waiting(true);
+                                if resolve(&mut manager) == Resolution::AbortOther {
+                                    enemy.try_abort();
+                                }
+                                mine.set_waiting(false);
+                            }
+                        }
+                    }
+                    (told_to_wait, mine.try_commit())
+                })
+            })
+            .collect();
+        let outcomes: Vec<(bool, bool)> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        let (oldest_waited, oldest_committed) = outcomes[0];
+        assert!(!oldest_waited, "the oldest attempt was told to wait");
+        assert!(oldest_committed, "the oldest attempt was aborted");
+    })
+}
+
+/// [`pending_commit`] under the shipped [`GreedyManager`]. Panics with the
+/// failing trace if greedy ever stops or aborts the oldest attempt.
+pub fn greedy_keeps_the_oldest_running() -> Report {
+    pending_commit::<GreedyManager>().unwrap_or_else(|failure| panic!("{failure}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +311,18 @@ mod tests {
             .expect_err("a scan before the CAS must be caught");
         eprintln!("scan before the CAS, caught as expected:\n{failure}");
         assert!(failure.message.contains("both missed"), "{failure}");
+        assert!(!failure.trace.is_empty(), "{failure}");
+    }
+
+    #[test]
+    fn greedy_keeps_the_oldest_running_and_aggressive_does_not() {
+        let report = greedy_keeps_the_oldest_running();
+        eprintln!("greedy pending commit: {report}");
+        assert!(report.schedules() > 100, "{report}");
+        let failure = pending_commit::<crate::manager::AggressiveManager>()
+            .expect_err("aggressive aborts the oldest attempt");
+        eprintln!("aggressive, caught as expected:\n{failure}");
+        assert!(failure.message.contains("was aborted"), "{failure}");
         assert!(!failure.trace.is_empty(), "{failure}");
     }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::clock::TimestampClock;
 use crate::error::{AbortCause, StmError, TxResult};
 use crate::hook::CommitHook;
-use crate::manager::{factory, ContentionManager, ManagerFactory, PoliteManager, TxView};
+use crate::manager::{ContentionManager, GreedyManager, ManagerFactory, TxView};
 use crate::stats::{StmStats, TxRunReport};
 use crate::tvar::{ReaderSlot, ReaderTable, TVar};
 use crate::txn::{TxLineage, TxScratch, TxShared, Txn};
@@ -28,7 +28,7 @@ impl std::fmt::Debug for StmConfig {
 impl Default for StmConfig {
     fn default() -> Self {
         StmConfig {
-            manager_factory: factory(PoliteManager::default),
+            manager_factory: GreedyManager::factory(),
             commit_hook: None,
         }
     }
@@ -55,7 +55,7 @@ pub struct StmBuilder {
 
 impl StmBuilder {
     /// Installs the contention-manager factory used for every thread context
-    /// created from this STM (default: [`PoliteManager`]).
+    /// created from this STM (default: the paper's [`GreedyManager`]).
     pub fn manager(mut self, factory: ManagerFactory) -> Self {
         self.config.manager_factory = factory;
         self
@@ -307,7 +307,7 @@ impl<'stm> ThreadCtx<'stm> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::AggressiveManager;
+    use crate::manager::{factory, AggressiveManager};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
@@ -518,7 +518,7 @@ mod tests {
     #[test]
     fn thread_ctx_reports_manager_name() {
         let stm = Stm::default();
-        assert_eq!(stm.thread().manager_name(), "polite");
+        assert_eq!(stm.thread().manager_name(), "greedy");
         let ctx = stm.thread_with(Box::new(AggressiveManager::new()));
         assert_eq!(ctx.manager_name(), "aggressive");
     }

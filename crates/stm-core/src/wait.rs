@@ -29,13 +29,6 @@ impl WaitSpec {
     pub const fn bounded(max: Duration) -> Self {
         WaitSpec { max: Some(max) }
     }
-
-    /// Convenience constructor for a bounded wait expressed in microseconds.
-    pub const fn micros(us: u64) -> Self {
-        WaitSpec {
-            max: Some(Duration::from_micros(us)),
-        }
-    }
 }
 
 /// A small spin/yield backoff used inside wait loops.
@@ -81,16 +74,6 @@ impl SpinWait {
         }
         self.step = self.step.saturating_add(1);
     }
-
-    /// Resets the backoff to its initial (pure spin) state.
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
-    /// Number of steps taken since creation or the last [`SpinWait::reset`].
-    pub fn steps(&self) -> u32 {
-        self.step
-    }
 }
 
 #[cfg(test)]
@@ -105,18 +88,6 @@ mod tests {
             WaitSpec::bounded(Duration::from_millis(5)).max,
             Some(Duration::from_millis(5))
         );
-        assert_eq!(WaitSpec::micros(20).max, Some(Duration::from_micros(20)));
-    }
-
-    #[test]
-    fn spin_wait_progresses_through_phases() {
-        let mut w = SpinWait::new();
-        for _ in 0..20 {
-            w.snooze();
-        }
-        assert_eq!(w.steps(), 20);
-        w.reset();
-        assert_eq!(w.steps(), 0);
     }
 
     #[test]

@@ -55,6 +55,24 @@ fn stats_snapshot_is_safe() {
     assert!(report.schedules() > 100, "{report}");
 }
 
+/// Greedy's pending-commit property at the decision level: three attempts,
+/// two sharing a timestamp, each resolving against the other two with the
+/// shipped `GreedyManager` and acting on the verdict — the oldest is never
+/// told to wait and never aborted. Under `AggressiveManager` the same model
+/// is caught with a trace.
+#[test]
+fn greedy_keeps_the_oldest_attempt_running() {
+    let report = stm_core::models::greedy_keeps_the_oldest_running();
+    eprintln!("greedy pending commit: {report}");
+    assert!(report.schedules() > 100, "{report}");
+    let failure =
+        stm_core::models::pending_commit::<stm_core::manager::AggressiveManager>()
+            .expect_err("aggressive aborts the oldest attempt");
+    eprintln!("aggressive, caught as expected:\n{failure}");
+    assert!(failure.message.contains("was aborted"), "{failure}");
+    assert!(!failure.trace.is_empty(), "{failure}");
+}
+
 /// The detection path end-to-end: arcswap's load/free handshake with a
 /// `Relaxed` reader count is caught as a use-after-free with a non-empty
 /// failing trace — and caught by the exhaustive phase (the model runs no

@@ -59,7 +59,14 @@ impl Fixture {
     fn new(base: i64) -> Fixture {
         let mirror_shards: Vec<TxChunkedSet> = (0..SHARDS).map(|_| TxChunkedSet::new()).collect();
         let fixture = Fixture {
-            stm: Stm::default(),
+            // Aggressive, not the default greedy: the split test parks an
+            // older range reader inside its transaction while younger PUTs
+            // write the leaf it read, and greedy's Rule 2 would have each
+            // PUT wait for that reader until it finished — which it cannot
+            // do while parked.
+            stm: Stm::builder()
+                .manager(ManagerKind::Aggressive.factory())
+                .build(),
             store: KvStore::new(SHARDS),
             mirror: ShardedTxSet::new(
                 mirror_shards
@@ -455,9 +462,8 @@ fn a_split_disturbs_only_ranges_over_its_own_leaf() {
     }
 
     // The converse: the range covers the leaf the keys go into. The
-    // fixture's polite manager has the writer back off, then abort the
-    // parked reader: every `PUT` commits in one attempt, the range retries
-    // once.
+    // fixture's aggressive manager has the writer abort the parked reader
+    // at once: every `PUT` commits in one attempt, the range retries once.
     let range = range_parked_while(&fixture, (base + KEYS - 256, i64::MAX), || {
         puts = put_until_split(&fixture);
     });
