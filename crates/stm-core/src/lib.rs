@@ -20,7 +20,8 @@
 //! ## Model
 //!
 //! * Shared state lives in [`TVar<T>`] cells ("transactional objects"). An
-//!   object is its DSTM locator and its reader word, nothing else: it has
+//!   object is its DSTM locator (three fields under one short lock) and
+//!   its reader word, nothing else: it has
 //!   no id, and the word's bits name the reader slots (one per live
 //!   [`ThreadCtx`]) whose current attempts have read it.
 //! * A [`Stm`] value owns the global timestamp clock, its configuration

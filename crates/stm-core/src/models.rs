@@ -1,19 +1,21 @@
-//! Bounded loomlite models of this crate's lock-free hot paths.
+//! Bounded loomlite models of this crate's concurrent hot paths.
 //!
 //! Compiled only under `--features model-check`, where the [`crate::sync`]
 //! facade (and the `metrics` crate's own) resolves to loomlite modeled
 //! primitives — the models below drive the *shipped* code, not a copy: the
-//! reader-word methods of a real [`TVar`] over a reader table of the
-//! model's own, with real [`TxShared`] attempts, a real [`StmStats`]
-//! over its striped registry counters, and the shipped [`GreedyManager`]'s
-//! decisions over real attempts. (The crate has no reclaimer to
-//! model: a `TVar` is an `Arc`, so nothing here frees memory a transaction
-//! could still reach.)
+//! reader-word methods and the locked open and acquire of a real [`TVar`]
+//! over a reader table of the model's own, with real [`TxShared`]
+//! attempts, a real [`StmStats`] over its striped registry counters, and
+//! the shipped [`GreedyManager`]'s decisions over real attempts. (The crate
+//! has no reclaimer to model: a `TVar` is an `Arc` and its locator is
+//! three fields under its own lock, updated in place, so nothing here
+//! frees memory a transaction could still reach.)
 //!
 //! Every model returns the checker's [`Report`] so callers (unit tests here
 //! and the workspace-level `tests/model_check.rs`) can assert
 //! exhaustiveness and schedule counts; [`reader_word_handshake`] returns
-//! the [`Failure`] instead when its writer is weakened and caught.
+//! the [`Failure`] instead when its writer scans before it acquires and is
+//! caught.
 
 use loomlite::{Builder, Failure, Report};
 
@@ -21,7 +23,7 @@ use crate::error::AbortCause;
 use crate::manager::{ConflictKind, ContentionManager, GreedyManager, Resolution, TxView};
 use crate::stats::{StmStats, TxnStats};
 use crate::sync::Arc;
-use crate::tvar::{Locator, ReaderTable, TVar};
+use crate::tvar::{Open, ReaderTable, TVar};
 use crate::txn::{TxLineage, TxShared};
 
 /// A running attempt of transaction `id`. Its status word is a modeled
@@ -31,33 +33,27 @@ fn attempt(id: u64) -> Arc<TxShared> {
     Arc::new(TxShared::new(Arc::new(TxLineage::new(id, id)), 1))
 }
 
-/// How the writer in [`reader_word_handshake`] reads the reader word after
-/// its locator CAS.
+/// When the writer in [`reader_word_handshake`] reads the reader word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriterScan {
-    /// The shipped `active_readers`: an RMW on the word, then the walk.
-    Rmw,
-    /// A plain `load(Acquire)` of the word, then the shipped walk. Unsafe
-    /// by the C11 argument, but not caught here: loomlite models `SeqCst`
-    /// as globally synchronizing, and the reader's locator load is
-    /// `arcswap`'s `SeqCst` load, which carries the reader's registration
-    /// to the writer's `SeqCst` CAS.
-    PlainLoad,
-    /// The shipped `active_readers`, but run *before* the locator CAS: the
-    /// handshake's order reversed, which loomlite does catch.
-    BeforeCas,
+    /// The shipped order: acquire the object under its lock, then
+    /// `active_readers`' `load(Acquire)` of the word and its walk.
+    AfterAcquire,
+    /// The shipped `active_readers`, but run *before* the acquire: the
+    /// handshake's order reversed, which the checker catches.
+    BeforeAcquire,
 }
 
 /// Real-code model of the reader-word handshake. A reader in slot 0
-/// registers on an object and then loads its locator; a writer in slot 1
-/// CASes the locator to name itself and then scans the word (`scan` says
-/// how); a second reader in slot 2, registered before the race, finishes,
-/// clears its bit and publishes a successor attempt that never reads the
-/// object.
+/// registers on an object and then opens it under its lock; a writer in
+/// slot 1 acquires the object under the same lock and scans the word
+/// (`scan` says when); a second reader in slot 2, registered before the
+/// race, finishes, clears its bit and publishes a successor attempt that
+/// never reads the object.
 ///
-/// Asserts that the writer's scan returns the reader or the reader's
-/// locator load sees the writer — never both miss — and that the scan never
-/// returns a descriptor that did not register on the object.
+/// Asserts that the writer's scan returns the reader or the reader's open
+/// sees the writer — never both miss — and that the scan never returns a
+/// descriptor that did not register on the object.
 pub fn reader_word_handshake(scan: WriterScan) -> Result<Report, Failure> {
     Builder::default().check_quiet(move || {
         let table = Arc::new(ReaderTable::new());
@@ -72,14 +68,14 @@ pub fn reader_word_handshake(scan: WriterScan) -> Result<Report, Failure> {
         assert!(object.inner().register_reader(&other_slot));
 
         let reading = {
-            let (object, writer) = (object.clone(), Arc::clone(&writer));
+            let (object, reader, writer) =
+                (object.clone(), Arc::clone(&reader), Arc::clone(&writer));
             loomlite::thread::spawn(move || {
                 assert!(object.inner().register_reader(&reader_slot));
-                let saw_writer = object
-                    .inner()
-                    .peek_locator()
-                    .owner()
-                    .is_some_and(|owner| Arc::ptr_eq(owner, &writer));
+                let saw_writer = matches!(
+                    object.inner().open_read(&reader),
+                    Open::Enemy(owner) if Arc::ptr_eq(&owner, &writer)
+                );
                 // The attempt stays registered, so its slot stays claimed.
                 (saw_writer, reader_slot)
             })
@@ -102,22 +98,12 @@ pub fn reader_word_handshake(scan: WriterScan) -> Result<Report, Failure> {
             seen.push(Arc::clone(r));
             Ok::<(), ()>(())
         };
-        if scan == WriterScan::BeforeCas {
+        if scan == WriterScan::BeforeAcquire {
             inner.active_readers(&writer_slot, &mut collect).unwrap();
         }
-        let current = inner.load_locator();
-        let value = current.stable_value();
-        let mine = Locator::owned(Arc::clone(&writer), Arc::clone(&value), value);
-        assert!(inner.try_replace_locator(&current, Arc::new(mine)));
-        match scan {
-            WriterScan::Rmw => inner.active_readers(&writer_slot, &mut collect).unwrap(),
-            WriterScan::PlainLoad => {
-                let word = inner.reader_word();
-                inner
-                    .visit_readers(word, &writer_slot, &mut collect)
-                    .unwrap();
-            }
-            WriterScan::BeforeCas => {}
+        assert!(matches!(inner.acquire(&writer), Ok(Open::Free(_))));
+        if scan == WriterScan::AfterAcquire {
+            inner.active_readers(&writer_slot, &mut collect).unwrap();
         }
 
         let (saw_writer, _reader_slot) = reading.join().unwrap();
@@ -125,7 +111,7 @@ pub fn reader_word_handshake(scan: WriterScan) -> Result<Report, Failure> {
         assert!(
             saw_writer || seen.iter().any(|r| Arc::ptr_eq(r, &reader)),
             "both missed: the writer's scan lost the reader and the reader's \
-             locator load missed the writer"
+             open missed the writer"
         );
         for r in &seen {
             assert!(
@@ -136,11 +122,11 @@ pub fn reader_word_handshake(scan: WriterScan) -> Result<Report, Failure> {
     })
 }
 
-/// The shipped handshake ([`WriterScan::Rmw`]) explored under the default
-/// builder: bounded-exhaustive at preemption bound 2, plus the seeded
-/// random phase. Panics with the failing trace if it is unsafe.
+/// The shipped handshake ([`WriterScan::AfterAcquire`]) explored under the
+/// default builder: bounded-exhaustive at preemption bound 2, plus the
+/// seeded random phase. Panics with the failing trace if it is unsafe.
 pub fn reader_list_never_loses_a_visible_reader() -> Report {
-    reader_word_handshake(WriterScan::Rmw).unwrap_or_else(|failure| panic!("{failure}"))
+    reader_word_handshake(WriterScan::AfterAcquire).unwrap_or_else(|failure| panic!("{failure}"))
 }
 
 /// Real-code model: one thread counts an attempt and its commit, another
@@ -303,13 +289,10 @@ mod tests {
     }
 
     #[test]
-    fn a_plain_load_is_not_caught_and_a_scan_before_the_cas_is() {
-        let plain = reader_word_handshake(WriterScan::PlainLoad)
-            .expect("loomlite's SeqCst model hides the plain load");
-        eprintln!("plain load (not caught): {plain}");
-        let failure = reader_word_handshake(WriterScan::BeforeCas)
-            .expect_err("a scan before the CAS must be caught");
-        eprintln!("scan before the CAS, caught as expected:\n{failure}");
+    fn a_scan_before_the_acquire_is_caught() {
+        let failure = reader_word_handshake(WriterScan::BeforeAcquire)
+            .expect_err("a scan before the acquire must be caught");
+        eprintln!("scan before the acquire, caught as expected:\n{failure}");
         assert!(failure.message.contains("both missed"), "{failure}");
         assert!(!failure.trace.is_empty(), "{failure}");
     }

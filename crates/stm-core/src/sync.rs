@@ -3,11 +3,11 @@
 //!
 //! Normally this re-exports `std::sync::atomic` and the vendored
 //! `parking_lot` shim. Under `--features model-check` the same names resolve
-//! to `loomlite` modeled types instead, so each object's reader word and
-//! the reader slot table, and (via their own facades) `arcswap` and the
-//! `stm-log` slot-ring, can be
-//! driven by the deterministic interleaving checker — see
-//! the "Correctness tooling" section of the repository README.
+//! to `loomlite` modeled types instead, so each object's locator lock and
+//! reader word, the reader slot table, and (via its own facade) the
+//! `stm-log` slot ring can be driven by the deterministic interleaving
+//! checker — see the "Correctness tooling" section of the repository
+//! README.
 //!
 //! **Rule:** new concurrent code in this crate (and in `stm-log`) must take
 //! its `Atomic*`, `Mutex`, and `Condvar` from this module, not from

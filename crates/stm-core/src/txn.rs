@@ -37,7 +37,7 @@ use crate::stats::TxnStats;
 use crate::status::{AtomicStatus, TxStatus};
 use crate::stm::Stm;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::tvar::{Locator, OwnedWrite, ReaderSlot, TVar, TVarInner, TrackedRead, TrackedWrite};
+use crate::tvar::{Open, OwnedWrite, ReaderSlot, TVar, TVarInner, TrackedRead, TrackedWrite};
 use crate::wait::SpinWait;
 
 /// State of a logical transaction that persists across aborts and retries.
@@ -350,10 +350,7 @@ impl<'ctx> Txn<'ctx> {
     where
         T: Send + Sync + 'static,
     {
-        tvar.inner()
-            .peek_locator()
-            .owner()
-            .is_some_and(|owner| Arc::ptr_eq(owner, &self.shared))
+        tvar.inner().is_owned_by(&self.shared)
     }
 
     /// Reads the value of `tvar`, returning a clone.
@@ -374,34 +371,27 @@ impl<'ctx> Txn<'ctx> {
         self.register_read(tvar.inner());
         loop {
             self.ensure_active()?;
-            // Guard-based load: the locator is only inspected, never
-            // retained, so the read path skips the locator's own
-            // refcount traffic (see `TVarInner::peek_locator`).
-            let loc = tvar.inner().peek_locator();
-            if let Some(owner) = loc.owner() {
-                if Arc::ptr_eq(owner, &self.shared) {
-                    // Read-your-own-write.
-                    let value = loc.new_value();
+            match tvar.inner().open_read(&self.shared) {
+                // Read-your-own-write.
+                Open::Mine(value) => {
                     self.note_read();
                     return Ok(value);
                 }
-                if owner.is_active() {
-                    let owner = Arc::clone(owner);
-                    drop(loc);
+                Open::Enemy(owner) => {
                     self.resolve_conflict(&owner, ConflictKind::ReadWrite)?;
-                    continue;
+                }
+                Open::Free(value) => {
+                    // Opacity: re-check our own status *after* loading the
+                    // value. An enemy that invalidates our earlier reads must
+                    // abort us before it commits; if its commit preceded our
+                    // load, its abort of us did too, so this check guarantees
+                    // we never hand user code a value that is inconsistent
+                    // with what it already read.
+                    self.ensure_active()?;
+                    self.note_read();
+                    return Ok(value);
                 }
             }
-            let value = loc.stable_value();
-            drop(loc);
-            // Opacity: re-check our own status *after* loading the value. An
-            // enemy that invalidates our earlier reads must abort us before it
-            // commits; if its commit preceded our load, its abort of us did
-            // too, so this check guarantees we never hand user code a value
-            // that is inconsistent with what it already read.
-            self.ensure_active()?;
-            self.note_read();
-            return Ok(value);
         }
     }
 
@@ -441,52 +431,36 @@ impl<'ctx> Txn<'ctx> {
         T: Clone + Send + Sync + 'static,
         F: FnOnce(&T) -> T,
     {
-        let mut f = Some(f);
-        loop {
+        let inner = tvar.inner();
+        let current = loop {
             self.ensure_active()?;
-            let loc = tvar.inner().load_locator();
-            if let Some(owner) = loc.owner() {
-                if Arc::ptr_eq(owner, &self.shared) {
-                    // Already acquired by this transaction: update in place.
-                    let func = f.take().expect("update closure already consumed");
-                    let current = loc.new_value();
-                    loc.set_new_value(Arc::new(func(&current)));
-                    self.note_write();
-                    return Ok(());
-                }
-                if owner.is_active() {
-                    let owner = Arc::clone(owner);
+            // The acquire re-checks our status under the object's lock, the
+            // same opacity check as in `read_arc`: it never installs, or
+            // hands `f`, a value committed by an enemy that has already
+            // aborted us.
+            match inner.acquire(&self.shared)? {
+                // Already acquired by this transaction.
+                Open::Mine(current) => break current,
+                Open::Enemy(owner) => {
                     self.resolve_conflict(&owner, ConflictKind::WriteWrite)?;
-                    continue;
+                }
+                Open::Free(current) => {
+                    self.scratch
+                        .writes
+                        .push(Box::new(OwnedWrite::new(Arc::clone(inner))));
+                    let slot = self.slot;
+                    inner.active_readers(slot, |reader| self.arbitrate_reader(reader))?;
+                    break current;
                 }
             }
-            // The object is unowned (or owned by a finished transaction):
-            // try to acquire it by installing a locator that names us.
-            let current = loc.stable_value();
-            // Same opacity re-check as in `read_arc`: never expose a value
-            // committed by an enemy that has already aborted us.
-            self.ensure_active()?;
-            let new_loc = Arc::new(Locator::owned(
-                Arc::clone(&self.shared),
-                Arc::clone(&current),
-                Arc::clone(&current),
-            ));
-            if !tvar.inner().try_replace_locator(&loc, Arc::clone(&new_loc)) {
-                continue;
-            }
-            self.scratch.writes.push(Box::new(OwnedWrite::new(
-                Arc::clone(tvar.inner()),
-                Arc::clone(&new_loc),
-            )));
-            let slot = self.slot;
-            tvar.inner()
-                .active_readers(slot, |reader| self.arbitrate_reader(reader))?;
-            let func = f.take().expect("update closure already consumed");
-            let base = new_loc.new_value();
-            new_loc.set_new_value(Arc::new(func(&base)));
-            self.note_write();
-            return Ok(());
+        };
+        // The new value is computed outside the lock; an enemy that has
+        // acquired the object since aborted us first.
+        if !inner.set_new_value(&self.shared, Arc::new(f(&current))) {
+            return Err(StmError::Aborted(AbortCause::KilledByEnemy));
         }
+        self.note_write();
+        Ok(())
     }
 
     /// Registers this attempt on the object it is about to read, once. The
@@ -612,7 +586,7 @@ impl<'ctx> Txn<'ctx> {
         }
         self.finished = true;
         for write in &self.scratch.writes {
-            write.detach_committed();
+            write.detach_committed(&self.shared);
         }
         for read in &self.scratch.reads {
             read.release(self.slot);

@@ -1,7 +1,8 @@
 //! # greedy-stm
 //!
-//! An obstruction-free, object-based software transactional memory with
-//! pluggable contention management, centred on the **greedy contention
+//! An object-based software transactional memory in which no transaction
+//! holds a lock across user code, with pluggable contention management,
+//! centred on the **greedy contention
 //! manager** of Guerraoui, Herlihy and Pochon (*"Toward a Theory of
 //! Transactional Contention Managers"*, PODC 2005) — the first contention
 //! manager that combines non-trivial provable properties (bounded commit

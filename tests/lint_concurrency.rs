@@ -5,10 +5,9 @@
 //!
 //! 1. **`unsafe` stays quarantined.** The workspace's safety story is that
 //!    every first-party crate is `#![forbid(unsafe_code)]` and the unsafe
-//!    pointer games live in three audited vendored places:
-//!    `vendor/minipoll/src/sys.rs` (FFI to poll(2)), `vendor/arcswap/`
-//!    (the locator-publication protocol) and `vendor/loomlite/` (the model
-//!    checker's own primitives) — plus the repo benchmark's FFI,
+//!    code lives in two audited vendored places:
+//!    `vendor/minipoll/src/sys.rs` (FFI to poll(2)) and `vendor/loomlite/`
+//!    (the model checker's own primitives) — plus the repo benchmark's FFI,
 //!    `bench/src/sys.rs` (`ppoll`, `malloc_trim`), and one test,
 //!    `tests/open_cost.rs`, whose counting `GlobalAlloc` forwards to
 //!    `System` (the trait cannot be implemented without `unsafe`). An
@@ -23,9 +22,8 @@
 //!
 //! 3. **Non-`Relaxed` atomic orderings must justify themselves.** Every
 //!    `SeqCst` / `Acquire` / `Release` / `AcqRel` in the hot-path scope
-//!    (`crates/*/src`, `src/`, `bench/`, `vendor/arcswap/src`,
-//!    `vendor/metrics/src`, whose counters carry the STM's snapshot
-//!    identities) needs a
+//!    (`crates/*/src`, `src/`, `bench/` and `vendor/metrics/src`, whose
+//!    counters carry the STM's snapshot identities) needs a
 //!    `// ordering:` comment on the same line or within the three lines
 //!    above, stating what pairs with what — several of them point at the
 //!    bounded model
@@ -215,7 +213,6 @@ fn unsafe_stays_in_the_audited_vendor_allowlist() {
     let allow = [
         "vendor/minipoll/src/sys.rs",
         "bench/src/sys.rs",
-        "vendor/arcswap/",
         "vendor/loomlite/",
         "tests/open_cost.rs",
     ];
@@ -318,7 +315,7 @@ fn ordering_justified(lines: &[SplitLine], lineno: usize, strong: &[&str]) -> bo
 fn non_relaxed_orderings_are_justified() {
     let root = repo_root();
     let mut files = Vec::new();
-    for dir in ["crates", "src", "bench", "vendor/arcswap/src", "vendor/metrics/src"] {
+    for dir in ["crates", "src", "bench", "vendor/metrics/src"] {
         rust_files(&root.join(dir), &mut files);
     }
     let strong = ["SeqCst", "Acquire", "Release", "AcqRel"];

@@ -7,22 +7,14 @@
 //! schedules) — a model that silently degenerates to two or three
 //! interleavings would be false confidence.
 //!
-//! The per-crate suites (`stm-core`, `arcswap`, `stm-log`) run the same
-//! models and more; `arcswap`'s also asserts the *negative* side:
-//! deliberately weakened memory orderings are caught with a printed failing
-//! trace. Here we keep one end-to-end negative test so the workspace gate
-//! exercises the detection path too.
+//! The per-crate suites (`stm-core`, `stm-log`) run the same models and
+//! more, each with its *negative* twin: a deliberately broken protocol is
+//! caught with a printed failing trace. Here two negatives (the reordered
+//! reader-word handshake and greedy's model under `AggressiveManager`)
+//! keep the workspace gate exercising the detection path too. loomlite's
+//! own weak-memory litmus tests run in its crate's suite.
 
 #![cfg(feature = "model-check")]
-
-/// Locator CAS publication vs guard reads: no torn value, no early free,
-/// no stranded spill entry.
-#[test]
-fn arcswap_cas_vs_guard_is_safe() {
-    let report = arcswap::models::cas_vs_guard_reclamation();
-    eprintln!("arcswap cas-vs-guard: {report}");
-    assert!(report.schedules() > 100, "{report}");
-}
 
 /// WAL slot ring: consumption is strictly in order and never stalls (any
 /// timeout rescue — a lost wakeup — fails the model).
@@ -34,10 +26,10 @@ fn wal_slot_ring_is_safe() {
     assert_eq!(report.timeout_rescues, 0, "{report}");
 }
 
-/// A `TVar`'s reader word: a writer that CASes the locator and then does
-/// its RMW on the word either finds a registering reader or is seen by that
-/// reader's locator load, and never arbitrates with a slot's successor
-/// attempt that did not read the object.
+/// A `TVar`'s reader word: a writer that acquires the object under its lock
+/// and then loads the word either finds a registering reader or is seen by
+/// that reader's open under the same lock, and never arbitrates with a
+/// slot's successor attempt that did not read the object.
 #[test]
 fn reader_registry_is_safe() {
     let report = stm_core::models::reader_list_never_loses_a_visible_reader();
@@ -73,22 +65,17 @@ fn greedy_keeps_the_oldest_attempt_running() {
     assert!(!failure.trace.is_empty(), "{failure}");
 }
 
-/// The detection path end-to-end: arcswap's load/free handshake with a
-/// `Relaxed` reader count is caught as a use-after-free with a non-empty
-/// failing trace — and caught by the exhaustive phase (the model runs no
-/// random schedules), so the verdict is the same under every
-/// `LOOMLITE_SEED` and every load. The `SeqCst` handshake is explored
-/// completely and is safe.
+/// The detection path end-to-end: the reader-word handshake with the
+/// writer's scan moved before its acquire is caught ("both missed") with a
+/// non-empty failing trace, by the exhaustive phase, so the verdict does not
+/// depend on `LOOMLITE_SEED`.
 #[test]
-fn weakened_orderings_are_caught() {
-    let safe = arcswap::models::transcribed_load_vs_free(false)
-        .expect("SeqCst load/free handshake must be safe");
-    assert!(safe.complete, "{safe}");
-    assert_eq!(safe.random_schedules, 0, "{safe}");
-    let failure = arcswap::models::transcribed_load_vs_free(true)
-        .expect_err("Relaxed reader count + Acquire pointer load must be caught");
+fn a_reordered_handshake_is_caught() {
+    let failure =
+        stm_core::models::reader_word_handshake(stm_core::models::WriterScan::BeforeAcquire)
+            .expect_err("a scan before the acquire must be caught");
     eprintln!("caught as expected:\n{failure}");
-    assert!(failure.message.contains("UAF"), "{failure}");
+    assert!(failure.message.contains("both missed"), "{failure}");
     assert!(!failure.message.contains("random schedule"), "{failure}");
     assert!(!failure.trace.is_empty(), "{failure}");
 }

@@ -6,11 +6,14 @@
 //!
 //! * a read allocates nothing: it sets its context's bit in the object's
 //!   reader word and keeps the object's own `Arc` in the read set;
-//! * a first write allocates three times: the locator that names the
-//!   writer, the boxed `OwnedWrite` record in the write set, and the new
-//!   value's `Arc`;
+//! * a first write allocates twice: the boxed `OwnedWrite` record in the
+//!   write set and the new value's `Arc` (the locator naming the writer is
+//!   updated in place under the object's lock);
 //! * a rewrite of an object the transaction already owns allocates once,
-//!   for the new value.
+//!   for the new value;
+//! * the commit allocates nothing: from the body returning to `atomically`
+//!   returning, the written object's locator is reset to a baseline in
+//!   place.
 //!
 //! What a hot-path body opens is counted too: a one-object read and a
 //! one-object increment each commit on the first attempt having opened
@@ -58,12 +61,12 @@ fn allocations() -> u64 {
 }
 
 #[test]
-fn a_read_allocates_nothing_a_first_write_three_and_a_rewrite_one() {
+fn a_read_allocates_nothing_a_first_write_two_a_rewrite_one_and_a_commit_none() {
     let stm = Stm::default();
     let mut ctx = stm.thread();
     let read_me = TVar::new(1i64);
     let write_me = TVar::new(0i64);
-    let body = |tx: &mut Txn<'_>| -> TxResult<(u64, u64, u64)> {
+    let body = |tx: &mut Txn<'_>| -> TxResult<([u64; 3], u64)> {
         let start = allocations();
         tx.read(&read_me)?;
         let read = allocations();
@@ -71,16 +74,21 @@ fn a_read_allocates_nothing_a_first_write_three_and_a_rewrite_one() {
         let first_write = allocations();
         tx.write(&write_me, 4)?;
         let rewrite = allocations();
-        Ok((read - start, first_write - read, rewrite - first_write))
+        Ok((
+            [read - start, first_write - read, rewrite - first_write],
+            allocations(),
+        ))
     };
     // Warm up: the scratch sets reach their capacity.
     for _ in 0..64 {
         ctx.atomically(body).unwrap();
     }
-    let (read, first_write, rewrite) = ctx.atomically(body).unwrap();
+    let ([read, first_write, rewrite], body_returned) = ctx.atomically(body).unwrap();
+    let commit = allocations() - body_returned;
     assert_eq!(read, 0, "allocations per read");
-    assert_eq!(first_write, 3, "allocations per first write");
+    assert_eq!(first_write, 2, "allocations per first write");
     assert_eq!(rewrite, 1, "allocations per rewrite of an owned object");
+    assert_eq!(commit, 0, "allocations per commit of one written object");
     assert_eq!(stm.read_atomic(&write_me), 4);
 }
 
