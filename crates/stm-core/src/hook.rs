@@ -14,29 +14,25 @@
 //! those ops **wrapped around the commit linearization point**: the hook
 //! receives a `commit` closure that performs the attempt's status CAS and
 //! must invoke it exactly once, recording the ops only when it returns
-//! `true`. Because the hook's body brackets the CAS, a hook can recover
-//! serialization order without any process-wide lock: it *reserves* a
-//! sequence number (one `fetch_add`) before invoking `commit()`, tags the
-//! record with it, and lets a consumer merge records back into reserved
-//! order. That is sufficient because reservation happens inside the commit
-//! window:
+//! `true`. A hook recovers serialization order with one internal lock held
+//! across the `commit()` call and the recording: under the lock it runs
+//! `commit()` and, only if the CAS won, assigns the next sequence number and
+//! records the ops. That is sufficient because the lock makes each hook
+//! call a critical section that contains its CAS:
 //!
 //! * if transaction `B` reads or overwrites an object `A` wrote, `B` can
-//!   only acquire the object after `A`'s status CAS — and `A` reserved its
-//!   sequence number before that CAS, while `B` reserves after it — so
+//!   only acquire the object after `A`'s status CAS, so `B`'s CAS — and with
+//!   it `B`'s whole critical section — comes after `A`'s; critical sections
+//!   do not overlap, so `A` took its sequence number first and
 //!   `seq(A) < seq(B)` whenever `B` depends on `A`;
 //! * transactions that never conflict may be numbered in either order, and
 //!   either order is a correct serialization;
-//! * a reservation whose `commit()` returns `false` leaves a gap in the
-//!   sequence stream; the hook must account for it (the `stm-log` WAL
-//!   publishes such tickets as *abandoned* so its in-order consumer never
-//!   stalls, and its recovery is gap-tolerant).
+//! * a `commit()` that returns `false` takes no sequence number, so the
+//!   numbers of committed transactions are gapless.
 //!
-//! The older discipline — one internal lock held across the `commit()`
-//! call and the recording — remains correct and is what a simple in-memory
-//! hook (like the test hook below) should do; reservation is how a hook on
-//! the hot path avoids serializing every commit in the process through one
-//! mutex.
+//! The `stm-log` WAL and the test hook below both follow this discipline;
+//! the WAL's critical section is one CAS plus encoding the record into its
+//! pending batch, and the filesystem work happens outside it.
 //!
 //! Transactions that publish nothing bypass the hook entirely (their commit
 //! is the plain uncontended CAS), so a read-only request costs nothing
@@ -177,14 +173,13 @@ pub trait CommitHook: Send + Sync {
     /// the caller used [`crate::ThreadCtx::atomically_logged`]); `commit`
     /// performs the attempt's `Active → Committed` status CAS.
     /// Implementations **must call `commit` exactly once**. When it returns
-    /// `true` the implementation records `ops`, assigns them a sequence
-    /// number and returns it; sequence order must match serialization
-    /// order, either by holding one internal lock across the `commit()`
-    /// call and the recording, or by reserving the sequence number before
-    /// the `commit()` call and merging records in reserved order (see the
-    /// [module documentation](self)). When `commit` returns `false` (an
-    /// enemy aborted the attempt first) the implementation records nothing
-    /// and returns `None`.
+    /// `true` the implementation records `ops`, assigns them the next
+    /// sequence number and returns it, all under one internal lock held
+    /// across the `commit()` call and the recording, so that sequence order
+    /// extends serialization order (see the [module documentation](self)).
+    /// When `commit` returns `false` (an enemy aborted the attempt first)
+    /// the implementation records nothing, assigns no number and returns
+    /// `None`.
     fn on_commit(&self, ops: &[CommitOp], commit: &mut dyn FnMut() -> bool) -> Option<u64>;
 }
 

@@ -9,22 +9,22 @@
 //! append-only, replayable log as the recovery substrate):
 //!
 //! * **Commit capture** — the [`Wal::commit_hook`] implements
-//!   [`stm_core::CommitHook`]: a transaction *reserves* its sequence number
-//!   with one atomic `fetch_add` inside the commit window (before the
-//!   commit CAS), so the sequence order of the log extends the
-//!   serialization order of the committed transactions — without any
-//!   process-wide lock on the commit path. Replay in sequence order
-//!   therefore reconstructs a state some serial execution produced — the
-//!   whole correctness of recovery rests on that ordering. A reservation
-//!   whose commit CAS loses leaves a (harmless, recovery-tolerated) gap.
-//! * **Group commit** ([`wal`]) — commit-path threads only publish encoded
-//!   records into a slot ring; there is no writer thread. A caller of
-//!   [`Wal::wait_durable`] that finds no flush in flight leads one: it
-//!   drains the ring in sequence order into length-prefixed, CRC-checked
-//!   records ([`record`]) in rotating segment files and fsyncs the batch,
-//!   while later waiters sleep until it publishes. One fsync covers every
-//!   commit that arrived while the previous one ran, and nothing is
-//!   acknowledged before it is on disk.
+//!   [`stm_core::CommitHook`]: under the log's one lock a transaction runs
+//!   its commit CAS and, only if the CAS won, takes the next sequence
+//!   number and encodes its record into the pending batch. The lock makes
+//!   each commit a critical section, so the sequence order of the log
+//!   extends the serialization order of the committed transactions, and a
+//!   lost CAS takes no number, so the log is gapless. Replay in sequence
+//!   order therefore reconstructs a state some serial execution produced —
+//!   the whole correctness of recovery rests on that ordering.
+//! * **Group commit** ([`wal`]) — commit-path threads only append encoded
+//!   records to the pending batch; there is no writer thread. A caller of
+//!   [`Wal::wait_durable`] that finds no flush in flight leads one: it takes
+//!   the pending batch of length-prefixed, CRC-checked records ([`record`]),
+//!   writes it to the current rotating segment file and fsyncs it, while
+//!   later waiters sleep until it publishes. One fsync covers every commit
+//!   that arrived while the previous one ran, and nothing is acknowledged
+//!   before it is on disk.
 //! * **Snapshots** ([`Wal::write_snapshot`]) — a consistent cut of the whole
 //!   keyspace (obtained with `ThreadCtx::atomically_logged`, whose sequence
 //!   number marks the cut) written atomically; old segments the snapshot
@@ -69,11 +69,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod crc;
+mod group_commit;
 #[cfg(feature = "model-check")]
 pub mod models;
 pub mod record;
 pub mod recovery;
-mod ring;
 mod snapshot;
 pub mod wal;
 

@@ -143,10 +143,13 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
             clean_end = record::SEGMENT_MAGIC.len();
             while let Decoded::Ok(rec, used) = record::decode(&bytes[clean_end..]) {
                 clean_end += used;
-                // The group commit consumes the ring strictly in seq order
+                // The group commit writes batches strictly in seq order
                 // and names each segment after its first record, so file
                 // order is seq order and a record can be applied the moment
-                // it is read.
+                // it is read. Seqs are only required to ascend, not to be
+                // contiguous: logs written before the commit CAS and the
+                // append shared one lock have a gap wherever a commit that
+                // had taken a seq lost its CAS, and they must still recover.
                 debug_assert!(
                     rec.seq > last_seq,
                     "{}: seq {} after {last_seq}",

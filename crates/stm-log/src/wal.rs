@@ -1,26 +1,23 @@
 //! The write-ahead log: an append-only record stream with group commit.
 //!
 //! A [`Wal`] owns a directory of segment files (`wal-<first_seq>.log`) and
-//! no thread. The commit path never touches the filesystem — and never a
-//! process-wide lock either: the [`Wal::commit_hook`] *reserves* a sequence
-//! number with one `fetch_add` before running the transaction's commit CAS,
-//! encodes the record into a private buffer, and publishes it into the slot
-//! ring at its reserved position (see `stm_core::hook` for why
-//! reservation-inside-the-commit-window makes log order equal serialization
-//! order). A reservation whose commit CAS loses is published as an
-//! *abandoned* ticket, so the on-disk stream may contain sequence gaps —
-//! recovery is gap-tolerant and the durability watermark counts abandoned
-//! tickets as trivially durable.
+//! no thread. The commit path never touches the filesystem: the
+//! [`Wal::commit_hook`] takes the log's one lock, runs the transaction's
+//! commit CAS under it, and only if the CAS won assigns the next sequence
+//! number and encodes the record straight into the pending batch (see
+//! `stm_core::hook` for why one lock across the CAS and the append makes
+//! log order extend serialization order). A lost CAS takes no sequence
+//! number, so the log is gapless.
 //!
 //! The filesystem work is done by whoever waits. [`Wal::wait_durable`] is
 //! the group commit: a waiter whose sequence number is not durable and that
-//! finds no flush in flight leads one — it drains every contiguous ready
-//! slot in sequence order, writes them with one `write_all`, fsyncs, and
-//! publishes the durable watermark — while the other waiters sleep until it
-//! publishes (see `ring.rs`). One fsync thus covers every commit that
-//! arrived during the previous one, and an acknowledged write is on disk.
-//! A commit nobody waits on is written at the next wait, when the ring
-//! fills, or at shutdown, so `durable_seq` can lag for unwaited commits.
+//! finds no flush in flight leads one — it takes the pending batch, writes
+//! it with one `write_all`, fsyncs, and publishes the durable watermark —
+//! while the other waiters sleep until it publishes (see `group_commit.rs`).
+//! One fsync thus covers every commit that arrived during the previous one,
+//! and an acknowledged write is on disk. A commit nobody waits on is
+//! written at the next wait, when 1,024 records are pending, or at
+//! shutdown, so `durable_seq` can lag for unwaited commits.
 //!
 //! [`Wal::write_snapshot`] persists a point-in-time snapshot and prunes
 //! segments the snapshot covers. Dropping the [`Wal`] flushes and fsyncs
@@ -35,9 +32,9 @@ use std::time::Instant;
 use stm_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use stm_core::{CommitHook, CommitOp, CommitValue};
 
+use crate::group_commit::{Batch, GroupCommit};
 use crate::record;
 use crate::recovery::{self, Recovered};
-use crate::ring::{Batch, GroupCommit};
 use crate::snapshot;
 
 /// When the group commit calls `fsync`: after every batch it writes. The one variant is kept by name only because the repo benchmark
@@ -113,8 +110,9 @@ struct WalTelemetry {
     batch_records: Arc<metrics::Histogram>,
     /// `sync_data` wall time, microseconds.
     fsync_us: Arc<metrics::Histogram>,
-    /// Reserved-but-unconsumed sequence numbers, sampled once per written
-    /// batch — how full the slot ring runs (RING = backpressure).
+    /// Records pending when a flush writes its batch, sampled once per
+    /// written batch. Named for the slot ring this lock replaced; the repo
+    /// benchmark scrapes it under that name.
     ring_occupancy: Arc<metrics::Histogram>,
     /// Records appended since this `Wal` was opened.
     records: Arc<metrics::Counter>,
@@ -142,18 +140,17 @@ impl WalTelemetry {
     }
 }
 
-/// Slots in the hand-off ring between commit threads and the log. Also the
-/// backpressure bound: a reservation this many sequence numbers ahead of
-/// the log leads a flush before it fills its slot (cold path).
-const RING: usize = 1024;
+/// The backpressure bound: a committer that finds this many records
+/// pending waits for or leads a flush before its commit CAS (cold path).
+const MAX_PENDING: u64 = 1024;
 
 struct Shared {
     dir: PathBuf,
     segment_bytes: u64,
-    /// Sequence reservation, the slot ring, leader election and the durable
-    /// watermark — all in [`crate::ring`], where the bounded concurrency
-    /// models can drive them directly. Its sink is the open segment, which
-    /// only the current leader touches.
+    /// Sequence assignment, the pending batch, leader election and the
+    /// durable watermark — all in [`crate::group_commit`], where the
+    /// bounded concurrency models can drive them directly. Its sink is the
+    /// open segment, which only the current leader touches.
     group: GroupCommit<Option<OpenSegment>>,
     segments: AtomicU64,
     last_snapshot_seq: AtomicU64,
@@ -172,7 +169,7 @@ impl Shared {
     /// error, so a later "successful" fsync proves nothing about them.
     fn persist(&self, segment: &mut Option<OpenSegment>, batch: &Batch) -> io::Result<()> {
         self.telemetry.batch_records.record(batch.records);
-        self.telemetry.ring_occupancy.record(self.group.ring.occupancy());
+        self.telemetry.ring_occupancy.record(self.group.pending());
         if segment
             .as_ref()
             .is_some_and(|open| open.written >= self.segment_bytes)
@@ -218,38 +215,17 @@ impl std::fmt::Debug for Shared {
 
 impl CommitHook for Shared {
     fn on_commit(&self, ops: &[CommitOp], commit: &mut dyn FnMut() -> bool) -> Option<u64> {
-        // Reserve the sequence number *before* the commit CAS. The
-        // reservation is inside the commit window, so if transaction B
-        // depends on A (B's read saw A's write), B's window opened after
-        // A's CAS — hence after A's reservation — and seq(A) < seq(B):
-        // log order extends serialization order without any global lock.
-        let seq = self.group.ring.reserve();
-        // Backpressure (cold path): the slot is only busy when this
-        // reservation is RING sequence numbers ahead of the log, and then
-        // this thread flushes (or waits for the flush in flight). A dead
-        // log (failed or stopping) means skip logging entirely — commits
-        // proceed in memory and their non-durability is reported through
-        // `wait_durable`.
-        let log_alive = self
-            .group
-            .claim_slot(seq, |segment, batch| self.persist(segment, batch));
-        if !commit() {
-            // The reservation is already in the sequence stream; publish it
-            // as abandoned so in-order consumption never stalls on a ticket
-            // nobody will fill.
-            if log_alive {
-                self.group.ring.fill(seq, Vec::new(), false);
-            }
-            return None;
-        }
-        if log_alive {
-            let mut buf = Vec::with_capacity(32 + ops.len() * 24);
-            record::encode_into(&mut buf, seq, ops);
-            self.telemetry.records.add(1);
-            self.since_snapshot.fetch_add(1, Ordering::Relaxed);
-            self.group.ring.fill(seq, buf, true);
-        }
-        Some(seq)
+        // A dead log (failed or stopping) writes nothing: commits proceed
+        // in memory and their non-durability is reported by `wait_durable`.
+        self.group.append(
+            commit,
+            |pending, seq| {
+                record::encode_into(pending, seq, ops);
+                self.telemetry.records.add(1);
+                self.since_snapshot.fetch_add(1, Ordering::Relaxed);
+            },
+            |segment, batch| self.persist(segment, batch),
+        )
     }
 }
 
@@ -280,8 +256,8 @@ impl Wal {
             dir: config.dir,
             segment_bytes: config.segment_bytes.max(4096),
             // Every sequence below the recovered tip was made durable by a
-            // previous process life; the ring starts empty.
-            group: GroupCommit::new(RING, recovered.next_seq, None),
+            // previous process life; nothing is pending.
+            group: GroupCommit::new(MAX_PENDING, recovered.next_seq, None),
             segments: AtomicU64::new(segments),
             last_snapshot_seq: AtomicU64::new(recovered.snapshot_seq),
             since_snapshot: AtomicU64::new(recovered.replayed),
@@ -394,7 +370,7 @@ impl Wal {
     /// A snapshot of the log's counters.
     pub fn stats(&self) -> WalStats {
         WalStats {
-            next_seq: self.shared.group.ring.next_seq(),
+            next_seq: self.shared.group.next_seq(),
             durable_seq: self.durable_seq(),
             records: self.shared.telemetry.records.value(),
             bytes: self.shared.telemetry.bytes.value(),
@@ -520,6 +496,25 @@ mod tests {
         let expected: Vec<_> = (0..10i64).map(|i| (i, CommitValue::Int(i * 10))).collect();
         assert_eq!(recovered.live_pairs(), expected);
         drop(wal2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lost_commit_takes_no_seq_and_the_next_commit_takes_the_next() {
+        let dir = temp_dir("lost");
+        let (wal, _) = Wal::open(WalConfig::new(&dir)).unwrap();
+        let hook = wal.commit_hook();
+        assert_eq!(log_through_hook(&wal, &[CommitOp::put(1, 1)]), 1);
+        assert_eq!(hook.on_commit(&[CommitOp::put(2, 2)], &mut || false), None);
+        assert_eq!(log_through_hook(&wal, &[CommitOp::put(3, 3)]), 2);
+        assert!(wal.wait_durable(2));
+        assert_eq!(wal.stats().records, 2);
+        drop(wal);
+        let (_wal, recovered) = Wal::open(WalConfig::new(&dir)).unwrap();
+        assert_eq!((recovered.replayed, recovered.next_seq), (2, 3));
+        let expected = [(1, CommitValue::Int(1)), (3, CommitValue::Int(3))];
+        assert_eq!(recovered.live_pairs(), expected);
+        drop(_wal);
         let _ = fs::remove_dir_all(&dir);
     }
 

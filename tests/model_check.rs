@@ -1,6 +1,6 @@
 //! The headline bounded model-check suite (satellite of the loomlite work).
 //!
-//! Runs only with `--features model-check`, which swaps the lock-free hot
+//! Runs only with `--features model-check`, which swaps the concurrent hot
 //! paths onto loomlite's modeled primitives via each crate's sync facade.
 //! Each test drives one shipped protocol through its model and asserts the
 //! checker actually explored a meaningful schedule space (> 100 distinct
@@ -16,12 +16,14 @@
 
 #![cfg(feature = "model-check")]
 
-/// WAL slot ring: consumption is strictly in order and never stalls (any
-/// timeout rescue — a lost wakeup — fails the model).
+/// WAL group commit: two committers, one whose commit CAS loses, against a
+/// leading waiter. The flushed stream is gapless and in seq order, and the
+/// loser takes no seq and writes no bytes (any timeout rescue — a lost
+/// wakeup — fails the model).
 #[test]
-fn wal_slot_ring_is_safe() {
-    let report = stm_log::models::ring_consumes_in_order_without_stalling();
-    eprintln!("ring in-order: {report}");
+fn wal_group_commit_is_gapless() {
+    let report = stm_log::models::append_is_gapless_and_a_lost_commit_writes_nothing();
+    eprintln!("gapless append: {report}");
     assert!(report.schedules() > 100, "{report}");
     assert_eq!(report.timeout_rescues, 0, "{report}");
 }
@@ -57,9 +59,8 @@ fn greedy_keeps_the_oldest_attempt_running() {
     let report = stm_core::models::greedy_keeps_the_oldest_running();
     eprintln!("greedy pending commit: {report}");
     assert!(report.schedules() > 100, "{report}");
-    let failure =
-        stm_core::models::pending_commit::<stm_core::manager::AggressiveManager>()
-            .expect_err("aggressive aborts the oldest attempt");
+    let failure = stm_core::models::pending_commit::<stm_core::manager::AggressiveManager>()
+        .expect_err("aggressive aborts the oldest attempt");
     eprintln!("aggressive, caught as expected:\n{failure}");
     assert!(failure.message.contains("was aborted"), "{failure}");
     assert!(!failure.trace.is_empty(), "{failure}");

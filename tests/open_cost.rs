@@ -19,6 +19,11 @@
 //! one-object increment each commit on the first attempt having opened
 //! exactly that object.
 //!
+//! And what the write-ahead log's commit path costs: a logged commit
+//! encodes its record straight into the log's pending batch, so 1,000
+//! commits with no flush between them allocate only as that buffer grows,
+//! and not at all once a flush has handed a grown buffer back.
+//!
 //! The counts hold on any host, so a change that adds an allocation to an
 //! open, or an open to a body, fails here rather than somewhere in a
 //! benchmark's noise. This is
@@ -30,7 +35,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use stm_cm::ManagerKind;
-use stm_core::{Stm, TVar, TxResult, Txn};
+use stm_core::{CommitOp, Stm, TVar, TxResult, Txn};
+use stm_log::{Wal, WalConfig};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -116,4 +122,33 @@ fn each_hot_path_body_commits_first_try_and_opens_exactly_its_objects() {
         }
         assert_eq!(stm.read_atomic(&cell), 3);
     }
+}
+
+#[test]
+fn a_thousand_logged_commits_allocate_only_to_grow_the_pending_batch() {
+    let dir = std::env::temp_dir().join(format!("stm-open-cost-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (wal, _) = Wal::open(WalConfig::new(&dir)).expect("fresh log opens");
+    let hook = wal.commit_hook();
+    let ops = [CommitOp::put(7, 42)];
+    let commit_a_thousand = || {
+        let start = allocations();
+        for _ in 0..1_000 {
+            hook.on_commit(&ops, &mut || true).expect("the commit won");
+        }
+        allocations() - start
+    };
+    let mut counts = vec![commit_a_thousand()];
+    for flushed in [1_000, 2_000] {
+        assert!(wal.wait_durable(flushed));
+        counts.push(commit_a_thousand());
+    }
+    // Only buffer growth allocates, and a flush hands its drained buffer
+    // back as the spare, so the third batch refills the first one's buffer
+    // without growing it.
+    let grown_then_reused = counts[0] <= 32 && counts[2] == 0;
+    assert!(grown_then_reused, "allocations: {counts:?}");
+    drop(hook);
+    drop(wal);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,12 @@
 //! Cross-manager property test for the WAL commit pipeline: under every
 //! contention manager in the registry, contended commits flowing through
-//! the real `stm-log` writer (sequence reservation, slot ring, group
-//! commit) must produce a log whose **replay in record order reconstructs
-//! exactly the final committed state** — the property recovery rests on.
-//! Recovery does that replay and returns the state; this test compares it.
+//! the real `stm-log` writer (the commit CAS and the append under one lock,
+//! group commit) must produce a log whose **replay in record order
+//! reconstructs exactly the final committed state** — the property
+//! recovery rests on — and whose seqs are exactly `1..=N` for `N`
+//! committed transactions: a commit CAS that loses takes no seq, so the
+//! log is gapless. Recovery does that replay and returns the state; this
+//! test compares it.
 //!
 //! The run continues across a simulated crash: the newest segment's tail
 //! is torn mid-record, recovery truncates it, a second contended phase
@@ -77,8 +80,8 @@ fn run_phase(stm: &Arc<Stm>, cells: &[TVar<i64>], kind: ManagerKind, phase: u64)
 
 /// The recovered keyspace as one counter per key (0 = never written).
 /// `recover` folded the log in record order; its debug build asserts that
-/// order is strictly ascending by seq (gaps are legal — abandoned
-/// reservations never reach the disk).
+/// order is strictly ascending by seq, so `replayed` records whose last seq
+/// is `next_seq - 1 == replayed` are exactly the seqs `1..=replayed`.
 fn counters(recovered: &Recovered) -> Vec<i64> {
     let mut counters = vec![0; KEYS];
     for (key, value) in recovered.live_pairs() {
@@ -126,11 +129,14 @@ fn seq_order_replay_matches_committed_state_under_every_manager() {
 
         let (wal_check, recovered) = Wal::open(WalConfig::new(&dir)).expect("clean reopen");
         assert_eq!(recovered.truncated_bytes, 0, "{kind}: clean shutdown tore the log");
+        let committed_txns = (THREADS * OPS_PER_THREAD) as u64;
         assert_eq!(
-            recovered.replayed,
-            (THREADS * OPS_PER_THREAD) as u64,
-            "{kind}: every committed transaction must have exactly one record"
+            (recovered.replayed, recovered.next_seq),
+            (committed_txns, committed_txns + 1),
+            "{kind}: the log must hold exactly seqs 1..={committed_txns}, one per \
+             committed transaction, with no gap"
         );
+        assert_eq!(max_seq, committed_txns, "{kind}: a commit took a seq past N");
         assert_eq!(
             counters(&recovered),
             committed,
@@ -154,12 +160,18 @@ fn seq_order_replay_matches_committed_state_under_every_manager() {
                 .build(),
         );
         let cells2: Vec<TVar<i64>> = counters(&recovered).into_iter().map(TVar::new).collect();
+        let resumed_at = recovered.next_seq;
         let max_seq = run_phase(&stm2, &cells2, kind, 2);
         assert!(wal2.wait_durable(max_seq), "{kind}: log failed during phase 2");
         let committed2: Vec<i64> = cells2.iter().map(|cell| stm2.read_atomic(cell)).collect();
         drop(wal2);
 
         let (_wal3, recovered) = Wal::open(WalConfig::new(&dir)).expect("final reopen");
+        assert_eq!(
+            recovered.next_seq,
+            resumed_at + committed_txns,
+            "{kind}/torn restart: phase 2's seqs must continue the log with no gap"
+        );
         assert_eq!(
             counters(&recovered),
             committed2,
