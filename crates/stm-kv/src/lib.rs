@@ -12,11 +12,12 @@
 //! * **Values** ([`Value`], a re-export of [`stm_core::CommitValue`]) —
 //!   typed: `Int(i64)`, `Str(String)`, `Bytes(Vec<u8>)`. One enum flows
 //!   from the wire through the store into the write-ahead log.
-//! * **Storage** ([`KvStore`]) — a dynamic `i64 → Value` keyspace. The
-//!   membership index is a [`stm_structures::ShardedTxSet`] over chunked
-//!   B+-trees, and every key's value lives in its own [`stm_core::TVar`]
-//!   cell in one sharded table (materialised by the first write, reclaimed
-//!   after a committed delete, so any key is addressable); arithmetic ops
+//! * **Storage** ([`KvStore`]) — a dynamic `i64 → Value` keyspace, dealt
+//!   to its shards in 1,024-key blocks. Each shard owns a chunked B+-tree
+//!   ([`stm_structures::TxChunkedSet`]) of its present keys and a table of
+//!   their value cells, one [`stm_core::TVar`] per key (materialised by the
+//!   first write, reclaimed after a committed delete, so any key is
+//!   addressable); arithmetic ops
 //!   (`ADD`/`SUM`) report a typed [`TypeMismatch`] on non-integer values.
 //! * **Protocol** ([`proto`]) — one framing: after the one-line `HELLO 2`
 //!   preamble every byte is a binary-safe length-prefixed frame (RESP-style,

@@ -98,7 +98,10 @@ pub struct ServerConfig {
     pub addr: String,
     /// Contention manager arbitrating every transaction on this server.
     pub manager: ManagerKind,
-    /// Number of index shards in the store.
+    /// Number of shards in the store. Each owns an ordered index tree and a
+    /// cell table for its keys, dealt out in 1,024-key blocks (block
+    /// `key >> 10` to shard `block mod shards`, [`KvStore::shard_of`]), so a
+    /// `RANGE` of up to 1,024 keys opens one tree or two.
     pub shards: usize,
     /// Directory for the write-ahead log and snapshots. `None` (the
     /// default) runs the server volatile.

@@ -2,10 +2,10 @@
 //!
 //! A [`KvStore`] is a **dynamic** map from arbitrary `i64` keys to typed
 //! [`Value`]s (`Int` / `Str` / `Bytes`). Each key's value lives in its own
-//! `TVar` cell, found through a cell table; a sharded index of chunked
-//! B+-trees ([`ShardedTxSet::chunked`]: one `TVar` per 64-key node) keeps
-//! the present keys in order. Every writer keeps the two in step, inside
-//! one transaction:
+//! `TVar` cell, found through a cell table; an ordered index of chunked
+//! B+-trees ([`TxChunkedSet`]: one `TVar` per 64-key node) keeps the present
+//! keys in order. Every writer keeps the two in step, inside one
+//! transaction:
 //!
 //! > **Invariant.** At every committed state, `key ∈ index` ⇔ the cell
 //! > linked for `key` holds `CellState::Full`.
@@ -25,8 +25,18 @@
 //! It is the counter `stm_kv_index_walks_total` of the store's own registry,
 //! whose exposition [`KvStore::metrics_text`] renders with the cell gauges.
 //!
+//! **Partition.** Keys are dealt to the shards in blocks of 1,024
+//! consecutive keys: block `key >> 10` belongs to shard `block mod shards`
+//! ([`KvStore::shard_of`]). A shard owns both structures for its blocks,
+//! their tree and their cell table, so contiguous keys share a tree and a
+//! dense keyspace still spreads evenly. A window of fewer blocks than shards
+//! visits its blocks in order and asks each block's tree for the window
+//! clamped to that block: the runs come back sorted, so there is no merge,
+//! and a 256-key `RANGE` opens one tree or two. A wider window (`dump`,
+//! `i64::MIN..=i64::MAX`) asks every tree once and sorts.
+//!
 //! **Cell table.** A key's cell is materialised by the first *writer* to
-//! touch it and found through one table, sharded by key: each shard owns a
+//! touch it and found through its shard's table, a
 //! `parking_lot::Mutex<HashMap<key, TVar>>` (the lock guards only cell
 //! *identity* — two racing transactions must obtain the same `TVar` for one
 //! key — and is never held across an STM operation).
@@ -91,7 +101,7 @@ use std::sync::Arc;
 use metrics::{Counter, Registry};
 use parking_lot::Mutex;
 use stm_core::{TVar, TxResult, Txn};
-use stm_structures::{ShardedTxSet, TxSet};
+use stm_structures::{TxChunkedSet, TxSet};
 
 use crate::Value;
 
@@ -138,16 +148,24 @@ impl CellState {
     }
 }
 
-/// One shard of the cell table. The mutex guards cell identity only;
-/// it is never held across an STM operation.
+/// log2 of the keys in one block, the partition's unit (see the module
+/// docs): a 256-key window crosses at most one block edge, and 64 blocks of
+/// a dense 65,536-key range deal out evenly over 16 shards.
+const BLOCK_BITS: u32 = 10;
+
+/// One shard: the ordered index and the cell table of the blocks it owns.
+/// The mutex guards cell identity only; it is never held across an STM
+/// operation.
 #[derive(Debug)]
-struct CellShard {
+struct Shard {
+    /// This shard's present keys, in order.
+    index: TxChunkedSet,
     cells: Mutex<HashMap<i64, TVar<CellState>>>,
     /// Cells this shard has unlinked (monotone), bumped under the lock.
     released: AtomicU64,
 }
 
-impl CellShard {
+impl Shard {
     /// Removes `cell` from the table if it is still the cell linked under
     /// `key`, and counts it. Idempotent under the table lock: exactly one
     /// caller — the deleter's deferred commit action or a helping
@@ -165,24 +183,26 @@ impl CellShard {
 /// reclamation of deleted keys' cells.
 #[derive(Debug)]
 pub struct KvStore {
-    /// The present keys in order. Reached only through [`KvStore::index`],
-    /// which counts the call.
-    index: ShardedTxSet,
     /// `index_walks` and the cell gauges.
     registry: Registry,
-    /// Calls into `index` (monotone): the operations that paid a tree walk.
+    /// Calls into the shards' trees (monotone): the operations that paid a
+    /// tree walk.
     index_walks: Arc<Counter>,
-    /// The cell table; `cells[k.rem_euclid(shards)]` owns key `k`'s value
-    /// cell. Sharded so cell creation does not serialize across the
-    /// keyspace; `Arc` so deferred commit actions can capture their shard.
-    cells: Vec<Arc<CellShard>>,
+    /// `shards[shard_of(k)]` owns key `k`'s place in the index and its
+    /// value cell. Sharded so cell creation and index writes do not
+    /// serialize across the keyspace; `Arc` so deferred commit actions can
+    /// capture their shard. The trees are reached only through
+    /// [`KvStore::index`], [`KvStore::keys_in`] and [`KvStore::len`], which
+    /// count the call.
+    shards: Vec<Arc<Shard>>,
     /// Cells ever materialised (monotone; freed cells still count).
     cells_created: AtomicU64,
 }
 
 impl KvStore {
     /// Creates an empty store whose membership index and cell table are
-    /// each partitioned over `shards` shards.
+    /// partitioned over `shards` shards by 1,024-key block
+    /// ([`KvStore::shard_of`]).
     ///
     /// # Panics
     ///
@@ -203,12 +223,12 @@ impl KvStore {
         let per_shard = usize::try_from(keys).unwrap_or(0) / shards;
         let registry = Registry::new();
         KvStore {
-            index: ShardedTxSet::chunked(shards),
             index_walks: registry.counter("stm_kv_index_walks_total", &[]),
             registry,
-            cells: (0..shards)
+            shards: (0..shards)
                 .map(|_| {
-                    Arc::new(CellShard {
+                    Arc::new(Shard {
+                        index: TxChunkedSet::new(),
                         cells: Mutex::new(HashMap::with_capacity(per_shard)),
                         released: AtomicU64::new(0),
                     })
@@ -218,17 +238,70 @@ impl KvStore {
         }
     }
 
-    /// Number of index shards.
+    /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.index.num_shards()
+        self.shards.len()
     }
 
-    /// The ordered index, for one call into it. Every tree operation the
-    /// store performs goes through here, so [`KvStore::index_walks`] counts
-    /// exactly the operations that left the cell-only fast path.
-    fn index(&self) -> &ShardedTxSet {
+    /// The shard owning `key`'s index entry and value cell: the key's
+    /// 1,024-key block, `key >> 10`, modulo the number of shards. So keys
+    /// that are close share a shard, and any 1,024 × `shards` consecutive
+    /// keys put exactly 1,024 in each.
+    pub fn shard_of(&self, key: i64) -> usize {
+        (key >> BLOCK_BITS).rem_euclid(self.shards.len() as i64) as usize
+    }
+
+    /// The shard owning `key`.
+    fn shard(&self, key: i64) -> &Arc<Shard> {
+        &self.shards[self.shard_of(key)]
+    }
+
+    /// The tree holding `key`, for one point call into it. Every tree
+    /// operation the store performs goes through here, [`KvStore::keys_in`]
+    /// or [`KvStore::len`], so [`KvStore::index_walks`] counts exactly the
+    /// operations that left the cell-only fast path.
+    fn index(&self, key: i64) -> &TxChunkedSet {
         self.index_walks.add(1);
-        &self.index
+        &self.shard(key).index
+    }
+
+    /// The present keys in `lo..=hi`, ascending, in one counted index walk.
+    /// A window of fewer blocks than shards takes [`KvStore::block_walk`];
+    /// a wider one asks every tree once and sorts, so `dump`'s
+    /// `i64::MIN..=i64::MAX` costs one walk of each tree.
+    fn keys_in(&self, tx: &mut Txn<'_>, lo: i64, hi: i64) -> TxResult<Vec<i64>> {
+        self.index_walks.add(1);
+        // In i128: `i64::MIN..=i64::MAX` spans 2^54 blocks, and no count
+        // of blocks can overflow.
+        let blocks = i128::from(hi >> BLOCK_BITS) - i128::from(lo >> BLOCK_BITS) + 1;
+        if blocks < self.shards.len() as i128 {
+            return self.block_walk(tx, lo, hi);
+        }
+        let mut keys = Vec::new();
+        for shard in &self.shards {
+            keys.extend(shard.index.range(tx, lo, hi)?);
+        }
+        keys.sort_unstable();
+        Ok(keys)
+    }
+
+    /// The present keys in `lo..=hi` block by block, in ascending order:
+    /// each block's tree is asked for the window clamped to the block, so
+    /// the runs need no merge and a tree that owns two blocks of the window
+    /// answers for each in its place. Correct at any width; it opens a root
+    /// path per block, so [`KvStore::keys_in`] takes it only while that is
+    /// fewer paths than one per tree.
+    fn block_walk(&self, tx: &mut Txn<'_>, lo: i64, hi: i64) -> TxResult<Vec<i64>> {
+        let mut keys = Vec::new();
+        for block in (lo >> BLOCK_BITS)..=(hi >> BLOCK_BITS) {
+            // `block` lies in `i64::MIN >> 10 ..= i64::MAX >> 10`, so
+            // neither shift back out of it can overflow.
+            let first = block << BLOCK_BITS;
+            let last = first | ((1 << BLOCK_BITS) - 1);
+            let tree = &self.shard(first).index;
+            keys.extend(tree.range(tx, lo.max(first), hi.min(last))?);
+        }
+        Ok(keys)
     }
 
     /// Calls the store has made into its ordered index (monotone): key
@@ -251,11 +324,6 @@ impl KvStore {
             gauge("stm_kv_overflow_cells", &[("shard", &shard.to_string())], cells);
         }
         self.registry.render()
-    }
-
-    /// The table shard owning `key`'s cell.
-    fn shard(&self, key: i64) -> &Arc<CellShard> {
-        &self.cells[key.rem_euclid(self.cells.len() as i64) as usize]
     }
 
     /// The value cell currently linked for `key`, if any — never creates
@@ -327,7 +395,7 @@ impl KvStore {
                     }
                 }
                 None => {
-                    if !self.index().contains(tx, key)? {
+                    if !self.index(key).contains(tx, key)? {
                         return Ok(None);
                     }
                     // A creator committed between the table lookup and the
@@ -348,7 +416,7 @@ impl KvStore {
     /// `stm_kv_cells_freed`. `cells_allocated − cells_released =
     /// cells_live`.
     pub fn cells_released(&self) -> usize {
-        self.cells
+        self.shards
             .iter()
             .map(|shard| shard.released.load(Ordering::Relaxed) as usize)
             .sum()
@@ -360,11 +428,11 @@ impl KvStore {
     }
 
     /// Number of cells currently linked per shard — how the keyspace
-    /// distributes across the table: the gauges
+    /// distributes over the shards' blocks: the gauges
     /// `stm_kv_overflow_cells{shard=…}`, the name the series has always
     /// had.
     pub fn cells_per_shard(&self) -> Vec<usize> {
-        self.cells
+        self.shards
             .iter()
             .map(|shard| shard.cells.lock().len())
             .collect()
@@ -382,7 +450,7 @@ impl KvStore {
     fn put_cell(&self, tx: &mut Txn<'_>, key: i64, value: Value) -> TxResult<Arc<CellState>> {
         let (cell, state) = self.live_cell(tx, key)?;
         if state.value().is_none() {
-            self.index().insert(tx, key)?;
+            self.index(key).insert(tx, key)?;
         }
         tx.write(&cell, CellState::Full(value))?;
         Ok(state)
@@ -419,7 +487,7 @@ impl KvStore {
         if state.value().is_none() {
             return Ok(None);
         }
-        self.index().remove(tx, key)?;
+        self.index(key).remove(tx, key)?;
         tx.write(&cell, CellState::Dead)?;
         let shard = Arc::clone(self.shard(key));
         let tombstone = cell;
@@ -466,7 +534,7 @@ impl KvStore {
                 }))
             }
             None => {
-                self.index().insert(tx, key)?;
+                self.index(key).insert(tx, key)?;
                 0
             }
         };
@@ -481,7 +549,7 @@ impl KvStore {
         if lo > hi {
             return Ok(pairs);
         }
-        for key in self.index().range(tx, lo, hi)? {
+        for key in self.keys_in(tx, lo, hi)? {
             // Read without creating: a reader that a concurrent `DEL` has
             // already doomed must not re-link a cell for the key it lost.
             if let Some(value) = self.get(tx, key)? {
@@ -505,7 +573,7 @@ impl KvStore {
         if lo > hi {
             return Ok(Ok((total, count)));
         }
-        for key in self.index().range(tx, lo, hi)? {
+        for key in self.keys_in(tx, lo, hi)? {
             // Read without creating (see `range`), and add from the cell in
             // place: no value is copied out only to be summed or skipped.
             let found = self.peek_cell(tx, key)?;
@@ -531,7 +599,7 @@ impl KvStore {
     /// transaction, so concurrent writers serialize against it.
     pub fn dump(&self, tx: &mut Txn<'_>) -> TxResult<Vec<(i64, Value)>> {
         let mut pairs = Vec::new();
-        for key in self.index().to_vec(tx)? {
+        for key in self.keys_in(tx, i64::MIN, i64::MAX)? {
             if let Some(value) = self.get(tx, key)? {
                 pairs.push((key, value));
             }
@@ -539,9 +607,14 @@ impl KvStore {
         Ok(pairs)
     }
 
-    /// Number of present keys.
+    /// Number of present keys: one counted walk of every tree.
     pub fn len(&self, tx: &mut Txn<'_>) -> TxResult<usize> {
-        self.index().len(tx)
+        self.index_walks.add(1);
+        let mut len = 0;
+        for shard in &self.shards {
+            len += shard.index.len(tx)?;
+        }
+        Ok(len)
     }
 
     /// Whether the store holds no keys.
@@ -553,20 +626,26 @@ impl KvStore {
 #[cfg(test)]
 impl KvStore {
     /// Test walker for the module invariant, at a quiescent committed state:
-    /// the index holds exactly the keys whose linked cell is `Full`.
+    /// each shard's tree holds exactly the keys whose cell the shard links
+    /// as `Full`, and every one of them belongs to that shard.
     fn assert_index_matches_cells(&self, stm: &stm_core::Stm) {
-        let indexed = stm
-            .thread()
-            .atomically(|tx| self.index.to_vec(tx))
-            .expect("index walk commits");
+        let mut ctx = stm.thread();
         let is_full = |cell: &TVar<CellState>| cell.load_committed_arc().value().is_some();
-        let mut full = Vec::new();
-        for shard in &self.cells {
-            let cells = shard.cells.lock();
-            full.extend(cells.iter().filter(|(_, cell)| is_full(cell)).map(|(key, _)| *key));
+        for (i, shard) in self.shards.iter().enumerate() {
+            let indexed = ctx
+                .atomically(|tx| shard.index.to_vec(tx))
+                .expect("index walk commits");
+            let mut full: Vec<i64> = {
+                let cells = shard.cells.lock();
+                cells.iter().filter(|(_, cell)| is_full(cell)).map(|(key, _)| *key).collect()
+            };
+            full.sort_unstable();
+            assert_eq!(indexed, full, "shard {i}: key ∈ index ⇔ linked cell is Full");
+            assert!(
+                indexed.iter().all(|key| self.shard_of(*key) == i),
+                "shard {i}: {indexed:?}"
+            );
         }
-        full.sort_unstable();
-        assert_eq!(indexed, full, "key ∈ index ⇔ linked cell is Full");
     }
 }
 
@@ -837,6 +916,100 @@ mod tests {
     }
 
     #[test]
+    fn windows_across_block_edges_match_a_btreemap_model() {
+        use std::collections::BTreeMap;
+        const BLOCK: i64 = 1 << BLOCK_BITS;
+        const SHARDS: i64 = 4;
+        let stm = Stm::default();
+        let store = KvStore::new(SHARDS as usize);
+        let mut ctx = stm.thread();
+
+        // Keys on both sides of the block edges around zero and far out,
+        // and at both ends of `i64`.
+        let mut model = BTreeMap::new();
+        for block in (-9..=9).chain([1 << 22, (1 << 22) + 1]) {
+            let edge = block * BLOCK;
+            for key in [edge - 2, edge - 1, edge, edge + 1, edge + BLOCK / 2] {
+                model.insert(key, key / 3);
+            }
+        }
+        for key in [i64::MIN, i64::MIN + 1, i64::MIN + BLOCK, i64::MAX - BLOCK, i64::MAX] {
+            model.insert(key, key / 3);
+        }
+        ctx.atomically(|tx| {
+            for (&key, &value) in &model {
+                store.put(tx, key, value)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+
+        // Every pair of the keys and their neighbours, `lo > hi` included,
+        // and windows of `SHARDS − 1`, `SHARDS` and `SHARDS + 1` whole and
+        // trimmed blocks, on both sides of the switch to the wide path.
+        let mut points: Vec<i64> = model
+            .keys()
+            .flat_map(|&key| [key.saturating_sub(1), key, key.saturating_add(1)])
+            .collect();
+        points.sort_unstable();
+        points.dedup();
+        let mut windows: Vec<(i64, i64)> = points
+            .iter()
+            .flat_map(|&lo| points.iter().map(move |&hi| (lo, hi)))
+            .collect();
+        for blocks in [SHARDS - 1, SHARDS, SHARDS + 1] {
+            for first in [-6, -2, -1, 0, 3, 1 << 22] {
+                let (lo, hi) = (first * BLOCK, (first + blocks) * BLOCK - 1);
+                windows.extend([(lo, hi), (lo + 1, hi - 1), (lo - 1, hi), (lo, hi + 1)]);
+            }
+        }
+
+        let expect = |lo: i64, hi: i64| -> Vec<(i64, i64)> {
+            if lo > hi {
+                return Vec::new();
+            }
+            model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect()
+        };
+        for &(lo, hi) in &windows {
+            let want = expect(lo, hi);
+            let walks = store.index_walks();
+            let pairs = ctx.atomically(|tx| store.range(tx, lo, hi)).unwrap();
+            let got: Vec<(i64, i64)> =
+                pairs.iter().map(|(k, v)| (*k, v.as_int().unwrap())).collect();
+            assert_eq!(got, want, "RANGE [{lo}, {hi}]");
+            let sum = want.iter().fold(0i64, |total, (_, v)| total.wrapping_add(*v));
+            assert_eq!(
+                ctx.atomically(|tx| store.sum(tx, lo, hi)).unwrap(),
+                Ok((sum, want.len())),
+                "SUM [{lo}, {hi}]"
+            );
+            let one_each = u64::from(lo <= hi);
+            assert_eq!(store.index_walks() - walks, 2 * one_each, "[{lo}, {hi}]");
+
+            // The block walk alone is right at any width its loop can
+            // finish, also where a tree owns two or more of its blocks.
+            let blocks = i128::from(hi >> BLOCK_BITS) - i128::from(lo >> BLOCK_BITS) + 1;
+            if blocks <= 4 * i128::from(SHARDS) {
+                let keys = ctx.atomically(|tx| store.block_walk(tx, lo, hi)).unwrap();
+                assert!(
+                    keys.iter().copied().eq(want.iter().map(|(k, _)| *k)),
+                    "block walk [{lo}, {hi}]: {keys:?}"
+                );
+            }
+        }
+
+        let walks = store.index_walks();
+        let dump = ctx.atomically(|tx| store.dump(tx)).unwrap();
+        assert!(dump
+            .iter()
+            .map(|(k, v)| (*k, v.as_int().unwrap()))
+            .eq(model.iter().map(|(k, v)| (*k, *v))));
+        assert_eq!(ctx.atomically(|tx| store.len(tx)).unwrap(), model.len());
+        assert_eq!(store.index_walks() - walks, 2, "one walk for dump, one for len");
+        store.assert_index_matches_cells(&stm);
+    }
+
+    #[test]
     fn concurrent_first_touch_of_one_key_agrees_on_the_cell() {
         use std::sync::Arc;
         let stm = Arc::new(Stm::default());
@@ -955,8 +1128,13 @@ mod tests {
 
         // Small, huge and negative keys, few enough that every op often
         // finds its key in every state: present, vacant, never linked,
-        // released.
-        let keys: Vec<i64> = (0..12).chain((1 << 32)..(1 << 32) + 12).chain(-4..0).collect();
+        // released. The keys on both sides of block edges make windows of
+        // one to six blocks, narrow and wide, beside the far ones.
+        let keys: Vec<i64> = (0..12)
+            .chain((1 << 32)..(1 << 32) + 12)
+            .chain(-4..0)
+            .chain([1_023, 1_024, 3_071, 3_072, 4_096, 5_119])
+            .collect();
         let managers = [
             ManagerKind::Greedy,
             ManagerKind::Karma,

@@ -16,8 +16,8 @@
 //! All four implement the [`TxSet`] trait so the benchmark harness can be
 //! generic over the structure. So does [`TxChunkedSet`], which is not from
 //! the paper: a B+-tree with one `TVar` per 64-key node, priced by objects
-//! opened rather than keys visited, and — sharded by [`ShardedTxSet::chunked`]
-//! — the ordered index under `stm-kv`'s store. Two auxiliary structures,
+//! opened rather than keys visited, and — one tree per shard of 1,024-key
+//! blocks — the ordered index under `stm-kv`'s store. Two auxiliary structures,
 //! [`TxCounter`] and [`TxQueue`], are used by the examples and tests.
 //!
 //! Every operation takes `&mut Txn` and returns a [`stm_core::TxResult`];

@@ -5,12 +5,13 @@
 //! structure's contention ceiling: keys are partitioned by residue class
 //! (`key mod shards`), so transactions that touch different shards share no
 //! `TVar`s at all and can only conflict through keys that genuinely collide.
-//! The `stm-kv` server builds its keyspace index out of a [`ShardedTxSet`]
-//! over chunked B+-trees ([`ShardedTxSet::chunked`]); because every
-//! constituent set is itself transactional, a multi-shard operation (a
-//! cross-shard `range`, a batch touching keys in several shards) still
-//! executes as one serializable transaction — sharding changes the conflict
-//! footprint, never the semantics.
+//! Because every constituent set is itself transactional, a multi-shard
+//! operation (a cross-shard `range`, a batch touching keys in several
+//! shards) still executes as one serializable transaction — sharding changes
+//! the conflict footprint, never the semantics. The price of residue
+//! classes is order: every window spans every shard. (`stm-kv`'s store
+//! partitions by 1,024-key block instead, so a short window stays in one
+//! or two trees.)
 //!
 //! Ordered queries ([`ShardedTxSet::range`], [`ShardedTxSet::to_vec`])
 //! gather the per-shard results (each already ascending) and merge them.

@@ -17,17 +17,20 @@
 //!   (the parent) per level that merges;
 //! * `GET`/`DEL` miss on a never-linked key: **(h, 0)**, and no
 //!   cell materialised — also after 10,000 of them;
-//! * a 256-key `RANGE` over a half-full stripe: at most 5 index objects a
-//!   shard (root, ≤ 2 inner nodes, ≤ 2 leaves) and one cell per pair.
+//! * a 256-key `RANGE` over a half-full stripe: at most 12 index objects
+//!   (the window lies in one 1,024-key block, so one tree: its root, ≤ 2
+//!   inner nodes and the leaves) and one cell per pair.
 //!
-//! Each is also held equal to what `ShardedTxSet::insert`/`remove`/
-//! `contains`/`range` opens on a mirror index built in the same order. The
-//! last test shows the conflict surface that buys: a split writes its leaf
-//! and the leaf's parent, so a range parked elsewhere in the shard is not
-//! disturbed, and one parked on that leaf is.
+//! Each is also held equal to what `TxChunkedSet::insert`/`remove`/
+//! `contains`/`range` opens on a mirror index: one bare tree per shard, each
+//! key routed by `KvStore::shard_of`, built in the same order. The last
+//! test but one shows the conflict surface that buys: a split writes its
+//! leaf and the leaf's parent, so a range parked elsewhere in the shard is
+//! not disturbed, and one parked on that leaf is. The last holds the
+//! partition's spread: a dense 65,536-key store puts exactly 4,096 keys in
+//! each of the 16 shards.
 
 use std::sync::mpsc;
-use std::sync::Arc;
 
 use greedy_stm::core::stats::TxRunReport;
 use greedy_stm::kv::Value;
@@ -44,20 +47,18 @@ const HEIGHT_MAX: u64 = 3;
 const PROBES: [i64; 6] = [0, 1, 4_097, 30_001, 50_000, 65_535];
 
 /// A store holding `base..base + KEYS` and a bare index holding the same
-/// keys inserted in the same order, so both trees have the same shape and
-/// the mirror prices "one tree path" for any key.
+/// keys inserted in the same order into the same shards, so both have trees
+/// of the same shape and the mirror prices "one tree path" for any key.
 struct Fixture {
     stm: Stm,
     store: KvStore,
-    mirror: ShardedTxSet,
-    /// The mirror's shards, for their heights.
-    mirror_shards: Vec<TxChunkedSet>,
+    /// One tree per shard; `mirror[store.shard_of(k)]` holds key `k`.
+    mirror: Vec<TxChunkedSet>,
     base: i64,
 }
 
 impl Fixture {
     fn new(base: i64) -> Fixture {
-        let mirror_shards: Vec<TxChunkedSet> = (0..SHARDS).map(|_| TxChunkedSet::new()).collect();
         let fixture = Fixture {
             // Aggressive, not the default greedy: the split test parks an
             // older range reader inside its transaction while younger PUTs
@@ -68,13 +69,7 @@ impl Fixture {
                 .manager(ManagerKind::Aggressive.factory())
                 .build(),
             store: KvStore::new(SHARDS),
-            mirror: ShardedTxSet::new(
-                mirror_shards
-                    .iter()
-                    .map(|shard| Arc::new(shard.clone()) as Arc<dyn TxSet>)
-                    .collect(),
-            ),
-            mirror_shards,
+            mirror: (0..SHARDS).map(|_| TxChunkedSet::new()).collect(),
             base,
         };
         let mut ctx = fixture.stm.thread();
@@ -82,7 +77,7 @@ impl Fixture {
             ctx.atomically(|tx| {
                 for &key in chunk {
                     fixture.store.put(tx, key, key)?;
-                    fixture.mirror.insert(tx, key)?;
+                    fixture.tree(key).insert(tx, key)?;
                 }
                 Ok(())
             })
@@ -92,12 +87,32 @@ impl Fixture {
         fixture
     }
 
+    /// The mirror tree holding `key`.
+    fn tree(&self, key: i64) -> &TxChunkedSet {
+        &self.mirror[self.store.shard_of(key)]
+    }
+
     /// Height of the tree holding `key`, asserted to be at most `HEIGHT_MAX`.
     fn height(&self, ctx: &mut ThreadCtx<'_>, key: i64) -> u64 {
-        let shard = &self.mirror_shards[self.mirror.shard_of(key)];
-        let height = ctx.atomically(|tx| shard.height(tx)).unwrap() as u64;
+        let tree = self.tree(key);
+        let height = ctx.atomically(|tx| tree.height(tx)).unwrap() as u64;
         assert!((2..=HEIGHT_MAX).contains(&height), "height {height}");
         height
+    }
+
+    /// The mirror's keys in `lo..=hi`, ascending: each run of consecutive
+    /// keys of one shard asked of that shard's tree, in key order — what the
+    /// store opens for a window of fewer blocks than shards.
+    fn mirror_range(&self, tx: &mut Txn<'_>, lo: i64, hi: i64) -> TxResult<Vec<i64>> {
+        let mut keys = Vec::new();
+        let mut run_lo = lo;
+        for key in lo..=hi {
+            if key == hi || self.store.shard_of(key + 1) != self.store.shard_of(run_lo) {
+                keys.extend(self.tree(run_lo).range(tx, run_lo, key)?);
+                run_lo = key + 1;
+            }
+        }
+        Ok(keys)
     }
 }
 
@@ -141,9 +156,7 @@ fn assert_cell_plus_path(report: &TxRunReport, walks: u64, path: (u64, u64), wha
 /// The counts for present keys and for keys this test creates and removes
 /// again; `tier` names the fixture in a failure.
 fn check_point_ops(fixture: &Fixture, tier: &str) {
-    let Fixture {
-        stm, store, mirror, ..
-    } = fixture;
+    let Fixture { stm, store, .. } = fixture;
     let mut ctx = stm.thread();
     for offset in PROBES {
         let key = fixture.base + offset;
@@ -177,22 +190,22 @@ fn check_point_ops(fixture: &Fixture, tier: &str) {
         // The fixture's leaves hold 32 or more keys, so removing one key and
         // putting it back neither merges nor splits: exactly one path and
         // the leaf, beside the cell.
-        let path = mirror_cost(&mut ctx, |tx| mirror.remove(tx, key));
+        let path = mirror_cost(&mut ctx, |tx| fixture.tree(key).remove(tx, key));
         assert_eq!(path, (h, 1), "remove path, {what}");
         let (removed, report, walks) = traced(&mut ctx, store, |tx| store.del(tx, key));
         assert_eq!(removed, Some(Value::Int(10)), "{what}");
         assert_cell_plus_path(&report, walks, path, &format!("DEL hit, {what}"));
 
-        let path = mirror_cost(&mut ctx, |tx| mirror.insert(tx, key));
+        let path = mirror_cost(&mut ctx, |tx| fixture.tree(key).insert(tx, key));
         assert_eq!(path, (h, 1), "insert path, {what}");
         let (previous, report, walks) = traced(&mut ctx, store, |tx| store.put(tx, key, key));
         assert_eq!(previous, None, "{what}");
         assert_cell_plus_path(&report, walks, path, &format!("PUT new, {what}"));
 
         // ADD creating the key costs what PUT new costs.
-        mirror_cost(&mut ctx, |tx| mirror.remove(tx, key));
+        mirror_cost(&mut ctx, |tx| fixture.tree(key).remove(tx, key));
         traced(&mut ctx, store, |tx| store.unset(tx, key));
-        let path = mirror_cost(&mut ctx, |tx| mirror.insert(tx, key));
+        let path = mirror_cost(&mut ctx, |tx| fixture.tree(key).insert(tx, key));
         assert_eq!(path, (h, 1), "insert path, {what}");
         let (sum, report, walks) = traced(&mut ctx, store, |tx| store.add(tx, key, key));
         assert_eq!(sum, Ok(key), "{what}");
@@ -202,24 +215,31 @@ fn check_point_ops(fixture: &Fixture, tier: &str) {
     check_range(fixture, tier);
 }
 
-/// Creates 40 keys just below the fixture's lowest key of shard `base mod
-/// 16` — all into that shard's first leaf, which must split exactly once —
-/// then deletes them and the 40 keys after them, which must merge leaves.
+/// Creates 40 keys just below the fixture's lowest key of `base`'s shard —
+/// all into that shard's first leaf, which must split exactly once — then
+/// deletes them and the 40 keys from `base` on, which must merge leaves.
 /// Every step costs the cell plus the mirror's path, and the path stays
 /// within one more write per level that split, one more read and write per
 /// level that merged.
 fn check_splits_and_merges(fixture: &Fixture, tier: &str) {
-    let Fixture {
-        stm, store, mirror, ..
-    } = fixture;
+    let Fixture { stm, store, .. } = fixture;
     let mut ctx = stm.thread();
-    let stride = SHARDS as i64;
     let h = fixture.height(&mut ctx, fixture.base);
 
+    // The shard's keys below `base` lie a whole round of blocks down, in
+    // a block the fixture left empty.
+    let shard = store.shard_of(fixture.base);
+    let top = (1..)
+        .map(|d| fixture.base - d)
+        .find(|&key| store.shard_of(key) == shard)
+        .unwrap();
+    let below: Vec<i64> = (top - 39..=top).collect();
+    assert!(below.iter().all(|&key| store.shard_of(key) == shard), "{tier}");
+
     let mut splits = 0;
-    for key in (1..=40).map(|j| fixture.base - stride * j) {
+    for &key in below.iter().rev() {
         let what = format!("{tier} key {key}");
-        let path = mirror_cost(&mut ctx, |tx| mirror.insert(tx, key));
+        let path = mirror_cost(&mut ctx, |tx| fixture.tree(key).insert(tx, key));
         assert_eq!(path.0, h, "insert reads one path, {what}");
         assert!(
             (1..=h).contains(&path.1),
@@ -238,9 +258,9 @@ fn check_splits_and_merges(fixture: &Fixture, tier: &str) {
     assert_eq!(fixture.height(&mut ctx, fixture.base), h);
 
     let mut merges = 0;
-    for key in (-40..40).map(|j| fixture.base + stride * j) {
+    for key in below.into_iter().chain(fixture.base..fixture.base + 40) {
         let what = format!("{tier} key {key}");
-        let path = mirror_cost(&mut ctx, |tx| mirror.remove(tx, key));
+        let path = mirror_cost(&mut ctx, |tx| fixture.tree(key).remove(tx, key));
         assert!(
             (h..2 * h).contains(&path.0),
             "remove reads {}, {what}",
@@ -266,14 +286,12 @@ fn check_splits_and_merges(fixture: &Fixture, tier: &str) {
     );
 }
 
-/// A 256-key `RANGE` over a stripe with every other key of each shard
-/// deleted: at most 5 index objects per shard, one cell per pair, one walk.
+/// A 256-key `RANGE` over a stripe with every other run of 16 keys deleted:
+/// at most 12 index objects, one cell per pair, one walk.
 fn check_range(fixture: &Fixture, tier: &str) {
-    let Fixture {
-        stm, store, mirror, ..
-    } = fixture;
+    let Fixture { stm, store, .. } = fixture;
     let mut ctx = stm.thread();
-    let stride = SHARDS as i64;
+    let stride = 16;
     let lo = fixture.base + 20_000;
     let gone: Vec<i64> = (lo - 256..lo + 512)
         .filter(|key| (key / stride) % 2 == 1)
@@ -281,7 +299,7 @@ fn check_range(fixture: &Fixture, tier: &str) {
     ctx.atomically(|tx| {
         for &key in &gone {
             assert!(store.unset(tx, key)?);
-            assert!(mirror.remove(tx, key)?);
+            assert!(fixture.tree(key).remove(tx, key)?);
         }
         Ok(())
     })
@@ -289,11 +307,11 @@ fn check_range(fixture: &Fixture, tier: &str) {
 
     for lo in [lo, lo + 7, lo + 100] {
         let hi = lo + 255;
-        let (keys, index) = ctx.atomically_traced(|tx| mirror.range(tx, lo, hi));
+        let (keys, index) = ctx.atomically_traced(|tx| fixture.mirror_range(tx, lo, hi));
         let keys = keys.unwrap();
         assert_eq!(keys.len(), 128, "{tier}: half of [{lo}, {hi}]");
         assert!(
-            index.reads <= 5 * SHARDS as u64,
+            index.reads <= 12,
             "{tier}: RANGE [{lo}, {hi}] opened {} index objects",
             index.reads
         );
@@ -409,8 +427,9 @@ impl Drop for Release {
     }
 }
 
-/// Creates keys past the end of shard `base mod 16` until one of the `PUT`s
-/// splits the shard's last leaf; returns every `PUT`'s report, that one last.
+/// Creates keys past the fixture's end, in `base`'s shard, until one of the
+/// `PUT`s splits the shard's last leaf; returns every `PUT`'s report, that
+/// one last.
 fn put_until_split(fixture: &Fixture) -> Vec<TxRunReport> {
     let Fixture { stm, store, .. } = fixture;
     let mut ctx = stm.thread();
@@ -419,7 +438,8 @@ fn put_until_split(fixture: &Fixture) -> Vec<TxRunReport> {
         .unwrap();
     let mut key = next
         .last()
-        .map_or(fixture.base + KEYS, |(last, _)| last + SHARDS as i64);
+        .map_or(fixture.base + KEYS, |(last, _)| last + 1);
+    assert_eq!(store.shard_of(key), store.shard_of(fixture.base));
     let mut reports = Vec::new();
     while reports
         .last()
@@ -429,7 +449,7 @@ fn put_until_split(fixture: &Fixture) -> Vec<TxRunReport> {
         let (result, report) = ctx.atomically_traced(|tx| store.put(tx, key, key));
         assert_eq!(result.unwrap(), None);
         reports.push(report);
-        key += SHARDS as i64;
+        key += 1;
     }
     reports
 }
@@ -439,8 +459,8 @@ fn a_split_disturbs_only_ranges_over_its_own_leaf() {
     let fixture = Fixture::new(FAR_BASE);
     let base = fixture.base;
 
-    // A range over the first 256 keys reads every shard's root, first inner
-    // node and first leaves. A split of shard 0's last leaf — 120-odd
+    // A range over the first 256 keys reads their shard's root, first inner
+    // node and first leaves. A split of that shard's last leaf — 120-odd
     // leaves and two inner nodes away — writes that leaf and its parent and
     // only reads the root: neither transaction notices the other.
     let mut puts = Vec::new();
@@ -476,4 +496,29 @@ fn a_split_disturbs_only_ranges_over_its_own_leaf() {
         "near puts: {puts:?}"
     );
     assert_eq!(range.attempts, 2, "near range: {range:?}");
+}
+
+#[test]
+fn dense_keys_spread_evenly_over_the_shards() {
+    // 65,536 consecutive keys from a block edge are 64 whole blocks, dealt
+    // four to a shard: a count, so a partition that skews fails exactly.
+    let stm = Stm::default();
+    let mut ctx = stm.thread();
+    for base in [0, FAR_BASE] {
+        let store = KvStore::new(SHARDS);
+        for chunk in (base..base + KEYS).collect::<Vec<_>>().chunks(512) {
+            ctx.atomically(|tx| {
+                for &key in chunk {
+                    store.put(tx, key, key)?;
+                }
+                Ok(())
+            })
+            .unwrap();
+        }
+        assert_eq!(
+            store.cells_per_shard(),
+            vec![KEYS as usize / SHARDS; SHARDS],
+            "base {base}"
+        );
+    }
 }
