@@ -174,13 +174,23 @@ fn parse(args: &[String]) -> Result<Plan, String> {
     let mut experiments = Vec::new();
     for name in names {
         let before = experiments.len();
-        experiments
-            .extend(EXPERIMENTS.iter().filter(|e| e.name == name || (name == "all" && e.in_all)));
+        experiments.extend(
+            EXPERIMENTS
+                .iter()
+                .filter(|e| e.name == name || (name == "all" && e.in_all)),
+        );
         if experiments.len() == before {
             return Err(format!("unknown experiment '{name}'"));
         }
     }
-    Ok(Plan { experiments, ctx: Ctx { sweep: sweep.0, cfg: sweep.1() }, json })
+    Ok(Plan {
+        experiments,
+        ctx: Ctx {
+            sweep: sweep.0,
+            cfg: sweep.1(),
+        },
+        json,
+    })
 }
 
 /// Every byte of standard output goes through here; a reader that went away

@@ -41,13 +41,25 @@ use crate::report::{Ctx, Outcome};
 /// E14: rolling PUT+DEL over fresh keys under two (short sweeps) or four
 /// managers; fails when a committed DEL did not reclaim its cell.
 pub fn churn(ctx: &Ctx) -> Outcome {
-    let cfg = ctx.size(ChurnConfig::smoke(), ChurnConfig::quick(), ChurnConfig::default());
+    let cfg = ctx.size(
+        ChurnConfig::smoke(),
+        ChurnConfig::quick(),
+        ChurnConfig::default(),
+    );
     let managers: &[ManagerKind] = if ctx.short() {
         &[ManagerKind::Greedy, ManagerKind::Karma]
     } else {
-        &[ManagerKind::Greedy, ManagerKind::Karma, ManagerKind::Timestamp, ManagerKind::Polka]
+        &[
+            ManagerKind::Greedy,
+            ManagerKind::Karma,
+            ManagerKind::Timestamp,
+            ManagerKind::Polka,
+        ]
     };
-    let rows: Vec<_> = managers.iter().map(|manager| churn_experiment(*manager, &cfg)).collect();
+    let rows: Vec<_> = managers
+        .iter()
+        .map(|manager| churn_experiment(*manager, &cfg))
+        .collect();
     Outcome::new(&rows, gate(&rows))
 }
 
@@ -207,7 +219,8 @@ pub fn churn_experiment(kind: ManagerKind, cfg: &ChurnConfig) -> ChurnRow {
                     put_ns += begin.elapsed().as_nanos() as u64;
                     if i >= cfg.window {
                         let begin = Instant::now();
-                        ctx.atomically(|tx| store.del(tx, base + i - cfg.window)).unwrap();
+                        ctx.atomically(|tx| store.del(tx, base + i - cfg.window))
+                            .unwrap();
                         del_ns += begin.elapsed().as_nanos() as u64;
                         dels += 1;
                     }
@@ -295,9 +308,16 @@ mod tests {
             },
         );
         assert!(gate(std::slice::from_ref(&row)).is_empty(), "{row:?}");
-        let leaked = ChurnRow { bounded: false, linked_peak: 99, ..row.clone() };
+        let leaked = ChurnRow {
+            bounded: false,
+            linked_peak: 99,
+            ..row.clone()
+        };
         let violations = gate(&[row, leaked]);
         assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("karma") && violations[0].contains("99"), "{violations:?}");
+        assert!(
+            violations[0].contains("karma") && violations[0].contains("99"),
+            "{violations:?}"
+        );
     }
 }

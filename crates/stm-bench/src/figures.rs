@@ -25,7 +25,11 @@ pub fn workload_matrix(structures: &[StructureKind], cfg: &SweepConfig) -> Vec<W
         for &mix in &cfg.mixes {
             for &threads in &cfg.thread_counts {
                 for manager in &cfg.managers {
-                    let run_cfg = WorkloadConfig { threads, mix, ..cfg.base };
+                    let run_cfg = WorkloadConfig {
+                        threads,
+                        mix,
+                        ..cfg.base
+                    };
                     cells.push(run_workload(*manager, structure, &run_cfg));
                 }
             }
@@ -37,7 +41,10 @@ pub fn workload_matrix(structures: &[StructureKind], cfg: &SweepConfig) -> Vec<W
 /// One of the paper's four figures: threads × managers on `structure`, at
 /// the sweep's base mix (the paper's 100% updates).
 fn figure(structure: StructureKind, cfg: &SweepConfig) -> Outcome {
-    let cfg = SweepConfig { mixes: vec![cfg.base.mix], ..cfg.clone() };
+    let cfg = SweepConfig {
+        mixes: vec![cfg.base.mix],
+        ..cfg.clone()
+    };
     Outcome::new(&workload_matrix(&[structure], &cfg), Vec::new())
 }
 
@@ -76,7 +83,11 @@ pub fn matrix(ctx: &Ctx) -> Outcome {
     if cfg.mixes.len() < 2 {
         cfg.mixes = OpMix::standard_matrix();
     }
-    let structures = [StructureKind::List, StructureKind::SkipList, StructureKind::RbTree];
+    let structures = [
+        StructureKind::List,
+        StructureKind::SkipList,
+        StructureKind::RbTree,
+    ];
     Outcome::new(&workload_matrix(&structures, &cfg), Vec::new())
 }
 
@@ -84,10 +95,16 @@ pub fn matrix(ctx: &Ctx) -> Outcome {
 /// from 0% (the paper's update-only mix) to 100%, at the largest thread
 /// count of the sweep — its most contended point, where managers separate.
 pub fn readfrac(ctx: &Ctx) -> Outcome {
-    let fractions: &[f64] =
-        if ctx.short() { &[0.0, 0.5, 1.0] } else { &[0.0, 0.25, 0.5, 0.75, 0.9, 1.0] };
+    let fractions: &[f64] = if ctx.short() {
+        &[0.0, 0.5, 1.0]
+    } else {
+        &[0.0, 0.25, 0.5, 0.75, 0.9, 1.0]
+    };
     let cfg = SweepConfig {
-        mixes: fractions.iter().map(|&read| OpMix::with_read_fraction(read)).collect(),
+        mixes: fractions
+            .iter()
+            .map(|&read| OpMix::with_read_fraction(read))
+            .collect(),
         thread_counts: vec![most_threads(&ctx.cfg)],
         ..ctx.cfg.clone()
     };
@@ -137,7 +154,10 @@ pub fn ablation_points() -> Vec<(String, ManagerFactory)> {
 /// one cell labelled in the `manager` field (`karma[karma_increment=16]`),
 /// so one table holds a line per value.
 pub fn ablate(ctx: &Ctx) -> Outcome {
-    let mut cfg = WorkloadConfig { threads: most_threads(&ctx.cfg), ..ctx.cfg.base };
+    let mut cfg = WorkloadConfig {
+        threads: most_threads(&ctx.cfg),
+        ..ctx.cfg.base
+    };
     if ctx.short() {
         cfg.duration = Duration::from_millis(40);
     }
@@ -174,27 +194,42 @@ mod tests {
     }
 
     fn column<'a>(rows: &'a [Value], key: &str) -> Vec<&'a Value> {
-        rows.iter().map(|row| row.get(key).unwrap_or_else(|| panic!("no `{key}`"))).collect()
+        rows.iter()
+            .map(|row| row.get(key).unwrap_or_else(|| panic!("no `{key}`")))
+            .collect()
     }
 
     fn texts<'a>(rows: &'a [Value], key: &str) -> Vec<&'a str> {
-        column(rows, key).into_iter().map(|v| v.as_str().unwrap()).collect()
+        column(rows, key)
+            .into_iter()
+            .map(|v| v.as_str().unwrap())
+            .collect()
     }
 
     #[test]
     fn each_figure_is_a_full_grid_on_its_own_structure() {
         let ctx = smoke_ctx();
         let figures: [fn(&Ctx) -> Outcome; 4] = [fig1, fig2, fig3, fig4];
-        for (figure, structure) in figures.iter().zip(["list", "skiplist", "rbtree", "rbforest"]) {
+        for (figure, structure) in figures
+            .iter()
+            .zip(["list", "skiplist", "rbtree", "rbforest"])
+        {
             let outcome = figure(&ctx);
             assert!(outcome.violations.is_empty());
             assert_eq!(texts(&outcome.rows, "structure"), [structure; 4]);
             assert_eq!(texts(&outcome.rows, "mix"), ["update-only"; 4]);
-            assert_eq!(texts(&outcome.rows, "manager"), ["greedy", "karma", "greedy", "karma"]);
-            let threads: Vec<_> =
-                column(&outcome.rows, "threads").iter().map(|t| t.as_u64().unwrap()).collect();
+            assert_eq!(
+                texts(&outcome.rows, "manager"),
+                ["greedy", "karma", "greedy", "karma"]
+            );
+            let threads: Vec<_> = column(&outcome.rows, "threads")
+                .iter()
+                .map(|t| t.as_u64().unwrap())
+                .collect();
             assert_eq!(threads, [1, 1, 2, 2]);
-            assert!(column(&outcome.rows, "throughput").iter().all(|t| t.as_f64().unwrap() > 0.0));
+            assert!(column(&outcome.rows, "throughput")
+                .iter()
+                .all(|t| t.as_f64().unwrap() > 0.0));
         }
     }
 
@@ -211,7 +246,9 @@ mod tests {
             seen.dedup();
             assert_eq!(seen.len(), 3, "{key}: {seen:?}");
         }
-        assert!(column(&rows, "commits").iter().all(|c| c.as_u64().unwrap() > 0));
+        assert!(column(&rows, "commits")
+            .iter()
+            .all(|c| c.as_u64().unwrap() > 0));
         assert!(!texts(&rows, "structure").contains(&"rbforest"));
     }
 
@@ -220,7 +257,9 @@ mod tests {
         let rows = readfrac(&smoke_ctx()).rows;
         assert_eq!(rows.len(), 6, "3 fractions x 2 managers");
         assert_eq!(texts(&rows, "structure"), ["rbtree"; 6]);
-        assert!(column(&rows, "threads").iter().all(|t| t.as_u64() == Some(2)));
+        assert!(column(&rows, "threads")
+            .iter()
+            .all(|t| t.as_u64() == Some(2)));
         // Fraction 0 is the update-only mix; fraction 1 is pure lookups.
         assert_eq!(texts(&rows, "mix")[0], "update-only");
         assert_eq!(rows[0].get("lookup_ops"), Some(&Value::Null));
@@ -247,7 +286,11 @@ mod tests {
         let rows = ablate(&ctx).rows;
         assert_eq!(rows.len(), points.len());
         assert_eq!(texts(&rows, "manager")[4], "karma[karma_increment=1]");
-        assert!(column(&rows, "threads").iter().all(|t| t.as_u64() == Some(2)));
-        assert!(column(&rows, "commits").iter().all(|c| c.as_u64().unwrap() > 0));
+        assert!(column(&rows, "threads")
+            .iter()
+            .all(|t| t.as_u64() == Some(2)));
+        assert!(column(&rows, "commits")
+            .iter()
+            .all(|c| c.as_u64().unwrap() > 0));
     }
 }

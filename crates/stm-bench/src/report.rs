@@ -135,7 +135,14 @@ fn cell(value: Option<&Value>) -> String {
 fn table(lines: &[Vec<String>]) -> String {
     let columns = lines.iter().map(Vec::len).max().unwrap_or(0);
     let widths: Vec<usize> = (0..columns)
-        .map(|c| lines.iter().filter_map(|l| l.get(c)).map(String::len).max().unwrap_or(0))
+        .map(|c| {
+            lines
+                .iter()
+                .filter_map(|l| l.get(c))
+                .map(String::len)
+                .max()
+                .unwrap_or(0)
+        })
         .collect();
     let mut out = String::new();
     for line in lines {
@@ -178,13 +185,20 @@ pub fn render(view: &View, rows: &[Value]) -> String {
             }
             table(&lines)
         }
-        View::Pivot { group, row, col, value } => {
-            let group_of =
-                |r: &Value| group.iter().map(|key| cell(r.get(key))).collect::<Vec<_>>();
+        View::Pivot {
+            group,
+            row,
+            col,
+            value,
+        } => {
+            let group_of = |r: &Value| group.iter().map(|key| cell(r.get(key))).collect::<Vec<_>>();
             let mut out = String::new();
             for block in distinct(&all, group_of) {
-                let members: Vec<&Value> =
-                    all.iter().copied().filter(|r| group_of(r) == block).collect();
+                let members: Vec<&Value> = all
+                    .iter()
+                    .copied()
+                    .filter(|r| group_of(r) == block)
+                    .collect();
                 let cols = distinct(&members, |r| cell(r.get(col)));
                 let mut header = vec![row.to_string()];
                 header.extend(cols.iter().cloned());
@@ -222,7 +236,10 @@ mod tests {
     fn row(structure: &str, manager: &str, threads: u64, throughput: f64) -> Value {
         Value::Object(vec![
             ("manager".to_string(), Value::String(manager.to_string())),
-            ("structure".to_string(), Value::String(structure.to_string())),
+            (
+                "structure".to_string(),
+                Value::String(structure.to_string()),
+            ),
             ("mix".to_string(), Value::String("update-only".to_string())),
             ("threads".to_string(), Value::UInt(threads)),
             ("throughput".to_string(), Value::Float(throughput)),
@@ -240,11 +257,23 @@ mod tests {
         ];
         let text = render(&BY_THREADS, &rows);
         assert_eq!(text.matches("## ").count(), 2, "{text}");
-        assert!(text.contains("## list / update-only (throughput)"), "{text}");
+        assert!(
+            text.contains("## list / update-only (throughput)"),
+            "{text}"
+        );
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[1].split_whitespace().collect::<Vec<_>>(), ["threads", "greedy", "karma"]);
-        assert_eq!(lines[2].split_whitespace().collect::<Vec<_>>(), ["1", "1000", "900"]);
-        assert_eq!(lines[3].split_whitespace().collect::<Vec<_>>(), ["2", "1500", "NaN"]);
+        assert_eq!(
+            lines[1].split_whitespace().collect::<Vec<_>>(),
+            ["threads", "greedy", "karma"]
+        );
+        assert_eq!(
+            lines[2].split_whitespace().collect::<Vec<_>>(),
+            ["1", "1000", "900"]
+        );
+        assert_eq!(
+            lines[3].split_whitespace().collect::<Vec<_>>(),
+            ["2", "1500", "NaN"]
+        );
         assert!(text.contains("4000"), "{text}");
     }
 
@@ -267,13 +296,19 @@ mod tests {
         };
         let outcome = Outcome::new(&[sample("a", 7), sample("b", 12_345)], Vec::new());
         let text = render(&View::Flat, &outcome.rows);
-        let lines: Vec<Vec<&str>> =
-            text.lines().map(|l| l.split_whitespace().collect()).collect();
+        let lines: Vec<Vec<&str>> = text
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
         assert_eq!(lines[0], ["zeta", "alpha", "ratio", "unfinished", "held"]);
         assert_eq!(lines[1], ["a", "7", "1.50", "NaN", "true"]);
         assert_eq!(lines[2], ["b", "12345", "1.50", "NaN", "true"]);
         // Columns line up: every line is as wide as the widest cell demands.
-        assert!(text.lines().all(|l| l.len() == text.lines().next().unwrap().len()), "{text}");
+        assert!(
+            text.lines()
+                .all(|l| l.len() == text.lines().next().unwrap().len()),
+            "{text}"
+        );
     }
 
     #[test]

@@ -26,11 +26,15 @@ use crate::report::{Ctx, Outcome};
 /// greedy and three managers that make no such promise.
 pub fn starvation(ctx: &Ctx) -> Outcome {
     let duration = Duration::from_millis(if ctx.short() { 150 } else { 500 });
-    let rows: Vec<_> =
-        [ManagerKind::Greedy, ManagerKind::Karma, ManagerKind::Aggressive, ManagerKind::Backoff]
-            .into_iter()
-            .map(|manager| starvation_experiment(manager, 4, 32, duration))
-            .collect();
+    let rows: Vec<_> = [
+        ManagerKind::Greedy,
+        ManagerKind::Karma,
+        ManagerKind::Aggressive,
+        ManagerKind::Backoff,
+    ]
+    .into_iter()
+    .map(|manager| starvation_experiment(manager, 4, 32, duration))
+    .collect();
     Outcome::new(&rows, Vec::new())
 }
 
@@ -130,10 +134,7 @@ pub fn starvation_experiment(
                 barrier.wait();
                 while !stop.load(Ordering::Relaxed) {
                     index = (index + 7) % counters.len();
-                    if ctx
-                        .atomically(|tx| counters[index].increment(tx))
-                        .is_ok()
-                    {
+                    if ctx.atomically(|tx| counters[index].increment(tx)).is_ok() {
                         commits += 1;
                     }
                 }
@@ -170,12 +171,7 @@ mod tests {
 
     #[test]
     fn greedy_long_transactions_always_commit() {
-        let result = starvation_experiment(
-            ManagerKind::Greedy,
-            3,
-            16,
-            Duration::from_millis(150),
-        );
+        let result = starvation_experiment(ManagerKind::Greedy, 3, 16, Duration::from_millis(150));
         assert!(result.no_starvation, "greedy must not starve: {result:?}");
         assert!(result.long_commits > 0);
         assert!(result.short_commits > 0);
@@ -184,12 +180,7 @@ mod tests {
 
     #[test]
     fn experiment_runs_for_timestamp_manager_too() {
-        let result = starvation_experiment(
-            ManagerKind::Timestamp,
-            2,
-            8,
-            Duration::from_millis(80),
-        );
+        let result = starvation_experiment(ManagerKind::Timestamp, 2, 8, Duration::from_millis(80));
         assert_eq!(result.manager, "timestamp");
         assert!(result.short_commits > 0);
     }

@@ -5,8 +5,8 @@ use serde::Serialize;
 
 use stm_cm::ManagerKind;
 use stm_sched::{
-    optimal_list_schedule, random_transaction_system, simulate, theorem9_bound,
-    RandomSystemConfig, SimConfig, TaskSystem,
+    optimal_list_schedule, random_transaction_system, simulate, theorem9_bound, RandomSystemConfig,
+    SimConfig, TaskSystem,
 };
 
 use crate::report::{Ctx, Outcome};
@@ -31,8 +31,15 @@ pub fn bound(ctx: &Ctx) -> Outcome {
     } else {
         (&[(4, 2), (6, 3), (8, 4), (12, 6)], 20)
     };
-    let managers = [ManagerKind::Greedy, ManagerKind::Timestamp, ManagerKind::Karma];
-    Outcome::new(&bound_experiment(sizes, &managers, instances, 0xbeef), Vec::new())
+    let managers = [
+        ManagerKind::Greedy,
+        ManagerKind::Timestamp,
+        ManagerKind::Karma,
+    ];
+    Outcome::new(
+        &bound_experiment(sizes, &managers, instances, 0xbeef),
+        Vec::new(),
+    )
 }
 
 /// One row of the adversarial-chain experiment (E5).
@@ -134,11 +141,7 @@ pub fn bound_experiment(
                 let txns = random_transaction_system(&config, seed.wrapping_add(i as u64));
                 let tasks = TaskSystem::from_transactions(&txns);
                 let optimal = optimal_list_schedule(&tasks).makespan;
-                let outcome = simulate(
-                    &txns,
-                    manager.factory(),
-                    SimConfig { max_ticks: 100_000 },
-                );
+                let outcome = simulate(&txns, manager.factory(), SimConfig { max_ticks: 100_000 });
                 if let Some(ticks) = outcome.makespan_ticks {
                     if optimal > 0.0 {
                         ratios.push(ticks as f64 / optimal);

@@ -81,7 +81,12 @@ pub enum OpKind {
 
 impl OpKind {
     /// All categories, in reporting order.
-    pub const ALL: [OpKind; 4] = [OpKind::Insert, OpKind::Remove, OpKind::Lookup, OpKind::Range];
+    pub const ALL: [OpKind; 4] = [
+        OpKind::Insert,
+        OpKind::Remove,
+        OpKind::Lookup,
+        OpKind::Range,
+    ];
 
     /// Label used in per-op breakdowns.
     pub fn label(self) -> &'static str {
@@ -161,7 +166,10 @@ impl OpMix {
     ///
     /// Panics unless `0.0 <= read <= 1.0`.
     pub fn with_read_fraction(read: f64) -> Self {
-        assert!((0.0..=1.0).contains(&read), "read fraction must be in 0..=1");
+        assert!(
+            (0.0..=1.0).contains(&read),
+            "read fraction must be in 0..=1"
+        );
         let update = (1.0 - read) / 2.0;
         OpMix {
             insert: update,
@@ -326,8 +334,7 @@ impl OpRecorder {
             let idx = ((p / 100.0) * (n as f64 - 1.0)).round() as usize;
             self.latencies_ns[idx.min(n - 1)] as f64 / 1_000.0
         };
-        let mean_us =
-            self.latencies_ns.iter().sum::<u64>() as f64 / n as f64 / 1_000.0;
+        let mean_us = self.latencies_ns.iter().sum::<u64>() as f64 / n as f64 / 1_000.0;
         Some(OpStats {
             op: op.to_string(),
             ops: n as u64,
@@ -387,7 +394,10 @@ impl Serialize for WorkloadResult {
             let stats = stats.map(Serialize::to_json_value);
             for key in ["ops", "aborts", "p50_us", "p99_us"] {
                 let value = stats.as_ref().and_then(|stats| stats.get(key)).cloned();
-                row.push((format!("{}_{key}", kind.label()), value.unwrap_or(Value::Null)));
+                row.push((
+                    format!("{}_{key}", kind.label()),
+                    value.unwrap_or(Value::Null),
+                ));
             }
         }
         Value::Object(row)
@@ -427,7 +437,11 @@ impl SweepConfig {
     pub fn quick() -> Self {
         SweepConfig {
             thread_counts: vec![1, 2, 4],
-            managers: vec![ManagerKind::Greedy, ManagerKind::Karma, ManagerKind::Aggressive],
+            managers: vec![
+                ManagerKind::Greedy,
+                ManagerKind::Karma,
+                ManagerKind::Aggressive,
+            ],
             mixes: vec![OpMix::update_only()],
             base: WorkloadConfig {
                 duration: Duration::from_millis(60),
@@ -728,11 +742,7 @@ mod tests {
             },
         ] {
             let result = run_workload(ManagerKind::Karma, &structure, &tiny_cfg(2));
-            assert!(
-                result.commits > 0,
-                "no commits for {}",
-                structure.name()
-            );
+            assert!(result.commits > 0, "no commits for {}", structure.name());
         }
     }
 
@@ -901,10 +911,7 @@ mod tests {
     fn machine_and_smoke_sweeps_are_well_formed() {
         let machine = SweepConfig::machine();
         assert!(!machine.thread_counts.is_empty());
-        assert!(machine
-            .thread_counts
-            .windows(2)
-            .all(|w| w[0] < w[1]));
+        assert!(machine.thread_counts.windows(2).all(|w| w[0] < w[1]));
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);

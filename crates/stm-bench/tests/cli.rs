@@ -47,16 +47,24 @@ fn envelopes(stdout: &str) -> Vec<Value> {
 
 fn assert_is_an_envelope_of_flat_rows(doc: &Value, experiment: &str, sweep: &str) {
     assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(1));
-    assert_eq!(doc.get("experiment").and_then(Value::as_str), Some(experiment));
+    assert_eq!(
+        doc.get("experiment").and_then(Value::as_str),
+        Some(experiment)
+    );
     assert_eq!(doc.get("sweep").and_then(Value::as_str), Some(sweep));
     assert!(doc.get("nproc").and_then(Value::as_u64).unwrap() >= 1);
     for key in ["commit", "toolchain"] {
-        assert!(!doc.get(key).and_then(Value::as_str).unwrap().is_empty(), "{key}");
+        assert!(
+            !doc.get(key).and_then(Value::as_str).unwrap().is_empty(),
+            "{key}"
+        );
     }
     let rows = doc.get("rows").and_then(Value::as_array).unwrap();
     assert!(!rows.is_empty(), "{experiment}: no rows");
     for row in rows {
-        let Value::Object(entries) = row else { panic!("row is not an object: {row:?}") };
+        let Value::Object(entries) = row else {
+            panic!("row is not an object: {row:?}")
+        };
         for (key, value) in entries {
             assert!(
                 !matches!(value, Value::Object(_) | Value::Array(_)),
@@ -68,10 +76,19 @@ fn assert_is_an_envelope_of_flat_rows(doc: &Value, experiment: &str, sweep: &str
 
 #[test]
 fn an_unknown_name_or_flag_is_refused_before_anything_runs() {
-    for args in [&["nosuch"][..], &["chain", "--bogus"], &["chain", "nosuch"], &["overload"]] {
+    for args in [
+        &["nosuch"][..],
+        &["chain", "--bogus"],
+        &["chain", "nosuch"],
+        &["overload"],
+    ] {
         let out = figures(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(out.stdout.is_empty(), "{args:?} ran something: {}", text(&out.stdout));
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} ran something: {}",
+            text(&out.stdout)
+        );
         let stderr = text(&out.stderr);
         assert!(stderr.contains("unknown"), "{args:?}: {stderr}");
         // The refusal shows what would have been accepted.
@@ -97,7 +114,9 @@ fn json_is_one_envelope_of_flat_rows() {
     // Without --json the same rows are a table whose columns are their keys.
     let out = figures(&["chain", "--sweep", "smoke"]);
     let header = text(&out.stdout).lines().nth(1).unwrap().to_string();
-    let Value::Object(entries) = first else { unreachable!() };
+    let Value::Object(entries) = first else {
+        unreachable!()
+    };
     let keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
     assert_eq!(header.split_whitespace().collect::<Vec<_>>(), keys);
 }
@@ -109,15 +128,24 @@ fn names_are_unique_and_all_is_exactly_the_marked_rows() {
     let mut names: Vec<&str> = table.iter().map(|(_, name)| name.as_str()).collect();
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), table.len(), "duplicate experiment name in {table:?}");
+    assert_eq!(
+        names.len(),
+        table.len(),
+        "duplicate experiment name in {table:?}"
+    );
     // No name at all means `all`.
     let out = figures(&["--sweep", "smoke", "--json"]);
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
     let docs = envelopes(text(&out.stdout));
-    let ran: Vec<&str> =
-        docs.iter().map(|doc| doc.get("experiment").and_then(Value::as_str).unwrap()).collect();
-    let marked: Vec<&str> =
-        table.iter().filter(|(in_all, _)| *in_all).map(|(_, name)| name.as_str()).collect();
+    let ran: Vec<&str> = docs
+        .iter()
+        .map(|doc| doc.get("experiment").and_then(Value::as_str).unwrap())
+        .collect();
+    let marked: Vec<&str> = table
+        .iter()
+        .filter(|(in_all, _)| *in_all)
+        .map(|(_, name)| name.as_str())
+        .collect();
     assert_eq!(ran, marked);
     for (doc, name) in docs.iter().zip(&marked) {
         assert_is_an_envelope_of_flat_rows(doc, name, "smoke");
@@ -129,8 +157,10 @@ fn the_churn_gate_is_evaluated_and_passes() {
     let out = figures(&["churn", "--sweep", "smoke"]);
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
     assert!(out.stderr.is_empty(), "{}", text(&out.stderr));
-    let lines: Vec<Vec<&str>> =
-        text(&out.stdout).lines().map(|line| line.split_whitespace().collect()).collect();
+    let lines: Vec<Vec<&str>> = text(&out.stdout)
+        .lines()
+        .map(|line| line.split_whitespace().collect())
+        .collect();
     assert_eq!(lines[1].last(), Some(&"bounded"), "{lines:?}");
     assert_eq!(lines[2].last(), Some(&"true"), "{lines:?}");
     assert_eq!(lines[3].last(), Some(&"true"), "{lines:?}");

@@ -116,7 +116,9 @@ mod tests {
         let cap = Duration::from_micros(8);
         let mut m = BackoffManager::with_cap(cap);
         for _ in 0..MAX_ROUNDS {
-            if let Resolution::Wait(spec) = m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {
+            if let Resolution::Wait(spec) =
+                m.resolve(view(&me), view(&other), ConflictKind::WriteWrite)
+            {
                 assert!(spec.max.unwrap() <= cap);
             }
         }

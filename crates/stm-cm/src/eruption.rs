@@ -89,7 +89,11 @@ mod tests {
         let before = view(&other).karma();
         let r = m.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
         assert!(matches!(r, Resolution::Wait(_)));
-        assert_eq!(view(&other).karma(), before + 3, "blocker gains my karma + 1");
+        assert_eq!(
+            view(&other).karma(),
+            before + 3,
+            "blocker gains my karma + 1"
+        );
         // Momentum is pushed only once per conflict episode.
         let _ = m.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
         assert_eq!(view(&other).karma(), before + 3);

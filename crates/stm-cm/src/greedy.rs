@@ -155,4 +155,3 @@ mod tests {
         assert_eq!(GreedyTimeoutManager::factory()().name(), "greedy-timeout");
     }
 }
-

@@ -129,8 +129,15 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for (i, cause) in AbortCause::ALL.iter().enumerate() {
             assert_eq!(cause.index(), i);
-            assert!(seen.insert(cause.label()), "duplicate label {}", cause.label());
-            assert!(cause.label().chars().all(|c| c.is_ascii_lowercase() || c == '_'));
+            assert!(
+                seen.insert(cause.label()),
+                "duplicate label {}",
+                cause.label()
+            );
+            assert!(cause
+                .label()
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c == '_'));
         }
     }
 

@@ -96,5 +96,5 @@ pub use stats::{StmStats, TxRunReport, TxnStats, ABORT_CAUSES};
 pub use status::TxStatus;
 pub use stm::{Stm, StmBuilder, ThreadCtx};
 pub use tvar::{TVar, READER_SLOTS};
-pub use txn::{Txn, TxLineage, TxShared};
+pub use txn::{TxLineage, TxShared, Txn};
 pub use wait::WaitSpec;

@@ -176,7 +176,10 @@ pub fn stats_snapshot_is_never_torn() -> Report {
         committer.join().unwrap();
         aborter.join().unwrap();
         let settled = stats.snapshot();
-        assert_eq!((settled.attempts, settled.commits, settled.aborts), (2, 1, 1));
+        assert_eq!(
+            (settled.attempts, settled.commits, settled.aborts),
+            (2, 1, 1)
+        );
     })
 }
 

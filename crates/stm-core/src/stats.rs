@@ -209,9 +209,17 @@ impl StmStats {
         };
         let decision = "stm_manager_decisions_total";
         let self_aborts = &stats.aborts_by_cause[AbortCause::ManagerSelfAbort.index()];
-        stats.registry.alias(decision, &[("decision", "wait")], &stats.waits);
-        stats.registry.alias(decision, &[("decision", "abort_other")], &stats.enemy_aborts);
-        stats.registry.alias(decision, &[("decision", "abort_self")], self_aborts);
+        stats
+            .registry
+            .alias(decision, &[("decision", "wait")], &stats.waits);
+        stats.registry.alias(
+            decision,
+            &[("decision", "abort_other")],
+            &stats.enemy_aborts,
+        );
+        stats
+            .registry
+            .alias(decision, &[("decision", "abort_self")], self_aborts);
         stats
     }
 
@@ -317,7 +325,10 @@ mod tests {
         assert_eq!(snap.commits, 1);
         assert_eq!(snap.aborts, 1);
         assert_eq!(snap.validation_failures, 1);
-        assert_eq!(snap.aborts_by_cause[AbortCause::ValidationFailed.index()], 1);
+        assert_eq!(
+            snap.aborts_by_cause[AbortCause::ValidationFailed.index()],
+            1
+        );
         assert_eq!(snap.aborts_by_cause.iter().sum::<u64>(), snap.aborts);
         assert_eq!(snap.reads, 8);
         assert_eq!(snap.writes, 2);
@@ -332,7 +343,10 @@ mod tests {
             "stm_manager_decisions_total{decision=\"wait\"} 2",
             "stm_manager_decisions_total{decision=\"abort_self\"} 0",
         ] {
-            assert!(text.lines().any(|l| l == line), "missing `{line}` in:\n{text}");
+            assert!(
+                text.lines().any(|l| l == line),
+                "missing `{line}` in:\n{text}"
+            );
         }
         assert_eq!(text.matches("# TYPE").count(), 10, "{text}");
     }

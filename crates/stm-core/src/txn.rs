@@ -507,9 +507,9 @@ impl<'ctx> Txn<'ctx> {
     /// then carries out its decision.
     fn resolve_conflict(&mut self, other: &Arc<TxShared>, kind: ConflictKind) -> TxResult<()> {
         self.stats.conflicts += 1;
-        let resolution =
-            self.manager
-                .resolve(TxView::new(&self.shared), TxView::new(other), kind);
+        let resolution = self
+            .manager
+            .resolve(TxView::new(&self.shared), TxView::new(other), kind);
         match resolution {
             Resolution::AbortOther => {
                 self.stats.enemy_aborts += 1;

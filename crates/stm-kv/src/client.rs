@@ -343,7 +343,11 @@ impl MetricsSnapshot {
         if !found {
             return None;
         }
-        Some(HistogramSnapshot { buckets, count, sum })
+        Some(HistogramSnapshot {
+            buckets,
+            count,
+            sum,
+        })
     }
 }
 
@@ -969,7 +973,11 @@ mod tests {
             }
             other => panic!("expected TYPE error, got {other}"),
         }
-        assert_eq!(client.get(3).unwrap(), None, "aborted batch must commit nothing");
+        assert_eq!(
+            client.get(3).unwrap(),
+            None,
+            "aborted batch must commit nothing"
+        );
         assert_eq!(client.get_int(1).unwrap(), Some(100));
         client.quit().unwrap();
     }
@@ -1005,7 +1013,11 @@ mod tests {
         client.transfer(1, 2, 1).unwrap();
 
         let metrics = client.metrics().unwrap();
-        assert!(metrics.counter("stm_kv_requests_total") >= 51, "{}", metrics.text);
+        assert!(
+            metrics.counter("stm_kv_requests_total") >= 51,
+            "{}",
+            metrics.text
+        );
         assert!(metrics.value("stm_commits_total").unwrap() > 0);
         assert!(metrics
             .value(r#"stm_aborts_total{cause="killed_by_enemy"}"#)

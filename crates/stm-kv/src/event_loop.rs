@@ -308,7 +308,11 @@ impl Shard {
                 None => SHARD_TICK,
             };
             let wait_started = Instant::now();
-            if self.poller.wait(&mut events, EVENT_BATCH, Some(tick)).is_err() {
+            if self
+                .poller
+                .wait(&mut events, EVENT_BATCH, Some(tick))
+                .is_err()
+            {
                 // A failed wait is unrecoverable for this shard; drain what
                 // we have and exit rather than spin on the error.
                 self.drain_all(ctx);
@@ -371,7 +375,12 @@ impl Shard {
             let gen = conn.gen;
             if self
                 .poller
-                .register(&conn.stream, Token(slot + 1), Interest::READABLE, Trigger::Level)
+                .register(
+                    &conn.stream,
+                    Token(slot + 1),
+                    Interest::READABLE,
+                    Trigger::Level,
+                )
                 .is_err()
             {
                 self.close(slot);

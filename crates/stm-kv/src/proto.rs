@@ -389,7 +389,11 @@ impl Verb {
             Frame::Int(v) => Ok(*v),
             other => Err(ProtoError::new(
                 ErrorCode::Arg,
-                format!("{} must be an int frame, got {}", self.args[i], other.describe()),
+                format!(
+                    "{} must be an int frame, got {}",
+                    self.args[i],
+                    other.describe()
+                ),
             )),
         }
     }
@@ -617,7 +621,9 @@ pub fn parse_preamble(buf: &[u8]) -> Result<usize, FrameError> {
     let nl = header_end(buf)?;
     let line = String::from_utf8_lossy(&buf[..nl]);
     let mut tokens = line.split_ascii_whitespace();
-    let hello = tokens.next().is_some_and(|t| t.eq_ignore_ascii_case("HELLO"));
+    let hello = tokens
+        .next()
+        .is_some_and(|t| t.eq_ignore_ascii_case("HELLO"));
     if hello && tokens.next() == Some("2") && tokens.next().is_none() {
         return Ok(nl + 1);
     }
@@ -649,8 +655,8 @@ fn decode_frame_at_depth(buf: &[u8], depth: usize) -> Result<(Frame, usize), Fra
         return Err(FrameError::Incomplete);
     };
     let nl = header_end(buf)?;
-    let header = std::str::from_utf8(&buf[1..nl])
-        .map_err(|_| malformed("frame header is not UTF-8"))?;
+    let header =
+        std::str::from_utf8(&buf[1..nl]).map_err(|_| malformed("frame header is not UTF-8"))?;
     let after_header = nl + 1;
     match tag {
         b':' => {
@@ -664,7 +670,9 @@ fn decode_frame_at_depth(buf: &[u8], depth: usize) -> Result<(Frame, usize), Fra
                 .parse::<usize>()
                 .map_err(|_| malformed(format!("malformed bulk length '{header}'")))?;
             if len > MAX_BULK_BYTES {
-                return Err(malformed(format!("bulk frame of {len} bytes exceeds the limit")));
+                return Err(malformed(format!(
+                    "bulk frame of {len} bytes exceeds the limit"
+                )));
             }
             let end = after_header + len;
             let Some(payload) = buf.get(after_header..end) else {
@@ -710,7 +718,9 @@ fn decode_frame_at_depth(buf: &[u8], depth: usize) -> Result<(Frame, usize), Fra
                 .parse::<usize>()
                 .map_err(|_| malformed(format!("malformed array length '{header}'")))?;
             if count > MAX_ARRAY_LEN {
-                return Err(malformed(format!("array of {count} frames exceeds the limit")));
+                return Err(malformed(format!(
+                    "array of {count} frames exceeds the limit"
+                )));
             }
             let mut frames = Vec::with_capacity(count.min(64));
             let mut at = after_header;
@@ -773,7 +783,10 @@ pub fn parse_request_v2(frame: Frame) -> Result<Request, ProtoError> {
         other => {
             return Err(ProtoError::new(
                 ErrorCode::Proto,
-                format!("request verb must be a status/str frame, got {}", other.describe()),
+                format!(
+                    "request verb must be a status/str frame, got {}",
+                    other.describe()
+                ),
             ))
         }
     };
@@ -1029,30 +1042,53 @@ mod tests {
         assert_eq!(parse_preamble(b"HELLO 2\n*1\n+PING\n"), Ok(PREAMBLE.len()));
 
         for partial in ["", "HEL", "HELLO 2", "GET 1"] {
-            assert_eq!(parse_preamble(partial.as_bytes()), Err(FrameError::Incomplete));
+            assert_eq!(
+                parse_preamble(partial.as_bytes()),
+                Err(FrameError::Incomplete)
+            );
         }
         assert_eq!(
             parse_preamble(&[b'x'; MAX_HEADER_BYTES]),
             Err(FrameError::Incomplete)
         );
 
-        for line in ["GET 1\n", "HELLO 1\n", "HELLO 3\n", "HELLO\n", "HELLO 2 3\n", "\n", "*1\n"] {
+        for line in [
+            "GET 1\n",
+            "HELLO 1\n",
+            "HELLO 3\n",
+            "HELLO\n",
+            "HELLO 2 3\n",
+            "\n",
+            "*1\n",
+        ] {
             assert!(
-                matches!(parse_preamble(line.as_bytes()), Err(FrameError::Malformed(_))),
+                matches!(
+                    parse_preamble(line.as_bytes()),
+                    Err(FrameError::Malformed(_))
+                ),
                 "{line:?}"
             );
         }
         // Past the cap the line is refused whether or not it ever ends.
         let mut long = vec![b' '; MAX_HEADER_BYTES + 1];
-        assert!(matches!(parse_preamble(&long), Err(FrameError::Malformed(_))));
+        assert!(matches!(
+            parse_preamble(&long),
+            Err(FrameError::Malformed(_))
+        ));
         long.extend_from_slice(PREAMBLE);
-        assert!(matches!(parse_preamble(&long), Err(FrameError::Malformed(_))));
+        assert!(matches!(
+            parse_preamble(&long),
+            Err(FrameError::Malformed(_))
+        ));
         // The refusal quotes a bounded prefix of what arrived.
         let request_line = [b"GET 1 ", &[b'x'; 500][..], b"\n"].concat();
         let Err(FrameError::Malformed(message)) = parse_preamble(&request_line) else {
             panic!("a request line is not the preamble");
         };
-        assert!(message.contains("'HELLO 2'") && message.contains("GET 1"), "{message}");
+        assert!(
+            message.contains("'HELLO 2'") && message.contains("GET 1"),
+            "{message}"
+        );
         assert!(message.len() < 128, "{message}");
     }
 
@@ -1062,9 +1098,16 @@ mod tests {
             parse_request_v2(Frame::Array(std::iter::once(verb).chain(args).collect()))
         };
         let status = |s: &str| Frame::Status(s.to_string());
-        assert_eq!(parse(status("get"), vec![Frame::Int(5)]).unwrap(), Request::Get(5));
         assert_eq!(
-            parse(Frame::Str("PuT".into()), vec![Frame::Int(1), Frame::Bytes(vec![0, 255])]).unwrap(),
+            parse(status("get"), vec![Frame::Int(5)]).unwrap(),
+            Request::Get(5)
+        );
+        assert_eq!(
+            parse(
+                Frame::Str("PuT".into()),
+                vec![Frame::Int(1), Frame::Bytes(vec![0, 255])]
+            )
+            .unwrap(),
             Request::Put(1, Value::Bytes(vec![0, 255]))
         );
         let err = |verb: Frame, args: Vec<Frame>| {
@@ -1089,11 +1132,17 @@ mod tests {
         );
         assert_eq!(
             err(status("put"), vec![Frame::Int(1), Frame::Nil]),
-            (ErrorCode::Arg, "value must be an int/str/bytes frame, got nil".to_string())
+            (
+                ErrorCode::Arg,
+                "value must be an int/str/bytes frame, got nil".to_string()
+            )
         );
         assert_eq!(
             err(Frame::Int(3), vec![]),
-            (ErrorCode::Proto, "request verb must be a status/str frame, got int".to_string())
+            (
+                ErrorCode::Proto,
+                "request verb must be a status/str frame, got int".to_string()
+            )
         );
         assert_eq!(
             err(status("put"), vec![Frame::Int(1)]),
@@ -1105,10 +1154,16 @@ mod tests {
         );
         assert_eq!(
             err(status("get"), vec![Frame::Str("x".into())]),
-            (ErrorCode::Arg, "key must be an int frame, got str".to_string())
+            (
+                ErrorCode::Arg,
+                "key must be an int frame, got str".to_string()
+            )
         );
         let empty = parse_request_v2(Frame::Array(vec![])).unwrap_err();
-        assert_eq!((empty.code, empty.message.as_str()), (ErrorCode::Proto, "empty request"));
+        assert_eq!(
+            (empty.code, empty.message.as_str()),
+            (ErrorCode::Proto, "empty request")
+        );
     }
 
     #[test]
@@ -1238,7 +1293,8 @@ mod tests {
         // A 300-pair range (three-digit array header, the extremes as keys
         // and values, a blob with a three-digit length) against the bytes
         // the `to_string()` renderer produced.
-        let mut pairs: Vec<(i64, Value)> = (0..296).map(|i| (i * 7 - 1_000, Value::Int(-i))).collect();
+        let mut pairs: Vec<(i64, Value)> =
+            (0..296).map(|i| (i * 7 - 1_000, Value::Int(-i))).collect();
         pairs.insert(0, (i64::MIN, Value::Int(i64::MAX)));
         pairs.push((1 << 40, Value::Bytes(vec![b'x'; 256])));
         pairs.push((i64::MAX - 1, Value::Str("s".to_string())));

@@ -498,7 +498,10 @@ impl<'a, 'stm> Session<'a, 'stm> {
             }
             Err(err) => {
                 durable.wal.abandon_snapshot();
-                Reply::err(ErrorCode::Wal, format!("snapshot transaction failed: {err}"))
+                Reply::err(
+                    ErrorCode::Wal,
+                    format!("snapshot transaction failed: {err}"),
+                )
             }
         }
     }
@@ -547,12 +550,8 @@ impl<'a, 'stm> Session<'a, 'stm> {
                 self.emit(&reply, out);
             }
             Request::Metrics if !in_batch => {
-                let payload = metrics_payload(
-                    self.ctx.stm(),
-                    self.store,
-                    self.durable,
-                    self.telemetry,
-                );
+                let payload =
+                    metrics_payload(self.ctx.stm(), self.store, self.durable, self.telemetry);
                 self.emit(&Reply::Metrics(payload), out);
             }
             Request::SlowLog(n) if !in_batch => {
@@ -570,7 +569,10 @@ impl<'a, 'stm> Session<'a, 'stm> {
             | Request::SlowLog(_) => {
                 self.conn.batch = Batch::Poisoned;
                 self.emit(
-                    &Reply::err(ErrorCode::Batch, "command not allowed inside BEGIN/EXEC batch"),
+                    &Reply::err(
+                        ErrorCode::Batch,
+                        "command not allowed inside BEGIN/EXEC batch",
+                    ),
                     out,
                 );
             }
@@ -663,8 +665,9 @@ impl<'a, 'stm> Session<'a, 'stm> {
                 let store = self.store;
                 let log = self.durable.is_some();
                 let started = Instant::now();
-                let (result, report) =
-                    self.ctx.atomically_traced(|tx| apply(store, tx, &data_op, log));
+                let (result, report) = self
+                    .ctx
+                    .atomically_traced(|tx| apply(store, tx, &data_op, log));
                 let txn_us = elapsed_us(started);
                 match result {
                     Ok(reply) => {
@@ -736,7 +739,11 @@ pub(crate) fn process_buffered(
             }
             Err(FrameError::Incomplete) => break,
             Err(FrameError::Malformed(message)) => {
-                let what = if session.conn.greeted { "frame" } else { "preamble" };
+                let what = if session.conn.greeted {
+                    "frame"
+                } else {
+                    "preamble"
+                };
                 session.emit(
                     &Reply::err(ErrorCode::Proto, format!("malformed {what}: {message}")),
                     out,
@@ -796,7 +803,11 @@ mod tests {
         assert_eq!(server.manager(), ManagerKind::Greedy);
         assert!(server.addr().port() != 0);
         assert!(server.wal().is_none());
-        assert_eq!(server.store().cells_allocated(), 0, "a fresh server holds no cells");
+        assert_eq!(
+            server.store().cells_allocated(),
+            0,
+            "a fresh server holds no cells"
+        );
         server.shutdown();
         server.shutdown(); // idempotent
     }
@@ -812,7 +823,9 @@ mod tests {
                 // A closed-loop client that never goes idle: its shard's
                 // reads keep returning data, so shutdown must be honoured
                 // between bursts, not only while the poller is idle.
-                let Ok(mut client) = KvClient::connect(addr) else { return };
+                let Ok(mut client) = KvClient::connect(addr) else {
+                    return;
+                };
                 while !done.load(Ordering::Relaxed) && client.ping().is_ok() {}
             })
         };
@@ -830,7 +843,11 @@ mod tests {
         // ...and everything after it is framed. Pipeline a typed PUT (value
         // containing newlines and NULs), a GET and a QUIT in one write.
         let value = Value::Str("framed \n payload \0 ✓".to_string());
-        let burst = burst_of(&[Request::Put(5, value.clone()), Request::Get(5), Request::Quit]);
+        let burst = burst_of(&[
+            Request::Put(5, value.clone()),
+            Request::Get(5),
+            Request::Quit,
+        ]);
         client.send_raw(&burst).unwrap();
         assert_eq!(client.recv().unwrap(), Reply::Ok);
         assert_eq!(client.recv().unwrap(), Reply::Value(value));
@@ -849,7 +866,10 @@ mod tests {
             }
             other => panic!("expected PROTO error, got {other:?}"),
         }
-        assert!(client.recv().is_err(), "a malformed frame closes the connection");
+        assert!(
+            client.recv().is_err(),
+            "a malformed frame closes the connection"
+        );
     }
 
     /// The serve loop in miniature: one read chunk appended, one
@@ -888,7 +908,10 @@ mod tests {
                 serve(&mut conn, &mut inbuf, &mut out);
             }
             assert!(conn.quit(), "greeted={greeted}: the peer must be refused");
-            assert!(inbuf.is_empty(), "greeted={greeted}: nothing stays buffered");
+            assert!(
+                inbuf.is_empty(),
+                "greeted={greeted}: nothing stays buffered"
+            );
             let (frame, used) = decode_frame(&out).unwrap();
             assert_eq!(used, out.len(), "greeted={greeted}: exactly one frame");
             assert!(
@@ -903,7 +926,10 @@ mod tests {
     fn type_errors_are_coded_and_do_not_abort_the_connection() {
         let server = KvServer::start(test_config()).unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();
-        assert_eq!(say(&mut client, Request::Put(1, Value::Str("text".into()))), Reply::Ok);
+        assert_eq!(
+            say(&mut client, Request::Put(1, Value::Str("text".into()))),
+            Reply::Ok
+        );
         let (code, message) = say_err(&mut client, Request::Add(1, 5));
         assert_eq!(code, ErrorCode::Type);
         assert!(message.contains("str"), "{message}");
@@ -926,8 +952,12 @@ mod tests {
         assert_eq!(code, ErrorCode::Batch);
         assert!(message.starts_with("command not allowed"), "{message}");
         // ...so the already-pipelined tail is swallowed, not executed.
-        assert!(say_err(client, Request::Add(3, 100)).1.starts_with("batch aborted"));
-        assert!(say_err(client, Request::Exec).1.starts_with("batch aborted"));
+        assert!(say_err(client, Request::Add(3, 100))
+            .1
+            .starts_with("batch aborted"));
+        assert!(say_err(client, Request::Exec)
+            .1
+            .starts_with("batch aborted"));
         // All-or-nothing: key 3 is untouched, framing survives.
         assert_eq!(say(client, Request::Get(3)), int(30));
         assert_eq!(say(client, Request::Ping), Reply::Pong);
@@ -946,8 +976,9 @@ mod tests {
         let server = KvServer::start(test_config()).unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();
         // One write carrying many requests — the pipelined path.
-        let mut requests: Vec<Request> =
-            (0..50i64).map(|key| Request::Put(key, Value::Int(key * 2))).collect();
+        let mut requests: Vec<Request> = (0..50i64)
+            .map(|key| Request::Put(key, Value::Int(key * 2)))
+            .collect();
         requests.extend([Request::Sum(0, 49), Request::Ping]);
         client.send_raw(&burst_of(&requests)).unwrap();
         let replies: Vec<Reply> = (0..52).map(|_| client.recv().unwrap()).collect();
@@ -1006,7 +1037,11 @@ mod tests {
         }
         assert_eq!(
             client.recv().unwrap(),
-            Reply::Exec(vec![Reply::Ok, int(7), Reply::Value(Value::Str("a".into()))])
+            Reply::Exec(vec![
+                Reply::Ok,
+                int(7),
+                Reply::Value(Value::Str("a".into()))
+            ])
         );
         assert_eq!(client.recv().unwrap(), Reply::Bye);
     }
@@ -1049,9 +1084,17 @@ mod tests {
         let mut client = KvClient::connect(server.addr()).unwrap();
         let client = &mut client;
         assert_eq!(say(client, Request::Get(1)), int(100));
-        assert_eq!(say(client, Request::Get(2)), Reply::Nil, "deleted key must stay deleted");
+        assert_eq!(
+            say(client, Request::Get(2)),
+            Reply::Nil,
+            "deleted key must stay deleted"
+        );
         assert_eq!(say(client, Request::Get(3)), int(33));
-        assert_eq!(say(client, Request::Get(4)), int(400), "post-snapshot tail replayed");
+        assert_eq!(
+            say(client, Request::Get(4)),
+            int(400),
+            "post-snapshot tail replayed"
+        );
         assert_eq!(say(client, Request::Sum(0, 15)), Reply::Sum(533, 3));
         assert_eq!(say(client, Request::Quit), Reply::Bye);
         drop(server);
@@ -1069,7 +1112,10 @@ mod tests {
         .unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();
         for i in 0..25i64 {
-            assert_eq!(say(&mut client, Request::Put(i % 8, Value::Int(i))), Reply::Ok);
+            assert_eq!(
+                say(&mut client, Request::Put(i % 8, Value::Int(i))),
+                Reply::Ok
+            );
         }
         let metrics = crate::MetricsSnapshot::parse(server.metrics_text()).unwrap();
         assert!(

@@ -117,7 +117,11 @@ pub struct TypeMismatch {
 
 impl std::fmt::Display for TypeMismatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "key {} holds a {} value, not an int", self.key, self.found)
+        write!(
+            f,
+            "key {} holds a {} value, not an int",
+            self.key, self.found
+        )
     }
 }
 
@@ -321,7 +325,11 @@ impl KvStore {
         gauge("stm_kv_cells_allocated", &[], self.cells_allocated());
         gauge("stm_kv_cells_freed", &[], self.cells_released());
         for (shard, cells) in self.cells_per_shard().into_iter().enumerate() {
-            gauge("stm_kv_overflow_cells", &[("shard", &shard.to_string())], cells);
+            gauge(
+                "stm_kv_overflow_cells",
+                &[("shard", &shard.to_string())],
+                cells,
+            );
         }
         self.registry.render()
     }
@@ -637,10 +645,17 @@ impl KvStore {
                 .expect("index walk commits");
             let mut full: Vec<i64> = {
                 let cells = shard.cells.lock();
-                cells.iter().filter(|(_, cell)| is_full(cell)).map(|(key, _)| *key).collect()
+                cells
+                    .iter()
+                    .filter(|(_, cell)| is_full(cell))
+                    .map(|(key, _)| *key)
+                    .collect()
             };
             full.sort_unstable();
-            assert_eq!(indexed, full, "shard {i}: key ∈ index ⇔ linked cell is Full");
+            assert_eq!(
+                indexed, full,
+                "shard {i}: key ∈ index ⇔ linked cell is Full"
+            );
             assert!(
                 indexed.iter().all(|key| self.shard_of(*key) == i),
                 "shard {i}: {indexed:?}"
@@ -687,19 +702,31 @@ mod tests {
             store.put(tx, 1, "hello\nworld \0")?;
             store.put(tx, 2, vec![0u8, 255, 10])?;
             store.put(tx, 3, 30)?;
-            assert_eq!(store.get(tx, 1)?, Some(Value::Str("hello\nworld \0".into())));
+            assert_eq!(
+                store.get(tx, 1)?,
+                Some(Value::Str("hello\nworld \0".into()))
+            );
             assert_eq!(store.get(tx, 2)?, Some(Value::Bytes(vec![0, 255, 10])));
             // ADD on a string is a typed error, not an abort: the
             // transaction continues and the value is untouched.
             assert_eq!(
                 store.add(tx, 1, 5)?,
-                Err(TypeMismatch { key: 1, found: "str" })
+                Err(TypeMismatch {
+                    key: 1,
+                    found: "str"
+                })
             );
-            assert_eq!(store.get(tx, 1)?, Some(Value::Str("hello\nworld \0".into())));
+            assert_eq!(
+                store.get(tx, 1)?,
+                Some(Value::Str("hello\nworld \0".into()))
+            );
             // SUM over a window containing a blob names the offending key.
             assert_eq!(
                 store.sum(tx, 0, 10)?,
-                Err(TypeMismatch { key: 1, found: "str" })
+                Err(TypeMismatch {
+                    key: 1,
+                    found: "str"
+                })
             );
             // A window of ints still sums.
             assert_eq!(store.sum(tx, 3, 10)?, Ok((30, 1)));
@@ -750,7 +777,11 @@ mod tests {
             // Same for a deleted string value.
             store.put(tx, 4, "gone")?;
             store.del(tx, 4)?;
-            assert_eq!(store.add(tx, 4, 2)?, Ok(2), "deleted str must not block ADD");
+            assert_eq!(
+                store.add(tx, 4, 2)?,
+                Ok(2),
+                "deleted str must not block ADD"
+            );
             Ok(())
         })
         .unwrap();
@@ -769,15 +800,16 @@ mod tests {
         // so at once: allocated − released = live.
         assert_eq!(store.cells_live(), 0, "deleted cell must leave the table");
         assert_eq!(store.cells_released(), 1);
-        assert_eq!(store.cells_allocated(), 1, "allocation count stays monotone");
+        assert_eq!(
+            store.cells_allocated(),
+            1,
+            "allocation count stays monotone"
+        );
         // The key is re-creatable and gets a fresh cell.
         ctx.atomically(|tx| store.put(tx, 1_000, 8)).unwrap();
         assert_eq!(store.cells_live(), 1);
         assert_eq!(store.cells_allocated(), 2);
-        assert_eq!(
-            ctx.atomically(|tx| store.get(tx, 1_000)).unwrap(),
-            int(8)
-        );
+        assert_eq!(ctx.atomically(|tx| store.get(tx, 1_000)).unwrap(), int(8));
     }
 
     #[test]
@@ -823,7 +855,11 @@ mod tests {
         ctx.atomically(|tx| store.put(tx, 3, 30)).unwrap();
         assert_eq!((store.cells_allocated(), store.cells_live()), (1, 1));
         ctx.atomically(|tx| store.del(tx, 3)).unwrap();
-        assert_eq!(store.cells_live(), 0, "DEL unlinks key 3's cell like any other");
+        assert_eq!(
+            store.cells_live(),
+            0,
+            "DEL unlinks key 3's cell like any other"
+        );
         assert_eq!(ctx.atomically(|tx| store.get(tx, 3)).unwrap(), None);
         assert_eq!(store.cells_allocated(), 1, "a miss materialises nothing");
         // A later transaction's PUT allocates a fresh cell; the old one is
@@ -867,8 +903,7 @@ mod tests {
                         ctx.atomically(|tx| store.put(tx, base + i, i)).unwrap();
                         if i >= window {
                             let victim = base + i - window;
-                            let prev =
-                                ctx.atomically(|tx| store.del(tx, victim)).unwrap();
+                            let prev = ctx.atomically(|tx| store.del(tx, victim)).unwrap();
                             assert_eq!(prev, int(i - window), "lost write at {victim}");
                         }
                     }
@@ -908,8 +943,14 @@ mod tests {
         assert_eq!(as_ints, vec![(2, 20), (7, 70), (11, 110), (30, 300)]);
         let window = ctx.atomically(|tx| store.range(tx, 3, 11)).unwrap();
         assert_eq!(window.len(), 2);
-        assert_eq!(ctx.atomically(|tx| store.sum(tx, 0, 31)).unwrap(), Ok((500, 4)));
-        assert_eq!(ctx.atomically(|tx| store.sum(tx, 12, 3)).unwrap(), Ok((0, 0)));
+        assert_eq!(
+            ctx.atomically(|tx| store.sum(tx, 0, 31)).unwrap(),
+            Ok((500, 4))
+        );
+        assert_eq!(
+            ctx.atomically(|tx| store.sum(tx, 12, 3)).unwrap(),
+            Ok((0, 0))
+        );
         let dump = ctx.atomically(|tx| store.dump(tx)).unwrap();
         assert_eq!(dump.len(), 5);
         assert_eq!(dump[4], (500, Value::Int(5000)));
@@ -933,7 +974,13 @@ mod tests {
                 model.insert(key, key / 3);
             }
         }
-        for key in [i64::MIN, i64::MIN + 1, i64::MIN + BLOCK, i64::MAX - BLOCK, i64::MAX] {
+        for key in [
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MIN + BLOCK,
+            i64::MAX - BLOCK,
+            i64::MAX,
+        ] {
             model.insert(key, key / 3);
         }
         ctx.atomically(|tx| {
@@ -974,10 +1021,14 @@ mod tests {
             let want = expect(lo, hi);
             let walks = store.index_walks();
             let pairs = ctx.atomically(|tx| store.range(tx, lo, hi)).unwrap();
-            let got: Vec<(i64, i64)> =
-                pairs.iter().map(|(k, v)| (*k, v.as_int().unwrap())).collect();
+            let got: Vec<(i64, i64)> = pairs
+                .iter()
+                .map(|(k, v)| (*k, v.as_int().unwrap()))
+                .collect();
             assert_eq!(got, want, "RANGE [{lo}, {hi}]");
-            let sum = want.iter().fold(0i64, |total, (_, v)| total.wrapping_add(*v));
+            let sum = want
+                .iter()
+                .fold(0i64, |total, (_, v)| total.wrapping_add(*v));
             assert_eq!(
                 ctx.atomically(|tx| store.sum(tx, lo, hi)).unwrap(),
                 Ok((sum, want.len())),
@@ -1005,7 +1056,11 @@ mod tests {
             .map(|(k, v)| (*k, v.as_int().unwrap()))
             .eq(model.iter().map(|(k, v)| (*k, *v))));
         assert_eq!(ctx.atomically(|tx| store.len(tx)).unwrap(), model.len());
-        assert_eq!(store.index_walks() - walks, 2, "one walk for dump, one for len");
+        assert_eq!(
+            store.index_walks() - walks,
+            2,
+            "one walk for dump, one for len"
+        );
         store.assert_index_matches_cells(&stm);
     }
 
@@ -1021,7 +1076,9 @@ mod tests {
                 scope.spawn(move || {
                     let mut ctx = stm.thread();
                     for _ in 0..250 {
-                        ctx.atomically(|tx| store.add(tx, 12345, 1)).unwrap().unwrap();
+                        ctx.atomically(|tx| store.add(tx, 12345, 1))
+                            .unwrap()
+                            .unwrap();
                     }
                 });
             }
@@ -1070,7 +1127,11 @@ mod tests {
                 if key % 2 == 0 {
                     assert_eq!(store.put(tx, *key, value.clone())?, expected, "{op:?}");
                 } else {
-                    assert_eq!(store.set(tx, *key, value.clone())?, expected.is_some(), "{op:?}");
+                    assert_eq!(
+                        store.set(tx, *key, value.clone())?,
+                        expected.is_some(),
+                        "{op:?}"
+                    );
                 }
             }
             ModelOp::Add(key, delta) => {
@@ -1096,7 +1157,11 @@ mod tests {
                 }
             }
             ModelOp::Range(lo, hi) => {
-                assert_eq!(store.range(tx, *lo, *hi)?, window(model, *lo, *hi), "{op:?}")
+                assert_eq!(
+                    store.range(tx, *lo, *hi)?,
+                    window(model, *lo, *hi),
+                    "{op:?}"
+                )
             }
             ModelOp::Sum(lo, hi) => {
                 let pairs = window(model, *lo, *hi);
@@ -1184,7 +1249,11 @@ mod tests {
                     }
                     Ok(())
                 });
-                assert_eq!(outcome.is_err(), abort, "{kind}/seed {seed:#x}/step {step}: {ops:?}");
+                assert_eq!(
+                    outcome.is_err(),
+                    abort,
+                    "{kind}/seed {seed:#x}/step {step}: {ops:?}"
+                );
                 if !abort {
                     model = after;
                 }
@@ -1192,7 +1261,9 @@ mod tests {
                 store.assert_index_matches_cells(&stm);
                 let dump = ctx.atomically(|tx| store.dump(tx)).unwrap();
                 assert!(
-                    dump.iter().cloned().eq(model.iter().map(|(k, v)| (*k, v.clone()))),
+                    dump.iter()
+                        .cloned()
+                        .eq(model.iter().map(|(k, v)| (*k, v.clone()))),
                     "{kind}/seed {seed:#x}/step {step}: store {dump:?} != model {model:?}"
                 );
                 // Exact after every transaction, not only at the end.

@@ -333,7 +333,10 @@ mod tests {
     #[test]
     fn slow_entries_render_abort_causes_by_label() {
         let line = entry("EXEC", 500).render();
-        assert!(line.starts_with("op=EXEC keys=2 attempts=3 aborts=2 "), "{line}");
+        assert!(
+            line.starts_with("op=EXEC keys=2 attempts=3 aborts=2 "),
+            "{line}"
+        );
         assert!(line.contains("causes=killed_by_enemy:2"), "{line}");
         assert!(line.contains("wall_us=500 txn_us=250"), "{line}");
         let mut clean = entry("GET", 10);

@@ -82,10 +82,7 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(PathBuf, u64)>> {
     list_dir(dir, snapshot::parse_snapshot_file_name)
 }
 
-fn list_dir(
-    dir: &Path,
-    parse: impl Fn(&str) -> Option<u64>,
-) -> io::Result<Vec<(PathBuf, u64)>> {
+fn list_dir(dir: &Path, parse: impl Fn(&str) -> Option<u64>) -> io::Result<Vec<(PathBuf, u64)>> {
     let mut out = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -105,7 +102,10 @@ fn list_dir(
 }
 
 fn parse_segment_file_name(name: &str) -> Option<u64> {
-    name.strip_prefix("wal-")?.strip_suffix(".log")?.parse().ok()
+    name.strip_prefix("wal-")?
+        .strip_suffix(".log")?
+        .parse()
+        .ok()
 }
 
 /// Recovers the committed prefix from `dir` as the live keyspace,
@@ -253,7 +253,10 @@ mod tests {
     }
 
     fn ints(pairs: &[(i64, i64)]) -> Vec<(i64, CommitValue)> {
-        pairs.iter().map(|&(k, v)| (k, CommitValue::Int(v))).collect()
+        pairs
+            .iter()
+            .map(|&(k, v)| (k, CommitValue::Int(v)))
+            .collect()
     }
 
     #[test]
@@ -376,9 +379,15 @@ mod tests {
         snapshot::write(&dir, 2, &ints(&[(1, 1), (2, 2)])).unwrap();
         // A newer snapshot that is garbage on disk.
         let bad = dir.join(snapshot::snapshot_file_name(3));
-        File::create(&bad).unwrap().write_all(b"not a snapshot").unwrap();
+        File::create(&bad)
+            .unwrap()
+            .write_all(b"not a snapshot")
+            .unwrap();
         // And a stray tmp from a crashed snapshotter.
-        File::create(dir.join("snap-x.tmp")).unwrap().write_all(b"junk").unwrap();
+        File::create(dir.join("snap-x.tmp"))
+            .unwrap()
+            .write_all(b"junk")
+            .unwrap();
         let recovered = recover(&dir).unwrap();
         assert_eq!(recovered.snapshot_seq, 2, "falls back past the bad one");
         assert_eq!(recovered.replayed, 1);
@@ -436,9 +445,16 @@ mod tests {
         fs::write(dir.join(snapshot::snapshot_file_name(2)), &bytes).unwrap();
         for pass in 0..2 {
             let recovered = recover(&dir).unwrap();
-            assert_eq!(recovered.snapshot_seq, 1, "pass {pass}: older valid one wins");
+            assert_eq!(
+                recovered.snapshot_seq, 1,
+                "pass {pass}: older valid one wins"
+            );
             assert_eq!(recovered.replayed, 1, "pass {pass}");
-            assert_eq!(recovered.live_pairs(), ints(&[(1, 10), (2, 20)]), "pass {pass}");
+            assert_eq!(
+                recovered.live_pairs(),
+                ints(&[(1, 10), (2, 20)]),
+                "pass {pass}"
+            );
             assert_eq!(recovered.truncated_bytes, 0, "pass {pass}");
         }
         let _ = fs::remove_dir_all(&dir);
@@ -448,7 +464,12 @@ mod tests {
     fn fully_torn_first_record_removes_the_segment() {
         let dir = temp_dir("allgone");
         let path = write_segment(&dir, 1, &[(1, put(1, 1))]);
-        OpenOptions::new().write(true).open(&path).unwrap().set_len(3).unwrap();
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(3)
+            .unwrap();
         let recovered = recover(&dir).unwrap();
         assert!(recovered.live_pairs().is_empty());
         assert_eq!(recovered.replayed, 0);

@@ -179,7 +179,10 @@ mod tests {
             assert!(decode(&bad).is_none(), "flip at {i} accepted");
         }
         for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut]).is_none(), "truncation at {cut} accepted");
+            assert!(
+                decode(&bytes[..cut]).is_none(),
+                "truncation at {cut} accepted"
+            );
         }
     }
 
@@ -187,7 +190,10 @@ mod tests {
     fn file_names_round_trip_and_sort_numerically() {
         assert_eq!(parse_snapshot_file_name(&snapshot_file_name(17)), Some(17));
         assert_eq!(parse_snapshot_file_name("snap-x.snap"), None);
-        assert_eq!(parse_snapshot_file_name("wal-00000000000000000001.log"), None);
+        assert_eq!(
+            parse_snapshot_file_name("wal-00000000000000000001.log"),
+            None
+        );
         assert!(snapshot_file_name(9) < snapshot_file_name(10));
         assert!(snapshot_file_name(99) < snapshot_file_name(100));
     }

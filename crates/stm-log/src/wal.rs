@@ -203,7 +203,8 @@ impl Shared {
 
     /// [`GroupCommit::wait`] with this log's segments as the sink.
     fn wait_durable(&self, seq: u64) -> bool {
-        self.group.wait(seq, |segment, batch| self.persist(segment, batch))
+        self.group
+            .wait(seq, |segment, batch| self.persist(segment, batch))
     }
 }
 
@@ -312,14 +313,19 @@ impl Wal {
         // ordering: acquire pairs with the Release releases below so the
         // next claimer sees the previous snapshot's counter updates; release
         // publishes the claim itself.
-        !self.shared.snapshot_in_progress.swap(true, Ordering::AcqRel)
+        !self
+            .shared
+            .snapshot_in_progress
+            .swap(true, Ordering::AcqRel)
     }
 
     /// Releases the snapshot slot without writing (the cut transaction
     /// failed).
     pub fn abandon_snapshot(&self) {
         // ordering: release — pairs with the AcqRel claim in `begin_snapshot`.
-        self.shared.snapshot_in_progress.store(false, Ordering::Release);
+        self.shared
+            .snapshot_in_progress
+            .store(false, Ordering::Release);
     }
 
     /// Durably writes the snapshot of `pairs` at cut `seq`, releases the
@@ -339,7 +345,9 @@ impl Wal {
         }
         // ordering: release — the snapshot counters above must be visible
         // to whoever claims the slot next (pairs with `begin_snapshot`).
-        self.shared.snapshot_in_progress.store(false, Ordering::Release);
+        self.shared
+            .snapshot_in_progress
+            .store(false, Ordering::Release);
         result
     }
 
@@ -395,7 +403,10 @@ impl Wal {
             ("stm_wal_durable_seq", stats.durable_seq),
             ("stm_wal_segments", stats.segments),
             ("stm_wal_last_snapshot_seq", stats.last_snapshot_seq),
-            ("stm_wal_records_since_snapshot", stats.records_since_snapshot),
+            (
+                "stm_wal_records_since_snapshot",
+                stats.records_since_snapshot,
+            ),
             ("stm_wal_failed", u64::from(stats.failed)),
         ] {
             registry
@@ -410,7 +421,9 @@ impl Wal {
     /// shutdown never loses a commit.
     pub fn shutdown(&mut self) {
         let shared = &self.shared;
-        shared.group.shutdown(|segment, batch| shared.persist(segment, batch));
+        shared
+            .group
+            .shutdown(|segment, batch| shared.persist(segment, batch));
     }
 }
 

@@ -15,10 +15,8 @@ use stm_core::{CommitOp, CommitValue};
 use stm_log::{recover, Wal, WalConfig};
 
 fn temp_dir(tag: &str, seed: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "stm-log-crash-{tag}-{seed}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("stm-log-crash-{tag}-{seed}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
 }
@@ -122,7 +120,11 @@ fn run_scenario(seed: u64, with_snapshot: bool, flip_instead_of_truncate: bool) 
         let len = fs::metadata(path).unwrap().len();
         if flip_instead_of_truncate {
             use std::io::{Read, Seek, SeekFrom, Write};
-            let mut file = OpenOptions::new().read(true).write(true).open(path).unwrap();
+            let mut file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(path)
+                .unwrap();
             let at = rng.gen_range(0..len);
             file.seek(SeekFrom::Start(at)).unwrap();
             let mut byte = [0u8; 1];
@@ -132,7 +134,12 @@ fn run_scenario(seed: u64, with_snapshot: bool, flip_instead_of_truncate: bool) 
             file.write_all(&byte).unwrap();
         } else {
             let cut = rng.gen_range(0..=len);
-            OpenOptions::new().write(true).open(path).unwrap().set_len(cut).unwrap();
+            OpenOptions::new()
+                .write(true)
+                .open(path)
+                .unwrap()
+                .set_len(cut)
+                .unwrap();
         }
     }
 
@@ -203,7 +210,9 @@ fn durable_watermark_survives_the_crash() {
     let hook = wal.commit_hook();
     let mut durable_upto = 0;
     for i in 0..50i64 {
-        let seq = hook.on_commit(&[CommitOp::put(i, i)], &mut || true).unwrap();
+        let seq = hook
+            .on_commit(&[CommitOp::put(i, i)], &mut || true)
+            .unwrap();
         if i < 40 {
             assert!(wal.wait_durable(seq));
             durable_upto = seq;
@@ -220,7 +229,12 @@ fn durable_watermark_survives_the_crash() {
     // Tear mid-way through the unacknowledged tail.
     let len = fs::metadata(path).unwrap().len();
     let cut = durable_len_lower_bound + (len - durable_len_lower_bound) / 2;
-    OpenOptions::new().write(true).open(path).unwrap().set_len(cut).unwrap();
+    OpenOptions::new()
+        .write(true)
+        .open(path)
+        .unwrap()
+        .set_len(cut)
+        .unwrap();
     let recovered = recover(&dir).unwrap();
     assert!(
         recovered.next_seq > durable_upto,

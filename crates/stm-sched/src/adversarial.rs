@@ -134,7 +134,10 @@ mod tests {
                 "s = {s}: greedy makespan {makespan}, expected {}",
                 instance.expected_greedy_makespan()
             );
-            assert!(outcome.pending_commit_held, "greedy satisfies pending commit");
+            assert!(
+                outcome.pending_commit_held,
+                "greedy satisfies pending commit"
+            );
         }
     }
 

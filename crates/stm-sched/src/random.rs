@@ -136,9 +136,7 @@ mod tests {
         for seed in 0..20u64 {
             let txns = random_transaction_system(&config, seed);
             let outcome = simulate(&txns, GreedyManager::factory(), SimConfig::default());
-            let makespan = outcome
-                .makespan_ticks
-                .expect("greedy always finishes") as f64;
+            let makespan = outcome.makespan_ticks.expect("greedy always finishes") as f64;
             let tasks = TaskSystem::from_transactions(&txns);
             let optimal = optimal_list_schedule(&tasks).makespan;
             let bound = crate::bounds::theorem9_bound(config.objects);

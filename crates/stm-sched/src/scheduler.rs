@@ -64,8 +64,8 @@ pub fn list_schedule(tasks: &TaskSystem, order: &[usize]) -> ScheduleResult {
                     continue;
                 }
                 let task = &tasks.tasks()[candidate];
-                let fits = (0..tasks.num_resources())
-                    .all(|r| usage[r] + task.demand(r) <= 1.0 + EPSILON);
+                let fits =
+                    (0..tasks.num_resources()).all(|r| usage[r] + task.demand(r) <= 1.0 + EPSILON);
                 if fits {
                     started[candidate] = true;
                     start_times[candidate] = now;
@@ -315,7 +315,12 @@ mod tests {
     #[test]
     fn heuristic_path_is_used_for_large_instances() {
         let tasks: Vec<Task> = (0..12)
-            .map(|i| Task::new(1.0 + (i % 3) as f64, vec![if i % 2 == 0 { 1.0 } else { 0.5 }]))
+            .map(|i| {
+                Task::new(
+                    1.0 + (i % 3) as f64,
+                    vec![if i % 2 == 0 { 1.0 } else { 0.5 }],
+                )
+            })
             .collect();
         let sys = system(tasks, 1);
         let result = optimal_list_schedule(&sys);

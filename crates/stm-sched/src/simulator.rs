@@ -81,7 +81,9 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig { max_ticks: 1_000_000 }
+        SimConfig {
+            max_ticks: 1_000_000,
+        }
     }
 }
 
@@ -501,7 +503,11 @@ mod tests {
                 accesses: vec![write_access(0, 1), write_access(5, 0)],
             },
         ];
-        let greedy = simulate(&txns, GreedyManager::factory(), SimConfig { max_ticks: 10_000 });
+        let greedy = simulate(
+            &txns,
+            GreedyManager::factory(),
+            SimConfig { max_ticks: 10_000 },
+        );
         assert!(greedy.makespan_ticks.is_some());
         assert!(greedy.pending_commit_held);
         let aggressive = simulate(
@@ -534,7 +540,10 @@ mod tests {
             },
         ];
         let outcome = simulate(&txns, KarmaManager::factory(), SimConfig::default());
-        assert!(outcome.makespan_ticks.is_some(), "karma workload must finish");
+        assert!(
+            outcome.makespan_ticks.is_some(),
+            "karma workload must finish"
+        );
     }
 
     #[test]

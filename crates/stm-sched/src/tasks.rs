@@ -31,7 +31,10 @@ impl Task {
     /// Panics if the length is not positive and finite, or if any demand is
     /// outside `[0, 1]`.
     pub fn new(length: f64, demands: Vec<f64>) -> Self {
-        assert!(length > 0.0 && length.is_finite(), "task length must be positive");
+        assert!(
+            length > 0.0 && length.is_finite(),
+            "task length must be positive"
+        );
         for (i, d) in demands.iter().enumerate() {
             assert!(
                 (0.0..=1.0).contains(d),

@@ -7,8 +7,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use stm_cm::{GreedyManager, KarmaManager, TimestampManager};
 use stm_sched::{
-    garey_graham_bound, list_schedule, optimal_list_schedule, random_transaction_system,
-    simulate, RandomSystemConfig, SimConfig, TaskSystem,
+    garey_graham_bound, list_schedule, optimal_list_schedule, random_transaction_system, simulate,
+    RandomSystemConfig, SimConfig, TaskSystem,
 };
 
 /// Garey & Graham: for a task system over `s` resources, *any* list order's
@@ -34,10 +34,8 @@ fn garey_graham_bound_holds_for_sampled_list_orders() {
         let best = optimal_list_schedule(&tasks).makespan;
         let bound = garey_graham_bound(s);
         // Sample a handful of random permutations plus the two extremes.
-        let mut orders: Vec<Vec<usize>> = vec![
-            (0..tasks.len()).collect(),
-            (0..tasks.len()).rev().collect(),
-        ];
+        let mut orders: Vec<Vec<usize>> =
+            vec![(0..tasks.len()).collect(), (0..tasks.len()).rev().collect()];
         for _ in 0..6 {
             let mut order: Vec<usize> = (0..tasks.len()).collect();
             for k in 0..order.len() {

@@ -157,12 +157,8 @@ mod tests {
                 .unwrap(),
             1
         );
-        assert!(ctx
-            .atomically(|tx| forest.contains_in(tx, 2, 7))
-            .unwrap());
-        assert!(!ctx
-            .atomically(|tx| forest.contains_in(tx, 0, 7))
-            .unwrap());
+        assert!(ctx.atomically(|tx| forest.contains_in(tx, 2, 7)).unwrap());
+        assert!(!ctx.atomically(|tx| forest.contains_in(tx, 0, 7)).unwrap());
         assert_eq!(ctx.atomically(|tx| forest.total_len(tx)).unwrap(), 1);
         assert_eq!(
             ctx.atomically(|tx| forest.range_in(tx, 2, 0, 10)).unwrap(),
@@ -185,9 +181,7 @@ mod tests {
             8
         );
         for i in 0..8 {
-            assert!(ctx
-                .atomically(|tx| forest.contains_in(tx, i, 42))
-                .unwrap());
+            assert!(ctx.atomically(|tx| forest.contains_in(tx, i, 42)).unwrap());
         }
         assert_eq!(
             ctx.atomically(|tx| forest.remove(tx, UpdateScope::All, 42))

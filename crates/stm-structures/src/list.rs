@@ -48,12 +48,11 @@ impl TxList {
     /// Finds the node pair `(pred, curr)` such that `pred.key < key` and
     /// `curr.key >= key`. `curr` is `None` only if the key is larger than
     /// every element (impossible given the `i64::MAX` sentinel).
-    fn locate(
-        &self,
-        tx: &mut Txn<'_>,
-        key: i64,
-    ) -> TxResult<(TVar<Node>, Node, TVar<Node>, Node)> {
-        debug_assert!(key > i64::MIN && key < i64::MAX, "sentinel keys are reserved");
+    fn locate(&self, tx: &mut Txn<'_>, key: i64) -> TxResult<(TVar<Node>, Node, TVar<Node>, Node)> {
+        debug_assert!(
+            key > i64::MIN && key < i64::MAX,
+            "sentinel keys are reserved"
+        );
         let mut pred_var = self.head.clone();
         let mut pred = tx.read(&pred_var)?;
         loop {
@@ -274,10 +273,7 @@ mod tests {
                 list.remove(tx, 2)?;
                 tx.abort::<()>()
             });
-            assert_eq!(
-                ctx.atomically(|tx| list.to_vec(tx)).unwrap(),
-                vec![1, 2, 3]
-            );
+            assert_eq!(ctx.atomically(|tx| list.to_vec(tx)).unwrap(), vec![1, 2, 3]);
         });
     }
 

@@ -84,12 +84,7 @@ impl TxRbTree {
         Ok(())
     }
 
-    fn set_child_of(
-        tx: &mut Txn<'_>,
-        var: &TVar<Node>,
-        dir: Dir,
-        child: Link,
-    ) -> TxResult<()> {
+    fn set_child_of(tx: &mut Txn<'_>, var: &TVar<Node>, dir: Dir, child: Link) -> TxResult<()> {
         let node = tx.read(var)?;
         let updated = match dir {
             Dir::Left => Node {
@@ -180,7 +175,11 @@ impl TxRbTree {
             if node.key == key {
                 return Ok((path, Some(var)));
             }
-            let dir = if key < node.key { Dir::Left } else { Dir::Right };
+            let dir = if key < node.key {
+                Dir::Left
+            } else {
+                Dir::Right
+            };
             path.push((var, dir));
             current = node.child(dir);
         }

@@ -207,7 +207,11 @@ mod tests {
             let all = ctx.atomically(|tx| set.to_vec(tx)).unwrap();
             assert_eq!(all, sorted);
             let window = ctx.atomically(|tx| set.range(tx, 0, 14)).unwrap();
-            let expect: Vec<i64> = sorted.iter().copied().filter(|k| (0..=14).contains(k)).collect();
+            let expect: Vec<i64> = sorted
+                .iter()
+                .copied()
+                .filter(|k| (0..=14).contains(k))
+                .collect();
             assert_eq!(window, expect);
         });
     }

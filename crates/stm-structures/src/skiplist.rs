@@ -76,7 +76,10 @@ impl TxSkipList {
         tx: &mut Txn<'_>,
         key: i64,
     ) -> TxResult<(Vec<(TVar<Node>, Node)>, TVar<Node>, Node)> {
-        debug_assert!(key > i64::MIN && key < i64::MAX, "sentinel keys are reserved");
+        debug_assert!(
+            key > i64::MIN && key < i64::MAX,
+            "sentinel keys are reserved"
+        );
         let mut preds: Vec<(TVar<Node>, Node)> = Vec::with_capacity(MAX_LEVEL);
         let mut current_var = self.head.clone();
         let mut current = tx.read(&current_var)?;
@@ -96,9 +99,7 @@ impl TxSkipList {
             preds.push((current_var.clone(), current.clone()));
         }
         preds.reverse(); // preds[level] is now the predecessor at `level`.
-        let succ_var = preds[0]
-            .1
-            .forward[0]
+        let succ_var = preds[0].1.forward[0]
             .clone()
             .expect("level-0 predecessor always has a successor");
         let succ = tx.read(&succ_var)?;
@@ -268,10 +269,7 @@ mod tests {
         assert!(!ctx.atomically(|tx| set.insert(tx, 7)).unwrap());
         assert!(ctx.atomically(|tx| set.contains(tx, 3)).unwrap());
         assert!(!ctx.atomically(|tx| set.contains(tx, 4)).unwrap());
-        assert_eq!(
-            ctx.atomically(|tx| set.to_vec(tx)).unwrap(),
-            vec![3, 7, 10]
-        );
+        assert_eq!(ctx.atomically(|tx| set.to_vec(tx)).unwrap(), vec![3, 7, 10]);
         assert!(ctx.atomically(|tx| set.remove(tx, 7)).unwrap());
         assert!(!ctx.atomically(|tx| set.remove(tx, 7)).unwrap());
         assert_eq!(ctx.atomically(|tx| set.to_vec(tx)).unwrap(), vec![3, 10]);
@@ -324,10 +322,7 @@ mod tests {
             ctx.atomically(|tx| set.range(tx, 10, 25)).unwrap(),
             vec![12, 15, 18, 21, 24]
         );
-        assert_eq!(
-            ctx.atomically(|tx| set.range(tx, 0, 0)).unwrap(),
-            vec![0]
-        );
+        assert_eq!(ctx.atomically(|tx| set.range(tx, 0, 0)).unwrap(), vec![0]);
         assert_eq!(
             ctx.atomically(|tx| set.range(tx, 64, 100)).unwrap(),
             Vec::<i64>::new()
@@ -338,7 +333,8 @@ mod tests {
         );
         // Sentinel-valued bounds are a full-set scan, not a panic.
         assert_eq!(
-            ctx.atomically(|tx| set.range(tx, i64::MIN, i64::MAX)).unwrap(),
+            ctx.atomically(|tx| set.range(tx, i64::MIN, i64::MAX))
+                .unwrap(),
             ctx.atomically(|tx| set.to_vec(tx)).unwrap()
         );
         // A range sees writes of its own transaction.

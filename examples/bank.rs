@@ -78,7 +78,11 @@ fn main() {
                             Ok(sum)
                         })
                         .unwrap();
-                    assert_eq!(total, (ACCOUNTS as i64) * INITIAL_BALANCE, "money vanished!");
+                    assert_eq!(
+                        total,
+                        (ACCOUNTS as i64) * INITIAL_BALANCE,
+                        "money vanished!"
+                    );
                     audits += 1;
                     worst_attempts = worst_attempts.max(attempts);
                     thread::sleep(Duration::from_millis(1));
@@ -98,7 +102,11 @@ fn main() {
     println!("ran for {:?}", started.elapsed());
     println!(
         "final total = {final_total} (expected {expected_total}) — conservation {}",
-        if final_total == expected_total { "holds" } else { "VIOLATED" }
+        if final_total == expected_total {
+            "holds"
+        } else {
+            "VIOLATED"
+        }
     );
     println!(
         "audits completed: {audit_count}, worst attempts for one audit: {worst_audit_attempts}"

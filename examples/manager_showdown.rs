@@ -16,7 +16,9 @@ use std::time::Duration;
 use stm_bench::{run_workload, StructureKind, WorkloadConfig};
 
 fn main() {
-    let structure_arg = std::env::args().nth(1).unwrap_or_else(|| "list".to_string());
+    let structure_arg = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "list".to_string());
     let threads: usize = std::env::args()
         .nth(2)
         .and_then(|a| a.parse().ok())

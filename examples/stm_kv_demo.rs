@@ -28,7 +28,11 @@ fn main() {
         ..ServerConfig::default()
     })
     .expect("server must start");
-    println!("stm-kv listening on {} under '{}'", server.addr(), manager.name());
+    println!(
+        "stm-kv listening on {} under '{}'",
+        server.addr(),
+        manager.name()
+    );
 
     // Seed the accounts over the wire.
     let addr = server.addr();

@@ -34,7 +34,11 @@ fn main() {
 
     {
         let mut server = KvServer::start(config.clone()).expect("server must start");
-        println!("durable stm-kv on {} (wal: {})", server.addr(), wal_dir.display());
+        println!(
+            "durable stm-kv on {} (wal: {})",
+            server.addr(),
+            wal_dir.display()
+        );
 
         let mut client = KvClient::connect(server.addr()).unwrap();
         println!("preamble answered; speaking frames");
@@ -43,8 +47,10 @@ fn main() {
         client.put(1, 1000).unwrap();
         client.put(2, motto).unwrap();
         client.put(3, blob.clone()).unwrap();
-        println!("stored int / str / bytes; str round-trips byte-exact: {:?}",
-            client.get_str(2).unwrap().as_deref() == Some(motto));
+        println!(
+            "stored int / str / bytes; str round-trips byte-exact: {:?}",
+            client.get_str(2).unwrap().as_deref() == Some(motto)
+        );
 
         // Arithmetic is typed: ADD on a string is a coded TYPE error, not
         // a silent coercion — and the connection survives it.
@@ -66,7 +72,10 @@ fn main() {
             .run()
             .unwrap();
         assert_eq!(replies[2], Reply::Value(Value::Int(750)));
-        println!("batch of 4 ops executed atomically: balance now {:?}", replies[2]);
+        println!(
+            "batch of 4 ops executed atomically: balance now {:?}",
+            replies[2]
+        );
 
         client.quit().unwrap();
         server.shutdown();

@@ -138,7 +138,10 @@ fn chain_shapes_agree_between_simulator_and_runtime() {
             "s = {s}: simulated greedy makespan {sim_makespan}, expected {}",
             instance.expected_greedy_makespan()
         );
-        assert!(outcome.pending_commit_held, "s = {s}: pending commit violated");
+        assert!(
+            outcome.pending_commit_held,
+            "s = {s}: pending commit violated"
+        );
         assert!(
             sim_makespan > previous_makespan,
             "s = {s}: the chain's makespan must grow with s"
@@ -279,7 +282,10 @@ fn random_instances_agree_between_simulator_and_runtime() {
             sim_ticks <= bound * optimal_ticks + 1e-6,
             "seed {seed}: simulated makespan {sim_ticks} exceeds bound × optimal"
         );
-        assert!(outcome.pending_commit_held, "seed {seed}: pending commit violated");
+        assert!(
+            outcome.pending_commit_held,
+            "seed {seed}: pending commit violated"
+        );
 
         // Runtime side: serializable, every transaction commits, and the
         // wall-clock stays within the same envelope (scaled to wall ticks,

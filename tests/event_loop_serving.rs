@@ -68,7 +68,10 @@ fn pipelined_burst(puts: i64) -> (Vec<u8>, usize) {
     let mut bytes = Vec::new();
     let mut replies = 0usize;
     for key in 0..puts {
-        bytes.extend_from_slice(&render_request_v2(&Request::Put(key, Value::Int(SEED_BALANCE))));
+        bytes.extend_from_slice(&render_request_v2(&Request::Put(
+            key,
+            Value::Int(SEED_BALANCE),
+        )));
         replies += 1;
     }
     for req in [
@@ -116,7 +119,9 @@ fn assert_burst_replies(replies: &[Reply], puts: i64) {
 /// server sends until it closes the connection.
 fn first_bytes_until_close(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     stream.write_all(bytes).unwrap();
     let mut answer = Vec::new();
     stream
@@ -130,7 +135,11 @@ fn assert_one_proto_error(answer: &[u8], context: &str) -> String {
     let shown = String::from_utf8_lossy(answer);
     let (frame, used) =
         decode_frame(answer).unwrap_or_else(|err| panic!("{context}: {err:?}: {shown:?}"));
-    assert_eq!(used, answer.len(), "{context}: more than one frame: {shown:?}");
+    assert_eq!(
+        used,
+        answer.len(),
+        "{context}: more than one frame: {shown:?}"
+    );
     match parse_reply_v2(frame) {
         Ok(Reply::Err(ErrorCode::Proto, message)) => message,
         other => panic!("{context}: expected a -PROTO error frame, got {other:?}"),
@@ -172,12 +181,19 @@ fn a_line_that_never_ends_is_refused_at_the_cap_in_both_modes() {
         let context = format!("greeted={greeted}");
         // What the server sent after answering the preamble, if it got one.
         let refusal = |answer: &[u8]| match greeted {
-            true => answer.strip_prefix(PREAMBLE).expect("the preamble is answered").to_vec(),
+            true => answer
+                .strip_prefix(PREAMBLE)
+                .expect("the preamble is answered")
+                .to_vec(),
             false => answer.to_vec(),
         };
         // One byte past the cap, then silence: the refusal must not need
         // another byte.
-        let mut hostile = if greeted { PREAMBLE.to_vec() } else { Vec::new() };
+        let mut hostile = if greeted {
+            PREAMBLE.to_vec()
+        } else {
+            Vec::new()
+        };
         hostile.extend_from_slice(&[b'+'; MAX_HEADER_BYTES + 1]);
         let answer = first_bytes_until_close(addr, &hostile);
         let message = assert_one_proto_error(&refusal(&answer), &context);
@@ -186,7 +202,9 @@ fn a_line_that_never_ends_is_refused_at_the_cap_in_both_modes() {
         // A flood: 8 MiB without a newline. The server answers and closes
         // while the flood is still arriving; it never holds it.
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         if greeted {
             stream.write_all(PREAMBLE).unwrap();
         }
@@ -194,7 +212,9 @@ fn a_line_that_never_ends_is_refused_at_the_cap_in_both_modes() {
         let writer = thread::spawn(move || {
             let block = [b'x'; 64 * 1024];
             // Ends early with EPIPE/ECONNRESET once the server closes.
-            (0..128).take_while(|_| flood.write_all(&block).is_ok()).count()
+            (0..128)
+                .take_while(|_| flood.write_all(&block).is_ok())
+                .count()
         });
         let mut answer = Vec::new();
         // The close may surface as a reset (unread flood bytes) after the
@@ -292,7 +312,11 @@ fn both_serve_modes_conserve_balance_under_every_manager() {
         assert_eq!(count, KEYS as usize);
         setup.quit().unwrap();
         server.shutdown();
-        assert_eq!(server.conns_open(), 0, "{manager}: conns_open leaked after shutdown");
+        assert_eq!(
+            server.conns_open(),
+            0,
+            "{manager}: conns_open leaked after shutdown"
+        );
     }
 }
 
@@ -321,7 +345,11 @@ fn shutdown_drains_pipelined_inflight_replies_in_both_modes() {
     // The drain really closed (and un-counted) everything: once shutdown
     // has returned and every shard is joined, the open-connections gauge
     // must be back to zero.
-    assert_eq!(server.conns_open(), 0, "conns_open leaked across a graceful drain");
+    assert_eq!(
+        server.conns_open(),
+        0,
+        "conns_open leaked across a graceful drain"
+    );
 }
 
 /// How many idle connections the fleet test holds: 2,000 where the soft
@@ -329,14 +357,20 @@ fn shutdown_drains_pipelined_inflight_replies_in_both_modes() {
 /// connection are descriptors of this process, and 256 are left over for
 /// everything else; an unreadable limit means 64.
 fn idle_fleet_size() -> usize {
-    let soft = std::fs::read_to_string("/proc/self/limits").ok().and_then(|limits| {
-        let line = limits.lines().find(|line| line.starts_with("Max open files"))?;
-        match line.split_whitespace().nth(3)? {
-            "unlimited" => Some(usize::MAX),
-            soft => soft.parse().ok(),
-        }
-    });
-    soft.map_or(64, |soft: usize| (soft.saturating_sub(256) / 2).clamp(64, 2_000))
+    let soft = std::fs::read_to_string("/proc/self/limits")
+        .ok()
+        .and_then(|limits| {
+            let line = limits
+                .lines()
+                .find(|line| line.starts_with("Max open files"))?;
+            match line.split_whitespace().nth(3)? {
+                "unlimited" => Some(usize::MAX),
+                soft => soft.parse().ok(),
+            }
+        });
+    soft.map_or(64, |soft: usize| {
+        (soft.saturating_sub(256) / 2).clamp(64, 2_000)
+    })
 }
 
 /// A fleet of connections that said `HELLO 2` and went quiet must not keep
@@ -364,7 +398,11 @@ fn an_idle_fleet_does_not_starve_the_next_connection() {
     last.read_exact(&mut answer).unwrap_or_else(|err| {
         panic!("no PONG within {patience:?} behind {idle_count} idle connections: {err}")
     });
-    assert!(started.elapsed() < patience, "PONG took {:?}", started.elapsed());
+    assert!(
+        started.elapsed() < patience,
+        "PONG took {:?}",
+        started.elapsed()
+    );
     assert_eq!(&answer, b"HELLO 2\n+PONG\n");
 
     // Every idle peer was greeted back, so each one is registered.

@@ -203,7 +203,10 @@ fn has_token(code: &str, needle: &str) -> bool {
 }
 
 fn rel(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root).unwrap_or(path).display().to_string()
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .display()
+        .to_string()
 }
 
 /// Rule 1: `unsafe` appears only in the audited allowlist.
@@ -217,7 +220,9 @@ fn unsafe_stays_in_the_audited_vendor_allowlist() {
         "tests/open_cost.rs",
     ];
     let mut files = Vec::new();
-    for dir in ["crates", "src", "tests", "vendor", "benches", "examples", "bench"] {
+    for dir in [
+        "crates", "src", "tests", "vendor", "benches", "examples", "bench",
+    ] {
         rust_files(&root.join(dir), &mut files);
     }
     let mut violations = Vec::new();
@@ -259,8 +264,7 @@ fn no_std_sync_locks_in_first_party_code() {
             if line.code.contains("#[cfg(test)]") {
                 break; // test modules may use whatever they like
             }
-            if line.code.contains("std::sync::")
-                && banned.iter().any(|b| has_token(&line.code, b))
+            if line.code.contains("std::sync::") && banned.iter().any(|b| has_token(&line.code, b))
             {
                 violations.push(format!("{name}:{}: {}", lineno + 1, line.code.trim()));
             }
@@ -361,9 +365,14 @@ fn names_std_atomic_type(code: &str) -> bool {
     code.split("std::sync::atomic::").skip(1).any(|rest| {
         let items = match rest.strip_prefix('{') {
             Some(list) => list.split('}').next().unwrap_or(list),
-            None => rest.split(|c: char| !(c.is_alphanumeric() || c == '_')).next().unwrap_or(""),
+            None => rest
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or(""),
         };
-        items.split(',').any(|item| item.trim().starts_with("Atomic"))
+        items
+            .split(',')
+            .any(|item| item.trim().starts_with("Atomic"))
     })
 }
 
@@ -380,7 +389,10 @@ fn runtime_atomics_come_from_the_sync_facade() {
     for path in files {
         // The facade re-exports std's types; a model's bookkeeping across
         // its runs (`models.rs`) must stay outside the model.
-        if path.file_name().is_some_and(|n| n == "sync.rs" || n == "models.rs") {
+        if path
+            .file_name()
+            .is_some_and(|n| n == "sync.rs" || n == "models.rs")
+        {
             continue;
         }
         let name = rel(&root, &path);
@@ -439,10 +451,20 @@ fn the_lint_machinery_catches_violations() {
 
     // A std atomic type is caught in a `use` list, alone or by path;
     // `Ordering` and the facade's own path are not.
-    assert!(names_std_atomic_type("use std::sync::atomic::{AtomicU8, Ordering};"));
-    assert!(names_std_atomic_type("use std::sync::atomic::AtomicBool as Seen;"));
-    assert!(names_std_atomic_type("let n = std::sync::atomic::AtomicU64::new(0);"));
+    assert!(names_std_atomic_type(
+        "use std::sync::atomic::{AtomicU8, Ordering};"
+    ));
+    assert!(names_std_atomic_type(
+        "use std::sync::atomic::AtomicBool as Seen;"
+    ));
+    assert!(names_std_atomic_type(
+        "let n = std::sync::atomic::AtomicU64::new(0);"
+    ));
     assert!(!names_std_atomic_type("use std::sync::atomic::Ordering;"));
-    assert!(!names_std_atomic_type("x.store(true, std::sync::atomic::Ordering::Relaxed);"));
-    assert!(!names_std_atomic_type("use crate::sync::atomic::{AtomicU8, Ordering};"));
+    assert!(!names_std_atomic_type(
+        "x.store(true, std::sync::atomic::Ordering::Relaxed);"
+    ));
+    assert!(!names_std_atomic_type(
+        "use crate::sync::atomic::{AtomicU8, Ordering};"
+    ));
 }

@@ -95,7 +95,9 @@ fn greedy_and_greedy_timeout_complete_long_vs_short_mix() {
 
 #[test]
 fn per_thread_manager_override_is_respected() {
-    let stm = Stm::builder().manager(ManagerKind::Aggressive.factory()).build();
+    let stm = Stm::builder()
+        .manager(ManagerKind::Aggressive.factory())
+        .build();
     assert_eq!(stm.thread().manager_name(), "aggressive");
     let ctx = stm.thread_with(Box::new(GreedyManager::new()));
     assert_eq!(ctx.manager_name(), "greedy");

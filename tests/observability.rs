@@ -260,7 +260,9 @@ fn metrics_exposition_exposes_the_golden_series_set_in_both_modes() {
     assert!(first.text.contains("# TYPE stm_kv_conns_open gauge"));
     assert!(first.text.contains("le=\"+Inf\""));
     assert!(
-        !first.samples().any(|(series, _)| series.starts_with("stm_wal_")),
+        !first
+            .samples()
+            .any(|(series, _)| series.starts_with("stm_wal_")),
         "a volatile server has no log series"
     );
 
@@ -284,7 +286,10 @@ fn assert_families_render_once(text: &str) {
     let mut seen = BTreeSet::new();
     for line in text.lines().filter(|line| line.starts_with("# TYPE ")) {
         let family = line.split_whitespace().nth(2).unwrap();
-        assert!(seen.insert(family), "family {family} rendered twice in:\n{text}");
+        assert!(
+            seen.insert(family),
+            "family {family} rendered twice in:\n{text}"
+        );
     }
     assert!(seen.len() > 20, "too few families: {seen:?}");
 }
@@ -359,24 +364,43 @@ fn hit_gets_and_overwrite_puts_never_walk_the_index() {
         client.put(key, key).unwrap();
     }
 
-    let walks =
-        |client: &mut KvClient| client.metrics().unwrap().counter("stm_kv_index_walks_total");
+    let walks = |client: &mut KvClient| {
+        client
+            .metrics()
+            .unwrap()
+            .counter("stm_kv_index_walks_total")
+    };
     let before = walks(&mut client);
-    assert_eq!(before, keys.len() as u64, "prefill: one insert per created key");
+    assert_eq!(
+        before,
+        keys.len() as u64,
+        "prefill: one insert per created key"
+    );
 
     for i in 0..10_000usize {
         let key = keys[i * 7 % keys.len()];
         match i % 4 {
             0 => client.put(key, i as i64).unwrap(),
             1 => drop(client.add(key, 1).unwrap()),
-            _ => assert!(client.get_int(key).unwrap().is_some(), "key {key} is present"),
+            _ => assert!(
+                client.get_int(key).unwrap().is_some(),
+                "key {key} is present"
+            ),
         }
     }
-    assert_eq!(walks(&mut client), before, "the point path must not open the index");
+    assert_eq!(
+        walks(&mut client),
+        before,
+        "the point path must not open the index"
+    );
 
     for (n, key) in [(1, PER_RANGE), (3, FAR_BASE - 1)] {
         assert_eq!(client.get(key).unwrap(), None);
-        assert_eq!(walks(&mut client), before + n, "a miss on an unlinked key reads its path");
+        assert_eq!(
+            walks(&mut client),
+            before + n,
+            "a miss on an unlinked key reads its path"
+        );
         client.put(key, 0).unwrap();
         assert_eq!(walks(&mut client), before + n + 1, "a creating PUT inserts");
     }
@@ -445,14 +469,25 @@ fn clients_scrape_concurrently_under_load() {
                     let requests = snapshot.counter("stm_kv_requests_total");
                     let op_count = snapshot.histogram("stm_kv_op_latency_us").unwrap().count;
                     assert!(requests >= last_requests, "requests_total went backwards");
-                    assert!(op_count >= last_op_count, "op histogram mass went backwards");
+                    assert!(
+                        op_count >= last_op_count,
+                        "op histogram mass went backwards"
+                    );
                     last_requests = requests;
                     last_op_count = op_count;
 
                     for entry in client.slowlog(5).unwrap() {
                         for field in [
-                            "op=", "keys=", "attempts=", "aborts=", "causes=", "conflicts=",
-                            "waits=", "enemy_aborts=", "wall_us=", "txn_us=",
+                            "op=",
+                            "keys=",
+                            "attempts=",
+                            "aborts=",
+                            "causes=",
+                            "conflicts=",
+                            "waits=",
+                            "enemy_aborts=",
+                            "wall_us=",
+                            "txn_us=",
                         ] {
                             assert!(
                                 entry.contains(field),
@@ -554,7 +589,10 @@ fn stats_snapshot_is_never_torn_under_concurrent_load() {
             snapshots += 1;
         }
         stop.store(true, Ordering::Relaxed);
-        assert!(snapshots > 100, "observer barely ran ({snapshots} snapshots)");
+        assert!(
+            snapshots > 100,
+            "observer barely ran ({snapshots} snapshots)"
+        );
     });
 
     let settled = stm.stats().snapshot();

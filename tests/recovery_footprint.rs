@@ -60,7 +60,11 @@ fn recovery_memory_follows_the_keyspace_not_the_log() {
     assert_eq!(live.len(), KEYS as usize);
     for (key, value) in live.iter() {
         let fill = expected[*key as usize];
-        assert_eq!(value, &CommitValue::Bytes(vec![fill; VALUE_BYTES]), "key {key}");
+        assert_eq!(
+            value,
+            &CommitValue::Bytes(vec![fill; VALUE_BYTES]),
+            "key {key}"
+        );
     }
     assert!(
         growth < MAX_GROWTH_MIB,

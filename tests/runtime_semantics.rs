@@ -122,7 +122,11 @@ fn load_committed_sees_only_committed_state() {
 fn greedy_timeout_manager_works_in_the_real_runtime() {
     // The Section 6 extension must behave like greedy for ordinary workloads:
     // contended counters stay exact and long transactions finish.
-    let stm = Arc::new(Stm::builder().manager(GreedyTimeoutManager::factory()).build());
+    let stm = Arc::new(
+        Stm::builder()
+            .manager(GreedyTimeoutManager::factory())
+            .build(),
+    );
     let counters: Vec<TxCounter> = (0..4).map(|_| TxCounter::new()).collect();
     thread::scope(|scope| {
         for t in 0..4usize {
@@ -231,7 +235,11 @@ fn stats_snapshot_is_consistent_after_a_contended_run() {
 fn managers_can_be_mixed_across_threads_without_breaking_safety() {
     // Half the threads use greedy, half use aggressive; safety (exact counts)
     // must hold regardless of which managers meet each other.
-    let stm = Arc::new(Stm::builder().manager(ManagerKind::Greedy.factory()).build());
+    let stm = Arc::new(
+        Stm::builder()
+            .manager(ManagerKind::Greedy.factory())
+            .build(),
+    );
     let counter = TxCounter::new();
     thread::scope(|scope| {
         for i in 0..6usize {

@@ -10,15 +10,22 @@ use stm_bench::starvation_experiment;
 #[test]
 fn greedy_never_starves_the_long_transaction() {
     let result = starvation_experiment(ManagerKind::Greedy, 4, 24, Duration::from_millis(250));
-    assert!(result.no_starvation, "greedy starved the long transaction: {result:?}");
+    assert!(
+        result.no_starvation,
+        "greedy starved the long transaction: {result:?}"
+    );
     assert!(result.long_commits > 0);
     assert!(result.short_commits > 0);
 }
 
 #[test]
 fn greedy_timeout_extension_also_avoids_starvation() {
-    let result =
-        starvation_experiment(ManagerKind::GreedyTimeout, 4, 24, Duration::from_millis(250));
+    let result = starvation_experiment(
+        ManagerKind::GreedyTimeout,
+        4,
+        24,
+        Duration::from_millis(250),
+    );
     assert!(
         result.no_starvation,
         "greedy-timeout starved the long transaction: {result:?}"
@@ -32,7 +39,10 @@ fn timestamp_manager_also_completes_long_transactions() {
     // credits with progress if transactions can halt; it should also finish
     // long transactions here (no assertion on how many).
     let result = starvation_experiment(ManagerKind::Timestamp, 3, 16, Duration::from_millis(200));
-    assert!(result.long_commits > 0, "timestamp never committed a long transaction");
+    assert!(
+        result.long_commits > 0,
+        "timestamp never committed a long transaction"
+    );
 }
 
 #[test]

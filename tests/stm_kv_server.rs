@@ -134,7 +134,9 @@ fn concurrent_batches_are_serializable_under_every_manager() {
             let stm = Arc::clone(server.stm());
             let store = Arc::clone(server.store());
             let mut ctx = stm.thread();
-            ctx.atomically(|tx| store.sum(tx, 0, KEYS - 1)).unwrap().unwrap()
+            ctx.atomically(|tx| store.sum(tx, 0, KEYS - 1))
+                .unwrap()
+                .unwrap()
         };
         assert_eq!(
             in_process,
@@ -286,7 +288,11 @@ fn restart_recovers_typed_values_through_snapshot_and_tail() {
     let mut client = KvClient::connect(server.addr()).unwrap();
     assert_eq!(client.get_str(1).unwrap().as_deref(), Some(text_tail));
     assert_eq!(client.get_bytes(2).unwrap(), Some(blob));
-    assert_eq!(client.get(3).unwrap(), None, "deleted key must stay deleted");
+    assert_eq!(
+        client.get(3).unwrap(),
+        None,
+        "deleted key must stay deleted"
+    );
     assert_eq!(
         client.get_str(-7).unwrap().as_deref(),
         Some("negative key survives too")
@@ -461,7 +467,9 @@ fn acknowledged_writes_are_durable_before_the_reply() {
 #[test]
 fn bench_client_emits_throughput_latency_json_per_manager() {
     let count = |scrape: &MetricsSnapshot, op: &str| {
-        scrape.histogram(&format!("stm_kv_op_latency_us{{op=\"{op}\"}}")).map_or(0, |h| h.count)
+        scrape
+            .histogram(&format!("stm_kv_op_latency_us{{op=\"{op}\"}}"))
+            .map_or(0, |h| h.count)
     };
     for manager in [ManagerKind::Greedy, ManagerKind::Karma] {
         let mut server = start_server(manager);
@@ -482,7 +490,11 @@ fn bench_client_emits_throughput_latency_json_per_manager() {
         let after = client.metrics().unwrap();
         for (op, sent) in ["GET", "PUT", "SUM"].into_iter().zip(sent) {
             assert!(sent > 0, "{manager}: the seed sent no {op}");
-            assert_eq!(count(&after, op) - count(&before, op), sent, "{manager}: {op}");
+            assert_eq!(
+                count(&after, op) - count(&before, op),
+                sent,
+                "{manager}: {op}"
+            );
         }
         client.quit().unwrap();
         server.shutdown();

@@ -234,7 +234,10 @@ fn check_splits_and_merges(fixture: &Fixture, tier: &str) {
         .find(|&key| store.shard_of(key) == shard)
         .unwrap();
     let below: Vec<i64> = (top - 39..=top).collect();
-    assert!(below.iter().all(|&key| store.shard_of(key) == shard), "{tier}");
+    assert!(
+        below.iter().all(|&key| store.shard_of(key) == shard),
+        "{tier}"
+    );
 
     let mut splits = 0;
     for &key in below.iter().rev() {

@@ -205,7 +205,10 @@ fn check_range_against_model<S: TxSet>(make: impl Fn() -> S, seed: u64, key_rang
                     set.range(tx, 0, key_range)
                 })
                 .unwrap();
-            assert_eq!(got_in_tx, model_after, "in-transaction range missed its own insert");
+            assert_eq!(
+                got_in_tx, model_after,
+                "in-transaction range missed its own insert"
+            );
             model.insert(probe);
         }
     }

@@ -27,7 +27,10 @@ fn paper_example_greedy_is_s_plus_one_and_optimal_is_two() {
         );
         let tasks = TaskSystem::from_transactions(&instance.transactions);
         let optimal = optimal_list_schedule(&tasks).makespan / ticks as f64;
-        assert!((optimal - 2.0).abs() < 1e-9, "optimal should be 2, got {optimal}");
+        assert!(
+            (optimal - 2.0).abs() < 1e-9,
+            "optimal should be 2, got {optimal}"
+        );
         assert!(outcome.pending_commit_held);
         // Theorem 1: every transaction eventually commits.
         assert!(outcome.commit_ticks.iter().all(|&t| t != u64::MAX));
@@ -47,7 +50,10 @@ fn greedy_never_aborts_the_oldest_transaction_on_random_instances() {
     for seed in 0..15u64 {
         let txns = random_transaction_system(&config, seed);
         let outcome = simulate(&txns, ManagerKind::Greedy.factory(), SimConfig::default());
-        assert!(outcome.makespan_ticks.is_some(), "seed {seed} did not finish");
+        assert!(
+            outcome.makespan_ticks.is_some(),
+            "seed {seed} did not finish"
+        );
         // The transaction with the smallest priority timestamp is never the
         // victim of Rule 1, so it must commit without a single abort.
         let oldest = txns
@@ -89,7 +95,10 @@ fn greedy_respects_theorem9_on_random_instances() {
         let Some(makespan) = outcome.makespan_ticks else {
             panic!("greedy did not finish on seed {seed}");
         };
-        assert!(outcome.pending_commit_held, "seed {seed}: pending-commit violated");
+        assert!(
+            outcome.pending_commit_held,
+            "seed {seed}: pending-commit violated"
+        );
         let tasks = TaskSystem::from_transactions(&txns);
         let optimal = optimal_list_schedule(&tasks).makespan;
         assert!(
@@ -127,8 +136,14 @@ fn any_list_order_is_within_garey_graham_of_the_best() {
                 m <= garey_graham_bound(s) * best.makespan + 1e-6,
                 "case {case} (seed {seed}, n {n}, s {s}): {m} exceeds bound"
             );
-            assert!(m + 1e-9 >= best.makespan, "case {case}: beat the best order");
-            assert!(m + 1e-9 >= tasks.makespan_lower_bound(), "case {case}: beat the lower bound");
+            assert!(
+                m + 1e-9 >= best.makespan,
+                "case {case}: beat the best order"
+            );
+            assert!(
+                m + 1e-9 >= tasks.makespan_lower_bound(),
+                "case {case}: beat the lower bound"
+            );
         }
     }
 }
@@ -185,6 +200,9 @@ fn chain_scales_with_s() {
             "s {s}: greedy makespan {makespan}, expected ~{}",
             s + 1
         );
-        assert!(makespan / 2.0 <= theorem9_bound(s), "s {s}: ratio exceeds Theorem 9");
+        assert!(
+            makespan / 2.0 <= theorem9_bound(s),
+            "s {s}: ratio exceeds Theorem 9"
+        );
     }
 }

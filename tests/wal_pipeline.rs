@@ -49,9 +49,8 @@ fn run_phase(stm: &Arc<Stm>, cells: &[TVar<i64>], kind: ManagerKind, phase: u64)
         for t in 0..THREADS {
             let stm = Arc::clone(stm);
             handles.push(scope.spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(
-                    SEED ^ (kind as u64) << 32 ^ phase << 16 ^ t as u64,
-                );
+                let mut rng =
+                    SmallRng::seed_from_u64(SEED ^ (kind as u64) << 32 ^ phase << 16 ^ t as u64);
                 let mut ctx = stm.thread();
                 let mut max_seq = 0u64;
                 for _ in 0..OPS_PER_THREAD {
@@ -119,7 +118,10 @@ fn seq_order_replay_matches_committed_state_under_every_manager() {
         );
         let cells: Vec<TVar<i64>> = (0..KEYS).map(|_| TVar::new(0)).collect();
         let max_seq = run_phase(&stm, &cells, kind, 1);
-        assert!(wal.wait_durable(max_seq), "{kind}: log failed during phase 1");
+        assert!(
+            wal.wait_durable(max_seq),
+            "{kind}: log failed during phase 1"
+        );
         let committed: Vec<i64> = cells.iter().map(|cell| stm.read_atomic(cell)).collect();
         assert!(
             committed.iter().any(|v| *v > 0),
@@ -128,7 +130,10 @@ fn seq_order_replay_matches_committed_state_under_every_manager() {
         drop(wal); // graceful shutdown: flush + fsync
 
         let (wal_check, recovered) = Wal::open(WalConfig::new(&dir)).expect("clean reopen");
-        assert_eq!(recovered.truncated_bytes, 0, "{kind}: clean shutdown tore the log");
+        assert_eq!(
+            recovered.truncated_bytes, 0,
+            "{kind}: clean shutdown tore the log"
+        );
         let committed_txns = (THREADS * OPS_PER_THREAD) as u64;
         assert_eq!(
             (recovered.replayed, recovered.next_seq),
@@ -136,7 +141,10 @@ fn seq_order_replay_matches_committed_state_under_every_manager() {
             "{kind}: the log must hold exactly seqs 1..={committed_txns}, one per \
              committed transaction, with no gap"
         );
-        assert_eq!(max_seq, committed_txns, "{kind}: a commit took a seq past N");
+        assert_eq!(
+            max_seq, committed_txns,
+            "{kind}: a commit took a seq past N"
+        );
         assert_eq!(
             counters(&recovered),
             committed,
@@ -162,7 +170,10 @@ fn seq_order_replay_matches_committed_state_under_every_manager() {
         let cells2: Vec<TVar<i64>> = counters(&recovered).into_iter().map(TVar::new).collect();
         let resumed_at = recovered.next_seq;
         let max_seq = run_phase(&stm2, &cells2, kind, 2);
-        assert!(wal2.wait_durable(max_seq), "{kind}: log failed during phase 2");
+        assert!(
+            wal2.wait_durable(max_seq),
+            "{kind}: log failed during phase 2"
+        );
         let committed2: Vec<i64> = cells2.iter().map(|cell| stm2.read_atomic(cell)).collect();
         drop(wal2);
 
