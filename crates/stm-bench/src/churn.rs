@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use stm_cm::ManagerKind;
 use stm_core::Stm;
 use stm_kv::KvStore;
@@ -60,7 +60,7 @@ pub fn churn(ctx: &Ctx) -> Outcome {
         .iter()
         .map(|manager| churn_experiment(*manager, &cfg))
         .collect();
-    Outcome::new(&rows, gate(&rows))
+    Outcome::new(rows.iter().map(ChurnRow::to_json).collect(), gate(&rows))
 }
 
 /// One violation per row whose [`ChurnRow::bounded`] verdict is `false`.
@@ -134,7 +134,7 @@ impl ChurnConfig {
 }
 
 /// One churn measurement cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnRow {
     /// Contention manager label.
     pub manager: String,
@@ -173,6 +173,30 @@ pub struct ChurnRow {
     /// balance exactly (`allocated − freed = live cells = live keys`). The
     /// CI churn smoke fails the build on `false`.
     pub bounded: bool,
+}
+
+impl ChurnRow {
+    /// The row as a flat JSON object, keys in declaration order.
+    #[must_use]
+    pub(crate) fn to_json(&self) -> Value {
+        json!({
+            "manager": self.manager.as_str(),
+            "threads": self.threads,
+            "ops": self.ops,
+            "window": self.window,
+            "elapsed_ms": self.elapsed_ms,
+            "throughput": self.throughput,
+            "put_ns": self.put_ns,
+            "del_ns": self.del_ns,
+            "cells_allocated": self.cells_allocated,
+            "cells_freed": self.cells_freed,
+            "linked_peak": self.linked_peak,
+            "linked_bound": self.linked_bound,
+            "live_keys": self.live_keys,
+            "cells_live": self.cells_live,
+            "bounded": self.bounded,
+        })
+    }
 }
 
 /// Runs the rolling PUT+DEL churn under `kind` and measures boundedness and

@@ -38,6 +38,14 @@ pub fn workload_matrix(structures: &[StructureKind], cfg: &SweepConfig) -> Vec<W
     cells
 }
 
+/// `cells` as ungated rows.
+fn outcome(cells: &[WorkloadResult]) -> Outcome {
+    Outcome::new(
+        cells.iter().map(WorkloadResult::to_json).collect(),
+        Vec::new(),
+    )
+}
+
 /// One of the paper's four figures: threads × managers on `structure`, at
 /// the sweep's base mix (the paper's 100% updates).
 fn figure(structure: StructureKind, cfg: &SweepConfig) -> Outcome {
@@ -45,7 +53,7 @@ fn figure(structure: StructureKind, cfg: &SweepConfig) -> Outcome {
         mixes: vec![cfg.base.mix],
         ..cfg.clone()
     };
-    Outcome::new(&workload_matrix(&[structure], &cfg), Vec::new())
+    outcome(&workload_matrix(&[structure], &cfg))
 }
 
 /// E1, Figure 1: the sorted list, 256 keys, 100% updates — high contention.
@@ -88,7 +96,7 @@ pub fn matrix(ctx: &Ctx) -> Outcome {
         StructureKind::SkipList,
         StructureKind::RbTree,
     ];
-    Outcome::new(&workload_matrix(&structures, &cfg), Vec::new())
+    outcome(&workload_matrix(&structures, &cfg))
 }
 
 /// E9: throughput on the red-black tree as the lookup share of the mix moves
@@ -108,7 +116,7 @@ pub fn readfrac(ctx: &Ctx) -> Outcome {
         thread_counts: vec![most_threads(&ctx.cfg)],
         ..ctx.cfg.clone()
     };
-    Outcome::new(&workload_matrix(&[StructureKind::RbTree], &cfg), Vec::new())
+    outcome(&workload_matrix(&[StructureKind::RbTree], &cfg))
 }
 
 fn most_threads(cfg: &SweepConfig) -> usize {
@@ -168,13 +176,13 @@ pub fn ablate(ctx: &Ctx) -> Outcome {
             run_workload_with(stm, &label, &StructureKind::List, &cfg)
         })
         .collect();
-    Outcome::new(&cells, Vec::new())
+    outcome(&cells)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Value;
+    use serde_json::Value;
     use stm_cm::ManagerKind;
 
     fn smoke_ctx() -> Ctx {

@@ -5,7 +5,7 @@
 
 use std::process::Command;
 
-use serde::{Serialize, Value};
+use serde_json::{json, Value};
 
 use crate::workload::SweepConfig;
 
@@ -48,13 +48,10 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// Serializes `rows` and attaches the gate's verdict.
+    /// The rows with the gate's verdict attached.
     #[must_use]
-    pub fn new<T: Serialize>(rows: &[T], violations: Vec<String>) -> Outcome {
-        Outcome {
-            rows: rows.iter().map(Serialize::to_json_value).collect(),
-            violations,
-        }
+    pub fn new(rows: Vec<Value>, violations: Vec<String>) -> Outcome {
+        Outcome { rows, violations }
     }
 }
 
@@ -106,7 +103,7 @@ fn command_line(program: &str, args: &[&str]) -> String {
 /// Field names follow `bench/src/report.rs::result_json`.
 #[must_use]
 pub fn envelope(experiment: &str, sweep: &str, rows: Vec<Value>) -> Value {
-    serde_json::json!({
+    json!({
         "schema_version": 1u64,
         "experiment": experiment,
         "sweep": sweep,
@@ -279,22 +276,16 @@ mod tests {
 
     #[test]
     fn a_flat_table_keeps_declaration_order_and_formats_scalars() {
-        #[derive(Serialize)]
-        struct Sample {
-            zeta: &'static str,
-            alpha: u64,
-            ratio: f64,
-            unfinished: f64,
-            held: bool,
-        }
-        let sample = |zeta, alpha| Sample {
-            zeta,
-            alpha,
-            ratio: 1.5,
-            unfinished: f64::INFINITY,
-            held: true,
+        let sample = |zeta: &str, alpha: u64| {
+            json!({
+                "zeta": zeta,
+                "alpha": alpha,
+                "ratio": 1.5,
+                "unfinished": f64::INFINITY,
+                "held": true,
+            })
         };
-        let outcome = Outcome::new(&[sample("a", 7), sample("b", 12_345)], Vec::new());
+        let outcome = Outcome::new(vec![sample("a", 7), sample("b", 12_345)], Vec::new());
         let text = render(&View::Flat, &outcome.rows);
         let lines: Vec<Vec<&str>> = text
             .lines()

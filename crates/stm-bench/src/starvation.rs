@@ -14,8 +14,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
-
+use serde_json::{json, Value};
 use stm_cm::ManagerKind;
 use stm_core::Stm;
 use stm_structures::TxCounter;
@@ -35,11 +34,14 @@ pub fn starvation(ctx: &Ctx) -> Outcome {
     .into_iter()
     .map(|manager| starvation_experiment(manager, 4, 32, duration))
     .collect();
-    Outcome::new(&rows, Vec::new())
+    Outcome::new(
+        rows.iter().map(StarvationResult::to_json).collect(),
+        Vec::new(),
+    )
 }
 
 /// Result of the starvation experiment for one manager.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StarvationResult {
     /// Contention manager exercised.
     pub manager: String,
@@ -57,6 +59,22 @@ pub struct StarvationResult {
     /// Whether every long transaction started during the measurement window
     /// eventually committed.
     pub no_starvation: bool,
+}
+
+impl StarvationResult {
+    /// The row as a flat JSON object, keys in declaration order.
+    #[must_use]
+    pub(crate) fn to_json(&self) -> Value {
+        json!({
+            "manager": self.manager.as_str(),
+            "short_threads": self.short_threads,
+            "long_commits": self.long_commits,
+            "worst_attempts": self.worst_attempts,
+            "worst_latency_ms": self.worst_latency_ms,
+            "short_commits": self.short_commits,
+            "no_starvation": self.no_starvation,
+        })
+    }
 }
 
 /// Runs the starvation experiment for one manager.

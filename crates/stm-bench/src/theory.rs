@@ -1,8 +1,7 @@
 //! Theory experiments: the adversarial chain (E5) and the Theorem 9
 //! competitive-ratio check on random instances (E6).
 
-use serde::Serialize;
-
+use serde_json::{json, Value};
 use stm_cm::ManagerKind;
 use stm_sched::{
     optimal_list_schedule, random_transaction_system, simulate, theorem9_bound, RandomSystemConfig,
@@ -21,7 +20,8 @@ pub fn chain(ctx: &Ctx) -> Outcome {
         ManagerKind::Karma,
         ManagerKind::Timestamp,
     ];
-    Outcome::new(&chain_experiment(sizes, &managers), Vec::new())
+    let rows = chain_experiment(sizes, &managers);
+    Outcome::new(rows.iter().map(ChainRow::to_json).collect(), Vec::new())
 }
 
 /// E6: the Theorem 9 competitive-ratio sweep over random instances.
@@ -36,14 +36,12 @@ pub fn bound(ctx: &Ctx) -> Outcome {
         ManagerKind::Timestamp,
         ManagerKind::Karma,
     ];
-    Outcome::new(
-        &bound_experiment(sizes, &managers, instances, 0xbeef),
-        Vec::new(),
-    )
+    let rows = bound_experiment(sizes, &managers, instances, 0xbeef);
+    Outcome::new(rows.iter().map(BoundRow::to_json).collect(), Vec::new())
 }
 
 /// One row of the adversarial-chain experiment (E5).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChainRow {
     /// Number of shared objects `s`.
     pub s: usize,
@@ -60,6 +58,22 @@ pub struct ChainRow {
     pub bound: f64,
     /// Whether the pending-commit property held throughout the simulation.
     pub pending_commit: bool,
+}
+
+impl ChainRow {
+    /// The row as a flat JSON object, keys in declaration order.
+    #[must_use]
+    pub(crate) fn to_json(&self) -> Value {
+        json!({
+            "s": self.s,
+            "manager": self.manager.as_str(),
+            "makespan": self.makespan,
+            "optimal": self.optimal,
+            "ratio": self.ratio,
+            "bound": self.bound,
+            "pending_commit": self.pending_commit,
+        })
+    }
 }
 
 /// Runs the paper's chain construction for each `s` in `sizes` under each of
@@ -93,7 +107,7 @@ pub fn chain_experiment(sizes: &[usize], managers: &[ManagerKind]) -> Vec<ChainR
 }
 
 /// One row of the random-instance competitive-ratio experiment (E6).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BoundRow {
     /// Number of transactions `n`.
     pub n: usize,
@@ -114,6 +128,24 @@ pub struct BoundRow {
     /// Fraction of finished instances on which the pending-commit property
     /// held.
     pub pending_commit_fraction: f64,
+}
+
+impl BoundRow {
+    /// The row as a flat JSON object, keys in declaration order.
+    #[must_use]
+    pub(crate) fn to_json(&self) -> Value {
+        json!({
+            "n": self.n,
+            "s": self.s,
+            "manager": self.manager.as_str(),
+            "instances": self.instances,
+            "finished": self.finished,
+            "mean_ratio": self.mean_ratio,
+            "max_ratio": self.max_ratio,
+            "bound": self.bound,
+            "pending_commit_fraction": self.pending_commit_fraction,
+        })
+    }
 }
 
 /// Sweeps random transaction systems and reports the observed competitive

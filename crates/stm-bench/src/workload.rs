@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Serialize, Value};
+use serde_json::Value;
 
 use stm_cm::ManagerKind;
 use stm_core::{Stm, TxResult, Txn};
@@ -29,7 +29,7 @@ use stm_structures::forest::UpdateScope;
 use stm_structures::{TxList, TxRbForest, TxRbTree, TxSet, TxSkipList};
 
 /// Which benchmark structure a workload runs against.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StructureKind {
     /// Sorted linked list (Figure 1).
     List,
@@ -67,7 +67,7 @@ impl StructureKind {
 }
 
 /// The operation categories a workload mixes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// Insert a random key.
     Insert,
@@ -114,7 +114,7 @@ impl OpKind {
 /// paper's Section 5 experiments use [`OpMix::update_only`]; the read-mostly
 /// and range-heavy mixes extend the evaluation to the scenarios where
 /// reads dominate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpMix {
     /// Weight of insert operations.
     pub insert: f64,
@@ -255,7 +255,7 @@ impl Default for OpMix {
 }
 
 /// Parameters of one workload run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of worker threads.
     pub threads: usize,
@@ -290,7 +290,7 @@ impl Default for WorkloadConfig {
 
 /// Latency and abort accounting for one operation category of a workload
 /// run (the per-op breakdown carried by [`WorkloadResult::per_op`]).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OpStats {
     /// Operation label (`"insert"`, `"remove"`, `"lookup"`, `"range"`).
     pub op: String,
@@ -372,32 +372,41 @@ pub struct WorkloadResult {
     pub per_op: Vec<OpStats>,
 }
 
-/// The row is flat: the scalar fields in declaration order, then four
-/// columns per [`OpKind`] (`insert_ops`, `insert_aborts`, `insert_p50_us`,
-/// `insert_p99_us`, ...), `null` where the mix never drew that operation —
-/// so every cell of every sweep has the same keys.
-impl Serialize for WorkloadResult {
-    fn to_json_value(&self) -> Value {
+impl WorkloadResult {
+    /// The row as a flat JSON object: the scalar fields in declaration
+    /// order, then four columns per [`OpKind`] (`insert_ops`,
+    /// `insert_aborts`, `insert_p50_us`, `insert_p99_us`, ...), `null` where
+    /// the mix never drew that operation — so every cell of every sweep has
+    /// the same keys.
+    #[must_use]
+    pub(crate) fn to_json(&self) -> Value {
         let mut row = vec![
-            ("manager".to_string(), self.manager.to_json_value()),
-            ("structure".to_string(), self.structure.to_json_value()),
-            ("mix".to_string(), self.mix.to_json_value()),
-            ("threads".to_string(), self.threads.to_json_value()),
-            ("commits".to_string(), self.commits.to_json_value()),
-            ("aborts".to_string(), self.aborts.to_json_value()),
-            ("elapsed_s".to_string(), self.elapsed_s.to_json_value()),
-            ("throughput".to_string(), self.throughput.to_json_value()),
-            ("abort_ratio".to_string(), self.abort_ratio.to_json_value()),
+            ("manager".to_string(), self.manager.as_str().into()),
+            ("structure".to_string(), self.structure.as_str().into()),
+            ("mix".to_string(), self.mix.as_str().into()),
+            ("threads".to_string(), self.threads.into()),
+            ("commits".to_string(), self.commits.into()),
+            ("aborts".to_string(), self.aborts.into()),
+            ("elapsed_s".to_string(), self.elapsed_s.into()),
+            ("throughput".to_string(), self.throughput.into()),
+            ("abort_ratio".to_string(), self.abort_ratio.into()),
         ];
         for kind in OpKind::ALL {
             let stats = self.per_op.iter().find(|stats| stats.op == kind.label());
-            let stats = stats.map(Serialize::to_json_value);
-            for key in ["ops", "aborts", "p50_us", "p99_us"] {
-                let value = stats.as_ref().and_then(|stats| stats.get(key)).cloned();
-                row.push((
-                    format!("{}_{key}", kind.label()),
-                    value.unwrap_or(Value::Null),
-                ));
+            let values: [Value; 4] = match stats {
+                Some(s) => [
+                    s.ops.into(),
+                    s.aborts.into(),
+                    s.p50_us.into(),
+                    s.p99_us.into(),
+                ],
+                None => [Value::Null, Value::Null, Value::Null, Value::Null],
+            };
+            for (key, value) in ["ops", "aborts", "p50_us", "p99_us"]
+                .into_iter()
+                .zip(values)
+            {
+                row.push((format!("{}_{key}", kind.label()), value));
             }
         }
         Value::Object(row)

@@ -384,23 +384,6 @@ impl<T> TVarInner<T> {
         true
     }
 
-    /// After `me` committed, resets the locator to a baseline holding `me`'s
-    /// value, so later opens need not read `me`'s status. Nothing changes if
-    /// another attempt has acquired the object since.
-    fn detach_committed(&self, me: &Arc<TxShared>) {
-        let mut guard = self.locator.lock();
-        if !guard.is_owned_by(me) {
-            return;
-        }
-        let locator = &mut *guard;
-        let displaced = (
-            locator.owner.take(),
-            std::mem::replace(&mut locator.old, Arc::clone(&locator.new)),
-        );
-        drop(guard);
-        drop(displaced);
-    }
-
     /// Registers `slot`'s current attempt as a visible reader, before the
     /// caller opens the object. Returns `true` if it was not registered
     /// already. An overflow slot has no bit to tell, so it always counts
@@ -574,27 +557,31 @@ impl<T: Send + Sync> TrackedRead for TVarInner<T> {
     }
 }
 
-/// A write (acquisition) performed by a transaction.
-pub(crate) trait TrackedWrite: Send {
-    /// After `me` committed, collapses the locator to a baseline so later
-    /// opens do not need to read the (now committed) owner's status.
+/// A write (acquisition) tracked by a transaction, for the commit. Stored as
+/// `Arc<dyn TrackedWrite>`, like a read, so the write set holds the
+/// object's own `Arc`.
+pub(crate) trait TrackedWrite: Send + Sync {
+    /// After `me` committed, resets the locator to a baseline holding `me`'s
+    /// value, so later opens need not read `me`'s status. Nothing changes if
+    /// another attempt has acquired the object since.
     fn detach_committed(&self, me: &Arc<TxShared>);
 }
 
-/// The record of an object acquisition.
-pub(crate) struct OwnedWrite<T> {
-    inner: Arc<TVarInner<T>>,
-}
-
-impl<T> OwnedWrite<T> {
-    pub(crate) fn new(inner: Arc<TVarInner<T>>) -> Self {
-        OwnedWrite { inner }
-    }
-}
-
-impl<T: Send + Sync> TrackedWrite for OwnedWrite<T> {
+/// A write is tracked by the object itself: the write set stores an `Arc`
+/// clone of `TVarInner`, with no per-write record to allocate.
+impl<T: Send + Sync> TrackedWrite for TVarInner<T> {
     fn detach_committed(&self, me: &Arc<TxShared>) {
-        self.inner.detach_committed(me);
+        let mut guard = self.locator.lock();
+        if !guard.is_owned_by(me) {
+            return;
+        }
+        let locator = &mut *guard;
+        let displaced = (
+            locator.owner.take(),
+            std::mem::replace(&mut locator.old, Arc::clone(&locator.new)),
+        );
+        drop(guard);
+        drop(displaced);
     }
 }
 
@@ -804,16 +791,58 @@ mod tests {
 
     #[test]
     fn detach_committed_collapses_locator() {
-        let inner = Arc::new(TVarInner::new(1u32));
+        let inner = TVarInner::new(1u32);
         let owner = reader(1);
         assert!(matches!(inner.acquire(&owner), Ok(Open::Free(_))));
         assert!(inner.set_new_value(&owner, Arc::new(10)));
         owner.try_commit();
-        OwnedWrite::new(Arc::clone(&inner)).detach_committed(&owner);
+        inner.detach_committed(&owner);
         let loc = inner.locator.lock();
         assert!(loc.owner.is_none());
         assert!(Arc::ptr_eq(&loc.old, &loc.new));
         assert_eq!(*loc.stable_value(), 10);
+    }
+
+    /// The object locks one transaction takes, counted by the lock wrapper in
+    /// `crate::sync` on the calling thread: a read takes the object's lock
+    /// once to open it (registering on the reader word takes none, and a
+    /// re-read opens again), a write twice (the acquire, then storing the
+    /// tentative value computed outside the lock), and the commit once per
+    /// written object (the detach) and never for a read (the release clears
+    /// a bit).
+    #[cfg(not(feature = "model-check"))]
+    #[test]
+    fn a_read_locks_once_a_write_twice_and_a_commit_once_per_written_object() {
+        use crate::sync::acquisitions;
+        use crate::Txn;
+        let stm = Stm::default();
+        let mut ctx = stm.thread();
+        let (read_me, write_me) = (TVar::new(1u32), TVar::new(0u32));
+        let body = |tx: &mut Txn<'_>| -> TxResult<([u64; 4], u64)> {
+            let start = acquisitions();
+            tx.read(&read_me)?;
+            let first_read = acquisitions();
+            tx.read(&read_me)?;
+            let reread = acquisitions();
+            tx.write(&write_me, 3)?;
+            let first_write = acquisitions();
+            tx.write(&write_me, 4)?;
+            let rewrite = acquisitions();
+            let opens = [start, first_read, reread, first_write, rewrite];
+            Ok((std::array::from_fn(|i| opens[i + 1] - opens[i]), rewrite))
+        };
+        let (opens, body_returned) = ctx.atomically(body).unwrap();
+        let commit = acquisitions() - body_returned;
+        assert_eq!(
+            opens,
+            [1, 1, 2, 2],
+            "locks per first read, re-read, first write, rewrite"
+        );
+        assert_eq!(
+            commit, 1,
+            "locks per commit of one read and one written object"
+        );
+        assert_eq!(stm.read_atomic(&write_me), 4);
     }
 
     /// A value that counts its live copies.

@@ -37,7 +37,7 @@ use crate::stats::TxnStats;
 use crate::status::{AtomicStatus, TxStatus};
 use crate::stm::Stm;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::tvar::{Open, OwnedWrite, ReaderSlot, TVar, TVarInner, TrackedRead, TrackedWrite};
+use crate::tvar::{Open, ReaderSlot, TVar, TVarInner, TrackedRead, TrackedWrite};
 use crate::wait::SpinWait;
 
 /// State of a logical transaction that persists across aborts and retries.
@@ -204,7 +204,7 @@ type DeferredAction = Box<dyn FnOnce() + Send>;
 #[derive(Default)]
 pub(crate) struct TxScratch {
     reads: Vec<Arc<dyn TrackedRead>>,
-    writes: Vec<Box<dyn TrackedWrite>>,
+    writes: Vec<Arc<dyn TrackedWrite>>,
     published: Vec<CommitOp>,
     deferred: Vec<DeferredAction>,
 }
@@ -445,9 +445,7 @@ impl<'ctx> Txn<'ctx> {
                     self.resolve_conflict(&owner, ConflictKind::WriteWrite)?;
                 }
                 Open::Free(current) => {
-                    self.scratch
-                        .writes
-                        .push(Box::new(OwnedWrite::new(Arc::clone(inner))));
+                    self.scratch.writes.push(Arc::clone(inner) as _);
                     let slot = self.slot;
                     inner.active_readers(slot, |reader| self.arbitrate_reader(reader))?;
                     break current;

@@ -33,8 +33,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use minipoll::{net as poll_net, Event, Interest, Poller, Token, Trigger};
-use parking_lot::Mutex;
+use minipoll::{net as poll_net, Event, Interest, Poller, Token};
+use stm_core::sync::Mutex;
 use stm_core::{Stm, ThreadCtx};
 
 use crate::proto::{header_end, FrameError};
@@ -197,7 +197,7 @@ impl EventLoops {
             });
             inboxes.push(Arc::clone(&inbox));
             let poller = Poller::new()?;
-            poller.register(&wake_rx, WAKER_TOKEN, Interest::READABLE, Trigger::Level)?;
+            poller.register(&wake_rx, WAKER_TOKEN, Interest::READABLE)?;
             let stm = Arc::clone(&stm);
             let store = Arc::clone(&store);
             let telemetry = Arc::clone(&telemetry);
@@ -375,12 +375,7 @@ impl Shard {
             let gen = conn.gen;
             if self
                 .poller
-                .register(
-                    &conn.stream,
-                    Token(slot + 1),
-                    Interest::READABLE,
-                    Trigger::Level,
-                )
+                .register(&conn.stream, Token(slot + 1), Interest::READABLE)
                 .is_err()
             {
                 self.close(slot);
@@ -511,7 +506,6 @@ impl Shard {
                                 &conn.stream,
                                 Token(slot + 1),
                                 Interest::BOTH,
-                                Trigger::Level,
                             );
                         }
                         return;
@@ -527,12 +521,9 @@ impl Shard {
             conn.out_pos = 0;
             if conn.want_write {
                 conn.want_write = false;
-                let _ = self.poller.reregister(
-                    &conn.stream,
-                    Token(slot + 1),
-                    Interest::READABLE,
-                    Trigger::Level,
-                );
+                let _ = self
+                    .poller
+                    .reregister(&conn.stream, Token(slot + 1), Interest::READABLE);
             }
             if conn.state.quit() || conn.peer_eof {
                 close_now = true;

@@ -37,7 +37,7 @@
 //!
 //! **Cell table.** A key's cell is materialised by the first *writer* to
 //! touch it and found through its shard's table, a
-//! `parking_lot::Mutex<HashMap<key, TVar>>` (the lock guards only cell
+//! `stm_core::sync::Mutex<HashMap<key, TVar>>` (the lock guards only cell
 //! *identity* — two racing transactions must obtain the same `TVar` for one
 //! key — and is never held across an STM operation).
 //!
@@ -99,7 +99,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use metrics::{Counter, Registry};
-use parking_lot::Mutex;
+use stm_core::sync::Mutex;
 use stm_core::{TVar, TxResult, Txn};
 use stm_structures::{TxChunkedSet, TxSet};
 

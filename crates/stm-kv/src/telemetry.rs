@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use metrics::{Counter, Gauge, Histogram, Registry};
-use parking_lot::Mutex;
+use stm_core::sync::Mutex;
 use stm_core::{AbortCause, TxRunReport, ABORT_CAUSES};
 
 /// Operation labels of the per-op latency histograms, in a fixed order so
