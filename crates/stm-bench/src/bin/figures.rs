@@ -6,10 +6,10 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use stm_bench::{
-    churn, envelope, figures, render, starvation, theory, Ctx, Experiment, SweepConfig, View,
+    envelope, figures, render, starvation, theory, Ctx, Experiment, SweepConfig, View,
 };
 
-static EXPERIMENTS: [Experiment; 11] = [
+static EXPERIMENTS: [Experiment; 9] = [
     Experiment {
         name: "fig1",
         about: "E1, Figure 1: sorted list, 256 keys, 100% updates (high contention)",
@@ -78,22 +78,6 @@ static EXPERIMENTS: [Experiment; 11] = [
         },
         run: figures::readfrac,
     },
-    Experiment {
-        name: "ablate",
-        about: "E12, one manager knob at a time: greedy timeout, karma increment, backoff \
-                cap",
-        in_all: false,
-        view: THROUGHPUT_BY_VARIANT,
-        run: figures::ablate,
-    },
-    Experiment {
-        name: "churn",
-        about: "E14, rolling PUT+DEL of fresh keys; exits 1 if a DEL did not reclaim its \
-                cell",
-        in_all: false,
-        view: View::Flat,
-        run: churn::churn,
-    },
 ];
 
 /// The threads × manager tables of the paper's figures.
@@ -101,14 +85,6 @@ const THROUGHPUT_BY_THREADS: View = View::Pivot {
     group: &["structure", "mix"],
     row: "threads",
     col: "manager",
-    value: "throughput",
-};
-
-/// The ablation labels its variants in `manager`: one line each.
-const THROUGHPUT_BY_VARIANT: View = View::Pivot {
-    group: &["structure", "mix"],
-    row: "manager",
-    col: "threads",
     value: "throughput",
 };
 
@@ -218,25 +194,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut failed = false;
     for experiment in plan.experiments {
-        let outcome = (experiment.run)(&plan.ctx);
+        let rows = (experiment.run)(&plan.ctx);
         if plan.json {
-            let doc = envelope(experiment.name, plan.ctx.sweep, outcome.rows);
+            let doc = envelope(experiment.name, plan.ctx.sweep, rows);
             emit(&serde_json::to_string_pretty(&doc).expect("rows serialize to JSON"));
         } else {
-            let table = render(&experiment.view, &outcome.rows);
+            let table = render(&experiment.view, &rows);
             let title = format!("# {} — {}", experiment.name, experiment.about);
             emit(&format!("{title}\n{}\n", table.trim_end()));
         }
-        for violation in &outcome.violations {
-            eprintln!("{}: {violation}", experiment.name);
-        }
-        failed |= !outcome.violations.is_empty();
     }
-    if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    ExitCode::SUCCESS
 }

@@ -14,16 +14,15 @@
 //! | E7 | Theorem 1 starvation / bounded commit delay | [`starvation`](starvation::starvation) |
 //! | E8 | Workload matrix — mixes × structures × managers × threads | [`matrix`](figures::matrix) |
 //! | E9 | Read-fraction sweep — throughput vs lookup share | [`readfrac`](figures::readfrac) |
-//! | E12 | Manager-parameter ablation — one knob at a time | [`ablate`](figures::ablate) |
-//! | E14 | Keyspace churn — cell GC boundedness and cost (gated) | [`churn`](churn::churn) |
 //!
-//! Every experiment is a `fn(&Ctx) -> Outcome` beside the code it drives;
-//! the `figures` binary holds the table of them and nothing else. An
-//! [`Outcome`] is flat JSON rows plus gate violations; `--json` wraps the
-//! rows in one [`envelope`] and text comes from one [`render`]er. Every
-//! experiment runs in process: the repo benchmark under `bench/` is the
-//! one wire load generator, with correctness checked on every run
-//! (`EXPERIMENTS.md` names the experiments retired for it).
+//! Every experiment is a `fn(&Ctx) -> Vec<Value>` beside the code it drives,
+//! returning flat JSON rows; the `figures` binary holds the table of them
+//! and nothing else. `--json` wraps the rows in one [`envelope`] and text
+//! comes from one [`render`]er. No experiment is a gate: every gate is a
+//! tier-1 test. Every experiment measures the STM runtime or its simulator
+//! in process: the repo benchmark under `bench/` is the one wire load
+//! generator, with correctness checked on every run (`EXPERIMENTS.md` names
+//! the experiments retired for it and for the tests).
 //!
 //! The paper measures committed transactions per second as a function of the
 //! number of threads (1–32) on a 256-key integer set with a 100% update mix;
@@ -41,19 +40,17 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod churn;
 pub mod figures;
 pub mod report;
 pub mod starvation;
 pub mod theory;
 pub mod workload;
 
-pub use churn::{churn_experiment, ChurnConfig, ChurnRow};
-pub use figures::{ablation_points, workload_matrix};
-pub use report::{envelope, render, Ctx, Experiment, Outcome, View};
+pub use figures::workload_matrix;
+pub use report::{envelope, render, Ctx, Experiment, View};
 pub use starvation::{starvation_experiment, StarvationResult};
 pub use theory::{bound_experiment, chain_experiment, BoundRow, ChainRow};
 pub use workload::{
-    run_workload, run_workload_with, OpKind, OpMix, OpStats, StructureKind, SweepConfig,
-    WorkloadConfig, WorkloadResult,
+    run_workload, OpKind, OpMix, OpStats, StructureKind, SweepConfig, WorkloadConfig,
+    WorkloadResult,
 };

@@ -1,7 +1,6 @@
 //! What every experiment shares: the [`Experiment`] table row, the [`Ctx`]
-//! it runs under, the [`Outcome`] it returns — flat JSON rows plus gate
-//! violations — the one `--json` [`envelope`], and the one text renderer
-//! ([`render`]) with its two [`View`]s.
+//! it runs under, the one `--json` [`envelope`] around the flat JSON rows it
+//! returns, and the one text renderer ([`render`]) with its two [`View`]s.
 
 use std::process::Command;
 
@@ -24,34 +23,6 @@ impl Ctx {
     #[must_use]
     pub fn short(&self) -> bool {
         matches!(self.sweep, "quick" | "smoke")
-    }
-
-    /// The one of three sizes this sweep asks for (`machine` sizes only the
-    /// thread axis, so it takes the paper's).
-    pub fn size<T>(&self, smoke: T, quick: T, paper: T) -> T {
-        match self.sweep {
-            "smoke" => smoke,
-            "quick" => quick,
-            _ => paper,
-        }
-    }
-}
-
-/// What an experiment returns: its rows, each a flat JSON object, and the
-/// gate violations — one line each; any makes `figures` exit 1.
-#[derive(Debug, Clone, Default)]
-pub struct Outcome {
-    /// One flat object per measured cell, keys in declaration order.
-    pub rows: Vec<Value>,
-    /// Why the run must fail, if it must.
-    pub violations: Vec<String>,
-}
-
-impl Outcome {
-    /// The rows with the gate's verdict attached.
-    #[must_use]
-    pub fn new(rows: Vec<Value>, violations: Vec<String>) -> Outcome {
-        Outcome { rows, violations }
     }
 }
 
@@ -85,8 +56,9 @@ pub struct Experiment {
     pub in_all: bool,
     /// Text layout of its rows.
     pub view: View,
-    /// Runs it.
-    pub run: fn(&Ctx) -> Outcome,
+    /// Runs it: one flat JSON object per measured cell, keys in
+    /// declaration order.
+    pub run: fn(&Ctx) -> Vec<Value>,
 }
 
 fn command_line(program: &str, args: &[&str]) -> String {
@@ -285,8 +257,7 @@ mod tests {
                 "held": true,
             })
         };
-        let outcome = Outcome::new(vec![sample("a", 7), sample("b", 12_345)], Vec::new());
-        let text = render(&View::Flat, &outcome.rows);
+        let text = render(&View::Flat, &[sample("a", 7), sample("b", 12_345)]);
         let lines: Vec<Vec<&str>> = text
             .lines()
             .map(|l| l.split_whitespace().collect())

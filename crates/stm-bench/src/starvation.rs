@@ -19,25 +19,21 @@ use stm_cm::ManagerKind;
 use stm_core::Stm;
 use stm_structures::TxCounter;
 
-use crate::report::{Ctx, Outcome};
+use crate::report::Ctx;
 
 /// E7: one long writer over 32 counters against four short writers, under
 /// greedy and three managers that make no such promise.
-pub fn starvation(ctx: &Ctx) -> Outcome {
+pub fn starvation(ctx: &Ctx) -> Vec<Value> {
     let duration = Duration::from_millis(if ctx.short() { 150 } else { 500 });
-    let rows: Vec<_> = [
+    [
         ManagerKind::Greedy,
         ManagerKind::Karma,
         ManagerKind::Aggressive,
         ManagerKind::Backoff,
     ]
     .into_iter()
-    .map(|manager| starvation_experiment(manager, 4, 32, duration))
-    .collect();
-    Outcome::new(
-        rows.iter().map(StarvationResult::to_json).collect(),
-        Vec::new(),
-    )
+    .map(|manager| starvation_experiment(manager, 4, 32, duration).to_json())
+    .collect()
 }
 
 /// Result of the starvation experiment for one manager.

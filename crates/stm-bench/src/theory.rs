@@ -8,11 +8,11 @@ use stm_sched::{
     SimConfig, TaskSystem,
 };
 
-use crate::report::{Ctx, Outcome};
+use crate::report::Ctx;
 
 /// E5: the Section 4 chain — greedy is expected near `s + 1` time units,
 /// the optimal list schedule takes 2.
-pub fn chain(ctx: &Ctx) -> Outcome {
+pub fn chain(ctx: &Ctx) -> Vec<Value> {
     let sizes: &[usize] = if ctx.short() { &[2, 4] } else { &[2, 4, 8, 16] };
     let managers = [
         ManagerKind::Greedy,
@@ -20,12 +20,14 @@ pub fn chain(ctx: &Ctx) -> Outcome {
         ManagerKind::Karma,
         ManagerKind::Timestamp,
     ];
-    let rows = chain_experiment(sizes, &managers);
-    Outcome::new(rows.iter().map(ChainRow::to_json).collect(), Vec::new())
+    chain_experiment(sizes, &managers)
+        .iter()
+        .map(ChainRow::to_json)
+        .collect()
 }
 
 /// E6: the Theorem 9 competitive-ratio sweep over random instances.
-pub fn bound(ctx: &Ctx) -> Outcome {
+pub fn bound(ctx: &Ctx) -> Vec<Value> {
     let (sizes, instances): (&[(usize, usize)], usize) = if ctx.short() {
         (&[(4, 2), (6, 3)], 5)
     } else {
@@ -36,8 +38,10 @@ pub fn bound(ctx: &Ctx) -> Outcome {
         ManagerKind::Timestamp,
         ManagerKind::Karma,
     ];
-    let rows = bound_experiment(sizes, &managers, instances, 0xbeef);
-    Outcome::new(rows.iter().map(BoundRow::to_json).collect(), Vec::new())
+    bound_experiment(sizes, &managers, instances, 0xbeef)
+        .iter()
+        .map(BoundRow::to_json)
+        .collect()
 }
 
 /// One row of the adversarial-chain experiment (E5).

@@ -604,22 +604,9 @@ pub fn run_workload(
     structure: &StructureKind,
     cfg: &WorkloadConfig,
 ) -> WorkloadResult {
-    let stm = Stm::builder().manager(manager.factory()).build();
-    run_workload_with(stm, manager.name(), structure, cfg)
-}
-
-/// Like [`run_workload`], but on an [`Stm`] the caller built — the entry
-/// point of the ablation, which varies one manager constructor argument
-/// around its default. `label` goes in the result's `manager` field.
-pub fn run_workload_with(
-    stm: Stm,
-    label: &str,
-    structure: &StructureKind,
-    cfg: &WorkloadConfig,
-) -> WorkloadResult {
     assert!(cfg.threads > 0, "need at least one thread");
     assert!(cfg.key_range > 0, "key range must be positive");
-    let stm = Arc::new(stm);
+    let stm = Arc::new(Stm::builder().manager(manager.factory()).build());
     let built = Arc::new(build_structure(structure));
     prefill(&stm, &built, cfg.key_range);
 
@@ -680,7 +667,7 @@ pub fn run_workload_with(
         .filter_map(|(kind, recorder)| recorder.finish(kind.label()))
         .collect();
     WorkloadResult {
-        manager: label.to_string(),
+        manager: manager.name().to_string(),
         structure: structure.name().to_string(),
         mix: cfg.mix.label(),
         threads: cfg.threads,

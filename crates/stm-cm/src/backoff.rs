@@ -15,44 +15,30 @@ use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
 
 /// Initial backoff interval.
 const BASE: Duration = Duration::from_micros(2);
-/// Default maximum backoff interval.
-pub const DEFAULT_BACKOFF_CAP: Duration = Duration::from_millis(1);
+/// Maximum backoff interval.
+const CAP: Duration = Duration::from_millis(1);
 /// Backoff rounds against one enemy before the enemy is aborted.
 const MAX_ROUNDS: u32 = 12;
 
 /// Exponential-backoff contention manager.
-#[derive(Debug, Clone)]
+///
+/// The interval doubles from 2 µs up to 1 ms, and an enemy is aborted after
+/// 12 rounds against it.
+#[derive(Debug, Clone, Default)]
 pub struct BackoffManager {
-    cap: Duration,
     round: u32,
     conflict_with: Option<u64>,
 }
 
-impl Default for BackoffManager {
-    fn default() -> Self {
-        BackoffManager::with_cap(DEFAULT_BACKOFF_CAP)
-    }
-}
-
 impl BackoffManager {
-    /// Creates a backoff manager whose interval doubles from 2 µs up to
-    /// `cap`, and which aborts an enemy after 12 rounds against it.
-    pub fn with_cap(cap: Duration) -> Self {
-        BackoffManager {
-            cap,
-            round: 0,
-            conflict_with: None,
-        }
-    }
-
-    /// A per-thread factory with the default cap.
+    /// A per-thread factory.
     pub fn factory() -> ManagerFactory {
         factory(BackoffManager::default)
     }
 
     fn interval(&self) -> Duration {
         let factor = 1u32 << self.round.min(20);
-        BASE.saturating_mul(factor).min(self.cap)
+        BASE.saturating_mul(factor).min(CAP)
     }
 }
 
@@ -102,7 +88,7 @@ mod tests {
                 r => panic!("expected wait, got {r:?}"),
             }
         }
-        assert_eq!(last, DEFAULT_BACKOFF_CAP);
+        assert_eq!(last, CAP);
         assert_eq!(
             m.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
             Resolution::AbortOther
@@ -113,13 +99,12 @@ mod tests {
     fn interval_is_capped() {
         let me = tx(1, 1);
         let other = tx(2, 2);
-        let cap = Duration::from_micros(8);
-        let mut m = BackoffManager::with_cap(cap);
+        let mut m = BackoffManager::default();
         for _ in 0..MAX_ROUNDS {
             if let Resolution::Wait(spec) =
                 m.resolve(view(&me), view(&other), ConflictKind::WriteWrite)
             {
-                assert!(spec.max.unwrap() <= cap);
+                assert!(spec.max.unwrap() <= CAP);
             }
         }
     }

@@ -15,8 +15,8 @@ use std::time::Duration;
 use stm_core::manager::{factory, ManagerFactory};
 use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
 
-/// Default initial wait time-out of [`GreedyTimeoutManager`].
-pub const DEFAULT_GREEDY_TIMEOUT: Duration = Duration::from_micros(50);
+/// Initial wait time-out of [`GreedyTimeoutManager`] for every enemy.
+const BASE: Duration = Duration::from_micros(50);
 
 /// The greedy manager extended with doubling time-outs (paper, Section 6).
 ///
@@ -27,9 +27,8 @@ pub const DEFAULT_GREEDY_TIMEOUT: Duration = Duration::from_micros(50);
 /// "choose the time-out period to be proportional to the number of times A
 /// had to wait for B and then aborted B ... simply performed by doubling the
 /// time for each such new discovery."
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GreedyTimeoutManager {
-    base: Duration,
     /// Per-enemy state, keyed by the enemy's lineage: (current time-out
     /// exponent, the enemy attempt our last wait was for). Meeting that same
     /// attempt again means the wait expired with it still in the way; an
@@ -37,30 +36,16 @@ pub struct GreedyTimeoutManager {
     enemies: HashMap<u64, (u32, Option<u64>)>,
 }
 
-impl Default for GreedyTimeoutManager {
-    fn default() -> Self {
-        GreedyTimeoutManager::new(DEFAULT_GREEDY_TIMEOUT)
-    }
-}
-
 impl GreedyTimeoutManager {
-    /// Creates a greedy-with-time-out manager with the given initial wait
-    /// time-out.
-    pub fn new(base: Duration) -> Self {
-        GreedyTimeoutManager {
-            base,
-            enemies: HashMap::new(),
-        }
-    }
-
-    /// A per-thread factory using [`DEFAULT_GREEDY_TIMEOUT`].
+    /// A per-thread factory.
     pub fn factory() -> ManagerFactory {
         factory(GreedyTimeoutManager::default)
     }
+}
 
-    fn timeout_for(&self, exponent: u32) -> Duration {
-        self.base * (1u32 << exponent.min(16))
-    }
+/// The time-out granted an enemy already killed `exponent` times.
+fn timeout_for(exponent: u32) -> Duration {
+    BASE * (1u32 << exponent.min(16))
 }
 
 impl ContentionManager for GreedyTimeoutManager {
@@ -87,7 +72,7 @@ impl ContentionManager for GreedyTimeoutManager {
             return Resolution::AbortOther;
         }
         self.enemies.insert(other.id(), (exponent, attempt));
-        let timeout = self.timeout_for(exponent);
+        let timeout = timeout_for(exponent);
         Resolution::Wait(WaitSpec::bounded(timeout))
     }
 }
@@ -103,11 +88,11 @@ mod tests {
     fn greedy_timeout_waits_then_kills_then_doubles() {
         let me = tx(1, 20);
         let other = tx(2, 10);
-        let mut mgr = GreedyTimeoutManager::new(Duration::from_micros(10));
+        let mut mgr = GreedyTimeoutManager::default();
         // First encounter: bounded wait with the base time-out.
         let r1 = mgr.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
         match r1 {
-            Resolution::Wait(spec) => assert_eq!(spec.max, Some(Duration::from_micros(10))),
+            Resolution::Wait(spec) => assert_eq!(spec.max, Some(BASE)),
             other => panic!("expected wait, got {other:?}"),
         }
         // Second encounter with the same live enemy: presume halted, kill it.
@@ -116,7 +101,7 @@ mod tests {
         // Third encounter: wait again, but with the doubled time-out.
         let r3 = mgr.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
         match r3 {
-            Resolution::Wait(spec) => assert_eq!(spec.max, Some(Duration::from_micros(20))),
+            Resolution::Wait(spec) => assert_eq!(spec.max, Some(2 * BASE)),
             other => panic!("expected wait, got {other:?}"),
         }
     }
@@ -125,8 +110,8 @@ mod tests {
     fn greedy_timeout_waits_again_for_a_restarted_enemy() {
         let me = tx(1, 20);
         let other = tx(2, 10);
-        let mut mgr = GreedyTimeoutManager::new(Duration::from_micros(10));
-        let base_wait = Resolution::backoff(Duration::from_micros(10));
+        let mut mgr = GreedyTimeoutManager::default();
+        let base_wait = Resolution::backoff(BASE);
         let first = mgr.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
         assert_eq!(first, base_wait);
         // The wait ended because the enemy's attempt aborted, not because it

@@ -21,38 +21,19 @@ use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
 
 /// Inter-round backoff while the karma gap is open.
 const BACKOFF: Duration = Duration::from_micros(4);
-/// Default karma earned per object opened.
-pub const DEFAULT_KARMA_INCREMENT: u64 = 1;
+/// Karma earned per object opened (1 in Scherer & Scott's formulation).
+const INCREMENT: u64 = 1;
 
 /// Work-based priority contention manager.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct KarmaManager {
-    /// Karma earned per object opened (1 in Scherer & Scott's formulation).
-    increment: u64,
     /// Retry counter for the conflict currently being fought.
     attempts: u64,
     conflict_with: Option<u64>,
 }
 
-impl Default for KarmaManager {
-    fn default() -> Self {
-        KarmaManager::with_increment(DEFAULT_KARMA_INCREMENT)
-    }
-}
-
 impl KarmaManager {
-    /// Creates a Karma manager earning `increment` karma per object opened
-    /// (the ablation knob: larger increments weigh invested work more
-    /// heavily against retry seniority).
-    pub fn with_increment(increment: u64) -> Self {
-        KarmaManager {
-            increment,
-            attempts: 0,
-            conflict_with: None,
-        }
-    }
-
-    /// A per-thread factory with the default increment.
+    /// A per-thread factory.
     pub fn factory() -> ManagerFactory {
         factory(KarmaManager::default)
     }
@@ -64,9 +45,9 @@ impl ContentionManager for KarmaManager {
     }
 
     fn opened(&mut self, me: TxView<'_>) {
-        // `increment` units of karma per object opened; accumulated in the
+        // `INCREMENT` units of karma per object opened; accumulated in the
         // lineage so it survives aborts.
-        me.add_karma(self.increment);
+        me.add_karma(INCREMENT);
     }
 
     fn committed(&mut self, me: TxView<'_>) {
@@ -113,10 +94,10 @@ mod tests {
     #[test]
     fn increment_scales_earned_priority() {
         let me = tx(1, 1);
-        let mut m = KarmaManager::with_increment(5);
+        let mut m = KarmaManager::default();
         m.opened(view(&me));
         m.opened(view(&me));
-        assert_eq!(view(&me).karma(), 10);
+        assert_eq!(view(&me).karma(), 2 * INCREMENT);
     }
 
     #[test]

@@ -5,18 +5,14 @@
 //! drive the *shipped* `GroupCommit`, not a copy; only the disk is a
 //! stand-in.
 //!
-//! Every wait in the group commit is an untimed condvar wait, so a lost
-//! wakeup leaves every thread asleep and the checker reports a deadlock.
-//! The models also run with [`fail_on_timeout_rescue`], so a timed wait
-//! added later could not hide one behind its timeout either: no waiter is
-//! stranded.
+//! Every wait in the group commit is an untimed condvar wait, and the
+//! checker has no other kind, so a lost wakeup leaves every thread asleep
+//! and the checker reports a deadlock: no waiter is stranded.
 //!
 //! Every function returns the checker's [`Report`] (or, for the model
 //! with a negative twin, its [`Failure`]) so callers (unit tests here and
 //! the workspace-level `tests/model_check.rs`) can assert exhaustiveness
 //! and schedule counts.
-//!
-//! [`fail_on_timeout_rescue`]: loomlite::Builder::fail_on_timeout_rescue
 
 use std::io;
 
@@ -25,15 +21,6 @@ use loomlite::{Builder, Failure, Report};
 use crate::group_commit::{Batch, GroupCommit};
 use stm_core::sync::atomic::{AtomicU64, Ordering};
 use stm_core::sync::{Arc, Mutex};
-
-/// Default builder: bounded-exhaustive (preemption bound 2) plus the seeded
-/// random phase, with timeout rescues treated as lost-wakeup failures.
-fn builder() -> Builder {
-    Builder {
-        fail_on_timeout_rescue: true,
-        ..Builder::default()
-    }
-}
 
 /// Appends a record whose payload is its own one-byte sequence number; the
 /// commit CAS wins if `wins`.
@@ -66,7 +53,7 @@ fn recording(log: &Arc<Mutex<Vec<u8>>>) -> impl Fn(&mut (), &Batch) -> io::Resul
 /// * the two winners get seqs 1 and 2;
 /// * the flushed stream is exactly `[1, 2]`: gapless and in seq order.
 pub fn append_is_gapless_and_a_lost_commit_writes_nothing() -> Report {
-    builder().check(|| {
+    Builder::default().check(|| {
         let group = Arc::new(GroupCommit::new(4, 1, ()));
         let log = Arc::new(Mutex::new(Vec::new()));
         let winner = {
@@ -106,7 +93,7 @@ pub fn backpressure_admits_after_a_flush() -> Report {
     use std::sync::atomic::AtomicBool as Seen;
     let flushed_by = std::sync::Arc::new([Seen::new(false), Seen::new(false)]);
     let seen = std::sync::Arc::clone(&flushed_by);
-    let report = builder().check(move || {
+    let report = Builder::default().check(move || {
         let group = Arc::new(GroupCommit::new(1, 1, ()));
         let log = Arc::new(Mutex::new(Vec::new()));
         // Who persisted seq 1: 0 = the appender, 1 = this thread.
@@ -214,7 +201,7 @@ fn wait_acknowledged(
 ///
 /// The checker's failure, expected only with `publish_before_fsync`.
 pub fn group_commit_leader_hand_off(publish_before_fsync: bool) -> Result<Report, Failure> {
-    builder().check_quiet(move || {
+    Builder::default().check_quiet(move || {
         let group = Arc::new(GroupCommit::new(2, 1, ()));
         let synced = Arc::new(AtomicU64::new(0));
         let persist = || disk(&synced, publish_before_fsync);
@@ -250,7 +237,6 @@ mod tests {
         let report = append_is_gapless_and_a_lost_commit_writes_nothing();
         eprintln!("gapless append: {report}");
         assert!(report.schedules() > 100, "{report}");
-        assert_eq!(report.timeout_rescues, 0);
     }
 
     #[test]
@@ -258,7 +244,6 @@ mod tests {
         let report = backpressure_admits_after_a_flush();
         eprintln!("backpressure: {report}");
         assert!(report.schedules() > 100, "{report}");
-        assert_eq!(report.timeout_rescues, 0);
     }
 
     #[test]
@@ -267,7 +252,6 @@ mod tests {
             group_commit_leader_hand_off(false).unwrap_or_else(|failure| panic!("{failure}"));
         eprintln!("group commit leader: {report}");
         assert!(report.schedules() > 100, "{report}");
-        assert_eq!(report.timeout_rescues, 0);
     }
 
     #[test]

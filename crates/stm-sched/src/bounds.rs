@@ -13,12 +13,6 @@ pub fn garey_graham_bound(s: usize) -> f64 {
     (s + 1) as f64
 }
 
-/// The number of auxiliary resources `X'_{ij}` used in the proof of
-/// Theorem 9: one per unordered pair of objects, `s(s + 1) / 2`.
-pub fn proof_resource_count(s: usize) -> usize {
-    s * (s + 1) / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -35,13 +29,6 @@ mod tests {
     fn garey_graham_values() {
         assert_eq!(garey_graham_bound(1), 2.0);
         assert_eq!(garey_graham_bound(7), 8.0);
-    }
-
-    #[test]
-    fn proof_resources_are_triangular_numbers() {
-        assert_eq!(proof_resource_count(1), 1);
-        assert_eq!(proof_resource_count(2), 3);
-        assert_eq!(proof_resource_count(5), 15);
     }
 
     #[test]

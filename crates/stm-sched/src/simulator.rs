@@ -17,7 +17,6 @@
 //! derives the `s(s+1)+2` competitive bound from exactly this property.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use stm_core::manager::ManagerFactory;
 use stm_core::{ConflictKind, ContentionManager, TxLineage, TxShared, TxView};
@@ -349,19 +348,6 @@ pub fn simulate(
     }
 }
 
-/// Convenience: simulate a set of unit-length update transactions with the
-/// given accesses, all starting at time 0, under the given manager.
-pub fn simulate_with_timeout(
-    transactions: &[SimTransaction],
-    factory: ManagerFactory,
-    timeout: Duration,
-) -> SimOutcome {
-    // One tick is simulated fast enough that a generous tick budget stands in
-    // for a wall-clock timeout; keep the API explicit about intent.
-    let ticks = (timeout.as_micros() as u64).max(10_000);
-    simulate(transactions, factory, SimConfig { max_ticks: ticks })
-}
-
 fn release_objects(objects: &mut [ObjectState], owner: usize) {
     for obj in objects.iter_mut() {
         if obj.writer == Some(owner) {
@@ -595,17 +581,5 @@ mod tests {
         let outcome = simulate(&txns, GreedyManager::factory(), SimConfig::default());
         assert_eq!(outcome.makespan_ticks, Some(10));
         assert_eq!(outcome.total_aborts(), 0);
-    }
-
-    #[test]
-    fn timeout_helper_limits_ticks() {
-        let txns = vec![SimTransaction {
-            duration: 10,
-            priority: 0,
-            accesses: vec![write_access(0, 0)],
-        }];
-        let outcome =
-            simulate_with_timeout(&txns, GreedyManager::factory(), Duration::from_millis(50));
-        assert_eq!(outcome.makespan_ticks, Some(10));
     }
 }

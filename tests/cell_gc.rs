@@ -9,7 +9,9 @@
 //! still holds a deleted cell, too: the second test parks one across the
 //! delete. A transaction that holds a released cell holds an `Arc` to it,
 //! so a use-after-free cannot happen; a stale read of one would surface as
-//! a lost window value or a wrong answer.
+//! a lost window value or a wrong answer. The third test is the leak bound
+//! on its own: a rolling PUT+DEL of fresh keys keeps the linked cells
+//! within the live window, sampled while it runs.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -272,4 +274,77 @@ fn a_cell_deleted_under_a_parked_reader_is_released_at_commit() {
     assert_eq!(kept, released, "store, reader done");
     assert_eq!(scraped, released, "METRICS, reader done");
     server.shutdown();
+}
+
+#[test]
+fn rolling_churn_of_fresh_keys_keeps_linked_cells_within_the_live_window() {
+    const THREADS: usize = 2;
+    const KEYS_PER_THREAD: i64 = 400;
+    const LIVE_WINDOW: i64 = 16;
+    const SAMPLE_EVERY: i64 = 64;
+    // Each thread holds at most its window of live keys, plus the key it is
+    // creating and a few commit/unlink transients.
+    let linked_bound = THREADS as u64 * (LIVE_WINDOW as u64 + 4);
+
+    for kind in [ManagerKind::Greedy, ManagerKind::Karma] {
+        let stm = stm_with(kind);
+        let store = KvStore::new(8);
+        let peaks: Vec<u64> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS as i64)
+                .map(|t| {
+                    let (stm, store) = (&stm, &store);
+                    scope.spawn(move || {
+                        let mut ctx = stm.thread();
+                        let base = 1 + t * (i64::MAX / THREADS as i64);
+                        let mut peak = 0u64;
+                        for i in 0..KEYS_PER_THREAD {
+                            ctx.atomically(|tx| store.put(tx, base + i, i)).unwrap();
+                            if i >= LIVE_WINDOW {
+                                let victim = base + i - LIVE_WINDOW;
+                                ctx.atomically(|tx| store.del(tx, victim)).unwrap();
+                            }
+                            if i % SAMPLE_EVERY == 0 {
+                                // Allocated before released: both counters
+                                // only grow, so a race between the reads can
+                                // only under-count the linked cells.
+                                let allocated = store.cells_allocated();
+                                let linked = allocated.saturating_sub(store.cells_released());
+                                peak = peak.max(linked as u64);
+                            }
+                        }
+                        peak
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let peak = peaks.into_iter().max().unwrap();
+        assert!(
+            peak <= linked_bound,
+            "{kind}: {peak} linked cells sampled, bound {linked_bound}: a DEL did not \
+             release its cell"
+        );
+
+        let fresh = THREADS as u64 * KEYS_PER_THREAD as u64;
+        let live = THREADS as u64 * LIVE_WINDOW as u64;
+        let kept = Books {
+            allocated: store.cells_allocated() as u64,
+            freed: store.cells_released() as u64,
+            linked: store.cells_live() as u64,
+        };
+        let exact = Books {
+            allocated: fresh,
+            freed: fresh - live,
+            linked: live,
+        };
+        assert_eq!(
+            kept, exact,
+            "{kind}: one cell per fresh key, freed by its DEL"
+        );
+        let present = stm.thread().atomically(|tx| store.len(tx)).unwrap() as u64;
+        assert_eq!(
+            present, live,
+            "{kind}: linked cells must be the present keys"
+        );
+    }
 }
