@@ -1,6 +1,6 @@
 //! The in-process sweeps over [`run_workload`] cells: one experiment per
 //! figure of the paper's Section 5 (E1–E4), the workload matrix over
-//! (structure × mix × threads × manager) cells (E8), the read-fraction sweep
+//! (structure × mix × threads × manager) cells (E8) and the read-fraction sweep
 //! (E9). Every one of them returns flat [`WorkloadResult`] rows.
 
 use serde_json::Value;

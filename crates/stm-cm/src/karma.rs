@@ -45,8 +45,7 @@ impl ContentionManager for KarmaManager {
     }
 
     fn opened(&mut self, me: TxView<'_>) {
-        // `INCREMENT` units of karma per object opened; accumulated in the
-        // lineage so it survives aborts.
+        // Accumulated in the lineage, so it survives aborts.
         me.add_karma(INCREMENT);
     }
 

@@ -66,7 +66,10 @@
 //!
 //! * `cargo run --release -p stm-bench --bin figures -- all` regenerates the
 //!   throughput figures (Figures 1–4), the adversarial-chain and Theorem 9
-//!   experiments, and the starvation check.
+//!   experiments, and the starvation check; `BENCH_paper.json` at the
+//!   repository root holds one such run with `--json`. `figures` runs only
+//!   experiments on the STM runtime and its simulator (nine of them), and
+//!   none is a gate: the gates are tests.
 //! * `cargo run --release -p stm-bench --bin figures -- matrix --sweep machine --json`
 //!   runs the workload matrix — update-only, read-mostly and range-heavy
 //!   `OpMix` mixes over every structure and figure-set manager, with the
