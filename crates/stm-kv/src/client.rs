@@ -1,10 +1,9 @@
 //! A small blocking client for the `stm-kv` protocol.
 //!
 //! One [`KvClient`] owns one TCP connection and issues one request at a
-//! time (batches are pipelined: all batch frames are written in one
-//! syscall, then all replies are read back). [`KvClient::connect`] writes
-//! the `HELLO 2` preamble and checks the server's answer; everything after
-//! it is frames — typed values, binary-safe framing, coded errors.
+//! time; a batch is one `EXEC` request and one reply. [`KvClient::connect`]
+//! writes the `HELLO 2` preamble and checks the server's answer; everything
+//! after it is frames — typed values, binary-safe framing, coded errors.
 //! [`KvClient::send_raw`] and [`KvClient::recv`] are the level below the
 //! typed methods, for pipelined bursts and for tests that torture the
 //! framing.
@@ -16,8 +15,8 @@
 //! type mismatches from the typed getters ([`KvError::Type`]) — no more
 //! fishing categories out of one opaque error string.
 //!
-//! The client is used by the integration tests, the examples, and the
-//! closed-loop network load generator in `stm-bench`.
+//! The client is used by the integration tests and the examples (`bench/`
+//! drives the wire with its own connection over [`crate::proto`]).
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -101,37 +100,7 @@ impl From<io::Error> for KvError {
 /// Result alias for client operations.
 pub type KvResult<T> = Result<T, KvError>;
 
-/// A data operation inside a [`KvClient::batch`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchOp {
-    /// Read one key.
-    Get(i64),
-    /// Store a value.
-    Put(i64, Value),
-    /// Remove a key.
-    Del(i64),
-    /// Add a delta to a key's integer value.
-    Add(i64, i64),
-    /// Keys and values in `lo..=hi`.
-    Range(i64, i64),
-    /// Sum + count of the integer values in `lo..=hi`.
-    Sum(i64, i64),
-}
-
-impl BatchOp {
-    fn to_request(&self) -> Request {
-        match self {
-            BatchOp::Get(k) => Request::Get(*k),
-            BatchOp::Put(k, v) => Request::Put(*k, v.clone()),
-            BatchOp::Del(k) => Request::Del(*k),
-            BatchOp::Add(k, d) => Request::Add(*k, *d),
-            BatchOp::Range(lo, hi) => Request::Range(*lo, *hi),
-            BatchOp::Sum(lo, hi) => Request::Sum(*lo, *hi),
-        }
-    }
-}
-
-/// A fluent builder for an atomic `BEGIN`/`EXEC` batch.
+/// A fluent builder for an atomic `EXEC` batch.
 ///
 /// ```no_run
 /// # use stm_kv::{KvClient, Value};
@@ -148,43 +117,43 @@ impl BatchOp {
 #[derive(Debug)]
 pub struct BatchBuilder<'a> {
     client: &'a mut KvClient,
-    ops: Vec<BatchOp>,
+    ops: Vec<Request>,
 }
 
 impl<'a> BatchBuilder<'a> {
     /// Queues a read of `key`.
     pub fn get(mut self, key: i64) -> Self {
-        self.ops.push(BatchOp::Get(key));
+        self.ops.push(Request::Get(key));
         self
     }
 
     /// Queues a typed store at `key`.
     pub fn put(mut self, key: i64, value: impl Into<Value>) -> Self {
-        self.ops.push(BatchOp::Put(key, value.into()));
+        self.ops.push(Request::Put(key, value.into()));
         self
     }
 
     /// Queues a removal of `key`.
     pub fn del(mut self, key: i64) -> Self {
-        self.ops.push(BatchOp::Del(key));
+        self.ops.push(Request::Del(key));
         self
     }
 
     /// Queues an integer add at `key`.
     pub fn add(mut self, key: i64, delta: i64) -> Self {
-        self.ops.push(BatchOp::Add(key, delta));
+        self.ops.push(Request::Add(key, delta));
         self
     }
 
     /// Queues a range read over `lo..=hi`.
     pub fn range(mut self, lo: i64, hi: i64) -> Self {
-        self.ops.push(BatchOp::Range(lo, hi));
+        self.ops.push(Request::Range(lo, hi));
         self
     }
 
     /// Queues an integer sum over `lo..=hi`.
     pub fn sum(mut self, lo: i64, hi: i64) -> Self {
-        self.ops.push(BatchOp::Sum(lo, hi));
+        self.ops.push(Request::Sum(lo, hi));
         self
     }
 
@@ -471,12 +440,6 @@ impl KvClient {
         }
     }
 
-    /// Writes one request (no flush).
-    fn write_request(&mut self, request: &Request) -> KvResult<()> {
-        self.writer.write_all(&render_request_v2(request))?;
-        Ok(())
-    }
-
     /// Reads the next reply frame — error replies included, as
     /// [`Reply::Err`]. A clean close by the server is an
     /// [`io::ErrorKind::UnexpectedEof`] whose message does not say
@@ -493,8 +456,7 @@ impl KvClient {
     /// Sends one request and reads one reply, surfacing error replies as
     /// [`KvError::Server`].
     fn roundtrip(&mut self, request: &Request) -> KvResult<Reply> {
-        self.write_request(request)?;
-        self.writer.flush()?;
+        self.send_raw(&render_request_v2(request))?;
         match self.recv()? {
             Reply::Err(code, message) => Err(KvError::Server { code, message }),
             reply => Ok(reply),
@@ -691,83 +653,24 @@ impl KvClient {
         }
     }
 
-    /// Executes `ops` as one atomic `BEGIN`/`EXEC` batch and returns one
-    /// reply per operation. The whole batch is pipelined: every request is
-    /// written before any reply is read.
+    /// Executes `ops` — data ops only — as one atomic `EXEC` transaction
+    /// and returns one reply per operation.
     ///
     /// # Errors
     ///
-    /// I/O failures, server error replies (the batch is poisoned
-    /// server-side; [`KvError::Server`] carries the code of the first
-    /// refusal), and framing violations.
-    pub fn batch(&mut self, ops: &[BatchOp]) -> KvResult<Vec<Reply>> {
-        self.write_request(&Request::Begin)?;
-        for op in ops {
-            self.write_request(&op.to_request())?;
-        }
-        self.write_request(&Request::Exec)?;
-        self.writer.flush()?;
-
-        // The whole batch is already on the wire, so a refused BEGIN or a
-        // refused queued op must still drain every remaining pipelined reply
-        // (including the EXEC response) before surfacing the error —
-        // otherwise the connection's request/reply framing desyncs and every
-        // later call reads some earlier op's answer.
-        let mut first_error: Option<KvError> = None;
-        match self.recv()? {
-            Reply::Ok => {}
-            Reply::Err(code, message) => {
-                first_error = Some(KvError::Server {
-                    code,
-                    message: format!("BEGIN refused: {message}"),
-                })
-            }
-            other => first_error = Some(KvError::unexpected(&other, "BEGIN")),
-        }
-        for op in ops {
-            match self.recv()? {
-                Reply::Queued => {}
-                Reply::Err(code, message) => {
-                    first_error.get_or_insert(KvError::Server {
-                        code,
-                        message: format!("batch op {op:?} refused: {message}"),
-                    });
-                }
-                other => {
-                    first_error
-                        .get_or_insert_with(|| KvError::unexpected(&other, "a queued batch op"));
-                }
-            }
-        }
-        let exec = self.recv()?;
-        if let Some(error) = first_error {
-            // The server poisons a failed batch, so its EXEC reply is an
-            // error — the replies (if it somehow executed) arrived inside
-            // that one frame.
-            return Err(error);
-        }
-        match exec {
-            Reply::Exec(replies) => {
-                if replies.len() != ops.len() {
-                    return Err(proto_err(format!(
-                        "EXEC returned {} replies for {} ops",
-                        replies.len(),
-                        ops.len()
-                    )));
-                }
-                Ok(replies)
-            }
-            Reply::Err(code, message) => Err(KvError::Server {
-                code,
-                message: format!("batch failed: {message}"),
-            }),
+    /// I/O failures, server error replies (a refused op, or a type error
+    /// that aborted the whole transaction: nothing executed) and framing
+    /// violations.
+    pub fn batch(&mut self, ops: &[Request]) -> KvResult<Vec<Reply>> {
+        match self.roundtrip(&Request::Exec(ops.to_vec()))? {
+            Reply::Exec(replies) if replies.len() == ops.len() => Ok(replies),
             other => Err(KvError::unexpected(&other, "EXEC")),
         }
     }
 
     /// Atomically moves `amount` from `from` to `to` (both treated as `0`
     /// when absent) — the conservation workload's primitive, built from one
-    /// `BEGIN`/`EXEC` batch of two `ADD`s.
+    /// `EXEC` of two `ADD`s.
     ///
     /// # Errors
     ///
@@ -777,7 +680,7 @@ impl KvClient {
     /// so **neither** account moved: a transfer can fail, but it can never
     /// half-apply.
     pub fn transfer(&mut self, from: i64, to: i64, amount: i64) -> KvResult<()> {
-        let replies = self.batch(&[BatchOp::Add(from, -amount), BatchOp::Add(to, amount)])?;
+        let replies = self.batch(&[Request::Add(from, -amount), Request::Add(to, amount)])?;
         for reply in &replies {
             if let Reply::Err(code, message) = reply {
                 return Err(KvError::Server {
@@ -879,12 +782,12 @@ mod tests {
         client.put(10, 100).unwrap();
         let replies = client
             .batch(&[
-                BatchOp::Add(10, -40),
-                BatchOp::Add(11, 40),
-                BatchOp::Get(10),
-                BatchOp::Sum(0, 63),
-                BatchOp::Del(12),
-                BatchOp::Range(10, 11),
+                Request::Add(10, -40),
+                Request::Add(11, 40),
+                Request::Get(10),
+                Request::Sum(0, 63),
+                Request::Del(12),
+                Request::Range(10, 11),
             ])
             .unwrap();
         assert_eq!(
@@ -995,7 +898,7 @@ mod tests {
             }
             other => panic!("expected TYPE error, got {other}"),
         }
-        // The whole batch aborted: the debit did NOT apply — value is
+        // The whole transaction aborted: the debit did NOT apply — value is
         // conserved even when a transfer hits a mistyped account.
         assert_eq!(client.get_int(1).unwrap(), Some(50));
         assert_eq!(client.get_str(2).unwrap().as_deref(), Some("not money"));

@@ -22,9 +22,10 @@
 //! * **Protocol** ([`proto`]) — one framing: after the one-line `HELLO 2`
 //!   preamble every byte is a binary-safe length-prefixed frame (RESP-style,
 //!   typeable from `nc`) that carries typed values byte-exactly and
-//!   machine-readable [`ErrorCode`]s. One grammar table of thirteen verbs:
+//!   machine-readable [`ErrorCode`]s. One grammar table of twelve verbs:
 //!   `GET`, `PUT`, `DEL`, `ADD` (atomic read-modify-write), `RANGE`, `SUM`,
-//!   plus `BEGIN`/`EXEC` multi-key atomic batches, `PING`/`SNAPSHOT`/`QUIT`,
+//!   plus `EXEC` (one frame of data ops run as one atomic transaction),
+//!   `PING`/`SNAPSHOT`/`QUIT`,
 //!   and the observability pair `METRICS` (the one statistics surface: a
 //!   Prometheus-style text exposition of every counter, gauge and latency
 //!   histogram the server, store, STM runtime and log keep) / `SLOWLOG n`
@@ -39,7 +40,8 @@
 //!   [`ServerConfig::wal_dir`] set the server is **durable**: every
 //!   mutating request's write-set is appended to an `stm-log` write-ahead
 //!   log in serialization order, its reply waits until the record is
-//!   fsynced, point-in-time snapshots bound recovery, and a restart loads
+//!   fsynced (a read's reply waits for every record it could have
+//!   observed), point-in-time snapshots bound recovery, and a restart loads
 //!   the keyspace `stm_log::recover` folds out of snapshot and log before
 //!   accepting connections.
 //! * **Client** ([`KvClient`]) — a blocking client that opens with the
@@ -98,7 +100,7 @@ pub use stm_core::CommitValue as Value;
 /// quantiles agree with server-side accounting bucket-for-bucket.
 pub use metrics::HistogramSnapshot;
 
-pub use client::{BatchBuilder, BatchOp, KvClient, KvError, MetricsSnapshot};
+pub use client::{BatchBuilder, KvClient, KvError, MetricsSnapshot};
 pub use proto::{ErrorCode, ProtoError, Reply, Request};
 pub use server::{KvServer, ServeMode, ServerConfig};
 pub use store::{KvStore, TypeMismatch};

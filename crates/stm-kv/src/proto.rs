@@ -16,7 +16,7 @@
 //! int    = ':' <decimal i64> '\n'            — Value::Int
 //! str    = '$' <len> '\n' <len bytes> '\n'   — Value::Str (UTF-8 checked)
 //! blob   = '=' <len> '\n' <len bytes> '\n'   — Value::Bytes
-//! status = '+' <token> [' ' <text>] '\n'     — OK, PONG, QUEUED, ...
+//! status = '+' <token> [' ' <text>] '\n'     — OK, PONG, BYE, reply tags
 //! error  = '-' <CODE> ' ' <message> '\n'     — coded failure
 //! nil    = '_' '\n'                          — absent key
 //! array  = '*' <count> '\n' <count frames>   — requests, RANGE, EXEC
@@ -26,10 +26,11 @@
 //! `HELLO 2`, the five lines `*2` `+GET` `:5` ask for key 5 from `nc`.
 //!
 //! **Requests.** There is one request grammar — the `VERBS` table:
-//! thirteen verbs, each with a fixed list of integer arguments (`PUT`'s
-//! value is the one typed argument). A request is one array frame,
+//! twelve verbs, each with a fixed list of arguments, all integers except
+//! `PUT`'s value and `EXEC`'s ops. A request is one array frame,
 //! `[+VERB, arg frames...]`: the table row, its integer arguments as int
-//! frames and a `PUT` value as any value frame.
+//! frames, a `PUT` value as any value frame and `EXEC`'s ops as one array
+//! of request frames.
 //!
 //! | Request | Reply |
 //! |---------|-------|
@@ -39,8 +40,7 @@
 //! | `ADD key delta` | `:new` (absent keys start at 0) |
 //! | `RANGE lo hi` | `[+RANGE, [[:k, value], ...]]` |
 //! | `SUM lo hi` | `[+SUM, :total, :count]` |
-//! | `BEGIN` | `+OK`; subsequent data ops reply `+QUEUED` |
-//! | `EXEC` | `[+EXEC, [reply frames...]]`, one per queued op |
+//! | `EXEC [op, ...]` | `[+EXEC, [reply frames...]]`, one per op |
 //! | `PING` | `+PONG` |
 //! | `METRICS` | `[+METRICS, $text]` — the exposition |
 //! | `SLOWLOG n` | `[+SLOWLOG, [$entry, ...]]` |
@@ -54,11 +54,18 @@
 //! histogram the server, the store, the STM runtime and the log keep is one
 //! series of its exposition.
 //!
+//! **Batches.** `EXEC`'s one argument is an array of data-op request
+//! frames (`GET` `PUT` `DEL` `ADD` `RANGE` `SUM`), each exactly the frame
+//! the op would be on its own, and the server runs them as one transaction.
+//! If one of them fails to parse, names another verb or nests an `EXEC`,
+//! nothing runs: the reply is one error naming the op's index, with the
+//! inner error's code or `BATCH`. A batch is bounded by [`MAX_ARRAY_LEN`]
+//! like any array.
+//!
 //! Any failure — unknown verb, wrong arity, type mismatch, transaction
 //! failure — is reported as an error reply and leaves the connection usable
 //! (only an unparseable frame closes it: there is no way to resynchronise a
-//! length-prefixed stream). A failure while a batch is open poisons the
-//! batch (the client must re-issue `BEGIN`). Requests may be **pipelined**:
+//! length-prefixed stream). Requests may be **pipelined**:
 //! the server parses every complete request it has buffered before replying,
 //! executes them in order, and writes all the replies back in one flush.
 //!
@@ -94,7 +101,7 @@ pub enum ErrorCode {
     Arg,
     /// An arithmetic op hit a non-integer value (`ADD`/`SUM` on a str).
     Type,
-    /// Batch protocol misuse: `EXEC` without `BEGIN`, poisoned batch.
+    /// An `EXEC` op that is not a data op (a nested `EXEC` included).
     Batch,
     /// The server-side transaction aborted explicitly (conflicts are
     /// retried until the transaction commits).
@@ -180,10 +187,8 @@ pub enum Request {
     Range(i64, i64),
     /// Atomic sum + count of the integer values in `lo..=hi`.
     Sum(i64, i64),
-    /// Open a batch: queue data operations until `EXEC`.
-    Begin,
-    /// Execute the queued batch as one atomic transaction.
-    Exec,
+    /// Run the data operations as one atomic transaction.
+    Exec(Vec<Request>),
     /// Liveness probe.
     Ping,
     /// Full telemetry exposition (Prometheus-style text) — the one
@@ -199,8 +204,8 @@ pub enum Request {
 }
 
 impl Request {
-    /// Whether this request is a data operation that may appear inside a
-    /// `BEGIN`/`EXEC` batch.
+    /// Whether this request is a data operation, one that may appear inside
+    /// an `EXEC`.
     pub fn is_data_op(&self) -> bool {
         matches!(
             self,
@@ -214,14 +219,14 @@ impl Request {
     }
 }
 
-/// A server reply to one request (or one queued batch operation).
+/// A server reply to one request (or one operation of an `EXEC`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// A typed value (`GET` hit, `ADD` result).
     Value(Value),
     /// Key absent.
     Nil,
-    /// Success without a payload (`PUT`, `BEGIN`).
+    /// Success without a payload (`PUT`).
     Ok,
     /// Success with a small integer payload (`DEL` → removed count).
     OkN(i64),
@@ -229,9 +234,7 @@ pub enum Reply {
     Range(Vec<(i64, Value)>),
     /// Sum and count from a `SUM`.
     Sum(i64, usize),
-    /// Operation queued inside an open batch.
-    Queued,
-    /// The replies of an executed `BEGIN`/`EXEC` batch, one per queued op.
+    /// The replies of an executed `EXEC`, one per op.
     Exec(Vec<Reply>),
     /// A snapshot was written: its cut sequence number and key count.
     Snapshot(u64, usize),
@@ -301,15 +304,24 @@ const SUM: Verb = Verb {
     args: &["lo", "hi"],
     build: |verb, args| Ok(Request::Sum(verb.int(args, 0)?, verb.int(args, 1)?)),
 };
-const BEGIN: Verb = Verb {
-    name: "BEGIN",
-    args: &[],
-    build: |_, _| Ok(Request::Begin),
-};
 const EXEC: Verb = Verb {
     name: "EXEC",
-    args: &[],
-    build: |_, _| Ok(Request::Exec),
+    args: &["ops"],
+    build: |_, args| match std::mem::replace(&mut args[0], Frame::Nil) {
+        Frame::Array(frames) => frames
+            .into_iter()
+            .enumerate()
+            .map(|(i, frame)| {
+                parse_exec_op(frame)
+                    .map_err(|err| ProtoError::new(err.code, format!("op {i}: {}", err.message)))
+            })
+            .collect::<Result<_, _>>()
+            .map(Request::Exec),
+        other => Err(ProtoError::new(
+            ErrorCode::Arg,
+            format!("ops must be an array frame, got {}", other.describe()),
+        )),
+    },
 };
 const PING: Verb = Verb {
     name: "PING",
@@ -342,10 +354,22 @@ const QUIT: Verb = Verb {
 };
 
 /// Every verb, most frequent first (lookup is a linear scan).
-const VERBS: [&Verb; 13] = [
-    &GET, &PUT, &DEL, &ADD, &RANGE, &SUM, &BEGIN, &EXEC, &PING, &METRICS, &SLOWLOG, &SNAPSHOT,
-    &QUIT,
+const VERBS: [&Verb; 12] = [
+    &GET, &PUT, &DEL, &ADD, &RANGE, &SUM, &EXEC, &PING, &METRICS, &SLOWLOG, &SNAPSHOT, &QUIT,
 ];
+
+/// One op of an `EXEC`: a data-op request frame.
+fn parse_exec_op(frame: Frame) -> Result<Request, ProtoError> {
+    let request = parse_request_v2(frame)?;
+    if !request.is_data_op() {
+        let name = request.parts().0.name;
+        return Err(ProtoError::new(
+            ErrorCode::Batch,
+            format!("{name} is not a data op"),
+        ));
+    }
+    Ok(request)
+}
 
 impl Verb {
     /// Looks a verb up by its name in any case, without building an
@@ -420,6 +444,7 @@ impl Verb {
 enum Arg<'a> {
     Int(i64),
     Value(&'a Value),
+    Ops(&'a [Request]),
 }
 
 impl Request {
@@ -435,8 +460,7 @@ impl Request {
             Request::Add(k, d) => (&ADD, two(*k, *d)),
             Request::Range(lo, hi) => (&RANGE, two(*lo, *hi)),
             Request::Sum(lo, hi) => (&SUM, two(*lo, *hi)),
-            Request::Begin => (&BEGIN, [None, None]),
-            Request::Exec => (&EXEC, [None, None]),
+            Request::Exec(ops) => (&EXEC, [Some(Arg::Ops(ops)), None]),
             Request::Ping => (&PING, [None, None]),
             Request::Metrics => (&METRICS, [None, None]),
             // Counts past `i64::MAX` ask for "every entry" either way.
@@ -749,17 +773,27 @@ fn frame_to_value(frame: Frame) -> Option<Value> {
 /// Renders a request as its frame bytes: `[+VERB, args...]`. A `PUT`
 /// value is written straight from the borrowed request, never cloned.
 pub fn render_request_v2(request: &Request) -> Vec<u8> {
-    let (verb, args) = request.parts();
     let mut out = Vec::with_capacity(32);
-    write_array_header(&mut out, 1 + args.iter().flatten().count());
-    write_status(&mut out, verb.name);
+    write_request(&mut out, request);
+    out
+}
+
+fn write_request(out: &mut Vec<u8>, request: &Request) {
+    let (verb, args) = request.parts();
+    write_array_header(out, 1 + args.iter().flatten().count());
+    write_status(out, verb.name);
     for arg in args.iter().flatten() {
         match arg {
-            Arg::Int(v) => write_int(&mut out, *v),
-            Arg::Value(v) => write_value(&mut out, v),
+            Arg::Int(v) => write_int(out, *v),
+            Arg::Value(v) => write_value(out, v),
+            Arg::Ops(ops) => {
+                write_array_header(out, ops.len());
+                for op in *ops {
+                    write_request(out, op);
+                }
+            }
         }
     }
-    out
 }
 
 /// Interprets a decoded frame as a request.
@@ -820,7 +854,6 @@ pub fn render_reply_v2(out: &mut Vec<u8>, reply: &Reply) {
             write_int(out, *total);
             write_int(out, *count as i64);
         }
-        Reply::Queued => write_status(out, "QUEUED"),
         Reply::Exec(replies) => {
             write_array_header(out, 2);
             write_status(out, "EXEC");
@@ -870,7 +903,6 @@ pub fn parse_reply_v2(frame: Frame) -> Result<Reply, String> {
         Frame::Error(code, message) => Ok(Reply::Err(code, message)),
         Frame::Status(token) => match token.as_str() {
             "OK" => Ok(Reply::Ok),
-            "QUEUED" => Ok(Reply::Queued),
             "PONG" => Ok(Reply::Pong),
             "BYE" => Ok(Reply::Bye),
             other => Err(format!("unrecognized status reply '+{other}'")),
@@ -984,8 +1016,12 @@ mod tests {
             Request::Add(7, -5),
             Request::Range(0, 255),
             Request::Sum(-10, 10),
-            Request::Begin,
-            Request::Exec,
+            Request::Exec(Vec::new()),
+            Request::Exec(vec![
+                Request::Get(1),
+                Request::Put(2, Value::Bytes(vec![0, 10])),
+                Request::Sum(0, 9),
+            ]),
             Request::Ping,
             Request::Metrics,
             Request::SlowLog(16),
@@ -1010,7 +1046,10 @@ mod tests {
     fn every_verb_in_the_table_round_trips() {
         for verb in VERBS {
             let mut args: Vec<Frame> = (0..verb.args.len())
-                .map(|i| Frame::Int(7 + i as i64))
+                .map(|i| match verb.args[i] {
+                    "ops" => Frame::Array(Vec::new()),
+                    _ => Frame::Int(7 + i as i64),
+                })
                 .collect();
             let request = verb.request(&mut args).unwrap();
             assert_eq!(request.parts().0.name, verb.name);
@@ -1030,7 +1069,7 @@ mod tests {
             assert_eq!(err.code, ErrorCode::Arg);
             assert!(err.message.starts_with(&wanted), "{err}");
         }
-        assert_eq!(VERBS.len(), 13);
+        assert_eq!(VERBS.len(), 12);
     }
 
     #[test]
@@ -1181,7 +1220,6 @@ mod tests {
                     .collect(),
             ),
             Reply::Sum(-5, 3),
-            Reply::Queued,
             Reply::Metrics("# TYPE a counter\na{op=\"get\"} 1\n".to_string()),
             Reply::SlowLog(vec![
                 "op=EXEC keys=3 attempts=2 wall_us=912".to_string(),
@@ -1331,8 +1369,7 @@ mod tests {
         assert!(Request::Put(1, Value::Str("s".into())).is_data_op());
         assert!(Request::Sum(0, 1).is_data_op());
         for request in [
-            Request::Begin,
-            Request::Exec,
+            Request::Exec(vec![Request::Get(1)]),
             Request::Ping,
             Request::Metrics,
             Request::SlowLog(8),

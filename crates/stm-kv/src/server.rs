@@ -10,11 +10,12 @@
 //! contention-manager instance, keeping managers decentralised exactly as
 //! in the in-process harness.
 //!
-//! Every data request executes as one `atomically` call; a `BEGIN`/`EXEC`
-//! batch executes all of its queued operations inside a single
-//! `atomically` call, which is what makes multi-key batches serializable
-//! across clients by construction: the runtime provides safety, and the
-//! [`ManagerKind`] chosen at server start provides progress.
+//! Every data request executes as one `atomically` call; an `EXEC` runs
+//! all of its operations inside a single `atomically` call, which is what
+//! makes multi-key batches serializable across clients by construction:
+//! the runtime provides safety, and the [`ManagerKind`] chosen at server
+//! start provides progress. A connection keeps no transaction state between
+//! requests.
 //!
 //! **Framing.** A connection's first line is the `HELLO 2` preamble,
 //! answered byte-for-byte; every byte after it is a frame (see
@@ -37,7 +38,9 @@
 //! write-set — typed values included — is appended to the log in
 //! serialization order. A mutating request's reply is withheld until its
 //! record is fsynced (group commit: one fsync covers every request that
-//! committed meanwhile), so an acknowledged write is on disk. `SNAPSHOT`
+//! committed meanwhile), so an acknowledged write is on disk. A request that
+//! logged nothing waits for the newest record assigned when it committed,
+//! so no reply shows a write that is not yet on disk. `SNAPSHOT`
 //! forces a point-in-time snapshot; [`ServerConfig::snapshot_every`] takes
 //! one automatically every N logged records.
 //!
@@ -325,8 +328,8 @@ fn replay_recovered(stm: &Stm, store: &KvStore, recovered: &stm_log::Recovered) 
 ///
 /// A [`TypeMismatch`](crate::TypeMismatch) from `ADD`/`SUM` is a `TYPE`
 /// error reply. For a standalone request that is the whole story (the
-/// failed op wrote nothing). Inside a `BEGIN`/`EXEC` batch the caller
-/// (`handle_exec`) aborts the **entire transaction** on a type error:
+/// failed op wrote nothing). Inside an `EXEC` the caller aborts the
+/// **entire transaction** on a type error:
 /// committing the other ops while one `ADD` silently failed would let a
 /// `transfer` debit one account without crediting the other — destroying
 /// the conservation invariant the batch contract exists to protect.
@@ -368,8 +371,7 @@ fn apply(store: &KvStore, tx: &mut Txn<'_>, request: &Request, log: bool) -> TxR
             Err(mismatch) => Reply::err(ErrorCode::Type, mismatch.to_string()),
         },
         // Non-data requests never reach `apply`.
-        Request::Begin
-        | Request::Exec
+        Request::Exec(_)
         | Request::Ping
         | Request::Snapshot
         | Request::Metrics
@@ -405,26 +407,10 @@ fn metrics_payload(
     out
 }
 
-/// Per-connection `BEGIN`/`EXEC` state.
-///
-/// A failure while a batch is open (bad request, disallowed command) moves
-/// the batch to `Poisoned` instead of discarding it: clients pipeline
-/// entire batches before reading any reply, so the already-sent tail of a
-/// discarded batch would otherwise execute as standalone transactions —
-/// silently breaking the batch's all-or-nothing contract. A poisoned batch
-/// swallows every further data op (with an `ERR`) until `EXEC`, which
-/// reports the failure and clears the state.
-enum Batch {
-    None,
-    Open(Vec<Request>),
-    Poisoned,
-}
-
 /// The protocol state that persists across bursts for one connection:
-/// whether the preamble has been answered, the open batch, and the quit
-/// latch. Each connection in a shard's slab keeps exactly one of these.
+/// whether the preamble has been answered, and the quit latch. Each
+/// connection in a shard's slab keeps exactly one of these.
 pub(crate) struct ConnState {
-    batch: Batch,
     /// Whether the `HELLO 2` preamble has been received and answered.
     greeted: bool,
     quit: bool,
@@ -433,7 +419,6 @@ pub(crate) struct ConnState {
 impl ConnState {
     pub(crate) fn new() -> ConnState {
         ConnState {
-            batch: Batch::None,
             greeted: false,
             quit: false,
         }
@@ -454,8 +439,8 @@ struct Session<'a, 'stm> {
     telemetry: &'a Telemetry,
     durable: Option<&'a Durable>,
     conn: &'a mut ConnState,
-    /// Highest commit sequence number this reply burst must wait on before
-    /// it is flushed (only logged commits have one).
+    /// Highest log sequence number this reply burst must wait on before it
+    /// is flushed (only durable servers have one).
     flush_barrier: Option<u64>,
 }
 
@@ -466,12 +451,6 @@ impl<'a, 'stm> Session<'a, 'stm> {
             self.telemetry.errors.add(1);
         }
         render_reply_v2(out, reply);
-    }
-
-    /// Notes that the burst's replies depend on `seq` being durable.
-    fn require_durable(&mut self, seq: Option<u64>) {
-        // `None` orders below every `Some`.
-        self.flush_barrier = self.flush_barrier.max(seq);
     }
 
     /// Takes a point-in-time snapshot through `atomically_logged` (the
@@ -525,167 +504,95 @@ impl<'a, 'stm> Session<'a, 'stm> {
 
     /// Processes one decoded request frame, appending its reply to `out`.
     fn handle_frame(&mut self, frame: crate::proto::Frame, out: &mut Vec<u8>) {
-        match parse_request_v2(frame) {
-            Err(error) => {
-                if !matches!(self.conn.batch, Batch::None) {
-                    self.conn.batch = Batch::Poisoned;
-                }
-                self.emit(&Reply::Err(error.code, error.message), out);
-            }
-            Ok(request) => self.handle_request(request, out),
-        }
-    }
-
-    /// Dispatches one parsed request.
-    fn handle_request(&mut self, request: Request, out: &mut Vec<u8>) {
-        let in_batch = !matches!(self.conn.batch, Batch::None);
+        let request = match parse_request_v2(frame) {
+            Ok(request) => request,
+            Err(error) => return self.emit(&Reply::Err(error.code, error.message), out),
+        };
+        let store = self.store;
+        let log = self.durable.is_some();
         match request {
             Request::Quit => {
                 self.emit(&Reply::Bye, out);
                 self.conn.quit = true;
             }
-            Request::Ping if !in_batch => self.emit(&Reply::Pong, out),
-            Request::Snapshot if !in_batch => {
+            Request::Ping => self.emit(&Reply::Pong, out),
+            Request::Snapshot => {
                 let reply = self.take_snapshot();
                 self.emit(&reply, out);
             }
-            Request::Metrics if !in_batch => {
+            Request::Metrics => {
                 let payload =
                     metrics_payload(self.ctx.stm(), self.store, self.durable, self.telemetry);
                 self.emit(&Reply::Metrics(payload), out);
             }
-            Request::SlowLog(n) if !in_batch => {
+            Request::SlowLog(n) => {
                 let entries = self.telemetry.slowlog.entries(n as usize);
                 self.emit(&Reply::SlowLog(entries), out);
             }
-            Request::Begin if !in_batch => {
-                self.conn.batch = Batch::Open(Vec::new());
-                self.emit(&Reply::Ok, out);
-            }
-            Request::Begin
-            | Request::Ping
-            | Request::Snapshot
-            | Request::Metrics
-            | Request::SlowLog(_) => {
-                self.conn.batch = Batch::Poisoned;
-                self.emit(
-                    &Reply::err(
-                        ErrorCode::Batch,
-                        "command not allowed inside BEGIN/EXEC batch",
-                    ),
-                    out,
-                );
-            }
-            Request::Exec => self.handle_exec(out),
-            data_op => self.handle_data_op(data_op, out),
-        }
-    }
-
-    fn handle_exec(&mut self, out: &mut Vec<u8>) {
-        match std::mem::replace(&mut self.conn.batch, Batch::None) {
-            Batch::None => {
-                self.emit(&Reply::err(ErrorCode::Batch, "EXEC without BEGIN"), out);
-            }
-            Batch::Poisoned => {
-                self.emit(
-                    &Reply::err(
-                        ErrorCode::Batch,
-                        "batch aborted by an earlier error; nothing executed",
-                    ),
-                    out,
-                );
-            }
-            Batch::Open(ops) => {
-                self.telemetry.batches.add(1);
-                let store = self.store;
-                let log = self.durable.is_some();
-                // A type error anywhere in the batch aborts the whole
-                // transaction (explicit abort — no retry, nothing commits):
-                // all-or-nothing is the batch's contract, and a half-applied
-                // transfer would un-conserve the keyspace.
-                let mut type_failure: Option<Reply> = None;
-                let started = Instant::now();
-                let (result, report) = self.ctx.atomically_traced(|tx| {
-                    let mut replies = Vec::with_capacity(ops.len());
-                    for op in &ops {
-                        let reply = apply(store, tx, op, log)?;
-                        if matches!(reply, Reply::Err(ErrorCode::Type, _)) {
-                            type_failure = Some(reply);
+            // A type error anywhere in an `EXEC` aborts the whole
+            // transaction (explicit abort — no retry, nothing commits):
+            // all-or-nothing is the batch's contract, and a half-applied
+            // transfer would un-conserve the keyspace.
+            Request::Exec(ops) => self.transact(OP_EXEC, out, |tx, refusal| {
+                let mut replies = Vec::with_capacity(ops.len());
+                for op in &ops {
+                    match apply(store, tx, op, log)? {
+                        Reply::Err(code, message) => {
+                            *refusal =
+                                Some(Reply::Err(code, format!("nothing executed: {message}")));
                             return tx.abort();
                         }
-                        replies.push(reply);
-                    }
-                    Ok(replies)
-                });
-                let txn_us = elapsed_us(started);
-                match result {
-                    Ok(replies) => {
-                        self.require_durable(report.commit_seq);
-                        self.emit(&Reply::Exec(replies), out);
-                        self.maybe_auto_snapshot();
-                    }
-                    Err(_) if type_failure.is_some() => {
-                        let Some(Reply::Err(code, message)) = type_failure else {
-                            unreachable!("type_failure holds an error reply");
-                        };
-                        self.emit(
-                            &Reply::Err(code, format!("nothing executed: {message}")),
-                            out,
-                        );
-                    }
-                    Err(err) => {
-                        self.emit(
-                            &Reply::err(ErrorCode::Txn, format!("batch failed: {err}")),
-                            out,
-                        );
+                        reply => replies.push(reply),
                     }
                 }
-                self.telemetry
-                    .observe_op(OP_EXEC, &report, txn_us, elapsed_us(started));
-            }
+                Ok(Reply::Exec(replies))
+            }),
+            op => self.transact(op_index(&op), out, |tx, _| apply(store, tx, &op, log)),
         }
     }
 
-    fn handle_data_op(&mut self, data_op: Request, out: &mut Vec<u8>) {
-        match &mut self.conn.batch {
-            Batch::Open(ops) => {
-                ops.push(data_op);
-                self.emit(&Reply::Queued, out);
+    /// Runs one data transaction — a standalone op, or every op of an
+    /// `EXEC` — and renders its reply: `body` is the transaction, and a body
+    /// that aborts explicitly leaves its reply in `refusal`. Counts and
+    /// times the call, sets the burst's durability barrier and polls the
+    /// auto-snapshot budget.
+    fn transact(
+        &mut self,
+        op: usize,
+        out: &mut Vec<u8>,
+        mut body: impl FnMut(&mut Txn<'_>, &mut Option<Reply>) -> TxResult<Reply>,
+    ) {
+        if op == OP_EXEC {
+            self.telemetry.batches.add(1);
+        } else {
+            self.telemetry.requests.add(1);
+        }
+        let mut refusal = None;
+        let started = Instant::now();
+        let (result, report) = self.ctx.atomically_traced(|tx| body(tx, &mut refusal));
+        let txn_us = elapsed_us(started);
+        if let Some(durable) = self.durable {
+            // A commit the log took waits for its own record. Any other call
+            // may have read a value whose record is not yet on disk; that
+            // record's seq was assigned in the writer's commit, before this
+            // call read it, so the newest seq assigned now covers it.
+            let seq = report.commit_seq.unwrap_or_else(|| durable.wal.last_seq());
+            self.flush_barrier = self.flush_barrier.max(Some(seq));
+        }
+        match result {
+            Ok(reply) => {
+                self.emit(&reply, out);
+                self.maybe_auto_snapshot();
             }
-            Batch::Poisoned => {
-                // Swallow without executing: the client already pipelined
-                // this op as part of the failed batch.
-                self.emit(
-                    &Reply::err(ErrorCode::Batch, "batch aborted by an earlier error"),
-                    out,
-                );
-            }
-            Batch::None => {
-                self.telemetry.requests.add(1);
-                let store = self.store;
-                let log = self.durable.is_some();
-                let started = Instant::now();
-                let (result, report) = self
-                    .ctx
-                    .atomically_traced(|tx| apply(store, tx, &data_op, log));
-                let txn_us = elapsed_us(started);
-                match result {
-                    Ok(reply) => {
-                        self.require_durable(report.commit_seq);
-                        self.emit(&reply, out);
-                        self.maybe_auto_snapshot();
-                    }
-                    Err(err) => {
-                        self.emit(
-                            &Reply::err(ErrorCode::Txn, format!("transaction failed: {err}")),
-                            out,
-                        );
-                    }
-                }
-                self.telemetry
-                    .observe_op(op_index(&data_op), &report, txn_us, elapsed_us(started));
+            Err(err) => {
+                let reply = refusal.unwrap_or_else(|| {
+                    Reply::err(ErrorCode::Txn, format!("transaction failed: {err}"))
+                });
+                self.emit(&reply, out);
             }
         }
+        self.telemetry
+            .observe_op(op, &report, txn_us, elapsed_us(started));
     }
 }
 
@@ -697,9 +604,10 @@ impl<'a, 'stm> Session<'a, 'stm> {
 /// frame and closes the connection: a length-prefixed stream cannot
 /// resynchronise past garbage, and nothing unterminated is kept buffered.
 ///
-/// Returns the burst's durability barrier: the commit sequence number the
-/// caller must [`Wal::wait_durable`] on before flushing `out` (`None` when
-/// the burst logged nothing). A barrier wait returning `false` means the log
+/// Returns the burst's durability barrier: the sequence number the caller
+/// must [`Wal::wait_durable`] on before flushing `out` (`None` when the burst
+/// ran no data transaction or the server is volatile). A barrier wait
+/// returning `false` means the log
 /// failed — the caller must close without acknowledging rather than send
 /// replies the contract says are on disk.
 pub(crate) fn process_buffered(
@@ -764,7 +672,7 @@ pub(crate) fn process_buffered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{parse_reply_v2, render_request_v2, MAX_HEADER_BYTES};
+    use crate::proto::{parse_reply_v2, render_request_v2, write_frame, Frame, MAX_HEADER_BYTES};
     use crate::{KvClient, Value};
     use std::io::{BufRead, BufReader, Read, Write};
 
@@ -939,34 +847,54 @@ mod tests {
         assert_eq!(say(&mut client, Request::Quit), Reply::Bye);
     }
 
+    /// An `EXEC` whose second op is not a runnable data op gets one error
+    /// naming that op and runs none of its ops; the connection goes on.
     #[test]
-    fn poisoned_batch_executes_nothing_and_keeps_framing() {
+    fn a_hostile_exec_executes_nothing_and_keeps_framing() {
         let server = KvServer::start(test_config()).unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();
         let client = &mut client;
         assert_eq!(say(client, Request::Put(3, Value::Int(30))), Reply::Ok);
-        assert_eq!(say(client, Request::Begin), Reply::Ok);
-        assert_eq!(say(client, Request::Add(3, 10)), Reply::Queued);
-        // A non-data command poisons the batch...
-        let (code, message) = say_err(client, Request::Ping);
-        assert_eq!(code, ErrorCode::Batch);
-        assert!(message.starts_with("command not allowed"), "{message}");
-        // ...so the already-pipelined tail is swallowed, not executed.
-        assert!(say_err(client, Request::Add(3, 100))
-            .1
-            .starts_with("batch aborted"));
-        assert!(say_err(client, Request::Exec)
-            .1
-            .starts_with("batch aborted"));
-        // All-or-nothing: key 3 is untouched, framing survives.
-        assert_eq!(say(client, Request::Get(3)), int(30));
-        assert_eq!(say(client, Request::Ping), Reply::Pong);
-        assert_eq!(say(client, Request::Begin), Reply::Ok);
-        assert_eq!(say(client, Request::Add(3, 1)), Reply::Queued);
-        assert_eq!(say(client, Request::Exec), Reply::Exec(vec![int(31)]));
+        let frame = |request: Request| decode_frame(&render_request_v2(&request)).unwrap().0;
+        let verb = |name: &str, args: Vec<Frame>| {
+            Frame::Array([vec![Frame::Status(name.to_string())], args].concat())
+        };
+        for (op, code, wanted) in [
+            (
+                frame(Request::Ping),
+                ErrorCode::Batch,
+                "PING is not a data op",
+            ),
+            (
+                frame(Request::Exec(vec![Request::Add(3, 1)])),
+                ErrorCode::Batch,
+                "EXEC is not a data op",
+            ),
+            (
+                verb("FLY", vec![]),
+                ErrorCode::Proto,
+                "unknown command 'FLY'",
+            ),
+            (
+                verb("GET", vec![Frame::Int(3), Frame::Int(4)]),
+                ErrorCode::Arg,
+                "GET takes 1 argument, got 2",
+            ),
+        ] {
+            let ops = vec![frame(Request::Add(3, 10)), op, frame(Request::Add(3, 100))];
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, &verb("EXEC", vec![Frame::Array(ops)]));
+            client.send_raw(&bytes).unwrap();
+            let reply = client.recv().unwrap();
+            assert_eq!(reply, Reply::err(code, format!("op 1: {wanted}")));
+            assert_eq!(say(client, Request::Get(3)), int(30), "{wanted}");
+            assert_eq!(say(client, Request::Ping), Reply::Pong);
+        }
+        let add = Request::Exec(vec![Request::Add(3, 1)]);
+        assert_eq!(say(client, add), Reply::Exec(vec![int(31)]));
         assert_eq!(
-            say_err(client, Request::Exec),
-            (ErrorCode::Batch, "EXEC without BEGIN".to_string())
+            say(client, Request::Exec(Vec::new())),
+            Reply::Exec(Vec::new())
         );
         assert_eq!(say(client, Request::Quit), Reply::Bye);
     }
@@ -1023,18 +951,14 @@ mod tests {
         let server = KvServer::start(test_config()).unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();
         let burst = burst_of(&[
-            Request::Begin,
-            Request::Put(1, Value::Str("a".into())),
-            Request::Add(2, 7),
-            Request::Get(1),
-            Request::Exec,
+            Request::Exec(vec![
+                Request::Put(1, Value::Str("a".into())),
+                Request::Add(2, 7),
+                Request::Get(1),
+            ]),
             Request::Quit,
         ]);
         client.send_raw(&burst).unwrap();
-        assert_eq!(client.recv().unwrap(), Reply::Ok); // BEGIN
-        for _ in 0..3 {
-            assert_eq!(client.recv().unwrap(), Reply::Queued);
-        }
         assert_eq!(
             client.recv().unwrap(),
             Reply::Exec(vec![

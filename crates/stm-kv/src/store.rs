@@ -86,10 +86,11 @@
 //! **Typing.** The arithmetic operations (`ADD`, and `SUM` over a range)
 //! are only defined on `Int` values: hitting a `Str`/`Bytes` value reports
 //! a [`TypeMismatch`] naming the offending key and the kind found, which
-//! the server surfaces as a `TYPE` error without aborting the transaction.
+//! the server surfaces as a `TYPE` error (inside an `EXEC` it aborts the
+//! whole transaction).
 //!
 //! All operations run inside the caller's transaction and compose: the
-//! server's `BEGIN`/`EXEC` batches simply run several store operations in
+//! server's `EXEC` batches simply run several store operations in
 //! one `atomically` closure, which is what makes multi-key batches
 //! serializable across clients — a point read and a range read in one
 //! transaction witness the same serial order.
@@ -524,8 +525,7 @@ impl KvStore {
     /// Adds `delta` to the integer value at `key` (treating an absent key as
     /// `0` and inserting it), returning the new value — or a
     /// [`TypeMismatch`] when the key holds a non-integer value. This is the
-    /// closed read-modify-write the `BEGIN`/`EXEC` transfer batches are
-    /// built from.
+    /// closed read-modify-write the `EXEC` transfer batches are built from.
     pub fn add(
         &self,
         tx: &mut Txn<'_>,

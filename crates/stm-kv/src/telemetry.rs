@@ -22,14 +22,13 @@ use stm_core::sync::Mutex;
 use stm_core::{AbortCause, TxRunReport, ABORT_CAUSES};
 
 /// Operation labels of the per-op latency histograms, in a fixed order so
-/// [`op_index`] is a dense lookup. `EXEC` covers a whole `BEGIN`/`EXEC`
-/// batch.
+/// [`op_index`] is a dense lookup. `EXEC` covers a whole batch.
 pub(crate) const OP_LABELS: [&str; 7] = ["GET", "PUT", "DEL", "ADD", "RANGE", "SUM", "EXEC"];
 
 /// Index of the `EXEC` label in [`OP_LABELS`].
 pub(crate) const OP_EXEC: usize = 6;
 
-/// Index into [`OP_LABELS`] for a standalone data request.
+/// Index into [`OP_LABELS`] for a data request or an `EXEC`.
 pub(crate) fn op_index(request: &crate::proto::Request) -> usize {
     use crate::proto::Request;
     match request {
@@ -39,8 +38,7 @@ pub(crate) fn op_index(request: &crate::proto::Request) -> usize {
         Request::Add(..) => 3,
         Request::Range(..) => 4,
         Request::Sum(..) => 5,
-        // Non-data requests never reach the instrumented execution paths;
-        // attribute any future slip to the batch bucket rather than panic.
+        // `EXEC`; non-data requests never reach the instrumented path.
         _ => OP_EXEC,
     }
 }
@@ -58,7 +56,7 @@ pub(crate) struct Telemetry {
     pub(crate) connections: Arc<Counter>,
     /// Requests executed (single data ops; a batch counts once).
     pub(crate) requests: Arc<Counter>,
-    /// `BEGIN`/`EXEC` batches executed.
+    /// `EXEC` batches executed.
     pub(crate) batches: Arc<Counter>,
     /// `ERR` replies sent.
     pub(crate) errors: Arc<Counter>,

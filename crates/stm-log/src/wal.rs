@@ -284,6 +284,13 @@ impl Wal {
         self.shared.group.durable()
     }
 
+    /// Sequence number of the newest record assigned (0 when none): a
+    /// commit's seq is assigned in the same critical section as its commit,
+    /// so every write committed before this call is logged at or below it.
+    pub fn last_seq(&self) -> u64 {
+        self.shared.group.next_seq().saturating_sub(1)
+    }
+
     /// Whether the log hit an unrecoverable filesystem error: nothing is
     /// written from then on, nothing appended after the failure point is
     /// (or will become) durable, and [`Wal::wait_durable`] reports `false`

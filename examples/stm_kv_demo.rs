@@ -8,7 +8,8 @@
 //!
 //! The demo starts an in-process `stm-kv` server under the greedy manager,
 //! seeds 16 "accounts", lets four client connections fire concurrent
-//! `BEGIN`/`EXEC` transfer batches at it, and shows that every atomic `SUM`
+//! transfers at it (each one `EXEC` request of two `ADD`s, run as one
+//! transaction), and shows that every atomic `SUM`
 //! audit — including ones racing the transfers — observes the conserved
 //! total.
 

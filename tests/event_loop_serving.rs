@@ -75,10 +75,7 @@ fn pipelined_burst(puts: i64) -> (Vec<u8>, usize) {
         replies += 1;
     }
     for req in [
-        Request::Begin,
-        Request::Add(0, -7),
-        Request::Add(1, 7),
-        Request::Exec,
+        Request::Exec(vec![Request::Add(0, -7), Request::Add(1, 7)]),
         Request::Get(0),
         Request::Sum(0, puts - 1),
     ] {
@@ -90,12 +87,9 @@ fn pipelined_burst(puts: i64) -> (Vec<u8>, usize) {
 
 fn assert_burst_replies(replies: &[Reply], puts: i64) {
     let n = replies.len();
-    // PUTs then BEGIN/ADD/ADD all acknowledge.
+    // The PUTs all acknowledge.
     for reply in &replies[..n - 3] {
-        assert!(
-            matches!(reply, Reply::Ok | Reply::Queued),
-            "unexpected ack: {reply:?}"
-        );
+        assert_eq!(*reply, Reply::Ok, "unexpected ack");
     }
     assert!(
         matches!(&replies[n - 3], Reply::Exec(inner) if inner.len() == 2),

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `stm-kv` server: concurrent clients drive
-//! multi-key `BEGIN`/`EXEC` batches through a live TCP server and the
+//! multi-key `EXEC` batches through a live TCP server and the
 //! executions must be serializable under **every** contention manager.
 //!
 //! The serializability witness is balance conservation: the keyspace is
@@ -408,7 +408,7 @@ fn restart_truncates_a_torn_tail_and_stays_conserved() {
 /// Acknowledged implies durable, as a client sees it: by the time any reply
 /// to a mutating request has been read, the log's durable watermark covers
 /// every record acknowledged so far — for single `PUT`s, for each reply of
-/// a pipelined burst, and for a `BEGIN`/`EXEC` batch. One client and a
+/// a pipelined burst, and for an `EXEC` batch. One client and a
 /// fresh log make sequence numbers gapless, so "records acknowledged" and
 /// "sequence number" are the same count.
 #[test]
@@ -454,8 +454,58 @@ fn acknowledged_writes_are_durable_before_the_reply() {
         .unwrap();
     assert_eq!(replies.len(), 3);
     acked += 1; // one transaction, one record
-    assert_durable(acked, "BEGIN/EXEC batch");
+    assert_durable(acked, "EXEC batch");
 
+    client.quit().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Observed implies durable: a read's reply never shows a write whose
+/// record is not yet on disk. Writes committed in process leave their
+/// records pending (nobody waits on them); a wire `GET` that sees the value
+/// — or the absence a `DEL` left — must not be answered before it is
+/// fsynced.
+#[test]
+fn observed_writes_are_durable_before_the_reply() {
+    use greedy_stm::core::CommitOp;
+
+    let dir = temp_wal_dir("observed");
+    let mut server = start_durable_server(ManagerKind::Greedy, &dir, 0);
+    let wal = server.wal().expect("durable server has a log");
+    let mut client = KvClient::connect(server.addr()).unwrap();
+    let mut ctx = server.stm().thread();
+    let store = server.store();
+    let mut commit = |op: CommitOp| {
+        let (result, report) = ctx.atomically_traced(|tx| {
+            match &op {
+                CommitOp::Put { id, value } => store.set(tx, *id, value.clone())?,
+                CommitOp::Del { id } => store.unset(tx, *id)?,
+            };
+            tx.publish(op.clone());
+            Ok(())
+        });
+        result.unwrap();
+        report.commit_seq.expect("a logged commit has a seq")
+    };
+
+    let seq = commit(CommitOp::put(7, 70));
+    assert_eq!(client.get(7).unwrap(), Some(Value::Int(70)));
+    let durable = wal.durable_seq();
+    assert!(
+        durable >= seq,
+        "GET returned the value of record {seq} while durable_seq was {durable}"
+    );
+
+    let seq = commit(CommitOp::Del { id: 7 });
+    assert_eq!(client.get(7).unwrap(), None);
+    let durable = wal.durable_seq();
+    assert!(
+        durable >= seq,
+        "GET returned the nil of record {seq} while durable_seq was {durable}"
+    );
+
+    drop(ctx);
     client.quit().unwrap();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
