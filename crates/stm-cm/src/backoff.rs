@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use stm_core::manager::{factory, ManagerFactory};
-use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
+use stm_core::{ContentionManager, Resolution, TxView, WaitSpec};
 
 /// Initial backoff interval.
 const BASE: Duration = Duration::from_micros(2);
@@ -52,7 +52,7 @@ impl ContentionManager for BackoffManager {
         self.conflict_with = None;
     }
 
-    fn resolve(&mut self, _me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
+    fn resolve(&mut self, _me: TxView<'_>, other: TxView<'_>) -> Resolution {
         if self.conflict_with != Some(other.id()) {
             self.conflict_with = Some(other.id());
             self.round = 0;
@@ -79,7 +79,7 @@ mod tests {
         let mut m = BackoffManager::default();
         let mut last = Duration::ZERO;
         for _ in 0..MAX_ROUNDS {
-            match m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {
+            match m.resolve(view(&me), view(&other)) {
                 Resolution::Wait(spec) => {
                     let d = spec.max.unwrap();
                     assert!(d >= last);
@@ -89,10 +89,7 @@ mod tests {
             }
         }
         assert_eq!(last, CAP);
-        assert_eq!(
-            m.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
-            Resolution::AbortOther
-        );
+        assert_eq!(m.resolve(view(&me), view(&other)), Resolution::AbortOther);
     }
 
     #[test]
@@ -101,9 +98,7 @@ mod tests {
         let other = tx(2, 2);
         let mut m = BackoffManager::default();
         for _ in 0..MAX_ROUNDS {
-            if let Resolution::Wait(spec) =
-                m.resolve(view(&me), view(&other), ConflictKind::WriteWrite)
-            {
+            if let Resolution::Wait(spec) = m.resolve(view(&me), view(&other)) {
                 assert!(spec.max.unwrap() <= CAP);
             }
         }
@@ -116,16 +111,16 @@ mod tests {
         let b = tx(3, 3);
         let mut m = BackoffManager::default();
         for _ in 0..MAX_ROUNDS {
-            let _ = m.resolve(view(&me), view(&a), ConflictKind::WriteWrite);
+            let _ = m.resolve(view(&me), view(&a));
         }
         // Next against `a` would abort; against `b` the series restarts.
         assert!(matches!(
-            m.resolve(view(&me), view(&b), ConflictKind::WriteWrite),
+            m.resolve(view(&me), view(&b)),
             Resolution::Wait(_)
         ));
         m.begin(view(&me));
         assert!(matches!(
-            m.resolve(view(&me), view(&a), ConflictKind::WriteWrite),
+            m.resolve(view(&me), view(&a)),
             Resolution::Wait(_)
         ));
         assert_eq!(m.name(), "backoff");

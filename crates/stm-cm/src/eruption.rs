@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use stm_core::manager::{factory, ManagerFactory};
-use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
+use stm_core::{ContentionManager, Resolution, TxView, WaitSpec};
 
 /// Inter-round backoff while blocked.
 const BACKOFF: Duration = Duration::from_micros(4);
@@ -50,7 +50,7 @@ impl ContentionManager for EruptionManager {
         self.pushed = false;
     }
 
-    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
+    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>) -> Resolution {
         if self.conflict_with != Some(other.id()) {
             self.conflict_with = Some(other.id());
             self.attempts = 0;
@@ -87,7 +87,7 @@ mod tests {
         view(&other).add_karma(10);
         let mut m = EruptionManager::default();
         let before = view(&other).karma();
-        let r = m.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
+        let r = m.resolve(view(&me), view(&other));
         assert!(matches!(r, Resolution::Wait(_)));
         assert_eq!(
             view(&other).karma(),
@@ -95,7 +95,7 @@ mod tests {
             "blocker gains my karma + 1"
         );
         // Momentum is pushed only once per conflict episode.
-        let _ = m.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
+        let _ = m.resolve(view(&me), view(&other));
         assert_eq!(view(&other).karma(), before + 3);
     }
 
@@ -106,10 +106,7 @@ mod tests {
         view(&me).add_karma(20);
         view(&other).add_karma(1);
         let mut m = EruptionManager::default();
-        assert_eq!(
-            m.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
-            Resolution::AbortOther
-        );
+        assert_eq!(m.resolve(view(&me), view(&other)), Resolution::AbortOther);
     }
 
     #[test]
@@ -119,15 +116,9 @@ mod tests {
         view(&other).add_karma(3);
         let mut m = EruptionManager::default();
         let mut rounds = 0;
-        loop {
-            match m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {
-                Resolution::AbortOther => break,
-                Resolution::Wait(_) => {
-                    rounds += 1;
-                    assert!(rounds < 100);
-                }
-                Resolution::AbortSelf => panic!("eruption never aborts itself"),
-            }
+        while let Resolution::Wait(_) = m.resolve(view(&me), view(&other)) {
+            rounds += 1;
+            assert!(rounds < 100);
         }
         assert!(rounds > 0);
     }

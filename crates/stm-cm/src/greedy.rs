@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use stm_core::manager::{factory, ManagerFactory};
-use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
+use stm_core::{ContentionManager, Resolution, TxView, WaitSpec};
 
 /// Initial wait time-out of [`GreedyTimeoutManager`] for every enemy.
 const BASE: Duration = Duration::from_micros(50);
@@ -57,7 +57,7 @@ impl ContentionManager for GreedyTimeoutManager {
         self.enemies.clear();
     }
 
-    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
+    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>) -> Resolution {
         if me.outranks(other) || other.is_waiting() {
             return Resolution::AbortOther;
         }
@@ -90,16 +90,16 @@ mod tests {
         let other = tx(2, 10);
         let mut mgr = GreedyTimeoutManager::default();
         // First encounter: bounded wait with the base time-out.
-        let r1 = mgr.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
+        let r1 = mgr.resolve(view(&me), view(&other));
         match r1 {
             Resolution::Wait(spec) => assert_eq!(spec.max, Some(BASE)),
             other => panic!("expected wait, got {other:?}"),
         }
         // Second encounter with the same live enemy: presume halted, kill it.
-        let r2 = mgr.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
+        let r2 = mgr.resolve(view(&me), view(&other));
         assert_eq!(r2, Resolution::AbortOther);
         // Third encounter: wait again, but with the doubled time-out.
-        let r3 = mgr.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
+        let r3 = mgr.resolve(view(&me), view(&other));
         match r3 {
             Resolution::Wait(spec) => assert_eq!(spec.max, Some(2 * BASE)),
             other => panic!("expected wait, got {other:?}"),
@@ -111,14 +111,14 @@ mod tests {
         let me = tx(1, 20);
         let other = tx(2, 10);
         let mut mgr = GreedyTimeoutManager::default();
-        let base_wait = Resolution::backoff(BASE);
-        let first = mgr.resolve(view(&me), view(&other), ConflictKind::WriteWrite);
+        let base_wait = Resolution::Wait(WaitSpec::bounded(BASE));
+        let first = mgr.resolve(view(&me), view(&other));
         assert_eq!(first, base_wait);
         // The wait ended because the enemy's attempt aborted, not because it
         // expired: the enemy's next attempt is owed a fresh wait at the
         // same time-out, not a kill.
         let restarted = Arc::new(TxShared::new(Arc::clone(other.lineage()), 2));
-        let second = mgr.resolve(view(&me), view(&restarted), ConflictKind::WriteWrite);
+        let second = mgr.resolve(view(&me), view(&restarted));
         assert_eq!(second, base_wait);
     }
 
@@ -127,10 +127,7 @@ mod tests {
         let me = tx(1, 10);
         let other = tx(2, 20);
         let mut mgr = GreedyTimeoutManager::default();
-        assert_eq!(
-            mgr.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
-            Resolution::AbortOther
-        );
+        assert_eq!(mgr.resolve(view(&me), view(&other)), Resolution::AbortOther);
         assert_eq!(mgr.name(), "greedy-timeout");
     }
 

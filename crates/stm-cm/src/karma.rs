@@ -17,7 +17,7 @@
 use std::time::Duration;
 
 use stm_core::manager::{factory, ManagerFactory};
-use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
+use stm_core::{ContentionManager, Resolution, TxView, WaitSpec};
 
 /// Inter-round backoff while the karma gap is open.
 const BACKOFF: Duration = Duration::from_micros(4);
@@ -56,7 +56,7 @@ impl ContentionManager for KarmaManager {
         self.conflict_with = None;
     }
 
-    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
+    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>) -> Resolution {
         if self.conflict_with != Some(other.id()) {
             self.conflict_with = Some(other.id());
             self.attempts = 0;
@@ -106,10 +106,7 @@ mod tests {
         view(&me).add_karma(10);
         view(&other).add_karma(3);
         let mut m = KarmaManager::default();
-        assert_eq!(
-            m.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
-            Resolution::AbortOther
-        );
+        assert_eq!(m.resolve(view(&me), view(&other)), Resolution::AbortOther);
     }
 
     #[test]
@@ -121,16 +118,10 @@ mod tests {
         // gap of 3 karma, so the first rounds wait; after enough retries the
         // attempt counter closes the gap and the enemy is aborted.
         let mut waits = 0;
-        loop {
-            match m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {
-                Resolution::Wait(spec) => {
-                    assert_eq!(spec.max, Some(BACKOFF));
-                    waits += 1;
-                    assert!(waits < 100, "karma never closed the gap");
-                }
-                Resolution::AbortOther => break,
-                Resolution::AbortSelf => panic!("karma never aborts itself"),
-            }
+        while let Resolution::Wait(spec) = m.resolve(view(&me), view(&other)) {
+            assert_eq!(spec.max, Some(BACKOFF));
+            waits += 1;
+            assert!(waits < 100, "karma never closed the gap");
         }
         assert_eq!(waits, 4, "needs karma+attempts > enemy karma");
     }
@@ -143,11 +134,11 @@ mod tests {
         view(&a).add_karma(2);
         view(&b).add_karma(2);
         let mut m = KarmaManager::default();
-        let _ = m.resolve(view(&me), view(&a), ConflictKind::WriteWrite);
-        let _ = m.resolve(view(&me), view(&a), ConflictKind::WriteWrite);
+        let _ = m.resolve(view(&me), view(&a));
+        let _ = m.resolve(view(&me), view(&a));
         // Switching enemies restarts the attempt counter, so b still wins.
         assert!(matches!(
-            m.resolve(view(&me), view(&b), ConflictKind::WriteWrite),
+            m.resolve(view(&me), view(&b)),
             Resolution::Wait(_)
         ));
         assert_eq!(m.name(), "karma");

@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use stm_core::manager::{factory, ManagerFactory};
-use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
+use stm_core::{ContentionManager, Resolution, TxView, WaitSpec};
 
 /// Initial backoff interval.
 const BASE: Duration = Duration::from_micros(2);
@@ -57,7 +57,7 @@ impl ContentionManager for PolkaManager {
         self.conflict_with = None;
     }
 
-    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
+    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>) -> Resolution {
         if self.conflict_with != Some(other.id()) {
             self.conflict_with = Some(other.id());
             self.round = 0;
@@ -87,10 +87,7 @@ mod tests {
         view(&me).add_karma(5);
         view(&other).add_karma(2);
         let mut m = PolkaManager::default();
-        assert_eq!(
-            m.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
-            Resolution::AbortOther
-        );
+        assert_eq!(m.resolve(view(&me), view(&other)), Resolution::AbortOther);
     }
 
     #[test]
@@ -100,12 +97,8 @@ mod tests {
         view(&other).add_karma(3);
         let mut m = PolkaManager::default();
         let mut waits = 0;
-        loop {
-            match m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {
-                Resolution::Wait(_) => waits += 1,
-                Resolution::AbortOther => break,
-                Resolution::AbortSelf => panic!("polka never aborts itself"),
-            }
+        while let Resolution::Wait(_) = m.resolve(view(&me), view(&other)) {
+            waits += 1;
             assert!(waits < 50);
         }
         assert_eq!(waits, 3, "gap of 3 karma means 3 backoff rounds");
@@ -118,15 +111,9 @@ mod tests {
         view(&other).add_karma(1_000);
         let mut m = PolkaManager::default();
         let mut waits = 0;
-        loop {
-            match m.resolve(view(&me), view(&other), ConflictKind::WriteWrite) {
-                Resolution::Wait(spec) => {
-                    assert!(spec.max.unwrap() <= CAP);
-                    waits += 1;
-                }
-                Resolution::AbortOther => break,
-                Resolution::AbortSelf => unreachable!(),
-            }
+        while let Resolution::Wait(spec) = m.resolve(view(&me), view(&other)) {
+            assert!(spec.max.unwrap() <= CAP);
+            waits += 1;
         }
         assert_eq!(waits, MAX_ROUNDS);
     }

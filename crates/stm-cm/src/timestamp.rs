@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use stm_core::manager::{factory, ManagerFactory};
-use stm_core::{ConflictKind, ContentionManager, Resolution, TxView, WaitSpec};
+use stm_core::{ContentionManager, Resolution, TxView, WaitSpec};
 
 /// Length of one bounded wait quantum.
 const QUANTUM: Duration = Duration::from_micros(20);
@@ -42,7 +42,7 @@ impl ContentionManager for TimestampManager {
         self.suspicion.clear();
     }
 
-    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
+    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>) -> Resolution {
         if me.outranks(other) {
             // Older transactions simply kill younger ones in their way.
             return Resolution::AbortOther;
@@ -69,10 +69,7 @@ mod tests {
         let me = tx(1, 5);
         let younger = tx(2, 9);
         let mut m = TimestampManager::default();
-        assert_eq!(
-            m.resolve(view(&me), view(&younger), ConflictKind::WriteWrite),
-            Resolution::AbortOther
-        );
+        assert_eq!(m.resolve(view(&me), view(&younger)), Resolution::AbortOther);
     }
 
     #[test]
@@ -82,17 +79,14 @@ mod tests {
         let mut m = TimestampManager::default();
         for _ in 0..PATIENCE {
             assert_eq!(
-                m.resolve(view(&me), view(&older), ConflictKind::WriteWrite),
-                Resolution::backoff(QUANTUM)
+                m.resolve(view(&me), view(&older)),
+                Resolution::Wait(WaitSpec::bounded(QUANTUM))
             );
         }
-        assert_eq!(
-            m.resolve(view(&me), view(&older), ConflictKind::WriteWrite),
-            Resolution::AbortOther
-        );
+        assert_eq!(m.resolve(view(&me), view(&older)), Resolution::AbortOther);
         // After the kill the suspicion counter restarts.
         assert!(matches!(
-            m.resolve(view(&me), view(&older), ConflictKind::WriteWrite),
+            m.resolve(view(&me), view(&older)),
             Resolution::Wait(_)
         ));
     }
@@ -105,19 +99,16 @@ mod tests {
         let mut m = TimestampManager::default();
         for _ in 0..PATIENCE {
             assert!(matches!(
-                m.resolve(view(&me), view(&older_a), ConflictKind::WriteWrite),
+                m.resolve(view(&me), view(&older_a)),
                 Resolution::Wait(_)
             ));
         }
         // A different enemy has its own counter.
         assert!(matches!(
-            m.resolve(view(&me), view(&older_b), ConflictKind::WriteWrite),
+            m.resolve(view(&me), view(&older_b)),
             Resolution::Wait(_)
         ));
-        assert_eq!(
-            m.resolve(view(&me), view(&older_a), ConflictKind::WriteWrite),
-            Resolution::AbortOther
-        );
+        assert_eq!(m.resolve(view(&me), view(&older_a)), Resolution::AbortOther);
     }
 
     #[test]
@@ -126,11 +117,11 @@ mod tests {
         let older = tx(1, 5);
         let mut m = TimestampManager::default();
         for _ in 0..PATIENCE {
-            let _ = m.resolve(view(&me), view(&older), ConflictKind::WriteWrite);
+            let _ = m.resolve(view(&me), view(&older));
         }
         m.begin(view(&me));
         assert!(matches!(
-            m.resolve(view(&me), view(&older), ConflictKind::WriteWrite),
+            m.resolve(view(&me), view(&older)),
             Resolution::Wait(_)
         ));
         assert_eq!(m.name(), "timestamp");

@@ -5,14 +5,14 @@ use std::fmt;
 /// Why a transaction attempt was aborted.
 ///
 /// Abort causes are reported in [`StmError::Aborted`] and recorded in the
-/// runtime statistics; contention-manager experiments use them to
-/// distinguish aborts forced by enemies from self-aborts requested by the
-/// manager.
+/// runtime statistics, one counter series per cause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortCause {
     /// An enemy transaction won a conflict and CAS-ed our status to aborted.
     KilledByEnemy,
-    /// The contention manager advised this transaction to abort itself.
+    /// A contention manager's self-abort. The runtime never raises this
+    /// cause: a manager can only abort the enemy or wait. The label stays
+    /// because the repo benchmark reads its counter.
     ManagerSelfAbort,
     /// Read-set validation failed. The runtime never raises this cause: every
     /// read is visible, so no read set is re-validated. User code may return

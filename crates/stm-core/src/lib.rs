@@ -11,7 +11,7 @@
 //! Progress is delegated to a pluggable, fully decentralised
 //! [`ContentionManager`]: whenever a transaction `A` is about to perform an
 //! access that conflicts with a live transaction `B`, `A` asks *its own*
-//! contention manager whether to abort `B`, wait for `B`, or abort itself.
+//! contention manager whether to abort `B` or to wait for `B`.
 //! Reads take part: every read registers on the object it reads, so a
 //! writer must settle with the object's readers through its manager too,
 //! and a transaction is retried until it commits unless its own body aborts
@@ -63,9 +63,13 @@
 //!
 //! ## Relationship to the paper
 //!
-//! The contention-manager interface ([`ContentionManager`], [`Resolution`],
-//! [`ConflictKind`]) mirrors the interface of SXM / DSTM as described by
-//! Scherer & Scott and used by the paper's experiments. The paper's greedy
+//! The contention-manager interface ([`ContentionManager`], [`Resolution`])
+//! keeps the part of SXM / DSTM's interface, as described by Scherer & Scott
+//! and used by the paper's experiments, that the shipped managers use: the
+//! `begin`, `opened` and `committed` hooks, and `resolve(me, other)`, which
+//! aborts the enemy or waits. When a wait ends is one rule,
+//! [`WaitSpec::is_over`], shared by the runtime and `stm-sched`'s simulator,
+//! so a simulated verdict sequence is the runtime's. The paper's greedy
 //! manager, [`manager::GreedyManager`], lives here beside the trivial
 //! [`manager::AggressiveManager`], and [`Stm::default`] runs greedy. The
 //! other managers from the literature live in the `stm-cm` crate.
@@ -91,7 +95,7 @@ pub mod wait;
 pub use clock::TimestampClock;
 pub use error::{AbortCause, StmError, TxResult};
 pub use hook::{CommitHook, CommitOp, CommitValue};
-pub use manager::{ConflictKind, ContentionManager, ManagerFactory, Resolution, TxView};
+pub use manager::{ContentionManager, ManagerFactory, Resolution, TxView};
 pub use stats::{StmStats, TxRunReport, TxnStats, ABORT_CAUSES};
 pub use status::TxStatus;
 pub use stm::{Stm, StmBuilder, ThreadCtx};

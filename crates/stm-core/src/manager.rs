@@ -4,7 +4,9 @@
 //! system as a whole makes progress" (paper, abstract). It is consulted by a
 //! transaction the moment that transaction discovers it is about to perform
 //! an access that conflicts with another live transaction, and it answers
-//! with one of three decisions: abort the enemy, wait, or abort yourself.
+//! with one of two decisions: abort the enemy, or wait. After a wait the
+//! transaction re-runs the access, and asks again if the conflict is still
+//! there.
 //!
 //! Managers are **decentralised**: every thread owns its manager instance,
 //! and a decision is made purely from a comparison of the two transactions'
@@ -12,9 +14,9 @@
 //! manager keeps. No global data structure or cross-transaction protocol is
 //! involved, matching the scoping discussion in Section 2 of the paper.
 //!
-//! Managers also receive notification hooks (`begin`, `opened`, `committed`,
-//! `aborted`) that the Karma/Eruption/Polka family uses to accumulate
-//! priority proportional to the work a transaction has performed.
+//! Managers also receive notification hooks (`begin`, `opened`, `committed`)
+//! that the Karma/Eruption/Polka family uses to accumulate priority
+//! proportional to the work a transaction has performed.
 //!
 //! This module defines the interface plus the two managers the core crate
 //! uses itself: the paper's [`GreedyManager`], which [`crate::Stm::default`]
@@ -22,23 +24,9 @@
 //! compares greedy with live in the `stm-cm` crate, which re-exports both.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::txn::TxShared;
 use crate::wait::WaitSpec;
-
-/// The kind of conflict being arbitrated, from the perspective of the
-/// transaction consulting its manager ("me").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ConflictKind {
-    /// I want to write an object currently acquired for writing by the enemy.
-    WriteWrite,
-    /// I want to read an object currently acquired for writing by the enemy.
-    ReadWrite,
-    /// I have acquired an object for writing and the enemy is registered as
-    /// a reader of it (every transactional read registers).
-    WriteRead,
-}
 
 /// A contention manager's decision about a conflict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,22 +35,6 @@ pub enum Resolution {
     AbortOther,
     /// Wait, as described by the [`WaitSpec`], then ask again.
     Wait(WaitSpec),
-    /// Abort the current transaction; it will be retried with the same
-    /// timestamp and lineage.
-    AbortSelf,
-}
-
-impl Resolution {
-    /// Convenience constructor: wait until the enemy commits, aborts, or
-    /// starts waiting (the greedy manager's Rule 2).
-    pub const fn wait_for_enemy() -> Self {
-        Resolution::Wait(WaitSpec::until_enemy_quiesces())
-    }
-
-    /// Convenience constructor: bounded wait.
-    pub const fn backoff(duration: Duration) -> Self {
-        Resolution::Wait(WaitSpec::bounded(duration))
-    }
 }
 
 /// A read-only view of a transaction's publicly visible state, handed to
@@ -151,13 +123,12 @@ pub trait ContentionManager: Send {
     /// Called when the transaction commits.
     fn committed(&mut self, _me: TxView<'_>) {}
 
-    /// Called when an attempt aborts.
-    fn aborted(&mut self, _me: TxView<'_>) {}
-
     /// Called when the transaction `me` discovers a conflict with the live
-    /// transaction `other`. Must decide whether to abort the enemy, wait, or
-    /// abort itself.
-    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>, kind: ConflictKind) -> Resolution;
+    /// transaction `other`, whichever of the two reads or writes. Decides
+    /// whether to abort the enemy or to wait ([`WaitSpec::is_over`] says
+    /// when a wait ends); either way the transaction then re-runs the
+    /// access, and asks again if the conflict is still there.
+    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>) -> Resolution;
 }
 
 /// Factory that builds one contention-manager instance per thread.
@@ -199,7 +170,7 @@ impl ContentionManager for AggressiveManager {
         "aggressive"
     }
 
-    fn resolve(&mut self, _me: TxView<'_>, _other: TxView<'_>, _kind: ConflictKind) -> Resolution {
+    fn resolve(&mut self, _me: TxView<'_>, _other: TxView<'_>) -> Resolution {
         Resolution::AbortOther
     }
 }
@@ -247,7 +218,7 @@ impl ContentionManager for GreedyManager {
         "greedy"
     }
 
-    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>, _kind: ConflictKind) -> Resolution {
+    fn resolve(&mut self, me: TxView<'_>, other: TxView<'_>) -> Resolution {
         // Rule 1: abort enemies that are lower priority or themselves waiting.
         if me.outranks(other) || other.is_waiting() {
             Resolution::AbortOther
@@ -255,7 +226,7 @@ impl ContentionManager for GreedyManager {
             // Rule 2: wait until the higher-priority enemy commits, aborts,
             // or starts waiting. The runtime's wait loop wakes on exactly
             // those three events.
-            Resolution::wait_for_enemy()
+            Resolution::Wait(WaitSpec::until_enemy_quiesces())
         }
     }
 }
@@ -279,13 +250,8 @@ mod tests {
         let (a, b) = (tx(1, 1), tx(2, 2));
         let mut m = AggressiveManager::new();
         assert_eq!(m.name(), "aggressive");
-        for kind in [
-            ConflictKind::WriteWrite,
-            ConflictKind::ReadWrite,
-            ConflictKind::WriteRead,
-        ] {
-            assert_eq!(m.resolve(view(&a), view(&b), kind), Resolution::AbortOther);
-        }
+        assert_eq!(m.resolve(view(&a), view(&b)), Resolution::AbortOther);
+        assert_eq!(m.resolve(view(&b), view(&a)), Resolution::AbortOther);
     }
 
     #[test]
@@ -306,7 +272,7 @@ mod tests {
         let other = tx(2, 20); // later timestamp -> lower priority
         let mut greedy = GreedyManager::new();
         assert_eq!(
-            greedy.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
+            greedy.resolve(view(&me), view(&other)),
             Resolution::AbortOther
         );
     }
@@ -318,7 +284,7 @@ mod tests {
         other.set_waiting(true);
         let mut greedy = GreedyManager::new();
         assert_eq!(
-            greedy.resolve(view(&me), view(&other), ConflictKind::WriteWrite),
+            greedy.resolve(view(&me), view(&other)),
             Resolution::AbortOther
         );
     }
@@ -329,8 +295,8 @@ mod tests {
         let other = tx(2, 10);
         let mut greedy = GreedyManager::new();
         assert_eq!(
-            greedy.resolve(view(&me), view(&other), ConflictKind::ReadWrite),
-            Resolution::wait_for_enemy()
+            greedy.resolve(view(&me), view(&other)),
+            Resolution::Wait(WaitSpec::until_enemy_quiesces())
         );
     }
 
@@ -339,8 +305,8 @@ mod tests {
         let a = tx(1, 10);
         let b = tx(2, 10);
         let mut greedy = GreedyManager::new();
-        let ab = greedy.resolve(view(&a), view(&b), ConflictKind::WriteWrite);
-        let ba = greedy.resolve(view(&b), view(&a), ConflictKind::WriteWrite);
+        let ab = greedy.resolve(view(&a), view(&b));
+        let ba = greedy.resolve(view(&b), view(&a));
         // Exactly one direction aborts, the other waits: no mutual abort, no
         // mutual wait.
         assert_ne!(ab == Resolution::AbortOther, ba == Resolution::AbortOther);
@@ -352,7 +318,7 @@ mod tests {
         let mut greedy = GreedyManager::new();
         for ts in 1..50u64 {
             let enemy = tx(ts + 1, ts);
-            let r = greedy.resolve(view(&oldest), view(&enemy), ConflictKind::WriteWrite);
+            let r = greedy.resolve(view(&oldest), view(&enemy));
             assert_eq!(r, Resolution::AbortOther);
         }
     }
@@ -378,17 +344,5 @@ mod tests {
         let f = factory(AggressiveManager::new);
         assert_eq!(f().name(), "aggressive");
         assert_eq!(GreedyManager::factory()().name(), "greedy");
-    }
-
-    #[test]
-    fn resolution_helpers() {
-        assert_eq!(
-            Resolution::wait_for_enemy(),
-            Resolution::Wait(WaitSpec::until_enemy_quiesces())
-        );
-        assert_eq!(
-            Resolution::backoff(Duration::from_millis(1)),
-            Resolution::Wait(WaitSpec::bounded(Duration::from_millis(1)))
-        );
     }
 }

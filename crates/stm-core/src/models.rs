@@ -20,7 +20,7 @@
 use loomlite::{Builder, Failure, Report};
 
 use crate::error::AbortCause;
-use crate::manager::{ConflictKind, ContentionManager, GreedyManager, Resolution, TxView};
+use crate::manager::{ContentionManager, GreedyManager, Resolution, TxView};
 use crate::stats::{StmStats, TxnStats};
 use crate::sync::Arc;
 use crate::tvar::{Open, ReaderTable, TVar};
@@ -192,10 +192,9 @@ pub fn stats_snapshot_is_never_torn() -> Report {
 /// attempt 3 is younger than both. Each thread, while its own attempt is
 /// still active, asks a fresh `M` to resolve a conflict with each other
 /// attempt that is still active, and acts on the verdict the way the
-/// runtime does: `AbortOther` CASes the enemy to aborted, `AbortSelf` its
-/// own attempt, and `Wait` raises its public `waiting` flag, resolves once
-/// more (acting on an `AbortOther`), and lowers the flag. Then it tries to
-/// commit. Every status and `waiting` access is a modeled atomic, so the
+/// runtime does: `AbortOther` CASes the enemy to aborted, and `Wait` raises
+/// its public `waiting` flag, resolves once more (acting on an
+/// `AbortOther`), and lowers the flag. Then it tries to commit. Every status and `waiting` access is a modeled atomic, so the
 /// checker interleaves them all.
 ///
 /// The runtime's wait loop ([`crate::wait::SpinWait`]) is not modeled: it
@@ -240,18 +239,11 @@ where
                             continue;
                         }
                         let resolve = |manager: &mut M| {
-                            manager.resolve(
-                                TxView::new(mine),
-                                TxView::new(enemy),
-                                ConflictKind::WriteWrite,
-                            )
+                            manager.resolve(TxView::new(mine), TxView::new(enemy))
                         };
                         match resolve(&mut manager) {
                             Resolution::AbortOther => {
                                 enemy.try_abort();
-                            }
-                            Resolution::AbortSelf => {
-                                mine.try_abort();
                             }
                             Resolution::Wait(_) => {
                                 told_to_wait = true;

@@ -148,7 +148,8 @@ impl Stm {
     }
 
     /// Kept by name only because `bench/` samples `limbo_len()` (ROADMAP
-    /// item 1(c)): there is no limbo — an unlinked cell's `Arc` frees it.
+    /// item 1 deletes it): there is no limbo — an unlinked cell's `Arc`
+    /// frees it.
     pub fn epoch(&self) -> NoLimbo {
         NoLimbo
     }

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use crate::error::{AbortCause, StmError, TxResult};
 use crate::hook::CommitOp;
-use crate::manager::{ConflictKind, ContentionManager, Resolution, TxView};
+use crate::manager::{ContentionManager, Resolution, TxView};
 use crate::stats::TxnStats;
 use crate::status::{AtomicStatus, TxStatus};
 use crate::stm::Stm;
@@ -378,7 +378,7 @@ impl<'ctx> Txn<'ctx> {
                     return Ok(value);
                 }
                 Open::Enemy(owner) => {
-                    self.resolve_conflict(&owner, ConflictKind::ReadWrite)?;
+                    self.resolve_conflict(&owner)?;
                 }
                 Open::Free(value) => {
                     // Opacity: re-check our own status *after* loading the
@@ -442,7 +442,7 @@ impl<'ctx> Txn<'ctx> {
                 // Already acquired by this transaction.
                 Open::Mine(current) => break current,
                 Open::Enemy(owner) => {
-                    self.resolve_conflict(&owner, ConflictKind::WriteWrite)?;
+                    self.resolve_conflict(&owner)?;
                 }
                 Open::Free(current) => {
                     self.scratch.writes.push(Arc::clone(inner) as _);
@@ -488,7 +488,7 @@ impl<'ctx> Txn<'ctx> {
     fn arbitrate_reader(&mut self, reader: &Arc<TxShared>) -> TxResult<()> {
         while reader.is_active() {
             self.ensure_active()?;
-            self.resolve_conflict(reader, ConflictKind::WriteRead)?;
+            self.resolve_conflict(reader)?;
         }
         Ok(())
     }
@@ -502,36 +502,27 @@ impl<'ctx> Txn<'ctx> {
     }
 
     /// Asks the contention manager what to do about a conflict with `other`,
-    /// then carries out its decision.
-    fn resolve_conflict(&mut self, other: &Arc<TxShared>, kind: ConflictKind) -> TxResult<()> {
+    /// then carries out its decision. A wait lasts until
+    /// [`WaitSpec::is_over`](crate::WaitSpec::is_over) says it is over.
+    fn resolve_conflict(&mut self, other: &Arc<TxShared>) -> TxResult<()> {
         self.stats.conflicts += 1;
         let resolution = self
             .manager
-            .resolve(TxView::new(&self.shared), TxView::new(other), kind);
+            .resolve(TxView::new(&self.shared), TxView::new(other));
         match resolution {
             Resolution::AbortOther => {
                 self.stats.enemy_aborts += 1;
                 other.try_abort();
                 Ok(())
             }
-            Resolution::AbortSelf => Err(StmError::Aborted(AbortCause::ManagerSelfAbort)),
             Resolution::Wait(spec) => {
                 self.stats.waits += 1;
                 self.shared.set_waiting(true);
-                let deadline = spec.max.map(|d| Instant::now() + d);
+                let mut started = None;
                 let mut spin = SpinWait::new();
-                loop {
-                    if !other.is_active() || other.is_waiting() {
-                        break;
-                    }
-                    if self.shared.is_aborted() {
-                        break;
-                    }
-                    if let Some(deadline) = deadline {
-                        if Instant::now() >= deadline {
-                            break;
-                        }
-                    }
+                while !spec.is_over(&self.shared, other, || {
+                    started.get_or_insert_with(Instant::now).elapsed()
+                }) {
                     spin.snooze();
                 }
                 self.shared.set_waiting(false);
@@ -608,7 +599,6 @@ impl<'ctx> Txn<'ctx> {
         for read in &self.scratch.reads {
             read.release(self.slot);
         }
-        self.manager.aborted(TxView::new(&self.shared));
         self.stm.stats().note_abort(&self.stats, cause);
     }
 }

@@ -12,8 +12,8 @@
 //! * a reply that does not fit the socket buffer parks its tail behind
 //!   write-readiness (`stm_kv_partial_writes_total` counts these) instead
 //!   of blocking the thread in `write_all`;
-//! * an idle-timeout wheel (coarse lazy buckets, generation-guarded
-//!   entries) reaps connections dead longer than
+//! * at most once per tick, a scan of the shard's slab closes every
+//!   connection idle for at least
 //!   [`ServerConfig::idle_timeout`](crate::ServerConfig::idle_timeout);
 //! * shutdown drains gracefully: accepting stops, every connection's
 //!   already-received bytes are executed and their replies flushed before
@@ -47,8 +47,20 @@ const WAKER_TOKEN: Token = Token(0);
 
 /// How long a shard blocks in `wait` with nothing scheduled. The waker
 /// makes shutdown and hand-off latency independent of this; it only bounds
-/// how stale an idle-wheel tick can go.
+/// how late an idle scan can run.
 const SHARD_TICK: Duration = Duration::from_millis(50);
+
+/// A shard's tick under `idle_timeout`: an eighth of the timeout, at least
+/// 10 ms and at most [`SHARD_TICK`].
+fn shard_tick(idle_timeout: Duration) -> Duration {
+    if idle_timeout.is_zero() {
+        SHARD_TICK
+    } else {
+        (idle_timeout / 8)
+            .max(Duration::from_millis(10))
+            .min(SHARD_TICK)
+    }
+}
 
 /// Events fetched per `wait` call.
 const EVENT_BATCH: usize = 1024;
@@ -75,13 +87,10 @@ struct Conn {
     /// Peer sent EOF; close once the remaining replies are flushed.
     peer_eof: bool,
     last_active: Instant,
-    /// Distinguishes this occupant of the slot from earlier ones — stale
-    /// idle-wheel entries carry the generation they were scheduled for.
-    gen: u64,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, gen: u64) -> Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
             state: ConnState::new(),
@@ -91,63 +100,11 @@ impl Conn {
             want_write: false,
             peer_eof: false,
             last_active: Instant::now(),
-            gen,
         }
     }
 
     fn pending_out(&self) -> bool {
         self.out_pos < self.outbuf.len()
-    }
-}
-
-/// A coarse, lazy timer wheel for idle reaping. Entries are hints, not
-/// truth: a connection is touched by pushing a fresh `(slot, gen)` into the
-/// bucket one timeout away, old entries are never removed, and expiry
-/// re-checks the connection's actual `last_active` (reinserting it when it
-/// proved fresh). Cost per activity: one push. Cost per tick: the expired
-/// bucket only.
-struct IdleWheel {
-    timeout: Duration,
-    granularity: Duration,
-    buckets: Vec<Vec<(usize, u64)>>,
-    cursor: usize,
-    last_tick: Instant,
-}
-
-impl IdleWheel {
-    fn new(timeout: Duration, now: Instant) -> Option<IdleWheel> {
-        if timeout.is_zero() {
-            return None;
-        }
-        let granularity = (timeout / 8).max(Duration::from_millis(10));
-        // One lap covers the timeout plus slack for the lazy reinserts.
-        let buckets = (timeout.as_nanos() / granularity.as_nanos()) as usize + 2;
-        Some(IdleWheel {
-            timeout,
-            granularity,
-            buckets: vec![Vec::new(); buckets],
-            cursor: 0,
-            last_tick: now,
-        })
-    }
-
-    /// Schedules `slot` to be checked one timeout from now.
-    fn touch(&mut self, slot: usize, gen: u64) {
-        let ahead = (self.timeout.as_nanos() / self.granularity.as_nanos()) as usize;
-        let index = (self.cursor + ahead) % self.buckets.len();
-        self.buckets[index].push((slot, gen));
-    }
-
-    /// Advances the cursor to `now`, returning every candidate whose bucket
-    /// expired. Callers verify against the live connection before reaping.
-    fn expired(&mut self, now: Instant) -> Vec<(usize, u64)> {
-        let mut due = Vec::new();
-        while now.duration_since(self.last_tick) >= self.granularity {
-            self.last_tick += self.granularity;
-            self.cursor = (self.cursor + 1) % self.buckets.len();
-            due.append(&mut self.buckets[self.cursor]);
-        }
-        due
     }
 }
 
@@ -215,8 +172,9 @@ impl EventLoops {
                             inbox,
                             conns: Vec::new(),
                             free: Vec::new(),
-                            next_gen: 0,
-                            wheel: IdleWheel::new(idle_timeout, Instant::now()),
+                            idle_timeout,
+                            tick: shard_tick(idle_timeout),
+                            last_scan: Instant::now(),
                             store,
                             telemetry,
                             conns_gauge,
@@ -289,8 +247,12 @@ struct Shard {
     /// The connection slab; `Token(slot + 1)` addresses `conns[slot]`.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    next_gen: u64,
-    wheel: Option<IdleWheel>,
+    /// Connections idle this long are closed; zero keeps them forever.
+    idle_timeout: Duration,
+    /// The longest `wait`, and the least time between two idle scans.
+    tick: Duration,
+    /// When `reap_idle` last scanned the slab.
+    last_scan: Instant,
     store: Arc<KvStore>,
     telemetry: Arc<Telemetry>,
     /// This shard's open-connections gauge (`stm_kv_shard_conns`).
@@ -303,14 +265,10 @@ impl Shard {
     fn run(&mut self, ctx: &mut ThreadCtx<'_>) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            let tick = match &self.wheel {
-                Some(wheel) => wheel.granularity.min(SHARD_TICK),
-                None => SHARD_TICK,
-            };
             let wait_started = Instant::now();
             if self
                 .poller
-                .wait(&mut events, EVENT_BATCH, Some(tick))
+                .wait(&mut events, EVENT_BATCH, Some(self.tick))
                 .is_err()
             {
                 // A failed wait is unrecoverable for this shard; drain what
@@ -344,8 +302,7 @@ impl Shard {
         self.inbox.pending.lock().pop_front()
     }
 
-    /// Takes a handed-over socket into the slab under a fresh generation
-    /// and counts it open. `None` if it cannot be made non-blocking.
+    /// Takes a handed-over socket into the slab and counts it open. `None` if it cannot be made non-blocking.
     fn adopt(&mut self, stream: TcpStream) -> Option<usize> {
         if stream.set_nonblocking(true).is_err() {
             return None;
@@ -355,8 +312,7 @@ impl Shard {
             self.conns.push(None);
             self.conns.len() - 1
         });
-        self.next_gen += 1;
-        self.conns[slot] = Some(Conn::new(stream, self.next_gen));
+        self.conns[slot] = Some(Conn::new(stream));
         self.telemetry.conns_open.add(1);
         self.conns_gauge.add(1);
         Some(slot)
@@ -372,7 +328,6 @@ impl Shard {
             let conn = self.conns[slot]
                 .as_ref()
                 .expect("adopted into this slot above");
-            let gen = conn.gen;
             if self
                 .poller
                 .register(&conn.stream, Token(slot + 1), Interest::READABLE)
@@ -380,9 +335,6 @@ impl Shard {
             {
                 self.close(slot);
                 continue;
-            }
-            if let Some(wheel) = &mut self.wheel {
-                wheel.touch(slot, gen);
             }
             // A pipelining client may have sent its burst before the
             // registration existed; a level-triggered poller would catch it
@@ -437,10 +389,6 @@ impl Shard {
                 }
             }
             conn.last_active = Instant::now();
-            let gen = conn.gen;
-            if let Some(wheel) = &mut self.wheel {
-                wheel.touch(slot, gen);
-            }
         }
         if close_now {
             self.close(slot);
@@ -534,29 +482,25 @@ impl Shard {
         }
     }
 
-    /// Checks the wheel's due candidates against live state and reaps the
-    /// genuinely idle ones.
+    /// At most once per tick, scans the slab and closes every connection
+    /// idle for at least the idle timeout. Does nothing when the timeout is
+    /// zero.
     fn reap_idle(&mut self) {
+        if self.idle_timeout.is_zero() {
+            return;
+        }
         let now = Instant::now();
-        let (due, timeout) = match &mut self.wheel {
-            Some(wheel) => (wheel.expired(now), wheel.timeout),
-            None => return,
-        };
-        for (slot, gen) in due {
-            let reap = match self.conns.get(slot) {
-                // Generation mismatch = a different connection reused the
-                // slot; its own wheel entry covers it.
-                Some(Some(conn)) if conn.gen == gen => {
-                    now.duration_since(conn.last_active) >= timeout
-                }
-                _ => continue,
-            };
-            if reap {
+        if now.duration_since(self.last_scan) < self.tick {
+            return;
+        }
+        self.last_scan = now;
+        for slot in 0..self.conns.len() {
+            let idle = self.conns[slot]
+                .as_ref()
+                .is_some_and(|conn| now.duration_since(conn.last_active) >= self.idle_timeout);
+            if idle {
                 self.telemetry.conns_reaped_idle.add(1);
                 self.close(slot);
-            } else if let Some(wheel) = &mut self.wheel {
-                // Still fresh: check again one timeout later.
-                wheel.touch(slot, gen);
             }
         }
     }

@@ -5,10 +5,13 @@
 //! and each opens a given object at a given offset into its execution. When
 //! an open conflicts with a live transaction, the opener consults a *real*
 //! [`ContentionManager`] implementation (the same code that drives the STM
-//! runtime) and either aborts the enemy, waits, or aborts itself; aborted
-//! transactions restart from scratch while keeping their timestamp. The
-//! simulation ends when every transaction has committed; the *makespan* is
-//! the tick at which the last one commits.
+//! runtime) and either aborts the enemy or waits. A wait ends when
+//! [`WaitSpec::is_over`] says so, the rule the runtime's wait loop obeys,
+//! with one tick standing for 1 µs; the waiter then re-runs the same access
+//! through its manager, as the runtime does. Aborted transactions restart
+//! from scratch while keeping their timestamp. The simulation ends when
+//! every transaction has committed; the *makespan* is the tick at which the
+//! last one commits.
 //!
 //! Besides the makespan the simulator reports per-transaction abort counts
 //! and whether the **pending-commit property** held: at every instant before
@@ -17,9 +20,14 @@
 //! derives the `s(s+1)+2` competitive bound from exactly this property.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use stm_core::manager::ManagerFactory;
-use stm_core::{ConflictKind, ContentionManager, TxLineage, TxShared, TxView};
+use stm_core::{ContentionManager, Resolution, TxLineage, TxShared, TxView, WaitSpec};
+
+/// The time one tick stands for: a bounded wait of `max` ends after
+/// `max / TICK` ticks.
+const TICK: Duration = Duration::from_micros(1);
 
 /// One object access performed by a simulated transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,6 +134,14 @@ struct ObjectState {
     readers: Vec<usize>,
 }
 
+/// A wait in progress: the enemy attempt waited for, as the runtime holds
+/// it, the manager's spec, and the tick the wait began.
+struct Wait {
+    enemy: Arc<TxShared>,
+    spec: WaitSpec,
+    since: u64,
+}
+
 /// Per-transaction runtime state inside the simulator.
 struct TxRuntime {
     lineage: Arc<TxLineage>,
@@ -133,7 +149,7 @@ struct TxRuntime {
     manager: Box<dyn ContentionManager>,
     progress: u64,
     next_access: usize,
-    waiting_on: Option<usize>,
+    waiting_on: Option<Wait>,
     committed_at: Option<u64>,
     aborts: u64,
     uninterrupted_from: u64,
@@ -198,8 +214,6 @@ pub fn simulate(
             }
             if tx.shared.is_aborted() {
                 release_objects(&mut objects, i);
-                let old_shared = Arc::clone(&tx.shared);
-                tx.manager.aborted(TxView::new(&old_shared));
                 tx.aborts += 1;
                 let attempt = tx.aborts + 1;
                 let shared = Arc::new(TxShared::new(Arc::clone(&tx.lineage), attempt));
@@ -211,18 +225,17 @@ pub fn simulate(
                 tx.uninterrupted_from = tick;
             }
         }
-        // Phase B: wake waiters whose enemy is gone or itself waiting.
-        for i in 0..n {
-            if txs[i].committed_at.is_some() {
+        // Phase B: end every wait that is over; the waiter re-runs the
+        // access it waited on in phase C1.
+        for tx in txs.iter_mut() {
+            let Some(wait) = &tx.waiting_on else {
                 continue;
-            }
-            if let Some(j) = txs[i].waiting_on {
-                let enemy_gone = !txs[j].shared.is_active() || txs[j].shared.is_waiting();
-                if enemy_gone {
-                    txs[i].waiting_on = None;
-                    txs[i].shared.set_waiting(false);
-                    txs[i].uninterrupted_from = tick;
-                }
+            };
+            let waited = || TICK * (tick - wait.since) as u32;
+            if wait.spec.is_over(&tx.shared, &wait.enemy, waited) {
+                tx.waiting_on = None;
+                tx.shared.set_waiting(false);
+                tx.uninterrupted_from = tick;
             }
         }
         // Phase C1: every running transaction performs the accesses scheduled
@@ -255,31 +268,24 @@ pub fn simulate(
                         txs[i].next_access += 1;
                     }
                     Some(j) => {
-                        let kind = if access.write {
-                            ConflictKind::WriteWrite
-                        } else {
-                            ConflictKind::ReadWrite
-                        };
                         let me_shared = Arc::clone(&txs[i].shared);
-                        let other_shared = Arc::clone(&txs[j].shared);
-                        let resolution = txs[i].manager.resolve(
-                            TxView::new(&me_shared),
-                            TxView::new(&other_shared),
-                            kind,
-                        );
+                        let enemy = Arc::clone(&txs[j].shared);
+                        let resolution = txs[i]
+                            .manager
+                            .resolve(TxView::new(&me_shared), TxView::new(&enemy));
                         match resolution {
-                            stm_core::Resolution::AbortOther => {
-                                other_shared.try_abort();
+                            Resolution::AbortOther => {
+                                enemy.try_abort();
                                 release_objects(&mut objects, j);
                                 // Retry the same access immediately.
                             }
-                            stm_core::Resolution::Wait(_) => {
-                                txs[i].waiting_on = Some(j);
-                                txs[i].shared.set_waiting(true);
-                                break 'accesses;
-                            }
-                            stm_core::Resolution::AbortSelf => {
-                                txs[i].shared.try_abort();
+                            Resolution::Wait(spec) => {
+                                me_shared.set_waiting(true);
+                                txs[i].waiting_on = Some(Wait {
+                                    enemy,
+                                    spec,
+                                    since: tick,
+                                });
                                 break 'accesses;
                             }
                         }
@@ -504,6 +510,34 @@ mod tests {
         // Aggressive may or may not converge (it is livelock-prone); the
         // simulator must simply terminate and report what happened.
         assert!(aggressive.ticks_run <= 2_000);
+    }
+
+    #[test]
+    fn a_wait_is_for_the_enemy_attempt_not_its_restart() {
+        // T1 holds object 0 when T2 starts waiting for it at tick 2; at tick
+        // 5 the older T0 aborts T1 over object 1. T2's wait ends at tick 6
+        // because the attempt it waited for is gone, as in the runtime,
+        // even though T1 has restarted; it takes object 0 and commits at 14.
+        let txns = vec![
+            SimTransaction {
+                duration: 20,
+                priority: 0,
+                accesses: vec![write_access(5, 1)],
+            },
+            SimTransaction {
+                duration: 10,
+                priority: 2,
+                accesses: vec![write_access(2, 0)],
+            },
+            SimTransaction {
+                duration: 20,
+                priority: 1,
+                accesses: vec![write_access(0, 1), write_access(1, 0)],
+            },
+        ];
+        let outcome = simulate(&txns, GreedyManager::factory(), SimConfig::default());
+        assert_eq!(outcome.commit_ticks, vec![20, 14, 40]);
+        assert_eq!(outcome.aborts, vec![0, 0, 1]);
     }
 
     #[test]

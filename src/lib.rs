@@ -101,8 +101,8 @@ pub use stm_log as log;
 
 pub use stm_cm::{GreedyManager, GreedyTimeoutManager};
 pub use stm_core::{
-    AbortCause, ConflictKind, ContentionManager, Resolution, Stm, StmBuilder, StmError, TVar,
-    ThreadCtx, TxResult, TxView, Txn, WaitSpec,
+    AbortCause, ContentionManager, Resolution, Stm, StmBuilder, StmError, TVar, ThreadCtx,
+    TxResult, TxView, Txn, WaitSpec,
 };
 
 /// The most common imports in one place.

@@ -216,10 +216,13 @@ fn karma_beats_greedy_on_the_chain_and_the_runtime_agrees() {
              ({greedy_units}) on the chain"
         );
 
-        // The discrete simulator charges an aborted transaction only its
-        // remaining work, while the runtime re-spins the full duration on
-        // every restart — so karma's wall-clock cannot be held to the 1.2-unit
-        // simulated figure. What must hold on the runtime is the same
+        // The simulator and the runtime both restart an aborted transaction
+        // from scratch: the simulator resets its progress to 0, the paper's
+        // model. Their clocks differ: a replay tick is 2 ms of wall-clock
+        // time, a simulated tick stands for 1 µs, so karma's 4 µs waits and
+        // the threads' scheduling play out at another scale, and karma's
+        // wall-clock cannot be held to the 1.2-unit simulated figure. What
+        // must hold on the runtime is the same
         // Theorem 9 envelope the greedy replay satisfies: karma may not do
         // *worse* than the bound the paper proves for the pending-commit
         // managers it empirically beats here.

@@ -17,7 +17,7 @@
 //! - **Serving counters**: `conns_open` / `conns_accepted` /
 //!   `conns_reaped_idle` / `partial_writes` must be visible through
 //!   `METRICS` and move when connections are opened, reaped by the idle
-//!   wheel, or parked on a full socket.
+//!   scan, or parked on a full socket.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -445,7 +445,7 @@ fn idle_connections_are_reaped_and_counted() {
         }
         assert!(
             Instant::now() < deadline,
-            "idle wheel never reaped the silent connections: {}",
+            "idle scan never reaped the silent connections: {}",
             stats.text
         );
         thread::sleep(Duration::from_millis(25));

@@ -4,7 +4,7 @@
 use greedy_stm::cm::ManagerKind;
 use greedy_stm::sched::{
     chain, garey_graham_bound, list_schedule, optimal_list_schedule, random_transaction_system,
-    simulate, theorem9_bound, RandomSystemConfig, SimConfig, TaskSystem,
+    simulate, theorem9_bound, RandomSystemConfig, SimAccess, SimConfig, SimTransaction, TaskSystem,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -204,5 +204,46 @@ fn chain_scales_with_s() {
             makespan / 2.0 <= theorem9_bound(s),
             "s {s}: ratio exceeds Theorem 9"
         );
+    }
+}
+
+/// The simulator waits the way the runtime does: a bounded wait ends after
+/// its `max` (one tick is 1 µs), and the waiter asks its manager again.
+/// T0 is old and 10,000 ticks long, T1 young and 10 ticks long, and both
+/// write object 0 at offset 0, so T1 meets T0 first thing and every manager
+/// but Greedy and Aggressive bounds the wait it grants T0.
+#[test]
+fn a_bounded_wait_ends_and_the_manager_is_asked_again() {
+    let write_object_0 = vec![SimAccess {
+        offset: 0,
+        object: 0,
+        write: true,
+    }];
+    let txns = [(10_000, 0), (10, 1)].map(|(duration, priority)| SimTransaction {
+        duration,
+        priority,
+        accesses: write_object_0.clone(),
+    });
+    let config = SimConfig { max_ticks: 100_000 };
+    for kind in ManagerKind::ALL {
+        let outcome = simulate(&txns, kind.factory(), config);
+        let summary = format!("{}: {outcome:?}", kind.name());
+        match kind {
+            // Rule 2's wait is unbounded: T1 waits out the whole of T0.
+            ManagerKind::Greedy => {
+                assert_eq!(outcome.commit_ticks, [10_000, 10_010], "{summary}");
+                assert_eq!(outcome.total_aborts(), 0, "{summary}");
+            }
+            // In lockstep the two abort each other every tick (ROADMAP item
+            // 19 tells that artefact from the paper's livelock).
+            ManagerKind::Aggressive => {}
+            // Each expired wait doubles T0's time-out until one outlasts
+            // its 10,000 ticks.
+            ManagerKind::GreedyTimeout => {
+                assert!(outcome.aborts[0] >= 1, "{summary}");
+                assert!(outcome.makespan_ticks.is_some(), "{summary}");
+            }
+            _ => assert!(outcome.aborts[0] >= 1, "{summary}"),
+        }
     }
 }
