@@ -512,6 +512,11 @@ impl<T: Send + Sync> TVar<T> {
     pub(crate) fn inner(&self) -> &Arc<TVarInner<T>> {
         &self.inner
     }
+
+    /// The object's handle itself, for a read set that keeps it.
+    pub(crate) fn into_inner(self) -> Arc<TVarInner<T>> {
+        self.inner
+    }
 }
 
 impl<T: Send + Sync> TVar<T> {
@@ -723,6 +728,11 @@ mod tests {
         assert_eq!(inner.reader_word(), 0);
     }
 
+    /// Handles on `v`'s object: the caller's plus one per read-set entry.
+    fn handles<T: Send + Sync>(v: &TVar<T>) -> usize {
+        Arc::strong_count(v.inner())
+    }
+
     #[test]
     fn the_word_is_zero_after_a_commit_an_abort_and_a_panicking_body() {
         let stm = Stm::default();
@@ -730,23 +740,93 @@ mod tests {
         let mut ctx = stm.thread();
         ctx.atomically(|tx| {
             tx.read(&v)?;
-            tx.read(&v)
+            assert_eq!(handles(&v), 2, "a borrowed read clones one entry");
+            tx.read(&v)?;
+            tx.read_owned(v.clone())?;
+            assert_eq!(handles(&v), 2, "repeated reads add no entry");
+            Ok(())
         })
         .unwrap();
         assert_eq!(v.inner().reader_word(), 0, "after a commit");
+        assert_eq!(handles(&v), 1, "after a commit");
+        ctx.atomically(|tx| {
+            tx.read_owned(v.clone())?;
+            assert_eq!(handles(&v), 2, "the handed-over handle is the entry");
+            tx.read_owned(v.clone())?;
+            tx.read(&v)?;
+            assert_eq!(handles(&v), 2, "a deduped read drops its handle");
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(v.inner().reader_word(), 0, "after a commit");
+        assert_eq!(handles(&v), 1, "after a commit");
         let _ = ctx.atomically(|tx| {
+            tx.read_owned(v.clone())?;
             tx.read(&v)?;
             tx.abort::<()>()
         });
         assert_eq!(v.inner().reader_word(), 0, "after an abort");
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ctx.atomically(|tx| -> TxResult<()> {
-                tx.read(&v)?;
-                panic!("body panics after its read")
-            })
-        }));
-        assert!(unwound.is_err());
-        assert_eq!(v.inner().reader_word(), 0, "after a panicking body");
+        assert_eq!(handles(&v), 1, "after an abort");
+        for owned in [false, true] {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctx.atomically(|tx| -> TxResult<()> {
+                    if owned {
+                        tx.read_owned(v.clone())?;
+                    } else {
+                        tx.read(&v)?;
+                    }
+                    panic!("body panics after its read")
+                })
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(v.inner().reader_word(), 0, "after a panicking body");
+            assert_eq!(handles(&v), 1, "after a panicking body");
+        }
+    }
+
+    /// A manager that panics when told of an open: the unwind leaves a read
+    /// between its registration and its read-set entry.
+    struct PanicsOnOpen;
+
+    impl crate::ContentionManager for PanicsOnOpen {
+        fn name(&self) -> &'static str {
+            "panics-on-open"
+        }
+
+        fn opened(&mut self, _me: crate::manager::TxView<'_>) {
+            panic!("manager panics inside a read")
+        }
+
+        fn resolve(
+            &mut self,
+            _me: crate::manager::TxView<'_>,
+            _other: crate::manager::TxView<'_>,
+        ) -> crate::manager::Resolution {
+            crate::manager::Resolution::AbortOther
+        }
+    }
+
+    #[test]
+    fn a_read_that_unwinds_inside_its_open_withdraws_its_registration() {
+        let stm = Stm::builder()
+            .manager(crate::manager::factory(|| PanicsOnOpen))
+            .build();
+        let v = TVar::new(0u32);
+        let mut ctx = stm.thread();
+        for owned in [false, true] {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctx.atomically(|tx| {
+                    if owned {
+                        tx.read_owned(v.clone())
+                    } else {
+                        tx.read_arc(&v)
+                    }
+                })
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(v.inner().reader_word(), 0, "owned {owned}");
+            assert_eq!(handles(&v), 1, "owned {owned}");
+        }
     }
 
     #[test]
@@ -763,15 +843,29 @@ mod tests {
             tx.read(&v)?;
             // One registration, in the count, deduped against the read set.
             assert_eq!(v.inner().reader_word(), OVERFLOW_ONE);
+            tx.read_owned(v.clone())?;
+            assert_eq!(v.inner().reader_word(), OVERFLOW_ONE);
+            assert_eq!(handles(&v), 2, "a deduped owned read drops its handle");
             Ok(())
         })
         .unwrap();
         assert_eq!(v.inner().reader_word(), 0, "after a commit");
+        ctx.atomically(|tx| {
+            tx.read_owned(v.clone())?;
+            tx.read_owned(v.clone())?;
+            assert_eq!(v.inner().reader_word(), OVERFLOW_ONE);
+            assert_eq!(handles(&v), 2, "the first handle is the one entry");
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(v.inner().reader_word(), 0, "after a commit");
+        assert_eq!(handles(&v), 1, "after a commit");
         let _ = ctx.atomically(|tx| {
-            tx.read(&v)?;
+            tx.read_owned(v.clone())?;
             tx.abort::<()>()
         });
         assert_eq!(v.inner().reader_word(), 0, "after an abort");
+        assert_eq!(handles(&v), 1, "after an abort");
     }
 
     #[test]

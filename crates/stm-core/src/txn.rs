@@ -362,16 +362,54 @@ impl<'ctx> Txn<'ctx> {
     }
 
     /// Reads the value of `tvar`, returning a shared handle to the version
-    /// observed (cheaper than [`Txn::read`] for large values).
+    /// observed (cheaper than [`Txn::read`] for large values). The first
+    /// read of an object in an attempt clones `tvar`'s handle into the read
+    /// set; a repeated read adds nothing.
     pub fn read_arc<T>(&mut self, tvar: &TVar<T>) -> TxResult<Arc<T>>
     where
         T: Send + Sync + 'static,
     {
         self.ensure_active()?;
-        self.register_read(tvar.inner());
+        if self.register_read(tvar.inner()) {
+            self.scratch.reads.push(Arc::clone(tvar.inner()) as _);
+        }
+        self.open_for_read(tvar.inner())
+    }
+
+    /// [`Txn::read_arc`] for a caller that hands its handle over: the first
+    /// read of an object keeps `tvar` itself as the read-set entry, and a
+    /// repeated read drops it. A caller that fetched the handle only to read
+    /// it pays no second clone.
+    pub fn read_owned<T>(&mut self, tvar: TVar<T>) -> TxResult<Arc<T>>
+    where
+        T: Send + Sync + 'static,
+    {
+        self.ensure_active()?;
+        if !self.register_read(tvar.inner()) {
+            return self.open_for_read(tvar.inner());
+        }
+        // The handle reaches the read set once the open returns. Until then,
+        // a registration that unwinds out of the open (a manager that
+        // panics) is withdrawn by this guard.
+        let pending = Unregister {
+            inner: tvar.inner(),
+            slot: self.slot,
+        };
+        let opened = self.open_for_read(tvar.inner());
+        std::mem::forget(pending);
+        self.scratch.reads.push(tvar.into_inner() as _);
+        opened
+    }
+
+    /// Opens `inner` for a read the attempt has registered, settling with an
+    /// active owner through the contention manager.
+    fn open_for_read<T>(&mut self, inner: &TVarInner<T>) -> TxResult<Arc<T>>
+    where
+        T: Send + Sync + 'static,
+    {
         loop {
             self.ensure_active()?;
-            match tvar.inner().open_read(&self.shared) {
+            match inner.open_read(&self.shared) {
                 // Read-your-own-write.
                 Open::Mine(value) => {
                     self.note_read();
@@ -461,10 +499,11 @@ impl<'ctx> Txn<'ctx> {
         Ok(())
     }
 
-    /// Registers this attempt on the object it is about to read, once. The
-    /// object itself is the tracked read (see the `TrackedRead` impl on
-    /// `TVarInner`): an `Arc` clone, no per-read heap allocation.
-    fn register_read<T: Send + Sync + 'static>(&mut self, inner: &Arc<TVarInner<T>>) {
+    /// Registers this attempt on the object it is about to read, once, and
+    /// says whether this read is the one that registered: its caller then
+    /// keeps the object's handle as the tracked read (see the `TrackedRead`
+    /// impl on `TVarInner`), with no per-read heap allocation.
+    fn register_read<T: Send + Sync + 'static>(&self, inner: &Arc<TVarInner<T>>) -> bool {
         // A slot's bit dedupes through the word. An overflow slot has no
         // bit, so it dedupes against the read set: linear, on the rare path
         // of more live contexts than slots.
@@ -475,11 +514,9 @@ impl<'ctx> Txn<'ctx> {
                 .iter()
                 .any(|read| std::ptr::addr_eq(Arc::as_ptr(read), Arc::as_ptr(inner)))
         {
-            return;
+            return false;
         }
-        if inner.register_reader(self.slot) {
-            self.scratch.reads.push(Arc::clone(inner) as _);
-        }
+        inner.register_reader(self.slot)
     }
 
     /// A writer that just acquired an object must come to an arrangement with
@@ -600,6 +637,21 @@ impl<'ctx> Txn<'ctx> {
             read.release(self.slot);
         }
         self.stm.stats().note_abort(&self.stats, cause);
+    }
+}
+
+/// A read's registration on an object whose handle has not reached the read
+/// set yet. Dropping it withdraws the registration, so an open that unwinds
+/// leaves no bit behind that nothing would clear; a read that returns
+/// forgets it and pushes the handle instead.
+struct Unregister<'a, T> {
+    inner: &'a TVarInner<T>,
+    slot: &'a ReaderSlot,
+}
+
+impl<T> Drop for Unregister<'_, T> {
+    fn drop(&mut self) {
+        self.inner.unregister_reader(self.slot);
     }
 }
 

@@ -3,9 +3,13 @@
 //! N shard threads (default one per core) each own a `minipoll::Poller`
 //! and a slab of non-blocking connections; one acceptor thread hands new
 //! connections to shards round-robin through a small inbox + waker pair.
-//! Per-connection state machines own their read/write buffers and feed the
+//! Per-connection state machines own their input/output buffers and feed the
 //! incremental [`process_buffered`] request core:
 //!
+//! * a readable socket is read through the shard's one buffer until a read
+//!   comes back short (`stm_kv_socket_reads_total` counts the calls): the
+//!   poller is level-triggered, so whatever arrives later is reported again,
+//!   and a burst that arrived in one segment costs one read;
 //! * a mostly-idle connection costs one poller registration, not one
 //!   blocked OS thread, so a shard holds thousands of them and a new
 //!   connection is served however many others sit open;
@@ -33,6 +37,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use metrics::Counter;
 use minipoll::{net as poll_net, Event, Interest, Poller, Token};
 use stm_core::sync::Mutex;
 use stm_core::{Stm, ThreadCtx};
@@ -65,7 +70,7 @@ fn shard_tick(idle_timeout: Duration) -> Duration {
 /// Events fetched per `wait` call.
 const EVENT_BATCH: usize = 1024;
 
-/// Per-read chunk size.
+/// Per-read chunk size: the length of each shard's one read buffer.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// At shutdown, a draining flush retries a full socket for at most this
@@ -172,6 +177,7 @@ impl EventLoops {
                             inbox,
                             conns: Vec::new(),
                             free: Vec::new(),
+                            chunk: vec![0; READ_CHUNK].into_boxed_slice(),
                             idle_timeout,
                             tick: shard_tick(idle_timeout),
                             last_scan: Instant::now(),
@@ -247,6 +253,9 @@ struct Shard {
     /// The connection slab; `Token(slot + 1)` addresses `conns[slot]`.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
+    /// The buffer every socket read of this shard goes through, allocated
+    /// and zeroed once.
+    chunk: Box<[u8]>,
     /// Connections idle this long are closed; zero keeps them forever.
     idle_timeout: Duration,
     /// The longest `wait`, and the least time between two idle scans.
@@ -356,41 +365,16 @@ impl Shard {
         }
     }
 
-    /// Reads everything available, executes every complete request through
+    /// Reads what the socket holds, executes every complete request through
     /// the shared core, and flushes the replies (parking the tail behind
     /// write-readiness when the socket fills).
     fn service_read(&mut self, ctx: &mut ThreadCtx<'_>, slot: usize) {
-        let mut close_now = false;
-        {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
-            };
-            let mut chunk = [0u8; READ_CHUNK];
-            loop {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.peer_eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.inbuf.extend_from_slice(&chunk[..n]);
-                        // A line already past its cap is refused below:
-                        // stop buffering the peer that never ends it.
-                        if matches!(header_end(&conn.inbuf), Err(FrameError::Malformed(_))) {
-                            break;
-                        }
-                    }
-                    Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                    Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        close_now = true;
-                        break;
-                    }
-                }
-            }
-            conn.last_active = Instant::now();
-        }
-        if close_now {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        let read = read_burst(conn, &mut self.chunk, &self.telemetry.socket_reads);
+        conn.last_active = Instant::now();
+        if read.is_err() {
             self.close(slot);
             return;
         }
@@ -528,15 +512,9 @@ impl Shard {
             let Some(conn) = self.conns[slot].as_mut() else {
                 continue;
             };
-            // One final read pass over what the kernel already buffered.
-            let mut chunk = [0u8; READ_CHUNK];
-            loop {
-                match conn.stream.read(&mut chunk) {
-                    Ok(n) if n > 0 => conn.inbuf.extend_from_slice(&chunk[..n]),
-                    Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                    _ => break,
-                }
-            }
+            // One final read pass over what the kernel already buffered; a
+            // failed read still executes what arrived before it.
+            let _ = read_burst(conn, &mut self.chunk, &self.telemetry.socket_reads);
             if !self.execute_buffered(ctx, slot) {
                 continue;
             }
@@ -560,5 +538,35 @@ impl Shard {
             self.close(slot);
         }
         self.telemetry.note_drain(elapsed_us(drain_started));
+    }
+}
+
+/// Reads what `conn`'s socket holds into its input buffer through `chunk`,
+/// counting every `read` call in `reads`. Stops at a short read — the
+/// poller is level-triggered, so bytes that arrive later are reported again
+/// — and at `WouldBlock`, at EOF (which sets `peer_eof`), and once the
+/// buffered header line is past its cap. Errs when the socket failed.
+fn read_burst(conn: &mut Conn, chunk: &mut [u8], reads: &Counter) -> std::io::Result<()> {
+    loop {
+        reads.add(1);
+        match conn.stream.read(chunk) {
+            Ok(0) => {
+                conn.peer_eof = true;
+                return Ok(());
+            }
+            Ok(n) => {
+                conn.inbuf.extend_from_slice(&chunk[..n]);
+                // A line already past its cap is refused by the request
+                // core: stop buffering the peer that never ends it.
+                if n < chunk.len()
+                    || matches!(header_end(&conn.inbuf), Err(FrameError::Malformed(_)))
+                {
+                    return Ok(());
+                }
+            }
+            Err(err) if err.kind() == ErrorKind::WouldBlock => return Ok(()),
+            Err(err) if err.kind() == ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
     }
 }

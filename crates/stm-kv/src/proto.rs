@@ -679,9 +679,22 @@ fn decode_frame_at_depth(buf: &[u8], depth: usize) -> Result<(Frame, usize), Fra
         return Err(FrameError::Incomplete);
     };
     let nl = header_end(buf)?;
-    let header =
-        std::str::from_utf8(&buf[1..nl]).map_err(|_| malformed("frame header is not UTF-8"))?;
     let after_header = nl + 1;
+    // The common int and count headers skip UTF-8 validation and
+    // `str::parse`; every other header, accepted or refused, takes the
+    // generic path below with its own error text.
+    let raw = &buf[1..nl];
+    match (tag, plain_int(raw)) {
+        (b':', Some(v)) => return Ok((Frame::Int(v), after_header)),
+        // `*-0` is refused below, like every signed count.
+        (b'*', Some(count)) if raw[0] != b'-' => {
+            if let Ok(count) = usize::try_from(count) {
+                return decode_array(buf, count, after_header, depth);
+            }
+        }
+        _ => {}
+    }
+    let header = std::str::from_utf8(raw).map_err(|_| malformed("frame header is not UTF-8"))?;
     match tag {
         b':' => {
             let v = header
@@ -741,24 +754,55 @@ fn decode_frame_at_depth(buf: &[u8], depth: usize) -> Result<(Frame, usize), Fra
             let count = header
                 .parse::<usize>()
                 .map_err(|_| malformed(format!("malformed array length '{header}'")))?;
-            if count > MAX_ARRAY_LEN {
-                return Err(malformed(format!(
-                    "array of {count} frames exceeds the limit"
-                )));
-            }
-            let mut frames = Vec::with_capacity(count.min(64));
-            let mut at = after_header;
-            for _ in 0..count {
-                let (frame, used) = decode_frame_at_depth(&buf[at..], depth + 1)?;
-                frames.push(frame);
-                at += used;
-            }
-            Ok((Frame::Array(frames), at))
+            decode_array(buf, count, after_header, depth)
         }
         other => Err(malformed(format!(
             "unknown frame tag 0x{other:02x} (expected : $ = + - _ *)"
         ))),
     }
+}
+
+/// A header of the form `-?[0-9]{1,18}`, parsed straight from its bytes:
+/// exactly the value `str::parse::<i64>` gives it (18 digits cannot
+/// overflow). `None` for anything else, which the caller parses as text.
+fn plain_int(header: &[u8]) -> Option<i64> {
+    let (negative, digits) = match header.split_first() {
+        Some((b'-', digits)) => (true, digits),
+        _ => (false, header),
+    };
+    if digits.is_empty() || digits.len() > 18 {
+        return None;
+    }
+    let mut value = 0i64;
+    for &digit in digits {
+        if !digit.is_ascii_digit() {
+            return None;
+        }
+        value = value * 10 + i64::from(digit - b'0');
+    }
+    Some(if negative { -value } else { value })
+}
+
+/// The `count` frames of an array whose header ends at `after_header`.
+fn decode_array(
+    buf: &[u8],
+    count: usize,
+    after_header: usize,
+    depth: usize,
+) -> Result<(Frame, usize), FrameError> {
+    if count > MAX_ARRAY_LEN {
+        return Err(malformed(format!(
+            "array of {count} frames exceeds the limit"
+        )));
+    }
+    let mut frames = Vec::with_capacity(count.min(64));
+    let mut at = after_header;
+    for _ in 0..count {
+        let (frame, used) = decode_frame_at_depth(&buf[at..], depth + 1)?;
+        frames.push(frame);
+        at += used;
+    }
+    Ok((Frame::Array(frames), at))
 }
 
 fn frame_to_value(frame: Frame) -> Option<Value> {
@@ -1270,6 +1314,82 @@ mod tests {
                 Err(FrameError::Incomplete) => {}
                 Err(FrameError::Malformed(m)) => {
                     panic!("prefix of length {cut} misread as malformed: {m}")
+                }
+            }
+        }
+    }
+
+    /// What the text path makes of an int or count header: `str::parse`
+    /// and the error texts, as they were before plain-digit headers got
+    /// their byte path. An array's elements are `:7` each.
+    fn decode_as_text(tag: u8, header: &str) -> Result<Frame, String> {
+        if tag == b':' {
+            return header
+                .parse::<i64>()
+                .map(Frame::Int)
+                .map_err(|_| format!("malformed int frame ':{header}'"));
+        }
+        let count = header
+            .parse::<usize>()
+            .map_err(|_| format!("malformed array length '{header}'"))?;
+        if count > MAX_ARRAY_LEN {
+            return Err(format!("array of {count} frames exceeds the limit"));
+        }
+        Ok(Frame::Array(vec![Frame::Int(7); count]))
+    }
+
+    #[test]
+    fn plain_digit_headers_decode_as_the_text_path_does() {
+        let (min, max) = (i64::MIN.to_string(), i64::MAX.to_string());
+        let headers = [
+            "0",
+            "-0",
+            "+5",
+            "007",
+            "5",
+            "-5",
+            "999999999999999999",
+            "-999999999999999999",
+            "1000000000000000000",
+            "-1000000000000000000",
+            &min,
+            &max,
+            "12345678901234567890",
+            "-12345678901234567890",
+            "12x",
+            "",
+            "-",
+            "+",
+            " 5",
+            "5 ",
+            "5\r",
+            "1048577",
+        ];
+        for tag in [b':', b'*'] {
+            for header in headers {
+                let mut bytes = vec![tag];
+                bytes.extend_from_slice(header.as_bytes());
+                bytes.push(b'\n');
+                let want = decode_as_text(tag, header);
+                if let Ok(Frame::Array(items)) = &want {
+                    bytes.extend(b":7\n".repeat(items.len()));
+                }
+                let got = match decode_frame(&bytes) {
+                    Ok((frame, used)) => {
+                        assert_eq!(used, bytes.len(), "{}{header:?}", tag as char);
+                        Ok(frame)
+                    }
+                    Err(FrameError::Malformed(message)) => Err(message),
+                    Err(FrameError::Incomplete) => panic!("{}{header:?} incomplete", tag as char),
+                };
+                assert_eq!(got, want, "{}{header:?}", tag as char);
+                for cut in 0..bytes.len() {
+                    assert_eq!(
+                        decode_frame(&bytes[..cut]),
+                        Err(FrameError::Incomplete),
+                        "{}{header:?} cut at {cut}",
+                        tag as char
+                    );
                 }
             }
         }

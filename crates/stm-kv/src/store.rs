@@ -39,7 +39,12 @@
 //! touch it and found through its shard's table, a
 //! `stm_core::sync::Mutex<HashMap<key, TVar>>` (the lock guards only cell
 //! *identity* — two racing transactions must obtain the same `TVar` for one
-//! key — and is never held across an STM operation).
+//! key — and is never held across an STM operation). A point operation
+//! takes one hold for its key. A scan (`RANGE`/`SUM`/`dump`) takes one hold
+//! per block run of the keys its index walk returned — at most 1,024 keys —
+//! cloning every linked cell of the run, then reads each cell through the
+//! handle it took ([`stm_core::Txn::read_owned`]): the read set keeps that
+//! handle, so a scanned key costs one table probe and one refcount.
 //!
 //! **Two lookup outcomes, and a transient third.** A point operation looks
 //! its key up in the table and finds the cell
@@ -50,7 +55,7 @@
 //! * **unlinked** — no writer has a cell for the key, so by the invariant
 //!   it is absent, but there is nothing to read. A `PUT`/`ADD` links a
 //!   fresh `Vacant` cell and proceeds as above. Every other operation
-//!   (`GET`, `DEL`, and the per-key reads of `RANGE`/`dump`) must not
+//!   (`GET`, `DEL`, and a scan's key with no cell) must not
 //!   materialise a cell — a miss would leak one, and so would a reader that
 //!   a concurrent `DEL` has already doomed; it reads the key's path in the
 //!   index instead, which is exactly what a later creator's `index.insert`
@@ -60,7 +65,9 @@
 //!
 //! In between, a linked cell may be **tombstoned**: it holds a *committed*
 //! `CellState::Dead` — a `DEL` committed and its unlink is imminent. The
-//! operation helps unlink the cell and looks the key up again.
+//! operation helps unlink the cell and looks the key up again. A scan hands
+//! a key whose cell is missing or reads `Dead` (committed, or its own
+//! tombstone) to the point lookup, which applies these rules.
 //!
 //! **Commit-time cell GC.** A committed `DEL` unlinks the key's cell, and
 //! the cell's `Arc` frees it. The deleting transaction writes the `Dead`
@@ -96,11 +103,12 @@
 //! transaction witness the same serial order.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use metrics::{Counter, Registry};
-use stm_core::sync::Mutex;
+use stm_core::sync::{Mutex, MutexGuard};
 use stm_core::{TVar, TxResult, Txn};
 use stm_structures::{TxChunkedSet, TxSet};
 
@@ -158,6 +166,21 @@ impl CellState {
 /// a dense 65,536-key range deal out evenly over 16 shards.
 const BLOCK_BITS: u32 = 10;
 
+/// One shard's cell table: key → linked value cell.
+type CellTable = HashMap<i64, TVar<CellState>>;
+
+#[cfg(test)]
+thread_local! {
+    /// Cell-table holds this thread has taken (test builds only).
+    static TABLE_HOLDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Cell-table holds the calling thread has taken so far, in any store.
+#[cfg(test)]
+fn table_holds() -> u64 {
+    TABLE_HOLDS.with(std::cell::Cell::get)
+}
+
 /// One shard: the ordered index and the cell table of the blocks it owns.
 /// The mutex guards cell identity only; it is never held across an STM
 /// operation.
@@ -165,18 +188,27 @@ const BLOCK_BITS: u32 = 10;
 struct Shard {
     /// This shard's present keys, in order.
     index: TxChunkedSet,
-    cells: Mutex<HashMap<i64, TVar<CellState>>>,
+    /// Locked only through [`Shard::cells`].
+    cells: Mutex<CellTable>,
     /// Cells this shard has unlinked (monotone), bumped under the lock.
     released: AtomicU64,
 }
 
 impl Shard {
+    /// The cell table, locked: the one place the store takes the lock (test
+    /// builds count each hold per thread).
+    fn cells(&self) -> MutexGuard<'_, CellTable> {
+        #[cfg(test)]
+        TABLE_HOLDS.with(|holds| holds.set(holds.get() + 1));
+        self.cells.lock()
+    }
+
     /// Removes `cell` from the table if it is still the cell linked under
     /// `key`, and counts it. Idempotent under the table lock: exactly one
     /// caller — the deleter's deferred commit action or a helping
     /// transaction that found the tombstone first — wins the unlink.
     fn unlink_dead(&self, key: i64, cell: &TVar<CellState>) {
-        let mut cells = self.cells.lock();
+        let mut cells = self.cells();
         if cells.get(&key).is_some_and(|entry| entry.same_object(cell)) {
             cells.remove(&key);
             self.released.fetch_add(1, Ordering::Relaxed);
@@ -338,13 +370,13 @@ impl KvStore {
     /// The value cell currently linked for `key`, if any — never creates
     /// one, so a point miss leaves the table as it found it.
     fn linked_cell(&self, key: i64) -> Option<TVar<CellState>> {
-        self.shard(key).cells.lock().get(&key).cloned()
+        self.shard(key).cells().get(&key).cloned()
     }
 
     /// The value cell currently linked for `key`, created on first touch
     /// under the shard's lock.
     fn fetch_cell(&self, key: i64) -> TVar<CellState> {
-        let mut cells = self.shard(key).cells.lock();
+        let mut cells = self.shard(key).cells();
         cells
             .entry(key)
             .or_insert_with(|| {
@@ -443,7 +475,7 @@ impl KvStore {
     pub fn cells_per_shard(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|shard| shard.cells.lock().len())
+            .map(|shard| shard.cells().len())
             .collect()
     }
 
@@ -551,26 +583,66 @@ impl KvStore {
         Ok(Ok(next))
     }
 
-    /// The present keys in `lo..=hi` with their values, ascending.
+    /// Hands each present key of `keys` (ascending, as [`KvStore::keys_in`]
+    /// returns them) with its value to `visit`, in order, until `visit`
+    /// breaks. Each block run of `keys` — the keys of one 1,024-key block —
+    /// clones its linked cells in one hold of its shard's table, and each
+    /// cell is read through the handle taken there
+    /// ([`stm_core::Txn::read_owned`]). A key with no linked cell, or whose
+    /// cell reads `Dead`, takes the point lookup instead: that path helps
+    /// unlink a committed tombstone, honours this transaction's own, and
+    /// reads the index where no cell witnesses absence.
+    fn scan<B>(
+        &self,
+        tx: &mut Txn<'_>,
+        keys: &[i64],
+        mut visit: impl FnMut(i64, &Value) -> ControlFlow<B>,
+    ) -> TxResult<Option<B>> {
+        let mut cells = Vec::new();
+        for run in keys.chunk_by(|a, b| a >> BLOCK_BITS == b >> BLOCK_BITS) {
+            {
+                let table = self.shard(run[0]).cells();
+                cells.extend(run.iter().map(|key| table.get(key).cloned()));
+            }
+            for (&key, cell) in run.iter().zip(cells.drain(..)) {
+                let state = match cell.map(|cell| tx.read_owned(cell)).transpose()? {
+                    Some(state) if *state != CellState::Dead => Some(state),
+                    // Read without creating: a reader that a concurrent
+                    // `DEL` has already doomed must not re-link a cell for
+                    // the key it lost.
+                    _ => self.peek_cell(tx, key)?.map(|(_cell, state)| state),
+                };
+                if let Some(value) = state.as_deref().and_then(CellState::value) {
+                    if let ControlFlow::Break(stop) = visit(key, value) {
+                        return Ok(Some(stop));
+                    }
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// The present keys in `lo..=hi` with their values, ascending: one index
+    /// walk, then one cell-table hold per block run ([`KvStore::scan`]).
     pub fn range(&self, tx: &mut Txn<'_>, lo: i64, hi: i64) -> TxResult<Vec<(i64, Value)>> {
         let mut pairs = Vec::new();
         if lo > hi {
             return Ok(pairs);
         }
-        for key in self.keys_in(tx, lo, hi)? {
-            // Read without creating: a reader that a concurrent `DEL` has
-            // already doomed must not re-link a cell for the key it lost.
-            if let Some(value) = self.get(tx, key)? {
-                pairs.push((key, value));
-            }
-        }
+        let keys = self.keys_in(tx, lo, hi)?;
+        self.scan::<()>(tx, &keys, |key, value| {
+            pairs.push((key, value.clone()));
+            ControlFlow::Continue(())
+        })?;
         Ok(pairs)
     }
 
     /// The sum and count of the integer values present in `lo..=hi`,
     /// observed as one consistent snapshot — the conservation audit the
     /// serializability tests run over the wire. A non-integer value in the
-    /// window is a [`TypeMismatch`] naming the first offending key.
+    /// window is a [`TypeMismatch`] naming the first offending key. Reads
+    /// as [`KvStore::range`] does, adding from each cell in place: no value
+    /// is copied out only to be summed or skipped.
     pub fn sum(
         &self,
         tx: &mut Txn<'_>,
@@ -581,38 +653,30 @@ impl KvStore {
         if lo > hi {
             return Ok(Ok((total, count)));
         }
-        for key in self.keys_in(tx, lo, hi)? {
-            // Read without creating (see `range`), and add from the cell in
-            // place: no value is copied out only to be summed or skipped.
-            let found = self.peek_cell(tx, key)?;
-            match found.as_ref().and_then(|(_cell, state)| state.value()) {
-                Some(Value::Int(v)) => {
-                    total = total.wrapping_add(*v);
-                    count += 1;
-                }
-                Some(other) => {
-                    return Ok(Err(TypeMismatch {
-                        key,
-                        found: other.type_name(),
-                    }))
-                }
-                None => {}
+        let keys = self.keys_in(tx, lo, hi)?;
+        let mismatch = self.scan(tx, &keys, |key, value| match value {
+            Value::Int(v) => {
+                total = total.wrapping_add(*v);
+                count += 1;
+                ControlFlow::Continue(())
             }
-        }
-        Ok(Ok((total, count)))
+            other => ControlFlow::Break(TypeMismatch {
+                key,
+                found: other.type_name(),
+            }),
+        })?;
+        Ok(match mismatch {
+            Some(mismatch) => Err(mismatch),
+            None => Ok((total, count)),
+        })
     }
 
     /// Every present key with its value, ascending — the consistent cut a
     /// point-in-time snapshot persists. Runs inside the caller's
-    /// transaction, so concurrent writers serialize against it.
+    /// transaction, so concurrent writers serialize against it. Reads as
+    /// [`KvStore::range`] does.
     pub fn dump(&self, tx: &mut Txn<'_>) -> TxResult<Vec<(i64, Value)>> {
-        let mut pairs = Vec::new();
-        for key in self.keys_in(tx, i64::MIN, i64::MAX)? {
-            if let Some(value) = self.get(tx, key)? {
-                pairs.push((key, value));
-            }
-        }
-        Ok(pairs)
+        self.range(tx, i64::MIN, i64::MAX)
     }
 
     /// Number of present keys: one counted walk of every tree.
@@ -644,7 +708,7 @@ impl KvStore {
                 .atomically(|tx| shard.index.to_vec(tx))
                 .expect("index walk commits");
             let mut full: Vec<i64> = {
-                let cells = shard.cells.lock();
+                let cells = shard.cells();
                 cells
                     .iter()
                     .filter(|(_, cell)| is_full(cell))
@@ -1089,6 +1153,156 @@ mod tests {
             int(1000),
             "increments through a racing first-touch cell must not be lost"
         );
+    }
+
+    #[test]
+    fn a_scan_holds_its_shard_table_once_per_block_run() {
+        let stm = Stm::default();
+        let store = KvStore::new(4);
+        let mut ctx = stm.thread();
+        ctx.atomically(|tx| {
+            for key in 0..1_536 {
+                store.put(tx, key, key)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        // (table holds, keys found) of one transaction.
+        let mut holds = |op: &dyn Fn(&mut Txn<'_>) -> TxResult<usize>| {
+            let before = table_holds();
+            let found = ctx.atomically(op).unwrap();
+            (table_holds() - before, found)
+        };
+        let store = &store;
+        let range = |lo, hi| move |tx: &mut Txn<'_>| Ok(store.range(tx, lo, hi)?.len());
+        assert_eq!(holds(&range(0, 255)), (1, 256), "RANGE in one block");
+        assert_eq!(
+            holds(&range(900, 1_155)),
+            (2, 256),
+            "RANGE across a block edge"
+        );
+        let sum = |tx: &mut Txn<'_>| Ok(store.sum(tx, 0, 255)?.unwrap().1);
+        assert_eq!(holds(&sum), (1, 256), "SUM in one block");
+        let get = |tx: &mut Txn<'_>| Ok(usize::from(store.get(tx, 5)?.is_some()));
+        assert_eq!(holds(&get), (1, 1), "hit GET");
+        let dump = |tx: &mut Txn<'_>| Ok(store.dump(tx)?.len());
+        assert_eq!(holds(&dump), (2, 1_536), "dump over two blocks");
+    }
+
+    #[test]
+    fn scans_after_a_delete_in_the_same_transaction_match_the_model() {
+        use std::collections::BTreeMap;
+        let stm = Stm::default();
+        let store = KvStore::new(4);
+        let mut ctx = stm.thread();
+        let mut model = BTreeMap::new();
+        let puts: Vec<ModelOp> = (0..8)
+            .chain(1_020..1_028)
+            .map(|key| ModelOp::Put(key, Value::Int(key)))
+            .collect();
+        commit_and_compare(&store, &mut ctx, &mut model, &puts);
+        // The window keys this transaction deletes carry its own tombstone
+        // until it commits, the re-PUT one included.
+        let ops = [
+            ModelOp::Del(3),
+            ModelOp::Range(0, 2_000),
+            ModelOp::Sum(0, 2_000),
+            ModelOp::Put(3, Value::Int(33)),
+            ModelOp::Range(0, 7),
+            ModelOp::Del(1_024),
+            ModelOp::Range(1_000, 1_100),
+            ModelOp::Sum(1_000, 1_100),
+            ModelOp::Del(3),
+            ModelOp::Sum(0, 7),
+        ];
+        commit_and_compare(&store, &mut ctx, &mut model, &ops);
+        commit_and_compare(&store, &mut ctx, &mut model, &[ModelOp::Range(0, 2_000)]);
+        store.assert_index_matches_cells(&stm);
+        assert_eq!(store.cells_live(), model.len());
+    }
+
+    /// Applies `ops` to `model` and to the store in one transaction, which
+    /// commits.
+    fn commit_and_compare(
+        store: &KvStore,
+        ctx: &mut stm_core::ThreadCtx<'_>,
+        model: &mut std::collections::BTreeMap<i64, Value>,
+        ops: &[ModelOp],
+    ) {
+        let mut after = model.clone();
+        ctx.atomically(|tx| {
+            after = model.clone();
+            for op in ops {
+                apply_and_compare(store, tx, &mut after, op)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        *model = after;
+    }
+
+    #[test]
+    fn scans_match_the_model_while_a_committed_delete_awaits_its_unlink() {
+        use std::collections::BTreeMap;
+        use std::sync::Mutex as StdMutex;
+        let stm = Arc::new(Stm::default());
+        let store = Arc::new(KvStore::new(4));
+        let mut ctx = stm.thread();
+        let mut model = BTreeMap::new();
+        let puts: Vec<ModelOp> = (0..8)
+            .chain(1_020..1_028)
+            .map(|key| ModelOp::Put(key, Value::Int(key)))
+            .collect();
+        commit_and_compare(&store, &mut ctx, &mut model, &puts);
+        let deleted = [3, 1_024];
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        ctx.atomically(|tx| {
+            let (scan_stm, scan_store, seen) =
+                (Arc::clone(&stm), Arc::clone(&store), Arc::clone(&seen));
+            // Registered before the deletes' own unlinks, so it runs first:
+            // both deletes have committed and both tombstones are linked.
+            tx.defer_on_commit(move || {
+                let (stm, store) = (scan_stm, scan_store);
+                let mut ctx = stm.thread();
+                let mut model = BTreeMap::new();
+                for key in (0..8)
+                    .chain(1_020..1_028)
+                    .filter(|key| !deleted.contains(key))
+                {
+                    model.insert(key, Value::Int(key));
+                }
+                let mut seen = seen.lock().unwrap();
+                seen.push(store.cells_live());
+                let scans = [
+                    ModelOp::Range(0, 2_000),
+                    ModelOp::Sum(0, 2_000),
+                    ModelOp::Range(1_000, 1_100),
+                    ModelOp::Sum(2, 4),
+                ];
+                commit_and_compare(&store, &mut ctx, &mut model, &scans);
+                seen.push(store.cells_live());
+            });
+            for key in deleted {
+                store.del(tx, key)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        for key in deleted {
+            model.remove(&key);
+        }
+        assert_eq!(
+            *seen.lock().unwrap(),
+            [model.len() + 2, model.len() + 2],
+            "the tombstones stay linked through the scans"
+        );
+        assert_eq!(
+            store.cells_live(),
+            model.len(),
+            "then the deleter unlinks them"
+        );
+        assert_eq!(store.cells_released(), 2);
+        store.assert_index_matches_cells(&stm);
     }
 
     /// One store operation of the model test.

@@ -65,6 +65,9 @@ pub(crate) struct Telemetry {
     /// Reply flushes that could not complete in one write and had to park
     /// the remainder behind write-readiness.
     pub(crate) partial_writes: Arc<Counter>,
+    /// Socket `read` calls the event loop made, the ones that found EOF or
+    /// nothing (`WouldBlock`) included.
+    pub(crate) socket_reads: Arc<Counter>,
     /// Connections currently being served (registered in an event-loop
     /// shard).
     pub(crate) conns_open: Arc<Gauge>,
@@ -104,6 +107,7 @@ impl Telemetry {
             errors: registry.counter("stm_kv_errors_total", &[]),
             conns_reaped_idle: registry.counter("stm_kv_conns_reaped_idle_total", &[]),
             partial_writes: registry.counter("stm_kv_partial_writes_total", &[]),
+            socket_reads: registry.counter("stm_kv_socket_reads_total", &[]),
             conns_open: registry.gauge("stm_kv_conns_open", &[]),
             registry,
             op_latency,

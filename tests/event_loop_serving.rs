@@ -17,7 +17,8 @@
 //! - **Serving counters**: `conns_open` / `conns_accepted` /
 //!   `conns_reaped_idle` / `partial_writes` must be visible through
 //!   `METRICS` and move when connections are opened, reaped by the idle
-//!   scan, or parked on a full socket.
+//!   scan, or parked on a full socket; a burst sent in one write costs one
+//!   socket read (`stm_kv_socket_reads_total`).
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -461,6 +462,42 @@ fn idle_connections_are_reaped_and_counted() {
     );
     drop(idle);
     control.quit().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn a_burst_sent_in_one_write_takes_one_socket_read() {
+    let mut server = start_server(ManagerKind::Greedy);
+    let mut client = KvClient::connect(server.addr()).unwrap();
+    client.put(1, 10).unwrap();
+    let reads = |client: &mut KvClient| {
+        client
+            .metrics()
+            .unwrap()
+            .counter("stm_kv_socket_reads_total")
+    };
+    // What one METRICS request costs on its own: its reads land before the
+    // exposition is rendered.
+    let first = reads(&mut client);
+    let second = reads(&mut client);
+    let per_metrics = second - first;
+    let gets = 64;
+    let mut burst = Vec::new();
+    for _ in 0..gets {
+        burst.extend_from_slice(&render_request_v2(&Request::Get(1)));
+    }
+    client.send_raw(&burst).unwrap();
+    for reply in read_replies(&mut client, gets) {
+        assert_eq!(reply, Reply::Value(Value::Int(10)));
+    }
+    let third = reads(&mut client);
+    assert_eq!(
+        (per_metrics, third - second - per_metrics),
+        (1, 1),
+        "(reads per METRICS request, reads for a {}-byte burst of {gets} GETs)",
+        burst.len()
+    );
+    client.quit().unwrap();
     server.shutdown();
 }
 
