@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p stm-kv --bin stm-kv-server -- \
-//!     --addr 127.0.0.1:7878 --manager greedy --shards 16
+//!     --addr 127.0.0.1:7878 --manager greedy --event-shards 2
 //! ```
 //!
 //! Talk to it with any line client — one `HELLO 2` line, then frames (an
@@ -32,8 +32,8 @@ use stm_kv::{KvServer, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: stm-kv-server [--addr HOST:PORT] [--manager NAME] [--shards N] \
-         [--event-shards N] [--idle-timeout SECS] [--wal-dir PATH] [--snapshot-every N]\n\
+        "usage: stm-kv-server [--addr HOST:PORT] [--manager NAME] [--event-shards N] \
+         [--idle-timeout SECS] [--wal-dir PATH] [--snapshot-every N]\n\
          managers: {}\n\
          connections are multiplexed over --event-shards readiness threads \
          (default one per core); --idle-timeout closes connections idle longer \
@@ -68,7 +68,6 @@ fn main() {
                     usage();
                 }
             },
-            "--shards" => config.shards = value.parse().unwrap_or_else(|_| usage()),
             "--event-shards" => config.event_shards = value.parse().unwrap_or_else(|_| usage()),
             "--idle-timeout" => {
                 let secs: f64 = value.parse().unwrap_or_else(|_| usage());

@@ -715,11 +715,7 @@ mod tests {
     use crate::server::{KvServer, ServerConfig};
 
     fn test_server() -> KvServer {
-        KvServer::start(ServerConfig {
-            shards: 4,
-            ..ServerConfig::default()
-        })
-        .unwrap()
+        KvServer::start(ServerConfig::default()).unwrap()
     }
 
     #[test]
@@ -813,7 +809,7 @@ mod tests {
             .samples()
             .filter(|(series, _)| series.starts_with("stm_kv_overflow_cells{"))
             .count();
-        assert_eq!(overflow_shards, 4, "{text}");
+        assert_eq!(overflow_shards, 16, "{text}");
         // Churn a far-out (overflow) key: its cell must show up as freed in
         // the next scrape.
         client.put(5_000_000, 1).unwrap();

@@ -1,10 +1,15 @@
 //! The server's connection layer: a readiness event loop.
 //!
-//! N shard threads (default one per core) each own a `minipoll::Poller`
-//! and a slab of non-blocking connections; one acceptor thread hands new
-//! connections to shards round-robin through a small inbox + waker pair.
-//! Per-connection state machines own their input/output buffers and feed the
-//! incremental [`process_buffered`] request core:
+//! N shard threads (default one per core) each own a `minipoll::Poller`, a
+//! slab of non-blocking connections, and a [`Core`]: the request core with
+//! the thread's own `ThreadCtx`, built once when the thread starts. Shard 0
+//! also owns the non-blocking listener, registered in its poller: it
+//! accepts whatever the listener holds and deals the sockets round-robin,
+//! keeping its own tickets and pushing every other one into the target
+//! shard's inbox and waking it. A server runs exactly its shard threads.
+//! Each connection carries its own buffers and protocol flags, and every
+//! readable event takes one path — read, then [`Core::execute`], then
+//! flush:
 //!
 //! * a readable socket is read through the shard's one buffer until a read
 //!   comes back short (`stm_kv_socket_reads_total` counts the calls): the
@@ -19,9 +24,11 @@
 //! * at most once per tick, a scan of the shard's slab closes every
 //!   connection idle for at least
 //!   [`ServerConfig::idle_timeout`](crate::ServerConfig::idle_timeout);
-//! * shutdown drains gracefully: accepting stops, every connection's
-//!   already-received bytes are executed and their replies flushed before
-//!   the socket closes.
+//! * shutdown drains gracefully: accepting stops, and every connection
+//!   takes the readable path once more, so what it already sent is executed
+//!   and answered; a reply tail the socket would not take is then finished
+//!   by one blocking write under [`DRAIN_FLUSH_BUDGET`] before the socket
+//!   closes.
 //!
 //! Durability: a burst whose commits were logged holds its replies behind
 //! [`Wal::wait_durable`](stm_log::Wal). The shard thread blocks there — one
@@ -37,18 +44,21 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use metrics::Counter;
+use metrics::{Counter, Gauge};
 use minipoll::{net as poll_net, Event, Interest, Poller, Token};
 use stm_core::sync::Mutex;
-use stm_core::{Stm, ThreadCtx};
+use stm_core::Stm;
 
 use crate::proto::{header_end, FrameError};
-use crate::server::{process_buffered, ConnState, Durable, ServerConfig};
+use crate::server::{Core, Durable, ServerConfig};
 use crate::store::KvStore;
 use crate::telemetry::{elapsed_us, Telemetry};
 
 /// Token of each shard's waker; connection slots start at 1.
 const WAKER_TOKEN: Token = Token(0);
+
+/// Token of the listener in shard 0's poller; no slot reaches it.
+const LISTENER_TOKEN: Token = Token(usize::MAX);
 
 /// How long a shard blocks in `wait` with nothing scheduled. The waker
 /// makes shutdown and hand-off latency independent of this; it only bounds
@@ -73,19 +83,26 @@ const EVENT_BATCH: usize = 1024;
 /// Per-read chunk size: the length of each shard's one read buffer.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// At shutdown, a draining flush retries a full socket for at most this
-/// long before giving up on the peer.
+/// At shutdown, the write timeout of the one blocking write that finishes a
+/// parked reply tail: a peer that takes no byte for this long is given up
+/// on.
 const DRAIN_FLUSH_BUDGET: Duration = Duration::from_secs(2);
 
-/// One connection owned by a shard: socket, protocol state machine, and
-/// the read/write buffers the state machine works.
-struct Conn {
+/// One connection owned by a shard: the socket, the protocol flags, and
+/// the read/write buffers the request core works.
+pub(crate) struct Conn {
     stream: TcpStream,
-    state: ConnState,
-    inbuf: Vec<u8>,
+    /// Whether the `HELLO 2` preamble has been received and answered.
+    pub(crate) greeted: bool,
+    /// The connection asked to close (`QUIT`, or a refused line or frame);
+    /// the replies already rendered still go out first.
+    pub(crate) quit: bool,
+    /// Received bytes not yet executed (a partial frame at most, between
+    /// bursts).
+    pub(crate) inbuf: Vec<u8>,
     /// Rendered replies not yet accepted by the kernel; `out_pos` marks how
     /// far the flush got (tail = `outbuf[out_pos..]`).
-    outbuf: Vec<u8>,
+    pub(crate) outbuf: Vec<u8>,
     out_pos: usize,
     /// Registered for write-readiness (a previous flush was partial).
     want_write: bool,
@@ -95,10 +112,11 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            state: ConnState::new(),
+            greeted: false,
+            quit: false,
             inbuf: Vec::new(),
             outbuf: Vec::new(),
             out_pos: 0,
@@ -113,25 +131,30 @@ impl Conn {
     }
 }
 
-/// One shard's hand-off inbox: the acceptor pushes, the shard drains after
-/// a wake.
+/// One shard's hand-off inbox: shard 0 pushes what it accepted, the shard
+/// drains it after the events of a wait.
 struct Inbox {
     pending: Mutex<VecDeque<TcpStream>>,
     waker: poll_net::Waker,
 }
 
-/// The running event-loop serving threads; held by `KvServer` and joined on
-/// shutdown.
+/// Shard 0's accept side: the listener and every shard's inbox, the next
+/// ticket indexing them round-robin.
+struct Dealer {
+    listener: TcpListener,
+    inboxes: Vec<Arc<Inbox>>,
+    next: usize,
+}
+
+/// The running shard threads; held by `KvServer` and joined on shutdown.
 pub(crate) struct EventLoops {
-    acceptor: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
     inboxes: Vec<Arc<Inbox>>,
 }
 
 impl EventLoops {
-    /// Spawns the acceptor and shard threads. The listener stays blocking —
-    /// the acceptor is a dedicated thread, unblocked at shutdown by a
-    /// throwaway loopback connection (`KvServer::shutdown`).
+    /// Builds every shard's poller, registers the listener (made
+    /// non-blocking) in shard 0's, and spawns the shard threads.
     pub(crate) fn start(
         config: &ServerConfig,
         listener: TcpListener,
@@ -150,16 +173,32 @@ impl EventLoops {
         };
 
         let mut inboxes = Vec::with_capacity(shard_count);
-        let mut shards = Vec::with_capacity(shard_count);
-        for shard_id in 0..shard_count {
+        let mut pollers = Vec::with_capacity(shard_count);
+        for _ in 0..shard_count {
             let (waker, wake_rx) = poll_net::waker()?;
-            let inbox = Arc::new(Inbox {
-                pending: Mutex::new(VecDeque::new()),
-                waker,
-            });
-            inboxes.push(Arc::clone(&inbox));
             let poller = Poller::new()?;
             poller.register(&wake_rx, WAKER_TOKEN, Interest::READABLE)?;
+            inboxes.push(Arc::new(Inbox {
+                pending: Mutex::new(VecDeque::new()),
+                waker,
+            }));
+            pollers.push((poller, wake_rx));
+        }
+        listener.set_nonblocking(true)?;
+        pollers[0]
+            .0
+            .register(&listener, LISTENER_TOKEN, Interest::READABLE)?;
+        let mut dealer = Some(Dealer {
+            listener,
+            inboxes: inboxes.clone(),
+            next: 0,
+        });
+
+        let mut shards = Vec::with_capacity(shard_count);
+        for (shard_id, (poller, wake_rx)) in pollers.into_iter().enumerate() {
+            // Shard 0 takes the dealer; the others get `None`.
+            let dealer = dealer.take();
+            let inbox = Arc::clone(&inboxes[shard_id]);
             let stm = Arc::clone(&stm);
             let store = Arc::clone(&store);
             let telemetry = Arc::clone(&telemetry);
@@ -170,86 +209,53 @@ impl EventLoops {
                 std::thread::Builder::new()
                     .name(format!("stm-kv-shard-{shard_id}"))
                     .spawn(move || {
-                        let conns_gauge = telemetry.shard_conns(shard_id);
+                        let core = Core::new(stm.thread(), &store, &telemetry, durable.as_deref());
                         let mut shard = Shard {
+                            core,
                             poller,
                             wake_rx,
                             inbox,
+                            dealer,
                             conns: Vec::new(),
                             free: Vec::new(),
                             chunk: vec![0; READ_CHUNK].into_boxed_slice(),
                             idle_timeout,
                             tick: shard_tick(idle_timeout),
                             last_scan: Instant::now(),
-                            store,
-                            telemetry,
-                            conns_gauge,
-                            durable,
+                            conns_gauge: telemetry.shard_conns(shard_id),
                             stop,
                         };
-                        let mut ctx = stm.thread();
-                        shard.run(&mut ctx);
+                        shard.run();
                     })
                     .expect("spawn shard thread"),
             );
         }
 
-        let acceptor = {
-            let telemetry = Arc::clone(&telemetry);
-            let stop = Arc::clone(&stop);
-            let inboxes = inboxes.clone();
-            std::thread::Builder::new()
-                .name("stm-kv-acceptor".to_string())
-                .spawn(move || {
-                    let mut next = 0usize;
-                    for stream in listener.incoming() {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        telemetry.connections.add(1);
-                        let inbox = &inboxes[next % inboxes.len()];
-                        next = next.wrapping_add(1);
-                        inbox.pending.lock().push_back(stream);
-                        let _ = inbox.waker.wake();
-                    }
-                    // Stop is set (or the listener died): wake every shard
-                    // so each one enters its graceful drain promptly.
-                    for inbox in &inboxes {
-                        let _ = inbox.waker.wake();
-                    }
-                })
-                .expect("spawn acceptor thread")
-        };
-
-        Ok(EventLoops {
-            acceptor: Some(acceptor),
-            shards,
-            inboxes,
-        })
+        Ok(EventLoops { shards, inboxes })
     }
 
-    /// Joins the acceptor and every shard. The caller has already set the
-    /// stop flag and poked the listener; shards run their graceful drain
-    /// (flush pending replies, then close) before exiting.
-    pub(crate) fn shutdown(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+    /// Wakes and joins every shard. The caller has already set the stop
+    /// flag; shards run their graceful drain (flush pending replies, then
+    /// close) before exiting.
+    pub(crate) fn shutdown(self) {
         for inbox in &self.inboxes {
             let _ = inbox.waker.wake();
         }
-        for shard in self.shards.drain(..) {
+        for shard in self.shards {
             let _ = shard.join();
         }
     }
 }
 
 /// One shard thread's whole world.
-struct Shard {
+struct Shard<'a> {
+    /// The request core, with this thread's transaction context.
+    core: Core<'a>,
     poller: Poller,
     wake_rx: poll_net::WakeReceiver,
     inbox: Arc<Inbox>,
+    /// Shard 0's listener and the inboxes it deals to; `None` elsewhere.
+    dealer: Option<Dealer>,
     /// The connection slab; `Token(slot + 1)` addresses `conns[slot]`.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -262,16 +268,13 @@ struct Shard {
     tick: Duration,
     /// When `reap_idle` last scanned the slab.
     last_scan: Instant,
-    store: Arc<KvStore>,
-    telemetry: Arc<Telemetry>,
     /// This shard's open-connections gauge (`stm_kv_shard_conns`).
-    conns_gauge: Arc<metrics::Gauge>,
-    durable: Option<Arc<Durable>>,
+    conns_gauge: Arc<Gauge>,
     stop: Arc<AtomicBool>,
 }
 
-impl Shard {
-    fn run(&mut self, ctx: &mut ThreadCtx<'_>) {
+impl Shard<'_> {
+    fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
             let wait_started = Instant::now();
@@ -282,36 +285,66 @@ impl Shard {
             {
                 // A failed wait is unrecoverable for this shard; drain what
                 // we have and exit rather than spin on the error.
-                self.drain_all(ctx);
+                self.drain_all();
                 return;
             }
-            self.telemetry.note_poll_wait(elapsed_us(wait_started));
-            self.telemetry.note_ready_batch(events.len() as u64);
+            let telemetry = self.core.telemetry;
+            telemetry.note_poll_wait(elapsed_us(wait_started));
+            telemetry.note_ready_batch(events.len() as u64);
             // Slots closed while handling an earlier event in this batch
             // are skipped (the slab entry is `None`); slots are never
-            // *reused* within a batch because accepts only run after it.
+            // *reused* within a batch because accepted sockets only enter
+            // the slab after it, through the inbox.
             for event in &events {
-                if event.token == WAKER_TOKEN {
-                    self.wake_rx.drain();
-                    continue;
+                match event.token {
+                    WAKER_TOKEN => self.wake_rx.drain(),
+                    LISTENER_TOKEN => self.deal(),
+                    _ => self.handle_event(event),
                 }
-                self.handle_event(ctx, event);
             }
-            self.accept_pending(ctx);
+            self.accept_pending();
             self.reap_idle();
             if self.stop.load(Ordering::Relaxed) {
-                self.drain_all(ctx);
+                self.drain_all();
                 return;
             }
         }
     }
 
-    /// The next connection the acceptor handed over, if any.
+    /// Shard 0 only: accepts every connection the listener holds and deals
+    /// them round-robin. Its own tickets go into its own inbox, taken in
+    /// after this batch; every other one goes into the target shard's inbox,
+    /// and that shard is woken.
+    fn deal(&mut self) {
+        let Some(dealer) = self.dealer.as_mut() else {
+            return;
+        };
+        loop {
+            match dealer.listener.accept() {
+                Ok((stream, _)) => {
+                    self.core.telemetry.connections.add(1);
+                    let ticket = dealer.next % dealer.inboxes.len();
+                    dealer.next = dealer.next.wrapping_add(1);
+                    let inbox = &dealer.inboxes[ticket];
+                    inbox.pending.lock().push_back(stream);
+                    if ticket != 0 {
+                        let _ = inbox.waker.wake();
+                    }
+                }
+                Err(err) if err.kind() == ErrorKind::Interrupted => {}
+                // `WouldBlock` empties the backlog; any other error (out of
+                // descriptors, say) is reported again on the next wait.
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// The next connection dealt to this shard, if any.
     fn next_handoff(&self) -> Option<TcpStream> {
         self.inbox.pending.lock().pop_front()
     }
 
-    /// Takes a handed-over socket into the slab and counts it open. `None` if it cannot be made non-blocking.
+    /// Takes a dealt socket into the slab and counts it open. `None` if it cannot be made non-blocking.
     fn adopt(&mut self, stream: TcpStream) -> Option<usize> {
         if stream.set_nonblocking(true).is_err() {
             return None;
@@ -322,14 +355,14 @@ impl Shard {
             self.conns.len() - 1
         });
         self.conns[slot] = Some(Conn::new(stream));
-        self.telemetry.conns_open.add(1);
+        self.core.telemetry.conns_open.add(1);
         self.conns_gauge.add(1);
         Some(slot)
     }
 
-    /// Registers every connection the acceptor handed over since the last
-    /// wake, then serves whatever those sockets already carry.
-    fn accept_pending(&mut self, ctx: &mut ThreadCtx<'_>) {
+    /// Registers every connection dealt to this shard since the last wait,
+    /// then serves whatever those sockets already carry.
+    fn accept_pending(&mut self) {
         while let Some(stream) = self.next_handoff() {
             let Some(slot) = self.adopt(stream) else {
                 continue;
@@ -348,11 +381,11 @@ impl Shard {
             // A pipelining client may have sent its burst before the
             // registration existed; a level-triggered poller would catch it
             // on the next wait, but serving it now saves that round trip.
-            self.service_read(ctx, slot);
+            self.service_read(slot);
         }
     }
 
-    fn handle_event(&mut self, ctx: &mut ThreadCtx<'_>, event: &Event) {
+    fn handle_event(&mut self, event: &Event) {
         let slot = event.token.0 - 1;
         if self.conns.get(slot).is_none_or(Option::is_none) {
             return; // closed earlier in this batch
@@ -360,57 +393,27 @@ impl Shard {
         if event.writable {
             self.service_write(slot);
         }
-        if event.readable && self.conns[slot].is_some() {
-            self.service_read(ctx, slot);
+        if event.readable {
+            self.service_read(slot);
         }
     }
 
-    /// Reads what the socket holds, executes every complete request through
-    /// the shared core, and flushes the replies (parking the tail behind
-    /// write-readiness when the socket fills).
-    fn service_read(&mut self, ctx: &mut ThreadCtx<'_>, slot: usize) {
+    /// The one readable path: reads what the socket holds, executes every
+    /// complete request through the request core (waiting out the burst's
+    /// durability barrier), and flushes the replies, parking the tail
+    /// behind write-readiness when the socket fills. A failed read or a
+    /// failed log closes the connection without a reply.
+    fn service_read(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        let read = read_burst(conn, &mut self.chunk, &self.telemetry.socket_reads);
+        let read = read_burst(conn, &mut self.chunk, &self.core.telemetry.socket_reads);
         conn.last_active = Instant::now();
-        if read.is_err() {
+        if read.is_err() || !self.core.execute(conn) {
             self.close(slot);
             return;
         }
-        if self.execute_buffered(ctx, slot) {
-            self.service_write(slot);
-        }
-    }
-
-    /// Runs the request core over the connection's input buffer, rendering
-    /// the replies behind whatever is still unflushed, and returns once the
-    /// burst's logged commits are durable. Returns `false` when the
-    /// connection is gone instead: the log failed, so nothing it rendered
-    /// may be acknowledged.
-    fn execute_buffered(&mut self, ctx: &mut ThreadCtx<'_>, slot: usize) -> bool {
-        let Some(conn) = self.conns[slot].as_mut() else {
-            return false;
-        };
-        let barrier = process_buffered(
-            &mut conn.state,
-            ctx,
-            &self.store,
-            &self.telemetry,
-            self.durable.as_deref(),
-            &mut conn.inbuf,
-            &mut conn.outbuf,
-        );
-        // Group commit: the shard blocks here — leading the fsync itself if
-        // no other shard is — until one fsync covers every burst, on any
-        // connection, that committed meanwhile.
-        if let (Some(durable), Some(barrier)) = (self.durable.as_deref(), barrier) {
-            if !durable.wal.wait_durable(barrier) {
-                self.close(slot);
-                return false;
-            }
-        }
-        true
+        self.service_write(slot);
     }
 
     /// Pushes the unflushed reply tail into the socket. On `WouldBlock` the
@@ -433,7 +436,7 @@ impl Shard {
                     Err(err) if err.kind() == ErrorKind::WouldBlock => {
                         if !conn.want_write {
                             conn.want_write = true;
-                            self.telemetry.partial_writes.add(1);
+                            self.core.telemetry.partial_writes.add(1);
                             let _ = self.poller.reregister(
                                 &conn.stream,
                                 Token(slot + 1),
@@ -457,7 +460,7 @@ impl Shard {
                     .poller
                     .reregister(&conn.stream, Token(slot + 1), Interest::READABLE);
             }
-            if conn.state.quit() || conn.peer_eof {
+            if conn.quit || conn.peer_eof {
                 close_now = true;
             }
         }
@@ -483,7 +486,7 @@ impl Shard {
                 .as_ref()
                 .is_some_and(|conn| now.duration_since(conn.last_active) >= self.idle_timeout);
             if idle {
-                self.telemetry.conns_reaped_idle.add(1);
+                self.core.telemetry.conns_reaped_idle.add(1);
                 self.close(slot);
             }
         }
@@ -492,52 +495,42 @@ impl Shard {
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
             let _ = self.poller.deregister(&conn.stream);
-            self.telemetry.conns_open.sub(1);
+            self.core.telemetry.conns_open.sub(1);
             self.conns_gauge.sub(1);
             self.free.push(slot);
         }
     }
 
-    /// Graceful drain at shutdown: for every connection (including ones
-    /// still in the inbox), read what the peer already sent, execute it,
-    /// flush every pending reply — retrying a full socket briefly — and
-    /// close. No in-flight pipelined burst loses its replies.
-    fn drain_all(&mut self, ctx: &mut ThreadCtx<'_>) {
+    /// Graceful drain at shutdown: every connection, the ones still in the
+    /// inbox included, takes the readable path once more ([`Shard::service_read`]:
+    /// what the peer already sent is read, executed and flushed). A reply
+    /// tail the socket would not take is then finished by one blocking
+    /// `write_all` under a [`DRAIN_FLUSH_BUDGET`] write timeout, and the
+    /// connection closes. No in-flight pipelined burst loses its replies to
+    /// a peer that reads them.
+    fn drain_all(&mut self) {
         let drain_started = Instant::now();
-        // Late hand-offs first: accepted before the stop flag landed.
+        // Late hand-offs first: dealt before the stop flag landed.
         while let Some(stream) = self.next_handoff() {
             self.adopt(stream);
         }
         for slot in 0..self.conns.len() {
+            self.service_read(slot);
             let Some(conn) = self.conns[slot].as_mut() else {
                 continue;
             };
-            // One final read pass over what the kernel already buffered; a
-            // failed read still executes what arrived before it.
-            let _ = read_burst(conn, &mut self.chunk, &self.telemetry.socket_reads);
-            if !self.execute_buffered(ctx, slot) {
-                continue;
-            }
-            if let Some(conn) = self.conns[slot].as_mut() {
-                // Bounded blocking flush: the poller is done, so retry a
-                // full socket with short sleeps instead of write-readiness.
-                let deadline = Instant::now() + DRAIN_FLUSH_BUDGET;
-                while conn.pending_out() && Instant::now() < deadline {
-                    match conn.stream.write(&conn.outbuf[conn.out_pos..]) {
-                        Ok(0) => break,
-                        Ok(n) => conn.out_pos += n,
-                        Err(err) if err.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(err) if err.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => break,
-                    }
-                }
-                let _ = conn.stream.flush();
+            if conn.pending_out()
+                && conn.stream.set_nonblocking(false).is_ok()
+                && conn
+                    .stream
+                    .set_write_timeout(Some(DRAIN_FLUSH_BUDGET))
+                    .is_ok()
+            {
+                let _ = conn.stream.write_all(&conn.outbuf[conn.out_pos..]);
             }
             self.close(slot);
         }
-        self.telemetry.note_drain(elapsed_us(drain_started));
+        self.core.telemetry.note_drain(elapsed_us(drain_started));
     }
 }
 

@@ -1,14 +1,18 @@
 //! The TCP server: a listener, a readiness event loop, one STM transaction
 //! per request — and, optionally, a durable commit log underneath.
 //!
-//! One acceptor thread hands each new connection to one of
-//! [`ServerConfig::event_shards`] shard threads (`crate::event_loop`). A
-//! shard owns a `minipoll::Poller` and a slab of non-blocking connections,
-//! so an idle connection costs one registration rather than one thread, and
-//! no connection waits for another to hang up before it is served. Each
-//! shard thread owns a [`stm_core::ThreadCtx`] — and therefore its own
-//! contention-manager instance, keeping managers decentralised exactly as
-//! in the in-process harness.
+//! The server runs exactly [`ServerConfig::event_shards`] threads, the
+//! shards of `crate::event_loop`, and no other. A shard owns a
+//! `minipoll::Poller` and a slab of non-blocking connections, so an idle
+//! connection costs one registration rather than one thread, and no
+//! connection waits for another to hang up before it is served. Shard 0
+//! also accepts: the listener sits in its poller, and it deals each new
+//! connection round-robin over the shards. Each shard thread builds its
+//! serving state once, its own [`stm_core::ThreadCtx`] included — and
+//! therefore its own contention-manager instance, keeping managers
+//! decentralised exactly as in the in-process harness. The request core
+//! (decode, transact, snapshot, the durability barrier, render) runs as
+//! methods on that state, over one connection at a time.
 //!
 //! Every data request executes as one `atomically` call; an `EXEC` runs
 //! all of its operations inside a single `atomically` call, which is what
@@ -52,10 +56,10 @@
 //! ([`Wal::metrics_text`]). No series line is written anywhere else.
 //!
 //! [`KvServer::shutdown`] stops accepting, drains every connection (what it
-//! already sent is executed and answered), joins every thread, and flushes
+//! already sent is executed and answered), joins every shard, and flushes
 //! the log.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -65,7 +69,7 @@ use stm_cm::ManagerKind;
 use stm_core::{CommitOp, Stm, ThreadCtx, TxResult, Txn};
 use stm_log::{FsyncPolicy, Wal, WalConfig};
 
-use crate::event_loop::EventLoops;
+use crate::event_loop::{Conn, EventLoops};
 use crate::proto::{
     decode_frame, parse_preamble, parse_request_v2, render_reply_v2, ErrorCode, FrameError, Reply,
     Request, PREAMBLE,
@@ -75,6 +79,12 @@ use crate::telemetry::{elapsed_us, op_index, Telemetry, OP_EXEC};
 
 /// Recovery replays at most this many logged write-sets per transaction.
 const REPLAY_CHUNK: usize = 512;
+
+/// Shards in the store. Each owns an ordered index tree and a cell table
+/// for its keys, dealt out in 1,024-key blocks (block `key >> 10` to shard
+/// `block mod shards`, [`KvStore::shard_of`]), so a `RANGE` of up to 1,024
+/// keys opens one tree or two.
+const STORE_SHARDS: usize = 16;
 
 /// How the server maps connections onto threads. There is one way, the
 /// readiness event loop; the type and [`KvServer::serve_mode`] are kept by
@@ -101,11 +111,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Contention manager arbitrating every transaction on this server.
     pub manager: ManagerKind,
-    /// Number of shards in the store. Each owns an ordered index tree and a
-    /// cell table for its keys, dealt out in 1,024-key blocks (block
-    /// `key >> 10` to shard `block mod shards`, [`KvStore::shard_of`]), so a
-    /// `RANGE` of up to 1,024 keys opens one tree or two.
-    pub shards: usize,
     /// Directory for the write-ahead log and snapshots. `None` (the
     /// default) runs the server volatile.
     pub wal_dir: Option<PathBuf>,
@@ -127,7 +132,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             manager: ManagerKind::Greedy,
-            shards: 16,
             wal_dir: None,
             fsync: FsyncPolicy::EveryCommit,
             snapshot_every: 0,
@@ -168,7 +172,7 @@ impl std::fmt::Debug for KvServer {
 
 impl KvServer {
     /// Binds the listener, recovers the keyspace when a `wal_dir` is
-    /// configured, and spawns the acceptor and the shard threads.
+    /// configured, and spawns the shard threads.
     ///
     /// # Errors
     ///
@@ -188,7 +192,7 @@ impl KvServer {
             stm_builder = stm_builder.commit_hook(wal.commit_hook());
         }
         let stm = Arc::new(stm_builder.build());
-        let store = Arc::new(KvStore::new(config.shards));
+        let store = Arc::new(KvStore::new(STORE_SHARDS));
 
         let durable = opened_wal.map(|(wal, recovered)| {
             replay_recovered(&stm, &store, &recovered);
@@ -277,12 +281,10 @@ impl KvServer {
     /// `Drop`.
     pub fn shutdown(&mut self) {
         // ordering: first-shutdown latch; SeqCst orders it ahead of the
-        // acceptor poke below so the woken acceptor observes it and exits.
+        // shard wake-ups below so every woken shard observes it and drains.
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the acceptor's `incoming()` with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
         if let Some(loops) = self.loops.take() {
             loops.shutdown();
         }
@@ -407,46 +409,94 @@ fn metrics_payload(
     out
 }
 
-/// The protocol state that persists across bursts for one connection:
-/// whether the preamble has been answered, and the quit latch. Each
-/// connection in a shard's slab keeps exactly one of these.
-pub(crate) struct ConnState {
-    /// Whether the `HELLO 2` preamble has been received and answered.
-    greeted: bool,
-    quit: bool,
+/// One shard thread's serving state, built once when the thread starts: its
+/// transaction context (and so its own contention-manager instance), the
+/// store, the telemetry and the log. The request core runs as its methods,
+/// over one connection at a time.
+pub(crate) struct Core<'a> {
+    ctx: ThreadCtx<'a>,
+    store: &'a KvStore,
+    pub(crate) telemetry: &'a Telemetry,
+    durable: Option<&'a Durable>,
+    /// Highest log sequence number the burst being executed must wait on
+    /// before its replies are flushed (only durable servers set one).
+    barrier: Option<u64>,
 }
 
-impl ConnState {
-    pub(crate) fn new() -> ConnState {
-        ConnState {
-            greeted: false,
-            quit: false,
+impl<'a> Core<'a> {
+    pub(crate) fn new(
+        ctx: ThreadCtx<'a>,
+        store: &'a KvStore,
+        telemetry: &'a Telemetry,
+        durable: Option<&'a Durable>,
+    ) -> Core<'a> {
+        Core {
+            ctx,
+            store,
+            telemetry,
+            durable,
+            barrier: None,
         }
     }
 
-    /// Whether the connection asked to close (QUIT, or an unrecoverable
-    /// framing error). The remaining replies still go out first.
-    pub(crate) fn quit(&self) -> bool {
-        self.quit
+    /// Executes what `conn` has buffered: answers the preamble once, then
+    /// decodes and executes every complete frame in its input (partial
+    /// trailing input stays buffered), appending the replies to its output
+    /// in order. A first line that is not the preamble, a malformed frame,
+    /// or either one's header line outgrowing its cap is answered with one
+    /// error frame and sets `quit`: a length-prefixed stream cannot
+    /// resynchronise past garbage, and nothing unterminated is kept
+    /// buffered.
+    ///
+    /// Returns once the burst's logged commits are durable (group commit:
+    /// the shard blocks in [`Wal::wait_durable`], leading the fsync itself
+    /// if no other shard is, until one fsync covers every burst, on any
+    /// connection, that committed meanwhile). Returns `false` when the log
+    /// failed instead: nothing rendered may be acknowledged, so the caller
+    /// closes the connection.
+    pub(crate) fn execute(&mut self, conn: &mut Conn) -> bool {
+        let mut consumed = 0usize;
+        while !conn.quit {
+            let rest = &conn.inbuf[consumed..];
+            let step = if conn.greeted {
+                decode_frame(rest).map(|(frame, used)| (Some(frame), used))
+            } else {
+                parse_preamble(rest).map(|used| (None, used))
+            };
+            match step {
+                Ok((Some(frame), used)) => {
+                    consumed += used;
+                    self.handle_frame(frame, conn);
+                }
+                Ok((None, used)) => {
+                    consumed += used;
+                    conn.greeted = true;
+                    conn.outbuf.extend_from_slice(PREAMBLE);
+                }
+                Err(FrameError::Incomplete) => break,
+                Err(FrameError::Malformed(message)) => {
+                    let what = if conn.greeted { "frame" } else { "preamble" };
+                    let refusal =
+                        Reply::err(ErrorCode::Proto, format!("malformed {what}: {message}"));
+                    self.emit(&refusal, &mut conn.outbuf);
+                    conn.quit = true;
+                }
+            }
+        }
+        if conn.quit {
+            // Whatever follows a QUIT or a refusal is never parsed.
+            conn.inbuf.clear();
+        } else {
+            conn.inbuf.drain(..consumed);
+        }
+        match (self.durable, self.barrier.take()) {
+            (Some(durable), Some(barrier)) => durable.wal.wait_durable(barrier),
+            _ => true,
+        }
     }
-}
 
-/// Everything one burst of request processing needs: the shard's execution
-/// context plus the connection's persistent [`ConnState`].
-struct Session<'a, 'stm> {
-    ctx: &'a mut ThreadCtx<'stm>,
-    store: &'a KvStore,
-    telemetry: &'a Telemetry,
-    durable: Option<&'a Durable>,
-    conn: &'a mut ConnState,
-    /// Highest log sequence number this reply burst must wait on before it
-    /// is flushed (only durable servers have one).
-    flush_barrier: Option<u64>,
-}
-
-impl<'a, 'stm> Session<'a, 'stm> {
     /// Renders one reply, counting error replies.
-    fn emit(&mut self, reply: &Reply, out: &mut Vec<u8>) {
+    fn emit(&self, reply: &Reply, out: &mut Vec<u8>) {
         if matches!(reply, Reply::Err(..)) {
             self.telemetry.errors.add(1);
         }
@@ -502,8 +552,10 @@ impl<'a, 'stm> Session<'a, 'stm> {
         }
     }
 
-    /// Processes one decoded request frame, appending its reply to `out`.
-    fn handle_frame(&mut self, frame: crate::proto::Frame, out: &mut Vec<u8>) {
+    /// Processes one decoded request frame, appending its reply to the
+    /// connection's output.
+    fn handle_frame(&mut self, frame: crate::proto::Frame, conn: &mut Conn) {
+        let out = &mut conn.outbuf;
         let request = match parse_request_v2(frame) {
             Ok(request) => request,
             Err(error) => return self.emit(&Reply::Err(error.code, error.message), out),
@@ -513,7 +565,7 @@ impl<'a, 'stm> Session<'a, 'stm> {
         match request {
             Request::Quit => {
                 self.emit(&Reply::Bye, out);
-                self.conn.quit = true;
+                conn.quit = true;
             }
             Request::Ping => self.emit(&Reply::Pong, out),
             Request::Snapshot => {
@@ -554,7 +606,7 @@ impl<'a, 'stm> Session<'a, 'stm> {
     /// Runs one data transaction — a standalone op, or every op of an
     /// `EXEC` — and renders its reply: `body` is the transaction, and a body
     /// that aborts explicitly leaves its reply in `refusal`. Counts and
-    /// times the call, sets the burst's durability barrier and polls the
+    /// times the call, raises the burst's durability barrier and polls the
     /// auto-snapshot budget.
     fn transact(
         &mut self,
@@ -577,7 +629,7 @@ impl<'a, 'stm> Session<'a, 'stm> {
             // record's seq was assigned in the writer's commit, before this
             // call read it, so the newest seq assigned now covers it.
             let seq = report.commit_seq.unwrap_or_else(|| durable.wal.last_seq());
-            self.flush_barrier = self.flush_barrier.max(Some(seq));
+            self.barrier = self.barrier.max(Some(seq));
         }
         match result {
             Ok(reply) => {
@@ -596,92 +648,13 @@ impl<'a, 'stm> Session<'a, 'stm> {
     }
 }
 
-/// The request-processing core each shard runs per readable connection:
-/// answers the preamble once, then decodes and executes every complete frame in `inbuf`
-/// (partial trailing input stays buffered), appending the replies to `out`
-/// in order. A first line that is not the preamble, a malformed frame, or
-/// either one's header line outgrowing its cap is answered with one error
-/// frame and closes the connection: a length-prefixed stream cannot
-/// resynchronise past garbage, and nothing unterminated is kept buffered.
-///
-/// Returns the burst's durability barrier: the sequence number the caller
-/// must [`Wal::wait_durable`] on before flushing `out` (`None` when the burst
-/// ran no data transaction or the server is volatile). A barrier wait
-/// returning `false` means the log
-/// failed — the caller must close without acknowledging rather than send
-/// replies the contract says are on disk.
-pub(crate) fn process_buffered(
-    conn: &mut ConnState,
-    ctx: &mut ThreadCtx<'_>,
-    store: &KvStore,
-    telemetry: &Telemetry,
-    durable: Option<&Durable>,
-    inbuf: &mut Vec<u8>,
-    out: &mut Vec<u8>,
-) -> Option<u64> {
-    let mut session = Session {
-        ctx,
-        store,
-        telemetry,
-        durable,
-        conn,
-        flush_barrier: None,
-    };
-    let mut consumed = 0usize;
-    while !session.conn.quit {
-        let rest = &inbuf[consumed..];
-        let step = if session.conn.greeted {
-            decode_frame(rest).map(|(frame, used)| (Some(frame), used))
-        } else {
-            parse_preamble(rest).map(|used| (None, used))
-        };
-        match step {
-            Ok((Some(frame), used)) => {
-                consumed += used;
-                session.handle_frame(frame, out);
-            }
-            Ok((None, used)) => {
-                consumed += used;
-                session.conn.greeted = true;
-                out.extend_from_slice(PREAMBLE);
-            }
-            Err(FrameError::Incomplete) => break,
-            Err(FrameError::Malformed(message)) => {
-                let what = if session.conn.greeted {
-                    "frame"
-                } else {
-                    "preamble"
-                };
-                session.emit(
-                    &Reply::err(ErrorCode::Proto, format!("malformed {what}: {message}")),
-                    out,
-                );
-                session.conn.quit = true;
-            }
-        }
-    }
-    if session.conn.quit {
-        // Whatever follows a QUIT or a refusal is never parsed.
-        inbuf.clear();
-    } else {
-        inbuf.drain(..consumed);
-    }
-    session.flush_barrier
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::{parse_reply_v2, render_request_v2, write_frame, Frame, MAX_HEADER_BYTES};
     use crate::{KvClient, Value};
     use std::io::{BufRead, BufReader, Read, Write};
-
-    fn test_config() -> ServerConfig {
-        ServerConfig {
-            shards: 4,
-            ..ServerConfig::default()
-        }
-    }
+    use std::net::TcpStream;
 
     fn int(v: i64) -> Reply {
         Reply::Value(Value::Int(v))
@@ -707,7 +680,7 @@ mod tests {
 
     #[test]
     fn server_starts_and_shuts_down_cleanly() {
-        let mut server = KvServer::start(test_config()).unwrap();
+        let mut server = KvServer::start(ServerConfig::default()).unwrap();
         assert_eq!(server.manager(), ManagerKind::Greedy);
         assert!(server.addr().port() != 0);
         assert!(server.wal().is_none());
@@ -722,7 +695,7 @@ mod tests {
 
     #[test]
     fn shutdown_returns_while_a_client_keeps_sending() {
-        let mut server = KvServer::start(test_config()).unwrap();
+        let mut server = KvServer::start(ServerConfig::default()).unwrap();
         let addr = server.addr();
         let done = Arc::new(AtomicBool::new(false));
         let hammer = {
@@ -745,7 +718,7 @@ mod tests {
 
     #[test]
     fn the_preamble_is_answered_and_every_byte_after_it_is_a_frame() {
-        let server = KvServer::start(test_config()).unwrap();
+        let server = KvServer::start(ServerConfig::default()).unwrap();
         // `connect` writes the preamble and checks the answer...
         let mut client = KvClient::connect(server.addr()).unwrap();
         // ...and everything after it is framed. Pipeline a typed PUT (value
@@ -765,7 +738,7 @@ mod tests {
 
     #[test]
     fn malformed_frame_reports_and_closes() {
-        let server = KvServer::start(test_config()).unwrap();
+        let server = KvServer::start(ServerConfig::default()).unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();
         client.send_raw(b"!garbage\n").unwrap();
         match client.recv().unwrap() {
@@ -780,59 +753,63 @@ mod tests {
         );
     }
 
-    /// The serve loop in miniature: one read chunk appended, one
-    /// `process_buffered` call, for a peer that never sends `\n` — before
-    /// the preamble and inside a frame header.
+    /// The request core in miniature: one read chunk appended, one
+    /// `Core::execute` call, for a peer that never sends `\n` — before the
+    /// preamble and inside a frame header.
     #[test]
     fn an_unterminated_line_is_refused_before_the_buffer_outgrows_one_chunk() {
         const CHUNK: usize = 4096;
         let stm = Stm::default();
         let store = KvStore::new(2);
         let telemetry = Telemetry::new();
-        let mut ctx = stm.thread();
-        let mut serve = |conn: &mut ConnState, inbuf: &mut Vec<u8>, out: &mut Vec<u8>| {
-            process_buffered(conn, &mut ctx, &store, &telemetry, None, inbuf, out);
-        };
+        let mut core = Core::new(stm.thread(), &store, &telemetry, None);
+        // `execute` works a connection's buffers only; its socket is idle.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (socket, _) = listener.accept().unwrap();
         for greeted in [false, true] {
-            let mut conn = ConnState::new();
-            let (mut inbuf, mut out) = (Vec::new(), Vec::new());
+            let mut conn = Conn::new(socket.try_clone().unwrap());
             if greeted {
-                inbuf.extend_from_slice(PREAMBLE);
-                serve(&mut conn, &mut inbuf, &mut out);
-                assert_eq!(out, PREAMBLE);
-                out.clear();
+                conn.inbuf.extend_from_slice(PREAMBLE);
+                assert!(core.execute(&mut conn));
+                assert_eq!(conn.outbuf, PREAMBLE);
+                conn.outbuf.clear();
             }
             // Under the cap the line may still end: buffered, unanswered.
-            inbuf.extend_from_slice(&[b'+'; MAX_HEADER_BYTES]);
-            serve(&mut conn, &mut inbuf, &mut out);
-            assert!(!conn.quit() && out.is_empty());
-            assert_eq!(inbuf.len(), MAX_HEADER_BYTES);
+            conn.inbuf.extend_from_slice(&[b'+'; MAX_HEADER_BYTES]);
+            assert!(core.execute(&mut conn));
+            assert!(!conn.quit && conn.outbuf.is_empty());
+            assert_eq!(conn.inbuf.len(), MAX_HEADER_BYTES);
             for _ in 0..64 {
-                if conn.quit() {
+                if conn.quit {
                     break;
                 }
-                inbuf.extend_from_slice(&[b'+'; CHUNK]);
-                assert!(inbuf.len() <= MAX_HEADER_BYTES + CHUNK, "greeted={greeted}");
-                serve(&mut conn, &mut inbuf, &mut out);
+                conn.inbuf.extend_from_slice(&[b'+'; CHUNK]);
+                assert!(
+                    conn.inbuf.len() <= MAX_HEADER_BYTES + CHUNK,
+                    "greeted={greeted}"
+                );
+                assert!(core.execute(&mut conn));
             }
-            assert!(conn.quit(), "greeted={greeted}: the peer must be refused");
+            assert!(conn.quit, "greeted={greeted}: the peer must be refused");
             assert!(
-                inbuf.is_empty(),
+                conn.inbuf.is_empty(),
                 "greeted={greeted}: nothing stays buffered"
             );
-            let (frame, used) = decode_frame(&out).unwrap();
+            let out = &conn.outbuf;
+            let (frame, used) = decode_frame(out).unwrap();
             assert_eq!(used, out.len(), "greeted={greeted}: exactly one frame");
             assert!(
                 matches!(parse_reply_v2(frame), Ok(Reply::Err(ErrorCode::Proto, _))),
                 "greeted={greeted}: {:?}",
-                String::from_utf8_lossy(&out)
+                String::from_utf8_lossy(out)
             );
         }
     }
 
     #[test]
     fn type_errors_are_coded_and_do_not_abort_the_connection() {
-        let server = KvServer::start(test_config()).unwrap();
+        let server = KvServer::start(ServerConfig::default()).unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();
         assert_eq!(
             say(&mut client, Request::Put(1, Value::Str("text".into()))),
@@ -851,7 +828,7 @@ mod tests {
     /// naming that op and runs none of its ops; the connection goes on.
     #[test]
     fn a_hostile_exec_executes_nothing_and_keeps_framing() {
-        let server = KvServer::start(test_config()).unwrap();
+        let server = KvServer::start(ServerConfig::default()).unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();
         let client = &mut client;
         assert_eq!(say(client, Request::Put(3, Value::Int(30))), Reply::Ok);
@@ -901,7 +878,7 @@ mod tests {
 
     #[test]
     fn pipelined_burst_gets_every_reply_in_order() {
-        let server = KvServer::start(test_config()).unwrap();
+        let server = KvServer::start(ServerConfig::default()).unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();
         // One write carrying many requests — the pipelined path.
         let mut requests: Vec<Request> = (0..50i64)
@@ -917,7 +894,7 @@ mod tests {
 
     #[test]
     fn hello_and_v2_frames_pipeline_in_one_burst() {
-        let server = KvServer::start(test_config()).unwrap();
+        let server = KvServer::start(ServerConfig::default()).unwrap();
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
@@ -948,7 +925,7 @@ mod tests {
 
     #[test]
     fn exec_reply_nests_per_op_replies() {
-        let server = KvServer::start(test_config()).unwrap();
+        let server = KvServer::start(ServerConfig::default()).unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();
         let burst = burst_of(&[
             Request::Exec(vec![
@@ -985,7 +962,7 @@ mod tests {
         let dir = temp_wal_dir("recover");
         let config = ServerConfig {
             wal_dir: Some(dir.clone()),
-            ..test_config()
+            ..ServerConfig::default()
         };
         {
             let mut server = KvServer::start(config.clone()).unwrap();
@@ -1031,7 +1008,7 @@ mod tests {
         let mut server = KvServer::start(ServerConfig {
             wal_dir: Some(dir.clone()),
             snapshot_every: 10,
-            ..test_config()
+            ..ServerConfig::default()
         })
         .unwrap();
         let mut client = KvClient::connect(server.addr()).unwrap();

@@ -623,7 +623,7 @@ impl KvStore {
     }
 
     /// The present keys in `lo..=hi` with their values, ascending: one index
-    /// walk, then one cell-table hold per block run ([`KvStore::scan`]).
+    /// walk, then one cell-table hold per block run (the private `scan`).
     pub fn range(&self, tx: &mut Txn<'_>, lo: i64, hi: i64) -> TxResult<Vec<(i64, Value)>> {
         let mut pairs = Vec::new();
         if lo > hi {

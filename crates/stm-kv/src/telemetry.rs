@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use metrics::{Counter, Gauge, Histogram, Registry};
 use stm_core::sync::Mutex;
-use stm_core::{AbortCause, TxRunReport, ABORT_CAUSES};
+use stm_core::{AbortCause, TxRunReport};
 
 /// Operation labels of the per-op latency histograms, in a fixed order so
 /// [`op_index`] is a dense lookup. `EXEC` covers a whole batch.
@@ -136,13 +136,7 @@ impl Telemetry {
         self.txn_latency_us.record(txn_us);
         self.slowlog.offer(SlowEntry {
             op: OP_LABELS[op],
-            keys: report.reads + report.writes,
-            attempts: report.attempts,
-            aborts: report.aborts,
-            abort_causes: report.abort_causes,
-            conflicts: report.conflicts,
-            waits: report.waits,
-            enemy_aborts: report.enemy_aborts,
+            report: *report,
             wall_us,
             txn_us,
         });
@@ -167,34 +161,30 @@ impl Telemetry {
     }
 }
 
-/// One captured slow request. `keys` counts transactional opens (reads +
-/// writes) across every attempt; `wall_us − txn_us` is the time spent
+/// One captured slow request: its op label, the [`TxRunReport`] of its
+/// `atomically` call, and its times. `wall_us − txn_us` is the time spent
 /// outside the transaction (parse, render, bookkeeping) — the serving-queue
 /// share of the wall time.
 #[derive(Clone, Debug)]
 pub(crate) struct SlowEntry {
     pub(crate) op: &'static str,
-    pub(crate) keys: u64,
-    pub(crate) attempts: u64,
-    pub(crate) aborts: u64,
-    pub(crate) abort_causes: [u64; ABORT_CAUSES],
-    pub(crate) conflicts: u64,
-    pub(crate) waits: u64,
-    pub(crate) enemy_aborts: u64,
+    pub(crate) report: TxRunReport,
     pub(crate) wall_us: u64,
     pub(crate) txn_us: u64,
 }
 
 impl SlowEntry {
     /// Stable `key=value` line, one per entry in the `SLOWLOG` reply.
-    /// `causes` breaks the aborts down by [`AbortCause`] label
+    /// `keys` counts transactional opens (reads + writes) across every
+    /// attempt; `causes` breaks the aborts down by [`AbortCause`] label
     /// (`label:count`, comma-separated, `-` when the request never
     /// aborted); `waits`/`enemy_aborts` are the contention-manager verdicts
     /// the request's conflicts drew.
     fn render(&self) -> String {
+        let report = &self.report;
         let mut causes = String::new();
         for cause in AbortCause::ALL {
-            let n = self.abort_causes[cause.index()];
+            let n = report.abort_causes[cause.index()];
             if n == 0 {
                 continue;
             }
@@ -210,12 +200,12 @@ impl SlowEntry {
             "op={} keys={} attempts={} aborts={} causes={causes} conflicts={} waits={} \
              enemy_aborts={} wall_us={} txn_us={}",
             self.op,
-            self.keys,
-            self.attempts,
-            self.aborts,
-            self.conflicts,
-            self.waits,
-            self.enemy_aborts,
+            report.reads + report.writes,
+            report.attempts,
+            report.aborts,
+            report.conflicts,
+            report.waits,
+            report.enemy_aborts,
             self.wall_us,
             self.txn_us,
         )
@@ -295,21 +285,24 @@ impl SlowLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stm_core::ABORT_CAUSES;
 
     fn entry(op: &'static str, wall_us: u64) -> SlowEntry {
+        let mut abort_causes = [0u64; ABORT_CAUSES];
+        abort_causes[AbortCause::KilledByEnemy.index()] = 2;
         SlowEntry {
             op,
-            keys: 2,
-            attempts: 3,
-            aborts: 2,
-            abort_causes: {
-                let mut causes = [0u64; ABORT_CAUSES];
-                causes[AbortCause::KilledByEnemy.index()] = 2;
-                causes
+            report: TxRunReport {
+                attempts: 3,
+                aborts: 2,
+                conflicts: 2,
+                waits: 1,
+                enemy_aborts: 0,
+                reads: 1,
+                writes: 1,
+                abort_causes,
+                commit_seq: None,
             },
-            conflicts: 2,
-            waits: 1,
-            enemy_aborts: 0,
             wall_us,
             txn_us: wall_us / 2,
         }
@@ -334,17 +327,19 @@ mod tests {
 
     #[test]
     fn slow_entries_render_abort_causes_by_label() {
-        let line = entry("EXEC", 500).render();
-        assert!(
-            line.starts_with("op=EXEC keys=2 attempts=3 aborts=2 "),
-            "{line}"
+        assert_eq!(
+            entry("EXEC", 500).render(),
+            "op=EXEC keys=2 attempts=3 aborts=2 causes=killed_by_enemy:2 conflicts=2 waits=1 \
+             enemy_aborts=0 wall_us=500 txn_us=250"
         );
-        assert!(line.contains("causes=killed_by_enemy:2"), "{line}");
-        assert!(line.contains("wall_us=500 txn_us=250"), "{line}");
         let mut clean = entry("GET", 10);
-        clean.aborts = 0;
-        clean.abort_causes = [0; ABORT_CAUSES];
-        assert!(clean.render().contains("causes=-"), "{}", clean.render());
+        clean.report.aborts = 0;
+        clean.report.abort_causes = [0; ABORT_CAUSES];
+        assert_eq!(
+            clean.render(),
+            "op=GET keys=2 attempts=3 aborts=0 causes=- conflicts=2 waits=1 enemy_aborts=0 \
+             wall_us=10 txn_us=5"
+        );
     }
 
     #[test]

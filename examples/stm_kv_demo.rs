@@ -25,7 +25,6 @@ fn main() {
     let manager = ManagerKind::Greedy;
     let mut server = KvServer::start(ServerConfig {
         manager,
-        shards: 4,
         ..ServerConfig::default()
     })
     .expect("server must start");

@@ -24,7 +24,6 @@ fn main() {
     let _ = std::fs::remove_dir_all(&wal_dir);
     let config = ServerConfig {
         manager: ManagerKind::Greedy,
-        shards: 4,
         wal_dir: Some(wal_dir.clone()),
         ..ServerConfig::default()
     };

@@ -220,7 +220,6 @@ fn books(server: &KvServer) -> (Books, Books) {
 fn a_cell_deleted_under_a_parked_reader_is_released_at_commit() {
     const KEY: i64 = 1 << 40;
     let mut server = KvServer::start(ServerConfig {
-        shards: 2,
         ..ServerConfig::default()
     })
     .unwrap();

@@ -10,7 +10,10 @@
 //! - **Conservation**: the serializability witness (closed transfers over
 //!   a fixed total) must hold under **every** contention manager.
 //! - **Graceful drain**: a shutdown racing a pipelined in-flight burst
-//!   must lose no replies.
+//!   must lose no replies, and a peer that never reads its replies costs
+//!   the drain one bounded flush, not a hang.
+//! - **Round-robin dealing**: shard 0 deals accepted connections evenly
+//!   over the shards.
 //! - **No starvation by idle peers**: with up to 2,000 greeted connections
 //!   sitting idle (as many as the open-files limit allows, 64 at least),
 //!   the next is answered at once.
@@ -38,7 +41,6 @@ const TOTAL: i64 = KEYS * SEED_BALANCE;
 fn start_server(manager: ManagerKind) -> KvServer {
     KvServer::start(ServerConfig {
         manager,
-        shards: 4,
         event_shards: 2,
         ..ServerConfig::default()
     })
@@ -166,10 +168,9 @@ fn a_first_line_other_than_hello_2_is_answered_and_closed_in_both_modes() {
 
 /// A peer that never sends `\n` — before the preamble, or inside a frame
 /// header — is refused as soon as its line outgrows `MAX_HEADER_BYTES`: the
-/// server does not wait for (or buffer) the rest. The name predates one
-/// serve mode: the server has only the event loop.
+/// server does not wait for (or buffer) the rest.
 #[test]
-fn a_line_that_never_ends_is_refused_at_the_cap_in_both_modes() {
+fn a_line_that_never_ends_is_refused_at_the_cap() {
     let mut server = start_server(ManagerKind::Greedy);
     let addr = server.addr();
     for greeted in [false, true] {
@@ -269,9 +270,8 @@ fn seeded_random_fragments_reassemble_through_the_event_loop() {
     server.shutdown();
 }
 
-// The name predates one serve mode: the server has only the event loop.
 #[test]
-fn both_serve_modes_conserve_balance_under_every_manager() {
+fn served_transfers_conserve_balance_under_every_manager() {
     for manager in ManagerKind::ALL {
         let clients = 2usize;
         let batches_per_client = 15usize;
@@ -315,9 +315,8 @@ fn both_serve_modes_conserve_balance_under_every_manager() {
     }
 }
 
-// The name predates one serve mode: the server has only the event loop.
 #[test]
-fn shutdown_drains_pipelined_inflight_replies_in_both_modes() {
+fn shutdown_drains_pipelined_inflight_replies() {
     let mut server = start_server(ManagerKind::Greedy);
     let mut stream = KvClient::connect(server.addr()).unwrap();
     let (bytes, expected) = pipelined_burst(12);
@@ -345,6 +344,75 @@ fn shutdown_drains_pipelined_inflight_replies_in_both_modes() {
         0,
         "conns_open leaked across a graceful drain"
     );
+}
+
+/// Shard 0 deals accepted connections round-robin over the shards: with
+/// two shards, four greeted connections sit two on each.
+#[test]
+fn accepted_connections_are_dealt_round_robin_over_the_shards() {
+    let mut server = start_server(ManagerKind::Greedy);
+    let mut clients: Vec<KvClient> = (0..4)
+        .map(|_| KvClient::connect(server.addr()).unwrap())
+        .collect();
+    let metrics = clients[3].metrics().unwrap();
+    for shard in 0..2 {
+        assert_eq!(
+            metrics.value(&format!("stm_kv_shard_conns{{shard=\"{shard}\"}}")),
+            Some(2),
+            "shard {shard}: {}",
+            metrics.text
+        );
+    }
+    drop(clients);
+    server.shutdown();
+}
+
+/// A peer that pipelines more reply bytes than the loopback socket buffers
+/// hold and never reads costs the drain one flush budget, not a hang; a
+/// second connection's pipelined burst still gets every reply, and the
+/// drain closes both.
+#[test]
+fn shutdown_drains_past_a_peer_that_never_reads() {
+    /// The drain's write timeout (`DRAIN_FLUSH_BUDGET`), plus slack.
+    const DRAIN_BOUND: Duration = Duration::from_secs(2 + 3);
+    let mut server = start_server(ManagerKind::Greedy);
+    let addr = server.addr();
+    let mut control = KvClient::connect(addr).unwrap();
+    control.put(-1, vec![7u8; 1 << 20]).unwrap();
+
+    let mut deaf = KvClient::connect(addr).unwrap();
+    let gets: Vec<u8> = (0..32)
+        .flat_map(|_| render_request_v2(&Request::Get(-1)))
+        .collect();
+    deaf.send_raw(&gets).unwrap();
+    // Wait until the server has parked a tail for the deaf peer.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while control
+        .metrics()
+        .unwrap()
+        .counter("stm_kv_partial_writes_total")
+        == 0
+    {
+        assert!(Instant::now() < deadline, "no reply tail was parked");
+        thread::sleep(Duration::from_millis(10));
+    }
+
+    let mut reader = KvClient::connect(addr).unwrap();
+    let (bytes, expected) = pipelined_burst(12);
+    reader.send_raw(&bytes).unwrap();
+    // Shut down on a helper thread, so a drain that hangs fails the test.
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let shutting_down = thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(server);
+    });
+    let server = done
+        .recv_timeout(DRAIN_BOUND)
+        .unwrap_or_else(|_| panic!("shutdown did not return within {DRAIN_BOUND:?}"));
+    shutting_down.join().unwrap();
+    assert_burst_replies(&read_replies(&mut reader, expected), 12);
+    assert_eq!(server.conns_open(), 0, "the drain left connections open");
+    drop((control, deaf));
 }
 
 /// How many idle connections the fleet test holds: 2,000 where the soft
@@ -415,7 +483,6 @@ fn an_idle_fleet_does_not_starve_the_next_connection() {
 fn idle_connections_are_reaped_and_counted() {
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
-        shards: 4,
         event_shards: 2,
         idle_timeout: Duration::from_millis(150),
         ..ServerConfig::default()

@@ -233,12 +233,10 @@ fn assert_golden_set(snapshot: &MetricsSnapshot, driven: bool) {
     }
 }
 
-// The name predates one serve mode: the server has only the event loop.
 #[test]
-fn metrics_exposition_exposes_the_golden_series_set_in_both_modes() {
+fn metrics_exposition_exposes_the_golden_series_set() {
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
-        shards: 2,
         ..ServerConfig::default()
     })
     .expect("server must start");
@@ -307,7 +305,6 @@ fn durable_server_exposes_wal_series() {
     let dir = temp_wal_dir("wal-series");
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
-        shards: 2,
         wal_dir: Some(dir.clone()),
         ..ServerConfig::default()
     })
@@ -351,7 +348,6 @@ fn hit_gets_and_overwrite_puts_never_walk_the_index() {
 
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
-        shards: 4,
         ..ServerConfig::default()
     })
     .expect("server must start");
@@ -419,7 +415,6 @@ fn clients_scrape_concurrently_under_load() {
 
     let mut server = KvServer::start(ServerConfig {
         manager: ManagerKind::Greedy,
-        shards: 4,
         ..ServerConfig::default()
     })
     .expect("server must start");

@@ -27,7 +27,6 @@ const TOTAL: i64 = KEYS * SEED_BALANCE;
 fn start_server(manager: ManagerKind) -> KvServer {
     KvServer::start(ServerConfig {
         manager,
-        shards: 4,
         ..ServerConfig::default()
     })
     .expect("server must start")
@@ -195,7 +194,6 @@ fn start_durable_server(
 ) -> KvServer {
     KvServer::start(ServerConfig {
         manager,
-        shards: 4,
         wal_dir: Some(dir.to_path_buf()),
         snapshot_every,
         ..ServerConfig::default()
