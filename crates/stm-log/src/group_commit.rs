@@ -116,6 +116,12 @@ impl<W> GroupCommit<W> {
         self.state.lock().pending_records
     }
 
+    /// The sink, for work after [`GroupCommit::shutdown`] returned, when no
+    /// flush can start any more.
+    pub(crate) fn sink(&self) -> MutexGuard<'_, W> {
+        self.sink.lock()
+    }
+
     /// Whether `persist` ever failed.
     pub(crate) fn is_failed(&self) -> bool {
         self.state.lock().failed

@@ -14,6 +14,12 @@
 //!    segment that does not start with [`record::SEGMENT_MAGIC`] (torn
 //!    inside the magic, or not this format at all) is that same case at
 //!    offset zero: it contributes no records and the prefix ends there.
+//!    The one exception is the *newest* segment ending in zeros after its
+//!    last good record: that is the open segment's grow-ahead (see
+//!    `wal.rs`), not a torn write. It is trimmed away (durably) without
+//!    being counted as truncated. A single non-zero byte there makes it a
+//!    torn tail again, and every other segment must end exactly at its last
+//!    record, because rotation trims a segment before the next one exists.
 //! 3. Truncate the bad tail on disk so the log appends after a clean
 //!    prefix, and delete the discarded later segments.
 //! 4. Return the live keyspace: the snapshot's pairs with every decoded
@@ -46,7 +52,7 @@ pub struct Recovered {
     /// Log records applied over the snapshot.
     pub replayed: u64,
     /// Bytes of torn/corrupt tail that were truncated away (0 on a clean
-    /// shutdown).
+    /// shutdown, and 0 for a zero tail the newest segment was grown by).
     pub truncated_bytes: u64,
     /// The next sequence number the log should assign.
     pub next_seq: u64,
@@ -174,19 +180,19 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
             }
         }
         if !has_magic || clean_end < bytes.len() {
+            let newest = index + 1 == segments.len();
+            if newest && has_magic && bytes[clean_end..].iter().all(|&b| b == 0) {
+                // The open segment's grow-ahead: nothing was torn.
+                cut(path, clean_end)?;
+                break;
+            }
             truncated_bytes += (bytes.len() - clean_end) as u64;
             if clean_end <= record::SEGMENT_MAGIC.len() {
                 // No surviving record in this segment — a bare (possibly
                 // torn) header carries nothing worth keeping.
                 fs::remove_file(path)?;
             } else {
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(clean_end as u64)?;
-                // Persist the truncation now: if it only lived in the page
-                // cache, a later crash would resurrect the torn record and
-                // the *next* recovery would cut away everything logged (and
-                // possibly acknowledged) after this point.
-                file.sync_all()?;
+                cut(path, clean_end)?;
             }
             dirty_from = Some(index + 1);
             break;
@@ -220,6 +226,16 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
         truncated_bytes,
         next_seq: snapshot_seq.max(last_seq) + 1,
     })
+}
+
+/// Truncates the segment at `path` to `len` bytes and persists the cut now:
+/// if it only lived in the page cache, a later crash would resurrect the
+/// torn record and the *next* recovery would cut away everything logged
+/// (and possibly acknowledged) after this point.
+fn cut(path: &Path, len: usize) -> io::Result<()> {
+    let file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(len as u64)?;
+    file.sync_all()
 }
 
 #[cfg(test)]
@@ -457,6 +473,53 @@ mod tests {
             );
             assert_eq!(recovered.truncated_bytes, 0, "pass {pass}");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn append(path: &Path, bytes: &[u8]) {
+        OpenOptions::new()
+            .append(true)
+            .open(path)
+            .unwrap()
+            .write_all(bytes)
+            .unwrap();
+    }
+
+    /// The open segment's grow-ahead, left behind by a crash: every record
+    /// recovers, nothing counts as truncated, and the zeros are trimmed.
+    /// Only the newest segment may end in zeros, and only in zeros.
+    #[test]
+    fn a_zero_tail_is_preallocation_only_on_the_newest_segment() {
+        let dir = temp_dir("zerotail");
+        let older = write_segment(&dir, 1, &[(1, put(1, 1)), (2, put(2, 2))]);
+        let newest = write_segment(&dir, 3, &[(3, put(3, 3))]);
+        let records_len = fs::metadata(&newest).unwrap().len();
+        append(&newest, &[0; 5000]);
+        let first = recover(&dir).unwrap();
+        assert_eq!(first.live_pairs(), ints(&[(1, 1), (2, 2), (3, 3)]));
+        assert_eq!(
+            (first.replayed, first.next_seq, first.truncated_bytes),
+            (3, 4, 0)
+        );
+        assert_eq!(fs::metadata(&newest).unwrap().len(), records_len);
+        assert_eq!(recover(&dir).unwrap(), first, "a second pass is the same");
+
+        // One non-zero byte after the zeros: a torn tail, cut whole.
+        append(&newest, &[0; 300]);
+        append(&newest, &[1]);
+        let torn = recover(&dir).unwrap();
+        assert_eq!(torn.live_pairs(), first.live_pairs());
+        assert_eq!(torn.truncated_bytes, 301);
+        assert_eq!(fs::metadata(&newest).unwrap().len(), records_len);
+
+        // Zeros after the last record of an older segment: the prefix ends
+        // there, and the newer segment goes.
+        append(&older, &[0; 64]);
+        let cut_short = recover(&dir).unwrap();
+        assert_eq!(cut_short.live_pairs(), ints(&[(1, 1), (2, 2)]));
+        assert_eq!(cut_short.next_seq, 3);
+        assert_eq!(cut_short.truncated_bytes, 64 + records_len);
+        assert!(!newest.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -12,19 +12,31 @@
 //! The filesystem work is done by whoever waits. [`Wal::wait_durable`] is
 //! the group commit: a waiter whose sequence number is not durable and that
 //! finds no flush in flight leads one — it takes the pending batch, writes
-//! it with one `write_all`, fsyncs, and publishes the durable watermark —
-//! while the other waiters sleep until it publishes (see `group_commit.rs`).
-//! One fsync thus covers every commit that arrived during the previous one,
-//! and an acknowledged write is on disk. A commit nobody waits on is
-//! written at the next wait, when 1,024 records are pending, or at
-//! shutdown, so `durable_seq` can lag for unwaited commits.
+//! it with one positioned write, fsyncs, and publishes the durable
+//! watermark — while the other waiters sleep until it publishes (see
+//! `group_commit.rs`). One fsync thus covers every commit that arrived
+//! during the previous one, and an acknowledged write is on disk. A commit
+//! nobody waits on is written at the next wait, when 1,024 records are
+//! pending, or at shutdown, so `durable_seq` can lag for unwaited commits.
+//!
+//! **Grow-ahead.** The open segment is kept longer than its records: a
+//! batch that would run past the file's end first writes real zeros there,
+//! up to the next 1 MiB boundary (never past the rotation size unless the
+//! batch itself does). Most batches therefore overwrite space that is
+//! already allocated and sized, and their `fdatasync` has no file size to
+//! journal. The zero tail never outlives the segment being open: rotation
+//! trims the full segment to its records (durably) before the next one is
+//! created, and [`Wal::shutdown`] trims the open one. After a crash, only
+//! the newest segment can end in zeros, and recovery reads that tail as
+//! preallocation (see `recovery.rs`).
 //!
 //! [`Wal::write_snapshot`] persists a point-in-time snapshot and prunes
 //! segments the snapshot covers. Dropping the [`Wal`] flushes and fsyncs
 //! everything outstanding.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -82,7 +94,8 @@ pub struct WalStats {
     pub durable_seq: u64,
     /// Records appended since this `Wal` was opened.
     pub records: u64,
-    /// Bytes written to segment files since open.
+    /// Record bytes written to segment files since open (not the zero
+    /// fill the open segment grows by).
     pub bytes: u64,
     /// fsync calls issued since open.
     pub fsyncs: u64,
@@ -116,7 +129,8 @@ struct WalTelemetry {
     ring_occupancy: Arc<metrics::Histogram>,
     /// Records appended since this `Wal` was opened.
     records: Arc<metrics::Counter>,
-    /// Bytes written to segment files since open.
+    /// Record bytes written to segment files since open (not the zero
+    /// fill).
     bytes: Arc<metrics::Counter>,
     /// fsync calls issued since open, one per written batch.
     fsyncs: Arc<metrics::Counter>,
@@ -160,23 +174,25 @@ struct Shared {
 }
 
 impl Shared {
-    /// The leader's step: appends `batch` to the open segment (rotating or
-    /// opening one first) and fsyncs it. Any error fails the log for good
-    /// (see [`GroupCommit`]): after a failed open a later batch would
-    /// advance the watermark over records that are not on disk; after a
-    /// failed write the segment may be torn mid-record; after a failed
-    /// fsync the kernel may have dropped the dirty pages and cleared the
-    /// error, so a later "successful" fsync proves nothing about them.
+    /// The leader's step: writes `batch` into the open segment (rotating or
+    /// opening one first, and growing it ahead when the batch would run past
+    /// its end) and fsyncs it. Any error fails the log for good (see
+    /// [`GroupCommit`]): after a failed open a later batch would advance the
+    /// watermark over records that are not on disk; after a failed write
+    /// the segment may be torn mid-record; after a failed fsync the kernel
+    /// may have dropped the dirty pages and cleared the error, so a later
+    /// "successful" fsync proves nothing about them.
     fn persist(&self, segment: &mut Option<OpenSegment>, batch: &Batch) -> io::Result<()> {
         self.telemetry.batch_records.record(batch.records);
         self.telemetry.ring_occupancy.record(self.group.pending());
-        if segment
-            .as_ref()
-            .is_some_and(|open| open.written >= self.segment_bytes)
-        {
-            // Rotate. Nothing in the full segment is unsynced: every batch
-            // was fsynced by the flush that wrote it.
-            *segment = None;
+        if let Some(full) = segment.take_if(|open| open.written >= self.segment_bytes) {
+            // Rotate. Every batch in the full segment was fsynced by the
+            // flush that wrote it; only its zero tail goes, durably, before
+            // a newer segment exists (recovery accepts zeros only in the
+            // newest one). The grow target's cap at the rotation size
+            // leaves a full segment no zeros, so the cut is normally empty;
+            // it keeps that rule from resting on the grow policy.
+            full.trim().map_err(context("cannot trim full segment"))?;
         }
         let open = match segment {
             Some(open) => open,
@@ -187,10 +203,17 @@ impl Shared {
                 segment.insert(open)
             }
         };
+        let end = open.written + batch.bytes.len() as u64;
+        if end > open.len {
+            let target = end
+                .next_multiple_of(GROW_STEP)
+                .min(self.segment_bytes.max(end));
+            open.grow(target).map_err(context("segment grow failed"))?;
+        }
         open.file
-            .write_all(&batch.bytes)
+            .write_all_at(&batch.bytes, open.written)
             .map_err(context("segment write failed"))?;
-        open.written += batch.bytes.len() as u64;
+        open.written = end;
         self.telemetry.bytes.add(batch.bytes.len() as u64);
         let sync_started = Instant::now();
         open.file.sync_data().map_err(context("fsync failed"))?;
@@ -431,6 +454,13 @@ impl Wal {
         shared
             .group
             .shutdown(|segment, batch| shared.persist(segment, batch));
+        // No flush starts after the final one, so the open segment can lose
+        // its zero tail. This cannot wait for the segment's drop: the commit
+        // hook's `Arc` may keep it alive past this `Wal`. A failed trim
+        // leaves zeros that recovery reads as preallocation.
+        if let Some(open) = shared.group.sink().take() {
+            let _ = open.trim();
+        }
     }
 }
 
@@ -449,27 +479,67 @@ fn segment_file_name(first_seq: u64) -> String {
     format!("wal-{first_seq:020}.log")
 }
 
+/// The open segment grows ahead of its records to the next multiple of
+/// this many bytes.
+const GROW_STEP: u64 = 1 << 20;
+
+/// The bytes the grow-ahead writes from.
+static ZEROS: [u8; 1 << 16] = [0; 1 << 16];
+
 /// The open segment, as the group-commit leader sees it.
 struct OpenSegment {
     file: File,
+    /// The magic and the records: where the next batch is written.
     written: u64,
+    /// The file's length: `written` plus the zeros grown ahead of it.
+    len: u64,
+}
+
+impl OpenSegment {
+    /// Extends the file to `target` bytes with written zeros, so the blocks
+    /// are allocated and the size is set before any record lands there.
+    fn grow(&mut self, target: u64) -> io::Result<()> {
+        while self.len < target {
+            let chunk = (target - self.len).min(ZEROS.len() as u64) as usize;
+            self.file.write_all_at(&ZEROS[..chunk], self.len)?;
+            self.len += chunk as u64;
+        }
+        Ok(())
+    }
+
+    /// Cuts the zero tail, leaving the magic and the records, and makes the
+    /// cut durable.
+    fn trim(&self) -> io::Result<()> {
+        self.file.set_len(self.written)?;
+        self.file.sync_all()
+    }
 }
 
 fn open_segment(dir: &Path, first_seq: u64) -> io::Result<OpenSegment> {
     let path = dir.join(segment_file_name(first_seq));
-    let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+    // Not `append`: on Linux a positioned write to an `O_APPEND` file
+    // ignores its offset.
+    let file = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(false)
+        .open(&path)?;
     let mut written = file.metadata()?.len();
     // A fresh segment leads with the format magic; recovery reads no
     // records from a segment without it.
     if written == 0 {
-        file.write_all(record::SEGMENT_MAGIC)?;
+        file.write_all_at(record::SEGMENT_MAGIC, 0)?;
         written = record::SEGMENT_MAGIC.len() as u64;
     }
     // Persist the directory entry: fsyncing file *data* does not persist the
     // dirent, and acknowledged records in a segment whose name vanishes on
     // power loss would be acknowledged-then-lost.
     File::open(dir)?.sync_all()?;
-    Ok(OpenSegment { file, written })
+    Ok(OpenSegment {
+        file,
+        written,
+        len: written,
+    })
 }
 
 #[cfg(test)]
@@ -578,6 +648,116 @@ mod tests {
         assert_eq!(recovered.replayed, 0);
         assert_eq!(recovered.next_seq, last + 1);
         drop(wal2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Decodes `path` record by record: the records' seqs, and whether the
+    /// file ends exactly at the last one.
+    fn decode_segment(path: &Path) -> (Vec<u64>, bool) {
+        let bytes = fs::read(path).unwrap();
+        let mut at = record::SEGMENT_MAGIC.len();
+        let mut seqs = Vec::new();
+        while let record::Decoded::Ok(rec, used) = record::decode(&bytes[at..]) {
+            seqs.push(rec.seq);
+            at += used;
+        }
+        (seqs, at == bytes.len())
+    }
+
+    /// The segment files' lengths, oldest first.
+    fn segment_lens(dir: &Path) -> Vec<u64> {
+        recovery::list_segments(dir)
+            .unwrap()
+            .iter()
+            .map(|(path, _)| fs::metadata(path).unwrap().len())
+            .collect()
+    }
+
+    #[test]
+    fn the_open_segment_grows_ahead_in_whole_steps_and_bytes_counts_records() {
+        let dir = temp_dir("grow");
+        let (wal, _) = Wal::open(WalConfig::new(&dir)).unwrap();
+        let mut record_bytes = 0;
+        let mut lens = Vec::new();
+        let mut seq = 0;
+        for batch in 0..40u64 {
+            for i in 0..100i64 {
+                let ops = [CommitOp::put(i, vec![batch as u8; 600])];
+                record_bytes += record::encode(seq + 1, &ops).len() as u64;
+                seq = log_through_hook(&wal, &ops);
+            }
+            assert!(wal.wait_durable(seq));
+            let stats = wal.stats();
+            assert_eq!(stats.bytes, record_bytes, "record bytes, not the zero fill");
+            assert_eq!(stats.fsyncs, batch + 1, "one sync per batch");
+            let written = record::SEGMENT_MAGIC.len() as u64 + stats.bytes;
+            let [len] = segment_lens(&dir)[..] else {
+                panic!("one 8 MiB segment holds 2.5 MiB")
+            };
+            assert!(len >= written, "{len} < {written}");
+            assert!(len - written < GROW_STEP, "grown by more than needed");
+            assert_eq!(len % GROW_STEP, 0, "grown in whole steps");
+            lens.push(len);
+        }
+        lens.dedup();
+        assert_eq!(
+            lens,
+            [1, 2, 3].map(|steps| steps * GROW_STEP),
+            "2.5 MiB of records"
+        );
+        drop(wal);
+        let written = record::SEGMENT_MAGIC.len() as u64 + record_bytes;
+        assert_eq!(segment_lens(&dir), [written], "shutdown trims the zeros");
+        let (_wal, recovered) = Wal::open(WalConfig::new(&dir)).unwrap();
+        assert_eq!((recovered.replayed, recovered.truncated_bytes), (4_000, 0));
+        drop(_wal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_closed_segment_is_exactly_its_records_while_the_log_is_open() {
+        let dir = temp_dir("closed");
+        let mut cfg = WalConfig::new(&dir);
+        cfg.segment_bytes = 4096;
+        let (wal, _) = Wal::open(cfg).unwrap();
+        // Batches of 50 one-int records (1,900 bytes): a segment takes three,
+        // the third running past 4 KiB, so the twentieth batch is the second
+        // in the open segment.
+        for i in 0..1_000i64 {
+            let seq = log_through_hook(&wal, &[CommitOp::put(i, i)]);
+            if i % 50 == 49 {
+                assert!(wal.wait_durable(seq));
+            }
+        }
+        let segments = recovery::list_segments(&dir).unwrap();
+        assert!(segments.len() >= 5, "4 KiB segments rotate: {segments:?}");
+        let (newest, closed) = segments.split_last().unwrap();
+        let mut seqs = Vec::new();
+        for (path, first_seq) in closed {
+            let (in_segment, exact) = decode_segment(path);
+            assert!(
+                exact,
+                "{}: a closed segment ends at its last record",
+                path.display()
+            );
+            assert_eq!(in_segment.first(), Some(first_seq));
+            seqs.extend(in_segment);
+        }
+        // The open segment was grown ahead, but only to the rotation size,
+        // not by a whole step.
+        let (in_newest, exact) = decode_segment(&newest.0);
+        assert!(!exact, "the open segment ends in zeros");
+        assert_eq!(fs::metadata(&newest.0).unwrap().len(), 4096);
+        seqs.extend(in_newest);
+        assert_eq!(seqs, (1..=1_000).collect::<Vec<_>>());
+        drop(wal);
+        for (path, _) in recovery::list_segments(&dir).unwrap() {
+            assert!(
+                decode_segment(&path).1,
+                "{}: trimmed at shutdown",
+                path.display()
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -4,10 +4,15 @@
 //! that was ever logged. Seeded PRNG, deterministic replay. The op streams
 //! draw typed values (ints, strings with embedded newlines/NULs, byte
 //! blobs), so the record and snapshot formats are exercised end to end.
+//!
+//! The log either shuts down before the damage, which trims the open
+//! segment to its records, or is abandoned without a shutdown, which leaves
+//! the open segment's zero-filled grow-ahead in place for the damage to
+//! land on.
 
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -77,11 +82,33 @@ fn draw_ops(rng: &mut SmallRng) -> Vec<CommitOp> {
         .collect()
 }
 
+/// How a scenario's log stops before the damage.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum End {
+    /// `Wal::shutdown` (through drop): every record flushed, zeros trimmed.
+    Shutdown,
+    /// Every commit waited durable, then the `Wal` leaked with its hook
+    /// dropped: no final flush, no trim, as if the process died.
+    Crash,
+}
+
+/// Whether the segment at `path` holds more bytes than its magic and its
+/// records, all of them zero: a grow-ahead tail.
+fn ends_in_zeros(path: &Path) -> bool {
+    let bytes = fs::read(path).unwrap();
+    let mut at = stm_log::SEGMENT_MAGIC.len();
+    while let stm_log::record::Decoded::Ok(_, used) = stm_log::record::decode(&bytes[at..]) {
+        at += used;
+    }
+    at < bytes.len() && bytes[at..].iter().all(|&b| b == 0)
+}
+
 /// Runs one seeded scenario: log `transactions` write-sets (optionally
-/// snapshotting part-way), then damage the newest segment at a random point
-/// (truncate, or flip a byte), recover, and check the committed-prefix
-/// property.
-fn run_scenario(seed: u64, with_snapshot: bool, flip_instead_of_truncate: bool) {
+/// snapshotting part-way), stop the log as `end` says, then damage the
+/// newest segment at a random point (truncate, or flip a byte), recover,
+/// and check the committed-prefix property. Returns whether the newest
+/// segment ended in grow-ahead zeros before the damage.
+fn run_scenario(seed: u64, with_snapshot: bool, flip_instead_of_truncate: bool, end: End) -> bool {
     let mut rng = SmallRng::seed_from_u64(seed);
     let dir = temp_dir("prop", seed);
     let mut cfg = WalConfig::new(&dir);
@@ -100,6 +127,9 @@ fn run_scenario(seed: u64, with_snapshot: bool, flip_instead_of_truncate: bool) 
         assert_eq!(seq, last_seq + 1, "sequence numbers must be gapless");
         last_seq = seq;
         golden.push(ops);
+        if end == End::Crash {
+            assert!(wal.wait_durable(seq), "seed {seed}: seq {seq} not durable");
+        }
         if snapshot_at == Some(seq) {
             // Snapshot the model state at this cut, as the server would.
             let mut at_cut = BTreeMap::new();
@@ -111,11 +141,18 @@ fn run_scenario(seed: u64, with_snapshot: bool, flip_instead_of_truncate: bool) 
             wal.write_snapshot(seq, &pairs).unwrap();
         }
     }
-    // Graceful close so every record reaches disk, then damage the tail —
-    // the equivalent of a crash that tore or corrupted the final write.
-    drop(wal);
+    // Then damage the tail — the equivalent of a crash that tore or
+    // corrupted the final write.
+    match end {
+        End::Shutdown => drop(wal),
+        End::Crash => {
+            drop(hook);
+            std::mem::forget(wal);
+        }
+    }
 
     let segments = stm_log::recovery::list_segments(&dir).unwrap();
+    let zero_tail = segments.last().is_some_and(|(path, _)| ends_in_zeros(path));
     if let Some((path, _)) = segments.last() {
         let len = fs::metadata(path).unwrap().len();
         if flip_instead_of_truncate {
@@ -176,26 +213,44 @@ fn run_scenario(seed: u64, with_snapshot: bool, flip_instead_of_truncate: bool) 
     clean.truncated_bytes = 0;
     assert_eq!(again, clean, "seed {seed}");
     let _ = fs::remove_dir_all(&dir);
+    zero_tail
 }
 
 #[test]
 fn truncated_tail_recovers_the_committed_prefix() {
     for seed in 0..8u64 {
-        run_scenario(0x7A11 + seed, false, false);
+        assert!(!run_scenario(0x7A11 + seed, false, false, End::Shutdown));
     }
 }
 
 #[test]
 fn corrupted_byte_recovers_the_committed_prefix() {
     for seed in 0..8u64 {
-        run_scenario(0xC0DE + seed, false, true);
+        assert!(!run_scenario(0xC0DE + seed, false, true, End::Shutdown));
     }
 }
 
 #[test]
 fn snapshot_plus_damaged_tail_recovers_the_committed_prefix() {
     for seed in 0..8u64 {
-        run_scenario(0x5A9A + seed, true, seed % 2 == 0);
+        assert!(!run_scenario(
+            0x5A9A + seed,
+            true,
+            seed % 2 == 0,
+            End::Shutdown
+        ));
+    }
+}
+
+#[test]
+fn a_crash_without_shutdown_recovers_the_committed_prefix() {
+    for seed in 0..12u64 {
+        let with_snapshot = seed % 3 == 2;
+        let flip = seed % 2 == 1;
+        assert!(
+            run_scenario(0xDEAD + seed, with_snapshot, flip, End::Crash),
+            "seed {seed}: the damage must find a grow-ahead tail"
+        );
     }
 }
 

@@ -219,10 +219,7 @@ fn books(server: &KvServer) -> (Books, Books) {
 #[test]
 fn a_cell_deleted_under_a_parked_reader_is_released_at_commit() {
     const KEY: i64 = 1 << 40;
-    let mut server = KvServer::start(ServerConfig {
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let mut server = KvServer::start(ServerConfig::default()).unwrap();
     // The server's own store. Under Aggressive the deleter aborts the
     // registered reader it meets instead of waiting for it, so the reader
     // can stay parked across the whole delete.

@@ -143,9 +143,8 @@ fn assert_one_proto_error(answer: &[u8], context: &str) -> String {
     }
 }
 
-// The name predates one serve mode: the server has only the event loop.
 #[test]
-fn a_first_line_other_than_hello_2_is_answered_and_closed_in_both_modes() {
+fn a_first_line_other_than_hello_2_is_answered_and_closed() {
     let mut server = start_server(ManagerKind::Greedy);
     let addr = server.addr();
     for line in ["GET 1\n", "HELLO 1\n", "HELLO 3\n", "\n", "*1\n+PING\n"] {
@@ -445,13 +444,23 @@ fn an_idle_fleet_does_not_starve_the_next_connection() {
     println!("idle fleet: {idle_count} connections");
     let patience = Duration::from_secs(1);
     let server = KvServer::start(ServerConfig::default()).unwrap();
+    let slowest_dial = std::cell::Cell::new(Duration::ZERO);
     let dial = |hello: &[u8]| {
+        let started = Instant::now();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
+        slowest_dial.set(slowest_dial.get().max(started.elapsed()));
         stream.set_read_timeout(Some(patience)).unwrap();
         stream.write_all(hello).unwrap();
         stream
     };
     let idle: Vec<TcpStream> = (0..idle_count).map(|_| dial(PREAMBLE)).collect();
+    // Only a SYN retransmit takes a second: the connect burst must fit the
+    // listener's accept queue.
+    assert!(
+        slowest_dial.get() < patience,
+        "a dial took {:?}: the accept queue overflowed",
+        slowest_dial.get()
+    );
 
     let mut hello_ping = PREAMBLE.to_vec();
     hello_ping.extend_from_slice(&render_request_v2(&Request::Ping));

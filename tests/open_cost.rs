@@ -22,7 +22,9 @@
 //! And what the write-ahead log's commit path costs: a logged commit
 //! encodes its record straight into the log's pending batch, so 1,000
 //! commits with no flush between them allocate only as that buffer grows,
-//! and not at all once a flush has handed a grown buffer back.
+//! and not at all once a flush has handed a grown buffer back. A flush
+//! that has to grow the open segment ahead of its records (zeros written
+//! from a static buffer) allocates nothing either.
 //!
 //! The counts hold on any host, so a change that adds an allocation to an
 //! open, or an open to a body, fails here rather than somewhere in a
@@ -148,6 +150,37 @@ fn a_thousand_logged_commits_allocate_only_to_grow_the_pending_batch() {
     // without growing it.
     let grown_then_reused = counts[0] <= 32 && counts[2] == 0;
     assert!(grown_then_reused, "allocations: {counts:?}");
+    drop(hook);
+    drop(wal);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flush_that_grows_the_segment_allocates_nothing() {
+    let dir = std::env::temp_dir().join(format!("stm-open-cost-grow-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (wal, _) = Wal::open(WalConfig::new(&dir)).expect("fresh log opens");
+    let hook = wal.commit_hook();
+    let segment_len = || {
+        let segments = stm_log::recovery::list_segments(&dir).expect("log dir readable");
+        std::fs::metadata(&segments[0].0).expect("segment").len()
+    };
+    // The first flush opens the segment, which allocates (its path).
+    let seq = hook
+        .on_commit(&[CommitOp::put(1, 1)], &mut || true)
+        .unwrap();
+    assert!(wal.wait_durable(seq));
+    let opened_at = segment_len();
+    // A record larger than the zeros already ahead of the first one.
+    let blob = vec![7u8; opened_at as usize];
+    let seq = hook
+        .on_commit(&[CommitOp::put(2, blob)], &mut || true)
+        .unwrap();
+    let start = allocations();
+    assert!(wal.wait_durable(seq));
+    let flush = allocations() - start;
+    assert!(segment_len() > opened_at, "the flush grew the segment");
+    assert_eq!(flush, 0, "allocations per flush that grows the segment");
     drop(hook);
     drop(wal);
     let _ = std::fs::remove_dir_all(&dir);

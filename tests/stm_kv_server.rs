@@ -143,7 +143,7 @@ fn concurrent_batches_are_serializable_under_every_manager() {
             "{manager}: in-process final total drifted"
         );
 
-        // Clean shutdown: joins the acceptor and every shard.
+        // Clean shutdown: drains and joins every shard.
         server.shutdown();
     }
 }
