@@ -332,21 +332,12 @@ mod tests {
     }
 
     #[test]
-    fn modify_and_read_for_update() {
+    fn modify_replaces_the_value() {
         let stm = Stm::default();
         let v = TVar::new(3u64);
         let mut ctx = stm.thread();
         ctx.atomically(|tx| tx.modify(&v, |x| x * 2)).unwrap();
         assert_eq!(stm.read_atomic(&v), 6);
-        let prev = ctx
-            .atomically(|tx| {
-                let prev = tx.read_for_update(&v)?;
-                tx.write(&v, prev + 1)?;
-                Ok(prev)
-            })
-            .unwrap();
-        assert_eq!(prev, 6);
-        assert_eq!(stm.read_atomic(&v), 7);
     }
 
     #[test]

@@ -449,21 +449,6 @@ impl<'ctx> Txn<'ctx> {
         self.update(tvar, f)
     }
 
-    /// Reads `tvar` and acquires it for writing in one step, returning the
-    /// current value. Subsequent [`Txn::write`]s to the same `tvar` by this
-    /// transaction will not conflict with it again.
-    pub fn read_for_update<T>(&mut self, tvar: &TVar<T>) -> TxResult<T>
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        let mut out: Option<T> = None;
-        self.update(tvar, |current| {
-            out = Some(current.clone());
-            current.clone()
-        })?;
-        Ok(out.expect("update closure must run on success"))
-    }
-
     fn update<T, F>(&mut self, tvar: &TVar<T>, f: F) -> TxResult<()>
     where
         T: Clone + Send + Sync + 'static,

@@ -2,14 +2,16 @@
 //!
 //! N shard threads (default one per core) each own a `minipoll::Poller`, a
 //! slab of non-blocking connections, and a [`Core`]: the request core with
-//! the thread's own `ThreadCtx`, built once when the thread starts. Shard 0
+//! the thread's own `ThreadCtx`, built once when the thread starts from the
+//! one [`ServerState`] every shard shares. Shard 0
 //! also owns the non-blocking listener, registered in its poller: it
 //! accepts whatever the listener holds and deals the sockets round-robin,
 //! keeping its own tickets and pushing every other one into the target
 //! shard's inbox and waking it. A server runs exactly its shard threads.
-//! Each connection carries its own buffers and protocol flags, and every
-//! readable event takes one path — read, then [`Core::execute`], then
-//! flush:
+//! A connection is its socket, its flush and readiness state, and a
+//! [`Wire`]: the byte state the core works (buffers and protocol flags).
+//! Every readable event takes one path — read into the wire, then
+//! [`Core::execute`] over it, then flush its output:
 //!
 //! * a readable socket is read through the shard's one buffer until a read
 //!   comes back short (`stm_kv_socket_reads_total` counts the calls): the
@@ -47,12 +49,10 @@ use std::time::{Duration, Instant};
 use metrics::{Counter, Gauge};
 use minipoll::{net as poll_net, Event, Interest, Poller, Token};
 use stm_core::sync::Mutex;
-use stm_core::Stm;
 
 use crate::proto::{header_end, FrameError};
-use crate::server::{Core, Durable, ServerConfig};
-use crate::store::KvStore;
-use crate::telemetry::{elapsed_us, Telemetry};
+use crate::server::{Core, ServerConfig, ServerState, Wire};
+use crate::telemetry::elapsed_us;
 
 /// Token of each shard's waker; connection slots start at 1.
 const WAKER_TOKEN: Token = Token(0);
@@ -88,21 +88,13 @@ const READ_CHUNK: usize = 16 * 1024;
 /// on.
 const DRAIN_FLUSH_BUDGET: Duration = Duration::from_secs(2);
 
-/// One connection owned by a shard: the socket, the protocol flags, and
-/// the read/write buffers the request core works.
-pub(crate) struct Conn {
+/// One connection owned by a shard: the socket, its flush and readiness
+/// state, and the byte state the request core works.
+struct Conn {
     stream: TcpStream,
-    /// Whether the `HELLO 2` preamble has been received and answered.
-    pub(crate) greeted: bool,
-    /// The connection asked to close (`QUIT`, or a refused line or frame);
-    /// the replies already rendered still go out first.
-    pub(crate) quit: bool,
-    /// Received bytes not yet executed (a partial frame at most, between
-    /// bursts).
-    pub(crate) inbuf: Vec<u8>,
-    /// Rendered replies not yet accepted by the kernel; `out_pos` marks how
-    /// far the flush got (tail = `outbuf[out_pos..]`).
-    pub(crate) outbuf: Vec<u8>,
+    wire: Wire,
+    /// How far the flush of `wire.outbuf` got (tail =
+    /// `wire.outbuf[out_pos..]`).
     out_pos: usize,
     /// Registered for write-readiness (a previous flush was partial).
     want_write: bool,
@@ -112,13 +104,10 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            greeted: false,
-            quit: false,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
+            wire: Wire::default(),
             out_pos: 0,
             want_write: false,
             peer_eof: false,
@@ -127,7 +116,7 @@ impl Conn {
     }
 
     fn pending_out(&self) -> bool {
-        self.out_pos < self.outbuf.len()
+        self.out_pos < self.wire.outbuf.len()
     }
 }
 
@@ -158,10 +147,7 @@ impl EventLoops {
     pub(crate) fn start(
         config: &ServerConfig,
         listener: TcpListener,
-        stm: Arc<Stm>,
-        store: Arc<KvStore>,
-        telemetry: Arc<Telemetry>,
-        durable: Option<Arc<Durable>>,
+        state: Arc<ServerState>,
         stop: Arc<AtomicBool>,
     ) -> std::io::Result<EventLoops> {
         let shard_count = if config.event_shards == 0 {
@@ -199,19 +185,15 @@ impl EventLoops {
             // Shard 0 takes the dealer; the others get `None`.
             let dealer = dealer.take();
             let inbox = Arc::clone(&inboxes[shard_id]);
-            let stm = Arc::clone(&stm);
-            let store = Arc::clone(&store);
-            let telemetry = Arc::clone(&telemetry);
-            let durable = durable.clone();
+            let state = Arc::clone(&state);
             let stop = Arc::clone(&stop);
             let idle_timeout = config.idle_timeout;
             shards.push(
                 std::thread::Builder::new()
                     .name(format!("stm-kv-shard-{shard_id}"))
                     .spawn(move || {
-                        let core = Core::new(stm.thread(), &store, &telemetry, durable.as_deref());
                         let mut shard = Shard {
-                            core,
+                            core: state.core(),
                             poller,
                             wake_rx,
                             inbox,
@@ -222,7 +204,7 @@ impl EventLoops {
                             idle_timeout,
                             tick: shard_tick(idle_timeout),
                             last_scan: Instant::now(),
-                            conns_gauge: telemetry.shard_conns(shard_id),
+                            conns_gauge: state.telemetry.shard_conns(shard_id),
                             stop,
                         };
                         shard.run();
@@ -288,7 +270,7 @@ impl Shard<'_> {
                 self.drain_all();
                 return;
             }
-            let telemetry = self.core.telemetry;
+            let telemetry = &self.core.state.telemetry;
             telemetry.note_poll_wait(elapsed_us(wait_started));
             telemetry.note_ready_batch(events.len() as u64);
             // Slots closed while handling an earlier event in this batch
@@ -322,7 +304,7 @@ impl Shard<'_> {
         loop {
             match dealer.listener.accept() {
                 Ok((stream, _)) => {
-                    self.core.telemetry.connections.add(1);
+                    self.core.state.telemetry.connections.add(1);
                     let ticket = dealer.next % dealer.inboxes.len();
                     dealer.next = dealer.next.wrapping_add(1);
                     let inbox = &dealer.inboxes[ticket];
@@ -355,7 +337,7 @@ impl Shard<'_> {
             self.conns.len() - 1
         });
         self.conns[slot] = Some(Conn::new(stream));
-        self.core.telemetry.conns_open.add(1);
+        self.core.state.telemetry.conns_open.add(1);
         self.conns_gauge.add(1);
         Some(slot)
     }
@@ -407,9 +389,13 @@ impl Shard<'_> {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        let read = read_burst(conn, &mut self.chunk, &self.core.telemetry.socket_reads);
+        let read = read_burst(
+            conn,
+            &mut self.chunk,
+            &self.core.state.telemetry.socket_reads,
+        );
         conn.last_active = Instant::now();
-        if read.is_err() || !self.core.execute(conn) {
+        if read.is_err() || !self.core.execute(&mut conn.wire) {
             self.close(slot);
             return;
         }
@@ -427,7 +413,7 @@ impl Shard<'_> {
                 return;
             };
             while conn.pending_out() {
-                match conn.stream.write(&conn.outbuf[conn.out_pos..]) {
+                match conn.stream.write(&conn.wire.outbuf[conn.out_pos..]) {
                     Ok(0) => {
                         close_now = true;
                         break 'flush;
@@ -436,7 +422,7 @@ impl Shard<'_> {
                     Err(err) if err.kind() == ErrorKind::WouldBlock => {
                         if !conn.want_write {
                             conn.want_write = true;
-                            self.core.telemetry.partial_writes.add(1);
+                            self.core.state.telemetry.partial_writes.add(1);
                             let _ = self.poller.reregister(
                                 &conn.stream,
                                 Token(slot + 1),
@@ -452,7 +438,7 @@ impl Shard<'_> {
                     }
                 }
             }
-            conn.outbuf.clear();
+            conn.wire.outbuf.clear();
             conn.out_pos = 0;
             if conn.want_write {
                 conn.want_write = false;
@@ -460,7 +446,7 @@ impl Shard<'_> {
                     .poller
                     .reregister(&conn.stream, Token(slot + 1), Interest::READABLE);
             }
-            if conn.quit || conn.peer_eof {
+            if conn.wire.quit || conn.peer_eof {
                 close_now = true;
             }
         }
@@ -486,7 +472,7 @@ impl Shard<'_> {
                 .as_ref()
                 .is_some_and(|conn| now.duration_since(conn.last_active) >= self.idle_timeout);
             if idle {
-                self.core.telemetry.conns_reaped_idle.add(1);
+                self.core.state.telemetry.conns_reaped_idle.add(1);
                 self.close(slot);
             }
         }
@@ -495,7 +481,7 @@ impl Shard<'_> {
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
             let _ = self.poller.deregister(&conn.stream);
-            self.core.telemetry.conns_open.sub(1);
+            self.core.state.telemetry.conns_open.sub(1);
             self.conns_gauge.sub(1);
             self.free.push(slot);
         }
@@ -526,11 +512,14 @@ impl Shard<'_> {
                     .set_write_timeout(Some(DRAIN_FLUSH_BUDGET))
                     .is_ok()
             {
-                let _ = conn.stream.write_all(&conn.outbuf[conn.out_pos..]);
+                let _ = conn.stream.write_all(&conn.wire.outbuf[conn.out_pos..]);
             }
             self.close(slot);
         }
-        self.core.telemetry.note_drain(elapsed_us(drain_started));
+        self.core
+            .state
+            .telemetry
+            .note_drain(elapsed_us(drain_started));
     }
 }
 
@@ -548,11 +537,11 @@ fn read_burst(conn: &mut Conn, chunk: &mut [u8], reads: &Counter) -> std::io::Re
                 return Ok(());
             }
             Ok(n) => {
-                conn.inbuf.extend_from_slice(&chunk[..n]);
+                conn.wire.inbuf.extend_from_slice(&chunk[..n]);
                 // A line already past its cap is refused by the request
                 // core: stop buffering the peer that never ends it.
                 if n < chunk.len()
-                    || matches!(header_end(&conn.inbuf), Err(FrameError::Malformed(_)))
+                    || matches!(header_end(&conn.wire.inbuf), Err(FrameError::Malformed(_)))
                 {
                     return Ok(());
                 }

@@ -102,5 +102,5 @@ pub use metrics::HistogramSnapshot;
 
 pub use client::{BatchBuilder, KvClient, KvError, MetricsSnapshot};
 pub use proto::{ErrorCode, ProtoError, Reply, Request};
-pub use server::{KvServer, ServeMode, ServerConfig};
+pub use server::{Core, KvServer, ServeMode, ServerConfig, ServerState, Wire};
 pub use store::{KvStore, TypeMismatch};

@@ -7,12 +7,16 @@
 //! connection costs one registration rather than one thread, and no
 //! connection waits for another to hang up before it is served. Shard 0
 //! also accepts: the listener sits in its poller, and it deals each new
-//! connection round-robin over the shards. Each shard thread builds its
-//! serving state once, its own [`stm_core::ThreadCtx`] included — and
-//! therefore its own contention-manager instance, keeping managers
-//! decentralised exactly as in the in-process harness. The request core
-//! (decode, transact, snapshot, the durability barrier, render) runs as
-//! methods on that state, over one connection at a time.
+//! connection round-robin over the shards.
+//!
+//! **State and core.** [`ServerState::open`] builds what the shards share:
+//! the log (recovered), the STM (with the log's commit hook), the store
+//! (replayed) and the telemetry. Each shard builds one [`Core`] from it,
+//! with its own [`stm_core::ThreadCtx`] and so its own contention-manager
+//! instance, as in the in-process harness. The core (decode, transact,
+//! snapshot, the durability barrier, render) works a connection's byte
+//! state, a [`Wire`], never its socket: a test fills [`Wire::inbuf`], calls
+//! [`Core::execute`] and reads [`Wire::outbuf`].
 //!
 //! Every data request executes as one `atomically` call; an `EXEC` runs
 //! all of its operations inside a single `atomically` call, which is what
@@ -69,7 +73,7 @@ use stm_cm::ManagerKind;
 use stm_core::{CommitOp, Stm, ThreadCtx, TxResult, Txn};
 use stm_log::{FsyncPolicy, Wal, WalConfig};
 
-use crate::event_loop::{Conn, EventLoops};
+use crate::event_loop::EventLoops;
 use crate::proto::{
     decode_frame, parse_preamble, parse_request_v2, render_reply_v2, ErrorCode, FrameError, Reply,
     Request, PREAMBLE,
@@ -146,21 +150,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// The durable half of the server, shared by every shard.
-pub(crate) struct Durable {
-    pub(crate) wal: Arc<Wal>,
-    /// Auto-snapshot threshold (0 = never).
-    snapshot_every: u64,
-}
-
 /// A running key-value server. Dropping it shuts it down.
 pub struct KvServer {
     addr: SocketAddr,
     manager: ManagerKind,
-    stm: Arc<Stm>,
-    store: Arc<KvStore>,
-    telemetry: Arc<Telemetry>,
-    durable: Option<Arc<Durable>>,
+    state: Arc<ServerState>,
     stop: Arc<AtomicBool>,
     loops: Option<EventLoops>,
 }
@@ -170,14 +164,15 @@ impl std::fmt::Debug for KvServer {
         f.debug_struct("KvServer")
             .field("addr", &self.addr)
             .field("manager", &self.manager.name())
-            .field("durable", &self.durable.is_some())
+            .field("durable", &self.state.wal.is_some())
             .finish()
     }
 }
 
 impl KvServer {
-    /// Binds the listener, recovers the keyspace when a `wal_dir` is
-    /// configured, and spawns the shard threads.
+    /// Binds the listener, builds the serving state ([`ServerState::open`]:
+    /// the keyspace is recovered when a `wal_dir` is configured), and spawns
+    /// the shard threads.
     ///
     /// # Errors
     ///
@@ -187,46 +182,13 @@ impl KvServer {
         let listener = TcpListener::bind(&config.addr)?;
         minipoll::net::listen(&listener, LISTEN_BACKLOG)?;
         let addr = listener.local_addr()?;
-
-        let opened_wal = match &config.wal_dir {
-            Some(dir) => Some(Wal::open(WalConfig::new(dir.clone()))?),
-            None => None,
-        };
-
-        let mut stm_builder = Stm::builder().manager(config.manager.factory());
-        if let Some((wal, _)) = &opened_wal {
-            stm_builder = stm_builder.commit_hook(wal.commit_hook());
-        }
-        let stm = Arc::new(stm_builder.build());
-        let store = Arc::new(KvStore::new(STORE_SHARDS));
-
-        let durable = opened_wal.map(|(wal, recovered)| {
-            replay_recovered(&stm, &store, &recovered);
-            Arc::new(Durable {
-                wal: Arc::new(wal),
-                snapshot_every: config.snapshot_every,
-            })
-        });
-
-        let telemetry = Arc::new(Telemetry::new());
+        let state = Arc::new(ServerState::open(&config)?);
         let stop = Arc::new(AtomicBool::new(false));
-        let loops = EventLoops::start(
-            &config,
-            listener,
-            Arc::clone(&stm),
-            Arc::clone(&store),
-            Arc::clone(&telemetry),
-            durable.clone(),
-            Arc::clone(&stop),
-        )?;
-
+        let loops = EventLoops::start(&config, listener, Arc::clone(&state), Arc::clone(&stop))?;
         Ok(KvServer {
             addr,
             manager: config.manager,
-            stm,
-            store,
-            telemetry,
-            durable,
+            state,
             stop,
             loops: Some(loops),
         })
@@ -244,36 +206,31 @@ impl KvServer {
 
     /// The underlying store (for in-process audits in tests and examples;
     /// run transactions against it via [`KvServer::stm`]).
-    pub fn store(&self) -> &Arc<KvStore> {
-        &self.store
+    pub fn store(&self) -> &KvStore {
+        &self.state.store
     }
 
     /// The underlying STM instance.
-    pub fn stm(&self) -> &Arc<Stm> {
-        &self.stm
+    pub fn stm(&self) -> &Stm {
+        &self.state.stm
     }
 
     /// The write-ahead log, when the server runs durable.
-    pub fn wal(&self) -> Option<&Arc<Wal>> {
-        self.durable.as_ref().map(|d| &d.wal)
+    pub fn wal(&self) -> Option<&Wal> {
+        self.state.wal()
     }
 
     /// Connections currently being served. Must be zero after
     /// [`KvServer::shutdown`] returns — the graceful drain closes (and
     /// un-counts) every connection it finishes with.
     pub fn conns_open(&self) -> u64 {
-        u64::try_from(self.telemetry.conns_open.value()).unwrap_or(0)
+        u64::try_from(self.state.telemetry.conns_open.value()).unwrap_or(0)
     }
 
     /// The full `METRICS` exposition, as a wire client would scrape it
     /// (in-process hook for tests and the bench harness).
     pub fn metrics_text(&self) -> String {
-        metrics_payload(
-            &self.stm,
-            &self.store,
-            self.durable.as_deref(),
-            &self.telemetry,
-        )
+        self.state.metrics_text()
     }
 
     /// Which serve mode this server runs in: always [`ServeMode::Events`].
@@ -294,15 +251,11 @@ impl KvServer {
         if let Some(loops) = self.loops.take() {
             loops.shutdown();
         }
-        // Shards are gone, so this is the last strong reference to the
-        // `Wal` wrapper; shut it down explicitly for a deterministic final
-        // flush + fsync (Drop would do the same).
-        if let Some(durable) = self.durable.take() {
-            if let Ok(durable) = Arc::try_unwrap(durable) {
-                if let Ok(mut wal) = Arc::try_unwrap(durable.wal) {
-                    wal.shutdown();
-                }
-            }
+        // The shards are joined, so this is the last reference to the
+        // serving state; shut the log down explicitly for a deterministic
+        // final flush, fsync and zero-tail trim (Drop would do the same).
+        if let Some(wal) = Arc::get_mut(&mut self.state).and_then(|state| state.wal.as_mut()) {
+            wal.shutdown();
         }
     }
 }
@@ -310,6 +263,93 @@ impl KvServer {
 impl Drop for KvServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// What every shard of a server shares: the STM (carrying the log's commit
+/// hook when durable), the store, the telemetry and, when durable, the log.
+/// [`KvServer::start`] builds one and each shard thread builds its
+/// [`Core`] from it; a test can build one and drive a `Core` with no socket.
+pub struct ServerState {
+    stm: Stm,
+    store: KvStore,
+    pub(crate) telemetry: Telemetry,
+    wal: Option<Wal>,
+    /// Auto-snapshot threshold (0 = never).
+    snapshot_every: u64,
+}
+
+impl ServerState {
+    /// Builds the serving state from `config`'s `manager`, `wal_dir` and
+    /// `snapshot_every` (the other fields are the listener's and the event
+    /// loop's). With a `wal_dir` it opens and recovers the log, installs the
+    /// log's commit hook on the STM, and replays the recovered keyspace into
+    /// the store.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error when the log directory cannot be
+    /// opened/recovered.
+    pub fn open(config: &ServerConfig) -> std::io::Result<ServerState> {
+        let opened = match &config.wal_dir {
+            Some(dir) => Some(Wal::open(WalConfig::new(dir.clone()))?),
+            None => None,
+        };
+        let mut stm_builder = Stm::builder().manager(config.manager.factory());
+        if let Some((wal, _)) = &opened {
+            stm_builder = stm_builder.commit_hook(wal.commit_hook());
+        }
+        let stm = stm_builder.build();
+        let store = KvStore::new(STORE_SHARDS);
+        let wal = opened.map(|(wal, recovered)| {
+            replay_recovered(&stm, &store, &recovered);
+            wal
+        });
+        Ok(ServerState {
+            stm,
+            store,
+            telemetry: Telemetry::new(),
+            wal,
+            snapshot_every: config.snapshot_every,
+        })
+    }
+
+    /// A request core over this state, with its own [`ThreadCtx`] (and so
+    /// its own contention-manager instance): one per serving thread.
+    pub fn core(&self) -> Core<'_> {
+        Core {
+            ctx: self.stm.thread(),
+            state: self,
+            barrier: None,
+        }
+    }
+
+    /// The write-ahead log, when durable.
+    pub fn wal(&self) -> Option<&Wal> {
+        self.wal.as_ref()
+    }
+
+    /// The `METRICS` payload: four registries' Prometheus text expositions,
+    /// back to back —
+    ///
+    /// 1. the server's `Telemetry` (request and connection counters, per-op
+    ///    latency histograms, transaction attempt/latency histograms,
+    ///    event-loop instrumentation, per-shard connection gauges);
+    /// 2. the STM runtime's counters (`stm_*_total`: commits, aborts by
+    ///    cause, conflicts, contention-manager waits and enemy aborts, reads,
+    ///    writes);
+    /// 3. the store's index-walk counter and cell gauges, which make keyspace
+    ///    growth *and reclamation* observable from the wire (allocated −
+    ///    freed = linked, with no limbo in between);
+    /// 4. when durable, every `stm_wal_*` series.
+    pub fn metrics_text(&self) -> String {
+        let mut out = self.telemetry.render();
+        out.push_str(&self.stm.stats().metrics_text());
+        out.push_str(&self.store.metrics_text());
+        if let Some(wal) = &self.wal {
+            out.push_str(&wal.metrics_text());
+        }
+        out
     }
 }
 
@@ -388,64 +428,36 @@ fn apply(store: &KvStore, tx: &mut Txn<'_>, request: &Request, log: bool) -> TxR
     })
 }
 
-/// The `METRICS` payload: four registries' Prometheus text expositions,
-/// back to back —
-///
-/// 1. the server's [`Telemetry`] (request and connection counters, per-op
-///    latency histograms, transaction attempt/latency histograms, event-loop
-///    instrumentation, per-shard connection gauges);
-/// 2. the STM runtime's counters (`stm_*_total`: commits, aborts by cause,
-///    conflicts, contention-manager waits and enemy aborts, reads, writes);
-/// 3. the store's index-walk counter and cell gauges, which make keyspace
-///    growth *and reclamation* observable from the wire (allocated − freed
-///    = linked, with no limbo in between);
-/// 4. when durable, every `stm_wal_*` series.
-fn metrics_payload(
-    stm: &Stm,
-    store: &KvStore,
-    durable: Option<&Durable>,
-    telemetry: &Telemetry,
-) -> String {
-    let mut out = telemetry.render();
-    out.push_str(&stm.stats().metrics_text());
-    out.push_str(&store.metrics_text());
-    if let Some(durable) = durable {
-        out.push_str(&durable.wal.metrics_text());
-    }
-    out
+/// A connection's byte state: everything the request core reads and
+/// writes. The event loop's connection owns one beside its socket; a test
+/// fills `inbuf`, calls [`Core::execute`] and reads `outbuf`.
+#[derive(Debug, Default)]
+pub struct Wire {
+    /// Received bytes not yet executed (a partial frame at most, between
+    /// bursts).
+    pub inbuf: Vec<u8>,
+    /// Rendered replies not yet flushed.
+    pub outbuf: Vec<u8>,
+    /// Whether the `HELLO 2` preamble has been received and answered.
+    pub greeted: bool,
+    /// The connection asked to close (`QUIT`, or a refused line or frame);
+    /// the replies already rendered still go out first.
+    pub quit: bool,
 }
 
-/// One shard thread's serving state, built once when the thread starts: its
-/// transaction context (and so its own contention-manager instance), the
-/// store, the telemetry and the log. The request core runs as its methods,
-/// over one connection at a time.
-pub(crate) struct Core<'a> {
+/// The request core: decode, transact, snapshot, the durability barrier,
+/// render. Built by [`ServerState::core`], once per serving thread, and run
+/// over one connection's [`Wire`] at a time.
+pub struct Core<'a> {
     ctx: ThreadCtx<'a>,
-    store: &'a KvStore,
-    pub(crate) telemetry: &'a Telemetry,
-    durable: Option<&'a Durable>,
+    pub(crate) state: &'a ServerState,
     /// Highest log sequence number the burst being executed must wait on
     /// before its replies are flushed (only durable servers set one).
     barrier: Option<u64>,
 }
 
-impl<'a> Core<'a> {
-    pub(crate) fn new(
-        ctx: ThreadCtx<'a>,
-        store: &'a KvStore,
-        telemetry: &'a Telemetry,
-        durable: Option<&'a Durable>,
-    ) -> Core<'a> {
-        Core {
-            ctx,
-            store,
-            telemetry,
-            durable,
-            barrier: None,
-        }
-    }
-
-    /// Executes what `conn` has buffered: answers the preamble once, then
+impl Core<'_> {
+    /// Executes what `wire` has buffered: answers the preamble once, then
     /// decodes and executes every complete frame in its input (partial
     /// trailing input stays buffered), appending the replies to its output
     /// in order. A first line that is not the preamble, a malformed frame,
@@ -455,16 +467,16 @@ impl<'a> Core<'a> {
     /// buffered.
     ///
     /// Returns once the burst's logged commits are durable (group commit:
-    /// the shard blocks in [`Wal::wait_durable`], leading the fsync itself
-    /// if no other shard is, until one fsync covers every burst, on any
+    /// the caller blocks in [`Wal::wait_durable`], leading the fsync itself
+    /// if no other thread is, until one fsync covers every burst, on any
     /// connection, that committed meanwhile). Returns `false` when the log
     /// failed instead: nothing rendered may be acknowledged, so the caller
     /// closes the connection.
-    pub(crate) fn execute(&mut self, conn: &mut Conn) -> bool {
+    pub fn execute(&mut self, wire: &mut Wire) -> bool {
         let mut consumed = 0usize;
-        while !conn.quit {
-            let rest = &conn.inbuf[consumed..];
-            let step = if conn.greeted {
+        while !wire.quit {
+            let rest = &wire.inbuf[consumed..];
+            let step = if wire.greeted {
                 decode_frame(rest).map(|(frame, used)| (Some(frame), used))
             } else {
                 parse_preamble(rest).map(|used| (None, used))
@@ -472,31 +484,31 @@ impl<'a> Core<'a> {
             match step {
                 Ok((Some(frame), used)) => {
                     consumed += used;
-                    self.handle_frame(frame, conn);
+                    self.handle_frame(frame, wire);
                 }
                 Ok((None, used)) => {
                     consumed += used;
-                    conn.greeted = true;
-                    conn.outbuf.extend_from_slice(PREAMBLE);
+                    wire.greeted = true;
+                    wire.outbuf.extend_from_slice(PREAMBLE);
                 }
                 Err(FrameError::Incomplete) => break,
                 Err(FrameError::Malformed(message)) => {
-                    let what = if conn.greeted { "frame" } else { "preamble" };
+                    let what = if wire.greeted { "frame" } else { "preamble" };
                     let refusal =
                         Reply::err(ErrorCode::Proto, format!("malformed {what}: {message}"));
-                    self.emit(&refusal, &mut conn.outbuf);
-                    conn.quit = true;
+                    self.emit(&refusal, &mut wire.outbuf);
+                    wire.quit = true;
                 }
             }
         }
-        if conn.quit {
+        if wire.quit {
             // Whatever follows a QUIT or a refusal is never parsed.
-            conn.inbuf.clear();
+            wire.inbuf.clear();
         } else {
-            conn.inbuf.drain(..consumed);
+            wire.inbuf.drain(..consumed);
         }
-        match (self.durable, self.barrier.take()) {
-            (Some(durable), Some(barrier)) => durable.wal.wait_durable(barrier),
+        match (&self.state.wal, self.barrier.take()) {
+            (Some(wal), Some(barrier)) => wal.wait_durable(barrier),
             _ => true,
         }
     }
@@ -504,7 +516,7 @@ impl<'a> Core<'a> {
     /// Renders one reply, counting error replies.
     fn emit(&self, reply: &Reply, out: &mut Vec<u8>) {
         if matches!(reply, Reply::Err(..)) {
-            self.telemetry.errors.add(1);
+            self.state.telemetry.errors.add(1);
         }
         render_reply_v2(out, reply);
     }
@@ -512,27 +524,27 @@ impl<'a> Core<'a> {
     /// Takes a point-in-time snapshot through `atomically_logged` (the
     /// commit sequence number marks the consistent cut).
     fn take_snapshot(&mut self) -> Reply {
-        let Some(durable) = self.durable else {
+        let state = self.state;
+        let Some(wal) = &state.wal else {
             return Reply::err(
                 ErrorCode::Wal,
                 "durability disabled (start the server with --wal-dir)",
             );
         };
-        if !durable.wal.begin_snapshot() {
+        if !wal.begin_snapshot() {
             return Reply::err(ErrorCode::Wal, "snapshot already in progress");
         }
-        let store = self.store;
-        let (result, report) = self.ctx.atomically_logged(|tx| store.dump(tx));
+        let (result, report) = self.ctx.atomically_logged(|tx| state.store.dump(tx));
         match result {
             Ok(pairs) => {
                 let seq = report.commit_seq.unwrap_or(0);
-                match durable.wal.write_snapshot(seq, &pairs) {
+                match wal.write_snapshot(seq, &pairs) {
                     Ok(_) => Reply::Snapshot(seq, pairs.len()),
                     Err(err) => Reply::err(ErrorCode::Wal, format!("snapshot write failed: {err}")),
                 }
             }
             Err(err) => {
-                durable.wal.abandon_snapshot();
+                wal.abandon_snapshot();
                 Reply::err(
                     ErrorCode::Wal,
                     format!("snapshot transaction failed: {err}"),
@@ -543,10 +555,9 @@ impl<'a> Core<'a> {
 
     /// Auto-snapshot when the configured record budget is exhausted.
     fn maybe_auto_snapshot(&mut self) {
-        let Some(durable) = self.durable else { return };
-        if durable.snapshot_every == 0
-            || durable.wal.records_since_snapshot() < durable.snapshot_every
-        {
+        let Some(wal) = &self.state.wal else { return };
+        let every = self.state.snapshot_every;
+        if every == 0 || wal.records_since_snapshot() < every {
             return;
         }
         if let Reply::Err(_, message) = self.take_snapshot() {
@@ -560,31 +571,28 @@ impl<'a> Core<'a> {
 
     /// Processes one decoded request frame, appending its reply to the
     /// connection's output.
-    fn handle_frame(&mut self, frame: crate::proto::Frame, conn: &mut Conn) {
-        let out = &mut conn.outbuf;
+    fn handle_frame(&mut self, frame: crate::proto::Frame, wire: &mut Wire) {
+        let out = &mut wire.outbuf;
         let request = match parse_request_v2(frame) {
             Ok(request) => request,
             Err(error) => return self.emit(&Reply::Err(error.code, error.message), out),
         };
-        let store = self.store;
-        let log = self.durable.is_some();
+        let state = self.state;
+        let store = &state.store;
+        let log = state.wal.is_some();
         match request {
             Request::Quit => {
                 self.emit(&Reply::Bye, out);
-                conn.quit = true;
+                wire.quit = true;
             }
             Request::Ping => self.emit(&Reply::Pong, out),
             Request::Snapshot => {
                 let reply = self.take_snapshot();
                 self.emit(&reply, out);
             }
-            Request::Metrics => {
-                let payload =
-                    metrics_payload(self.ctx.stm(), self.store, self.durable, self.telemetry);
-                self.emit(&Reply::Metrics(payload), out);
-            }
+            Request::Metrics => self.emit(&Reply::Metrics(state.metrics_text()), out),
             Request::SlowLog(n) => {
-                let entries = self.telemetry.slowlog.entries(n as usize);
+                let entries = state.telemetry.slowlog.entries(n as usize);
                 self.emit(&Reply::SlowLog(entries), out);
             }
             // A type error anywhere in an `EXEC` aborts the whole
@@ -620,21 +628,22 @@ impl<'a> Core<'a> {
         out: &mut Vec<u8>,
         mut body: impl FnMut(&mut Txn<'_>, &mut Option<Reply>) -> TxResult<Reply>,
     ) {
+        let telemetry = &self.state.telemetry;
         if op == OP_EXEC {
-            self.telemetry.batches.add(1);
+            telemetry.batches.add(1);
         } else {
-            self.telemetry.requests.add(1);
+            telemetry.requests.add(1);
         }
         let mut refusal = None;
         let started = Instant::now();
         let (result, report) = self.ctx.atomically_traced(|tx| body(tx, &mut refusal));
         let txn_us = elapsed_us(started);
-        if let Some(durable) = self.durable {
+        if let Some(wal) = &self.state.wal {
             // A commit the log took waits for its own record. Any other call
             // may have read a value whose record is not yet on disk; that
             // record's seq was assigned in the writer's commit, before this
             // call read it, so the newest seq assigned now covers it.
-            let seq = report.commit_seq.unwrap_or_else(|| durable.wal.last_seq());
+            let seq = report.commit_seq.unwrap_or_else(|| wal.last_seq());
             self.barrier = self.barrier.max(Some(seq));
         }
         match result {
@@ -649,7 +658,8 @@ impl<'a> Core<'a> {
                 self.emit(&reply, out);
             }
         }
-        self.telemetry
+        self.state
+            .telemetry
             .observe_op(op, &report, txn_us, elapsed_us(started));
     }
 }
@@ -657,7 +667,7 @@ impl<'a> Core<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{parse_reply_v2, render_request_v2, write_frame, Frame, MAX_HEADER_BYTES};
+    use crate::proto::{parse_reply_v2, render_request_v2, MAX_HEADER_BYTES};
     use crate::{KvClient, Value};
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
@@ -675,13 +685,6 @@ mod tests {
     /// The requests' frames back to back: one pipelined write.
     fn burst_of(requests: &[Request]) -> Vec<u8> {
         requests.iter().flat_map(render_request_v2).collect()
-    }
-
-    fn say_err(client: &mut KvClient, request: Request) -> (ErrorCode, String) {
-        match say(client, request) {
-            Reply::Err(code, message) => (code, message),
-            other => panic!("expected an error reply, got {other:?}"),
-        }
     }
 
     #[test]
@@ -742,67 +745,44 @@ mod tests {
         assert!(client.recv().is_err(), "QUIT closes the connection");
     }
 
-    #[test]
-    fn malformed_frame_reports_and_closes() {
-        let server = KvServer::start(ServerConfig::default()).unwrap();
-        let mut client = KvClient::connect(server.addr()).unwrap();
-        client.send_raw(b"!garbage\n").unwrap();
-        match client.recv().unwrap() {
-            Reply::Err(ErrorCode::Proto, message) => {
-                assert!(message.contains("malformed frame"), "{message}")
-            }
-            other => panic!("expected PROTO error, got {other:?}"),
-        }
-        assert!(
-            client.recv().is_err(),
-            "a malformed frame closes the connection"
-        );
-    }
-
     /// The request core in miniature: one read chunk appended, one
     /// `Core::execute` call, for a peer that never sends `\n` — before the
     /// preamble and inside a frame header.
     #[test]
     fn an_unterminated_line_is_refused_before_the_buffer_outgrows_one_chunk() {
         const CHUNK: usize = 4096;
-        let stm = Stm::default();
-        let store = KvStore::new(2);
-        let telemetry = Telemetry::new();
-        let mut core = Core::new(stm.thread(), &store, &telemetry, None);
-        // `execute` works a connection's buffers only; its socket is idle.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (socket, _) = listener.accept().unwrap();
+        let state = ServerState::open(&ServerConfig::default()).unwrap();
+        let mut core = state.core();
         for greeted in [false, true] {
-            let mut conn = Conn::new(socket.try_clone().unwrap());
+            let mut wire = Wire::default();
             if greeted {
-                conn.inbuf.extend_from_slice(PREAMBLE);
-                assert!(core.execute(&mut conn));
-                assert_eq!(conn.outbuf, PREAMBLE);
-                conn.outbuf.clear();
+                wire.inbuf.extend_from_slice(PREAMBLE);
+                assert!(core.execute(&mut wire));
+                assert_eq!(wire.outbuf, PREAMBLE);
+                wire.outbuf.clear();
             }
             // Under the cap the line may still end: buffered, unanswered.
-            conn.inbuf.extend_from_slice(&[b'+'; MAX_HEADER_BYTES]);
-            assert!(core.execute(&mut conn));
-            assert!(!conn.quit && conn.outbuf.is_empty());
-            assert_eq!(conn.inbuf.len(), MAX_HEADER_BYTES);
+            wire.inbuf.extend_from_slice(&[b'+'; MAX_HEADER_BYTES]);
+            assert!(core.execute(&mut wire));
+            assert!(!wire.quit && wire.outbuf.is_empty());
+            assert_eq!(wire.inbuf.len(), MAX_HEADER_BYTES);
             for _ in 0..64 {
-                if conn.quit {
+                if wire.quit {
                     break;
                 }
-                conn.inbuf.extend_from_slice(&[b'+'; CHUNK]);
+                wire.inbuf.extend_from_slice(&[b'+'; CHUNK]);
                 assert!(
-                    conn.inbuf.len() <= MAX_HEADER_BYTES + CHUNK,
+                    wire.inbuf.len() <= MAX_HEADER_BYTES + CHUNK,
                     "greeted={greeted}"
                 );
-                assert!(core.execute(&mut conn));
+                assert!(core.execute(&mut wire));
             }
-            assert!(conn.quit, "greeted={greeted}: the peer must be refused");
+            assert!(wire.quit, "greeted={greeted}: the peer must be refused");
             assert!(
-                conn.inbuf.is_empty(),
+                wire.inbuf.is_empty(),
                 "greeted={greeted}: nothing stays buffered"
             );
-            let out = &conn.outbuf;
+            let out = &wire.outbuf;
             let (frame, used) = decode_frame(out).unwrap();
             assert_eq!(used, out.len(), "greeted={greeted}: exactly one frame");
             assert!(
@@ -811,75 +791,6 @@ mod tests {
                 String::from_utf8_lossy(out)
             );
         }
-    }
-
-    #[test]
-    fn type_errors_are_coded_and_do_not_abort_the_connection() {
-        let server = KvServer::start(ServerConfig::default()).unwrap();
-        let mut client = KvClient::connect(server.addr()).unwrap();
-        assert_eq!(
-            say(&mut client, Request::Put(1, Value::Str("text".into()))),
-            Reply::Ok
-        );
-        let (code, message) = say_err(&mut client, Request::Add(1, 5));
-        assert_eq!(code, ErrorCode::Type);
-        assert!(message.contains("str"), "{message}");
-        assert_eq!(say_err(&mut client, Request::Sum(0, 10)).0, ErrorCode::Type);
-        // The connection survives; int arithmetic still works.
-        assert_eq!(say(&mut client, Request::Add(2, 5)), int(5));
-        assert_eq!(say(&mut client, Request::Quit), Reply::Bye);
-    }
-
-    /// An `EXEC` whose second op is not a runnable data op gets one error
-    /// naming that op and runs none of its ops; the connection goes on.
-    #[test]
-    fn a_hostile_exec_executes_nothing_and_keeps_framing() {
-        let server = KvServer::start(ServerConfig::default()).unwrap();
-        let mut client = KvClient::connect(server.addr()).unwrap();
-        let client = &mut client;
-        assert_eq!(say(client, Request::Put(3, Value::Int(30))), Reply::Ok);
-        let frame = |request: Request| decode_frame(&render_request_v2(&request)).unwrap().0;
-        let verb = |name: &str, args: Vec<Frame>| {
-            Frame::Array([vec![Frame::Status(name.to_string())], args].concat())
-        };
-        for (op, code, wanted) in [
-            (
-                frame(Request::Ping),
-                ErrorCode::Batch,
-                "PING is not a data op",
-            ),
-            (
-                frame(Request::Exec(vec![Request::Add(3, 1)])),
-                ErrorCode::Batch,
-                "EXEC is not a data op",
-            ),
-            (
-                verb("FLY", vec![]),
-                ErrorCode::Proto,
-                "unknown command 'FLY'",
-            ),
-            (
-                verb("GET", vec![Frame::Int(3), Frame::Int(4)]),
-                ErrorCode::Arg,
-                "GET takes 1 argument, got 2",
-            ),
-        ] {
-            let ops = vec![frame(Request::Add(3, 10)), op, frame(Request::Add(3, 100))];
-            let mut bytes = Vec::new();
-            write_frame(&mut bytes, &verb("EXEC", vec![Frame::Array(ops)]));
-            client.send_raw(&bytes).unwrap();
-            let reply = client.recv().unwrap();
-            assert_eq!(reply, Reply::err(code, format!("op 1: {wanted}")));
-            assert_eq!(say(client, Request::Get(3)), int(30), "{wanted}");
-            assert_eq!(say(client, Request::Ping), Reply::Pong);
-        }
-        let add = Request::Exec(vec![Request::Add(3, 1)]);
-        assert_eq!(say(client, add), Reply::Exec(vec![int(31)]));
-        assert_eq!(
-            say(client, Request::Exec(Vec::new())),
-            Reply::Exec(Vec::new())
-        );
-        assert_eq!(say(client, Request::Quit), Reply::Bye);
     }
 
     #[test]
@@ -927,30 +838,6 @@ mod tests {
         );
         let (frame, _) = decode_frame(&rest[used + used2..]).unwrap();
         assert_eq!(parse_reply_v2(frame).unwrap(), Reply::Bye);
-    }
-
-    #[test]
-    fn exec_reply_nests_per_op_replies() {
-        let server = KvServer::start(ServerConfig::default()).unwrap();
-        let mut client = KvClient::connect(server.addr()).unwrap();
-        let burst = burst_of(&[
-            Request::Exec(vec![
-                Request::Put(1, Value::Str("a".into())),
-                Request::Add(2, 7),
-                Request::Get(1),
-            ]),
-            Request::Quit,
-        ]);
-        client.send_raw(&burst).unwrap();
-        assert_eq!(
-            client.recv().unwrap(),
-            Reply::Exec(vec![
-                Reply::Ok,
-                int(7),
-                Reply::Value(Value::Str("a".into()))
-            ])
-        );
-        assert_eq!(client.recv().unwrap(), Reply::Bye);
     }
 
     fn temp_wal_dir(tag: &str) -> PathBuf {

@@ -9,7 +9,7 @@
 //! never a lock, never an allocation. Its exposition is the first of the
 //! four the `METRICS` verb sends back to back; the STM runtime, the store
 //! and the WAL each render their own registry after it (see
-//! `metrics_payload` in [`crate::server`]). Aborted attempts are counted
+//! [`ServerState::metrics_text`](crate::ServerState::metrics_text)). Aborted attempts are counted
 //! once, by the runtime (`stm_aborts_total{cause}`), not again here.
 
 use std::fmt::Write as _;

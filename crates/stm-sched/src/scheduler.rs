@@ -326,7 +326,9 @@ mod tests {
         let result = optimal_list_schedule(&sys);
         assert!(!result.exact);
         assert!(result.makespan >= sys.makespan_lower_bound() - 1e-9);
-        assert!(result.makespan <= sys.total_length() + 1e-9);
+        // A fully serial schedule bounds every valid one.
+        let serial: f64 = sys.tasks().iter().map(|t| t.length).sum();
+        assert!(result.makespan <= serial + 1e-9);
     }
 
     #[test]

@@ -103,12 +103,6 @@ impl TaskSystem {
         self.num_resources
     }
 
-    /// Sum of all task lengths (the makespan of a fully serial schedule, and
-    /// a trivial upper bound for any valid schedule).
-    pub fn total_length(&self) -> f64 {
-        self.tasks.iter().map(|t| t.length).sum()
-    }
-
     /// The longest single task (a trivial lower bound on any makespan).
     pub fn max_length(&self) -> f64 {
         self.tasks.iter().map(|t| t.length).fold(0.0, f64::max)
@@ -188,7 +182,6 @@ mod tests {
         assert_eq!(sys.len(), 3);
         assert!(!sys.is_empty());
         assert_eq!(sys.num_resources(), 2);
-        assert!((sys.total_length() - 6.0).abs() < 1e-12);
         assert!((sys.max_length() - 3.0).abs() < 1e-12);
         // Resource 0 load: 1*1 + 2*0.5 = 2; resource 1: 3*0.5 + 2*0.5 = 2.5;
         // longest task 3 -> lower bound 3.

@@ -19,13 +19,6 @@ impl TxCounter {
         }
     }
 
-    /// Creates a counter starting at `initial`.
-    pub fn with_value(initial: i64) -> Self {
-        TxCounter {
-            value: TVar::new(initial),
-        }
-    }
-
     /// Adds `delta` to the counter and returns the new value.
     pub fn add(&self, tx: &mut Txn<'_>, delta: i64) -> TxResult<i64> {
         let next = tx.read(&self.value)? + delta;
@@ -70,15 +63,6 @@ mod tests {
             .unwrap();
         assert_eq!(v, 6);
         assert_eq!(counter.load(&stm), 6);
-    }
-
-    #[test]
-    fn with_value_starts_at_given_value() {
-        let stm = Stm::default();
-        let counter = TxCounter::with_value(41);
-        let mut ctx = stm.thread();
-        ctx.atomically(|tx| counter.increment(tx)).unwrap();
-        assert_eq!(counter.load(&stm), 42);
     }
 
     #[test]

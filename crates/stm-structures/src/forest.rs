@@ -119,15 +119,6 @@ impl TxRbForest {
         self.trees[index].range(tx, lo, hi)
     }
 
-    /// Total number of elements across all trees.
-    pub fn total_len(&self, tx: &mut Txn<'_>) -> TxResult<usize> {
-        let mut total = 0;
-        for tree in &self.trees {
-            total += tree.len(tx)?;
-        }
-        Ok(total)
-    }
-
     /// Validates the red-black invariants of every tree and returns the total
     /// number of nodes.
     pub fn check_invariants(&self, tx: &mut Txn<'_>) -> TxResult<usize> {
@@ -159,7 +150,7 @@ mod tests {
         );
         assert!(ctx.atomically(|tx| forest.contains_in(tx, 2, 7)).unwrap());
         assert!(!ctx.atomically(|tx| forest.contains_in(tx, 0, 7)).unwrap());
-        assert_eq!(ctx.atomically(|tx| forest.total_len(tx)).unwrap(), 1);
+        assert_eq!(ctx.atomically(|tx| forest.check_invariants(tx)).unwrap(), 1);
         assert_eq!(
             ctx.atomically(|tx| forest.range_in(tx, 2, 0, 10)).unwrap(),
             vec![7]
@@ -188,13 +179,13 @@ mod tests {
                 .unwrap(),
             8
         );
-        assert_eq!(ctx.atomically(|tx| forest.total_len(tx)).unwrap(), 0);
+        assert_eq!(ctx.atomically(|tx| forest.check_invariants(tx)).unwrap(), 0);
         // Aborted all-tree update leaves nothing behind.
         let _ = ctx.atomically(|tx| {
             forest.insert(tx, UpdateScope::All, 1)?;
             tx.abort::<()>()
         });
-        assert_eq!(ctx.atomically(|tx| forest.total_len(tx)).unwrap(), 0);
+        assert_eq!(ctx.atomically(|tx| forest.check_invariants(tx)).unwrap(), 0);
     }
 
     #[test]

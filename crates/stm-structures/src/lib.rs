@@ -17,8 +17,8 @@
 //! generic over the structure. So does [`TxChunkedSet`], which is not from
 //! the paper: a B+-tree with one `TVar` per 64-key node, priced by objects
 //! opened rather than keys visited, and — one tree per shard of 1,024-key
-//! blocks — the ordered index under `stm-kv`'s store. Two auxiliary structures,
-//! [`TxCounter`] and [`TxQueue`], are used by the examples and tests.
+//! blocks — the ordered index under `stm-kv`'s store. One auxiliary structure,
+//! [`TxCounter`], is used by the examples and tests.
 //!
 //! Every operation takes `&mut Txn` and returns a [`stm_core::TxResult`];
 //! operations compose — several calls inside one `atomically` closure form a
@@ -51,7 +51,6 @@ pub mod chunked;
 pub mod counter;
 pub mod forest;
 pub mod list;
-pub mod queue;
 pub mod rbtree;
 pub mod set;
 pub mod sharded;
@@ -61,7 +60,6 @@ pub use chunked::TxChunkedSet;
 pub use counter::TxCounter;
 pub use forest::TxRbForest;
 pub use list::TxList;
-pub use queue::TxQueue;
 pub use rbtree::TxRbTree;
 pub use set::TxSet;
 pub use sharded::ShardedTxSet;

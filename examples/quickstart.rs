@@ -36,16 +36,17 @@ fn main() {
     // 4. Transactions compose: the set structures run inside the caller's
     //    transaction, so a multi-structure update is still atomic.
     let tree = TxRbTree::new();
-    let audit_log = TxQueue::new();
+    let audit_log = TxList::new();
     ctx.atomically(|tx| {
         tree.insert(tx, 42)?;
-        audit_log.enqueue(tx, 42)?;
+        audit_log.insert(tx, 42)?;
         Ok(())
     })
     .unwrap();
     println!(
-        "tree contains 42: {}",
-        ctx.atomically(|tx| tree.contains(tx, 42)).unwrap()
+        "tree contains 42: {}, audit log: {:?}",
+        ctx.atomically(|tx| tree.contains(tx, 42)).unwrap(),
+        ctx.atomically(|tx| audit_log.to_vec(tx)).unwrap()
     );
 
     // 5. Under contention the manager earns its keep: eight threads hammer

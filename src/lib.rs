@@ -15,7 +15,7 @@
 //! |-------|----------|
 //! | [`core`] | the STM runtime: [`Stm`], [`TVar`], [`Txn`], the [`ContentionManager`] interface |
 //! | [`cm`] | the greedy manager, its time-out extension, and the six managers the paper's figures and theory experiments compare it with |
-//! | [`structures`] | transactional list, skiplist, red-black tree, forest, chunked B+-tree set, sharded set, counter, queue |
+//! | [`structures`] | transactional list, skiplist, red-black tree, forest, chunked B+-tree set, sharded set, counter |
 //! | [`sched`] | Garey–Graham task systems, list/optimal schedulers, execution simulator |
 //! | [`kv`] | the networked transactional key-value service: server, wire protocol, client |
 //! | [`log`] | durability: write-ahead commit log, group commit, snapshots, crash recovery |
@@ -113,8 +113,7 @@ pub mod prelude {
     };
     pub use crate::kv::{KvClient, KvServer, KvStore, ServerConfig};
     pub use crate::structures::{
-        ShardedTxSet, TxChunkedSet, TxCounter, TxList, TxQueue, TxRbForest, TxRbTree, TxSet,
-        TxSkipList,
+        ShardedTxSet, TxChunkedSet, TxCounter, TxList, TxRbForest, TxRbTree, TxSet, TxSkipList,
     };
     pub use stm_core::{
         AbortCause, ContentionManager, Resolution, Stm, StmError, TVar, TxResult, Txn,

@@ -65,14 +65,12 @@ fn explicit_abort_discards_every_structure_effect() {
     let stm = Stm::builder().manager(ManagerKind::Polka.factory()).build();
     let list = TxList::new();
     let tree = TxRbTree::new();
-    let queue = TxQueue::new();
     let counter = TxCounter::new();
     let mut ctx = stm.thread();
     let err = ctx
         .atomically(|tx| {
             list.insert(tx, 1)?;
             tree.insert(tx, 2)?;
-            queue.enqueue(tx, 3)?;
             counter.add(tx, 10)?;
             tx.abort::<()>()
         })
@@ -80,7 +78,6 @@ fn explicit_abort_discards_every_structure_effect() {
     assert_eq!(err.abort_cause(), Some(AbortCause::Explicit));
     assert!(ctx.atomically(|tx| list.is_empty(tx)).unwrap());
     assert!(ctx.atomically(|tx| tree.is_empty(tx)).unwrap());
-    assert!(ctx.atomically(|tx| queue.is_empty(tx)).unwrap());
     assert_eq!(counter.load(&stm), 0);
 }
 
@@ -188,22 +185,6 @@ fn a_panicking_body_releases_what_it_acquired() {
         1,
         "{snap:?}"
     );
-}
-
-#[test]
-fn read_for_update_prevents_later_write_conflicts_in_the_same_txn() {
-    let stm = Stm::default();
-    let cell = TVar::new(5i64);
-    let mut ctx = stm.thread();
-    let doubled = ctx
-        .atomically(|tx| {
-            let current = tx.read_for_update(&cell)?;
-            tx.write(&cell, current * 2)?;
-            tx.read(&cell)
-        })
-        .unwrap();
-    assert_eq!(doubled, 10);
-    assert_eq!(stm.read_atomic(&cell), 10);
 }
 
 #[test]

@@ -130,9 +130,8 @@ fn concurrent_batches_are_serializable_under_every_manager() {
         );
         auditor.quit().unwrap();
         let in_process = {
-            let stm = Arc::clone(server.stm());
-            let store = Arc::clone(server.store());
-            let mut ctx = stm.thread();
+            let store = server.store();
+            let mut ctx = server.stm().thread();
             ctx.atomically(|tx| store.sum(tx, 0, KEYS - 1))
                 .unwrap()
                 .unwrap()
@@ -388,6 +387,10 @@ fn restart_truncates_a_torn_tail_and_stays_conserved() {
         .unwrap()
         .set_len(len - 7)
         .unwrap();
+    assert!(
+        greedy_stm::log::recover(&dir).unwrap().truncated_bytes > 0,
+        "the chop must cut a record, not preallocated zeros"
+    );
 
     let mut server = start_durable_server(ManagerKind::Greedy, &dir, 0);
     let mut auditor = KvClient::connect(server.addr()).unwrap();

@@ -558,42 +558,6 @@ fn same_leaf_contention_keeps_per_thread_membership_under_every_manager() {
 }
 
 #[test]
-fn queue_behaves_like_vecdeque() {
-    let mut rng = SmallRng::seed_from_u64(0x40e0e);
-    for _case in 0..48 {
-        // `Some(v)` enqueues, `None` dequeues.
-        let ops: Vec<Option<i64>> = (0..rng.gen_range(0usize..200))
-            .map(|_| {
-                if rng.gen_bool(0.5) {
-                    Some(rng.gen_range(0i64..1000))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let stm = Stm::builder().manager(GreedyManager::factory()).build();
-        let queue = TxQueue::new();
-        let mut ctx = stm.thread();
-        let mut model = std::collections::VecDeque::new();
-        for op in ops {
-            match op {
-                Some(v) => {
-                    model.push_back(v);
-                    ctx.atomically(|tx| queue.enqueue(tx, v)).unwrap();
-                }
-                None => {
-                    let expected = model.pop_front();
-                    let actual = ctx.atomically(|tx| queue.dequeue(tx)).unwrap();
-                    assert_eq!(expected, actual);
-                }
-            }
-            let len = ctx.atomically(|tx| queue.len(tx)).unwrap();
-            assert_eq!(len, model.len());
-        }
-    }
-}
-
-#[test]
 fn composed_transactions_keep_two_sets_identical() {
     let mut rng = SmallRng::seed_from_u64(0xc046_05ed);
     for _case in 0..48 {
