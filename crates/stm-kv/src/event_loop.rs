@@ -77,7 +77,8 @@ fn shard_tick(idle_timeout: Duration) -> Duration {
     }
 }
 
-/// Events fetched per `wait` call.
+/// Events fetched per `wait` call: the length of each shard's one event
+/// buffer, which the kernel fills in place.
 const EVENT_BATCH: usize = 1024;
 
 /// Per-read chunk size: the length of each shard's one read buffer.
@@ -278,7 +279,7 @@ impl Shard<'_> {
             // *reused* within a batch because accepted sockets only enter
             // the slab after it, through the inbox.
             for event in &events {
-                match event.token {
+                match event.token() {
                     WAKER_TOKEN => self.wake_rx.drain(),
                     LISTENER_TOKEN => self.deal(),
                     _ => self.handle_event(event),
@@ -368,14 +369,14 @@ impl Shard<'_> {
     }
 
     fn handle_event(&mut self, event: &Event) {
-        let slot = event.token.0 - 1;
+        let slot = event.token().0 - 1;
         if self.conns.get(slot).is_none_or(Option::is_none) {
             return; // closed earlier in this batch
         }
-        if event.writable {
+        if event.is_writable() {
             self.service_write(slot);
         }
-        if event.readable {
+        if event.is_readable() {
             self.service_read(slot);
         }
     }

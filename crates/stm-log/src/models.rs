@@ -10,9 +10,8 @@
 //! and the checker reports a deadlock: no waiter is stranded.
 //!
 //! Every function returns the checker's [`Report`] (or, for the model
-//! with a negative twin, its [`Failure`]) so callers (unit tests here and
-//! the workspace-level `tests/model_check.rs`) can assert exhaustiveness
-//! and schedule counts.
+//! with a negative twin, its [`Failure`]) so the unit tests below can
+//! assert exhaustiveness and schedule counts.
 
 use std::io;
 

@@ -6,7 +6,8 @@
 //! 1. **`unsafe` stays quarantined.** The workspace's safety story is that
 //!    every first-party crate is `#![forbid(unsafe_code)]` and the unsafe
 //!    code lives in two audited vendored places:
-//!    `vendor/minipoll/src/sys.rs` (FFI to poll(2)) and `vendor/loomlite/`
+//!    `vendor/minipoll/src/sys.rs` (FFI to epoll, `eventfd` and
+//!    `listen(2)`) and `vendor/loomlite/`
 //!    (the model checker's own primitives) — plus the repo benchmark's FFI,
 //!    `bench/src/sys.rs` (`ppoll`, `malloc_trim`), and one test,
 //!    `tests/open_cost.rs`, whose counting `GlobalAlloc` forwards to

@@ -26,6 +26,10 @@
 //! that has to grow the open segment ahead of its records (zeros written
 //! from a static buffer) allocates nothing either.
 //!
+//! And what the event loop's readiness wait costs: the kernel writes the
+//! ready events straight into the caller's buffer, so once that buffer has
+//! grown to the batch size a wait allocates nothing.
+//!
 //! The counts hold on any host, so a change that adds an allocation to an
 //! open, or an open to a body, fails here rather than somewhere in a
 //! benchmark's noise. This is
@@ -184,4 +188,38 @@ fn a_flush_that_grows_the_segment_allocates_nothing() {
     drop(hook);
     drop(wal);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_warm_wait_allocates_nothing() {
+    use minipoll::{Interest, Poller, Token};
+    use std::io::Write;
+    use std::time::Duration;
+
+    let poller = Poller::new().expect("epoll instance");
+    let (readable, mut peer) = std::os::unix::net::UnixStream::pair().expect("socketpair");
+    peer.write_all(b"x").expect("one byte, never read");
+    poller
+        .register(&readable, Token(1), Interest::READABLE)
+        .expect("register");
+    // The same batch the event loop asks for; the warm-up wait grows the
+    // buffer to it.
+    let mut events = Vec::new();
+    let wait = |events: &mut Vec<minipoll::Event>| {
+        poller
+            .wait(events, 1024, Some(Duration::from_secs(5)))
+            .expect("wait")
+    };
+    assert_eq!(wait(&mut events), 1, "the warm-up wait reports the byte");
+    let start = allocations();
+    for _ in 0..1_000 {
+        // Level-triggered: the unread byte is reported on every wait.
+        assert_eq!(wait(&mut events), 1);
+        assert_eq!(events[0].token(), Token(1));
+    }
+    assert_eq!(
+        allocations() - start,
+        0,
+        "allocations over 1,000 warm waits"
+    );
 }

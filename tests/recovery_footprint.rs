@@ -5,8 +5,6 @@
 //! One test in its own binary, so the process high-water mark (`VmHWM`) it
 //! reads around `recover` is that test's alone.
 
-#![cfg(target_os = "linux")]
-
 use greedy_stm::core::{CommitOp, CommitValue};
 use greedy_stm::log::{recover, Wal, WalConfig};
 

@@ -209,41 +209,83 @@ fn chain_scales_with_s() {
 
 /// The simulator waits the way the runtime does: a bounded wait ends after
 /// its `max` (one tick is 1 µs), and the waiter asks its manager again.
-/// T0 is old and 10,000 ticks long, T1 young and 10 ticks long, and both
-/// write object 0 at offset 0, so T1 meets T0 first thing and every manager
-/// but Greedy and Aggressive bounds the wait it grants T0.
+/// T0 is old, T1 young and 10 ticks long, and both write object 0 at offset
+/// 0, so T1 meets T0 first thing and every manager but Greedy and
+/// Aggressive bounds the wait it grants T0.
+///
+/// T0's length is swept, and each cell pins whether the run finished
+/// within 100,000 ticks and how often T0 aborted. Timestamp stops
+/// finishing once T0 outlasts its 160-tick patience; Karma, Polka and
+/// Aggressive finish at no length, and Eruption not at 10,000 ticks.
 #[test]
 fn a_bounded_wait_ends_and_the_manager_is_asked_again() {
-    let write_object_0 = vec![SimAccess {
-        offset: 0,
-        object: 0,
-        write: true,
-    }];
-    let txns = [(10_000, 0), (10, 1)].map(|(duration, priority)| SimTransaction {
-        duration,
-        priority,
-        accesses: write_object_0.clone(),
-    });
+    const LENGTHS: [u64; 8] = [100, 150, 159, 161, 170, 300, 1_000, 10_000];
+    // (finished, T0's aborts) per length, in `LENGTHS` order.
+    const fn every(cell: (bool, u64)) -> [(bool, u64); 8] {
+        [cell; 8]
+    }
+    let table: [(ManagerKind, [(bool, u64); 8]); 8] = [
+        (ManagerKind::Greedy, every((true, 0))),
+        (
+            ManagerKind::GreedyTimeout,
+            [1, 2, 2, 2, 2, 3, 5, 8].map(|aborts| (true, aborts)),
+        ),
+        (ManagerKind::Aggressive, every((false, 50_000))),
+        (
+            ManagerKind::Backoff,
+            [0, 0, 0, 0, 0, 0, 0, 1].map(|aborts| (true, aborts)),
+        ),
+        (
+            ManagerKind::Timestamp,
+            [
+                (true, 0),
+                (true, 0),
+                (true, 0),
+                (true, 1),
+                (false, 617),
+                (false, 617),
+                (false, 617),
+                (false, 617),
+            ],
+        ),
+        (ManagerKind::Karma, every((false, 7_143))),
+        (
+            ManagerKind::Eruption,
+            [
+                (true, 6),
+                (true, 7),
+                (true, 8),
+                (true, 8),
+                (true, 8),
+                (true, 11),
+                (true, 21),
+                (false, 52),
+            ],
+        ),
+        (ManagerKind::Polka, every((false, 25_000))),
+    ];
+    assert_eq!(table.map(|(kind, _)| kind), ManagerKind::ALL);
     let config = SimConfig { max_ticks: 100_000 };
-    for kind in ManagerKind::ALL {
-        let outcome = simulate(&txns, kind.factory(), config);
-        let summary = format!("{}: {outcome:?}", kind.name());
-        match kind {
+    for (kind, cells) in table {
+        for (length, want) in LENGTHS.into_iter().zip(cells) {
+            let txns = [(length, 0), (10, 1)].map(|(duration, priority)| SimTransaction {
+                duration,
+                priority,
+                accesses: vec![SimAccess {
+                    offset: 0,
+                    object: 0,
+                    write: true,
+                }],
+            });
+            let outcome = simulate(&txns, kind.factory(), config);
+            let got = (outcome.makespan_ticks.is_some(), outcome.aborts[0]);
+            let summary = format!("{} at T0 = {length}: {outcome:?}", kind.name());
+            assert_eq!(got, want, "{summary}");
             // Rule 2's wait is unbounded: T1 waits out the whole of T0.
-            ManagerKind::Greedy => {
-                assert_eq!(outcome.commit_ticks, [10_000, 10_010], "{summary}");
+            if kind == ManagerKind::Greedy {
+                assert_eq!(outcome.commit_ticks, [length, length + 10], "{summary}");
                 assert_eq!(outcome.total_aborts(), 0, "{summary}");
             }
-            // In lockstep the two abort each other every tick (ROADMAP item
-            // 19 tells that artefact from the paper's livelock).
-            ManagerKind::Aggressive => {}
-            // Each expired wait doubles T0's time-out until one outlasts
-            // its 10,000 ticks.
-            ManagerKind::GreedyTimeout => {
-                assert!(outcome.aborts[0] >= 1, "{summary}");
-                assert!(outcome.makespan_ticks.is_some(), "{summary}");
-            }
-            _ => assert!(outcome.aborts[0] >= 1, "{summary}"),
         }
     }
 }

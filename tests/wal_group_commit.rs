@@ -4,8 +4,6 @@
 //! One test in its own binary, so the threads it lists under
 //! `/proc/self/task` are this test's alone.
 
-#![cfg(target_os = "linux")]
-
 use greedy_stm::core::CommitOp;
 use greedy_stm::log::{Wal, WalConfig};
 
