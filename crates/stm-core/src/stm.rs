@@ -119,8 +119,9 @@ impl Stm {
     }
 
     /// Creates a per-thread execution context with an explicit contention
-    /// manager, overriding the configured factory. Useful for comparing
-    /// managers within one program (see the `manager_showdown` example).
+    /// manager, overriding the configured factory. Useful for mixing
+    /// managers within one program (see
+    /// `tests/manager_progress.rs::per_thread_manager_override_is_respected`).
     /// It claims a reader slot as [`Stm::thread`] does, and panics likewise.
     pub fn thread_with(&self, manager: Box<dyn ContentionManager>) -> ThreadCtx<'_> {
         ThreadCtx {

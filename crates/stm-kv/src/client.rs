@@ -100,85 +100,6 @@ impl From<io::Error> for KvError {
 /// Result alias for client operations.
 pub type KvResult<T> = Result<T, KvError>;
 
-/// A fluent builder for an atomic `EXEC` batch.
-///
-/// ```no_run
-/// # use stm_kv::{KvClient, Value};
-/// # let mut client = KvClient::connect("127.0.0.1:7878").unwrap();
-/// let replies = client
-///     .batch_builder()
-///     .put(1, "typed")
-///     .add(2, 5)
-///     .get(1)
-///     .sum(0, 100)
-///     .run()
-///     .unwrap();
-/// ```
-#[derive(Debug)]
-pub struct BatchBuilder<'a> {
-    client: &'a mut KvClient,
-    ops: Vec<Request>,
-}
-
-impl<'a> BatchBuilder<'a> {
-    /// Queues a read of `key`.
-    pub fn get(mut self, key: i64) -> Self {
-        self.ops.push(Request::Get(key));
-        self
-    }
-
-    /// Queues a typed store at `key`.
-    pub fn put(mut self, key: i64, value: impl Into<Value>) -> Self {
-        self.ops.push(Request::Put(key, value.into()));
-        self
-    }
-
-    /// Queues a removal of `key`.
-    pub fn del(mut self, key: i64) -> Self {
-        self.ops.push(Request::Del(key));
-        self
-    }
-
-    /// Queues an integer add at `key`.
-    pub fn add(mut self, key: i64, delta: i64) -> Self {
-        self.ops.push(Request::Add(key, delta));
-        self
-    }
-
-    /// Queues a range read over `lo..=hi`.
-    pub fn range(mut self, lo: i64, hi: i64) -> Self {
-        self.ops.push(Request::Range(lo, hi));
-        self
-    }
-
-    /// Queues an integer sum over `lo..=hi`.
-    pub fn sum(mut self, lo: i64, hi: i64) -> Self {
-        self.ops.push(Request::Sum(lo, hi));
-        self
-    }
-
-    /// The ops queued so far.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether nothing is queued yet.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Executes the queued ops as one atomic transaction, returning one
-    /// reply per op.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`KvClient::batch`] reports.
-    pub fn run(self) -> KvResult<Vec<Reply>> {
-        let BatchBuilder { client, ops } = self;
-        client.batch(&ops)
-    }
-}
-
 /// The parsed payload of a `METRICS` reply — the server's one statistics
 /// surface: its Prometheus-style text exposition folded into typed lookups.
 ///
@@ -645,14 +566,6 @@ impl KvClient {
         }
     }
 
-    /// Starts a fluent atomic batch; finish it with [`BatchBuilder::run`].
-    pub fn batch_builder(&mut self) -> BatchBuilder<'_> {
-        BatchBuilder {
-            client: self,
-            ops: Vec::new(),
-        }
-    }
-
     /// Executes `ops` — data ops only — as one atomic `EXEC` transaction
     /// and returns one reply per operation.
     ///
@@ -689,11 +602,7 @@ impl KvClient {
                 });
             }
         }
-        if replies.len() == 2 {
-            Ok(())
-        } else {
-            Err(proto_err("transfer batch returned a partial reply"))
-        }
+        Ok(())
     }
 
     /// Says goodbye and closes the connection.
@@ -829,21 +738,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_builder_is_fluent_and_atomic() {
+    fn a_batch_of_typed_writes_and_reads_is_atomic() {
         let server = test_server();
         let mut client = KvClient::connect(server.addr()).unwrap();
-        let builder = client
-            .batch_builder()
-            .put(1, 100)
-            .put(2, "two\nlines")
-            .add(1, -30)
-            .get(2)
-            .sum(0, 1)
-            .del(3)
-            .range(0, 2);
-        assert_eq!(builder.len(), 7);
-        assert!(!builder.is_empty());
-        let replies = builder.run().unwrap();
+        let replies = client
+            .batch(&[
+                Request::Put(1, Value::Int(100)),
+                Request::Put(2, "two\nlines".into()),
+                Request::Add(1, -30),
+                Request::Get(2),
+                Request::Sum(0, 1),
+                Request::Del(3),
+                Request::Range(0, 2),
+            ])
+            .unwrap();
         assert_eq!(replies[2], Reply::Value(Value::Int(70)));
         assert_eq!(replies[3], Reply::Value(Value::Str("two\nlines".into())));
         assert_eq!(replies[4], Reply::Sum(70, 1));
@@ -860,10 +768,7 @@ mod tests {
         // ADD on the string key fails the batch as a whole: the PUT queued
         // before it must NOT have applied.
         let err = client
-            .batch_builder()
-            .put(3, 300)
-            .add(2, 5)
-            .run()
+            .batch(&[Request::Put(3, Value::Int(300)), Request::Add(2, 5)])
             .unwrap_err();
         match err {
             KvError::Server { code, message } => {

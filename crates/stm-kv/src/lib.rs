@@ -46,12 +46,13 @@
 //!   accepting connections.
 //! * **Client** ([`KvClient`]) — a blocking client that opens with the
 //!   preamble, reports failures through the structured [`KvError`] enum,
-//!   offers typed getters (`get_int`/`get_str`/`get_bytes`) and a fluent
-//!   [`BatchBuilder`] for atomic multi-op transactions.
+//!   offers typed getters (`get_int`/`get_str`/`get_bytes`) and
+//!   [`KvClient::batch`], which runs a slice of [`Request`]s as one atomic
+//!   transaction.
 //!
 //! ```
 //! use stm_cm::ManagerKind;
-//! use stm_kv::{KvClient, KvServer, ServerConfig, Value};
+//! use stm_kv::{KvClient, KvServer, Request, ServerConfig, Value};
 //!
 //! let server = KvServer::start(ServerConfig {
 //!     manager: ManagerKind::Greedy,
@@ -67,13 +68,9 @@
 //! client.transfer(1, 2, 25).unwrap();
 //! assert_eq!(client.get_int(1).unwrap(), Some(75));
 //! assert_eq!(client.get_str(3).unwrap().as_deref(), Some("binary-safe\nstring \0 ✓"));
-//! // A fluent atomic batch.
+//! // An atomic batch: one EXEC request, one transaction.
 //! let replies = client
-//!     .batch_builder()
-//!     .add(1, -5)
-//!     .add(2, 5)
-//!     .get(3)
-//!     .run()
+//!     .batch(&[Request::Add(1, -5), Request::Add(2, 5), Request::Get(3)])
 //!     .unwrap();
 //! assert_eq!(replies.len(), 3);
 //! assert_eq!(client.sum(0, 2).unwrap(), (200, 2));
@@ -100,7 +97,7 @@ pub use stm_core::CommitValue as Value;
 /// quantiles agree with server-side accounting bucket-for-bucket.
 pub use metrics::HistogramSnapshot;
 
-pub use client::{BatchBuilder, KvClient, KvError, MetricsSnapshot};
+pub use client::{KvClient, KvError, MetricsSnapshot};
 pub use proto::{ErrorCode, ProtoError, Reply, Request};
 pub use server::{Core, KvServer, ServeMode, ServerConfig, ServerState, Wire};
 pub use store::{KvStore, TypeMismatch};

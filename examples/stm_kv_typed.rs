@@ -1,5 +1,5 @@
 //! `stm_kv_typed` — the wire protocol end to end: typed values over
-//! binary-safe frames, a fluent atomic batch, and durable recovery of string
+//! binary-safe frames, an atomic batch, and durable recovery of string
 //! values across a server restart.
 //!
 //! ```sh
@@ -10,14 +10,12 @@
 //! writes the `HELLO 2` preamble; everything after it is frames), stores
 //! `Int`/`Str`/`Bytes` values — including strings with embedded newlines
 //! and NULs, which length-prefixed frames carry byte-exactly — runs an
-//! atomic multi-op transaction through the [`BatchBuilder`], shows the typed
+//! atomic multi-op transaction through `KvClient::batch`, shows the typed
 //! `TYPE` error `ADD` reports on a string, then restarts the server on the
 //! same log directory and proves every typed value came back byte-exact.
-//!
-//! [`BatchBuilder`]: greedy_stm::kv::BatchBuilder
 
 use greedy_stm::cm::ManagerKind;
-use greedy_stm::kv::{ErrorCode, KvClient, KvError, KvServer, Reply, ServerConfig, Value};
+use greedy_stm::kv::{ErrorCode, KvClient, KvError, KvServer, Reply, Request, ServerConfig, Value};
 
 fn main() {
     let wal_dir = std::env::temp_dir().join(format!("stm-kv-typed-demo-{}", std::process::id()));
@@ -61,14 +59,14 @@ fn main() {
             other => panic!("expected a TYPE error, got {other}"),
         }
 
-        // A fluent atomic batch: all ops in one serializable transaction.
+        // An atomic batch: all ops in one serializable transaction.
         let replies = client
-            .batch_builder()
-            .add(1, -250)
-            .put(4, "created inside the batch")
-            .get(1)
-            .sum(0, 1)
-            .run()
+            .batch(&[
+                Request::Add(1, -250),
+                Request::Put(4, "created inside the batch".into()),
+                Request::Get(1),
+                Request::Sum(0, 1),
+            ])
             .unwrap();
         assert_eq!(replies[2], Reply::Value(Value::Int(750)));
         println!(

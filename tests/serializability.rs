@@ -37,9 +37,8 @@ fn counter_is_exact_for_every_manager() {
     }
 }
 
-/// Named for the two read modes it once ran in; every read is visible now.
 #[test]
-fn bank_conservation_under_greedy_and_karma_both_visibilities() {
+fn bank_conservation_under_greedy_and_karma() {
     for kind in [ManagerKind::Greedy, ManagerKind::Karma] {
         let stm = Arc::new(stm_with(kind));
         let accounts: Vec<TVar<i64>> = (0..16).map(|_| TVar::new(500)).collect();

@@ -447,11 +447,11 @@ fn acknowledged_writes_are_durable_before_the_reply() {
     }
 
     let replies = client
-        .batch_builder()
-        .put(1_000, "batched")
-        .add(1_001, 5)
-        .put(1_002, 7)
-        .run()
+        .batch(&[
+            Request::Put(1_000, "batched".into()),
+            Request::Add(1_001, 5),
+            Request::Put(1_002, Value::Int(7)),
+        ])
         .unwrap();
     assert_eq!(replies.len(), 3);
     acked += 1; // one transaction, one record
@@ -516,7 +516,7 @@ fn observed_writes_are_durable_before_the_reply() {
 /// through `KvClient` moves each `stm_kv_op_latency_us{op=…}` count by
 /// exactly the number the client sent.
 #[test]
-fn bench_client_emits_throughput_latency_json_per_manager() {
+fn op_latency_counts_match_the_requests_sent_per_manager() {
     let count = |scrape: &MetricsSnapshot, op: &str| {
         scrape
             .histogram(&format!("stm_kv_op_latency_us{{op=\"{op}\"}}"))

@@ -106,9 +106,8 @@ fn run_scenario(txns: &[GenTxn]) {
     }
 }
 
-/// Named for the read mode it once ran beside; every read is visible now.
 #[test]
-fn sequential_transactions_match_the_model_visible() {
+fn sequential_transactions_match_the_model() {
     let mut rng = SmallRng::seed_from_u64(0x5eed_000a);
     for _case in 0..64 {
         let txns: Vec<GenTxn> = (0..rng.gen_range(0usize..40))
